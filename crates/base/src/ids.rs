@@ -53,6 +53,16 @@ pub struct RequestId {
     pub seq: u64,
 }
 
+impl RequestId {
+    /// Every request of `client` with a sequence number below `seq`, as a
+    /// key range: the derived order is `(client, seq)`, so a client's
+    /// settled requests are one contiguous prefix of an ordered map and a
+    /// watermark GC can drop them without visiting anything else.
+    pub fn below(client: NodeId, seq: u64) -> core::ops::Range<RequestId> {
+        RequestId { client, seq: 0 }..RequestId { client, seq }
+    }
+}
+
 impl fmt::Display for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}#r{}", self.client, self.seq)
@@ -80,6 +90,14 @@ impl ResultId {
     /// The identifier the client moves to after an abort (Figure 2 line 10).
     pub fn next_attempt(self) -> Self {
         ResultId { request: self.request, attempt: self.attempt + 1 }
+    }
+
+    /// Every attempt of every request of `client` below sequence number
+    /// `seq`, as a key range (the derived order is `(client, seq,
+    /// attempt)`) — the [`RequestId::below`] prefix for per-attempt maps.
+    pub fn below(client: NodeId, seq: u64) -> core::ops::Range<ResultId> {
+        let bounds = RequestId::below(client, seq);
+        ResultId { request: bounds.start, attempt: 0 }..ResultId { request: bounds.end, attempt: 0 }
     }
 
     /// Marker id used by intra-shard replication snapshot log records —
@@ -291,6 +309,20 @@ mod tests {
         assert_eq!(next.attempt, 2);
         assert_eq!(next.request, rid.request);
         assert!(rid < next);
+    }
+
+    #[test]
+    fn below_ranges_cover_exactly_a_clients_settled_prefix() {
+        let rid = |client, seq, attempt| ResultId {
+            request: RequestId { client: NodeId(client), seq },
+            attempt,
+        };
+        let stale = ResultId::below(NodeId(2), 5);
+        assert!(stale.contains(&rid(2, 0, 0)) && stale.contains(&rid(2, 4, u32::MAX)));
+        assert!(!stale.contains(&rid(2, 5, 1)), "the watermark is exclusive");
+        assert!(!stale.contains(&rid(1, 9, 1)) && !stale.contains(&rid(3, 0, 1)));
+        assert!(ResultId::below(NodeId(2), 0).is_empty());
+        assert!(RequestId::below(NodeId(2), 5).contains(&RequestId { client: NodeId(2), seq: 4 }));
     }
 
     #[test]

@@ -32,8 +32,8 @@ use crate::woreg::WoRegisters;
 use crate::Suspects;
 use etx_base::ids::{NodeId, RegId, ResultId};
 use etx_base::runtime::Context;
-use etx_base::value::{Decision, Outcome, OutcomeBatch, RegValue};
-use std::collections::BTreeMap;
+use etx_base::value::{Decision, OutcomeBatch, RegValue};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// One decided slot's worth of *newly final* outcomes, in slot order.
@@ -84,14 +84,31 @@ pub struct DecisionLog {
     /// `(nil, abort)`) could re-surface a settled attempt as a fresh
     /// "first occurrence" with a conflicting outcome.
     watermarks: BTreeMap<NodeId, u64>,
-    /// Full membership (with outcomes) of each applied slot that is not yet
-    /// fully settled — the bookkeeping behind [`DecisionLog::gc_client`]'s
-    /// return value, which is what lets the host compact a slot's consensus
-    /// instance once no request in it can ever be asked about again.
-    /// Outcomes ride along so the compacted placeholder can keep the slot's
-    /// arbitration content (results dropped). Bounded by the clients'
-    /// unsettled windows, like everything else here.
-    applied_members: BTreeMap<u64, Vec<(ResultId, Outcome)>>,
+    /// Each applied slot that is not yet fully settled — the bookkeeping
+    /// behind [`DecisionLog::gc_client`]'s return value, which is what lets
+    /// the host compact a slot's consensus instance once no request in it
+    /// can ever be asked about again. The decided batch itself is kept (a
+    /// shared handle: the register bank holds the same allocation until
+    /// that very compaction), so the compacted placeholder can keep the
+    /// slot's arbitration content (results dropped). Bounded by the
+    /// clients' unsettled windows, like everything else here.
+    applied_members: BTreeMap<u64, AppliedMembers>,
+    /// The members of `applied_members` not yet below their client's
+    /// watermark, as `(attempt, slot)`: ordered by attempt, so the entries
+    /// a watermark settles are one [`ResultId::below`] range and a GC pass
+    /// visits only what it settles.
+    unsettled: BTreeSet<(ResultId, u64)>,
+    /// Applied slots with no unsettled member left, not yet handed to the
+    /// host — [`DecisionLog::gc_client`] drains it.
+    settled_slots: BTreeSet<u64>,
+}
+
+/// One applied slot's membership and how much of it is still unsettled.
+#[derive(Debug)]
+struct AppliedMembers {
+    batch: Arc<OutcomeBatch>,
+    /// This slot's entries in [`DecisionLog::unsettled`].
+    unsettled: usize,
 }
 
 impl Default for DecisionLog {
@@ -116,6 +133,8 @@ impl DecisionLog {
             seen: BTreeMap::new(),
             watermarks: BTreeMap::new(),
             applied_members: BTreeMap::new(),
+            unsettled: BTreeSet::new(),
+            settled_slots: BTreeSet::new(),
         }
     }
 
@@ -223,32 +242,36 @@ impl DecisionLog {
     pub fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Vec<(u64, OutcomeBatch)> {
         let w = self.watermarks.entry(client).or_insert(0);
         *w = (*w).max(ack_below);
-        let stale = |rid: &ResultId| rid.request.client == client && rid.request.seq < ack_below;
-        self.seen.retain(|rid, _| !stale(rid));
-        self.pending.retain(|(rid, _)| !stale(rid));
-        let watermarks = &self.watermarks;
-        let settled = |rid: &ResultId| {
-            watermarks.get(&rid.request.client).is_some_and(|&w| rid.request.seq < w)
-        };
-        let mut forgettable = Vec::new();
-        self.applied_members.retain(|&slot, members| {
-            if members.iter().all(|(rid, _)| settled(rid)) {
-                let tombstone = members
-                    .iter()
-                    .map(|&(rid, outcome)| (rid, Decision { result: None, outcome }))
-                    .collect();
-                forgettable.push((slot, tombstone));
-                false
-            } else {
-                true
+        // Everything keyed by attempt is ordered (client, seq, attempt):
+        // the stale entries are one contiguous range per map, so this runs
+        // on every client request and still costs only what it removes.
+        let stale = ResultId::below(client, ack_below);
+        self.seen.extract_if(stale.clone(), |_, _| true).for_each(drop);
+        self.pending.retain(|(rid, _)| !stale.contains(rid));
+        for (_, slot) in self.unsettled.extract_if((stale.start, 0)..(stale.end, 0), |_| true) {
+            let applied = self.applied_members.get_mut(&slot).expect("indexed slot is applied");
+            applied.unsettled -= 1;
+            if applied.unsettled == 0 {
+                self.settled_slots.insert(slot);
             }
-        });
-        forgettable
+        }
+        std::mem::take(&mut self.settled_slots)
+            .into_iter()
+            .map(|slot| {
+                let applied = self.applied_members.remove(&slot).expect("settled slot is applied");
+                let tombstone = applied
+                    .batch
+                    .iter()
+                    .map(|(rid, d)| (*rid, Decision { result: None, outcome: d.outcome }))
+                    .collect();
+                (slot, tombstone)
+            })
+            .collect()
     }
 
     /// Whether `rid`'s request is below its client's GC watermark (settled
     /// forever; any late entry for it must be ignored).
-    fn settled(&self, rid: &ResultId) -> bool {
+    pub fn settled(&self, rid: &ResultId) -> bool {
         self.watermarks.get(&rid.request.client).is_some_and(|&w| rid.request.seq < w)
     }
 
@@ -337,16 +360,26 @@ impl DecisionLog {
     fn drain_applied(&mut self) -> Vec<AppliedSlot> {
         let mut out = Vec::new();
         while let Some(batch) = self.decided_ahead.remove(&self.next_apply) {
-            self.applied_members
-                .insert(self.next_apply, batch.iter().map(|(rid, d)| (*rid, d.outcome)).collect());
+            let slot = self.next_apply;
+            let mut unsettled = 0;
             let mut firsts = Vec::new();
             for (rid, decision) in batch.iter() {
-                if !self.seen.contains_key(rid) && !self.settled(rid) {
+                if self.settled(rid) {
+                    continue;
+                }
+                if self.unsettled.insert((*rid, slot)) {
+                    unsettled += 1;
+                }
+                if !self.seen.contains_key(rid) {
                     self.seen.insert(*rid, decision.clone());
                     firsts.push((*rid, decision.clone()));
                 }
             }
-            out.push(AppliedSlot { slot: self.next_apply, entries: firsts });
+            if unsettled == 0 {
+                self.settled_slots.insert(slot);
+            }
+            self.applied_members.insert(slot, AppliedMembers { batch, unsettled });
+            out.push(AppliedSlot { slot, entries: firsts });
             self.next_apply += 1;
         }
         out
@@ -524,6 +557,102 @@ mod tests {
         assert_eq!(applied.len(), 1);
         assert!(applied[0].entries.is_empty(), "settled attempt must not resurface");
         assert!(log.decision_of(rid(1)).is_none());
+    }
+
+    /// The GC this module ran before the per-client ranges — `retain` over
+    /// every map on every call — kept as the reference the indexed version
+    /// must match call for call.
+    #[derive(Default)]
+    struct ScanGc {
+        seen: BTreeSet<ResultId>,
+        watermarks: BTreeMap<NodeId, u64>,
+        members: BTreeMap<u64, Vec<(ResultId, Outcome)>>,
+    }
+
+    impl ScanGc {
+        fn settled(&self, rid: &ResultId) -> bool {
+            self.watermarks.get(&rid.request.client).is_some_and(|&w| rid.request.seq < w)
+        }
+
+        fn apply(&mut self, slot: u64, batch: &OutcomeBatch) {
+            self.members.insert(slot, batch.iter().map(|(rid, d)| (*rid, d.outcome)).collect());
+            for (rid, _) in batch {
+                if !self.settled(rid) {
+                    self.seen.insert(*rid);
+                }
+            }
+        }
+
+        fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Vec<(u64, OutcomeBatch)> {
+            let w = self.watermarks.entry(client).or_insert(0);
+            *w = (*w).max(ack_below);
+            self.seen.retain(|rid| rid.request.client != client || rid.request.seq >= ack_below);
+            let mut forgettable = Vec::new();
+            let members = std::mem::take(&mut self.members);
+            for (slot, m) in members {
+                if m.iter().all(|(rid, _)| self.settled(rid)) {
+                    let tombstone =
+                        m.iter().map(|&(rid, outcome)| (rid, Decision { result: None, outcome }));
+                    forgettable.push((slot, tombstone.collect()));
+                } else {
+                    self.members.insert(slot, m);
+                }
+            }
+            forgettable
+        }
+    }
+
+    proptest::proptest! {
+        /// Range GC is `retain` GC: over random slot contents (shared and
+        /// repeated attempts, several clients, slots settled before they
+        /// apply) and random watermarks (regressing ones included), every
+        /// call reports the same fully-settled slots with the same
+        /// tombstones in the same order, and leaves the same memory.
+        #[test]
+        fn range_gc_matches_the_full_scan(
+            steps in proptest::collection::vec(
+                (
+                    0u8..3,
+                    0u32..3,
+                    0u64..10,
+                    proptest::collection::vec((0u32..3, 0u64..10, 1u32..3), 0..5),
+                ),
+                1..80,
+            ),
+        ) {
+            let mut log = DecisionLog::default();
+            let mut scan = ScanGc::default();
+            let mut next_slot = 0;
+            for (op, client, seq, entries) in steps {
+                if op == 0 {
+                    let batch: OutcomeBatch = entries
+                        .into_iter()
+                        .map(|(client, seq, attempt)| {
+                            let request = RequestId { client: NodeId(client), seq };
+                            (ResultId { request, attempt }, commit())
+                        })
+                        .collect();
+                    scan.apply(next_slot, &batch);
+                    log.record_decided(next_slot, &RegValue::Batch(Arc::new(batch)));
+                    log.drain_applied();
+                    next_slot += 1;
+                } else {
+                    proptest::prop_assert_eq!(
+                        log.gc_client(NodeId(client), seq),
+                        scan.gc_client(NodeId(client), seq)
+                    );
+                }
+                proptest::prop_assert!(log.seen.keys().eq(scan.seen.iter()));
+                proptest::prop_assert!(log.applied_members.keys().eq(scan.members.keys()));
+                let unsettled: BTreeSet<(ResultId, u64)> = scan
+                    .members
+                    .iter()
+                    .flat_map(|(&slot, m)| m.iter().map(move |&(rid, _)| (rid, slot)))
+                    .filter(|(rid, _)| !scan.settled(rid))
+                    .collect();
+                proptest::prop_assert_eq!(&log.unsettled, &unsettled);
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,8 @@ use etx_base::runtime::{Context, Event, TimerTag};
 use etx_base::time::Dur;
 use etx_base::trace::TraceKind;
 use etx_base::value::RegValue;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Predicate type used to query the owner's failure detector.
 pub type Suspects<'a> = &'a dyn Fn(NodeId) -> bool;
@@ -80,6 +81,14 @@ pub struct ConsensusEngine {
     majority: usize,
     cfg: EngineConfig,
     instances: BTreeMap<RegId, Instance>,
+    /// The undecided subset of `instances`, in the same order: what the
+    /// resync timer and suspicion changes iterate, so their cost follows
+    /// the rounds in flight rather than every register this server has
+    /// ever heard of. An instance enters when it is created
+    /// ([`Self::instance_mut`]) and leaves when it decides
+    /// ([`Self::record_decision`]); `forget` and `compact` only touch
+    /// decided instances.
+    open: BTreeSet<RegId>,
     /// Decisions reached since the last `handle`/`propose` drain.
     fresh: Vec<(RegId, RegValue)>,
     started: bool,
@@ -99,6 +108,7 @@ impl ConsensusEngine {
             majority: peers.len() / 2 + 1,
             cfg,
             instances: BTreeMap::new(),
+            open: BTreeSet::new(),
             fresh: Vec::new(),
             started: false,
         }
@@ -119,6 +129,23 @@ impl ConsensusEngine {
     /// Locally known decision, if any (the wo-register `read()` fast path).
     pub fn decided(&self, inst: RegId) -> Option<&RegValue> {
         self.instances.get(&inst).and_then(|i| i.decided.as_ref())
+    }
+
+    /// Number of undecided instances — the open work the periodic timers
+    /// pay for (observability / bounded-state tests).
+    pub fn open_instances(&self) -> usize {
+        self.open.len()
+    }
+
+    /// The instance's state, created undecided on first contact.
+    fn instance_mut(&mut self, inst: RegId) -> &mut Instance {
+        match self.instances.entry(inst) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.open.insert(inst);
+                e.insert(Instance::default())
+            }
+        }
     }
 
     /// Every instance this engine has ever seen traffic for — the cleaner
@@ -143,7 +170,7 @@ impl ConsensusEngine {
         }
         let me = self.me;
         let (round, est, ts) = {
-            let i = self.instances.entry(inst).or_default();
+            let i = self.instance_mut(inst);
             if i.est.is_none() {
                 i.est = Some(value);
                 i.ts = 0;
@@ -181,7 +208,7 @@ impl ConsensusEngine {
     /// Broadcasts a pull for a decision (wo-register `read()` liveness: keep
     /// invoking and you eventually see the written value).
     pub fn pull(&mut self, ctx: &mut dyn Context, inst: RegId) {
-        self.instances.entry(inst).or_default();
+        self.instance_mut(inst);
         for p in self.peers.clone() {
             if p != self.me {
                 ctx.send(p, Payload::Consensus(ConsensusMsg::DecideReq { inst }));
@@ -229,9 +256,7 @@ impl ConsensusEngine {
     /// Re-evaluates every undecided instance after a suspicion change (the
     /// owning server calls this on failure-detector transitions).
     pub fn on_suspicion_change(&mut self, ctx: &mut dyn Context, suspects: Suspects<'_>) {
-        let insts: Vec<RegId> =
-            self.instances.iter().filter(|(_, i)| i.decided.is_none()).map(|(&k, _)| k).collect();
-        for inst in insts {
+        for inst in Vec::from_iter(self.open.iter().copied()) {
             self.reevaluate_instance(ctx, inst, suspects);
         }
     }
@@ -372,9 +397,7 @@ impl ConsensusEngine {
             return;
         }
         let value = i.proposal.clone().expect("acks imply a proposal");
-        i.decided = Some(value.clone());
-        ctx.trace(TraceKind::RegDecided { reg: inst });
-        self.fresh.push((inst, value.clone()));
+        self.record_decision(ctx, inst, value.clone());
         for p in self.peers.clone() {
             if p != me {
                 ctx.send(
@@ -386,12 +409,17 @@ impl ConsensusEngine {
     }
 
     fn learn(&mut self, ctx: &mut dyn Context, inst: RegId, value: RegValue) {
-        let i = self.instances.entry(inst).or_default();
-        if i.decided.is_none() {
-            i.decided = Some(value.clone());
-            ctx.trace(TraceKind::RegDecided { reg: inst });
-            self.fresh.push((inst, value));
+        if self.instance_mut(inst).decided.is_none() {
+            self.record_decision(ctx, inst, value);
         }
+    }
+
+    /// Closes an undecided instance with its final value.
+    fn record_decision(&mut self, ctx: &mut dyn Context, inst: RegId, value: RegValue) {
+        self.instance_mut(inst).decided = Some(value.clone());
+        self.open.remove(&inst);
+        ctx.trace(TraceKind::RegDecided { reg: inst });
+        self.fresh.push((inst, value));
     }
 
     fn on_msg(
@@ -407,7 +435,7 @@ impl ConsensusEngine {
                     ctx.send(from, Payload::Consensus(ConsensusMsg::Decide { inst, value: v }));
                     return;
                 }
-                let cur = self.instances.entry(inst).or_default().round;
+                let cur = self.instance_mut(inst).round;
                 if round < cur {
                     ctx.send(from, Payload::Consensus(ConsensusMsg::Nack { inst, round }));
                     return;
@@ -417,7 +445,7 @@ impl ConsensusEngine {
                     // our own estimate out).
                     self.enter_round(ctx, inst, round);
                 }
-                let i = self.instances.entry(inst).or_default();
+                let i = self.instance_mut(inst);
                 if i.round == round {
                     i.estimates.insert(from, (est, ts));
                 }
@@ -430,7 +458,7 @@ impl ConsensusEngine {
                     ctx.send(from, Payload::Consensus(ConsensusMsg::Decide { inst, value: v }));
                     return;
                 }
-                let cur = self.instances.entry(inst).or_default().round;
+                let cur = self.instance_mut(inst).round;
                 if round < cur {
                     ctx.send(from, Payload::Consensus(ConsensusMsg::Nack { inst, round }));
                     return;
@@ -438,7 +466,7 @@ impl ConsensusEngine {
                 if round > cur {
                     self.enter_round(ctx, inst, round);
                 }
-                let i = self.instances.entry(inst).or_default();
+                let i = self.instance_mut(inst);
                 if i.round == round && !i.acked {
                     i.est = Some(value);
                     i.ts = round;
@@ -474,17 +502,12 @@ impl ConsensusEngine {
     /// Periodic decision resync: undecided instances pull, decided ones stay
     /// quiet (answers are demand-driven).
     fn resync(&mut self, ctx: &mut dyn Context) {
-        let undecided: Vec<RegId> = self
-            .instances
-            .iter()
-            .filter(|(_, i)| i.decided.is_none() && i.est.is_some())
-            .map(|(&k, _)| k)
-            .collect();
-        for inst in undecided {
-            for p in self.peers.clone() {
-                if p != self.me {
-                    ctx.send(p, Payload::Consensus(ConsensusMsg::DecideReq { inst }));
-                }
+        for &inst in &self.open {
+            if self.instances[&inst].est.is_none() {
+                continue; // heard of, never proposed here: no value of ours to chase
+            }
+            for &p in self.peers.iter().filter(|&&p| p != self.me) {
+                ctx.send(p, Payload::Consensus(ConsensusMsg::DecideReq { inst }));
             }
         }
     }
@@ -516,6 +539,155 @@ impl ConsensusEngine {
                 true
             }
             _ => false,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use etx_base::ids::{RequestId, ResultId, TimerId};
+    use etx_base::time::Time;
+    use etx_base::wal::StableRecord;
+    use proptest::prelude::*;
+
+    /// Records what the engine sends; everything else is inert.
+    #[derive(Default)]
+    struct Outbox(Vec<(NodeId, Payload)>);
+
+    impl Context for Outbox {
+        fn now(&self) -> Time {
+            Time::ZERO
+        }
+        fn me(&self) -> NodeId {
+            ME
+        }
+        fn send(&mut self, to: NodeId, payload: Payload) {
+            self.0.push((to, payload));
+        }
+        fn send_after(&mut self, _d: Dur, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn set_timer(&mut self, _d: Dur, _tag: TimerTag) -> TimerId {
+            TimerId(0)
+        }
+        fn cancel_timer(&mut self, _id: TimerId) {}
+        fn random_u64(&mut self) -> u64 {
+            0
+        }
+        fn log_append(&mut self, _log: &'static str, _rec: StableRecord, _forced: bool) -> Dur {
+            Dur::ZERO
+        }
+        fn log_read(&self, _log: &'static str) -> Vec<StableRecord> {
+            Vec::new()
+        }
+        fn trace(&mut self, _kind: TraceKind) {}
+        fn depth(&self) -> u32 {
+            0
+        }
+        fn send_at_depth(&mut self, _depth: u32, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn send_after_at_depth(&mut self, _depth: u32, _d: Dur, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn subscribe_node_events(&mut self) {}
+    }
+
+    const ME: NodeId = NodeId(0);
+    const PEERS: [NodeId; 3] = [NodeId(0), NodeId(1), NodeId(2)];
+
+    /// A small register universe of both kinds, so steps collide on
+    /// instances and the `RegId` order interleaves `regA` and slots.
+    fn reg(pick: u8) -> RegId {
+        match pick % 4 {
+            0 => RegId::slot(0),
+            1 => RegId::slot(1),
+            n => RegId::owner(ResultId::first(RequestId { client: NodeId(9), seq: n.into() })),
+        }
+    }
+
+    /// What the full scan this index replaced would have pulled on a
+    /// resync tick, in the order it would have sent it.
+    fn resync_by_full_scan(engine: &ConsensusEngine) -> Vec<(NodeId, Payload)> {
+        let mut out = Vec::new();
+        for (&inst, i) in &engine.instances {
+            if i.decided.is_none() && i.est.is_some() {
+                for p in PEERS.into_iter().filter(|&p| p != ME) {
+                    out.push((p, Payload::Consensus(ConsensusMsg::DecideReq { inst })));
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+        /// The index is the scan: whatever interleaving of writes, peer
+        /// messages (including late ones that re-create a forgotten
+        /// instance), pulls, timers, suspicion flips and GC calls an engine
+        /// sees, `open` is exactly its undecided instances and a resync
+        /// tick pulls exactly what a walk of all instances would.
+        #[test]
+        fn open_set_is_the_undecided_instances(
+            steps in proptest::collection::vec(
+                (0u8..11, 0u8..4, 0u32..3, 1u32..3, 0u32..3, 0u8..8),
+                1..120,
+            ),
+        ) {
+            let mut engine = ConsensusEngine::new(ME, &PEERS, EngineConfig::default());
+            for (op, pick, round, from, v, suspected) in steps {
+                let inst = reg(pick);
+                let value = RegValue::Server(NodeId(v));
+                let sus = move |n: NodeId| suspected & (1 << n.0) != 0;
+                let mut ctx = Outbox::default();
+                let msg = match op {
+                    0 => Some(ConsensusMsg::Estimate { inst, round, est: Some(value), ts: round }),
+                    1 => Some(ConsensusMsg::Estimate { inst, round, est: None, ts: 0 }),
+                    2 => Some(ConsensusMsg::Propose { inst, round, value }),
+                    3 => Some(ConsensusMsg::Ack { inst, round }),
+                    4 => Some(ConsensusMsg::Nack { inst, round }),
+                    5 => Some(ConsensusMsg::Decide { inst, value }),
+                    6 => Some(ConsensusMsg::DecideReq { inst }),
+                    7 => {
+                        engine.propose(&mut ctx, inst, value, &sus);
+                        None
+                    }
+                    8 => {
+                        engine.pull(&mut ctx, inst);
+                        engine.on_suspicion_change(&mut ctx, &sus);
+                        None
+                    }
+                    9 => {
+                        let tag = TimerTag::ConsensusRound { inst, round };
+                        engine.handle(&mut ctx, &Event::Timer { id: TimerId(0), tag }, &sus);
+                        None
+                    }
+                    _ => {
+                        if round == 0 {
+                            engine.forget(inst);
+                        } else {
+                            engine.compact(inst, RegValue::Server(NodeId(7)));
+                        }
+                        None
+                    }
+                };
+                if let Some(m) = msg {
+                    let event = Event::Message { from: NodeId(from), payload: Payload::Consensus(m) };
+                    engine.handle(&mut ctx, &event, &sus);
+                }
+                let undecided: BTreeSet<RegId> = engine
+                    .instances
+                    .iter()
+                    .filter(|(_, i)| i.decided.is_none())
+                    .map(|(&k, _)| k)
+                    .collect();
+                prop_assert_eq!(&engine.open, &undecided, "after op {} on {}", op, inst);
+                let mut pulled = Outbox::default();
+                engine.resync(&mut pulled);
+                prop_assert_eq!(pulled.0, resync_by_full_scan(&engine));
+            }
         }
     }
 }

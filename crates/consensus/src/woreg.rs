@@ -80,6 +80,12 @@ impl WoRegisters {
         self.engine.known_instances()
     }
 
+    /// Number of registers with a write in flight or a pull outstanding —
+    /// undecided at this replica (observability / bounded-state tests).
+    pub fn open_registers(&self) -> usize {
+        self.engine.open_instances()
+    }
+
     /// Feeds a runtime event; returns registers decided by this call.
     pub fn handle(
         &mut self,

@@ -66,6 +66,7 @@ use etx_base::value::{
 use etx_consensus::{AppliedSlot, DecisionLog, EngineConfig, WoEvent, WoRegisters};
 use etx_fd::FailureDetector;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::ops::RangeBounds;
 use std::sync::Arc;
 
 /// Per-attempt protocol state (the paper's compute thread, unrolled).
@@ -159,8 +160,21 @@ fn read_pick(rid: ResultId, call: usize, n: usize) -> usize {
     (z % n as u64) as usize
 }
 
+/// Drops every entry of `map` whose key lies in `range`, visiting nothing
+/// outside it.
+fn drop_range<K: Ord, V>(map: &mut BTreeMap<K, V>, range: impl RangeBounds<K>) {
+    map.extract_if(range, |_, _| true).for_each(drop);
+}
+
 /// The middle-tier process: computation thread + cleaning thread + the
 /// wo-register machinery, as one event-driven state machine.
+///
+/// Everything keyed by attempt lives in an *ordered* map: [`ResultId`]
+/// orders by `(client, seq, attempt)`, so the attempts a client's
+/// watermark settles are one contiguous key range and the per-request GC
+/// pass (`gc_below`) costs what it removes, not what the server holds.
+/// Ordered iteration also keeps every walk over the attempts (a database's
+/// `Ready`, the idle check) identical from run to run.
 pub struct AppServer {
     me: NodeId,
     topo: Topology,
@@ -186,10 +200,10 @@ pub struct AppServer {
     /// in flight — traced (once per new depth ≥ 2) as `PipelineWindow`, so
     /// a depth-1 run's trace is untouched.
     window_peak: u32,
-    fsms: HashMap<ResultId, Phase>,
+    fsms: BTreeMap<ResultId, Phase>,
     /// In-flight fast-path reads (read-only scripts routed around the
     /// commit pipeline).
-    reads: HashMap<ResultId, ReadState>,
+    reads: BTreeMap<ResultId, ReadState>,
     /// Highest commit-ship position observed per shard primary — the
     /// freshness stamp follower reads are gated on. Fed from two sides:
     /// decide acknowledgements this server received, and the causality
@@ -219,17 +233,20 @@ pub struct AppServer {
     replica_seq: BTreeMap<NodeId, u64>,
     /// Attempts whose `regD` write *we* initiated (owner or cleaner): we are
     /// responsible for termination once the register decides.
-    initiators: HashSet<ResultId>,
+    initiators: BTreeSet<ResultId>,
     /// Databases each initiated termination must cover.
-    terminate_targets: HashMap<ResultId, Vec<NodeId>>,
-    /// The paper's `clist` (Figure 6): attempts already cleaned.
-    cleaned: HashSet<ResultId>,
+    terminate_targets: BTreeMap<ResultId, Vec<NodeId>>,
+    /// The paper's `clist` (Figure 6): attempts already cleaned. Holds only
+    /// attempts at or above their client's watermark — below it, being
+    /// settled *is* being cleaned (see `run_cleaner`), so the set is
+    /// bounded by the clients' open windows like every other map here.
+    cleaned: BTreeSet<ResultId>,
     /// Committed decisions we *finished terminating*, for answering client
     /// retransmissions (Figure 5 lines 3–4).
-    committed_cache: HashMap<RequestId, (ResultId, Decision)>,
+    committed_cache: BTreeMap<RequestId, (ResultId, Decision)>,
     /// Span bookkeeping for the Figure 8 log-start / log-outcome rows.
-    rega_started: HashMap<ResultId, Time>,
-    regd_started: HashMap<ResultId, Time>,
+    rega_started: BTreeMap<ResultId, Time>,
+    regd_started: BTreeMap<ResultId, Time>,
 }
 
 impl std::fmt::Debug for AppServer {
@@ -288,17 +305,17 @@ impl AppServer {
             batch_timer: None,
             spec_shipped: BTreeSet::new(),
             window_peak: 0,
-            fsms: HashMap::new(),
-            reads: HashMap::new(),
+            fsms: BTreeMap::new(),
+            reads: BTreeMap::new(),
             shard_seq: BTreeMap::new(),
             shard_lease: BTreeMap::new(),
             replica_seq: BTreeMap::new(),
-            initiators: HashSet::new(),
-            terminate_targets: HashMap::new(),
-            cleaned: HashSet::new(),
-            committed_cache: HashMap::new(),
-            rega_started: HashMap::new(),
-            regd_started: HashMap::new(),
+            initiators: BTreeSet::new(),
+            terminate_targets: BTreeMap::new(),
+            cleaned: BTreeSet::new(),
+            committed_cache: BTreeMap::new(),
+            rega_started: BTreeMap::new(),
+            regd_started: BTreeMap::new(),
         }
     }
 
@@ -314,24 +331,18 @@ impl AppServer {
     /// per unsettled request). Sequential clients send their current
     /// sequence number (everything earlier is implicitly acknowledged);
     /// open-loop clients send their lowest unfinished sequence number.
+    ///
+    /// Runs on every client request, so it touches only the client's stale
+    /// key range in each map: the cost is what it removes (plus any stale
+    /// attempt still mid-protocol), independent of requests served.
     fn gc_below(&mut self, ctx: &mut dyn Context, client: NodeId, ack_below: u64) {
-        let stale: Vec<ResultId> = self
-            .fsms
-            .iter()
-            .filter(|(rid, phase)| {
-                rid.request.client == client
-                    && rid.request.seq < ack_below
-                    && matches!(phase, Phase::Done { .. } | Phase::Watching)
-            })
-            .map(|(&rid, _)| rid)
-            .collect();
-        for rid in stale {
-            self.fsms.remove(&rid);
-            self.cleaned.insert(rid);
+        let stale = ResultId::below(client, ack_below);
+        let at_rest = self.fsms.extract_if(stale.clone(), |_, phase| {
+            matches!(phase, Phase::Done { .. } | Phase::Watching)
+        });
+        for (rid, _) in at_rest {
             self.regs.forget(RegId::owner(rid));
             self.rega_started.remove(&rid);
-            self.regd_started.remove(&rid);
-            self.terminate_targets.remove(&rid);
         }
         // Slots whose every member is settled shed their consensus payload
         // too — without this the register bank retains one decided batch
@@ -348,22 +359,35 @@ impl AppServer {
                 ctx.trace(TraceKind::SlotGc { slot });
             }
         }
-        let fresh = |rid: &ResultId| rid.request.client != client || rid.request.seq >= ack_below;
         // Settled fast-path reads drop with the same watermark.
-        self.reads.retain(|rid, _| fresh(rid));
+        drop_range(&mut self.reads, stale.clone());
         // Initiator bookkeeping for attempts that settled through another
         // server's slot never reaches apply_slots; drop it by watermark.
-        self.initiators.retain(fresh);
-        self.terminate_targets.retain(|rid, _| fresh(rid));
-        self.regd_started.retain(|rid, _| fresh(rid));
-        self.batch_queue.retain(|(rid, _)| fresh(rid));
-        self.committed_cache.retain(|req, _| req.client != client || req.seq >= ack_below);
+        self.initiators.extract_if(stale.clone(), |_| true).for_each(drop);
+        drop_range(&mut self.terminate_targets, stale.clone());
+        drop_range(&mut self.regd_started, stale.clone());
+        // The log now reports these attempts settled, which the cleaner
+        // reads as cleaned: their `clist` entries are redundant.
+        self.cleaned.extract_if(stale.clone(), |_| true).for_each(drop);
+        self.batch_queue.retain(|(rid, _)| !stale.contains(rid));
+        drop_range(&mut self.committed_cache, RequestId::below(client, ack_below));
     }
 
     /// Number of per-attempt state machines currently held (observability /
     /// GC tests).
     pub fn in_flight_attempts(&self) -> usize {
         self.fsms.len()
+    }
+
+    /// Size of the cleaner's `clist` (observability / GC tests).
+    pub fn cleaned_attempts(&self) -> usize {
+        self.cleaned.len()
+    }
+
+    /// Undecided registers in this server's consensus engine — what its
+    /// resync timer walks (observability / GC tests).
+    pub fn open_registers(&self) -> usize {
+        self.regs.open_registers()
     }
 
     // ---- computation thread (Figure 5) ------------------------------------
@@ -1327,7 +1351,10 @@ impl AppServer {
                 continue;
             }
             let rid = reg.rid;
-            if self.cleaned.contains(&rid) {
+            // Below its client's watermark an attempt is settled forever:
+            // nothing is left to clean, and the log would drop a
+            // `(nil, abort)` for it anyway.
+            if self.cleaned.contains(&rid) || self.log.settled(&rid) {
                 continue;
             }
             match self.regs.read(reg).and_then(RegValue::as_server) {
@@ -1478,5 +1505,9 @@ impl Process for AppServer {
 
     fn name(&self) -> &'static str {
         "appserver"
+    }
+
+    fn as_any(&self) -> Option<&dyn core::any::Any> {
+        Some(self)
     }
 }

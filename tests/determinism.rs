@@ -4,6 +4,9 @@
 //! demands byte-identical traces — and demands that different seeds
 //! actually explore different interleavings.
 
+use etx::base::config::{BatchingConfig, FeatureSet, PipelineConfig, SpeculationConfig};
+use etx::base::fault::{FaultOp, NemesisWhen};
+use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::harness::{MiddleTier, ScenarioBuilder, Workload};
@@ -46,6 +49,55 @@ fn run_traced_sharded(seed: u64) -> Vec<u8> {
     s.run_until_settled(2);
     s.quiesce(Dur::from_millis(50));
     format!("{:#?}", s.trace().events()).into_bytes()
+}
+
+/// The fail-over shape that used to diverge: a shard primary crashes and
+/// recovers while 8 closed-loop clients keep a batched, pipelined server
+/// busy, so its `Ready` notice finds many attempts mid-protocol at once.
+/// The order in which the application server walks them decides which
+/// `Decide`s and refused votes go out first; that walk once followed a
+/// `HashMap`'s per-instance random order, so one seed gave a different
+/// run every time — even twice in one process, because every map draws
+/// fresh hash keys.
+fn run_traced_busy_failover(seed: u64) -> Vec<u8> {
+    let features = FeatureSet {
+        batching: BatchingConfig::new(64, Dur::from_millis(1)),
+        speculation: SpeculationConfig::on(),
+        pipeline: PipelineConfig::new(4),
+        ..FeatureSet::default()
+    };
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed)
+        .runtime(RuntimeKind::Sim)
+        .features(features)
+        .shards(4)
+        .replication(2)
+        .clients(8)
+        .workload(Workload::ShardedBank { accounts: 64, cross_pct: 10, amount: 3 })
+        .requests(60)
+        .build();
+    let victim = s.shard_primary(0);
+    for at in [20, 60] {
+        s.schedule_fault(
+            NemesisWhen::After(Dur::from_millis(at)),
+            FaultOp::CrashFor { node: victim, down_for: Dur::from_millis(15) },
+        )
+        .expect("the simulator injects faults");
+    }
+    s.run_until_settled(8 * 60);
+    s.quiesce(Dur::from_millis(50));
+    assert_eq!(s.delivered_commits(), 8 * 60, "the run must survive its crashes");
+    format!("{:#?}", s.trace().events()).into_bytes()
+}
+
+#[test]
+fn same_seed_replays_byte_identical_traces_through_a_busy_shard_failover() {
+    for seed in [7, 0xFA11] {
+        assert!(
+            run_traced_busy_failover(seed) == run_traced_busy_failover(seed),
+            "seed {seed}: a shard-primary crash under load replayed differently — \
+             something walks a randomly ordered collection"
+        );
+    }
 }
 
 #[test]

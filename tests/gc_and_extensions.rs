@@ -2,9 +2,11 @@
 //! arrays (§5 names it as open) and the adaptive client-routing flag.
 
 use etx::base::config::ProtocolConfig;
+use etx::base::runtime::RuntimeKind;
 use etx::base::time::{Dur, Time};
 use etx::base::trace::TraceKind;
 use etx::harness::{check, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
+use etx::protocol::AppServer;
 
 #[test]
 fn long_request_stream_stays_correct_with_gc() {
@@ -29,6 +31,40 @@ fn long_request_stream_stays_correct_with_gc() {
         "settled decision-log slots must be garbage-collected"
     );
     check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
+}
+
+#[test]
+fn two_thousand_requests_leave_only_open_work_behind() {
+    // The stateless-middle-tier claim, as sizes: after a long sequential
+    // stream an application server holds state for the attempts still in
+    // its client's window, not for the 2 000 it has finished. The primary
+    // hears the client's watermark on every request, so its per-attempt
+    // maps and the cleaner's `clist` stay at a handful of entries; the
+    // consensus engine's open set — what the resync timer walks — holds
+    // only undecided registers, on the backups too (which never hear the
+    // watermark and still remember every *decided* register).
+    const REQUESTS: u64 = 2_000;
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 885)
+        .runtime(RuntimeKind::Sim)
+        .workload(Workload::BankUpdate { amount: 1 })
+        .requests(REQUESTS)
+        .build();
+    assert_eq!(s.run_until_settled(REQUESTS as usize), etx::sim::RunOutcome::Predicate);
+    s.quiesce(Dur::from_millis(300));
+    assert_eq!(s.delivered_commits(), REQUESTS as usize);
+    let primary = s.primary();
+    for &node in &s.topo.app_servers {
+        let process = s.sim().process_ref(node).expect("no application server crashed");
+        let app: &AppServer = process
+            .as_any()
+            .and_then(|any| any.downcast_ref())
+            .expect("application servers expose themselves for introspection");
+        assert!(app.open_registers() <= 4, "{node}: {} open registers", app.open_registers());
+        if node == primary {
+            assert!(app.in_flight_attempts() <= 4, "{} attempts held", app.in_flight_attempts());
+            assert!(app.cleaned_attempts() <= 4, "{} attempts in clist", app.cleaned_attempts());
+        }
+    }
 }
 
 #[test]
