@@ -49,11 +49,11 @@ impl BatchingConfig {
 ///
 /// With the lane **disabled** (the default), read-only scripts take the
 /// paper's full commit machinery — decision-log slot, WAL append, replica
-/// shipment — exactly as before the lane existed (trace-identical). With
-/// it **enabled**, the application server sends each read-only script's
-/// per-shard calls as direct `Read` messages against committed state: no
-/// XA branch, no locks, no consensus. Reads are idempotent, so the
-/// write-once `regD` contract they skip was never protecting anything.
+/// shipment. With it **enabled**, the application server sends each
+/// read-only script's per-shard calls as direct `Read` messages against
+/// committed state: no XA branch, no locks, no consensus. Reads are
+/// idempotent, so the write-once `regD` contract they skip was never
+/// protecting anything.
 ///
 /// ## Isolation of multi-shard fast reads
 ///
@@ -91,9 +91,8 @@ pub struct ReadPathConfig {
     /// observed the write's acknowledgement no longer re-opens the window.
     /// What the gate still cannot see is *other* clients' writes that
     /// neither this server nor this client has observed — the same bound
-    /// asymmetric-replication reads give without leases. Lease-based
-    /// local reads (which close that window by construction) are the
-    /// recorded ROADMAP follow-up.
+    /// asymmetric-replication reads give without leases;
+    /// [`ReadLeaseConfig`] closes that window by construction.
     ///
     /// Multi-shard reads ignore this flag and always read primaries: the
     /// snapshot validation above needs the authoritative position, which
@@ -107,7 +106,7 @@ pub struct ReadPathConfig {
 }
 
 impl ReadPathConfig {
-    /// Fast lane off: reads take the historical commit route.
+    /// Fast lane off: reads take the paper's commit route.
     pub fn disabled() -> Self {
         ReadPathConfig::default()
     }
@@ -138,8 +137,7 @@ impl ReadPathConfig {
 /// exactly as [`ReadPathConfig`] describes: every follower read is gated
 /// on the issuing server's freshness stamp and forwards to the primary
 /// when the follower trails, and multi-shard snapshot-validation collects
-/// go to primaries only. No lease frames, timers, or trace events exist —
-/// a leases-off run replays the pre-lease trace byte-for-byte.
+/// go to primaries only. No lease frames, timers, or trace events exist.
 ///
 /// With leases **enabled**, a shard primary grants each follower a lease
 /// asserting "serving your applied prefix is authoritative through `T`",
@@ -212,7 +210,7 @@ impl Default for ReadLeaseConfig {
 }
 
 impl ReadLeaseConfig {
-    /// Leases off: the stamp-gated read path, trace-identical to PR 4/5.
+    /// Leases off: the stamp-gated read path.
     pub fn disabled() -> Self {
         ReadLeaseConfig {
             enabled: false,
@@ -255,8 +253,8 @@ impl ReadLeaseConfig {
 /// consensus, instead of strictly after the slot decides.
 ///
 /// With speculation **disabled** (the default), the pipeline is the
-/// paper's decide-then-execute shape, byte-for-byte: no extra messages,
-/// no extra trace events. With it **enabled**, the application server
+/// paper's decide-then-execute shape: no extra messages, no extra trace
+/// events. With it **enabled**, the application server
 /// ships every flushed batch to the shard primaries as a `SpecExec`
 /// frame the moment it proposes the batch into a slot; the primary
 /// executes the batch against a speculative snapshot layered over
@@ -307,18 +305,18 @@ impl SpeculationConfig {
 /// Decision-log pipelining knobs: how many undecided decision-log slots
 /// the proposing application server keeps in flight at once.
 ///
-/// At depth 1 (the default) the log runs one consensus round at a time —
-/// exactly the PR 6/7/8 pipeline, byte-for-byte. At depth `K > 1` the log
-/// proposes slots `s+1..s+K` as soon as pending outcomes exist, each slot
-/// running its own write-once consensus round concurrently; decides may
-/// arrive out of order, but promotion/apply stays strictly in slot order
-/// behind the log's low-water mark, so the `regD` write-once contract and
-/// first-occurrence-in-slot-order arbitration are untouched. With
-/// speculation on, the application server ships a `SpecExec` for *every*
-/// newly proposed slot, and shard primaries stack per-slot speculation
-/// buffers (youngest-first reads); a mismatch at slot `s` cascades — the
-/// stash for `s` and every speculative slot above it are discarded, since
-/// the slots above were executed against a now-wrong base.
+/// At depth 1 (the default) the log runs one consensus round at a time.
+/// At depth `K > 1` the log proposes slots `s+1..s+K` as soon as pending
+/// outcomes exist, each slot running its own write-once consensus round
+/// concurrently; decides may arrive out of order, but promotion/apply
+/// stays strictly in slot order behind the log's low-water mark, so the
+/// `regD` write-once contract and first-occurrence-in-slot-order
+/// arbitration are untouched. With speculation on, the application server
+/// ships a `SpecExec` for *every* newly proposed slot, and shard primaries
+/// stack per-slot speculation buffers (youngest-first reads); a mismatch
+/// at slot `s` cascades — the stash for `s` and every speculative slot
+/// above it are discarded, since the slots above were executed against a
+/// now-wrong base.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Maximum undecided decision-log slots in flight at once (≥ 1).
@@ -349,53 +347,11 @@ impl PipelineConfig {
     }
 }
 
-/// Applies an environment override for a scenario knob **only when the
-/// scenario did not set the knob explicitly**: an explicit builder call
-/// always wins over ambient CI matrix variables. Every env-tunable knob
-/// (`ETX_BATCH_SIZE`, `ETX_READ_PATH`, `ETX_READ_LEASES`,
-/// `ETX_SPECULATION`, `ETX_PIPELINE_DEPTH`) must route its override
-/// through this helper so the precedence rule cannot be reimplemented
-/// inconsistently per knob.
-pub fn env_override<T>(
-    var: &str,
-    explicit: bool,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Option<T> {
-    if explicit {
-        return None;
-    }
-    std::env::var(var).ok().and_then(|v| parse(v.trim()))
-}
-
-/// Parses a boolean-ish toggle value: `1`/`on`/`true` enable,
-/// `0`/`off`/`false` disable, anything else is ignored.
-pub fn parse_toggle(v: &str) -> Option<bool> {
-    match v {
-        "1" | "on" | "true" => Some(true),
-        "0" | "off" | "false" => Some(false),
-        _ => None,
-    }
-}
-
 /// The optional protocol features layered over the paper's core pipeline,
 /// gathered in one place: commit-pipeline batching, the read fast lane,
-/// time-bounded read leases, and speculative batch execution. The default
-/// set is every feature off — the paper-faithful shape, byte-for-byte.
-///
-/// ## Override precedence (the one rule)
-///
-/// Every feature knob resolves the same way, strongest first:
-///
-/// 1. **Explicit builder call** (`.features(..)` or a per-knob method such
-///    as `.batching(..)`) — a test that pins a knob means it.
-/// 2. **Environment variable** (`ETX_BATCH_SIZE`, `ETX_READ_PATH`,
-///    `ETX_READ_LEASES`, `ETX_SPECULATION`) — the CI matrix hook that pins
-///    every scenario which left the knob at its default.
-/// 3. **Default** — feature off.
-///
-/// [`FeatureSet::apply_env`] implements steps 2–3 against the explicitness
-/// record, routed through [`env_override`] per knob so the rule cannot be
-/// reimplemented inconsistently.
+/// time-bounded read leases, speculative batch execution and decision-log
+/// pipelining. The default set is every feature off — the paper-faithful
+/// shape.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FeatureSet {
     /// Commit-pipeline batching: how request outcomes group into
@@ -414,87 +370,6 @@ pub struct FeatureSet {
     /// (default: depth 1 — one consensus round at a time, the paper's
     /// shape).
     pub pipeline: PipelineConfig,
-}
-
-/// Which [`FeatureSet`] knobs a scenario set explicitly. An explicit knob
-/// is immune to its environment variable (precedence rule above); the
-/// `.features(..)` builder entry marks all four at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FeatureExplicit {
-    /// `.batching(..)` (or `.features(..)`) was called.
-    pub batching: bool,
-    /// `.read_path(..)` (or `.features(..)`) was called.
-    pub read_path: bool,
-    /// `.read_leases(..)` (or `.features(..)`) was called.
-    pub read_leases: bool,
-    /// `.speculation(..)` (or `.features(..)`) was called.
-    pub speculation: bool,
-    /// `.pipeline(..)` (or `.features(..)`) was called.
-    pub pipeline: bool,
-}
-
-impl FeatureExplicit {
-    /// Every knob explicit — the `.features(..)` builder entry.
-    pub fn all() -> Self {
-        FeatureExplicit {
-            batching: true,
-            read_path: true,
-            read_leases: true,
-            speculation: true,
-            pipeline: true,
-        }
-    }
-}
-
-impl FeatureSet {
-    /// Applies the environment-variable layer of the precedence rule: each
-    /// knob the scenario did not set explicitly may be pinned by its CI
-    /// matrix variable. `batch_window` is the flush deadline an env-forced
-    /// pipeline depth gets (callers pass a cadence already scaled to the
-    /// scenario's cost model, e.g. the cleaner interval).
-    ///
-    /// * `ETX_BATCH_SIZE=<n>` forces the pipeline depth.
-    /// * `ETX_READ_PATH=1|0` forces the read fast lane (with follower
-    ///   reads) on or the historical commit route.
-    /// * `ETX_READ_LEASES=1|0` forces the fast-test lease preset or the
-    ///   stamp-gated route.
-    /// * `ETX_SPECULATION=1|0` overlaps batch execution with the consensus
-    ///   round or keeps strict decide-then-execute.
-    /// * `ETX_PIPELINE_DEPTH=<k>` forces the decision-log window: how many
-    ///   undecided slots run consensus concurrently.
-    pub fn apply_env(&mut self, explicit: FeatureExplicit, batch_window: Dur) {
-        if let Some(size) =
-            env_override("ETX_BATCH_SIZE", explicit.batching, |v| v.parse::<usize>().ok())
-        {
-            let window = if size > 1 { batch_window } else { Dur::ZERO };
-            self.batching = BatchingConfig::new(size, window);
-        }
-        if let Some(on) = env_override("ETX_READ_PATH", explicit.read_path, parse_toggle) {
-            self.read_path =
-                if on { ReadPathConfig::follower_reads() } else { ReadPathConfig::disabled() };
-        }
-        if let Some(on) = env_override("ETX_SPECULATION", explicit.speculation, parse_toggle) {
-            self.speculation =
-                if on { SpeculationConfig::on() } else { SpeculationConfig::disabled() };
-        }
-        if let Some(depth) =
-            env_override("ETX_PIPELINE_DEPTH", explicit.pipeline, |v| v.parse::<usize>().ok())
-        {
-            self.pipeline = PipelineConfig::new(depth);
-        }
-        if let Some(on) = env_override("ETX_READ_LEASES", explicit.read_leases, parse_toggle) {
-            self.read_leases =
-                if on { ReadLeaseConfig::fast_for_tests() } else { ReadLeaseConfig::disabled() };
-        }
-        // Leases exist to serve the read fast lane; without it there is
-        // nothing to lease-cover, so the grant machinery (renewal timers,
-        // piggybacked grants, recovery fences) stays out of the schedule
-        // entirely. This keeps the lease-on CI leg from perturbing every
-        // write-only scenario in the suite.
-        if !self.read_path.enabled {
-            self.read_leases = ReadLeaseConfig::disabled();
-        }
-    }
 }
 
 /// Tunables of the e-Transaction protocol itself.
@@ -533,8 +408,8 @@ pub struct ProtocolConfig {
     /// always starting at `a1`.
     pub route_to_last_responder: bool,
     /// The optional protocol features (batching, read fast lane, read
-    /// leases, speculation), defaulting to all-off — the paper's shape.
-    /// See [`FeatureSet`] for the one override-precedence rule.
+    /// leases, speculation, pipelining), defaulting to all-off — the
+    /// paper's shape.
     pub features: FeatureSet,
 }
 
@@ -821,23 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn env_override_defers_to_explicit_settings() {
-        // The precedence rule all three knobs share: explicit builder call
-        // beats env var beats default. (Parsing is exercised without
-        // touching the process environment — env mutation in tests races
-        // the parallel test runner.)
-        assert_eq!(env_override("ETX_NOT_A_REAL_VAR", false, parse_toggle), None);
-        assert_eq!(env_override("ETX_NOT_A_REAL_VAR", true, parse_toggle), None);
-        assert_eq!(parse_toggle("1"), Some(true));
-        assert_eq!(parse_toggle("on"), Some(true));
-        assert_eq!(parse_toggle("true"), Some(true));
-        assert_eq!(parse_toggle("0"), Some(false));
-        assert_eq!(parse_toggle("off"), Some(false));
-        assert_eq!(parse_toggle("false"), Some(false));
-        assert_eq!(parse_toggle("maybe"), None);
-    }
-
-    #[test]
     fn protocol_defaults_are_sane() {
         let p = ProtocolConfig::default();
         assert!(p.client_backoff > p.terminate_retry);
@@ -850,31 +708,6 @@ mod tests {
         let fd = FdConfig::default();
         assert!(fd.initial_timeout > fd.heartbeat_every);
         assert!(fd.max_timeout > fd.initial_timeout);
-    }
-
-    #[test]
-    fn explicit_features_are_immune_to_env() {
-        // An all-explicit set never consults the environment at all (the
-        // env closure would otherwise fire on ambient CI matrix variables,
-        // making this test flaky under the matrix — immunity is the point).
-        let mut f = FeatureSet {
-            batching: BatchingConfig::new(8, Dur::from_millis(1)),
-            read_path: ReadPathConfig::follower_reads(),
-            read_leases: ReadLeaseConfig::fast_for_tests(),
-            speculation: SpeculationConfig::on(),
-            pipeline: PipelineConfig::new(4),
-        };
-        let before = f;
-        f.apply_env(FeatureExplicit::all(), Dur::from_millis(5));
-        assert_eq!(f, before, "explicit knobs beat any environment");
-    }
-
-    #[test]
-    fn leases_require_the_read_lane() {
-        let mut f =
-            FeatureSet { read_leases: ReadLeaseConfig::fast_for_tests(), ..FeatureSet::default() };
-        f.apply_env(FeatureExplicit::all(), Dur::ZERO);
-        assert!(!f.read_leases.enabled, "leases without the fast lane are inert and disabled");
     }
 
     #[test]

@@ -277,9 +277,8 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-/// Which runtime backend hosts a scenario. The selector the harness's
-/// `ScenarioBuilder::runtime` knob and the `ETX_RUNTIME` environment
-/// variable resolve to.
+/// Which runtime backend hosts a scenario: the value the harness's
+/// `ScenarioBuilder::runtime` call takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RuntimeKind {
     /// The deterministic discrete-event simulator (`etx-sim`): virtual
@@ -295,17 +294,6 @@ pub enum RuntimeKind {
 }
 
 impl RuntimeKind {
-    /// Parses an `ETX_RUNTIME` value (`sim` | `threaded`; unknown values
-    /// are ignored so a typo falls back rather than silently re-routing
-    /// the whole suite).
-    pub fn parse(v: &str) -> Option<RuntimeKind> {
-        match v {
-            "sim" => Some(RuntimeKind::Sim),
-            "threaded" | "thread" | "rt" => Some(RuntimeKind::Threaded),
-            _ => None,
-        }
-    }
-
     /// Stable label (diagnostics, bench tables).
     pub fn label(self) -> &'static str {
         match self {

@@ -15,30 +15,7 @@
 
 use crate::ids::{NodeId, RequestId, ResultId};
 use core::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Instrumentation for the Arc-shared hot-path payloads: every time a
-/// request script is cloned (client retransmissions, broadcast fan-out,
-/// per-replica message copies) the op vectors are *shared* by reference
-/// count instead of deep-copied. This counter records how many [`DbOp`]
-/// elements were shared that way — i.e. how many element copies the
-/// pre-Arc representation would have performed. Purely observational
-/// (relaxed atomics, no effect on behaviour or determinism); the
-/// `read_path` bench reports it in its notes.
-static SHARED_OP_ELEMS: AtomicU64 = AtomicU64::new(0);
-
-/// Total [`DbOp`] elements shared (not deep-copied) by script clones since
-/// process start or the last [`reset_shared_op_elems`].
-pub fn shared_op_elems() -> u64 {
-    SHARED_OP_ELEMS.load(Ordering::Relaxed)
-}
-
-/// Resets the sharing counter (bench bookkeeping). Process-global: callers
-/// measuring a single scenario should not run scenarios concurrently.
-pub fn reset_shared_op_elems() {
-    SHARED_OP_ELEMS.store(0, Ordering::Relaxed);
-}
 
 /// A database vote on a prepared transaction branch (§2): `yes` means the
 /// database server agrees to commit the result.
@@ -192,7 +169,7 @@ impl DbCall {
 ///   horizontally partitionable without the client knowing the layout.
 ///
 /// A script uses one form or the other, never both.
-#[derive(Debug, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestScript {
     /// Database calls, issued in order (each call may target a different
     /// database; all branches belong to the same distributed transaction).
@@ -200,18 +177,6 @@ pub struct RequestScript {
     /// Key-addressed operations, routed to shards by the application
     /// server. Empty for explicitly-addressed scripts.
     pub keyed_ops: Arc<[DbOp]>,
-}
-
-impl Clone for RequestScript {
-    /// Clones share the op payloads by reference count (the hot-path
-    /// representation change: retransmissions and broadcasts stop
-    /// deep-copying op vectors). Each clone records how many [`DbOp`]
-    /// elements were shared instead of copied — see [`shared_op_elems`].
-    fn clone(&self) -> Self {
-        let shared = self.calls.iter().map(|c| c.ops.len()).sum::<usize>() + self.keyed_ops.len();
-        SHARED_OP_ELEMS.fetch_add(shared as u64, Ordering::Relaxed);
-        RequestScript { calls: self.calls.clone(), keyed_ops: Arc::clone(&self.keyed_ops) }
-    }
 }
 
 impl RequestScript {
@@ -466,13 +431,11 @@ mod tests {
             DbOp::Get { key: "a".into() },
             DbOp::Add { key: "a".into(), delta: 1 },
         ]);
-        let before = shared_op_elems();
         let copy = script.clone();
         assert!(
             Arc::ptr_eq(&script.keyed_ops, &copy.keyed_ops),
             "clone must share the op allocation, not duplicate it"
         );
-        assert!(shared_op_elems() >= before + 2, "sharing counter records the shared elements");
         let explicit = RequestScript::single(NodeId(1), vec![DbOp::Get { key: "k".into() }]);
         let copy2 = explicit.clone();
         assert!(Arc::ptr_eq(&explicit.calls[0].ops, &copy2.calls[0].ops));

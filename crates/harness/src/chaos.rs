@@ -8,15 +8,16 @@
 //!
 //! Faults are expressed through the backend-neutral fault plane
 //! ([`Scenario::schedule_fault`] / [`etx_base::fault::FaultOp`]), so one
-//! nemesis schedule drives either runtime: on the simulator it replays the
-//! historical direct-call schedules byte-identically, and the `*_on`
-//! runners accept a [`RuntimeKind`] to run the same schedule against the
+//! nemesis schedule drives either runtime: the runners that take a
+//! [`RuntimeKind`] run the same schedule on the simulator or against the
 //! multi-threaded host — real threads, real crashes, the same §3 judge.
 
 use crate::properties::{check, LivenessChecks, PropertyReport};
 use crate::scenario::{MiddleTier, Scenario, ScenarioBuilder};
 use crate::workloads::Workload;
-use etx_base::config::{BatchingConfig, ReadPathConfig, SpeculationConfig};
+use etx_base::config::{
+    BatchingConfig, FeatureSet, PipelineConfig, ReadLeaseConfig, ReadPathConfig, SpeculationConfig,
+};
 use etx_base::fault::{FaultOp, NemesisWhen};
 use etx_base::runtime::RuntimeKind;
 use etx_base::time::{Dur, Time};
@@ -55,8 +56,10 @@ pub struct ChaosOptions {
     /// makes parameter sweeps (e.g. `.shards()`) comparable across chaos
     /// on/off: the same run seed drives the same workload either way.
     pub chaos_seed: Option<u64>,
-    /// Commit-pipeline depth for the scenario (1 = per-request slots).
-    pub batch_size: usize,
+    /// The protocol features the scenario runs with (default: the paper's
+    /// shape). Runners that exist to exercise one feature switch it on
+    /// over whatever is set here.
+    pub features: FeatureSet,
 }
 
 impl Default for ChaosOptions {
@@ -73,9 +76,40 @@ impl Default for ChaosOptions {
             shards: None,
             replication: 1,
             chaos_seed: None,
-            batch_size: 1,
+            features: FeatureSet::default(),
         }
     }
+}
+
+/// The three feature sets the benchmark of record (`examples/etx_bench`)
+/// runs, by name: the paper's shape; the saturated commit pipeline (batch
+/// 64 / 1 ms, speculation, a 4-slot window); and that plus follower reads
+/// under fast-test leases. The chaos suites sweep their schedules over
+/// every row, so each configuration that is measured is also §3-checked
+/// under faults.
+pub fn feature_corners() -> [(&'static str, FeatureSet); 3] {
+    let pipelined = FeatureSet {
+        batching: BatchingConfig::new(64, Dur::from_millis(1)),
+        speculation: SpeculationConfig::on(),
+        pipeline: PipelineConfig::new(4),
+        ..FeatureSet::default()
+    };
+    let reads = FeatureSet {
+        read_path: ReadPathConfig::follower_reads(),
+        read_leases: ReadLeaseConfig::fast_for_tests(),
+        ..pipelined
+    };
+    [("paper", FeatureSet::default()), ("pipelined", pipelined), ("pipelined+reads", reads)]
+}
+
+/// `features` with the pipeline floored at 8 outcomes per slot (1 ms
+/// window) — for the runners whose fault triggers are multi-request
+/// batches, which a shallower pipeline would never form.
+fn batching_at_least_8(mut features: FeatureSet) -> FeatureSet {
+    if features.batching.max_batch < 8 {
+        features.batching = BatchingConfig::new(8, Dur::from_millis(1));
+    }
+    features
 }
 
 /// Result of a chaos run.
@@ -202,16 +236,13 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
 
     let mut forced = Vec::new();
     let mut builder = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
-        .runtime(RuntimeKind::Sim)
         .dbs(opts.dbs)
         .clients(opts.clients)
         .requests(opts.requests)
+        .features(opts.features)
         .workload(workload.clone());
     if let Some(shards) = opts.shards {
         builder = builder.shards(shards).replication(opts.replication);
-    }
-    if opts.batch_size > 1 {
-        builder = builder.batching(BatchingConfig::new(opts.batch_size, Dur::from_millis(1)));
     }
     if opts.loss_rate > 0.0 {
         builder = builder.net(NetConfig {
@@ -283,15 +314,10 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
 /// particular that every request still terminates with a single outcome
 /// delivered exactly once.
 ///
-/// `runtime` picks the backend: the simulator replays the historical
-/// schedule byte-identically; the threaded host runs the same nemesis
+/// `runtime` picks the backend: the threaded host runs the same nemesis
 /// schedule against real threads (timed faults land on the wall clock,
 /// trace-triggered ones fire off the same events).
-pub fn run_hot_shard_chaos_on(
-    seed: u64,
-    opts: &ChaosOptions,
-    runtime: RuntimeKind,
-) -> ChaosOutcome {
+pub fn run_hot_shard_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
     // Fault timing comes from the chaos stream only — the scenario (and
     // its workload RNG, seeded by `seed`) is identical with chaos on or
     // off, so `.shards()` sweeps compare like for like.
@@ -299,17 +325,15 @@ pub fn run_hot_shard_chaos_on(
     let shards = opts.shards.unwrap_or(4).max(2);
     let replication = opts.replication.max(1);
     let workload = Workload::HotShard { accounts: shards * 4, hot_pct: 70, amount: 10 };
-    let mut builder = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
+    let mut scenario = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
         .runtime(runtime)
         .shards(shards)
         .replication(replication)
         .clients(opts.clients)
         .requests(opts.requests)
-        .workload(workload);
-    if opts.batch_size > 1 {
-        builder = builder.batching(BatchingConfig::new(opts.batch_size, Dur::from_millis(1)));
-    }
-    let mut scenario = builder.build();
+        .features(opts.features)
+        .workload(workload)
+        .build();
 
     let mut faults = Vec::new();
     // The hot key is acct0; its shard is where the skew lands.
@@ -347,12 +371,6 @@ pub fn run_hot_shard_chaos_on(
     settle_and_check(scenario, seed, faults)
 }
 
-/// [`run_hot_shard_chaos_on`] pinned to the simulator (the historical
-/// entry point; byte-identical to the pre-fault-plane schedule).
-pub fn run_hot_shard_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
-    run_hot_shard_chaos_on(seed, opts, RuntimeKind::Sim)
-}
-
 /// The mid-batch chaos scenario for the commit pipeline: an open-loop
 /// burst fills the application server's pipeline queue so decision-log
 /// slots carry real batches, then
@@ -369,14 +387,9 @@ pub fn run_hot_shard_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
 /// the batch atomicity claim: a decided batch is all-or-nothing per
 /// request — every request in it terminates with its slot outcome exactly
 /// once, and none is duplicated or split by the crashes.
-pub fn run_mid_batch_chaos_on(
-    seed: u64,
-    opts: &ChaosOptions,
-    runtime: RuntimeKind,
-) -> ChaosOutcome {
+pub fn run_mid_batch_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
     let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0x0BA7_C4A0);
     let shards = opts.shards.unwrap_or(4).max(1);
-    let batch = opts.batch_size.max(8);
     let workload = Workload::OpenLoopBurst { accounts: shards * 8, amount: 1 };
     let mut scenario = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
         .runtime(runtime)
@@ -384,7 +397,7 @@ pub fn run_mid_batch_chaos_on(
         .replication(opts.replication.max(1))
         .clients(opts.clients)
         .requests(opts.requests)
-        .batching(BatchingConfig::new(batch, Dur::from_millis(1)))
+        .features(batching_at_least_8(opts.features))
         .workload(workload)
         .build();
 
@@ -418,12 +431,6 @@ pub fn run_mid_batch_chaos_on(
     settle_and_check(scenario, seed, faults)
 }
 
-/// [`run_mid_batch_chaos_on`] pinned to the simulator (the historical
-/// entry point; byte-identical to the pre-fault-plane schedule).
-pub fn run_mid_batch_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
-    run_mid_batch_chaos_on(seed, opts, RuntimeKind::Sim)
-}
-
 /// The speculation chaos scenario: an open-loop burst fills the pipeline
 /// with real batches under speculative execution, and a shard primary is
 /// **crash/recovery-cycled the moment it stashes its first speculative
@@ -437,14 +444,9 @@ pub fn run_mid_batch_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
 /// batch is *not yet state* — it writes no WAL frame, ships nothing to
 /// followers, and a crash at the worst moment leaves exactly the
 /// recovery obligations of the non-speculative pipeline.
-pub fn run_speculation_chaos_on(
-    seed: u64,
-    opts: &ChaosOptions,
-    runtime: RuntimeKind,
-) -> ChaosOutcome {
+pub fn run_speculation_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
     let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0x5BEC_0DE5);
     let shards = opts.shards.unwrap_or(4).max(1);
-    let batch = opts.batch_size.max(8);
     let workload = Workload::OpenLoopBurst { accounts: shards * 8, amount: 1 };
     let mut scenario = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
         .runtime(runtime)
@@ -452,7 +454,7 @@ pub fn run_speculation_chaos_on(
         .replication(opts.replication.max(1))
         .clients(opts.clients)
         .requests(opts.requests)
-        .batching(BatchingConfig::new(batch, Dur::from_millis(1)))
+        .features(batching_at_least_8(opts.features))
         .speculation(SpeculationConfig::on())
         .workload(workload)
         .build();
@@ -475,12 +477,6 @@ pub fn run_speculation_chaos_on(
     ));
 
     settle_and_check(scenario, seed, faults)
-}
-
-/// [`run_speculation_chaos_on`] pinned to the simulator (the historical
-/// entry point; byte-identical to the pre-fault-plane schedule).
-pub fn run_speculation_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
-    run_speculation_chaos_on(seed, opts, RuntimeKind::Sim)
 }
 
 /// The read-path chaos scenario: a read-dominated open-loop workload runs
@@ -508,18 +504,15 @@ pub fn run_read_path_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
     // write's shard — the precondition that makes a starved follower
     // actually *lag* (and therefore forward) rather than trivially serve.
     let workload = Workload::ReadAfterWrite { accounts: shards * 8, amount: 10 };
-    let mut builder = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
-        .runtime(RuntimeKind::Sim)
+    let mut scenario = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
         .shards(shards)
         .replication(replication)
         .clients(opts.clients)
         .requests(opts.requests)
+        .features(opts.features)
         .read_path(ReadPathConfig::follower_reads())
-        .workload(workload);
-    if opts.batch_size > 1 {
-        builder = builder.batching(BatchingConfig::new(opts.batch_size, Dur::from_millis(1)));
-    }
-    let mut scenario = builder.build();
+        .workload(workload)
+        .build();
 
     let mut faults = Vec::new();
 
@@ -573,24 +566,20 @@ pub fn run_read_path_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
 /// committed results only, and read-your-writes all have to survive the
 /// lease machinery's consensus-free serving.
 pub fn run_read_lease_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
-    use etx_base::config::ReadLeaseConfig;
     let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0x1EA5_EFA1);
     let shards = opts.shards.unwrap_or(4).max(2);
     let replication = opts.replication.max(2);
     let workload = Workload::ReadAfterWrite { accounts: shards * 8, amount: 10 };
-    let mut builder = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
-        .runtime(RuntimeKind::Sim)
+    let mut scenario = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
         .shards(shards)
         .replication(replication)
         .clients(opts.clients)
         .requests(opts.requests)
+        .features(opts.features)
         .read_path(ReadPathConfig::follower_reads())
         .read_leases(ReadLeaseConfig::fast_for_tests())
-        .workload(workload);
-    if opts.batch_size > 1 {
-        builder = builder.batching(BatchingConfig::new(opts.batch_size, Dur::from_millis(1)));
-    }
-    let mut scenario = builder.build();
+        .workload(workload)
+        .build();
 
     let mut faults = Vec::new();
 

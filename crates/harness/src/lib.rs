@@ -11,8 +11,7 @@
 //!   checked against recorded histories;
 //! * [`figures`] — regenerates Figure 8 (latency table), Figure 7
 //!   (communication steps) and Figure 1 (canonical executions);
-//! * [`sweeps`] — fail-over latency (the evaluation §5 calls for),
-//!   forced-I/O crossover, replication-degree scalability;
+//! * [`sweeps`] — the forced-I/O crossover (where 2PC would beat AR);
 //! * [`chaos`] — seed-derived randomized fault schedules with full
 //!   specification checking;
 //! * [`stats`] — means and 90% confidence intervals (the paper's
@@ -29,14 +28,12 @@ pub mod sweeps;
 pub mod workloads;
 
 pub use chaos::{
-    run_chaos, run_hot_shard_chaos, run_hot_shard_chaos_on, run_mid_batch_chaos,
-    run_mid_batch_chaos_on, run_read_lease_chaos, run_read_path_chaos, run_speculation_chaos,
-    run_speculation_chaos_on, ChaosOptions, ChaosOutcome,
+    feature_corners, run_chaos, run_hot_shard_chaos, run_mid_batch_chaos, run_read_lease_chaos,
+    run_read_path_chaos, run_speculation_chaos, ChaosOptions, ChaosOutcome,
 };
 pub use figures::{figure1, figure1_all, figure7, figure8, Fig1Scenario, Fig8Table};
 pub use latency::{breakdown_for, Breakdown};
 pub use properties::{check, LivenessChecks, PropertyReport};
 pub use scenario::{MiddleTier, Scenario, ScenarioBuilder};
 pub use stats::Summary;
-pub use sweeps::{cross_shard_sweep, render_cross_shard, CrossShardPoint};
 pub use workloads::Workload;

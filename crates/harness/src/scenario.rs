@@ -4,8 +4,8 @@
 
 use crate::workloads::Workload;
 use etx_base::config::{
-    env_override, BatchingConfig, CostModel, FdConfig, FeatureExplicit, FeatureSet, PipelineConfig,
-    ProtocolConfig, ReadLeaseConfig, ReadPathConfig, SpeculationConfig,
+    BatchingConfig, CostModel, FdConfig, FeatureSet, PipelineConfig, ProtocolConfig,
+    ReadLeaseConfig, ReadPathConfig, SpeculationConfig,
 };
 use etx_base::fault::{CapabilityError, FaultOp, NemesisSchedule, NemesisWhen};
 use etx_base::ids::{NodeId, ResultId, Topology};
@@ -84,15 +84,6 @@ pub struct ScenarioBuilder {
     wall_limit: Option<Dur>,
     /// Which runtime backend hosts the scenario (default: the simulator).
     runtime: RuntimeKind,
-    /// Whether [`ScenarioBuilder::runtime`] was called: an explicit
-    /// backend always wins over the `ETX_RUNTIME` process-wide override
-    /// (a chaos test that needs fault injection means the simulator).
-    runtime_explicit: bool,
-    /// Which feature knobs were set explicitly: an explicit builder call
-    /// always wins over the per-knob environment variable, so
-    /// knob-specific tests keep meaning what they say under the CI
-    /// matrix. See [`FeatureSet`] for the one precedence rule.
-    explicit: FeatureExplicit,
 }
 
 impl ScenarioBuilder {
@@ -116,8 +107,6 @@ impl ScenarioBuilder {
             forced_suspicions: Vec::new(),
             wall_limit: None,
             runtime: RuntimeKind::Sim,
-            runtime_explicit: false,
-            explicit: FeatureExplicit::default(),
         }
     }
 
@@ -185,15 +174,8 @@ impl ScenarioBuilder {
     /// [`Scenario::schedule_fault`] plane; only simulator *internals*
     /// (virtual-time stepping, mid-run storage reads, deterministic
     /// replay) stay behind [`Scenario::sim_mut`].
-    ///
-    /// The `ETX_RUNTIME` environment variable (`sim` | `threaded`) pins
-    /// the backend for scenarios that do **not** call this method — the CI
-    /// hook for running the equivalence suite on real threads. An explicit
-    /// `runtime` call always wins over the environment: a golden-trace
-    /// test that needs determinism means the simulator.
     pub fn runtime(mut self, kind: RuntimeKind) -> Self {
         self.runtime = kind;
-        self.runtime_explicit = true;
         self
     }
 
@@ -208,12 +190,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets all optional protocol features in one call, marking every knob
-    /// explicit (immune to the per-knob environment variables; see
-    /// [`FeatureSet`] for the one precedence rule).
+    /// Sets all optional protocol features in one call.
     pub fn features(mut self, f: FeatureSet) -> Self {
         self.pcfg.features = f;
-        self.explicit = FeatureExplicit::all();
         self
     }
 
@@ -221,15 +200,8 @@ impl ScenarioBuilder {
     /// to `cfg.max_batch` concurrent request outcomes (or wait at most
     /// `cfg.window`) and decide them in one decision-log slot.
     /// `max_batch = 1` is the degenerate per-request configuration.
-    ///
-    /// The `ETX_BATCH_SIZE` environment variable pins the pipeline depth
-    /// for scenarios that do **not** call this method — the CI batching
-    /// matrix's hook for running the whole suite under a deep pipeline.
-    /// An explicit `batching` call always wins over the environment: a
-    /// test that pins a depth means it.
     pub fn batching(mut self, cfg: BatchingConfig) -> Self {
         self.pcfg.features.batching = cfg;
-        self.explicit.batching = true;
         self
     }
 
@@ -238,18 +210,12 @@ impl ScenarioBuilder {
     /// decision-log slots in flight at once, each running its own
     /// write-once consensus round concurrently; decides may land out of
     /// order but apply stays strictly in slot order. Depth 1 (the
-    /// default) is the single-slot pipeline of PR 6/7/8, byte-for-byte.
-    /// Combines with [`ScenarioBuilder::speculation`]: every proposed
-    /// slot ships for speculative execution, stacking per-slot buffers on
-    /// the shard primaries.
-    ///
-    /// The `ETX_PIPELINE_DEPTH` environment variable pins the depth for
-    /// scenarios that do **not** call this method — the CI matrix's hook
-    /// for running the whole suite under a deep window. An explicit
-    /// `pipeline` call always wins over the environment.
+    /// default) runs one round at a time. Combines with
+    /// [`ScenarioBuilder::speculation`]: every proposed slot ships for
+    /// speculative execution, stacking per-slot buffers on the shard
+    /// primaries.
     pub fn pipeline(mut self, cfg: PipelineConfig) -> Self {
         self.pcfg.features.pipeline = cfg;
-        self.explicit.pipeline = true;
         self
     }
 
@@ -257,15 +223,8 @@ impl ScenarioBuilder {
     /// pipeline batches execute on the shard primaries *while* their
     /// decision-log slot runs consensus, and the buffered work is
     /// promoted (or discarded and replayed) when the slot decides.
-    ///
-    /// The `ETX_SPECULATION` environment variable pins the stage for
-    /// scenarios that do **not** call this method (`1`/`on` enables,
-    /// `0`/`off` disables) — the CI matrix's hook for running the whole
-    /// suite down both paths. An explicit `speculation` call always wins
-    /// over the environment.
     pub fn speculation(mut self, cfg: SpeculationConfig) -> Self {
         self.pcfg.features.speculation = cfg;
-        self.explicit.speculation = true;
         self
     }
 
@@ -273,16 +232,8 @@ impl ScenarioBuilder {
     /// (all-`Get`) route around the commit pipeline as direct snapshot
     /// reads; with `follower_reads` on top, they spread over each shard's
     /// replicas, gated on the per-shard freshness stamp.
-    ///
-    /// The `ETX_READ_PATH` environment variable pins the route for
-    /// scenarios that do **not** call this method (`1`/`on` forces the
-    /// lane on with follower reads, `0`/`off` forces it off) — the CI
-    /// read-path matrix's hook for running the whole suite down both
-    /// routes. An explicit `read_path` call always wins over the
-    /// environment: a test that pins a route means it.
     pub fn read_path(mut self, cfg: ReadPathConfig) -> Self {
         self.pcfg.features.read_path = cfg;
-        self.explicit.read_path = true;
         self
     }
 
@@ -291,17 +242,10 @@ impl ScenarioBuilder {
     /// advertise the grants to application servers, which then route any
     /// fast-path read — multi-shard snapshot-validation collects included
     /// — at in-lease followers with no stamp gate and no forward hop.
-    /// Only meaningful on top of an enabled read fast lane.
-    ///
-    /// The `ETX_READ_LEASES` environment variable pins the mode for
-    /// scenarios that do **not** call this method (`1`/`on` forces the
-    /// fast-test lease preset, `0`/`off` forces leases off) — the CI
-    /// read-path matrix's hook for running the whole suite down both
-    /// legs. An explicit `read_leases` call always wins over the
-    /// environment.
+    /// Only meaningful on top of an enabled read fast lane:
+    /// [`ScenarioBuilder::build`] disables leases when the lane is off.
     pub fn read_leases(mut self, cfg: ReadLeaseConfig) -> Self {
         self.pcfg.features.read_leases = cfg;
-        self.explicit.read_leases = true;
         self
     }
 
@@ -371,18 +315,12 @@ impl ScenarioBuilder {
     /// Builds the system with all processes registered on the selected
     /// runtime backend.
     pub fn build(mut self) -> Scenario {
-        // CI matrix hooks. The feature knobs resolve through the one
-        // precedence rule documented on `FeatureSet` (explicit builder
-        // call > environment variable > default), implemented in a single
-        // place; the env-forced batch window backstop reuses the cleaner
-        // cadence, which already scales with the scenario's cost model —
-        // fast vs. paper-scale.
-        let window = self.pcfg.cleaner_interval;
-        self.pcfg.features.apply_env(self.explicit, window);
-        // ETX_RUNTIME pins the backend the same way — `sim` | `threaded`,
-        // explicit `.runtime(..)` immune.
-        let runtime = env_override("ETX_RUNTIME", self.runtime_explicit, RuntimeKind::parse)
-            .unwrap_or(self.runtime);
+        // Leases exist to serve the read fast lane; without it there is
+        // nothing to lease-cover, so the grant machinery (renewal timers,
+        // piggybacked grants, recovery fences) stays out of the schedule.
+        if !self.pcfg.features.read_path.enabled {
+            self.pcfg.features.read_leases = ReadLeaseConfig::disabled();
+        }
         let db_count = match self.sharding {
             Some((shards, repl)) => shards as usize * repl,
             None => self.dbs,
@@ -397,7 +335,7 @@ impl ScenarioBuilder {
             }
             None => ShardMap::one_per_db(&topo.db_servers),
         };
-        let mut backend = match runtime {
+        let mut backend = match self.runtime {
             RuntimeKind::Sim => {
                 let mut sim_cfg = SimConfig::with_seed(self.seed);
                 sim_cfg.cost = self.cost.clone();
@@ -700,9 +638,9 @@ impl Scenario {
 
     /// The simulator, for internals only it has (live trace callbacks,
     /// virtual-time stepping, mid-run storage reads, deterministic
-    /// replay). Fault injection is **not** such a capability any more —
-    /// use [`Scenario::schedule_fault`] / [`Scenario::apply_schedule`],
-    /// which work on both backends.
+    /// replay). Fault injection is **not** such a capability — use
+    /// [`Scenario::schedule_fault`] / [`Scenario::apply_schedule`], which
+    /// work on both backends.
     ///
     /// # Panics
     ///
@@ -1037,15 +975,6 @@ impl Scenario {
     pub fn cross_shard_routes(&self) -> usize {
         self.distinct_rids(|k| match k {
             TraceKind::ShardRoute { rid, shards } if *shards > 1 => Some(*rid),
-            _ => None,
-        })
-    }
-
-    /// Count of distinct attempts that were shard-routed at all (single- or
-    /// multi-shard) — the denominator for cross-shard fractions.
-    pub fn shard_routed_attempts(&self) -> usize {
-        self.distinct_rids(|k| match k {
-            TraceKind::ShardRoute { rid, .. } => Some(*rid),
             _ => None,
         })
     }

@@ -1,5 +1,8 @@
-//! Smoke tests for the experiment generators (small trial counts; the
-//! real regenerations live in the bench targets).
+//! The paper's figures at small trial counts: the shape each one claims
+//! (Figure 8 overheads and confidence intervals, Figure 7 step ordering,
+//! Figure 1 safety), asserted on the simulated clock. `etx_bench`'s
+//! `paper_seq1` workload and `baselines.*` rows are the full-size
+//! Figure 8 run.
 
 use etx_harness::figures::{figure1_all, figure7, figure8, render_fig7};
 
@@ -13,6 +16,14 @@ fn figure8_shape_holds_with_small_trials() {
     assert!(base.total.mean > 150.0, "baseline ≈ paper's 217 ms scale: {}", base.total.mean);
     assert!(ar.overhead_pct > 5.0 && ar.overhead_pct < 30.0, "AR overhead {}", ar.overhead_pct);
     assert!(tpc.overhead_pct > ar.overhead_pct, "2PC must cost more than AR");
+    for c in table.columns.iter() {
+        assert!(
+            c.total.ci90_rel_width() < 0.10,
+            "{}: CI width {:.1}% exceeds the paper's 10% discipline",
+            c.label,
+            c.total.ci90_rel_width() * 100.0
+        );
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! Faults here are **real**, not simulated: the fault plane
 //! ([`Host::schedule_fault`]) crashes a node by poisoning its inbox and
 //! joining its OS thread (volatile state dies with the thread; the
-//! [`LogStore`] survives for restart), pauses a node by parking the thread
+//! `LogStore` survives for restart), pauses a node by parking the thread
 //! with its inbox gated (the SIGSTOP story — messages pile up, timers go
 //! overdue, nothing is lost), and degrades links through a filter table
 //! consulted on every send (drop, delay, duplicate, partition). The §3

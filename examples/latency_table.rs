@@ -1,5 +1,5 @@
-//! Regenerates the paper's Figure 8 latency table in a few seconds (a
-//! lighter-weight version of `cargo bench --bench figure8`).
+//! Regenerates the paper's Figure 8 latency table in a few seconds
+//! (`etx_bench`'s `paper_seq1` workload is the full-size run).
 //!
 //! ```sh
 //! cargo run --release --example latency_table

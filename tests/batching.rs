@@ -2,8 +2,9 @@
 //! appends, batched replica shipping — checked against the full §3
 //! specification, including mid-batch crashes.
 
-use etx::base::config::BatchingConfig;
+use etx::base::config::{BatchingConfig, FeatureSet};
 use etx::base::ids::ResultId;
+use etx::base::runtime::RuntimeKind;
 use etx::base::time::{Dur, Time};
 use etx::base::trace::TraceKind;
 use etx::base::wal::{StableRecord, LOG_WAL};
@@ -27,15 +28,11 @@ fn open_loop_burst_fills_real_batches_and_preserves_the_spec() {
     assert_eq!(out, RunOutcome::Predicate, "every burst request must settle");
     s.quiesce(Dur::from_millis(300));
     assert_eq!(s.delivered_commits(), expected);
-    if std::env::var("ETX_BATCH_SIZE").is_err() {
-        // (skipped when the CI batching matrix pins the depth — at
-        // ETX_BATCH_SIZE=1 no batches can form, by design)
-        assert!(
-            s.batched_slots() >= 1,
-            "an open-loop burst through an 8-deep pipeline must put >1 request in some slot"
-        );
-        assert!(s.group_appends() >= 1, "multi-request slots must reach the WAL as group appends");
-    }
+    assert!(
+        s.batched_slots() >= 1,
+        "an open-loop burst through an 8-deep pipeline must put >1 request in some slot"
+    );
+    assert!(s.group_appends() >= 1, "multi-request slots must reach the WAL as group appends");
     check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
 }
 
@@ -71,21 +68,15 @@ fn deep_pipeline_outcommits_per_request_slots_under_load() {
     // The tentpole's point, in miniature: same open-loop workload, same
     // seed — batching must deliver strictly more committed requests per
     // simulated second than per-request slots.
-    if std::env::var("ETX_BATCH_SIZE").is_ok() {
-        // The CI batching matrix pins every scenario to one batch size,
-        // which makes a batch-1-vs-batch-16 comparison vacuous.
-        return;
-    }
     let throughput = |batch: usize| {
-        let mut b = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 4103)
+        let window = if batch > 1 { Dur::from_millis(1) } else { Dur::ZERO };
+        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 4103)
             .shards(4)
             .clients(4)
             .requests(16)
-            .workload(Workload::OpenLoopBurst { accounts: 64, amount: 1 });
-        if batch > 1 {
-            b = b.batching(BatchingConfig::new(batch, Dur::from_millis(1)));
-        }
-        let mut s = b.build();
+            .batching(BatchingConfig::new(batch, window))
+            .workload(Workload::OpenLoopBurst { accounts: 64, amount: 1 })
+            .build();
         let expected = s.requests as usize;
         let out = s.run_until_settled(expected);
         assert_eq!(out, RunOutcome::Predicate, "batch={batch} run must settle");
@@ -113,24 +104,21 @@ fn mid_batch_primary_crash_chaos_holds_the_spec() {
         requests: 8,
         shards: Some(2),
         replication: 2,
-        batch_size: 8,
         ..ChaosOptions::default()
     };
     let mut batched_runs = 0;
     for seed in 0..12 {
-        let out = run_mid_batch_chaos(seed, &opts);
+        let out = run_mid_batch_chaos(seed, &opts, RuntimeKind::Sim);
         out.assert_ok();
         if out.batched_slots > 0 {
             batched_runs += 1;
         }
     }
-    if std::env::var("ETX_BATCH_SIZE").is_err() {
-        assert!(
-            batched_runs >= 6,
-            "most chaos runs must actually exercise multi-request batches \
-             (got {batched_runs}/12)"
-        );
-    }
+    assert!(
+        batched_runs >= 6,
+        "most chaos runs must actually exercise multi-request batches \
+         (got {batched_runs}/12)"
+    );
 }
 
 #[test]
@@ -140,7 +128,10 @@ fn generic_chaos_stays_green_with_batching_enabled() {
         requests: 3,
         shards: Some(4),
         replication: 2,
-        batch_size: 16,
+        features: FeatureSet {
+            batching: BatchingConfig::new(16, Dur::from_millis(1)),
+            ..FeatureSet::default()
+        },
         ..ChaosOptions::default()
     };
     for seed in 0..10 {

@@ -2,6 +2,7 @@
 //! stage and check that the system still satisfies the full specification
 //! and the client still delivers (T.1 under fail-over).
 
+use etx::base::config::FdConfig;
 use etx::base::time::Dur;
 use etx::base::trace::{Component, TraceKind};
 use etx::harness::{check, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
@@ -142,4 +143,27 @@ fn false_suspicion_storm_costs_only_aborts_never_safety() {
     s.quiesce(Dur::from_millis(400));
     assert_eq!(s.delivered_commits(), 2);
     check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
+}
+
+#[test]
+fn failure_free_latency_does_not_depend_on_the_fd_timeout() {
+    // The control row of the fail-over evaluation §5 calls for: the
+    // failure detector only matters once something fails, so without a
+    // crash the paper-scale request latency is flat across its timeout.
+    let latency_ms = |fd_timeout_ms: u64| {
+        let fd =
+            FdConfig { initial_timeout: Dur::from_millis(fd_timeout_ms), ..FdConfig::default() };
+        let mut s =
+            ScenarioBuilder::new(MiddleTier::Etx { apps: 3 }, 0xF161).fd(fd).requests(1).build();
+        assert_eq!(s.run_until_settled(1), etx::sim::RunOutcome::Predicate);
+        s.deliveries()[0].3.as_millis_f64()
+    };
+    let at_40 = latency_ms(40);
+    for fd_timeout_ms in [80, 160, 320] {
+        let at = latency_ms(fd_timeout_ms);
+        assert!(
+            (at - at_40).abs() < 1.0,
+            "FD timeout {fd_timeout_ms} ms moved the failure-free latency: {at:.1} vs {at_40:.1} ms"
+        );
+    }
 }

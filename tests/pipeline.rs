@@ -20,14 +20,16 @@
 use etx::base::config::{BatchingConfig, PipelineConfig, SpeculationConfig};
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
-use etx::harness::{check, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder, Workload};
+use etx::harness::{
+    check, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder, Summary, Workload,
+};
 use etx::sim::{FaultAction, RunOutcome};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// The canonical pipelining workload: an open-loop burst through small
 /// batches, so consecutive flushes land in separate slots and a deep
-/// window has rounds to overlap. Every knob is explicit, so the scenario
-/// means the same thing under every CI matrix leg.
+/// window has rounds to overlap.
 fn burst(seed: u64, depth: usize, spec: SpeculationConfig) -> Scenario {
     ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed)
         .shards(2)
@@ -52,17 +54,30 @@ fn settle(mut s: Scenario) -> Scenario {
     s
 }
 
+/// The durable per-shard state of the depth-1 strict run: every burst
+/// request committed exactly once, rebuilt from the shard primaries' WALs.
+/// The burst's keys are a fixed hash of client and sequence number and
+/// every request commits, so this state is the same for every seed and
+/// every schedule — one run serves as the reference for every test here.
+fn depth_one_state() -> &'static [BTreeMap<String, i64>] {
+    static STATE: OnceLock<Vec<BTreeMap<String, i64>>> = OnceLock::new();
+    STATE.get_or_init(|| {
+        let mut one = settle(burst(5201, 1, SpeculationConfig::disabled()));
+        assert_eq!(one.delivered_commits(), one.requests as usize);
+        assert_eq!(one.pipeline_window_peak(), 0, "depth 1 never overlaps rounds");
+        (0..2).map(|shard| one.rebuilt_committed(one.shard_primary(shard))).collect()
+    })
+}
+
 /// Asserts every replica of every shard rebuilds from its WAL to the
-/// reference run's committed state — the strongest equivalence a
-/// reordering optimisation can be held to (the burst workload commits
-/// every request exactly once, so final state is schedule-independent).
-fn assert_matches_reference(run: &mut Scenario, reference: &mut Scenario, label: &str) {
-    for shard in 0..2 {
-        let expect = reference.rebuilt_committed(reference.shard_primary(shard));
-        let replicas: Vec<_> = run.shard_replicas(shard).to_vec();
+/// reference state — the strongest equivalence a reordering optimisation
+/// can be held to.
+fn assert_matches_reference(run: &mut Scenario, reference: &[BTreeMap<String, i64>], label: &str) {
+    for (shard, expect) in reference.iter().enumerate() {
+        let replicas: Vec<_> = run.shard_replicas(shard as u32).to_vec();
         for replica in replicas {
             assert_eq!(
-                run.rebuilt_committed(replica),
+                &run.rebuilt_committed(replica),
                 expect,
                 "{label}: replica {replica} of shard {shard} diverged from the depth-1 run"
             );
@@ -73,36 +88,27 @@ fn assert_matches_reference(run: &mut Scenario, reference: &mut Scenario, label:
 #[test]
 fn depth_one_replays_the_single_slot_pipeline_byte_for_byte() {
     // A sequential client never has two outcomes pending at once, so the
-    // window never fills whatever its depth: explicit depth 1, a deep
-    // depth-8 window, and the builder default must all produce the same
-    // trace, byte for byte — the feature-off compatibility contract.
-    let run = |depth: Option<usize>| {
-        let mut b = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 5101)
+    // window never fills whatever its depth: depth 1 and a deep depth-8
+    // window must produce the same trace, byte for byte.
+    let run = |depth: usize| {
+        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 5101)
             .workload(Workload::BankUpdate { amount: 7 })
             .requests(6)
-            .batching(BatchingConfig::new(64, Dur::from_millis(2)));
-        if let Some(d) = depth {
-            b = b.pipeline(PipelineConfig::new(d));
-        }
-        let mut s = b.build();
+            .batching(BatchingConfig::new(64, Dur::from_millis(2)))
+            .pipeline(PipelineConfig::new(depth))
+            .build();
         let out = s.run_until_settled(6);
         assert_eq!(out, RunOutcome::Predicate);
         s.quiesce(Dur::from_millis(200));
         s
     };
-    let pinned = run(Some(1));
-    let deep = run(Some(8));
-    let ambient = run(None);
-    assert_eq!(pinned.delivered_commits(), 6);
+    let one = run(1);
+    let deep = run(8);
+    assert_eq!(one.delivered_commits(), 6);
     assert_eq!(
-        pinned.trace().events(),
+        one.trace().events(),
         deep.trace().events(),
         "a window a sequential client cannot fill must leave no trace of itself"
-    );
-    assert_eq!(
-        pinned.trace().events(),
-        ambient.trace().events(),
-        "identical traces: depth 1 is the pre-pipeline protocol"
     );
     assert_eq!(deep.pipeline_window_peak(), 0, "no overlap ever happened");
 }
@@ -114,17 +120,13 @@ fn deep_window_overlaps_rounds_and_commits_the_depth_one_state() {
     // flight at its peak — and ship SpecExec frames for more than one
     // distinct slot, yet end in exactly the strict run's durable state.
     let mut deep = settle(burst(5201, 4, SpeculationConfig::on()));
-    let mut one = settle(burst(5201, 1, SpeculationConfig::disabled()));
-    let expected = deep.requests as usize;
-    assert_eq!(deep.delivered_commits(), expected);
-    assert_eq!(one.delivered_commits(), expected);
+    assert_eq!(deep.delivered_commits(), deep.requests as usize);
     assert!(
         deep.pipeline_window_peak() >= 2,
         "a depth-4 open-loop burst must keep ≥2 slots in consensus at once \
          (peak {})",
         deep.pipeline_window_peak()
     );
-    assert_eq!(one.pipeline_window_peak(), 0, "depth 1 never overlaps rounds");
     let spec_slots: BTreeSet<u64> = deep
         .trace()
         .events()
@@ -140,7 +142,32 @@ fn deep_window_overlaps_rounds_and_commits_the_depth_one_state() {
          (got slots {spec_slots:?})"
     );
     assert!(deep.spec_hits() >= 1, "fault-free overlap must promote at least one batch");
-    assert_matches_reference(&mut deep, &mut one, "deep window");
+    assert_matches_reference(&mut deep, depth_one_state(), "deep window");
+}
+
+#[test]
+fn a_deep_window_lowers_latency_when_flushes_outrun_the_consensus_round() {
+    // A single undecided slot only serialises anything when flushes arrive
+    // faster than a round decides: a light two-client burst on one shard
+    // with a 500 µs flush window (below the ~0.6–0.9 ms write round of the
+    // fast cost model). There, depth 1 parks each flush behind the round
+    // in flight and a depth-4 window does not.
+    let mean_latency_ms = |depth: usize| {
+        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 0xBA7C4)
+            .shards(1)
+            .clients(2)
+            .requests(12)
+            .batching(BatchingConfig::new(64, Dur::from_micros(500)))
+            .speculation(SpeculationConfig::on())
+            .pipeline(PipelineConfig::new(depth))
+            .workload(Workload::OpenLoopBurst { accounts: 8, amount: 1 })
+            .build();
+        let n = s.requests as usize;
+        assert_eq!(s.run_until_settled(n), RunOutcome::Predicate);
+        Summary::of(&s.request_latencies_ms()).mean
+    };
+    let (one, deep) = (mean_latency_ms(1), mean_latency_ms(4));
+    assert!(deep < one, "depth 4 ({deep:.3} ms) must beat the single-slot log ({one:.3} ms)");
 }
 
 #[test]
@@ -150,9 +177,10 @@ fn primary_crash_with_a_deep_window_replays_to_the_depth_one_values() {
     // are mid-consensus, so surviving replicas must arbitrate the orphaned
     // slots, re-propose unserved outcomes, and cascade away any stale
     // speculation. Every seed must hold the full §3 specification and
-    // land exactly on the depth-1 run's values.
-    let mut deep_windows = 0;
-    for seed in 0..12u64 {
+    // land exactly on the depth-1 run's values. (One thread per seed: the
+    // runs are independent, and the sweep is most of this file's time.)
+    let one = depth_one_state();
+    let crash_run = |seed: u64| {
         let mut s = burst(5300 + seed, 4, SpeculationConfig::on());
         let a1 = s.topo.primary();
         s.sim_mut().on_trace(
@@ -162,15 +190,21 @@ fn primary_crash_with_a_deep_window_replays_to_the_depth_one_values() {
             FaultAction::Crash(a1),
         );
         let mut s = settle(s);
-        if s.pipeline_window_peak() >= 2 {
-            deep_windows += 1;
-        }
-        let mut off = settle(burst(5300 + seed, 1, SpeculationConfig::disabled()));
-        let expected = s.requests as usize;
-        assert_eq!(s.delivered_commits(), expected, "seed {seed}: every request commits");
-        assert_eq!(off.delivered_commits(), expected);
-        assert_matches_reference(&mut s, &mut off, &format!("seed {seed}"));
-    }
+        assert_eq!(
+            s.delivered_commits(),
+            s.requests as usize,
+            "seed {seed}: every request commits"
+        );
+        assert_matches_reference(&mut s, one, &format!("seed {seed}"));
+        s.pipeline_window_peak() >= 2
+    };
+    let deep_windows = std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..12u64).map(|seed| scope.spawn(move || crash_run(seed))).collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("a sweep seed failed"))
+            .filter(|&deep| deep)
+            .count()
+    });
     assert!(
         deep_windows >= 6,
         "most sweep runs must actually crash the primary with ≥2 undecided slots \
@@ -192,7 +226,6 @@ fn stacked_speculation_buffers_die_with_the_shard_primary() {
         FaultAction::CrashRecover(victim, Dur::from_millis(10)),
     );
     let mut s = settle(s);
-    let mut off = settle(burst(5401, 1, SpeculationConfig::disabled()));
     assert_eq!(s.delivered_commits(), s.requests as usize);
-    assert_matches_reference(&mut s, &mut off, "stacked-stash crash");
+    assert_matches_reference(&mut s, depth_one_state(), "stacked-stash crash");
 }

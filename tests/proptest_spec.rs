@@ -4,7 +4,7 @@
 
 use etx::base::ids::{NodeId, RequestId, ResultId};
 use etx::base::value::{DbOp, Outcome, Vote};
-use etx::harness::{run_chaos, ChaosOptions};
+use etx::harness::{feature_corners, run_chaos, ChaosOptions};
 use etx::store::Engine;
 use proptest::prelude::*;
 
@@ -24,7 +24,8 @@ fn arb_op() -> impl Strategy<Value = DbOp> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The whole protocol stack under arbitrary chaos seeds/options.
+    /// The whole protocol stack under arbitrary chaos seeds/options, in
+    /// any row of the feature table.
     #[test]
     fn spec_holds_under_arbitrary_chaos(
         seed in 0u64..5_000,
@@ -32,12 +33,14 @@ proptest! {
         dbs in 1usize..3,
         loss in prop_oneof![Just(0.0f64), Just(0.05), Just(0.15)],
         requests in 1u64..3,
+        corner in 0usize..3,
     ) {
         let opts = ChaosOptions {
             apps,
             dbs,
             requests,
             loss_rate: loss,
+            features: feature_corners()[corner].1,
             ..ChaosOptions::default()
         };
         run_chaos(seed, &opts).assert_ok();

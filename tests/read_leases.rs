@@ -16,8 +16,7 @@
 //! * **atomicity and causality survive** — the 12 %-loss fracture sweep
 //!   stays green with follower-served collects, read-your-writes holds
 //!   across lease boundaries, and leases-off is byte-identical to the
-//!   lease-free build (pinned in `read_path.rs` and re-checked here
-//!   against an explicitly disabled config).
+//!   lease-free build (pinned in `read_path.rs`).
 
 use etx::base::config::{ReadLeaseConfig, ReadPathConfig};
 use etx::base::time::{Dur, Time};
@@ -313,43 +312,24 @@ fn read_your_writes_holds_across_lease_boundaries() {
     }
 }
 
-// ---- leases off are not there -----------------------------------------------
+// ---- leases need the read lane ----------------------------------------------
 
-/// An explicitly disabled lease config must be indistinguishable from
-/// never mentioning leases at all: same seed, same read-path scenario,
-/// byte-identical traces. (The deeper pin — leases-off replays the
-/// pre-lease golden hashes — lives in `read_path.rs`.)
+/// Leases cover fast-lane reads and nothing else: asked for without the
+/// lane, the builder disables them, so no grant timer, lease frame or
+/// recovery fence ever enters the schedule of a write-only scenario.
 #[test]
-fn disabled_leases_leave_the_read_path_byte_identical() {
-    // `ETX_READ_LEASES=1` pins leases *on* for builders that never mention
-    // them, which is exactly the "absent" leg this identity compares
-    // against — the premise only exists without the pin.
-    if matches!(
-        std::env::var("ETX_READ_LEASES").ok().as_deref(),
-        Some("1") | Some("on") | Some("true")
-    ) {
-        return;
-    }
-    let run = |leases: Option<ReadLeaseConfig>| {
-        let mut b = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 7)
-            .shards(4)
-            .replication(2)
-            .clients(2)
-            .requests(8)
-            .read_path(ReadPathConfig::follower_reads())
-            .workload(Workload::ReadMostly { accounts: 32, read_pct: 80, amount: 10 });
-        if let Some(cfg) = leases {
-            b = b.read_leases(cfg);
-        }
-        let mut s = b.build();
-        settle(&mut s);
-        format!("{:#?}", s.trace().events()).into_bytes()
-    };
-    assert_eq!(
-        run(Some(ReadLeaseConfig::disabled())),
-        run(None),
-        "a disabled lease config must add zero messages, timers, or trace events"
-    );
+fn leases_without_the_read_lane_are_disabled() {
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 7)
+        .shards(2)
+        .replication(2)
+        .clients(2)
+        .requests(8)
+        .read_leases(ReadLeaseConfig::fast_for_tests())
+        .workload(Workload::ReadMostly { accounts: 16, read_pct: 50, amount: 10 })
+        .build();
+    settle(&mut s);
+    assert_eq!(s.fast_path_reads(), 0, "the lane is off: reads take the commit route");
+    assert_eq!(s.lease_grants(), 0, "no lane, no leases to grant");
 }
 
 // ---- the read-lease chaos scenario ------------------------------------------

@@ -17,48 +17,12 @@
 //!   transfers never observes one half-applied (the snapshot-validation
 //!   loop), checked via the conserved-pair invariant.
 
-use etx::base::config::{BatchingConfig, ReadPathConfig};
+use etx::base::config::{BatchingConfig, ReadLeaseConfig, ReadPathConfig};
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::base::value::Outcome;
 use etx::harness::{MiddleTier, Scenario, ScenarioBuilder, Workload};
 use etx::sim::FaultAction;
-
-/// `ETX_BATCH_SIZE` changes scheduling wholesale; the golden hashes were
-/// captured without it.
-fn batching_pinned() -> bool {
-    std::env::var("ETX_BATCH_SIZE").is_ok()
-}
-
-/// `ETX_SPECULATION=1` adds `SpecExec` frames (and reshapes batched
-/// scheduling); the golden hashes pin the speculation-*off* pipeline.
-fn speculation_pinned() -> bool {
-    matches!(
-        std::env::var("ETX_SPECULATION").ok().as_deref(),
-        Some("1") | Some("on") | Some("true")
-    )
-}
-
-/// `ETX_PIPELINE_DEPTH>1` lets concurrent flushes overlap consensus
-/// rounds (and trace `PipelineWindow` marks); the golden hashes pin the
-/// single-slot decision log.
-fn pipeline_pinned() -> bool {
-    std::env::var("ETX_PIPELINE_DEPTH")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .is_some_and(|d| d > 1)
-}
-
-/// `ETX_READ_LEASES=1` adds lease-renewal timers and grant frames to
-/// every read-path scenario with replication; the golden hashes pin the
-/// lease-*off* schedules, and the off leg is where the replay identity is
-/// asserted.
-fn leases_pinned() -> bool {
-    matches!(
-        std::env::var("ETX_READ_LEASES").ok().as_deref(),
-        Some("1") | Some("on") | Some("true")
-    )
-}
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -71,10 +35,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 // ---- trace identity with the lane off --------------------------------------
 
-/// Pre-fast-lane golden hashes (captured on the commit preceding this
-/// change, same scenarios, same seeds, env hooks unset). The lane being
-/// *off* must mean "the lane does not exist": identical schedules,
-/// identical traces.
+/// Pre-fast-lane golden hashes (captured on the commit preceding the
+/// lane, same scenarios, same seeds). The lane being *off* must mean "the
+/// lane does not exist": identical schedules, identical traces.
 const GOLDEN_FAILOVER: u64 = 0xE5F3_623F_A759_DA91;
 const GOLDEN_SHARDED: u64 = 0x71C3_5590_ABDF_5E5E;
 const GOLDEN_BATCHED: u64 = 0xBDF7_4F5E_D759_5D43;
@@ -87,11 +50,6 @@ fn trace_bytes(mut s: Scenario, settle: usize) -> Vec<u8> {
 
 #[test]
 fn fast_path_off_replays_pre_existing_traces_byte_identically() {
-    if batching_pinned() || speculation_pinned() || leases_pinned() || pipeline_pinned() {
-        return; // hashes were captured at the default batch depth, the
-                // single-slot decision log, the strict
-                // decide-then-execute order, lease-free
-    }
     // Scenario 1: flat back end, primary crash mid-protocol (the
     // determinism suite's failover run).
     let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 0xE7A)
@@ -420,9 +378,57 @@ fn read_path_chaos_holds_the_spec_across_seeds() {
         any_forwarded |= outcome.forwarded_reads > 0;
     }
     // The blocked replication link plus the read mix must force the
-    // forward path somewhere in the sweep. (The chaos runner pins its
-    // route explicitly, which wins over the ETX_READ_PATH matrix hook.)
+    // forward path somewhere in the sweep.
     assert!(any_forwarded, "the chaos sweep never exercised the lagging-follower forward path");
+}
+
+// ---- what the lane buys ------------------------------------------------------
+
+/// Committed requests per simulated second of a read-heavy open-loop mix
+/// (32 clients × 12 requests) at 16 shards × 2 replicas, down one read
+/// route.
+fn read_mix_commits_per_sim_second(
+    read_pct: u8,
+    read_path: ReadPathConfig,
+    read_leases: ReadLeaseConfig,
+) -> f64 {
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 0x0EAD)
+        .shards(16)
+        .replication(2)
+        .clients(32)
+        .requests(12)
+        .batching(BatchingConfig::new(8, Dur::from_millis(1)))
+        .read_path(read_path)
+        .read_leases(read_leases)
+        .workload(Workload::ReadMostly { accounts: 128, read_pct, amount: 1 })
+        .build();
+    let n = s.requests as usize;
+    assert_eq!(s.run_until_settled(n), etx::sim::RunOutcome::Predicate);
+    s.delivered_commits() as f64 / (s.now().as_millis_f64() / 1_000.0)
+}
+
+/// Skipping the decision log, the WAL and replica shipment must at least
+/// double the modelled system's throughput on a 90 %-read mix down every
+/// fast route, and spreading reads over each shard's replicas must beat
+/// queueing them all on the primaries. At 99 % reads — where multi-shard
+/// collects dominate and write churn is thin — serving collects from
+/// in-lease followers must beat plain follower reads, which force them to
+/// primaries.
+#[test]
+fn fast_routes_double_read_heavy_throughput_and_replicas_add_capacity() {
+    let (unleased, leases) = (ReadLeaseConfig::disabled(), ReadLeaseConfig::on());
+    let follower = ReadPathConfig::follower_reads();
+    let off = read_mix_commits_per_sim_second(90, ReadPathConfig::disabled(), unleased);
+    let primary = read_mix_commits_per_sim_second(90, ReadPathConfig::primary_only(), unleased);
+    let plain = read_mix_commits_per_sim_second(90, follower, unleased);
+    let leased = read_mix_commits_per_sim_second(90, follower, leases);
+    assert!(primary >= 2.0 * off, "primary-only lane {primary:.0} vs commit route {off:.0} /s");
+    assert!(plain >= 2.0 * off, "follower lane {plain:.0} vs commit route {off:.0} /s");
+    assert!(leased >= 2.0 * off, "leased lane {leased:.0} vs commit route {off:.0} /s");
+    assert!(plain > primary, "follower reads {plain:.0} vs primary-only {primary:.0} /s");
+    let plain = read_mix_commits_per_sim_second(99, follower, unleased);
+    let leased = read_mix_commits_per_sim_second(99, follower, leases);
+    assert!(leased > plain, "leased {leased:.0} vs plain follower reads {plain:.0} /s at 99 %");
 }
 
 // ---- cross-shard read atomicity (the conserved-pair invariant) --------------

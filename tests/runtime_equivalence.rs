@@ -6,11 +6,6 @@
 //! compare what the protocol actually promised: the set of committed
 //! requests, the recovered database state, and the §3 safety/liveness
 //! properties — not schedules or timings, which legitimately differ.
-//!
-//! Every scenario here pins its backend explicitly via
-//! `ScenarioBuilder::runtime`, so the file passes unchanged under
-//! `ETX_RUNTIME=threaded` (explicit beats environment — the CI threaded
-//! job relies on this).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -225,29 +220,4 @@ fn threaded_scenarios_accept_fault_schedules() {
         s.fault(FaultOp::Pause(app)).expect_err("a stopped host cannot inject faults any more");
     let msg = err.to_string();
     assert!(msg.contains("stopped"), "error should say the host is stopped: {msg}");
-}
-
-// ---- ETX_RUNTIME precedence -------------------------------------------------
-
-/// One precedence rule, same as every feature knob: an explicit
-/// `ScenarioBuilder::runtime` call beats `ETX_RUNTIME`, which beats the
-/// simulator default. (The chaos suite depends on the first clause; the
-/// CI threaded sweep depends on the second.)
-#[test]
-fn explicit_runtime_choice_beats_the_environment() {
-    // Every other test in this file pins its runtime explicitly, so this
-    // process-global variable cannot leak into a concurrent build.
-    std::env::set_var("ETX_RUNTIME", "threaded");
-    let pinned =
-        ScenarioBuilder::fast(MiddleTier::Etx { apps: 1 }, 1).runtime(RuntimeKind::Sim).build();
-    assert_eq!(pinned.runtime_kind(), RuntimeKind::Sim, "explicit call must beat ETX_RUNTIME");
-    assert!(pinned.supports_fault_injection());
-
-    let mut swept = ScenarioBuilder::fast(MiddleTier::Etx { apps: 1 }, 1).build();
-    assert_eq!(swept.runtime_kind(), RuntimeKind::Threaded, "ETX_RUNTIME must beat the default");
-    swept.stop();
-    std::env::remove_var("ETX_RUNTIME");
-
-    let defaulted = ScenarioBuilder::fast(MiddleTier::Etx { apps: 1 }, 1).build();
-    assert_eq!(defaulted.runtime_kind(), RuntimeKind::Sim, "the default backend is the simulator");
 }

@@ -2,6 +2,7 @@
 //! single-shard fast path, shard-primary loss mid-commit, intra-shard
 //! replica convergence, and the hot-shard chaos scenario.
 
+use etx::base::runtime::RuntimeKind;
 use etx::base::shard::{ShardMap, ShardSpec};
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
@@ -188,7 +189,7 @@ fn hot_shard_chaos_is_green() {
     let opts =
         ChaosOptions { shards: Some(4), replication: 2, requests: 3, ..ChaosOptions::default() };
     for seed in 0..15u64 {
-        run_hot_shard_chaos(seed, &opts).assert_ok();
+        run_hot_shard_chaos(seed, &opts, RuntimeKind::Sim).assert_ok();
     }
 }
 

@@ -18,21 +18,20 @@
 
 use etx::base::config::{BatchingConfig, SpeculationConfig};
 use etx::base::ids::{NodeId, RequestId, ResultId};
+use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::base::value::{DbOp, Outcome, Vote};
 use etx::harness::{
     check, run_speculation_chaos, ChaosOptions, LivenessChecks, MiddleTier, Scenario,
-    ScenarioBuilder, Workload,
+    ScenarioBuilder, Summary, Workload,
 };
 use etx::sim::{FaultAction, RunOutcome};
 use etx::store::Engine;
 use proptest::prelude::*;
 
 /// The canonical speculation workload: an open-loop burst through a deep
-/// pipeline over a sharded, replicated back end. Every knob is set
-/// explicitly, so the scenario means the same thing under every CI matrix
-/// leg.
+/// pipeline over a sharded, replicated back end.
 fn burst(seed: u64, spec: SpeculationConfig) -> Scenario {
     ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed)
         .shards(2)
@@ -73,6 +72,15 @@ fn speculation_overlaps_consensus_and_commits_what_the_strict_pipeline_commits()
     assert!(on.spec_hits() >= 1, "fault-free speculation must promote at least one batch");
     assert_eq!(off.spec_execs(), 0, "speculation off must not ship SpecExec frames");
     assert_eq!(off.spec_hits() + off.spec_aborts(), 0);
+    // What the overlap buys, on the simulated clock: execution no longer
+    // waits out the consensus round, so the same burst delivers sooner.
+    let mean_ms = |s: &Scenario| Summary::of(&s.request_latencies_ms()).mean;
+    assert!(
+        mean_ms(&on) < mean_ms(&off),
+        "speculation must lower mean issue→deliver latency ({:.3} vs {:.3} ms)",
+        mean_ms(&on),
+        mean_ms(&off)
+    );
     for shard in 0..2 {
         let reference = off.rebuilt_committed(off.shard_primary(shard));
         let replicas: Vec<_> = on.shard_replicas(shard).to_vec();
@@ -139,12 +147,11 @@ fn speculation_chaos_crash_between_spec_and_decide_holds_the_spec() {
         requests: 8,
         shards: Some(2),
         replication: 2,
-        batch_size: 8,
         ..ChaosOptions::default()
     };
     let mut speculated_runs = 0;
     for seed in 0..12 {
-        let out = run_speculation_chaos(seed, &opts);
+        let out = run_speculation_chaos(seed, &opts, RuntimeKind::Sim);
         out.assert_ok();
         if out.spec_hits + out.spec_aborts > 0 {
             speculated_runs += 1;

@@ -19,7 +19,7 @@ use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::harness::{
-    check, run_hot_shard_chaos_on, run_mid_batch_chaos_on, run_speculation_chaos_on, ChaosOptions,
+    check, run_hot_shard_chaos, run_mid_batch_chaos, run_speculation_chaos, ChaosOptions,
     LivenessChecks, MiddleTier, ScenarioBuilder, Workload,
 };
 use etx::sim::RunOutcome;
@@ -255,10 +255,13 @@ fn chaos_runners_pass_the_spec_on_real_threads() {
         requests: 4,
         shards: Some(2),
         replication: 2,
-        batch_size: 4,
+        features: FeatureSet {
+            batching: BatchingConfig::new(4, Dur::from_millis(1)),
+            ..FeatureSet::default()
+        },
         ..ChaosOptions::default()
     };
-    run_mid_batch_chaos_on(11, &opts, RuntimeKind::Threaded).assert_ok();
-    run_hot_shard_chaos_on(12, &opts, RuntimeKind::Threaded).assert_ok();
-    run_speculation_chaos_on(13, &opts, RuntimeKind::Threaded).assert_ok();
+    run_mid_batch_chaos(11, &opts, RuntimeKind::Threaded).assert_ok();
+    run_hot_shard_chaos(12, &opts, RuntimeKind::Threaded).assert_ok();
+    run_speculation_chaos(13, &opts, RuntimeKind::Threaded).assert_ok();
 }

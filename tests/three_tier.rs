@@ -89,13 +89,18 @@ fn concurrent_clients_contend_but_stay_exactly_once() {
 
 #[test]
 fn five_replica_deployment_works() {
-    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 5 }, 113)
-        .workload(Workload::BankUpdate { amount: 1 })
-        .requests(3)
-        .build();
-    let out = s.run_until_settled(3);
-    assert_eq!(out, etx::sim::RunOutcome::Predicate);
-    assert_eq!(s.delivered_commits(), 3);
+    let run = |apps: usize| {
+        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps }, 113)
+            .workload(Workload::BankUpdate { amount: 1 })
+            .requests(3)
+            .build();
+        let out = s.run_until_settled(3);
+        assert_eq!(out, etx::sim::RunOutcome::Predicate);
+        assert_eq!(s.delivered_commits(), 3);
+        s.stats().protocol_total()
+    };
+    // The replication degree is paid in messages, not in outcomes.
+    assert!(run(5) > run(3), "protocol messages must grow with the replication degree");
 }
 
 #[test]
