@@ -120,27 +120,27 @@ impl fmt::Display for ResultId {
     }
 }
 
-/// Which of the two write-once register arrays a register belongs to (§4,
-/// Figure 4): `regA[j]` records the application server that owns attempt `j`,
-/// `regD[j]` records the decision (result, outcome) for attempt `j`.
+/// Which write-once register array a register belongs to (§4, Figure 4).
+/// The paper has two per-attempt arrays: `regA[j]` records the application
+/// server that owns attempt `j`, `regD[j]` the decision (result, outcome)
+/// for it. Here both live in the sequenced decision log — owner claims and
+/// outcomes are entries of a slot's value — so `regA` has no register kind
+/// of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RegKind {
-    /// `regA` — owner election register.
-    Owner,
     /// `regD` — decision register.
     Decision,
     /// `slot[k]` — one position of the sequenced decision log: a write-once
-    /// register whose value is a whole *batch* of request outcomes. The
-    /// paper's per-attempt `regD[j]` generalises to consecutive slots so a
-    /// single consensus round decides many requests at once; the
-    /// single-request path is a batch of one.
+    /// register whose value is a whole *batch* of request outcomes and
+    /// owner claims. The paper's per-attempt `regA[j]`/`regD[j]` generalise
+    /// to consecutive slots so a single consensus round decides many
+    /// requests at once; the single-request path is a batch of one.
     Slot,
 }
 
 impl fmt::Display for RegKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            RegKind::Owner => "regA",
             RegKind::Decision => "regD",
             RegKind::Slot => "slot",
         })
@@ -158,10 +158,6 @@ pub struct RegId {
 }
 
 impl RegId {
-    /// `regA[rid]`.
-    pub fn owner(rid: ResultId) -> Self {
-        RegId { kind: RegKind::Owner, rid }
-    }
     /// `regD[rid]`.
     pub fn decision(rid: ResultId) -> Self {
         RegId { kind: RegKind::Decision, rid }
@@ -178,7 +174,7 @@ impl RegId {
             },
         }
     }
-    /// The log position of a `slot[..]` register; `None` for `regA`/`regD`.
+    /// The log position of a `slot[..]` register; `None` for `regD`.
     pub fn slot_index(&self) -> Option<u64> {
         match self.kind {
             RegKind::Slot => Some(self.rid.request.seq),
@@ -334,7 +330,7 @@ mod tests {
         assert!(s0 < s7, "slot order follows the log order");
         assert_eq!(format!("{s7}"), "slot[7]");
         let rid = ResultId::first(RequestId { client: NodeId(1), seq: 1 });
-        assert_eq!(RegId::owner(rid).slot_index(), None);
+        assert_eq!(RegId::decision(rid).slot_index(), None);
         assert_ne!(ResultId::group_marker(), ResultId::repl_snapshot());
     }
 
@@ -342,7 +338,6 @@ mod tests {
     fn display_formats_are_nonempty_and_stable() {
         let rid = ResultId::first(RequestId { client: NodeId(3), seq: 2 });
         assert_eq!(format!("{rid}"), "n3#r2/j1");
-        assert_eq!(format!("{}", RegId::owner(rid)), "regA[n3#r2/j1]");
         assert_eq!(format!("{}", RegId::decision(rid)), "regD[n3#r2/j1]");
         assert_eq!(format!("{}", Role::AppServer), "appserver");
     }

@@ -622,7 +622,7 @@ mod tests {
             Payload::Repl(ReplMsg::Intent { rid: rid(), at: Time(1) }).label(),
             Payload::Repl(ReplMsg::IntentAck { rid: rid() }).label(),
             Payload::DbReply(DbReplyMsg::Ready).label(),
-            Payload::Consensus(ConsensusMsg::DecideReq { inst: RegId::owner(rid()) }).label(),
+            Payload::Consensus(ConsensusMsg::DecideReq { inst: RegId::slot(0) }).label(),
         ];
         let mut dedup = labels.to_vec();
         dedup.sort_unstable();

@@ -26,10 +26,13 @@ pub enum Component {
     /// Business-logic / SQL execution at the database.
     Sql,
     /// Durable record of *processing started*: forced coordinator log write
-    /// (2PC) or `regA` wo-register write (asynchronous replication).
+    /// (2PC) or the paper's `regA` wo-register write (asynchronous
+    /// replication) — here the wait for the decision-log slot that carries
+    /// the attempt's owner claim, traced only when a request had to wait.
     LogStart,
     /// Durable record of *the outcome*: forced coordinator log write (2PC)
-    /// or `regD` wo-register write (asynchronous replication).
+    /// or the paper's `regD` wo-register write (asynchronous replication)
+    /// — here the decision-log slot that carries the attempt's outcome.
     LogOutcome,
 }
 
@@ -289,11 +292,17 @@ pub enum TraceKind {
         /// Number of undecided slots in flight at this server.
         open: u32,
     },
-    /// An application server compacted a fully settled decision-log slot's
-    /// consensus instance to an empty batch (register-array GC, §5): every
-    /// request the slot carried is below its client's watermark, so the
-    /// original payload can never be needed again — but the slot stays
-    /// decided, so a lagging replica can never re-open the position.
+    /// A client's watermark entered the middle tier at this server and
+    /// settled decision-log slot `slot` for good (register-array GC, §5):
+    /// every request the slot carried is below its client's watermark, so
+    /// the server compacted the slot's consensus instance to a tombstone —
+    /// the result payloads can never be needed again, but the slot stays
+    /// decided, so a lagging replica can never re-open the position. The
+    /// event marks the watermark's *ingress*: one per settled slot, at the
+    /// server the client's request reached. The other replicas learn the
+    /// same watermark from a claim in the log and compact their copy of
+    /// the slot when they apply it, which is a consequence of this event,
+    /// not a second one.
     SlotGc {
         /// Log position of the compacted slot.
         slot: u64,

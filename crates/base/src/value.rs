@@ -333,30 +333,49 @@ pub type ShippedEntries = Arc<[(String, i64)]>;
 /// the engine's outbox and on the wire ([`crate::msg::ReplMsg::ApplyBatch`]).
 pub type ShippedCommit = (u64, ResultId, ShippedEntries);
 
-/// Values storable in a write-once register: `regA` holds an application
-/// server identity, `regD` holds a decision, a decision-log slot holds an
-/// ordered batch of decisions. The batch is [`Arc`]-shared so the decision
-/// log, the in-flight proposal window, and every consensus broadcast that
-/// carries the slot value clone a reference count, not the outcomes.
+/// One entry of the ownership race (Figure 5's `regA[j].write(self)`),
+/// carried in a decision-log slot: `server` claims attempt `rid`. The first
+/// claim for an attempt in slot order names its owner; every later one is
+/// ignored, exactly as first-occurrence arbitration decides outcomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OwnerClaim {
+    /// The attempt being claimed.
+    pub rid: ResultId,
+    /// The application server claiming it.
+    pub server: NodeId,
+    /// The issuing client's GC watermark as the proposer knew it: every
+    /// request of that client below it is settled forever. Riding on the
+    /// claim is what carries the watermark to the replicas the client
+    /// never talks to.
+    pub ack_below: u64,
+}
+
+/// The value of one decision-log slot: the outcomes and the owner claims a
+/// single consensus round decides together. The two lists are independent
+/// registers (`regD` and `regA`) sharing a round, so their relative order
+/// inside a slot carries no meaning.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct SlotBatch {
+    /// Per-attempt decisions, in proposal order.
+    pub outcomes: OutcomeBatch,
+    /// Ownership claims, in proposal order.
+    pub claims: Vec<OwnerClaim>,
+}
+
+/// Values storable in a write-once register: `regD` holds a decision, a
+/// decision-log slot holds an ordered batch of decisions and owner claims.
+/// The batch is [`Arc`]-shared so the decision log, the in-flight proposal
+/// window, and every consensus broadcast that carries the slot value clone
+/// a reference count, not the entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegValue {
-    /// An application-server identity (for `regA`).
-    Server(NodeId),
     /// A decision (for `regD`).
     Decision(Decision),
-    /// An ordered batch of per-attempt decisions (for `slot[k]`).
-    Batch(Arc<OutcomeBatch>),
+    /// The outcomes and owner claims of one log position (for `slot[k]`).
+    Batch(Arc<SlotBatch>),
 }
 
 impl RegValue {
-    /// Extracts the server identity, if this is a `regA` value.
-    pub fn as_server(&self) -> Option<NodeId> {
-        match self {
-            RegValue::Server(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// Extracts the decision, if this is a `regD` value.
     pub fn as_decision(&self) -> Option<&Decision> {
         match self {
@@ -365,17 +384,9 @@ impl RegValue {
         }
     }
 
-    /// Extracts the outcome batch, if this is a decision-log slot value.
-    pub fn as_batch(&self) -> Option<&OutcomeBatch> {
-        match self {
-            RegValue::Batch(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Extracts the outcome batch as a shared handle (a reference-count
+    /// Extracts the slot batch as a shared handle (a reference-count
     /// clone, never an entry copy), if this is a decision-log slot value.
-    pub fn as_batch_shared(&self) -> Option<Arc<OutcomeBatch>> {
+    pub fn as_batch_shared(&self) -> Option<Arc<SlotBatch>> {
         match self {
             RegValue::Batch(b) => Some(Arc::clone(b)),
             _ => None,
@@ -472,16 +483,16 @@ mod tests {
 
     #[test]
     fn regvalue_projections() {
-        let s = RegValue::Server(NodeId(4));
-        assert_eq!(s.as_server(), Some(NodeId(4)));
-        assert!(s.as_decision().is_none());
         let d = RegValue::Decision(Decision::nil_abort());
-        assert!(d.as_server().is_none());
+        assert!(d.as_batch_shared().is_none());
         assert_eq!(d.as_decision().unwrap().outcome, Outcome::Abort);
         let rid = ResultId::first(RequestId { client: NodeId(0), seq: 1 });
-        let b = RegValue::Batch(Arc::new(vec![(rid, Decision::nil_abort())]));
-        assert!(b.as_server().is_none() && b.as_decision().is_none());
-        assert_eq!(b.as_batch().unwrap().len(), 1);
-        assert_eq!(b.as_batch_shared().unwrap().len(), 1);
+        let b = RegValue::Batch(Arc::new(SlotBatch {
+            outcomes: vec![(rid, Decision::nil_abort())],
+            claims: vec![OwnerClaim { rid, server: NodeId(4), ack_below: 1 }],
+        }));
+        assert!(b.as_decision().is_none());
+        let batch = b.as_batch_shared().unwrap();
+        assert_eq!((batch.outcomes.len(), batch.claims[0].server), (1, NodeId(4)));
     }
 }

@@ -1,13 +1,16 @@
-//! The sequenced decision log: batched request outcomes over write-once
-//! slots.
+//! The sequenced decision log: batched request outcomes and owner claims
+//! over write-once slots.
 //!
-//! The paper gives every attempt `j` its own decision register `regD[j]` —
-//! one consensus instance per request outcome. This module generalises that
-//! register array into a **log of consecutive slots** (`slot[0]`,
-//! `slot[1]`, …), each a write-once register whose value is an *ordered
-//! batch* of `(attempt, decision)` pairs. One consensus round now decides a
-//! whole batch of requests; the single-request path is simply a batch of
-//! one, so the degenerate configuration reproduces `regD` exactly.
+//! The paper gives every attempt `j` two write-once registers — `regA[j]`
+//! for the ownership race and `regD[j]` for the decision — one consensus
+//! instance each. This module generalises both arrays into one **log of
+//! consecutive slots** (`slot[0]`, `slot[1]`, …), each a write-once
+//! register whose value is an *ordered batch* of `(attempt, decision)`
+//! pairs and `(attempt, server, client watermark)` owner claims
+//! ([`SlotBatch`]). One consensus round now decides a whole batch of
+//! requests; the single-request path is simply a batch of one, so the
+//! degenerate configuration reproduces `regA`/`regD` exactly: one slot for
+//! an attempt's claim, one for its outcome.
 //!
 //! Three invariants carry the paper's properties over:
 //!
@@ -16,67 +19,120 @@
 //!   mid-batch can lose the proposal or land it, never split it.
 //! * **In-order apply** — every server applies slots in log order
 //!   (buffering slots decided ahead of a gap and pulling the gap), so all
-//!   servers observe the same outcome sequence.
+//!   servers observe the same entry sequence.
 //! * **First occurrence wins** — an attempt may be proposed into several
-//!   slots (an owner's commit and a cleaner's `(nil, abort)` race, or a
-//!   losing batch is re-proposed); the entry in the *lowest* decided slot
-//!   is the attempt's one true decision and every later entry for the same
-//!   attempt is ignored. Because apply order is identical everywhere, this
-//!   arbitration is exactly the write-once contract `regD[j]` provided.
+//!   slots (an owner's commit and a cleaner's `(nil, abort)` race, two
+//!   servers claim the same attempt, or a losing batch is re-proposed);
+//!   the outcome in the *lowest* decided slot is the attempt's one true
+//!   decision, the claim in the lowest decided slot names its one owner,
+//!   and every later entry of the same kind for the same attempt is
+//!   ignored. Because apply order is identical everywhere, this
+//!   arbitration is exactly the write-once contract `regA[j]` and
+//!   `regD[j]` provided.
 //!
-//! The log owns no consensus machinery: it sequences batches through the
-//! same [`WoRegisters`] bank the owner-election registers use, so one
-//! engine per application server keeps speaking for that server.
+//! And five govern the claims:
+//!
+//! * **Ownership is a function of the log prefix.** [`DecisionLog::owner_of`]
+//!   is the server named by the first claim for the attempt in slot order;
+//!   the host starts computing an attempt on no other evidence. A
+//!   recovered server that replays the log and finds its previous
+//!   incarnation's claim is the owner, as a recovered `regA` winner was.
+//! * **Claims obey the watermark like outcomes do.** A claim for a request
+//!   below its client's watermark is ignored at apply time; re-queueing on
+//!   a lost slot, tombstone compaction and [`DecisionLog::gc_client`] treat
+//!   claim members like outcome members (a slot is fully settled only when
+//!   its claimed attempts are too; a slot of claims alone holds no result
+//!   to shed and is never compacted). Every claim also *carries* its
+//!   client's watermark as the proposer knew it, and every replica
+//!   advances to it on apply — which is how the servers a client never
+//!   talks to learn what they may forget.
+//! * **A pre-claim is free or absent.** A claim queued without urgency
+//!   never opens a slot: it rides the next slot proposed for another
+//!   reason and is not counted against the batch cap. The host queues one
+//!   for the attempt a client will send next, so that the request finds
+//!   its owner already decided.
+//! * **Dangling pre-claims are ordinary orphans.** An applied claim whose
+//!   request never arrived is an owned attempt like any other: the host's
+//!   cleaner `(nil, abort)`s it when its owner is suspected, and a later
+//!   request for it is answered from [`DecisionLog::decision_of`].
+//! * **Speculation is untouched.** Only [`SlotBatch::outcomes`] is ever
+//!   executed ahead of a decision; claims change what a slot carries, not
+//!   what the databases see.
+//!
+//! The log owns no consensus machinery: it sequences batches through a
+//! [`WoRegisters`] bank, so one engine per application server keeps
+//! speaking for that server.
 
 use crate::woreg::WoRegisters;
 use crate::Suspects;
 use etx_base::ids::{NodeId, RegId, ResultId};
 use etx_base::runtime::Context;
-use etx_base::value::{Decision, OutcomeBatch, RegValue};
+use etx_base::value::{Decision, OutcomeBatch, OwnerClaim, RegValue, SlotBatch};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// One decided slot's worth of *newly final* outcomes, in slot order.
+/// One decided slot's worth of *newly final* entries, in slot order.
 /// Entries whose attempt already surfaced in an earlier slot are filtered
-/// out (first occurrence wins), so every attempt appears in exactly one
-/// applied slot per server — and in the same one on every server.
+/// out (first occurrence wins), so every attempt's outcome — and every
+/// attempt's owner — appears in exactly one applied slot per server, and
+/// in the same one on every server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppliedSlot {
     /// Log position.
     pub slot: u64,
     /// First-occurrence `(attempt, decision)` pairs this slot made final.
     pub entries: OutcomeBatch,
+    /// The claims of this slot that decided their attempt's owner.
+    pub claims: Vec<OwnerClaim>,
+    /// Every advance of a client's GC watermark this slot's claims caused
+    /// here, with the new watermark, in apply order — what the host's own
+    /// per-attempt state may now forget (the log has already forgotten its
+    /// share).
+    pub watermarks: Vec<(NodeId, u64)>,
 }
 
 /// One application server's view of the sequenced decision log.
 #[derive(Debug)]
 pub struct DecisionLog {
-    /// Largest batch one slot proposal may carry — the configured pipeline
-    /// depth. At 1 every slot holds exactly one outcome (the degenerate
-    /// per-request configuration, the paper's `regD` behaviour); without
-    /// the cap a backed-up pending queue would flow into a single slot and
+    /// Largest number of members — outcomes plus urgent claims — one slot
+    /// proposal may carry: the configured pipeline depth. At 1 every slot
+    /// holds exactly one outcome or one claim (the degenerate per-request
+    /// configuration, the paper's two registers per attempt); without the
+    /// cap a backed-up pending queue would flow into a single slot and
     /// silently batch even in the degenerate configuration.
     max_batch: usize,
     /// Maximum undecided slots this server keeps in flight at once — the
     /// configured pipeline window. At 1 the log runs one consensus round
-    /// at a time (the PR 6/7/8 behaviour, byte-for-byte); at `K` it
-    /// proposes up to `K` consecutive slots whose rounds overlap.
+    /// at a time; at `K` it proposes up to `K` consecutive slots whose
+    /// rounds overlap.
     window: usize,
     /// Outcomes waiting to be proposed (or re-proposed) into a slot.
     pending: OutcomeBatch,
+    /// Attempts this server wants to own, waiting to be proposed (or
+    /// re-proposed) as claims. Only the members of `urgent` can open a
+    /// slot; the rest ride along.
+    claims: Vec<ResultId>,
+    /// The queued or in-flight claims a request is waiting on.
+    urgent: BTreeSet<ResultId>,
     /// Our in-flight proposals, slot → batch, at most `window` of them.
     /// Batches are [`Arc`]-shared with the register write (and hence the
-    /// consensus broadcasts), so proposing copies no outcomes.
-    inflight: BTreeMap<u64, Arc<OutcomeBatch>>,
+    /// consensus broadcasts), so proposing copies no entries.
+    inflight: BTreeMap<u64, Arc<SlotBatch>>,
     /// Next slot index to apply (everything below is applied).
     next_apply: u64,
     /// Slots decided ahead of a gap, waiting for in-order apply. Decides
     /// may land out of slot order under a pipelined window; this buffer
     /// (plus the `next_apply` low-water mark) is what keeps promotion and
     /// apply strictly in slot order regardless.
-    decided_ahead: BTreeMap<u64, Arc<OutcomeBatch>>,
-    /// Final decision per attempt (the first-occurrence arbitration).
-    seen: BTreeMap<ResultId, Decision>,
+    decided_ahead: BTreeMap<u64, Arc<SlotBatch>>,
+    /// Final decision per attempt (the first-occurrence arbitration): the
+    /// decided batch that carried it and its position there — a shared
+    /// handle, so recording a decision copies no result.
+    seen: BTreeMap<ResultId, (Arc<SlotBatch>, usize)>,
+    /// Owner per attempt (the first-claim arbitration) — the paper's
+    /// `regA`, and what the host's cleaner walks.
+    owners: BTreeMap<ResultId, NodeId>,
     /// Per-client GC watermarks: every request below the watermark is
     /// settled forever. Entries for settled requests are dropped at apply
     /// time even after their `seen` record was garbage-collected —
@@ -84,8 +140,9 @@ pub struct DecisionLog {
     /// `(nil, abort)`) could re-surface a settled attempt as a fresh
     /// "first occurrence" with a conflicting outcome.
     watermarks: BTreeMap<NodeId, u64>,
-    /// Each applied slot that is not yet fully settled — the bookkeeping
-    /// behind [`DecisionLog::gc_client`]'s return value, which is what lets
+    /// Each applied slot that carried outcomes and is not yet fully
+    /// settled — the bookkeeping behind [`DecisionLog::gc_client`]'s return
+    /// value, which is what lets
     /// the host compact a slot's consensus instance once no request in it
     /// can ever be asked about again. The decided batch itself is kept (a
     /// shared handle: the register bank holds the same allocation until
@@ -93,10 +150,10 @@ pub struct DecisionLog {
     /// slot's arbitration content (results dropped). Bounded by the
     /// clients' unsettled windows, like everything else here.
     applied_members: BTreeMap<u64, AppliedMembers>,
-    /// The members of `applied_members` not yet below their client's
-    /// watermark, as `(attempt, slot)`: ordered by attempt, so the entries
-    /// a watermark settles are one [`ResultId::below`] range and a GC pass
-    /// visits only what it settles.
+    /// The members of `applied_members` (outcomes and claims alike) not
+    /// yet below their client's watermark, as `(attempt, slot)`: ordered
+    /// by attempt, so the entries a watermark settles are one
+    /// [`ResultId::below`] range and a GC pass visits only what it settles.
     unsettled: BTreeSet<(ResultId, u64)>,
     /// Applied slots with no unsettled member left, not yet handed to the
     /// host — [`DecisionLog::gc_client`] drains it.
@@ -106,7 +163,7 @@ pub struct DecisionLog {
 /// One applied slot's membership and how much of it is still unsettled.
 #[derive(Debug)]
 struct AppliedMembers {
-    batch: Arc<OutcomeBatch>,
+    batch: Arc<SlotBatch>,
     /// This slot's entries in [`DecisionLog::unsettled`].
     unsettled: usize,
 }
@@ -120,17 +177,20 @@ impl Default for DecisionLog {
 
 impl DecisionLog {
     /// An empty log view (apply cursor at slot 0) whose slot proposals
-    /// carry at most `max_batch` outcomes each and keep at most `window`
+    /// carry at most `max_batch` members each and keep at most `window`
     /// undecided slots in flight at once (both clamped to ≥ 1).
     pub fn new(max_batch: usize, window: usize) -> Self {
         DecisionLog {
             max_batch: max_batch.max(1),
             window: window.max(1),
             pending: OutcomeBatch::default(),
+            claims: Vec::new(),
+            urgent: BTreeSet::new(),
             inflight: BTreeMap::new(),
             next_apply: 0,
             decided_ahead: BTreeMap::new(),
             seen: BTreeMap::new(),
+            owners: BTreeMap::new(),
             watermarks: BTreeMap::new(),
             applied_members: BTreeMap::new(),
             unsettled: BTreeSet::new(),
@@ -139,9 +199,21 @@ impl DecisionLog {
     }
 
     /// The final decision for `rid`, if some applied slot carried it — the
-    /// log's `read()`: once `Some`, the answer never changes.
+    /// log's `regD[rid].read()`: once `Some`, the answer never changes.
     pub fn decision_of(&self, rid: ResultId) -> Option<&Decision> {
-        self.seen.get(&rid)
+        self.seen.get(&rid).map(|(batch, at)| &batch.outcomes[*at].1)
+    }
+
+    /// The owner of `rid`, if some applied slot carried a claim for it —
+    /// the log's `regA[rid].read()`: once `Some`, the answer never changes.
+    pub fn owner_of(&self, rid: ResultId) -> Option<NodeId> {
+        self.owners.get(&rid).copied()
+    }
+
+    /// Every owned attempt not yet below its client's watermark, in
+    /// attempt order — the open work a cleaning pass inspects.
+    pub fn owners(&self) -> impl Iterator<Item = (ResultId, NodeId)> + '_ {
+        self.owners.iter().map(|(&rid, &owner)| (rid, owner))
     }
 
     /// Next slot index this server will apply (diagnostics and tests).
@@ -151,12 +223,19 @@ impl DecisionLog {
 
     /// Outcomes queued but not yet decided (diagnostics and tests).
     pub fn pending_len(&self) -> usize {
-        self.pending.len() + self.inflight.values().map(|b| b.len()).sum::<usize>()
+        self.pending.len() + self.inflight.values().map(|b| b.outcomes.len()).sum::<usize>()
     }
 
     /// Number of our proposals currently awaiting a slot decision.
     pub fn inflight_len(&self) -> usize {
         self.inflight.len()
+    }
+
+    /// Everything this view remembers per attempt: decisions, owners and
+    /// the members of applied slots awaiting compaction — all of it at or
+    /// above some client's watermark (observability / bounded-state tests).
+    pub fn tracked_attempts(&self) -> usize {
+        self.seen.len() + self.owners.len() + self.unsettled.len()
     }
 
     /// Our proposals currently awaiting a slot decision, in slot order:
@@ -166,14 +245,38 @@ impl DecisionLog {
     /// to learn where the flush landed — proposals that resolved
     /// synchronously are absent, because there is nothing left in flight
     /// and nothing worth speculating on.
-    pub fn inflight_proposals(&self) -> Vec<(u64, Arc<OutcomeBatch>)> {
+    pub fn inflight_proposals(&self) -> Vec<(u64, Arc<SlotBatch>)> {
         self.inflight.iter().map(|(&slot, batch)| (slot, Arc::clone(batch))).collect()
     }
 
-    /// Submits a batch of outcomes for sequencing and drives proposals.
-    /// Entries already final (or already queued) are skipped. Returns any
-    /// slots that became applied synchronously (single-replica quorums and
-    /// already-decided slots resolve without waiting for the network).
+    /// Queues a claim of `rid` for the proposing server (Figure 5's
+    /// `regA[j].write(self)`); [`DecisionLog::propose`] sends it. An
+    /// **urgent** claim — a request is waiting on it — opens a slot of its
+    /// own if it must and counts against the batch cap like an outcome. A
+    /// claim that is not urgent (a *pre-claim*) only ever rides a slot
+    /// that is proposed for another reason, and rides it for free.
+    /// Claiming an attempt whose claim is already queued or in flight
+    /// changes nothing but its urgency; claiming one whose owner is known
+    /// or whose request is settled does nothing.
+    pub fn claim(&mut self, rid: ResultId, urgent: bool) {
+        if self.owners.contains_key(&rid) || self.settled(&rid) {
+            return;
+        }
+        if urgent {
+            self.urgent.insert(rid);
+        }
+        let queued = self.claims.contains(&rid)
+            || self.inflight.values().any(|b| b.claims.iter().any(|c| c.rid == rid));
+        if !queued {
+            self.claims.push(rid);
+        }
+    }
+
+    /// Submits a batch of outcomes for sequencing and drives proposals —
+    /// queued claims leave with them. Entries already final (or already
+    /// queued) are skipped. Returns any slots that became applied
+    /// synchronously (single-replica quorums and already-decided slots
+    /// resolve without waiting for the network).
     pub fn propose(
         &mut self,
         ctx: &mut dyn Context,
@@ -183,7 +286,7 @@ impl DecisionLog {
     ) -> Vec<AppliedSlot> {
         for (rid, decision) in entries {
             let queued = self.pending.iter().any(|(r, _)| *r == rid)
-                || self.inflight.values().any(|b| b.iter().any(|(r, _)| *r == rid));
+                || self.inflight.values().any(|b| b.outcomes.iter().any(|(r, _)| *r == rid));
             if self.seen.contains_key(&rid) || self.settled(&rid) || queued {
                 continue;
             }
@@ -225,46 +328,40 @@ impl DecisionLog {
     /// Drops the arbitration memory of every settled attempt of `client`
     /// below the `ack_below` watermark (server-side GC; safe because a
     /// settled request is never retransmitted, so its attempts can never be
-    /// proposed again). Returns the applied slots that became **fully
-    /// settled** — every member request below its client's watermark, in
-    /// slot order — paired with an **outcomes-only tombstone batch** (the
-    /// slot's entries with their result payloads dropped) for the host to
-    /// compact each slot's consensus instance down to (§5's register-array
-    /// cleanup). The tombstone must keep the `(attempt, outcome)` pairs:
-    /// a server that resyncs the slot *after* compaction still needs the
-    /// first-occurrence arbitration memory, because its cleaner — which
-    /// never heard this client's watermark — may later re-propose a member
-    /// attempt as `(nil, abort)`. Compacting to an empty batch erased that
-    /// memory and let the conflicting abort surface as a fresh first
-    /// occurrence (a real divergence: some databases applied the cleaner's
-    /// abort after others applied the original commit). Only the results —
-    /// the unbounded payload — are shed.
-    pub fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Vec<(u64, OutcomeBatch)> {
-        let w = self.watermarks.entry(client).or_insert(0);
-        *w = (*w).max(ack_below);
-        // Everything keyed by attempt is ordered (client, seq, attempt):
-        // the stale entries are one contiguous range per map, so this runs
-        // on every client request and still costs only what it removes.
-        let stale = ResultId::below(client, ack_below);
-        self.seen.extract_if(stale.clone(), |_, _| true).for_each(drop);
-        self.pending.retain(|(rid, _)| !stale.contains(rid));
-        for (_, slot) in self.unsettled.extract_if((stale.start, 0)..(stale.end, 0), |_| true) {
-            let applied = self.applied_members.get_mut(&slot).expect("indexed slot is applied");
-            applied.unsettled -= 1;
-            if applied.unsettled == 0 {
-                self.settled_slots.insert(slot);
-            }
-        }
+    /// proposed again). Returns the outcome-carrying applied slots that
+    /// became **fully settled** — every member request, claimed ones
+    /// included, below its client's watermark, in slot order — paired with
+    /// a **tombstone batch** (the slot's entries with their result payloads
+    /// dropped) for the host to compact each slot's consensus instance
+    /// down to (§5's register-array cleanup). A slot of claims alone has
+    /// no payload to shed and is never returned.
+    /// The tombstone must keep the `(attempt, outcome)` pairs and the
+    /// claims: a server that resyncs the slot *after* compaction still
+    /// needs the first-occurrence arbitration memory, because its cleaner —
+    /// which may not have heard this client's watermark yet — may later
+    /// re-propose a member attempt as `(nil, abort)`. Compacting to an
+    /// empty batch erased that memory and let the conflicting abort
+    /// surface as a fresh first occurrence (a real divergence: some
+    /// databases applied the cleaner's abort after others applied the
+    /// original commit). Only the results — the unbounded payload — are
+    /// shed; the claims stay because they are what carries the watermarks
+    /// to a server replaying the log.
+    pub fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Vec<(u64, Arc<SlotBatch>)> {
+        self.advance_watermark(client, ack_below);
         std::mem::take(&mut self.settled_slots)
             .into_iter()
             .map(|slot| {
-                let applied = self.applied_members.remove(&slot).expect("settled slot is applied");
-                let tombstone = applied
-                    .batch
+                let batch =
+                    self.applied_members.remove(&slot).expect("settled slot is applied").batch;
+                if batch.outcomes.iter().all(|(_, d)| d.result.is_none()) {
+                    return (slot, batch); // cleaner aborts only, or a tombstone already
+                }
+                let outcomes = batch
+                    .outcomes
                     .iter()
                     .map(|(rid, d)| (*rid, Decision { result: None, outcome: d.outcome }))
                     .collect();
-                (slot, tombstone)
+                (slot, Arc::new(SlotBatch { outcomes, claims: batch.claims.clone() }))
             })
             .collect()
     }
@@ -277,11 +374,40 @@ impl DecisionLog {
 
     // ---- internals -------------------------------------------------------
 
-    /// Proposes pending outcomes into the lowest open slots until the
-    /// pipeline window is full or the queue is empty, looping while
-    /// proposals resolve synchronously. At window 1 this is exactly the
-    /// single-slot propose loop of PR 6/7/8: one round in flight, the
-    /// next proposal only after it decides.
+    /// Raises `client`'s watermark to `ack_below` and forgets everything
+    /// it settles; `false` if the watermark was already there. Everything
+    /// keyed by attempt is ordered `(client, seq, attempt)`: the stale
+    /// entries are one contiguous range per map, so this runs on every
+    /// client request and every applied claim and still costs only what it
+    /// removes. Nothing is ever recorded below a watermark, so a call that
+    /// does not raise it has nothing to remove.
+    fn advance_watermark(&mut self, client: NodeId, ack_below: u64) -> bool {
+        let w = self.watermarks.entry(client).or_insert(0);
+        if ack_below <= *w {
+            return false;
+        }
+        *w = ack_below;
+        let stale = ResultId::below(client, ack_below);
+        self.seen.extract_if(stale.clone(), |_, _| true).for_each(drop);
+        self.owners.extract_if(stale.clone(), |_, _| true).for_each(drop);
+        self.urgent.extract_if(stale.clone(), |_| true).for_each(drop);
+        self.pending.retain(|(rid, _)| !stale.contains(rid));
+        self.claims.retain(|rid| !stale.contains(rid));
+        for (_, slot) in self.unsettled.extract_if((stale.start, 0)..(stale.end, 0), |_| true) {
+            let applied = self.applied_members.get_mut(&slot).expect("indexed slot is applied");
+            applied.unsettled -= 1;
+            if applied.unsettled == 0 {
+                self.settled_slots.insert(slot);
+            }
+        }
+        true
+    }
+
+    /// Proposes pending outcomes and claims into the lowest open slots
+    /// until the pipeline window is full or nothing queued may open a
+    /// slot, looping while proposals resolve synchronously. At window 1
+    /// this is a single-slot propose loop: one round in flight, the next
+    /// proposal only after it decides.
     fn pump(
         &mut self,
         ctx: &mut dyn Context,
@@ -290,18 +416,14 @@ impl DecisionLog {
     ) -> Vec<AppliedSlot> {
         let mut out = Vec::new();
         loop {
-            let seen = &self.seen;
-            let watermarks = &self.watermarks;
-            self.pending.retain(|(rid, _)| {
-                !seen.contains_key(rid)
-                    && watermarks.get(&rid.request.client).is_none_or(|&w| rid.request.seq >= w)
-            });
-            if self.inflight.len() >= self.window || self.pending.is_empty() {
+            self.drop_served();
+            let wanted =
+                !self.pending.is_empty() || self.claims.iter().any(|rid| self.urgent.contains(rid));
+            if self.inflight.len() >= self.window || !wanted {
                 return out;
             }
             let slot = self.lowest_open_slot(regs);
-            let take = self.pending.len().min(self.max_batch);
-            let batch: Arc<OutcomeBatch> = Arc::new(self.pending.drain(..take).collect());
+            let batch = Arc::new(self.next_batch(ctx.me()));
             self.inflight.insert(slot, Arc::clone(&batch));
             match regs.write(ctx, RegId::slot(slot), RegValue::Batch(batch), suspects) {
                 // Round in flight; the decision arrives via handle(). Keep
@@ -316,6 +438,41 @@ impl DecisionLog {
                 }
             }
         }
+    }
+
+    /// Drops queued entries the log has since answered: outcomes whose
+    /// attempt is final, claims whose attempt has an owner, and anything
+    /// below a watermark.
+    fn drop_served(&mut self) {
+        let (mut pending, mut claims) =
+            (std::mem::take(&mut self.pending), std::mem::take(&mut self.claims));
+        pending.retain(|(rid, _)| !self.seen.contains_key(rid) && !self.settled(rid));
+        claims.retain(|rid| !self.owners.contains_key(rid) && !self.settled(rid));
+        (self.pending, self.claims) = (pending, claims);
+    }
+
+    /// Takes the next slot's worth off the queues: outcomes first, then
+    /// urgent claims while the batch cap has room, then every pre-claim
+    /// (free riders). Each claim is stamped with its client's watermark
+    /// as this server knows it now.
+    fn next_batch(&mut self, me: NodeId) -> SlotBatch {
+        let take = self.pending.len().min(self.max_batch);
+        let outcomes = self.pending.drain(..take).collect();
+        let mut room = self.max_batch - take;
+        let mut claims = Vec::new();
+        let (urgent, watermarks) = (&self.urgent, &self.watermarks);
+        self.claims.retain(|&rid| {
+            if urgent.contains(&rid) {
+                if room == 0 {
+                    return true;
+                }
+                room -= 1;
+            }
+            let ack_below = watermarks.get(&rid.request.client).copied().unwrap_or(0);
+            claims.push(OwnerClaim { rid, server: me, ack_below });
+            false
+        });
+        SlotBatch { outcomes, claims }
     }
 
     /// The lowest slot index with no decision known locally and no
@@ -343,16 +500,24 @@ impl DecisionLog {
             self.decided_ahead.entry(slot).or_insert_with(|| Arc::clone(&batch));
         }
         // Our proposal for this slot is settled: if another batch won, the
-        // outcomes we carried go back to pending for the next slot. Other
-        // in-flight slots are untouched — their rounds are still running.
-        if let Some(ours) = self.inflight.remove(&slot) {
-            for (rid, decision) in ours.iter() {
-                if !batch.iter().any(|(r, _)| r == rid)
-                    && !self.seen.contains_key(rid)
-                    && !self.settled(rid)
-                {
-                    self.pending.push((*rid, decision.clone()));
-                }
+        // entries we carried go back to their queues for the next slot
+        // (claims keep their urgency). Other in-flight slots are untouched
+        // — their rounds are still running.
+        let Some(ours) = self.inflight.remove(&slot) else { return };
+        for (rid, decision) in &ours.outcomes {
+            if !batch.outcomes.iter().any(|(r, _)| r == rid)
+                && !self.seen.contains_key(rid)
+                && !self.settled(rid)
+            {
+                self.pending.push((*rid, decision.clone()));
+            }
+        }
+        for claim in &ours.claims {
+            if !batch.claims.iter().any(|c| c.rid == claim.rid)
+                && !self.owners.contains_key(&claim.rid)
+                && !self.settled(&claim.rid)
+            {
+                self.claims.push(claim.rid);
             }
         }
     }
@@ -361,25 +526,57 @@ impl DecisionLog {
         let mut out = Vec::new();
         while let Some(batch) = self.decided_ahead.remove(&self.next_apply) {
             let slot = self.next_apply;
+            let mut applied = AppliedSlot {
+                slot,
+                entries: Vec::new(),
+                claims: Vec::new(),
+                watermarks: Vec::new(),
+            };
+            // Watermarks first: what they settle — members of this very
+            // slot included — is ignored below, identically on every
+            // replica that applies this slot.
+            for claim in &batch.claims {
+                let client = claim.rid.request.client;
+                if self.advance_watermark(client, claim.ack_below) {
+                    applied.watermarks.push((client, claim.ack_below));
+                }
+            }
+            // A slot of claims alone holds no result to shed later: it is
+            // never compacted, so its members need no settlement tracking.
+            let claims_only = batch.outcomes.is_empty() && !batch.claims.is_empty();
             let mut unsettled = 0;
-            let mut firsts = Vec::new();
-            for (rid, decision) in batch.iter() {
+            for claim in &batch.claims {
+                if self.settled(&claim.rid) {
+                    continue;
+                }
+                if !claims_only && self.unsettled.insert((claim.rid, slot)) {
+                    unsettled += 1;
+                }
+                if let Entry::Vacant(owner) = self.owners.entry(claim.rid) {
+                    owner.insert(claim.server);
+                    self.urgent.remove(&claim.rid);
+                    applied.claims.push(*claim);
+                }
+            }
+            for (at, (rid, decision)) in batch.outcomes.iter().enumerate() {
                 if self.settled(rid) {
                     continue;
                 }
                 if self.unsettled.insert((*rid, slot)) {
                     unsettled += 1;
                 }
-                if !self.seen.contains_key(rid) {
-                    self.seen.insert(*rid, decision.clone());
-                    firsts.push((*rid, decision.clone()));
+                if let Entry::Vacant(first) = self.seen.entry(*rid) {
+                    first.insert((Arc::clone(&batch), at));
+                    applied.entries.push((*rid, decision.clone()));
                 }
             }
-            if unsettled == 0 {
-                self.settled_slots.insert(slot);
+            if !claims_only {
+                if unsettled == 0 {
+                    self.settled_slots.insert(slot);
+                }
+                self.applied_members.insert(slot, AppliedMembers { batch, unsettled });
             }
-            self.applied_members.insert(slot, AppliedMembers { batch, unsettled });
-            out.push(AppliedSlot { slot, entries: firsts });
+            out.push(applied);
             self.next_apply += 1;
         }
         out
@@ -389,8 +586,16 @@ impl DecisionLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::Outbox;
+    use crate::{EngineConfig, WoEvent};
     use etx_base::ids::RequestId;
+    use etx_base::msg::Payload;
+    use etx_base::runtime::Event;
     use etx_base::value::Outcome;
+    use std::collections::VecDeque;
+
+    const A: NodeId = NodeId(10);
+    const B: NodeId = NodeId(11);
 
     fn rid(seq: u64) -> ResultId {
         ResultId::first(RequestId { client: NodeId(0), seq })
@@ -404,20 +609,92 @@ mod tests {
         seqs.iter().map(|&s| (rid(s), commit())).collect()
     }
 
+    fn claim(seq: u64, server: NodeId, ack_below: u64) -> OwnerClaim {
+        OwnerClaim { rid: rid(seq), server, ack_below }
+    }
+
+    fn value(outcomes: OutcomeBatch, claims: Vec<OwnerClaim>) -> RegValue {
+        RegValue::Batch(Arc::new(SlotBatch { outcomes, claims }))
+    }
+
     fn slot_value(seqs: &[u64]) -> RegValue {
-        RegValue::Batch(Arc::new(batch(seqs)))
+        value(batch(seqs), Vec::new())
+    }
+
+    fn outcomes_only(outcomes: OutcomeBatch) -> Arc<SlotBatch> {
+        Arc::new(SlotBatch { outcomes, claims: Vec::new() })
     }
 
     #[test]
     fn first_occurrence_wins_across_slots() {
         let mut log = DecisionLog::default();
-        log.record_decided(0, &RegValue::Batch(Arc::new(vec![(rid(1), commit())])));
-        log.record_decided(1, &RegValue::Batch(Arc::new(vec![(rid(1), Decision::nil_abort())])));
+        log.record_decided(0, &value(vec![(rid(1), commit())], Vec::new()));
+        log.record_decided(1, &value(vec![(rid(1), Decision::nil_abort())], Vec::new()));
         let applied = log.drain_applied();
         assert_eq!(applied.len(), 2);
         assert_eq!(applied[0].entries.len(), 1, "slot 0 carries the first occurrence");
         assert!(applied[1].entries.is_empty(), "slot 1's duplicate is filtered");
         assert_eq!(log.decision_of(rid(1)).unwrap().outcome, Outcome::Commit);
+    }
+
+    #[test]
+    fn first_claim_wins_across_slots() {
+        let mut log = DecisionLog::default();
+        log.record_decided(0, &value(Vec::new(), vec![claim(1, A, 0)]));
+        log.record_decided(1, &value(Vec::new(), vec![claim(1, B, 0), claim(2, B, 0)]));
+        let applied = log.drain_applied();
+        assert_eq!(applied[0].claims, [claim(1, A, 0)]);
+        assert_eq!(applied[1].claims, [claim(2, B, 0)], "the second claim for 1 decides nothing");
+        assert_eq!(log.owner_of(rid(1)), Some(A));
+        assert_eq!(log.owner_of(rid(2)), Some(B));
+        assert_eq!(log.owner_of(rid(3)), None);
+        assert_eq!(log.owners().collect::<Vec<_>>(), [(rid(1), A), (rid(2), B)]);
+    }
+
+    #[test]
+    fn a_claim_racing_a_cleaners_abort_changes_neither_register() {
+        // A owns attempt 1 and is suspected: B's cleaner writes
+        // `(nil, abort)` while B — a re-broadcast request in hand — also
+        // claims the attempt. The two arbitrations are independent: A
+        // stays the owner, the abort is the decision, and B (not the
+        // owner) answers the request from the log's decision.
+        let mut log = DecisionLog::default();
+        log.record_decided(0, &value(Vec::new(), vec![claim(1, A, 0)]));
+        log.record_decided(1, &value(vec![(rid(1), Decision::nil_abort())], vec![claim(1, B, 0)]));
+        let applied = log.drain_applied();
+        assert!(applied[1].claims.is_empty());
+        assert_eq!(applied[1].entries, [(rid(1), Decision::nil_abort())]);
+        assert_eq!(log.owner_of(rid(1)), Some(A));
+        assert_eq!(log.decision_of(rid(1)), Some(&Decision::nil_abort()));
+        // The owner's own outcome, arriving later, loses to the abort.
+        log.record_decided(2, &slot_value(&[1]));
+        assert!(log.drain_applied()[0].entries.is_empty());
+        assert_eq!(
+            Vec::from_iter(log.unsettled.iter().copied()),
+            [(rid(1), 1), (rid(1), 2)],
+            "one member per attempt and outcome-carrying slot"
+        );
+    }
+
+    #[test]
+    fn a_claim_for_a_settled_request_is_ignored_but_its_watermark_is_not() {
+        let mut log = DecisionLog::default();
+        log.gc_client(NodeId(0), 3);
+        log.claim(rid(2), true);
+        assert!(log.claims.is_empty() && log.urgent.is_empty(), "settled: nothing to claim");
+        // A late claim for request 2 (settled here) that carries a newer
+        // watermark than this replica has heard.
+        log.record_decided(0, &value(batch(&[4]), vec![claim(2, A, 5), claim(5, A, 5)]));
+        let applied = log.drain_applied();
+        assert_eq!(applied[0].claims, [claim(5, A, 5)]);
+        assert_eq!(applied[0].watermarks, [(NodeId(0), 5)]);
+        assert!(
+            applied[0].entries.is_empty(),
+            "the slot's own watermark settles its outcome for 4"
+        );
+        assert_eq!(log.owner_of(rid(2)), None);
+        assert!(log.settled(&rid(4)) && !log.settled(&rid(5)));
+        assert_eq!(log.tracked_attempts(), 2, "request 5's owner and its slot membership");
     }
 
     #[test]
@@ -436,7 +713,7 @@ mod tests {
     #[test]
     fn losing_a_slot_requeues_unserved_outcomes() {
         let mut log = DecisionLog {
-            inflight: BTreeMap::from([(0, Arc::new(batch(&[7, 8])))]),
+            inflight: BTreeMap::from([(0, outcomes_only(batch(&[7, 8])))]),
             ..DecisionLog::default()
         };
         // Slot 0 decides with someone else's batch that covers 7 but not 8.
@@ -448,13 +725,35 @@ mod tests {
     }
 
     #[test]
+    fn losing_a_slot_requeues_unserved_claims_with_their_urgency() {
+        let ours = SlotBatch {
+            outcomes: Vec::new(),
+            claims: vec![claim(7, A, 0), claim(8, A, 0), claim(9, A, 0)],
+        };
+        let mut log = DecisionLog {
+            inflight: BTreeMap::from([(0, Arc::new(ours))]),
+            urgent: BTreeSet::from([rid(8)]),
+            ..DecisionLog::default()
+        };
+        // Slot 0 goes to B's batch, which claims 7 — decided, if not for us.
+        log.record_decided(0, &value(Vec::new(), vec![claim(7, B, 0)]));
+        log.drain_applied();
+        assert_eq!(log.owner_of(rid(7)), Some(B));
+        assert_eq!(log.claims, [rid(8), rid(9)], "the unserved claims go back in the queue");
+        assert!(log.urgent.contains(&rid(8)), "and the one a request waits on stays urgent");
+    }
+
+    #[test]
     fn out_of_order_decides_apply_in_slot_order_across_the_window() {
         // A pipelined window has slots 0 and 1 in flight; slot 1's round
         // finishes first. Nothing may apply until slot 0 decides, and the
         // apply order must be slot order, not decide order.
         let mut log = DecisionLog {
             window: 2,
-            inflight: BTreeMap::from([(0, Arc::new(batch(&[1, 2]))), (1, Arc::new(batch(&[3])))]),
+            inflight: BTreeMap::from([
+                (0, outcomes_only(batch(&[1, 2]))),
+                (1, outcomes_only(batch(&[3]))),
+            ]),
             ..DecisionLog::default()
         };
         log.record_decided(1, &slot_value(&[3]));
@@ -475,7 +774,10 @@ mod tests {
         // unserved outcomes go back to pending.
         let mut log = DecisionLog {
             window: 2,
-            inflight: BTreeMap::from([(0, Arc::new(batch(&[7, 8]))), (1, Arc::new(batch(&[9])))]),
+            inflight: BTreeMap::from([
+                (0, outcomes_only(batch(&[7, 8]))),
+                (1, outcomes_only(batch(&[9]))),
+            ]),
             ..DecisionLog::default()
         };
         log.record_decided(0, &slot_value(&[7]));
@@ -488,15 +790,87 @@ mod tests {
         );
     }
 
+    /// A one-replica register bank: every write decides synchronously, so
+    /// a test can watch what `pump` puts into which slot.
+    fn solo() -> (Outbox, WoRegisters) {
+        (Outbox::new(A), WoRegisters::new(A, &[A], EngineConfig::default()))
+    }
+
+    const TRUSTING: Suspects<'static> = &|_| false;
+
+    #[test]
+    fn a_pre_claim_is_never_proposed_alone_and_rides_for_free() {
+        let (mut ctx, mut regs) = solo();
+        let mut log = DecisionLog::new(2, 1);
+        log.claim(rid(5), false);
+        log.claim(rid(5), false);
+        assert_eq!(log.claims, [rid(5)], "claiming twice queues once");
+        let applied = log.propose(&mut ctx, &mut regs, Vec::new(), TRUSTING);
+        assert!(applied.is_empty() && log.applied_up_to() == 0, "no slot for a pre-claim");
+        // Two outcomes fill the batch cap; the pre-claim rides regardless.
+        let applied = log.propose(&mut ctx, &mut regs, batch(&[3, 4]), TRUSTING);
+        assert_eq!(applied.len(), 1);
+        assert_eq!(applied[0].entries.len(), 2);
+        assert_eq!(applied[0].claims, [claim(5, A, 0)]);
+        assert_eq!(log.owner_of(rid(5)), Some(A));
+        // Its owner known, claiming it again — urgently or not — is a no-op.
+        log.claim(rid(5), true);
+        assert!(log.claims.is_empty() && log.urgent.is_empty());
+    }
+
+    #[test]
+    fn urgent_claims_count_against_the_batch_cap_and_carry_the_watermark() {
+        let (mut ctx, mut regs) = solo();
+        let mut log = DecisionLog::new(1, 1);
+        log.gc_client(NodeId(0), 4);
+        log.claim(rid(6), true);
+        log.claim(rid(7), true);
+        let applied = log.propose(&mut ctx, &mut regs, batch(&[5]), TRUSTING);
+        // Batch cap 1: nothing shares a slot, outcomes go first.
+        assert_eq!(applied.len(), 3);
+        assert_eq!((applied[0].entries.len(), applied[0].claims.len()), (1, 0));
+        assert_eq!(applied[1].claims, [claim(6, A, 4)]);
+        assert_eq!(applied[2].claims, [claim(7, A, 4)]);
+        assert!(log.urgent.is_empty(), "a decided owner is no longer waited on");
+    }
+
+    #[test]
+    fn an_urgent_claim_flushes_with_the_window_open_and_waits_with_it_full() {
+        // Three replicas, nothing delivered: proposals stay in flight.
+        let mut ctx = Outbox::new(A);
+        let mut regs = WoRegisters::new(A, &[A, B, NodeId(12)], EngineConfig::default());
+        let mut log = DecisionLog::new(8, 2);
+        log.claim(rid(1), true);
+        log.propose(&mut ctx, &mut regs, Vec::new(), TRUSTING);
+        assert_eq!(log.inflight_len(), 1, "window open: the claim opens a slot at once");
+        log.propose(&mut ctx, &mut regs, batch(&[9]), TRUSTING);
+        assert_eq!(log.inflight_len(), 2);
+        // Window full. A pre-claim becomes urgent when its request arrives.
+        log.claim(rid(2), false);
+        log.claim(rid(2), true);
+        log.propose(&mut ctx, &mut regs, Vec::new(), TRUSTING);
+        assert_eq!((log.inflight_len(), log.claims.as_slice()), (2, &[rid(2)][..]), "it waits");
+        // Claiming what is already in flight queues nothing new.
+        log.claim(rid(1), true);
+        assert_eq!(log.claims, [rid(2)]);
+        // Slot 0 decides as proposed: the window has room, the claim leaves.
+        let ours = RegValue::Batch(Arc::clone(&log.inflight[&0]));
+        let applied = log.on_slot_decided(&mut ctx, &mut regs, 0, &ours, TRUSTING);
+        assert_eq!(applied[0].claims, [claim(1, A, 0)]);
+        assert!(log.claims.is_empty());
+        assert_eq!(log.inflight_proposals().last().unwrap().1.claims, [claim(2, A, 0)]);
+    }
+
     #[test]
     fn gc_drops_settled_attempts_below_the_watermark() {
         let mut log = DecisionLog::default();
-        log.record_decided(0, &slot_value(&[1, 2, 3]));
+        log.record_decided(0, &value(batch(&[1, 2, 3]), vec![claim(2, A, 0), claim(3, A, 0)]));
         log.drain_applied();
         log.gc_client(NodeId(0), 3);
         assert!(log.decision_of(rid(1)).is_none());
-        assert!(log.decision_of(rid(2)).is_none());
+        assert!(log.decision_of(rid(2)).is_none() && log.owner_of(rid(2)).is_none());
         assert!(log.decision_of(rid(3)).is_some(), "watermark is exclusive");
+        assert_eq!(log.owner_of(rid(3)), Some(A));
         log.gc_client(NodeId(9), u64::MAX);
         assert!(log.decision_of(rid(3)).is_some(), "other clients untouched");
     }
@@ -504,20 +878,20 @@ mod tests {
     #[test]
     fn gc_reports_fully_settled_slots_exactly_once_in_order() {
         let mut log = DecisionLog::default();
-        log.record_decided(0, &slot_value(&[1, 2]));
+        log.record_decided(0, &value(batch(&[1]), vec![claim(2, A, 0)]));
         log.record_decided(1, &slot_value(&[3]));
         log.drain_applied();
-        assert!(log.gc_client(NodeId(0), 2).is_empty(), "slot 0 still carries unsettled request 2");
+        assert!(log.gc_client(NodeId(0), 2).is_empty(), "slot 0 still carries the claim for 2");
         let settled = log.gc_client(NodeId(0), 3);
         assert_eq!(settled.len(), 1, "slot 0 now fully settled");
         assert_eq!(settled[0].0, 0);
         assert_eq!(
-            settled[0].1,
-            vec![
-                (rid(1), Decision { result: None, outcome: Outcome::Commit }),
-                (rid(2), Decision { result: None, outcome: Outcome::Commit }),
-            ],
-            "tombstone keeps the outcomes, drops the results"
+            *settled[0].1,
+            SlotBatch {
+                outcomes: vec![(rid(1), Decision { result: None, outcome: Outcome::Commit })],
+                claims: vec![claim(2, A, 0)],
+            },
+            "tombstone keeps the outcomes and the claims, drops the results"
         );
         assert_eq!(log.gc_client(NodeId(0), 4).iter().map(|(s, _)| *s).collect::<Vec<_>>(), [1]);
         assert!(log.gc_client(NodeId(0), 10).is_empty(), "forgotten slots are not re-reported");
@@ -533,10 +907,10 @@ mod tests {
         // conflicting abort (an A.3 divergence across databases).
         let mut log = DecisionLog::default();
         let tombstone = vec![(rid(1), Decision { result: None, outcome: Outcome::Commit })];
-        log.record_decided(0, &RegValue::Batch(Arc::new(tombstone)));
+        log.record_decided(0, &value(tombstone, Vec::new()));
         let applied = log.drain_applied();
         assert_eq!(applied[0].entries.len(), 1, "tombstone entries apply as first occurrences");
-        log.record_decided(1, &RegValue::Batch(Arc::new(vec![(rid(1), Decision::nil_abort())])));
+        log.record_decided(1, &value(vec![(rid(1), Decision::nil_abort())], Vec::new()));
         let applied = log.drain_applied();
         assert!(applied[0].entries.is_empty(), "late abort is a filtered duplicate");
         assert_eq!(log.decision_of(rid(1)).unwrap().outcome, Outcome::Commit);
@@ -548,11 +922,11 @@ mod tests {
         // conflicting entry then arrives in a later slot. It must be
         // swallowed, not surfaced as a fresh first occurrence.
         let mut log = DecisionLog::default();
-        log.record_decided(0, &RegValue::Batch(Arc::new(vec![(rid(1), commit())])));
+        log.record_decided(0, &value(vec![(rid(1), commit())], Vec::new()));
         log.drain_applied();
         log.gc_client(NodeId(0), 2); // request 1 settled
         assert!(log.decision_of(rid(1)).is_none(), "arbitration memory GC'd");
-        log.record_decided(1, &RegValue::Batch(Arc::new(vec![(rid(1), Decision::nil_abort())])));
+        log.record_decided(1, &value(vec![(rid(1), Decision::nil_abort())], Vec::new()));
         let applied = log.drain_applied();
         assert_eq!(applied.len(), 1);
         assert!(applied[0].entries.is_empty(), "settled attempt must not resurface");
@@ -583,7 +957,7 @@ mod tests {
             }
         }
 
-        fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Vec<(u64, OutcomeBatch)> {
+        fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Vec<(u64, Arc<SlotBatch>)> {
             let w = self.watermarks.entry(client).or_insert(0);
             *w = (*w).max(ack_below);
             self.seen.retain(|rid| rid.request.client != client || rid.request.seq >= ack_below);
@@ -591,9 +965,11 @@ mod tests {
             let members = std::mem::take(&mut self.members);
             for (slot, m) in members {
                 if m.iter().all(|(rid, _)| self.settled(rid)) {
-                    let tombstone =
-                        m.iter().map(|&(rid, outcome)| (rid, Decision { result: None, outcome }));
-                    forgettable.push((slot, tombstone.collect()));
+                    let outcomes = m
+                        .iter()
+                        .map(|&(rid, outcome)| (rid, Decision { result: None, outcome }))
+                        .collect();
+                    forgettable.push((slot, Arc::new(SlotBatch { outcomes, claims: Vec::new() })));
                 } else {
                     self.members.insert(slot, m);
                 }
@@ -633,7 +1009,7 @@ mod tests {
                         })
                         .collect();
                     scan.apply(next_slot, &batch);
-                    log.record_decided(next_slot, &RegValue::Batch(Arc::new(batch)));
+                    log.record_decided(next_slot, &value(batch, Vec::new()));
                     log.drain_applied();
                     next_slot += 1;
                 } else {
@@ -655,14 +1031,160 @@ mod tests {
         }
     }
 
+    /// Three replicas — register bank and log view each — on a loopback
+    /// network the test delivers by hand.
+    struct Cluster {
+        regs: Vec<WoRegisters>,
+        logs: Vec<DecisionLog>,
+        net: VecDeque<(NodeId, NodeId, Payload)>,
+    }
+
+    impl Cluster {
+        const PEERS: [NodeId; 3] = [NodeId(0), NodeId(1), NodeId(2)];
+
+        fn new(max_batch: usize, window: usize) -> Self {
+            let bank = |&p| WoRegisters::new(p, &Self::PEERS, EngineConfig::default());
+            Cluster {
+                regs: Self::PEERS.iter().map(bank).collect(),
+                logs: Self::PEERS.iter().map(|_| DecisionLog::new(max_batch, window)).collect(),
+                net: VecDeque::new(),
+            }
+        }
+
+        fn propose(&mut self, n: usize, entries: OutcomeBatch) {
+            let mut ctx = Outbox::new(Self::PEERS[n]);
+            self.logs[n].propose(&mut ctx, &mut self.regs[n], entries, TRUSTING);
+            self.net.extend(ctx.sent.into_iter().map(|(to, m)| (Self::PEERS[n], to, m)));
+        }
+
+        fn deliver(&mut self, pick: usize) {
+            if self.net.is_empty() {
+                return;
+            }
+            let (from, to, payload) = self.net.remove(pick % self.net.len()).expect("in range");
+            let n = to.0 as usize;
+            let mut ctx = Outbox::new(to);
+            let event = Event::Message { from, payload };
+            for ev in self.regs[n].handle(&mut ctx, &event, TRUSTING) {
+                let WoEvent::Decided { reg, value } = ev;
+                let slot = reg.slot_index().expect("only slots are written");
+                self.logs[n].on_slot_decided(&mut ctx, &mut self.regs[n], slot, &value, TRUSTING);
+            }
+            self.net.extend(ctx.sent.into_iter().map(|(to, m)| (Self::PEERS[n], to, m)));
+        }
+
+        /// Checks replica `n` against the retain-everything reference: the
+        /// decided slot values below its apply cursor, scanned from slot 0
+        /// with no memory ever dropped. Wherever the replica still tracks
+        /// an attempt, owner and decision must be the reference's; and
+        /// everything the reference knows, the replica knows or has
+        /// settled.
+        fn check(&self, n: usize) -> Result<(), proptest::test_runner::TestCaseError> {
+            let log = &self.logs[n];
+            let mut owners = BTreeMap::new();
+            let mut decisions = BTreeMap::new();
+            for slot in 0..log.applied_up_to() {
+                // Whichever replica decided the slot, consensus made the
+                // value the same; this one has it, or could not have applied.
+                let value = self.regs[n].read(RegId::slot(slot)).expect("applied slot is decided");
+                let batch = value.as_batch_shared().expect("slot value");
+                for c in &batch.claims {
+                    owners.entry(c.rid).or_insert(c.server);
+                }
+                for (rid, d) in &batch.outcomes {
+                    decisions.entry(*rid).or_insert(d.outcome);
+                }
+            }
+            for (&rid, &owner) in &owners {
+                if !log.settled(&rid) {
+                    proptest::prop_assert_eq!(log.owner_of(rid), Some(owner), "owner of {}", rid);
+                }
+            }
+            for (&rid, &outcome) in &decisions {
+                if !log.settled(&rid) {
+                    let known = log.decision_of(rid).map(|d| d.outcome);
+                    proptest::prop_assert_eq!(known, Some(outcome), "decision of {}", rid);
+                }
+            }
+            proptest::prop_assert!(log.owners().all(|(rid, o)| owners.get(&rid) == Some(&o)));
+            proptest::prop_assert!(log.seen.keys().all(|rid| decisions.contains_key(rid)));
+            Ok(())
+        }
+    }
+
+    proptest::proptest! {
+        /// One arbiter, three views: under random interleavings of outcome
+        /// proposals, urgent claims and pre-claims from every replica,
+        /// message deliveries in any order, and watermarks heard by one
+        /// replica only (and then carried to the others by its claims),
+        /// every replica's `owner_of` and `decision_of` are the first
+        /// occurrences in its applied prefix — so any two replicas agree
+        /// at equal prefixes — for every attempt the replica has not
+        /// settled; and at quiescence all three have applied the same log.
+        #[test]
+        fn replicas_agree_with_the_retained_log_at_every_prefix(
+            shape in (1usize..4, 1usize..4),
+            steps in proptest::collection::vec(
+                (0u8..12, 0usize..3, 0u32..2, 0u64..6, 1u32..3, 0usize..16),
+                1..120,
+            ),
+        ) {
+            let mut c = Cluster::new(shape.0, shape.1);
+            for (op, n, client, seq, attempt, pick) in steps {
+                let request = RequestId { client: NodeId(100 + client), seq };
+                let rid = ResultId { request, attempt };
+                match op {
+                    0 => c.propose(n, vec![(rid, commit())]),
+                    1 => c.propose(n, vec![(rid, Decision::nil_abort())]),
+                    2 => {
+                        c.logs[n].claim(rid, true);
+                        c.propose(n, Vec::new());
+                    }
+                    3 => c.logs[n].claim(rid, false),
+                    4 => {
+                        c.logs[n].gc_client(request.client, seq);
+                    }
+                    _ => c.deliver(pick),
+                }
+                for n in 0..3 {
+                    c.check(n)?;
+                }
+            }
+            // Drain: every proposal in flight decides, every queued member
+            // that may open a slot gets one.
+            for _ in 0..10_000 {
+                if c.net.is_empty() {
+                    break;
+                }
+                c.deliver(0);
+            }
+            proptest::prop_assert!(c.net.is_empty(), "the network drains");
+            for n in 0..3 {
+                c.check(n)?;
+                proptest::prop_assert_eq!(c.logs[n].inflight_len(), 0);
+                proptest::prop_assert!(c.logs[n].pending.is_empty() && c.logs[n].urgent.is_empty());
+            }
+            let frontier = c.logs.iter().map(|l| l.applied_up_to()).max().expect("three logs");
+            for n in 0..3 {
+                for slot in 0..frontier {
+                    proptest::prop_assert_eq!(
+                        c.regs[n].read(RegId::slot(slot)),
+                        c.regs[0].read(RegId::slot(slot)),
+                        "slot {} at replica {}", slot, n
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn applied_cursor_and_pending_len_report_state() {
         let mut log = DecisionLog::default();
         assert_eq!(log.applied_up_to(), 0);
         assert_eq!(log.pending_len(), 0);
         log.pending = batch(&[1]);
-        log.inflight.insert(0, Arc::new(batch(&[2, 3])));
-        log.inflight.insert(1, Arc::new(batch(&[4])));
+        log.inflight.insert(0, outcomes_only(batch(&[2, 3])));
+        log.inflight.insert(1, outcomes_only(batch(&[4])));
         assert_eq!(log.pending_len(), 4);
         assert_eq!(log.inflight_len(), 2);
     }

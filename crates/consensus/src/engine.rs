@@ -34,8 +34,7 @@ use etx_base::runtime::{Context, Event, TimerTag};
 use etx_base::time::Dur;
 use etx_base::trace::TraceKind;
 use etx_base::value::RegValue;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Predicate type used to query the owner's failure detector.
 pub type Suspects<'a> = &'a dyn Fn(NodeId) -> bool;
@@ -55,13 +54,13 @@ impl Default for EngineConfig {
     }
 }
 
+/// The round state of one undecided instance.
 #[derive(Debug, Default)]
 struct Instance {
     round: u32,
     est: Option<RegValue>,
     /// Round in which `est` was adopted from a coordinator (0 = own/initial).
     ts: u32,
-    decided: Option<RegValue>,
     /// Coordinator-side: estimates collected for the current round.
     estimates: HashMap<NodeId, (Option<RegValue>, u32)>,
     /// Coordinator-side: the value proposed in the current round.
@@ -80,15 +79,17 @@ pub struct ConsensusEngine {
     peers: Vec<NodeId>,
     majority: usize,
     cfg: EngineConfig,
-    instances: BTreeMap<RegId, Instance>,
-    /// The undecided subset of `instances`, in the same order: what the
+    /// The undecided instances: what the message handlers work on and the
     /// resync timer and suspicion changes iterate, so their cost follows
     /// the rounds in flight rather than every register this server has
-    /// ever heard of. An instance enters when it is created
+    /// ever heard of. An instance enters on first contact
     /// ([`Self::instance_mut`]) and leaves when it decides
-    /// ([`Self::record_decision`]); `forget` and `compact` only touch
-    /// decided instances.
-    open: BTreeSet<RegId>,
+    /// ([`Self::record_decision`]).
+    instances: BTreeMap<RegId, Instance>,
+    /// Every decision this server knows — the one map that grows with the
+    /// log, so it holds the value and nothing else. Every message and
+    /// timer for a decided instance is answered from here.
+    decided: BTreeMap<RegId, RegValue>,
     /// Decisions reached since the last `handle`/`propose` drain.
     fresh: Vec<(RegId, RegValue)>,
     started: bool,
@@ -108,7 +109,7 @@ impl ConsensusEngine {
             majority: peers.len() / 2 + 1,
             cfg,
             instances: BTreeMap::new(),
-            open: BTreeSet::new(),
+            decided: BTreeMap::new(),
             fresh: Vec::new(),
             started: false,
         }
@@ -128,30 +129,20 @@ impl ConsensusEngine {
 
     /// Locally known decision, if any (the wo-register `read()` fast path).
     pub fn decided(&self, inst: RegId) -> Option<&RegValue> {
-        self.instances.get(&inst).and_then(|i| i.decided.as_ref())
+        self.decided.get(&inst)
     }
 
     /// Number of undecided instances — the open work the periodic timers
     /// pay for (observability / bounded-state tests).
     pub fn open_instances(&self) -> usize {
-        self.open.len()
+        self.instances.len()
     }
 
-    /// The instance's state, created undecided on first contact.
+    /// The round state of an instance the caller knows to be undecided,
+    /// created on first contact.
     fn instance_mut(&mut self, inst: RegId) -> &mut Instance {
-        match self.instances.entry(inst) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.open.insert(inst);
-                e.insert(Instance::default())
-            }
-        }
-    }
-
-    /// Every instance this engine has ever seen traffic for — the cleaner
-    /// uses this to discover attempts initiated by a suspected server.
-    pub fn known_instances(&self) -> Vec<RegId> {
-        self.instances.keys().copied().collect()
+        debug_assert!(!self.decided.contains_key(&inst), "{inst} is decided");
+        self.instances.entry(inst).or_default()
     }
 
     /// Proposes `value` for `inst`. If the instance is already decided
@@ -165,8 +156,8 @@ impl ConsensusEngine {
         value: RegValue,
         suspects: Suspects<'_>,
     ) -> Option<RegValue> {
-        if let Some(d) = self.instances.get(&inst).and_then(|i| i.decided.clone()) {
-            return Some(d);
+        if let Some(d) = self.decided(inst) {
+            return Some(d.clone());
         }
         let me = self.me;
         let (round, est, ts) = {
@@ -198,16 +189,18 @@ impl ConsensusEngine {
         // patience timer in that case.
         self.reevaluate_instance(ctx, inst, suspects);
         // A degenerate quorum (single replica) can decide synchronously.
-        if let Some(d) = self.instances.get(&inst).and_then(|i| i.decided.clone()) {
-            self.fresh.retain(|(r, _)| *r != inst);
-            return Some(d);
-        }
-        None
+        let d = self.decided(inst)?.clone();
+        self.fresh.retain(|(r, _)| *r != inst);
+        Some(d)
     }
 
-    /// Broadcasts a pull for a decision (wo-register `read()` liveness: keep
-    /// invoking and you eventually see the written value).
+    /// Broadcasts a pull for a decision not known here (wo-register
+    /// `read()` liveness: keep invoking and you eventually see the written
+    /// value).
     pub fn pull(&mut self, ctx: &mut dyn Context, inst: RegId) {
+        if self.decided.contains_key(&inst) {
+            return;
+        }
         self.instance_mut(inst);
         for p in self.peers.clone() {
             if p != self.me {
@@ -229,18 +222,12 @@ impl ConsensusEngine {
             }
             Event::Timer { tag: TimerTag::ConsensusRound { inst, round }, .. } => {
                 let (inst, round) = (*inst, *round);
-                if let Some(i) = self.instances.get(&inst) {
-                    if i.decided.is_none() && i.round == round {
-                        self.reevaluate_instance(ctx, inst, suspects);
-                        // Still undecided in the same round: keep watching.
-                        if let Some(i) = self.instances.get(&inst) {
-                            if i.decided.is_none() && i.round == round {
-                                ctx.set_timer(
-                                    self.cfg.patience,
-                                    TimerTag::ConsensusRound { inst, round },
-                                );
-                            }
-                        }
+                let waiting = |e: &Self| e.instances.get(&inst).is_some_and(|i| i.round == round);
+                if waiting(self) {
+                    self.reevaluate_instance(ctx, inst, suspects);
+                    // Still undecided in the same round: keep watching.
+                    if waiting(self) {
+                        ctx.set_timer(self.cfg.patience, TimerTag::ConsensusRound { inst, round });
                     }
                 }
             }
@@ -256,7 +243,7 @@ impl ConsensusEngine {
     /// Re-evaluates every undecided instance after a suspicion change (the
     /// owning server calls this on failure-detector transitions).
     pub fn on_suspicion_change(&mut self, ctx: &mut dyn Context, suspects: Suspects<'_>) {
-        for inst in Vec::from_iter(self.open.iter().copied()) {
+        for inst in Vec::from_iter(self.instances.keys().copied()) {
             self.reevaluate_instance(ctx, inst, suspects);
         }
     }
@@ -268,9 +255,6 @@ impl ConsensusEngine {
     fn reevaluate_instance(&mut self, ctx: &mut dyn Context, inst: RegId, suspects: Suspects<'_>) {
         for _ in 0..self.peers.len() {
             let Some(i) = self.instances.get(&inst) else { return };
-            if i.decided.is_some() {
-                return;
-            }
             let round = i.round;
             let coord = self.coord(round);
             if coord == self.me || !suspects(coord) {
@@ -289,7 +273,7 @@ impl ConsensusEngine {
         let Some(i) = self.instances.get_mut(&inst) else { return };
         // Never called for round 0 (that entry happens in `propose`); only
         // forward moves are meaningful.
-        if i.decided.is_some() || round <= i.round {
+        if round <= i.round {
             return;
         }
         i.round = round;
@@ -350,7 +334,7 @@ impl ConsensusEngine {
         let me = self.me;
         let majority = self.majority;
         let Some(i) = self.instances.get_mut(&inst) else { return };
-        if i.decided.is_some() || i.proposal.is_some() {
+        if i.proposal.is_some() {
             return;
         }
         let round = i.round;
@@ -393,7 +377,7 @@ impl ConsensusEngine {
         let me = self.me;
         let majority = self.majority;
         let Some(i) = self.instances.get_mut(&inst) else { return };
-        if i.decided.is_some() || i.acks.len() < majority {
+        if i.acks.len() < majority {
             return;
         }
         let value = i.proposal.clone().expect("acks imply a proposal");
@@ -409,15 +393,16 @@ impl ConsensusEngine {
     }
 
     fn learn(&mut self, ctx: &mut dyn Context, inst: RegId, value: RegValue) {
-        if self.instance_mut(inst).decided.is_none() {
+        if !self.decided.contains_key(&inst) {
             self.record_decision(ctx, inst, value);
         }
     }
 
-    /// Closes an undecided instance with its final value.
+    /// Closes an undecided instance with its final value: the round state
+    /// goes, the value stays.
     fn record_decision(&mut self, ctx: &mut dyn Context, inst: RegId, value: RegValue) {
-        self.instance_mut(inst).decided = Some(value.clone());
-        self.open.remove(&inst);
+        self.instances.remove(&inst);
+        self.decided.insert(inst, value.clone());
         ctx.trace(TraceKind::RegDecided { reg: inst });
         self.fresh.push((inst, value));
     }
@@ -445,7 +430,7 @@ impl ConsensusEngine {
                     // our own estimate out).
                     self.enter_round(ctx, inst, round);
                 }
-                let i = self.instance_mut(inst);
+                let Some(i) = self.instances.get_mut(&inst) else { return };
                 if i.round == round {
                     i.estimates.insert(from, (est, ts));
                 }
@@ -466,7 +451,7 @@ impl ConsensusEngine {
                 if round > cur {
                     self.enter_round(ctx, inst, round);
                 }
-                let i = self.instance_mut(inst);
+                let Some(i) = self.instances.get_mut(&inst) else { return };
                 if i.round == round && !i.acked {
                     i.est = Some(value);
                     i.ts = round;
@@ -476,14 +461,14 @@ impl ConsensusEngine {
             }
             ConsensusMsg::Ack { inst, round } => {
                 let Some(i) = self.instances.get_mut(&inst) else { return };
-                if i.round == round && i.proposal.is_some() && i.decided.is_none() {
+                if i.round == round && i.proposal.is_some() {
                     i.acks.insert(from);
                     self.try_decide(ctx, inst);
                 }
             }
             ConsensusMsg::Nack { inst, round } => {
                 let Some(i) = self.instances.get_mut(&inst) else { return };
-                if i.round == round && i.decided.is_none() {
+                if i.round == round {
                     self.enter_round(ctx, inst, round + 1);
                     self.reevaluate_instance(ctx, inst, suspects);
                 }
@@ -502,8 +487,8 @@ impl ConsensusEngine {
     /// Periodic decision resync: undecided instances pull, decided ones stay
     /// quiet (answers are demand-driven).
     fn resync(&mut self, ctx: &mut dyn Context) {
-        for &inst in &self.open {
-            if self.instances[&inst].est.is_none() {
+        for (&inst, i) in &self.instances {
+            if i.est.is_none() {
                 continue; // heard of, never proposed here: no value of ours to chase
             }
             for &p in self.peers.iter().filter(|&&p| p != self.me) {
@@ -512,33 +497,22 @@ impl ConsensusEngine {
         }
     }
 
-    /// Drops a decided instance's bookkeeping (garbage-collection hook; see
-    /// the paper's §5 remark on cleaning the register arrays).
-    pub fn forget(&mut self, inst: RegId) -> bool {
-        match self.instances.get(&inst) {
-            Some(i) if i.decided.is_some() => {
-                self.instances.remove(&inst);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Compacts a *decided* instance to `placeholder`, dropping the round
-    /// bookkeeping and the original payload but keeping the instance
-    /// answerable. Unlike [`ConsensusEngine::forget`], a compacted instance
-    /// still answers reads and pulls (with the placeholder) and still
-    /// short-circuits proposals — the position can never be re-opened and
-    /// re-decided by a replica that missed the original decision. The
-    /// caller asserts the original value can no longer matter to anyone
-    /// (e.g. a decision-log slot whose every request is settled).
+    /// Compacts a *decided* instance to `placeholder`, dropping the
+    /// original payload but keeping the instance
+    /// answerable (garbage-collection hook; see the paper's §5 remark on
+    /// cleaning the register arrays). A compacted instance still answers
+    /// reads and pulls (with the placeholder) and still short-circuits
+    /// proposals — the position can never be re-opened and re-decided by
+    /// a replica that missed the original decision. The caller asserts
+    /// the original value can no longer matter to anyone (e.g. a
+    /// decision-log slot whose every request is settled).
     pub fn compact(&mut self, inst: RegId, placeholder: RegValue) -> bool {
-        match self.instances.get_mut(&inst) {
-            Some(i) if i.decided.is_some() => {
-                *i = Instance { decided: Some(placeholder), ..Instance::default() };
+        match self.decided.get_mut(&inst) {
+            Some(value) => {
+                *value = placeholder;
                 true
             }
-            _ => false,
+            None => false,
         }
     }
 }
@@ -546,73 +520,25 @@ impl ConsensusEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etx_base::ids::{RequestId, ResultId, TimerId};
-    use etx_base::time::Time;
-    use etx_base::wal::StableRecord;
+    use crate::testutil::{claim_by, Outbox};
+    use etx_base::ids::TimerId;
     use proptest::prelude::*;
-
-    /// Records what the engine sends; everything else is inert.
-    #[derive(Default)]
-    struct Outbox(Vec<(NodeId, Payload)>);
-
-    impl Context for Outbox {
-        fn now(&self) -> Time {
-            Time::ZERO
-        }
-        fn me(&self) -> NodeId {
-            ME
-        }
-        fn send(&mut self, to: NodeId, payload: Payload) {
-            self.0.push((to, payload));
-        }
-        fn send_after(&mut self, _d: Dur, to: NodeId, payload: Payload) {
-            self.send(to, payload);
-        }
-        fn set_timer(&mut self, _d: Dur, _tag: TimerTag) -> TimerId {
-            TimerId(0)
-        }
-        fn cancel_timer(&mut self, _id: TimerId) {}
-        fn random_u64(&mut self) -> u64 {
-            0
-        }
-        fn log_append(&mut self, _log: &'static str, _rec: StableRecord, _forced: bool) -> Dur {
-            Dur::ZERO
-        }
-        fn log_read(&self, _log: &'static str) -> Vec<StableRecord> {
-            Vec::new()
-        }
-        fn trace(&mut self, _kind: TraceKind) {}
-        fn depth(&self) -> u32 {
-            0
-        }
-        fn send_at_depth(&mut self, _depth: u32, to: NodeId, payload: Payload) {
-            self.send(to, payload);
-        }
-        fn send_after_at_depth(&mut self, _depth: u32, _d: Dur, to: NodeId, payload: Payload) {
-            self.send(to, payload);
-        }
-        fn subscribe_node_events(&mut self) {}
-    }
+    use std::collections::BTreeSet;
 
     const ME: NodeId = NodeId(0);
     const PEERS: [NodeId; 3] = [NodeId(0), NodeId(1), NodeId(2)];
 
-    /// A small register universe of both kinds, so steps collide on
-    /// instances and the `RegId` order interleaves `regA` and slots.
+    /// A small register universe, so steps collide on instances.
     fn reg(pick: u8) -> RegId {
-        match pick % 4 {
-            0 => RegId::slot(0),
-            1 => RegId::slot(1),
-            n => RegId::owner(ResultId::first(RequestId { client: NodeId(9), seq: n.into() })),
-        }
+        RegId::slot(u64::from(pick % 4))
     }
 
-    /// What the full scan this index replaced would have pulled on a
-    /// resync tick, in the order it would have sent it.
+    /// What a resync tick must pull, in the order it must send it: every
+    /// undecided instance this server holds an estimate for.
     fn resync_by_full_scan(engine: &ConsensusEngine) -> Vec<(NodeId, Payload)> {
         let mut out = Vec::new();
         for (&inst, i) in &engine.instances {
-            if i.decided.is_none() && i.est.is_some() {
+            if engine.decided(inst).is_none() && i.est.is_some() {
                 for p in PEERS.into_iter().filter(|&p| p != ME) {
                     out.push((p, Payload::Consensus(ConsensusMsg::DecideReq { inst })));
                 }
@@ -624,11 +550,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
 
-        /// The index is the scan: whatever interleaving of writes, peer
-        /// messages (including late ones that re-create a forgotten
-        /// instance), pulls, timers, suspicion flips and GC calls an engine
-        /// sees, `open` is exactly its undecided instances and a resync
-        /// tick pulls exactly what a walk of all instances would.
+        /// Whatever interleaving of writes, peer messages, pulls, timers,
+        /// suspicion flips and GC calls an engine sees, the instances it
+        /// keeps round state for are exactly its undecided ones — deciding
+        /// moves an instance out, nothing moves it back — and a resync
+        /// tick pulls exactly those it holds an estimate for.
         #[test]
         fn open_set_is_the_undecided_instances(
             steps in proptest::collection::vec(
@@ -639,9 +565,9 @@ mod tests {
             let mut engine = ConsensusEngine::new(ME, &PEERS, EngineConfig::default());
             for (op, pick, round, from, v, suspected) in steps {
                 let inst = reg(pick);
-                let value = RegValue::Server(NodeId(v));
+                let value = claim_by(NodeId(v));
                 let sus = move |n: NodeId| suspected & (1 << n.0) != 0;
-                let mut ctx = Outbox::default();
+                let mut ctx = Outbox::new(ME);
                 let msg = match op {
                     0 => Some(ConsensusMsg::Estimate { inst, round, est: Some(value), ts: round }),
                     1 => Some(ConsensusMsg::Estimate { inst, round, est: None, ts: 0 }),
@@ -665,11 +591,7 @@ mod tests {
                         None
                     }
                     _ => {
-                        if round == 0 {
-                            engine.forget(inst);
-                        } else {
-                            engine.compact(inst, RegValue::Server(NodeId(7)));
-                        }
+                        engine.compact(inst, claim_by(NodeId(7)));
                         None
                     }
                 };
@@ -677,16 +599,13 @@ mod tests {
                     let event = Event::Message { from: NodeId(from), payload: Payload::Consensus(m) };
                     engine.handle(&mut ctx, &event, &sus);
                 }
-                let undecided: BTreeSet<RegId> = engine
-                    .instances
-                    .iter()
-                    .filter(|(_, i)| i.decided.is_none())
-                    .map(|(&k, _)| k)
-                    .collect();
-                prop_assert_eq!(&engine.open, &undecided, "after op {} on {}", op, inst);
-                let mut pulled = Outbox::default();
+                let open: BTreeSet<RegId> = engine.instances.keys().copied().collect();
+                let undecided: BTreeSet<RegId> =
+                    open.iter().copied().filter(|&k| engine.decided(k).is_none()).collect();
+                prop_assert_eq!(&open, &undecided, "after op {} on {}", op, inst);
+                let mut pulled = Outbox::new(ME);
                 engine.resync(&mut pulled);
-                prop_assert_eq!(pulled.0, resync_by_full_scan(&engine));
+                prop_assert_eq!(pulled.sent, resync_by_full_scan(&engine));
             }
         }
     }

@@ -1,8 +1,10 @@
 //! # etx-consensus — consensus and write-once registers
 //!
 //! The synchronisation core of the e-Transaction protocol (§4): write-once
-//! registers (`regA[j]`, `regD[j]`) built from rotating-coordinator
-//! consensus among the application servers.
+//! registers built from rotating-coordinator consensus among the
+//! application servers, and the decision log that folds the paper's two
+//! per-attempt register arrays (`regA[j]`, `regD[j]`) into one sequence of
+//! them.
 //!
 //! * [`engine::ConsensusEngine`] — multi-instance Chandra–Toueg-style
 //!   consensus with the round-0 fast path ("one round trip for the first
@@ -10,8 +12,9 @@
 //! * [`woreg::WoRegisters`] — the CD-ROM abstraction on top: `write()` once,
 //!   `read()` many;
 //! * [`declog::DecisionLog`] — the sequenced decision log over wo-register
-//!   slots: ordered batches of request outcomes, one consensus round per
-//!   batch, with first-occurrence arbitration replacing per-attempt `regD`.
+//!   slots: ordered batches of request outcomes and owner claims, one
+//!   consensus round per batch, with first-occurrence arbitration
+//!   replacing per-attempt `regA` and `regD`.
 //!
 //! All are *components* owned by an application-server process; they are
 //! driven by forwarding runtime events.
@@ -24,11 +27,92 @@ pub use declog::{AppliedSlot, DecisionLog};
 pub use engine::{ConsensusEngine, EngineConfig, Suspects};
 pub use woreg::{WoEvent, WoRegisters};
 
+/// What the unit tests of this crate share: an inert [`Context`] that
+/// records sends, and a register value that names a server.
+///
+/// [`Context`]: etx_base::runtime::Context
+#[cfg(test)]
+pub(crate) mod testutil {
+    use etx_base::ids::{NodeId, RequestId, ResultId, TimerId};
+    use etx_base::msg::Payload;
+    use etx_base::runtime::{Context, TimerTag};
+    use etx_base::time::{Dur, Time};
+    use etx_base::trace::TraceKind;
+    use etx_base::value::{OwnerClaim, RegValue, SlotBatch};
+    use etx_base::wal::StableRecord;
+    use std::sync::Arc;
+
+    /// Records what its owner sends; everything else is inert.
+    pub struct Outbox {
+        pub me: NodeId,
+        pub sent: Vec<(NodeId, Payload)>,
+    }
+
+    impl Outbox {
+        pub fn new(me: NodeId) -> Self {
+            Outbox { me, sent: Vec::new() }
+        }
+    }
+
+    impl Context for Outbox {
+        fn now(&self) -> Time {
+            Time::ZERO
+        }
+        fn me(&self) -> NodeId {
+            self.me
+        }
+        fn send(&mut self, to: NodeId, payload: Payload) {
+            self.sent.push((to, payload));
+        }
+        fn send_after(&mut self, _d: Dur, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn set_timer(&mut self, _d: Dur, _tag: TimerTag) -> TimerId {
+            TimerId(0)
+        }
+        fn cancel_timer(&mut self, _id: TimerId) {}
+        fn random_u64(&mut self) -> u64 {
+            0
+        }
+        fn log_append(&mut self, _log: &'static str, _rec: StableRecord, _forced: bool) -> Dur {
+            Dur::ZERO
+        }
+        fn log_read(&self, _log: &'static str) -> Vec<StableRecord> {
+            Vec::new()
+        }
+        fn trace(&mut self, _kind: TraceKind) {}
+        fn depth(&self) -> u32 {
+            0
+        }
+        fn send_at_depth(&mut self, _depth: u32, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn send_after_at_depth(&mut self, _depth: u32, _d: Dur, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn subscribe_node_events(&mut self) {}
+    }
+
+    /// A slot value distinguishable by the server it names: `server`
+    /// claiming one fixed attempt.
+    pub fn claim_by(server: NodeId) -> RegValue {
+        let rid = ResultId::first(RequestId { client: NodeId(99), seq: 1 });
+        let claims = vec![OwnerClaim { rid, server, ack_below: 0 }];
+        RegValue::Batch(Arc::new(SlotBatch { outcomes: Vec::new(), claims }))
+    }
+
+    /// The server a [`claim_by`] value names.
+    pub fn claimant(value: &RegValue) -> NodeId {
+        value.as_batch_shared().expect("a slot value").claims[0].server
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testutil::{claim_by, claimant};
     use super::*;
     use etx_base::config::FdConfig;
-    use etx_base::ids::{NodeId, RegId, RequestId, ResultId};
+    use etx_base::ids::{NodeId, RegId};
     use etx_base::runtime::{Context, Event, Process};
     use etx_base::time::Time;
     use etx_base::value::RegValue;
@@ -86,7 +170,7 @@ mod tests {
     }
 
     fn reg(seq: u64) -> RegId {
-        RegId::owner(ResultId::first(RequestId { client: NodeId(99), seq }))
+        RegId::slot(seq)
     }
 
     fn build(
@@ -125,14 +209,13 @@ mod tests {
     #[test]
     fn single_writer_decides_own_value_fast() {
         let r = reg(1);
-        let (mut sim, _ids, board) =
-            build(1, 3, vec![vec![(Time::ZERO, r, RegValue::Server(NodeId(0)))]]);
+        let (mut sim, _ids, board) = build(1, 3, vec![vec![(Time::ZERO, r, claim_by(NodeId(0)))]]);
         let board_c = board.clone();
         sim.run_until(move |_| decisions_for(&board_c, r).len() == 3);
         let vals = decisions_for(&board, r);
         assert_eq!(vals.len(), 3, "all replicas learn");
         for v in &vals {
-            assert_eq!(v, &RegValue::Server(NodeId(0)), "validity: only the proposed value");
+            assert_eq!(v, &claim_by(NodeId(0)), "validity: only the proposed value");
         }
         // Fast path: the writer is round 0's coordinator; one round trip to
         // decide plus one hop to disseminate.
@@ -144,9 +227,9 @@ mod tests {
         for seed in 0..20u64 {
             let r = reg(2);
             let plans = vec![
-                vec![(Time::ZERO, r, RegValue::Server(NodeId(0)))],
-                vec![(Time::ZERO, r, RegValue::Server(NodeId(1)))],
-                vec![(Time::ZERO, r, RegValue::Server(NodeId(2)))],
+                vec![(Time::ZERO, r, claim_by(NodeId(0)))],
+                vec![(Time::ZERO, r, claim_by(NodeId(1)))],
+                vec![(Time::ZERO, r, claim_by(NodeId(2)))],
             ];
             let (mut sim, _, board) = build(seed, 3, plans);
             let board_c = board.clone();
@@ -157,10 +240,7 @@ mod tests {
                 vals.windows(2).all(|w| w[0] == w[1]),
                 "agreement violated at seed {seed}: {vals:?}"
             );
-            assert!(
-                matches!(vals[0], RegValue::Server(n) if n.0 <= 2),
-                "validity violated at seed {seed}"
-            );
+            assert!(claimant(&vals[0]).0 <= 2, "validity violated at seed {seed}");
         }
     }
 
@@ -170,14 +250,14 @@ mod tests {
         // Node 0 writes at t=0; node 1 writes the same register much later
         // and must get node 0's value back.
         let plans = vec![
-            vec![(Time::ZERO, r, RegValue::Server(NodeId(0)))],
-            vec![(Time(300_000), r, RegValue::Server(NodeId(1)))],
+            vec![(Time::ZERO, r, claim_by(NodeId(0)))],
+            vec![(Time(300_000), r, claim_by(NodeId(1)))],
         ];
         let (mut sim, _, board) = build(7, 3, plans);
         let board_c = board.clone();
         sim.run_until(move |s| s.now() > Time(600_000) && decisions_for(&board_c, r).len() == 3);
         let vals = decisions_for(&board, r);
-        assert!(vals.iter().all(|v| *v == RegValue::Server(NodeId(0))), "write-once: {vals:?}");
+        assert!(vals.iter().all(|v| *v == claim_by(NodeId(0))), "write-once: {vals:?}");
     }
 
     #[test]
@@ -185,8 +265,7 @@ mod tests {
         // Writer/coordinator node 0 crashes right after its register
         // decides; the survivors must still converge on node 0's value.
         let r = reg(4);
-        let (mut sim, ids, board) =
-            build(11, 3, vec![vec![(Time::ZERO, r, RegValue::Server(NodeId(0)))]]);
+        let (mut sim, ids, board) = build(11, 3, vec![vec![(Time::ZERO, r, claim_by(NodeId(0)))]]);
         sim.on_trace(
             move |ev| matches!(ev.kind, etx_base::trace::TraceKind::RegDecided { reg } if reg == r),
             etx_sim::FaultAction::Crash(ids[0]),
@@ -194,7 +273,7 @@ mod tests {
         let board_c = board.clone();
         sim.run_until(move |_| decisions_for(&board_c, r).len() >= 2);
         let vals = decisions_for(&board, r);
-        assert!(vals.iter().all(|v| *v == RegValue::Server(NodeId(0))));
+        assert!(vals.iter().all(|v| *v == claim_by(NodeId(0))));
     }
 
     #[test]
@@ -206,8 +285,8 @@ mod tests {
         let r = reg(5);
         let plans = vec![
             vec![],
-            vec![(Time::ZERO, r, RegValue::Server(NodeId(1)))],
-            vec![(Time(500_000), r, RegValue::Server(NodeId(2)))],
+            vec![(Time::ZERO, r, claim_by(NodeId(1)))],
+            vec![(Time(500_000), r, claim_by(NodeId(2)))],
         ];
         let (mut sim, ids, board) = build(13, 3, plans);
         sim.partition(&[ids[1]], &[ids[0], ids[2]], Time(5_000_000));
@@ -225,12 +304,8 @@ mod tests {
     fn many_instances_in_parallel() {
         let regs: Vec<RegId> = (0..10).map(reg).collect();
         let plans = vec![
-            regs.iter().step_by(2).map(|&r| (Time::ZERO, r, RegValue::Server(NodeId(0)))).collect(),
-            regs.iter()
-                .skip(1)
-                .step_by(2)
-                .map(|&r| (Time::ZERO, r, RegValue::Server(NodeId(1))))
-                .collect(),
+            regs.iter().step_by(2).map(|&r| (Time::ZERO, r, claim_by(NodeId(0)))).collect(),
+            regs.iter().skip(1).step_by(2).map(|&r| (Time::ZERO, r, claim_by(NodeId(1)))).collect(),
             vec![],
         ];
         let (mut sim, _, board) = build(17, 3, plans);
@@ -253,20 +328,19 @@ mod tests {
         // converge on the decided value (via the delayed Decide and/or its
         // periodic DecideReq pull).
         let r = reg(7);
-        let (mut sim, ids, board) =
-            build(19, 3, vec![vec![(Time::ZERO, r, RegValue::Server(NodeId(0)))]]);
+        let (mut sim, ids, board) = build(19, 3, vec![vec![(Time::ZERO, r, claim_by(NodeId(0)))]]);
         sim.partition(&[ids[2]], &[ids[0], ids[1]], Time(400_000));
         let board_c = board.clone();
         let out = sim.run_until(move |_| board_c.lock().unwrap().contains_key(&(NodeId(2), r)));
         assert_eq!(out, etx_sim::RunOutcome::Predicate);
         let vals = decisions_for(&board, r);
-        assert!(vals.iter().all(|v| *v == RegValue::Server(NodeId(0))));
+        assert!(vals.iter().all(|v| *v == claim_by(NodeId(0))));
         assert!(sim.now() >= Time(400_000), "node 2 can only learn after the heal");
     }
 
     #[test]
     fn single_replica_quorum_decides_synchronously() {
-        // peers = {me}: propose must decide immediately and forget() must
+        // peers = {me}: propose must decide immediately and compact() must
         // work right after.
         let r = reg(6);
         let out = Arc::new(Mutex::new(None));
@@ -280,10 +354,10 @@ mod tests {
                     let me = ctx.me();
                     let mut e = ConsensusEngine::new(me, &[me], EngineConfig::default());
                     let sus = |_: NodeId| false;
-                    let v = e.propose(ctx, self.r, RegValue::Server(me), &sus);
-                    assert_eq!(v, Some(RegValue::Server(me)));
-                    assert!(!e.forget(reg(999)), "cannot forget unknown instance");
-                    *self.out.lock().unwrap() = Some(e.forget(self.r));
+                    let v = e.propose(ctx, self.r, claim_by(me), &sus);
+                    assert_eq!(v, Some(claim_by(me)));
+                    assert!(!e.compact(reg(999), claim_by(me)), "cannot compact unknown instance");
+                    *self.out.lock().unwrap() = Some(e.compact(self.r, claim_by(me)));
                 }
             }
         }

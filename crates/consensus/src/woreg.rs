@@ -27,8 +27,8 @@ pub enum WoEvent {
     },
 }
 
-/// One application server's view of all write-once registers (`regA[..]`
-/// and `regD[..]`, Figure 4).
+/// One application server's view of all write-once registers (Figure 4's
+/// `regA[..]` and `regD[..]`, here the slots of the decision log).
 #[derive(Debug)]
 pub struct WoRegisters {
     engine: ConsensusEngine,
@@ -68,16 +68,7 @@ impl WoRegisters {
     /// Nudges the network for a decision we do not have locally ("keep
     /// invoking read()"): broadcasts a pull. Harmless if already decided.
     pub fn pull(&mut self, ctx: &mut dyn Context, reg: RegId) {
-        if self.engine.decided(reg).is_none() {
-            self.engine.pull(ctx, reg);
-        }
-    }
-
-    /// Every register this replica has seen any traffic for. The cleaner
-    /// scans this to find attempts owned by suspected servers (the paper's
-    /// `while regA[j].read() ≠ ⊥` loop, generalised to sparse indices).
-    pub fn known(&self) -> Vec<RegId> {
-        self.engine.known_instances()
+        self.engine.pull(ctx, reg);
     }
 
     /// Number of registers with a write in flight or a pull outstanding —
@@ -105,19 +96,11 @@ impl WoRegisters {
         self.engine.on_suspicion_change(ctx, suspects);
     }
 
-    /// Garbage-collects a decided register's replication state (§5 notes GC
-    /// is out of the paper's scope; this hook is the natural place for it).
-    pub fn forget(&mut self, reg: RegId) -> bool {
-        self.engine.forget(reg)
-    }
-
-    /// Compacts a decided register to `placeholder`: its payload and round
-    /// state are dropped, but the register stays decided — reads, pulls and
+    /// Compacts a decided register to `placeholder`: its payload is
+    /// dropped, but the register stays decided — reads, pulls and
     /// late writes are still answered, so a replica that missed the
-    /// original decision can never re-open the position. Use this instead
-    /// of [`WoRegisters::forget`] for registers other replicas may still
-    /// ask about (decision-log slots); `forget` fits registers only their
-    /// own attempt ever queries (`regA`).
+    /// original decision can never re-open the position (§5 notes GC is
+    /// out of the paper's scope; this hook is the natural place for it).
     pub fn compact(&mut self, reg: RegId, placeholder: RegValue) -> bool {
         self.engine.compact(reg, placeholder)
     }

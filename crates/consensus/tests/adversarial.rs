@@ -9,11 +9,12 @@ use etx_base::msg::Payload;
 use etx_base::runtime::{Context, Event, TimerTag};
 use etx_base::time::{Dur, Time};
 use etx_base::trace::TraceKind;
-use etx_base::value::RegValue;
+use etx_base::value::{OwnerClaim, RegValue, SlotBatch};
 use etx_base::wal::StableRecord;
 use etx_consensus::{ConsensusEngine, EngineConfig};
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A mock context that records outgoing messages for the adversary to
 /// deliver (or not) in any order it likes.
@@ -71,7 +72,20 @@ impl Context for MockCtx {
 }
 
 fn inst() -> RegId {
-    RegId::owner(ResultId::first(RequestId { client: NodeId(100), seq: 1 }))
+    RegId::slot(0)
+}
+
+/// A slot value distinguishable by the server it names: `server` claiming
+/// one fixed attempt.
+fn claim_by(server: NodeId) -> RegValue {
+    let rid = ResultId::first(RequestId { client: NodeId(100), seq: 1 });
+    let claims = vec![OwnerClaim { rid, server, ack_below: 0 }];
+    RegValue::Batch(Arc::new(SlotBatch { outcomes: Vec::new(), claims }))
+}
+
+/// The server a [`claim_by`] value names.
+fn claimant(value: &RegValue) -> NodeId {
+    value.as_batch_shared().expect("a slot value").claims[0].server
 }
 
 /// A little world of `n` engines plus an in-flight message bag the
@@ -198,7 +212,7 @@ proptest! {
         for i in 0..n {
             if crashed.contains(&i) { continue; }
             if proposers[i] || !any_proposer {
-                w.propose(i, RegValue::Server(NodeId(i as u32)));
+                w.propose(i, claim_by(NodeId(i as u32)));
                 any_proposer = true;
             }
         }
@@ -222,7 +236,7 @@ proptest! {
         );
         // Validity: the decision is one of the proposed values.
         for d in &decisions {
-            prop_assert!(matches!(d, RegValue::Server(s) if (s.0 as usize) < n));
+            prop_assert!((claimant(d).0 as usize) < n);
         }
         // Termination: with a live majority and truthful oracle, every live
         // replica decides.
@@ -243,7 +257,7 @@ proptest! {
         schedule in proptest::collection::vec(0usize..64, 0..100),
     ) {
         let mut w = World::new(3, vec![]);
-        w.propose(0, RegValue::Server(NodeId(0)));
+        w.propose(0, claim_by(NodeId(0)));
         // Fully settle the first write.
         for _ in 0..20 {
             w.tick_all();
@@ -254,7 +268,7 @@ proptest! {
         }
         let first = w.decided[0].clone().expect("settled");
         // Now a late writer proposes something else.
-        w.propose(late_proposer, RegValue::Server(NodeId(9)));
+        w.propose(late_proposer, claim_by(NodeId(9)));
         for k in &schedule {
             w.deliver_nth(*k);
         }
@@ -277,7 +291,7 @@ proptest! {
 #[test]
 fn compacted_instance_answers_late_writers_instead_of_reopening() {
     let mut w = World::new(3, vec![]);
-    w.propose(0, RegValue::Server(NodeId(0)));
+    w.propose(0, claim_by(NodeId(0)));
     // Deliver everything except messages to node 2: the majority {0, 1}
     // decides; node 2 misses the decision entirely.
     for _ in 0..20 {
@@ -295,7 +309,7 @@ fn compacted_instance_answers_late_writers_instead_of_reopening() {
     assert_eq!(w.decided[1].as_ref(), Some(&original));
     assert_eq!(w.decided[2], None, "node 2 must have missed the decision");
     // Both deciders compact the instance (all its requests settled).
-    let placeholder = RegValue::Batch(std::sync::Arc::new(Vec::new()));
+    let placeholder = RegValue::Batch(Arc::new(SlotBatch::default()));
     for idx in [0usize, 1] {
         assert!(
             w.engines[idx].as_mut().expect("live").compact(inst(), placeholder.clone()),
@@ -304,7 +318,7 @@ fn compacted_instance_answers_late_writers_instead_of_reopening() {
     }
     // Node 2 now proposes its own value into the position it thinks is
     // open. Full connectivity again: it must learn the placeholder.
-    w.propose(2, RegValue::Server(NodeId(2)));
+    w.propose(2, claim_by(NodeId(2)));
     for _ in 0..20 {
         w.tick_all();
         for _ in 0..400 {

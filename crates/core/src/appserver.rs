@@ -8,7 +8,7 @@
 //!   computes the result against the databases, runs the voting phase, and
 //!   writes the decision into `regD[j]`;
 //! * the **cleaning thread** (Figure 6) — when a peer is suspected, walk
-//!   every attempt it owns and force each to a decision (writing
+//!   every open attempt it owns and force each to a decision (writing
 //!   `(nil, abort)` into `regD[j]`, which returns the owner's decision if
 //!   one was already written) and terminate it;
 //! * **terminate()** (Figure 4) — push the decision to every database until
@@ -22,8 +22,24 @@
 //!
 //! ## The commit pipeline
 //!
-//! The paper's per-attempt decision register `regD[j]` is generalised into
-//! a sequenced **decision log** ([`etx_consensus::DecisionLog`]): instead
+//! Both of the paper's per-attempt registers live in one sequenced
+//! **decision log** ([`etx_consensus::DecisionLog`]), whose slots are the
+//! only write-once registers this server writes.
+//!
+//! Figure 5's `regA[j].write(self)` is an **owner claim** entry
+//! `(attempt, server, client watermark)` in a slot's value; the first
+//! claim for an attempt in slot order is its owner — `regA[j].read()` is
+//! [`DecisionLog::owner_of`] — and nothing else ever starts a computation.
+//! A request that finds no owner claims explicitly and waits for that slot
+//! (the Figure 8 "log-start" round). When slots carry batches, the server a
+//! client tries first also **pre-claims** the attempt the client will send
+//! next, in the slot that carries the current attempt's outcome anyway
+//! (`preclaim_successor`): the next request then finds its owner decided
+//! and computes at once. A pre-claim whose owner crashes before the request
+//! arrives is an orphan like any other owned attempt — the cleaner aborts
+//! it, and the request is answered from that decision and retried.
+//!
+//! Figure 5's `regD[j].write(decision)` is an **outcome** entry: instead
 //! of one consensus instance per outcome, the server accumulates concurrent
 //! outcomes in a bounded **pipeline queue** and proposes them as one batch
 //! into the next log slot — one consensus round per batch. The queue
@@ -67,14 +83,16 @@ use etx_consensus::{AppliedSlot, DecisionLog, EngineConfig, WoEvent, WoRegisters
 use etx_fd::FailureDetector;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::RangeBounds;
-use std::sync::Arc;
 
 /// Per-attempt protocol state (the paper's compute thread, unrolled).
 #[derive(Debug)]
 enum Phase {
-    /// `regA[j].write(this)` issued (or about to be); awaiting the owner
-    /// decision.
-    WritingRegA { request: Request, written: bool },
+    /// A request is here and the attempt's owner is not known yet
+    /// (Figure 5's `regA[j].write(this)`). `since` is `None` while the
+    /// dispatch cost is being charged, then the instant this server found
+    /// no owner in the log and started waiting for the slot that carries
+    /// its claim.
+    Claiming { request: Request, since: Option<Time> },
     /// Another server owns this attempt; we only watch (and clean if it
     /// crashes).
     Watching,
@@ -182,11 +200,11 @@ pub struct AppServer {
     cost: CostModel,
     /// Back-end addressing: key-addressed scripts are split into per-shard
     /// XA branches against this map. Identical on every replica, so branch
-    /// layout never depends on which replica wins `regA`.
+    /// layout never depends on which replica owns the attempt.
     shards: ShardMap,
     fd: Box<dyn FailureDetector>,
     regs: WoRegisters,
-    /// The sequenced decision log (replaces per-attempt `regD`).
+    /// The sequenced decision log (replaces per-attempt `regA` and `regD`).
     log: DecisionLog,
     /// Pipeline queue: outcomes accumulated for the next decision-log slot.
     batch_queue: Vec<(ResultId, Decision)>,
@@ -244,8 +262,7 @@ pub struct AppServer {
     /// Committed decisions we *finished terminating*, for answering client
     /// retransmissions (Figure 5 lines 3–4).
     committed_cache: BTreeMap<RequestId, (ResultId, Decision)>,
-    /// Span bookkeeping for the Figure 8 log-start / log-outcome rows.
-    rega_started: BTreeMap<ResultId, Time>,
+    /// Span bookkeeping for the Figure 8 log-outcome row.
     regd_started: BTreeMap<ResultId, Time>,
 }
 
@@ -314,7 +331,6 @@ impl AppServer {
             terminate_targets: BTreeMap::new(),
             cleaned: BTreeSet::new(),
             committed_cache: BTreeMap::new(),
-            rega_started: BTreeMap::new(),
             regd_started: BTreeMap::new(),
         }
     }
@@ -332,18 +348,33 @@ impl AppServer {
     /// sequence number (everything earlier is implicitly acknowledged);
     /// open-loop clients send their lowest unfinished sequence number.
     ///
-    /// Runs on every client request, so it touches only the client's stale
-    /// key range in each map: the cost is what it removes (plus any stale
-    /// attempt still mid-protocol), independent of requests served.
-    fn gc_below(&mut self, ctx: &mut dyn Context, client: NodeId, ack_below: u64) {
+    /// Runs on every client request and on every applied claim that
+    /// carried a newer watermark (how the servers a client never talks to
+    /// hear it), so it touches only the client's stale key range in each
+    /// map: the cost is what it removes (plus any stale attempt still
+    /// mid-protocol), independent of requests served. Returns the
+    /// outcome-carrying decision-log slots this pass compacted.
+    ///
+    /// A stale attempt whose outcome this server initiated and the log has
+    /// not decided — queued here, queued in the log or in a slot still in
+    /// flight — is **aborted on the spot**. The log ignores every entry
+    /// for a settled request, so that outcome can never be sequenced and
+    /// nobody would ever terminate the attempt: its branches would stay
+    /// prepared, and their locks held, forever. (How a request settles
+    /// under a running attempt: another server's read lane answered it.)
+    /// The abort is safe wherever the attempt did terminate elsewhere: a
+    /// request settles only after its result reached the client, which is
+    /// after every database decided, and a decided database answers a late
+    /// `Decide` from its memo.
+    fn gc_below(&mut self, ctx: &mut dyn Context, client: NodeId, ack_below: u64) -> Vec<u64> {
         let stale = ResultId::below(client, ack_below);
-        let at_rest = self.fsms.extract_if(stale.clone(), |_, phase| {
-            matches!(phase, Phase::Done { .. } | Phase::Watching)
-        });
-        for (rid, _) in at_rest {
-            self.regs.forget(RegId::owner(rid));
-            self.rega_started.remove(&rid);
-        }
+        // At rest: terminated, watched — or still waiting for an owner,
+        // which the log will never name for a settled request.
+        self.fsms
+            .extract_if(stale.clone(), |_, phase| {
+                matches!(phase, Phase::Done { .. } | Phase::Watching | Phase::Claiming { .. })
+            })
+            .for_each(drop);
         // Slots whose every member is settled shed their consensus payload
         // too — without this the register bank retains one decided batch
         // (results included) per slot forever, unbounding memory with total
@@ -351,26 +382,29 @@ impl AppServer {
         // outcomes-only tombstone rather than an empty batch: a replica
         // that resyncs the slot after compaction still needs the
         // `(attempt, outcome)` pairs for first-occurrence arbitration — its
-        // cleaner never heard this client's watermark and may re-propose a
+        // cleaner may not have heard this client's watermark and re-propose a
         // member attempt as `(nil, abort)`, which must lose to the original
         // outcome everywhere. Only the result payloads are shed.
+        let mut shed = Vec::new();
         for (slot, tombstone) in self.log.gc_client(client, ack_below) {
-            if self.regs.compact(RegId::slot(slot), RegValue::Batch(Arc::new(tombstone))) {
-                ctx.trace(TraceKind::SlotGc { slot });
+            if self.regs.compact(RegId::slot(slot), RegValue::Batch(tombstone)) {
+                shed.push(slot);
             }
         }
         // Settled fast-path reads drop with the same watermark.
         drop_range(&mut self.reads, stale.clone());
-        // Initiator bookkeeping for attempts that settled through another
-        // server's slot never reaches apply_slots; drop it by watermark.
-        self.initiators.extract_if(stale.clone(), |_| true).for_each(drop);
-        drop_range(&mut self.terminate_targets, stale.clone());
-        drop_range(&mut self.regd_started, stale.clone());
+        // Outcomes this server still owed a decision never reach
+        // apply_slots now: terminate them here.
+        let undecided: Vec<ResultId> = self.initiators.range(stale.clone()).copied().collect();
+        for rid in undecided {
+            self.outcome_final(ctx, rid, Decision::nil_abort());
+        }
         // The log now reports these attempts settled, which the cleaner
         // reads as cleaned: their `clist` entries are redundant.
         self.cleaned.extract_if(stale.clone(), |_| true).for_each(drop);
         self.batch_queue.retain(|(rid, _)| !stale.contains(rid));
         drop_range(&mut self.committed_cache, RequestId::below(client, ack_below));
+        shed
     }
 
     /// Number of per-attempt state machines currently held (observability /
@@ -388,6 +422,13 @@ impl AppServer {
     /// resync timer walks (observability / GC tests).
     pub fn open_registers(&self) -> usize {
         self.regs.open_registers()
+    }
+
+    /// Per-attempt records the decision log holds — decisions, owners (what
+    /// a cleaning pass walks) and the members of slots awaiting compaction,
+    /// none of them below its client's watermark (observability / GC tests).
+    pub fn log_tracked_attempts(&self) -> usize {
+        self.log.tracked_attempts()
     }
 
     // ---- computation thread (Figure 5) ------------------------------------
@@ -413,8 +454,12 @@ impl AppServer {
         // Garbage collection (§5 leaves it open; this is the natural hook):
         // the client's watermark tells us which of its requests are settled
         // forever — their attempts can never be retransmitted again and
-        // their register/log state can go.
-        self.gc_below(ctx, request.id.client, ack_below);
+        // their register/log state can go. The trace records the slots
+        // shed here, where the watermark enters the middle tier; the
+        // replicas that follow it through the log shed theirs silently.
+        for slot in self.gc_below(ctx, request.id.client, ack_below) {
+            ctx.trace(TraceKind::SlotGc { slot });
+        }
         // Figure 5 line 3: if this request already committed, answer from
         // the cached decision.
         if let Some((crid, decision)) = self.committed_cache.get(&request.id).cloned() {
@@ -435,14 +480,26 @@ impl AppServer {
                 );
             }
             Some(_) => { /* already in progress; duplicates are absorbed */ }
+            // A straggling duplicate of a request the client has since
+            // settled (through another server's answer): nobody waits for
+            // a reply, and the log would ignore every entry for it.
+            None if self.log.settled(&rid) => {}
             None => {
                 // New attempt: resolve key-addressed scripts into per-shard
                 // XA branches (deterministic — every replica derives the
                 // same plan), charge the dispatch cost ("start" row), then
-                // race for ownership.
+                // find out who owns it.
                 let (request, routed) = crate::router::materialize(request, &self.shards);
                 if let Some(span) = routed {
                     ctx.trace(TraceKind::ShardRoute { rid, shards: span });
+                }
+                // Already decided — a cleaner aborted it before the request
+                // got here (a crashed server's pre-claim, typically): there
+                // is nothing to compute. Terminate with the log's decision,
+                // which also answers the client.
+                if let Some(decision) = self.log.decision_of(rid).cloned() {
+                    self.submit_outcome(ctx, rid, decision, request.script.databases());
+                    return;
                 }
                 // Read fast lane: an all-Get script is idempotent, so it
                 // needs none of the commit machinery the write-once regD
@@ -455,7 +512,7 @@ impl AppServer {
                     }
                     return;
                 }
-                self.fsms.insert(rid, Phase::WritingRegA { request, written: false });
+                self.fsms.insert(rid, Phase::Claiming { request, since: None });
                 let dur = jittered(ctx, self.cost.start, self.cost.jitter);
                 ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
                 ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
@@ -777,6 +834,7 @@ impl AppServer {
         let decision = Decision::commit(result);
         self.committed_cache.insert(rid.request, (rid, decision.clone()));
         self.fsms.insert(rid, Phase::Done { decision: decision.clone() });
+        self.preclaim_successor(rid, Outcome::Commit);
         let dur = jittered(ctx, self.cost.end, self.cost.jitter);
         ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
         ctx.send_after(
@@ -790,11 +848,11 @@ impl AppServer {
     /// catch standing still): re-route the attempt through the locking
     /// slow path, whose XA read locks make it atomic under any contention.
     /// Everything downstream is the ordinary write machinery — ownership
-    /// race, compute, votes — so liveness and exactly-once come for free.
+    /// claim, compute, votes — so liveness and exactly-once come for free.
     fn fallback_read(&mut self, ctx: &mut dyn Context, rid: ResultId) {
         let Some(state) = self.reads.remove(&rid) else { return };
         ctx.trace(TraceKind::ReadFallback { rid, rounds: state.round + 1 });
-        self.fsms.insert(rid, Phase::WritingRegA { request: state.request, written: false });
+        self.fsms.insert(rid, Phase::Claiming { request: state.request, since: None });
         let dur = jittered(ctx, self.cost.start, self.cost.jitter);
         ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
         ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
@@ -880,19 +938,66 @@ impl AppServer {
         dbs.iter().filter_map(|db| self.shard_seq.get(db).map(|&seq| (*db, seq))).collect()
     }
 
-    fn dispatch_rega(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::WritingRegA { written, .. }) = self.fsms.get_mut(&rid) else { return };
-        if *written {
+    /// Figure 5's `regA[j].write(self)`, once the dispatch cost is charged.
+    /// The log is the register: if it already names the attempt's owner —
+    /// this server's pre-claim applied, or another server got there first —
+    /// there is nothing to write. Otherwise claim the attempt urgently
+    /// (which only raises the urgency of a pre-claim still queued or in
+    /// flight), flush, and wait for the slot.
+    fn dispatch_claim(&mut self, ctx: &mut dyn Context, rid: ResultId) {
+        let Some(Phase::Claiming { since: since @ None, .. }) = self.fsms.get_mut(&rid) else {
+            return;
+        };
+        match self.log.owner_of(rid) {
+            Some(owner) => self.on_owner(ctx, rid, owner),
+            None => {
+                *since = Some(ctx.now());
+                self.log.claim(rid, true);
+                self.flush_batch(ctx);
+            }
+        }
+    }
+
+    /// `regA[j]` returned `owner` for an attempt whose request waits here:
+    /// the owner computes, everyone else watches. A claim that had to wait
+    /// for its slot closes the Figure 8 log-start span.
+    fn on_owner(&mut self, ctx: &mut dyn Context, rid: ResultId, owner: NodeId) {
+        let Some(Phase::Claiming { request, since }) = self.fsms.get(&rid) else { return };
+        if owner != self.me {
+            self.fsms.insert(rid, Phase::Watching);
             return;
         }
-        *written = true;
-        self.rega_started.insert(rid, ctx.now());
-        let sus_vec = self.suspicion_snapshot();
-        let sus = move |n: NodeId| sus_vec.contains(&n);
-        let me = self.me;
-        if let Some(v) = self.regs.write(ctx, RegId::owner(rid), RegValue::Server(me), &sus) {
-            self.on_decided(ctx, RegId::owner(rid), v);
+        if let Some(t0) = *since {
+            ctx.trace(TraceKind::Span { rid, comp: Component::LogStart, dur: ctx.now().since(t0) });
         }
+        let request = request.clone();
+        self.start_compute(ctx, rid, request);
+    }
+
+    /// Queues this server's claim of the attempt `rid`'s client will send
+    /// next — the same request's next attempt after an abort, the next
+    /// request's first after a commit — so that it finds its owner decided
+    /// and skips the log-start round. The claim is not urgent: it rides the
+    /// next slot this server proposes anyway (the one carrying `rid`'s
+    /// outcome, usually) and never costs a round of its own. Hence two
+    /// conditions. Slots must carry batches — where nothing shares a slot a
+    /// claim is a consensus round whichever attempt pays for it. And this
+    /// must be the server the client will try first, or the attempt would
+    /// sit here, owned and unrequested, until the client's back-off
+    /// broadcast reached it.
+    fn preclaim_successor(&mut self, rid: ResultId, outcome: Outcome) {
+        let tried_first = self.cfg.route_to_last_responder || self.me == self.topo.app_servers[0];
+        if !self.cfg.features.batching.is_batching() || !tried_first {
+            return;
+        }
+        let RequestId { client, seq } = rid.request;
+        self.log.claim(
+            match outcome {
+                Outcome::Commit => ResultId::first(RequestId { client, seq: seq + 1 }),
+                Outcome::Abort => rid.next_attempt(),
+            },
+            false,
+        );
     }
 
     fn start_compute(&mut self, ctx: &mut dyn Context, rid: ResultId, request: Request) {
@@ -946,6 +1051,7 @@ impl AppServer {
         if involved.is_empty() {
             // Nothing to vote on: vacuously all-yes (degenerate scripts).
             let decision = Decision { result: Some(result), outcome: Outcome::Commit };
+            self.preclaim_successor(rid, Outcome::Commit);
             self.submit_outcome(ctx, rid, decision, Vec::new());
             return;
         }
@@ -983,6 +1089,7 @@ impl AppServer {
         };
         let decision = Decision { result: Some(result.clone()), outcome };
         let targets = involved.clone();
+        self.preclaim_successor(rid, outcome);
         self.submit_outcome(ctx, rid, decision, targets);
     }
 
@@ -1012,6 +1119,16 @@ impl AppServer {
             self.outcome_final(ctx, rid, final_decision);
             return;
         }
+        // The client settled this request while the attempt ran here (the
+        // read lane of another server answered it, say). The log ignores
+        // every entry for a settled request, so this outcome can never be
+        // sequenced — and since its owner never proposes one, no server
+        // can ever commit the attempt. Abort it here: proposing would
+        // leave its branches prepared, and their locks held, forever.
+        if self.log.settled(&rid) {
+            self.outcome_final(ctx, rid, Decision::nil_abort());
+            return;
+        }
         if !self.batch_queue.iter().any(|(r, _)| *r == rid) {
             self.batch_queue.push((rid, decision));
         }
@@ -1037,7 +1154,7 @@ impl AppServer {
             !self.fsms.values().any(|p| {
                 matches!(
                     p,
-                    Phase::WritingRegA { .. } | Phase::Computing { .. } | Phase::Preparing { .. }
+                    Phase::Claiming { .. } | Phase::Computing { .. } | Phase::Preparing { .. }
                 )
             })
         };
@@ -1051,13 +1168,11 @@ impl AppServer {
         }
     }
 
-    /// Proposes the queued outcomes as one decision-log slot.
+    /// Proposes the queued outcomes — and whatever claims the log has
+    /// queued — as one decision-log slot.
     fn flush_batch(&mut self, ctx: &mut dyn Context) {
         if let Some(t) = self.batch_timer.take() {
             ctx.cancel_timer(t);
-        }
-        if self.batch_queue.is_empty() {
-            return;
         }
         let entries = std::mem::take(&mut self.batch_queue);
         let sus_vec = self.suspicion_snapshot();
@@ -1098,7 +1213,7 @@ impl AppServer {
             // as bare `Decide` messages, which never consult the
             // speculation stash.
             let mut per_db: BTreeMap<NodeId, Vec<(ResultId, Outcome)>> = BTreeMap::new();
-            for (rid, decision) in batch.iter() {
+            for (rid, decision) in &batch.outcomes {
                 let targets = self
                     .terminate_targets
                     .get(rid)
@@ -1130,11 +1245,26 @@ impl AppServer {
         }
     }
 
-    /// Processes decided, in-order slots: every first-occurrence outcome is
-    /// final. Outcomes this server initiated terminate now — grouped, so
-    /// one slot becomes one `DecideBatch` per involved database.
+    /// Processes decided, in-order slots. Watermarks the slot's claims
+    /// carried settle their clients' older requests here as a request from
+    /// the client would. Every first claim names an owner: a request
+    /// waiting on it computes or watches. Every first-occurrence outcome is
+    /// final, and the ones this server initiated terminate now — grouped,
+    /// so one slot becomes one `DecideBatch` per involved database.
     fn apply_slots(&mut self, ctx: &mut dyn Context, applied: Vec<AppliedSlot>) {
         for slot in applied {
+            for (client, ack_below) in slot.watermarks {
+                self.gc_below(ctx, client, ack_below);
+            }
+            for claim in slot.claims {
+                if matches!(self.fsms.get(&claim.rid), Some(Phase::Claiming { since: Some(_), .. }))
+                {
+                    self.on_owner(ctx, claim.rid, claim.server);
+                }
+            }
+            if slot.entries.is_empty() {
+                continue; // nothing became final: claims only, or duplicates
+            }
             ctx.trace(TraceKind::BatchDecided { slot: slot.slot, len: slot.entries.len() as u32 });
             let group: Vec<_> = slot
                 .entries
@@ -1176,35 +1306,6 @@ impl AppServer {
         let targets =
             self.terminate_targets.remove(&rid).unwrap_or_else(|| self.topo.db_servers.clone());
         Some((rid, decision, targets))
-    }
-
-    // ---- register decisions ------------------------------------------------
-
-    fn on_decided(&mut self, ctx: &mut dyn Context, reg: RegId, value: RegValue) {
-        let rid = reg.rid;
-        match (reg.kind, value) {
-            (etx_base::ids::RegKind::Owner, RegValue::Server(winner)) => {
-                let phase = self.fsms.get(&rid);
-                if let Some(Phase::WritingRegA { request, .. }) = phase {
-                    let request = request.clone();
-                    if winner == self.me {
-                        if let Some(t0) = self.rega_started.remove(&rid) {
-                            ctx.trace(TraceKind::Span {
-                                rid,
-                                comp: Component::LogStart,
-                                dur: ctx.now().since(t0),
-                            });
-                        }
-                        self.start_compute(ctx, rid, request);
-                    } else {
-                        self.fsms.insert(rid, Phase::Watching);
-                    }
-                }
-            }
-            // Decision-log slots are routed to the log before this point;
-            // per-attempt `regD` registers no longer exist.
-            _ => debug_assert!(false, "register kind/value mismatch for {reg}"),
-        }
     }
 
     // ---- terminate() (Figure 4) --------------------------------------------
@@ -1341,43 +1442,32 @@ impl AppServer {
 
     // ---- cleaning thread (Figure 6) -----------------------------------------
 
+    /// One cleaning pass: every attempt the log says a suspected server
+    /// owns — requested or merely pre-claimed — is forced to a decision and
+    /// terminated. The log's owner map holds open work only (attempts at
+    /// or above their client's watermark), so that is all a pass walks.
     fn run_cleaner(&mut self, ctx: &mut dyn Context) {
         let suspected = self.suspicion_snapshot();
         if suspected.is_empty() {
             return;
         }
-        for reg in self.regs.known() {
-            if reg.kind != etx_base::ids::RegKind::Owner {
+        let orphans: Vec<(ResultId, NodeId)> = self
+            .log
+            .owners()
+            .filter(|(rid, owner)| suspected.contains(owner) && !self.cleaned.contains(rid))
+            .collect();
+        for (rid, owner) in orphans {
+            self.cleaned.insert(rid);
+            if matches!(self.fsms.get(&rid), Some(Phase::Done { .. })) {
                 continue;
             }
-            let rid = reg.rid;
-            // Below its client's watermark an attempt is settled forever:
-            // nothing is left to clean, and the log would drop a
-            // `(nil, abort)` for it anyway.
-            if self.cleaned.contains(&rid) || self.log.settled(&rid) {
-                continue;
-            }
-            match self.regs.read(reg).and_then(RegValue::as_server) {
-                Some(owner) if suspected.contains(&owner) => {
-                    if matches!(self.fsms.get(&rid), Some(Phase::Done { .. })) {
-                        self.cleaned.insert(rid);
-                        continue;
-                    }
-                    self.cleaned.insert(rid);
-                    ctx.trace(TraceKind::CleanerTakeover { rid, owner });
-                    // Figure 6 line 7: regD[j].write(nil, abort), now an
-                    // entry proposed into the decision log; first occurrence
-                    // in slot order arbitrates, so if the owner's decision
-                    // got there first the cleaner terminates with it.
-                    let targets = self.topo.db_servers.clone();
-                    self.submit_outcome(ctx, rid, Decision::nil_abort(), targets);
-                }
-                None => {
-                    // ⊥: keep reading (pull) until the register resolves.
-                    self.regs.pull(ctx, reg);
-                }
-                Some(_) => {}
-            }
+            ctx.trace(TraceKind::CleanerTakeover { rid, owner });
+            // Figure 6 line 7: regD[j].write(nil, abort), now an entry
+            // proposed into the decision log; first occurrence in slot
+            // order arbitrates, so if the owner's decision got there first
+            // the cleaner terminates with it.
+            let targets = self.topo.db_servers.clone();
+            self.submit_outcome(ctx, rid, Decision::nil_abort(), targets);
         }
     }
 }
@@ -1395,8 +1485,7 @@ impl Process for AppServer {
         let newly_suspected =
             transitions.iter().any(|t| matches!(t, etx_fd::FdTransition::Suspect(_)));
         // 2. Registers: consensus traffic, round patience, resync. Slot
-        //    decisions feed the decision log (which applies them in order);
-        //    owner-register decisions feed the per-attempt machinery.
+        //    decisions feed the decision log, which applies them in order.
         let wo_events = {
             let sus = |n: NodeId| sus_vec.contains(&n);
             if !transitions.is_empty() {
@@ -1406,20 +1495,19 @@ impl Process for AppServer {
         };
         for ev in wo_events {
             let WoEvent::Decided { reg, value } = ev;
-            match reg.slot_index() {
-                Some(slot) => {
-                    let applied = {
-                        let sus = |n: NodeId| sus_vec.contains(&n);
-                        self.log.on_slot_decided(ctx, &mut self.regs, slot, &value, &sus)
-                    };
-                    // A decided slot lets the log pump the next pending
-                    // batch into a fresh proposal — overlap that one too.
-                    self.ship_speculation(ctx);
-                    self.note_window(ctx);
-                    self.apply_slots(ctx, applied);
-                }
-                None => self.on_decided(ctx, reg, value),
-            }
+            let Some(slot) = reg.slot_index() else {
+                debug_assert!(false, "{reg} decided: only decision-log slots are ever written");
+                continue;
+            };
+            let applied = {
+                let sus = |n: NodeId| sus_vec.contains(&n);
+                self.log.on_slot_decided(ctx, &mut self.regs, slot, &value, &sus)
+            };
+            // A decided slot lets the log pump the next pending batch into
+            // a fresh proposal — overlap that one too.
+            self.ship_speculation(ctx);
+            self.note_window(ctx);
+            self.apply_slots(ctx, applied);
         }
         // 3. A fresh suspicion triggers an immediate cleaning pass
         //    (Figure 6's loop reacts to suspect() turning true).
@@ -1477,7 +1565,7 @@ impl Process for AppServer {
                 self.observe_shard_lease(from, Some(through));
             }
             Event::Timer { tag, .. } => match tag {
-                TimerTag::Dispatch { rid, stage: 0 } => self.dispatch_rega(ctx, rid),
+                TimerTag::Dispatch { rid, stage: 0 } => self.dispatch_claim(ctx, rid),
                 TimerTag::Dispatch { rid, stage: 1 } => self.dispatch_reads(ctx, rid),
                 TimerTag::ReadRetry { rid } => self.on_read_retry(ctx, rid),
                 TimerTag::TerminateRetry { rid } => self.on_terminate_retry(ctx, rid),

@@ -34,33 +34,19 @@ pub use router::{route, RoutedPlan};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etx_base::config::{CostModel, FdConfig, ProtocolConfig};
-    use etx_base::ids::{NodeId, RequestId, Topology};
+    use etx_base::config::{BatchingConfig, CostModel, FdConfig, ProtocolConfig};
+    use etx_base::ids::{NodeId, RequestId, ResultId, Topology};
+    use etx_base::msg::{ClientMsg, Payload};
+    use etx_base::runtime::{Context, Event, Process};
     use etx_base::time::{Dur, Time};
     use etx_base::trace::TraceKind;
-    use etx_base::value::{DbOp, Outcome, Request, RequestScript};
+    use etx_base::value::{DbOp, Outcome, Request, RequestScript, Vote};
     use etx_fd::HeartbeatFd;
     use etx_sim::{FaultAction, NetConfig, Sim, SimConfig};
 
-    /// Builds a full three-tier system: 1 client, `apps` app servers,
-    /// `dbs` databases; the client issues `plan`.
-    fn build_system(
-        seed: u64,
-        apps: usize,
-        dbs: usize,
-        plan: Vec<Request>,
-        seed_data: Vec<(String, i64)>,
-    ) -> (Sim, Topology) {
-        let topo = Topology::new(1, apps, dbs);
-        let mut cfg = SimConfig::with_seed(seed);
-        cfg.cost = CostModel::fast_for_tests();
-        cfg.net = NetConfig {
-            min_delay: Dur::from_micros(100),
-            max_delay: Dur::from_micros(300),
-            ..NetConfig::default()
-        };
-        let mut sim = Sim::new(cfg);
-        let pcfg = ProtocolConfig {
+    /// The protocol timers every test here runs under.
+    fn protocol() -> ProtocolConfig {
+        ProtocolConfig {
             client_backoff: Dur::from_millis(30),
             client_rebroadcast: Dur::from_millis(20),
             client_rebroadcast_max: Dur::from_millis(20),
@@ -70,27 +56,35 @@ mod tests {
             consensus_round_patience: Dur::from_millis(4),
             route_to_last_responder: false,
             features: etx_base::config::FeatureSet::default(),
+        }
+    }
+
+    /// Builds a full three-tier system: one client process made by
+    /// `client`, the application servers and databases of `topo` under
+    /// `pcfg`. Node ids follow `Topology::new` order: client first.
+    fn build_with(
+        seed: u64,
+        topo: &Topology,
+        pcfg: ProtocolConfig,
+        client: etx_base::runtime::NodeFactory,
+        seed_data: Vec<(String, i64)>,
+    ) -> Sim {
+        let mut cfg = SimConfig::with_seed(seed);
+        cfg.cost = CostModel::fast_for_tests();
+        cfg.net = NetConfig {
+            min_delay: Dur::from_micros(100),
+            max_delay: Dur::from_micros(300),
+            ..NetConfig::default()
         };
+        let mut sim = Sim::new(cfg);
         let fd_cfg = FdConfig {
             heartbeat_every: Dur::from_millis(2),
             initial_timeout: Dur::from_millis(8),
             timeout_increment: Dur::from_millis(4),
             max_timeout: Dur::from_millis(200),
         };
-
-        // Client first (ids must match Topology::new order).
-        {
-            let alist = topo.app_servers.clone();
-            let pcfg = pcfg.clone();
-            let plan = plan.clone();
-            sim.add_node(
-                "client",
-                Box::new(move |_| {
-                    Box::new(EtxClient::new(alist.clone(), pcfg.clone(), plan.clone()))
-                }),
-            );
-        }
-        for _ in 0..apps {
+        sim.add_node("client", client);
+        for _ in &topo.app_servers {
             let topo_c = topo.clone();
             let pcfg = pcfg.clone();
             sim.add_node(
@@ -106,7 +100,7 @@ mod tests {
                 }),
             );
         }
-        for _ in 0..dbs {
+        for _ in &topo.db_servers {
             let alist = topo.app_servers.clone();
             let data = seed_data.clone();
             sim.add_node(
@@ -120,7 +114,23 @@ mod tests {
                 }),
             );
         }
-        (sim, topo)
+        sim
+    }
+
+    /// 1 client issuing `plan`, `apps` app servers, `dbs` databases.
+    fn build_system(
+        seed: u64,
+        apps: usize,
+        dbs: usize,
+        plan: Vec<Request>,
+        seed_data: Vec<(String, i64)>,
+    ) -> (Sim, Topology) {
+        let topo = Topology::new(1, apps, dbs);
+        let alist = topo.app_servers.clone();
+        let client = Box::new(move |_| {
+            Box::new(EtxClient::new(alist.clone(), protocol(), plan.clone())) as _
+        });
+        (build_with(seed, &topo, protocol(), client, seed_data), topo)
     }
 
     fn bank_request(client: NodeId, seq: u64, db: NodeId) -> Request {
@@ -347,5 +357,64 @@ mod tests {
             .trace()
             .count_kind(|k| matches!(k, TraceKind::DbDecide { outcome: Outcome::Commit, .. }));
         assert_eq!(commits, 2, "both branches commit (A.3)");
+    }
+    /// A client whose every move is scripted: it sends each planned frame
+    /// at its instant and ignores the replies.
+    struct Puppet(Vec<(Dur, NodeId, ClientMsg)>);
+
+    impl Process for Puppet {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            if matches!(event, Event::Init) {
+                for (at, to, msg) in self.0.drain(..) {
+                    ctx.send_after(at, to, Payload::Client(msg));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_watermark_that_overtakes_a_queued_outcome_aborts_the_attempt() {
+        // Backup B owns attempt (c, 1, 1): computed, prepared, voted yes,
+        // its outcome waiting in B's pipeline queue (B is not idle — its
+        // attempt for request 3 waits on a dead database — and the flush
+        // window is 50 ms away). Now request 1 settles behind B's back, as
+        // when another server's read lane answers it: the client's next
+        // request goes to the primary with watermark 2, and that claim
+        // carries the watermark to B through the log. The log will ignore
+        // B's outcome from here on, so B must abort the attempt itself —
+        // or its branch stays prepared, and its lock held, forever.
+        let topo = Topology::new(1, 3, 3);
+        let (client, a, b) = (topo.clients[0], topo.app_servers[0], topo.app_servers[1]);
+        let (db1, dead, db3) = (topo.db_servers[0], topo.db_servers[1], topo.db_servers[2]);
+        let frame = |seq, db, ack_below| ClientMsg::Request {
+            request: bank_request(client, seq, db),
+            attempt: 1,
+            ack_below,
+            stamps: Vec::new(),
+        };
+        let plan = vec![
+            (Dur::ZERO, b, frame(3, dead, 1)),
+            (Dur::ZERO, b, frame(1, db1, 1)),
+            (Dur::from_millis(10), a, frame(2, db3, 2)),
+        ];
+        let mut pcfg = protocol();
+        pcfg.features.batching = BatchingConfig::new(64, Dur::from_millis(50));
+        let puppet = Box::new(move |_| Box::new(Puppet(plan.clone())) as _);
+        let mut sim = build_with(23, &topo, pcfg, puppet, vec![("acct".into(), 0)]);
+        sim.crash_at(Time(0), dead);
+        sim.run_until_time(Time(40_000));
+
+        let victim = ResultId::first(RequestId { client, seq: 1 });
+        let at_db1 = |pred: fn(&TraceKind, ResultId) -> bool| {
+            sim.trace().events().iter().any(|e| e.node == db1 && pred(&e.kind, victim))
+        };
+        assert!(
+            at_db1(|k, v| matches!(k, TraceKind::DbVote { rid, vote: Vote::Yes } if *rid == v)),
+            "the attempt must have prepared at its database"
+        );
+        assert!(
+            at_db1(|k, v| *k == TraceKind::DbDecide { rid: v, outcome: Outcome::Abort }),
+            "the watermark dropped the queued outcome: its owner must abort the branch"
+        );
     }
 }

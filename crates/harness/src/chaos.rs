@@ -42,6 +42,16 @@ pub struct ChaosOptions {
     pub max_db_cycles: usize,
     /// Maximum forced false-suspicion windows.
     pub max_false_suspicions: usize,
+    /// Crash the default primary for this long the moment it applies its
+    /// first decision-log slot carrying two or more outcomes. Such a slot
+    /// also carries the primary's pre-claims of every member's next
+    /// attempt, so the crash leaves one owned, never-requested attempt per
+    /// client in the batch for the survivors' cleaners to abort — and the
+    /// recovered primary replays the log over its own old claims. Never
+    /// fires where slots hold one outcome (the paper's shape). Counts as
+    /// an application-server crash: combine it with `max_app_crashes: 0`
+    /// on three replicas.
+    pub primary_outage_on_batch: Option<Dur>,
     /// Message-loss probability (absorbed by reliable channels as delay).
     pub loss_rate: f64,
     /// Sharded back end: partition the keyspace over this many shards and
@@ -72,6 +82,7 @@ impl Default for ChaosOptions {
             max_app_crashes: 1,
             max_db_cycles: 2,
             max_false_suspicions: 2,
+            primary_outage_on_batch: None,
             loss_rate: 0.05,
             shards: None,
             replication: 1,
@@ -196,6 +207,16 @@ fn settle_and_check(mut scenario: Scenario, seed: u64, faults: Vec<String>) -> C
 /// a wiring bug, not a runtime condition.
 const FAULT_PLANE: &str = "both built-in backends implement the fault plane";
 
+/// The moment `server` first applies a decision-log slot that made two or
+/// more outcomes final: the slot is decided, termination has barely
+/// started, and (where the server pre-claims) it carries the claim of
+/// every member's next attempt.
+fn on_first_batch_at(server: etx_base::ids::NodeId) -> NemesisWhen {
+    NemesisWhen::on_trace(move |ev| {
+        ev.node == server && matches!(ev.kind, TraceKind::BatchDecided { len, .. } if len >= 2)
+    })
+}
+
 /// Runs one chaos schedule derived from `seed`.
 ///
 /// Two independent RNG streams are in play: the **workload stream**
@@ -285,6 +306,14 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
             .schedule_fault(NemesisWhen::After(Dur(at.0)), FaultOp::Crash(node))
             .expect(FAULT_PLANE);
         faults.push(format!("crash app {node} at {at}"));
+    }
+
+    if let Some(down_for) = opts.primary_outage_on_batch {
+        let a1 = scenario.topo.primary();
+        scenario
+            .schedule_fault(on_first_batch_at(a1), FaultOp::CrashFor { node: a1, down_for })
+            .expect(FAULT_PLANE);
+        faults.push(format!("crash primary {a1} on its first multi-outcome slot, back {down_for}"));
     }
 
     // Database crash/recovery cycles (good databases: always recover).
@@ -403,14 +432,7 @@ pub fn run_mid_batch_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind)
 
     let mut faults = Vec::new();
     let a1 = scenario.topo.primary();
-    scenario
-        .schedule_fault(
-            NemesisWhen::on_trace(move |ev| {
-                ev.node == a1 && matches!(ev.kind, TraceKind::BatchDecided { len, .. } if len >= 2)
-            }),
-            FaultOp::Crash(a1),
-        )
-        .expect(FAULT_PLANE);
+    scenario.schedule_fault(on_first_batch_at(a1), FaultOp::Crash(a1)).expect(FAULT_PLANE);
     faults.push(format!("crash primary {a1} on its first applied multi-request batch"));
 
     let victim_shard = rng.range_u64(0, u64::from(shards) - 1) as u32;

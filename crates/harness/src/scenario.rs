@@ -936,12 +936,6 @@ impl Scenario {
         self.count(|k| matches!(k, TraceKind::ReadRetried { .. }))
     }
 
-    /// Count of snapshot-validation re-collects issued by multi-shard
-    /// fast-path reads (a collect disagreed with its predecessor).
-    pub fn read_snapshot_rounds(&self) -> usize {
-        self.count(|k| matches!(k, TraceKind::ReadSnapshotRound { .. }))
-    }
-
     /// Count of fast-path reads that exhausted their snapshot-validation
     /// budget and fell back to the locking slow path.
     pub fn read_fallbacks(&self) -> usize {

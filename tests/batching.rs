@@ -3,16 +3,17 @@
 //! specification, including mid-batch crashes.
 
 use etx::base::config::{BatchingConfig, FeatureSet};
-use etx::base::ids::ResultId;
+use etx::base::ids::{NodeId, ResultId};
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::{Dur, Time};
-use etx::base::trace::TraceKind;
+use etx::base::trace::{Component, TraceKind};
 use etx::base::wal::{StableRecord, LOG_WAL};
 use etx::harness::{
-    check, run_chaos, run_mid_batch_chaos, ChaosOptions, LivenessChecks, MiddleTier,
+    check, run_chaos, run_mid_batch_chaos, ChaosOptions, LivenessChecks, MiddleTier, Scenario,
     ScenarioBuilder, Workload,
 };
 use etx::sim::RunOutcome;
+use std::collections::BTreeMap;
 
 #[test]
 fn open_loop_burst_fills_real_batches_and_preserves_the_spec() {
@@ -38,9 +39,13 @@ fn open_loop_burst_fills_real_batches_and_preserves_the_spec() {
 
 #[test]
 fn batch_of_one_reproduces_the_unbatched_protocol_exactly() {
-    // A sequential client under a deep pipeline must behave byte-for-byte
-    // like the paper's per-request protocol: the idle-flush rule turns
-    // every outcome into a batch of one in the same event that queued it.
+    // A sequential client under a deep pipeline must compute, vote, decide
+    // and deliver exactly like the paper's per-request protocol: the
+    // idle-flush rule turns every outcome into a batch of one in the same
+    // event that queued it. Ownership is where the two part ways, by
+    // design: the per-request configuration pays a log-start round per
+    // attempt (nothing shares a slot), the deep one pre-claims the client's
+    // next request in the slot its current outcome takes anyway.
     let run = |size: usize, window_ms: u64| {
         let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 4102)
             .workload(Workload::BankUpdate { amount: 7 })
@@ -52,15 +57,38 @@ fn batch_of_one_reproduces_the_unbatched_protocol_exactly() {
         s.quiesce(Dur::from_millis(200));
         s
     };
-    let deep = run(64, 2);
-    let degenerate = run(1, 0);
+    // What each node did on the outcome path, in its own order (the order
+    // across nodes follows link jitter, which the two runs draw differently).
+    let outcome_path = |s: &Scenario| {
+        let mut path: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
+        for e in s.trace().events() {
+            let step = match &e.kind {
+                TraceKind::Computed { rid } => format!("computed {rid}"),
+                TraceKind::DbVote { rid, vote } => format!("voted {vote} on {rid}"),
+                TraceKind::BatchDecided { len, .. } => format!("batch of {len}"),
+                TraceKind::DbDecide { rid, outcome } => format!("decided {outcome} on {rid}"),
+                TraceKind::Deliver { rid, outcome, .. } => format!("delivered {outcome} of {rid}"),
+                _ => continue,
+            };
+            path.entry(e.node).or_default().push(step);
+        }
+        path
+    };
+    let log_starts = |s: &Scenario| {
+        s.trace().count_kind(|k| matches!(k, TraceKind::Span { comp: Component::LogStart, .. }))
+    };
+    let mut deep = run(64, 2);
+    let mut degenerate = run(1, 0);
     assert_eq!(deep.delivered_commits(), 6);
     assert_eq!(
-        deep.trace().events(),
-        degenerate.trace().events(),
-        "identical traces: the single-request path is a batch of one"
+        outcome_path(&deep),
+        outcome_path(&degenerate),
+        "identical outcome paths: the single-request path is a batch of one"
     );
+    assert_eq!(deep.delivered_results(), degenerate.delivered_results());
     assert_eq!(deep.batched_slots(), 0, "a sequential client never forms real batches");
+    assert_eq!(log_starts(&degenerate), 6, "per-request slots: one claim round per attempt");
+    assert_eq!(log_starts(&deep), 1, "only the first request finds itself unclaimed");
 }
 
 #[test]

@@ -4,19 +4,30 @@
 
 use etx::base::config::FeatureSet;
 use etx::base::runtime::RuntimeKind;
+use etx::base::time::Dur;
 use etx::harness::{feature_corners, run_chaos, run_hot_shard_chaos, ChaosOptions};
 
-/// The four option sets this file sweeps, over a given feature set:
+/// The five option sets this file sweeps, over a given feature set:
 /// defaults; five replicas with a crashable pair; contending clients under
-/// suspicion storms; a lossy network in front of two databases.
-fn schedules(features: FeatureSet) -> [ChaosOptions; 4] {
+/// suspicion storms; a lossy network in front of two databases; and four
+/// clients whose primary goes down for 30 ms on its first multi-outcome
+/// slot — the slot that carries its pre-claims of every member's next
+/// attempt, which the survivors must clean and the clients retry past.
+fn schedules(features: FeatureSet) -> [ChaosOptions; 5] {
     let base = ChaosOptions { features, ..ChaosOptions::default() };
     [
         base.clone(),
         // Two crashes are still a minority of five.
         ChaosOptions { apps: 5, max_app_crashes: 2, max_db_cycles: 3, ..base.clone() },
         ChaosOptions { clients: 2, requests: 2, max_false_suspicions: 3, ..base.clone() },
-        ChaosOptions { dbs: 2, loss_rate: 0.1, max_db_cycles: 2, ..base },
+        ChaosOptions { dbs: 2, loss_rate: 0.1, max_db_cycles: 2, ..base.clone() },
+        ChaosOptions {
+            clients: 4,
+            requests: 4,
+            max_app_crashes: 0,
+            primary_outage_on_batch: Some(Dur::from_millis(30)),
+            ..base
+        },
     ]
 }
 
@@ -44,6 +55,20 @@ fn chaos_with_contending_clients() {
 #[test]
 fn chaos_with_lossy_network_and_two_dbs() {
     sweep(&schedules(FeatureSet::default())[3], 40);
+}
+
+#[test]
+fn chaos_with_a_primary_outage_on_its_first_batch() {
+    // The paper's shape never forms a batch, so the outage is swept over
+    // the pipelined feature set (every corner gets fewer seeds below).
+    let opts = &schedules(feature_corners()[1].1)[4];
+    let mut fired = 0;
+    for seed in 0..40 {
+        let out = run_chaos(seed, opts);
+        out.assert_ok();
+        fired += usize::from(out.batched_slots >= 1);
+    }
+    assert!(fired >= 30, "only {fired} of 40 seeds formed the batch that triggers the outage");
 }
 
 /// The schedules above (fewer seeds each) plus multi-client hot-shard

@@ -38,11 +38,13 @@ fn two_thousand_requests_leave_only_open_work_behind() {
     // The stateless-middle-tier claim, as sizes: after a long sequential
     // stream an application server holds state for the attempts still in
     // its client's window, not for the 2 000 it has finished. The primary
-    // hears the client's watermark on every request, so its per-attempt
-    // maps and the cleaner's `clist` stay at a handful of entries; the
+    // hears the client's watermark on every request; the backups hear it
+    // from the owner claims the log carries. So on all three servers the
+    // per-attempt maps, the cleaner's `clist` and what the decision log
+    // tracks per attempt (decisions, owners, unsettled slot members — what
+    // a cleaning pass walks) stay at a handful of entries, and the
     // consensus engine's open set — what the resync timer walks — holds
-    // only undecided registers, on the backups too (which never hear the
-    // watermark and still remember every *decided* register).
+    // only undecided registers.
     const REQUESTS: u64 = 2_000;
     let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 885)
         .runtime(RuntimeKind::Sim)
@@ -52,7 +54,6 @@ fn two_thousand_requests_leave_only_open_work_behind() {
     assert_eq!(s.run_until_settled(REQUESTS as usize), etx::sim::RunOutcome::Predicate);
     s.quiesce(Dur::from_millis(300));
     assert_eq!(s.delivered_commits(), REQUESTS as usize);
-    let primary = s.primary();
     for &node in &s.topo.app_servers {
         let process = s.sim().process_ref(node).expect("no application server crashed");
         let app: &AppServer = process
@@ -60,10 +61,13 @@ fn two_thousand_requests_leave_only_open_work_behind() {
             .and_then(|any| any.downcast_ref())
             .expect("application servers expose themselves for introspection");
         assert!(app.open_registers() <= 4, "{node}: {} open registers", app.open_registers());
-        if node == primary {
-            assert!(app.in_flight_attempts() <= 4, "{} attempts held", app.in_flight_attempts());
-            assert!(app.cleaned_attempts() <= 4, "{} attempts in clist", app.cleaned_attempts());
-        }
+        assert!(app.in_flight_attempts() <= 4, "{node}: {} attempts", app.in_flight_attempts());
+        assert!(app.cleaned_attempts() <= 4, "{node}: {} in clist", app.cleaned_attempts());
+        assert!(
+            app.log_tracked_attempts() <= 4,
+            "{node}: the log tracks {} attempts",
+            app.log_tracked_attempts()
+        );
     }
 }
 

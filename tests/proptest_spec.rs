@@ -3,6 +3,7 @@
 //! and crash points.
 
 use etx::base::ids::{NodeId, RequestId, ResultId};
+use etx::base::time::Dur;
 use etx::base::value::{DbOp, Outcome, Vote};
 use etx::harness::{feature_corners, run_chaos, ChaosOptions};
 use etx::store::Engine;
@@ -34,8 +35,9 @@ proptest! {
         loss in prop_oneof![Just(0.0f64), Just(0.05), Just(0.15)],
         requests in 1u64..3,
         corner in 0usize..3,
+        outage in any::<bool>(),
     ) {
-        let opts = ChaosOptions {
+        let mut opts = ChaosOptions {
             apps,
             dbs,
             requests,
@@ -43,6 +45,17 @@ proptest! {
             features: feature_corners()[corner].1,
             ..ChaosOptions::default()
         };
+        if outage {
+            // Enough concurrency to form a batch, whose first application
+            // takes the primary down over its pre-claims (that outage is
+            // the run's one application-server crash).
+            opts = ChaosOptions {
+                clients: 4,
+                max_app_crashes: 0,
+                primary_outage_on_batch: Some(Dur::from_millis(30)),
+                ..opts
+            };
+        }
         run_chaos(seed, &opts).assert_ok();
     }
 
