@@ -30,6 +30,7 @@
 //! assert_eq!(rid.next_attempt().attempt, 2);
 //! ```
 
+pub mod attempts;
 pub mod config;
 pub mod error;
 pub mod fault;
@@ -44,6 +45,7 @@ pub mod trace;
 pub mod value;
 pub mod wal;
 
+pub use attempts::AttemptWindows;
 pub use config::{BatchingConfig, CostModel, FdConfig, ProtocolConfig};
 pub use error::IssueError;
 pub use fault::{CapabilityError, FaultOp, LinkFault, NemesisSchedule, NemesisWhen, TracePred};

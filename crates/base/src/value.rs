@@ -285,10 +285,15 @@ impl fmt::Display for ResultValue {
 /// A decision — the pair `(result, outcome)` written into `regD[j]`
 /// (Figure 5 line 10). The cleaner writes `(nil, abort)` (Figure 6 line 7),
 /// hence the `Option`.
+///
+/// The result is [`Arc`]-shared: a decision is copied at every hop between
+/// the vote count and the client's delivery (pipeline queue, slot batch,
+/// every replica's apply, termination, the retransmission cache, the wire),
+/// and each copy is a reference count, not the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decision {
     /// The computed result; `None` for the cleaner's `(nil, abort)`.
-    pub result: Option<ResultValue>,
+    pub result: Option<Arc<ResultValue>>,
     /// Commit or abort.
     pub outcome: Outcome,
 }
@@ -301,12 +306,12 @@ impl Decision {
 
     /// A commit decision carrying a result.
     pub fn commit(result: ResultValue) -> Self {
-        Decision { result: Some(result), outcome: Outcome::Commit }
+        Decision { result: Some(Arc::new(result)), outcome: Outcome::Commit }
     }
 
     /// An abort decision that still carries the (refused) result.
     pub fn abort(result: ResultValue) -> Self {
-        Decision { result: Some(result), outcome: Outcome::Abort }
+        Decision { result: Some(Arc::new(result)), outcome: Outcome::Abort }
     }
 
     /// True iff the outcome is commit.

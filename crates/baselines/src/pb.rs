@@ -28,6 +28,7 @@ use etx_base::trace::{Component, TraceKind};
 use etx_base::value::{Decision, ExecStatus, Outcome, Request, ResultValue, Vote};
 use etx_core::resultbuild;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Role of a [`PbServer`] at construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,7 +182,7 @@ impl PbServer {
         let result = resultbuild::finish(acc.clone(), rid.attempt);
         let involved = request.script.databases();
         if involved.is_empty() {
-            let decision = Decision { result: Some(result), outcome: Outcome::Commit };
+            let decision = Decision::commit(result);
             self.ship_outcome(ctx, rid, decision, Vec::new());
             return;
         }
@@ -210,7 +211,7 @@ impl PbServer {
         } else {
             Outcome::Abort
         };
-        let decision = Decision { result: Some(result.clone()), outcome };
+        let decision = Decision { result: Some(Arc::new(result.clone())), outcome };
         let involved = involved.clone();
         self.ship_outcome(ctx, rid, decision, involved);
     }

@@ -25,6 +25,7 @@ use etx_base::value::{Decision, ExecStatus, Outcome, Request, ResultValue, Vote}
 use etx_base::wal::{StableRecord, LOG_COORD};
 use etx_core::resultbuild;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 #[derive(Debug)]
 enum Phase {
@@ -131,7 +132,7 @@ impl TpcServer {
         let result = resultbuild::finish(acc.clone(), rid.attempt);
         let involved = request.script.databases();
         if involved.is_empty() {
-            let decision = Decision { result: Some(result), outcome: Outcome::Commit };
+            let decision = Decision::commit(result);
             self.log_outcome(ctx, rid, decision, Vec::new());
             return;
         }
@@ -166,7 +167,7 @@ impl TpcServer {
         } else {
             Outcome::Abort
         };
-        let decision = Decision { result: Some(result.clone()), outcome };
+        let decision = Decision { result: Some(Arc::new(result.clone())), outcome };
         self.log_outcome(ctx, rid, decision, involved_c);
     }
 
@@ -183,7 +184,7 @@ impl TpcServer {
             StableRecord::CoordOutcome {
                 rid,
                 outcome: decision.outcome,
-                result: decision.result.clone(),
+                result: decision.result.as_deref().cloned(),
             },
             true,
         );
@@ -279,7 +280,7 @@ impl TpcServer {
             match rec {
                 StableRecord::CoordStart { rid } => started.push(rid),
                 StableRecord::CoordOutcome { rid, outcome, result } => {
-                    outcomes.insert(rid, Decision { result, outcome });
+                    outcomes.insert(rid, Decision { result: result.map(Arc::new), outcome });
                 }
                 _ => {}
             }

@@ -11,7 +11,7 @@ use etx_base::ids::{NodeId, ResultId};
 use etx_base::msg::{AppMsg, ClientMsg, DbMsg, DbReplyMsg, Payload};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::trace::{Component, TraceKind};
-use etx_base::value::{Decision, ExecStatus, Outcome, Request};
+use etx_base::value::{Decision, ExecStatus, Request};
 use etx_core::resultbuild;
 use std::collections::{HashMap, HashSet};
 
@@ -150,7 +150,7 @@ impl BaselineServer {
         } else {
             Payload::App(AppMsg::Result {
                 rid,
-                decision: Decision { result: Some(result), outcome: Outcome::Commit },
+                decision: Decision::commit(result),
                 stamps: Vec::new(),
             })
         };

@@ -65,10 +65,10 @@
 
 use crate::woreg::WoRegisters;
 use crate::Suspects;
+use etx_base::attempts::AttemptWindows;
 use etx_base::ids::{NodeId, RegId, ResultId};
 use etx_base::runtime::Context;
 use etx_base::value::{Decision, OutcomeBatch, OwnerClaim, RegValue, SlotBatch};
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -110,11 +110,9 @@ pub struct DecisionLog {
     /// Outcomes waiting to be proposed (or re-proposed) into a slot.
     pending: OutcomeBatch,
     /// Attempts this server wants to own, waiting to be proposed (or
-    /// re-proposed) as claims. Only the members of `urgent` can open a
-    /// slot; the rest ride along.
+    /// re-proposed) as claims. Only the urgent ones can open a slot; the
+    /// rest ride along.
     claims: Vec<ResultId>,
-    /// The queued or in-flight claims a request is waiting on.
-    urgent: BTreeSet<ResultId>,
     /// Our in-flight proposals, slot → batch, at most `window` of them.
     /// Batches are [`Arc`]-shared with the register write (and hence the
     /// consensus broadcasts), so proposing copies no entries.
@@ -126,45 +124,50 @@ pub struct DecisionLog {
     /// (plus the `next_apply` low-water mark) is what keeps promotion and
     /// apply strictly in slot order regardless.
     decided_ahead: BTreeMap<u64, Arc<SlotBatch>>,
-    /// Final decision per attempt (the first-occurrence arbitration): the
-    /// decided batch that carried it and its position there — a shared
-    /// handle, so recording a decision copies no result.
-    seen: BTreeMap<ResultId, (Arc<SlotBatch>, usize)>,
-    /// Owner per attempt (the first-claim arbitration) — the paper's
-    /// `regA`, and what the host's cleaner walks.
-    owners: BTreeMap<ResultId, NodeId>,
-    /// Per-client GC watermarks: every request below the watermark is
-    /// settled forever. Entries for settled requests are dropped at apply
-    /// time even after their `seen` record was garbage-collected —
-    /// otherwise a late in-flight proposal (say, a slow cleaner's
-    /// `(nil, abort)`) could re-surface a settled attempt as a fresh
-    /// "first occurrence" with a conflicting outcome.
-    watermarks: BTreeMap<NodeId, u64>,
+    /// One record per attempt, under its client's window — whose floor is
+    /// the client's **GC watermark**: every request below it is settled
+    /// forever. Entries for settled requests are dropped at apply time even
+    /// after their record is gone — otherwise a late in-flight proposal
+    /// (say, a slow cleaner's `(nil, abort)`) could re-surface a settled
+    /// attempt as a fresh "first occurrence" with a conflicting outcome.
+    attempts: AttemptWindows<Attempt>,
     /// Each applied slot that carried outcomes and is not yet fully
     /// settled — the bookkeeping behind [`DecisionLog::gc_client`]'s return
-    /// value, which is what lets
-    /// the host compact a slot's consensus instance once no request in it
-    /// can ever be asked about again. The decided batch itself is kept (a
-    /// shared handle: the register bank holds the same allocation until
-    /// that very compaction), so the compacted placeholder can keep the
-    /// slot's arbitration content (results dropped). Bounded by the
-    /// clients' unsettled windows, like everything else here.
+    /// value, which is what lets the host compact a slot's consensus
+    /// instance once no request in it can ever be asked about again. The
+    /// decided batch itself is kept (a shared handle: the register bank
+    /// holds the same allocation until that very compaction), so the
+    /// compacted placeholder can keep the slot's arbitration content
+    /// (results dropped). Bounded by the clients' unsettled windows, like
+    /// everything else here.
     applied_members: BTreeMap<u64, AppliedMembers>,
-    /// The members of `applied_members` (outcomes and claims alike) not
-    /// yet below their client's watermark, as `(attempt, slot)`: ordered
-    /// by attempt, so the entries a watermark settles are one
-    /// [`ResultId::below`] range and a GC pass visits only what it settles.
-    unsettled: BTreeSet<(ResultId, u64)>,
     /// Applied slots with no unsettled member left, not yet handed to the
     /// host — [`DecisionLog::gc_client`] drains it.
     settled_slots: BTreeSet<u64>,
+}
+
+/// What the log remembers about one attempt at or above its client's
+/// watermark: a GC pass drains a prefix of one client's records.
+#[derive(Debug, Default)]
+struct Attempt {
+    /// The final decision (first-occurrence arbitration): the decided batch
+    /// that carried it and its position there — a shared handle, no copy.
+    decision: Option<(Arc<SlotBatch>, usize)>,
+    /// The owner (first-claim arbitration) — the paper's `regA`, and what
+    /// the host's cleaner walks.
+    owner: Option<NodeId>,
+    /// A request is waiting on this attempt's queued or in-flight claim.
+    urgent: bool,
+    /// The slots of `applied_members` this attempt is a member of (as an
+    /// outcome, a claim or both), in apply order.
+    slots: Vec<u64>,
 }
 
 /// One applied slot's membership and how much of it is still unsettled.
 #[derive(Debug)]
 struct AppliedMembers {
     batch: Arc<SlotBatch>,
-    /// This slot's entries in [`DecisionLog::unsettled`].
+    /// How many [`Attempt::slots`] name this slot.
     unsettled: usize,
 }
 
@@ -185,15 +188,11 @@ impl DecisionLog {
             window: window.max(1),
             pending: OutcomeBatch::default(),
             claims: Vec::new(),
-            urgent: BTreeSet::new(),
             inflight: BTreeMap::new(),
             next_apply: 0,
             decided_ahead: BTreeMap::new(),
-            seen: BTreeMap::new(),
-            owners: BTreeMap::new(),
-            watermarks: BTreeMap::new(),
+            attempts: AttemptWindows::new(),
             applied_members: BTreeMap::new(),
-            unsettled: BTreeSet::new(),
             settled_slots: BTreeSet::new(),
         }
     }
@@ -201,19 +200,20 @@ impl DecisionLog {
     /// The final decision for `rid`, if some applied slot carried it — the
     /// log's `regD[rid].read()`: once `Some`, the answer never changes.
     pub fn decision_of(&self, rid: ResultId) -> Option<&Decision> {
-        self.seen.get(&rid).map(|(batch, at)| &batch.outcomes[*at].1)
+        let (batch, at) = self.attempts.get(rid)?.decision.as_ref()?;
+        Some(&batch.outcomes[*at].1)
     }
 
     /// The owner of `rid`, if some applied slot carried a claim for it —
     /// the log's `regA[rid].read()`: once `Some`, the answer never changes.
     pub fn owner_of(&self, rid: ResultId) -> Option<NodeId> {
-        self.owners.get(&rid).copied()
+        self.attempts.get(rid)?.owner
     }
 
     /// Every owned attempt not yet below its client's watermark, in
     /// attempt order — the open work a cleaning pass inspects.
     pub fn owners(&self) -> impl Iterator<Item = (ResultId, NodeId)> + '_ {
-        self.owners.iter().map(|(&rid, &owner)| (rid, owner))
+        self.attempts.iter().filter_map(|(rid, a)| Some((rid, a.owner?)))
     }
 
     /// Next slot index this server will apply (diagnostics and tests).
@@ -235,7 +235,10 @@ impl DecisionLog {
     /// the members of applied slots awaiting compaction — all of it at or
     /// above some client's watermark (observability / bounded-state tests).
     pub fn tracked_attempts(&self) -> usize {
-        self.seen.len() + self.owners.len() + self.unsettled.len()
+        let tracked = |a: &Attempt| {
+            usize::from(a.decision.is_some()) + usize::from(a.owner.is_some()) + a.slots.len()
+        };
+        self.attempts.iter().map(|(_, a)| tracked(a)).sum()
     }
 
     /// Our proposals currently awaiting a slot decision, in slot order:
@@ -259,11 +262,11 @@ impl DecisionLog {
     /// changes nothing but its urgency; claiming one whose owner is known
     /// or whose request is settled does nothing.
     pub fn claim(&mut self, rid: ResultId, urgent: bool) {
-        if self.owners.contains_key(&rid) || self.settled(&rid) {
+        if !self.unowned(rid) {
             return;
         }
         if urgent {
-            self.urgent.insert(rid);
+            self.attempts.get_or_default(rid).urgent = true;
         }
         let queued = self.claims.contains(&rid)
             || self.inflight.values().any(|b| b.claims.iter().any(|c| c.rid == rid));
@@ -287,10 +290,9 @@ impl DecisionLog {
         for (rid, decision) in entries {
             let queued = self.pending.iter().any(|(r, _)| *r == rid)
                 || self.inflight.values().any(|b| b.outcomes.iter().any(|(r, _)| *r == rid));
-            if self.seen.contains_key(&rid) || self.settled(&rid) || queued {
-                continue;
+            if self.undecided(rid) && !queued {
+                self.pending.push((rid, decision));
             }
-            self.pending.push((rid, decision));
         }
         self.pump(ctx, regs, suspects)
     }
@@ -369,37 +371,34 @@ impl DecisionLog {
     /// Whether `rid`'s request is below its client's GC watermark (settled
     /// forever; any late entry for it must be ignored).
     pub fn settled(&self, rid: &ResultId) -> bool {
-        self.watermarks.get(&rid.request.client).is_some_and(|&w| rid.request.seq < w)
+        rid.request.seq < self.attempts.floor(rid.request.client)
     }
 
     // ---- internals -------------------------------------------------------
 
     /// Raises `client`'s watermark to `ack_below` and forgets everything
-    /// it settles; `false` if the watermark was already there. Everything
-    /// keyed by attempt is ordered `(client, seq, attempt)`: the stale
-    /// entries are one contiguous range per map, so this runs on every
+    /// it settles; `false` if the watermark was already there. The stale
+    /// records are the front of the client's window, so this runs on every
     /// client request and every applied claim and still costs only what it
     /// removes. Nothing is ever recorded below a watermark, so a call that
     /// does not raise it has nothing to remove.
     fn advance_watermark(&mut self, client: NodeId, ack_below: u64) -> bool {
-        let w = self.watermarks.entry(client).or_insert(0);
-        if ack_below <= *w {
+        if ack_below <= self.attempts.floor(client) {
             return false;
         }
-        *w = ack_below;
+        self.attempts.below(client, ack_below, |_, attempt| {
+            for slot in &attempt.slots {
+                let applied = self.applied_members.get_mut(slot).expect("member slot is applied");
+                applied.unsettled -= 1;
+                if applied.unsettled == 0 {
+                    self.settled_slots.insert(*slot);
+                }
+            }
+            false
+        });
         let stale = ResultId::below(client, ack_below);
-        self.seen.extract_if(stale.clone(), |_, _| true).for_each(drop);
-        self.owners.extract_if(stale.clone(), |_, _| true).for_each(drop);
-        self.urgent.extract_if(stale.clone(), |_| true).for_each(drop);
         self.pending.retain(|(rid, _)| !stale.contains(rid));
         self.claims.retain(|rid| !stale.contains(rid));
-        for (_, slot) in self.unsettled.extract_if((stale.start, 0)..(stale.end, 0), |_| true) {
-            let applied = self.applied_members.get_mut(&slot).expect("indexed slot is applied");
-            applied.unsettled -= 1;
-            if applied.unsettled == 0 {
-                self.settled_slots.insert(slot);
-            }
-        }
         true
     }
 
@@ -417,8 +416,8 @@ impl DecisionLog {
         let mut out = Vec::new();
         loop {
             self.drop_served();
-            let wanted =
-                !self.pending.is_empty() || self.claims.iter().any(|rid| self.urgent.contains(rid));
+            let urgent = |rid: &ResultId| self.attempts.get(*rid).is_some_and(|a| a.urgent);
+            let wanted = !self.pending.is_empty() || self.claims.iter().any(urgent);
             if self.inflight.len() >= self.window || !wanted {
                 return out;
             }
@@ -446,9 +445,19 @@ impl DecisionLog {
     fn drop_served(&mut self) {
         let (mut pending, mut claims) =
             (std::mem::take(&mut self.pending), std::mem::take(&mut self.claims));
-        pending.retain(|(rid, _)| !self.seen.contains_key(rid) && !self.settled(rid));
-        claims.retain(|rid| !self.owners.contains_key(rid) && !self.settled(rid));
+        pending.retain(|(rid, _)| self.undecided(*rid));
+        claims.retain(|rid| self.unowned(*rid));
         (self.pending, self.claims) = (pending, claims);
+    }
+
+    /// Whether an outcome for `rid` could still become its decision.
+    fn undecided(&self, rid: ResultId) -> bool {
+        !self.settled(&rid) && self.decision_of(rid).is_none()
+    }
+
+    /// Whether a claim of `rid` could still name its owner.
+    fn unowned(&self, rid: ResultId) -> bool {
+        !self.settled(&rid) && self.owner_of(rid).is_none()
     }
 
     /// Takes the next slot's worth off the queues: outcomes first, then
@@ -460,15 +469,15 @@ impl DecisionLog {
         let outcomes = self.pending.drain(..take).collect();
         let mut room = self.max_batch - take;
         let mut claims = Vec::new();
-        let (urgent, watermarks) = (&self.urgent, &self.watermarks);
+        let attempts = &self.attempts;
         self.claims.retain(|&rid| {
-            if urgent.contains(&rid) {
+            if attempts.get(rid).is_some_and(|a| a.urgent) {
                 if room == 0 {
                     return true;
                 }
                 room -= 1;
             }
-            let ack_below = watermarks.get(&rid.request.client).copied().unwrap_or(0);
+            let ack_below = attempts.floor(rid.request.client);
             claims.push(OwnerClaim { rid, server: me, ack_below });
             false
         });
@@ -505,18 +514,12 @@ impl DecisionLog {
         // — their rounds are still running.
         let Some(ours) = self.inflight.remove(&slot) else { return };
         for (rid, decision) in &ours.outcomes {
-            if !batch.outcomes.iter().any(|(r, _)| r == rid)
-                && !self.seen.contains_key(rid)
-                && !self.settled(rid)
-            {
+            if !batch.outcomes.iter().any(|(r, _)| r == rid) && self.undecided(*rid) {
                 self.pending.push((*rid, decision.clone()));
             }
         }
         for claim in &ours.claims {
-            if !batch.claims.iter().any(|c| c.rid == claim.rid)
-                && !self.owners.contains_key(&claim.rid)
-                && !self.settled(&claim.rid)
-            {
+            if !batch.claims.iter().any(|c| c.rid == claim.rid) && self.unowned(claim.rid) {
                 self.claims.push(claim.rid);
             }
         }
@@ -528,8 +531,8 @@ impl DecisionLog {
             let slot = self.next_apply;
             let mut applied = AppliedSlot {
                 slot,
-                entries: Vec::new(),
-                claims: Vec::new(),
+                entries: Vec::with_capacity(batch.outcomes.len()),
+                claims: Vec::with_capacity(batch.claims.len()),
                 watermarks: Vec::new(),
             };
             // Watermarks first: what they settle — members of this very
@@ -545,16 +548,23 @@ impl DecisionLog {
             // never compacted, so its members need no settlement tracking.
             let claims_only = batch.outcomes.is_empty() && !batch.claims.is_empty();
             let mut unsettled = 0;
+            // Slots apply in order, so an attempt already a member of this
+            // one (claimed and decided here, or listed twice) has it last.
+            let mut join = |attempt: &mut Attempt| {
+                if !claims_only && attempt.slots.last() != Some(&slot) {
+                    attempt.slots.push(slot);
+                    unsettled += 1;
+                }
+            };
             for claim in &batch.claims {
                 if self.settled(&claim.rid) {
                     continue;
                 }
-                if !claims_only && self.unsettled.insert((claim.rid, slot)) {
-                    unsettled += 1;
-                }
-                if let Entry::Vacant(owner) = self.owners.entry(claim.rid) {
-                    owner.insert(claim.server);
-                    self.urgent.remove(&claim.rid);
+                let attempt = self.attempts.get_or_default(claim.rid);
+                join(attempt);
+                if attempt.owner.is_none() {
+                    attempt.owner = Some(claim.server);
+                    attempt.urgent = false;
                     applied.claims.push(*claim);
                 }
             }
@@ -562,11 +572,10 @@ impl DecisionLog {
                 if self.settled(rid) {
                     continue;
                 }
-                if self.unsettled.insert((*rid, slot)) {
-                    unsettled += 1;
-                }
-                if let Entry::Vacant(first) = self.seen.entry(*rid) {
-                    first.insert((Arc::clone(&batch), at));
+                let attempt = self.attempts.get_or_default(*rid);
+                join(attempt);
+                if attempt.decision.is_none() {
+                    attempt.decision = Some((Arc::clone(&batch), at));
                     applied.entries.push((*rid, decision.clone()));
                 }
             }
@@ -625,6 +634,22 @@ mod tests {
         Arc::new(SlotBatch { outcomes, claims: Vec::new() })
     }
 
+    /// Every slot membership awaiting compaction, as `(attempt, slot)` in
+    /// order.
+    fn unsettled(log: &DecisionLog) -> Vec<(ResultId, u64)> {
+        log.attempts.iter().flat_map(|(rid, a)| a.slots.iter().map(move |&s| (rid, s))).collect()
+    }
+
+    /// The attempts whose claim a request waits on, in order.
+    fn urgent(log: &DecisionLog) -> Vec<ResultId> {
+        log.attempts.iter().filter(|(_, a)| a.urgent).map(|(rid, _)| rid).collect()
+    }
+
+    /// The attempts with a recorded decision, in order.
+    fn decided(log: &DecisionLog) -> Vec<ResultId> {
+        log.attempts.iter().filter(|(_, a)| a.decision.is_some()).map(|(rid, _)| rid).collect()
+    }
+
     #[test]
     fn first_occurrence_wins_across_slots() {
         let mut log = DecisionLog::default();
@@ -670,7 +695,7 @@ mod tests {
         log.record_decided(2, &slot_value(&[1]));
         assert!(log.drain_applied()[0].entries.is_empty());
         assert_eq!(
-            Vec::from_iter(log.unsettled.iter().copied()),
+            unsettled(&log),
             [(rid(1), 1), (rid(1), 2)],
             "one member per attempt and outcome-carrying slot"
         );
@@ -681,7 +706,7 @@ mod tests {
         let mut log = DecisionLog::default();
         log.gc_client(NodeId(0), 3);
         log.claim(rid(2), true);
-        assert!(log.claims.is_empty() && log.urgent.is_empty(), "settled: nothing to claim");
+        assert!(log.claims.is_empty() && urgent(&log).is_empty(), "settled: nothing to claim");
         // A late claim for request 2 (settled here) that carries a newer
         // watermark than this replica has heard.
         log.record_decided(0, &value(batch(&[4]), vec![claim(2, A, 5), claim(5, A, 5)]));
@@ -732,15 +757,15 @@ mod tests {
         };
         let mut log = DecisionLog {
             inflight: BTreeMap::from([(0, Arc::new(ours))]),
-            urgent: BTreeSet::from([rid(8)]),
             ..DecisionLog::default()
         };
+        log.attempts.get_or_default(rid(8)).urgent = true;
         // Slot 0 goes to B's batch, which claims 7 — decided, if not for us.
         log.record_decided(0, &value(Vec::new(), vec![claim(7, B, 0)]));
         log.drain_applied();
         assert_eq!(log.owner_of(rid(7)), Some(B));
         assert_eq!(log.claims, [rid(8), rid(9)], "the unserved claims go back in the queue");
-        assert!(log.urgent.contains(&rid(8)), "and the one a request waits on stays urgent");
+        assert_eq!(urgent(&log), [rid(8)], "and the one a request waits on stays urgent");
     }
 
     #[test]
@@ -815,7 +840,7 @@ mod tests {
         assert_eq!(log.owner_of(rid(5)), Some(A));
         // Its owner known, claiming it again — urgently or not — is a no-op.
         log.claim(rid(5), true);
-        assert!(log.claims.is_empty() && log.urgent.is_empty());
+        assert!(log.claims.is_empty() && urgent(&log).is_empty());
     }
 
     #[test]
@@ -831,7 +856,7 @@ mod tests {
         assert_eq!((applied[0].entries.len(), applied[0].claims.len()), (1, 0));
         assert_eq!(applied[1].claims, [claim(6, A, 4)]);
         assert_eq!(applied[2].claims, [claim(7, A, 4)]);
-        assert!(log.urgent.is_empty(), "a decided owner is no longer waited on");
+        assert!(urgent(&log).is_empty(), "a decided owner is no longer waited on");
     }
 
     #[test]
@@ -1018,15 +1043,19 @@ mod tests {
                         scan.gc_client(NodeId(client), seq)
                     );
                 }
-                proptest::prop_assert!(log.seen.keys().eq(scan.seen.iter()));
+                proptest::prop_assert!(decided(&log).iter().eq(scan.seen.iter()));
                 proptest::prop_assert!(log.applied_members.keys().eq(scan.members.keys()));
-                let unsettled: BTreeSet<(ResultId, u64)> = scan
+                let members: BTreeSet<(ResultId, u64)> = scan
                     .members
                     .iter()
                     .flat_map(|(&slot, m)| m.iter().map(move |&(rid, _)| (rid, slot)))
                     .filter(|(rid, _)| !scan.settled(rid))
                     .collect();
-                proptest::prop_assert_eq!(&log.unsettled, &unsettled);
+                proptest::prop_assert_eq!(unsettled(&log), Vec::from_iter(members));
+                for (slot, applied) in &log.applied_members {
+                    let named = unsettled(&log).iter().filter(|(_, s)| s == slot).count();
+                    proptest::prop_assert_eq!(applied.unsettled, named, "slot {}", slot);
+                }
             }
         }
     }
@@ -1107,7 +1136,7 @@ mod tests {
                 }
             }
             proptest::prop_assert!(log.owners().all(|(rid, o)| owners.get(&rid) == Some(&o)));
-            proptest::prop_assert!(log.seen.keys().all(|rid| decisions.contains_key(rid)));
+            proptest::prop_assert!(decided(log).iter().all(|rid| decisions.contains_key(rid)));
             Ok(())
         }
     }
@@ -1162,7 +1191,7 @@ mod tests {
             for n in 0..3 {
                 c.check(n)?;
                 proptest::prop_assert_eq!(c.logs[n].inflight_len(), 0);
-                proptest::prop_assert!(c.logs[n].pending.is_empty() && c.logs[n].urgent.is_empty());
+                proptest::prop_assert!(c.logs[n].pending.is_empty() && urgent(&c.logs[n]).is_empty());
             }
             let frontier = c.logs.iter().map(|l| l.applied_up_to()).max().expect("three logs");
             for n in 0..3 {

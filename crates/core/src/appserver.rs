@@ -69,6 +69,7 @@
 //! sample; validation that cannot converge falls back to the locking slow
 //! path.
 
+use etx_base::attempts::AttemptWindows;
 use etx_base::config::{CostModel, ProtocolConfig};
 use etx_base::ids::{NodeId, RegId, RequestId, ResultId, TimerId, Topology};
 use etx_base::msg::{AppMsg, ClientMsg, DbMsg, DbReplyMsg, Payload, ReplMsg};
@@ -82,7 +83,7 @@ use etx_base::value::{
 use etx_consensus::{AppliedSlot, DecisionLog, EngineConfig, WoEvent, WoRegisters};
 use etx_fd::FailureDetector;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::ops::RangeBounds;
+use std::sync::Arc;
 
 /// Per-attempt protocol state (the paper's compute thread, unrolled).
 #[derive(Debug)]
@@ -100,7 +101,7 @@ enum Phase {
     /// database call at a time.
     Computing { request: Request, call_idx: usize, acc: Vec<(String, i64)> },
     /// Votes are being collected (Figure 4 `prepare()`).
-    Preparing { result: ResultValue, involved: Vec<NodeId>, votes: HashMap<NodeId, Vote> },
+    Preparing { result: Arc<ResultValue>, involved: Vec<NodeId>, votes: HashMap<NodeId, Vote> },
     /// `regD[j].write(decision)` issued; awaiting the decision register.
     WritingRegD,
     /// Pushing `[Decide]` until every target database acknowledges
@@ -108,6 +109,26 @@ enum Phase {
     Terminating { decision: Decision, targets: Vec<NodeId>, acked: HashSet<NodeId> },
     /// Terminated; result sent to the client. Kept to answer duplicates.
     Done { decision: Decision },
+}
+
+/// Everything this server holds for one attempt, under one key.
+#[derive(Debug, Default)]
+struct Attempt {
+    /// The compute thread's state, once a request or a termination got here.
+    phase: Option<Phase>,
+    /// Set while a `regD` write *we* initiated (owner or cleaner) is
+    /// undecided — we terminate once the log decides: the databases to
+    /// cover, and when we submitted (the Figure 8 log-outcome span).
+    outcome: Option<(Vec<NodeId>, Time)>,
+    /// The paper's `clist` (Figure 6): the cleaner took this attempt over.
+    /// Only set at or above the client's watermark — below it, being
+    /// settled *is* being cleaned (see `run_cleaner`).
+    cleaned: bool,
+}
+
+/// A request's key in the committed-result cache (attempts start at 1).
+fn cached(request: RequestId) -> ResultId {
+    ResultId { request, attempt: 0 }
 }
 
 /// One in-flight fast-path read: the routed calls of a read-only script
@@ -178,21 +199,15 @@ fn read_pick(rid: ResultId, call: usize, n: usize) -> usize {
     (z % n as u64) as usize
 }
 
-/// Drops every entry of `map` whose key lies in `range`, visiting nothing
-/// outside it.
-fn drop_range<K: Ord, V>(map: &mut BTreeMap<K, V>, range: impl RangeBounds<K>) {
-    map.extract_if(range, |_, _| true).for_each(drop);
-}
-
 /// The middle-tier process: computation thread + cleaning thread + the
 /// wo-register machinery, as one event-driven state machine.
 ///
-/// Everything keyed by attempt lives in an *ordered* map: [`ResultId`]
-/// orders by `(client, seq, attempt)`, so the attempts a client's
-/// watermark settles are one contiguous key range and the per-request GC
-/// pass (`gc_below`) costs what it removes, not what the server holds.
-/// Ordered iteration also keeps every walk over the attempts (a database's
-/// `Ready`, the idle check) identical from run to run.
+/// Everything keyed by attempt lives in per-client windows
+/// ([`AttemptWindows`]): the attempts a client's watermark settles are the
+/// front of that client's run, so the per-request GC pass (`gc_below`) is
+/// one drain per table and costs what it removes, not what the server
+/// holds. The windows iterate in `(client, seq, attempt)` order, so every
+/// walk over them (a database's `Ready`, the idle check) replays exactly.
 pub struct AppServer {
     me: NodeId,
     topo: Topology,
@@ -218,10 +233,11 @@ pub struct AppServer {
     /// in flight — traced (once per new depth ≥ 2) as `PipelineWindow`, so
     /// a depth-1 run's trace is untouched.
     window_peak: u32,
-    fsms: BTreeMap<ResultId, Phase>,
+    /// Protocol state: one record per attempt of the clients' open windows.
+    attempts: AttemptWindows<Attempt>,
     /// In-flight fast-path reads (read-only scripts routed around the
     /// commit pipeline).
-    reads: BTreeMap<ResultId, ReadState>,
+    reads: AttemptWindows<ReadState>,
     /// Highest commit-ship position observed per shard primary — the
     /// freshness stamp follower reads are gated on. Fed from two sides:
     /// decide acknowledgements this server received, and the causality
@@ -249,28 +265,17 @@ pub struct AppServer {
     /// it, a follower lagging the primary-fed stamp by even one apply
     /// forces every leased collect into a second validation round.)
     replica_seq: BTreeMap<NodeId, u64>,
-    /// Attempts whose `regD` write *we* initiated (owner or cleaner): we are
-    /// responsible for termination once the register decides.
-    initiators: BTreeSet<ResultId>,
-    /// Databases each initiated termination must cover.
-    terminate_targets: BTreeMap<ResultId, Vec<NodeId>>,
-    /// The paper's `clist` (Figure 6): attempts already cleaned. Holds only
-    /// attempts at or above their client's watermark — below it, being
-    /// settled *is* being cleaned (see `run_cleaner`), so the set is
-    /// bounded by the clients' open windows like every other map here.
-    cleaned: BTreeSet<ResultId>,
     /// Committed decisions we *finished terminating*, for answering client
-    /// retransmissions (Figure 5 lines 3–4).
-    committed_cache: BTreeMap<RequestId, (ResultId, Decision)>,
-    /// Span bookkeeping for the Figure 8 log-outcome row.
-    regd_started: BTreeMap<ResultId, Time>,
+    /// retransmissions (Figure 5 lines 3–4); one per request, under
+    /// [`cached`].
+    committed_cache: AttemptWindows<(ResultId, Decision)>,
 }
 
 impl std::fmt::Debug for AppServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AppServer")
             .field("me", &self.me)
-            .field("attempts", &self.fsms.len())
+            .field("attempts", &self.in_flight_attempts())
             .finish()
     }
 }
@@ -322,21 +327,29 @@ impl AppServer {
             batch_timer: None,
             spec_shipped: BTreeSet::new(),
             window_peak: 0,
-            fsms: BTreeMap::new(),
-            reads: BTreeMap::new(),
+            attempts: AttemptWindows::new(),
+            reads: AttemptWindows::new(),
             shard_seq: BTreeMap::new(),
             shard_lease: BTreeMap::new(),
             replica_seq: BTreeMap::new(),
-            initiators: BTreeSet::new(),
-            terminate_targets: BTreeMap::new(),
-            cleaned: BTreeSet::new(),
-            committed_cache: BTreeMap::new(),
-            regd_started: BTreeMap::new(),
+            committed_cache: AttemptWindows::new(),
         }
     }
 
     fn suspicion_snapshot(&self) -> Vec<NodeId> {
         self.fd.suspected()
+    }
+
+    fn phase(&self, rid: ResultId) -> Option<&Phase> {
+        self.attempts.get(rid)?.phase.as_ref()
+    }
+
+    fn phase_mut(&mut self, rid: ResultId) -> Option<&mut Phase> {
+        self.attempts.get_mut(rid)?.phase.as_mut()
+    }
+
+    fn set_phase(&mut self, rid: ResultId, phase: Phase) {
+        self.attempts.get_or_default(rid).phase = Some(phase);
     }
 
     /// Drops protocol state for every *terminated* attempt of `client` with
@@ -350,8 +363,8 @@ impl AppServer {
     ///
     /// Runs on every client request and on every applied claim that
     /// carried a newer watermark (how the servers a client never talks to
-    /// hear it), so it touches only the client's stale key range in each
-    /// map: the cost is what it removes (plus any stale attempt still
+    /// hear it), so it is one prefix drain of the client's window in each
+    /// table: the cost is what it removes (plus any stale attempt still
     /// mid-protocol), independent of requests served. Returns the
     /// outcome-carrying decision-log slots this pass compacted.
     ///
@@ -367,14 +380,21 @@ impl AppServer {
     /// after every database decided, and a decided database answers a late
     /// `Decide` from its memo.
     fn gc_below(&mut self, ctx: &mut dyn Context, client: NodeId, ack_below: u64) -> Vec<u64> {
-        let stale = ResultId::below(client, ack_below);
         // At rest: terminated, watched — or still waiting for an owner,
-        // which the log will never name for a settled request.
-        self.fsms
-            .extract_if(stale.clone(), |_, phase| {
-                matches!(phase, Phase::Done { .. } | Phase::Watching | Phase::Claiming { .. })
-            })
-            .for_each(drop);
+        // which the log will never name for a settled request. What stays
+        // is mid-protocol, or owes the log an outcome (aborted below). The
+        // cleaner reads settled as cleaned, so the `clist` marks go too.
+        let mut undecided = Vec::new();
+        self.attempts.below(client, ack_below, |rid, attempt| {
+            attempt.phase.take_if(|p| {
+                matches!(p, Phase::Done { .. } | Phase::Watching | Phase::Claiming { .. })
+            });
+            attempt.cleaned = false;
+            if attempt.outcome.is_some() {
+                undecided.push(rid);
+            }
+            attempt.phase.is_some() || attempt.outcome.is_some()
+        });
         // Slots whose every member is settled shed their consensus payload
         // too — without this the register bank retains one decided batch
         // (results included) per slot forever, unbounding memory with total
@@ -392,30 +412,27 @@ impl AppServer {
             }
         }
         // Settled fast-path reads drop with the same watermark.
-        drop_range(&mut self.reads, stale.clone());
+        self.reads.below(client, ack_below, |_, _| false);
         // Outcomes this server still owed a decision never reach
         // apply_slots now: terminate them here.
-        let undecided: Vec<ResultId> = self.initiators.range(stale.clone()).copied().collect();
         for rid in undecided {
             self.outcome_final(ctx, rid, Decision::nil_abort());
         }
-        // The log now reports these attempts settled, which the cleaner
-        // reads as cleaned: their `clist` entries are redundant.
-        self.cleaned.extract_if(stale.clone(), |_| true).for_each(drop);
+        let stale = ResultId::below(client, ack_below);
         self.batch_queue.retain(|(rid, _)| !stale.contains(rid));
-        drop_range(&mut self.committed_cache, RequestId::below(client, ack_below));
+        self.committed_cache.below(client, ack_below, |_, _| false);
         shed
     }
 
     /// Number of per-attempt state machines currently held (observability /
     /// GC tests).
     pub fn in_flight_attempts(&self) -> usize {
-        self.fsms.len()
+        self.attempts.iter().filter(|(_, a)| a.phase.is_some()).count()
     }
 
     /// Size of the cleaner's `clist` (observability / GC tests).
     pub fn cleaned_attempts(&self) -> usize {
-        self.cleaned.len()
+        self.attempts.iter().filter(|(_, a)| a.cleaned).count()
     }
 
     /// Undecided registers in this server's consensus engine — what its
@@ -462,7 +479,7 @@ impl AppServer {
         }
         // Figure 5 line 3: if this request already committed, answer from
         // the cached decision.
-        if let Some((crid, decision)) = self.committed_cache.get(&request.id).cloned() {
+        if let Some((crid, decision)) = self.committed_cache.get(cached(request.id)).cloned() {
             let stamps = self.all_stamps();
             ctx.send(
                 rid.request.client,
@@ -470,7 +487,7 @@ impl AppServer {
             );
             return;
         }
-        match self.fsms.get(&rid) {
+        match self.phase(rid) {
             Some(Phase::Done { decision }) => {
                 let decision = decision.clone();
                 let stamps = self.all_stamps();
@@ -507,12 +524,12 @@ impl AppServer {
                 // direct snapshot reads (duplicates of an in-flight read
                 // are absorbed like any other in-progress attempt).
                 if self.cfg.features.read_path.enabled && request.script.is_read_only() {
-                    if !self.reads.contains_key(&rid) {
+                    if self.reads.get(rid).is_none() {
                         self.start_read(ctx, rid, request, &token);
                     }
                     return;
                 }
-                self.fsms.insert(rid, Phase::Claiming { request, since: None });
+                self.set_phase(rid, Phase::Claiming { request, since: None });
                 let dur = jittered(ctx, self.cost.start, self.cost.jitter);
                 ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
                 ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
@@ -565,7 +582,7 @@ impl AppServer {
     /// request in flight). Multi-shard reads go straight to the shard
     /// primaries — snapshot validation needs the authoritative positions.
     fn dispatch_reads(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let calls = match self.reads.get(&rid) {
+        let calls = match self.reads.get(rid) {
             Some(state) => state.calls.clone(),
             None => return,
         };
@@ -575,7 +592,7 @@ impl AppServer {
             let to_primary = self.read_to_primary(ctx.now(), multi, call.db);
             stamps.push(self.send_read_call(ctx, rid, idx, call, 0, to_primary, 0));
         }
-        if let Some(state) = self.reads.get_mut(&rid) {
+        if let Some(state) = self.reads.get_mut(rid) {
             state.sent_stamps = stamps;
         }
         ctx.set_timer(self.cfg.terminate_retry, TimerTag::ReadRetry { rid });
@@ -657,7 +674,7 @@ impl AppServer {
         // staleness that matters is read-your-writes relative to this
         // client. Everywhere else the server-wide stamp gates as before.
         let min_seq = if leased && target != call.db {
-            self.reads.get(&rid).map_or(stamp, |s| s.floors[idx])
+            self.reads.get(rid).map_or(stamp, |s| s.floors[idx])
         } else {
             stamp
         };
@@ -715,7 +732,7 @@ impl AppServer {
         // offer (followers send `None`) — fold it in even if the read
         // itself has already settled.
         self.observe_shard_lease(from, lease);
-        let Some(state) = self.reads.get_mut(&rid) else {
+        let Some(state) = self.reads.get_mut(rid) else {
             return; // settled (or GC'd) read; late duplicate reply
         };
         if round != state.round {
@@ -756,7 +773,7 @@ impl AppServer {
         // Either way, an in-doubt key vetoes: a cross-shard transaction
         // already committed elsewhere but still prepared here is
         // half-applied without moving this shard's position.
-        let state = self.reads.get(&rid).expect("read still in flight");
+        let state = self.reads.get(rid).expect("read still in flight");
         let multi = state.calls.len() > 1;
         let fresh = state.positions.iter().zip(&state.sent_stamps).all(|(p, s)| p == s);
         let stable = state.prev_positions.as_deref() == Some(&state.positions[..]);
@@ -778,7 +795,7 @@ impl AppServer {
         } else if exhausted {
             self.fallback_read(ctx, rid);
         } else {
-            let state = self.reads.get_mut(&rid).expect("read still in flight");
+            let state = self.reads.get_mut(rid).expect("read still in flight");
             // Start the next collect: remember this round's positions,
             // clear the slate, and re-sample every shard primary. The loss
             // backstop's back-off deliberately does NOT reset here: a
@@ -813,7 +830,7 @@ impl AppServer {
                 let to_primary = self.read_to_primary(ctx.now(), true, call.db);
                 stamps.push(self.send_read_call(ctx, rid, idx, call, round, to_primary, 0));
             }
-            let state = self.reads.get_mut(&rid).expect("read still in flight");
+            let state = self.reads.get_mut(rid).expect("read still in flight");
             state.sent_stamps = stamps;
         }
     }
@@ -824,7 +841,7 @@ impl AppServer {
     /// no termination push. The serving positions ride along as the
     /// client's causality stamps.
     fn finish_read(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(state) = self.reads.remove(&rid) else { return };
+        let Some(state) = self.reads.remove(rid) else { return };
         let stamps: Vec<(NodeId, u64)> =
             state.calls.iter().zip(&state.positions).map(|(call, &pos)| (call.db, pos)).collect();
         let outs: Vec<Vec<OpOutput>> =
@@ -832,8 +849,8 @@ impl AppServer {
         let result = crate::resultbuild::merge_read(&state.calls, &outs, rid.attempt);
         ctx.trace(TraceKind::Computed { rid });
         let decision = Decision::commit(result);
-        self.committed_cache.insert(rid.request, (rid, decision.clone()));
-        self.fsms.insert(rid, Phase::Done { decision: decision.clone() });
+        self.committed_cache.insert(cached(rid.request), (rid, decision.clone()));
+        self.set_phase(rid, Phase::Done { decision: decision.clone() });
         self.preclaim_successor(rid, Outcome::Commit);
         let dur = jittered(ctx, self.cost.end, self.cost.jitter);
         ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
@@ -850,9 +867,9 @@ impl AppServer {
     /// Everything downstream is the ordinary write machinery — ownership
     /// claim, compute, votes — so liveness and exactly-once come for free.
     fn fallback_read(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(state) = self.reads.remove(&rid) else { return };
+        let Some(state) = self.reads.remove(rid) else { return };
         ctx.trace(TraceKind::ReadFallback { rid, rounds: state.round + 1 });
-        self.fsms.insert(rid, Phase::Claiming { request: state.request, since: None });
+        self.set_phase(rid, Phase::Claiming { request: state.request, since: None });
         let dur = jittered(ctx, self.cost.start, self.cost.jitter);
         ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
         ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
@@ -891,7 +908,7 @@ impl AppServer {
     /// read lane should not draw repeated duplicate load onto the
     /// primaries.
     fn on_read_retry(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(state) = self.reads.get_mut(&rid) else { return };
+        let Some(state) = self.reads.get_mut(rid) else { return };
         state.backoff += 1;
         let backoff = state.backoff;
         let multi = state.calls.len() > 1;
@@ -910,7 +927,7 @@ impl AppServer {
             let to_primary = backoff > 1 || self.read_to_primary(ctx.now(), multi, call.db);
             self.send_read_call(ctx, rid, idx, call, round, to_primary, backoff);
         }
-        let shift = self.reads[&rid].backoff.min(3);
+        let shift = backoff.min(3);
         let delay = Dur(self.cfg.terminate_retry.0.saturating_mul(1 << shift));
         ctx.set_timer(delay, TimerTag::ReadRetry { rid });
     }
@@ -945,10 +962,9 @@ impl AppServer {
     /// (which only raises the urgency of a pre-claim still queued or in
     /// flight), flush, and wait for the slot.
     fn dispatch_claim(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Claiming { since: since @ None, .. }) = self.fsms.get_mut(&rid) else {
-            return;
-        };
-        match self.log.owner_of(rid) {
+        let owner = self.log.owner_of(rid);
+        let Some(Phase::Claiming { since: since @ None, .. }) = self.phase_mut(rid) else { return };
+        match owner {
             Some(owner) => self.on_owner(ctx, rid, owner),
             None => {
                 *since = Some(ctx.now());
@@ -962,9 +978,9 @@ impl AppServer {
     /// the owner computes, everyone else watches. A claim that had to wait
     /// for its slot closes the Figure 8 log-start span.
     fn on_owner(&mut self, ctx: &mut dyn Context, rid: ResultId, owner: NodeId) {
-        let Some(Phase::Claiming { request, since }) = self.fsms.get(&rid) else { return };
+        let Some(Phase::Claiming { request, since }) = self.phase(rid) else { return };
         if owner != self.me {
-            self.fsms.insert(rid, Phase::Watching);
+            self.set_phase(rid, Phase::Watching);
             return;
         }
         if let Some(t0) = *since {
@@ -1001,14 +1017,12 @@ impl AppServer {
     }
 
     fn start_compute(&mut self, ctx: &mut dyn Context, rid: ResultId, request: Request) {
-        self.fsms.insert(rid, Phase::Computing { request, call_idx: 0, acc: Vec::new() });
+        self.set_phase(rid, Phase::Computing { request, call_idx: 0, acc: Vec::new() });
         self.send_current_exec(ctx, rid);
     }
 
     fn send_current_exec(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Computing { request, call_idx, .. }) = self.fsms.get(&rid) else {
-            return;
-        };
+        let Some(Phase::Computing { request, call_idx, .. }) = self.phase(rid) else { return };
         let calls = &request.script.calls;
         if *call_idx >= calls.len() {
             // Empty script (or exhausted): finish compute with what we have.
@@ -1020,9 +1034,7 @@ impl AppServer {
     }
 
     fn on_exec_reply(&mut self, ctx: &mut dyn Context, rid: ResultId, status: ExecStatus) {
-        let Some(Phase::Computing { request, call_idx, acc }) = self.fsms.get_mut(&rid) else {
-            return;
-        };
+        let Some(Phase::Computing { request, call_idx, acc }) = self.phase_mut(rid) else { return };
         match status {
             ExecStatus::Done(outputs) => {
                 let call = &request.script.calls[*call_idx];
@@ -1044,29 +1056,26 @@ impl AppServer {
     /// `compute()` returned (Figure 5 line 8): build the (non-nil) result
     /// and move to the voting phase.
     fn finish_compute(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Computing { request, acc, .. }) = self.fsms.get(&rid) else { return };
-        let result = crate::resultbuild::finish(acc.clone(), rid.attempt);
+        let Some(Phase::Computing { request, acc, .. }) = self.phase_mut(rid) else { return };
+        let result = crate::resultbuild::finish(std::mem::take(acc), rid.attempt);
         let involved = request.script.databases();
         ctx.trace(TraceKind::Computed { rid });
         if involved.is_empty() {
             // Nothing to vote on: vacuously all-yes (degenerate scripts).
-            let decision = Decision { result: Some(result), outcome: Outcome::Commit };
             self.preclaim_successor(rid, Outcome::Commit);
-            self.submit_outcome(ctx, rid, decision, Vec::new());
+            self.submit_outcome(ctx, rid, Decision::commit(result), Vec::new());
             return;
         }
-        self.fsms.insert(
-            rid,
-            Phase::Preparing { result, involved: involved.clone(), votes: HashMap::new() },
-        );
         let cross = involved.len() > 1;
-        for db in involved {
+        for &db in &involved {
             ctx.send(db, Payload::Db(DbMsg::Prepare { rid, cross }));
         }
+        let (result, votes) = (Arc::new(result), HashMap::new());
+        self.set_phase(rid, Phase::Preparing { result, involved, votes });
     }
 
     fn on_vote(&mut self, ctx: &mut dyn Context, from: NodeId, rid: ResultId, vote: Vote) {
-        if let Some(Phase::Preparing { votes, involved, .. }) = self.fsms.get_mut(&rid) {
+        if let Some(Phase::Preparing { votes, involved, .. }) = self.phase_mut(rid) {
             if involved.contains(&from) {
                 votes.insert(from, vote);
             }
@@ -1075,7 +1084,7 @@ impl AppServer {
     }
 
     fn check_votes(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Preparing { result, involved, votes }) = self.fsms.get(&rid) else {
+        let Some(Phase::Preparing { result, involved, votes }) = self.phase_mut(rid) else {
             return;
         };
         if votes.len() < involved.len() {
@@ -1087,8 +1096,9 @@ impl AppServer {
         } else {
             Outcome::Abort
         };
-        let decision = Decision { result: Some(result.clone()), outcome };
-        let targets = involved.clone();
+        // The votes are in: the phase ends here and hands its state on.
+        let decision = Decision { result: Some(Arc::clone(result)), outcome };
+        let targets = std::mem::take(involved);
         self.preclaim_successor(rid, outcome);
         self.submit_outcome(ctx, rid, decision, targets);
     }
@@ -1106,14 +1116,10 @@ impl AppServer {
         decision: Decision,
         targets: Vec<NodeId>,
     ) {
-        self.initiators.insert(rid);
-        self.terminate_targets.insert(rid, targets);
-        self.regd_started.insert(rid, ctx.now());
-        if matches!(
-            self.fsms.get(&rid),
-            Some(Phase::Preparing { .. }) | Some(Phase::Computing { .. })
-        ) {
-            self.fsms.insert(rid, Phase::WritingRegD);
+        let attempt = self.attempts.get_or_default(rid);
+        attempt.outcome = Some((targets, ctx.now()));
+        if matches!(attempt.phase, Some(Phase::Preparing { .. } | Phase::Computing { .. })) {
+            attempt.phase = Some(Phase::WritingRegD);
         }
         if let Some(final_decision) = self.log.decision_of(rid).cloned() {
             self.outcome_final(ctx, rid, final_decision);
@@ -1151,12 +1157,10 @@ impl AppServer {
         // in-flight FSM, so it runs only when the cheap rules don't already
         // force a flush (they always do in the per-request configuration).
         let idle = || {
-            !self.fsms.values().any(|p| {
-                matches!(
-                    p,
-                    Phase::Claiming { .. } | Phase::Computing { .. } | Phase::Preparing { .. }
-                )
-            })
+            use Phase::{Claiming, Computing, Preparing};
+            let busy =
+                |p: &Phase| matches!(p, Claiming { .. } | Computing { .. } | Preparing { .. });
+            !self.attempts.iter().any(|(_, a)| a.phase.as_ref().is_some_and(busy))
         };
         if self.batch_queue.len() >= batching.max_batch.max(1)
             || batching.window == Dur::ZERO
@@ -1214,12 +1218,11 @@ impl AppServer {
             // speculation stash.
             let mut per_db: BTreeMap<NodeId, Vec<(ResultId, Outcome)>> = BTreeMap::new();
             for (rid, decision) in &batch.outcomes {
-                let targets = self
-                    .terminate_targets
-                    .get(rid)
-                    .cloned()
-                    .unwrap_or_else(|| self.topo.db_servers.clone());
-                for db in targets {
+                let targets = match self.attempts.get(*rid).and_then(|a| a.outcome.as_ref()) {
+                    Some((targets, _)) => targets,
+                    None => &self.topo.db_servers,
+                };
+                for &db in targets {
                     per_db.entry(db).or_default().push((*rid, decision.outcome));
                 }
             }
@@ -1257,8 +1260,7 @@ impl AppServer {
                 self.gc_below(ctx, client, ack_below);
             }
             for claim in slot.claims {
-                if matches!(self.fsms.get(&claim.rid), Some(Phase::Claiming { since: Some(_), .. }))
-                {
+                if matches!(self.phase(claim.rid), Some(Phase::Claiming { since: Some(_), .. })) {
                     self.on_owner(ctx, claim.rid, claim.server);
                 }
             }
@@ -1293,18 +1295,8 @@ impl AppServer {
         rid: ResultId,
         decision: Decision,
     ) -> Option<(ResultId, Decision, Vec<NodeId>)> {
-        if !self.initiators.remove(&rid) {
-            return None;
-        }
-        if let Some(t0) = self.regd_started.remove(&rid) {
-            ctx.trace(TraceKind::Span {
-                rid,
-                comp: Component::LogOutcome,
-                dur: ctx.now().since(t0),
-            });
-        }
-        let targets =
-            self.terminate_targets.remove(&rid).unwrap_or_else(|| self.topo.db_servers.clone());
+        let (targets, t0) = self.attempts.get_mut(rid)?.outcome.take()?;
+        ctx.trace(TraceKind::Span { rid, comp: Component::LogOutcome, dur: ctx.now().since(t0) });
         Some((rid, decision, targets))
     }
 
@@ -1322,17 +1314,13 @@ impl AppServer {
     ) {
         let mut per_db: BTreeMap<NodeId, Vec<(ResultId, Outcome)>> = BTreeMap::new();
         for (rid, decision, targets) in items {
-            if matches!(
-                self.fsms.get(&rid),
-                Some(Phase::Done { .. }) | Some(Phase::Terminating { .. })
-            ) {
+            let phase = &mut self.attempts.get_or_default(rid).phase;
+            if matches!(phase, Some(Phase::Done { .. } | Phase::Terminating { .. })) {
                 continue; // already terminating/terminated here
             }
             let outcome = decision.outcome;
-            self.fsms.insert(
-                rid,
-                Phase::Terminating { decision, targets: targets.clone(), acked: HashSet::new() },
-            );
+            let acked = HashSet::new();
+            *phase = Some(Phase::Terminating { decision, targets: targets.clone(), acked });
             if targets.is_empty() {
                 self.complete_terminate(ctx, rid);
                 continue;
@@ -1357,7 +1345,7 @@ impl AppServer {
     }
 
     fn on_ack_decide(&mut self, ctx: &mut dyn Context, from: NodeId, rid: ResultId) {
-        if let Some(Phase::Terminating { targets, acked, .. }) = self.fsms.get_mut(&rid) {
+        if let Some(Phase::Terminating { targets, acked, .. }) = self.phase_mut(rid) {
             if targets.contains(&from) {
                 acked.insert(from);
                 if acked.len() == targets.len() {
@@ -1368,18 +1356,18 @@ impl AppServer {
     }
 
     fn complete_terminate(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Terminating { decision, targets, .. }) = self.fsms.get(&rid) else {
+        let Some(Phase::Terminating { decision, targets, .. }) = self.phase_mut(rid) else {
             return;
         };
-        let (decision, targets) = (decision.clone(), targets.clone());
+        let (decision, targets) = (decision.clone(), std::mem::take(targets));
+        self.set_phase(rid, Phase::Done { decision: decision.clone() });
         // Stamp the result with the positions this server observed for the
         // decision's shards — for a commit, those acks included the write
         // itself, so the client's causality token now covers it.
         let stamps = self.stamps_for(&targets);
         if decision.outcome == Outcome::Commit {
-            self.committed_cache.insert(rid.request, (rid, decision.clone()));
+            self.committed_cache.insert(cached(rid.request), (rid, decision.clone()));
         }
-        self.fsms.insert(rid, Phase::Done { decision: decision.clone() });
         // Figure 4 terminate() line 7: reply to the client (charging the
         // "end" dispatch cost).
         let dur = jittered(ctx, self.cost.end, self.cost.jitter);
@@ -1392,7 +1380,7 @@ impl AppServer {
     }
 
     fn on_terminate_retry(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        if let Some(Phase::Terminating { decision, targets, acked }) = self.fsms.get(&rid) {
+        if let Some(Phase::Terminating { decision, targets, acked }) = self.phase(rid) {
             let outcome = decision.outcome;
             let missing: Vec<NodeId> =
                 targets.iter().copied().filter(|d| !acked.contains(d)).collect();
@@ -1406,16 +1394,16 @@ impl AppServer {
     // ---- Ready (database crash-recovery notifications) ---------------------
 
     fn on_ready(&mut self, ctx: &mut dyn Context, db: NodeId) {
-        let rids: Vec<ResultId> = self.fsms.keys().copied().collect();
+        let rids: Vec<ResultId> = self.attempts.iter().map(|(rid, _)| rid).collect();
         for rid in rids {
-            match self.fsms.get_mut(&rid) {
+            match self.phase_mut(rid) {
                 Some(Phase::Computing { request, call_idx, .. }) => {
                     // If we were waiting on this database's Exec reply, the
                     // branch is gone; finish with a recovery notice — the
                     // vote phase will abort the attempt.
                     let waiting_on = request.script.calls.get(*call_idx).map(|c| c.db) == Some(db);
                     if waiting_on {
-                        if let Some(Phase::Computing { acc, .. }) = self.fsms.get_mut(&rid) {
+                        if let Some(Phase::Computing { acc, .. }) = self.phase_mut(rid) {
                             acc.push(("db_recovered".to_string(), 1));
                         }
                         self.finish_compute(ctx, rid);
@@ -1451,14 +1439,16 @@ impl AppServer {
         if suspected.is_empty() {
             return;
         }
+        let cleaned = |rid| self.attempts.get(rid).is_some_and(|a| a.cleaned);
         let orphans: Vec<(ResultId, NodeId)> = self
             .log
             .owners()
-            .filter(|(rid, owner)| suspected.contains(owner) && !self.cleaned.contains(rid))
+            .filter(|(rid, owner)| suspected.contains(owner) && !cleaned(*rid))
             .collect();
         for (rid, owner) in orphans {
-            self.cleaned.insert(rid);
-            if matches!(self.fsms.get(&rid), Some(Phase::Done { .. })) {
+            let attempt = self.attempts.get_or_default(rid);
+            attempt.cleaned = true;
+            if matches!(attempt.phase, Some(Phase::Done { .. })) {
                 continue;
             }
             ctx.trace(TraceKind::CleanerTakeover { rid, owner });

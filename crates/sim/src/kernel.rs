@@ -26,7 +26,7 @@ use etx_base::time::{Dur, Time};
 use etx_base::trace::{TraceEvent, TraceKind};
 use etx_base::wal::StableRecord;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Kernel parameters.
 #[derive(Debug, Clone)]
@@ -168,7 +168,11 @@ pub struct Sim {
     trace: Trace,
     stats: MsgStats,
     timer_seq: u64,
-    cancelled: HashSet<u64>,
+    /// Cancelled timers not yet popped. Ordered, not hashed: a hash set
+    /// that grows and shrinks reallocates or not by where its per-process
+    /// random keys put the tombstones, and a run's allocation count is
+    /// gated to repeat exactly (`tests/alloc_budget.rs`).
+    cancelled: BTreeSet<u64>,
     fd_subscribers: Vec<NodeId>,
     triggers: Vec<Trigger>,
     trace_scanned: usize,
@@ -208,7 +212,7 @@ impl Sim {
             trace: Trace::default(),
             stats: MsgStats::default(),
             timer_seq: 0,
-            cancelled: HashSet::new(),
+            cancelled: BTreeSet::new(),
             fd_subscribers: Vec::new(),
             triggers: Vec::new(),
             trace_scanned: 0,
@@ -775,7 +779,7 @@ struct SimCtx<'a> {
     queue: &'a mut BinaryHeap<Reverse<Entry>>,
     seq: &'a mut u64,
     timer_seq: &'a mut u64,
-    cancelled: &'a mut HashSet<u64>,
+    cancelled: &'a mut BTreeSet<u64>,
     subscribe: &'a mut bool,
     held: &'a mut Vec<(NodeId, NodeId, Payload, u32)>,
 }

@@ -1,0 +1,129 @@
+//! Allocation budget of the commit path.
+//!
+//! Heap traffic is the part of the middle tier's cost a simulated clock
+//! cannot see and a wall clock on a shared machine cannot resolve — but the
+//! *number* of allocations a fixed simulation makes is a function of the
+//! code and the seed, so it can be gated. This binary owns its process (one
+//! `#[test]`, a counting `#[global_allocator]`) and runs a small
+//! `commit_sim16`-shaped scenario — the saturated sharded write pipeline
+//! `etx_bench` measures — twice.
+//!
+//! That the count repeats **exactly** is an observation, not a guarantee:
+//! 200 of 200 executions of this binary read the same figure in both runs.
+//! What can break it is a hash table with per-process random keys that
+//! both grows and shrinks on the path — where its tombstones fall decides
+//! whether a full table rehashes in place or reallocates. The simulator's
+//! cancelled-timer set was one (off by one allocation in a fifth of all
+//! executions) and is an ordered set for that reason. The hashed tables
+//! still on the path are `Engine::{branches, decided}` and
+//! `LockTable::entries` (etx-store), `DbServer::{unsettled_xa, held_votes,
+//! live_intents, spec_ready}` (etx-core), the vote/ack sets of
+//! `Phase::{Preparing, Terminating}` and of a consensus round, and the
+//! failure detector's per-peer maps; none of them has shown it in this
+//! scenario. If the two runs ever differ by an allocation or two, suspect
+//! those (a fixed hasher or an ordered type settles it) before the
+//! protocol.
+
+use etx::harness::{feature_corners, MiddleTier, ScenarioBuilder, Workload};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread (`const` and drop-free, so reading
+    /// it from inside the allocator never allocates or runs a destructor).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every allocating call per thread — the
+/// test harness's own threads do not disturb the test thread's figure.
+struct Counting;
+
+impl Counting {
+    fn count() {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches only a thread-local
+// `Cell`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: as in `alloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const CLIENTS: usize = 16;
+const REQUESTS: u64 = 50;
+
+/// Allocations per delivered commit this scenario made at the parent of the
+/// change that introduced the budget (per-attempt `BTreeMap`s, results
+/// deep-copied at every hop), measured by this very test.
+const PARENT: f64 = 82.18;
+
+/// The budget: the figure of the change that introduced it (55.74 — per-client
+/// attempt windows, shared result payloads), plus 5 %. A change that needs
+/// more heap traffic per commit than this should say why, and raise the
+/// ceiling on purpose.
+const CEILING: f64 = 58.5;
+
+/// Builds the scenario — 16 shards × rf 2, 3 application servers, batch
+/// 64 / 1 ms, speculation, window depth 4, closed-loop clients, write-only
+/// sharded bank — runs it to the last delivery, and returns the
+/// allocations the run made.
+fn allocations_of_one_run() -> u64 {
+    let (_, features) = feature_corners()
+        .into_iter()
+        .find(|(name, _)| *name == "pipelined")
+        .expect("the feature set etx_bench runs commit_sim16 under");
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 7_018)
+        .features(features)
+        .shards(16)
+        .replication(2)
+        .clients(CLIENTS)
+        .requests(REQUESTS)
+        .workload(Workload::ShardedBank { accounts: 1_024, cross_pct: 10, amount: 7 })
+        .build();
+    let before = ALLOCATIONS.get();
+    let outcome = s.run_until_settled(CLIENTS * REQUESTS as usize);
+    let allocations = ALLOCATIONS.get() - before;
+    assert_eq!(outcome, etx::sim::RunOutcome::Predicate, "the run must settle");
+    assert_eq!(s.delivered_commits(), CLIENTS * REQUESTS as usize);
+    allocations
+}
+
+#[test]
+fn the_commit_path_stays_within_its_allocation_budget() {
+    let (first, second) = (allocations_of_one_run(), allocations_of_one_run());
+    assert_eq!(first, second, "one seed, two allocation counts: see the module doc for suspects");
+    let per_commit = first as f64 / (CLIENTS as u64 * REQUESTS) as f64;
+    println!(
+        "{first} allocations, {per_commit:.2} per commit (parent {PARENT}, ceiling {CEILING})"
+    );
+    assert!(
+        per_commit <= CEILING,
+        "{per_commit:.2} allocations per commit, budget {CEILING} (parent of the budget: {PARENT})"
+    );
+}
