@@ -143,7 +143,7 @@ impl ReadPathConfig {
 /// asserting "serving your applied prefix is authoritative through `T`",
 /// renewed by piggybacking on the commit shipments the follower receives
 /// anyway (plus a renewal timer that covers write-quiet stretches) and
-/// advertised to application servers on `AckDecide`/`AckDecideBatch`,
+/// advertised to application servers on `AckDecide`,
 /// primary-served read replies, and bare `LeaseRenew` frames. An in-lease
 /// follower serves any read — including its calls of a multi-shard
 /// snapshot-validation collect, which without leases go primary-only —

@@ -8,9 +8,9 @@
 //! and schedules ([`NemesisSchedule`]) that both hosts implement through
 //! [`crate::runtime::Host::schedule_fault`]:
 //!
-//! * the deterministic simulator maps every operation onto its existing
-//!   virtual-time machinery (crash/recover queue entries, trace triggers,
-//!   link blocks), so a schedule replays byte-identically per seed;
+//! * the deterministic simulator turns every operation into an entry of
+//!   its virtual-time event queue (or a one-shot trace trigger that pushes
+//!   one), so a schedule replays with the run, per seed;
 //! * the multi-threaded backend applies the *same* operations to real OS
 //!   threads: a crash joins the node's thread (stable logs survive for
 //!   restart, volatile state does not), a pause parks the thread with its

@@ -120,75 +120,32 @@ impl fmt::Display for ResultId {
     }
 }
 
-/// Which write-once register array a register belongs to (§4, Figure 4).
-/// The paper has two per-attempt arrays: `regA[j]` records the application
-/// server that owns attempt `j`, `regD[j]` the decision (result, outcome)
-/// for it. Here both live in the sequenced decision log — owner claims and
-/// outcomes are entries of a slot's value — so `regA` has no register kind
-/// of its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RegKind {
-    /// `regD` — decision register.
-    Decision,
-    /// `slot[k]` — one position of the sequenced decision log: a write-once
-    /// register whose value is a whole *batch* of request outcomes and
-    /// owner claims. The paper's per-attempt `regA[j]`/`regD[j]` generalise
-    /// to consecutive slots so a single consensus round decides many
-    /// requests at once; the single-request path is a batch of one.
-    Slot,
-}
-
-impl fmt::Display for RegKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RegKind::Decision => "regD",
-            RegKind::Slot => "slot",
-        })
-    }
-}
-
 /// Identity of one write-once register — also the identity of the consensus
-/// instance that implements it.
+/// instance that implements it: `slot[k]`, position `k` of the sequenced
+/// decision log, whose value is a whole *batch* of request outcomes and
+/// owner claims. The paper's two per-attempt arrays (§4, Figure 4) —
+/// `regA[j]`, the application server that owns attempt `j`, and `regD[j]`,
+/// the decision for it — are entries of slot values here, so a single
+/// consensus round decides many requests at once and the single-request
+/// path is a batch of one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RegId {
-    /// Which array.
-    pub kind: RegKind,
-    /// Which slot (the paper's `j`, fully scoped).
-    pub rid: ResultId,
-}
+pub struct RegId(u64);
 
 impl RegId {
-    /// `regD[rid]`.
-    pub fn decision(rid: ResultId) -> Self {
-        RegId { kind: RegKind::Decision, rid }
-    }
-    /// `slot[index]` — position `index` of the sequenced decision log. Slots
-    /// belong to no client, so the identity is carried in the reserved
-    /// `NodeId(u32::MAX)` namespace (like [`ResultId::repl_snapshot`]).
+    /// `slot[index]` — position `index` of the sequenced decision log.
     pub fn slot(index: u64) -> Self {
-        RegId {
-            kind: RegKind::Slot,
-            rid: ResultId {
-                request: RequestId { client: NodeId(u32::MAX), seq: index },
-                attempt: 0,
-            },
-        }
+        RegId(index)
     }
-    /// The log position of a `slot[..]` register; `None` for `regD`.
+    /// The register's log position. Every register is a slot, so this is
+    /// always `Some`.
     pub fn slot_index(&self) -> Option<u64> {
-        match self.kind {
-            RegKind::Slot => Some(self.rid.request.seq),
-            _ => None,
-        }
+        Some(self.0)
     }
 }
 
 impl fmt::Display for RegId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.slot_index() {
-            Some(i) => write!(f, "slot[{i}]"),
-            None => write!(f, "{}[{}]", self.kind, self.rid),
-        }
+        write!(f, "slot[{}]", self.0)
     }
 }
 
@@ -322,15 +279,13 @@ mod tests {
     }
 
     #[test]
-    fn slot_ids_are_ordered_and_distinct_from_registers() {
+    fn slot_ids_follow_the_log_order() {
         let s0 = RegId::slot(0);
         let s7 = RegId::slot(7);
         assert_eq!(s0.slot_index(), Some(0));
         assert_eq!(s7.slot_index(), Some(7));
         assert!(s0 < s7, "slot order follows the log order");
         assert_eq!(format!("{s7}"), "slot[7]");
-        let rid = ResultId::first(RequestId { client: NodeId(1), seq: 1 });
-        assert_eq!(RegId::decision(rid).slot_index(), None);
         assert_ne!(ResultId::group_marker(), ResultId::repl_snapshot());
     }
 
@@ -338,7 +293,6 @@ mod tests {
     fn display_formats_are_nonempty_and_stable() {
         let rid = ResultId::first(RequestId { client: NodeId(3), seq: 2 });
         assert_eq!(format!("{rid}"), "n3#r2/j1");
-        assert_eq!(format!("{}", RegId::decision(rid)), "regD[n3#r2/j1]");
         assert_eq!(format!("{}", Role::AppServer), "appserver");
     }
 }

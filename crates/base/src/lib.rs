@@ -49,7 +49,7 @@ pub use attempts::AttemptWindows;
 pub use config::{BatchingConfig, CostModel, FdConfig, ProtocolConfig};
 pub use error::IssueError;
 pub use fault::{CapabilityError, FaultOp, LinkFault, NemesisSchedule, NemesisWhen, TracePred};
-pub use ids::{NodeId, RegId, RegKind, RequestId, ResultId, Role};
+pub use ids::{NodeId, RegId, RequestId, ResultId, Role};
 pub use msg::Payload;
 pub use retry::{AttemptDriver, IssuePlan, RetryTimer};
 pub use runtime::{Context, Event, Process};

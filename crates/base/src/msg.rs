@@ -10,7 +10,7 @@
 use crate::ids::{NodeId, RegId, RequestId, ResultId};
 use crate::time::Time;
 use crate::value::{
-    DbOp, Decision, ExecStatus, OpOutput, Outcome, RegValue, Request, ShippedEntries, Vote,
+    DbOp, Decision, ExecStatus, OpOutput, Outcome, RegValue, Request, ShippedCommit, Vote,
 };
 use std::sync::Arc;
 
@@ -54,18 +54,15 @@ impl Payload {
             Payload::Db(DbMsg::Prepare { .. }) => "Prepare",
             Payload::Db(DbMsg::Decide { .. }) => "Decide",
             Payload::Db(DbMsg::CommitOnePhase { .. }) => "Commit1P",
-            Payload::Db(DbMsg::DecideBatch { .. }) => "DecideBatch",
             Payload::Db(DbMsg::SpecExec { .. }) => "SpecExec",
             Payload::Db(DbMsg::Read { .. }) => "ReadRequest",
             Payload::DbReply(DbReplyMsg::ReadReply { .. }) => "ReadReply",
             Payload::DbReply(DbReplyMsg::ExecReply { .. }) => "ExecReply",
             Payload::DbReply(DbReplyMsg::Vote { .. }) => "Vote",
             Payload::DbReply(DbReplyMsg::AckDecide { .. }) => "AckDecide",
-            Payload::DbReply(DbReplyMsg::AckDecideBatch { .. }) => "AckDecideBatch",
             Payload::DbReply(DbReplyMsg::AckCommitOnePhase { .. }) => "AckCommit1P",
             Payload::DbReply(DbReplyMsg::Ready) => "Ready",
             Payload::Repl(ReplMsg::Apply { .. }) => "ReplApply",
-            Payload::Repl(ReplMsg::ApplyBatch { .. }) => "ReplApplyBatch",
             Payload::Repl(ReplMsg::LeaseRenew { .. }) => "LeaseRenew",
             Payload::Repl(ReplMsg::Intent { .. }) => "Intent",
             Payload::Repl(ReplMsg::IntentAck { .. }) => "IntentAck",
@@ -174,32 +171,28 @@ pub enum DbMsg {
         /// votes are never held.
         cross: bool,
     },
-    /// `[Decide, j, outcome]` — deliver the decision.
+    /// `[Decide, j, outcome]` — deliver decisions: the outcomes that concern
+    /// this database, in one message. The database applies all of them
+    /// behind a single (group) WAL append, one commit-processing charge and
+    /// one acknowledgement; the paper's per-attempt push is the one-entry
+    /// form ([`DbMsg::decide_one`]).
     Decide {
-        /// Transaction branch.
-        rid: ResultId,
-        /// Commit or abort.
-        outcome: Outcome,
+        /// `(branch, outcome)` pairs, in slot order.
+        entries: Vec<(ResultId, Outcome)>,
+        /// The decision-log slot the entries were decided in, present only
+        /// on the first push of a slot whose proposal was eligible for
+        /// [`DbMsg::SpecExec`]. A speculating database resolves its stash
+        /// for the slot against it (promote on match, discard and replay
+        /// on mismatch). `None` — retransmissions, `Ready` and cleaner
+        /// re-pushes, an attempt finalised outside a slot, the baselines —
+        /// never touches the stash.
+        slot: Option<u64>,
     },
     /// One-phase commit used by the unreliable baseline (Figure 7a): commit
     /// immediately, no vote.
     CommitOnePhase {
         /// Transaction branch.
         rid: ResultId,
-    },
-    /// Batched `[Decide]`: the outcomes of one decided decision-log slot
-    /// that concern this database, delivered in one message. The database
-    /// applies all of them behind a single group WAL append and one
-    /// acknowledgement — the commit-path amortisation the pipeline exists
-    /// for. Retransmissions fall back to per-branch [`DbMsg::Decide`].
-    DecideBatch {
-        /// The decision-log slot the batch was decided in. A speculating
-        /// database compares this against its stashed speculative
-        /// executions (promote on match, discard and replay on mismatch);
-        /// without speculation the field is bookkeeping only.
-        slot: u64,
-        /// `(branch, outcome)` pairs, in slot order.
-        entries: Vec<(ResultId, Outcome)>,
     },
     /// Speculative pre-execution of a *proposed* (not yet decided) pipeline
     /// batch: the application server ships this to a shard primary in the
@@ -262,6 +255,14 @@ pub enum DbMsg {
     },
 }
 
+impl DbMsg {
+    /// The paper's `[Decide, j, outcome]`: a one-entry decide outside any
+    /// slot.
+    pub fn decide_one(rid: ResultId, outcome: Outcome) -> Self {
+        DbMsg::Decide { entries: vec![(rid, outcome)], slot: None }
+    }
+}
+
 /// Database → application-server messages (Figure 3 outputs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbReplyMsg {
@@ -279,12 +280,11 @@ pub enum DbReplyMsg {
         /// Yes or no.
         vote: Vote,
     },
-    /// `[AckDecide, j]` — the decision was applied durably.
+    /// `[AckDecide, j]` — every entry of a [`DbMsg::Decide`] was applied
+    /// durably (behind one WAL append).
     AckDecide {
-        /// Transaction branch.
-        rid: ResultId,
-        /// The outcome that was applied (for tracing/assertions).
-        outcome: Outcome,
+        /// `(branch, applied outcome)` pairs, mirroring the request.
+        entries: Vec<(ResultId, Outcome)>,
         /// The replying primary's commit-ship position after applying.
         /// Application servers fold this into their per-shard freshness
         /// stamp for follower reads ([`DbMsg::Read::min_seq`]).
@@ -303,18 +303,6 @@ pub enum DbReplyMsg {
         rid: ResultId,
         /// Whether the commit succeeded.
         ok: bool,
-    },
-    /// Acknowledgement of a whole [`DbMsg::DecideBatch`]: every entry was
-    /// applied durably (behind one group WAL append).
-    AckDecideBatch {
-        /// `(branch, applied outcome)` pairs, mirroring the batch.
-        entries: Vec<(ResultId, Outcome)>,
-        /// The replying primary's commit-ship position after the batch
-        /// (same freshness role as [`DbReplyMsg::AckDecide::seq`]).
-        seq: u64,
-        /// Read-lease advertisement (same role as
-        /// [`DbReplyMsg::AckDecide::lease`]).
-        lease: Option<Time>,
     },
     /// Answer to a [`DbMsg::Read`]: the per-op outputs of one read-only
     /// call, served from committed state, plus the consistency metadata
@@ -378,31 +366,19 @@ pub enum DbReplyMsg {
 /// missed while down.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplMsg {
-    /// Primary → followers: branch `rid` committed with these post-commit
-    /// values. Appliers process strictly in `seq` order (buffering gaps),
-    /// so a follower's state is always a prefix of the primary's history.
+    /// Primary → followers: the branches one engine interaction committed,
+    /// with their post-commit values. Appliers process strictly in `seq`
+    /// order (buffering gaps), so a follower's state is always a prefix of
+    /// the primary's history.
     Apply {
-        /// Dense per-primary ship counter, starting at 1.
-        seq: u64,
-        /// The committed transaction branch.
-        rid: ResultId,
-        /// Post-commit key values (absolute, not deltas — replay-safe;
-        /// Arc-shared so per-follower broadcast copies are refcount bumps).
-        entries: ShippedEntries,
+        /// `(seq, branch, post-commit key values)` triples, in ship order.
+        /// `seq` is the dense per-primary ship counter, starting at 1; the
+        /// values are absolute, not deltas (replay-safe), and Arc-shared so
+        /// per-follower broadcast copies are refcount bumps.
+        items: Vec<ShippedCommit>,
         /// Piggybacked read-lease renewal: the follower's applied prefix is
         /// authoritative through this instant (`None` when leases are
         /// disabled, or withheld because a cross-shard branch is live).
-        lease: Option<Time>,
-    },
-    /// Primary → followers: several committed branches shipped in one
-    /// message (the batched form of [`ReplMsg::Apply`], produced when a
-    /// group commit puts more than one write set in the outbox at once).
-    /// Followers process the items exactly as a sequence of `Apply`s.
-    ApplyBatch {
-        /// `(seq, branch, post-commit key values)` triples, in ship order.
-        items: Vec<crate::value::ShippedCommit>,
-        /// Piggybacked read-lease renewal (same role as
-        /// [`ReplMsg::Apply::lease`]).
         lease: Option<Time>,
     },
     /// Primary → followers *and application servers*: a bare read-lease
@@ -582,9 +558,7 @@ mod tests {
             })
             .label(),
             Payload::Db(DbMsg::Prepare { rid: rid(), cross: false }).label(),
-            Payload::Db(DbMsg::Decide { rid: rid(), outcome: Outcome::Commit }).label(),
-            Payload::Db(DbMsg::DecideBatch { slot: 0, entries: vec![(rid(), Outcome::Commit)] })
-                .label(),
+            Payload::Db(DbMsg::decide_one(rid(), Outcome::Commit)).label(),
             Payload::Db(DbMsg::SpecExec { slot: 0, entries: vec![(rid(), Outcome::Commit)] })
                 .label(),
             Payload::Db(DbMsg::Read {
@@ -607,17 +581,14 @@ mod tests {
                 lease: None,
             })
             .label(),
-            Payload::DbReply(DbReplyMsg::AckDecideBatch {
+            Payload::DbReply(DbReplyMsg::AckDecide {
                 entries: vec![(rid(), Outcome::Commit)],
                 seq: 1,
                 lease: None,
             })
             .label(),
-            Payload::Repl(ReplMsg::ApplyBatch {
-                items: vec![(1, rid(), Arc::from([]))],
-                lease: None,
-            })
-            .label(),
+            Payload::Repl(ReplMsg::Apply { items: vec![(1, rid(), Arc::from([]))], lease: None })
+                .label(),
             Payload::Repl(ReplMsg::LeaseRenew { through: Time(1), floor: 0 }).label(),
             Payload::Repl(ReplMsg::Intent { rid: rid(), at: Time(1) }).label(),
             Payload::Repl(ReplMsg::IntentAck { rid: rid() }).label(),

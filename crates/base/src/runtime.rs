@@ -13,8 +13,8 @@
 //! byte-identical replay) and the multi-threaded backend in `etx-rt` (one
 //! OS thread and inbox per node, real monotonic clocks, wall-clock
 //! numbers). The *identical* protocol state machines run on both, and
-//! both implement the fault plane ([`Host::schedule_fault`]) — the sim
-//! with simulated faults, the threaded backend with real ones.
+//! [`Host::schedule_fault`] is the one way a fault enters either — the
+//! sim's simulated ones and the threaded backend's real ones alike.
 
 use crate::fault::{CapabilityError, FaultOp, NemesisSchedule, NemesisWhen};
 use crate::ids::{NodeId, RegId, ResultId, TimerId};

@@ -328,14 +328,13 @@ impl Decision {
 pub type OutcomeBatch = Vec<(ResultId, Decision)>;
 
 /// Post-commit key values of one shipped commit, [`Arc`]-shared so that a
-/// primary broadcasting the same write set to every follower (and the
-/// batched `ApplyBatch` frames that carry many of them) clones a reference
-/// count, not the values.
+/// primary broadcasting the same write set to every follower clones a
+/// reference count, not the values.
 pub type ShippedEntries = Arc<[(String, i64)]>;
 
 /// One committed write set in ship order: `(ship position, branch,
 /// post-commit key values)` — the unit of intra-shard replication, both in
-/// the engine's outbox and on the wire ([`crate::msg::ReplMsg::ApplyBatch`]).
+/// the engine's outbox and on the wire ([`crate::msg::ReplMsg::Apply`]).
 pub type ShippedCommit = (u64, ResultId, ShippedEntries);
 
 /// One entry of the ownership race (Figure 5's `regA[j].write(self)`),
@@ -367,35 +366,23 @@ pub struct SlotBatch {
     pub claims: Vec<OwnerClaim>,
 }
 
-/// Values storable in a write-once register: `regD` holds a decision, a
-/// decision-log slot holds an ordered batch of decisions and owner claims.
-/// The batch is [`Arc`]-shared so the decision log, the in-flight proposal
-/// window, and every consensus broadcast that carries the slot value clone
-/// a reference count, not the entries.
+/// The value of a write-once register: a decision-log slot holds an ordered
+/// batch of decisions and owner claims. The batch is [`Arc`]-shared so the
+/// decision log, the in-flight proposal window, and every consensus
+/// broadcast that carries the slot value clone a reference count, not the
+/// entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegValue {
-    /// A decision (for `regD`).
-    Decision(Decision),
     /// The outcomes and owner claims of one log position (for `slot[k]`).
     Batch(Arc<SlotBatch>),
 }
 
 impl RegValue {
-    /// Extracts the decision, if this is a `regD` value.
-    pub fn as_decision(&self) -> Option<&Decision> {
-        match self {
-            RegValue::Decision(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Extracts the slot batch as a shared handle (a reference-count
-    /// clone, never an entry copy), if this is a decision-log slot value.
-    pub fn as_batch_shared(&self) -> Option<Arc<SlotBatch>> {
-        match self {
-            RegValue::Batch(b) => Some(Arc::clone(b)),
-            _ => None,
-        }
+    /// The slot batch as a shared handle (a reference-count clone, never an
+    /// entry copy).
+    pub fn as_batch_shared(&self) -> Arc<SlotBatch> {
+        let RegValue::Batch(b) = self;
+        Arc::clone(b)
     }
 }
 
@@ -488,16 +475,12 @@ mod tests {
 
     #[test]
     fn regvalue_projections() {
-        let d = RegValue::Decision(Decision::nil_abort());
-        assert!(d.as_batch_shared().is_none());
-        assert_eq!(d.as_decision().unwrap().outcome, Outcome::Abort);
         let rid = ResultId::first(RequestId { client: NodeId(0), seq: 1 });
         let b = RegValue::Batch(Arc::new(SlotBatch {
             outcomes: vec![(rid, Decision::nil_abort())],
             claims: vec![OwnerClaim { rid, server: NodeId(4), ack_below: 1 }],
         }));
-        assert!(b.as_decision().is_none());
-        let batch = b.as_batch_shared().unwrap();
+        let batch = b.as_batch_shared();
         assert_eq!((batch.outcomes.len(), batch.claims[0].server), (1, NodeId(4)));
     }
 }

@@ -58,8 +58,8 @@ pub enum StableRecord {
         writes: Vec<(String, i64)>,
     },
     /// Group append: one durable record framing the records of a whole
-    /// decided batch (commit/abort outcomes of one `DecideBatch`, or a
-    /// follower's batched replication applies). The frame is what makes
+    /// decided batch (commit/abort outcomes of one `Decide`, or the
+    /// applies one shipment landed at a follower). The frame is what makes
     /// group commit pay **one** log force for N outcomes; recovery unfolds
     /// it and replays the members in order, so a batch is indivisible on
     /// disk — it replays completely or (if the append never happened) not

@@ -29,12 +29,14 @@ pub use unreliable::BaselineServer;
 mod tests {
     use super::*;
     use etx_base::config::CostModel;
+    use etx_base::fault::{FaultOp, NemesisWhen};
     use etx_base::ids::{NodeId, RequestId, Topology};
+    use etx_base::runtime::Host;
     use etx_base::time::{Dur, Time};
     use etx_base::trace::TraceKind;
     use etx_base::value::{DbOp, Outcome, Request, RequestScript};
     use etx_core::DbServer;
-    use etx_sim::{FaultAction, NetConfig, Sim, SimConfig};
+    use etx_sim::{NetConfig, Sim, SimConfig};
 
     fn fast_net() -> NetConfig {
         NetConfig {
@@ -160,7 +162,8 @@ mod tests {
         let topo = Topology::new(1, 1, 1);
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build(2, Kind::Baseline, RetryPolicy::GiveUp, vec![req]);
-        sim.crash_at(Time(0), topo.app_servers[0]);
+        sim.schedule_fault(NemesisWhen::After(Dur::ZERO), FaultOp::Crash(topo.app_servers[0]))
+            .unwrap();
         sim.run_until_time(Time(1_000_000));
         assert_eq!(delivered(&sim), 0);
         assert_eq!(
@@ -206,10 +209,13 @@ mod tests {
         let (mut sim, topo) = build(4, Kind::Tpc, RetryPolicy::GiveUp, vec![req]);
         let coord = topo.app_servers[0];
         let db = topo.db_servers[0];
-        sim.on_trace(
-            move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. }),
-            FaultAction::Crash(coord),
-        );
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. })
+            }),
+            FaultOp::Crash(coord),
+        )
+        .unwrap();
         // Run long past the client's timeout.
         sim.run_until_time(Time(2_000_000));
         assert_eq!(delivered(&sim), 0);
@@ -220,7 +226,7 @@ mod tests {
         );
         // Now let the coordinator recover: presumed-nothing recovery aborts
         // the in-doubt branch and unblocks the database.
-        sim.recover_at(Time(2_100_000), coord);
+        sim.schedule_fault(NemesisWhen::After(Dur(100_000)), FaultOp::Recover(coord)).unwrap();
         sim.run_until(|s| s.trace().count_kind(|k| matches!(k, TraceKind::DbDecide { .. })) >= 1);
         let aborts = sim
             .trace()
@@ -240,16 +246,17 @@ mod tests {
             build(5, Kind::Tpc, RetryPolicy::NaiveResend { max_retries: 3 }, vec![req]);
         let coord = topo.app_servers[0];
         let db = topo.db_servers[0];
-        sim.on_trace(
-            move |ev| {
+        // The outage outlasts the client's 80 ms patience, so the user
+        // retries into the void first, then into the recovered (and
+        // amnesiac, connection-wise) coordinator.
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
                 ev.node == db
                     && matches!(ev.kind, TraceKind::DbDecide { outcome: Outcome::Commit, .. })
-            },
-            // The outage outlasts the client's 80 ms patience, so the user
-            // retries into the void first, then into the recovered (and
-            // amnesiac, connection-wise) coordinator.
-            FaultAction::CrashRecover(coord, Dur::from_millis(200)),
-        );
+            }),
+            FaultOp::CrashFor { node: coord, down_for: Dur::from_millis(200) },
+        )
+        .unwrap();
         let out = sim.run_until(|s| db_commits(s) >= 2);
         assert_eq!(out, etx_sim::RunOutcome::Predicate, "naive retry duplicated the execution");
         // The account was charged twice — the motivation for e-Transactions.
@@ -286,16 +293,17 @@ mod tests {
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build(7, Kind::Pb, RetryPolicy::GiveUp, vec![req]);
         let primary = topo.app_servers[0];
-        sim.on_trace(
-            move |ev| {
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
                 ev.node == primary
                     && matches!(
                         ev.kind,
                         TraceKind::Span { comp: etx_base::trace::Component::LogOutcome, .. }
                     )
-            },
-            FaultAction::Crash(primary),
-        );
+            }),
+            FaultOp::Crash(primary),
+        )
+        .unwrap();
         let out = sim
             .run_until(|s| s.trace().count_kind(|k| matches!(k, TraceKind::DbDecide { .. })) >= 1);
         assert_eq!(out, etx_sim::RunOutcome::Predicate, "backup must drive a decision");
@@ -310,10 +318,13 @@ mod tests {
         let (mut sim, topo) = build(8, Kind::Pb, RetryPolicy::GiveUp, vec![req]);
         let primary = topo.app_servers[0];
         let db = topo.db_servers[0];
-        sim.on_trace(
-            move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. }),
-            FaultAction::Crash(primary),
-        );
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. })
+            }),
+            FaultOp::Crash(primary),
+        )
+        .unwrap();
         let out = sim.run_until(|s| {
             s.trace()
                 .count_kind(|k| matches!(k, TraceKind::DbDecide { outcome: Outcome::Abort, .. }))

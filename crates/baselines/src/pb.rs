@@ -252,7 +252,7 @@ impl PbServer {
             return;
         }
         for db in &targets {
-            ctx.send(*db, Payload::Db(DbMsg::Decide { rid, outcome: decision.outcome }));
+            ctx.send(*db, Payload::Db(DbMsg::decide_one(rid, decision.outcome)));
         }
         ctx.set_timer(etx_base::time::Dur::from_millis(150), TimerTag::PbTick);
         self.fsms.insert(rid, Phase::Deciding { decision, targets, acked: HashSet::new() });
@@ -292,10 +292,7 @@ impl PbServer {
             if let Phase::Deciding { decision, targets, acked } = phase {
                 for db in targets {
                     if !acked.contains(db) {
-                        ctx.send(
-                            *db,
-                            Payload::Db(DbMsg::Decide { rid, outcome: decision.outcome }),
-                        );
+                        ctx.send(*db, Payload::Db(DbMsg::decide_one(rid, decision.outcome)));
                         any = true;
                     }
                 }
@@ -350,7 +347,7 @@ impl PbServer {
             // uninvolved servers; commit is vacuous there).
             let targets = self.dlist.clone();
             for db in &targets {
-                ctx.send(*db, Payload::Db(DbMsg::Decide { rid, outcome: decision.outcome }));
+                ctx.send(*db, Payload::Db(DbMsg::decide_one(rid, decision.outcome)));
             }
             self.fsms.insert(rid, Phase::Deciding { decision, targets, acked: HashSet::new() });
         }
@@ -386,7 +383,11 @@ impl Process for PbServer {
             Event::Message { from, payload: Payload::DbReply(reply) } => match reply {
                 DbReplyMsg::ExecReply { rid, status } => self.on_exec_reply(ctx, rid, status),
                 DbReplyMsg::Vote { rid, vote } => self.on_vote(ctx, from, rid, vote),
-                DbReplyMsg::AckDecide { rid, .. } => self.on_ack_decide(ctx, from, rid),
+                DbReplyMsg::AckDecide { entries, .. } => {
+                    for (rid, _) in entries {
+                        self.on_ack_decide(ctx, from, rid);
+                    }
+                }
                 DbReplyMsg::Ready => self.retry_decides(ctx),
                 _ => {}
             },

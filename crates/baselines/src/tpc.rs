@@ -208,7 +208,7 @@ impl TpcServer {
             return;
         }
         for db in &targets {
-            ctx.send(*db, Payload::Db(DbMsg::Decide { rid, outcome: decision.outcome }));
+            ctx.send(*db, Payload::Db(DbMsg::decide_one(rid, decision.outcome)));
         }
         ctx.set_timer(self.retry_period(), TimerTag::TpcTick);
         self.fsms.insert(rid, Phase::Deciding { decision, targets, acked: HashSet::new() });
@@ -254,10 +254,7 @@ impl TpcServer {
             if let Phase::Deciding { decision, targets, acked } = phase {
                 for db in targets {
                     if !acked.contains(db) {
-                        ctx.send(
-                            *db,
-                            Payload::Db(DbMsg::Decide { rid, outcome: decision.outcome }),
-                        );
+                        ctx.send(*db, Payload::Db(DbMsg::decide_one(rid, decision.outcome)));
                         any = true;
                     }
                 }
@@ -294,7 +291,7 @@ impl TpcServer {
             self.no_reply.insert(rid);
             let targets = self.dlist.clone();
             for db in &targets {
-                ctx.send(*db, Payload::Db(DbMsg::Decide { rid, outcome: decision.outcome }));
+                ctx.send(*db, Payload::Db(DbMsg::decide_one(rid, decision.outcome)));
             }
             self.fsms.insert(rid, Phase::Deciding { decision, targets, acked: HashSet::new() });
         }
@@ -315,7 +312,11 @@ impl Process for TpcServer {
             Event::Message { from, payload: Payload::DbReply(reply) } => match reply {
                 DbReplyMsg::ExecReply { rid, status } => self.on_exec_reply(ctx, rid, status),
                 DbReplyMsg::Vote { rid, vote } => self.on_vote(ctx, from, rid, vote),
-                DbReplyMsg::AckDecide { rid, .. } => self.on_ack_decide(ctx, from, rid),
+                DbReplyMsg::AckDecide { entries, .. } => {
+                    for (rid, _) in entries {
+                        self.on_ack_decide(ctx, from, rid);
+                    }
+                }
                 DbReplyMsg::Ready => {
                     // Treat like the e-Transaction server: missing votes
                     // become no; pending decides are re-pushed.

@@ -501,10 +501,7 @@ impl DecisionLog {
     }
 
     fn record_decided(&mut self, slot: u64, value: &RegValue) {
-        let Some(batch) = value.as_batch_shared() else {
-            debug_assert!(false, "slot[{slot}] decided a non-batch value");
-            return;
-        };
+        let batch = value.as_batch_shared();
         if slot >= self.next_apply {
             self.decided_ahead.entry(slot).or_insert_with(|| Arc::clone(&batch));
         }
@@ -1116,7 +1113,7 @@ mod tests {
                 // Whichever replica decided the slot, consensus made the
                 // value the same; this one has it, or could not have applied.
                 let value = self.regs[n].read(RegId::slot(slot)).expect("applied slot is decided");
-                let batch = value.as_batch_shared().expect("slot value");
+                let batch = value.as_batch_shared();
                 for c in &batch.claims {
                     owners.entry(c.rid).or_insert(c.server);
                 }

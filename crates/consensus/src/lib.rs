@@ -103,7 +103,7 @@ pub(crate) mod testutil {
 
     /// The server a [`claim_by`] value names.
     pub fn claimant(value: &RegValue) -> NodeId {
-        value.as_batch_shared().expect("a slot value").claims[0].server
+        value.as_batch_shared().claims[0].server
     }
 }
 
@@ -112,9 +112,10 @@ mod tests {
     use super::testutil::{claim_by, claimant};
     use super::*;
     use etx_base::config::FdConfig;
+    use etx_base::fault::{FaultOp, NemesisWhen};
     use etx_base::ids::{NodeId, RegId};
-    use etx_base::runtime::{Context, Event, Process};
-    use etx_base::time::Time;
+    use etx_base::runtime::{Context, Event, Host, Process};
+    use etx_base::time::{Dur, Time};
     use etx_base::value::RegValue;
     use etx_fd::{FailureDetector, HeartbeatFd};
     use etx_sim::{Sim, SimConfig};
@@ -266,10 +267,13 @@ mod tests {
         // decides; the survivors must still converge on node 0's value.
         let r = reg(4);
         let (mut sim, ids, board) = build(11, 3, vec![vec![(Time::ZERO, r, claim_by(NodeId(0)))]]);
-        sim.on_trace(
-            move |ev| matches!(ev.kind, etx_base::trace::TraceKind::RegDecided { reg } if reg == r),
-            etx_sim::FaultAction::Crash(ids[0]),
-        );
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                matches!(ev.kind, etx_base::trace::TraceKind::RegDecided { reg } if reg == r)
+            }),
+            FaultOp::Crash(ids[0]),
+        )
+        .unwrap();
         let board_c = board.clone();
         sim.run_until(move |_| decisions_for(&board_c, r).len() >= 2);
         let vals = decisions_for(&board, r);
@@ -289,7 +293,12 @@ mod tests {
             vec![(Time(500_000), r, claim_by(NodeId(2)))],
         ];
         let (mut sim, ids, board) = build(13, 3, plans);
-        sim.partition(&[ids[1]], &[ids[0], ids[2]], Time(5_000_000));
+        let cut = FaultOp::Partition {
+            a: vec![ids[1]],
+            b: vec![ids[0], ids[2]],
+            heal_after: Dur(5_000_000),
+        };
+        sim.schedule_fault(NemesisWhen::Now, cut).unwrap();
         let board_c = board.clone();
         let out = sim.run_until(move |_| {
             let b = board_c.lock().unwrap();
@@ -329,7 +338,12 @@ mod tests {
         // periodic DecideReq pull).
         let r = reg(7);
         let (mut sim, ids, board) = build(19, 3, vec![vec![(Time::ZERO, r, claim_by(NodeId(0)))]]);
-        sim.partition(&[ids[2]], &[ids[0], ids[1]], Time(400_000));
+        let cut = FaultOp::Partition {
+            a: vec![ids[2]],
+            b: vec![ids[0], ids[1]],
+            heal_after: Dur(400_000),
+        };
+        sim.schedule_fault(NemesisWhen::Now, cut).unwrap();
         let board_c = board.clone();
         let out = sim.run_until(move |_| board_c.lock().unwrap().contains_key(&(NodeId(2), r)));
         assert_eq!(out, etx_sim::RunOutcome::Predicate);

@@ -85,7 +85,7 @@ fn claim_by(server: NodeId) -> RegValue {
 
 /// The server a [`claim_by`] value names.
 fn claimant(value: &RegValue) -> NodeId {
-    value.as_batch_shared().expect("a slot value").claims[0].server
+    value.as_batch_shared().claims[0].server
 }
 
 /// A little world of `n` engines plus an in-flight message bag the

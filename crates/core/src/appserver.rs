@@ -47,7 +47,7 @@
 //! outcomes, when its time window expires, or eagerly when no other attempt
 //! is mid-flight (so a lone sequential request never waits — the
 //! single-request path is a batch of one). Termination then pushes each
-//! slot's outcomes to the databases as per-database `DecideBatch` messages,
+//! slot's outcomes to the databases as one `Decide` message per database,
 //! which the back end applies behind a single group WAL append.
 //!
 //! ## The read fast lane
@@ -124,6 +124,15 @@ struct Attempt {
     /// Only set at or above the client's watermark — below it, being
     /// settled *is* being cleaned (see `run_cleaner`).
     cleaned: bool,
+}
+
+/// Whether one database's share of a slot is worth pre-executing while the
+/// slot's consensus round runs. The one rule `ship_speculation` (what ships
+/// as `SpecExec`) and `start_terminate_group` (which pushes name their slot)
+/// both apply, so a database holds a stash exactly for the pushes that ask
+/// it to resolve one.
+fn speculable(entries: &[(ResultId, Outcome)]) -> bool {
+    entries.len() >= 2
 }
 
 /// A request's key in the committed-result cache (attempts start at 1).
@@ -1213,9 +1222,8 @@ impl AppServer {
             }
             // Split the proposal per database exactly as termination will
             // if the slot decides as proposed: same targets, same slot
-            // order. Singleton splits are skipped — they would terminate
-            // as bare `Decide` messages, which never consult the
-            // speculation stash.
+            // order. Splits that are not `speculable` are skipped, and
+            // terminate without naming their slot.
             let mut per_db: BTreeMap<NodeId, Vec<(ResultId, Outcome)>> = BTreeMap::new();
             for (rid, decision) in &batch.outcomes {
                 let targets = match self.attempts.get(*rid).and_then(|a| a.outcome.as_ref()) {
@@ -1227,19 +1235,17 @@ impl AppServer {
                 }
             }
             for (db, entries) in per_db {
-                if entries.len() < 2 {
-                    continue;
+                if speculable(&entries) {
+                    ctx.send(db, Payload::Db(DbMsg::SpecExec { slot, entries }));
                 }
-                ctx.send(db, Payload::Db(DbMsg::SpecExec { slot, entries }));
             }
         }
     }
 
     /// Traces a new high-water mark of concurrently undecided slots. Only
-    /// depths ≥ 2 are traced (and each new peak once), so a depth-1
-    /// pipeline emits nothing — the PR 6/7/8 traces stay byte-identical —
-    /// while pipelined runs leave a marker of genuine cross-slot overlap
-    /// for tests and chaos runners to key on.
+    /// depths ≥ 2 are traced (and each new peak once): the event marks
+    /// genuine cross-slot overlap for tests and chaos runners to key on,
+    /// which a depth-1 pipeline never has.
     fn note_window(&mut self, ctx: &mut dyn Context) {
         let open = self.log.inflight_len() as u32;
         if open >= 2 && open > self.window_peak {
@@ -1253,7 +1259,7 @@ impl AppServer {
     /// the client would. Every first claim names an owner: a request
     /// waiting on it computes or watches. Every first-occurrence outcome is
     /// final, and the ones this server initiated terminate now — grouped,
-    /// so one slot becomes one `DecideBatch` per involved database.
+    /// so one slot becomes one `Decide` per involved database.
     fn apply_slots(&mut self, ctx: &mut dyn Context, applied: Vec<AppliedSlot>) {
         for slot in applied {
             for (client, ack_below) in slot.watermarks {
@@ -1303,9 +1309,10 @@ impl AppServer {
     // ---- terminate() (Figure 4) --------------------------------------------
 
     /// Starts termination for a group of finalised attempts, coalescing
-    /// their `[Decide]` pushes into one `DecideBatch` per database (a lone
-    /// attempt keeps the paper's per-branch `Decide` message). Retries stay
-    /// per-attempt — retransmission is the rare path.
+    /// their `[Decide]` pushes into one message per database. A push names
+    /// its slot exactly when `ship_speculation` would have pre-executed it,
+    /// so a database consults its stash for those pushes and no others.
+    /// Retries stay per-attempt — retransmission is the rare path.
     fn start_terminate_group(
         &mut self,
         ctx: &mut dyn Context,
@@ -1331,16 +1338,8 @@ impl AppServer {
             ctx.set_timer(self.cfg.terminate_retry, TimerTag::TerminateRetry { rid });
         }
         for (db, entries) in per_db {
-            let payload = match entries.as_slice() {
-                [(rid, outcome)] => Payload::Db(DbMsg::Decide { rid: *rid, outcome: *outcome }),
-                _ => {
-                    // Multi-entry groups only come from applied slots: a
-                    // finalised singleton (`outcome_final`) never coalesces.
-                    let slot = slot.expect("multi-entry terminate groups come from applied slots");
-                    Payload::Db(DbMsg::DecideBatch { slot, entries })
-                }
-            };
-            ctx.send(db, payload);
+            let slot = slot.filter(|_| speculable(&entries));
+            ctx.send(db, Payload::Db(DbMsg::Decide { entries, slot }));
         }
     }
 
@@ -1385,7 +1384,7 @@ impl AppServer {
             let missing: Vec<NodeId> =
                 targets.iter().copied().filter(|d| !acked.contains(d)).collect();
             for db in missing {
-                ctx.send(db, Payload::Db(DbMsg::Decide { rid, outcome }));
+                ctx.send(db, Payload::Db(DbMsg::decide_one(rid, outcome)));
             }
             ctx.set_timer(self.cfg.terminate_retry, TimerTag::TerminateRetry { rid });
         }
@@ -1421,7 +1420,7 @@ impl AppServer {
                     // Decide push to the recovered server.
                     if targets.contains(&db) && !acked.contains(&db) => {
                         let outcome = decision.outcome;
-                        ctx.send(db, Payload::Db(DbMsg::Decide { rid, outcome }));
+                        ctx.send(db, Payload::Db(DbMsg::decide_one(rid, outcome)));
                     }
                 _ => {}
             }
@@ -1485,10 +1484,7 @@ impl Process for AppServer {
         };
         for ev in wo_events {
             let WoEvent::Decided { reg, value } = ev;
-            let Some(slot) = reg.slot_index() else {
-                debug_assert!(false, "{reg} decided: only decision-log slots are ever written");
-                continue;
-            };
+            let Some(slot) = reg.slot_index() else { continue };
             let applied = {
                 let sus = |n: NodeId| sus_vec.contains(&n);
                 self.log.on_slot_decided(ctx, &mut self.regs, slot, &value, &sus)
@@ -1515,12 +1511,7 @@ impl Process for AppServer {
             Event::Message { from, payload: Payload::DbReply(reply) } => match reply {
                 DbReplyMsg::ExecReply { rid, status } => self.on_exec_reply(ctx, rid, status),
                 DbReplyMsg::Vote { rid, vote } => self.on_vote(ctx, from, rid, vote),
-                DbReplyMsg::AckDecide { rid, seq, lease, .. } => {
-                    self.observe_shard_seq(from, seq);
-                    self.observe_shard_lease(from, lease);
-                    self.on_ack_decide(ctx, from, rid);
-                }
-                DbReplyMsg::AckDecideBatch { entries, seq, lease } => {
+                DbReplyMsg::AckDecide { entries, seq, lease } => {
                     self.observe_shard_seq(from, seq);
                     self.observe_shard_lease(from, lease);
                     for (rid, _) in entries {

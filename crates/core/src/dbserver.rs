@@ -5,7 +5,8 @@
 //! paper's loop:
 //!
 //! * `[Prepare, j]` → `vote(j)` → `[Vote, j, vote]`;
-//! * `[Decide, j, outcome]` → `terminate(j, outcome)` → `[AckDecide, j]`;
+//! * `[Decide, j, outcome]` → `terminate(j, outcome)` → `[AckDecide, j]`,
+//!   for every `j` a message names — one entry is the paper's message;
 //! * on recovery, broadcast `[Ready]` to all application servers (Figure 3
 //!   line 2) — the crash-notification scheme §5 describes.
 //!
@@ -20,9 +21,9 @@
 //! force* (the paper's 19 ms prepare and 18 ms commit rows), and a log
 //! device is a **serial** resource: concurrent commitment work queues
 //! behind a per-server busy horizon. That serialisation is precisely why
-//! group commit pays — a `DecideBatch` claims the log once for its whole
-//! batch, where the same outcomes arriving as N separate `Decide`s would
-//! occupy it N times.
+//! group commit pays — a `Decide` claims the log once for all its entries,
+//! where the same outcomes arriving as N one-entry messages would occupy
+//! it N times.
 
 use etx_base::config::{CostModel, PipelineConfig, ReadLeaseConfig, SpeculationConfig};
 use etx_base::ids::{NodeId, ResultId};
@@ -74,10 +75,9 @@ pub struct DbServer {
     /// is what follower reads multiply — every replica serving reads adds
     /// one more lane.
     read_busy_until: Time,
-    /// Speculative batch execution knobs. Off by default: a server that
-    /// never receives `SpecExec` frames behaves exactly as before the
-    /// speculation stage existed, and one that does but has this off
-    /// ignores them (the frame is purely advisory).
+    /// Speculative batch execution knobs. Off by default: a server with
+    /// this off ignores `SpecExec` frames (they are purely advisory), and
+    /// one that never receives any holds no stash to resolve.
     spec: SpeculationConfig,
     /// When each speculatively pre-paid slot's device work completes —
     /// the instant a matching decision can be acknowledged, regardless of
@@ -93,8 +93,8 @@ pub struct DbServer {
     /// on every deep proposal.
     pipeline: PipelineConfig,
     /// Read-lease knobs. Off by default: no grants, no renewal timer, no
-    /// lease fields on any outgoing message — byte-identical behavior to
-    /// the stamp-gated read path.
+    /// lease advertised on any outgoing message, and reads gated by
+    /// position stamps alone.
     leases: ReadLeaseConfig,
     /// Primary role: the latest lease expiry offered to this shard's
     /// followers (what decide acknowledgements and primary-served read
@@ -236,7 +236,7 @@ impl DbServer {
     /// Prunes the pre-paid completion instants to the engine's live stash
     /// set — the lockstep rule. Run after anything that can evict stashes
     /// (inflight-cap eviction at `SpecExec`, below-slot GC and the
-    /// mismatch cascade at `DecideBatch`): a dangling instant would
+    /// mismatch cascade at a slot-carrying `Decide`): a dangling instant would
     /// acknowledge a future decide at a time pre-paid for work that was
     /// thrown away, and an instant-less stash could promote for free.
     fn sync_spec_ready(&mut self) {
@@ -343,39 +343,25 @@ impl DbServer {
 
     /// Ships any freshly committed write sets to this shard's followers
     /// (asynchronous; called after every engine interaction that may have
-    /// committed). A group commit that put several write sets in the outbox
-    /// at once ships them as one `ApplyBatch` per follower — batched
-    /// replica shipping, mirroring the batched commit that produced them.
+    /// committed): one `Apply` per follower carries everything the
+    /// interaction put in the outbox, mirroring the group commit that
+    /// produced it.
     fn ship_commits(&mut self, ctx: &mut dyn Context) {
-        let batch = self.engine.take_repl_outbox();
-        if self.repl.followers.is_empty() || batch.is_empty() {
+        let items = self.engine.take_repl_outbox();
+        if items.is_empty() {
             return;
         }
         // Lease renewal rides the shipment itself: the follower that
-        // applies this batch is, at that instant, exactly as caught up as
+        // applies these items is, at that instant, exactly as caught up as
         // the grant asserts. Withheld (None) while a cross-shard branch is
-        // live — the follower's lease then simply runs out its term.
+        // live — the follower's lease then simply runs out its term — and
+        // on a server with no follower to grant to.
         let lease = self.mint_lease(ctx.now());
-        match batch.as_slice() {
-            [(seq, rid, entries)] => {
-                for &f in &self.repl.followers {
-                    ctx.send(
-                        f,
-                        Payload::Repl(ReplMsg::Apply {
-                            seq: *seq,
-                            rid: *rid,
-                            entries: entries.clone(),
-                            lease,
-                        }),
-                    );
-                }
-            }
-            _ => {
-                for &f in &self.repl.followers {
-                    ctx.send(f, Payload::Repl(ReplMsg::ApplyBatch { items: batch.clone(), lease }));
-                }
-            }
+        let Some((&last, rest)) = self.repl.followers.split_last() else { return };
+        for &f in rest {
+            ctx.send(f, Payload::Repl(ReplMsg::Apply { items: items.clone(), lease }));
         }
+        ctx.send(last, Payload::Repl(ReplMsg::Apply { items, lease }));
     }
 
     /// Claims the serial commitment path (the log device) for `service`
@@ -432,15 +418,16 @@ impl DbServer {
 
     fn on_repl_msg(&mut self, ctx: &mut dyn Context, from: NodeId, msg: ReplMsg) {
         match msg {
-            ReplMsg::Apply { seq, rid, entries, lease } => {
-                let res = self.engine.apply_replicated(seq, rid, entries);
+            ReplMsg::Apply { items, lease } => {
+                let floor = items.iter().map(|(seq, _, _)| *seq).max().unwrap_or(0);
+                let res = self.engine.apply_replicated_batch(items);
                 for w in &res.writes {
                     ctx.trace(TraceKind::DbReplicated { rid: w.rec.rid() });
                     // An applied commit resolves its in-doubt intent: the
                     // transaction is now in this replica's served prefix.
                     self.live_intents.remove(&w.rec.rid());
                 }
-                self.apply_log_writes(ctx, res.writes);
+                self.apply_log_writes_grouped(ctx, res.writes);
                 if res.need_sync {
                     // The apply stream has a gap (commits shipped while we
                     // were down): pull a snapshot to jump over it.
@@ -451,19 +438,6 @@ impl DbServer {
                 // asserts exactly "caught up through this shipment", so a
                 // lost or gapped apply leaves the lease unservable rather
                 // than re-authorizing a stale prefix.
-                self.renew_lease(lease, seq);
-            }
-            ReplMsg::ApplyBatch { items, lease } => {
-                let floor = items.iter().map(|(seq, _, _)| *seq).max().unwrap_or(0);
-                let res = self.engine.apply_replicated_batch(items);
-                for w in &res.writes {
-                    ctx.trace(TraceKind::DbReplicated { rid: w.rec.rid() });
-                    self.live_intents.remove(&w.rec.rid());
-                }
-                self.apply_log_writes_grouped(ctx, res.writes);
-                if res.need_sync {
-                    self.request_sync(ctx);
-                }
                 self.renew_lease(lease, floor);
             }
             ReplMsg::LeaseRenew { through, floor } => {
@@ -516,8 +490,8 @@ impl DbServer {
     }
 
     /// Like [`Self::apply_log_writes`], but several records are framed into
-    /// one [`StableRecord::Group`] append — the durable unit of a batched
-    /// replication apply.
+    /// one [`StableRecord::Group`] append — the durable unit of whatever one
+    /// shipment landed, buffered successors it unblocked included.
     fn apply_log_writes_grouped(
         &mut self,
         ctx: &mut dyn Context,
@@ -529,8 +503,8 @@ impl DbServer {
             n => {
                 ctx.trace(TraceKind::GroupAppend { len: n as u32 });
                 // The frame is forced iff any member would have been — same
-                // rule as Engine::decide_batch, so batching never weakens a
-                // record's durability relative to the one-by-one path.
+                // rule as Engine::decide_batch, so framing never weakens a
+                // record's durability.
                 let force = writes.iter().any(|w| w.force);
                 let records = writes.into_iter().map(|w| w.rec).collect();
                 ctx.log_append(LOG_WAL, StableRecord::Group { records }, force);
@@ -605,38 +579,6 @@ impl DbServer {
                     ctx.send_after(dur, from, Payload::DbReply(DbReplyMsg::Vote { rid, vote }));
                 }
             }
-            DbMsg::Decide { rid, outcome } => {
-                self.unsettled_xa.remove(&rid);
-                // A decision makes a held vote moot (the cleaner can abort
-                // a branch whose vote never arrived): drop it unsent.
-                self.held_votes.remove(&rid);
-                let already = self.engine.decision(rid).is_some();
-                let (applied, writes) = self.engine.decide(rid, outcome);
-                self.apply_log_writes(ctx, writes);
-                let dur = if already {
-                    // Re-delivery: answered from the memo, no re-processing.
-                    Dur::ZERO
-                } else {
-                    ctx.trace(TraceKind::DbDecide { rid, outcome: applied });
-                    let service = match applied {
-                        Outcome::Commit => {
-                            let d = jittered(ctx, self.cost.db_commit, self.cost.jitter);
-                            ctx.trace(TraceKind::Span { rid, comp: Component::Commit, dur: d });
-                            d
-                        }
-                        Outcome::Abort => jittered(ctx, self.cost.db_abort, self.cost.jitter),
-                    };
-                    self.charge_serial(ctx, service)
-                };
-                let seq = self.engine.ship_position();
-                let dur = self.fence_ack(ctx, dur);
-                let lease = self.advertised_lease(ctx.now());
-                ctx.send_after(
-                    dur,
-                    from,
-                    Payload::DbReply(DbReplyMsg::AckDecide { rid, outcome: applied, seq, lease }),
-                );
-            }
             DbMsg::SpecExec { slot, entries } => {
                 // Speculation stage: the batch just got *proposed* into
                 // `slot`; execute it now, against a snapshot overlay,
@@ -683,129 +625,108 @@ impl DbServer {
                 debug_assert!(self.spec_ready.contains_key(&slot));
                 ctx.trace(TraceKind::SpecExec { slot, len: entries.len() as u32 });
             }
-            DbMsg::DecideBatch { slot, entries } => {
+            DbMsg::Decide { entries, slot } => {
                 for (rid, _) in &entries {
                     self.unsettled_xa.remove(rid);
+                    // A decision makes a held vote moot (the cleaner can
+                    // abort a branch whose vote never arrived): drop it
+                    // unsent.
                     self.held_votes.remove(rid);
                 }
-                // Group commit: the whole batch applies behind ONE durable
-                // append and one commit-processing charge — the per-request
-                // cost the pipeline amortises away. Per-branch semantics
-                // (idempotent re-delivery, presumed abort, the §2 decide
-                // contract) are exactly those of the single-Decide path.
+                // Group commit: the whole message applies behind ONE
+                // durable append and one commit-processing charge, with the
+                // per-branch semantics of `Engine::decide` (idempotent
+                // re-delivery, presumed abort, the §2 decide contract).
+                // Entries already in the memo are re-deliveries: answered,
+                // never re-processed, traced or charged.
                 let already: HashSet<ResultId> = entries
                     .iter()
                     .filter(|(rid, _)| self.engine.decision(*rid).is_some())
                     .map(|&(rid, _)| rid)
                     .collect();
-                // Speculation resolution: a stash whose proposal matches
-                // the decided batch exactly is promoted (its device time
-                // was pre-paid at SpecExec); a mismatched stash is
-                // discarded and the batch replays on the ordinary path
-                // below. With speculation off there is never a stash and
-                // this is a no-op.
-                let had_stash = self.engine.speculation(slot).is_some();
-                let ready_at = self.spec_ready.remove(&slot);
-                let promoted = self.engine.promote_speculation(slot, &entries);
-                // Lockstep with whatever the resolution just evicted: the
-                // below-slot GC always, and — on a mismatch — the cascade
-                // over every stash above the slot (they were executed
-                // against a base this decide just invalidated).
-                self.sync_spec_ready();
-                if let Some(p) = promoted {
-                    ctx.trace(TraceKind::SpecHit { slot, len: p.acks.len() as u32 });
-                    if let Some(w) = p.writes.first() {
-                        if matches!(w.rec, StableRecord::Group { .. }) {
-                            ctx.trace(TraceKind::GroupAppend { len: w.rec.leaves().len() as u32 });
+                // Speculation resolution, for a push that names its slot: a
+                // stash whose proposal matches the decided entries exactly
+                // is promoted (its device time was pre-paid at SpecExec); a
+                // mismatched stash is discarded and the entries replay on
+                // the ordinary path. A slot-less push never touches the
+                // stash — it may name members of a slot whose own push is
+                // still to come.
+                let mut promoted = None;
+                if let Some(slot) = slot {
+                    let had_stash = self.engine.speculation(slot).is_some();
+                    let ready_at = self.spec_ready.remove(&slot);
+                    let promotion = self.engine.promote_speculation(slot, &entries);
+                    // Lockstep with whatever the resolution just evicted:
+                    // the below-slot GC always, and — on a mismatch — the
+                    // cascade over every stash above the slot (they were
+                    // executed against a base this decide just
+                    // invalidated).
+                    self.sync_spec_ready();
+                    match promotion {
+                        Some(p) => {
+                            ctx.trace(TraceKind::SpecHit { slot, len: p.acks.len() as u32 });
+                            promoted = Some((p, ready_at));
                         }
+                        // The decided entries diverged from the speculated
+                        // ones: the buffered execution is gone, and the
+                        // DbDecide traces below are the replay.
+                        None if had_stash => ctx.trace(TraceKind::SpecAbort { slot }),
+                        None => {}
                     }
-                    self.apply_log_writes(ctx, p.writes);
-                    let fresh_commits: Vec<ResultId> = p
-                        .acks
-                        .iter()
-                        .filter(|(rid, o)| !already.contains(rid) && *o == Outcome::Commit)
-                        .map(|&(rid, _)| rid)
-                        .collect();
-                    for (rid, outcome) in &p.acks {
-                        if !already.contains(rid) {
-                            ctx.trace(TraceKind::DbDecide { rid: *rid, outcome: *outcome });
-                        }
-                    }
-                    if !fresh_commits.is_empty() {
-                        // Attribute the pre-paid commit cost across the
-                        // batch, like the ordinary path does with its own
-                        // charge.
-                        let share = p.cost.scaled(1.0 / fresh_commits.len() as f64);
-                        for &rid in &fresh_commits {
-                            ctx.trace(TraceKind::Span { rid, comp: Component::Commit, dur: share });
-                        }
-                    }
-                    // The device was claimed at SpecExec time; the reply
-                    // waits only until *that* pre-paid work completes —
-                    // later arrivals queued behind it are not its problem.
-                    let now = ctx.now();
-                    let dur = match ready_at {
-                        Some(t) if t > now => t.since(now),
-                        _ => Dur::ZERO,
-                    };
-                    let seq = self.engine.ship_position();
-                    let dur = self.fence_ack(ctx, dur);
-                    let lease = self.advertised_lease(ctx.now());
-                    ctx.send_after(
-                        dur,
-                        from,
-                        Payload::DbReply(DbReplyMsg::AckDecideBatch {
-                            entries: p.acks,
-                            seq,
-                            lease,
-                        }),
-                    );
-                    self.ship_commits(ctx);
-                    return;
                 }
-                if had_stash {
-                    // The decided batch diverged from the speculated one:
-                    // the buffered execution is gone, and the DbDecide
-                    // traces below are the replay.
-                    ctx.trace(TraceKind::SpecAbort { slot });
-                }
-                let (acks, writes) = self.engine.decide_batch(&entries);
-                // Trace only real group frames: a batch whose members yield
-                // a single record appends it bare, like the replication path.
+                let (acks, writes, prepaid) = match promoted {
+                    Some((p, ready_at)) => (p.acks, p.writes, Some((p.cost, ready_at))),
+                    None => {
+                        let (acks, writes) = self.engine.decide_batch(&entries);
+                        (acks, writes, None)
+                    }
+                };
+                // Trace only real group frames: entries that yield a single
+                // record append it bare.
                 if let Some(w) = writes.first() {
                     if matches!(w.rec, StableRecord::Group { .. }) {
                         ctx.trace(TraceKind::GroupAppend { len: w.rec.leaves().len() as u32 });
                     }
                 }
                 self.apply_log_writes(ctx, writes);
-                let fresh_commits: Vec<ResultId> = acks
-                    .iter()
-                    .filter(|(rid, o)| !already.contains(rid) && *o == Outcome::Commit)
-                    .map(|&(rid, _)| rid)
-                    .collect();
-                let fresh_aborts = acks
-                    .iter()
-                    .filter(|(rid, o)| !already.contains(rid) && *o == Outcome::Abort)
-                    .count();
-                for (rid, outcome) in &acks {
-                    if !already.contains(rid) {
-                        ctx.trace(TraceKind::DbDecide { rid: *rid, outcome: *outcome });
+                let fresh = |&&(rid, _): &&(ResultId, Outcome)| !already.contains(&rid);
+                let (mut fresh_commits, mut fresh_aborts) = (0u32, 0u32);
+                for (rid, outcome) in acks.iter().filter(fresh) {
+                    ctx.trace(TraceKind::DbDecide { rid: *rid, outcome: *outcome });
+                    match outcome {
+                        Outcome::Commit => fresh_commits += 1,
+                        Outcome::Abort => fresh_aborts += 1,
                     }
                 }
-                let dur = if !fresh_commits.is_empty() {
-                    let d = jittered(ctx, self.cost.db_commit, self.cost.jitter);
-                    // Attribute the shared commit cost across the batch so
-                    // per-request latency breakdowns stay additive.
-                    let share = d.scaled(1.0 / fresh_commits.len() as f64);
-                    for &rid in &fresh_commits {
-                        ctx.trace(TraceKind::Span { rid, comp: Component::Commit, dur: share });
+                // One commit-processing cost covers the message — pre-paid
+                // at SpecExec for a promoted stash, drawn now otherwise —
+                // and is attributed across its fresh commits so per-request
+                // latency breakdowns stay additive.
+                let cost = match prepaid {
+                    Some((cost, _)) => cost,
+                    None if fresh_commits > 0 => {
+                        jittered(ctx, self.cost.db_commit, self.cost.jitter)
                     }
-                    self.charge_serial(ctx, d)
-                } else if fresh_aborts > 0 {
-                    let d = jittered(ctx, self.cost.db_abort, self.cost.jitter);
-                    self.charge_serial(ctx, d)
-                } else {
-                    Dur::ZERO // pure re-delivery: answered from the memo
+                    None if fresh_aborts > 0 => jittered(ctx, self.cost.db_abort, self.cost.jitter),
+                    None => Dur::ZERO, // pure re-delivery: answered from the memo
+                };
+                if fresh_commits > 0 {
+                    let share = cost.scaled(1.0 / f64::from(fresh_commits));
+                    for (rid, outcome) in acks.iter().filter(fresh) {
+                        if *outcome == Outcome::Commit {
+                            let rid = *rid;
+                            ctx.trace(TraceKind::Span { rid, comp: Component::Commit, dur: share });
+                        }
+                    }
+                }
+                let dur = match prepaid {
+                    // The device was claimed at SpecExec time; the reply
+                    // waits only until *that* pre-paid work completes —
+                    // later arrivals queued behind it are not its problem.
+                    Some((_, Some(t))) if t > ctx.now() => t.since(ctx.now()),
+                    Some(_) => Dur::ZERO,
+                    None if fresh_commits + fresh_aborts > 0 => self.charge_serial(ctx, cost),
+                    None => Dur::ZERO,
                 };
                 let seq = self.engine.ship_position();
                 let dur = self.fence_ack(ctx, dur);
@@ -813,7 +734,7 @@ impl DbServer {
                 ctx.send_after(
                     dur,
                     from,
-                    Payload::DbReply(DbReplyMsg::AckDecideBatch { entries: acks, seq, lease }),
+                    Payload::DbReply(DbReplyMsg::AckDecide { entries: acks, seq, lease }),
                 );
             }
             DbMsg::Read { rid, call, round, ops, min_seq, reply_to } => {
@@ -1028,5 +949,187 @@ impl Process for DbServer {
 
     fn name(&self) -> &'static str {
         "dbserver"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use etx_base::ids::{RequestId, TimerId};
+    use etx_base::value::DbOp;
+    use std::sync::Arc;
+
+    /// A context that records what a server does — sends, traces, WAL
+    /// appends — and charges nothing.
+    #[derive(Default)]
+    struct Recorder {
+        sent: Vec<Payload>,
+        wal: Vec<StableRecord>,
+        traced: Vec<TraceKind>,
+    }
+
+    impl Context for Recorder {
+        fn now(&self) -> Time {
+            Time::ZERO
+        }
+        fn me(&self) -> NodeId {
+            DB
+        }
+        fn send(&mut self, _: NodeId, payload: Payload) {
+            self.sent.push(payload);
+        }
+        fn send_after(&mut self, _: Dur, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn set_timer(&mut self, _: Dur, _: TimerTag) -> TimerId {
+            TimerId(0)
+        }
+        fn cancel_timer(&mut self, _: TimerId) {}
+        fn random_u64(&mut self) -> u64 {
+            0
+        }
+        fn log_append(&mut self, _: &'static str, rec: StableRecord, _: bool) -> Dur {
+            self.wal.push(rec);
+            Dur::ZERO
+        }
+        fn log_read(&self, _: &'static str) -> Vec<StableRecord> {
+            self.wal.clone()
+        }
+        fn trace(&mut self, kind: TraceKind) {
+            self.traced.push(kind);
+        }
+        fn depth(&self) -> u32 {
+            0
+        }
+        fn send_at_depth(&mut self, _: u32, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn send_after_at_depth(&mut self, _: u32, _: Dur, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn subscribe_node_events(&mut self) {}
+    }
+
+    impl Recorder {
+        /// The `(branch, applied outcome)` pairs acknowledged so far.
+        fn acks(&self) -> Vec<(ResultId, Outcome)> {
+            let acked = |p: &Payload| match p {
+                Payload::DbReply(DbReplyMsg::AckDecide { entries, .. }) => entries.clone(),
+                _ => Vec::new(),
+            };
+            self.sent.iter().flat_map(acked).collect()
+        }
+
+        /// The WAL with every group frame unfolded.
+        fn leaves(&self) -> Vec<StableRecord> {
+            self.wal.iter().flat_map(|r| r.leaves()).cloned().collect()
+        }
+    }
+
+    const APP: NodeId = NodeId(1);
+    const DB: NodeId = NodeId(2);
+
+    fn rid(n: u64) -> ResultId {
+        ResultId::first(RequestId { client: NodeId(0), seq: n })
+    }
+
+    /// A speculating standalone server with branches `1..=n` prepared, each
+    /// writing its own key.
+    fn prepared(n: u64) -> (DbServer, Recorder) {
+        let mut db = DbServer::new(vec![APP], CostModel::zeroed(), Vec::new())
+            .with_speculation(SpeculationConfig::on());
+        let mut ctx = Recorder::default();
+        for i in 1..=n {
+            let ops: Arc<[DbOp]> = Arc::from([DbOp::Put { key: format!("k{i}"), value: i as i64 }]);
+            db.on_db_msg(&mut ctx, APP, DbMsg::Exec { rid: rid(i), ops, xa: true });
+            db.on_db_msg(&mut ctx, APP, DbMsg::Prepare { rid: rid(i), cross: false });
+        }
+        (db, ctx)
+    }
+
+    /// The `DbServer`-level input of the store's
+    /// `decide_batch_…matches_singleton_semantics`: N one-entry decides and
+    /// one N-entry decide are the same decision.
+    #[test]
+    fn one_entry_decides_equal_one_decide_of_all_of_them() {
+        let entries =
+            vec![(rid(1), Outcome::Commit), (rid(2), Outcome::Abort), (rid(3), Outcome::Commit)];
+        let (mut one_by_one, mut ctx1) = prepared(3);
+        for &(rid, outcome) in &entries {
+            one_by_one.on_db_msg(&mut ctx1, APP, DbMsg::decide_one(rid, outcome));
+        }
+        let (mut at_once, mut ctx2) = prepared(3);
+        at_once.on_db_msg(&mut ctx2, APP, DbMsg::Decide { entries: entries.clone(), slot: None });
+
+        assert_eq!(ctx1.acks(), entries);
+        assert_eq!(ctx2.acks(), entries);
+        assert_eq!(one_by_one.engine.snapshot(), at_once.engine.snapshot());
+        assert_eq!(one_by_one.engine.ship_position(), at_once.engine.ship_position());
+        // On disk the two differ in framing only — three bare records
+        // against one group of three — and recovery cannot tell.
+        assert_eq!(ctx1.wal.len(), 3 + 3);
+        assert_eq!(ctx2.wal.len(), 3 + 1);
+        assert_eq!(ctx1.leaves(), ctx2.leaves());
+        let (r1, r2) = (Engine::recover(&ctx1.wal), Engine::recover(&ctx2.wal));
+        assert_eq!(r1.snapshot(), at_once.engine.snapshot());
+        assert_eq!(r1.snapshot(), r2.snapshot());
+        for &(rid, outcome) in &entries {
+            assert_eq!((r1.decision(rid), r2.decision(rid)), (Some(outcome), Some(outcome)));
+        }
+    }
+
+    /// Only a push that names its slot resolves the stash for it. A
+    /// slot-less decide naming
+    /// a stashed member (a retransmission, a cleaner or `Ready` re-push)
+    /// leaves the stash alone, and the slot's own push still promotes it —
+    /// to the state, acks and WAL of the run without the interloper.
+    #[test]
+    fn a_slotless_decide_leaves_the_stash_to_the_push_that_names_its_slot() {
+        let entries = vec![(rid(1), Outcome::Commit), (rid(2), Outcome::Commit)];
+        let run = |interloper: bool| {
+            let (mut db, mut ctx) = prepared(2);
+            db.on_db_msg(&mut ctx, APP, DbMsg::SpecExec { slot: 7, entries: entries.clone() });
+            assert_eq!(db.engine.spec_slots(), 1);
+            if interloper {
+                db.on_db_msg(&mut ctx, APP, DbMsg::decide_one(rid(1), Outcome::Commit));
+                assert_eq!(db.engine.spec_slots(), 1, "a slot-less decide never touches the stash");
+                assert!(db.spec_ready.contains_key(&7), "nor its pre-paid instant");
+            }
+            ctx.sent.clear();
+            db.on_db_msg(&mut ctx, APP, DbMsg::Decide { entries: entries.clone(), slot: Some(7) });
+            assert_eq!(db.engine.spec_slots(), 0);
+            assert!(db.spec_ready.is_empty());
+            assert!(ctx.traced.contains(&TraceKind::SpecHit { slot: 7, len: 2 }));
+            (db.engine.snapshot().clone(), ctx.acks(), ctx.leaves())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    /// A follower applies whatever one shipment lands behind one append: a
+    /// one-item shipment that drains a buffered gap frames the records it
+    /// unblocked, and recovery unfolds the frame to the state the bare
+    /// records give.
+    #[test]
+    fn a_shipment_that_drains_a_gap_appends_one_group_frame() {
+        let role = ReplRole { sync_from: Some(NodeId(3)), ..ReplRole::default() };
+        let mut db = DbServer::with_replication(vec![APP], CostModel::zeroed(), Vec::new(), role);
+        let mut ctx = Recorder::default();
+        let ship = |seq: u64| ReplMsg::Apply {
+            items: vec![(seq, rid(seq), Arc::from([(format!("k{seq}"), seq as i64)]))],
+            lease: None,
+        };
+        db.on_repl_msg(&mut ctx, NodeId(3), ship(2));
+        assert!(ctx.wal.is_empty(), "beyond a gap: buffered, nothing durable yet");
+        assert_eq!(ctx.sent, [Payload::Repl(ReplMsg::SyncReq)]);
+        db.on_repl_msg(&mut ctx, NodeId(3), ship(1));
+        assert!(
+            matches!(ctx.wal.as_slice(), [StableRecord::Group { records }] if records.len() == 2)
+        );
+        assert!(ctx.traced.contains(&TraceKind::GroupAppend { len: 2 }));
+        let framed = Engine::recover(&ctx.wal);
+        let bare = Engine::recover(&ctx.leaves());
+        assert_eq!(framed.snapshot(), bare.snapshot());
+        assert_eq!(framed.snapshot(), db.engine.snapshot());
+        assert_eq!((framed.repl_position(), bare.repl_position()), (2, 2));
     }
 }

@@ -35,14 +35,15 @@ pub use router::{route, RoutedPlan};
 mod tests {
     use super::*;
     use etx_base::config::{BatchingConfig, CostModel, FdConfig, ProtocolConfig};
+    use etx_base::fault::{FaultOp, NemesisWhen};
     use etx_base::ids::{NodeId, RequestId, ResultId, Topology};
     use etx_base::msg::{ClientMsg, Payload};
-    use etx_base::runtime::{Context, Event, Process};
+    use etx_base::runtime::{Context, Event, Host, Process};
     use etx_base::time::{Dur, Time};
     use etx_base::trace::TraceKind;
     use etx_base::value::{DbOp, Outcome, Request, RequestScript, Vote};
     use etx_fd::HeartbeatFd;
-    use etx_sim::{FaultAction, NetConfig, Sim, SimConfig};
+    use etx_sim::{NetConfig, Sim, SimConfig};
 
     /// The protocol timers every test here runs under.
     fn protocol() -> ProtocolConfig {
@@ -221,7 +222,8 @@ mod tests {
         let topo = Topology::new(1, 3, 1);
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build_system(9, 3, 1, vec![req], vec![("acct".into(), 0)]);
-        sim.crash_at(Time(0), topo.app_servers[0]);
+        sim.schedule_fault(NemesisWhen::After(Dur::ZERO), FaultOp::Crash(topo.app_servers[0]))
+            .unwrap();
         let out = sim.run_until(|s| delivered_commits(s) == 1);
         assert_eq!(out, etx_sim::RunOutcome::Predicate, "back-off broadcast must fail over");
         let commits = sim
@@ -239,16 +241,17 @@ mod tests {
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build_system(11, 3, 1, vec![req], vec![("acct".into(), 0)]);
         let a1 = topo.app_servers[0];
-        sim.on_trace(
-            move |ev| {
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
                 ev.node == a1
                     && matches!(
                         ev.kind,
                         TraceKind::Span { comp: etx_base::trace::Component::LogStart, .. }
                     )
-            },
-            FaultAction::Crash(a1),
-        );
+            }),
+            FaultOp::Crash(a1),
+        )
+        .unwrap();
         let out = sim.run_until(|s| delivered_commits(s) == 1);
         assert_eq!(out, etx_sim::RunOutcome::Predicate, "cleaner + retry must finish the job");
         let commits = sim
@@ -277,16 +280,17 @@ mod tests {
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build_system(13, 3, 1, vec![req], vec![("acct".into(), 0)]);
         let a1 = topo.app_servers[0];
-        sim.on_trace(
-            move |ev| {
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
                 ev.node == a1
                     && matches!(
                         ev.kind,
                         TraceKind::Span { comp: etx_base::trace::Component::LogOutcome, .. }
                     )
-            },
-            FaultAction::Crash(a1),
-        );
+            }),
+            FaultOp::Crash(a1),
+        )
+        .unwrap();
         let out = sim.run_until(|s| delivered_commits(s) == 1);
         assert_eq!(out, etx_sim::RunOutcome::Predicate, "fail-over with commit must deliver");
         let (delivered_attempt, outcome) = sim
@@ -314,10 +318,13 @@ mod tests {
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build_system(15, 3, 1, vec![req], vec![("acct".into(), 0)]);
         let db = topo.db_servers[0];
-        sim.on_trace(
-            move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. }),
-            FaultAction::CrashRecover(db, Dur::from_millis(20)),
-        );
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. })
+            }),
+            FaultOp::CrashFor { node: db, down_for: Dur::from_millis(20) },
+        )
+        .unwrap();
         let out = sim.run_until(|s| delivered_commits(s) >= 1);
         assert_eq!(out, etx_sim::RunOutcome::Predicate, "client must eventually deliver");
         let commits = sim
@@ -401,7 +408,7 @@ mod tests {
         pcfg.features.batching = BatchingConfig::new(64, Dur::from_millis(50));
         let puppet = Box::new(move |_| Box::new(Puppet(plan.clone())) as _);
         let mut sim = build_with(23, &topo, pcfg, puppet, vec![("acct".into(), 0)]);
-        sim.crash_at(Time(0), dead);
+        sim.schedule_fault(NemesisWhen::After(Dur::ZERO), FaultOp::Crash(dead)).unwrap();
         sim.run_until_time(Time(40_000));
 
         let victim = ResultId::first(RequestId { client, seq: 1 });

@@ -265,7 +265,9 @@ impl FailureDetector for NullFd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etx_base::runtime::Process;
+    use etx_base::fault::{FaultOp, NemesisWhen};
+    use etx_base::runtime::{Host, Process};
+    use etx_base::time::Dur;
     use etx_sim::{Sim, SimConfig};
 
     /// Host process that just runs a detector and nothing else.
@@ -309,7 +311,7 @@ mod tests {
     #[test]
     fn completeness_crashed_peer_gets_suspected_by_all() {
         let (mut sim, ids) = three_hosts(2);
-        sim.crash_at(Time(500_000), ids[0]);
+        sim.schedule_fault(NemesisWhen::After(Dur(500_000)), FaultOp::Crash(ids[0])).unwrap();
         sim.run_until_time(Time(2_000_000));
         let suspects_of_crashed = sim
             .trace()
@@ -332,7 +334,12 @@ mod tests {
         let (mut sim, ids) = three_hosts(3);
         // Cut node 0 off for 400 ms — long enough to trigger suspicion with
         // the 80 ms initial timeout.
-        sim.partition(&[ids[0]], &[ids[1], ids[2]], Time(400_000));
+        let cut = FaultOp::Partition {
+            a: vec![ids[0]],
+            b: vec![ids[1], ids[2]],
+            heal_after: Dur(400_000),
+        };
+        sim.schedule_fault(NemesisWhen::Now, cut).unwrap();
         sim.run_until_time(Time(3_000_000));
         let false_suspicions =
             sim.trace().count_kind(|k| matches!(k, TraceKind::Suspect { peer } if *peer == ids[0]));
@@ -371,9 +378,9 @@ mod tests {
         // timeout, so the *number* of suspicions should be sub-linear in the
         // number of partitions.
         for i in 0..6u64 {
-            let start = Time(200_000 + i * 400_000);
-            let heal = Time(start.0 + 150_000);
-            sim.partition(&[ids[0]], &[ids[1]], heal);
+            let cut =
+                FaultOp::Partition { a: vec![ids[0]], b: vec![ids[1]], heal_after: Dur(150_000) };
+            sim.schedule_fault(NemesisWhen::After(Dur(200_000 + i * 400_000)), cut).unwrap();
         }
         sim.run_until_time(Time(4_000_000));
         let suspicions =

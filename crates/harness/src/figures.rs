@@ -7,12 +7,13 @@ use crate::scenario::{MiddleTier, Scenario, ScenarioBuilder};
 use crate::stats::Summary;
 use crate::workloads::Workload;
 use etx_base::config::CostModel;
+use etx_base::fault::{FaultOp, NemesisWhen};
 use etx_base::ids::RequestId;
 use etx_base::runtime::RuntimeKind;
 use etx_base::time::Dur;
 use etx_base::trace::{Component, TraceKind};
 use etx_base::value::Outcome;
-use etx_sim::{FaultAction, NetConfig, RunOutcome};
+use etx_sim::{NetConfig, RunOutcome};
 use std::collections::BTreeMap;
 
 /// One protocol column of the Figure 8 table.
@@ -256,22 +257,24 @@ pub fn figure1(scenario: Fig1Scenario, seed: u64) -> Fig1Report {
     let a1 = s.topo.primary();
     match scenario {
         Fig1Scenario::FailoverCommit => {
-            s.sim_mut().on_trace(
-                move |ev| {
+            s.schedule_fault(
+                NemesisWhen::on_trace(move |ev| {
                     ev.node == a1
                         && matches!(ev.kind, TraceKind::Span { comp: Component::LogOutcome, .. })
-                },
-                FaultAction::Crash(a1),
-            );
+                }),
+                FaultOp::Crash(a1),
+            )
+            .unwrap();
         }
         Fig1Scenario::FailoverAbort => {
-            s.sim_mut().on_trace(
-                move |ev| {
+            s.schedule_fault(
+                NemesisWhen::on_trace(move |ev| {
                     ev.node == a1
                         && matches!(ev.kind, TraceKind::Span { comp: Component::LogStart, .. })
-                },
-                FaultAction::Crash(a1),
-            );
+                }),
+                FaultOp::Crash(a1),
+            )
+            .unwrap();
         }
         _ => {}
     }

@@ -636,9 +636,9 @@ impl Scenario {
         self.backend.host_mut().apply_schedule(schedule)
     }
 
-    /// The simulator, for internals only it has (live trace callbacks,
-    /// virtual-time stepping, mid-run storage reads, deterministic
-    /// replay). Fault injection is **not** such a capability — use
+    /// The simulator, for internals only it has (virtual-time stepping,
+    /// mid-run storage reads, deterministic replay). Fault injection is
+    /// **not** such a capability — use
     /// [`Scenario::schedule_fault`] / [`Scenario::apply_schedule`], which
     /// work on both backends.
     ///
@@ -660,10 +660,9 @@ impl Scenario {
         }
     }
 
-    /// Mutable simulator access (run_until / virtual-time stepping / live
-    /// trace callbacks). Same capability gate as [`Scenario::sim`]; for
-    /// fault injection use the backend-neutral [`Scenario::schedule_fault`]
-    /// instead.
+    /// Mutable simulator access (run_until / virtual-time stepping). Same
+    /// capability gate as [`Scenario::sim`]; for fault injection use the
+    /// backend-neutral [`Scenario::schedule_fault`] instead.
     ///
     /// # Panics
     ///

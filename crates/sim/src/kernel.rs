@@ -5,9 +5,10 @@
 //! tie-broken by insertion sequence, so runs are bit-deterministic per
 //! seed), dispatches it, and collects whatever the handler emits.
 //!
-//! Fault injection is first-class: crashes, recoveries and partitions can be
-//! scheduled at absolute times or triggered by trace events ("crash the
-//! owner right after `regA` decides"), which is how the integration tests
+//! Fault injection is first-class and has one entry,
+//! [`Host::schedule_fault`]: crashes, pauses, link faults and partitions
+//! fire immediately, after a delay, or on a trace event ("crash the owner
+//! right after its first vote"), which is how the integration tests
 //! enumerate the adversarial schedules of the paper's Figure 1(c)/(d) and
 //! beyond.
 
@@ -16,7 +17,7 @@ use crate::observe::{MsgStats, Trace};
 use crate::rng::Rng;
 use crate::storage::StableStorage;
 use etx_base::config::CostModel;
-use etx_base::fault::{CapabilityError, FaultOp, LinkFault, NemesisWhen};
+use etx_base::fault::{CapabilityError, FaultOp, LinkFault, NemesisWhen, TracePred};
 use etx_base::ids::{NodeId, TimerId};
 use etx_base::msg::Payload;
 use etx_base::runtime::{Context, Event, Host, NodeFactory, Process, TimerTag};
@@ -66,59 +67,30 @@ impl SimConfig {
 /// (volatile state is rebuilt from scratch; stable storage persists).
 pub type Factory = NodeFactory;
 
-/// Fault applied when a trace trigger fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Crash a node.
-    Crash(NodeId),
-    /// Crash a node and schedule its recovery `Dur` later.
-    CrashRecover(NodeId, Dur),
-    /// Recover a previously crashed node.
-    Recover(NodeId),
-}
-
-/// What a fired trace trigger does. `Legacy` is the original
-/// [`FaultAction`] path — kept as its own arm so the queue-entry sequence
-/// it produces (and therefore every pre-fault-plane golden trace) stays
-/// byte-identical. `Op` is the generalized fault-plane path used for
-/// operations the legacy enum cannot express (pause, link faults).
-enum TriggerFire {
-    Legacy(FaultAction),
-    Op(FaultOp),
-}
-
+/// A one-shot trace trigger: the first event `pred` matches queues `op`.
 struct Trigger {
-    pred: Box<dyn FnMut(&TraceEvent) -> bool>,
-    fire: TriggerFire,
-    fired: bool,
+    pred: TracePred,
+    op: FaultOp,
 }
 
 enum Action {
     Init { node: NodeId },
     Deliver { from: NodeId, to: NodeId, payload: Payload, depth: u32 },
     Timer { node: NodeId, incarnation: u32, id: TimerId, tag: TimerTag, depth: u32 },
-    Crash { node: NodeId },
-    Recover { node: NodeId },
     NotifyPeer { node: NodeId, about: NodeId, up: bool },
-    Pause { node: NodeId },
-    Resume { node: NodeId },
     Fault { op: FaultOp },
 }
 
 /// The node an action is *delivered to* — the one whose paused state
-/// gates it. Fault-plane actions themselves (crash, pause, link ops)
-/// return `None`: a paused node can still be crashed or resumed.
+/// gates it. A fault-plane action returns `None`: a paused node can still
+/// be crashed or resumed.
 fn action_target(a: &Action) -> Option<NodeId> {
     match a {
         Action::Init { node } => Some(*node),
         Action::Deliver { to, .. } => Some(*to),
         Action::Timer { node, .. } => Some(*node),
         Action::NotifyPeer { node, .. } => Some(*node),
-        Action::Crash { .. }
-        | Action::Recover { .. }
-        | Action::Pause { .. }
-        | Action::Resume { .. }
-        | Action::Fault { .. } => None,
+        Action::Fault { .. } => None,
     }
 }
 
@@ -288,64 +260,22 @@ impl Sim {
 
     // ---- fault injection -------------------------------------------------
 
-    /// Schedules a crash at an absolute time.
-    pub fn crash_at(&mut self, at: Time, node: NodeId) {
-        self.push(at, Action::Crash { node });
-    }
-
-    /// Schedules a recovery at an absolute time.
-    pub fn recover_at(&mut self, at: Time, node: NodeId) {
-        self.push(at, Action::Recover { node });
-    }
-
-    /// Blocks every link between the two groups until `heal_at`.
-    pub fn partition(&mut self, side_a: &[NodeId], side_b: &[NodeId], heal_at: Time) {
-        self.links.partition(side_a, side_b, heal_at);
-    }
-
-    /// Blocks the **directed** link `from → to` until `heal_at` (messages
-    /// sent meanwhile arrive after the heal, per the reliable-channel
-    /// model). A one-way block is how tests starve a follower of its
-    /// primary's replication stream while leaving the follower's own
-    /// sends — forwarded reads included — untouched.
-    pub fn block_link(&mut self, from: NodeId, to: NodeId, heal_at: Time) {
-        self.links.block(from, to, heal_at);
-    }
-
-    /// Installs a one-shot trace trigger: the first time `pred` matches a
-    /// trace event, `action` is applied (at the current instant).
-    pub fn on_trace(
-        &mut self,
-        pred: impl FnMut(&TraceEvent) -> bool + 'static,
-        action: FaultAction,
-    ) {
-        self.triggers.push(Trigger {
-            pred: Box::new(pred),
-            fire: TriggerFire::Legacy(action),
-            fired: false,
-        });
-    }
-
-    /// Applies a fault-plane operation at the current instant. Crash and
-    /// recovery go through the same internals as [`Sim::crash_at`]-queued
-    /// entries; link operations mutate [`LinkState`] directly (consuming
-    /// no queue sequence number, exactly like the pre-fault-plane
-    /// [`Sim::block_link`] / [`Sim::partition`] entry points).
-    pub fn apply_fault_now(&mut self, op: FaultOp) {
+    /// Applies a fault-plane operation at the current instant. The bounded
+    /// forms queue their own undo; link operations mutate [`LinkState`]
+    /// directly and consume no queue sequence number.
+    fn apply_fault(&mut self, op: FaultOp) {
         match op {
             FaultOp::Crash(n) => self.do_crash(n),
             FaultOp::Recover(n) => self.do_recover(n),
             FaultOp::CrashFor { node, down_for } => {
                 self.do_crash(node);
-                let back = self.now + down_for;
-                self.push(back, Action::Recover { node });
+                self.push(self.now + down_for, Action::Fault { op: FaultOp::Recover(node) });
             }
             FaultOp::Pause(n) => self.do_pause(n),
             FaultOp::Resume(n) => self.do_resume(n),
             FaultOp::PauseFor { node, down_for } => {
                 self.do_pause(node);
-                let back = self.now + down_for;
-                self.push(back, Action::Resume { node });
+                self.push(self.now + down_for, Action::Fault { op: FaultOp::Resume(node) });
             }
             FaultOp::SetLink { from, to, fault } => self.set_link_fault(from, to, fault),
             FaultOp::HealLink { from, to } => self.heal_link(from, to),
@@ -441,17 +371,13 @@ impl Sim {
                     self.dispatch(node, Event::Timer { id, tag }, depth);
                 }
             }
-            Action::Crash { node } => self.do_crash(node),
-            Action::Recover { node } => self.do_recover(node),
             Action::NotifyPeer { node, about, up } => {
                 if self.nodes[node.0 as usize].up {
                     let ev = if up { Event::NodeUp(about) } else { Event::NodeDown(about) };
                     self.dispatch(node, ev, 0);
                 }
             }
-            Action::Pause { node } => self.do_pause(node),
-            Action::Resume { node } => self.do_resume(node),
-            Action::Fault { op } => self.apply_fault_now(op),
+            Action::Fault { op } => self.apply_fault(op),
         }
         self.scan_triggers();
         true
@@ -624,43 +550,18 @@ impl Sim {
             self.trace_scanned = self.trace.len();
             return;
         }
-        let mut fired: Vec<TriggerFire> = Vec::new();
-        {
-            let events = &self.trace.events()[self.trace_scanned..];
-            for t in self.triggers.iter_mut() {
-                if t.fired {
-                    continue;
-                }
-                for ev in events {
-                    if (t.pred)(ev) {
-                        t.fired = true;
-                        fired.push(match &t.fire {
-                            TriggerFire::Legacy(a) => TriggerFire::Legacy(*a),
-                            TriggerFire::Op(op) => TriggerFire::Op(op.clone()),
-                        });
-                        break;
-                    }
-                }
+        let events = &self.trace.events()[self.trace_scanned..];
+        let mut fired: Vec<FaultOp> = Vec::new();
+        self.triggers.retain(|t| {
+            let hit = events.iter().any(|ev| (t.pred)(ev));
+            if hit {
+                fired.push(t.op.clone());
             }
-        }
+            !hit
+        });
         self.trace_scanned = self.trace.len();
-        for fire in fired {
-            match fire {
-                // The legacy arms must stay byte-identical to the
-                // pre-fault-plane kernel: same actions, same order, same
-                // sequence-number consumption.
-                TriggerFire::Legacy(FaultAction::Crash(n)) => {
-                    self.push(self.now, Action::Crash { node: n })
-                }
-                TriggerFire::Legacy(FaultAction::CrashRecover(n, after)) => {
-                    self.push(self.now, Action::Crash { node: n });
-                    self.push(self.now + after, Action::Recover { node: n });
-                }
-                TriggerFire::Legacy(FaultAction::Recover(n)) => {
-                    self.push(self.now, Action::Recover { node: n })
-                }
-                TriggerFire::Op(op) => self.push(self.now, Action::Fault { op }),
-            }
+        for op in fired {
+            self.push(self.now, Action::Fault { op });
         }
     }
 
@@ -679,11 +580,9 @@ impl Sim {
 
 /// The simulator is the deterministic implementation of the runtime seam:
 /// virtual clock, byte-identical replay per seed, and simulated fault
-/// injection — [`Host::schedule_fault`] maps every fault-plane operation
-/// onto the kernel's existing machinery (crash/recover queue entries,
-/// trace triggers, link blocks), so a nemesis schedule expressed through
-/// the backend-neutral interface replays the same trace, byte for byte,
-/// as the original direct [`Sim`] fault calls.
+/// injection — every fault-plane operation is one queue entry
+/// (`Action::Fault`) or one trace trigger that pushes one, so a nemesis
+/// schedule replays with the run.
 impl Host for Sim {
     fn add_node(&mut self, name: &'static str, factory: NodeFactory) -> NodeId {
         Sim::add_node(self, name, factory)
@@ -719,46 +618,9 @@ impl Host for Sim {
 
     fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError> {
         match when {
-            NemesisWhen::Now => self.apply_fault_now(op),
-            NemesisWhen::After(d) => {
-                let at = self.now + d;
-                match op {
-                    // Crash-family timed ops map onto the exact entries
-                    // `crash_at` / `recover_at` push, in the same order —
-                    // this is what keeps old chaos schedules re-expressed
-                    // through the fault plane byte-identical.
-                    FaultOp::Crash(n) => self.crash_at(at, n),
-                    FaultOp::Recover(n) => self.recover_at(at, n),
-                    FaultOp::CrashFor { node, down_for } => {
-                        self.crash_at(at, node);
-                        self.recover_at(at + down_for, node);
-                    }
-                    FaultOp::Pause(n) => self.push(at, Action::Pause { node: n }),
-                    FaultOp::Resume(n) => self.push(at, Action::Resume { node: n }),
-                    FaultOp::PauseFor { node, down_for } => {
-                        self.push(at, Action::Pause { node });
-                        self.push(at + down_for, Action::Resume { node });
-                    }
-                    other => self.push(at, Action::Fault { op: other }),
-                }
-            }
-            NemesisWhen::OnTrace(pred) => {
-                let fire = match op {
-                    // Crash-family trace triggers ride the legacy path
-                    // (same firing actions, same sequence numbers).
-                    FaultOp::Crash(n) => TriggerFire::Legacy(FaultAction::Crash(n)),
-                    FaultOp::Recover(n) => TriggerFire::Legacy(FaultAction::Recover(n)),
-                    FaultOp::CrashFor { node, down_for } => {
-                        TriggerFire::Legacy(FaultAction::CrashRecover(node, down_for))
-                    }
-                    other => TriggerFire::Op(other),
-                };
-                self.triggers.push(Trigger {
-                    pred: Box::new(move |ev| pred(ev)),
-                    fire,
-                    fired: false,
-                });
-            }
+            NemesisWhen::Now => self.apply_fault(op),
+            NemesisWhen::After(d) => self.push(self.now + d, Action::Fault { op }),
+            NemesisWhen::OnTrace(pred) => self.triggers.push(Trigger { pred, op }),
         }
         Ok(())
     }
@@ -795,9 +657,8 @@ impl SimCtx<'_> {
         let depth = if background { 0 } else { depth_base + 1 };
         let depart = self.now + extra;
         // Fault-plane link faults. With an empty fault table this lookup
-        // is the only cost — no randomness, no sequence numbers — so
-        // fault-free runs replay byte-identically to the pre-fault-plane
-        // kernel.
+        // is the only cost: a run that schedules no link fault draws no
+        // randomness and consumes no sequence number here.
         if let Some(fault) = self.links.fault_on(self.me, to) {
             self.stats.record_sent(payload.label(), background);
             if fault.drop {

@@ -50,7 +50,7 @@ pub mod storage;
 /// module moved to `etx-base` with the runtime seam).
 pub use etx_base::rng;
 
-pub use kernel::{FaultAction, RunOutcome, Sim, SimConfig};
+pub use kernel::{RunOutcome, Sim, SimConfig};
 pub use net::NetConfig;
 pub use observe::{MsgStats, Trace};
 pub use rng::Rng;
@@ -59,9 +59,10 @@ pub use storage::StableStorage;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etx_base::fault::{FaultOp, NemesisWhen};
     use etx_base::ids::NodeId;
     use etx_base::msg::{FdMsg, Payload};
-    use etx_base::runtime::{Context, Event, Process, TimerTag};
+    use etx_base::runtime::{Context, Event, Host, Process, TimerTag};
     use etx_base::time::{Dur, Time};
     use etx_base::trace::TraceKind;
     use etx_base::wal::{StableRecord, LOG_WAL};
@@ -160,8 +161,8 @@ mod tests {
     fn crash_preserves_storage_and_kills_timers() {
         let mut sim = Sim::new(SimConfig::with_seed(3));
         let n = sim.add_node("d", Box::new(|_| Box::new(Durable)));
-        sim.crash_at(Time(10_000), n);
-        sim.recover_at(Time(20_000), n);
+        let op = FaultOp::CrashFor { node: n, down_for: Dur(10_000) };
+        sim.schedule_fault(NemesisWhen::After(Dur(10_000)), op).unwrap();
         sim.run_until_time(Time(200_000));
         assert!(sim.is_up(n));
         assert_eq!(sim.trace().count_kind(|k| matches!(k, TraceKind::Note("log-survived"))), 1);
@@ -181,7 +182,7 @@ mod tests {
         let mut sim = Sim::new(SimConfig::with_seed(4));
         let _a = sim.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 3 })));
         let b = sim.add_node("b", Box::new(|_| Box::new(Pinger { peer: None, n: 0 })));
-        sim.crash_at(Time(0), b);
+        sim.schedule_fault(NemesisWhen::After(Dur::ZERO), FaultOp::Crash(b)).unwrap();
         sim.run_until_time(Time(100_000));
         assert_eq!(sim.stats().dropped_to_down(), 3);
         assert_eq!(sim.trace().count_kind(|k| matches!(k, TraceKind::Note("pong"))), 0);
@@ -205,8 +206,8 @@ mod tests {
         let mut sim = Sim::new(SimConfig::with_seed(5));
         let _w = sim.add_node("w", Box::new(|_| Box::new(Watcher)));
         let v = sim.add_node("v", Box::new(|_| Box::new(Pinger { peer: None, n: 0 })));
-        sim.crash_at(Time(5_000), v);
-        sim.recover_at(Time(9_000), v);
+        let op = FaultOp::CrashFor { node: v, down_for: Dur(4_000) };
+        sim.schedule_fault(NemesisWhen::After(Dur(5_000)), op).unwrap();
         sim.run_until_time(Time(50_000));
         assert_eq!(sim.trace().count_kind(|k| matches!(k, TraceKind::Note("down"))), 1);
         assert_eq!(sim.trace().count_kind(|k| matches!(k, TraceKind::Note("up"))), 1);
@@ -218,10 +219,13 @@ mod tests {
         let a = sim.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 1 })));
         let b = sim.add_node("b", Box::new(|_| Box::new(Pinger { peer: None, n: 0 })));
         // Crash `b` as soon as it logs its first pong.
-        sim.on_trace(
-            move |ev| ev.node == b && matches!(ev.kind, TraceKind::Note("pong")),
-            FaultAction::Crash(b),
-        );
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                ev.node == b && matches!(ev.kind, TraceKind::Note("pong"))
+            }),
+            FaultOp::Crash(b),
+        )
+        .unwrap();
         sim.run_until_time(Time(100_000));
         assert!(!sim.is_up(b));
         assert!(sim.is_up(a));
@@ -257,7 +261,8 @@ mod tests {
         let mut sim = Sim::new(SimConfig::with_seed(9));
         let a = sim.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 1 })));
         let b = sim.add_node("b", Box::new(|_| Box::new(Pinger { peer: None, n: 0 })));
-        sim.partition(&[a], &[b], Time(500_000));
+        let op = FaultOp::Partition { a: vec![a], b: vec![b], heal_after: Dur(500_000) };
+        sim.schedule_fault(NemesisWhen::Now, op).unwrap();
         sim.run_until(|s| s.trace().count_kind(|k| matches!(k, TraceKind::Note("pong"))) == 1);
         assert!(sim.now() >= Time(500_000), "delivered only after heal: {}", sim.now());
     }

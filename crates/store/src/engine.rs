@@ -355,8 +355,14 @@ impl Engine {
     /// yes — the protocol's validity property V.2 makes that unreachable;
     /// release builds conservatively abort instead.
     pub fn decide(&mut self, rid: ResultId, outcome: Outcome) -> (Outcome, Vec<LogWrite>) {
+        let (applied, write) = self.decide_one(rid, outcome);
+        (applied, write.into_iter().collect())
+    }
+
+    /// [`Engine::decide`] proper: a branch yields at most one log record.
+    fn decide_one(&mut self, rid: ResultId, outcome: Outcome) -> (Outcome, Option<LogWrite>) {
         if let Some(&prev) = self.decided.get(&rid) {
-            return (prev, Vec::new()); // idempotent re-delivery
+            return (prev, None); // idempotent re-delivery
         }
         let applied = match outcome {
             Outcome::Abort => {
@@ -406,10 +412,10 @@ impl Engine {
                         self.decided.insert(rid, Outcome::Abort);
                         return (
                             Outcome::Abort,
-                            vec![LogWrite {
+                            Some(LogWrite {
                                 rec: StableRecord::DbOutcome { rid, outcome: Outcome::Abort },
                                 force: false,
-                            }],
+                            }),
                         );
                     }
                 }
@@ -417,7 +423,7 @@ impl Engine {
         };
         self.decided.insert(rid, applied);
         let force = applied == Outcome::Commit;
-        (applied, vec![LogWrite { rec: StableRecord::DbOutcome { rid, outcome: applied }, force }])
+        (applied, Some(LogWrite { rec: StableRecord::DbOutcome { rid, outcome: applied }, force }))
     }
 
     /// XA decide for a whole batch (one decided decision-log slot's worth
@@ -427,28 +433,24 @@ impl Engine {
     /// single log force for N outcomes. Returns the per-branch applied
     /// outcomes (for the batched acknowledgement) and at most one
     /// [`LogWrite`]: a bare record when only one branch produced log
-    /// output (so a batch of one is byte-identical to the unbatched
-    /// protocol on disk), a [`StableRecord::Group`] frame otherwise.
+    /// output (a frame around one record would buy nothing), a
+    /// [`StableRecord::Group`] frame otherwise.
     pub fn decide_batch(
         &mut self,
         entries: &[(ResultId, Outcome)],
     ) -> (Vec<(ResultId, Outcome)>, Vec<LogWrite>) {
         let mut acks = Vec::with_capacity(entries.len());
-        let mut members = Vec::new();
-        let mut force = false;
+        let mut writes = Vec::new();
         for &(rid, outcome) in entries {
-            let (applied, writes) = self.decide(rid, outcome);
+            let (applied, write) = self.decide_one(rid, outcome);
             acks.push((rid, applied));
-            for w in writes {
-                force |= w.force;
-                members.push(w.rec);
-            }
+            writes.extend(write);
         }
-        let writes = match members.len() {
-            0 => Vec::new(),
-            1 => vec![LogWrite { rec: members.remove(0), force }],
-            _ => vec![LogWrite { rec: StableRecord::Group { records: members }, force }],
-        };
+        if writes.len() > 1 {
+            let force = writes.iter().any(|w| w.force);
+            let records = writes.into_iter().map(|w| w.rec).collect();
+            writes = vec![LogWrite { rec: StableRecord::Group { records }, force }];
+        }
         (acks, writes)
     }
 
@@ -632,8 +634,9 @@ impl Engine {
     // ---- intra-shard asynchronous replication -------------------------------
 
     /// Primary role: drains the committed write sets queued since the last
-    /// drain, in ship order. The host broadcasts each as a `ReplMsg::Apply`
-    /// to the shard's followers (a host without followers just drops them).
+    /// drain, in ship order. The host ships them as one `ReplMsg::Apply` to
+    /// each of the shard's followers (a host without followers just drops
+    /// them).
     pub fn take_repl_outbox(&mut self) -> Vec<ShippedCommit> {
         std::mem::take(&mut self.outbox)
     }
@@ -658,10 +661,8 @@ impl Engine {
     pub fn apply_replicated_batch(&mut self, items: Vec<ShippedCommit>) -> ReplApply {
         let mut writes = Vec::new();
         let mut need_sync = false;
-        for (seq, rid, entries) in items {
-            let res = self.apply_replicated(seq, rid, entries);
-            writes.extend(res.writes);
-            need_sync = res.need_sync;
+        for item in items {
+            need_sync = self.apply_one(item, &mut writes);
         }
         ReplApply { writes, need_sync }
     }
@@ -676,14 +677,22 @@ impl Engine {
         rid: ResultId,
         entries: ShippedEntries,
     ) -> ReplApply {
+        let mut writes = Vec::new();
+        let need_sync = self.apply_one((seq, rid, entries), &mut writes);
+        ReplApply { writes, need_sync }
+    }
+
+    /// [`Engine::apply_replicated`] proper: appends the records of whatever
+    /// landed to `out` and returns whether a gap remains.
+    fn apply_one(&mut self, (seq, rid, entries): ShippedCommit, out: &mut Vec<LogWrite>) -> bool {
         if seq <= self.repl_last_seq {
-            return ReplApply { writes: Vec::new(), need_sync: false };
+            return false;
         }
         self.repl_pending.insert(seq, (rid, entries));
-        let writes = self.drain_repl_pending();
+        self.drain_repl_pending(out);
         // Anything still pending is beyond a gap: commits this follower
         // missed (it was down when they shipped). Ask for a snapshot.
-        ReplApply { writes, need_sync: !self.repl_pending.is_empty() }
+        !self.repl_pending.is_empty()
     }
 
     /// Follower role: adopts a full snapshot from the primary (recovery
@@ -702,12 +711,11 @@ impl Engine {
             rec: StableRecord::Replicated { seq, rid: ResultId::repl_snapshot(), writes: entries },
             force: false,
         }];
-        writes.extend(self.drain_repl_pending());
+        self.drain_repl_pending(&mut writes);
         writes
     }
 
-    fn drain_repl_pending(&mut self) -> Vec<LogWrite> {
-        let mut out = Vec::new();
+    fn drain_repl_pending(&mut self, out: &mut Vec<LogWrite>) {
         while let Some(entry) = self.repl_pending.remove(&(self.repl_last_seq + 1)) {
             let (rid, entries) = entry;
             for (k, &v) in entries.iter().map(|(k, v)| (k, v)) {
@@ -726,7 +734,6 @@ impl Engine {
                 force: false,
             });
         }
-        out
     }
 
     /// Rebuilds an engine from the write-ahead log after a crash:

@@ -13,12 +13,12 @@
 //! cargo run --example bank_transfer
 //! ```
 
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::base::value::Outcome;
 use etx::baselines::RetryPolicy;
 use etx::harness::{MiddleTier, ScenarioBuilder, Workload};
-use etx::sim::FaultAction;
 
 fn commits(s: &etx::harness::Scenario) -> usize {
     s.trace().count_kind(|k| matches!(k, TraceKind::DbDecide { outcome: Outcome::Commit, .. }))
@@ -35,12 +35,13 @@ fn main() {
         .build();
     let coord = tpc.topo.app_servers[0];
     let db = tpc.topo.db_servers[0];
-    tpc.sim_mut().on_trace(
-        move |ev| {
+    tpc.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
             ev.node == db && matches!(ev.kind, TraceKind::DbDecide { outcome: Outcome::Commit, .. })
-        },
-        FaultAction::CrashRecover(coord, Dur::from_millis(200)),
-    );
+        }),
+        FaultOp::CrashFor { node: coord, down_for: Dur::from_millis(200) },
+    )
+    .unwrap();
     tpc.sim_mut().run_until(|s| {
         s.trace().count_kind(|k| matches!(k, TraceKind::DbDecide { outcome: Outcome::Commit, .. }))
             >= 2
@@ -55,13 +56,16 @@ fn main() {
         .build();
     let a1 = etx_run.topo.primary();
     let db2 = etx_run.topo.db_servers[0];
-    etx_run.sim_mut().on_trace(
-        move |ev| {
-            ev.node == db2
-                && matches!(ev.kind, TraceKind::DbDecide { outcome: Outcome::Commit, .. })
-        },
-        FaultAction::Crash(a1), // app servers are crash-stop; replicas cover
-    );
+    // app servers are crash-stop; replicas cover
+    etx_run
+        .schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                ev.node == db2
+                    && matches!(ev.kind, TraceKind::DbDecide { outcome: Outcome::Commit, .. })
+            }),
+            FaultOp::Crash(a1),
+        )
+        .unwrap();
     etx_run.run_until_settled(1);
     etx_run.quiesce(Dur::from_millis(100));
     println!(

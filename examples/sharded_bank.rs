@@ -12,11 +12,11 @@
 //! cargo run --example sharded_bank
 //! ```
 
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::base::value::Outcome;
 use etx::harness::{check, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
-use etx::sim::FaultAction;
 
 fn main() {
     println!("== a cross-shard transfer that loses a shard primary mid-commit ==\n");
@@ -39,10 +39,13 @@ fn main() {
     // prepared (in-doubt) at that instant — and recover it 25 ms later.
     for g in 0..4 {
         let p = s.shard_primary(g);
-        s.sim_mut().on_trace(
-            move |ev| ev.node == p && matches!(ev.kind, TraceKind::DbVote { .. }),
-            FaultAction::CrashRecover(p, Dur::from_millis(25)),
-        );
+        s.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                ev.node == p && matches!(ev.kind, TraceKind::DbVote { .. })
+            }),
+            FaultOp::CrashFor { node: p, down_for: Dur::from_millis(25) },
+        )
+        .unwrap();
     }
 
     let initial: i64 =

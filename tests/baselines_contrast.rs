@@ -2,12 +2,12 @@
 //! executable. Same workload, same fault, four protocols, four different
 //! user experiences.
 
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::time::{Dur, Time};
 use etx::base::trace::TraceKind;
 use etx::base::value::Outcome;
 use etx::baselines::RetryPolicy;
 use etx::harness::{check, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
-use etx::sim::FaultAction;
 
 fn commits(s: &etx::harness::Scenario) -> usize {
     s.trace().count_kind(|k| matches!(k, TraceKind::DbDecide { outcome: Outcome::Commit, .. }))
@@ -22,10 +22,13 @@ fn crash_after_vote(tier: MiddleTier, seed: u64) -> etx::harness::Scenario {
         .build();
     let victim = s.topo.app_servers[0];
     let db = s.topo.db_servers[0];
-    s.sim_mut().on_trace(
-        move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. }),
-        FaultAction::Crash(victim),
-    );
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. })
+        }),
+        FaultOp::Crash(victim),
+    )
+    .unwrap();
     s
 }
 
@@ -62,7 +65,7 @@ fn same_fault_four_protocols_four_outcomes() {
     // (The baseline never reaches a vote — it one-phase-commits — so crash
     // at vote never fires; crash immediately instead for the contrast.)
     let server = base.topo.app_servers[0];
-    base.sim_mut().crash_at(Time(1_000), server);
+    base.schedule_fault(NemesisWhen::After(Dur(1_000)), FaultOp::Crash(server)).unwrap();
     base.sim_mut().run_until_time(Time(1_000_000));
     assert_eq!(
         base.trace().count_kind(|k| matches!(k, TraceKind::Exception { .. })),
@@ -111,12 +114,13 @@ fn property_checker_flags_naive_retry_duplicate_commit() {
         .build();
     let coord = tpc.topo.app_servers[0];
     let db = tpc.topo.db_servers[0];
-    tpc.sim_mut().on_trace(
-        move |ev| {
+    tpc.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
             ev.node == db && matches!(ev.kind, TraceKind::DbDecide { outcome: Outcome::Commit, .. })
-        },
-        FaultAction::CrashRecover(coord, Dur::from_millis(200)),
-    );
+        }),
+        FaultOp::CrashFor { node: coord, down_for: Dur::from_millis(200) },
+    )
+    .unwrap();
     tpc.sim_mut().run_until(|s| {
         s.trace().count_kind(|k| matches!(k, TraceKind::DbDecide { outcome: Outcome::Commit, .. }))
             >= 2
@@ -148,10 +152,10 @@ fn etx_client_never_sees_exceptions() {
         .requests(3)
         .build();
     let a1 = s.topo.primary();
-    s.sim_mut().crash_at(Time(5_000), a1);
+    s.schedule_fault(NemesisWhen::After(Dur(5_000)), FaultOp::Crash(a1)).unwrap();
     let db = s.topo.db_servers[0];
-    s.sim_mut().crash_at(Time(15_000), db);
-    s.sim_mut().recover_at(Time(45_000), db);
+    s.schedule_fault(NemesisWhen::After(Dur(15_000)), FaultOp::Crash(db)).unwrap();
+    s.schedule_fault(NemesisWhen::After(Dur(45_000)), FaultOp::Recover(db)).unwrap();
     let out = s.run_until_settled(3);
     assert_eq!(out, etx::sim::RunOutcome::Predicate);
     assert_eq!(

@@ -3,9 +3,10 @@
 //! specification, including mid-batch crashes.
 
 use etx::base::config::{BatchingConfig, FeatureSet};
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::ids::{NodeId, ResultId};
 use etx::base::runtime::RuntimeKind;
-use etx::base::time::{Dur, Time};
+use etx::base::time::Dur;
 use etx::base::trace::{Component, TraceKind};
 use etx::base::wal::{StableRecord, LOG_WAL};
 use etx::harness::{
@@ -189,10 +190,12 @@ fn follower_recovering_into_an_empty_batch_window_catches_up_as_a_noop() {
     let follower = s.shard_replicas(0)[1];
     let settled = s.rebuilt_committed(follower);
     assert_eq!(settled, s.rebuilt_committed(s.shard_primary(0)), "converged before the cycle");
-    let now = s.now();
-    let back_at = Time(now.0 + 5_000);
-    s.sim_mut().crash_at(Time(now.0 + 1_000), follower);
-    s.sim_mut().recover_at(back_at, follower);
+    let back_at = s.now() + Dur(5_000);
+    s.schedule_fault(
+        NemesisWhen::After(Dur(1_000)),
+        FaultOp::CrashFor { node: follower, down_for: Dur(4_000) },
+    )
+    .unwrap();
     s.quiesce(Dur::from_millis(100)); // recovery + sync round trips
     assert_eq!(
         s.rebuilt_committed(follower),
@@ -233,16 +236,17 @@ fn catch_up_snapshot_straddling_a_partially_shipped_batch_applies_exactly_once()
     // never saw — whatever the pipeline depth.
     let follower = s.shard_replicas(0)[1];
     let shard0_primary = s.shard_primary(0);
-    s.sim_mut().on_trace(
-        move |ev| {
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
             ev.node == shard0_primary
                 && matches!(
                     ev.kind,
                     TraceKind::DbDecide { outcome: etx::base::value::Outcome::Commit, .. }
                 )
-        },
-        etx::sim::FaultAction::CrashRecover(follower, Dur::from_millis(4)),
-    );
+        }),
+        FaultOp::CrashFor { node: follower, down_for: Dur::from_millis(4) },
+    )
+    .unwrap();
     let expected = s.requests as usize;
     let out = s.run_until_settled(expected);
     assert_eq!(out, RunOutcome::Predicate);

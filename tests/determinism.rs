@@ -10,7 +10,6 @@ use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::harness::{MiddleTier, ScenarioBuilder, Workload};
-use etx::sim::FaultAction;
 
 /// A non-trivial run: three replicas, two requests, and a primary crash
 /// injected mid-protocol, so the trace covers failover, not just the happy
@@ -22,10 +21,13 @@ fn run_traced(seed: u64) -> Vec<u8> {
         .build();
     let victim = s.topo.primary();
     let db = s.topo.db_servers[0];
-    s.sim_mut().on_trace(
-        move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. }),
-        FaultAction::Crash(victim),
-    );
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. })
+        }),
+        FaultOp::Crash(victim),
+    )
+    .unwrap();
     s.run_until_settled(2);
     s.quiesce(Dur::from_millis(50));
     format!("{:#?}", s.trace().events()).into_bytes()
@@ -42,10 +44,13 @@ fn run_traced_sharded(seed: u64) -> Vec<u8> {
         .requests(2)
         .build();
     let victim = s.shard_primary(0);
-    s.sim_mut().on_trace(
-        move |ev| ev.node == victim && matches!(ev.kind, TraceKind::DbVote { .. }),
-        FaultAction::CrashRecover(victim, etx::base::time::Dur::from_millis(20)),
-    );
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == victim && matches!(ev.kind, TraceKind::DbVote { .. })
+        }),
+        FaultOp::CrashFor { node: victim, down_for: Dur::from_millis(20) },
+    )
+    .unwrap();
     s.run_until_settled(2);
     s.quiesce(Dur::from_millis(50));
     format!("{:#?}", s.trace().events()).into_bytes()

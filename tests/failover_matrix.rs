@@ -3,10 +3,11 @@
 //! and the client still delivers (T.1 under fail-over).
 
 use etx::base::config::FdConfig;
+use etx::base::fault::{FaultOp, NemesisWhen, TracePred};
 use etx::base::time::Dur;
 use etx::base::trace::{Component, TraceKind};
 use etx::harness::{check, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
-use etx::sim::FaultAction;
+use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy)]
 enum Stage {
@@ -33,23 +34,23 @@ fn run_stage(stage: Stage, seed: u64) {
         .requests(1)
         .build();
     let a1 = s.topo.primary();
-    let pred: Box<dyn FnMut(&etx::base::trace::TraceEvent) -> bool> = match stage {
-        Stage::OnRequestArrival => Box::new(move |ev| {
+    let pred: TracePred = match stage {
+        Stage::OnRequestArrival => Arc::new(move |ev| {
             ev.node == a1 && matches!(ev.kind, TraceKind::Span { comp: Component::Start, .. })
         }),
-        Stage::AfterRegAWrite => Box::new(move |ev| {
+        Stage::AfterRegAWrite => Arc::new(move |ev| {
             ev.node == a1 && matches!(ev.kind, TraceKind::Span { comp: Component::LogStart, .. })
         }),
         Stage::AfterSqlAtDb => {
-            Box::new(move |ev| matches!(ev.kind, TraceKind::Span { comp: Component::Sql, .. }))
+            Arc::new(move |ev| matches!(ev.kind, TraceKind::Span { comp: Component::Sql, .. }))
         }
-        Stage::AfterDbVote => Box::new(move |ev| matches!(ev.kind, TraceKind::DbVote { .. })),
-        Stage::AfterRegDWrite => Box::new(move |ev| {
+        Stage::AfterDbVote => Arc::new(move |ev| matches!(ev.kind, TraceKind::DbVote { .. })),
+        Stage::AfterRegDWrite => Arc::new(move |ev| {
             ev.node == a1 && matches!(ev.kind, TraceKind::Span { comp: Component::LogOutcome, .. })
         }),
-        Stage::AfterDbCommit => Box::new(move |ev| matches!(ev.kind, TraceKind::DbDecide { .. })),
+        Stage::AfterDbCommit => Arc::new(move |ev| matches!(ev.kind, TraceKind::DbDecide { .. })),
     };
-    s.sim_mut().on_trace(pred, FaultAction::Crash(a1));
+    s.schedule_fault(NemesisWhen::OnTrace(pred), FaultOp::Crash(a1)).unwrap();
     let out = s.run_until_settled(1);
     assert_eq!(
         out,
@@ -82,16 +83,20 @@ fn double_crash_still_tolerated_with_five_replicas() {
         .build();
     let a1 = s.topo.app_servers[0];
     let a2 = s.topo.app_servers[1];
-    s.sim_mut().on_trace(
-        move |ev| {
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
             ev.node == a1 && matches!(ev.kind, TraceKind::Span { comp: Component::LogStart, .. })
-        },
-        FaultAction::Crash(a1),
-    );
-    s.sim_mut().on_trace(
-        move |ev| matches!(ev.kind, TraceKind::CleanerTakeover { .. }) && ev.node == a2,
-        FaultAction::Crash(a2),
-    );
+        }),
+        FaultOp::Crash(a1),
+    )
+    .unwrap();
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            matches!(ev.kind, TraceKind::CleanerTakeover { .. }) && ev.node == a2
+        }),
+        FaultOp::Crash(a2),
+    )
+    .unwrap();
     let out = s.run_until_settled(1);
     assert_eq!(out, etx::sim::RunOutcome::Predicate);
     s.quiesce(Dur::from_millis(400));
@@ -107,12 +112,16 @@ fn db_crash_at_vote_and_at_decide_points() {
             .requests(1)
             .build();
         let db = s.topo.db_servers[0];
-        let pred: Box<dyn FnMut(&etx::base::trace::TraceEvent) -> bool> = if i == 0 {
-            Box::new(move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. }))
+        let pred: TracePred = if i == 0 {
+            Arc::new(move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. }))
         } else {
-            Box::new(move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbDecide { .. }))
+            Arc::new(move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbDecide { .. }))
         };
-        s.sim_mut().on_trace(pred, FaultAction::CrashRecover(db, Dur::from_millis(25)));
+        s.schedule_fault(
+            NemesisWhen::OnTrace(pred),
+            FaultOp::CrashFor { node: db, down_for: Dur::from_millis(25) },
+        )
+        .unwrap();
         let out = s.run_until_settled(1);
         assert_eq!(out, etx::sim::RunOutcome::Predicate, "{kind}: must deliver");
         s.quiesce(Dur::from_millis(400));

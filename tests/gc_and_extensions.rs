@@ -2,8 +2,9 @@
 //! arrays (§5 names it as open) and the adaptive client-routing flag.
 
 use etx::base::config::ProtocolConfig;
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::runtime::RuntimeKind;
-use etx::base::time::{Dur, Time};
+use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::harness::{check, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
 use etx::protocol::AppServer;
@@ -80,7 +81,7 @@ fn gc_with_failover_in_the_middle_of_the_stream() {
         .requests(10)
         .build();
     let a1 = s.topo.primary();
-    s.sim_mut().crash_at(Time(20_000), a1);
+    s.schedule_fault(NemesisWhen::After(Dur(20_000)), FaultOp::Crash(a1)).unwrap();
     let out = s.run_until_settled(10);
     assert_eq!(out, etx::sim::RunOutcome::Predicate);
     s.quiesce(Dur::from_millis(300));
@@ -113,7 +114,7 @@ fn adaptive_routing_recovers_faster_after_primary_death() {
             .requests(6)
             .build();
         let a1 = s.topo.primary();
-        s.sim_mut().crash_at(Time(0), a1);
+        s.schedule_fault(NemesisWhen::After(Dur::ZERO), FaultOp::Crash(a1)).unwrap();
         let out = s.run_until_settled(6);
         assert_eq!(out, etx::sim::RunOutcome::Predicate);
         s.now()

@@ -18,12 +18,13 @@
 //!   replayed values equal to the depth-1 run's.
 
 use etx::base::config::{BatchingConfig, PipelineConfig, SpeculationConfig};
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::harness::{
     check, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder, Summary, Workload,
 };
-use etx::sim::{FaultAction, RunOutcome};
+use etx::sim::RunOutcome;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
@@ -196,12 +197,13 @@ fn primary_crash_with_a_deep_window_replays_to_the_depth_one_values() {
     let crash_run = |seed: u64| {
         let mut s = burst(5300 + seed, 4, SpeculationConfig::on());
         let a1 = s.topo.primary();
-        s.sim_mut().on_trace(
-            move |ev| {
+        s.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
                 ev.node == a1 && matches!(ev.kind, TraceKind::PipelineWindow { open } if open >= 2)
-            },
-            FaultAction::Crash(a1),
-        );
+            }),
+            FaultOp::Crash(a1),
+        )
+        .unwrap();
         let mut s = settle(s);
         assert_eq!(
             s.delivered_commits(),
@@ -234,10 +236,13 @@ fn stacked_speculation_buffers_die_with_the_shard_primary() {
     // must still rebuild to the depth-1 run's state from its WAL.
     let mut s = burst(5401, 4, SpeculationConfig::on());
     let victim = s.shard_primary(0);
-    s.sim_mut().on_trace(
-        move |ev| ev.node == victim && matches!(ev.kind, TraceKind::SpecExec { .. }),
-        FaultAction::CrashRecover(victim, Dur::from_millis(10)),
-    );
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == victim && matches!(ev.kind, TraceKind::SpecExec { .. })
+        }),
+        FaultOp::CrashFor { node: victim, down_for: Dur::from_millis(10) },
+    )
+    .unwrap();
     let mut s = settle(s);
     assert_eq!(s.delivered_commits(), s.requests as usize);
     assert_matches_reference(&mut s, depth_one_state(), "stacked-stash crash");

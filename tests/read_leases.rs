@@ -19,6 +19,7 @@
 //!   lease-free build (pinned in `read_path.rs`).
 
 use etx::base::config::{ReadLeaseConfig, ReadPathConfig};
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::time::{Dur, Time};
 use etx::base::trace::TraceKind;
 use etx::base::value::Outcome;
@@ -118,7 +119,12 @@ fn starved_follower_serves_until_expiry_then_forwards() {
     // far beyond the first grants, well before the run drains.
     let replicas = s.shard_replicas(0).to_vec();
     s.quiesce(Dur::from_millis(6));
-    s.sim_mut().block_link(replicas[0], replicas[1], Time(3_600_000_000));
+    s.fault(FaultOp::BlockLink {
+        from: replicas[0],
+        to: replicas[1],
+        heal_after: Dur(3_600_000_000),
+    })
+    .unwrap();
     settle(&mut s);
     assert!(
         s.follower_reads_served() >= 1,
@@ -160,8 +166,8 @@ fn recovered_grantor_fences_acks_until_granted_leases_lapse() {
         .build();
     let grantor = s.shard_primary(0);
     let t_rec = Time(8_000);
-    s.sim_mut().crash_at(Time(5_000), grantor);
-    s.sim_mut().recover_at(t_rec, grantor);
+    s.schedule_fault(NemesisWhen::After(Dur(5_000)), FaultOp::Crash(grantor)).unwrap();
+    s.schedule_fault(NemesisWhen::After(Dur(t_rec.0)), FaultOp::Recover(grantor)).unwrap();
     settle(&mut s);
     assert!(s.lease_fences() >= 1, "recovery with leases on must install a fence");
     let trace = s.trace();
@@ -377,8 +383,8 @@ fn leased_runs_replay_byte_identical_traces() {
             .workload(Workload::ReadAfterWrite { accounts: 16, amount: 10 })
             .build();
         let grantor = s.shard_primary(0);
-        s.sim_mut().crash_at(Time(5_000), grantor);
-        s.sim_mut().recover_at(Time(8_000), grantor);
+        s.schedule_fault(NemesisWhen::After(Dur(5_000)), FaultOp::Crash(grantor)).unwrap();
+        s.schedule_fault(NemesisWhen::After(Dur(8_000)), FaultOp::Recover(grantor)).unwrap();
         settle(&mut s);
         format!("{:#?}", s.trace().events()).into_bytes()
     };

@@ -18,11 +18,11 @@
 //!   loop), checked via the conserved-pair invariant.
 
 use etx::base::config::{BatchingConfig, ReadLeaseConfig, ReadPathConfig};
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::base::value::Outcome;
 use etx::harness::{MiddleTier, Scenario, ScenarioBuilder, Summary, Workload};
-use etx::sim::FaultAction;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -39,11 +39,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// sharded crash-recovery, a batched burst). They guard against an *unintended*
 /// trace change: a PR that means to leave messages, timers and trace
 /// events alone must leave these alone, and one that changes the protocol
-/// on purpose re-pins them once and says so. (Last re-pinned when owner
-/// claims moved from per-attempt `regA` instances into the decision log.)
-const GOLDEN_FAILOVER: u64 = 0x840F_7F0E_3819_15BA;
-const GOLDEN_SHARDED: u64 = 0x1FAC_7AEC_C6C5_317A;
-const GOLDEN_BATCHED: u64 = 0xA364_3F2C_2122_DACE;
+/// on purpose re-pins them once and says so. (Last re-pinned when `RegId`
+/// lost its register kind: the `Debug` text of every `RegDecided` event
+/// changed, and nothing else.)
+const GOLDEN_FAILOVER: u64 = 0x7EF6_DD45_BE60_0B91;
+const GOLDEN_SHARDED: u64 = 0x9746_8A11_B957_97E2;
+const GOLDEN_BATCHED: u64 = 0xC90D_7404_25FB_0684;
 
 fn trace_bytes(mut s: Scenario, settle: usize) -> Vec<u8> {
     s.run_until_settled(settle);
@@ -61,10 +62,13 @@ fn fast_path_off_replays_pre_existing_traces_byte_identically() {
         .build();
     let victim = s.topo.primary();
     let db = s.topo.db_servers[0];
-    s.sim_mut().on_trace(
-        move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. }),
-        FaultAction::Crash(victim),
-    );
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. })
+        }),
+        FaultOp::Crash(victim),
+    )
+    .unwrap();
     assert_eq!(fnv1a(&trace_bytes(s, 2)), GOLDEN_FAILOVER, "the lane-off failover trace changed");
 
     // Scenario 2: 4 shards × 2 replicas, cross-shard transfers, shard
@@ -76,10 +80,13 @@ fn fast_path_off_replays_pre_existing_traces_byte_identically() {
         .requests(2)
         .build();
     let victim = s.shard_primary(0);
-    s.sim_mut().on_trace(
-        move |ev| ev.node == victim && matches!(ev.kind, TraceKind::DbVote { .. }),
-        FaultAction::CrashRecover(victim, Dur::from_millis(20)),
-    );
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == victim && matches!(ev.kind, TraceKind::DbVote { .. })
+        }),
+        FaultOp::CrashFor { node: victim, down_for: Dur::from_millis(20) },
+    )
+    .unwrap();
     assert_eq!(fnv1a(&trace_bytes(s, 2)), GOLDEN_SHARDED, "the lane-off sharded trace changed");
 
     // Scenario 3: batched open-loop burst (the commit pipeline under
@@ -225,7 +232,12 @@ fn follower_staleness_bound_over_seed_sweep() {
         for shard in 0..4u32 {
             let replicas = s.shard_replicas(shard).to_vec();
             for &f in &replicas[1..] {
-                s.sim_mut().block_link(replicas[0], f, etx::base::time::Time(3_600_000_000));
+                s.fault(FaultOp::BlockLink {
+                    from: replicas[0],
+                    to: f,
+                    heal_after: Dur(3_600_000_000),
+                })
+                .unwrap();
             }
         }
         let out = s.run_until_settled(8);
@@ -325,10 +337,10 @@ fn chaotic_pure_read_run(
     // follower of replication (irrelevant to frozen state, lethal to a
     // fast path that forgot its freshness gate or retry backstop).
     let victim = s.shard_replicas(0)[1];
-    s.sim_mut().crash_at(etx::base::time::Time(2_000), victim);
-    s.sim_mut().recover_at(etx::base::time::Time(20_000), victim);
+    s.schedule_fault(NemesisWhen::After(Dur(2_000)), FaultOp::Crash(victim)).unwrap();
+    s.schedule_fault(NemesisWhen::After(Dur(20_000)), FaultOp::Recover(victim)).unwrap();
     let lag = s.shard_replicas(1).to_vec();
-    s.sim_mut().block_link(lag[0], lag[1], etx::base::time::Time(100_000));
+    s.fault(FaultOp::BlockLink { from: lag[0], to: lag[1], heal_after: Dur(100_000) }).unwrap();
     let n = s.requests as usize;
     let out = s.run_until_settled(n);
     assert_eq!(out, etx::sim::RunOutcome::Predicate, "seed {seed}: pure-read run must settle");
@@ -586,8 +598,8 @@ fn read_retry_rotates_replicas_before_escalating_to_primaries() {
         // bring it back long after: every call routed at it goes
         // unanswered until the backstop rotates the pick.
         let victim = s.shard_replicas(0)[1];
-        s.sim_mut().crash_at(etx::base::time::Time(200), victim);
-        s.sim_mut().recover_at(etx::base::time::Time(60_000), victim);
+        s.schedule_fault(NemesisWhen::After(Dur(200)), FaultOp::Crash(victim)).unwrap();
+        s.schedule_fault(NemesisWhen::After(Dur(60_000)), FaultOp::Recover(victim)).unwrap();
         let n = s.requests as usize;
         let out = s.run_until_settled(n);
         assert_eq!(out, etx::sim::RunOutcome::Predicate, "seed {seed}: must settle");

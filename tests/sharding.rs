@@ -2,6 +2,7 @@
 //! single-shard fast path, shard-primary loss mid-commit, intra-shard
 //! replica convergence, and the hot-shard chaos scenario.
 
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::runtime::RuntimeKind;
 use etx::base::shard::{ShardMap, ShardSpec};
 use etx::base::time::Dur;
@@ -11,7 +12,6 @@ use etx::harness::{
     check, run_chaos, run_hot_shard_chaos, ChaosOptions, LivenessChecks, MiddleTier,
     ScenarioBuilder, Workload,
 };
-use etx::sim::FaultAction;
 
 fn sharded(
     seed: u64,
@@ -98,10 +98,13 @@ fn losing_a_shard_primary_mid_commit_still_delivers_exactly_once() {
     let mut s = sharded(23, 4, 2, 100, 1);
     for g in 0..4 {
         let p = s.shard_primary(g);
-        s.sim_mut().on_trace(
-            move |ev| ev.node == p && matches!(ev.kind, TraceKind::DbVote { .. }),
-            FaultAction::CrashRecover(p, Dur::from_millis(25)),
-        );
+        s.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                ev.node == p && matches!(ev.kind, TraceKind::DbVote { .. })
+            }),
+            FaultOp::CrashFor { node: p, down_for: Dur::from_millis(25) },
+        )
+        .unwrap();
     }
     let run = s.run_until_settled(1);
     assert_eq!(run, etx::sim::RunOutcome::Predicate, "the client must still settle");
@@ -122,10 +125,13 @@ fn crashing_the_actual_voting_primary_mid_commit_terminates() {
         // One-shot trigger armed per db primary: the first to vote dies.
         for g in 0..4 {
             let p = s.shard_primary(g);
-            s.sim_mut().on_trace(
-                move |ev| ev.node == p && matches!(ev.kind, TraceKind::DbVote { .. }),
-                FaultAction::CrashRecover(p, Dur::from_millis(30)),
-            );
+            s.schedule_fault(
+                NemesisWhen::on_trace(move |ev| {
+                    ev.node == p && matches!(ev.kind, TraceKind::DbVote { .. })
+                }),
+                FaultOp::CrashFor { node: p, down_for: Dur::from_millis(30) },
+            )
+            .unwrap();
         }
         let run = s.run_until_settled(2);
         assert_eq!(run, etx::sim::RunOutcome::Predicate, "seed {seed} failed to settle");
@@ -148,8 +154,8 @@ fn replica_groups_converge_through_async_replication() {
     // Cycle one follower of shard 0 mid-run: it must catch up via the
     // snapshot pull when it comes back.
     let follower = s.shard_replicas(0)[1];
-    s.sim_mut().crash_at(etx::base::time::Time(5_000), follower);
-    s.sim_mut().recover_at(etx::base::time::Time(60_000), follower);
+    s.schedule_fault(NemesisWhen::After(Dur(5_000)), FaultOp::Crash(follower)).unwrap();
+    s.schedule_fault(NemesisWhen::After(Dur(60_000)), FaultOp::Recover(follower)).unwrap();
     let run = s.run_until_settled(8);
     assert_eq!(run, etx::sim::RunOutcome::Predicate);
     s.quiesce(Dur::from_millis(800));

@@ -17,6 +17,7 @@
 //!   exactly the recovery obligations of the non-speculative pipeline.
 
 use etx::base::config::{BatchingConfig, SpeculationConfig};
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::ids::{NodeId, RequestId, ResultId};
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
@@ -26,7 +27,7 @@ use etx::harness::{
     check, run_speculation_chaos, ChaosOptions, LivenessChecks, MiddleTier, Scenario,
     ScenarioBuilder, Summary, Workload,
 };
-use etx::sim::{FaultAction, RunOutcome};
+use etx::sim::RunOutcome;
 use etx::store::Engine;
 use proptest::prelude::*;
 
@@ -107,10 +108,11 @@ fn mis_speculation_aborts_and_replays_to_the_nonspeculative_values() {
     for seed in 0..12u64 {
         let mut s = burst(4300 + seed, SpeculationConfig::on());
         let a1 = s.topo.primary();
-        s.sim_mut().on_trace(
-            move |ev| matches!(ev.kind, TraceKind::SpecExec { .. }),
-            FaultAction::Crash(a1),
-        );
+        s.schedule_fault(
+            NemesisWhen::on_trace(move |ev| matches!(ev.kind, TraceKind::SpecExec { .. })),
+            FaultOp::Crash(a1),
+        )
+        .unwrap();
         let mut s = settle(s);
         aborts += s.spec_aborts();
         let mut off = settle(burst(4300 + seed, SpeculationConfig::disabled()));
@@ -173,10 +175,13 @@ fn crashed_speculation_buffer_leaves_no_durable_trace() {
     // stream would break convergence.
     let mut s = burst(4400, SpeculationConfig::on());
     let victim = s.shard_primary(0);
-    s.sim_mut().on_trace(
-        move |ev| ev.node == victim && matches!(ev.kind, TraceKind::SpecExec { .. }),
-        FaultAction::CrashRecover(victim, Dur::from_millis(10)),
-    );
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == victim && matches!(ev.kind, TraceKind::SpecExec { .. })
+        }),
+        FaultOp::CrashFor { node: victim, down_for: Dur::from_millis(10) },
+    )
+    .unwrap();
     let mut s = settle(s);
     assert_eq!(s.delivered_commits(), s.requests as usize);
     for shard in 0..2 {
