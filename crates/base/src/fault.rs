@@ -17,12 +17,11 @@
 //!   inbox gated — the SIGSTOP story — and link faults drop, delay or
 //!   duplicate real mpsc sends.
 //!
-//! One semantic difference is deliberate and documented: a [`LinkFault`]
-//! with `drop` set *discards* messages on the threaded backend (real
-//! loss; the protocol's own retransmission layers must cover it), while
-//! the simulator — whose network model is a reliable channel that turns
-//! loss into delay — *holds* them and re-injects at heal time. Both
-//! honor the paper's §4 channel assumptions in their own regime.
+//! A [`LinkFault`] with `drop` set means the same thing on both: the
+//! messages are *held* at the faulted link and re-injected when it heals
+//! — the paper's §4 reliable channel, where loss is delay and never
+//! absence (see [`LinkFault::drop`] for why that is a liveness
+//! requirement). Crashes are the genuinely lossy fault on either backend.
 //!
 //! Hosts that cannot inject a given fault return a typed
 //! [`CapabilityError`] instead of panicking or silently no-opping, so

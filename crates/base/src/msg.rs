@@ -334,17 +334,6 @@ pub enum DbReplyMsg {
         /// it yet", so this flag is how the laggard shard exposes a
         /// half-applied transaction to the validation check.
         indoubt: bool,
-        /// Whether the values were served **under an active read lease**
-        /// (a follower inside its grant window, or a primary — trivially
-        /// authoritative — with leases enabled). Informational: leases
-        /// steer *routing* (which replica a collect lands on), never the
-        /// issuer's snapshot validation — a multi-shard collect is
-        /// accepted only by the same freshness/stability/no-in-doubt rule
-        /// whether its replies were leased or not. (Atomicity under
-        /// follower serving is instead guaranteed server-side, by the
-        /// cross-shard vote-hold / intent handshake — see
-        /// [`ReplMsg::Intent`].)
-        leased: bool,
         /// Read-lease advertisement from a serving *primary* (same role as
         /// [`DbReplyMsg::AckDecide::lease`]; what keeps application
         /// servers routing at followers through read-dominated stretches
@@ -577,7 +566,6 @@ mod tests {
                 outputs: vec![],
                 pos: 0,
                 indoubt: false,
-                leased: false,
                 lease: None,
             })
             .label(),

@@ -98,10 +98,6 @@ pub enum TimerTag {
         /// Which stage to run; meaning is protocol-private.
         stage: u8,
     },
-    /// Primary-backup baseline retransmissions / takeover checks.
-    PbTick,
-    /// 2PC coordinator recovery/retransmission tick.
-    TpcTick,
 }
 
 /// An input delivered to a [`Process`].

@@ -14,6 +14,11 @@
 //!   paper's argument for the wo-register design);
 //! * [`clients::SimpleClient`] — the at-most-once client, with an optional
 //!   naive-retry mode that reproduces the "charged twice" motivation.
+//!
+//! The paper draws all three as the e-Transaction skeleton with something
+//! different *between* the steps, and so they are built: each server keeps
+//! an attempt's `compute()` / `prepare()` / `terminate()` in the shared
+//! [`etx_core::xa::Xa`] and owns only what it puts in between.
 
 pub mod clients;
 pub mod pb;
@@ -37,6 +42,9 @@ mod tests {
     use etx_base::value::{DbOp, Outcome, Request, RequestScript};
     use etx_core::DbServer;
     use etx_sim::{NetConfig, Sim, SimConfig};
+
+    /// The decide re-push period of the servers under test.
+    const RETRY: Dur = Dur::from_millis(150);
 
     fn fast_net() -> NetConfig {
         NetConfig {
@@ -90,36 +98,23 @@ mod tests {
                 sim.add_node(
                     "tpc",
                     Box::new(move |_| {
-                        Box::new(TpcServer::new(dlist.clone(), CostModel::fast_for_tests()))
+                        Box::new(TpcServer::new(dlist.clone(), CostModel::fast_for_tests(), RETRY))
                     }),
                 );
             }
             Kind::Pb => {
-                let dlist = topo.db_servers.clone();
                 let (p, b) = (topo.app_servers[0], topo.app_servers[1]);
-                let d2 = dlist.clone();
-                sim.add_node(
-                    "pb-primary",
-                    Box::new(move |_| {
-                        Box::new(PbServer::new(
-                            PbRole::Primary,
-                            b,
-                            dlist.clone(),
-                            CostModel::fast_for_tests(),
-                        ))
-                    }),
-                );
-                sim.add_node(
-                    "pb-backup",
-                    Box::new(move |_| {
-                        Box::new(PbServer::new(
-                            PbRole::Backup,
-                            p,
-                            d2.clone(),
-                            CostModel::fast_for_tests(),
-                        ))
-                    }),
-                );
+                for (name, role, peer) in
+                    [("pb-primary", PbRole::Primary, b), ("pb-backup", PbRole::Backup, p)]
+                {
+                    let (dlist, cost) = (topo.db_servers.clone(), CostModel::fast_for_tests());
+                    sim.add_node(
+                        name,
+                        Box::new(move |_| {
+                            Box::new(PbServer::new(role, peer, dlist.clone(), cost.clone(), RETRY))
+                        }),
+                    );
+                }
             }
         }
         {

@@ -21,14 +21,13 @@
 
 use etx_base::config::CostModel;
 use etx_base::ids::{NodeId, RequestId, ResultId};
-use etx_base::msg::{AppMsg, ClientMsg, DbMsg, DbReplyMsg, Payload, PbMsg};
+use etx_base::msg::{AppMsg, ClientMsg, DbReplyMsg, Payload, PbMsg};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
-use etx_base::time::Time;
+use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, TraceKind};
-use etx_base::value::{Decision, ExecStatus, Outcome, Request, ResultValue, Vote};
-use etx_core::resultbuild;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use etx_base::value::{Decision, Outcome, Request};
+use etx_core::xa::{Entered, Step, Xa};
+use std::collections::BTreeMap;
 
 /// Role of a [`PbServer`] at construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,49 +38,56 @@ pub enum PbRole {
     Backup,
 }
 
+/// `Xa` is the attempt at the databases: computing, collecting votes or
+/// pushing the decision; the other phases are what this protocol adds.
 #[derive(Debug)]
 enum Phase {
     AwaitingStartAck { request: Request, t0: Time },
-    Executing { request: Request, call_idx: usize, acc: Vec<(String, i64)> },
-    Preparing { result: ResultValue, involved: Vec<NodeId>, votes: HashMap<NodeId, Vote> },
+    Xa(Xa),
     AwaitingOutcomeAck { decision: Decision, involved: Vec<NodeId>, t0: Time },
-    Deciding { decision: Decision, targets: Vec<NodeId>, acked: HashSet<NodeId> },
     Done { decision: Decision },
 }
 
 /// One of the two application servers in the primary-backup scheme.
+#[derive(Debug)]
 pub struct PbServer {
     role: PbRole,
     peer: NodeId,
     peer_up: bool,
     dlist: Vec<NodeId>,
     cost: CostModel,
-    fsms: HashMap<ResultId, Phase>,
+    /// How often an unacknowledged decision is pushed again.
+    terminate_retry: Dur,
+    /// Ordered, like the mirror: a database's `Ready` and the backup's
+    /// take-over walk the attempts the same way on every run.
+    attempts: BTreeMap<ResultId, Phase>,
     /// Backup-side mirror of the primary's processing state.
-    mirror_start: HashMap<ResultId, Request>,
-    mirror_outcome: HashMap<ResultId, Decision>,
-    committed_cache: HashMap<RequestId, (ResultId, Decision)>,
-}
-
-impl std::fmt::Debug for PbServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PbServer").field("role", &self.role).finish()
-    }
+    mirror_start: BTreeMap<ResultId, Request>,
+    mirror_outcome: BTreeMap<ResultId, Decision>,
+    committed_cache: BTreeMap<RequestId, (ResultId, Decision)>,
 }
 
 impl PbServer {
-    /// Creates a primary or backup over the given databases.
-    pub fn new(role: PbRole, peer: NodeId, dlist: Vec<NodeId>, cost: CostModel) -> Self {
+    /// Creates a primary or backup over the given databases, re-pushing an
+    /// unacknowledged decision every `terminate_retry`.
+    pub fn new(
+        role: PbRole,
+        peer: NodeId,
+        dlist: Vec<NodeId>,
+        cost: CostModel,
+        terminate_retry: Dur,
+    ) -> Self {
         PbServer {
             role,
             peer,
             peer_up: true,
             dlist,
             cost,
-            fsms: HashMap::new(),
-            mirror_start: HashMap::new(),
-            mirror_outcome: HashMap::new(),
-            committed_cache: HashMap::new(),
+            terminate_retry,
+            attempts: BTreeMap::new(),
+            mirror_start: BTreeMap::new(),
+            mirror_outcome: BTreeMap::new(),
+            committed_cache: BTreeMap::new(),
         }
     }
 
@@ -95,40 +101,30 @@ impl PbServer {
             return;
         }
         let rid = ResultId { request: request.id, attempt };
-        if let Some((crid, decision)) = self.committed_cache.get(&request.id).cloned() {
-            ctx.send(
-                rid.request.client,
-                Payload::App(AppMsg::Result { rid: crid, decision, stamps: Vec::new() }),
-            );
+        let answer = match (self.committed_cache.get(&request.id), self.attempts.get(&rid)) {
+            (Some((crid, decision)), _) => Some((*crid, decision.clone())),
+            (None, Some(Phase::Done { decision })) => Some((rid, decision.clone())),
+            (None, Some(_)) => return, // in flight
+            (None, None) => None,
+        };
+        if let Some((rid, decision)) = answer {
+            let result = AppMsg::Result { rid, decision, stamps: Vec::new() };
+            ctx.send(request.id.client, Payload::App(result));
             return;
-        }
-        match self.fsms.get(&rid) {
-            Some(Phase::Done { decision }) => {
-                let decision = decision.clone();
-                ctx.send(
-                    rid.request.client,
-                    Payload::App(AppMsg::Result { rid, decision, stamps: Vec::new() }),
-                );
-                return;
-            }
-            Some(_) => return,
-            None => {}
         }
         let dur = jittered(ctx, self.cost.start, self.cost.jitter);
         ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
-        self.fsms.insert(rid, Phase::AwaitingStartAck { request, t0: ctx.now() });
+        self.attempts.insert(rid, Phase::AwaitingStartAck { request, t0: ctx.now() });
         ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
     }
 
     fn ship_start(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::AwaitingStartAck { request, .. }) = self.fsms.get_mut(&rid) else {
+        let Some(Phase::AwaitingStartAck { request, t0 }) = self.attempts.get_mut(&rid) else {
             return;
         };
-        let request = request.clone();
-        if let Some(Phase::AwaitingStartAck { t0, .. }) = self.fsms.get_mut(&rid) {
-            *t0 = ctx.now();
-        }
+        *t0 = ctx.now();
         if self.peer_up {
+            let request = request.clone();
             ctx.send(self.peer, Payload::Pb(PbMsg::Start { rid, request }));
         } else {
             // Solo mode: no backup left to mirror to.
@@ -137,170 +133,65 @@ impl PbServer {
     }
 
     fn begin_exec(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::AwaitingStartAck { request, .. } | Phase::Executing { request, .. }) =
-            self.fsms.get(&rid)
-        else {
-            return;
-        };
-        let request = request.clone();
-        self.fsms.insert(rid, Phase::Executing { request, call_idx: 0, acc: Vec::new() });
-        self.send_current_exec(ctx, rid);
+        let Some(Phase::AwaitingStartAck { request, .. }) = self.attempts.get(&rid) else { return };
+        let next = Xa::compute(ctx, rid, request.clone(), true);
+        self.enter(ctx, rid, next);
     }
 
-    fn send_current_exec(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Executing { request, call_idx, .. }) = self.fsms.get(&rid) else {
-            return;
-        };
-        if *call_idx >= request.script.calls.len() {
-            self.start_prepare(ctx, rid);
-            return;
+    fn xa_mut(&mut self, rid: ResultId) -> Option<&mut Xa> {
+        match self.attempts.get_mut(&rid)? {
+            Phase::Xa(xa) => Some(xa),
+            _ => None,
         }
-        let call = request.script.calls[*call_idx].clone();
-        ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops: call.ops, xa: true }));
     }
 
-    fn on_exec_reply(&mut self, ctx: &mut dyn Context, rid: ResultId, status: ExecStatus) {
-        let Some(Phase::Executing { request, call_idx, acc }) = self.fsms.get_mut(&rid) else {
-            return;
-        };
-        match status {
-            ExecStatus::Done(outputs) => {
-                let call = &request.script.calls[*call_idx];
-                resultbuild::accumulate(call, &outputs, acc);
-                *call_idx += 1;
-                self.send_current_exec(ctx, rid);
+    /// The attempt enters a database-facing stage — which may have nobody
+    /// to wait for and end at once.
+    fn enter(&mut self, ctx: &mut dyn Context, rid: ResultId, (xa, step): Entered) {
+        self.attempts.insert(rid, Phase::Xa(xa));
+        self.on_step(ctx, rid, step);
+    }
+
+    /// A stage of `rid` ended (if `step` says so). What primary-backup puts
+    /// between the stages is the outcome's round trip to the backup.
+    fn on_step(&mut self, ctx: &mut dyn Context, rid: ResultId, step: Option<Step>) {
+        match step {
+            None => {}
+            Some(Step::Computed { result, involved, .. }) => {
+                let next = Xa::prepare(ctx, rid, result, involved);
+                self.enter(ctx, rid, next);
             }
-            ExecStatus::Conflict => {
-                acc.push(("conflict".to_string(), 1));
-                self.start_prepare(ctx, rid);
+            Some(Step::Voted { decision, targets: involved }) => {
+                let (mirrored, t0) = (decision.clone(), ctx.now());
+                let waiting = Phase::AwaitingOutcomeAck { decision: mirrored, involved, t0 };
+                self.attempts.insert(rid, waiting);
+                if self.peer_up {
+                    ctx.send(self.peer, Payload::Pb(PbMsg::Outcome { rid, decision }));
+                } else {
+                    self.begin_decide(ctx, rid);
+                }
             }
-        }
-    }
-
-    fn start_prepare(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Executing { request, acc, .. }) = self.fsms.get(&rid) else { return };
-        let result = resultbuild::finish(acc.clone(), rid.attempt);
-        let involved = request.script.databases();
-        if involved.is_empty() {
-            let decision = Decision::commit(result);
-            self.ship_outcome(ctx, rid, decision, Vec::new());
-            return;
-        }
-        let cross = involved.len() > 1;
-        for db in &involved {
-            ctx.send(*db, Payload::Db(DbMsg::Prepare { rid, cross }));
-        }
-        self.fsms.insert(rid, Phase::Preparing { result, involved, votes: HashMap::new() });
-    }
-
-    fn on_vote(&mut self, ctx: &mut dyn Context, from: NodeId, rid: ResultId, vote: Vote) {
-        let Some(Phase::Preparing { votes, involved, .. }) = self.fsms.get_mut(&rid) else {
-            return;
-        };
-        if involved.contains(&from) {
-            votes.insert(from, vote);
-        }
-        let Some(Phase::Preparing { result, involved, votes }) = self.fsms.get(&rid) else {
-            return;
-        };
-        if votes.len() < involved.len() {
-            return;
-        }
-        let outcome = if involved.iter().all(|d| votes.get(d) == Some(&Vote::Yes)) {
-            Outcome::Commit
-        } else {
-            Outcome::Abort
-        };
-        let decision = Decision { result: Some(Arc::new(result.clone())), outcome };
-        let involved = involved.clone();
-        self.ship_outcome(ctx, rid, decision, involved);
-    }
-
-    fn ship_outcome(
-        &mut self,
-        ctx: &mut dyn Context,
-        rid: ResultId,
-        decision: Decision,
-        involved: Vec<NodeId>,
-    ) {
-        self.fsms.insert(
-            rid,
-            Phase::AwaitingOutcomeAck { decision: decision.clone(), involved, t0: ctx.now() },
-        );
-        if self.peer_up {
-            ctx.send(self.peer, Payload::Pb(PbMsg::Outcome { rid, decision }));
-        } else {
-            self.begin_decide(ctx, rid);
+            Some(Step::Terminated { decision, .. }) => {
+                if decision.outcome == Outcome::Commit {
+                    self.committed_cache.insert(rid.request, (rid, decision.clone()));
+                }
+                self.attempts.insert(rid, Phase::Done { decision: decision.clone() });
+                let dur = jittered(ctx, self.cost.end, self.cost.jitter);
+                ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
+                let result = AppMsg::Result { rid, decision, stamps: Vec::new() };
+                ctx.send_after(dur, rid.request.client, Payload::App(result));
+            }
         }
     }
 
     fn begin_decide(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::AwaitingOutcomeAck { decision, involved, .. }) = self.fsms.get(&rid) else {
+        let Some(Phase::AwaitingOutcomeAck { decision, involved, .. }) = self.attempts.get(&rid)
+        else {
             return;
         };
         let (decision, targets) = (decision.clone(), involved.clone());
-        if targets.is_empty() {
-            self.fsms.insert(
-                rid,
-                Phase::Deciding {
-                    decision: decision.clone(),
-                    targets: Vec::new(),
-                    acked: HashSet::new(),
-                },
-            );
-            self.complete(ctx, rid);
-            return;
-        }
-        for db in &targets {
-            ctx.send(*db, Payload::Db(DbMsg::decide_one(rid, decision.outcome)));
-        }
-        ctx.set_timer(etx_base::time::Dur::from_millis(150), TimerTag::PbTick);
-        self.fsms.insert(rid, Phase::Deciding { decision, targets, acked: HashSet::new() });
-    }
-
-    fn on_ack_decide(&mut self, ctx: &mut dyn Context, from: NodeId, rid: ResultId) {
-        let Some(Phase::Deciding { targets, acked, .. }) = self.fsms.get_mut(&rid) else {
-            return;
-        };
-        if targets.contains(&from) {
-            acked.insert(from);
-            if acked.len() == targets.len() {
-                self.complete(ctx, rid);
-            }
-        }
-    }
-
-    fn complete(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Deciding { decision, .. }) = self.fsms.get(&rid) else { return };
-        let decision = decision.clone();
-        if decision.outcome == Outcome::Commit {
-            self.committed_cache.insert(rid.request, (rid, decision.clone()));
-        }
-        self.fsms.insert(rid, Phase::Done { decision: decision.clone() });
-        let dur = jittered(ctx, self.cost.end, self.cost.jitter);
-        ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
-        ctx.send_after(
-            dur,
-            rid.request.client,
-            Payload::App(AppMsg::Result { rid, decision, stamps: Vec::new() }),
-        );
-    }
-
-    fn retry_decides(&mut self, ctx: &mut dyn Context) {
-        let mut any = false;
-        for (&rid, phase) in self.fsms.iter() {
-            if let Phase::Deciding { decision, targets, acked } = phase {
-                for db in targets {
-                    if !acked.contains(db) {
-                        ctx.send(*db, Payload::Db(DbMsg::decide_one(rid, decision.outcome)));
-                        any = true;
-                    }
-                }
-            }
-        }
-        if any {
-            ctx.set_timer(etx_base::time::Dur::from_millis(150), TimerTag::PbTick);
-        }
+        let next = Xa::terminate(ctx, rid, decision, targets, self.terminate_retry, true);
+        self.enter(ctx, rid, next);
     }
 
     // ---- backup side ---------------------------------------------------------
@@ -316,14 +207,14 @@ impl PbServer {
                 ctx.send(from, Payload::Pb(PbMsg::AckOutcome { rid }));
             }
             PbMsg::AckStart { rid } => {
-                if let Some(Phase::AwaitingStartAck { t0, .. }) = self.fsms.get(&rid) {
+                if let Some(Phase::AwaitingStartAck { t0, .. }) = self.attempts.get(&rid) {
                     let dur = ctx.now().since(*t0);
                     ctx.trace(TraceKind::Span { rid, comp: Component::LogStart, dur });
                     self.begin_exec(ctx, rid);
                 }
             }
             PbMsg::AckOutcome { rid } => {
-                if let Some(Phase::AwaitingOutcomeAck { t0, .. }) = self.fsms.get(&rid) {
+                if let Some(Phase::AwaitingOutcomeAck { t0, .. }) = self.attempts.get(&rid) {
                     let dur = ctx.now().since(*t0);
                     ctx.trace(TraceKind::Span { rid, comp: Component::LogOutcome, dur });
                     self.begin_decide(ctx, rid);
@@ -338,7 +229,7 @@ impl PbServer {
         self.peer_up = false;
         let rids: Vec<ResultId> = self.mirror_start.keys().copied().collect();
         for rid in rids {
-            if self.fsms.contains_key(&rid) {
+            if self.attempts.contains_key(&rid) {
                 continue;
             }
             let decision =
@@ -346,13 +237,8 @@ impl PbServer {
             // Push the decision to every database (abort is presumed at
             // uninvolved servers; commit is vacuous there).
             let targets = self.dlist.clone();
-            for db in &targets {
-                ctx.send(*db, Payload::Db(DbMsg::decide_one(rid, decision.outcome)));
-            }
-            self.fsms.insert(rid, Phase::Deciding { decision, targets, acked: HashSet::new() });
-        }
-        if !self.fsms.is_empty() {
-            ctx.set_timer(etx_base::time::Dur::from_millis(150), TimerTag::PbTick);
+            let next = Xa::terminate(ctx, rid, decision, targets, self.terminate_retry, true);
+            self.enter(ctx, rid, next);
         }
     }
 }
@@ -381,20 +267,37 @@ impl Process for PbServer {
             } => self.on_request(ctx, request, attempt),
             Event::Message { from, payload: Payload::Pb(m) } => self.on_pb(ctx, from, m),
             Event::Message { from, payload: Payload::DbReply(reply) } => match reply {
-                DbReplyMsg::ExecReply { rid, status } => self.on_exec_reply(ctx, rid, status),
-                DbReplyMsg::Vote { rid, vote } => self.on_vote(ctx, from, rid, vote),
+                DbReplyMsg::ExecReply { rid, status } => {
+                    let step = self.xa_mut(rid).and_then(|xa| xa.exec_reply(ctx, rid, status));
+                    self.on_step(ctx, rid, step);
+                }
+                DbReplyMsg::Vote { rid, vote } => {
+                    let step = self.xa_mut(rid).and_then(|xa| xa.vote(from, vote));
+                    self.on_step(ctx, rid, step);
+                }
                 DbReplyMsg::AckDecide { entries, .. } => {
                     for (rid, _) in entries {
-                        self.on_ack_decide(ctx, from, rid);
+                        let step = self.xa_mut(rid).and_then(|xa| xa.ack(from));
+                        self.on_step(ctx, rid, step);
                     }
                 }
-                DbReplyMsg::Ready => self.retry_decides(ctx),
+                DbReplyMsg::Ready => {
+                    let rids: Vec<ResultId> = self.attempts.keys().copied().collect();
+                    for rid in rids {
+                        let step = self.xa_mut(rid).and_then(|xa| xa.ready(ctx, rid, from));
+                        self.on_step(ctx, rid, step);
+                    }
+                }
                 _ => {}
             },
             Event::Timer { tag: TimerTag::Dispatch { rid, stage: 0 }, .. } => {
                 self.ship_start(ctx, rid)
             }
-            Event::Timer { tag: TimerTag::PbTick, .. } => self.retry_decides(ctx),
+            Event::Timer { tag: TimerTag::TerminateRetry { rid }, .. } => {
+                if let Some(Phase::Xa(xa)) = self.attempts.get(&rid) {
+                    xa.retry(ctx, rid, self.terminate_retry);
+                }
+            }
             _ => {}
         }
     }

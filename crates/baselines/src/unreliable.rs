@@ -11,19 +11,19 @@ use etx_base::ids::{NodeId, ResultId};
 use etx_base::msg::{AppMsg, ClientMsg, DbMsg, DbReplyMsg, Payload};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::trace::{Component, TraceKind};
-use etx_base::value::{Decision, ExecStatus, Request};
-use etx_core::resultbuild;
-use std::collections::{HashMap, HashSet};
+use etx_base::value::{Decision, Request, ResultValue};
+use etx_core::xa::{Step, Xa};
+use std::collections::{BTreeMap, HashSet};
 
+/// `Xa` is `compute()`, the one stage this server shares with the others.
 #[derive(Debug)]
 enum Phase {
-    Executing {
+    Dispatching {
         request: Request,
-        call_idx: usize,
-        acc: Vec<(String, i64)>,
     },
+    Xa(Xa),
     Committing {
-        result: etx_base::value::ResultValue,
+        result: ResultValue,
         targets: Vec<NodeId>,
         acked: HashSet<NodeId>,
         any_failed: bool,
@@ -32,92 +32,63 @@ enum Phase {
 }
 
 /// The Figure 7a server process.
+#[derive(Debug)]
 pub struct BaselineServer {
     cost: CostModel,
-    fsms: HashMap<ResultId, Phase>,
-}
-
-impl std::fmt::Debug for BaselineServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineServer").field("in_flight", &self.fsms.len()).finish()
-    }
+    attempts: BTreeMap<ResultId, Phase>,
 }
 
 impl BaselineServer {
     /// Creates the baseline middle tier.
     pub fn new(cost: CostModel) -> Self {
-        BaselineServer { cost, fsms: HashMap::new() }
+        BaselineServer { cost, attempts: BTreeMap::new() }
     }
 
     fn on_request(&mut self, ctx: &mut dyn Context, request: Request, attempt: u32) {
         let rid = ResultId { request: request.id, attempt };
-        if self.fsms.contains_key(&rid) {
+        if self.attempts.contains_key(&rid) {
             return; // duplicate in flight — baseline has no better answer
         }
-        self.fsms.insert(rid, Phase::Executing { request, call_idx: 0, acc: Vec::new() });
+        self.attempts.insert(rid, Phase::Dispatching { request });
         let dur = jittered(ctx, self.cost.start, self.cost.jitter);
         ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
         ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
     }
 
-    fn send_current_exec(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Executing { request, call_idx, .. }) = self.fsms.get(&rid) else {
-            return;
-        };
-        if *call_idx >= request.script.calls.len() {
-            self.start_commit(ctx, rid);
-            return;
-        }
-        let call = request.script.calls[*call_idx].clone();
+    fn begin_exec(&mut self, ctx: &mut dyn Context, rid: ResultId) {
+        let Some(Phase::Dispatching { request }) = self.attempts.get(&rid) else { return };
         // xa = false: the baseline's SQL path has no XA bracketing overhead.
-        ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops: call.ops, xa: false }));
+        let (xa, step) = Xa::compute(ctx, rid, request.clone(), false);
+        self.attempts.insert(rid, Phase::Xa(xa));
+        self.on_step(ctx, rid, step);
     }
 
-    fn on_exec_reply(&mut self, ctx: &mut dyn Context, rid: ResultId, status: ExecStatus) {
-        let Some(Phase::Executing { request, call_idx, acc }) = self.fsms.get_mut(&rid) else {
-            return;
-        };
-        match status {
-            ExecStatus::Done(outputs) => {
-                let call = &request.script.calls[*call_idx];
-                resultbuild::accumulate(call, &outputs, acc);
-                *call_idx += 1;
-                self.send_current_exec(ctx, rid);
+    /// `compute()` returned (if `step` says so): one-phase-commit wherever
+    /// it ran. A lock conflict has no retry machinery to go to: surface it.
+    fn on_step(&mut self, ctx: &mut dyn Context, rid: ResultId, step: Option<Step>) {
+        match step {
+            Some(Step::Computed { conflict: true, .. }) => {
+                self.attempts.insert(rid, Phase::Done);
+                let (request, reason) = (rid.request, "lock conflict".into());
+                ctx.send(request.client, Payload::App(AppMsg::Exception { request, reason }));
             }
-            ExecStatus::Conflict => {
-                // No retry machinery: surface the failure.
-                let client = rid.request.client;
-                self.fsms.insert(rid, Phase::Done);
-                ctx.send(
-                    client,
-                    Payload::App(AppMsg::Exception {
-                        request: rid.request,
-                        reason: "lock conflict".into(),
-                    }),
-                );
+            Some(Step::Computed { result, involved, .. }) if involved.is_empty() => {
+                self.finish(ctx, rid, result, false);
             }
+            Some(Step::Computed { result, involved: targets, .. }) => {
+                for db in &targets {
+                    ctx.send(*db, Payload::Db(DbMsg::CommitOnePhase { rid }));
+                }
+                let (acked, any_failed) = (HashSet::new(), false);
+                self.attempts.insert(rid, Phase::Committing { result, targets, acked, any_failed });
+            }
+            _ => {}
         }
-    }
-
-    fn start_commit(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Executing { request, acc, .. }) = self.fsms.get(&rid) else { return };
-        let result = resultbuild::finish(acc.clone(), rid.attempt);
-        let targets = request.script.databases();
-        if targets.is_empty() {
-            self.finish(ctx, rid, result, false);
-            return;
-        }
-        for db in &targets {
-            ctx.send(*db, Payload::Db(DbMsg::CommitOnePhase { rid }));
-        }
-        self.fsms.insert(
-            rid,
-            Phase::Committing { result, targets, acked: HashSet::new(), any_failed: false },
-        );
     }
 
     fn on_commit_ack(&mut self, ctx: &mut dyn Context, from: NodeId, rid: ResultId, ok: bool) {
-        let Some(Phase::Committing { targets, acked, any_failed, .. }) = self.fsms.get_mut(&rid)
+        let Some(Phase::Committing { result, targets, acked, any_failed }) =
+            self.attempts.get_mut(&rid)
         else {
             return;
         };
@@ -127,22 +98,13 @@ impl BaselineServer {
         acked.insert(from);
         *any_failed |= !ok;
         if acked.len() == targets.len() {
-            let (result, failed) = match self.fsms.get(&rid) {
-                Some(Phase::Committing { result, any_failed, .. }) => (result.clone(), *any_failed),
-                _ => unreachable!(),
-            };
+            let (result, failed) = (result.clone(), *any_failed);
             self.finish(ctx, rid, result, failed);
         }
     }
 
-    fn finish(
-        &mut self,
-        ctx: &mut dyn Context,
-        rid: ResultId,
-        result: etx_base::value::ResultValue,
-        failed: bool,
-    ) {
-        self.fsms.insert(rid, Phase::Done);
+    fn finish(&mut self, ctx: &mut dyn Context, rid: ResultId, result: ResultValue, failed: bool) {
+        self.attempts.insert(rid, Phase::Done);
         let dur = jittered(ctx, self.cost.end, self.cost.jitter);
         ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
         let payload = if failed {
@@ -166,12 +128,18 @@ impl Process for BaselineServer {
                 ..
             } => self.on_request(ctx, request, attempt),
             Event::Message { from, payload: Payload::DbReply(reply) } => match reply {
-                DbReplyMsg::ExecReply { rid, status } => self.on_exec_reply(ctx, rid, status),
+                DbReplyMsg::ExecReply { rid, status } => {
+                    let step = match self.attempts.get_mut(&rid) {
+                        Some(Phase::Xa(xa)) => xa.exec_reply(ctx, rid, status),
+                        _ => None,
+                    };
+                    self.on_step(ctx, rid, step);
+                }
                 DbReplyMsg::AckCommitOnePhase { rid, ok } => self.on_commit_ack(ctx, from, rid, ok),
                 _ => {}
             },
             Event::Timer { tag: TimerTag::Dispatch { rid, stage: 0 }, .. } => {
-                self.send_current_exec(ctx, rid)
+                self.begin_exec(ctx, rid)
             }
             _ => {}
         }

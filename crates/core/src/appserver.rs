@@ -11,11 +11,10 @@
 //!   every open attempt it owns and force each to a decision (writing
 //!   `(nil, abort)` into `regD[j]`, which returns the owner's decision if
 //!   one was already written) and terminate it;
-//! * **terminate()** (Figure 4) — push the decision to every database until
-//!   all acknowledge, then send the result to the client;
-//! * **prepare()** (Figure 4) — collect votes; a `Ready` (crash-recovery
-//!   notice) from a database counts as a refusal, since an unprepared
-//!   branch did not survive.
+//! * **compute()**, **prepare()** and **terminate()** (Figures 4–5) — the
+//!   database-facing stages of an attempt are [`crate::xa::Xa`], the state
+//!   this server shares with the Figure 7 baselines; what is here is when
+//!   each stage starts and what the stage's end sets off (`on_step`).
 //!
 //! The pseudo-code's blocking threads become one state machine per attempt
 //! (one `Phase` per attempt); `cobegin` concurrency becomes event interleaving.
@@ -69,6 +68,7 @@
 //! sample; validation that cannot converge falls back to the locking slow
 //! path.
 
+use crate::xa::{Entered, Step, Xa};
 use etx_base::attempts::AttemptWindows;
 use etx_base::config::{CostModel, ProtocolConfig};
 use etx_base::ids::{NodeId, RegId, RequestId, ResultId, TimerId, Topology};
@@ -77,13 +77,10 @@ use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::shard::ShardMap;
 use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, TraceKind};
-use etx_base::value::{
-    DbCall, Decision, ExecStatus, OpOutput, Outcome, RegValue, Request, ResultValue, Vote,
-};
+use etx_base::value::{DbCall, Decision, OpOutput, Outcome, RegValue, Request};
 use etx_consensus::{AppliedSlot, DecisionLog, EngineConfig, WoEvent, WoRegisters};
 use etx_fd::FailureDetector;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-attempt protocol state (the paper's compute thread, unrolled).
 #[derive(Debug)]
@@ -97,16 +94,11 @@ enum Phase {
     /// Another server owns this attempt; we only watch (and clean if it
     /// crashes).
     Watching,
-    /// We own the attempt and are executing the business logic, one
-    /// database call at a time.
-    Computing { request: Request, call_idx: usize, acc: Vec<(String, i64)> },
-    /// Votes are being collected (Figure 4 `prepare()`).
-    Preparing { result: Arc<ResultValue>, involved: Vec<NodeId>, votes: HashMap<NodeId, Vote> },
+    /// The attempt is at the databases: we own it and compute or collect
+    /// votes, or — owner or cleaner — push its decision.
+    Xa(Xa),
     /// `regD[j].write(decision)` issued; awaiting the decision register.
     WritingRegD,
-    /// Pushing `[Decide]` until every target database acknowledges
-    /// (Figure 4 `terminate()`).
-    Terminating { decision: Decision, targets: Vec<NodeId>, acked: HashSet<NodeId> },
     /// Terminated; result sent to the client. Kept to answer duplicates.
     Done { decision: Decision },
 }
@@ -359,6 +351,14 @@ impl AppServer {
 
     fn set_phase(&mut self, rid: ResultId, phase: Phase) {
         self.attempts.get_or_default(rid).phase = Some(phase);
+    }
+
+    /// The attempt's database-facing stage, if it is in one.
+    fn xa_mut(&mut self, rid: ResultId) -> Option<&mut Xa> {
+        match self.phase_mut(rid)? {
+            Phase::Xa(xa) => Some(xa),
+            _ => None,
+        }
     }
 
     /// Drops protocol state for every *terminated* attempt of `client` with
@@ -734,7 +734,6 @@ impl AppServer {
         outputs: Vec<OpOutput>,
         pos: u64,
         indoubt: bool,
-        _leased: bool,
         lease: Option<Time>,
     ) {
         // A primary-served reply advertises the shard's current lease
@@ -995,8 +994,8 @@ impl AppServer {
         if let Some(t0) = *since {
             ctx.trace(TraceKind::Span { rid, comp: Component::LogStart, dur: ctx.now().since(t0) });
         }
-        let request = request.clone();
-        self.start_compute(ctx, rid, request);
+        let next = Xa::compute(ctx, rid, request.clone(), true);
+        self.enter(ctx, rid, next);
     }
 
     /// Queues this server's claim of the attempt `rid`'s client will send
@@ -1025,91 +1024,45 @@ impl AppServer {
         );
     }
 
-    fn start_compute(&mut self, ctx: &mut dyn Context, rid: ResultId, request: Request) {
-        self.set_phase(rid, Phase::Computing { request, call_idx: 0, acc: Vec::new() });
-        self.send_current_exec(ctx, rid);
+    /// The attempt enters a database-facing stage — which may have nobody
+    /// to wait for and end at once.
+    fn enter(&mut self, ctx: &mut dyn Context, rid: ResultId, (xa, step): Entered) {
+        self.set_phase(rid, Phase::Xa(xa));
+        self.on_step(ctx, rid, step);
     }
 
-    fn send_current_exec(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Computing { request, call_idx, .. }) = self.phase(rid) else { return };
-        let calls = &request.script.calls;
-        if *call_idx >= calls.len() {
-            // Empty script (or exhausted): finish compute with what we have.
-            self.finish_compute(ctx, rid);
-            return;
-        }
-        let call = calls[*call_idx].clone();
-        ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops: call.ops, xa: true }));
-    }
-
-    fn on_exec_reply(&mut self, ctx: &mut dyn Context, rid: ResultId, status: ExecStatus) {
-        let Some(Phase::Computing { request, call_idx, acc }) = self.phase_mut(rid) else { return };
-        match status {
-            ExecStatus::Done(outputs) => {
-                let call = &request.script.calls[*call_idx];
-                crate::resultbuild::accumulate(call, &outputs, acc);
-                *call_idx += 1;
-                if *call_idx < request.script.calls.len() {
-                    self.send_current_exec(ctx, rid);
-                } else {
-                    self.finish_compute(ctx, rid);
+    /// A stage of `rid` ended (if `step` says so): what that sets off here.
+    fn on_step(&mut self, ctx: &mut dyn Context, rid: ResultId, step: Option<Step>) {
+        match step {
+            None => {}
+            // Figure 5 line 8: `compute()` returned, on to the voting phase.
+            Some(Step::Computed { result, involved, .. }) => {
+                let next = Xa::prepare(ctx, rid, result, involved);
+                self.enter(ctx, rid, next);
+            }
+            // Figure 5 lines 9–10: the votes are in, write the decision.
+            Some(Step::Voted { decision, targets }) => {
+                self.preclaim_successor(rid, decision.outcome);
+                self.submit_outcome(ctx, rid, decision, targets);
+            }
+            // Figure 4 terminate() line 7: every target acknowledged,
+            // reply to the client (charging the "end" dispatch cost).
+            Some(Step::Terminated { decision, targets }) => {
+                self.set_phase(rid, Phase::Done { decision: decision.clone() });
+                // Stamp the result with the positions this server observed
+                // for the decision's shards — for a commit, those acks
+                // included the write itself, so the client's causality
+                // token now covers it.
+                let stamps = self.stamps_for(&targets);
+                if decision.outcome == Outcome::Commit {
+                    self.committed_cache.insert(cached(rid.request), (rid, decision.clone()));
                 }
-            }
-            ExecStatus::Conflict => {
-                acc.push(("conflict".to_string(), 1));
-                self.finish_compute(ctx, rid);
-            }
-        }
-    }
-
-    /// `compute()` returned (Figure 5 line 8): build the (non-nil) result
-    /// and move to the voting phase.
-    fn finish_compute(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Computing { request, acc, .. }) = self.phase_mut(rid) else { return };
-        let result = crate::resultbuild::finish(std::mem::take(acc), rid.attempt);
-        let involved = request.script.databases();
-        ctx.trace(TraceKind::Computed { rid });
-        if involved.is_empty() {
-            // Nothing to vote on: vacuously all-yes (degenerate scripts).
-            self.preclaim_successor(rid, Outcome::Commit);
-            self.submit_outcome(ctx, rid, Decision::commit(result), Vec::new());
-            return;
-        }
-        let cross = involved.len() > 1;
-        for &db in &involved {
-            ctx.send(db, Payload::Db(DbMsg::Prepare { rid, cross }));
-        }
-        let (result, votes) = (Arc::new(result), HashMap::new());
-        self.set_phase(rid, Phase::Preparing { result, involved, votes });
-    }
-
-    fn on_vote(&mut self, ctx: &mut dyn Context, from: NodeId, rid: ResultId, vote: Vote) {
-        if let Some(Phase::Preparing { votes, involved, .. }) = self.phase_mut(rid) {
-            if involved.contains(&from) {
-                votes.insert(from, vote);
+                let dur = jittered(ctx, self.cost.end, self.cost.jitter);
+                ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
+                let result = AppMsg::Result { rid, decision, stamps };
+                ctx.send_after(dur, rid.request.client, Payload::App(result));
             }
         }
-        self.check_votes(ctx, rid);
-    }
-
-    fn check_votes(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Preparing { result, involved, votes }) = self.phase_mut(rid) else {
-            return;
-        };
-        if votes.len() < involved.len() {
-            return;
-        }
-        // Figure 4 prepare() line 5: commit iff every database voted yes.
-        let outcome = if involved.iter().all(|d| votes.get(d) == Some(&Vote::Yes)) {
-            Outcome::Commit
-        } else {
-            Outcome::Abort
-        };
-        // The votes are in: the phase ends here and hands its state on.
-        let decision = Decision { result: Some(Arc::clone(result)), outcome };
-        let targets = std::mem::take(involved);
-        self.preclaim_successor(rid, outcome);
-        self.submit_outcome(ctx, rid, decision, targets);
     }
 
     /// Figure 5 line 10 / Figure 6 line 7: record the attempt's outcome for
@@ -1127,7 +1080,7 @@ impl AppServer {
     ) {
         let attempt = self.attempts.get_or_default(rid);
         attempt.outcome = Some((targets, ctx.now()));
-        if matches!(attempt.phase, Some(Phase::Preparing { .. } | Phase::Computing { .. })) {
+        if matches!(attempt.phase, Some(Phase::Xa(Xa::Preparing { .. } | Xa::Computing { .. }))) {
             attempt.phase = Some(Phase::WritingRegD);
         }
         if let Some(final_decision) = self.log.decision_of(rid).cloned() {
@@ -1166,9 +1119,10 @@ impl AppServer {
         // in-flight FSM, so it runs only when the cheap rules don't already
         // force a flush (they always do in the per-request configuration).
         let idle = || {
-            use Phase::{Claiming, Computing, Preparing};
-            let busy =
-                |p: &Phase| matches!(p, Claiming { .. } | Computing { .. } | Preparing { .. });
+            use Xa::{Computing, Preparing};
+            let busy = |p: &Phase| {
+                matches!(p, Phase::Claiming { .. } | Phase::Xa(Computing { .. } | Preparing { .. }))
+            };
             !self.attempts.iter().any(|(_, a)| a.phase.as_ref().is_some_and(busy))
         };
         if self.batch_queue.len() >= batching.max_batch.max(1)
@@ -1321,109 +1275,21 @@ impl AppServer {
     ) {
         let mut per_db: BTreeMap<NodeId, Vec<(ResultId, Outcome)>> = BTreeMap::new();
         for (rid, decision, targets) in items {
-            let phase = &mut self.attempts.get_or_default(rid).phase;
-            if matches!(phase, Some(Phase::Done { .. } | Phase::Terminating { .. })) {
+            if matches!(
+                self.phase(rid),
+                Some(Phase::Done { .. } | Phase::Xa(Xa::Terminating { .. }))
+            ) {
                 continue; // already terminating/terminated here
             }
-            let outcome = decision.outcome;
-            let acked = HashSet::new();
-            *phase = Some(Phase::Terminating { decision, targets: targets.clone(), acked });
-            if targets.is_empty() {
-                self.complete_terminate(ctx, rid);
-                continue;
+            for &db in &targets {
+                per_db.entry(db).or_default().push((rid, decision.outcome));
             }
-            for db in targets {
-                per_db.entry(db).or_default().push((rid, outcome));
-            }
-            ctx.set_timer(self.cfg.terminate_retry, TimerTag::TerminateRetry { rid });
+            let next = Xa::terminate(ctx, rid, decision, targets, self.cfg.terminate_retry, false);
+            self.enter(ctx, rid, next);
         }
         for (db, entries) in per_db {
             let slot = slot.filter(|_| speculable(&entries));
             ctx.send(db, Payload::Db(DbMsg::Decide { entries, slot }));
-        }
-    }
-
-    fn on_ack_decide(&mut self, ctx: &mut dyn Context, from: NodeId, rid: ResultId) {
-        if let Some(Phase::Terminating { targets, acked, .. }) = self.phase_mut(rid) {
-            if targets.contains(&from) {
-                acked.insert(from);
-                if acked.len() == targets.len() {
-                    self.complete_terminate(ctx, rid);
-                }
-            }
-        }
-    }
-
-    fn complete_terminate(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(Phase::Terminating { decision, targets, .. }) = self.phase_mut(rid) else {
-            return;
-        };
-        let (decision, targets) = (decision.clone(), std::mem::take(targets));
-        self.set_phase(rid, Phase::Done { decision: decision.clone() });
-        // Stamp the result with the positions this server observed for the
-        // decision's shards — for a commit, those acks included the write
-        // itself, so the client's causality token now covers it.
-        let stamps = self.stamps_for(&targets);
-        if decision.outcome == Outcome::Commit {
-            self.committed_cache.insert(cached(rid.request), (rid, decision.clone()));
-        }
-        // Figure 4 terminate() line 7: reply to the client (charging the
-        // "end" dispatch cost).
-        let dur = jittered(ctx, self.cost.end, self.cost.jitter);
-        ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
-        ctx.send_after(
-            dur,
-            rid.request.client,
-            Payload::App(AppMsg::Result { rid, decision, stamps }),
-        );
-    }
-
-    fn on_terminate_retry(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        if let Some(Phase::Terminating { decision, targets, acked }) = self.phase(rid) {
-            let outcome = decision.outcome;
-            let missing: Vec<NodeId> =
-                targets.iter().copied().filter(|d| !acked.contains(d)).collect();
-            for db in missing {
-                ctx.send(db, Payload::Db(DbMsg::decide_one(rid, outcome)));
-            }
-            ctx.set_timer(self.cfg.terminate_retry, TimerTag::TerminateRetry { rid });
-        }
-    }
-
-    // ---- Ready (database crash-recovery notifications) ---------------------
-
-    fn on_ready(&mut self, ctx: &mut dyn Context, db: NodeId) {
-        let rids: Vec<ResultId> = self.attempts.iter().map(|(rid, _)| rid).collect();
-        for rid in rids {
-            match self.phase_mut(rid) {
-                Some(Phase::Computing { request, call_idx, .. }) => {
-                    // If we were waiting on this database's Exec reply, the
-                    // branch is gone; finish with a recovery notice — the
-                    // vote phase will abort the attempt.
-                    let waiting_on = request.script.calls.get(*call_idx).map(|c| c.db) == Some(db);
-                    if waiting_on {
-                        if let Some(Phase::Computing { acc, .. }) = self.phase_mut(rid) {
-                            acc.push(("db_recovered".to_string(), 1));
-                        }
-                        self.finish_compute(ctx, rid);
-                    }
-                }
-                Some(Phase::Preparing { votes, involved, .. })
-                    // Figure 4 prepare() line 4: Ready counts as a reply —
-                    // and an unprepared branch did not survive, so: no.
-                    if involved.contains(&db) && !votes.contains_key(&db) => {
-                        votes.insert(db, Vote::No);
-                        self.check_votes(ctx, rid);
-                    }
-                Some(Phase::Terminating { decision, targets, acked })
-                    // Figure 4 terminate() lines 4–5: a Ready re-triggers the
-                    // Decide push to the recovered server.
-                    if targets.contains(&db) && !acked.contains(&db) => {
-                        let outcome = decision.outcome;
-                        ctx.send(db, Payload::Db(DbMsg::decide_one(rid, outcome)));
-                    }
-                _ => {}
-            }
         }
     }
 
@@ -1509,30 +1375,34 @@ impl Process for AppServer {
                 self.on_request(ctx, request, attempt, ack_below, stamps);
             }
             Event::Message { from, payload: Payload::DbReply(reply) } => match reply {
-                DbReplyMsg::ExecReply { rid, status } => self.on_exec_reply(ctx, rid, status),
-                DbReplyMsg::Vote { rid, vote } => self.on_vote(ctx, from, rid, vote),
+                DbReplyMsg::ExecReply { rid, status } => {
+                    let step = self.xa_mut(rid).and_then(|xa| xa.exec_reply(ctx, rid, status));
+                    self.on_step(ctx, rid, step);
+                }
+                DbReplyMsg::Vote { rid, vote } => {
+                    let step = self.xa_mut(rid).and_then(|xa| xa.vote(from, vote));
+                    self.on_step(ctx, rid, step);
+                }
                 DbReplyMsg::AckDecide { entries, seq, lease } => {
                     self.observe_shard_seq(from, seq);
                     self.observe_shard_lease(from, lease);
                     for (rid, _) in entries {
-                        self.on_ack_decide(ctx, from, rid);
+                        let step = self.xa_mut(rid).and_then(|xa| xa.ack(from));
+                        self.on_step(ctx, rid, step);
                     }
                 }
-                DbReplyMsg::ReadReply {
-                    rid,
-                    call,
-                    round,
-                    outputs,
-                    pos,
-                    indoubt,
-                    leased,
-                    lease,
-                } => {
-                    self.on_read_reply(
-                        ctx, from, rid, call, round, outputs, pos, indoubt, leased, lease,
-                    );
+                DbReplyMsg::ReadReply { rid, call, round, outputs, pos, indoubt, lease } => {
+                    self.on_read_reply(ctx, from, rid, call, round, outputs, pos, indoubt, lease);
                 }
-                DbReplyMsg::Ready => self.on_ready(ctx, from),
+                // A database's crash-recovery notice: every attempt at the
+                // databases applies Figure 4 to it, in the windows' order.
+                DbReplyMsg::Ready => {
+                    let rids: Vec<ResultId> = self.attempts.iter().map(|(rid, _)| rid).collect();
+                    for rid in rids {
+                        let step = self.xa_mut(rid).and_then(|xa| xa.ready(ctx, rid, from));
+                        self.on_step(ctx, rid, step);
+                    }
+                }
                 DbReplyMsg::AckCommitOnePhase { .. } => { /* baseline-only message */ }
             },
             // A shard primary's bare lease grant (startup establishment or
@@ -1549,7 +1419,11 @@ impl Process for AppServer {
                 TimerTag::Dispatch { rid, stage: 0 } => self.dispatch_claim(ctx, rid),
                 TimerTag::Dispatch { rid, stage: 1 } => self.dispatch_reads(ctx, rid),
                 TimerTag::ReadRetry { rid } => self.on_read_retry(ctx, rid),
-                TimerTag::TerminateRetry { rid } => self.on_terminate_retry(ctx, rid),
+                TimerTag::TerminateRetry { rid } => {
+                    if let Some(Phase::Xa(xa)) = self.phase(rid) {
+                        xa.retry(ctx, rid, self.cfg.terminate_retry);
+                    }
+                }
                 TimerTag::BatchFlush => {
                     self.batch_timer = None;
                     self.flush_batch(ctx);

@@ -799,13 +799,7 @@ impl DbServer {
                 let service = jittered(ctx, self.cost.sql_read, self.cost.jitter);
                 let dur = self.charge_read(ctx, service);
                 ctx.trace(TraceKind::Span { rid, comp: Component::Sql, dur: service });
-                // `leased` marks a lease-covered serve (a follower inside
-                // its grant, or the granting primary itself) — the issuer's
-                // snapshot validation accepts an all-leased collect without
-                // the position-stability rule. Only primaries advertise
-                // grants onward.
-                let leased =
-                    self.leases.enabled && (!is_follower || ctx.now() < self.lease_through);
+                // Only primaries advertise grants onward.
                 let lease = if is_follower { None } else { self.advertised_lease(ctx.now()) };
                 ctx.send_after(
                     dur,
@@ -817,7 +811,6 @@ impl DbServer {
                         outputs,
                         pos,
                         indoubt,
-                        leased,
                         lease,
                     }),
                 );
@@ -955,79 +948,12 @@ impl Process for DbServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etx_base::ids::{RequestId, TimerId};
+    use crate::recorder::Recorder;
+    use etx_base::ids::RequestId;
     use etx_base::value::DbOp;
     use std::sync::Arc;
 
-    /// A context that records what a server does — sends, traces, WAL
-    /// appends — and charges nothing.
-    #[derive(Default)]
-    struct Recorder {
-        sent: Vec<Payload>,
-        wal: Vec<StableRecord>,
-        traced: Vec<TraceKind>,
-    }
-
-    impl Context for Recorder {
-        fn now(&self) -> Time {
-            Time::ZERO
-        }
-        fn me(&self) -> NodeId {
-            DB
-        }
-        fn send(&mut self, _: NodeId, payload: Payload) {
-            self.sent.push(payload);
-        }
-        fn send_after(&mut self, _: Dur, to: NodeId, payload: Payload) {
-            self.send(to, payload);
-        }
-        fn set_timer(&mut self, _: Dur, _: TimerTag) -> TimerId {
-            TimerId(0)
-        }
-        fn cancel_timer(&mut self, _: TimerId) {}
-        fn random_u64(&mut self) -> u64 {
-            0
-        }
-        fn log_append(&mut self, _: &'static str, rec: StableRecord, _: bool) -> Dur {
-            self.wal.push(rec);
-            Dur::ZERO
-        }
-        fn log_read(&self, _: &'static str) -> Vec<StableRecord> {
-            self.wal.clone()
-        }
-        fn trace(&mut self, kind: TraceKind) {
-            self.traced.push(kind);
-        }
-        fn depth(&self) -> u32 {
-            0
-        }
-        fn send_at_depth(&mut self, _: u32, to: NodeId, payload: Payload) {
-            self.send(to, payload);
-        }
-        fn send_after_at_depth(&mut self, _: u32, _: Dur, to: NodeId, payload: Payload) {
-            self.send(to, payload);
-        }
-        fn subscribe_node_events(&mut self) {}
-    }
-
-    impl Recorder {
-        /// The `(branch, applied outcome)` pairs acknowledged so far.
-        fn acks(&self) -> Vec<(ResultId, Outcome)> {
-            let acked = |p: &Payload| match p {
-                Payload::DbReply(DbReplyMsg::AckDecide { entries, .. }) => entries.clone(),
-                _ => Vec::new(),
-            };
-            self.sent.iter().flat_map(acked).collect()
-        }
-
-        /// The WAL with every group frame unfolded.
-        fn leaves(&self) -> Vec<StableRecord> {
-            self.wal.iter().flat_map(|r| r.leaves()).cloned().collect()
-        }
-    }
-
     const APP: NodeId = NodeId(1);
-    const DB: NodeId = NodeId(2);
 
     fn rid(n: u64) -> ResultId {
         ResultId::first(RequestId { client: NodeId(0), seq: n })
@@ -1120,7 +1046,7 @@ mod tests {
         };
         db.on_repl_msg(&mut ctx, NodeId(3), ship(2));
         assert!(ctx.wal.is_empty(), "beyond a gap: buffered, nothing durable yet");
-        assert_eq!(ctx.sent, [Payload::Repl(ReplMsg::SyncReq)]);
+        assert_eq!(ctx.sent, [(NodeId(3), Payload::Repl(ReplMsg::SyncReq))]);
         db.on_repl_msg(&mut ctx, NodeId(3), ship(1));
         assert!(
             matches!(ctx.wal.as_slice(), [StableRecord::Group { records }] if records.len() == 2)

@@ -10,6 +10,7 @@
 //! |---|---|
 //! | Figure 2 — client `issue()` | [`client::EtxClient`] |
 //! | Figures 4–6 — application server (compute + clean + terminate) | [`appserver::AppServer`] |
+//! | Figure 4 `prepare()` / `terminate()`, Figure 5 `compute()` — one attempt's database-facing stages, shared with the Figure 7 baselines | [`xa::Xa`] |
 //! | Figure 3 — database server | [`dbserver::DbServer`] |
 //!
 //! The guarantees (§3) are: **termination** (T.1 the client eventually
@@ -25,11 +26,93 @@ pub mod client;
 pub mod dbserver;
 pub mod resultbuild;
 pub mod router;
+pub mod xa;
 
 pub use appserver::AppServer;
 pub use client::{EtxClient, IssueMode};
 pub use dbserver::{DbServer, ReplRole};
 pub use router::{route, RoutedPlan};
+
+#[cfg(test)]
+pub(crate) mod recorder {
+    //! A [`Context`] for unit tests that records what a process does —
+    //! sends, timers, traces, WAL appends — and charges nothing.
+
+    use etx_base::ids::{NodeId, ResultId, TimerId};
+    use etx_base::msg::{DbReplyMsg, Payload};
+    use etx_base::runtime::{Context, TimerTag};
+    use etx_base::time::{Dur, Time};
+    use etx_base::trace::TraceKind;
+    use etx_base::value::Outcome;
+    use etx_base::wal::StableRecord;
+
+    #[derive(Default)]
+    pub(crate) struct Recorder {
+        pub sent: Vec<(NodeId, Payload)>,
+        pub timers: Vec<(Dur, TimerTag)>,
+        pub wal: Vec<StableRecord>,
+        pub traced: Vec<TraceKind>,
+    }
+
+    impl Context for Recorder {
+        fn now(&self) -> Time {
+            Time::ZERO
+        }
+        fn me(&self) -> NodeId {
+            NodeId(2)
+        }
+        fn send(&mut self, to: NodeId, payload: Payload) {
+            self.sent.push((to, payload));
+        }
+        fn send_after(&mut self, _: Dur, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn set_timer(&mut self, delay: Dur, tag: TimerTag) -> TimerId {
+            self.timers.push((delay, tag));
+            TimerId(0)
+        }
+        fn cancel_timer(&mut self, _: TimerId) {}
+        fn random_u64(&mut self) -> u64 {
+            0
+        }
+        fn log_append(&mut self, _: &'static str, rec: StableRecord, _: bool) -> Dur {
+            self.wal.push(rec);
+            Dur::ZERO
+        }
+        fn log_read(&self, _: &'static str) -> Vec<StableRecord> {
+            self.wal.clone()
+        }
+        fn trace(&mut self, kind: TraceKind) {
+            self.traced.push(kind);
+        }
+        fn depth(&self) -> u32 {
+            0
+        }
+        fn send_at_depth(&mut self, _: u32, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn send_after_at_depth(&mut self, _: u32, _: Dur, to: NodeId, payload: Payload) {
+            self.send(to, payload);
+        }
+        fn subscribe_node_events(&mut self) {}
+    }
+
+    impl Recorder {
+        /// The `(branch, applied outcome)` pairs acknowledged so far.
+        pub fn acks(&self) -> Vec<(ResultId, Outcome)> {
+            let acked = |(_, p): &(NodeId, Payload)| match p {
+                Payload::DbReply(DbReplyMsg::AckDecide { entries, .. }) => entries.clone(),
+                _ => Vec::new(),
+            };
+            self.sent.iter().flat_map(acked).collect()
+        }
+
+        /// The WAL with every group frame unfolded.
+        pub fn leaves(&self) -> Vec<StableRecord> {
+            self.wal.iter().flat_map(|r| r.leaves()).cloned().collect()
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

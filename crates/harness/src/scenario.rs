@@ -443,29 +443,27 @@ impl ScenarioBuilder {
             MiddleTier::Tpc => {
                 let dlist = topo.db_servers.clone();
                 let cost = self.cost.clone();
+                let retry = self.pcfg.terminate_retry;
                 sim.add_node(
                     "tpc",
-                    Box::new(move |_| Box::new(TpcServer::new(dlist.clone(), cost.clone()))),
+                    Box::new(move |_| Box::new(TpcServer::new(dlist.clone(), cost.clone(), retry))),
                 );
             }
             MiddleTier::Pb => {
                 let (p, b) = (topo.app_servers[0], topo.app_servers[1]);
-                let dlist = topo.db_servers.clone();
-                let cost = self.cost.clone();
-                let d2 = dlist.clone();
-                let cost2 = cost.clone();
-                sim.add_node(
-                    "pb-primary",
-                    Box::new(move |_| {
-                        Box::new(PbServer::new(PbRole::Primary, b, dlist.clone(), cost.clone()))
-                    }),
-                );
-                sim.add_node(
-                    "pb-backup",
-                    Box::new(move |_| {
-                        Box::new(PbServer::new(PbRole::Backup, p, d2.clone(), cost2.clone()))
-                    }),
-                );
+                for (name, role, peer) in
+                    [("pb-primary", PbRole::Primary, b), ("pb-backup", PbRole::Backup, p)]
+                {
+                    let dlist = topo.db_servers.clone();
+                    let cost = self.cost.clone();
+                    let retry = self.pcfg.terminate_retry;
+                    sim.add_node(
+                        name,
+                        Box::new(move |_| {
+                            Box::new(PbServer::new(role, peer, dlist.clone(), cost.clone(), retry))
+                        }),
+                    );
+                }
             }
         }
 

@@ -73,7 +73,7 @@ impl Process for TimerChain {
             }
             Event::Message { payload: Payload::Pb(_), .. } => {
                 // Defer the next step through a timer (like a service cost).
-                ctx.set_timer(Dur::from_millis(1), TimerTag::PbTick);
+                ctx.set_timer(Dur::from_millis(1), TimerTag::CleanerTick);
             }
             Event::Timer { .. } => {
                 ctx.trace(TraceKind::Deliver {

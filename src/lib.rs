@@ -1,7 +1,7 @@
 //! # etx — e-Transactions with Asynchronous Replication
 //!
 //! Facade crate: re-exports the whole workspace under one roof. See the
-//! README for a guided tour and `DESIGN.md` for the system inventory.
+//! README for a guided tour; its *Crate map* is the system inventory.
 //!
 //! ```
 //! use etx::base::ids::Topology;

@@ -4,7 +4,7 @@
 
 use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::time::{Dur, Time};
-use etx::base::trace::TraceKind;
+use etx::base::trace::{Component, TraceKind};
 use etx::base::value::Outcome;
 use etx::baselines::RetryPolicy;
 use etx::harness::{check, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
@@ -176,4 +176,81 @@ fn pb_and_etx_have_equal_failure_free_message_depth() {
         s.deliveries()[0].2
     };
     assert_eq!(run(MiddleTier::Etx { apps: 3 }), run(MiddleTier::Pb));
+}
+
+/// One `BankUpdate` against a database that goes down for 5 ms the first
+/// time `node` traces a span of `comp` — and comes back with `[Ready]`.
+fn db_down_at_first_span(tier: MiddleTier, comp: Component, at_db: bool) -> etx::harness::Scenario {
+    let mut s = ScenarioBuilder::fast(tier, 17)
+        .workload(Workload::BankUpdate { amount: 50 })
+        .requests(1)
+        .build();
+    let db = s.topo.db_servers[0];
+    let node = if at_db { db } else { s.topo.app_servers[0] };
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == node && matches!(ev.kind, TraceKind::Span { comp: c, .. } if c == comp)
+        }),
+        FaultOp::CrashFor { node: db, down_for: Dur::from_millis(5) },
+    )
+    .unwrap();
+    s.sim_mut().run_until_time(Time(3_000_000));
+    s
+}
+
+#[test]
+fn a_database_that_recovers_mid_attempt_ends_the_attempt_in_every_tier() {
+    // Figure 4 reads a database's `[Ready]` the same way whoever runs it.
+    // Down from its first SQL span: the branch it executed is gone, the
+    // `Prepare` finds nobody, and `Ready` counts as the vote — no. Down
+    // from the server's dispatch: the `Exec` itself dies with it, and
+    // `Ready` ends `compute()`. Either way the attempt aborts instead of
+    // waiting for a reply that cannot come.
+    for (comp, at_db) in [(Component::Sql, true), (Component::Start, false)] {
+        for tier in [MiddleTier::Etx { apps: 3 }, MiddleTier::Pb] {
+            // The e-Transaction client retries the aborted attempt.
+            let s = db_down_at_first_span(tier, comp, at_db);
+            assert_eq!(s.delivered_commits(), 1, "{}, down at {comp:?}", tier.label());
+            assert_eq!(commits(&s), 1, "{}, down at {comp:?}", tier.label());
+            let all = LivenessChecks { t1: true, t2: true };
+            let report = check(s.trace().events(), &s.topo.clients, all);
+            assert!(report.ok(), "{}, down at {comp:?}: {:?}", tier.label(), report.violations);
+        }
+        // 2PC's client does not retry: what the protocol owes is a decision
+        // wherever a branch voted (T.2), and one exception for the user.
+        let tpc = db_down_at_first_span(MiddleTier::Tpc, comp, at_db);
+        let decided = LivenessChecks { t1: false, t2: true };
+        let report = check(tpc.trace().events(), &tpc.topo.clients, decided);
+        assert!(report.ok(), "2PC, down at {comp:?}: {:?}", report.violations);
+        assert_eq!(
+            tpc.trace().count_kind(|k| matches!(k, TraceKind::DbDecide { .. })),
+            1,
+            "2PC, down at {comp:?}: the attempt must reach its decision"
+        );
+        assert_eq!(
+            tpc.trace().count_kind(|k| matches!(k, TraceKind::Exception { .. })),
+            1,
+            "2PC, down at {comp:?}"
+        );
+    }
+}
+
+#[test]
+fn the_section_3_judge_reads_every_tier() {
+    // `Computed` is traced where the shared `compute()` returns, so V.1 —
+    // and with it the whole §3 checker — applies to the protocols the paper
+    // is compared against. A failure-free run satisfies it in all four.
+    let tiers =
+        [MiddleTier::Etx { apps: 3 }, MiddleTier::Tpc, MiddleTier::Pb, MiddleTier::Baseline];
+    for tier in tiers {
+        let mut s = ScenarioBuilder::fast(tier, 23)
+            .workload(Workload::BankUpdate { amount: 10 })
+            .requests(3)
+            .build();
+        assert_eq!(s.run_until_settled(3), etx::sim::RunOutcome::Predicate, "{}", tier.label());
+        s.quiesce(Dur::from_millis(400));
+        let report =
+            check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true });
+        assert!(report.ok(), "{}: {:?}", tier.label(), report.violations);
+    }
 }
