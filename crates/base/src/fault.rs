@@ -11,11 +11,11 @@
 //! * the deterministic simulator turns every operation into an entry of
 //!   its virtual-time event queue (or a one-shot trace trigger that pushes
 //!   one), so a schedule replays with the run, per seed;
-//! * the multi-threaded backend applies the *same* operations to real OS
-//!   threads: a crash joins the node's thread (stable logs survive for
-//!   restart, volatile state does not), a pause parks the thread with its
-//!   inbox gated — the SIGSTOP story — and link faults drop, delay or
-//!   duplicate real mpsc sends.
+//! * the multi-threaded backend applies the *same* operations for real: a
+//!   crash takes the node's state out from under its workers (stable logs
+//!   survive for restart, volatile state does not), a pause gates the node
+//!   with its inbox accumulating — the SIGSTOP story — and link faults
+//!   drop, delay or duplicate real sends.
 //!
 //! A [`LinkFault`] with `drop` set means the same thing on both: the
 //! messages are *held* at the faulted link and re-injected when it heals
@@ -115,8 +115,9 @@ impl LinkFault {
 pub enum FaultOp {
     /// Crash a node: volatile state is lost, stable storage survives (§2:
     /// "the crash of a process has no impact on its stable storage"). On
-    /// the threaded backend this kills and joins the node's OS thread,
-    /// preserving its `LogStore` for restart.
+    /// the threaded backend this waits out the handler in flight, then
+    /// drops the process and its inbox, preserving its `LogStore` for
+    /// restart.
     Crash(NodeId),
     /// Recover a previously crashed node: the factory rebuilds the
     /// process, which receives [`crate::runtime::Event::Recovered`] over
@@ -132,9 +133,9 @@ pub enum FaultOp {
     },
     /// Pause a node: it stops processing messages and timers but loses
     /// nothing — the SIGSTOP story. Its inbox keeps accumulating; on the
-    /// threaded backend the OS thread genuinely parks. A paused node is
-    /// exactly the "slow process" asynchrony §4 allows, which is why it
-    /// must *not* violate safety.
+    /// threaded backend no worker runs the node from then on. A paused
+    /// node is exactly the "slow process" asynchrony §4 allows, which is
+    /// why it must *not* violate safety.
     Pause(NodeId),
     /// Resume a paused node: queued messages and overdue timers are
     /// processed (late, as after a real SIGCONT).

@@ -11,8 +11,8 @@
 //! registration, the run loop, and the trace sink. Two hosts exist — the
 //! deterministic discrete-event simulator in `etx-sim` (virtual clock,
 //! byte-identical replay) and the multi-threaded backend in `etx-rt` (one
-//! OS thread and inbox per node, real monotonic clocks, wall-clock
-//! numbers). The *identical* protocol state machines run on both, and
+//! inbox per node, a core-sized pool of worker threads, real monotonic
+//! clocks, wall-clock numbers). The *identical* protocol state machines run on both, and
 //! [`Host::schedule_fault`] is the one way a fault enters either — the
 //! sim's simulated ones and the threaded backend's real ones alike.
 
@@ -230,9 +230,9 @@ pub fn jittered(ctx: &mut dyn Context, d: Dur, frac: f64) -> Dur {
 
 /// A protocol participant: one state machine per hosted process.
 ///
-/// `Send` is a supertrait because the threaded runtime backend moves each
-/// process onto its own OS thread (and hands it back at shutdown for
-/// post-run introspection). Processes are plain owned data, so this costs
+/// `Send` is a supertrait because the threaded runtime backend runs each
+/// process on whichever worker thread picks its node up (and hands it back
+/// at shutdown for post-run introspection). Processes are plain owned data, so this costs
 /// implementors nothing.
 pub trait Process: Send {
     /// Handles one event. All sends/timers go through `ctx`. The handler
@@ -255,8 +255,8 @@ pub trait Process: Send {
 
 /// A process factory: invoked at node creation and — on hosts that support
 /// crash/recovery — again at every recovery (volatile state is rebuilt from
-/// scratch; stable storage persists). `Send` because the threaded backend
-/// moves factories onto node threads.
+/// scratch; stable storage persists). `Send` because the threaded backend's
+/// nodes outlive the thread that registered them.
 pub type NodeFactory = Box<dyn FnMut(NodeId) -> Box<dyn Process> + Send>;
 
 /// Why a host run loop returned.
@@ -282,9 +282,10 @@ pub enum RuntimeKind {
     /// The default — every deterministic test and golden trace lives here.
     #[default]
     Sim,
-    /// The multi-threaded backend (`etx-rt`): one OS thread and inbox per
-    /// node, real monotonic clocks, wall-clock throughput, and *real* fault
-    /// injection — a crash joins the victim's OS thread, a pause parks it.
+    /// The multi-threaded backend (`etx-rt`): one inbox per node, a
+    /// core-sized pool of worker threads, real monotonic clocks, wall-clock
+    /// throughput, and *real* fault injection — a crash waits out the
+    /// victim's handler and drops its state, a pause gates it.
     /// Not deterministic — by design; golden traces stay on the simulator.
     Threaded,
 }

@@ -1,21 +1,36 @@
 //! # etx-rt — the multi-threaded runtime backend
 //!
 //! Runs the *identical* protocol state machines the deterministic simulator
-//! hosts, but on real hardware: one OS thread and one mpsc inbox per node,
-//! real monotonic clocks behind timers, and in-memory stable logs mutated
-//! behind the same `log_append`/`log_read` contract. This is the backend
-//! that turns every simulated bench figure into an honest wall-clock
-//! number — commits per second on the host, not per simulated second.
+//! hosts, but on real hardware: a core-sized pool of worker threads
+//! draining per-node inboxes, real monotonic clocks behind timers, and
+//! in-memory stable logs mutated behind the same `log_append`/`log_read`
+//! contract. This is the backend that turns every simulated bench figure
+//! into an honest wall-clock number — commits per second on the host, not
+//! per simulated second.
+//!
+//! **Workers, not a thread per node.** Every node owns a *slot*: its inbox,
+//! a `queued` flag and its private state behind the slot lock. A send
+//! appends to the destination's inbox and, if that flips `queued`, puts the
+//! node on one shared FIFO run queue; a worker pops a node, takes its slot
+//! lock, fires its due timers and handles a bounded batch of its inbox. The
+//! slot lock is what makes a node single-threaded — one handler per node at
+//! a time, inbox order per node and therefore FIFO per link — whichever
+//! worker runs it. Under load no worker parks, so a message hop is a queue
+//! push, not a thread wake-up. The number of OS threads is
+//! `available_parallelism()` (capped at the node count), whatever the
+//! topology.
 //!
 //! Faults here are **real**, not simulated: the fault plane
-//! ([`Host::schedule_fault`]) crashes a node by poisoning its inbox and
-//! joining its OS thread (volatile state dies with the thread; the
-//! `LogStore` survives for restart), pauses a node by parking the thread
-//! with its inbox gated (the SIGSTOP story — messages pile up, timers go
-//! overdue, nothing is lost), and degrades links through a filter table
-//! consulted on every send (drop, delay, duplicate, partition). The §3
-//! checker then judges the resulting trace exactly as it judges a
-//! simulated one.
+//! ([`Host::schedule_fault`]) crashes a node by marking it down and taking
+//! its state out of the slot under the slot lock — which waits out the
+//! handler in flight; volatile state is dropped, the inbox cleared, the
+//! `LogStore` survives for restart. It pauses a node by setting a flag
+//! workers honour before running it (the SIGSTOP story — messages pile up,
+//! timers go overdue, nothing is lost; the slot lock taken once is the
+//! barrier after which no handler runs), and degrades links through a
+//! filter table consulted on every send (drop, delay, duplicate,
+//! partition). The §3 checker then judges the resulting trace exactly as
+//! it judges a simulated one.
 //!
 //! What deliberately does **not** exist here:
 //!
@@ -34,8 +49,9 @@
 //!   the e-Transaction protocol pointedly does not need one. (The
 //!   primary-backup baseline that does is a simulator-only experiment.)
 //! * **Determinism.** Per-node randomness is still seeded (same master
-//!   seed → same per-node streams), but thread interleaving is the OS
-//!   scheduler's. Byte-identical replay remains the simulator's job.
+//!   seed → same per-node streams, per node and never per worker), but
+//!   interleaving is the OS scheduler's. Byte-identical replay remains the
+//!   simulator's job.
 //!
 //! Cost-model service times are honored exactly as in the simulator — a
 //! forced `log_append` returns the modelled duration and `send_after`
@@ -54,10 +70,10 @@ use etx_base::time::{Dur, Time};
 use etx_base::trace::{MsgStats, Trace, TraceEvent, TraceKind};
 use etx_base::wal::StableRecord;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -90,9 +106,8 @@ impl ThreadedConfig {
 
 /// One node's in-memory stable logs (same named-append-only-log contract as
 /// the simulator's `StableStorage`). This is the "stable storage" of §2: a
-/// fault-plane crash joins the node's thread and drops its process, but the
-/// `LogStore` is carried through the crash and handed to the restarted
-/// incarnation.
+/// fault-plane crash drops the node's process, but the `LogStore` is
+/// carried through the crash and handed to the restarted incarnation.
 #[derive(Debug, Default)]
 struct LogStore {
     logs: BTreeMap<&'static str, Vec<StableRecord>>,
@@ -108,48 +123,19 @@ impl LogStore {
     }
 }
 
-/// What travels over a node's inbox.
-enum Wire {
-    Msg {
-        from: NodeId,
-        payload: Payload,
-        depth: u32,
-    },
-    /// Wake the thread so it re-reads its control flags promptly (sent by
-    /// the fault plane after setting `killed`/`paused`); carries nothing.
-    Nudge,
-    Stop,
+/// What travels over a node's inbox: one message, past the link filter.
+struct Wire {
+    from: NodeId,
+    payload: Payload,
+    depth: u32,
 }
 
-/// Per-node control flags read at the top of the node loop — the fault
-/// plane's handle on a running thread.
+/// Link-fault state shared by the driver and every node: the filter table
+/// consulted on every send. `links_active` (true exactly while the table is
+/// non-empty) keeps the fault-free fast path to one relaxed atomic load per
+/// send.
 #[derive(Default)]
-struct CtlFlags {
-    /// Parked by the fault plane (SIGSTOP): the thread waits on the
-    /// condvar, its inbox accumulating, until resumed/killed/stopping.
-    paused: bool,
-    /// Crashed by the fault plane: the thread exits its loop as soon as it
-    /// observes the flag (at most the in-flight handler completes first).
-    killed: bool,
-    /// Host shutdown: only relevant to *paused* threads, which must wake
-    /// and drain normally; running threads still exit on [`Wire::Stop`]
-    /// so their queued backlog is processed, not dropped.
-    stopping: bool,
-}
-
-#[derive(Default)]
-struct NodeCtl {
-    flags: Mutex<CtlFlags>,
-    cv: Condvar,
-}
-
-/// Fault state shared by the driver and every node thread: per-node down
-/// flags (a crashed node's inbox is poisoned — sends to it are dropped,
-/// like the simulator's drop-to-down accounting) and the link-filter
-/// table consulted on every send. `links_active` keeps the fault-free
-/// fast path to one relaxed atomic load per send.
 struct FaultState {
-    down: Vec<AtomicBool>,
     links_active: AtomicBool,
     links: Mutex<HashMap<(NodeId, NodeId), LinkFault>>,
     /// Traffic stopped by a `drop` fault, in send order per link. §4's
@@ -166,19 +152,6 @@ struct FaultState {
 type HeldTraffic = HashMap<(NodeId, NodeId), Vec<(Payload, u32)>>;
 
 impl FaultState {
-    fn new(n: usize) -> Self {
-        FaultState {
-            down: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            links_active: AtomicBool::new(false),
-            links: Mutex::new(HashMap::new()),
-            held: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn is_down(&self, node: NodeId) -> bool {
-        self.down.get(node.0 as usize).is_some_and(|f| f.load(Ordering::Acquire))
-    }
-
     fn fault_on(&self, from: NodeId, to: NodeId) -> Option<LinkFault> {
         if !self.links_active.load(Ordering::Relaxed) {
             return None;
@@ -187,19 +160,24 @@ impl FaultState {
     }
 }
 
-/// The shared observability sink all node threads write into. Trace
-/// timestamps are taken *inside* the trace lock from the shared monotonic
-/// epoch, so trace order and timestamp order agree — the property checker's
+/// The shared observability sink every node writes into. Trace timestamps
+/// are taken *inside* the trace lock from the shared monotonic epoch, so
+/// trace order and timestamp order agree — the property checker's
 /// happened-before comparisons hold exactly as on the simulator.
 struct Sink {
     epoch: Instant,
     trace: Mutex<Trace>,
-    stats: Mutex<MsgStats>,
 }
 
 impl Sink {
     fn now(&self) -> Time {
         Time(self.epoch.elapsed().as_micros() as u64)
+    }
+
+    fn push(&self, node: NodeId, kind: TraceKind) {
+        let mut trace = self.trace.lock().expect("trace lock");
+        let at = self.now();
+        trace.push(TraceEvent::new(at, node, kind));
     }
 }
 
@@ -246,15 +224,282 @@ impl Ord for Deferred {
     }
 }
 
-/// Per-node runtime state living on the node's own thread.
+/// One node's place in the pool. Senders touch `inbox` and `queued`; the
+/// node's private state sits behind `state`, a lock only the worker
+/// currently running the node and the driver's fault plane ever take.
+#[derive(Default)]
+struct Slot {
+    inbox: Mutex<VecDeque<Wire>>,
+    /// The node is in the run queue or being run. Set by whoever flips it
+    /// false→true (and therefore queues the node), cleared by the worker
+    /// at the end of a turn, *under the slot lock* — so the fault plane,
+    /// having taken that lock once, knows an earlier skipped turn cannot
+    /// swallow the `enqueue` it makes next.
+    queued: AtomicBool,
+    /// Crashed: sends to it are dropped and counted, like the simulator's
+    /// drop-to-down accounting, and no turn starts.
+    down: AtomicBool,
+    /// Paused by the fault plane: no turn starts, the inbox accumulates.
+    paused: AtomicBool,
+    /// `None` while crashed (and before `start`, and after `stop`).
+    state: Mutex<Option<NodeState>>,
+}
+
+impl Slot {
+    fn inbox(&self) -> MutexGuard<'_, VecDeque<Wire>> {
+        self.inbox.lock().expect("inbox lock")
+    }
+
+    /// The slot lock. Handlers run inside `catch_unwind` under it, so it is
+    /// not poisoned by a panicking node; it is tolerated anyway because
+    /// `stop()` takes it from `Drop`, where a second panic aborts.
+    fn state(&self) -> MutexGuard<'_, Option<NodeState>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The fault plane wants this node to stand still. Both flags are set
+    /// by the driver *before* it takes the slot lock, so a turn that reads
+    /// them under that lock (Acquire, pairing with the driver's Release
+    /// stores) never starts after `Crash`/`Pause` returned.
+    fn halted(&self) -> bool {
+        self.down.load(Ordering::Acquire) || self.paused.load(Ordering::Acquire)
+    }
+}
+
+/// What a slot holds while its node is up.
+struct NodeState {
+    rt: NodeRt,
+    process: Box<dyn Process>,
+    /// `Init` or `Recovered`, delivered before anything else.
+    first: Option<Event>,
+    /// The part of the inbox this turn took out; empty between turns. Kept
+    /// so the two buffers swap instead of reallocating.
+    batch: VecDeque<Wire>,
+    /// A handler panicked: recorded for `panicked_nodes()`, never run again.
+    panicked: bool,
+}
+
+/// Handlers one node may run before it goes to the back of the run queue.
+const TURN_BATCH: usize = 64;
+
+impl NodeState {
+    /// One scheduling turn: the first event if still owed, every deferred
+    /// action due at `now`, then at most [`TURN_BATCH`] messages in inbox
+    /// order. What is left of the inbox goes back in front of whatever
+    /// arrived meanwhile.
+    fn turn(&mut self, slot: &Slot, now: Time) {
+        if let Some(first) = self.first.take() {
+            self.rt.dispatch(&mut self.process, first, 0);
+        }
+        self.rt.fire_due(&mut self.process, now);
+        std::mem::swap(&mut self.batch, &mut *slot.inbox());
+        for _ in 0..TURN_BATCH {
+            // At most the handler in flight completes after a crash or a
+            // pause was asked for, not the rest of the batch.
+            if slot.halted() {
+                break;
+            }
+            let Some(Wire { from, payload, depth }) = self.batch.pop_front() else { break };
+            self.rt.dispatch(&mut self.process, Event::Message { from, payload }, depth);
+        }
+        if !self.batch.is_empty() {
+            let mut inbox = slot.inbox();
+            self.batch.append(&mut inbox);
+            std::mem::swap(&mut self.batch, &mut *inbox);
+        }
+    }
+}
+
+/// What the workers share about *which* node runs next and *when* an idle
+/// one must be looked at again.
+struct Sched {
+    /// Nodes with work, FIFO.
+    run: VecDeque<usize>,
+    /// `(due, node)`: look at `node` at `due` because it has a deferred
+    /// action then. May hold stale entries — a wake-up that finds nothing
+    /// due costs one empty turn.
+    wakeups: BinaryHeap<Reverse<(Time, usize)>>,
+    /// Per node, the earliest wake-up still in `wakeups`; `None` once it
+    /// has been served. A node re-registers only when its earliest
+    /// deferred action moved before this.
+    registered: Vec<Option<Time>>,
+    /// Workers waiting on [`Pool::idle`].
+    parked: usize,
+    stopping: bool,
+}
+
+/// Everything the workers, the nodes and the driver share.
+struct Pool {
+    slots: Vec<Slot>,
+    sched: Mutex<Sched>,
+    /// Where a worker with nothing to run waits, until a node is queued or
+    /// the earliest wake-up comes due.
+    idle: Condvar,
+    sink: Sink,
+    faults: FaultState,
+}
+
+impl Pool {
+    fn new(nodes: usize) -> Self {
+        Pool {
+            slots: (0..nodes).map(|_| Slot::default()).collect(),
+            sched: Mutex::new(Sched {
+                run: VecDeque::new(),
+                wakeups: BinaryHeap::new(),
+                registered: vec![None; nodes],
+                parked: 0,
+                stopping: false,
+            }),
+            idle: Condvar::new(),
+            sink: Sink { epoch: Instant::now(), trace: Mutex::new(Trace::default()) },
+            faults: FaultState::default(),
+        }
+    }
+
+    fn sched(&self) -> MutexGuard<'_, Sched> {
+        self.sched.lock().expect("scheduler lock")
+    }
+
+    /// The raw inbox append, past the link filter. Returns `false` when the
+    /// destination is down: the message is dropped and the caller counts
+    /// it, matching the simulator's drop-to-down accounting. `down` is read
+    /// under the inbox lock, and a crash clears the inbox after setting it,
+    /// so nothing sent to a crashed incarnation reaches the next one.
+    fn push_wire(&self, to: NodeId, wire: Wire) -> bool {
+        let idx = to.0 as usize;
+        let Some(slot) = self.slots.get(idx) else { return true };
+        {
+            let mut inbox = slot.inbox();
+            if slot.down.load(Ordering::Acquire) {
+                return false;
+            }
+            inbox.push_back(wire);
+        }
+        self.enqueue(idx);
+        true
+    }
+
+    /// Puts a node on the run queue unless it is there (or being run)
+    /// already, waking a worker only if one is parked. The swap pairs with
+    /// the worker's Release store at the end of a turn: whoever appended to
+    /// the inbox before a swap that read `true` is seen by that worker's
+    /// refill check, which follows its store.
+    fn enqueue(&self, idx: usize) {
+        if self.slots[idx].queued.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        let wake = {
+            let mut sched = self.sched();
+            sched.run.push_back(idx);
+            sched.parked > 0
+        };
+        if wake {
+            self.idle.notify_one();
+        }
+    }
+
+    /// A worker's main loop.
+    fn work(&self) {
+        let mut done = None;
+        while let Some((idx, now)) = self.next_node(done) {
+            done = self.run_node(idx, now).map(|due| (idx, due));
+        }
+    }
+
+    /// Registers the wake-up the turn just finished asked for, moves every
+    /// due wake-up onto the run queue (on every call — so timers are served
+    /// under saturation, not only when a worker runs dry) and pops the next
+    /// node, parking until there is one. Returns the node and the clock
+    /// reading it was picked at — the one read a turn decides by; `None`
+    /// means the host is stopping.
+    fn next_node(&self, done: Option<(usize, Time)>) -> Option<(usize, Time)> {
+        let mut now = self.sink.now();
+        let mut sched = self.sched();
+        if let Some((idx, due)) = done {
+            if sched.registered[idx].is_none_or(|at| due < at) {
+                sched.registered[idx] = Some(due);
+                sched.wakeups.push(Reverse((due, idx)));
+            }
+        }
+        loop {
+            if sched.stopping {
+                return None;
+            }
+            while let Some(&Reverse((due, idx))) = sched.wakeups.peek() {
+                if due > now {
+                    break;
+                }
+                sched.wakeups.pop();
+                // Served: a node that is mid-turn right now re-registers
+                // at the end of that turn, whatever it saw of this due.
+                sched.registered[idx] = None;
+                if !self.slots[idx].queued.swap(true, Ordering::AcqRel) {
+                    sched.run.push_back(idx);
+                }
+            }
+            if let Some(idx) = sched.run.pop_front() {
+                // More than this worker can take (wake-ups come due in
+                // bunches): hand the rest to a parked one.
+                let wake = !sched.run.is_empty() && sched.parked > 0;
+                drop(sched);
+                if wake {
+                    self.idle.notify_one();
+                }
+                return Some((idx, now));
+            }
+            sched.parked += 1;
+            sched = match sched.wakeups.peek() {
+                Some(&Reverse((due, _))) => {
+                    let wait = Duration::from_micros(due.0 - now.0);
+                    self.idle.wait_timeout(sched, wait).expect("scheduler lock").0
+                }
+                None => self.idle.wait(sched).expect("scheduler lock"),
+            };
+            sched.parked -= 1;
+            now = self.sink.now();
+        }
+    }
+
+    /// Runs one turn of a node under its slot lock, unless the fault plane
+    /// halted it, it is crashed or it has panicked. Returns the node's
+    /// earliest deferred `due`, for the wake-up heap.
+    fn run_node(&self, idx: usize, now: Time) -> Option<Time> {
+        let slot = &self.slots[idx];
+        let mut next_due = None;
+        let mut ran = false;
+        {
+            let mut state = slot.state();
+            if let Some(node) = state.as_mut().filter(|n| !n.panicked && !slot.halted()) {
+                ran = true;
+                // A panicking handler is the node's bug, not the pool's:
+                // it must neither kill this worker nor poison the slot.
+                match catch_unwind(AssertUnwindSafe(|| node.turn(slot, now))) {
+                    Ok(()) => next_due = node.rt.deferred.peek().map(|Reverse(d)| d.due),
+                    Err(_) => node.panicked = true,
+                }
+            }
+            slot.queued.store(false, Ordering::Release);
+        }
+        // Refilled while it ran (or more than a batch was waiting): back of
+        // the queue. A turn that did not run re-queues nothing — `Resume`
+        // and `Recover` queue the node themselves.
+        if ran && !slot.inbox().is_empty() {
+            self.enqueue(idx);
+        }
+        next_due
+    }
+}
+
+/// Per-node runtime state, touched only under the node's slot lock.
 struct NodeRt {
     me: NodeId,
-    senders: Arc<Vec<Sender<Wire>>>,
-    sink: Arc<Sink>,
-    faults: Arc<FaultState>,
+    pool: Arc<Pool>,
     cost: CostModel,
     rng: Rng,
     storage: LogStore,
+    /// This node's sends and drops; folded with every other node's on
+    /// demand, so no send takes a shared lock for accounting.
+    stats: MsgStats,
     deferred: BinaryHeap<Reverse<Deferred>>,
     cancelled: HashSet<u64>,
     timer_seq: u64,
@@ -263,19 +508,14 @@ struct NodeRt {
 
 impl NodeRt {
     fn dispatch(&mut self, process: &mut Box<dyn Process>, event: Event, depth: u32) {
-        let now = self.sink.now();
+        let now = self.pool.sink.now();
         let mut ctx = ThreadCtx { rt: self, now, depth };
         process.on_event(&mut ctx, event);
     }
 
-    /// Fires every deferred action that is due, in (due, seq) order.
-    fn fire_due(&mut self, process: &mut Box<dyn Process>) {
-        loop {
-            let now = self.sink.now();
-            match self.deferred.peek() {
-                Some(Reverse(d)) if d.due <= now => {}
-                _ => return,
-            }
+    /// Fires every deferred action due at `now`, in (due, seq) order.
+    fn fire_due(&mut self, process: &mut Box<dyn Process>, now: Time) {
+        while self.deferred.peek().is_some_and(|Reverse(d)| d.due <= now) {
             let Reverse(d) = self.deferred.pop().expect("peeked");
             match d.kind {
                 DeferredKind::Timer { id, tag, depth } => {
@@ -294,15 +534,6 @@ impl NodeRt {
         }
     }
 
-    /// Wall-clock wait until the next deferred action (None = nothing
-    /// pending).
-    fn next_wait(&self) -> Option<Duration> {
-        self.deferred.peek().map(|Reverse(d)| {
-            let now = self.sink.now();
-            Duration::from_micros(d.due.0.saturating_sub(now.0))
-        })
-    }
-
     /// Puts a message on the destination's inbox, running it through the
     /// fault plane's link filter first: a `drop` fault stops it at the
     /// link (held in [`FaultState::held`] and re-injected when the link
@@ -310,12 +541,12 @@ impl NodeRt {
     /// `delay` fault defers it once, a `duplicate` fault delivers two
     /// copies.
     fn transmit(&mut self, to: NodeId, payload: Payload, depth: u32) {
-        let background = payload.is_background();
-        self.sink.stats.lock().expect("stats lock").record_sent(payload.label(), background);
-        if let Some(fault) = self.faults.fault_on(self.me, to) {
+        self.stats.record_sent(payload.label(), payload.is_background());
+        if let Some(fault) = self.pool.faults.fault_on(self.me, to) {
             if fault.drop {
-                self.sink.stats.lock().expect("stats lock").record_dropped_on_link();
-                self.faults
+                self.stats.record_dropped_on_link();
+                self.pool
+                    .faults
                     .held
                     .lock()
                     .expect("held-traffic lock")
@@ -326,7 +557,7 @@ impl NodeRt {
             }
             let copies = if fault.duplicate { 2 } else { 1 };
             if let Some(extra) = fault.delay {
-                let due = self.sink.now() + extra;
+                let due = self.pool.sink.now() + extra;
                 for _ in 0..copies {
                     let payload = payload.clone();
                     self.defer(due, DeferredKind::Send { to, payload, depth, delayed: true });
@@ -340,16 +571,9 @@ impl NodeRt {
         self.push_wire(to, payload, depth);
     }
 
-    /// The raw inbox append, past the link filter. A crashed
-    /// destination's inbox is poisoned: the message is dropped and
-    /// counted, matching the simulator's drop-to-down accounting.
     fn push_wire(&mut self, to: NodeId, payload: Payload, depth: u32) {
-        if self.faults.is_down(to) {
-            self.sink.stats.lock().expect("stats lock").record_dropped_to_down();
-            return;
-        }
-        if let Some(tx) = self.senders.get(to.0 as usize) {
-            let _ = tx.send(Wire::Msg { from: self.me, payload, depth });
+        if !self.pool.push_wire(to, Wire { from: self.me, payload, depth }) {
+            self.stats.record_dropped_to_down();
         }
     }
 
@@ -428,10 +652,7 @@ impl Context for ThreadCtx<'_> {
     }
 
     fn trace(&mut self, kind: TraceKind) {
-        // Timestamp under the lock: trace order == timestamp order.
-        let mut trace = self.rt.sink.trace.lock().expect("trace lock");
-        let at = self.rt.sink.now();
-        trace.push(TraceEvent::new(at, self.rt.me, kind));
+        self.rt.pool.sink.push(self.rt.me, kind);
     }
 
     fn depth(&self) -> u32 {
@@ -454,30 +675,27 @@ impl Context for ThreadCtx<'_> {
     }
 }
 
-/// What a node thread hands back when it exits: the process (for post-run
-/// introspection through `Process::as_any`; `None` after a fault-plane
-/// crash wiped the volatile state), its stable logs (which survive
-/// crashes, per §2), and its inbox receiver — preserved so senders stay
-/// connected across a crash and a restarted incarnation can reuse the
-/// same channel.
+/// What is left of a node once its state has been taken out of its slot,
+/// at a crash or at `stop()`: the process (for post-run introspection
+/// through `Process::as_any`; `None` after a fault-plane crash wiped the
+/// volatile state) and its stable logs (which survive crashes, per §2).
 struct NodeShell {
     process: Option<Box<dyn Process>>,
     storage: LogStore,
-    rx: Receiver<Wire>,
 }
 
 enum Phase {
-    /// Nodes may still be registered; no thread exists yet.
+    /// Nodes may still be registered; no worker exists yet.
     Building,
-    /// Threads are live and processing.
+    /// Workers are live and processing.
     Running,
-    /// Threads joined; shells available for introspection.
+    /// Workers joined; shells available for introspection.
     Stopped,
 }
 
 /// One scheduled fault awaiting its trigger, pumped from the driver
-/// thread (never from a node thread — applying a crash means joining the
-/// victim, and a node cannot join itself).
+/// thread (never from a worker — applying a crash means taking the
+/// victim's slot lock, which the worker running the victim holds).
 struct NemesisEntry {
     /// Fires when the host clock reaches this instant (`None` for
     /// trace-triggered entries).
@@ -490,14 +708,15 @@ struct NemesisEntry {
 
 /// The multi-threaded host. Register nodes, then [`ThreadedHost::start`]
 /// (or let the first run call do it), run, and [`ThreadedHost::stop`] to
-/// join the node threads and unlock post-run introspection
+/// join the workers and unlock post-run introspection
 /// ([`ThreadedHost::process_ref`], [`ThreadedHost::log_read`]).
 ///
 /// Faults scheduled through [`Host::schedule_fault`] are applied by the
 /// driver thread inside [`Host::run_trace_until`] / [`Host::quiesce_for`]
-/// polling loops: a crash kills and joins the victim's thread (keeping
-/// its stable logs for restart), a pause parks it on a condvar with the
-/// inbox gated, link faults install entries in the shared filter table.
+/// polling loops: a crash takes the victim's state out of its slot
+/// (keeping its stable logs for restart), a pause gates the slot with the
+/// inbox accumulating, link faults install entries in the shared filter
+/// table.
 pub struct ThreadedHost {
     cfg: ThreadedConfig,
     phase: Phase,
@@ -506,16 +725,18 @@ pub struct ThreadedHost {
     /// Factories retained across [`ThreadedHost::start`] so a crashed
     /// node can be rebuilt at recovery (volatile state from scratch).
     factories: Vec<NodeFactory>,
-    senders: Arc<Vec<Sender<Wire>>>,
-    handles: Vec<Option<JoinHandle<NodeShell>>>,
+    pool: Arc<Pool>,
+    /// `available_parallelism()` threads, capped at the node count —
+    /// every OS thread this host owns.
+    workers: Vec<JoinHandle<()>>,
     shells: Vec<Option<NodeShell>>,
-    ctls: Vec<Arc<NodeCtl>>,
-    faults: Arc<FaultState>,
+    /// Counts that no live node holds: those of crashed and stopped
+    /// incarnations, and the driver's own (re-injection at a link heal).
+    stats: MsgStats,
     incarnations: Vec<u32>,
     panicked: Vec<&'static str>,
     nemesis: Vec<NemesisEntry>,
     nemesis_scanned: usize,
-    sink: Arc<Sink>,
 }
 
 impl std::fmt::Debug for ThreadedHost {
@@ -543,53 +764,32 @@ impl ThreadedHost {
             pending: Vec::new(),
             names: Vec::new(),
             factories: Vec::new(),
-            senders: Arc::new(Vec::new()),
-            handles: Vec::new(),
+            pool: Arc::new(Pool::new(0)),
+            workers: Vec::new(),
             shells: Vec::new(),
-            ctls: Vec::new(),
-            faults: Arc::new(FaultState::new(0)),
+            stats: MsgStats::default(),
             incarnations: Vec::new(),
             panicked: Vec::new(),
             nemesis: Vec::new(),
             nemesis_scanned: 0,
-            sink: Arc::new(Sink {
-                epoch: Instant::now(),
-                trace: Mutex::new(Trace::default()),
-                stats: Mutex::new(MsgStats::default()),
-            }),
         }
     }
 
-    /// Spawns every registered node on its own thread and delivers
-    /// `Event::Init` to each (in registration order on each node's own
-    /// thread; cross-node Init interleaving is unordered, exactly like any
-    /// real deployment's staggered start).
+    /// Installs every registered node in its slot with `Event::Init` owed
+    /// (cross-node Init interleaving is unordered, exactly like any real
+    /// deployment's staggered start) and spawns the workers.
     pub fn start(&mut self) {
         if !matches!(self.phase, Phase::Building) {
             return;
         }
-        // Reset the epoch so Time(0) is the moment processing begins, not
-        // host construction.
-        self.sink = Arc::new(Sink {
-            epoch: Instant::now(),
-            trace: Mutex::new(Trace::default()),
-            stats: Mutex::new(MsgStats::default()),
-        });
         let n = self.pending.len();
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::<Wire>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        self.senders = Arc::new(senders);
-        self.faults = Arc::new(FaultState::new(n));
-        self.ctls = (0..n).map(|_| Arc::new(NodeCtl::default())).collect();
+        // A fresh pool also resets the epoch, so Time(0) is the moment
+        // processing begins, not host construction.
+        self.pool = Arc::new(Pool::new(n));
         self.incarnations = vec![0; n];
         self.shells = (0..n).map(|_| None).collect();
         // Faults scheduled before the run (`NemesisWhen::Now` on a
-        // building host) that need no live thread — link faults and
+        // building host) that need no live node — link faults and
         // pauses — are put in force *before* any node's Init runs, so a
         // pre-partitioned or pre-paused start is exactly that.
         let mut i = 0;
@@ -613,65 +813,79 @@ impl ThreadedHost {
             i += 1;
         }
         let mut master = Rng::new(self.cfg.seed);
-        let pending = std::mem::take(&mut self.pending);
-        for (idx, ((name, mut factory), rx)) in pending.into_iter().zip(receivers).enumerate() {
+        for (idx, (_, mut factory)) in std::mem::take(&mut self.pending).into_iter().enumerate() {
             let me = NodeId(idx as u32);
             let rng = master.fork();
             let process = factory(me);
             self.factories.push(factory);
-            let handle =
-                self.spawn_node(name, me, process, LogStore::default(), rx, rng, Event::Init);
-            self.handles.push(Some(handle));
+            self.install(me, process, LogStore::default(), rng, Event::Init);
         }
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
+        self.workers = (0..workers)
+            .map(|i| {
+                let pool = Arc::clone(&self.pool);
+                std::thread::Builder::new()
+                    .name(format!("etx-worker-{i}"))
+                    .spawn(move || pool.work())
+                    .expect("spawn worker thread")
+            })
+            .collect();
         self.phase = Phase::Running;
     }
 
-    /// Spawns one node incarnation on a fresh OS thread. Used at startup
-    /// (with `Event::Init` and empty logs) and at fault-plane recovery
-    /// (with `Event::Recovered` and the crashed incarnation's logs).
-    #[allow(clippy::too_many_arguments)] // one value per piece of incarnation state
-    fn spawn_node(
+    /// Puts one node incarnation into its slot and queues it. Used at
+    /// startup (with `Event::Init` and empty logs) and at fault-plane
+    /// recovery (with `Event::Recovered` and the crashed incarnation's
+    /// logs).
+    fn install(
         &self,
-        name: &'static str,
         me: NodeId,
-        mut process: Box<dyn Process>,
+        process: Box<dyn Process>,
         storage: LogStore,
-        rx: Receiver<Wire>,
         rng: Rng,
         first: Event,
-    ) -> JoinHandle<NodeShell> {
-        let senders = Arc::clone(&self.senders);
-        let sink = Arc::clone(&self.sink);
-        let faults = Arc::clone(&self.faults);
-        let ctl = Arc::clone(&self.ctls[me.0 as usize]);
-        let cost = self.cfg.cost.clone();
-        std::thread::Builder::new()
-            .name(format!("etx-{name}-{}", me.0))
-            .spawn(move || {
-                let mut rt = NodeRt {
-                    me,
-                    senders,
-                    sink,
-                    faults,
-                    cost,
-                    rng,
-                    storage,
-                    deferred: BinaryHeap::new(),
-                    cancelled: HashSet::new(),
-                    timer_seq: 0,
-                    defer_seq: 0,
-                };
-                rt.dispatch(&mut process, first, 0);
-                node_main(&mut rt, &mut process, &rx, &ctl);
-                NodeShell { process: Some(process), storage: rt.storage, rx }
-            })
-            .expect("spawn node thread")
+    ) {
+        let rt = NodeRt {
+            me,
+            pool: Arc::clone(&self.pool),
+            cost: self.cfg.cost.clone(),
+            rng,
+            storage,
+            stats: MsgStats::default(),
+            deferred: BinaryHeap::new(),
+            cancelled: HashSet::new(),
+            timer_seq: 0,
+            defer_seq: 0,
+        };
+        let idx = me.0 as usize;
+        *self.pool.slots[idx].state() = Some(NodeState {
+            rt,
+            process,
+            first: Some(first),
+            batch: VecDeque::new(),
+            panicked: false,
+        });
+        self.pool.enqueue(idx);
     }
 
-    /// Signals every node thread to exit, joins them, and keeps each node's
-    /// final process + stable logs for introspection. Idempotent.
+    /// Keeps what survives of a node whose state left its slot: its counts
+    /// always, its logs and (unless `crashed`) its process if it did not
+    /// panic. Dropping the rest drops the node's handle on the pool.
+    fn retire(&mut self, idx: usize, state: NodeState, crashed: bool) {
+        self.stats.merge(&state.rt.stats);
+        if state.panicked {
+            self.panicked.push(self.names[idx]);
+            return;
+        }
+        let process = (!crashed).then_some(state.process);
+        self.shells[idx] = Some(NodeShell { process, storage: state.rt.storage });
+    }
+
+    /// Stops and joins the workers (what is still queued is left
+    /// unhandled) and keeps each node's final process + stable logs for
+    /// introspection. Idempotent.
     ///
-    /// A node thread that *panicked* is recorded rather than propagated —
+    /// A node that *panicked* is recorded rather than propagated —
     /// `stop()` runs from `Drop`, where a panic would abort the process.
     /// Callers that must fail the scenario on a dead node (the harness
     /// does) check [`ThreadedHost::panicked_nodes`] after stopping.
@@ -686,33 +900,29 @@ impl ThreadedHost {
             Phase::Stopped => return,
             Phase::Running => {}
         }
-        // Wake paused threads out of the condvar gate; running threads
-        // ignore the flag and still drain their backlog up to Wire::Stop.
-        for ctl in &self.ctls {
-            let mut flags = ctl.flags.lock().expect("ctl lock");
-            flags.stopping = true;
-            ctl.cv.notify_all();
-        }
-        for tx in self.senders.iter() {
-            let _ = tx.send(Wire::Stop);
-        }
-        for idx in 0..self.handles.len() {
-            if let Some(handle) = self.handles[idx].take() {
-                match handle.join() {
-                    Ok(shell) => self.shells[idx] = Some(shell),
-                    Err(_) => self.panicked.push(self.names[idx]),
-                }
+        self.pool.sched.lock().unwrap_or_else(PoisonError::into_inner).stopping = true;
+        self.pool.idle.notify_all();
+        for worker in std::mem::take(&mut self.workers) {
+            if worker.join().is_err() {
+                self.panicked.push("etx-worker");
             }
-            // Nodes crashed by the fault plane already parked their shell
-            // (stable logs intact) when they were joined at crash time.
+        }
+        // Taking every state out also breaks the pool → state → `NodeRt` →
+        // pool reference cycle. Nodes crashed by the fault plane already
+        // parked their shell (stable logs intact) at crash time.
+        for idx in 0..self.pool.slots.len() {
+            let state = self.pool.slots[idx].state().take();
+            if let Some(state) = state {
+                self.retire(idx, state, false);
+            }
         }
         self.phase = Phase::Stopped;
     }
 
-    /// Names of node threads that exited by panicking (either mid-run —
-    /// observed when the fault plane joined them — or at [`ThreadedHost::stop`]).
-    /// A non-empty list means the run's results are untrustworthy; the
-    /// harness turns it into a scenario failure.
+    /// Names of nodes whose handler panicked (observed when the fault
+    /// plane crashed them, or at [`ThreadedHost::stop`]). A non-empty list
+    /// means the run's results are untrustworthy; the harness turns it
+    /// into a scenario failure.
     pub fn panicked_nodes(&self) -> &[&'static str] {
         &self.panicked
     }
@@ -728,8 +938,8 @@ impl ThreadedHost {
     }
 
     /// Read access to a node's final process state. Only available after
-    /// [`ThreadedHost::stop`] — while threads run, each process belongs to
-    /// its thread.
+    /// [`ThreadedHost::stop`] — while workers run, each process belongs to
+    /// its slot.
     ///
     /// # Panics
     ///
@@ -737,7 +947,7 @@ impl ThreadedHost {
     pub fn process_ref(&self, node: NodeId) -> Option<&dyn Process> {
         assert!(
             self.is_stopped(),
-            "threaded-host process introspection requires stop() — node threads own their \
+            "threaded-host process introspection requires stop() — the workers own the \
              processes while running"
         );
         self.shells.get(node.0 as usize).and_then(|s| s.as_ref()).and_then(|s| s.process.as_deref())
@@ -753,7 +963,7 @@ impl ThreadedHost {
     pub fn log_read(&self, node: NodeId, log: &'static str) -> Vec<StableRecord> {
         assert!(
             self.is_stopped(),
-            "threaded-host log introspection requires stop() — node threads own their logs \
+            "threaded-host log introspection requires stop() — the workers own the logs \
              while running"
         );
         self.shells
@@ -765,128 +975,87 @@ impl ThreadedHost {
 
     // ---- fault plane (driver-thread only) --------------------------------
 
-    /// Pushes a kernel-emitted trace event (timestamp under the trace
-    /// lock, like every node-thread event, so trace order == timestamp
-    /// order holds across fault events too).
-    fn trace_fault(&self, node: NodeId, kind: TraceKind) {
-        let mut trace = self.sink.trace.lock().expect("trace lock");
-        let at = self.sink.now();
-        trace.push(TraceEvent::new(at, node, kind));
-    }
-
-    /// Crashes a node for real: poisons its inbox (down flag — senders'
-    /// messages drop from here), sets the kill flag, wakes and **joins**
-    /// the OS thread. The thread's shell — stable logs and inbox receiver
-    /// — is parked for recovery; its process is dropped, wiping all
-    /// volatile state, exactly the §2 crash model.
+    /// Crashes a node for real: marks it down (senders' messages drop from
+    /// here, no turn starts) and takes its state **under the slot lock**,
+    /// which waits out the handler in flight — a real crash also finishes
+    /// the instruction it is on. The stable logs are parked for recovery;
+    /// the process is dropped and the inbox cleared, wiping all volatile
+    /// state, exactly the §2 crash model.
     fn crash_node(&mut self, node: NodeId) {
         let idx = node.0 as usize;
-        if self.faults.is_down(node) {
+        let Some(slot) = self.pool.slots.get(idx) else { return };
+        if slot.down.swap(true, Ordering::AcqRel) {
             return;
         }
-        let Some(handle) = self.handles.get_mut(idx).and_then(|h| h.take()) else {
-            return;
-        };
-        self.faults.down[idx].store(true, Ordering::Release);
-        {
-            let mut flags = self.ctls[idx].flags.lock().expect("ctl lock");
-            flags.killed = true;
-            self.ctls[idx].cv.notify_all();
+        let state = slot.state().take();
+        slot.inbox().clear();
+        if let Some(state) = state {
+            self.retire(idx, state, true);
         }
-        // Wake the thread if it is idle in recv_timeout; it observes the
-        // kill flag at the top of its loop and exits (at most the handler
-        // already in flight completes first — a real crash also finishes
-        // the instruction it is on).
-        let _ = self.senders[idx].send(Wire::Nudge);
-        match handle.join() {
-            Ok(mut shell) => {
-                shell.process = None; // volatile state dies with the crash
-                self.shells[idx] = Some(shell);
-            }
-            Err(_) => self.panicked.push(self.names[idx]),
-        }
-        self.trace_fault(node, TraceKind::Crash);
+        self.pool.sink.push(node, TraceKind::Crash);
     }
 
-    /// Restarts a crashed node: drains the stale inbox (messages sent to
-    /// a down node are lost, as on the simulator), rebuilds the process
-    /// from its retained factory, and spawns a fresh incarnation over the
-    /// crashed one's stable logs with `Event::Recovered` first.
+    /// Restarts a crashed node: rebuilds the process from its retained
+    /// factory and installs a fresh incarnation over the crashed one's
+    /// stable logs with `Event::Recovered` first. (Nothing sent while it
+    /// was down reaches it: those sends were dropped at the inbox.)
     fn recover_node(&mut self, node: NodeId) {
         let idx = node.0 as usize;
-        if !self.faults.is_down(node) {
+        let Some(slot) = self.pool.slots.get(idx) else { return };
+        if !slot.down.load(Ordering::Acquire) {
             return;
         }
         let Some(shell) = self.shells.get_mut(idx).and_then(|s| s.take()) else {
             return; // crashed *and* panicked: nothing coherent to restart
         };
-        while shell.rx.try_recv().is_ok() {}
         self.incarnations[idx] += 1;
-        {
-            let mut flags = self.ctls[idx].flags.lock().expect("ctl lock");
-            *flags = CtlFlags::default();
-        }
         let process = (self.factories[idx])(node);
         // Fresh deterministic stream per incarnation: same master seed +
         // node + incarnation → same stream, never a replay of the
         // pre-crash one.
         let rng =
             Rng::new(self.cfg.seed ^ ((idx as u64) << 32) ^ u64::from(self.incarnations[idx]));
-        self.faults.down[idx].store(false, Ordering::Release);
-        let handle = self.spawn_node(
-            self.names[idx],
-            node,
-            process,
-            shell.storage,
-            shell.rx,
-            rng,
-            Event::Recovered,
-        );
-        self.handles[idx] = Some(handle);
-        self.trace_fault(node, TraceKind::Recover);
+        // Traced first, so everything the new incarnation does follows it.
+        self.pool.sink.push(node, TraceKind::Recover);
+        slot.paused.store(false, Ordering::Release);
+        slot.down.store(false, Ordering::Release);
+        self.install(node, process, shell.storage, rng, Event::Recovered);
     }
 
-    /// Pauses a node: its thread parks on the control condvar at the top
-    /// of its loop, inbox accumulating, timers going overdue — SIGSTOP
-    /// semantics without the signal.
+    /// Pauses a node: no turn of it starts from here, inbox accumulating,
+    /// timers going overdue — SIGSTOP semantics without the signal. Taking
+    /// the slot lock once is the barrier: when this returns, the handler
+    /// that was in flight is done and none runs until `Resume`.
     fn pause_node(&mut self, node: NodeId) {
-        let idx = node.0 as usize;
-        if self.faults.is_down(node) || self.ctls.get(idx).is_none() {
+        let Some(slot) = self.pool.slots.get(node.0 as usize) else { return };
+        if slot.down.load(Ordering::Acquire) || slot.paused.swap(true, Ordering::AcqRel) {
             return;
         }
-        {
-            let mut flags = self.ctls[idx].flags.lock().expect("ctl lock");
-            if flags.paused {
-                return;
-            }
-            flags.paused = true;
-        }
-        let _ = self.senders[idx].send(Wire::Nudge);
-        self.trace_fault(node, TraceKind::Pause);
+        drop(slot.state());
+        self.pool.sink.push(node, TraceKind::Pause);
     }
 
-    /// Resumes a paused node: the thread wakes, fires every overdue timer
+    /// Resumes a paused node: queued again, it fires every overdue timer
     /// and drains the accumulated inbox — late, as after a real SIGCONT.
     fn resume_node(&mut self, node: NodeId) {
         let idx = node.0 as usize;
-        {
-            let Some(ctl) = self.ctls.get(idx) else { return };
-            let mut flags = ctl.flags.lock().expect("ctl lock");
-            if !flags.paused {
-                return;
-            }
-            flags.paused = false;
-            ctl.cv.notify_all();
+        let Some(slot) = self.pool.slots.get(idx) else { return };
+        if !slot.paused.load(Ordering::Acquire) {
+            return;
         }
-        self.trace_fault(node, TraceKind::Resume);
+        self.pool.sink.push(node, TraceKind::Resume);
+        slot.paused.store(false, Ordering::Release);
+        // A worker that found the node paused clears `queued` under the
+        // slot lock; past this barrier the enqueue below cannot be lost.
+        drop(slot.state());
+        self.pool.enqueue(idx);
     }
 
     /// Applies one fault operation right now. Driver-thread only: a crash
-    /// joins the victim's thread, and must never run on a node thread (a
-    /// node cannot join itself) or while holding the trace lock (the
-    /// victim may be blocked on it mid-handler).
+    /// takes the victim's slot lock, and must never run while holding the
+    /// trace lock (the victim may be blocked on it mid-handler).
     fn apply_fault_now(&mut self, op: FaultOp) {
-        let now = self.sink.now();
+        let now = self.pool.sink.now();
         match op {
             FaultOp::Crash(n) => self.crash_node(n),
             FaultOp::Recover(n) => self.recover_node(n),
@@ -944,29 +1113,27 @@ impl ThreadedHost {
         }
     }
 
-    fn set_link_fault(&self, from: NodeId, to: NodeId, fault: LinkFault) {
+    fn set_link_fault(&mut self, from: NodeId, to: NodeId, fault: LinkFault) {
+        let faults = &self.pool.faults;
         {
-            let mut links = self.faults.links.lock().expect("link table lock");
+            let mut links = faults.links.lock().expect("link table lock");
             if fault.is_noop() {
                 links.remove(&(from, to));
             } else {
                 links.insert((from, to), fault);
-                self.faults.links_active.store(true, Ordering::Relaxed);
             }
+            // Under the table lock, so the flag never lags a later edit.
+            faults.links_active.store(!links.is_empty(), Ordering::Relaxed);
         }
         // The link no longer drops: re-inject what it held, in send order
         // — the partition was a delay, not a loss (reliable channels). A
         // destination that crashed meanwhile still loses them, with the
         // usual drop-to-down accounting.
         if !fault.drop {
-            let drained = self.faults.held.lock().expect("held-traffic lock").remove(&(from, to));
+            let drained = faults.held.lock().expect("held-traffic lock").remove(&(from, to));
             for (payload, depth) in drained.into_iter().flatten() {
-                if self.faults.is_down(to) {
-                    self.sink.stats.lock().expect("stats lock").record_dropped_to_down();
-                    continue;
-                }
-                if let Some(tx) = self.senders.get(to.0 as usize) {
-                    let _ = tx.send(Wire::Msg { from, payload, depth });
+                if !self.pool.push_wire(to, Wire { from, payload, depth }) {
+                    self.stats.record_dropped_to_down();
                 }
             }
         }
@@ -975,17 +1142,17 @@ impl ThreadedHost {
     /// Fires every due/triggered nemesis entry. Called from the driver's
     /// polling loops ([`Host::run_trace_until`], [`Host::quiesce_for`]).
     /// The trace is scanned under its lock but ops are applied *after*
-    /// releasing it (a crash joins the victim, which may itself be
-    /// waiting on the trace lock). Iterates by index because applying an
-    /// op may append follow-up entries (the heal of a `BlockLink`, the
-    /// recovery of a `CrashFor`).
+    /// releasing it (a crash waits for the victim's handler, which may
+    /// itself be waiting on the trace lock). Iterates by index because
+    /// applying an op may append follow-up entries (the heal of a
+    /// `BlockLink`, the recovery of a `CrashFor`).
     fn pump_nemesis(&mut self) {
         if self.nemesis.iter().all(|e| e.done) {
             return;
         }
         let mut fired: Vec<FaultOp> = Vec::new();
         {
-            let trace = self.sink.trace.lock().expect("trace lock");
+            let trace = self.pool.sink.trace.lock().expect("trace lock");
             let events = &trace.events()[self.nemesis_scanned.min(trace.len())..];
             for e in self.nemesis.iter_mut() {
                 if e.done {
@@ -1000,7 +1167,7 @@ impl ThreadedHost {
             }
             self.nemesis_scanned = trace.len();
         }
-        let now = self.sink.now();
+        let now = self.pool.sink.now();
         let mut i = 0;
         while i < self.nemesis.len() {
             let e = &mut self.nemesis[i];
@@ -1017,50 +1184,26 @@ impl ThreadedHost {
 
     /// A snapshot of the trace collected so far.
     pub fn trace_snapshot(&self) -> Trace {
-        self.sink.trace.lock().expect("trace lock").clone()
+        self.pool.sink.trace.lock().expect("trace lock").clone()
     }
 
-    /// A snapshot of the message statistics collected so far.
+    /// A snapshot of the message statistics collected so far: the host's
+    /// own accumulator plus every live node's counts, each read under its
+    /// slot lock.
     pub fn stats_snapshot(&self) -> MsgStats {
-        self.sink.stats.lock().expect("stats lock").clone()
+        let mut total = self.stats.clone();
+        for slot in &self.pool.slots {
+            if let Some(node) = slot.state().as_ref() {
+                total.merge(&node.rt.stats);
+            }
+        }
+        total
     }
 }
 
 impl Drop for ThreadedHost {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn node_main(rt: &mut NodeRt, process: &mut Box<dyn Process>, rx: &Receiver<Wire>, ctl: &NodeCtl) {
-    // Idle wait when no timer is pending: purely a wake-up bound for
-    // catching Stop/disconnect promptly; protocol liveness never relies on
-    // it because every retry path arms a real timer.
-    const IDLE_WAIT: Duration = Duration::from_millis(50);
-    loop {
-        // Fault-plane gate. Paused: park with the inbox accumulating
-        // (SIGSTOP) until resumed, killed, or host shutdown. Killed: exit
-        // immediately — the driver is joining this thread; the process is
-        // about to be dropped, wiping volatile state.
-        {
-            let mut flags = ctl.flags.lock().expect("ctl lock");
-            while flags.paused && !flags.killed && !flags.stopping {
-                flags = ctl.cv.wait(flags).expect("ctl wait");
-            }
-            if flags.killed {
-                return;
-            }
-        }
-        rt.fire_due(process);
-        let wait = rt.next_wait().unwrap_or(IDLE_WAIT).min(IDLE_WAIT);
-        match rx.recv_timeout(wait) {
-            Ok(Wire::Msg { from, payload, depth }) => {
-                rt.dispatch(process, Event::Message { from, payload }, depth);
-            }
-            Ok(Wire::Nudge) => {} // just re-read the control flags
-            Ok(Wire::Stop) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
     }
 }
 
@@ -1077,26 +1220,26 @@ impl Host for ThreadedHost {
     }
 
     fn host_now(&self) -> Time {
-        self.sink.now()
+        self.pool.sink.now()
     }
 
     fn run_trace_until(&mut self, mut pred: Box<dyn FnMut(&Trace) -> bool + '_>) -> RunOutcome {
         self.start();
         let poll = Duration::from_micros(200);
         loop {
-            // The nemesis is pumped here, on the driver thread — crashes
-            // join the victim thread, which a node thread could never do
-            // to itself.
+            // The nemesis is pumped here, on the driver thread — a crash
+            // takes the victim's slot lock, which a worker in the middle
+            // of that node's handler could never do.
             self.pump_nemesis();
             {
-                let trace = self.sink.trace.lock().expect("trace lock");
+                let trace = self.pool.sink.trace.lock().expect("trace lock");
                 if pred(&trace) {
                     return RunOutcome::Predicate;
                 }
             }
             // The wall-clock watchdog: a paused or wedged node must turn
             // into a diagnosable timeout, never a hung test run.
-            if self.sink.epoch.elapsed() > self.cfg.wall_limit {
+            if self.pool.sink.epoch.elapsed() > self.cfg.wall_limit {
                 return RunOutcome::TimeLimit;
             }
             std::thread::sleep(poll);
@@ -1119,13 +1262,12 @@ impl Host for ThreadedHost {
     }
 
     fn with_trace(&self, f: &mut dyn FnMut(&Trace)) {
-        let trace = self.sink.trace.lock().expect("trace lock");
+        let trace = self.pool.sink.trace.lock().expect("trace lock");
         f(&trace)
     }
 
     fn with_stats(&self, f: &mut dyn FnMut(&MsgStats)) {
-        let stats = self.sink.stats.lock().expect("stats lock");
-        f(&stats)
+        f(&self.stats_snapshot())
     }
 
     fn supports_fault_injection(&self) -> bool {
@@ -1141,7 +1283,7 @@ impl Host for ThreadedHost {
                 if matches!(self.phase, Phase::Running) {
                     self.apply_fault_now(op);
                 } else {
-                    // Before start() there is no thread to fault; applied
+                    // Before start() there is no node to fault; applied
                     // at the first nemesis pump after the run begins.
                     self.nemesis.push(NemesisEntry {
                         due: Some(Time::ZERO),
@@ -1153,7 +1295,7 @@ impl Host for ThreadedHost {
             }
             NemesisWhen::After(d) => {
                 let due = if matches!(self.phase, Phase::Running) {
-                    self.sink.now() + d
+                    self.pool.sink.now() + d
                 } else {
                     Time::ZERO + d // offset from the run's epoch
                 };
@@ -1172,6 +1314,7 @@ mod tests {
     use super::*;
     use etx_base::msg::FdMsg;
     use etx_base::wal::LOG_WAL;
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     /// Sends `n` pings to a peer on Init; notes pongs.
     struct Pinger {
@@ -1403,5 +1546,294 @@ mod tests {
         let mut host = ThreadedHost::new(cfg);
         host.add_node("a", Box::new(|_| Box::new(Pinger { peer: None, n: 0 })));
         assert_eq!(host.run_trace_until(Box::new(|_| false)), RunOutcome::TimeLimit);
+    }
+
+    // ---- what the pool must never break ----------------------------------
+    //
+    // The thread-per-node loop satisfied these by owning one thread per
+    // node; a pool has to earn them.
+
+    fn idle() -> Box<dyn Process> {
+        Box::new(Pinger { peer: None, n: 0 })
+    }
+
+    #[test]
+    fn the_host_owns_one_thread_per_core_not_per_node() {
+        let mut host = ThreadedHost::new(ThreadedConfig::default());
+        for _ in 0..16 {
+            host.add_node("idle", Box::new(|_| idle()));
+        }
+        host.start();
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(host.workers.len(), cores.min(16));
+    }
+
+    /// Sends one ping to `to`, 3 ms after Init.
+    struct Late {
+        to: NodeId,
+    }
+    impl Process for Late {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            match event {
+                Event::Init => {
+                    ctx.set_timer(Dur::from_millis(3), TimerTag::CleanerTick);
+                }
+                Event::Timer { .. } => ctx.send(self.to, Payload::Fd(FdMsg::Heartbeat { seq: 0 })),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn healed_link_table_gives_the_send_fast_path_back() {
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(11));
+        let a = host.add_node("a", Box::new(|_| Box::new(Late { to: NodeId(1) })));
+        let b = host.add_node("b", Box::new(|_| idle()));
+        let fault = FaultOp::SetLink { from: a, to: b, fault: LinkFault::drop_all() };
+        host.schedule_fault(NemesisWhen::Now, fault).unwrap();
+        host.start();
+        assert!(host.pool.faults.links_active.load(Ordering::Relaxed));
+        host.schedule_fault(NemesisWhen::Now, FaultOp::HealLink { from: a, to: b }).unwrap();
+        assert!(
+            !host.pool.faults.links_active.load(Ordering::Relaxed),
+            "an empty link table must not cost every send a mutex"
+        );
+        let out = host.run_trace_until(Box::new(|t| pongs(t) == 1));
+        assert_eq!(out, RunOutcome::Predicate, "a send after the heal still crosses");
+    }
+
+    /// Checks, on every message, that no other handler of this node is
+    /// running and that each sender's sequence numbers only go up.
+    struct Exclusive {
+        busy: Arc<AtomicBool>,
+        last: HashMap<NodeId, u64>,
+        violations: Arc<AtomicUsize>,
+        handled: Arc<AtomicUsize>,
+    }
+    impl Process for Exclusive {
+        fn on_event(&mut self, _ctx: &mut dyn Context, event: Event) {
+            let Event::Message { from, payload: Payload::Fd(FdMsg::Heartbeat { seq }) } = event
+            else {
+                return;
+            };
+            let overlapped = self.busy.swap(true, Ordering::SeqCst);
+            let reordered = self.last.insert(from, seq).is_some_and(|prev| prev >= seq);
+            if overlapped || reordered {
+                self.violations.fetch_add(1, Ordering::SeqCst);
+            }
+            self.busy.store(false, Ordering::SeqCst);
+            self.handled.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn one_handler_per_node_at_a_time_and_fifo_per_link() {
+        const PER_SENDER: u64 = 3_000;
+        let (busy, violations, handled) = (Arc::default(), Arc::default(), Arc::default());
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(12));
+        let (b, v, h) = (Arc::clone(&busy), Arc::clone(&violations), Arc::clone(&handled));
+        host.add_node(
+            "receiver",
+            Box::new(move |_| {
+                Box::new(Exclusive {
+                    busy: Arc::clone(&b),
+                    last: HashMap::new(),
+                    violations: Arc::clone(&v),
+                    handled: Arc::clone(&h),
+                })
+            }),
+        );
+        for _ in 0..3 {
+            host.add_node(
+                "sender",
+                Box::new(|_| Box::new(Pinger { peer: Some(NodeId(0)), n: PER_SENDER })),
+            );
+        }
+        let all = 3 * PER_SENDER as usize;
+        let out = host.run_trace_until(Box::new(|_| handled.load(Ordering::SeqCst) == all));
+        assert_eq!(out, RunOutcome::Predicate);
+        host.stop();
+        assert_eq!(violations.load(Ordering::SeqCst), 0);
+        assert!(!busy.load(Ordering::SeqCst));
+    }
+
+    /// Bounces every message straight back until the clock passes `until`.
+    struct Bouncer {
+        kick: Option<NodeId>,
+        until: Time,
+    }
+    impl Process for Bouncer {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            let to = match event {
+                Event::Init => self.kick,
+                Event::Message { from, .. } => Some(from),
+                _ => None,
+            };
+            match to {
+                Some(to) if ctx.now() < self.until => {
+                    ctx.send(to, Payload::Fd(FdMsg::Heartbeat { seq: 0 }));
+                }
+                Some(_) => ctx.trace(TraceKind::Note("done")),
+                None => {}
+            }
+        }
+    }
+
+    /// Arms a 1 ms timer over and over until `until`, noting whether one
+    /// fired early and the worst lateness (µs).
+    struct Ticker {
+        until: Time,
+        due: Time,
+        early: Arc<AtomicBool>,
+        worst_late: Arc<AtomicU64>,
+    }
+    impl Process for Ticker {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            match event {
+                Event::Init => {}
+                Event::Timer { .. } => {
+                    if ctx.now() < self.due {
+                        self.early.store(true, Ordering::SeqCst);
+                    }
+                    let late = ctx.now().0.saturating_sub(self.due.0);
+                    self.worst_late.fetch_max(late, Ordering::SeqCst);
+                    if ctx.now() >= self.until {
+                        ctx.trace(TraceKind::Note("done"));
+                        return;
+                    }
+                }
+                _ => return,
+            }
+            self.due = ctx.now() + Dur::from_millis(1);
+            ctx.set_timer(Dur::from_millis(1), TimerTag::CleanerTick);
+        }
+    }
+
+    #[test]
+    fn timers_are_served_while_every_worker_is_busy() {
+        let until = Time(50_000);
+        let (early, worst_late) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicU64::new(0)));
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(13));
+        host.add_node(
+            "ping",
+            Box::new(move |_| Box::new(Bouncer { kick: Some(NodeId(1)), until })),
+        );
+        host.add_node("pong", Box::new(move |_| Box::new(Bouncer { kick: None, until })));
+        let (e, w) = (Arc::clone(&early), Arc::clone(&worst_late));
+        host.add_node(
+            "ticker",
+            Box::new(move |_| {
+                Box::new(Ticker {
+                    until,
+                    due: Time::ZERO,
+                    early: Arc::clone(&e),
+                    worst_late: Arc::clone(&w),
+                })
+            }),
+        );
+        let done = |t: &Trace| t.count_kind(|k| matches!(k, TraceKind::Note("done"))) == 2;
+        assert_eq!(host.run_trace_until(Box::new(done)), RunOutcome::Predicate);
+        host.stop();
+        assert!(!early.load(Ordering::SeqCst), "a timer fired before it was due");
+        // The failure detector's 200 ms timeout must be out of starvation's reach.
+        let worst = worst_late.load(Ordering::SeqCst);
+        assert!(worst < 20_000, "a 1 ms timer fired {worst} us late under saturation");
+    }
+
+    /// Counts the messages it handles.
+    struct Counter {
+        handled: Arc<AtomicUsize>,
+    }
+    impl Process for Counter {
+        fn on_event(&mut self, _ctx: &mut dyn Context, event: Event) {
+            if let Event::Message { .. } = event {
+                self.handled.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Sends 20 messages to `to` every 100 µs until `total` are out.
+    struct Drip {
+        to: NodeId,
+        total: usize,
+        sent: Arc<AtomicUsize>,
+    }
+    impl Process for Drip {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            if !matches!(event, Event::Init | Event::Timer { .. }) {
+                return;
+            }
+            let sent = self.sent.load(Ordering::SeqCst);
+            let burst = (self.total - sent).min(20);
+            for seq in 0..burst as u64 {
+                ctx.send(self.to, Payload::Fd(FdMsg::Heartbeat { seq }));
+            }
+            self.sent.store(sent + burst, Ordering::SeqCst);
+            if sent + burst < self.total {
+                ctx.set_timer(Dur::from_micros(100), TimerTag::CleanerTick);
+            }
+        }
+    }
+
+    #[test]
+    fn no_handler_runs_between_pause_returning_and_resume() {
+        const TOTAL: usize = 4_000;
+        let (handled, sent) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(14));
+        let h = Arc::clone(&handled);
+        let n = host
+            .add_node("counter", Box::new(move |_| Box::new(Counter { handled: Arc::clone(&h) })));
+        let s = Arc::clone(&sent);
+        host.add_node(
+            "drip",
+            Box::new(move |_| Box::new(Drip { to: n, total: TOTAL, sent: Arc::clone(&s) })),
+        );
+        host.run_trace_until(Box::new(|_| handled.load(Ordering::SeqCst) > 0));
+        host.schedule_fault(NemesisWhen::Now, FaultOp::Pause(n)).unwrap();
+        let (handled_at_pause, sent_at_pause) =
+            (handled.load(Ordering::SeqCst), sent.load(Ordering::SeqCst));
+        host.quiesce_for(Dur::from_millis(10));
+        assert!(sent.load(Ordering::SeqCst) > sent_at_pause, "the flood must go on");
+        assert_eq!(handled.load(Ordering::SeqCst), handled_at_pause, "a paused node ran");
+        host.schedule_fault(NemesisWhen::Now, FaultOp::Resume(n)).unwrap();
+        let out = host.run_trace_until(Box::new(|_| handled.load(Ordering::SeqCst) == TOTAL));
+        assert_eq!(out, RunOutcome::Predicate, "resume must drain the whole backlog");
+    }
+
+    /// Appends two stable records per message, 2 ms apart.
+    struct TwoStep;
+    impl Process for TwoStep {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            if let Event::Message { .. } = event {
+                let rid = etx_base::ids::ResultId::first(etx_base::ids::RequestId {
+                    client: NodeId(0),
+                    seq: 1,
+                });
+                ctx.log_append(LOG_WAL, StableRecord::CoordStart { rid }, false);
+                ctx.trace(TraceKind::Note("mid"));
+                std::thread::sleep(Duration::from_millis(2));
+                ctx.log_append(LOG_WAL, StableRecord::CoordStart { rid }, false);
+            }
+        }
+    }
+
+    #[test]
+    fn crash_waits_out_the_handler_in_flight() {
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(15));
+        let _a = host.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 5 })));
+        let victim = host.add_node("victim", Box::new(|_| Box::new(TwoStep)));
+        host.schedule_fault(
+            NemesisWhen::on_trace(|ev| matches!(ev.kind, TraceKind::Note("mid"))),
+            FaultOp::Crash(victim),
+        )
+        .unwrap();
+        let crashed = |t: &Trace| t.count_kind(|k| matches!(k, TraceKind::Crash)) == 1;
+        assert_eq!(host.run_trace_until(Box::new(crashed)), RunOutcome::Predicate);
+        host.stop();
+        let survived = host.log_read(victim, LOG_WAL).len();
+        assert!(
+            survived >= 2 && survived.is_multiple_of(2),
+            "a pair was torn: {survived} records survive"
+        );
     }
 }

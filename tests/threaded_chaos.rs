@@ -12,17 +12,19 @@
 //! history to the same §3 checker the simulator answers to.
 
 use etx::base::config::{
-    BatchingConfig, FeatureSet, PipelineConfig, ProtocolConfig, ReadLeaseConfig, ReadPathConfig,
+    BatchingConfig, CostModel, FdConfig, FeatureSet, PipelineConfig, ProtocolConfig,
+    ReadLeaseConfig, ReadPathConfig,
 };
 use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::harness::{
-    check, run_hot_shard_chaos, run_mid_batch_chaos, run_speculation_chaos, ChaosOptions,
-    LivenessChecks, MiddleTier, ScenarioBuilder, Workload,
+    check, feature_corners, run_hot_shard_chaos, run_mid_batch_chaos, run_speculation_chaos,
+    ChaosOptions, LivenessChecks, MiddleTier, ScenarioBuilder, Workload,
 };
 use etx::sim::RunOutcome;
+use std::time::{Duration, Instant};
 
 // ---- the acceptance scenario: crash a shard primary mid-group-append --------
 
@@ -264,4 +266,63 @@ fn chaos_runners_pass_the_spec_on_real_threads() {
     run_mid_batch_chaos(11, &opts, RuntimeKind::Threaded).assert_ok();
     run_hot_shard_chaos(12, &opts, RuntimeKind::Threaded).assert_ok();
     run_speculation_chaos(13, &opts, RuntimeKind::Threaded).assert_ok();
+}
+
+// ---- stop() and convergence at the size the bench cannot check --------------
+
+/// `etx_bench` has to `mem::forget` its threaded scenarios, so on threads it
+/// never stops a host and never compares replicas. This does both, at four
+/// times `commit_thr4`'s shard count: the bench's pipelined feature set and
+/// failure-detector timeouts, zero modelled cost, 16 shards × rf 2 under a
+/// saturating closed loop, twelve seeds. `stop()` must return promptly
+/// however much is still queued, §3 must hold, and every follower must
+/// rebuild from its own log to its primary's committed state.
+#[test]
+fn stop_is_prompt_and_replicas_converge_at_sixteen_shards() {
+    let (_, pipelined) = feature_corners()[1];
+    for seed in 0u64..12 {
+        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 0x16_0000 + seed)
+            .runtime(RuntimeKind::Threaded)
+            .features(pipelined)
+            .cost(CostModel::zeroed())
+            .fd(FdConfig {
+                heartbeat_every: Dur::from_millis(20),
+                initial_timeout: Dur::from_millis(200),
+                timeout_increment: Dur::from_millis(50),
+                max_timeout: Dur::from_millis(2_000),
+            })
+            .shards(16)
+            .replication(2)
+            .clients(16)
+            .requests(200)
+            .workload(Workload::ShardedBank {
+                accounts: 1_024,
+                cross_pct: 10,
+                amount: 1 + seed as i64,
+            })
+            .wall_limit(Dur::from_secs(20))
+            .build();
+
+        let n = s.requests as usize;
+        assert_eq!(s.run_until_settled(n), RunOutcome::Predicate, "seed {seed} did not settle");
+        s.quiesce(Dur::from_millis(100));
+        let stopping = Instant::now();
+        s.stop();
+        let took = stopping.elapsed();
+        assert!(took < Duration::from_secs(1), "seed {seed}: stop() took {took:?}");
+
+        check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true })
+            .assert_ok();
+        for shard in 0..16 {
+            let replicas = s.shard_replicas(shard).to_vec();
+            let expect = s.rebuilt_committed(replicas[0]);
+            for &follower in &replicas[1..] {
+                assert_eq!(
+                    s.rebuilt_committed(follower),
+                    expect,
+                    "seed {seed}: follower {follower} of shard {shard} diverged from its primary"
+                );
+            }
+        }
+    }
 }
