@@ -248,34 +248,29 @@ impl ReadLeaseConfig {
     }
 }
 
-/// Speculative batch execution knobs: whether shard primaries execute a
-/// flushed pipeline batch *while* its decision-log slot is still running
-/// consensus, instead of strictly after the slot decides.
+/// Speculation knob: whether shard primaries do a flushed batch's commit
+/// processing *while* its decision-log slot is still running consensus,
+/// instead of strictly after the slot decides.
 ///
 /// With speculation **disabled** (the default), the pipeline is the
 /// paper's decide-then-execute shape: no extra messages, no extra trace
-/// events. With it **enabled**, the application server
-/// ships every flushed batch to the shard primaries as a `SpecExec`
-/// frame the moment it proposes the batch into a slot; the primary
-/// executes the batch against a speculative snapshot layered over
-/// committed state — writes buffered per proposed slot, never touching
-/// the WAL, the committed map, or follower shipping — and stashes the
-/// per-request acknowledgements. When the slot decides, the primary
-/// compares the decided batch against the speculated one: on a match the
-/// buffered writes are promoted with the usual group WAL append and the
-/// stashed acknowledgements released (`SpecHit`); on a mismatch the
-/// buffer is discarded and the batch replays on the ordinary
-/// decide-then-execute path (`SpecAbort`). Either way the write-once
-/// `regD` contract and first-occurrence-in-slot-order arbitration are
-/// exactly those of the non-speculative pipeline.
+/// events. With it **enabled**, the application server ships every
+/// flushed batch to the shard primaries as a `SpecExec` frame the moment
+/// it proposes the batch into a slot; the primary stashes the proposal
+/// under its slot and claims the serial log device for the batch's commit
+/// processing there and then — nothing is applied, logged or shipped ahead
+/// of the decision. When the slot decides, the primary compares the
+/// decided batch against the stashed one: on a match it applies the batch
+/// with the usual group WAL append and acknowledges as soon as the
+/// pre-paid device time has elapsed (`SpecHit`); on a mismatch that stash
+/// is dropped and the batch decides on the ordinary decide-then-execute
+/// path (`SpecAbort`). Either way the write-once `regD` contract and
+/// first-occurrence-in-slot-order arbitration are exactly those of the
+/// non-speculative pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpeculationConfig {
     /// Ship flushed batches to shard primaries for speculative execution.
     pub enabled: bool,
-    /// Cap on speculation buffers a primary holds at once; when a new
-    /// proposal would exceed it, the oldest stash is dropped (harmless —
-    /// a dropped stash just means that slot decides the slow way).
-    pub max_inflight_slots: usize,
 }
 
 impl Default for SpeculationConfig {
@@ -287,18 +282,12 @@ impl Default for SpeculationConfig {
 impl SpeculationConfig {
     /// Speculation off: the paper's strict decide-then-execute pipeline.
     pub fn disabled() -> Self {
-        SpeculationConfig { enabled: false, max_inflight_slots: 4 }
+        SpeculationConfig { enabled: false }
     }
 
-    /// Speculation on with the default in-flight window.
+    /// Speculation on.
     pub fn on() -> Self {
-        SpeculationConfig { enabled: true, max_inflight_slots: 4 }
-    }
-
-    /// The effective buffer cap (the configured value, floored at one —
-    /// a zero cap with speculation on would silently disable it).
-    pub fn inflight_cap(&self) -> usize {
-        self.max_inflight_slots.max(1)
+        SpeculationConfig { enabled: true }
     }
 }
 
@@ -312,11 +301,9 @@ impl SpeculationConfig {
 /// stays strictly in slot order behind the log's low-water mark, so the
 /// `regD` write-once contract and first-occurrence-in-slot-order
 /// arbitration are untouched. With speculation on, the application server
-/// ships a `SpecExec` for *every* newly proposed slot, and shard primaries
-/// stack per-slot speculation buffers (youngest-first reads); a mismatch
-/// at slot `s` cascades — the stash for `s` and every speculative slot
-/// above it are discarded, since the slots above were executed against a
-/// now-wrong base.
+/// ships a `SpecExec` for *every* newly proposed slot and shard primaries
+/// hold one stash per slot of the window, each resolved on its own by its
+/// slot's decide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Maximum undecided decision-log slots in flight at once (≥ 1).
@@ -678,9 +665,6 @@ mod tests {
         assert!(!s.enabled, "paper-faithful default: decide before executing");
         assert_eq!(SpeculationConfig::disabled(), SpeculationConfig::default());
         assert!(SpeculationConfig::on().enabled);
-        assert!(SpeculationConfig::on().max_inflight_slots >= 1);
-        let zero = SpeculationConfig { enabled: true, max_inflight_slots: 0 };
-        assert_eq!(zero.inflight_cap(), 1, "buffer cap floors at one");
     }
 
     #[test]

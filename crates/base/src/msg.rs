@@ -194,14 +194,14 @@ pub enum DbMsg {
         /// Transaction branch.
         rid: ResultId,
     },
-    /// Speculative pre-execution of a *proposed* (not yet decided) pipeline
-    /// batch: the application server ships this to a shard primary in the
-    /// same event that proposes the batch into decision-log slot `slot`.
-    /// The database executes the entries against a snapshot overlay —
-    /// writes buffered per slot, nothing durable, nothing shipped to
-    /// followers — and stashes the would-be acknowledgements until the
-    /// slot decides. Purely an optimisation: losing or ignoring this
-    /// message costs nothing but the overlap.
+    /// A *proposed* (not yet decided) pipeline batch: the application
+    /// server ships this to a shard primary in the same event that proposes
+    /// the batch into decision-log slot `slot`. The database stashes the
+    /// entries under the slot and claims its log device for their commit
+    /// processing now, while consensus runs — nothing is applied, made
+    /// durable or shipped to followers until the slot decides. Purely an
+    /// optimisation: losing or ignoring this message costs nothing but the
+    /// overlap.
     SpecExec {
         /// The decision-log slot the batch was proposed into.
         slot: u64,

@@ -201,13 +201,6 @@ impl dyn Context + '_ {
             self.send(d, payload.clone());
         }
     }
-
-    /// Multicast with an explicit causal depth.
-    pub fn multicast_at_depth(&mut self, depth: u32, dest: &[NodeId], payload: Payload) {
-        for &d in dest {
-            self.send_at_depth(depth, d, payload.clone());
-        }
-    }
 }
 
 /// Draws a uniform `f64` in `[0, 1)` from the context's deterministic

@@ -256,29 +256,29 @@ pub enum TraceKind {
         /// Number of framed records.
         len: u32,
     },
-    /// A shard primary speculatively executed a proposed pipeline batch
-    /// against a snapshot overlay while the batch's decision-log slot was
-    /// still running consensus: writes buffered per slot, nothing durable,
-    /// nothing shipped.
+    /// A shard primary stashed a proposed pipeline batch under its slot
+    /// and pre-paid the batch's commit processing on its log device while
+    /// the slot was still running consensus: nothing applied, nothing
+    /// durable, nothing shipped.
     SpecExec {
         /// The decision-log slot the batch was proposed into.
         slot: u64,
-        /// Number of proposed outcomes executed speculatively.
+        /// Number of proposed outcomes stashed.
         len: u32,
     },
-    /// The decided slot matched the speculated batch: the primary promoted
-    /// the buffered writes with the ordinary (group) WAL append and
-    /// released the stashed acknowledgements instantly.
+    /// The decided slot matched the stashed batch: the primary applied it
+    /// with the ordinary (group) WAL append and acknowledged it at the
+    /// instant pre-paid at `SpecExec`.
     SpecHit {
         /// The decided slot.
         slot: u64,
-        /// Number of outcomes whose speculative execution was promoted.
+        /// Number of outcomes whose commit processing was pre-paid.
         len: u32,
     },
-    /// The decided slot diverged from the speculated batch (another
-    /// proposer won the slot, or first-occurrence filtering reordered the
-    /// entries): the primary discarded the speculation buffer and replayed
-    /// the decided batch on the decide-then-execute path.
+    /// The decided slot diverged from the stashed batch (another proposer
+    /// won the slot, or first-occurrence filtering reordered the entries):
+    /// the primary dropped that slot's stash and decided the batch on the
+    /// decide-then-execute path.
     SpecAbort {
         /// The decided slot whose speculation was thrown away.
         slot: u64,

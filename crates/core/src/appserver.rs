@@ -118,7 +118,7 @@ struct Attempt {
     cleaned: bool,
 }
 
-/// Whether one database's share of a slot is worth pre-executing while the
+/// Whether one database's share of a slot is worth pre-paying while the
 /// slot's consensus round runs. The one rule `ship_speculation` (what ships
 /// as `SpecExec`) and `start_terminate_group` (which pushes name their slot)
 /// both apply, so a database holds a stash exactly for the pushes that ask
@@ -227,7 +227,7 @@ pub struct AppServer {
     /// Pending window-flush timer for the pipeline queue, if armed.
     batch_timer: Option<TimerId>,
     /// The decision-log slots whose in-flight proposals were already
-    /// shipped for speculative execution (so each proposal is shipped at
+    /// shipped as `SpecExec` frames (so each proposal is shipped at
     /// most once); pruned to the live proposal window on every shipment.
     spec_shipped: BTreeSet<u64>,
     /// High-water mark of concurrently undecided slots this server has had
@@ -1146,21 +1146,22 @@ impl AppServer {
         let sus = move |n: NodeId| sus_vec.contains(&n);
         let applied = self.log.propose(ctx, &mut self.regs, entries, &sus);
         // Speculation stage: ship the proposals to the shard primaries in
-        // the same event that started their consensus rounds, so the
-        // batches execute while the rounds run.
+        // the same event that started their consensus rounds, so their
+        // commit processing is paid for while the rounds run.
         self.ship_speculation(ctx);
         self.note_window(ctx);
         self.apply_slots(ctx, applied);
     }
 
     /// Ships every not-yet-shipped in-flight slot proposal to the shard
-    /// primaries as `SpecExec` frames (at most once per slot): the
-    /// primaries stack the batches as per-slot speculative buffers while
-    /// the slots' consensus rounds run, and promote the buffered work
-    /// slot by slot as decides land in order. Under a pipelined window
-    /// several proposals may be in flight at once — all of them ship, not
-    /// just the head. A proposal that resolved synchronously leaves
-    /// nothing in flight — and nothing worth overlapping with.
+    /// primaries as `SpecExec` frames (at most once per slot): a primary
+    /// stashes each proposal under its slot and pre-pays its commit
+    /// processing while the slot's consensus round runs, and resolves
+    /// each stash on its own when that slot's decide lands. Under a
+    /// pipelined window several proposals may be in flight at once — all
+    /// of them ship, not just the head. A proposal that resolved
+    /// synchronously leaves nothing in flight — and nothing worth
+    /// overlapping with.
     fn ship_speculation(&mut self, ctx: &mut dyn Context) {
         if !self.cfg.features.speculation.enabled {
             return;
@@ -1264,7 +1265,7 @@ impl AppServer {
 
     /// Starts termination for a group of finalised attempts, coalescing
     /// their `[Decide]` pushes into one message per database. A push names
-    /// its slot exactly when `ship_speculation` would have pre-executed it,
+    /// its slot exactly when `ship_speculation` would have shipped it,
     /// so a database consults its stash for those pushes and no others.
     /// Retries stay per-attempt — retransmission is the rare path.
     fn start_terminate_group(

@@ -83,12 +83,6 @@ impl EtxClient {
         Self::with_mode(alist, cfg, plan, IssueMode::Sequential)
     }
 
-    /// An open-loop client: the whole plan is issued at start and every
-    /// request retries independently until it commits.
-    pub fn open_loop(alist: Vec<NodeId>, cfg: ProtocolConfig, plan: Vec<Request>) -> Self {
-        Self::with_mode(alist, cfg, plan, IssueMode::OpenLoop)
-    }
-
     /// A client with an explicit issue discipline.
     pub fn with_mode(
         alist: Vec<NodeId>,

@@ -25,7 +25,7 @@
 //! where the same outcomes arriving as N one-entry messages would occupy
 //! it N times.
 
-use etx_base::config::{CostModel, PipelineConfig, ReadLeaseConfig, SpeculationConfig};
+use etx_base::config::{CostModel, FeatureSet};
 use etx_base::ids::{NodeId, ResultId};
 use etx_base::msg::{DbMsg, DbReplyMsg, Payload, ReplMsg};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
@@ -34,7 +34,7 @@ use etx_base::trace::{Component, TraceKind};
 use etx_base::value::{Outcome, Vote};
 use etx_base::wal::{StableRecord, LOG_WAL};
 use etx_store::Engine;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A database server's place in its shard replica group.
 ///
@@ -75,27 +75,19 @@ pub struct DbServer {
     /// is what follower reads multiply — every replica serving reads adds
     /// one more lane.
     read_busy_until: Time,
-    /// Speculative batch execution knobs. Off by default: a server with
-    /// this off ignores `SpecExec` frames (they are purely advisory), and
-    /// one that never receives any holds no stash to resolve.
-    spec: SpeculationConfig,
-    /// When each speculatively pre-paid slot's device work completes —
-    /// the instant a matching decision can be acknowledged, regardless of
-    /// what else has been charged on the device since. Volatile, like the
-    /// device horizon itself. Kept in **lockstep** with the engine's
-    /// stash set ([`etx_store::Engine::spec_slot_ids`]): an inflight-cap
-    /// eviction that dropped the buffer must drop the pre-paid instant
-    /// too, and vice versa.
-    spec_ready: HashMap<u64, Time>,
-    /// Decision-log pipelining knobs of the application tier, mirrored
-    /// here so the speculation-buffer cap can be floored at the window
-    /// depth — a cap below the depth would cascade-evict the whole stack
-    /// on every deep proposal.
-    pipeline: PipelineConfig,
-    /// Read-lease knobs. Off by default: no grants, no renewal timer, no
-    /// lease advertised on any outgoing message, and reads gated by
-    /// position stamps alone.
-    leases: ReadLeaseConfig,
+    /// The deployment's feature set; this tier reads three of its parts.
+    /// With `speculation` off (the default) `SpecExec` frames are ignored
+    /// (they are purely advisory); `pipeline` sizes the stash to the
+    /// application tier's window; with `read_leases` off there are no
+    /// grants, no renewal timer, no lease advertised on any outgoing
+    /// message, and reads are gated by position stamps alone.
+    features: FeatureSet,
+    /// For exactly the slots the engine holds a stash for
+    /// ([`etx_store::Engine::speculation`]): when the device work pre-paid
+    /// at `SpecExec` completes — the instant a matching decision can be
+    /// acknowledged, whatever else has been charged on the device since.
+    /// Volatile, like the device horizon itself.
+    spec_ready: BTreeMap<u64, Time>,
     /// Primary role: the latest lease expiry offered to this shard's
     /// followers (what decide acknowledgements and primary-served read
     /// replies advertise to application servers). Volatile — which is why
@@ -148,6 +140,12 @@ pub struct DbServer {
     lease_floor: u64,
 }
 
+/// The fewest stashes a speculating primary makes room for, whatever the
+/// window: the window bounds one application server's undecided slots, and
+/// a stash can outlive its slot (a decide of fewer than two entries names
+/// no slot) until a later slot's decide collects it.
+const SPEC_STASH_FLOOR: usize = 4;
+
 /// A yes vote a lease-granting primary is withholding on a cross-shard
 /// branch until its followers acknowledge the branch's in-doubt intent.
 struct HeldVote {
@@ -194,10 +192,8 @@ impl DbServer {
             awaiting_sync: false,
             log_busy_until: Time::ZERO,
             read_busy_until: Time::ZERO,
-            spec: SpeculationConfig::default(),
-            spec_ready: HashMap::new(),
-            pipeline: PipelineConfig::default(),
-            leases: ReadLeaseConfig::default(),
+            features: FeatureSet::default(),
+            spec_ready: BTreeMap::new(),
             lease_granted: Time::ZERO,
             lease_through: Time::ZERO,
             lease_fence: Time::ZERO,
@@ -208,46 +204,35 @@ impl DbServer {
         }
     }
 
-    /// Sets the speculative-execution knobs (builder style).
-    pub fn with_speculation(mut self, spec: SpeculationConfig) -> Self {
-        self.spec = spec;
+    /// Sets the feature set this server runs under (builder style).
+    pub fn with_features(mut self, features: FeatureSet) -> Self {
+        self.features = features;
         self
     }
 
-    /// Sets the read-lease knobs (builder style).
-    pub fn with_read_leases(mut self, leases: ReadLeaseConfig) -> Self {
-        self.leases = leases;
-        self
-    }
-
-    /// Sets the decision-log pipelining knobs (builder style).
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// The speculation-buffer cap actually enforced: the configured cap,
-    /// floored at the pipeline window so a deep window's stacked stashes
-    /// fit (see the `pipeline` field for why).
+    /// How many proposed slots may hold a stash at once: the application
+    /// tier's window, so every slot it can have in flight fits, and never
+    /// fewer than [`SPEC_STASH_FLOOR`].
     fn spec_cap(&self) -> usize {
-        self.spec.inflight_cap().max(self.pipeline.window())
+        SPEC_STASH_FLOOR.max(self.features.pipeline.window())
     }
 
-    /// Prunes the pre-paid completion instants to the engine's live stash
-    /// set — the lockstep rule. Run after anything that can evict stashes
-    /// (inflight-cap eviction at `SpecExec`, below-slot GC and the
-    /// mismatch cascade at a slot-carrying `Decide`): a dangling instant would
-    /// acknowledge a future decide at a time pre-paid for work that was
-    /// thrown away, and an instant-less stash could promote for free.
-    fn sync_spec_ready(&mut self) {
-        let live: HashSet<u64> = self.engine.spec_slot_ids().into_iter().collect();
-        self.spec_ready.retain(|s, _| live.contains(s));
+    /// Drops the pre-paid instant of every slot the engine no longer holds
+    /// a stash for. Run after anything that can drop stashes — `speculate`
+    /// making room, `promote_speculation` resolving a slot and collecting
+    /// the ones below it — so a dropped stash's slot is never acknowledged
+    /// at an instant pre-paid for a batch that did not decide.
+    fn forget_unstashed(&mut self) {
+        let engine = &self.engine;
+        self.spec_ready.retain(|&slot, _| engine.speculation(slot).is_some());
     }
 
     /// Whether this server grants leases at all: a lease-enabled shard
     /// primary with at least one follower to grant to.
     fn grants_leases(&self) -> bool {
-        self.leases.enabled && self.repl.sync_from.is_none() && !self.repl.followers.is_empty()
+        self.features.read_leases.enabled
+            && self.repl.sync_from.is_none()
+            && !self.repl.followers.is_empty()
     }
 
     /// Whether a grant may be (re)issued right now. Renewal is withheld
@@ -265,7 +250,7 @@ impl DbServer {
         if !self.lease_safe() {
             return None;
         }
-        let through = now + self.leases.duration;
+        let through = now + self.features.read_leases.duration;
         if through > self.lease_granted {
             self.lease_granted = through;
         }
@@ -400,7 +385,7 @@ impl DbServer {
     /// grant floor `floor`, and expires intents the renewal settles.
     fn renew_lease(&mut self, lease: Option<Time>, floor: u64) {
         if let Some(through) = lease {
-            if self.leases.enabled && through > self.lease_through {
+            if self.features.read_leases.enabled && through > self.lease_through {
                 self.lease_through = through;
                 self.lease_floor = self.lease_floor.max(floor);
                 // A grant is minted only while no cross-shard branch is
@@ -410,7 +395,7 @@ impl DbServer {
                 // a commit is covered by the grant's floor, and an abort
                 // never becomes visible at all. Either way the intent is
                 // resolved.
-                let dur = self.leases.duration;
+                let dur = self.features.read_leases.duration;
                 self.live_intents.retain(|_, at| *at + dur >= through);
             }
         }
@@ -447,7 +432,7 @@ impl DbServer {
                 // Record the in-doubt branch and release the primary's held
                 // vote. Only meaningful on a lease-holding follower; a
                 // primary never receives intents (it sends them).
-                if self.leases.enabled && self.repl.sync_from.is_some() {
+                if self.features.read_leases.enabled && self.repl.sync_from.is_some() {
                     self.live_intents.insert(rid, at);
                     ctx.send(from, Payload::Repl(ReplMsg::IntentAck { rid }));
                 }
@@ -529,7 +514,7 @@ impl DbServer {
                 // this primary, so lease renewal is withheld. Gated on the
                 // leases knob — the set stays empty (and renewal logic
                 // untouched) otherwise.
-                if self.leases.enabled
+                if self.features.read_leases.enabled
                     && cross
                     && self.repl.sync_from.is_none()
                     && self.engine.decision(rid).is_none()
@@ -581,10 +566,10 @@ impl DbServer {
             }
             DbMsg::SpecExec { slot, entries } => {
                 // Speculation stage: the batch just got *proposed* into
-                // `slot`; execute it now, against a snapshot overlay,
+                // `slot`; stash it and pay for its commit processing now,
                 // while consensus runs. Primary-only and purely advisory —
                 // followers and speculation-off servers ignore the frame.
-                if !self.spec.enabled || self.repl.sync_from.is_some() {
+                if !self.features.speculation.enabled || self.repl.sync_from.is_some() {
                     return;
                 }
                 let mut fresh_commits = 0usize;
@@ -615,14 +600,7 @@ impl DbServer {
                 // device horizon — is all the acknowledgement waits for.
                 let queued = self.charge_serial(ctx, service);
                 self.spec_ready.insert(slot, ctx.now() + queued);
-                // Lockstep with the engine's inflight-cap eviction: the
-                // stash set is authoritative, so whatever `speculate`
-                // evicted to make room is dropped here too. Evicting from
-                // `spec_ready` alone would leave the engine holding a
-                // buffer that could later promote with no pre-paid
-                // instant — or leak forever on a never-decided slot.
-                self.sync_spec_ready();
-                debug_assert!(self.spec_ready.contains_key(&slot));
+                self.forget_unstashed();
                 ctx.trace(TraceKind::SpecExec { slot, len: entries.len() as u32 });
             }
             DbMsg::Decide { entries, slot } => {
@@ -647,30 +625,25 @@ impl DbServer {
                 // Speculation resolution, for a push that names its slot: a
                 // stash whose proposal matches the decided entries exactly
                 // is promoted (its device time was pre-paid at SpecExec); a
-                // mismatched stash is discarded and the entries replay on
+                // mismatched stash is dropped and the entries decide on
                 // the ordinary path. A slot-less push never touches the
                 // stash — it may name members of a slot whose own push is
                 // still to come.
                 let mut promoted = None;
                 if let Some(slot) = slot {
-                    let had_stash = self.engine.speculation(slot).is_some();
                     let ready_at = self.spec_ready.remove(&slot);
                     let promotion = self.engine.promote_speculation(slot, &entries);
-                    // Lockstep with whatever the resolution just evicted:
-                    // the below-slot GC always, and — on a mismatch — the
-                    // cascade over every stash above the slot (they were
-                    // executed against a base this decide just
-                    // invalidated).
-                    self.sync_spec_ready();
+                    self.forget_unstashed();
                     match promotion {
                         Some(p) => {
                             ctx.trace(TraceKind::SpecHit { slot, len: p.acks.len() as u32 });
                             promoted = Some((p, ready_at));
                         }
-                        // The decided entries diverged from the speculated
-                        // ones: the buffered execution is gone, and the
-                        // DbDecide traces below are the replay.
-                        None if had_stash => ctx.trace(TraceKind::SpecAbort { slot }),
+                        // There was a stash (an instant is held for
+                        // exactly those) and the decided entries diverged
+                        // from it: it is gone, and the DbDecide traces
+                        // below are the ordinary path.
+                        None if ready_at.is_some() => ctx.trace(TraceKind::SpecAbort { slot }),
                         None => {}
                     }
                 }
@@ -751,15 +724,16 @@ impl DbServer {
                 // across a lease boundary). Past expiry it behaves exactly
                 // like a stamp-gated lagging follower: forward to the
                 // primary.
-                let lease_expired =
-                    self.leases.enabled && is_follower && ctx.now() >= self.lease_through;
+                let lease_expired = self.features.read_leases.enabled
+                    && is_follower
+                    && ctx.now() >= self.lease_through;
                 // Even inside the grant window, serving is refused when the
                 // applied prefix has not reached the grant's floor (a bare
                 // renewal must not paper over a lost commit shipment) or
                 // when any cross-shard branch is announced in doubt here —
                 // the forward lands the read on the primary, whose
                 // key-level in-doubt check vetoes fractured snapshots.
-                let lease_blocked = self.leases.enabled
+                let lease_blocked = self.features.read_leases.enabled
                     && is_follower
                     && !lease_expired
                     && (self.engine.repl_position() < self.lease_floor
@@ -864,39 +838,29 @@ impl Process for DbServer {
             // grants stay alive through write-quiet stretches.
             Event::Init if self.grants_leases() => {
                 self.grant_lease_now(ctx);
-                ctx.set_timer(self.leases.renew_period(), TimerTag::LeaseRenewTick);
+                ctx.set_timer(self.features.read_leases.renew_period(), TimerTag::LeaseRenewTick);
             }
             Event::Init => {}
             Event::Recovered => {
-                // Rebuild from the WAL over the seed data, then tell the
-                // application servers we are back (Figure 3 lines 1–2).
+                // This runs on a factory-fresh process (both hosts recover
+                // a node by calling its factory), so every volatile field
+                // is at its default. Rebuild from the WAL over the seed
+                // data, then tell the application servers we are back
+                // (Figure 3 lines 1–2).
                 let log = ctx.log_read(LOG_WAL);
                 self.engine = Engine::recover_with_seed(self.seed_data.clone(), &log);
-                // The speculation pre-pay ledger is volatile device state;
-                // the rebuilt engine holds no speculation buffers either,
-                // so clearing keeps the two in lockstep across a crash.
-                self.spec_ready.clear();
                 // Prepared branches recovered from the WAL are live
                 // cross-shard work: lease renewal stays withheld until
                 // their decides arrive.
-                if self.leases.enabled {
+                if self.features.read_leases.enabled {
                     self.unsettled_xa = self.engine.prepared_rids().into_iter().collect();
                 }
                 // The pre-crash incarnation's grants are unknown (volatile
                 // bookkeeping): fence commit acknowledgements for one full
                 // lease term so every lease it could have granted provably
                 // expires before the recovered primary acks a write.
-                self.lease_granted = Time::ZERO;
-                self.lease_through = Time::ZERO;
-                // Held votes and in-doubt intents are volatile too: a lost
-                // vote is aborted by the cleaner, and a recovered follower
-                // cannot serve anything until a fresh renewal (whose floor
-                // forces full catch-up) arrives anyway.
-                self.held_votes.clear();
-                self.live_intents.clear();
-                self.lease_floor = 0;
                 if self.grants_leases() {
-                    self.lease_fence = ctx.now() + self.leases.duration;
+                    self.lease_fence = ctx.now() + self.features.read_leases.duration;
                     ctx.trace(TraceKind::LeaseFence { until: self.lease_fence });
                     // Fresh grants are safe straight away — a lease only
                     // authorizes serving the follower's *applied prefix*;
@@ -904,14 +868,16 @@ impl Process for DbServer {
                     // (Minting is still withheld while WAL-recovered
                     // prepared branches are unsettled, via `lease_safe`.)
                     self.grant_lease_now(ctx);
-                    ctx.set_timer(self.leases.renew_period(), TimerTag::LeaseRenewTick);
+                    ctx.set_timer(
+                        self.features.read_leases.renew_period(),
+                        TimerTag::LeaseRenewTick,
+                    );
                 }
                 for a in self.alist.clone() {
                     ctx.send(a, Payload::DbReply(DbReplyMsg::Ready));
                 }
                 // Follower role: pull a snapshot to recover the commits the
                 // primary shipped while this replica was down.
-                self.awaiting_sync = false;
                 self.request_sync(ctx);
             }
             Event::Message { from, payload: Payload::Db(m) } => self.on_db_msg(ctx, from, m),
@@ -934,7 +900,7 @@ impl Process for DbServer {
                 // runs out its term and reads forward to the primary's
                 // in-doubt veto), and always re-arm.
                 self.grant_lease_now(ctx);
-                ctx.set_timer(self.leases.renew_period(), TimerTag::LeaseRenewTick);
+                ctx.set_timer(self.features.read_leases.renew_period(), TimerTag::LeaseRenewTick);
             }
             _ => {}
         }
@@ -949,6 +915,7 @@ impl Process for DbServer {
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
+    use etx_base::config::SpeculationConfig;
     use etx_base::ids::RequestId;
     use etx_base::value::DbOp;
     use std::sync::Arc;
@@ -962,8 +929,12 @@ mod tests {
     /// A speculating standalone server with branches `1..=n` prepared, each
     /// writing its own key.
     fn prepared(n: u64) -> (DbServer, Recorder) {
-        let mut db = DbServer::new(vec![APP], CostModel::zeroed(), Vec::new())
-            .with_speculation(SpeculationConfig::on());
+        prepared_at(n, CostModel::zeroed())
+    }
+
+    fn prepared_at(n: u64, cost: CostModel) -> (DbServer, Recorder) {
+        let features = FeatureSet { speculation: SpeculationConfig::on(), ..FeatureSet::default() };
+        let mut db = DbServer::new(vec![APP], cost, Vec::new()).with_features(features);
         let mut ctx = Recorder::default();
         for i in 1..=n {
             let ops: Arc<[DbOp]> = Arc::from([DbOp::Put { key: format!("k{i}"), value: i as i64 }]);
@@ -1026,6 +997,76 @@ mod tests {
             assert_eq!(db.engine.spec_slots(), 0);
             assert!(db.spec_ready.is_empty());
             assert!(ctx.traced.contains(&TraceKind::SpecHit { slot: 7, len: 2 }));
+            (db.engine.snapshot().clone(), ctx.acks(), ctx.leaves())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    /// Each stash stands alone: a slot that decides differently from its
+    /// proposal aborts its own stash and decides the ordinary way, and the
+    /// slot above it still promotes — acknowledged at the instant its
+    /// `SpecExec` pre-paid, not behind the device time the mismatch cost.
+    #[test]
+    fn a_mismatch_aborts_its_own_slot_and_the_slot_above_promotes_at_its_prepaid_instant() {
+        let ms = Dur::from_millis;
+        let commit = ms(10);
+        let (mut db, mut ctx) =
+            prepared_at(4, CostModel { db_commit: commit, ..CostModel::zeroed() });
+        let slot1 = vec![(rid(1), Outcome::Commit), (rid(2), Outcome::Commit)];
+        let slot2 = vec![(rid(3), Outcome::Commit), (rid(4), Outcome::Commit)];
+        db.on_db_msg(&mut ctx, APP, DbMsg::SpecExec { slot: 1, entries: slot1.clone() });
+        db.on_db_msg(&mut ctx, APP, DbMsg::SpecExec { slot: 2, entries: slot2.clone() });
+        assert_eq!(db.spec_ready[&2], Time::ZERO + ms(20));
+
+        // Slot 1 decides in the other order (another proposer won it).
+        let decided1: Vec<_> = slot1.iter().rev().copied().collect();
+        db.on_db_msg(&mut ctx, APP, DbMsg::Decide { entries: decided1.clone(), slot: Some(1) });
+        assert!(ctx.traced.contains(&TraceKind::SpecAbort { slot: 1 }));
+        assert_eq!(ctx.acks(), decided1, "decided the ordinary way");
+        assert_eq!(ctx.delays.last(), Some(&ms(30)), "behind both pre-paid batches");
+        assert_eq!(db.spec_ready.keys().copied().collect::<Vec<_>>(), [2]);
+
+        db.on_db_msg(&mut ctx, APP, DbMsg::Decide { entries: slot2, slot: Some(2) });
+        assert!(ctx.traced.contains(&TraceKind::SpecHit { slot: 2, len: 2 }));
+        assert_eq!(ctx.delays.last(), Some(&ms(20)), "the instant pre-paid at SpecExec");
+        assert!(db.spec_ready.is_empty() && db.engine.spec_slots() == 0);
+        for i in 1..=4 {
+            assert_eq!(db.committed(&format!("k{i}")), Some(i));
+        }
+    }
+
+    /// More un-decided `SpecExec` frames than the stash holds: the oldest
+    /// slot makes room each time, `spec_ready` holds an instant for exactly
+    /// the slots the engine has stashed, a slot that lost its stash decides
+    /// the ordinary way and a survivor still promotes — all to the state,
+    /// acks and WAL of a server that was never sent a `SpecExec`.
+    #[test]
+    fn a_full_stash_drops_its_oldest_slot_and_spec_ready_follows_the_engine() {
+        let cap = SPEC_STASH_FLOOR as u64;
+        let n = cap + 2;
+        let batch = |slot: u64| vec![(rid(slot), Outcome::Commit)];
+        let run = |speculate: bool| {
+            let (mut db, mut ctx) = prepared(n);
+            for slot in (1..=n).filter(|_| speculate) {
+                db.on_db_msg(&mut ctx, APP, DbMsg::SpecExec { slot, entries: batch(slot) });
+                let stashed: Vec<u64> =
+                    (1..=n).filter(|&s| db.engine.speculation(s).is_some()).collect();
+                let oldest = (slot + 1).saturating_sub(cap).max(1);
+                assert_eq!(stashed, (oldest..=slot).collect::<Vec<_>>(), "oldest makes room");
+                assert_eq!(db.spec_ready.keys().copied().collect::<Vec<_>>(), stashed);
+            }
+            ctx.traced.clear();
+            for slot in 1..=n {
+                db.on_db_msg(
+                    &mut ctx,
+                    APP,
+                    DbMsg::Decide { entries: batch(slot), slot: Some(slot) },
+                );
+                let hit = ctx.traced.contains(&TraceKind::SpecHit { slot, len: 1 });
+                assert_eq!(hit, speculate && slot > n - cap, "slot {slot}");
+            }
+            assert!(!ctx.traced.iter().any(|t| matches!(t, TraceKind::SpecAbort { .. })));
+            assert!(db.spec_ready.is_empty() && db.engine.spec_slots() == 0);
             (db.engine.snapshot().clone(), ctx.acks(), ctx.leaves())
         };
         assert_eq!(run(true), run(false));

@@ -49,6 +49,8 @@ pub(crate) mod recorder {
     #[derive(Default)]
     pub(crate) struct Recorder {
         pub sent: Vec<(NodeId, Payload)>,
+        /// The delay each `send_after` asked for, in call order.
+        pub delays: Vec<Dur>,
         pub timers: Vec<(Dur, TimerTag)>,
         pub wal: Vec<StableRecord>,
         pub traced: Vec<TraceKind>,
@@ -64,7 +66,8 @@ pub(crate) mod recorder {
         fn send(&mut self, to: NodeId, payload: Payload) {
             self.sent.push((to, payload));
         }
-        fn send_after(&mut self, _: Dur, to: NodeId, payload: Payload) {
+        fn send_after(&mut self, delay: Dur, to: NodeId, payload: Payload) {
+            self.delays.push(delay);
             self.send(to, payload);
         }
         fn set_timer(&mut self, delay: Dur, tag: TimerTag) -> TimerId {

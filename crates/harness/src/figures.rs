@@ -3,14 +3,13 @@
 //! (the four canonical executions).
 
 use crate::latency::breakdown_for;
-use crate::scenario::{MiddleTier, Scenario, ScenarioBuilder};
+use crate::scenario::{MiddleTier, ScenarioBuilder};
 use crate::stats::Summary;
 use crate::workloads::Workload;
 use etx_base::config::CostModel;
 use etx_base::fault::{FaultOp, NemesisWhen};
 use etx_base::ids::RequestId;
 use etx_base::runtime::RuntimeKind;
-use etx_base::time::Dur;
 use etx_base::trace::{Component, TraceKind};
 use etx_base::value::Outcome;
 use etx_sim::{NetConfig, RunOutcome};
@@ -340,9 +339,4 @@ pub fn figure1_all(seed: u64) -> String {
         ));
     }
     out
-}
-
-/// Scales every service-time knob for quick test runs.
-pub fn quiesce_scenario(s: &mut Scenario) {
-    s.quiesce(Dur::from_millis(500));
 }

@@ -211,18 +211,17 @@ impl ScenarioBuilder {
     /// write-once consensus round concurrently; decides may land out of
     /// order but apply stays strictly in slot order. Depth 1 (the
     /// default) runs one round at a time. Combines with
-    /// [`ScenarioBuilder::speculation`]: every proposed slot ships for
-    /// speculative execution, stacking per-slot buffers on the shard
-    /// primaries.
+    /// [`ScenarioBuilder::speculation`]: every proposed slot ships as a
+    /// `SpecExec`, and the shard primaries hold one stash per slot.
     pub fn pipeline(mut self, cfg: PipelineConfig) -> Self {
         self.pcfg.features.pipeline = cfg;
         self
     }
 
-    /// Configures speculative batch execution: with `enabled`, flushed
-    /// pipeline batches execute on the shard primaries *while* their
-    /// decision-log slot runs consensus, and the buffered work is
-    /// promoted (or discarded and replayed) when the slot decides.
+    /// Configures speculation: with `enabled`, the shard primaries pay for
+    /// a flushed pipeline batch's commit processing *while* its
+    /// decision-log slot runs consensus, and the slot's decide applies the
+    /// batch without paying again if it decided as proposed.
     pub fn speculation(mut self, cfg: SpeculationConfig) -> Self {
         self.pcfg.features.speculation = cfg;
         self
@@ -499,9 +498,7 @@ impl ScenarioBuilder {
                 }
             };
             db_seeds.insert(node, data.clone());
-            let spec = self.pcfg.features.speculation;
-            let leases = self.pcfg.features.read_leases;
-            let pipeline = self.pcfg.features.pipeline;
+            let features = self.pcfg.features;
             sim.add_node(
                 "db",
                 Box::new(move |_| {
@@ -512,9 +509,7 @@ impl ScenarioBuilder {
                             data.clone(),
                             repl.clone(),
                         )
-                        .with_speculation(spec)
-                        .with_read_leases(leases)
-                        .with_pipeline(pipeline),
+                        .with_features(features),
                     )
                 }),
             );
@@ -855,20 +850,20 @@ impl Scenario {
         self.count(|k| matches!(k, TraceKind::GroupAppend { len } if *len >= 2))
     }
 
-    /// Count of batches a shard primary executed speculatively while the
+    /// Count of batches a shard primary stashed and pre-paid while the
     /// decision-log slot was still running consensus.
     pub fn spec_execs(&self) -> usize {
         self.count(|k| matches!(k, TraceKind::SpecExec { .. }))
     }
 
-    /// Count of decided slots whose speculatively buffered execution was
-    /// promoted (the decided batch matched the speculated one).
+    /// Count of decided slots whose stash was promoted (the decided batch
+    /// matched the proposed one).
     pub fn spec_hits(&self) -> usize {
         self.count(|k| matches!(k, TraceKind::SpecHit { .. }))
     }
 
-    /// Count of decided slots whose speculation buffer was discarded and
-    /// replayed on the decide-then-execute path (mis-speculation).
+    /// Count of decided slots whose stash was dropped and which decided on
+    /// the decide-then-execute path (mis-speculation).
     pub fn spec_aborts(&self) -> usize {
         self.count(|k| matches!(k, TraceKind::SpecAbort { .. }))
     }

@@ -243,11 +243,6 @@ impl Sim {
         self.nodes[node.0 as usize].up
     }
 
-    /// Whether a node is currently paused by the fault plane.
-    pub fn is_paused(&self, node: NodeId) -> bool {
-        self.nodes[node.0 as usize].paused
-    }
-
     /// Read access to a node's stable storage (test assertions).
     pub fn storage(&self, node: NodeId) -> &StableStorage {
         &self.nodes[node.0 as usize].storage
@@ -421,12 +416,6 @@ impl Sim {
                 return RunOutcome::TimeLimit;
             }
         }
-    }
-
-    /// Runs for `dur` more simulated time.
-    pub fn run_for(&mut self, dur: Dur) -> RunOutcome {
-        let deadline = self.now + dur;
-        self.run_until_time(deadline)
     }
 
     // ---- internals -------------------------------------------------------

@@ -51,24 +51,18 @@ struct Branch {
 
 pub use etx_base::value::{ShippedCommit, ShippedEntries};
 
-/// One stashed speculative batch execution, keyed by the decision-log slot
-/// its batch was *proposed* into. Everything here is provisional: the
-/// overlay is a snapshot layered over committed state, never written
-/// through to `data`, the WAL or the replication outbox, and the whole
-/// stash is volatile (a crash discards it — recovery replays only decided
-/// state, which is exactly the correctness story).
+/// A reservation for one *proposed* decision-log slot: the batch a server
+/// proposed into it and the log-device time the host pre-paid for it while
+/// consensus ran. Nothing is executed ahead of the decision — a stash
+/// changes no data, lock, memo, WAL record or shipment — and the stash is
+/// volatile: a crash discards it and recovery replays only decided state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecSlot {
     /// The proposed `(branch, outcome)` pairs, in proposal order. The
     /// decided slot must match these exactly for the stash to promote.
     pub entries: Vec<(ResultId, Outcome)>,
-    /// The per-branch acknowledgements the batch would produce.
-    pub acks: Vec<(ResultId, Outcome)>,
-    /// Buffered writes: committed state as it *would* look after the
-    /// batch, expressed as an overlay (key → post-batch value).
-    pub overlay: BTreeMap<String, i64>,
-    /// Device time the host pre-paid when it executed the batch
-    /// speculatively (so promotion can attribute latency spans to it).
+    /// Device time the host pre-paid for the batch at `SpecExec` (so
+    /// promotion can attribute latency spans to it).
     pub cost: Dur,
 }
 
@@ -117,8 +111,8 @@ pub struct Engine {
     repl_last_seq: u64,
     /// Follower role: out-of-order applies waiting for their predecessors.
     repl_pending: BTreeMap<u64, (ResultId, ShippedEntries)>,
-    /// Primary role: stashed speculative batch executions, keyed by the
-    /// proposed decision-log slot. Volatile by design — never recovered.
+    /// Primary role: stashed proposals, keyed by the proposed decision-log
+    /// slot. Volatile by design — never recovered.
     spec: BTreeMap<u64, SpecSlot>,
 }
 
@@ -454,23 +448,15 @@ impl Engine {
         (acks, writes)
     }
 
-    // ---- speculative batch execution ----------------------------------------
+    // ---- speculation: reserving a proposed slot ----------------------------
 
-    /// Executes a *proposed* (not yet decided) batch against a speculative
-    /// snapshot: computes the would-be acknowledgements and buffers the
-    /// would-be writes as an overlay over committed state, without
-    /// touching `data`, the lock table, the decision memo, the WAL or the
-    /// replication outbox. The stash is keyed by the proposed slot, and a
-    /// pipelined window stacks several stashes at once — each slot's
-    /// overlay layered over the one below it ([`Engine::speculative_view`]
-    /// reads youngest-first through the stack). The first proposal stashed
-    /// for a slot wins (a second is refused), and a stash beyond `cap`
-    /// evicts the oldest slot — **with every stash above it**, because the
-    /// slots above were executed against the evicted base
-    /// ([`Engine::evict_speculation`]); a cap below the pipeline depth
-    /// therefore thrashes the whole stack, which is why hosts floor the
-    /// cap at the configured depth. `cost` records whatever device time
-    /// the host pre-paid for the execution.
+    /// Stashes a *proposed* (not yet decided) batch under its slot, with
+    /// the device time `cost` the host pre-paid for it, touching nothing
+    /// else. Each stash stands alone: prepared branches hold disjoint
+    /// exclusive locks, so no slot's batch can depend on another's. The
+    /// first proposal stashed for a slot wins (a second is refused), and
+    /// at `cap` stashes the oldest slot makes room — it is the next to
+    /// decide, and will decide the ordinary way.
     ///
     /// Returns whether the batch was stashed. Refusals are harmless: the
     /// slot simply decides the ordinary decide-then-execute way.
@@ -484,120 +470,45 @@ impl Engine {
         if self.spec.contains_key(&slot) {
             return false;
         }
-        let mut overlay = BTreeMap::new();
-        let mut acks = Vec::with_capacity(entries.len());
-        for &(rid, outcome) in entries {
-            let applied = if let Some(&prev) = self.decided.get(&rid) {
-                prev
-            } else {
-                match outcome {
-                    Outcome::Abort => Outcome::Abort,
-                    Outcome::Commit => match self.branches.get(&rid).map(|b| b.state) {
-                        Some(BranchState::Prepared) => {
-                            let b = self.branches.get(&rid).expect("prepared branch");
-                            for (k, &v) in &b.writes {
-                                overlay.insert(k.clone(), v);
-                            }
-                            Outcome::Commit
-                        }
-                        // Vacuous commit (this server not involved).
-                        None => Outcome::Commit,
-                        // Would violate V.2 if it ever decided this way;
-                        // speculate the conservative answer.
-                        Some(_) => Outcome::Abort,
-                    },
-                }
-            };
-            acks.push((rid, applied));
-        }
         while self.spec.len() >= cap.max(1) {
-            let oldest = *self.spec.keys().next().expect("non-empty stash");
-            self.evict_speculation(oldest);
+            self.spec.pop_first();
         }
-        self.spec.insert(slot, SpecSlot { entries: entries.to_vec(), acks, overlay, cost });
+        self.spec.insert(slot, SpecSlot { entries: entries.to_vec(), cost });
         true
     }
 
-    /// Discards the stash for `slot` **and every stash above it** — the
-    /// cascading abort of the pipelined window: slots speculate in slot
-    /// order, so the stashes above `slot` were executed against a base
-    /// that included it; once that base is wrong (mismatch) or gone
-    /// (eviction), their buffered work is unsound to promote and must
-    /// replay decide-then-execute. Returns the evicted slot ids in
-    /// ascending order, so the host can drop its per-slot bookkeeping
-    /// (pre-paid completion instants) in lockstep.
-    pub fn evict_speculation(&mut self, slot: u64) -> Vec<u64> {
-        let evicted: Vec<u64> = self.spec.range(slot..).map(|(&s, _)| s).collect();
-        self.spec.retain(|&s, _| s < slot);
-        evicted
-    }
-
-    /// The value of `key` as the speculative stack sees it: youngest
-    /// stashed overlay first, committed state last. Diagnostics and tests
-    /// — committed reads ([`Engine::committed`]) never consult the stack.
-    pub fn speculative_view(&self, key: &str) -> Option<i64> {
-        for stash in self.spec.values().rev() {
-            if let Some(&v) = stash.overlay.get(key) {
-                return Some(v);
-            }
-        }
-        self.committed(key)
-    }
-
-    /// Resolves the speculation stash against slot `slot`'s **decided**
-    /// batch. On an exact match (same branches, same outcomes, same
-    /// order) the buffered execution is promoted — internally this runs
-    /// [`Engine::decide_batch`], so the applied state, WAL framing, ship
-    /// sequence and acknowledgements are *provably* those of the
-    /// non-speculative path — and `Some(promotion)` is returned. On a
-    /// mismatch (another proposer won the slot, or first-occurrence
-    /// filtering changed the batch) the stash is discarded and `None`
-    /// says "replay on the ordinary path".
+    /// Resolves the stash for slot `slot` against its **decided** batch.
+    /// On an exact match (same branches, same outcomes, same order) this
+    /// runs [`Engine::decide_batch`] — the applied state, WAL framing, ship
+    /// sequence and acknowledgements *are* those of the non-speculative
+    /// path — and returns them with the pre-paid cost. On a mismatch
+    /// (another proposer won the slot, or first-occurrence filtering
+    /// changed the batch) or with nothing stashed, `None` says "decide on
+    /// the ordinary path".
     ///
-    /// Every stash at or below `slot` is always dropped: slots apply in
-    /// order, so those proposals can never be decided unchanged again. A
-    /// **mismatch additionally cascades upward** — the stashes above
-    /// `slot` were speculated over a base that assumed `slot` decided as
-    /// proposed, so once it decided differently their buffered work is
-    /// discarded too and those slots replay decide-then-execute from
-    /// `slot` up. On a match the stashes above survive: their base held.
+    /// The stash for `slot` and every one below it is dropped either way:
+    /// slots apply in order, so those proposals can never decide again.
+    /// Stashes above `slot` are untouched.
     pub fn promote_speculation(
         &mut self,
         slot: u64,
         decided: &[(ResultId, Outcome)],
     ) -> Option<SpecPromotion> {
         let stash = self.spec.remove(&slot);
-        if stash.as_ref().is_some_and(|s| s.entries != decided) {
-            self.evict_speculation(slot);
-        }
         self.spec.retain(|&s, _| s > slot);
         let stash = stash.filter(|s| s.entries == decided)?;
         let (acks, writes) = self.decide_batch(decided);
-        debug_assert!(
-            stash.overlay.iter().all(|(k, v)| self.data.get(k) == Some(v)),
-            "promoted overlay must equal the decided application"
-        );
         Some(SpecPromotion { acks, writes, cost: stash.cost })
     }
 
-    /// The stash for a proposed slot, if any (tests and diagnostics).
+    /// The stash for a proposed slot, if any.
     pub fn speculation(&self, slot: u64) -> Option<&SpecSlot> {
         self.spec.get(&slot)
     }
 
-    /// Number of speculation buffers currently stashed.
+    /// Number of proposals currently stashed.
     pub fn spec_slots(&self) -> usize {
         self.spec.len()
-    }
-
-    /// The proposed slots currently stashed, in ascending order. The host
-    /// keeps its per-slot bookkeeping (pre-paid completion instants) in
-    /// **lockstep** with this set: whatever the engine's inflight-cap
-    /// eviction dropped must be dropped there too, or a capped slot could
-    /// later promote a buffer that no longer exists — or be acknowledged
-    /// at an instant pre-paid for work that was thrown away.
-    pub fn spec_slot_ids(&self) -> Vec<u64> {
-        self.spec.keys().copied().collect()
     }
 
     /// One-phase commit for the unreliable baseline (Figure 7a): commit an
@@ -1295,14 +1206,13 @@ mod tests {
         let entries = vec![(rid(1), Outcome::Commit)];
         assert!(e.speculate(7, &entries, Dur::from_millis(1), 4));
         // Nothing a client, follower or the WAL could see has changed.
-        assert_eq!(e.committed("k"), Some(1), "overlay must not write through");
+        assert_eq!(e.committed("k"), Some(1), "a stash must not write through");
         assert!(e.take_repl_outbox().is_empty(), "nothing ships speculatively");
         assert_eq!(e.decision(rid(1)), None, "no decision memoized");
         assert!(e.is_prepared(rid(1)), "branch stays in-doubt, locks held");
         assert_eq!(e.ship_position(), 0);
         let s = e.speculation(7).expect("stashed");
-        assert_eq!(s.overlay.get("k"), Some(&5));
-        assert_eq!(s.acks, entries);
+        assert_eq!(s.entries, entries);
         assert_eq!(s.cost, Dur::from_millis(1));
         // First proposal stashed for a slot wins; a second is refused.
         assert!(!e.speculate(7, &entries, Dur::ZERO, 4));
@@ -1362,70 +1272,60 @@ mod tests {
         assert_eq!(spec.take_repl_outbox(), plain.take_repl_outbox());
     }
 
+    /// The slots among `0..8` that hold a stash.
+    fn stashed(e: &Engine) -> Vec<u64> {
+        (0..8).filter(|&s| e.speculation(s).is_some()).collect()
+    }
+
     #[test]
     fn speculation_stash_is_capped_and_gcs_below_the_decided_slot() {
         let mut e = Engine::new();
         let entries = |i: u64| vec![(rid(i), Outcome::Abort)];
-        // Cap 2: stashing a third slot evicts the oldest — and the
-        // cascade takes every stash above it (they were speculated over
-        // the evicted base), so only the new stash remains.
+        // Cap 2: stashing a third slot drops the oldest and nothing else.
         assert!(e.speculate(0, &entries(1), Dur::ZERO, 2));
         assert!(e.speculate(1, &entries(2), Dur::ZERO, 2));
         assert!(e.speculate(2, &entries(3), Dur::ZERO, 2));
-        assert_eq!(e.spec_slot_ids(), [2], "cap eviction cascades upward");
-        // Refill below the cap, then resolve a match mid-stack: the
-        // matched slot promotes and the stash *above* survives (its base
-        // held), while everything at or below is consumed.
-        assert!(e.speculate(3, &entries(4), Dur::ZERO, 2));
+        assert_eq!(stashed(&e), [1, 2], "oldest makes room");
+        // Resolving slot 2 promotes it and drops slot 1 below it (slots
+        // apply in order: slot 1 can never decide again); a stash above
+        // is untouched.
+        assert!(e.speculate(3, &entries(4), Dur::ZERO, 3));
         assert!(e.promote_speculation(2, &entries(3)).is_some());
-        assert_eq!(e.spec_slot_ids(), [3], "slot 3's stash survives a match below");
+        assert_eq!(stashed(&e), [3], "slot 3's stash survives a match below");
         // Resolving a later slot with no stash still GCs stale ones.
         assert!(e.promote_speculation(5, &entries(9)).is_none());
         assert_eq!(e.spec_slots(), 0);
     }
 
     #[test]
-    fn mid_window_eviction_and_mismatch_cascade_above() {
-        let mut e = Engine::new();
-        let entries = |i: u64| vec![(rid(i), Outcome::Abort)];
-        for slot in 0..3u64 {
-            assert!(e.speculate(slot, &entries(slot + 1), Dur::ZERO, 8));
-        }
-        // Evicting the middle of the window discards it and everything
-        // above; the stash below survives untouched.
-        assert_eq!(e.evict_speculation(1), [1, 2], "evicted ids reported for host lockstep");
-        assert_eq!(e.spec_slot_ids(), [0], "slot 0 speculated over committed state alone");
-        // A mismatched decide cascades the same way: refill the stack,
-        // then decide slot 1 with a different batch than was speculated.
-        assert!(e.speculate(1, &entries(2), Dur::ZERO, 8));
-        assert!(e.speculate(2, &entries(3), Dur::ZERO, 8));
-        assert!(e.promote_speculation(1, &entries(9)).is_none(), "mismatch");
-        assert_eq!(e.spec_slots(), 0, "mismatch at slot 1 cascades over slot 2 (and GCs slot 0)");
-    }
-
-    #[test]
-    fn speculative_view_reads_youngest_first_through_the_stack() {
-        let mut e = Engine::with_data([("k".to_string(), 1)]);
-        // Slot 0's batch writes k speculatively; its branch then decides
-        // on the bare path (stash left behind), freeing the lock for a
-        // second branch that writes k into slot 1's stash. Both overlays
-        // now carry k — the younger must shadow the older.
-        e.execute(rid(1), &[put("k", 2)]);
-        e.vote(rid(1));
-        assert!(e.speculate(0, &[(rid(1), Outcome::Commit)], Dur::ZERO, 8));
-        assert_eq!(e.speculative_view("k"), Some(2), "single overlay shadows committed");
-        assert_eq!(e.committed("k"), Some(1), "committed reads never consult the stack");
-        e.decide(rid(1), Outcome::Commit);
-        let r2 = ResultId::first(RequestId { client: NodeId(1), seq: 1 });
-        e.execute(r2, &[put("k", 3)]);
-        e.vote(r2);
-        assert!(e.speculate(1, &[(r2, Outcome::Commit)], Dur::ZERO, 8));
-        assert_eq!(e.speculative_view("k"), Some(3), "youngest overlay wins");
-        e.evict_speculation(1);
-        assert_eq!(e.speculative_view("k"), Some(2), "next layer down after eviction");
-        e.evict_speculation(0);
-        assert_eq!(e.speculative_view("k"), Some(2), "empty stack falls through to committed");
-        assert_eq!(e.committed("k"), Some(2));
+    fn a_mismatch_drops_its_own_stash_and_the_slot_above_still_promotes() {
+        let build = || {
+            let mut e = Engine::new();
+            for i in 1..=3u64 {
+                e.execute(rid(i), &[put(&format!("k{i}"), i as i64)]);
+                e.vote(rid(i));
+            }
+            e
+        };
+        let slot1 = vec![(rid(1), Outcome::Commit), (rid(2), Outcome::Commit)];
+        let slot2 = vec![(rid(3), Outcome::Commit)];
+        // Slot 1 decides without its second member (another proposer won).
+        let decided1 = vec![(rid(1), Outcome::Commit)];
+        let mut spec = build();
+        assert!(spec.speculate(1, &slot1, Dur::from_millis(1), 4));
+        assert!(spec.speculate(2, &slot2, Dur::from_millis(2), 4));
+        assert!(spec.promote_speculation(1, &decided1).is_none(), "mismatch");
+        assert_eq!(stashed(&spec), [2], "each stash stands alone");
+        spec.decide_batch(&decided1);
+        let p = spec.promote_speculation(2, &slot2).expect("slot 2 decided as proposed");
+        assert_eq!(p.cost, Dur::from_millis(2));
+        // Same acks, WAL and state as the twin that never speculated.
+        let mut plain = build();
+        plain.decide_batch(&decided1);
+        let (acks, writes) = plain.decide_batch(&slot2);
+        assert_eq!((p.acks, p.writes), (acks, writes));
+        assert_eq!(spec.snapshot(), plain.snapshot());
+        assert_eq!(spec.take_repl_outbox(), plain.take_repl_outbox());
     }
 
     #[test]

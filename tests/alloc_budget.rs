@@ -17,9 +17,8 @@
 //! executions) and is an ordered set for that reason. The hashed tables
 //! still on the path are `Engine::{branches, decided}` and
 //! `LockTable::entries` (etx-store), `DbServer::{unsettled_xa, held_votes,
-//! live_intents, spec_ready}` (etx-core), the vote/ack sets of
-//! `Phase::{Preparing, Terminating}` and of a consensus round, and the
-//! failure detector's per-peer maps; none of them has shown it in this
+//! live_intents}` (etx-core), the vote/ack sets of a consensus round, and
+//! the failure detector's per-peer maps; none of them has shown it in this
 //! scenario. If the two runs ever differ by an allocation or two, suspect
 //! those (a fixed hasher or an ordered type settles it) before the
 //! protocol.

@@ -13,8 +13,8 @@
 //!   exactly what the depth-1 strict run commits: same delivered counts,
 //!   same durable per-shard state, rebuilt from the WAL;
 //! * **fault tolerance** — crashing the proposing primary with ≥ 2
-//!   undecided slots in flight, or a shard primary holding a stack of
-//!   speculation buffers, leaves the full §3 specification intact and the
+//!   undecided slots in flight, or a shard primary holding a stash for
+//!   each of them, leaves the full §3 specification intact and the
 //!   replayed values equal to the depth-1 run's.
 
 use etx::base::config::{BatchingConfig, PipelineConfig, SpeculationConfig};
@@ -189,8 +189,8 @@ fn primary_crash_with_a_deep_window_replays_to_the_depth_one_values() {
     // The chaos sweep of the pipelined window: crash the default primary
     // the moment *it* reports ≥ 2 undecided slots in flight — both rounds
     // are mid-consensus, so surviving replicas must arbitrate the orphaned
-    // slots, re-propose unserved outcomes, and cascade away any stale
-    // speculation. Every seed must hold the full §3 specification and
+    // slots, re-propose unserved outcomes, and abort any stash a slot
+    // outdecided. Every seed must hold the full §3 specification and
     // land exactly on the depth-1 run's values. (One thread per seed: the
     // runs are independent, and the sweep is most of this file's time.)
     let one = depth_one_state();
@@ -229,11 +229,11 @@ fn primary_crash_with_a_deep_window_replays_to_the_depth_one_values() {
 
 #[test]
 fn stacked_speculation_buffers_die_with_the_shard_primary() {
-    // Under a deep window a shard primary stacks one speculation buffer
-    // per proposed slot. Cycle it on its first SpecExec: the whole stack
-    // and its pre-paid ledger are volatile, so the recovered primary
-    // replays every affected slot decide-then-execute — and every replica
-    // must still rebuild to the depth-1 run's state from its WAL.
+    // Under a deep window a shard primary holds one stash per proposed
+    // slot. Cycle it on its first SpecExec: the stashes and their pre-paid
+    // instants are volatile, so the recovered primary decides every
+    // affected slot decide-then-execute — and every replica must still
+    // rebuild to the depth-1 run's state from its WAL.
     let mut s = burst(5401, 4, SpeculationConfig::on());
     let victim = s.shard_primary(0);
     s.schedule_fault(
@@ -245,5 +245,5 @@ fn stacked_speculation_buffers_die_with_the_shard_primary() {
     .unwrap();
     let mut s = settle(s);
     assert_eq!(s.delivered_commits(), s.requests as usize);
-    assert_matches_reference(&mut s, depth_one_state(), "stacked-stash crash");
+    assert_matches_reference(&mut s, depth_one_state(), "stash crash");
 }
