@@ -1,47 +1,57 @@
-//! The fault plane: one nemesis-schedule vocabulary for every runtime.
+//! The fault plane: one nemesis-schedule vocabulary for every runtime,
+//! and the one place that says what a fault *means*.
 //!
 //! The paper's guarantees (§3: at-most-once A.1–A.3, termination T.1/T.2,
 //! validity V.1/V.2) are *fault-tolerance* claims — they mean nothing
 //! until crashes, pauses and link failures are actually injected. This
-//! module is the backend-neutral half of that story: a small algebra of
-//! fault operations ([`FaultOp`]), trigger conditions ([`NemesisWhen`])
-//! and schedules ([`NemesisSchedule`]) that both hosts implement through
-//! [`crate::runtime::Host::schedule_fault`]:
+//! module is the backend-neutral half of that story: fault operations
+//! ([`FaultOp`]), trigger conditions ([`NemesisWhen`]) and schedules
+//! ([`NemesisSchedule`]) that both hosts take through
+//! [`crate::runtime::Host::schedule_fault`] — and the interpreter both
+//! hosts run them with:
 //!
-//! * the deterministic simulator turns every operation into an entry of
-//!   its virtual-time event queue (or a one-shot trace trigger that pushes
-//!   one), so a schedule replays with the run, per seed;
-//! * the multi-threaded backend applies the *same* operations for real: a
-//!   crash takes the node's state out from under its workers (stable logs
-//!   survive for restart, volatile state does not), a pause gates the node
-//!   with its inbox accumulating — the SIGSTOP story — and link faults
-//!   drop, delay or duplicate real sends.
+//! * [`FaultOp::lower`] turns any operation into the six [`Prim`]itives a
+//!   host can do — crash, recover, pause, resume, cut a link, heal a link
+//!   — to apply now, plus the undo to apply a [`Dur`] later. A host never
+//!   sees a bounded or compound operation, only what it lowers to.
+//! * [`Links`] is what a cut does to a send: the message is *held* at the
+//!   link and handed back, in send order, when the link heals — the
+//!   paper's §4 reliable channel, where a failed link is delay and never
+//!   absence (a TCP partition, not UDP loss). That is a *liveness
+//!   requirement*, not a softness: consensus advances rounds on
+//!   suspicion, so a silently destroyed message to a live coordinator
+//!   would wedge an instance forever. Crashes are the genuinely lossy
+//!   fault on either backend.
+//! * [`Triggers`] is what a trace-triggered fault is: one-shot, fired by
+//!   the first matching event traced after it was armed, every event
+//!   scanned once, several firing in the order they were armed.
 //!
-//! A [`LinkFault`] with `drop` set means the same thing on both: the
-//! messages are *held* at the faulted link and re-injected when it heals
-//! — the paper's §4 reliable channel, where loss is delay and never
-//! absence (see [`LinkFault::drop`] for why that is a liveness
-//! requirement). Crashes are the genuinely lossy fault on either backend.
-//!
-//! Hosts that cannot inject a given fault return a typed
-//! [`CapabilityError`] instead of panicking or silently no-opping, so
-//! chaos tooling can probe and fail loudly.
+//! What is left to a host is its own: the simulator makes every operation
+//! an entry of its virtual-time event queue, so a schedule replays with
+//! the run, per seed; the multi-threaded backend applies the same
+//! primitives for real — a crash takes the node's state out from under
+//! its workers (stable logs survive for restart, volatile state does
+//! not), a pause gates the node with its inbox accumulating (the SIGSTOP
+//! story), a cut stops real sends.
 
 use crate::ids::NodeId;
+use crate::msg::Payload;
 use crate::time::Dur;
 use crate::trace::TraceEvent;
 use core::fmt;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::sync::Arc;
 
-/// A fault-plane request the hosting backend cannot honor. Returned by
+/// A fault-plane request the hosting backend refused. Returned by
 /// [`crate::runtime::Host::schedule_fault`] (and the harness entry points
-/// layered on it) instead of a panic: the *typed* refusal lets chaos
-/// tooling route around a capability gap or fail with full context, while
-/// a silently ignored fault would turn a chaos test into a green no-op.
+/// layered on it) instead of a panic or a silently ignored fault, which
+/// would turn a chaos test into a green no-op. Every host injects every
+/// fault; the one refusal left is a threaded host that was already
+/// stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapabilityError {
-    /// Label of the backend that refused (`"sim"`, `"threaded"`, ...).
+    /// Label of the backend that refused (`"threaded (stopped)"`).
     pub backend: &'static str,
     /// Label of the refused operation (see [`FaultOp::label`]).
     pub op: &'static str,
@@ -56,58 +66,11 @@ impl CapabilityError {
 
 impl fmt::Display for CapabilityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "the {} backend does not support fault injection ({}); probe \
-             Host::supports_fault_injection before scheduling a nemesis",
-            self.backend, self.op
-        )
+        write!(f, "the {} backend cannot inject a fault ({})", self.backend, self.op)
     }
 }
 
 impl Error for CapabilityError {}
-
-/// What happens to messages on one directed link while a fault is
-/// installed. Fields compose: `delay` + `duplicate` delivers two delayed
-/// copies; `drop` wins over both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LinkFault {
-    /// Messages on the link are stopped. Both backends honor the §4
-    /// reliable-channel model: traffic is held at the faulted link and
-    /// re-injected when it heals — loss is delay, never absence (a TCP
-    /// partition, not UDP loss). That is a *liveness requirement*, not a
-    /// softness: consensus advances rounds on suspicion, so a silently
-    /// destroyed message to a live coordinator would wedge an instance
-    /// forever. Crashes are the genuinely lossy fault on both backends.
-    pub drop: bool,
-    /// Extra delivery delay added to every message on the link.
-    pub delay: Option<Dur>,
-    /// Every message on the link is delivered twice (duplicate-absorption
-    /// is part of the at-most-once claim, so it deserves direct attack).
-    pub duplicate: bool,
-}
-
-impl LinkFault {
-    /// A fault that loses every message on the link.
-    pub fn drop_all() -> Self {
-        LinkFault { drop: true, ..LinkFault::default() }
-    }
-
-    /// A fault that delays every message on the link by `d`.
-    pub fn delay_by(d: Dur) -> Self {
-        LinkFault { delay: Some(d), ..LinkFault::default() }
-    }
-
-    /// A fault that delivers every message on the link twice.
-    pub fn duplicating() -> Self {
-        LinkFault { duplicate: true, ..LinkFault::default() }
-    }
-
-    /// Whether the fault changes anything at all.
-    pub fn is_noop(&self) -> bool {
-        !self.drop && self.delay.is_none() && !self.duplicate
-    }
-}
 
 /// One fault-plane operation, applied by a [`crate::runtime::Host`] when
 /// its trigger condition ([`NemesisWhen`]) fires.
@@ -147,27 +110,27 @@ pub enum FaultOp {
         /// How long it stays paused.
         down_for: Dur,
     },
-    /// Install a [`LinkFault`] on the directed link `from → to`,
-    /// replacing any previous fault on that link. Lasts until
-    /// [`FaultOp::HealLink`].
-    SetLink {
+    /// Cut the directed link `from → to`: what is sent on it from now on
+    /// is held at the link (see [`Links`]). Lasts until
+    /// [`FaultOp::HealLink`]; cutting a cut link changes nothing.
+    CutLink {
         /// Sender side.
         from: NodeId,
         /// Receiver side.
         to: NodeId,
-        /// What happens to messages meanwhile.
-        fault: LinkFault,
     },
-    /// Remove the fault on the directed link `from → to` (held messages,
-    /// on backends that hold rather than drop, are re-injected).
+    /// Heal the directed link `from → to`: what it held is re-injected in
+    /// send order. Healing a whole link changes nothing.
     HealLink {
         /// Sender side.
         from: NodeId,
         /// Receiver side.
         to: NodeId,
     },
-    /// Make the directed link `from → to` lossy for `heal_after`, then
-    /// heal it. The bounded form of `SetLink(drop) … HealLink`.
+    /// Cut the directed link `from → to` and heal it `heal_after` later:
+    /// the bounded form of `CutLink … HealLink`, and nothing more — a heal
+    /// heals, so of two overlapping `BlockLink`s on one link the *first*
+    /// heal ends both (on both backends).
     BlockLink {
         /// Sender side.
         from: NodeId,
@@ -176,8 +139,10 @@ pub enum FaultOp {
         /// How long the link stays down.
         heal_after: Dur,
     },
-    /// Partition two node sets from each other (both directions of every
-    /// cross pair) for `heal_after`, then heal every link.
+    /// Partition two node sets from each other — cut both directions of
+    /// every cross pair — and heal every one of those links `heal_after`
+    /// later. Overlapping partitions end at the first heal of each link,
+    /// as with [`FaultOp::BlockLink`].
     Partition {
         /// One side.
         a: Vec<NodeId>,
@@ -186,6 +151,43 @@ pub enum FaultOp {
         /// How long the partition lasts.
         heal_after: Dur,
     },
+}
+
+/// What a host can do to its nodes and links: the six verbs every
+/// [`FaultOp`] lowers to. Hosts interpret these and nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Prim {
+    /// See [`FaultOp::Crash`].
+    Crash(NodeId),
+    /// See [`FaultOp::Recover`].
+    Recover(NodeId),
+    /// See [`FaultOp::Pause`].
+    Pause(NodeId),
+    /// See [`FaultOp::Resume`].
+    Resume(NodeId),
+    /// See [`FaultOp::CutLink`].
+    CutLink {
+        /// Sender side.
+        from: NodeId,
+        /// Receiver side.
+        to: NodeId,
+    },
+    /// See [`FaultOp::HealLink`].
+    HealLink {
+        /// Sender side.
+        from: NodeId,
+        /// Receiver side.
+        to: NodeId,
+    },
+}
+
+/// A [`FaultOp`] as a host sees it, see [`FaultOp::lower`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct Lowered {
+    /// Applied, in order, at the instant the operation fires.
+    pub now: Vec<Prim>,
+    /// Applied, in order, this long after that instant.
+    pub undo: Option<(Dur, Vec<Prim>)>,
 }
 
 impl FaultOp {
@@ -198,11 +200,130 @@ impl FaultOp {
             FaultOp::Pause(_) => "pause",
             FaultOp::Resume(_) => "resume",
             FaultOp::PauseFor { .. } => "pause-for",
-            FaultOp::SetLink { .. } => "set-link",
+            FaultOp::CutLink { .. } => "cut-link",
             FaultOp::HealLink { .. } => "heal-link",
             FaultOp::BlockLink { .. } => "block-link",
             FaultOp::Partition { .. } => "partition",
         }
+    }
+
+    /// The operation in primitives. Hosts call this when the operation
+    /// *fires*, so the undo of a trace-triggered `CrashFor` counts from
+    /// its trigger, not from when it was scheduled.
+    pub fn lower(self) -> Lowered {
+        let once = |p| Lowered { now: vec![p], undo: None };
+        let bounded = |p, d, q| Lowered { now: vec![p], undo: Some((d, vec![q])) };
+        match self {
+            FaultOp::Crash(n) => once(Prim::Crash(n)),
+            FaultOp::Recover(n) => once(Prim::Recover(n)),
+            FaultOp::Pause(n) => once(Prim::Pause(n)),
+            FaultOp::Resume(n) => once(Prim::Resume(n)),
+            FaultOp::CutLink { from, to } => once(Prim::CutLink { from, to }),
+            FaultOp::HealLink { from, to } => once(Prim::HealLink { from, to }),
+            FaultOp::CrashFor { node, down_for } => {
+                bounded(Prim::Crash(node), down_for, Prim::Recover(node))
+            }
+            FaultOp::PauseFor { node, down_for } => {
+                bounded(Prim::Pause(node), down_for, Prim::Resume(node))
+            }
+            FaultOp::BlockLink { from, to, heal_after } => {
+                bounded(Prim::CutLink { from, to }, heal_after, Prim::HealLink { from, to })
+            }
+            FaultOp::Partition { a, b, heal_after } => {
+                let links = a.iter().flat_map(|&x| b.iter().flat_map(move |&y| [(x, y), (y, x)]));
+                Lowered {
+                    now: links.clone().map(|(from, to)| Prim::CutLink { from, to }).collect(),
+                    undo: Some((
+                        heal_after,
+                        links.map(|(from, to)| Prim::HealLink { from, to }).collect(),
+                    )),
+                }
+            }
+        }
+    }
+}
+
+/// The cut links of a run and what each holds: per directed link, the
+/// `(payload, causal depth)` pairs sent on it since it was cut, in send
+/// order. An ordered map, so a simulated run allocates the same whatever
+/// the process's hash keys.
+#[derive(Debug, Default)]
+pub struct Links {
+    cut: BTreeMap<(NodeId, NodeId), Vec<(Payload, u32)>>,
+}
+
+impl Links {
+    /// Whether no link is cut (a host's send path may skip [`Links::send`]
+    /// while this holds).
+    pub fn is_empty(&self) -> bool {
+        self.cut.is_empty()
+    }
+
+    /// Cuts `from → to`. A second cut keeps what the first one holds.
+    pub fn cut(&mut self, from: NodeId, to: NodeId) {
+        self.cut.entry((from, to)).or_default();
+    }
+
+    /// Heals `from → to` and returns what it held, in send order, for the
+    /// host to re-inject; nothing if the link was whole.
+    pub fn heal(&mut self, from: NodeId, to: NodeId) -> Vec<(Payload, u32)> {
+        self.cut.remove(&(from, to)).unwrap_or_default()
+    }
+
+    /// One send on `from → to`: a whole link gives the payload back for
+    /// delivery, a cut one holds it and answers `None`.
+    #[inline]
+    pub fn send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        payload: Payload,
+        depth: u32,
+    ) -> Option<Payload> {
+        match self.cut.get_mut(&(from, to)) {
+            Some(held) => {
+                held.push((payload, depth));
+                None
+            }
+            None => Some(payload),
+        }
+    }
+}
+
+/// The armed trace triggers of a run. Each is one-shot and fires on the
+/// first matching event traced after it was armed; no event is shown to a
+/// trigger twice; triggers hit by one scan fire in arming order.
+#[derive(Default)]
+pub struct Triggers {
+    armed: Vec<(TracePred, FaultOp)>,
+    /// Events of the trace before this index have been scanned.
+    scanned: usize,
+}
+
+impl Triggers {
+    /// Whether no trigger is armed (a host need not scan, nor take the
+    /// lock its trace is behind, while this holds).
+    pub fn is_empty(&self) -> bool {
+        self.armed.is_empty()
+    }
+
+    /// Arms a trigger; `seen` is the length of the trace now. The first
+    /// of a set starts the scan there; a later one joins the scan where
+    /// it stands.
+    pub fn arm(&mut self, seen: usize, pred: TracePred, op: FaultOp) {
+        if self.armed.is_empty() {
+            self.scanned = seen;
+        }
+        self.armed.push((pred, op));
+    }
+
+    /// Shows the not-yet-scanned tail of `trace` (the whole trace so far)
+    /// to every armed trigger; disarms and returns the ones that matched.
+    pub fn scan(&mut self, trace: &[TraceEvent]) -> Vec<FaultOp> {
+        let fresh = &trace[self.scanned.min(trace.len())..];
+        self.scanned = trace.len();
+        let hit = self.armed.extract_if(.., |(pred, _)| fresh.iter().any(|ev| pred(ev)));
+        hit.map(|(_, op)| op).collect()
     }
 }
 
@@ -296,8 +417,175 @@ impl NemesisSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::FdMsg;
     use crate::time::Time;
     use crate::trace::TraceKind;
+
+    const N: [NodeId; 4] = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+
+    /// The whole lowering table: each of the ten operations, its
+    /// primitives and its undo delay.
+    #[test]
+    fn every_op_lowers_to_its_primitives_and_its_undo() {
+        let (n, from, to, d) = (N[0], N[1], N[2], Dur(7));
+        let once = |p| Lowered { now: vec![p], undo: None };
+        let bounded = |p, q| Lowered { now: vec![p], undo: Some((d, vec![q])) };
+        let (cut, heal) = (Prim::CutLink { from, to }, Prim::HealLink { from, to });
+        let table = [
+            (FaultOp::Crash(n), once(Prim::Crash(n))),
+            (FaultOp::Recover(n), once(Prim::Recover(n))),
+            (FaultOp::Pause(n), once(Prim::Pause(n))),
+            (FaultOp::Resume(n), once(Prim::Resume(n))),
+            (FaultOp::CutLink { from, to }, once(cut)),
+            (FaultOp::HealLink { from, to }, once(heal)),
+            (FaultOp::CrashFor { node: n, down_for: d }, bounded(Prim::Crash(n), Prim::Recover(n))),
+            (FaultOp::PauseFor { node: n, down_for: d }, bounded(Prim::Pause(n), Prim::Resume(n))),
+            (FaultOp::BlockLink { from, to, heal_after: d }, bounded(cut, heal)),
+            (
+                FaultOp::Partition { a: vec![from], b: vec![to], heal_after: d },
+                Lowered {
+                    now: vec![cut, Prim::CutLink { from: to, to: from }],
+                    undo: Some((d, vec![heal, Prim::HealLink { from: to, to: from }])),
+                },
+            ),
+        ];
+        for (op, want) in table {
+            assert_eq!(op.clone().lower(), want, "{}", op.label());
+        }
+    }
+
+    #[test]
+    fn partition_cuts_and_heals_both_directions_of_every_cross_pair() {
+        let (a, b) = (vec![N[0], N[1]], vec![N[2], N[3]]);
+        let Lowered { now, undo } =
+            FaultOp::Partition { a: a.clone(), b: b.clone(), heal_after: Dur(9) }.lower();
+        let (after, heals) = undo.expect("a partition heals");
+        assert_eq!((after, now.len(), heals.len()), (Dur(9), 8, 8));
+        for &x in &a {
+            for &y in &b {
+                for (from, to) in [(x, y), (y, x)] {
+                    assert!(now.contains(&Prim::CutLink { from, to }), "{from} -> {to} not cut");
+                    assert!(
+                        heals.contains(&Prim::HealLink { from, to }),
+                        "{from} -> {to} stays cut"
+                    );
+                }
+            }
+        }
+        // Links inside one side are left alone.
+        let touches = |p: &Prim| matches!(p, Prim::CutLink { from, to } if a.contains(from) == a.contains(to));
+        assert!(!now.iter().any(touches));
+    }
+
+    fn beat(seq: u64) -> Payload {
+        Payload::Fd(FdMsg::Heartbeat { seq })
+    }
+
+    fn seqs(held: Vec<(Payload, u32)>) -> Vec<(u64, u32)> {
+        let seq = |p| match p {
+            Payload::Fd(FdMsg::Heartbeat { seq }) => seq,
+            other => panic!("not a heartbeat: {other:?}"),
+        };
+        held.into_iter().map(|(p, depth)| (seq(p), depth)).collect()
+    }
+
+    #[test]
+    fn a_cut_link_holds_per_link_in_send_order_and_heal_returns_it() {
+        let mut links = Links::default();
+        assert!(links.is_empty());
+        assert_eq!(links.send(N[0], N[1], beat(0), 1), Some(beat(0)), "a whole link passes");
+        links.cut(N[0], N[1]);
+        links.cut(N[0], N[2]);
+        assert!(!links.is_empty());
+        for (to, seq) in [(N[1], 1), (N[2], 2), (N[1], 3)] {
+            assert_eq!(links.send(N[0], to, beat(seq), seq as u32), None, "a cut link holds");
+        }
+        assert_eq!(links.send(N[1], N[0], beat(4), 1), Some(beat(4)), "cuts are directed");
+        // A second cut keeps what the first one holds.
+        links.cut(N[0], N[1]);
+        assert_eq!(seqs(links.heal(N[0], N[1])), [(1, 1), (3, 3)]);
+        assert_eq!(links.send(N[0], N[1], beat(5), 1), Some(beat(5)), "healed");
+        assert!(links.heal(N[0], N[1]).is_empty(), "healing a whole link returns nothing");
+        assert_eq!(seqs(links.heal(N[0], N[2])), [(2, 2)]);
+        assert!(links.is_empty());
+    }
+
+    /// Two overlapping `BlockLink`s on one link: a heal heals, so the
+    /// first undo ends both and the second finds a whole link.
+    #[test]
+    fn overlapping_bounded_cuts_end_at_the_first_heal() {
+        let block = |d| FaultOp::BlockLink { from: N[0], to: N[1], heal_after: Dur(d) }.lower();
+        let (long, short) = (block(100), block(40));
+        let mut links = Links::default();
+        let apply = |links: &mut Links, prims: &[Prim]| -> usize {
+            let mut released = 0;
+            for p in prims {
+                match *p {
+                    Prim::CutLink { from, to } => links.cut(from, to),
+                    Prim::HealLink { from, to } => released += links.heal(from, to).len(),
+                    _ => unreachable!(),
+                }
+            }
+            released
+        };
+        apply(&mut links, &long.now);
+        assert_eq!(links.send(N[0], N[1], beat(1), 1), None);
+        apply(&mut links, &short.now);
+        assert_eq!(links.send(N[0], N[1], beat(2), 1), None);
+        assert_eq!(apply(&mut links, &short.undo.unwrap().1), 2, "the first heal releases all");
+        assert_eq!(links.send(N[0], N[1], beat(3), 1), Some(beat(3)), "and the link is whole");
+        assert_eq!(apply(&mut links, &long.undo.unwrap().1), 0);
+    }
+
+    fn note(what: &'static str) -> TraceEvent {
+        TraceEvent::new(Time(0), N[0], TraceKind::Note(what))
+    }
+
+    fn on(what: &'static str) -> TracePred {
+        Arc::new(move |ev| matches!(ev.kind, TraceKind::Note(w) if w == what))
+    }
+
+    #[test]
+    fn triggers_are_one_shot_and_fire_in_arming_order() {
+        let mut t = Triggers::default();
+        assert!(t.is_empty());
+        t.arm(0, on("b"), FaultOp::Crash(N[1]));
+        t.arm(0, on("a"), FaultOp::Crash(N[2]));
+        t.arm(0, on("c"), FaultOp::Crash(N[3]));
+        // `a` is traced before `b`; the triggers still fire as armed.
+        let mut trace = vec![note("a"), note("b"), note("a")];
+        assert_eq!(t.scan(&trace), [FaultOp::Crash(N[1]), FaultOp::Crash(N[2])]);
+        // One-shot: more matching events fire nothing more.
+        trace.extend([note("a"), note("b")]);
+        assert!(t.scan(&trace).is_empty());
+        assert!(!t.is_empty(), "the third is still armed");
+        trace.push(note("c"));
+        assert_eq!(t.scan(&trace), [FaultOp::Crash(N[3])]);
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn no_event_is_scanned_twice_and_none_from_before_arming() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let shown = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&shown);
+        let never: TracePred = Arc::new(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            false
+        });
+        let mut t = Triggers::default();
+        let mut trace = vec![note("old"), note("old")];
+        assert!(t.scan(&trace).is_empty(), "nothing armed, nothing scanned");
+        t.arm(trace.len(), never, FaultOp::Crash(N[0]));
+        // What was traced before arming never fires a trigger.
+        t.arm(trace.len(), on("old"), FaultOp::Crash(N[1]));
+        trace.extend([note("x"), note("y")]);
+        assert!(t.scan(&trace).is_empty());
+        assert!(t.scan(&trace).is_empty());
+        trace.push(note("z"));
+        assert!(t.scan(&trace).is_empty());
+        assert_eq!(shown.load(Ordering::Relaxed), 3, "x, y and z, once each");
+    }
 
     #[test]
     fn capability_error_displays_and_is_std_error() {
@@ -312,15 +600,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CapabilityError>();
         assert_send_sync::<NemesisSchedule>();
-    }
-
-    #[test]
-    fn link_fault_constructors() {
-        assert!(LinkFault::default().is_noop());
-        assert!(LinkFault::drop_all().drop);
-        assert_eq!(LinkFault::delay_by(Dur(5)).delay, Some(Dur(5)));
-        assert!(LinkFault::duplicating().duplicate);
-        assert!(!LinkFault::drop_all().is_noop());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod wal;
 pub use attempts::AttemptWindows;
 pub use config::{BatchingConfig, CostModel, FdConfig, ProtocolConfig};
 pub use error::IssueError;
-pub use fault::{CapabilityError, FaultOp, LinkFault, NemesisSchedule, NemesisWhen, TracePred};
+pub use fault::{CapabilityError, FaultOp, NemesisSchedule, NemesisWhen, TracePred};
 pub use ids::{NodeId, RegId, RequestId, ResultId, Role};
 pub use msg::Payload;
 pub use retry::{AttemptDriver, IssuePlan, RetryTimer};

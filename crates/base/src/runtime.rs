@@ -302,9 +302,7 @@ impl RuntimeKind {
 /// plane** ([`Host::schedule_fault`]) through which one nemesis-schedule
 /// representation drives simulated *and* real faults. Everything beyond
 /// this — virtual-time stepping, storage inspection mid-run — is a
-/// backend capability exposed on the concrete type. Hosts that cannot
-/// inject a given fault return [`CapabilityError`] rather than panicking,
-/// and advertise themselves through [`Host::supports_fault_injection`].
+/// backend capability exposed on the concrete type.
 pub trait Host {
     /// Registers a node. Ids are assigned contiguously in registration
     /// order. The factory builds the process at startup (and again at every
@@ -330,21 +328,13 @@ pub trait Host {
     /// Read access to the message statistics sink.
     fn with_stats(&self, f: &mut dyn FnMut(&MsgStats));
 
-    /// Whether this host can inject faults (crashes, pauses, link faults,
-    /// partitions). Chaos tooling may probe this before building a
-    /// schedule; [`Host::schedule_fault`] refuses with a typed error on
-    /// hosts that answer `false`, so an unsupported backend can never
-    /// silently turn a chaos run into a fault-free one.
-    fn supports_fault_injection(&self) -> bool;
-
     /// Schedules one fault-plane operation. `when` decides the trigger
     /// (immediately, after a host-clock delay, or on the first matching
-    /// trace event); `op` is what happens. The default implementation is
-    /// the capability fence: it refuses with [`CapabilityError`].
-    fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError> {
-        let _ = when;
-        Err(CapabilityError::new("this", op.label()))
-    }
+    /// trace event); `op` is what happens — [`FaultOp::lower`] says what
+    /// that is, identically on every host. Every host injects every
+    /// fault; the only refusal is a threaded host that was already
+    /// stopped.
+    fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError>;
 
     /// Applies a whole [`NemesisSchedule`] in order. Stops at the first
     /// refused operation (all-or-nothing per prefix — a partially applied

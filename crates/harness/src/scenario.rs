@@ -546,13 +546,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    fn host(&self) -> &dyn Host {
-        match self {
-            Backend::Sim(sim) => sim,
-            Backend::Threaded { host, .. } => host,
-        }
-    }
-
     fn host_mut(&mut self) -> &mut dyn Host {
         match self {
             Backend::Sim(sim) => sim,
@@ -594,20 +587,11 @@ impl Scenario {
         self.backend.kind()
     }
 
-    /// Whether the backend can inject faults (crashes, pauses, link
-    /// faults, partitions). True on both built-in backends; chaos tooling
-    /// should still check it (or match on the [`CapabilityError`] from
-    /// [`Scenario::schedule_fault`]) so a future fault-blind host degrades
-    /// loudly instead of turning a chaos test into a green no-op.
-    pub fn supports_fault_injection(&self) -> bool {
-        self.backend.host().supports_fault_injection()
-    }
-
     /// Injects one fault right now, backend-neutral: the simulator applies
     /// it at the current virtual instant, the threaded host applies it to
     /// the live threads (or at startup when scheduled before the first
-    /// run). Returns [`CapabilityError`] if the hosting backend cannot
-    /// express the operation, so a chaos test can never silently no-op.
+    /// run). Every backend injects every fault; the one
+    /// [`CapabilityError`] left is a threaded host that was already stopped.
     pub fn fault(&mut self, op: FaultOp) -> Result<(), CapabilityError> {
         self.backend.host_mut().schedule_fault(NemesisWhen::Now, op)
     }

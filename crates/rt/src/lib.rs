@@ -27,23 +27,23 @@
 //! `LogStore` survives for restart. It pauses a node by setting a flag
 //! workers honour before running it (the SIGSTOP story — messages pile up,
 //! timers go overdue, nothing is lost; the slot lock taken once is the
-//! barrier after which no handler runs), and degrades links through a
-//! filter table consulted on every send (drop, delay, duplicate,
-//! partition). The §3 checker then judges the resulting trace exactly as
-//! it judges a simulated one.
+//! barrier after which no handler runs), and cuts links through a table
+//! consulted on every send while any link is cut. What a fault *means* —
+//! how a bounded or compound operation lowers to those primitives, what a
+//! cut link holds, when a trace trigger fires — is `etx_base::fault`'s, the
+//! same code the simulator runs. The §3 checker then judges the resulting
+//! trace exactly as it judges a simulated one.
 //!
 //! What deliberately does **not** exist here:
 //!
 //! * **Modelled network delay and loss.** Channels are genuinely reliable
 //!   and as fast as the machine; the reliable-channel abstraction of §4
-//!   holds by construction — and the fault plane preserves it. A `drop`
-//!   fault stops traffic at the link and re-injects it when the link
-//!   heals (a TCP partition: loss is delay, never absence — the same
-//!   model the simulator applies, and a liveness requirement, since
-//!   consensus advances rounds on *suspicion* and a silently lost
-//!   message to a live coordinator would wedge an instance forever).
-//!   Crashes are the genuinely lossy fault: a killed node's inbox and
-//!   volatile state are really gone, only its stable log survives.
+//!   holds by construction — and the fault plane preserves it: a cut
+//!   link holds its traffic and re-injects it at heal
+//!   ([`etx_base::fault::Links`], which says why that is a liveness
+//!   requirement). Crashes are the genuinely lossy fault: a killed node's
+//!   inbox and volatile state are really gone, only its stable log
+//!   survives.
 //! * **The perfect-failure-detector oracle.** `subscribe_node_events` is
 //!   accepted and never fires — real deployments have no such oracle, and
 //!   the e-Transaction protocol pointedly does not need one. (The
@@ -61,7 +61,7 @@
 //! modelled stall and leaves only what the hardware charges.
 
 use etx_base::config::CostModel;
-use etx_base::fault::{CapabilityError, FaultOp, LinkFault, NemesisWhen, TracePred};
+use etx_base::fault::{CapabilityError, FaultOp, Links, NemesisWhen, Prim, Triggers};
 use etx_base::ids::{NodeId, TimerId};
 use etx_base::msg::Payload;
 use etx_base::rng::Rng;
@@ -70,7 +70,7 @@ use etx_base::time::{Dur, Time};
 use etx_base::trace::{MsgStats, Trace, TraceEvent, TraceKind};
 use etx_base::wal::StableRecord;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -130,33 +130,19 @@ struct Wire {
     depth: u32,
 }
 
-/// Link-fault state shared by the driver and every node: the filter table
-/// consulted on every send. `links_active` (true exactly while the table is
-/// non-empty) keeps the fault-free fast path to one relaxed atomic load per
-/// send.
+/// Link state shared by the driver and every node. `links_active` (true
+/// exactly while a link is cut) keeps the fault-free send to one relaxed
+/// atomic load; past it, one mutex covers "is this link cut" and "hold
+/// it", so a send cannot slip between a heal's drain and its re-injection.
 #[derive(Default)]
 struct FaultState {
     links_active: AtomicBool,
-    links: Mutex<HashMap<(NodeId, NodeId), LinkFault>>,
-    /// Traffic stopped by a `drop` fault, in send order per link. §4's
-    /// reliable-channel assumption is load-bearing for liveness (consensus
-    /// round advancement is suspicion-driven, so a silently lost estimate
-    /// to a *live* coordinator would wedge an instance forever), so a
-    /// faulted link models a TCP partition: messages are held here and
-    /// re-injected at heal — loss is delay, never absence, exactly the
-    /// simulator's model. Crashes are the genuinely lossy fault.
-    held: Mutex<HeldTraffic>,
+    links: Mutex<Links>,
 }
 
-/// Per-link queues of `(payload, depth)` pairs stopped by a `drop` fault.
-type HeldTraffic = HashMap<(NodeId, NodeId), Vec<(Payload, u32)>>;
-
 impl FaultState {
-    fn fault_on(&self, from: NodeId, to: NodeId) -> Option<LinkFault> {
-        if !self.links_active.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.links.lock().expect("link table lock").get(&(from, to)).copied()
+    fn links(&self) -> MutexGuard<'_, Links> {
+        self.links.lock().expect("link table lock")
     }
 }
 
@@ -190,21 +176,8 @@ struct Deferred {
 }
 
 enum DeferredKind {
-    Timer {
-        id: TimerId,
-        tag: TimerTag,
-        depth: u32,
-    },
-    /// `delayed` marks a send already processed by the link-fault filter
-    /// (a delay fault deferred it): at fire time it goes straight onto
-    /// the destination inbox instead of through the filter again, so a
-    /// persistent delay fault postpones each message once, not forever.
-    Send {
-        to: NodeId,
-        payload: Payload,
-        depth: u32,
-        delayed: bool,
-    },
+    Timer { id: TimerId, tag: TimerTag, depth: u32 },
+    Send { to: NodeId, payload: Payload, depth: u32 },
 }
 
 impl PartialEq for Deferred {
@@ -523,49 +496,20 @@ impl NodeRt {
                         self.dispatch(process, Event::Timer { id, tag }, depth);
                     }
                 }
-                DeferredKind::Send { to, payload, depth, delayed } => {
-                    if delayed {
-                        self.push_wire(to, payload, depth);
-                    } else {
-                        self.transmit(to, payload, depth);
-                    }
-                }
+                DeferredKind::Send { to, payload, depth } => self.transmit(to, payload, depth),
             }
         }
     }
 
-    /// Puts a message on the destination's inbox, running it through the
-    /// fault plane's link filter first: a `drop` fault stops it at the
-    /// link (held in [`FaultState::held`] and re-injected when the link
-    /// heals — the reliable-channel model of §4, see there for why), a
-    /// `delay` fault defers it once, a `duplicate` fault delivers two
-    /// copies.
-    fn transmit(&mut self, to: NodeId, payload: Payload, depth: u32) {
+    /// Puts a message on the destination's inbox — unless the link is cut,
+    /// which holds it until the heal (see [`Links`]).
+    fn transmit(&mut self, to: NodeId, mut payload: Payload, depth: u32) {
         self.stats.record_sent(payload.label(), payload.is_background());
-        if let Some(fault) = self.pool.faults.fault_on(self.me, to) {
-            if fault.drop {
-                self.stats.record_dropped_on_link();
-                self.pool
-                    .faults
-                    .held
-                    .lock()
-                    .expect("held-traffic lock")
-                    .entry((self.me, to))
-                    .or_default()
-                    .push((payload, depth));
-                return;
-            }
-            let copies = if fault.duplicate { 2 } else { 1 };
-            if let Some(extra) = fault.delay {
-                let due = self.pool.sink.now() + extra;
-                for _ in 0..copies {
-                    let payload = payload.clone();
-                    self.defer(due, DeferredKind::Send { to, payload, depth, delayed: true });
-                }
-                return;
-            }
-            for _ in 1..copies {
-                self.push_wire(to, payload.clone(), depth);
+        let faults = &self.pool.faults;
+        if faults.links_active.load(Ordering::Relaxed) {
+            match faults.links().send(self.me, to, payload, depth) {
+                Some(whole) => payload = whole,
+                None => return self.stats.record_dropped_on_link(),
             }
         }
         self.push_wire(to, payload, depth);
@@ -600,7 +544,7 @@ impl ThreadCtx<'_> {
             self.rt.transmit(to, payload, depth);
         } else {
             let due = self.now + extra;
-            self.rt.defer(due, DeferredKind::Send { to, payload, depth, delayed: false });
+            self.rt.defer(due, DeferredKind::Send { to, payload, depth });
         }
     }
 }
@@ -693,17 +637,14 @@ enum Phase {
     Stopped,
 }
 
-/// One scheduled fault awaiting its trigger, pumped from the driver
-/// thread (never from a worker — applying a crash means taking the
-/// victim's slot lock, which the worker running the victim holds).
-struct NemesisEntry {
-    /// Fires when the host clock reaches this instant (`None` for
-    /// trace-triggered entries).
-    due: Option<Time>,
-    /// Fires on the first matching trace event (`None` for timed entries).
-    pred: Option<TracePred>,
-    op: FaultOp,
-    done: bool,
+/// What the driver owes at a host-clock instant. Pumped from the driver
+/// thread, never from a worker — applying a crash means taking the
+/// victim's slot lock, which the worker running the victim holds.
+enum Due {
+    /// A scheduled operation, lowered when it fires.
+    Op(FaultOp),
+    /// The undo a bounded operation left behind when it fired.
+    Undo(Vec<Prim>),
 }
 
 /// The multi-threaded host. Register nodes, then [`ThreadedHost::start`]
@@ -715,8 +656,7 @@ struct NemesisEntry {
 /// driver thread inside [`Host::run_trace_until`] / [`Host::quiesce_for`]
 /// polling loops: a crash takes the victim's state out of its slot
 /// (keeping its stable logs for restart), a pause gates the slot with the
-/// inbox accumulating, link faults install entries in the shared filter
-/// table.
+/// inbox accumulating, a cut enters the link in the shared table.
 pub struct ThreadedHost {
     cfg: ThreadedConfig,
     phase: Phase,
@@ -735,8 +675,10 @@ pub struct ThreadedHost {
     stats: MsgStats,
     incarnations: Vec<u32>,
     panicked: Vec<&'static str>,
-    nemesis: Vec<NemesisEntry>,
-    nemesis_scanned: usize,
+    /// Timed faults not yet due, in scheduling order; an entry leaves
+    /// when it fires.
+    nemesis: Vec<(Time, Due)>,
+    triggers: Triggers,
 }
 
 impl std::fmt::Debug for ThreadedHost {
@@ -771,7 +713,7 @@ impl ThreadedHost {
             incarnations: Vec::new(),
             panicked: Vec::new(),
             nemesis: Vec::new(),
-            nemesis_scanned: 0,
+            triggers: Triggers::default(),
         }
     }
 
@@ -789,28 +731,16 @@ impl ThreadedHost {
         self.incarnations = vec![0; n];
         self.shells = (0..n).map(|_| None).collect();
         // Faults scheduled before the run (`NemesisWhen::Now` on a
-        // building host) that need no live node — link faults and
-        // pauses — are put in force *before* any node's Init runs, so a
-        // pre-partitioned or pre-paused start is exactly that.
-        let mut i = 0;
-        while i < self.nemesis.len() {
-            let eligible = !self.nemesis[i].done
-                && self.nemesis[i].due == Some(Time::ZERO)
-                && matches!(
-                    self.nemesis[i].op,
-                    FaultOp::SetLink { .. }
-                        | FaultOp::HealLink { .. }
-                        | FaultOp::BlockLink { .. }
-                        | FaultOp::Partition { .. }
-                        | FaultOp::Pause(_)
-                        | FaultOp::PauseFor { .. }
-                );
-            if eligible {
-                self.nemesis[i].done = true;
-                let op = self.nemesis[i].op.clone();
-                self.apply_fault_now(op);
-            }
-            i += 1;
+        // building host) that need no live node — cuts and pauses — are
+        // put in force *before* any node's Init runs, so a pre-partitioned
+        // or pre-paused start is exactly that.
+        let early = self.nemesis.extract_if(.., |(at, due)| {
+            let Due::Op(op) = due else { return false };
+            let no_node = |p: &Prim| !matches!(p, Prim::Crash(_) | Prim::Recover(_));
+            *at == Time::ZERO && op.clone().lower().now.iter().all(no_node)
+        });
+        for (_, due) in early.collect::<Vec<_>>() {
+            self.fire(due);
         }
         let mut master = Rng::new(self.cfg.seed);
         for (idx, (_, mut factory)) in std::mem::take(&mut self.pending).into_iter().enumerate() {
@@ -1051,89 +981,46 @@ impl ThreadedHost {
         self.pool.enqueue(idx);
     }
 
-    /// Applies one fault operation right now. Driver-thread only: a crash
-    /// takes the victim's slot lock, and must never run while holding the
-    /// trace lock (the victim may be blocked on it mid-handler).
-    fn apply_fault_now(&mut self, op: FaultOp) {
-        let now = self.pool.sink.now();
-        match op {
-            FaultOp::Crash(n) => self.crash_node(n),
-            FaultOp::Recover(n) => self.recover_node(n),
-            FaultOp::CrashFor { node, down_for } => {
-                self.crash_node(node);
-                self.nemesis.push(NemesisEntry {
-                    due: Some(now + down_for),
-                    pred: None,
-                    op: FaultOp::Recover(node),
-                    done: false,
-                });
-            }
-            FaultOp::Pause(n) => self.pause_node(n),
-            FaultOp::Resume(n) => self.resume_node(n),
-            FaultOp::PauseFor { node, down_for } => {
-                self.pause_node(node);
-                self.nemesis.push(NemesisEntry {
-                    due: Some(now + down_for),
-                    pred: None,
-                    op: FaultOp::Resume(node),
-                    done: false,
-                });
-            }
-            FaultOp::SetLink { from, to, fault } => self.set_link_fault(from, to, fault),
-            FaultOp::HealLink { from, to } => self.set_link_fault(from, to, LinkFault::default()),
-            FaultOp::BlockLink { from, to, heal_after } => {
-                self.set_link_fault(from, to, LinkFault::drop_all());
-                self.nemesis.push(NemesisEntry {
-                    due: Some(now + heal_after),
-                    pred: None,
-                    op: FaultOp::HealLink { from, to },
-                    done: false,
-                });
-            }
-            FaultOp::Partition { a, b, heal_after } => {
-                for &x in &a {
-                    for &y in &b {
-                        self.set_link_fault(x, y, LinkFault::drop_all());
-                        self.set_link_fault(y, x, LinkFault::drop_all());
-                        self.nemesis.push(NemesisEntry {
-                            due: Some(now + heal_after),
-                            pred: None,
-                            op: FaultOp::HealLink { from: x, to: y },
-                            done: false,
-                        });
-                        self.nemesis.push(NemesisEntry {
-                            due: Some(now + heal_after),
-                            pred: None,
-                            op: FaultOp::HealLink { from: y, to: x },
-                            done: false,
-                        });
-                    }
+    /// A scheduled entry fires: an operation is lowered, its primitives
+    /// apply now and its undo is owed `after` from now. Driver-thread
+    /// only: a crash takes the victim's slot lock, and must never run
+    /// while holding the trace lock (the victim may be blocked on it
+    /// mid-handler).
+    fn fire(&mut self, due: Due) {
+        let prims = match due {
+            Due::Undo(prims) => prims,
+            Due::Op(op) => {
+                let lowered = op.lower();
+                if let Some((after, undo)) = lowered.undo {
+                    self.nemesis.push((self.pool.sink.now() + after, Due::Undo(undo)));
                 }
+                lowered.now
             }
-        }
-    }
-
-    fn set_link_fault(&mut self, from: NodeId, to: NodeId, fault: LinkFault) {
-        let faults = &self.pool.faults;
-        {
-            let mut links = faults.links.lock().expect("link table lock");
-            if fault.is_noop() {
-                links.remove(&(from, to));
-            } else {
-                links.insert((from, to), fault);
-            }
-            // Under the table lock, so the flag never lags a later edit.
-            faults.links_active.store(!links.is_empty(), Ordering::Relaxed);
-        }
-        // The link no longer drops: re-inject what it held, in send order
-        // — the partition was a delay, not a loss (reliable channels). A
-        // destination that crashed meanwhile still loses them, with the
-        // usual drop-to-down accounting.
-        if !fault.drop {
-            let drained = faults.held.lock().expect("held-traffic lock").remove(&(from, to));
-            for (payload, depth) in drained.into_iter().flatten() {
-                if !self.pool.push_wire(to, Wire { from, payload, depth }) {
-                    self.stats.record_dropped_to_down();
+        };
+        for prim in prims {
+            match prim {
+                Prim::Crash(n) => self.crash_node(n),
+                Prim::Recover(n) => self.recover_node(n),
+                Prim::Pause(n) => self.pause_node(n),
+                Prim::Resume(n) => self.resume_node(n),
+                Prim::CutLink { from, to } => {
+                    let mut links = self.pool.faults.links();
+                    links.cut(from, to);
+                    self.pool.faults.links_active.store(true, Ordering::Relaxed);
+                }
+                // Re-injected under the table lock and before the flag
+                // clears, so a later send on the link queues behind what
+                // the link held (FIFO per link survives the cut). A
+                // destination that crashed meanwhile still loses them,
+                // with the usual drop-to-down accounting.
+                Prim::HealLink { from, to } => {
+                    let mut links = self.pool.faults.links();
+                    for (payload, depth) in links.heal(from, to) {
+                        if !self.pool.push_wire(to, Wire { from, payload, depth }) {
+                            self.stats.record_dropped_to_down();
+                        }
+                    }
+                    self.pool.faults.links_active.store(!links.is_empty(), Ordering::Relaxed);
                 }
             }
         }
@@ -1141,44 +1028,19 @@ impl ThreadedHost {
 
     /// Fires every due/triggered nemesis entry. Called from the driver's
     /// polling loops ([`Host::run_trace_until`], [`Host::quiesce_for`]).
-    /// The trace is scanned under its lock but ops are applied *after*
-    /// releasing it (a crash waits for the victim's handler, which may
-    /// itself be waiting on the trace lock). Iterates by index because
-    /// applying an op may append follow-up entries (the heal of a
-    /// `BlockLink`, the recovery of a `CrashFor`).
+    /// The trace lock is taken only while a trigger is armed, and what
+    /// fired is applied *after* releasing it (a crash waits for the
+    /// victim's handler, which may itself be waiting on the trace lock).
     fn pump_nemesis(&mut self) {
-        if self.nemesis.iter().all(|e| e.done) {
-            return;
-        }
-        let mut fired: Vec<FaultOp> = Vec::new();
-        {
+        let mut fired: Vec<Due> = Vec::new();
+        if !self.triggers.is_empty() {
             let trace = self.pool.sink.trace.lock().expect("trace lock");
-            let events = &trace.events()[self.nemesis_scanned.min(trace.len())..];
-            for e in self.nemesis.iter_mut() {
-                if e.done {
-                    continue;
-                }
-                if let Some(pred) = &e.pred {
-                    if events.iter().any(|ev| pred(ev)) {
-                        e.done = true;
-                        fired.push(e.op.clone());
-                    }
-                }
-            }
-            self.nemesis_scanned = trace.len();
+            fired.extend(self.triggers.scan(trace.events()).into_iter().map(Due::Op));
         }
         let now = self.pool.sink.now();
-        let mut i = 0;
-        while i < self.nemesis.len() {
-            let e = &mut self.nemesis[i];
-            if !e.done && e.due.is_some_and(|d| d <= now) {
-                e.done = true;
-                fired.push(e.op.clone());
-            }
-            i += 1;
-        }
-        for op in fired {
-            self.apply_fault_now(op);
+        fired.extend(self.nemesis.extract_if(.., |(at, _)| *at <= now).map(|(_, due)| due));
+        for due in fired {
+            self.fire(due);
         }
     }
 
@@ -1270,39 +1132,21 @@ impl Host for ThreadedHost {
         f(&self.stats_snapshot())
     }
 
-    fn supports_fault_injection(&self) -> bool {
-        true
-    }
-
     fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError> {
         if matches!(self.phase, Phase::Stopped) {
             return Err(CapabilityError::new("threaded (stopped)", op.label()));
         }
+        // Before start() there is no node to fault and the clock reads
+        // from the run's epoch: `Now` waits for `start()` or the first pump.
+        let running = matches!(self.phase, Phase::Running);
+        let now = if running { self.pool.sink.now() } else { Time::ZERO };
         match when {
-            NemesisWhen::Now => {
-                if matches!(self.phase, Phase::Running) {
-                    self.apply_fault_now(op);
-                } else {
-                    // Before start() there is no node to fault; applied
-                    // at the first nemesis pump after the run begins.
-                    self.nemesis.push(NemesisEntry {
-                        due: Some(Time::ZERO),
-                        pred: None,
-                        op,
-                        done: false,
-                    });
-                }
-            }
-            NemesisWhen::After(d) => {
-                let due = if matches!(self.phase, Phase::Running) {
-                    self.pool.sink.now() + d
-                } else {
-                    Time::ZERO + d // offset from the run's epoch
-                };
-                self.nemesis.push(NemesisEntry { due: Some(due), pred: None, op, done: false });
-            }
+            NemesisWhen::Now if running => self.fire(Due::Op(op)),
+            NemesisWhen::Now => self.nemesis.push((now, Due::Op(op))),
+            NemesisWhen::After(d) => self.nemesis.push((now + d, Due::Op(op))),
             NemesisWhen::OnTrace(pred) => {
-                self.nemesis.push(NemesisEntry { due: None, pred: Some(pred), op, done: false });
+                let seen = self.pool.sink.trace.lock().expect("trace lock").len();
+                self.triggers.arm(seen, pred, op);
             }
         }
         Ok(())
@@ -1314,6 +1158,7 @@ mod tests {
     use super::*;
     use etx_base::msg::FdMsg;
     use etx_base::wal::LOG_WAL;
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     /// Sends `n` pings to a peer on Init; notes pongs.
@@ -1414,7 +1259,6 @@ mod tests {
     #[test]
     fn fault_plane_is_supported() {
         let mut host = ThreadedHost::new(ThreadedConfig::default());
-        assert!(host.supports_fault_injection());
         // Scheduling before start() is accepted (applied at first pump).
         assert!(host
             .schedule_fault(NemesisWhen::After(Dur::from_millis(1)), FaultOp::Crash(NodeId(0)))
@@ -1502,11 +1346,7 @@ mod tests {
         let mut host = ThreadedHost::new(ThreadedConfig::with_seed(9));
         let a = host.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 4 })));
         let b = host.add_node("b", Box::new(|_| Box::new(Pinger { peer: None, n: 0 })));
-        host.schedule_fault(
-            NemesisWhen::Now,
-            FaultOp::SetLink { from: a, to: b, fault: LinkFault::drop_all() },
-        )
-        .unwrap();
+        host.schedule_fault(NemesisWhen::Now, FaultOp::CutLink { from: a, to: b }).unwrap();
         host.quiesce_for(Dur::from_millis(30));
         {
             let trace = host.trace_snapshot();
@@ -1589,8 +1429,7 @@ mod tests {
         let mut host = ThreadedHost::new(ThreadedConfig::with_seed(11));
         let a = host.add_node("a", Box::new(|_| Box::new(Late { to: NodeId(1) })));
         let b = host.add_node("b", Box::new(|_| idle()));
-        let fault = FaultOp::SetLink { from: a, to: b, fault: LinkFault::drop_all() };
-        host.schedule_fault(NemesisWhen::Now, fault).unwrap();
+        host.schedule_fault(NemesisWhen::Now, FaultOp::CutLink { from: a, to: b }).unwrap();
         host.start();
         assert!(host.pool.faults.links_active.load(Ordering::Relaxed));
         host.schedule_fault(NemesisWhen::Now, FaultOp::HealLink { from: a, to: b }).unwrap();

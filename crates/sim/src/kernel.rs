@@ -6,18 +6,20 @@
 //! seed), dispatches it, and collects whatever the handler emits.
 //!
 //! Fault injection is first-class and has one entry,
-//! [`Host::schedule_fault`]: crashes, pauses, link faults and partitions
+//! [`Host::schedule_fault`]: crashes, pauses, cut links and partitions
 //! fire immediately, after a delay, or on a trace event ("crash the owner
 //! right after its first vote"), which is how the integration tests
 //! enumerate the adversarial schedules of the paper's Figure 1(c)/(d) and
-//! beyond.
+//! beyond. What a fault *means* is `etx_base::fault`'s to say (lowering,
+//! held links, triggers); the kernel's own part is the six primitives and
+//! the queue entries that carry them.
 
-use crate::net::{sample_delivery_delay, LinkState, NetConfig};
+use crate::net::{sample_delivery_delay, NetConfig};
 use crate::observe::{MsgStats, Trace};
 use crate::rng::Rng;
 use crate::storage::StableStorage;
 use etx_base::config::CostModel;
-use etx_base::fault::{CapabilityError, FaultOp, LinkFault, NemesisWhen, TracePred};
+use etx_base::fault::{CapabilityError, FaultOp, Links, NemesisWhen, Prim, Triggers};
 use etx_base::ids::{NodeId, TimerId};
 use etx_base::msg::Payload;
 use etx_base::runtime::{Context, Event, Host, NodeFactory, Process, TimerTag};
@@ -67,18 +69,15 @@ impl SimConfig {
 /// (volatile state is rebuilt from scratch; stable storage persists).
 pub type Factory = NodeFactory;
 
-/// A one-shot trace trigger: the first event `pred` matches queues `op`.
-struct Trigger {
-    pred: TracePred,
-    op: FaultOp,
-}
-
+/// A queue entry. `Fault` is a scheduled fault-plane operation, lowered
+/// when it fires; `Undo` is what a bounded one left behind when it did.
 enum Action {
     Init { node: NodeId },
     Deliver { from: NodeId, to: NodeId, payload: Payload, depth: u32 },
     Timer { node: NodeId, incarnation: u32, id: TimerId, tag: TimerTag, depth: u32 },
     NotifyPeer { node: NodeId, about: NodeId, up: bool },
     Fault { op: FaultOp },
+    Undo { prims: Vec<Prim> },
 }
 
 /// The node an action is *delivered to* — the one whose paused state
@@ -90,7 +89,7 @@ fn action_target(a: &Action) -> Option<NodeId> {
         Action::Deliver { to, .. } => Some(*to),
         Action::Timer { node, .. } => Some(*node),
         Action::NotifyPeer { node, .. } => Some(*node),
-        Action::Fault { .. } => None,
+        Action::Fault { .. } | Action::Undo { .. } => None,
     }
 }
 
@@ -136,7 +135,8 @@ pub struct Sim {
     queue: BinaryHeap<Reverse<Entry>>,
     nodes: Vec<Slot>,
     rng: Rng,
-    links: LinkState,
+    /// Cut links and what each holds until it heals.
+    links: Links,
     trace: Trace,
     stats: MsgStats,
     timer_seq: u64,
@@ -146,15 +146,11 @@ pub struct Sim {
     /// gated to repeat exactly (`tests/alloc_budget.rs`).
     cancelled: BTreeSet<u64>,
     fd_subscribers: Vec<NodeId>,
-    triggers: Vec<Trigger>,
-    trace_scanned: usize,
+    triggers: Triggers,
     /// Events popped while their target node was paused, in pop order;
     /// replayed (with fresh sequence numbers, at resume time) when the
     /// node resumes, discarded if it crashes first.
     stash: Vec<(NodeId, Action)>,
-    /// Messages absorbed by a dropping link fault (the sim's reliable
-    /// channel holds rather than loses); re-injected at heal time.
-    held: Vec<(NodeId, NodeId, Payload, u32)>,
 }
 
 impl std::fmt::Debug for Sim {
@@ -180,16 +176,14 @@ impl Sim {
             queue: BinaryHeap::new(),
             nodes: Vec::new(),
             rng,
-            links: LinkState::default(),
+            links: Links::default(),
             trace: Trace::default(),
             stats: MsgStats::default(),
             timer_seq: 0,
             cancelled: BTreeSet::new(),
             fd_subscribers: Vec::new(),
-            triggers: Vec::new(),
-            trace_scanned: 0,
+            triggers: Triggers::default(),
             stash: Vec::new(),
-            held: Vec::new(),
         }
     }
 
@@ -255,76 +249,35 @@ impl Sim {
 
     // ---- fault injection -------------------------------------------------
 
-    /// Applies a fault-plane operation at the current instant. The bounded
-    /// forms queue their own undo; link operations mutate [`LinkState`]
-    /// directly and consume no queue sequence number.
-    fn apply_fault(&mut self, op: FaultOp) {
-        match op {
-            FaultOp::Crash(n) => self.do_crash(n),
-            FaultOp::Recover(n) => self.do_recover(n),
-            FaultOp::CrashFor { node, down_for } => {
-                self.do_crash(node);
-                self.push(self.now + down_for, Action::Fault { op: FaultOp::Recover(node) });
-            }
-            FaultOp::Pause(n) => self.do_pause(n),
-            FaultOp::Resume(n) => self.do_resume(n),
-            FaultOp::PauseFor { node, down_for } => {
-                self.do_pause(node);
-                self.push(self.now + down_for, Action::Fault { op: FaultOp::Resume(node) });
-            }
-            FaultOp::SetLink { from, to, fault } => self.set_link_fault(from, to, fault),
-            FaultOp::HealLink { from, to } => self.heal_link(from, to),
-            FaultOp::BlockLink { from, to, heal_after } => {
-                let heal_at = self.now + heal_after;
-                self.links.block(from, to, heal_at);
-            }
-            FaultOp::Partition { a, b, heal_after } => {
-                let heal_at = self.now + heal_after;
-                self.links.partition(&a, &b, heal_at);
-            }
+    /// A fault-plane operation fires: its primitives apply at the current
+    /// instant, its undo (the recovery of a bounded crash, the heals of a
+    /// partition) becomes one queue entry.
+    fn fire(&mut self, op: FaultOp) {
+        let lowered = op.lower();
+        self.apply(lowered.now);
+        if let Some((after, prims)) = lowered.undo {
+            self.push(self.now + after, Action::Undo { prims });
         }
     }
 
-    fn set_link_fault(&mut self, from: NodeId, to: NodeId, fault: LinkFault) {
-        self.links.set_fault(from, to, fault);
-        if !fault.drop {
-            // Replacing a dropping fault with a non-dropping one releases
-            // what the dropping fault absorbed.
-            self.release_held(from, to);
-        }
-    }
-
-    fn heal_link(&mut self, from: NodeId, to: NodeId) {
-        self.links.clear_fault(from, to);
-        self.release_held(from, to);
-    }
-
-    /// Re-injects messages a dropping link fault absorbed on `from → to`,
-    /// in original send order, each with a freshly sampled delivery delay
-    /// from the current instant (the reliable channel's retransmission
-    /// finally getting through).
-    fn release_held(&mut self, from: NodeId, to: NodeId) {
-        let mut released = Vec::new();
-        let mut kept = Vec::new();
-        for entry in self.held.drain(..) {
-            if entry.0 == from && entry.1 == to {
-                released.push((entry.2, entry.3));
-            } else {
-                kept.push(entry);
+    fn apply(&mut self, prims: Vec<Prim>) {
+        for prim in prims {
+            match prim {
+                Prim::Crash(n) => self.do_crash(n),
+                Prim::Recover(n) => self.do_recover(n),
+                Prim::Pause(n) => self.do_pause(n),
+                Prim::Resume(n) => self.do_resume(n),
+                Prim::CutLink { from, to } => self.links.cut(from, to),
+                // What the link held goes out in send order, each with a
+                // freshly sampled delay from the current instant (the
+                // reliable channel's retransmission finally getting through).
+                Prim::HealLink { from, to } => {
+                    for (payload, depth) in self.links.heal(from, to) {
+                        let at = self.now + sample_delivery_delay(&self.cfg.net, &mut self.rng);
+                        self.push(at, Action::Deliver { from, to, payload, depth });
+                    }
+                }
             }
-        }
-        self.held = kept;
-        for (payload, depth) in released {
-            let delay = sample_delivery_delay(
-                &self.cfg.net,
-                &self.links,
-                &mut self.rng,
-                from,
-                to,
-                self.now,
-            );
-            let at = self.now + delay;
-            self.push(at, Action::Deliver { from, to, payload, depth });
         }
     }
 
@@ -372,7 +325,8 @@ impl Sim {
                     self.dispatch(node, ev, 0);
                 }
             }
-            Action::Fault { op } => self.apply_fault(op),
+            Action::Fault { op } => self.fire(op),
+            Action::Undo { prims } => self.apply(prims),
         }
         self.scan_triggers();
         true
@@ -510,7 +464,7 @@ impl Sim {
                 incarnation: slot.incarnation,
                 net: &self.cfg.net,
                 cost: &self.cfg.cost,
-                links: &self.links,
+                links: &mut self.links,
                 rng: &mut self.rng,
                 storage: &mut slot.storage,
                 trace: &mut self.trace,
@@ -520,7 +474,6 @@ impl Sim {
                 timer_seq: &mut self.timer_seq,
                 cancelled: &mut self.cancelled,
                 subscribe: &mut subscribe,
-                held: &mut self.held,
             };
             process.on_event(&mut ctx, event);
         }
@@ -535,21 +488,7 @@ impl Sim {
     }
 
     fn scan_triggers(&mut self) {
-        if self.triggers.is_empty() {
-            self.trace_scanned = self.trace.len();
-            return;
-        }
-        let events = &self.trace.events()[self.trace_scanned..];
-        let mut fired: Vec<FaultOp> = Vec::new();
-        self.triggers.retain(|t| {
-            let hit = events.iter().any(|ev| (t.pred)(ev));
-            if hit {
-                fired.push(t.op.clone());
-            }
-            !hit
-        });
-        self.trace_scanned = self.trace.len();
-        for op in fired {
+        for op in self.triggers.scan(self.trace.events()) {
             self.push(self.now, Action::Fault { op });
         }
     }
@@ -570,8 +509,9 @@ impl Sim {
 /// The simulator is the deterministic implementation of the runtime seam:
 /// virtual clock, byte-identical replay per seed, and simulated fault
 /// injection — every fault-plane operation is one queue entry
-/// (`Action::Fault`) or one trace trigger that pushes one, so a nemesis
-/// schedule replays with the run.
+/// (`Action::Fault`) or one trace trigger that pushes one, and the undo of
+/// a bounded one is one more (`Action::Undo`), so a nemesis schedule
+/// replays with the run.
 impl Host for Sim {
     fn add_node(&mut self, name: &'static str, factory: NodeFactory) -> NodeId {
         Sim::add_node(self, name, factory)
@@ -601,15 +541,11 @@ impl Host for Sim {
         f(self.stats())
     }
 
-    fn supports_fault_injection(&self) -> bool {
-        true
-    }
-
     fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError> {
         match when {
-            NemesisWhen::Now => self.apply_fault(op),
+            NemesisWhen::Now => self.fire(op),
             NemesisWhen::After(d) => self.push(self.now + d, Action::Fault { op }),
-            NemesisWhen::OnTrace(pred) => self.triggers.push(Trigger { pred, op }),
+            NemesisWhen::OnTrace(pred) => self.triggers.arm(self.trace.len(), pred, op),
         }
         Ok(())
     }
@@ -622,7 +558,7 @@ struct SimCtx<'a> {
     incarnation: u32,
     net: &'a NetConfig,
     cost: &'a CostModel,
-    links: &'a LinkState,
+    links: &'a mut Links,
     rng: &'a mut Rng,
     storage: &'a mut StableStorage,
     trace: &'a mut Trace,
@@ -632,7 +568,6 @@ struct SimCtx<'a> {
     timer_seq: &'a mut u64,
     cancelled: &'a mut BTreeSet<u64>,
     subscribe: &'a mut bool,
-    held: &'a mut Vec<(NodeId, NodeId, Payload, u32)>,
 }
 
 impl SimCtx<'_> {
@@ -645,35 +580,15 @@ impl SimCtx<'_> {
         let background = payload.is_background();
         let depth = if background { 0 } else { depth_base + 1 };
         let depart = self.now + extra;
-        // Fault-plane link faults. With an empty fault table this lookup
-        // is the only cost: a run that schedules no link fault draws no
-        // randomness and consumes no sequence number here.
-        if let Some(fault) = self.links.fault_on(self.me, to) {
-            self.stats.record_sent(payload.label(), background);
-            if fault.drop {
-                // The sim's reliable channel absorbs rather than loses:
-                // held until the link heals, then re-injected.
-                self.stats.record_dropped_on_link();
-                self.held.push((self.me, to, payload, depth));
-                return;
-            }
-            let mut delay =
-                sample_delivery_delay(self.net, self.links, self.rng, self.me, to, depart);
-            if let Some(extra_delay) = fault.delay {
-                delay += extra_delay;
-            }
-            if fault.duplicate {
-                let dup = payload.clone();
-                self.push(
-                    depart + delay,
-                    Action::Deliver { from: self.me, to, payload: dup, depth },
-                );
-            }
-            self.push(depart + delay, Action::Deliver { from: self.me, to, payload, depth });
-            return;
-        }
-        let delay = sample_delivery_delay(self.net, self.links, self.rng, self.me, to, depart);
         self.stats.record_sent(payload.label(), background);
+        // With no link cut this lookup is the fault plane's only cost: a
+        // run that cuts none draws no randomness and consumes no sequence
+        // number here.
+        let Some(payload) = self.links.send(self.me, to, payload, depth) else {
+            self.stats.record_dropped_on_link();
+            return;
+        };
+        let delay = sample_delivery_delay(self.net, self.rng);
         self.push(depart + delay, Action::Deliver { from: self.me, to, payload, depth });
     }
 }

@@ -3,10 +3,11 @@
 //! Hosts every process of a three-tier run on a virtual clock. The kernel
 //! implements the system model of the paper's §2 exactly:
 //!
-//! * **asynchronous message passing** with configurable latency, loss and
-//!   partitions ([`net`]), exposed to protocols as the *reliable channel*
-//!   abstraction of §4 (termination + integrity; loss becomes delay via
-//!   modelled retransmission, duplicates never surface);
+//! * **asynchronous message passing** with configurable latency and loss
+//!   ([`net`]), exposed to protocols as the *reliable channel* abstraction
+//!   of §4 (termination + integrity; loss becomes delay via modelled
+//!   retransmission, a cut link holds its traffic until it heals,
+//!   duplicates never surface);
 //! * **crash failures**: crashing a process drops its volatile state; its
 //!   [`storage::StableStorage`] survives, and recovery rebuilds the process
 //!   from its factory (crash-recovery for database servers, crash-stop for

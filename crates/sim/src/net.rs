@@ -1,23 +1,23 @@
-//! The network model: latency, loss (absorbed by the reliable-channel
-//! layer), and partitions.
+//! The network model: latency and loss (absorbed by the reliable-channel
+//! layer).
 //!
 //! The paper assumes *reliable channels* (§4: termination + integrity) and
 //! notes (§5) that in practice they are "implemented by retransmitting
 //! messages and tracking duplicates", and that link failures are tolerated
 //! "as long as any link failure is eventually repaired". The kernel models
 //! exactly that: each logical send is delivered exactly once; message loss
-//! and blocked links translate into extra delay (retransmission gaps), not
-//! into silent drops. A message to a *crashed* process is dropped — the
+//! translates into extra delay (retransmission gaps), not into a silent
+//! drop, and a cut link holds what is sent on it until it heals — that half
+//! is [`etx_base::fault::Links`], the same on every host; what a healed
+//! link re-injects is sampled here like any fresh send. A message to a
+//! *crashed* process is dropped — the
 //! reliable-channel obligation is void when the receiver crashes, and every
 //! protocol layer that must survive crash/recovery retransmits on its own
 //! (client re-broadcast, terminate() repeat-loop, consensus resync), just
 //! like the paper's algorithms.
 
 use crate::rng::Rng;
-use etx_base::fault::LinkFault;
-use etx_base::ids::NodeId;
-use etx_base::time::{Dur, Time};
-use std::collections::HashMap;
+use etx_base::time::Dur;
 
 /// Static network parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,94 +71,17 @@ impl NetConfig {
     }
 }
 
-/// Dynamic link state: directional blocks with explicit heal times, plus
-/// the fault plane's per-link [`LinkFault`] table (drop/delay/duplicate,
-/// installed via `Host::schedule_fault` and held until healed).
-#[derive(Debug, Default)]
-pub struct LinkState {
-    blocked_until: HashMap<(NodeId, NodeId), Time>,
-    faults: HashMap<(NodeId, NodeId), LinkFault>,
-}
-
-impl LinkState {
-    /// Blocks the directed link `from → to` until `heal_at`.
-    pub fn block(&mut self, from: NodeId, to: NodeId, heal_at: Time) {
-        let slot = self.blocked_until.entry((from, to)).or_insert(heal_at);
-        if *slot < heal_at {
-            *slot = heal_at;
-        }
-    }
-
-    /// Blocks both directions between every pair across the two groups.
-    pub fn partition(&mut self, side_a: &[NodeId], side_b: &[NodeId], heal_at: Time) {
-        for &a in side_a {
-            for &b in side_b {
-                self.block(a, b, heal_at);
-                self.block(b, a, heal_at);
-            }
-        }
-    }
-
-    /// If the link is blocked at `now`, returns when it heals.
-    pub fn blocked_until(&self, from: NodeId, to: NodeId, now: Time) -> Option<Time> {
-        match self.blocked_until.get(&(from, to)) {
-            Some(&t) if t > now => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Drops expired entries (housekeeping; correctness never depends on it).
-    pub fn compact(&mut self, now: Time) {
-        self.blocked_until.retain(|_, &mut t| t > now);
-    }
-
-    /// Installs (or replaces) the fault on the directed link `from → to`.
-    /// A no-op fault clears the entry.
-    pub fn set_fault(&mut self, from: NodeId, to: NodeId, fault: LinkFault) {
-        if fault.is_noop() {
-            self.faults.remove(&(from, to));
-        } else {
-            self.faults.insert((from, to), fault);
-        }
-    }
-
-    /// Removes any fault on the directed link `from → to`.
-    pub fn clear_fault(&mut self, from: NodeId, to: NodeId) {
-        self.faults.remove(&(from, to));
-    }
-
-    /// The fault currently installed on `from → to`, if any. An empty
-    /// table costs one hash lookup per send and nothing else — the fault
-    /// plane is observationally invisible to runs that never use it.
-    pub fn fault_on(&self, from: NodeId, to: NodeId) -> Option<LinkFault> {
-        self.faults.get(&(from, to)).copied()
-    }
-}
-
 /// Samples the end-to-end delay of one logical (reliable) transmission:
-/// base latency plus retransmission penalties for lost attempts and blocked
-/// links.
-pub fn sample_delivery_delay(
-    cfg: &NetConfig,
-    links: &LinkState,
-    rng: &mut Rng,
-    from: NodeId,
-    to: NodeId,
-    now: Time,
-) -> Dur {
-    let mut at = now;
-    // A blocked link delays the first successful attempt until it heals.
-    if let Some(heal) = links.blocked_until(from, to, now) {
-        at = heal;
-    }
+/// base latency plus a retransmission gap per lost attempt.
+pub fn sample_delivery_delay(cfg: &NetConfig, rng: &mut Rng) -> Dur {
+    let mut delay = Dur::ZERO;
     // Geometric number of lost attempts, each costing a retransmission gap.
     let mut attempts: u32 = 0;
     while rng.chance(cfg.loss_rate) && attempts < 1_000 {
         attempts += 1;
-        at += cfg.retransmit_gap;
+        delay += cfg.retransmit_gap;
     }
-    let latency = rng.range_dur(cfg.min_delay, cfg.max_delay);
-    (at + latency).since(now)
+    delay + rng.range_dur(cfg.min_delay, cfg.max_delay)
 }
 
 #[cfg(test)]
@@ -168,10 +91,9 @@ mod tests {
     #[test]
     fn lossless_delay_within_bounds() {
         let cfg = NetConfig::default();
-        let links = LinkState::default();
         let mut rng = Rng::new(1);
         for _ in 0..1000 {
-            let d = sample_delivery_delay(&cfg, &links, &mut rng, NodeId(0), NodeId(1), Time::ZERO);
+            let d = sample_delivery_delay(&cfg, &mut rng);
             assert!(d >= cfg.min_delay && d <= cfg.max_delay, "{d:?}");
         }
     }
@@ -179,63 +101,12 @@ mod tests {
     #[test]
     fn loss_adds_retransmission_gaps() {
         let cfg = NetConfig::lossy(0.5);
-        let links = LinkState::default();
         let mut rng = Rng::new(2);
         let n = 10_000;
-        let total: u64 = (0..n)
-            .map(|_| {
-                sample_delivery_delay(&cfg, &links, &mut rng, NodeId(0), NodeId(1), Time::ZERO).0
-            })
-            .sum();
+        let total: u64 = (0..n).map(|_| sample_delivery_delay(&cfg, &mut rng).0).sum();
         let mean = Dur(total / n);
         // Expected ≈ 1 extra gap on average at 50% loss (geometric mean 1).
         assert!(mean > cfg.retransmit_gap, "mean {mean}");
         assert!(mean < Dur::from_millis(40), "mean {mean}");
-    }
-
-    #[test]
-    fn blocked_link_delays_until_heal() {
-        let cfg = NetConfig::default();
-        let mut links = LinkState::default();
-        links.block(NodeId(0), NodeId(1), Time(1_000_000));
-        let mut rng = Rng::new(3);
-        let d = sample_delivery_delay(&cfg, &links, &mut rng, NodeId(0), NodeId(1), Time(0));
-        assert!(d >= Dur(1_000_000), "{d:?}");
-        // Reverse direction unaffected.
-        let d2 = sample_delivery_delay(&cfg, &links, &mut rng, NodeId(1), NodeId(0), Time(0));
-        assert!(d2 <= cfg.max_delay);
-    }
-
-    #[test]
-    fn partition_blocks_both_directions_and_heals() {
-        let cfg = NetConfig::deterministic();
-        let mut links = LinkState::default();
-        links.partition(&[NodeId(0)], &[NodeId(1), NodeId(2)], Time(500_000));
-        assert!(links.blocked_until(NodeId(0), NodeId(2), Time(0)).is_some());
-        assert!(links.blocked_until(NodeId(2), NodeId(0), Time(0)).is_some());
-        assert!(links.blocked_until(NodeId(1), NodeId(2), Time(0)).is_none());
-        // After healing.
-        assert!(links.blocked_until(NodeId(0), NodeId(2), Time(500_000)).is_none());
-        let mut rng = Rng::new(4);
-        let d = sample_delivery_delay(&cfg, &links, &mut rng, NodeId(0), NodeId(1), Time(600_000));
-        assert_eq!(d, Dur::from_micros(2_000));
-    }
-
-    #[test]
-    fn compact_removes_expired() {
-        let mut links = LinkState::default();
-        links.block(NodeId(0), NodeId(1), Time(10));
-        links.block(NodeId(0), NodeId(2), Time(1_000));
-        links.compact(Time(500));
-        assert!(links.blocked_until(NodeId(0), NodeId(2), Time(0)).is_some());
-        assert!(links.blocked_until(NodeId(0), NodeId(1), Time(0)).is_none());
-    }
-
-    #[test]
-    fn block_keeps_latest_heal_time() {
-        let mut links = LinkState::default();
-        links.block(NodeId(0), NodeId(1), Time(1_000));
-        links.block(NodeId(0), NodeId(1), Time(500)); // earlier heal must not shorten
-        assert_eq!(links.blocked_until(NodeId(0), NodeId(1), Time(0)), Some(Time(1_000)));
     }
 }

@@ -5,7 +5,7 @@
 //! and that is what is checked here; that a schedule *replays* per seed is
 //! `tests/determinism.rs`'s job.
 
-use etx::base::fault::{FaultOp, LinkFault, NemesisSchedule, NemesisWhen};
+use etx::base::fault::{FaultOp, NemesisSchedule, NemesisWhen};
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
@@ -111,7 +111,7 @@ fn sim_dropping_link_holds_traffic_until_healed() {
     let mut s = sharded(33);
     let from = s.shard_replicas(0)[0];
     let to = s.shard_replicas(0)[1];
-    s.fault(FaultOp::SetLink { from, to, fault: LinkFault::drop_all() }).unwrap();
+    s.fault(FaultOp::CutLink { from, to }).unwrap();
     s.schedule_fault(NemesisWhen::After(Dur::from_millis(40)), FaultOp::HealLink { from, to })
         .unwrap();
     settle(&mut s);

@@ -132,6 +132,65 @@ fn concurrent_conserved_pairs_commit_the_same_set_on_both_backends() {
     }
 }
 
+// ---- the fault plane: one meaning per operation -----------------------------
+
+/// A bounded cut is hold-and-reinject on both backends. One schedule —
+/// `BlockLink` on shard 0's replication link from time zero, `Partition`
+/// of one application server from its peers shortly after — runs on the
+/// simulator and on real threads. On both, traffic is *held* at the cut
+/// links (the counter says so: a backend that merely pre-delayed it would
+/// read 0) and re-injected at heal, so the run settles, §3 holds with both
+/// liveness checks, and every follower rebuilds to its primary's state.
+#[test]
+fn a_bounded_cut_means_the_same_on_both_backends() {
+    use etx::base::fault::{FaultOp, NemesisSchedule};
+    for kind in [RuntimeKind::Sim, RuntimeKind::Threaded] {
+        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 33)
+            .runtime(kind)
+            .shards(2)
+            .replication(2)
+            .clients(2)
+            .requests(4)
+            .workload(Workload::HotShard { accounts: 8, hot_pct: 70, amount: 10 })
+            .build();
+        let (primary, follower) = (s.shard_replicas(0)[0], s.shard_replicas(0)[1]);
+        let apps = s.topo.app_servers.clone();
+        let heal_after = Dur::from_millis(40);
+        let schedule = NemesisSchedule::new()
+            .now(FaultOp::BlockLink { from: primary, to: follower, heal_after })
+            .at(
+                Dur::from_millis(1),
+                FaultOp::Partition { a: vec![apps[2]], b: apps[..2].to_vec(), heal_after },
+            );
+        s.apply_schedule(&schedule).unwrap();
+
+        let n = s.requests as usize;
+        let out = s.run_until_settled(n);
+        assert_eq!(out, etx::sim::RunOutcome::Predicate, "{}: must settle", kind.label());
+        s.quiesce(Dur::from_millis(400));
+        s.stop();
+
+        assert!(
+            s.stats().dropped_on_link() > 0,
+            "{}: a cut link holds what is sent on it, and counts it",
+            kind.label()
+        );
+        check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true })
+            .assert_ok();
+        for shard in 0..2 {
+            let expect = s.rebuilt_committed(s.shard_primary(shard));
+            for replica in s.shard_replicas(shard).to_vec() {
+                assert_eq!(
+                    s.rebuilt_committed(replica),
+                    expect,
+                    "{}: replica {replica} of shard {shard} did not catch up after the heal",
+                    kind.label()
+                );
+            }
+        }
+    }
+}
+
 // ---- threaded smoke of the read fast lane -----------------------------------
 
 /// The consensus-free read lane on real threads: a read-heavy conserved-
@@ -152,7 +211,6 @@ fn threaded_read_path_preserves_snapshot_invariants() {
         .workload(workload.clone())
         .build();
     assert_eq!(s.runtime_kind(), RuntimeKind::Threaded);
-    assert!(s.supports_fault_injection(), "the fault plane spans both backends");
 
     let n = s.requests as usize;
     assert_eq!(s.run_until_settled(n), etx::sim::RunOutcome::Predicate);
@@ -200,8 +258,8 @@ fn threaded_scenarios_reject_simulator_internals() {
 }
 
 /// The fault plane is backend-neutral: a threaded scenario accepts a
-/// nemesis schedule and reports the capability, and a stopped host
-/// refuses with a typed [`CapabilityError`] instead of a panic.
+/// nemesis schedule, and a stopped host refuses with a typed
+/// [`CapabilityError`] instead of a panic.
 #[test]
 fn threaded_scenarios_accept_fault_schedules() {
     use etx::base::fault::{FaultOp, NemesisSchedule};
@@ -209,7 +267,6 @@ fn threaded_scenarios_accept_fault_schedules() {
         .runtime(RuntimeKind::Threaded)
         .requests(1)
         .build();
-    assert!(s.supports_fault_injection());
     let app = s.topo.app_servers[2];
     let schedule = NemesisSchedule::new()
         .at(Dur::from_millis(1), FaultOp::PauseFor { node: app, down_for: Dur::from_millis(2) });
