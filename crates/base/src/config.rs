@@ -69,10 +69,12 @@ impl BatchingConfig {
 /// Two such back-to-back collects pin one instant at which every returned
 /// value held simultaneously and no spanning transaction was mid-commit —
 /// a transactionally atomic snapshot. Disagreeing collects retry (writes
-/// landed mid-read); after [`ReadPathConfig::max_snapshot_rounds`]
-/// collects the read falls back to the locking slow path, which is always
-/// live. Single-shard reads are atomic by construction and skip all of
-/// this — one round, follower-servable.
+/// landed mid-read); after a fixed budget of collects (four) the attempt
+/// ends with abort, and the client's next attempt — the lane serves first
+/// attempts only — takes the locking commit path, which is always live.
+/// An attempt is served by the lane or by the commit path, never by both.
+/// Single-shard reads are atomic by construction and skip all of this —
+/// one round, follower-servable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReadPathConfig {
     /// Route read-only scripts around the commit pipeline.
@@ -98,11 +100,6 @@ pub struct ReadPathConfig {
     /// snapshot validation above needs the authoritative position, which
     /// a lagging follower cannot supply.
     pub follower_reads: bool,
-    /// Maximum snapshot-validation collects a multi-shard read may issue
-    /// before falling back to the locking slow path (values < 2 behave as
-    /// 2 — one collect plus one validation is the minimum that can ever
-    /// accept). Only contended keyspaces ever retry; the presets use 4.
-    pub max_snapshot_rounds: u32,
 }
 
 impl ReadPathConfig {
@@ -113,19 +110,13 @@ impl ReadPathConfig {
 
     /// Fast lane on, reads served by shard primaries only.
     pub fn primary_only() -> Self {
-        ReadPathConfig { enabled: true, follower_reads: false, max_snapshot_rounds: 4 }
+        ReadPathConfig { enabled: true, follower_reads: false }
     }
 
     /// Fast lane on, single-shard reads spread over shard followers
     /// (freshness-gated); multi-shard reads stay primary-validated.
     pub fn follower_reads() -> Self {
-        ReadPathConfig { enabled: true, follower_reads: true, max_snapshot_rounds: 4 }
-    }
-
-    /// The effective collect budget (the configured value, floored at the
-    /// minimum that can accept a snapshot).
-    pub fn snapshot_rounds(&self) -> u32 {
-        self.max_snapshot_rounds.max(2)
+        ReadPathConfig { enabled: true, follower_reads: true }
     }
 }
 
@@ -611,12 +602,6 @@ mod tests {
         assert!(!ReadPathConfig::primary_only().follower_reads);
         assert!(ReadPathConfig::follower_reads().enabled);
         assert!(ReadPathConfig::follower_reads().follower_reads);
-        assert_eq!(ReadPathConfig::follower_reads().snapshot_rounds(), 4);
-        assert_eq!(
-            ReadPathConfig::default().snapshot_rounds(),
-            2,
-            "collect budget floors at collect + validation"
-        );
         let c = CostModel::default();
         assert!(c.sql_read < c.sql, "a pure Get batch is cheaper than the full manipulation");
         let f = CostModel::fast_for_tests();

@@ -226,8 +226,8 @@ pub enum DbMsg {
         call: u32,
         /// Which snapshot-validation collect of the attempt this send
         /// belongs to (0 for the first; multi-shard reads re-collect until
-        /// two consecutive rounds agree — see
-        /// [`crate::config::ReadPathConfig::max_snapshot_rounds`]).
+        /// two consecutive rounds agree or the attempt's fixed collect
+        /// budget is spent — see [`crate::config::ReadPathConfig`]).
         /// Echoed in the reply so the issuer can drop answers from
         /// superseded rounds.
         round: u32,

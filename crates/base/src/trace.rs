@@ -172,10 +172,11 @@ pub enum TraceKind {
         round: u32,
     },
     /// A multi-shard fast-path read exhausted its snapshot-validation
-    /// budget ([`crate::config::ReadPathConfig::max_snapshot_rounds`]) and
-    /// fell back to the locking slow path (always live under contention).
+    /// budget and its attempt ended: the server answers abort, and the
+    /// client's next attempt takes the locking commit path (always live
+    /// under contention). The attempt itself never enters that path.
     ReadFallback {
-        /// The attempt re-routed through the commit machinery.
+        /// The attempt that ended (its successor is the one that locks).
         rid: ResultId,
         /// Collects spent before giving up.
         rounds: u32,

@@ -51,23 +51,16 @@
 //!
 //! ## The read fast lane
 //!
-//! The write-once `regD` contract exists to make retries of *effectful*
-//! transactions safe; a read-only script (all `Get`s) is idempotent and
-//! needs none of it. With [`etx_base::config::ReadPathConfig::enabled`],
-//! such scripts are classified after shard routing and sent around the
-//! whole pipeline as direct snapshot reads against the shard replicas —
-//! no ownership race, no votes, no decision-log slot, no termination
-//! push. Follower reads are gated on a per-shard freshness stamp: the
-//! highest commit-ship position this server has observed (decide
-//! acknowledgements), max-folded with the client's causality token
-//! (stamps carried on every request), so a lagging follower forwards
-//! rather than serve stale state and read-your-writes survives client
-//! failover. Multi-shard reads additionally run the snapshot-validation
-//! loop documented on `ReadState`, which is what makes a cross-shard
-//! fan-out read transactionally atomic rather than a fractured per-shard
-//! sample; validation that cannot converge falls back to the locking slow
-//! path.
+//! With [`etx_base::config::ReadPathConfig::enabled`], the first attempt
+//! of a read-only script never enters the machinery above: it is served by
+//! `crate::readlane` as direct snapshot reads against the shard replicas.
+//! An attempt takes the lane or the commit path, never both — `on_request`
+//! decides once, from the request itself — and a lane read that cannot
+//! validate a snapshot answers abort like any other failed attempt, so the
+//! client's next attempt claims, computes, votes and decides here. What
+//! this file keeps of a lane read is its end (`on_read_end`).
 
+use crate::readlane::{ReadEnd, ReadLane};
 use crate::xa::{Entered, Step, Xa};
 use etx_base::attempts::AttemptWindows;
 use etx_base::config::{CostModel, ProtocolConfig};
@@ -77,7 +70,7 @@ use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::shard::ShardMap;
 use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, TraceKind};
-use etx_base::value::{DbCall, Decision, OpOutput, Outcome, RegValue, Request};
+use etx_base::value::{Decision, Outcome, RegValue, Request};
 use etx_consensus::{AppliedSlot, DecisionLog, EngineConfig, WoEvent, WoRegisters};
 use etx_fd::FailureDetector;
 use std::collections::{BTreeMap, BTreeSet};
@@ -132,74 +125,6 @@ fn cached(request: RequestId) -> ResultId {
     ResultId { request, attempt: 0 }
 }
 
-/// One in-flight fast-path read: the routed calls of a read-only script
-/// and the per-call outputs collected so far. No consensus state, no
-/// termination targets — nothing here needs surviving this server, because
-/// reads are idempotent and the client's retry machinery re-runs them
-/// anywhere.
-///
-/// Multi-shard reads additionally run **snapshot validation** over the
-/// collected rounds: a collect is accepted only when every shard's commit
-/// position matches the previous collect and no read key had an in-doubt
-/// write. Because a collect only starts after every reply of its
-/// predecessor arrived, two agreeing collects bracket an instant at which
-/// all returned values held simultaneously — and the in-doubt check rules
-/// out a cross-shard transaction that had committed at some shards but was
-/// still prepared at another. That is exactly the fractured read the
-/// locking slow path forbids, forbidden here without locks.
-#[derive(Debug)]
-struct ReadState {
-    /// The routed request (kept so an exhausted validation budget can
-    /// re-route the attempt down the locking slow path).
-    request: Request,
-    /// Routed per-shard calls, in script order.
-    calls: Vec<DbCall>,
-    /// Outputs per call; `None` until the call's `ReadReply` arrives.
-    outputs: Vec<Option<Vec<OpOutput>>>,
-    /// Serving replica's commit position per call (valid where `outputs`
-    /// is `Some`).
-    positions: Vec<u64>,
-    /// The freshness stamp each call was sent with (the position this
-    /// server had observed for the shard at send time). If a reply's
-    /// position still equals it, the shard committed nothing between the
-    /// stamp's observation and the read — which lets the **first** collect
-    /// accept without a validation round (see `on_read_reply`).
-    sent_stamps: Vec<u64>,
-    /// Per-call read-your-writes floor: the highest position the issuing
-    /// *client's* causality token carried for the call's shard. In lease
-    /// mode this — not the server-wide stamp — is the `min_seq` a
-    /// follower-routed call is gated on: an in-lease follower's prefix is
-    /// authoritative, so the only staleness that matters is relative to
-    /// what this client has itself observed.
-    floors: Vec<u64>,
-    /// Whether any reply of the current collect flagged an in-doubt write
-    /// on a read key.
-    indoubt: bool,
-    /// The previous completed collect's positions (`None` until one
-    /// collect completes).
-    prev_positions: Option<Vec<u64>>,
-    /// Current collect round (0-based; echoed on the wire so replies from
-    /// superseded rounds are dropped).
-    round: u32,
-    /// How many times the loss backstop has fired for this attempt (drives
-    /// its exponential back-off).
-    backoff: u32,
-}
-
-/// Deterministic follower choice for a fast-path read: all replicas
-/// derive the same pick for the same attempt/call, and distinct attempts
-/// spread over the shard's followers.
-fn read_pick(rid: ResultId, call: usize, n: usize) -> usize {
-    let mut z = (u64::from(rid.request.client.0) << 40)
-        ^ rid.request.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (u64::from(rid.attempt) << 17)
-        ^ ((call as u64) << 3);
-    z ^= z >> 33;
-    z = z.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    z ^= z >> 33;
-    (z % n as u64) as usize
-}
-
 /// The middle-tier process: computation thread + cleaning thread + the
 /// wo-register machinery, as one event-driven state machine.
 ///
@@ -236,39 +161,14 @@ pub struct AppServer {
     window_peak: u32,
     /// Protocol state: one record per attempt of the clients' open windows.
     attempts: AttemptWindows<Attempt>,
-    /// In-flight fast-path reads (read-only scripts routed around the
-    /// commit pipeline).
-    reads: AttemptWindows<ReadState>,
-    /// Highest commit-ship position observed per shard primary — the
-    /// freshness stamp follower reads are gated on. Fed from two sides:
-    /// decide acknowledgements this server received, and the causality
-    /// token each client request carries (stamps from results delivered to
-    /// that client, possibly by *other* servers) — the latter is what
-    /// keeps read-your-writes intact across client failover. Ordered so
-    /// stamp vectors serialize deterministically.
-    shard_seq: BTreeMap<NodeId, u64>,
-    /// Latest read-lease expiry advertised per shard primary (ridden on
-    /// decide acknowledgements and primary-served read replies). While the
-    /// advertisement is in force, the shard's followers hold a grant at
-    /// most `renew_margin` older — so the read lane may route any call at
-    /// them, including multi-shard snapshot-validation collects, without
-    /// the forward hop. Only populated when leases are enabled.
-    shard_lease: BTreeMap<NodeId, Time>,
-    /// Latest applied position observed *per serving replica* (fed by
-    /// read replies, keyed by the actual answering node — unlike
-    /// [`AppServer::shard_seq`], which is keyed by shard primary and fed
-    /// by commit acknowledgements too). A follower-routed call of a
-    /// leased collect validates `fresh` against this: positions are
-    /// monotone, so a reply matching the last position this replica ever
-    /// reported proves the replica stood still from that observation to
-    /// the sample — an interval containing the send instant, exactly the
-    /// common-instant bracket the primary-stamp argument uses. (Without
-    /// it, a follower lagging the primary-fed stamp by even one apply
-    /// forces every leased collect into a second validation round.)
-    replica_seq: BTreeMap<NodeId, u64>,
+    /// The read fast lane, and the freshness table the commit path feeds
+    /// (decide acknowledgements, client tokens) and stamps its results from.
+    lane: ReadLane,
     /// Committed decisions we *finished terminating*, for answering client
     /// retransmissions (Figure 5 lines 3–4); one per request, under
-    /// [`cached`].
+    /// [`cached`]. Commit-path decisions only: a lane result is kept under
+    /// its own attempt (`Phase::Done`), so a client that a lane abort has
+    /// moved to the next attempt is not answered with this one's result.
     committed_cache: AttemptWindows<(ResultId, Decision)>,
 }
 
@@ -316,6 +216,7 @@ impl AppServer {
         let regs = WoRegisters::new(me, &topo.app_servers, engine_cfg);
         let log = DecisionLog::new(cfg.features.batching.max_batch, cfg.features.pipeline.window());
         AppServer {
+            lane: ReadLane::new(me, &cfg, shards.clone()),
             me,
             topo,
             cfg,
@@ -329,10 +230,6 @@ impl AppServer {
             spec_shipped: BTreeSet::new(),
             window_peak: 0,
             attempts: AttemptWindows::new(),
-            reads: AttemptWindows::new(),
-            shard_seq: BTreeMap::new(),
-            shard_lease: BTreeMap::new(),
-            replica_seq: BTreeMap::new(),
             committed_cache: AttemptWindows::new(),
         }
     }
@@ -383,7 +280,13 @@ impl AppServer {
     /// for a settled request, so that outcome can never be sequenced and
     /// nobody would ever terminate the attempt: its branches would stay
     /// prepared, and their locks held, forever. (How a request settles
-    /// under a running attempt: another server's read lane answered it.)
+    /// under an outcome this server still owes: the server lags the log.
+    /// Another initiator's slot — the owner's while this server cleans, a
+    /// cleaner's while it owns — decided the attempt, the client got its
+    /// answer and moved on, and its watermark, straight off its next
+    /// request, gets here before that slot does. The suite reaches this
+    /// with a scripted client that forces the overtaking:
+    /// `tests::a_watermark_that_overtakes_a_queued_outcome_aborts_the_attempt`.)
     /// The abort is safe wherever the attempt did terminate elsewhere: a
     /// request settles only after its result reached the client, which is
     /// after every database decided, and a decided database answers a late
@@ -420,8 +323,7 @@ impl AppServer {
                 shed.push(slot);
             }
         }
-        // Settled fast-path reads drop with the same watermark.
-        self.reads.below(client, ack_below, |_, _| false);
+        self.lane.gc_below(client, ack_below);
         // Outcomes this server still owed a decision never reach
         // apply_slots now: terminate them here.
         for rid in undecided {
@@ -474,9 +376,8 @@ impl AppServer {
         // token itself is kept around: in lease mode it is the per-call
         // read-your-writes floor a fast-path read sends to followers.
         for &(db, seq) in &stamps {
-            self.observe_shard_seq(db, seq);
+            self.lane.observe(db, seq);
         }
-        let token = stamps;
         // Garbage collection (§5 leaves it open; this is the natural hook):
         // the client's watermark tells us which of its requests are settled
         // forever — their attempts can never be retransmitted again and
@@ -489,7 +390,7 @@ impl AppServer {
         // Figure 5 line 3: if this request already committed, answer from
         // the cached decision.
         if let Some((crid, decision)) = self.committed_cache.get(cached(request.id)).cloned() {
-            let stamps = self.all_stamps();
+            let stamps = self.lane.all_stamps();
             ctx.send(
                 rid.request.client,
                 Payload::App(AppMsg::Result { rid: crid, decision, stamps }),
@@ -499,7 +400,7 @@ impl AppServer {
         match self.phase(rid) {
             Some(Phase::Done { decision }) => {
                 let decision = decision.clone();
-                let stamps = self.all_stamps();
+                let stamps = self.lane.all_stamps();
                 ctx.send(
                     rid.request.client,
                     Payload::App(AppMsg::Result { rid, decision, stamps }),
@@ -527,440 +428,68 @@ impl AppServer {
                     self.submit_outcome(ctx, rid, decision, request.script.databases());
                     return;
                 }
-                // Read fast lane: an all-Get script is idempotent, so it
-                // needs none of the commit machinery the write-once regD
-                // contract exists for. Route it around the pipeline as
-                // direct snapshot reads (duplicates of an in-flight read
-                // are absorbed like any other in-progress attempt).
-                if self.cfg.features.read_path.enabled && request.script.is_read_only() {
-                    if self.reads.get(rid).is_none() {
-                        self.start_read(ctx, rid, request, &token);
-                    }
+                // One attempt, one path, chosen here from the request
+                // itself: an all-Get script is idempotent and needs none of
+                // the commit machinery the write-once regD contract exists
+                // for, so its first attempt goes around the pipeline as
+                // direct snapshot reads. A later attempt follows an abort —
+                // the lane's own, when the keys would not stand still — and
+                // takes the locking path. (Duplicates of an in-flight read
+                // are absorbed like any other in-progress attempt.)
+                let fast = self.cfg.features.read_path.enabled
+                    && request.script.is_read_only()
+                    && rid.attempt == 1;
+                if fast && self.lane.contains(rid) {
                     return;
                 }
-                self.set_phase(rid, Phase::Claiming { request, since: None });
+                let stage = if fast {
+                    self.lane.start(ctx, rid, request.script.calls, &stamps);
+                    1
+                } else {
+                    self.set_phase(rid, Phase::Claiming { request, since: None });
+                    0
+                };
                 let dur = jittered(ctx, self.cost.start, self.cost.jitter);
                 ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
-                ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
+                ctx.set_timer(dur, TimerTag::Dispatch { rid, stage });
             }
         }
     }
 
-    // ---- the read fast lane ------------------------------------------------
+    /// A lane read ended: an accepted snapshot is a commit decision that
+    /// goes straight to the client — no voting, no decision log, no
+    /// termination push — and an exhausted one is an abort, so the client's
+    /// next attempt takes the commit path. Either way the attempt is done
+    /// here, like any other.
+    fn on_read_end(&mut self, ctx: &mut dyn Context, rid: ResultId, end: ReadEnd) {
+        let (decision, stamps) = match end {
+            ReadEnd::Snapshot { result, stamps } => {
+                ctx.trace(TraceKind::Computed { rid });
+                (Decision::commit(result), stamps)
+            }
+            ReadEnd::Exhausted { rounds } => {
+                ctx.trace(TraceKind::ReadFallback { rid, rounds });
+                (Decision::nil_abort(), Vec::new())
+            }
+        };
+        self.preclaim_successor(rid, decision.outcome);
+        self.reply_done(ctx, rid, decision, stamps);
+    }
 
-    /// Starts a fast-path read: records the routed calls, charges the
-    /// dispatch cost and defers the fan-out behind it (stage-1 dispatch).
-    fn start_read(
+    /// The attempt is over here: keep its decision for duplicates and
+    /// reply to the client, charging the "end" dispatch cost.
+    fn reply_done(
         &mut self,
         ctx: &mut dyn Context,
         rid: ResultId,
-        request: Request,
-        token: &[(NodeId, u64)],
+        decision: Decision,
+        stamps: Vec<(NodeId, u64)>,
     ) {
-        let calls = request.script.calls.clone();
-        ctx.trace(TraceKind::ReadFastPath { rid, shards: calls.len() as u32 });
-        let dur = jittered(ctx, self.cost.start, self.cost.jitter);
-        ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
-        let n = calls.len();
-        let floors = calls
-            .iter()
-            .map(|c| {
-                token.iter().filter(|(db, _)| *db == c.db).map(|&(_, seq)| seq).max().unwrap_or(0)
-            })
-            .collect();
-        self.reads.insert(
-            rid,
-            ReadState {
-                request,
-                calls,
-                outputs: vec![None; n],
-                positions: vec![0; n],
-                sent_stamps: vec![0; n],
-                floors,
-                indoubt: false,
-                prev_positions: None,
-                round: 0,
-                backoff: 0,
-            },
-        );
-        ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 1 });
-    }
-
-    /// Fans a fast-path read out: one `Read` message per routed call, then
-    /// arms the retry backstop (covers read targets that crash with the
-    /// request in flight). Multi-shard reads go straight to the shard
-    /// primaries — snapshot validation needs the authoritative positions.
-    fn dispatch_reads(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let calls = match self.reads.get(rid) {
-            Some(state) => state.calls.clone(),
-            None => return,
-        };
-        let multi = calls.len() > 1;
-        let mut stamps = Vec::with_capacity(calls.len());
-        for (idx, call) in calls.iter().enumerate() {
-            let to_primary = self.read_to_primary(ctx.now(), multi, call.db);
-            stamps.push(self.send_read_call(ctx, rid, idx, call, 0, to_primary, 0));
-        }
-        if let Some(state) = self.reads.get_mut(rid) {
-            state.sent_stamps = stamps;
-        }
-        ctx.set_timer(self.cfg.terminate_retry, TimerTag::ReadRetry { rid });
-    }
-
-    /// Whether the shard's advertised lease is in force right now.
-    fn lease_active(&self, now: Time, db: NodeId) -> bool {
-        self.shard_lease.get(&db).is_some_and(|&through| through > now)
-    }
-
-    /// Folds a lease advertisement (ridden on a decide acknowledgement or
-    /// a primary-served read reply) into the per-shard lease table.
-    fn observe_shard_lease(&mut self, db: NodeId, lease: Option<Time>) {
-        if let Some(through) = lease {
-            let slot = self.shard_lease.entry(db).or_insert(Time::ZERO);
-            if *slot < through {
-                *slot = through;
-            }
-        }
-    }
-
-    /// First-dispatch routing rule for one call of a fast-path read.
-    /// Single-shard reads spread over the replica group (when follower
-    /// reads are on). Multi-shard collects historically went straight to
-    /// the shard primaries — snapshot validation needed the authoritative
-    /// positions — but an in-force lease makes the followers' positions
-    /// authoritative too, so the collect may spread as well: that is the
-    /// forward hop the lease exists to kill.
-    fn read_to_primary(&self, now: Time, multi: bool, db: NodeId) -> bool {
-        multi && !(self.cfg.features.read_leases.enabled && self.lease_active(now, db))
-    }
-
-    /// Sends one read call, stamped with the highest commit seq this server
-    /// has observed for the target shard (client causality tokens folded
-    /// in). With follower reads enabled (and `to_primary` not forced), the
-    /// call spreads deterministically over the shard's **whole replica
-    /// group** — every replica's read lane serves a slice of the read
-    /// traffic, which is what multiplies read capacity with the
-    /// replication factor. A chosen follower serves locally if it has
-    /// caught up to the stamp and forwards to the primary otherwise.
-    /// Returns the server-wide stamp observed at send time — what the
-    /// collect's freshness validation compares reply positions against,
-    /// regardless of what `min_seq` went on the wire.
-    ///
-    /// `salt` rotates the deterministic replica pick (0 on first dispatch;
-    /// the retry backstop passes its back-off count so a re-send lands on
-    /// a *different* replica than the one that went unanswered).
-    #[allow(clippy::too_many_arguments)] // one knob per routing dimension
-    fn send_read_call(
-        &self,
-        ctx: &mut dyn Context,
-        rid: ResultId,
-        idx: usize,
-        call: &DbCall,
-        round: u32,
-        to_primary: bool,
-        salt: u32,
-    ) -> u64 {
-        let stamp = self.shard_seq.get(&call.db).copied().unwrap_or(0);
-        let leased = self.cfg.features.read_leases.enabled && self.lease_active(ctx.now(), call.db);
-        let spread = !to_primary && (self.cfg.features.read_path.follower_reads || leased);
-        let target = if !spread {
-            call.db
-        } else {
-            match self.shards.shard_of_node(call.db) {
-                Some(shard) => {
-                    let replicas = self.shards.replicas(shard);
-                    match replicas.len() {
-                        0 => call.db,
-                        n => replicas[(read_pick(rid, idx, n) + salt as usize) % n],
-                    }
-                }
-                None => call.db,
-            }
-        };
-        // In lease mode a follower-routed call is gated on the issuing
-        // client's own causality floor, not the server-wide stamp: the
-        // in-lease follower's prefix is authoritative, so the only
-        // staleness that matters is read-your-writes relative to this
-        // client. Everywhere else the server-wide stamp gates as before.
-        let min_seq = if leased && target != call.db {
-            self.reads.get(rid).map_or(stamp, |s| s.floors[idx])
-        } else {
-            stamp
-        };
-        ctx.send(
-            target,
-            Payload::Db(DbMsg::Read {
-                rid,
-                call: idx as u32,
-                round,
-                ops: call.ops.clone(),
-                min_seq,
-                reply_to: self.me,
-            }),
-        );
-        // The stamp `fresh` validates against is the last position the
-        // *target node itself* reported: for a primary that is the
-        // server-wide shard stamp; for a follower it is the replica's own
-        // observed position (primary-fed stamps would run ahead of a
-        // healthy follower by in-flight shipments and force a second
-        // collect round). Either way the argument is the same — positions
-        // are monotone, so a reply equal to a stamp observed before the
-        // send proves the serving node stood still across an interval
-        // containing the send instant.
-        if target == call.db {
-            stamp
-        } else {
-            self.replica_seq.get(&target).copied().unwrap_or(0)
-        }
-    }
-
-    /// A read call answered. Replies from superseded collect rounds are
-    /// dropped (their samples predate the current round's start and would
-    /// unsound the validation argument). Once the round is complete, a
-    /// single-shard read finishes immediately — it sampled one replica at
-    /// one instant, atomic by construction. A multi-shard read finishes
-    /// only when the collect is provably a snapshot (see `accept` below);
-    /// otherwise it re-collects, and after
-    /// [`etx_base::config::ReadPathConfig::max_snapshot_rounds`] collects
-    /// it falls back to the locking slow path.
-    #[allow(clippy::too_many_arguments)] // mirrors the ReadReply frame field-for-field
-    fn on_read_reply(
-        &mut self,
-        ctx: &mut dyn Context,
-        from: NodeId,
-        rid: ResultId,
-        call: u32,
-        round: u32,
-        outputs: Vec<OpOutput>,
-        pos: u64,
-        indoubt: bool,
-        lease: Option<Time>,
-    ) {
-        // A primary-served reply advertises the shard's current lease
-        // offer (followers send `None`) — fold it in even if the read
-        // itself has already settled.
-        self.observe_shard_lease(from, lease);
-        let Some(state) = self.reads.get_mut(rid) else {
-            return; // settled (or GC'd) read; late duplicate reply
-        };
-        if round != state.round {
-            return; // a superseded collect's answer
-        }
-        let idx = call as usize;
-        if idx >= state.outputs.len() || state.outputs[idx].is_some() {
-            return;
-        }
-        state.outputs[idx] = Some(outputs);
-        state.positions[idx] = pos;
-        state.indoubt |= indoubt;
-        let db = state.calls[idx].db;
-        let done = !state.outputs.iter().any(Option::is_none);
-        // Every reply is also a freshness observation of its shard — and
-        // of the specific replica that answered.
-        self.observe_shard_seq(db, pos);
-        let slot = self.replica_seq.entry(from).or_insert(0);
-        if *slot < pos {
-            *slot = pos;
-        }
-        if !done {
-            return;
-        }
-        // The collect is complete — decide its fate. It is an atomic
-        // snapshot when every shard provably stood still across an
-        // interval containing one common instant:
-        //
-        // * `fresh` — each position equals the stamp this server had
-        //   *already observed* before sending, so the shard committed
-        //   nothing between that observation and the read; the common
-        //   instant is the send. This is the one-round happy path (reads
-        //   fold their positions back into the stamps, keeping them
-        //   exact while traffic is read-dominated).
-        // * `stable` — each position equals the previous collect's, so
-        //   nothing committed between the two non-overlapping collects.
-        //
-        // Either way, an in-doubt key vetoes: a cross-shard transaction
-        // already committed elsewhere but still prepared here is
-        // half-applied without moving this shard's position.
-        let state = self.reads.get(rid).expect("read still in flight");
-        let multi = state.calls.len() > 1;
-        let fresh = state.positions.iter().zip(&state.sent_stamps).all(|(p, s)| p == s);
-        let stable = state.prev_positions.as_deref() == Some(&state.positions[..]);
-        // Leases never weaken this rule: they only change *routing* (which
-        // replica a call lands on), while acceptance stays
-        // freshness/stability + the in-doubt veto. What makes the rule
-        // sound against a follower that cannot see another shard's
-        // prepared branches is server-side: a lease-granting primary
-        // holds its yes vote on a cross-shard branch until its followers
-        // acknowledge the branch's in-doubt intent (or every outstanding
-        // lease lapses), so any collect observing the transaction's
-        // effects anywhere postdates that release — and the stale shard's
-        // in-lease follower then forwards into the primary's in-doubt
-        // veto rather than serving the fractured half.
-        let accept = !multi || (!state.indoubt && (fresh || stable));
-        let exhausted = state.round + 1 >= self.cfg.features.read_path.snapshot_rounds();
-        if accept {
-            self.finish_read(ctx, rid);
-        } else if exhausted {
-            self.fallback_read(ctx, rid);
-        } else {
-            let state = self.reads.get_mut(rid).expect("read still in flight");
-            // Start the next collect: remember this round's positions,
-            // clear the slate, and re-sample every shard primary. The loss
-            // backstop's back-off deliberately does NOT reset here: a
-            // collect that just completed proves the lane is answering, so
-            // there is no loss evidence to cover — and under a saturated
-            // burst, re-arming the backstop at its base period once per
-            // validation round turns queued-but-coming replies into
-            // duplicate sends that feed the very queue delaying them
-            // (measured: −28% commit/s on the primary route's 99%-read
-            // leg). A genuinely lost re-send is still covered, just at the
-            // already-backed-off cadence.
-            state.prev_positions = Some(state.positions.clone());
-            state.round += 1;
-            state.indoubt = false;
-            for slot in &mut state.outputs {
-                *slot = None;
-            }
-            let round = state.round;
-            let calls = state.calls.clone();
-            ctx.trace(TraceKind::ReadSnapshotRound { rid, round });
-            // Re-collects follow first-dispatch routing: primaries by
-            // default (authoritative positions make `stable` attainable),
-            // in-lease followers when a lease is in force — a follower
-            // standing still across two collects proves `stable` just as
-            // soundly, since the vote-hold handshake pins any half-applied
-            // cross-shard transaction behind its in-doubt veto. Each
-            // re-send's freshly observed stamp replaces the stale one — a
-            // shard that moved since the original dispatch can still prove
-            // `fresh` against the position this server knows *now*.
-            let mut stamps = Vec::with_capacity(calls.len());
-            for (idx, call) in calls.iter().enumerate() {
-                let to_primary = self.read_to_primary(ctx.now(), true, call.db);
-                stamps.push(self.send_read_call(ctx, rid, idx, call, round, to_primary, 0));
-            }
-            let state = self.reads.get_mut(rid).expect("read still in flight");
-            state.sent_stamps = stamps;
-        }
-    }
-
-    /// An accepted collect: the per-shard outputs merge into one result
-    /// (the read-only analogue of `compute()` returning) and the commit
-    /// decision goes straight to the client — no voting, no decision log,
-    /// no termination push. The serving positions ride along as the
-    /// client's causality stamps.
-    fn finish_read(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(state) = self.reads.remove(rid) else { return };
-        let stamps: Vec<(NodeId, u64)> =
-            state.calls.iter().zip(&state.positions).map(|(call, &pos)| (call.db, pos)).collect();
-        let outs: Vec<Vec<OpOutput>> =
-            state.outputs.into_iter().map(|o| o.expect("all calls answered")).collect();
-        let result = crate::resultbuild::merge_read(&state.calls, &outs, rid.attempt);
-        ctx.trace(TraceKind::Computed { rid });
-        let decision = Decision::commit(result);
-        self.committed_cache.insert(cached(rid.request), (rid, decision.clone()));
         self.set_phase(rid, Phase::Done { decision: decision.clone() });
-        self.preclaim_successor(rid, Outcome::Commit);
         let dur = jittered(ctx, self.cost.end, self.cost.jitter);
         ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
-        ctx.send_after(
-            dur,
-            rid.request.client,
-            Payload::App(AppMsg::Result { rid, decision, stamps }),
-        );
-    }
-
-    /// Snapshot validation exhausted its collect budget (keys too hot to
-    /// catch standing still): re-route the attempt through the locking
-    /// slow path, whose XA read locks make it atomic under any contention.
-    /// Everything downstream is the ordinary write machinery — ownership
-    /// claim, compute, votes — so liveness and exactly-once come for free.
-    fn fallback_read(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(state) = self.reads.remove(rid) else { return };
-        ctx.trace(TraceKind::ReadFallback { rid, rounds: state.round + 1 });
-        self.set_phase(rid, Phase::Claiming { request: state.request, since: None });
-        let dur = jittered(ctx, self.cost.start, self.cost.jitter);
-        ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
-        ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
-    }
-
-    /// Retry backstop for fast-path reads (a crashed replica or a lost
-    /// message must not stall an idempotent read). Re-sends exactly the
-    /// unanswered calls of the current collect, *within the same collect
-    /// epoch and against their original stamps*. Every stamp of the round
-    /// still dates from the one dispatch instant, so the freshness
-    /// argument is untouched (a reply matching its stamp proves the shard
-    /// stood still from that shared instant to the sample, re-sent or
-    /// not), collected replies keep their progress, and — crucially — a
-    /// backstop firing on replies that are merely *queued* behind a busy
-    /// lane never abandons them: the originals still land and fill their
-    /// slots, the duplicates are dropped by the per-call fill guard.
-    /// (An earlier draft restarted a fully unanswered collect as a fresh
-    /// wire epoch with refreshed stamps; under a saturated burst that
-    /// orphans every queued reply of the old epoch and re-queues the whole
-    /// fan-out each firing — measured at −20..28% commit/s on the
-    /// saturated 16-shard legs. The price of keeping the epoch is that a
-    /// genuinely lost call whose shard moved during the timeout fails
-    /// `fresh` and costs one validation round — and *that* round refreshes
-    /// every stamp at a single instant, in `on_read_reply`, which is the
-    /// only place a refresh is sound: completing a partially answered
-    /// collect against refreshed stamps would mix observation instants
-    /// with no common point, exactly the fractured cross-shard read the
-    /// validation exists to forbid.)
-    ///
-    /// Routing: the first re-send rotates to a *different* replica of the
-    /// same shard — the unanswered one may be down, and its crash is
-    /// invisible here by design — and from the second firing on it
-    /// escalates to the shard primary, which is always eventually
-    /// reachable. The timer re-arms with exponential back-off while
-    /// anything is pending — a reply that is merely queued behind a busy
-    /// read lane should not draw repeated duplicate load onto the
-    /// primaries.
-    fn on_read_retry(&mut self, ctx: &mut dyn Context, rid: ResultId) {
-        let Some(state) = self.reads.get_mut(rid) else { return };
-        state.backoff += 1;
-        let backoff = state.backoff;
-        let multi = state.calls.len() > 1;
-        ctx.trace(TraceKind::ReadRetried { rid, backoff });
-        let unanswered: Vec<usize> = state
-            .outputs
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_none())
-            .map(|(idx, _)| idx)
-            .collect();
-        let round = state.round;
-        let calls = state.calls.clone();
-        for idx in unanswered {
-            let call = &calls[idx];
-            let to_primary = backoff > 1 || self.read_to_primary(ctx.now(), multi, call.db);
-            self.send_read_call(ctx, rid, idx, call, round, to_primary, backoff);
-        }
-        let shift = backoff.min(3);
-        let delay = Dur(self.cfg.terminate_retry.0.saturating_mul(1 << shift));
-        ctx.set_timer(delay, TimerTag::ReadRetry { rid });
-    }
-
-    /// Folds a decide acknowledgement's ship position into the per-shard
-    /// freshness stamp.
-    fn observe_shard_seq(&mut self, db: NodeId, seq: u64) {
-        let slot = self.shard_seq.entry(db).or_insert(0);
-        if *slot < seq {
-            *slot = seq;
-        }
-    }
-
-    /// Every per-shard position this server has observed, as result
-    /// stamps (cached-decision replies, where the original targets are no
-    /// longer tracked, send the whole map — any valid observation may ride
-    /// a result).
-    fn all_stamps(&self) -> Vec<(NodeId, u64)> {
-        self.shard_seq.iter().map(|(&db, &seq)| (db, seq)).collect()
-    }
-
-    /// The observed positions for the given databases (termination replies
-    /// stamp exactly the shards the decision touched).
-    fn stamps_for(&self, dbs: &[NodeId]) -> Vec<(NodeId, u64)> {
-        dbs.iter().filter_map(|db| self.shard_seq.get(db).map(|&seq| (*db, seq))).collect()
+        let result = AppMsg::Result { rid, decision, stamps };
+        ctx.send_after(dur, rid.request.client, Payload::App(result));
     }
 
     /// Figure 5's `regA[j].write(self)`, once the dispatch cost is charged.
@@ -1046,21 +575,17 @@ impl AppServer {
                 self.submit_outcome(ctx, rid, decision, targets);
             }
             // Figure 4 terminate() line 7: every target acknowledged,
-            // reply to the client (charging the "end" dispatch cost).
+            // reply to the client.
             Some(Step::Terminated { decision, targets }) => {
-                self.set_phase(rid, Phase::Done { decision: decision.clone() });
                 // Stamp the result with the positions this server observed
                 // for the decision's shards — for a commit, those acks
                 // included the write itself, so the client's causality
                 // token now covers it.
-                let stamps = self.stamps_for(&targets);
+                let stamps = self.lane.stamps_for(&targets);
                 if decision.outcome == Outcome::Commit {
                     self.committed_cache.insert(cached(rid.request), (rid, decision.clone()));
                 }
-                let dur = jittered(ctx, self.cost.end, self.cost.jitter);
-                ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
-                let result = AppMsg::Result { rid, decision, stamps };
-                ctx.send_after(dur, rid.request.client, Payload::App(result));
+                self.reply_done(ctx, rid, decision, stamps);
             }
         }
     }
@@ -1087,12 +612,15 @@ impl AppServer {
             self.outcome_final(ctx, rid, final_decision);
             return;
         }
-        // The client settled this request while the attempt ran here (the
-        // read lane of another server answered it, say). The log ignores
-        // every entry for a settled request, so this outcome can never be
-        // sequenced — and since its owner never proposes one, no server
-        // can ever commit the attempt. Abort it here: proposing would
-        // leave its branches prepared, and their locks held, forever.
+        // The client settled this request while the attempt ran here: a
+        // cleaner's abort was sequenced while this server still computed
+        // or collected votes, the client's retry committed elsewhere, and
+        // the watermark took the log's record of that abort (`gc_below`
+        // names the same lag for an outcome already queued). The log
+        // ignores every entry for a settled request, so this outcome can
+        // never be sequenced — and since its owner never proposes one, no
+        // server can ever commit the attempt. Abort it here: proposing
+        // would leave its branches prepared, and their locks held, forever.
         if self.log.settled(&rid) {
             self.outcome_final(ctx, rid, Decision::nil_abort());
             return;
@@ -1385,15 +913,19 @@ impl Process for AppServer {
                     self.on_step(ctx, rid, step);
                 }
                 DbReplyMsg::AckDecide { entries, seq, lease } => {
-                    self.observe_shard_seq(from, seq);
-                    self.observe_shard_lease(from, lease);
+                    self.lane.observe(from, seq);
+                    self.lane.observe_lease(from, lease);
                     for (rid, _) in entries {
                         let step = self.xa_mut(rid).and_then(|xa| xa.ack(from));
                         self.on_step(ctx, rid, step);
                     }
                 }
                 DbReplyMsg::ReadReply { rid, call, round, outputs, pos, indoubt, lease } => {
-                    self.on_read_reply(ctx, from, rid, call, round, outputs, pos, indoubt, lease);
+                    let end =
+                        self.lane.reply(ctx, from, rid, call, round, outputs, pos, indoubt, lease);
+                    if let Some(end) = end {
+                        self.on_read_end(ctx, rid, end);
+                    }
                 }
                 // A database's crash-recovery notice: every attempt at the
                 // databases applies Figure 4 to it, in the windows' order.
@@ -1414,12 +946,12 @@ impl Process for AppServer {
                 from,
                 payload: Payload::Repl(ReplMsg::LeaseRenew { through, floor: _ }),
             } => {
-                self.observe_shard_lease(from, Some(through));
+                self.lane.observe_lease(from, Some(through));
             }
             Event::Timer { tag, .. } => match tag {
                 TimerTag::Dispatch { rid, stage: 0 } => self.dispatch_claim(ctx, rid),
-                TimerTag::Dispatch { rid, stage: 1 } => self.dispatch_reads(ctx, rid),
-                TimerTag::ReadRetry { rid } => self.on_read_retry(ctx, rid),
+                TimerTag::Dispatch { rid, stage: 1 } => self.lane.dispatch(ctx, rid),
+                TimerTag::ReadRetry { rid } => self.lane.retry(ctx, rid),
                 TimerTag::TerminateRetry { rid } => {
                     if let Some(Phase::Xa(xa)) = self.phase(rid) {
                         xa.retry(ctx, rid, self.cfg.terminate_retry);

@@ -24,6 +24,7 @@
 pub mod appserver;
 pub mod client;
 pub mod dbserver;
+pub(crate) mod readlane;
 pub mod resultbuild;
 pub mod router;
 pub mod xa;
@@ -471,7 +472,8 @@ mod tests {
         // its outcome waiting in B's pipeline queue (B is not idle — its
         // attempt for request 3 waits on a dead database — and the flush
         // window is 50 ms away). Now request 1 settles behind B's back, as
-        // when another server's read lane answers it: the client's next
+        // when a cleaner's slot that B has not applied yet decided it and
+        // the client's retry committed elsewhere: the client's next
         // request goes to the primary with watermark 2, and that claim
         // carries the watermark to B through the log. The log will ignore
         // B's outcome from here on, so B must abort the attempt itself —

@@ -913,7 +913,8 @@ impl Scenario {
     }
 
     /// Count of fast-path reads that exhausted their snapshot-validation
-    /// budget and fell back to the locking slow path.
+    /// budget and answered abort (the client's next attempt takes the
+    /// locking commit path).
     pub fn read_fallbacks(&self) -> usize {
         self.count(|k| matches!(k, TraceKind::ReadFallback { .. }))
     }

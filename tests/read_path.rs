@@ -19,10 +19,14 @@
 
 use etx::base::config::{BatchingConfig, ReadLeaseConfig, ReadPathConfig};
 use etx::base::fault::{FaultOp, NemesisWhen};
+use etx::base::ids::ResultId;
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::base::value::Outcome;
-use etx::harness::{MiddleTier, Scenario, ScenarioBuilder, Summary, Workload};
+use etx::harness::{
+    check, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder, Summary, Workload,
+};
+use std::collections::HashSet;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -460,66 +464,116 @@ fn fast_routes_double_read_heavy_throughput_and_replicas_add_capacity() {
 /// a half-applied transfer and an accepted snapshot.
 #[test]
 fn cross_shard_fast_reads_never_observe_fractured_transfers() {
-    let workload = Workload::ConservedPairs { pairs: 8, read_pct: 80, amount: 7 };
     for seed in [2u64, 19, 83, 1009] {
         for cfg in [ReadPathConfig::primary_only(), ReadPathConfig::follower_reads()] {
-            let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed)
-                .shards(4)
-                .replication(2)
-                .clients(8)
-                .requests(14)
-                .read_path(cfg)
-                .net(etx::sim::NetConfig {
-                    min_delay: Dur::from_micros(100),
-                    max_delay: Dur::from_micros(300),
-                    loss_rate: 0.12,
-                    retransmit_gap: Dur::from_millis(8),
-                })
-                .workload(workload.clone())
-                .build();
-            let n = s.requests as usize;
-            let out = s.run_until_settled(n);
-            assert_eq!(out, etx::sim::RunOutcome::Predicate, "seed {seed}: must settle");
-            s.quiesce(Dur::from_millis(100));
-            // The run must actually exercise the path under test: pair
-            // reads fanning out over more than one shard.
-            let multi = s
-                .trace()
-                .events()
-                .iter()
-                .filter(|e| matches!(e.kind, TraceKind::ReadFastPath { shards, .. } if shards >= 2))
-                .count();
-            assert!(multi >= 1, "seed {seed}: no cross-shard fast read in the run");
-            // Every delivered pair read must observe a conserved sum.
-            let mut reads_checked = 0usize;
-            for (rid, decision) in read_deliveries(&mut s) {
-                let request = workload.request(&s.topo, rid.request.client, rid.request.seq);
-                if !request.script.is_read_only() {
-                    continue;
-                }
-                reads_checked += 1;
-                let result = decision.result.expect("reads carry results");
-                let total: i64 = result
-                    .entries
-                    .iter()
-                    .filter(|(l, _)| l.starts_with("acct"))
-                    .map(|&(_, v)| v)
-                    .sum();
-                assert_eq!(
-                    total, 2_000,
-                    "seed {seed}, {rid}: fractured cross-shard read — {result}"
-                );
-            }
-            assert!(reads_checked >= 40, "seed {seed}: too few pair reads to mean anything");
-            // Post-state sanity: the total across the shard primaries
-            // equals the seeded total (transfers only moved money around;
-            // followers hold replicated copies and would double-count).
-            let grand: i64 = (0..4u32)
-                .map(|shard| s.rebuilt_committed(s.shard_primary(shard)).values().sum::<i64>())
-                .sum();
-            assert_eq!(grand, 16_000, "seed {seed}: transfers must conserve the grand total");
+            fractured_transfer_run(seed, cfg);
         }
     }
+}
+
+const CONSERVED_PAIRS: Workload = Workload::ConservedPairs { pairs: 8, read_pct: 80, amount: 7 };
+
+/// One settled, quiesced run of the scenario above, with its conserved-sum
+/// checks made.
+fn fractured_transfer_run(seed: u64, cfg: ReadPathConfig) -> Scenario {
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed)
+        .shards(4)
+        .replication(2)
+        .clients(8)
+        .requests(14)
+        .read_path(cfg)
+        .net(etx::sim::NetConfig {
+            min_delay: Dur::from_micros(100),
+            max_delay: Dur::from_micros(300),
+            loss_rate: 0.12,
+            retransmit_gap: Dur::from_millis(8),
+        })
+        .workload(CONSERVED_PAIRS)
+        .build();
+    let n = s.requests as usize;
+    let out = s.run_until_settled(n);
+    assert_eq!(out, etx::sim::RunOutcome::Predicate, "seed {seed}: must settle");
+    s.quiesce(Dur::from_millis(100));
+    // The run must actually exercise the path under test: pair
+    // reads fanning out over more than one shard.
+    let multi = s
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, TraceKind::ReadFastPath { shards, .. } if shards >= 2))
+        .count();
+    assert!(multi >= 1, "seed {seed}: no cross-shard fast read in the run");
+    // Every delivered pair read must observe a conserved sum.
+    let mut reads_checked = 0usize;
+    for (rid, decision) in read_deliveries(&mut s) {
+        let request = CONSERVED_PAIRS.request(&s.topo, rid.request.client, rid.request.seq);
+        if !request.script.is_read_only() {
+            continue;
+        }
+        reads_checked += 1;
+        let result = decision.result.expect("reads carry results");
+        let total: i64 =
+            result.entries.iter().filter(|(l, _)| l.starts_with("acct")).map(|&(_, v)| v).sum();
+        assert_eq!(total, 2_000, "seed {seed}, {rid}: fractured cross-shard read — {result}");
+    }
+    assert!(reads_checked >= 40, "seed {seed}: too few pair reads to mean anything");
+    // Post-state sanity: the total across the shard primaries
+    // equals the seeded total (transfers only moved money around;
+    // followers hold replicated copies and would double-count).
+    let grand: i64 = (0..4u32)
+        .map(|shard| s.rebuilt_committed(s.shard_primary(shard)).values().sum::<i64>())
+        .sum();
+    assert_eq!(grand, 16_000, "seed {seed}: transfers must conserve the grand total");
+    s
+}
+
+/// An attempt id names one computation: the lane serves a read's first
+/// attempt, the commit path every other attempt, and nothing moves an
+/// attempt from one to the other. A lane read whose snapshot validation
+/// runs out of collects (`ReadFallback`) answers abort, and the client's
+/// next attempt locks. The scenario above is the one that exhausts
+/// validation: lost `Decide`s keep keys in doubt for a retransmit period.
+#[test]
+fn no_attempt_is_served_by_both_paths() {
+    let mut fallbacks = 0usize;
+    for seed in 1..=40u64 {
+        let s = fractured_transfer_run(seed, ReadPathConfig::follower_reads());
+        let events = s.trace().events();
+        check(events, &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
+        let lane: HashSet<ResultId> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::ReadFastPath { rid, .. } => Some(rid),
+                _ => None,
+            })
+            .collect();
+        for e in events {
+            match e.kind {
+                TraceKind::DbVote { rid, .. } | TraceKind::DbDecide { rid, .. } => assert!(
+                    !lane.contains(&rid),
+                    "seed {seed}: {rid} took the lane and reached a database's commit path"
+                ),
+                TraceKind::ReadFallback { rid, .. } => {
+                    fallbacks += 1;
+                    assert!(
+                        !lane.contains(&rid.next_attempt()),
+                        "seed {seed}: the retry of exhausted {rid} took the lane again"
+                    );
+                    // The abort moves the client on — unless another
+                    // server's lane had answered this attempt already.
+                    let moved_on = events.iter().any(|l| match l.kind {
+                        TraceKind::ClientRetry { rid: r } | TraceKind::Deliver { rid: r, .. } => {
+                            r == rid
+                        }
+                        _ => false,
+                    });
+                    assert!(moved_on, "seed {seed}: exhausted {rid} neither retried nor delivered");
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(fallbacks >= 1, "the sweep never exhausted a snapshot validation");
 }
 
 // ---- reads never doom writers ----------------------------------------------

@@ -217,12 +217,11 @@ fn threaded_read_path_preserves_snapshot_invariants() {
     s.quiesce(Dur::from_millis(50));
     s.stop();
 
-    // The lane must actually be exercised: reads either ride the fast
-    // path or fall back loudly, they never vanish.
-    assert!(
-        s.fast_path_reads() + s.read_fallbacks() >= 1,
-        "no read took the fast lane or the fallback route"
-    );
+    // The lane must actually be exercised. (A read whose snapshot
+    // validation runs out of collects answers abort — `read_fallbacks` —
+    // and its retry commits on the locking path; every first attempt of a
+    // read is a `fast_path_reads` either way.)
+    assert!(s.fast_path_reads() >= 1, "no read took the fast lane");
 
     let mut reads_checked = 0usize;
     for (rid, decision) in s.delivered_results() {
