@@ -410,7 +410,8 @@ impl Default for ProtocolConfig {
 /// Heartbeat failure-detector tuning (◇P among application servers, §4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FdConfig {
-    /// Heartbeat period.
+    /// Heartbeat period, which is also the check period: each tick sends
+    /// one heartbeat round, then checks every peer's timeout.
     pub heartbeat_every: Dur,
     /// Initial suspicion timeout (no heartbeat for this long ⇒ suspect).
     pub initial_timeout: Dur,

@@ -76,9 +76,11 @@ pub enum TimerTag {
         /// The read-only attempt being retried.
         rid: ResultId,
     },
-    /// Failure detector: send the next heartbeat round.
+    /// Failure detector: send the next heartbeat round, then check every
+    /// peer's liveness (one tick per period does both).
     FdHeartbeat,
-    /// Failure detector: liveness check for peers.
+    /// Armed and handled by nothing: the heartbeat tick does the check.
+    /// Kept only because `examples/etx_bench` names it.
     FdCheck,
     /// Consensus: coordinator of `round` made no progress; move on.
     ConsensusRound {

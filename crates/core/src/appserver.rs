@@ -858,7 +858,9 @@ impl AppServer {
 
 impl Process for AppServer {
     fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
-        if matches!(event, Event::Init) {
+        // A recovered server is a fresh incarnation from the factory: it
+        // restarts detection, resync and cleaning like a new one.
+        if matches!(event, Event::Init | Event::Recovered) {
             self.fd.on_init(ctx);
             self.regs.on_init(ctx);
             ctx.set_timer(self.cfg.cleaner_interval, TimerTag::CleanerTick);

@@ -26,9 +26,8 @@ use etx_base::config::FdConfig;
 use etx_base::ids::NodeId;
 use etx_base::msg::{FdMsg, Payload};
 use etx_base::runtime::{Context, Event, TimerTag};
-use etx_base::time::Time;
+use etx_base::time::{Dur, Time};
 use etx_base::trace::TraceKind;
-use std::collections::{HashMap, HashSet};
 
 /// A suspicion-state change, reported so callers can trace and react.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,35 +62,43 @@ pub trait FailureDetector: Send {
 #[derive(Debug)]
 pub struct HeartbeatFd {
     cfg: FdConfig,
-    peers: Vec<NodeId>,
-    last_heard: HashMap<NodeId, Time>,
-    timeout: HashMap<NodeId, etx_base::time::Dur>,
-    suspected: HashSet<NodeId>,
+    /// One record per monitored peer, in the order the peers were given
+    /// (the order `check` traces suspicions in).
+    peers: Vec<Peer>,
     seq: u64,
     started: bool,
+}
+
+/// What the detector knows about one peer.
+#[derive(Debug)]
+struct Peer {
+    id: NodeId,
+    last_heard: Time,
+    timeout: Dur,
+    suspected: bool,
 }
 
 impl HeartbeatFd {
     /// Creates a detector for `me` monitoring `peers` (our own id is
     /// filtered out defensively).
     pub fn new(me: NodeId, peers: &[NodeId], cfg: FdConfig) -> Self {
-        let peers: Vec<NodeId> = peers.iter().copied().filter(|&p| p != me).collect();
-        let timeout = peers.iter().map(|&p| (p, cfg.initial_timeout)).collect();
-        HeartbeatFd {
-            cfg,
-            peers,
-            last_heard: HashMap::new(),
-            timeout,
-            suspected: HashSet::new(),
-            seq: 0,
-            started: false,
-        }
+        let peers = peers
+            .iter()
+            .filter(|&&id| id != me)
+            .map(|&id| Peer {
+                id,
+                last_heard: Time::ZERO,
+                timeout: cfg.initial_timeout,
+                suspected: false,
+            })
+            .collect();
+        HeartbeatFd { cfg, peers, seq: 0, started: false }
     }
 
     fn beat(&mut self, ctx: &mut dyn Context) {
         self.seq += 1;
-        for &p in &self.peers {
-            ctx.send(p, Payload::Fd(FdMsg::Heartbeat { seq: self.seq }));
+        for p in &self.peers {
+            ctx.send(p.id, Payload::Fd(FdMsg::Heartbeat { seq: self.seq }));
         }
         ctx.set_timer(self.cfg.heartbeat_every, TimerTag::FdHeartbeat);
     }
@@ -99,38 +106,30 @@ impl HeartbeatFd {
     fn check(&mut self, ctx: &mut dyn Context) -> Vec<FdTransition> {
         let now = ctx.now();
         let mut out = Vec::new();
-        for &p in &self.peers {
-            if self.suspected.contains(&p) {
-                continue;
-            }
-            let heard = self.last_heard.get(&p).copied().unwrap_or(Time::ZERO);
-            let timeout = self.timeout[&p];
-            if now.since(heard) > timeout {
-                self.suspected.insert(p);
-                ctx.trace(TraceKind::Suspect { peer: p });
-                out.push(FdTransition::Suspect(p));
+        for p in &mut self.peers {
+            if !p.suspected && now.since(p.last_heard) > p.timeout {
+                p.suspected = true;
+                ctx.trace(TraceKind::Suspect { peer: p.id });
+                out.push(FdTransition::Suspect(p.id));
             }
         }
-        ctx.set_timer(self.cfg.heartbeat_every, TimerTag::FdCheck);
         out
     }
 
     fn heard_from(&mut self, ctx: &mut dyn Context, from: NodeId) -> Vec<FdTransition> {
-        if !self.peers.contains(&from) {
+        let Some(p) = self.peers.iter_mut().find(|p| p.id == from) else {
+            return Vec::new();
+        };
+        p.last_heard = ctx.now();
+        if !p.suspected {
             return Vec::new();
         }
-        self.last_heard.insert(from, ctx.now());
-        if self.suspected.remove(&from) {
-            // False suspicion: be more patient with this peer from now on —
-            // the adaptation that yields eventual accuracy.
-            if let Some(t) = self.timeout.get_mut(&from) {
-                *t = (*t + self.cfg.timeout_increment).min(self.cfg.max_timeout);
-            }
-            ctx.trace(TraceKind::Unsuspect { peer: from });
-            vec![FdTransition::Unsuspect(from)]
-        } else {
-            Vec::new()
-        }
+        // False suspicion: be more patient with this peer from now on —
+        // the adaptation that yields eventual accuracy.
+        p.suspected = false;
+        p.timeout = (p.timeout + self.cfg.timeout_increment).min(self.cfg.max_timeout);
+        ctx.trace(TraceKind::Unsuspect { peer: from });
+        vec![FdTransition::Unsuspect(from)]
     }
 }
 
@@ -141,20 +140,19 @@ impl FailureDetector for HeartbeatFd {
         }
         self.started = true;
         let now = ctx.now();
-        for &p in &self.peers {
-            self.last_heard.insert(p, now);
+        for p in &mut self.peers {
+            p.last_heard = now;
         }
         self.beat(ctx);
-        ctx.set_timer(self.cfg.heartbeat_every, TimerTag::FdCheck);
     }
 
     fn handle(&mut self, ctx: &mut dyn Context, event: &Event) -> Vec<FdTransition> {
         match event {
+            // One tick per period: the next round out, then the check.
             Event::Timer { tag: TimerTag::FdHeartbeat, .. } => {
                 self.beat(ctx);
-                Vec::new()
+                self.check(ctx)
             }
-            Event::Timer { tag: TimerTag::FdCheck, .. } => self.check(ctx),
             Event::Message { from, payload: Payload::Fd(FdMsg::Heartbeat { .. }) } => {
                 self.heard_from(ctx, *from)
             }
@@ -167,11 +165,11 @@ impl FailureDetector for HeartbeatFd {
     }
 
     fn suspects(&self, peer: NodeId) -> bool {
-        self.suspected.contains(&peer)
+        self.peers.iter().any(|p| p.id == peer && p.suspected)
     }
 
     fn suspected(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.suspected.iter().copied().collect();
+        let mut v: Vec<NodeId> = self.peers.iter().filter(|p| p.suspected).map(|p| p.id).collect();
         v.sort_unstable();
         v
     }
@@ -267,21 +265,47 @@ mod tests {
     use super::*;
     use etx_base::fault::{FaultOp, NemesisWhen};
     use etx_base::runtime::{Host, Process};
-    use etx_base::time::Dur;
     use etx_sim::{Sim, SimConfig};
 
     /// Host process that just runs a detector and nothing else.
     struct FdHost {
         fd: Box<dyn FailureDetector>,
+        /// Arms a stray `FdCheck` this long after `Init`.
+        stray_check: Option<Dur>,
+        /// Every timer handed to the detector, with what it returned.
+        timers: Vec<(TimerTag, Vec<FdTransition>)>,
+    }
+    impl FdHost {
+        fn new(fd: impl FailureDetector + 'static) -> Self {
+            FdHost { fd: Box::new(fd), stray_check: None, timers: Vec::new() }
+        }
     }
     impl Process for FdHost {
         fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
-            if matches!(event, Event::Init) {
-                self.fd.on_init(ctx);
-            } else {
-                self.fd.handle(ctx, &event);
+            match event {
+                Event::Init => {
+                    self.fd.on_init(ctx);
+                    if let Some(after) = self.stray_check {
+                        ctx.set_timer(after, TimerTag::FdCheck);
+                    }
+                }
+                Event::Timer { tag, .. } => {
+                    let transitions = self.fd.handle(ctx, &event);
+                    self.timers.push((tag, transitions));
+                }
+                _ => {
+                    self.fd.handle(ctx, &event);
+                }
             }
         }
+        fn as_any(&self) -> Option<&dyn core::any::Any> {
+            Some(self)
+        }
+    }
+
+    fn timers(sim: &Sim, node: NodeId) -> &[(TimerTag, Vec<FdTransition>)] {
+        let host = sim.process_ref(node).and_then(|p| p.as_any()).unwrap();
+        &host.downcast_ref::<FdHost>().unwrap().timers
     }
 
     fn three_hosts(seed: u64) -> (Sim, Vec<NodeId>) {
@@ -292,13 +316,44 @@ mod tests {
             sim.add_node(
                 "fd",
                 Box::new(move |me| {
-                    Box::new(FdHost {
-                        fd: Box::new(HeartbeatFd::new(me, &peers, FdConfig::default())),
-                    })
+                    Box::new(FdHost::new(HeartbeatFd::new(me, &peers, FdConfig::default())))
                 }),
             );
         }
         (sim, ids)
+    }
+
+    #[test]
+    fn one_timer_per_period() {
+        let (mut sim, ids) = three_hosts(5);
+        sim.run_until_time(Time(1_000_000));
+        for id in ids {
+            let count = |tag| timers(&sim, id).iter().filter(|(t, _)| *t == tag).count();
+            assert_eq!(count(TimerTag::FdHeartbeat), 50, "{id}: one tick per 20 ms");
+            assert_eq!(count(TimerTag::FdCheck), 0, "{id}: the tick does the check");
+        }
+    }
+
+    #[test]
+    fn a_stray_check_changes_nothing_and_arms_nothing() {
+        // Node 1 never beats: a check at 90 ms (past the 80 ms timeout,
+        // between two ticks) would suspect it. Only the 100 ms tick may.
+        let mut sim = Sim::new(SimConfig::with_seed(6));
+        let ids = [NodeId(0), NodeId(1)];
+        sim.add_node(
+            "fd",
+            Box::new(move |me| {
+                let fd = HeartbeatFd::new(me, &ids, FdConfig::default());
+                Box::new(FdHost { stray_check: Some(Dur::from_millis(90)), ..FdHost::new(fd) })
+            }),
+        );
+        sim.add_node("silent", Box::new(|_| Box::new(FdHost::new(NullFd))));
+        sim.run_until_time(Time(200_000));
+        let fired = timers(&sim, ids[0]);
+        let checks: Vec<_> = fired.iter().filter(|(t, _)| *t == TimerTag::FdCheck).collect();
+        assert_eq!(checks, [&(TimerTag::FdCheck, vec![])], "no transition, no re-arm");
+        let suspicions: Vec<_> = fired.iter().flat_map(|(_, tr)| tr).collect();
+        assert_eq!(suspicions, [&FdTransition::Suspect(ids[1])], "the tick still checks");
     }
 
     #[test]
@@ -319,7 +374,7 @@ mod tests {
             .iter()
             .filter(|e| matches!(e.kind, TraceKind::Suspect { peer } if peer == ids[0]))
             .map(|e| e.node)
-            .collect::<std::collections::HashSet<_>>();
+            .collect::<std::collections::BTreeSet<_>>();
         assert_eq!(suspects_of_crashed.len(), 2, "both survivors must suspect the crashed node");
         // And never unsuspect it.
         assert_eq!(
@@ -369,9 +424,7 @@ mod tests {
             let peers = ids.clone();
             sim.add_node(
                 "fd",
-                Box::new(move |me| {
-                    Box::new(FdHost { fd: Box::new(HeartbeatFd::new(me, &peers, cfg)) })
-                }),
+                Box::new(move |me| Box::new(FdHost::new(HeartbeatFd::new(me, &peers, cfg)))),
             );
         }
         // Repeated short partitions: each false suspicion should bump the
@@ -417,6 +470,7 @@ mod tests {
     fn own_id_filtered_from_peers() {
         let fd =
             HeartbeatFd::new(NodeId(1), &[NodeId(0), NodeId(1), NodeId(2)], FdConfig::default());
-        assert_eq!(fd.peers, vec![NodeId(0), NodeId(2)]);
+        let ids: Vec<NodeId> = fd.peers.iter().map(|p| p.id).collect();
+        assert_eq!(ids, vec![NodeId(0), NodeId(2)]);
     }
 }

@@ -1203,7 +1203,7 @@ mod tests {
             match event {
                 Event::Init => {
                     let keep = ctx.set_timer(Dur::from_millis(5), TimerTag::CleanerTick);
-                    let kill = ctx.set_timer(Dur::from_millis(1), TimerTag::FdCheck);
+                    let kill = ctx.set_timer(Dur::from_millis(1), TimerTag::BatchFlush);
                     ctx.cancel_timer(kill);
                     let _ = keep;
                 }

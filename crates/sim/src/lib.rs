@@ -109,7 +109,7 @@ mod tests {
             match event {
                 Event::Init => {
                     let keep = ctx.set_timer(Dur::from_millis(10), TimerTag::CleanerTick);
-                    let kill = ctx.set_timer(Dur::from_millis(5), TimerTag::FdCheck);
+                    let kill = ctx.set_timer(Dur::from_millis(5), TimerTag::BatchFlush);
                     ctx.cancel_timer(kill);
                     let _ = keep;
                 }

@@ -17,11 +17,10 @@
 //! executions) and is an ordered set for that reason. The hashed tables
 //! still on the path are `Engine::{branches, decided}` and
 //! `LockTable::entries` (etx-store), `DbServer::{unsettled_xa, held_votes,
-//! live_intents}` (etx-core), the vote/ack sets of a consensus round, and
-//! the failure detector's per-peer maps; none of them has shown it in this
-//! scenario. If the two runs ever differ by an allocation or two, suspect
-//! those (a fixed hasher or an ordered type settles it) before the
-//! protocol.
+//! live_intents}` (etx-core) and the vote/ack sets of a consensus round;
+//! none of them has shown it in this scenario. If the two runs ever differ
+//! by an allocation or two, suspect those (a fixed hasher or an ordered
+//! type settles it) before the protocol.
 
 use etx::harness::{feature_corners, MiddleTier, ScenarioBuilder, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -130,6 +130,43 @@ fn db_crash_at_vote_and_at_decide_points() {
     }
 }
 
+/// Both hosts bring a crashed server back as a fresh incarnation from its
+/// factory, with `Event::Recovered` instead of `Init`. An application server
+/// must restart its failure detector then, or ◇P breaks both ways: it never
+/// suspects a peer that crashes later (completeness), and, silent, it is
+/// suspected although alive (eventual accuracy).
+#[test]
+fn a_recovered_app_server_rejoins_failure_detection() {
+    for seed in 1..=5u64 {
+        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed)
+            .clients(2)
+            .requests(40)
+            .build();
+        let (a, b) = (s.topo.app_servers[0], s.topo.app_servers[1]);
+        let down = FaultOp::CrashFor { node: a, down_for: Dur::from_millis(30) };
+        s.schedule_fault(NemesisWhen::After(Dur::from_millis(20)), down).unwrap();
+        s.schedule_fault(NemesisWhen::After(Dur::from_millis(200)), FaultOp::Crash(b)).unwrap();
+        let n = s.requests as usize;
+        assert_eq!(s.run_until_settled(n), etx::sim::RunOutcome::Predicate, "seed {seed}");
+        s.quiesce(Dur::from_millis(1_500));
+        check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true })
+            .assert_ok();
+
+        let events = s.trace().events();
+        let back = events.iter().find(|e| e.node == a && e.kind == TraceKind::Recover).unwrap().at;
+        let suspicions = |peer| {
+            events.iter().filter(move |e| {
+                e.at > back && matches!(e.kind, TraceKind::Suspect { peer: p } if p == peer)
+            })
+        };
+        assert!(
+            suspicions(b).any(|e| e.node == a),
+            "seed {seed}: the recovered server never suspected the crashed one"
+        );
+        assert_eq!(suspicions(a).count(), 0, "seed {seed}: the recovered server was suspected");
+    }
+}
+
 #[test]
 fn false_suspicion_storm_costs_only_aborts_never_safety() {
     // Every server suspects the (alive!) primary for a while — the regime

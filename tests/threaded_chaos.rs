@@ -213,6 +213,50 @@ fn partition_during_open_pipeline_window_heals_and_settles() {
     );
 }
 
+// ---- recovery: a restarted application server rejoins failure detection -----
+
+/// The threaded twin of `failover_matrix::a_recovered_app_server_rejoins_
+/// failure_detection`, at `commit_thr4`'s deployment-scale detector: server
+/// *a* is down 20–50 ms, *b* crashes for good at 200 ms. The recovered *a*
+/// must run its detector again — suspect *b*, and beat so that nobody
+/// suspects *a* once it is back.
+#[test]
+fn a_recovered_app_server_rejoins_failure_detection_on_threads() {
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 0x2EC0)
+        .runtime(RuntimeKind::Threaded)
+        .fd(FdConfig {
+            heartbeat_every: Dur::from_millis(20),
+            initial_timeout: Dur::from_millis(200),
+            timeout_increment: Dur::from_millis(50),
+            max_timeout: Dur::from_millis(2_000),
+        })
+        .clients(2)
+        .requests(40)
+        .build();
+    let (a, b) = (s.topo.app_servers[0], s.topo.app_servers[1]);
+    let down = FaultOp::CrashFor { node: a, down_for: Dur::from_millis(30) };
+    s.schedule_fault(NemesisWhen::After(Dur::from_millis(20)), down).unwrap();
+    s.schedule_fault(NemesisWhen::After(Dur::from_millis(200)), FaultOp::Crash(b)).unwrap();
+    let n = s.requests as usize;
+    assert_eq!(s.run_until_settled(n), RunOutcome::Predicate);
+    s.quiesce(Dur::from_millis(1_500));
+    s.stop();
+    check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
+
+    let events = s.trace().events();
+    let back = events.iter().find(|e| e.node == a && e.kind == TraceKind::Recover).unwrap().at;
+    let suspicions = |peer| {
+        events.iter().filter(move |e| {
+            e.at > back && matches!(e.kind, TraceKind::Suspect { peer: p } if p == peer)
+        })
+    };
+    assert!(
+        suspicions(b).any(|e| e.node == a),
+        "the recovered server never suspected the crashed one"
+    );
+    assert_eq!(suspicions(a).count(), 0, "the recovered server was suspected");
+}
+
 // ---- the watchdog: a wedged run times out on either backend -----------------
 
 /// Pause the entire middle tier before the first message: no application
