@@ -19,7 +19,10 @@
 //!   mid-batch can lose the proposal or land it, never split it.
 //! * **In-order apply** — every server applies slots in log order
 //!   (buffering slots decided ahead of a gap and pulling the gap), so all
-//!   servers observe the same entry sequence.
+//!   servers observe the same entry sequence. A gap is pulled once when a
+//!   decided slot above it first uncovers it and once per consensus resync
+//!   tick until it decides ([`DecisionLog::request_gaps`]) — so a server
+//!   catching up G slots sends pulls linear in G, not quadratic.
 //! * **First occurrence wins** — an attempt may be proposed into several
 //!   slots (an owner's commit and a cleaner's `(nil, abort)` race, two
 //!   servers claim the same attempt, or a losing batch is re-proposed);
@@ -144,6 +147,10 @@ pub struct DecisionLog {
     /// Applied slots with no unsettled member left, not yet handed to the
     /// host — [`DecisionLog::gc_client`] drains it.
     settled_slots: BTreeSet<u64>,
+    /// Every gap slot below this has been pulled since the last resync
+    /// tick: a decided slot pulls only the gaps it uncovers above it, and
+    /// [`DecisionLog::request_gaps`] lowers it to re-pull them all.
+    pulled_to: u64,
 }
 
 /// What the log remembers about one attempt at or above its client's
@@ -194,6 +201,7 @@ impl DecisionLog {
             attempts: AttemptWindows::new(),
             applied_members: BTreeMap::new(),
             settled_slots: BTreeSet::new(),
+            pulled_to: 0,
         }
     }
 
@@ -310,21 +318,20 @@ impl DecisionLog {
     ) -> Vec<AppliedSlot> {
         self.record_decided(slot, value);
         let mut out = self.drain_applied();
-        self.request_gaps(ctx, regs);
+        self.pull_gaps(ctx, regs);
         out.extend(self.pump(ctx, regs, suspects));
         out
     }
 
-    /// Re-pulls undecided slots below the decided frontier (wo-register
-    /// `read()` liveness for gaps): the owning process calls this on its
-    /// consensus resync tick.
+    /// Re-pulls every undecided slot below the decided frontier, once
+    /// (wo-register `read()` liveness for gaps: keep invoking and you
+    /// eventually see the value). The owning process calls this on its
+    /// consensus resync tick; between two calls, a decided slot pulls only
+    /// the gaps it newly uncovers, so a pull lost with a crashed peer or a
+    /// dropped message is retried here and nowhere else.
     pub fn request_gaps(&mut self, ctx: &mut dyn Context, regs: &mut WoRegisters) {
-        let Some((&frontier, _)) = self.decided_ahead.iter().next_back() else { return };
-        for k in self.next_apply..frontier {
-            if !self.decided_ahead.contains_key(&k) {
-                regs.pull(ctx, RegId::slot(k));
-            }
-        }
+        self.pulled_to = 0;
+        self.pull_gaps(ctx, regs);
     }
 
     /// Drops the arbitration memory of every settled attempt of `client`
@@ -433,10 +440,24 @@ impl DecisionLog {
                     // slot was already taken): absorb and keep pumping.
                     self.record_decided(slot, &value);
                     out.extend(self.drain_applied());
-                    self.request_gaps(ctx, regs);
+                    self.pull_gaps(ctx, regs);
                 }
             }
         }
+    }
+
+    /// Pulls each undecided slot between `pulled_to` (or the apply cursor,
+    /// if higher) and the decided frontier, and raises `pulled_to` to the
+    /// frontier: between resync ticks, each gap is pulled once, when it
+    /// appears.
+    fn pull_gaps(&mut self, ctx: &mut dyn Context, regs: &mut WoRegisters) {
+        let Some((&frontier, _)) = self.decided_ahead.iter().next_back() else { return };
+        for k in self.next_apply.max(self.pulled_to)..frontier {
+            if !self.decided_ahead.contains_key(&k) {
+                regs.pull(ctx, RegId::slot(k));
+            }
+        }
+        self.pulled_to = self.pulled_to.max(frontier);
     }
 
     /// Drops queued entries the log has since answered: outcomes whose
@@ -595,13 +616,14 @@ mod tests {
     use crate::testutil::Outbox;
     use crate::{EngineConfig, WoEvent};
     use etx_base::ids::RequestId;
-    use etx_base::msg::Payload;
+    use etx_base::msg::{ConsensusMsg, Payload};
     use etx_base::runtime::Event;
     use etx_base::value::Outcome;
     use std::collections::VecDeque;
 
     const A: NodeId = NodeId(10);
     const B: NodeId = NodeId(11);
+    const C: NodeId = NodeId(12);
 
     fn rid(seq: u64) -> ResultId {
         ResultId::first(RequestId { client: NodeId(0), seq })
@@ -818,6 +840,12 @@ mod tests {
         (Outbox::new(A), WoRegisters::new(A, &[A], EngineConfig::default()))
     }
 
+    /// Replica `A` of three: with nothing delivered, proposals stay in
+    /// flight and every message stays in the outbox.
+    fn trio() -> (Outbox, WoRegisters) {
+        (Outbox::new(A), WoRegisters::new(A, &[A, B, C], EngineConfig::default()))
+    }
+
     const TRUSTING: Suspects<'static> = &|_| false;
 
     #[test]
@@ -858,9 +886,7 @@ mod tests {
 
     #[test]
     fn an_urgent_claim_flushes_with_the_window_open_and_waits_with_it_full() {
-        // Three replicas, nothing delivered: proposals stay in flight.
-        let mut ctx = Outbox::new(A);
-        let mut regs = WoRegisters::new(A, &[A, B, NodeId(12)], EngineConfig::default());
+        let (mut ctx, mut regs) = trio();
         let mut log = DecisionLog::new(8, 2);
         log.claim(rid(1), true);
         log.propose(&mut ctx, &mut regs, Vec::new(), TRUSTING);
@@ -881,6 +907,37 @@ mod tests {
         assert_eq!(applied[0].claims, [claim(1, A, 0)]);
         assert!(log.claims.is_empty());
         assert_eq!(log.inflight_proposals().last().unwrap().1.claims, [claim(2, A, 0)]);
+    }
+
+    /// The slot pulls sent since the last call, as `(slot, peer)` — the
+    /// outbox is emptied.
+    fn pulls(ctx: &mut Outbox) -> Vec<(u64, NodeId)> {
+        let pull = |(to, m)| match m {
+            Payload::Consensus(ConsensusMsg::DecideReq { inst }) => Some((inst.slot_index()?, to)),
+            _ => None,
+        };
+        ctx.sent.drain(..).filter_map(pull).collect()
+    }
+
+    #[test]
+    fn a_gap_is_pulled_once_per_resync_period() {
+        let (mut ctx, mut regs) = trio();
+        let mut log = DecisionLog::default();
+        let mut decide = |slot: u64| {
+            log.on_slot_decided(&mut ctx, &mut regs, slot, &slot_value(&[slot]), TRUSTING);
+            pulls(&mut ctx)
+        };
+        assert_eq!(decide(9).len(), 18, "slots 0..9, two peers each");
+        for slot in [5, 7, 2] {
+            assert_eq!(decide(slot), [], "slot {slot} uncovers no new gap");
+        }
+        log.request_gaps(&mut ctx, &mut regs);
+        let gaps = [0, 1, 3, 4, 6, 8];
+        let expect: Vec<_> = gaps.into_iter().flat_map(|k| [(k, B), (k, C)]).collect();
+        assert_eq!(pulls(&mut ctx), expect, "the resync tick re-pulls every gap once per peer");
+        log.on_slot_decided(&mut ctx, &mut regs, 12, &slot_value(&[12]), TRUSTING);
+        let fresh = [(10, B), (10, C), (11, B), (11, C)];
+        assert_eq!(pulls(&mut ctx), fresh, "only the new gaps 10 and 11");
     }
 
     #[test]
@@ -1199,6 +1256,46 @@ mod tests {
                         "slot {} at replica {}", slot, n
                     );
                 }
+            }
+        }
+
+        /// A gap is pulled once per resync period: over random orders of
+        /// decided slots with resync ticks interleaved, no slot is pulled
+        /// from a peer twice between two ticks; after every step each gap
+        /// below the frontier has been pulled from every peer since the
+        /// last tick; and each tick pulls exactly the gaps, once per peer.
+        #[test]
+        fn a_gap_is_pulled_once_per_peer_between_resync_ticks(
+            steps in proptest::collection::vec((0u8..5, 0u64..24), 1..60),
+        ) {
+            let (mut ctx, mut regs) = trio();
+            let mut log = DecisionLog::default();
+            let mut decided = BTreeSet::new();
+            let mut period: BTreeMap<(u64, NodeId), usize> = BTreeMap::new();
+            for (op, slot) in steps {
+                let sent = if op == 0 {
+                    log.request_gaps(&mut ctx, &mut regs);
+                    period.clear();
+                    pulls(&mut ctx)
+                } else if decided.insert(slot) {
+                    log.on_slot_decided(&mut ctx, &mut regs, slot, &slot_value(&[slot]), TRUSTING);
+                    pulls(&mut ctx)
+                } else {
+                    continue;
+                };
+                let frontier = decided.last().copied().unwrap_or(0);
+                let gaps: Vec<_> = (0..frontier)
+                    .filter(|k| !decided.contains(k))
+                    .flat_map(|k| [(k, B), (k, C)])
+                    .collect();
+                if op == 0 {
+                    proptest::prop_assert_eq!(&sent, &gaps, "a tick pulls exactly the gaps");
+                }
+                for pull in sent {
+                    *period.entry(pull).or_default() += 1;
+                }
+                proptest::prop_assert!(period.values().all(|&n| n == 1), "{:?}", period);
+                proptest::prop_assert!(gaps.iter().all(|g| period.contains_key(g)));
             }
         }
     }

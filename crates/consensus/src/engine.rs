@@ -196,7 +196,8 @@ impl ConsensusEngine {
 
     /// Broadcasts a pull for a decision not known here (wo-register
     /// `read()` liveness: keep invoking and you eventually see the written
-    /// value).
+    /// value): one message per peer, none if already decided. Callers pull
+    /// a slot once per resync period.
     pub fn pull(&mut self, ctx: &mut dyn Context, inst: RegId) {
         if self.decided.contains_key(&inst) {
             return;

@@ -66,7 +66,8 @@ impl WoRegisters {
     }
 
     /// Nudges the network for a decision we do not have locally ("keep
-    /// invoking read()"): broadcasts a pull. Harmless if already decided.
+    /// invoking read()"): broadcasts a pull, one message per peer (none if
+    /// already decided). Callers pull a slot once per resync period.
     pub fn pull(&mut self, ctx: &mut dyn Context, reg: RegId) {
         self.engine.pull(ctx, reg);
     }

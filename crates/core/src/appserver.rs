@@ -969,7 +969,8 @@ impl Process for AppServer {
                 }
                 TimerTag::ConsensusResync => {
                     // The engine already re-armed itself; piggyback the
-                    // decision log's gap pulls on the same cadence.
+                    // decision log's gap pulls on the same cadence — the
+                    // only re-pull a gap gets after the one that found it.
                     self.log.request_gaps(ctx, &mut self.regs);
                 }
                 _ => {}

@@ -6,7 +6,7 @@ use etx::base::config::FdConfig;
 use etx::base::fault::{FaultOp, NemesisWhen, TracePred};
 use etx::base::time::Dur;
 use etx::base::trace::{Component, TraceKind};
-use etx::harness::{check, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
+use etx::harness::{check, feature_corners, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
 use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy)]
@@ -164,6 +164,48 @@ fn a_recovered_app_server_rejoins_failure_detection() {
             "seed {seed}: the recovered server never suspected the crashed one"
         );
         assert_eq!(suspicions(a).count(), 0, "seed {seed}: the recovered server was suspected");
+    }
+}
+
+/// A recovered application server relearns the decision log by pulling
+/// every slot it missed. Each gap is pulled once when a decided slot above
+/// it uncovers it and again only on a resync tick — so the whole catch-up
+/// costs pulls linear in the log, not one pull per gap per later decided
+/// slot. On these seeds the log reaches 521–551 slots; re-pulling every
+/// gap on every decided slot cost 11 306–14 398 `DecideReq`s, pulling each
+/// once per resync period costs 370–540.
+#[test]
+fn a_recovered_app_server_catches_up_in_linear_messages() {
+    for seed in 1..=5u64 {
+        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed)
+            .shards(4)
+            .replication(2)
+            .clients(16)
+            .requests(100)
+            .features(feature_corners()[1].1)
+            .workload(Workload::ShardedBank { accounts: 256, cross_pct: 10, amount: 7 })
+            .build();
+        let down = FaultOp::CrashFor { node: s.primary(), down_for: Dur::from_millis(100) };
+        s.schedule_fault(NemesisWhen::After(Dur::from_millis(100)), down).unwrap();
+        let n = s.requests as usize;
+        assert_eq!(s.run_until_settled(n), etx::sim::RunOutcome::Predicate, "seed {seed}");
+        s.quiesce(Dur::from_millis(100));
+        check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true })
+            .assert_ok();
+
+        let slots = s
+            .trace()
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::RegDecided { reg } => reg.slot_index(),
+                _ => None,
+            })
+            .max()
+            .expect("the log decided slots")
+            + 1;
+        let pulls = s.stats().sent("CDecideReq");
+        assert!(pulls <= 2 * slots, "seed {seed}: {pulls} pulls over a log of {slots} slots");
     }
 }
 
