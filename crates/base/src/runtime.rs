@@ -134,9 +134,13 @@ pub enum Event {
     NodeUp(NodeId),
 }
 
-/// Capabilities a running process can use. Implemented by the simulator
-/// (`etx-sim::SimContext`); protocols hold it only for the duration of one
-/// event handler.
+/// Capabilities a running process can use. Implemented by each host's
+/// per-event context (the simulator's and the threaded backend's);
+/// protocols hold it only for the duration of one event handler.
+///
+/// A host implements one send, [`Context::send_after_at_depth`]; the three
+/// other sends are that one with the current depth, no extra delay, or
+/// both.
 pub trait Context {
     /// Current time.
     fn now(&self) -> Time;
@@ -146,11 +150,15 @@ pub trait Context {
 
     /// Sends `payload` to `to` over the reliable channel (termination +
     /// integrity as defined in §4).
-    fn send(&mut self, to: NodeId, payload: Payload);
+    fn send(&mut self, to: NodeId, payload: Payload) {
+        self.send_after_at_depth(self.depth(), Dur::ZERO, to, payload);
+    }
 
     /// Sends after an extra local delay (models service time spent before
     /// the message leaves, e.g. SQL execution or a forced log write).
-    fn send_after(&mut self, delay: Dur, to: NodeId, payload: Payload);
+    fn send_after(&mut self, delay: Dur, to: NodeId, payload: Payload) {
+        self.send_after_at_depth(self.depth(), delay, to, payload);
+    }
 
     /// Arms a one-shot timer `delay` from now.
     fn set_timer(&mut self, delay: Dur, tag: TimerTag) -> TimerId;
@@ -183,9 +191,12 @@ pub trait Context {
     /// Like [`Context::send`] but stamps an explicit causal depth, used when
     /// a protocol aggregates several incoming messages (the next step is
     /// causally after *all* of them, i.e. their max depth).
-    fn send_at_depth(&mut self, depth: u32, to: NodeId, payload: Payload);
+    fn send_at_depth(&mut self, depth: u32, to: NodeId, payload: Payload) {
+        self.send_after_at_depth(depth, Dur::ZERO, to, payload);
+    }
 
-    /// Like [`Context::send_after`] with an explicit causal depth.
+    /// Like [`Context::send_after`] with an explicit causal depth — the
+    /// one send a host implements.
     fn send_after_at_depth(&mut self, depth: u32, delay: Dur, to: NodeId, payload: Payload);
 
     /// Subscribe to [`Event::NodeDown`]/[`Event::NodeUp`] — the simulator's

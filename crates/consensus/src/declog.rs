@@ -64,13 +64,19 @@
 //!
 //! The log owns no consensus machinery: it sequences batches through a
 //! [`WoRegisters`] bank, so one engine per application server keeps
-//! speaking for that server.
+//! speaking for that server. What it does own is its **pump** — the one
+//! place a slot is opened — and so it is the one that says what each pump
+//! opened ([`DecisionLog::opened_proposals`]: the host ships exactly those
+//! for speculation, once each, in the event that proposed them) and how
+//! deep its window of undecided slots has ever been (the `PipelineWindow`
+//! trace event).
 
 use crate::woreg::WoRegisters;
 use crate::Suspects;
 use etx_base::attempts::AttemptWindows;
 use etx_base::ids::{NodeId, RegId, ResultId};
 use etx_base::runtime::Context;
+use etx_base::trace::TraceKind;
 use etx_base::value::{Decision, OutcomeBatch, OwnerClaim, RegValue, SlotBatch};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -120,6 +126,12 @@ pub struct DecisionLog {
     /// Batches are [`Arc`]-shared with the register write (and hence the
     /// consensus broadcasts), so proposing copies no entries.
     inflight: BTreeMap<u64, Arc<SlotBatch>>,
+    /// The slots the last pump opened, in slot order (each pump opens the
+    /// lowest open slot, and that only rises).
+    opened: Vec<u64>,
+    /// High-water mark of `inflight`, traced as `PipelineWindow` at each
+    /// new peak of two or more — so a window of one never traces it.
+    window_peak: usize,
     /// Next slot index to apply (everything below is applied).
     next_apply: u64,
     /// Slots decided ahead of a gap, waiting for in-order apply. Decides
@@ -196,6 +208,8 @@ impl DecisionLog {
             pending: OutcomeBatch::default(),
             claims: Vec::new(),
             inflight: BTreeMap::new(),
+            opened: Vec::new(),
+            window_peak: 0,
             next_apply: 0,
             decided_ahead: BTreeMap::new(),
             attempts: AttemptWindows::new(),
@@ -234,11 +248,6 @@ impl DecisionLog {
         self.pending.len() + self.inflight.values().map(|b| b.outcomes.len()).sum::<usize>()
     }
 
-    /// Number of our proposals currently awaiting a slot decision.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// Everything this view remembers per attempt: decisions, owners and
     /// the members of applied slots awaiting compaction — all of it at or
     /// above some client's watermark (observability / bounded-state tests).
@@ -249,15 +258,17 @@ impl DecisionLog {
         self.attempts.iter().map(|(_, a)| tracked(a)).sum()
     }
 
-    /// Our proposals currently awaiting a slot decision, in slot order:
-    /// each the slot it went into and the batch it carries (a shared
-    /// handle — a reference-count clone, never an entry copy). The
-    /// speculation stage reads this right after [`DecisionLog::propose`]
-    /// to learn where the flush landed — proposals that resolved
-    /// synchronously are absent, because there is nothing left in flight
-    /// and nothing worth speculating on.
-    pub fn inflight_proposals(&self) -> Vec<(u64, Arc<SlotBatch>)> {
-        self.inflight.iter().map(|(&slot, batch)| (slot, Arc::clone(batch))).collect()
+    /// The proposals the last pump opened that are still in flight, in
+    /// slot order: each the slot it went into and the batch it carries (a
+    /// shared handle — a reference-count clone, never an entry copy).
+    /// Every [`DecisionLog::propose`] and [`DecisionLog::on_slot_decided`]
+    /// pumps and starts this list afresh, so a host that reads it after
+    /// each call sees every proposal once, in the event that proposed it.
+    /// A proposal that resolved synchronously is absent: nothing is left
+    /// in flight to overlap with.
+    pub fn opened_proposals(&self) -> Vec<(u64, Arc<SlotBatch>)> {
+        let open = |slot: &u64| Some((*slot, Arc::clone(self.inflight.get(slot)?)));
+        self.opened.iter().filter_map(open).collect()
     }
 
     /// Queues a claim of `rid` for the proposing server (Figure 5's
@@ -413,7 +424,8 @@ impl DecisionLog {
     /// until the pipeline window is full or nothing queued may open a
     /// slot, looping while proposals resolve synchronously. At window 1
     /// this is a single-slot propose loop: one round in flight, the next
-    /// proposal only after it decides.
+    /// proposal only after it decides. Records the slots it opens and,
+    /// once at the end, the window's new high-water mark.
     fn pump(
         &mut self,
         ctx: &mut dyn Context,
@@ -421,16 +433,18 @@ impl DecisionLog {
         suspects: Suspects<'_>,
     ) -> Vec<AppliedSlot> {
         let mut out = Vec::new();
+        self.opened.clear();
         loop {
             self.drop_served();
             let urgent = |rid: &ResultId| self.attempts.get(*rid).is_some_and(|a| a.urgent);
             let wanted = !self.pending.is_empty() || self.claims.iter().any(urgent);
             if self.inflight.len() >= self.window || !wanted {
-                return out;
+                break;
             }
             let slot = self.lowest_open_slot(regs);
             let batch = Arc::new(self.next_batch(ctx.me()));
             self.inflight.insert(slot, Arc::clone(&batch));
+            self.opened.push(slot);
             match regs.write(ctx, RegId::slot(slot), RegValue::Batch(batch), suspects) {
                 // Round in flight; the decision arrives via handle(). Keep
                 // looping — the window may have room for the next slot.
@@ -444,6 +458,12 @@ impl DecisionLog {
                 }
             }
         }
+        let open = self.inflight.len();
+        if open >= 2 && open > self.window_peak {
+            self.window_peak = open;
+            ctx.trace(TraceKind::PipelineWindow { open: open as u32 });
+        }
+        out
     }
 
     /// Pulls each undecided slot between `pulled_to` (or the apply cursor,
@@ -802,7 +822,7 @@ mod tests {
         };
         log.record_decided(1, &slot_value(&[3]));
         assert!(log.drain_applied().is_empty(), "slot 1 buffers behind the gap at 0");
-        assert_eq!(log.inflight_len(), 1, "slot 0's round is still running");
+        assert_eq!(log.inflight.len(), 1, "slot 0's round is still running");
         assert_eq!(log.applied_up_to(), 0);
         log.record_decided(0, &slot_value(&[1, 2]));
         let applied = log.drain_applied();
@@ -827,11 +847,7 @@ mod tests {
         log.record_decided(0, &slot_value(&[7]));
         log.drain_applied();
         assert_eq!(log.pending, batch(&[8]), "slot 0's unserved outcome is re-proposed");
-        assert_eq!(
-            log.inflight_proposals().iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            [1],
-            "slot 1's proposal is untouched"
-        );
+        assert_eq!(log.inflight.keys().collect::<Vec<_>>(), [&1], "slot 1's proposal is untouched");
     }
 
     /// A one-replica register bank: every write decides synchronously, so
@@ -890,14 +906,14 @@ mod tests {
         let mut log = DecisionLog::new(8, 2);
         log.claim(rid(1), true);
         log.propose(&mut ctx, &mut regs, Vec::new(), TRUSTING);
-        assert_eq!(log.inflight_len(), 1, "window open: the claim opens a slot at once");
+        assert_eq!(log.inflight.len(), 1, "window open: the claim opens a slot at once");
         log.propose(&mut ctx, &mut regs, batch(&[9]), TRUSTING);
-        assert_eq!(log.inflight_len(), 2);
+        assert_eq!(log.inflight.len(), 2);
         // Window full. A pre-claim becomes urgent when its request arrives.
         log.claim(rid(2), false);
         log.claim(rid(2), true);
         log.propose(&mut ctx, &mut regs, Vec::new(), TRUSTING);
-        assert_eq!((log.inflight_len(), log.claims.as_slice()), (2, &[rid(2)][..]), "it waits");
+        assert_eq!((log.inflight.len(), log.claims.as_slice()), (2, &[rid(2)][..]), "it waits");
         // Claiming what is already in flight queues nothing new.
         log.claim(rid(1), true);
         assert_eq!(log.claims, [rid(2)]);
@@ -906,7 +922,45 @@ mod tests {
         let applied = log.on_slot_decided(&mut ctx, &mut regs, 0, &ours, TRUSTING);
         assert_eq!(applied[0].claims, [claim(1, A, 0)]);
         assert!(log.claims.is_empty());
-        assert_eq!(log.inflight_proposals().last().unwrap().1.claims, [claim(2, A, 0)]);
+        let opened = log.opened_proposals();
+        assert_eq!(
+            opened.iter().map(|(s, b)| (*s, &b.claims[..])).collect::<Vec<_>>(),
+            [(2, &[claim(2, A, 0)][..])]
+        );
+    }
+
+    /// The slots each call's pump reported as opened, and the window peaks
+    /// it traced.
+    fn opened(log: &DecisionLog, ctx: &mut Outbox) -> (Vec<u64>, Vec<u32>) {
+        let peaks = ctx.traced.drain(..).filter_map(|k| match k {
+            TraceKind::PipelineWindow { open } => Some(open),
+            _ => None,
+        });
+        let peaks = peaks.collect();
+        (log.opened_proposals().into_iter().map(|(slot, _)| slot).collect(), peaks)
+    }
+
+    #[test]
+    fn each_pump_reports_the_proposals_it_opened_once_in_slot_order() {
+        let (mut ctx, mut regs) = trio();
+        let mut log = DecisionLog::new(1, 3);
+        log.propose(&mut ctx, &mut regs, batch(&[1, 2]), TRUSTING);
+        assert_eq!(opened(&log, &mut ctx), (vec![0, 1], vec![2]), "two slots, a peak of two");
+        log.propose(&mut ctx, &mut regs, batch(&[3, 4]), TRUSTING);
+        assert_eq!(opened(&log, &mut ctx), (vec![2], vec![3]), "one more fills the window");
+        log.propose(&mut ctx, &mut regs, Vec::new(), TRUSTING);
+        assert_eq!(opened(&log, &mut ctx), (vec![], vec![]), "a full window opens nothing");
+        // Slot 1 decides: its pump opens slot 3 for the queued 4, and the
+        // earlier proposals still in flight are not reported again.
+        let ours = RegValue::Batch(Arc::clone(&log.inflight[&1]));
+        log.on_slot_decided(&mut ctx, &mut regs, 1, &ours, TRUSTING);
+        assert_eq!(opened(&log, &mut ctx), (vec![3], vec![]), "three again: no new peak");
+        // A proposal decided in the event that proposed it is not reported.
+        let (mut ctx, mut regs) = solo();
+        let mut log = DecisionLog::new(1, 3);
+        let applied = log.propose(&mut ctx, &mut regs, batch(&[1, 2]), TRUSTING);
+        assert_eq!(applied.len(), 2);
+        assert_eq!(opened(&log, &mut ctx), (vec![], vec![]));
     }
 
     /// The slot pulls sent since the last call, as `(slot, peer)` — the
@@ -1244,7 +1298,7 @@ mod tests {
             proptest::prop_assert!(c.net.is_empty(), "the network drains");
             for n in 0..3 {
                 c.check(n)?;
-                proptest::prop_assert_eq!(c.logs[n].inflight_len(), 0);
+                proptest::prop_assert_eq!(c.logs[n].inflight.len(), 0);
                 proptest::prop_assert!(c.logs[n].pending.is_empty() && urgent(&c.logs[n]).is_empty());
             }
             let frontier = c.logs.iter().map(|l| l.applied_up_to()).max().expect("three logs");
@@ -1309,6 +1363,5 @@ mod tests {
         log.inflight.insert(0, outcomes_only(batch(&[2, 3])));
         log.inflight.insert(1, outcomes_only(batch(&[4])));
         assert_eq!(log.pending_len(), 4);
-        assert_eq!(log.inflight_len(), 2);
     }
 }

@@ -42,15 +42,16 @@ pub(crate) mod testutil {
     use etx_base::wal::StableRecord;
     use std::sync::Arc;
 
-    /// Records what its owner sends; everything else is inert.
+    /// Records what its owner sends and traces; everything else is inert.
     pub struct Outbox {
         pub me: NodeId,
         pub sent: Vec<(NodeId, Payload)>,
+        pub traced: Vec<TraceKind>,
     }
 
     impl Outbox {
         pub fn new(me: NodeId) -> Self {
-            Outbox { me, sent: Vec::new() }
+            Outbox { me, sent: Vec::new(), traced: Vec::new() }
         }
     }
 
@@ -60,12 +61,6 @@ pub(crate) mod testutil {
         }
         fn me(&self) -> NodeId {
             self.me
-        }
-        fn send(&mut self, to: NodeId, payload: Payload) {
-            self.sent.push((to, payload));
-        }
-        fn send_after(&mut self, _d: Dur, to: NodeId, payload: Payload) {
-            self.send(to, payload);
         }
         fn set_timer(&mut self, _d: Dur, _tag: TimerTag) -> TimerId {
             TimerId(0)
@@ -80,15 +75,14 @@ pub(crate) mod testutil {
         fn log_read(&self, _log: &'static str) -> Vec<StableRecord> {
             Vec::new()
         }
-        fn trace(&mut self, _kind: TraceKind) {}
+        fn trace(&mut self, kind: TraceKind) {
+            self.traced.push(kind);
+        }
         fn depth(&self) -> u32 {
             0
         }
-        fn send_at_depth(&mut self, _depth: u32, to: NodeId, payload: Payload) {
-            self.send(to, payload);
-        }
         fn send_after_at_depth(&mut self, _depth: u32, _d: Dur, to: NodeId, payload: Payload) {
-            self.send(to, payload);
+            self.sent.push((to, payload));
         }
         fn subscribe_node_events(&mut self) {}
     }

@@ -38,12 +38,6 @@ impl Context for MockCtx {
     fn me(&self) -> NodeId {
         self.me
     }
-    fn send(&mut self, to: NodeId, payload: Payload) {
-        self.out.push((to, payload));
-    }
-    fn send_after(&mut self, _d: Dur, to: NodeId, payload: Payload) {
-        self.out.push((to, payload));
-    }
     fn set_timer(&mut self, _d: Dur, _tag: TimerTag) -> TimerId {
         self.timer_seq += 1;
         TimerId(self.timer_seq)
@@ -61,9 +55,6 @@ impl Context for MockCtx {
     fn trace(&mut self, _kind: TraceKind) {}
     fn depth(&self) -> u32 {
         0
-    }
-    fn send_at_depth(&mut self, _depth: u32, to: NodeId, payload: Payload) {
-        self.out.push((to, payload));
     }
     fn send_after_at_depth(&mut self, _depth: u32, _d: Dur, to: NodeId, payload: Payload) {
         self.out.push((to, payload));

@@ -49,6 +49,14 @@
 //! slot's outcomes to the databases as one `Decide` message per database,
 //! which the back end applies behind a single group WAL append.
 //!
+//! The log pumps — opens slots — when a flush proposes and when a slot
+//! decides, and after either the server does one thing (`after_pump`): it
+//! ships the proposals the log reports that pump opened as `SpecExec`
+//! frames, then applies the slots it decided. A `SpecExec` and the
+//! `Decide` that later resolves it come from one per-database split
+//! (`split`) under one rule (`speculable`), and every decided outcome this
+//! server initiated reaches the databases through one entry, `terminate`.
+//!
 //! ## The read fast lane
 //!
 //! With [`etx_base::config::ReadPathConfig::enabled`], the first attempt
@@ -73,7 +81,7 @@ use etx_base::trace::{Component, TraceKind};
 use etx_base::value::{Decision, Outcome, RegValue, Request};
 use etx_consensus::{AppliedSlot, DecisionLog, EngineConfig, WoEvent, WoRegisters};
 use etx_fd::FailureDetector;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Per-attempt protocol state (the paper's compute thread, unrolled).
 #[derive(Debug)]
@@ -112,12 +120,31 @@ struct Attempt {
 }
 
 /// Whether one database's share of a slot is worth pre-paying while the
-/// slot's consensus round runs. The one rule `ship_speculation` (what ships
-/// as `SpecExec`) and `start_terminate_group` (which pushes name their slot)
-/// both apply, so a database holds a stash exactly for the pushes that ask
-/// it to resolve one.
+/// slot's consensus round runs.
 fn speculable(entries: &[(ResultId, Outcome)]) -> bool {
     entries.len() >= 2
+}
+
+/// A slot's outcomes split per database, in slot order — each outcome goes
+/// to every database its attempt targets — with the slot a message about
+/// each share names: `slot` where the share is [`speculable`], none
+/// otherwise. What ships as `SpecExec` and which `Decide` names its slot
+/// both come from here, so a database holds a stash exactly for the
+/// pushes that ask it to resolve one.
+fn split(
+    slot: Option<u64>,
+    outcomes: &mut dyn Iterator<Item = (ResultId, Outcome, &[NodeId])>,
+) -> impl Iterator<Item = (NodeId, Vec<(ResultId, Outcome)>, Option<u64>)> {
+    let mut per_db: BTreeMap<NodeId, Vec<(ResultId, Outcome)>> = BTreeMap::new();
+    for (rid, outcome, targets) in outcomes {
+        for &db in targets {
+            per_db.entry(db).or_default().push((rid, outcome));
+        }
+    }
+    per_db.into_iter().map(move |(db, entries)| {
+        let named = slot.filter(|_| speculable(&entries));
+        (db, entries, named)
+    })
 }
 
 /// A request's key in the committed-result cache (attempts start at 1).
@@ -151,14 +178,6 @@ pub struct AppServer {
     batch_queue: Vec<(ResultId, Decision)>,
     /// Pending window-flush timer for the pipeline queue, if armed.
     batch_timer: Option<TimerId>,
-    /// The decision-log slots whose in-flight proposals were already
-    /// shipped as `SpecExec` frames (so each proposal is shipped at
-    /// most once); pruned to the live proposal window on every shipment.
-    spec_shipped: BTreeSet<u64>,
-    /// High-water mark of concurrently undecided slots this server has had
-    /// in flight — traced (once per new depth ≥ 2) as `PipelineWindow`, so
-    /// a depth-1 run's trace is untouched.
-    window_peak: u32,
     /// Protocol state: one record per attempt of the clients' open windows.
     attempts: AttemptWindows<Attempt>,
     /// The read fast lane, and the freshness table the commit path feeds
@@ -227,15 +246,9 @@ impl AppServer {
             log,
             batch_queue: Vec::new(),
             batch_timer: None,
-            spec_shipped: BTreeSet::new(),
-            window_peak: 0,
             attempts: AttemptWindows::new(),
             committed_cache: AttemptWindows::new(),
         }
-    }
-
-    fn suspicion_snapshot(&self) -> Vec<NodeId> {
-        self.fd.suspected()
     }
 
     fn phase(&self, rid: ResultId) -> Option<&Phase> {
@@ -327,7 +340,7 @@ impl AppServer {
         // Outcomes this server still owed a decision never reach
         // apply_slots now: terminate them here.
         for rid in undecided {
-            self.outcome_final(ctx, rid, Decision::nil_abort());
+            self.terminate(ctx, None, [(rid, Decision::nil_abort())]);
         }
         let stale = ResultId::below(client, ack_below);
         self.batch_queue.retain(|(rid, _)| !stale.contains(rid));
@@ -609,7 +622,7 @@ impl AppServer {
             attempt.phase = Some(Phase::WritingRegD);
         }
         if let Some(final_decision) = self.log.decision_of(rid).cloned() {
-            self.outcome_final(ctx, rid, final_decision);
+            self.terminate(ctx, None, [(rid, final_decision)]);
             return;
         }
         // The client settled this request while the attempt ran here: a
@@ -622,7 +635,7 @@ impl AppServer {
         // server can ever commit the attempt. Abort it here: proposing
         // would leave its branches prepared, and their locks held, forever.
         if self.log.settled(&rid) {
-            self.outcome_final(ctx, rid, Decision::nil_abort());
+            self.terminate(ctx, None, [(rid, Decision::nil_abort())]);
             return;
         }
         if !self.batch_queue.iter().any(|(r, _)| *r == rid) {
@@ -670,71 +683,35 @@ impl AppServer {
             ctx.cancel_timer(t);
         }
         let entries = std::mem::take(&mut self.batch_queue);
-        let sus_vec = self.suspicion_snapshot();
+        let sus_vec = self.fd.suspected();
         let sus = move |n: NodeId| sus_vec.contains(&n);
         let applied = self.log.propose(ctx, &mut self.regs, entries, &sus);
-        // Speculation stage: ship the proposals to the shard primaries in
-        // the same event that started their consensus rounds, so their
-        // commit processing is paid for while the rounds run.
-        self.ship_speculation(ctx);
-        self.note_window(ctx);
+        self.after_pump(ctx, applied);
+    }
+
+    /// What follows every pump of the log — a flush's proposal or a
+    /// decided slot's. First the speculation stage: each proposal the pump
+    /// opened ships to the shard primaries as `SpecExec` frames, in the
+    /// event that started its consensus round, split as termination will
+    /// split it if the slot decides as proposed. A primary stashes its
+    /// share, pre-pays the commit processing while the round runs, and
+    /// resolves the stash when the slot's `Decide` names it. Then the
+    /// slots the pump decided apply.
+    fn after_pump(&mut self, ctx: &mut dyn Context, applied: Vec<AppliedSlot>) {
+        if self.cfg.features.speculation.enabled {
+            for (slot, batch) in self.log.opened_proposals() {
+                let outcome = |rid| self.attempts.get(rid).and_then(|a| a.outcome.as_ref());
+                let targets = |rid| outcome(rid).map_or(&self.topo.db_servers, |(t, _)| t);
+                let mut outcomes =
+                    batch.outcomes.iter().map(|(rid, d)| (*rid, d.outcome, &targets(*rid)[..]));
+                for (db, entries, named) in split(Some(slot), &mut outcomes) {
+                    if let Some(slot) = named {
+                        ctx.send(db, Payload::Db(DbMsg::SpecExec { slot, entries }));
+                    }
+                }
+            }
+        }
         self.apply_slots(ctx, applied);
-    }
-
-    /// Ships every not-yet-shipped in-flight slot proposal to the shard
-    /// primaries as `SpecExec` frames (at most once per slot): a primary
-    /// stashes each proposal under its slot and pre-pays its commit
-    /// processing while the slot's consensus round runs, and resolves
-    /// each stash on its own when that slot's decide lands. Under a
-    /// pipelined window several proposals may be in flight at once — all
-    /// of them ship, not just the head. A proposal that resolved
-    /// synchronously leaves nothing in flight — and nothing worth
-    /// overlapping with.
-    fn ship_speculation(&mut self, ctx: &mut dyn Context) {
-        if !self.cfg.features.speculation.enabled {
-            return;
-        }
-        let proposals = self.log.inflight_proposals();
-        // Decided slots left the window; forget them so the set stays
-        // bounded by the window depth.
-        let live: BTreeSet<u64> = proposals.iter().map(|(slot, _)| *slot).collect();
-        self.spec_shipped.retain(|slot| live.contains(slot));
-        for (slot, batch) in proposals {
-            if !self.spec_shipped.insert(slot) {
-                continue;
-            }
-            // Split the proposal per database exactly as termination will
-            // if the slot decides as proposed: same targets, same slot
-            // order. Splits that are not `speculable` are skipped, and
-            // terminate without naming their slot.
-            let mut per_db: BTreeMap<NodeId, Vec<(ResultId, Outcome)>> = BTreeMap::new();
-            for (rid, decision) in &batch.outcomes {
-                let targets = match self.attempts.get(*rid).and_then(|a| a.outcome.as_ref()) {
-                    Some((targets, _)) => targets,
-                    None => &self.topo.db_servers,
-                };
-                for &db in targets {
-                    per_db.entry(db).or_default().push((*rid, decision.outcome));
-                }
-            }
-            for (db, entries) in per_db {
-                if speculable(&entries) {
-                    ctx.send(db, Payload::Db(DbMsg::SpecExec { slot, entries }));
-                }
-            }
-        }
-    }
-
-    /// Traces a new high-water mark of concurrently undecided slots. Only
-    /// depths ≥ 2 are traced (and each new peak once): the event marks
-    /// genuine cross-slot overlap for tests and chaos runners to key on,
-    /// which a depth-1 pipeline never has.
-    fn note_window(&mut self, ctx: &mut dyn Context) {
-        let open = self.log.inflight_len() as u32;
-        if open >= 2 && open > self.window_peak {
-            self.window_peak = open;
-            ctx.trace(TraceKind::PipelineWindow { open });
-        }
     }
 
     /// Processes decided, in-order slots. Watermarks the slot's claims
@@ -757,67 +734,49 @@ impl AppServer {
                 continue; // nothing became final: claims only, or duplicates
             }
             ctx.trace(TraceKind::BatchDecided { slot: slot.slot, len: slot.entries.len() as u32 });
-            let group: Vec<_> = slot
-                .entries
-                .into_iter()
-                .filter_map(|(rid, decision)| self.claim_initiated(ctx, rid, decision))
-                .collect();
-            self.start_terminate_group(ctx, Some(slot.slot), group);
+            self.terminate(ctx, Some(slot.slot), slot.entries);
         }
-    }
-
-    /// An attempt whose decision was already final when this server became
-    /// an initiator (the wo-register "write returns the earlier value").
-    fn outcome_final(&mut self, ctx: &mut dyn Context, rid: ResultId, decision: Decision) {
-        if let Some(item) = self.claim_initiated(ctx, rid, decision) {
-            self.start_terminate_group(ctx, None, vec![item]);
-        }
-    }
-
-    /// Resolves a finalised outcome into a termination work item if this
-    /// server initiated it: consumes the initiator claim, closes the
-    /// log-outcome span and takes the termination targets. `None` when some
-    /// other server (or an earlier slot) already owns termination here.
-    fn claim_initiated(
-        &mut self,
-        ctx: &mut dyn Context,
-        rid: ResultId,
-        decision: Decision,
-    ) -> Option<(ResultId, Decision, Vec<NodeId>)> {
-        let (targets, t0) = self.attempts.get_mut(rid)?.outcome.take()?;
-        ctx.trace(TraceKind::Span { rid, comp: Component::LogOutcome, dur: ctx.now().since(t0) });
-        Some((rid, decision, targets))
     }
 
     // ---- terminate() (Figure 4) --------------------------------------------
 
-    /// Starts termination for a group of finalised attempts, coalescing
-    /// their `[Decide]` pushes into one message per database. A push names
-    /// its slot exactly when `ship_speculation` would have shipped it,
-    /// so a database consults its stash for those pushes and no others.
-    /// Retries stay per-attempt — retransmission is the rare path.
-    fn start_terminate_group(
+    /// Figure 4's `terminate()` for decided attempts: a slot's, or one whose
+    /// decision was already final when this server became its initiator
+    /// (the wo-register "write returns the earlier value"). An attempt is
+    /// this server's to terminate if it initiated the outcome, as owner or
+    /// cleaner, and is not terminating already. Each such attempt closes
+    /// its log-outcome span and enters `terminate()`. Their first pushes
+    /// coalesce into one `Decide` per database, which names `slot` where
+    /// `split` says so. Retries stay per attempt: retransmission is the
+    /// rare path.
+    fn terminate(
         &mut self,
         ctx: &mut dyn Context,
         slot: Option<u64>,
-        items: Vec<(ResultId, Decision, Vec<NodeId>)>,
+        decided: impl IntoIterator<Item = (ResultId, Decision)>,
     ) {
-        let mut per_db: BTreeMap<NodeId, Vec<(ResultId, Outcome)>> = BTreeMap::new();
-        for (rid, decision, targets) in items {
-            if matches!(
+        let mut items = Vec::new();
+        for (rid, decision) in decided {
+            let Some((targets, t0)) = self.attempts.get_mut(rid).and_then(|a| a.outcome.take())
+            else {
+                continue; // another server's (or an earlier slot's) to terminate
+            };
+            let dur = ctx.now().since(t0);
+            ctx.trace(TraceKind::Span { rid, comp: Component::LogOutcome, dur });
+            if !matches!(
                 self.phase(rid),
                 Some(Phase::Done { .. } | Phase::Xa(Xa::Terminating { .. }))
             ) {
-                continue; // already terminating/terminated here
+                items.push((rid, decision, targets));
             }
-            for &db in &targets {
-                per_db.entry(db).or_default().push((rid, decision.outcome));
-            }
+        }
+        let mut outcomes = items.iter().map(|(rid, d, targets)| (*rid, d.outcome, &targets[..]));
+        let pushes = split(slot, &mut outcomes);
+        for (rid, decision, targets) in items {
             let next = Xa::terminate(ctx, rid, decision, targets, self.cfg.terminate_retry, false);
             self.enter(ctx, rid, next);
         }
-        for (db, entries) in per_db {
-            let slot = slot.filter(|_| speculable(&entries));
+        for (db, entries, slot) in pushes {
             ctx.send(db, Payload::Db(DbMsg::Decide { entries, slot }));
         }
     }
@@ -829,7 +788,7 @@ impl AppServer {
     /// terminated. The log's owner map holds open work only (attempts at
     /// or above their client's watermark), so that is all a pass walks.
     fn run_cleaner(&mut self, ctx: &mut dyn Context) {
-        let suspected = self.suspicion_snapshot();
+        let suspected = self.fd.suspected();
         if suspected.is_empty() {
             return;
         }
@@ -867,30 +826,22 @@ impl Process for AppServer {
         }
         // 1. Failure detection first: everything downstream may consult it.
         let transitions = self.fd.handle(ctx, &event);
-        let sus_vec = self.suspicion_snapshot();
+        let sus_vec = self.fd.suspected();
+        let sus = |n: NodeId| sus_vec.contains(&n);
         let newly_suspected =
             transitions.iter().any(|t| matches!(t, etx_fd::FdTransition::Suspect(_)));
         // 2. Registers: consensus traffic, round patience, resync. Slot
         //    decisions feed the decision log, which applies them in order.
-        let wo_events = {
-            let sus = |n: NodeId| sus_vec.contains(&n);
-            if !transitions.is_empty() {
-                self.regs.on_suspicion_change(ctx, &sus);
-            }
-            self.regs.handle(ctx, &event, &sus)
-        };
-        for ev in wo_events {
+        if !transitions.is_empty() {
+            self.regs.on_suspicion_change(ctx, &sus);
+        }
+        for ev in self.regs.handle(ctx, &event, &sus) {
             let WoEvent::Decided { reg, value } = ev;
             let Some(slot) = reg.slot_index() else { continue };
-            let applied = {
-                let sus = |n: NodeId| sus_vec.contains(&n);
-                self.log.on_slot_decided(ctx, &mut self.regs, slot, &value, &sus)
-            };
             // A decided slot lets the log pump the next pending batch into
             // a fresh proposal — overlap that one too.
-            self.ship_speculation(ctx);
-            self.note_window(ctx);
-            self.apply_slots(ctx, applied);
+            let applied = self.log.on_slot_decided(ctx, &mut self.regs, slot, &value, &sus);
+            self.after_pump(ctx, applied);
         }
         // 3. A fresh suspicion triggers an immediate cleaning pass
         //    (Figure 6's loop reacts to suspect() turning true).

@@ -361,6 +361,20 @@ impl DbServer {
         done.since(now)
     }
 
+    /// The commit-processing time one message's fresh entries cost: a
+    /// jittered `db_commit` if any of them commits, else a jittered
+    /// `db_abort` if any aborts, else nothing (a pure re-delivery draws no
+    /// randomness).
+    fn service_time(&self, ctx: &mut dyn Context, fresh_commits: u32, fresh_aborts: u32) -> Dur {
+        if fresh_commits > 0 {
+            jittered(ctx, self.cost.db_commit, self.cost.jitter)
+        } else if fresh_aborts > 0 {
+            jittered(ctx, self.cost.db_abort, self.cost.jitter)
+        } else {
+            Dur::ZERO
+        }
+    }
+
     /// Claims the serial snapshot-read lane for `service` time (same
     /// queueing discipline as [`DbServer::charge_serial`], independent
     /// horizon). Volatile, like everything else in-flight across a crash.
@@ -572,8 +586,7 @@ impl DbServer {
                 if !self.features.speculation.enabled || self.repl.sync_from.is_some() {
                     return;
                 }
-                let mut fresh_commits = 0usize;
-                let mut fresh_aborts = 0usize;
+                let (mut fresh_commits, mut fresh_aborts) = (0u32, 0u32);
                 for &(rid, outcome) in &entries {
                     if self.engine.decision(rid).is_none() {
                         match outcome {
@@ -582,13 +595,7 @@ impl DbServer {
                         }
                     }
                 }
-                let service = if fresh_commits > 0 {
-                    jittered(ctx, self.cost.db_commit, self.cost.jitter)
-                } else if fresh_aborts > 0 {
-                    jittered(ctx, self.cost.db_abort, self.cost.jitter)
-                } else {
-                    Dur::ZERO
-                };
+                let service = self.service_time(ctx, fresh_commits, fresh_aborts);
                 if !self.engine.speculate(slot, &entries, service, self.spec_cap()) {
                     return; // a stash for this slot already exists
                 }
@@ -677,11 +684,7 @@ impl DbServer {
                 // latency breakdowns stay additive.
                 let cost = match prepaid {
                     Some((cost, _)) => cost,
-                    None if fresh_commits > 0 => {
-                        jittered(ctx, self.cost.db_commit, self.cost.jitter)
-                    }
-                    None if fresh_aborts > 0 => jittered(ctx, self.cost.db_abort, self.cost.jitter),
-                    None => Dur::ZERO, // pure re-delivery: answered from the memo
+                    None => self.service_time(ctx, fresh_commits, fresh_aborts),
                 };
                 if fresh_commits > 0 {
                     let share = cost.scaled(1.0 / f64::from(fresh_commits));

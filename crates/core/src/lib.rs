@@ -50,7 +50,8 @@ pub(crate) mod recorder {
     #[derive(Default)]
     pub(crate) struct Recorder {
         pub sent: Vec<(NodeId, Payload)>,
-        /// The delay each `send_after` asked for, in call order.
+        /// The delay each send asked for (zero for a plain one), in call
+        /// order.
         pub delays: Vec<Dur>,
         pub timers: Vec<(Dur, TimerTag)>,
         pub wal: Vec<StableRecord>,
@@ -63,13 +64,6 @@ pub(crate) mod recorder {
         }
         fn me(&self) -> NodeId {
             NodeId(2)
-        }
-        fn send(&mut self, to: NodeId, payload: Payload) {
-            self.sent.push((to, payload));
-        }
-        fn send_after(&mut self, delay: Dur, to: NodeId, payload: Payload) {
-            self.delays.push(delay);
-            self.send(to, payload);
         }
         fn set_timer(&mut self, delay: Dur, tag: TimerTag) -> TimerId {
             self.timers.push((delay, tag));
@@ -92,11 +86,9 @@ pub(crate) mod recorder {
         fn depth(&self) -> u32 {
             0
         }
-        fn send_at_depth(&mut self, _: u32, to: NodeId, payload: Payload) {
-            self.send(to, payload);
-        }
-        fn send_after_at_depth(&mut self, _: u32, _: Dur, to: NodeId, payload: Payload) {
-            self.send(to, payload);
+        fn send_after_at_depth(&mut self, _: u32, delay: Dur, to: NodeId, payload: Payload) {
+            self.delays.push(delay);
+            self.sent.push((to, payload));
         }
         fn subscribe_node_events(&mut self) {}
     }

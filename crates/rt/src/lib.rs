@@ -558,14 +558,6 @@ impl Context for ThreadCtx<'_> {
         self.rt.me
     }
 
-    fn send(&mut self, to: NodeId, payload: Payload) {
-        self.send_impl(self.depth, Dur::ZERO, to, payload);
-    }
-
-    fn send_after(&mut self, delay: Dur, to: NodeId, payload: Payload) {
-        self.send_impl(self.depth, delay, to, payload);
-    }
-
     fn set_timer(&mut self, delay: Dur, tag: TimerTag) -> TimerId {
         self.rt.timer_seq += 1;
         let id = TimerId(self.rt.timer_seq);
@@ -601,10 +593,6 @@ impl Context for ThreadCtx<'_> {
 
     fn depth(&self) -> u32 {
         self.depth
-    }
-
-    fn send_at_depth(&mut self, depth: u32, to: NodeId, payload: Payload) {
-        self.send_impl(depth, Dur::ZERO, to, payload);
     }
 
     fn send_after_at_depth(&mut self, depth: u32, delay: Dur, to: NodeId, payload: Payload) {

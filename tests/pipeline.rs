@@ -16,6 +16,9 @@
 //!   undecided slots in flight, or a shard primary holding a stash for
 //!   each of them, leaves the full §3 specification intact and the
 //!   replayed values equal to the depth-1 run's.
+//!
+//! And one pinned trace: the pipelined feature set (speculation on, a deep
+//! window) with that primary crash replays a golden hash byte for byte.
 
 use etx::base::config::{BatchingConfig, PipelineConfig, SpeculationConfig};
 use etx::base::fault::{FaultOp, NemesisWhen};
@@ -142,6 +145,15 @@ fn deep_window_overlaps_rounds_and_commits_the_depth_one_state() {
         "every proposed slot in the window ships for speculation, not just the head \
          (got slots {spec_slots:?})"
     );
+    // Each proposal ships once: a frame shipped twice would find its stash
+    // already there and be refused untraced.
+    let stashed = deep.trace().events().iter();
+    let stashed = stashed.filter(|e| matches!(e.kind, TraceKind::SpecExec { .. })).count();
+    assert_eq!(
+        deep.stats().sent("SpecExec"),
+        stashed as u64,
+        "every frame shipped is stashed once"
+    );
     assert!(deep.spec_hits() >= 1, "fault-free overlap must promote at least one batch");
     assert_matches_reference(&mut deep, depth_one_state(), "deep window");
 }
@@ -182,6 +194,44 @@ fn a_deep_window_lowers_latency_when_flushes_outrun_the_consensus_round() {
     };
     let (one, deep) = (mean_latency_ms(1), mean_latency_ms(4));
     assert!(deep < one, "depth 4 ({deep:.3} ms) must beat the single-slot log ({one:.3} ms)");
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// The FNV-1a hash of the full debug trace of a pipelined burst —
+/// speculation on, window depth 4 — whose default primary crashes the
+/// moment it first holds two undecided slots. The read-path goldens cover
+/// depth 1 without speculation; this one pins what they cannot: where
+/// `SpecExec` frames ship, where `PipelineWindow` is traced (and so where
+/// the crash lands), and how the survivors finish the orphaned slots. A
+/// change that means to leave the protocol alone leaves it alone.
+const GOLDEN_PIPELINED: u64 = 0x7AE7_1B14_1216_1E24;
+
+#[test]
+fn the_pipelined_feature_set_replays_its_golden_trace() {
+    let mut s = burst(5300, 4, SpeculationConfig::on());
+    let a1 = s.topo.primary();
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == a1 && matches!(ev.kind, TraceKind::PipelineWindow { open } if open >= 2)
+        }),
+        FaultOp::Crash(a1),
+    )
+    .unwrap();
+    let n = s.requests as usize;
+    assert_eq!(s.run_until_settled(n), RunOutcome::Predicate);
+    s.quiesce(Dur::from_millis(50));
+    let events = s.trace().events();
+    assert!(events.iter().any(|e| e.node == a1 && matches!(e.kind, TraceKind::Crash)));
+    let hash = fnv1a(format!("{events:#?}").as_bytes());
+    assert_eq!(hash, GOLDEN_PIPELINED, "the pipelined trace changed");
 }
 
 #[test]
