@@ -201,7 +201,7 @@ impl Process for TpcServer {
                 }
                 DbReplyMsg::AckDecide { entries, .. } => {
                     for (rid, _) in entries {
-                        let step = self.xa_mut(rid).and_then(|xa| xa.ack(from));
+                        let step = self.xa_mut(rid).and_then(|xa| xa.ack(ctx, from));
                         self.on_step(ctx, rid, step);
                     }
                 }
@@ -221,8 +221,9 @@ impl Process for TpcServer {
                 _ => {}
             },
             Event::Timer { tag: TimerTag::TerminateRetry { rid }, .. } => {
-                if let Some(Phase::Xa(xa)) = self.attempts.get(&rid) {
-                    xa.retry(ctx, rid, self.terminate_retry);
+                let period = self.terminate_retry;
+                if let Some(xa) = self.xa_mut(rid) {
+                    xa.retry(ctx, rid, period);
                 }
             }
             _ => {}

@@ -869,7 +869,7 @@ impl Process for AppServer {
                     self.lane.observe(from, seq);
                     self.lane.observe_lease(from, lease);
                     for (rid, _) in entries {
-                        let step = self.xa_mut(rid).and_then(|xa| xa.ack(from));
+                        let step = self.xa_mut(rid).and_then(|xa| xa.ack(ctx, from));
                         self.on_step(ctx, rid, step);
                     }
                 }
@@ -906,8 +906,9 @@ impl Process for AppServer {
                 TimerTag::Dispatch { rid, stage: 1 } => self.lane.dispatch(ctx, rid),
                 TimerTag::ReadRetry { rid } => self.lane.retry(ctx, rid),
                 TimerTag::TerminateRetry { rid } => {
-                    if let Some(Phase::Xa(xa)) = self.phase(rid) {
-                        xa.retry(ctx, rid, self.cfg.terminate_retry);
+                    let period = self.cfg.terminate_retry;
+                    if let Some(xa) = self.xa_mut(rid) {
+                        xa.retry(ctx, rid, period);
                     }
                 }
                 TimerTag::BatchFlush => {

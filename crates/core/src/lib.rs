@@ -37,7 +37,8 @@ pub use router::{route, RoutedPlan};
 #[cfg(test)]
 pub(crate) mod recorder {
     //! A [`Context`] for unit tests that records what a process does —
-    //! sends, timers, traces, WAL appends — and charges nothing.
+    //! sends, timers and their cancels, traces, WAL appends — and charges
+    //! nothing.
 
     use etx_base::ids::{NodeId, ResultId, TimerId};
     use etx_base::msg::{DbReplyMsg, Payload};
@@ -53,7 +54,9 @@ pub(crate) mod recorder {
         /// The delay each send asked for (zero for a plain one), in call
         /// order.
         pub delays: Vec<Dur>,
+        /// Timers in arming order; the `n`-th armed is `TimerId(n)`, from 1.
         pub timers: Vec<(Dur, TimerTag)>,
+        pub cancelled: Vec<TimerId>,
         pub wal: Vec<StableRecord>,
         pub traced: Vec<TraceKind>,
     }
@@ -67,9 +70,11 @@ pub(crate) mod recorder {
         }
         fn set_timer(&mut self, delay: Dur, tag: TimerTag) -> TimerId {
             self.timers.push((delay, tag));
-            TimerId(0)
+            self.last_timer()
         }
-        fn cancel_timer(&mut self, _: TimerId) {}
+        fn cancel_timer(&mut self, id: TimerId) {
+            self.cancelled.push(id);
+        }
         fn random_u64(&mut self) -> u64 {
             0
         }
@@ -94,6 +99,11 @@ pub(crate) mod recorder {
     }
 
     impl Recorder {
+        /// The id of the timer armed last.
+        pub fn last_timer(&self) -> TimerId {
+            TimerId(self.timers.len() as u64)
+        }
+
         /// The `(branch, applied outcome)` pairs acknowledged so far.
         pub fn acks(&self) -> Vec<(ResultId, Outcome)> {
             let acked = |(_, p): &(NodeId, Payload)| match p {

@@ -26,7 +26,7 @@
 
 use etx_base::attempts::AttemptWindows;
 use etx_base::config::ProtocolConfig;
-use etx_base::ids::{NodeId, ResultId};
+use etx_base::ids::{NodeId, ResultId, TimerId};
 use etx_base::msg::{DbMsg, Payload};
 use etx_base::runtime::{Context, TimerTag};
 use etx_base::shard::ShardMap;
@@ -106,6 +106,9 @@ struct ReadState {
     /// How many times the loss backstop has fired for this attempt (drives
     /// its exponential back-off).
     backoff: u32,
+    /// The backstop's `ReadRetry` armed last; whichever way the read ends,
+    /// it is cancelled.
+    retry: Option<TimerId>,
 }
 
 /// Deterministic follower choice for a fast-path read: all replicas
@@ -253,7 +256,8 @@ impl ReadLane {
                 prev: None,
             })
             .collect();
-        self.reads.insert(rid, ReadState { calls, indoubt: false, round: 0, backoff: 0 });
+        let state = ReadState { calls, indoubt: false, round: 0, backoff: 0, retry: None };
+        self.reads.insert(rid, state);
     }
 
     /// Fans a read out: one `Read` message per routed call, then arms the
@@ -262,8 +266,24 @@ impl ReadLane {
     pub(crate) fn dispatch(&mut self, ctx: &mut dyn Context, rid: ResultId) {
         if self.contains(rid) {
             self.send_round(ctx, rid, 0);
-            ctx.set_timer(self.retry_period, TimerTag::ReadRetry { rid });
+            self.arm(ctx, rid, self.retry_period);
         }
+    }
+
+    /// Arms `rid`'s next backstop firing and keeps its id.
+    fn arm(&mut self, ctx: &mut dyn Context, rid: ResultId, delay: Dur) {
+        if let Some(state) = self.reads.get_mut(rid) {
+            state.retry = Some(ctx.set_timer(delay, TimerTag::ReadRetry { rid }));
+        }
+    }
+
+    /// Takes a read that ended out of flight; its backstop goes with it.
+    fn finish(&mut self, ctx: &mut dyn Context, rid: ResultId) -> Option<ReadState> {
+        let state = self.reads.remove(rid)?;
+        if let Some(id) = state.retry {
+            ctx.cancel_timer(id);
+        }
+        Some(state)
     }
 
     /// Sends every unanswered call of `rid`'s current collect, each stamped
@@ -382,7 +402,7 @@ impl ReadLane {
         // veto rather than serving the fractured half.
         let accept = !multi || (!state.indoubt && (fresh || stable));
         if accept {
-            let state = self.reads.remove(rid)?;
+            let state = self.finish(ctx, rid)?;
             let stamps = state.calls.iter().map(|c| (c.call.db, c.pos)).collect();
             let (calls, outs): (Vec<DbCall>, Vec<Vec<OpOutput>>) = state
                 .calls
@@ -394,7 +414,7 @@ impl ReadLane {
         }
         let rounds = state.round + 1;
         if rounds >= SNAPSHOT_ROUNDS {
-            self.reads.remove(rid);
+            self.finish(ctx, rid);
             return Some(ReadEnd::Exhausted { rounds });
         }
         // Start the next collect: remember this round's positions,
@@ -464,7 +484,7 @@ impl ReadLane {
         ctx.trace(TraceKind::ReadRetried { rid, backoff });
         self.send_round(ctx, rid, backoff);
         let delay = Dur(self.retry_period.0.saturating_mul(1 << backoff.min(3)));
-        ctx.set_timer(delay, TimerTag::ReadRetry { rid });
+        self.arm(ctx, rid, delay);
     }
 
     /// Settled reads drop with the client's watermark.
@@ -679,5 +699,20 @@ mod tests {
         }
         assert!(!lane.contains(rid(1)), "an exhausted read is over");
         assert!(reads_sent(&mut ctx).is_empty(), "and sends nothing more");
+        assert_eq!(ctx.cancelled, [ctx.last_timer()], "nor keeps its backstop");
+    }
+
+    #[test]
+    fn a_snapshot_cancels_the_backstop_armed_last() {
+        let (mut lane, mut ctx) = (lane(false, false), Recorder::default());
+        lane.start(&mut ctx, rid(1), calls(1), &[]);
+        lane.dispatch(&mut ctx, rid(1));
+        lane.retry(&mut ctx, rid(1));
+        let armed = ctx.last_timer();
+        assert_eq!(armed, TimerId(2), "the dispatch armed one, the firing another");
+        let out = vec![OpOutput::Value(Some(1))];
+        let end = lane.reply(&mut ctx, GROUPS[0][0], rid(1), 0, 0, out, 0, false, None);
+        assert!(matches!(end, Some(ReadEnd::Snapshot { .. })));
+        assert_eq!(ctx.cancelled, [armed]);
     }
 }

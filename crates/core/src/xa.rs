@@ -9,10 +9,12 @@
 //! keeps it among its own phases, hands it the replies, `Ready` notices and
 //! retry timers that concern the attempt, and matches on the [`Step`] a
 //! stage returns when it ends. *When* the next stage starts, and what
-//! happens in between, is what makes each server itself.
+//! happens in between, is what makes each server itself. A timer outlives
+//! nothing it was armed for: `terminate()` keeps the id of the retry it
+//! armed last, and the last acknowledgement cancels it.
 
 use crate::resultbuild;
-use etx_base::ids::{NodeId, ResultId};
+use etx_base::ids::{NodeId, ResultId, TimerId};
 use etx_base::msg::{DbMsg, Payload};
 use etx_base::runtime::{Context, TimerTag};
 use etx_base::time::Dur;
@@ -28,8 +30,15 @@ pub enum Xa {
     Computing { request: Request, xa: bool, call_idx: usize, acc: Vec<(String, i64)> },
     /// `prepare()`: `votes[i]` is what `involved[i]` answered.
     Preparing { result: Arc<ResultValue>, involved: Vec<NodeId>, votes: Vec<Option<Vote>> },
-    /// `terminate()`: `acked[i]` once `targets[i]` acknowledged the decision.
-    Terminating { decision: Decision, targets: Vec<NodeId>, acked: Vec<bool> },
+    /// `terminate()`: `acked[i]` once `targets[i]` acknowledged the decision;
+    /// `retry` is the `TerminateRetry` timer armed last, cancelled by the
+    /// last acknowledgement.
+    Terminating {
+        decision: Decision,
+        targets: Vec<NodeId>,
+        acked: Vec<bool>,
+        retry: Option<TimerId>,
+    },
 }
 
 /// A stage just entered — and its [`Step`], if with no call to make or
@@ -134,8 +143,9 @@ impl Xa {
     /// Figure 4 `terminate()`: holds `decision` until every target has
     /// acknowledged it, pushing it again every `period` on the attempt's
     /// own `TerminateRetry` timer (armed here; the server routes the firings
-    /// to [`Xa::retry`]). A server that sends the first push itself, in a
-    /// `Decide` shared with other attempts, passes `first_push: false`.
+    /// to [`Xa::retry`], and the last acknowledgement cancels it). A server
+    /// that sends the first push itself, in a `Decide` shared with other
+    /// attempts, passes `first_push: false`.
     pub fn terminate(
         ctx: &mut dyn Context,
         rid: ResultId,
@@ -145,21 +155,28 @@ impl Xa {
         first_push: bool,
     ) -> Entered {
         let acked = vec![false; targets.len()];
-        let mut stage = Xa::Terminating { decision, targets, acked };
-        let step = stage.count_acks();
+        let mut stage = Xa::Terminating { decision, targets, acked, retry: None };
+        let step = stage.count_acks(ctx);
         if step.is_none() {
             if first_push {
                 stage.push(ctx, rid, None);
             }
-            ctx.set_timer(period, TimerTag::TerminateRetry { rid });
+            stage.arm(ctx, rid, period);
         }
         (stage, step)
+    }
+
+    /// Arms the attempt's next `TerminateRetry` and keeps its id.
+    fn arm(&mut self, ctx: &mut dyn Context, rid: ResultId, period: Dur) {
+        if let Xa::Terminating { retry, .. } = self {
+            *retry = Some(ctx.set_timer(period, TimerTag::TerminateRetry { rid }));
+        }
     }
 
     /// Pushes the decision to the targets that have not acknowledged it —
     /// to `only` this one of them, if given.
     fn push(&self, ctx: &mut dyn Context, rid: ResultId, only: Option<NodeId>) {
-        let Xa::Terminating { decision, targets, acked } = self else { return };
+        let Xa::Terminating { decision, targets, acked, .. } = self else { return };
         for (&db, &acked) in targets.iter().zip(acked) {
             if !acked && only.is_none_or(|o| o == db) {
                 ctx.send(db, Payload::Db(DbMsg::decide_one(rid, decision.outcome)));
@@ -168,24 +185,29 @@ impl Xa {
     }
 
     /// The attempt's `TerminateRetry` fired (`terminate()`'s repeat loop).
-    pub fn retry(&self, ctx: &mut dyn Context, rid: ResultId, period: Dur) {
+    pub fn retry(&mut self, ctx: &mut dyn Context, rid: ResultId, period: Dur) {
         if matches!(self, Xa::Terminating { .. }) {
             self.push(ctx, rid, None);
-            ctx.set_timer(period, TimerTag::TerminateRetry { rid });
+            self.arm(ctx, rid, period);
         }
     }
 
     /// A decide acknowledgement arrived; a stranger's is ignored.
-    pub fn ack(&mut self, from: NodeId) -> Option<Step> {
+    pub fn ack(&mut self, ctx: &mut dyn Context, from: NodeId) -> Option<Step> {
         let Xa::Terminating { targets, acked, .. } = self else { return None };
         acked[targets.iter().position(|d| *d == from)?] = true;
-        self.count_acks()
+        self.count_acks(ctx)
     }
 
-    fn count_acks(&mut self) -> Option<Step> {
-        let Xa::Terminating { decision, targets, acked } = self else { return None };
+    /// `terminate()` returns once every target acknowledged: its retry
+    /// timer has nothing left to push, and is cancelled.
+    fn count_acks(&mut self, ctx: &mut dyn Context) -> Option<Step> {
+        let Xa::Terminating { decision, targets, acked, retry } = self else { return None };
         if acked.contains(&false) {
             return None;
+        }
+        if let Some(id) = retry.take() {
+            ctx.cancel_timer(id);
         }
         Some(Step::Terminated { decision: decision.clone(), targets: std::mem::take(targets) })
     }
@@ -298,6 +320,7 @@ mod tests {
         let (_, step) = Xa::terminate(&mut ctx, rid(1), decision, targets, PERIOD, true);
         assert!(matches!(step, Some(Step::Terminated { .. })));
         assert!(ctx.sent.is_empty() && ctx.timers.is_empty(), "nothing to send or to retry");
+        assert!(ctx.cancelled.is_empty());
     }
 
     #[test]
@@ -330,14 +353,14 @@ mod tests {
     fn one_period_re_pushes_each_attempt_once_on_its_own_timer() {
         const N: u64 = 5;
         let mut ctx = Recorder::default();
-        let stages: Vec<Xa> = (1..=N).map(|seq| terminating(&mut ctx, seq, &[A])).collect();
+        let mut stages: Vec<Xa> = (1..=N).map(|seq| terminating(&mut ctx, seq, &[A])).collect();
         let per_attempt: Vec<_> = (1..=N).map(|seq| (rid(seq), A)).collect();
         let timers: Vec<_> =
             (1..=N).map(|seq| (PERIOD, TimerTag::TerminateRetry { rid: rid(seq) })).collect();
         assert_eq!((decides(&ctx), &ctx.timers), (per_attempt.clone(), &timers), "first pushes");
         ctx.sent.clear();
         ctx.timers.clear();
-        for (seq, xa) in (1..=N).zip(&stages) {
+        for (seq, xa) in (1..=N).zip(&mut stages) {
             xa.retry(&mut ctx, rid(seq), PERIOD);
         }
         assert_eq!((decides(&ctx), &ctx.timers), (per_attempt, &timers), "one period later");
@@ -347,16 +370,37 @@ mod tests {
     fn a_duplicate_ack_and_a_strangers_ack_change_nothing() {
         let mut ctx = Recorder::default();
         let mut xa = terminating(&mut ctx, 1, &[A, B]);
-        assert!(xa.ack(STRANGER).is_none());
-        assert!(xa.ack(A).is_none());
-        assert!(xa.ack(A).is_none(), "A twice is not A and B");
+        assert!(xa.ack(&mut ctx, STRANGER).is_none());
+        assert!(xa.ack(&mut ctx, A).is_none());
+        assert!(xa.ack(&mut ctx, A).is_none(), "A twice is not A and B");
         ctx.sent.clear();
         xa.retry(&mut ctx, rid(1), PERIOD);
         assert_eq!(decides(&ctx), [(rid(1), B)], "exactly the unacknowledged target");
-        let Some(Step::Terminated { decision, targets }) = xa.ack(B) else {
+        let Some(Step::Terminated { decision, targets }) = xa.ack(&mut ctx, B) else {
             panic!("the last ack returns from terminate()");
         };
         assert_eq!((decision.outcome, targets), (Outcome::Commit, vec![A, B]));
+    }
+
+    /// The retry timer lives exactly as long as somebody owes an ack: the
+    /// last ack cancels the one `terminate()` or its latest retry armed.
+    #[test]
+    fn the_last_ack_cancels_the_retry_timer_armed_last() {
+        let mut ctx = Recorder::default();
+        let mut xa = terminating(&mut ctx, 1, &[A, B]);
+        assert!(xa.ack(&mut ctx, A).is_none());
+        assert!(ctx.cancelled.is_empty(), "B still owes its ack");
+        xa.retry(&mut ctx, rid(1), PERIOD);
+        let armed = ctx.last_timer();
+        assert_eq!(armed, TimerId(2), "terminate() armed one, the retry another");
+        assert!(xa.ack(&mut ctx, B).is_some());
+        assert!(xa.ack(&mut ctx, B).is_none(), "a late duplicate is nobody's");
+        assert_eq!(ctx.cancelled, [armed]);
+
+        let mut xa = terminating(&mut ctx, 2, &[A]);
+        let armed = ctx.last_timer();
+        assert!(xa.ack(&mut ctx, A).is_some());
+        assert_eq!(ctx.cancelled[1..], [armed], "no retry fired: terminate()'s own");
     }
 
     #[test]
@@ -384,7 +428,7 @@ mod tests {
         // its acknowledgement, and to no one else.
         let (mut xa, _) = Xa::terminate(&mut ctx, rid(1), decision, targets, PERIOD, false);
         assert!(decides(&ctx).is_empty(), "the first push was the caller's");
-        assert!(xa.ack(B).is_none());
+        assert!(xa.ack(&mut ctx, B).is_none());
         for db in [A, B, STRANGER] {
             assert!(xa.ready(&mut ctx, rid(1), db).is_none());
         }

@@ -566,8 +566,19 @@ impl Context for ThreadCtx<'_> {
         id
     }
 
+    /// Compacts like the simulator's: once cancelled ids are more than
+    /// half the deferred queue, one pass drops every cancelled timer and
+    /// forgets the ids; `(due, seq)` keeps what stays in its order.
     fn cancel_timer(&mut self, id: TimerId) {
-        self.rt.cancelled.insert(id.0);
+        let rt = &mut *self.rt;
+        rt.cancelled.insert(id.0);
+        if rt.cancelled.len() * 2 > rt.deferred.len() {
+            let cancelled = &rt.cancelled;
+            rt.deferred.retain(|Reverse(d)| {
+                !matches!(d.kind, DeferredKind::Timer { id, .. } if cancelled.contains(&id.0))
+            });
+            rt.cancelled.clear();
+        }
     }
 
     fn random_u64(&mut self) -> u64 {
@@ -1213,6 +1224,46 @@ mod tests {
         }));
         assert_eq!(out, RunOutcome::Predicate);
         assert!(host.host_now() >= Time(5_000), "timer must not fire early");
+        host.stop();
+    }
+
+    /// Arms one live timer and eight it cancels at once, then says so.
+    struct CancelBurst;
+    impl Process for CancelBurst {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            match event {
+                Event::Init => {
+                    ctx.set_timer(Dur::from_millis(20), TimerTag::CleanerTick);
+                    let dead: Vec<_> = (0..8)
+                        .map(|_| ctx.set_timer(Dur::from_secs(3_600), TimerTag::BatchFlush))
+                        .collect();
+                    for id in dead {
+                        ctx.cancel_timer(id);
+                    }
+                    ctx.trace(TraceKind::Note("armed"));
+                }
+                Event::Timer { tag, .. } => {
+                    assert_eq!(tag, TimerTag::CleanerTick, "cancelled timer must not fire");
+                    ctx.trace(TraceKind::Note("tick"));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_burst_of_cancels_leaves_only_the_live_timers() {
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(2));
+        host.add_node("t", Box::new(|_| Box::new(CancelBurst)));
+        let noted = |what| move |t: &Trace| t.count_kind(|k| *k == TraceKind::Note(what)) == 1;
+        assert_eq!(host.run_trace_until(Box::new(noted("armed"))), RunOutcome::Predicate);
+        {
+            let state = host.pool.slots[0].state();
+            let rt = &state.as_ref().expect("the node is up").rt;
+            assert_eq!(rt.deferred.len(), 1, "the cancels compacted the queue to the live timer");
+            assert!(rt.cancelled.is_empty(), "and forgot their ids");
+        }
+        assert_eq!(host.run_trace_until(Box::new(noted("tick"))), RunOutcome::Predicate);
         host.stop();
     }
 

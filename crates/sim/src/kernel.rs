@@ -4,6 +4,9 @@
 //! pops the next scheduled action off a priority queue (ordered by time,
 //! tie-broken by insertion sequence, so runs are bit-deterministic per
 //! seed), dispatches it, and collects whatever the handler emits.
+//! Cancelled timers leave the queue: a popped one is dropped unseen, and
+//! once they are more than half of it one pass removes them all, so a
+//! protocol that cancels what it no longer needs does not pay to pop it.
 //!
 //! Fault injection is first-class and has one entry,
 //! [`Host::schedule_fault`]: crashes, pauses, cut links and partitions
@@ -140,10 +143,10 @@ pub struct Sim {
     trace: Trace,
     stats: MsgStats,
     timer_seq: u64,
-    /// Cancelled timers not yet popped. Ordered, not hashed: a hash set
-    /// that grows and shrinks reallocates or not by where its per-process
-    /// random keys put the tombstones, and a run's allocation count is
-    /// gated to repeat exactly (`tests/alloc_budget.rs`).
+    /// Cancelled timers not yet popped or compacted away. Ordered, not
+    /// hashed: a hash set that grows and shrinks reallocates or not by
+    /// where its per-process random keys put the tombstones, and a run's
+    /// allocation count is gated to repeat exactly (`tests/alloc_budget.rs`).
     cancelled: BTreeSet<u64>,
     fd_subscribers: Vec<NodeId>,
     triggers: Triggers,
@@ -291,6 +294,12 @@ impl Sim {
         debug_assert!(entry.at >= self.now, "time went backwards");
         self.now = entry.at;
         self.processed += 1;
+        // A cancelled timer goes nowhere — not to its node, not to a paused
+        // node's stash, not to a stale incarnation — and frees its id.
+        if matches!(&entry.action, Action::Timer { id, .. } if self.cancelled.remove(&id.0)) {
+            self.scan_triggers();
+            return true;
+        }
         // A paused node's inputs are stashed, not dispatched — its inbox
         // keeps filling while it makes no progress (the SIGSTOP story).
         // Fault-plane actions have no target and always execute.
@@ -311,11 +320,8 @@ impl Sim {
                 }
             }
             Action::Timer { node, incarnation, id, tag, depth } => {
-                let live = {
-                    let slot = &self.nodes[node.0 as usize];
-                    slot.up && slot.incarnation == incarnation
-                };
-                if live && !self.cancelled.remove(&id.0) {
+                let slot = &self.nodes[node.0 as usize];
+                if slot.up && slot.incarnation == incarnation {
                     self.dispatch(node, Event::Timer { id, tag }, depth);
                 }
             }
@@ -610,8 +616,18 @@ impl Context for SimCtx<'_> {
         id
     }
 
+    /// Once cancelled ids are more than half the queue, one pass drops every
+    /// cancelled timer from it and forgets the ids. The queue is totally
+    /// ordered by `(at, seq)`, so what stays pops exactly as it would have.
     fn cancel_timer(&mut self, id: TimerId) {
         self.cancelled.insert(id.0);
+        if self.cancelled.len() * 2 > self.queue.len() {
+            let cancelled = &*self.cancelled;
+            self.queue.retain(|Reverse(e)| {
+                !matches!(e.action, Action::Timer { id, .. } if cancelled.contains(&id.0))
+            });
+            self.cancelled.clear();
+        }
     }
 
     fn random_u64(&mut self) -> u64 {

@@ -61,7 +61,7 @@ pub use storage::StableStorage;
 mod tests {
     use super::*;
     use etx_base::fault::{FaultOp, NemesisWhen};
-    use etx_base::ids::NodeId;
+    use etx_base::ids::{NodeId, RequestId, ResultId};
     use etx_base::msg::{FdMsg, Payload};
     use etx_base::runtime::{Context, Event, Host, Process, TimerTag};
     use etx_base::time::{Dur, Time};
@@ -129,6 +129,106 @@ mod tests {
         sim.add_node("t", Box::new(|_| Box::new(TimerBox { fired: 0 })));
         sim.run_until_time(Time(100_000));
         assert_eq!(sim.trace().count_kind(|k| matches!(k, TraceKind::Note("tick"))), 1);
+    }
+
+    /// A timer told apart from the others by `seq`.
+    fn numbered(seq: u64) -> TimerTag {
+        let rid = ResultId::first(RequestId { client: NodeId(0), seq });
+        TimerTag::Dispatch { rid, stage: 0 }
+    }
+
+    /// Arms `timers` (delay in ms, cancel it?) on Init, in order, then
+    /// cancels the marked ones; `fired` is the `seq` of every timer that
+    /// fired, in order.
+    struct Numbered {
+        timers: Vec<(u64, bool)>,
+        fired: Vec<u64>,
+    }
+    impl Process for Numbered {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            match event {
+                Event::Init => {
+                    let armed: Vec<_> = (0..)
+                        .zip(&self.timers)
+                        .map(|(seq, &(ms, cancel))| {
+                            (ctx.set_timer(Dur::from_millis(ms), numbered(seq)), cancel)
+                        })
+                        .collect();
+                    for (id, _) in armed.into_iter().filter(|&(_, cancel)| cancel) {
+                        ctx.cancel_timer(id);
+                    }
+                }
+                Event::Timer { tag: TimerTag::Dispatch { rid, .. }, .. } => {
+                    self.fired.push(rid.request.seq);
+                }
+                _ => {}
+            }
+        }
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    fn fired(sim: &Sim, node: NodeId) -> Vec<u64> {
+        let any = sim.process_ref(node).and_then(|p| p.as_any()).expect("a live process");
+        any.downcast_ref::<Numbered>().expect("a Numbered").fired.clone()
+    }
+
+    #[test]
+    fn a_compaction_keeps_firing_order_and_ties() {
+        // Twenty timers over three instants, eleven of them cancelled: the
+        // eleventh cancel finds more cancelled ids than half the queue and
+        // compacts. The nine left fire by instant, ties in arming order, and
+        // no cancelled one is ever popped.
+        let timers: Vec<(u64, bool)> = (0..20).map(|i| (1 + i % 3, i == 0 || i % 2 == 1)).collect();
+        let mut sim = Sim::new(SimConfig::with_seed(2));
+        let n = sim.add_node(
+            "t",
+            Box::new(move |_| Box::new(Numbered { timers: timers.clone(), fired: Vec::new() })),
+        );
+        sim.run_until_time(Time(100_000));
+        assert_eq!(fired(&sim, n), [6, 12, 18, 4, 10, 16, 2, 8, 14]);
+        assert_eq!(sim.processed(), 1 + 9, "Init and the nine live timers, nothing else");
+    }
+
+    #[test]
+    fn a_timer_cancelled_before_a_pause_stays_dead_through_a_compaction() {
+        // `p` cancels its 5 ms timer (seq 0) with its 50 ms one (seq 1) still
+        // queued, so nothing compacts yet. It pauses at 1 ms; the dead timer
+        // comes due while it sleeps. At 10 ms `q` cancels a burst of its own
+        // timers, which compacts the queue and forgets every cancelled id.
+        // `p` resumes at 20 ms: the dead timer must not fire then either.
+        let mut sim = Sim::new(SimConfig::with_seed(3));
+        let p = sim.add_node(
+            "p",
+            Box::new(|_| {
+                Box::new(Numbered { timers: vec![(5, true), (50, false)], fired: Vec::new() })
+            }),
+        );
+        sim.add_node("q", Box::new(|_| Box::new(Burst)));
+        let pause = FaultOp::PauseFor { node: p, down_for: Dur::from_millis(19) };
+        sim.schedule_fault(NemesisWhen::After(Dur::from_millis(1)), pause).unwrap();
+        sim.run_until_time(Time(200_000));
+        assert_eq!(fired(&sim, p), [1], "only the live timer, after the resume");
+    }
+
+    /// At 10 ms, arms eight timers and cancels every one.
+    struct Burst;
+    impl Process for Burst {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            match event {
+                Event::Init => {
+                    ctx.set_timer(Dur::from_millis(10), TimerTag::CleanerTick);
+                }
+                Event::Timer { tag: TimerTag::CleanerTick, .. } => {
+                    for seq in 0..8 {
+                        let id = ctx.set_timer(Dur::from_millis(100), numbered(seq));
+                        ctx.cancel_timer(id);
+                    }
+                }
+                _ => {}
+            }
+        }
     }
 
     /// Writes to stable storage on Init, notes recovery content on Recovered.

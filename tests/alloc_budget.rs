@@ -1,12 +1,14 @@
-//! Allocation budget of the commit path.
+//! Allocation and event budgets of the commit path.
 //!
 //! Heap traffic is the part of the middle tier's cost a simulated clock
 //! cannot see and a wall clock on a shared machine cannot resolve — but the
 //! *number* of allocations a fixed simulation makes is a function of the
-//! code and the seed, so it can be gated. This binary owns its process (one
-//! `#[test]`, a counting `#[global_allocator]`) and runs a small
-//! `commit_sim16`-shaped scenario — the saturated sharded write pipeline
-//! `etx_bench` measures — twice.
+//! code and the seed, so it can be gated. So is the number of events the
+//! simulator pops to deliver it, which is what a timer that fires for
+//! nothing, or a cancelled one still in the queue, costs. This binary owns
+//! its process (one `#[test]`, a counting `#[global_allocator]`) and runs a
+//! small `commit_sim16`-shaped scenario — the saturated sharded write
+//! pipeline `etx_bench` measures — twice.
 //!
 //! That the count repeats **exactly** is an observation, not a guarantee:
 //! 200 of 200 executions of this binary read the same figure in both runs.
@@ -87,11 +89,21 @@ const PARENT: f64 = 82.18;
 /// ceiling on purpose.
 const CEILING: f64 = 58.5;
 
+/// Simulator events per delivered commit at the parent of the change that
+/// introduced the event budget: per-attempt retry timers that fire as
+/// no-ops, cancelled timers popped one by one.
+const EVENTS_PARENT: f64 = 16.95;
+
+/// The event budget: the figure of the change that introduced it (15.13 —
+/// retry timers cancelled at the end of their attempt, cancelled timers
+/// compacted out of the queue, every share speculated), plus 5 %.
+const EVENTS_CEILING: f64 = 15.9;
+
 /// Builds the scenario — 16 shards × rf 2, 3 application servers, batch
 /// 64 / 1 ms, speculation, window depth 4, closed-loop clients, write-only
 /// sharded bank — runs it to the last delivery, and returns the
-/// allocations the run made.
-fn allocations_of_one_run() -> u64 {
+/// allocations the run made and the events the simulator processed.
+fn one_run() -> (u64, u64) {
     let (_, features) = feature_corners()
         .into_iter()
         .find(|(name, _)| *name == "pipelined")
@@ -109,19 +121,31 @@ fn allocations_of_one_run() -> u64 {
     let allocations = ALLOCATIONS.get() - before;
     assert_eq!(outcome, etx::sim::RunOutcome::Predicate, "the run must settle");
     assert_eq!(s.delivered_commits(), CLIENTS * REQUESTS as usize);
-    allocations
+    (allocations, s.sim().processed())
 }
 
 #[test]
 fn the_commit_path_stays_within_its_allocation_budget() {
-    let (first, second) = (allocations_of_one_run(), allocations_of_one_run());
+    let ((first, events), (second, again)) = (one_run(), one_run());
     assert_eq!(first, second, "one seed, two allocation counts: see the module doc for suspects");
-    let per_commit = first as f64 / (CLIENTS as u64 * REQUESTS) as f64;
+    assert_eq!(events, again, "one seed, two event counts");
+    let commits = (CLIENTS as u64 * REQUESTS) as f64;
+    let per_commit = first as f64 / commits;
     println!(
         "{first} allocations, {per_commit:.2} per commit (parent {PARENT}, ceiling {CEILING})"
+    );
+    let events_per_commit = events as f64 / commits;
+    println!(
+        "{events} events, {events_per_commit:.2} per commit \
+         (parent {EVENTS_PARENT}, ceiling {EVENTS_CEILING})"
     );
     assert!(
         per_commit <= CEILING,
         "{per_commit:.2} allocations per commit, budget {CEILING} (parent of the budget: {PARENT})"
+    );
+    assert!(
+        events_per_commit <= EVENTS_CEILING,
+        "{events_per_commit:.2} events per commit, budget {EVENTS_CEILING} \
+         (parent of the budget: {EVENTS_PARENT})"
     );
 }
