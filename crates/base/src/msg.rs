@@ -179,13 +179,14 @@ pub enum DbMsg {
     Decide {
         /// `(branch, outcome)` pairs, in slot order.
         entries: Vec<(ResultId, Outcome)>,
-        /// The decision-log slot the entries were decided in, present only
-        /// on the first push of a slot whose proposal was eligible for
-        /// [`DbMsg::SpecExec`]. A speculating database resolves its stash
-        /// for the slot against it (promote on match, discard and replay
-        /// on mismatch). `None` — retransmissions, `Ready` and cleaner
-        /// re-pushes, an attempt finalised outside a slot, the baselines —
-        /// never touches the stash.
+        /// The decision-log slot the entries were decided in, present on
+        /// the first push of every decided slot (with speculation on, each
+        /// share of its proposal shipped as a [`DbMsg::SpecExec`]). A
+        /// speculating database resolves its stash for the slot against it
+        /// (promote on match, discard and replay on mismatch). `None` —
+        /// retransmissions, `Ready` and cleaner re-pushes, an attempt
+        /// finalised outside a slot, the baselines — never touches the
+        /// stash.
         slot: Option<u64>,
     },
     /// One-phase commit used by the unreliable baseline (Figure 7a): commit

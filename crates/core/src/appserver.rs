@@ -52,10 +52,11 @@
 //! The log pumps — opens slots — when a flush proposes and when a slot
 //! decides, and after either the server does one thing (`after_pump`): it
 //! ships the proposals the log reports that pump opened as `SpecExec`
-//! frames, then applies the slots it decided. A `SpecExec` and the
-//! `Decide` that later resolves it come from one per-database split
-//! (`split`) under one rule (`speculable`), and every decided outcome this
-//! server initiated reaches the databases through one entry, `terminate`.
+//! frames, then applies the slots it decided. Every database's share of a
+//! proposal is pre-paid: a `SpecExec` and the `Decide` that later resolves
+//! it come from one per-database split (`split`), and every decided
+//! outcome this server initiated reaches the databases through one entry,
+//! `terminate`.
 //!
 //! ## The read fast lane
 //!
@@ -119,32 +120,21 @@ struct Attempt {
     cleaned: bool,
 }
 
-/// Whether one database's share of a slot is worth pre-paying while the
-/// slot's consensus round runs.
-fn speculable(entries: &[(ResultId, Outcome)]) -> bool {
-    entries.len() >= 2
-}
-
 /// A slot's outcomes split per database, in slot order — each outcome goes
-/// to every database its attempt targets — with the slot a message about
-/// each share names: `slot` where the share is [`speculable`], none
-/// otherwise. What ships as `SpecExec` and which `Decide` names its slot
-/// both come from here, so a database holds a stash exactly for the
-/// pushes that ask it to resolve one.
-fn split(
-    slot: Option<u64>,
-    outcomes: &mut dyn Iterator<Item = (ResultId, Outcome, &[NodeId])>,
-) -> impl Iterator<Item = (NodeId, Vec<(ResultId, Outcome)>, Option<u64>)> {
+/// to every database its attempt targets. The shares a proposal ships as
+/// `SpecExec` and the shares its decided slot pushes as `Decide` both come
+/// from here, so a database's stash and the push that resolves it hold the
+/// same entries when the slot decides as proposed.
+fn split<'a>(
+    outcomes: impl Iterator<Item = (ResultId, Outcome, &'a [NodeId])>,
+) -> BTreeMap<NodeId, Vec<(ResultId, Outcome)>> {
     let mut per_db: BTreeMap<NodeId, Vec<(ResultId, Outcome)>> = BTreeMap::new();
     for (rid, outcome, targets) in outcomes {
         for &db in targets {
             per_db.entry(db).or_default().push((rid, outcome));
         }
     }
-    per_db.into_iter().map(move |(db, entries)| {
-        let named = slot.filter(|_| speculable(&entries));
-        (db, entries, named)
-    })
+    per_db
 }
 
 /// A request's key in the committed-result cache (attempts start at 1).
@@ -702,12 +692,10 @@ impl AppServer {
             for (slot, batch) in self.log.opened_proposals() {
                 let outcome = |rid| self.attempts.get(rid).and_then(|a| a.outcome.as_ref());
                 let targets = |rid| outcome(rid).map_or(&self.topo.db_servers, |(t, _)| t);
-                let mut outcomes =
+                let outcomes =
                     batch.outcomes.iter().map(|(rid, d)| (*rid, d.outcome, &targets(*rid)[..]));
-                for (db, entries, named) in split(Some(slot), &mut outcomes) {
-                    if let Some(slot) = named {
-                        ctx.send(db, Payload::Db(DbMsg::SpecExec { slot, entries }));
-                    }
+                for (db, entries) in split(outcomes) {
+                    ctx.send(db, Payload::Db(DbMsg::SpecExec { slot, entries }));
                 }
             }
         }
@@ -746,9 +734,9 @@ impl AppServer {
     /// this server's to terminate if it initiated the outcome, as owner or
     /// cleaner, and is not terminating already. Each such attempt closes
     /// its log-outcome span and enters `terminate()`. Their first pushes
-    /// coalesce into one `Decide` per database, which names `slot` where
-    /// `split` says so. Retries stay per attempt: retransmission is the
-    /// rare path.
+    /// coalesce into one `Decide` per database, which names `slot` — the
+    /// slot whose `SpecExec` stash it resolves. Retries stay per attempt:
+    /// retransmission is the rare path.
     fn terminate(
         &mut self,
         ctx: &mut dyn Context,
@@ -770,13 +758,12 @@ impl AppServer {
                 items.push((rid, decision, targets));
             }
         }
-        let mut outcomes = items.iter().map(|(rid, d, targets)| (*rid, d.outcome, &targets[..]));
-        let pushes = split(slot, &mut outcomes);
+        let pushes = split(items.iter().map(|(rid, d, targets)| (*rid, d.outcome, &targets[..])));
         for (rid, decision, targets) in items {
             let next = Xa::terminate(ctx, rid, decision, targets, self.cfg.terminate_retry, false);
             self.enter(ctx, rid, next);
         }
-        for (db, entries, slot) in pushes {
+        for (db, entries) in pushes {
             ctx.send(db, Payload::Db(DbMsg::Decide { entries, slot }));
         }
     }

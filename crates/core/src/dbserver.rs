@@ -142,8 +142,9 @@ pub struct DbServer {
 
 /// The fewest stashes a speculating primary makes room for, whatever the
 /// window: the window bounds one application server's undecided slots, and
-/// a stash can outlive its slot (a decide of fewer than two entries names
-/// no slot) until a later slot's decide collects it.
+/// a stash can outlive its slot (the slot decided without this database's
+/// share, or its decide is still on the wire) until a later slot's decide
+/// collects it.
 const SPEC_STASH_FLOOR: usize = 4;
 
 /// A yes vote a lease-granting primary is withholding on a cross-shard
@@ -586,6 +587,11 @@ impl DbServer {
                 if !self.features.speculation.enabled || self.repl.sync_from.is_some() {
                     return;
                 }
+                // The first proposal stashed for a slot wins; a second
+                // frame is refused before it draws any randomness.
+                if self.engine.speculation(slot).is_some() {
+                    return;
+                }
                 let (mut fresh_commits, mut fresh_aborts) = (0u32, 0u32);
                 for &(rid, outcome) in &entries {
                     if self.engine.decision(rid).is_none() {
@@ -596,9 +602,7 @@ impl DbServer {
                     }
                 }
                 let service = self.service_time(ctx, fresh_commits, fresh_aborts);
-                if !self.engine.speculate(slot, &entries, service, self.spec_cap()) {
-                    return; // a stash for this slot already exists
-                }
+                self.engine.speculate(slot, &entries, service, self.spec_cap());
                 // Pre-pay the commit processing on the serial log device
                 // *now* — this is the overlap with the consensus round. If
                 // the slot decides as proposed, the work is already done
@@ -979,10 +983,10 @@ mod tests {
     }
 
     /// Only a push that names its slot resolves the stash for it. A
-    /// slot-less decide naming
-    /// a stashed member (a retransmission, a cleaner or `Ready` re-push)
-    /// leaves the stash alone, and the slot's own push still promotes it —
-    /// to the state, acks and WAL of the run without the interloper.
+    /// slot-less decide naming a stashed member (a retransmission, a
+    /// cleaner or `Ready` re-push) leaves the stash alone, and the slot's
+    /// own push still promotes it — to the state, acks and WAL of the run
+    /// without the interloper.
     #[test]
     fn a_slotless_decide_leaves_the_stash_to_the_push_that_names_its_slot() {
         let entries = vec![(rid(1), Outcome::Commit), (rid(2), Outcome::Commit)];

@@ -212,7 +212,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `SpecExec` frames ship, where `PipelineWindow` is traced (and so where
 /// the crash lands), and how the survivors finish the orphaned slots. A
 /// change that means to leave the protocol alone leaves it alone.
-const GOLDEN_PIPELINED: u64 = 0x7AE7_1B14_1216_1E24;
+const GOLDEN_PIPELINED: u64 = 0xC0DE_88F3_6ECA_57D1;
 
 #[test]
 fn the_pipelined_feature_set_replays_its_golden_trace() {
