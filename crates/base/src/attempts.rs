@@ -16,7 +16,7 @@
 //!
 //! * a lookup is a binary search over the clients (4-byte keys) and then
 //!   over a run that is one to a handful of entries long, instead of a tree
-//!   descent comparing 24-byte keys;
+//!   descent comparing whole 16-byte [`ResultId`] keys;
 //! * the watermark GC is **one prefix drain** ([`AttemptWindows::below`]):
 //!   the stale attempts are the front of one client's run;
 //! * tables that are always written together can share one record per

@@ -45,7 +45,17 @@ impl fmt::Display for Role {
 /// Unique identity of a client request (§2 "each request is uniquely
 /// identified"). A client issues requests one at a time, so `seq` increases
 /// monotonically per client.
+///
+/// Packed to 4-byte alignment: 12 bytes instead of 16, which makes a
+/// [`ResultId`] 16 bytes instead of 24 — and every trace event, WAL record,
+/// message and per-attempt table entry that carries one shrinks with it.
+/// The derived traits read the fields in the same order, so ordering,
+/// hashing and `Debug` text are those of the unpacked type. The one cost is
+/// that `seq` may sit at an address no `&u64` can point to: the compiler
+/// refuses a reference to it (E0793), so code that needs one copies the
+/// field first (`{ id.seq }`, or a `let`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(C, packed(4))]
 pub struct RequestId {
     /// Issuing client.
     pub client: NodeId,
@@ -65,7 +75,8 @@ impl RequestId {
 
 impl fmt::Display for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#r{}", self.client, self.seq)
+        let seq = self.seq;
+        write!(f, "{}#r{seq}", self.client)
     }
 }
 
@@ -119,6 +130,11 @@ impl fmt::Display for ResultId {
         write!(f, "{}/j{}", self.request, self.attempt)
     }
 }
+
+// The ids' natural sizes: a new field (or a lost `packed`) cannot silently
+// regrow every record that carries one.
+const _: () = assert!(size_of::<RequestId>() == 12);
+const _: () = assert!(size_of::<ResultId>() == 16);
 
 /// Identity of one write-once register — also the identity of the consensus
 /// instance that implements it: `slot[k]`, position `k` of the sequenced
@@ -294,5 +310,21 @@ mod tests {
         let rid = ResultId::first(RequestId { client: NodeId(3), seq: 2 });
         assert_eq!(format!("{rid}"), "n3#r2/j1");
         assert_eq!(format!("{}", Role::AppServer), "appserver");
+    }
+
+    /// The golden trace hashes are FNV-1a of `Debug` text, so packing must
+    /// not change a character of it.
+    #[test]
+    fn debug_text_is_that_of_the_unpacked_ids() {
+        let request = RequestId { client: NodeId(3), seq: 2 };
+        assert_eq!(format!("{request:?}"), "RequestId { client: NodeId(3), seq: 2 }");
+        assert_eq!(
+            format!("{:?}", ResultId { request, attempt: 4 }),
+            "ResultId { request: RequestId { client: NodeId(3), seq: 2 }, attempt: 4 }"
+        );
+        assert_eq!(
+            format!("{request:#?}"),
+            "RequestId {\n    client: NodeId(\n        3,\n    ),\n    seq: 2,\n}"
+        );
     }
 }

@@ -185,8 +185,11 @@ pub enum TraceKind {
     /// forwarded it to its primary: its applied replication position was
     /// behind the read's freshness stamp (the read-your-writes gate).
     ReadForwarded {
-        /// The read-only attempt forwarded.
-        rid: ResultId,
+        /// The read-only attempt forwarded. Boxed because inline it made
+        /// this the one variant over 32 bytes, and every event is as large
+        /// as the largest variant; this one is rare. A `Box` renders as
+        /// what it holds, so the trace's text is that of an inline id.
+        rid: Box<ResultId>,
         /// The follower's applied replication position.
         have: u64,
         /// The read's freshness stamp it fell short of.
@@ -351,6 +354,10 @@ pub enum TraceKind {
     Note(&'static str),
 }
 
+// A trace holds millions of events: a new variant that outgrows the others
+// regrows every one of them.
+const _: () = assert!(size_of::<TraceEvent>() == 48);
+
 impl TraceEvent {
     /// Convenience constructor.
     pub fn new(at: Time, node: NodeId, kind: TraceKind) -> Self {
@@ -369,9 +376,18 @@ pub struct Trace {
 
 impl Trace {
     /// Appends an event. Host-internal: only runtime backends push; the
-    /// harness and tests read.
+    /// harness keeps its copy of a host's trace current with
+    /// [`Trace::extend_from_slice`]; tests read.
     pub fn push(&mut self, ev: TraceEvent) {
         self.events.push(ev);
+    }
+
+    /// Appends copies of `events`, in order. Harness-internal: a host's
+    /// trace only ever grows, so a copy of it is brought up to date by
+    /// appending what lies past the copy's length, not by copying the
+    /// whole trace again.
+    pub fn extend_from_slice(&mut self, events: &[TraceEvent]) {
+        self.events.extend_from_slice(events);
     }
 
     /// All events, in order.

@@ -753,7 +753,7 @@ impl DbServer {
                         ctx.trace(TraceKind::LeaseExpired { rid });
                     }
                     ctx.trace(TraceKind::ReadForwarded {
-                        rid,
+                        rid: Box::new(rid),
                         have: self.engine.repl_position(),
                         need: min_seq,
                     });

@@ -667,10 +667,13 @@ impl Scenario {
     }
 
     /// Refreshes the threaded backend's trace/stats snapshot cache. No-op
-    /// on the simulator, whose sinks are read in place.
+    /// on the simulator, whose sinks are read in place. The host's trace
+    /// only grows, so the cached copy is always a prefix of it: appending
+    /// the events past that prefix brings it up to date without a second
+    /// full copy of the trace.
     fn sync(&mut self) {
         if let Backend::Threaded { host, trace, stats } = &mut self.backend {
-            *trace = host.trace_snapshot();
+            host.with_trace(&mut |live| trace.extend_from_slice(&live.events()[trace.len()..]));
             *stats = host.stats_snapshot();
         }
     }

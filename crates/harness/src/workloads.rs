@@ -467,7 +467,7 @@ mod tests {
         let topo = Topology::new(1, 3, 1);
         let plan = Workload::HotSpot.plan(&topo, topo.clients[0], 4);
         assert_eq!(plan.len(), 4);
-        assert_eq!(plan[0].id.seq, 1);
-        assert_eq!(plan[3].id.seq, 4);
+        assert_eq!({ plan[0].id.seq }, 1);
+        assert_eq!({ plan[3].id.seq }, 4);
     }
 }

@@ -1,14 +1,16 @@
-//! Allocation and event budgets of the commit path.
+//! Allocation, retained-heap and event budgets of the commit path.
 //!
 //! Heap traffic is the part of the middle tier's cost a simulated clock
 //! cannot see and a wall clock on a shared machine cannot resolve — but the
 //! *number* of allocations a fixed simulation makes is a function of the
-//! code and the seed, so it can be gated. So is the number of events the
-//! simulator pops to deliver it, which is what a timer that fires for
-//! nothing, or a cancelled one still in the queue, costs. This binary owns
-//! its process (one `#[test]`, a counting `#[global_allocator]`) and runs a
-//! small `commit_sim16`-shaped scenario — the saturated sharded write
-//! pipeline `etx_bench` measures — twice.
+//! code and the seed, so it can be gated. So are the heap bytes the run
+//! leaves live (the trace, the logs, the per-request state: what a
+//! regrown id or record costs, and what shows first in `peak_rss_mb`), and
+//! the number of events the simulator pops to deliver it, which is what a
+//! timer that fires for nothing, or a cancelled one still in the queue,
+//! costs. This binary owns its process (one `#[test]`, a counting
+//! `#[global_allocator]`) and runs a small `commit_sim16`-shaped scenario —
+//! the saturated sharded write pipeline `etx_bench` measures — twice.
 //!
 //! That the count repeats **exactly** is an observation, not a guarantee:
 //! 200 of 200 executions of this binary read the same figure in both runs.
@@ -32,15 +34,25 @@ thread_local! {
     /// Allocations made by this thread (`const` and drop-free, so reading
     /// it from inside the allocator never allocates or runs a destructor).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated minus the bytes it has freed
+    /// (requested sizes; signed, as it may free what another thread
+    /// allocated). Only differences over a window mean anything.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting every allocating call per thread — the
-/// test harness's own threads do not disturb the test thread's figure.
+/// The system allocator, counting every allocating call and the live bytes
+/// per thread — the test harness's own threads do not disturb the test
+/// thread's figures (the simulator frees on the thread that allocated).
 struct Counting;
 
 impl Counting {
-    fn count() {
+    fn count(grown: usize, freed: usize) {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        Self::resize(grown, freed);
+    }
+
+    fn resize(grown: usize, freed: usize) {
+        let _ = LIVE.try_with(|n| n.set(n.get() + grown as i64 - freed as i64));
     }
 }
 
@@ -49,24 +61,25 @@ impl Counting {
 // `Cell`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size(), 0);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size(), 0);
         // SAFETY: as in `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size, layout.size());
         // SAFETY: as in `alloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::resize(0, layout.size());
         // SAFETY: as in `alloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -99,11 +112,23 @@ const EVENTS_PARENT: f64 = 16.95;
 /// compacted out of the queue, every share speculated), plus 5 %.
 const EVENTS_CEILING: f64 = 15.9;
 
+/// Heap bytes left live per delivered commit, at the parent of the change
+/// that introduced the retained-heap budget: 24-byte attempt ids, 64-byte
+/// trace events.
+const RETAINED_PARENT: f64 = 2_489.0;
+
+/// The retained-heap budget: the figure of the change that introduced it
+/// (2 035 — 16-byte attempt ids, 48-byte trace events), plus 5 %. Most of it
+/// is the trace and the WAL; a change that regrows an id or a record pays
+/// here first.
+const RETAINED_CEILING: f64 = 2_140.0;
+
 /// Builds the scenario — 16 shards × rf 2, 3 application servers, batch
 /// 64 / 1 ms, speculation, window depth 4, closed-loop clients, write-only
 /// sharded bank — runs it to the last delivery, and returns the
-/// allocations the run made and the events the simulator processed.
-fn one_run() -> (u64, u64) {
+/// allocations the run made, the heap bytes it left live and the events
+/// the simulator processed.
+fn one_run() -> (u64, i64, u64) {
     let (_, features) = feature_corners()
         .into_iter()
         .find(|(name, _)| *name == "pipelined")
@@ -116,23 +141,28 @@ fn one_run() -> (u64, u64) {
         .requests(REQUESTS)
         .workload(Workload::ShardedBank { accounts: 1_024, cross_pct: 10, amount: 7 })
         .build();
-    let before = ALLOCATIONS.get();
+    let (before, live) = (ALLOCATIONS.get(), LIVE.get());
     let outcome = s.run_until_settled(CLIENTS * REQUESTS as usize);
-    let allocations = ALLOCATIONS.get() - before;
+    let (allocations, retained) = (ALLOCATIONS.get() - before, LIVE.get() - live);
     assert_eq!(outcome, etx::sim::RunOutcome::Predicate, "the run must settle");
     assert_eq!(s.delivered_commits(), CLIENTS * REQUESTS as usize);
-    (allocations, s.sim().processed())
+    (allocations, retained, s.sim().processed())
 }
 
 #[test]
 fn the_commit_path_stays_within_its_allocation_budget() {
-    let ((first, events), (second, again)) = (one_run(), one_run());
+    let ((first, retained, events), (second, _, again)) = (one_run(), one_run());
     assert_eq!(first, second, "one seed, two allocation counts: see the module doc for suspects");
     assert_eq!(events, again, "one seed, two event counts");
     let commits = (CLIENTS as u64 * REQUESTS) as f64;
     let per_commit = first as f64 / commits;
     println!(
         "{first} allocations, {per_commit:.2} per commit (parent {PARENT}, ceiling {CEILING})"
+    );
+    let retained_per_commit = retained as f64 / commits;
+    println!(
+        "{retained} bytes retained, {retained_per_commit:.0} per commit \
+         (parent {RETAINED_PARENT}, ceiling {RETAINED_CEILING})"
     );
     let events_per_commit = events as f64 / commits;
     println!(
@@ -142,6 +172,11 @@ fn the_commit_path_stays_within_its_allocation_budget() {
     assert!(
         per_commit <= CEILING,
         "{per_commit:.2} allocations per commit, budget {CEILING} (parent of the budget: {PARENT})"
+    );
+    assert!(
+        retained_per_commit <= RETAINED_CEILING,
+        "{retained_per_commit:.0} bytes retained per commit, budget {RETAINED_CEILING} \
+         (parent of the budget: {RETAINED_PARENT})"
     );
     assert!(
         events_per_commit <= EVENTS_CEILING,

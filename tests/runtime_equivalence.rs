@@ -240,6 +240,41 @@ fn threaded_read_path_preserves_snapshot_invariants() {
     check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
 }
 
+// ---- the threaded trace cache -----------------------------------------------
+
+/// The threaded scenario caches the host's trace and brings the cache up to
+/// date at every run, quiesce and stop boundary by appending only what is
+/// new. Across several boundaries the cache must still be the host's trace
+/// event for event: nothing lost at a boundary, nothing appended twice.
+#[test]
+fn the_threaded_trace_cache_appends_each_event_once() {
+    use etx::base::trace::TraceKind;
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 5)
+        .runtime(RuntimeKind::Threaded)
+        .shards(2)
+        .replication(2)
+        .clients(3)
+        .requests(6)
+        .workload(Workload::ShardedBank { accounts: 16, cross_pct: 50, amount: 3 })
+        .build();
+    let n = s.requests as usize;
+    assert_eq!(s.run_until_settled(n), etx::sim::RunOutcome::Predicate);
+    s.quiesce(Dur::from_millis(20));
+    s.quiesce(Dur::from_millis(20));
+    s.stop();
+
+    let host = s.threaded().expect("threaded backend").trace_snapshot();
+    assert_eq!(s.trace().events(), host.events(), "the cache diverged from the host's trace");
+    let mut issued = BTreeMap::new();
+    for e in s.trace().events() {
+        if let TraceKind::Issue { request } = e.kind {
+            *issued.entry(request).or_insert(0) += 1;
+        }
+    }
+    assert_eq!(issued.len(), n, "every request is issued");
+    assert!(issued.values().all(|&k| k == 1), "an Issue was cached twice: {issued:?}");
+}
+
 // ---- the capability fence ---------------------------------------------------
 
 /// Virtual time, mid-run storage reads, and deterministic replay are

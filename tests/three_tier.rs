@@ -35,7 +35,7 @@ fn balance_read_back_reflects_exactly_once_effects() {
     // (Get then Add in the script): after 5 committed adds it reads 1500.
     let deliveries = s.deliveries();
     let last = &deliveries[5];
-    assert_eq!(last.0.request.seq, 6);
+    assert_eq!({ last.0.request.seq }, 6);
     // Find the decision value the client received.
     let result = s
         .trace()
@@ -46,7 +46,7 @@ fn balance_read_back_reflects_exactly_once_effects() {
             _ => None,
         })
         .unwrap();
-    assert_eq!(result.request.seq, 6);
+    assert_eq!({ result.request.seq }, 6);
     // The committed balance after all six requests is 1000 + 6*100; request
     // six's own Get saw 1000 + 5*100.
     // (We verify through the result entries in the travel test below; here
