@@ -282,54 +282,23 @@ impl SpeculationConfig {
     }
 }
 
-/// Decision-log pipelining knobs: how many undecided decision-log slots
-/// the proposing application server keeps in flight at once.
-///
-/// At depth 1 (the default) the log runs one consensus round at a time.
-/// At depth `K > 1` the log proposes slots `s+1..s+K` as soon as pending
-/// outcomes exist, each slot running its own write-once consensus round
-/// concurrently; decides may arrive out of order, but promotion/apply
-/// stays strictly in slot order behind the log's low-water mark, so the
-/// `regD` write-once contract and first-occurrence-in-slot-order
-/// arbitration are untouched. With speculation on, the application server
-/// ships a `SpecExec` for *every* newly proposed slot and shard primaries
-/// hold one stash per slot of the window, each resolved on its own by its
-/// slot's decide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Maximum undecided decision-log slots in flight at once (≥ 1).
-    pub depth: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig { depth: 1 }
-    }
-}
+/// Configures nothing: every application server keeps one decision-log
+/// proposal of its own in flight. Kept only because `examples/etx_bench`
+/// names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PipelineConfig;
 
 impl PipelineConfig {
-    /// A pipeline of `depth` concurrent slots, floored at one.
-    pub fn new(depth: usize) -> Self {
-        PipelineConfig { depth: depth.max(1) }
-    }
-
-    /// The effective window (the configured depth, floored at one — a
-    /// zero depth would silently stall the log).
-    pub fn window(&self) -> usize {
-        self.depth.max(1)
-    }
-
-    /// True iff more than one slot may be undecided at once.
-    pub fn is_pipelined(&self) -> bool {
-        self.window() > 1
+    /// The one configuration; `_depth` is ignored.
+    pub fn new(_depth: usize) -> Self {
+        PipelineConfig
     }
 }
 
 /// The optional protocol features layered over the paper's core pipeline,
 /// gathered in one place: commit-pipeline batching, the read fast lane,
-/// time-bounded read leases, speculative batch execution and decision-log
-/// pipelining. The default set is every feature off — the paper-faithful
-/// shape.
+/// time-bounded read leases and speculative batch execution. The default
+/// set is every feature off — the paper-faithful shape.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FeatureSet {
     /// Commit-pipeline batching: how request outcomes group into
@@ -344,9 +313,7 @@ pub struct FeatureSet {
     /// Speculative batch execution: overlap commit application with the
     /// consensus round (default: disabled — strict decide-then-execute).
     pub speculation: SpeculationConfig,
-    /// Decision-log pipelining: a window of concurrent undecided slots
-    /// (default: depth 1 — one consensus round at a time, the paper's
-    /// shape).
+    /// Configures nothing. Kept only because `examples/etx_bench` names it.
     pub pipeline: PipelineConfig,
 }
 
@@ -654,18 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_defaults_to_a_single_slot_and_floors_at_one() {
-        let p = PipelineConfig::default();
-        assert_eq!(p.depth, 1, "paper-faithful default: one round at a time");
-        assert!(!p.is_pipelined());
-        assert_eq!(PipelineConfig::new(0).window(), 1, "depth floors at one");
-        assert!(!PipelineConfig::new(0).is_pipelined());
-        let deep = PipelineConfig::new(4);
-        assert_eq!(deep.window(), 4);
-        assert!(deep.is_pipelined());
-    }
-
-    #[test]
     fn protocol_defaults_are_sane() {
         let p = ProtocolConfig::default();
         assert!(p.client_backoff > p.terminate_retry);
@@ -674,7 +629,6 @@ mod tests {
         assert!(!p.features.read_path.enabled, "paper-faithful default read route");
         assert!(!p.features.read_leases.enabled, "paper-faithful default follower gate");
         assert!(!p.features.speculation.enabled, "paper-faithful default execute order");
-        assert!(!p.features.pipeline.is_pipelined(), "paper-faithful default slot window");
         let fd = FdConfig::default();
         assert!(fd.initial_timeout > fd.heartbeat_every);
         assert!(fd.max_timeout > fd.initial_timeout);

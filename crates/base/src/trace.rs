@@ -287,15 +287,6 @@ pub enum TraceKind {
         /// The decided slot whose speculation was thrown away.
         slot: u64,
     },
-    /// The proposing application server's decision-log window deepened to a
-    /// new high-water mark of `open` concurrently undecided slots. Emitted
-    /// only when `open >= 2`, so a depth-1 pipeline never traces it — the
-    /// event marks genuine cross-slot overlap (and gives chaos runners a
-    /// hook to crash a primary with multiple rounds in flight).
-    PipelineWindow {
-        /// Number of undecided slots in flight at this server.
-        open: u32,
-    },
     /// A client's watermark entered the middle tier at this server and
     /// settled decision-log slot `slot` for good (register-array GC, §5):
     /// every request the slot carried is below its client's watermark, so

@@ -66,17 +66,20 @@
 //! [`WoRegisters`] bank, so one engine per application server keeps
 //! speaking for that server. What it does own is its **pump** — the one
 //! place a slot is opened — and so it is the one that says what each pump
-//! opened ([`DecisionLog::opened_proposals`]: the host ships exactly those
-//! for speculation, once each, in the event that proposed them) and how
-//! deep its window of undecided slots has ever been (the `PipelineWindow`
-//! trace event).
+//! opened ([`DecisionLog::opened_proposal`]: the host ships exactly that
+//! for speculation, once, in the event that proposed it).
+//!
+//! A server keeps at most **one** proposal of its own in flight: while it
+//! runs, the next batch fills, and batching carries the concurrency a
+//! second undecided slot would add. Slots still decide out of order — a
+//! peer's slot, a cleaner's, a crashed proposer's slot filled late — and
+//! apply buffers them behind the gap.
 
 use crate::woreg::WoRegisters;
 use crate::Suspects;
 use etx_base::attempts::AttemptWindows;
 use etx_base::ids::{NodeId, RegId, ResultId};
 use etx_base::runtime::Context;
-use etx_base::trace::TraceKind;
 use etx_base::value::{Decision, OutcomeBatch, OwnerClaim, RegValue, SlotBatch};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -105,39 +108,30 @@ pub struct AppliedSlot {
 #[derive(Debug)]
 pub struct DecisionLog {
     /// Largest number of members — outcomes plus urgent claims — one slot
-    /// proposal may carry: the configured pipeline depth. At 1 every slot
+    /// proposal may carry: the configured batch size. At 1 every slot
     /// holds exactly one outcome or one claim (the degenerate per-request
     /// configuration, the paper's two registers per attempt); without the
     /// cap a backed-up pending queue would flow into a single slot and
     /// silently batch even in the degenerate configuration.
     max_batch: usize,
-    /// Maximum undecided slots this server keeps in flight at once — the
-    /// configured pipeline window. At 1 the log runs one consensus round
-    /// at a time; at `K` it proposes up to `K` consecutive slots whose
-    /// rounds overlap.
-    window: usize,
     /// Outcomes waiting to be proposed (or re-proposed) into a slot.
     pending: OutcomeBatch,
     /// Attempts this server wants to own, waiting to be proposed (or
     /// re-proposed) as claims. Only the urgent ones can open a slot; the
     /// rest ride along.
     claims: Vec<ResultId>,
-    /// Our in-flight proposals, slot → batch, at most `window` of them.
-    /// Batches are [`Arc`]-shared with the register write (and hence the
-    /// consensus broadcasts), so proposing copies no entries.
-    inflight: BTreeMap<u64, Arc<SlotBatch>>,
-    /// The slots the last pump opened, in slot order (each pump opens the
-    /// lowest open slot, and that only rises).
-    opened: Vec<u64>,
-    /// High-water mark of `inflight`, traced as `PipelineWindow` at each
-    /// new peak of two or more — so a window of one never traces it.
-    window_peak: usize,
+    /// Our one in-flight proposal: its slot and batch. The batch is
+    /// [`Arc`]-shared with the register write (and hence the consensus
+    /// broadcasts), so proposing copies no entries.
+    inflight: Option<(u64, Arc<SlotBatch>)>,
+    /// Whether the last pump opened `inflight`.
+    opened: bool,
     /// Next slot index to apply (everything below is applied).
     next_apply: u64,
-    /// Slots decided ahead of a gap, waiting for in-order apply. Decides
-    /// may land out of slot order under a pipelined window; this buffer
-    /// (plus the `next_apply` low-water mark) is what keeps promotion and
-    /// apply strictly in slot order regardless.
+    /// Slots decided ahead of a gap, waiting for in-order apply. Another
+    /// server's slot can decide before a lower one is known here; this
+    /// buffer (plus the `next_apply` low-water mark) is what keeps
+    /// promotion and apply strictly in slot order regardless.
     decided_ahead: BTreeMap<u64, Arc<SlotBatch>>,
     /// One record per attempt, under its client's window — whose floor is
     /// the client's **GC watermark**: every request below it is settled
@@ -191,7 +185,7 @@ struct AppliedMembers {
 }
 
 impl Default for DecisionLog {
-    /// An unbounded log view (no batch cap, single-slot window).
+    /// An unbounded log view (no batch cap).
     fn default() -> Self {
         DecisionLog::new(usize::MAX, 1)
     }
@@ -199,17 +193,16 @@ impl Default for DecisionLog {
 
 impl DecisionLog {
     /// An empty log view (apply cursor at slot 0) whose slot proposals
-    /// carry at most `max_batch` members each and keep at most `window`
-    /// undecided slots in flight at once (both clamped to ≥ 1).
-    pub fn new(max_batch: usize, window: usize) -> Self {
+    /// carry at most `max_batch` members each (clamped to ≥ 1). The second
+    /// argument is ignored: it is kept only because `examples/etx_bench`
+    /// names it.
+    pub fn new(max_batch: usize, _window: usize) -> Self {
         DecisionLog {
             max_batch: max_batch.max(1),
-            window: window.max(1),
             pending: OutcomeBatch::default(),
             claims: Vec::new(),
-            inflight: BTreeMap::new(),
-            opened: Vec::new(),
-            window_peak: 0,
+            inflight: None,
+            opened: false,
             next_apply: 0,
             decided_ahead: BTreeMap::new(),
             attempts: AttemptWindows::new(),
@@ -245,7 +238,7 @@ impl DecisionLog {
 
     /// Outcomes queued but not yet decided (diagnostics and tests).
     pub fn pending_len(&self) -> usize {
-        self.pending.len() + self.inflight.values().map(|b| b.outcomes.len()).sum::<usize>()
+        self.pending.len() + self.inflight.as_ref().map_or(0, |(_, b)| b.outcomes.len())
     }
 
     /// Everything this view remembers per attempt: decisions, owners and
@@ -258,17 +251,16 @@ impl DecisionLog {
         self.attempts.iter().map(|(_, a)| tracked(a)).sum()
     }
 
-    /// The proposals the last pump opened that are still in flight, in
-    /// slot order: each the slot it went into and the batch it carries (a
-    /// shared handle — a reference-count clone, never an entry copy).
-    /// Every [`DecisionLog::propose`] and [`DecisionLog::on_slot_decided`]
-    /// pumps and starts this list afresh, so a host that reads it after
-    /// each call sees every proposal once, in the event that proposed it.
-    /// A proposal that resolved synchronously is absent: nothing is left
-    /// in flight to overlap with.
-    pub fn opened_proposals(&self) -> Vec<(u64, Arc<SlotBatch>)> {
-        let open = |slot: &u64| Some((*slot, Arc::clone(self.inflight.get(slot)?)));
-        self.opened.iter().filter_map(open).collect()
+    /// The proposal the last pump opened, if it is still in flight: the
+    /// slot it went into and the batch it carries (a shared handle — a
+    /// reference-count clone, never an entry copy). Every
+    /// [`DecisionLog::propose`] and [`DecisionLog::on_slot_decided`] pumps
+    /// afresh, so a host that reads this after each call sees every
+    /// proposal once, in the event that proposed it. A proposal that
+    /// resolved synchronously is absent: nothing is left in flight to
+    /// overlap with.
+    pub fn opened_proposal(&self) -> Option<(u64, Arc<SlotBatch>)> {
+        self.inflight.clone().filter(|_| self.opened)
     }
 
     /// Queues a claim of `rid` for the proposing server (Figure 5's
@@ -288,7 +280,7 @@ impl DecisionLog {
             self.attempts.get_or_default(rid).urgent = true;
         }
         let queued = self.claims.contains(&rid)
-            || self.inflight.values().any(|b| b.claims.iter().any(|c| c.rid == rid));
+            || self.inflight.as_ref().is_some_and(|(_, b)| b.claims.iter().any(|c| c.rid == rid));
         if !queued {
             self.claims.push(rid);
         }
@@ -308,7 +300,10 @@ impl DecisionLog {
     ) -> Vec<AppliedSlot> {
         for (rid, decision) in entries {
             let queued = self.pending.iter().any(|(r, _)| *r == rid)
-                || self.inflight.values().any(|b| b.outcomes.iter().any(|(r, _)| *r == rid));
+                || self
+                    .inflight
+                    .as_ref()
+                    .is_some_and(|(_, b)| b.outcomes.iter().any(|(r, _)| *r == rid));
             if self.undecided(rid) && !queued {
                 self.pending.push((rid, decision));
             }
@@ -420,12 +415,11 @@ impl DecisionLog {
         true
     }
 
-    /// Proposes pending outcomes and claims into the lowest open slots
-    /// until the pipeline window is full or nothing queued may open a
-    /// slot, looping while proposals resolve synchronously. At window 1
-    /// this is a single-slot propose loop: one round in flight, the next
-    /// proposal only after it decides. Records the slots it opens and,
-    /// once at the end, the window's new high-water mark.
+    /// Proposes pending outcomes and claims into the lowest open slot
+    /// unless a proposal of ours is in flight or nothing queued may open a
+    /// slot, looping while proposals resolve synchronously: one round in
+    /// flight, the next proposal only after it decides. Records whether it
+    /// opened the one in flight.
     fn pump(
         &mut self,
         ctx: &mut dyn Context,
@@ -433,35 +427,27 @@ impl DecisionLog {
         suspects: Suspects<'_>,
     ) -> Vec<AppliedSlot> {
         let mut out = Vec::new();
-        self.opened.clear();
-        loop {
+        self.opened = false;
+        while self.inflight.is_none() {
             self.drop_served();
             let urgent = |rid: &ResultId| self.attempts.get(*rid).is_some_and(|a| a.urgent);
-            let wanted = !self.pending.is_empty() || self.claims.iter().any(urgent);
-            if self.inflight.len() >= self.window || !wanted {
+            if self.pending.is_empty() && !self.claims.iter().any(urgent) {
                 break;
             }
             let slot = self.lowest_open_slot(regs);
             let batch = Arc::new(self.next_batch(ctx.me()));
-            self.inflight.insert(slot, Arc::clone(&batch));
-            self.opened.push(slot);
-            match regs.write(ctx, RegId::slot(slot), RegValue::Batch(batch), suspects) {
-                // Round in flight; the decision arrives via handle(). Keep
-                // looping — the window may have room for the next slot.
-                None => {}
-                Some(value) => {
-                    // Decided synchronously (single-replica quorum, or the
-                    // slot was already taken): absorb and keep pumping.
-                    self.record_decided(slot, &value);
-                    out.extend(self.drain_applied());
-                    self.pull_gaps(ctx, regs);
-                }
+            self.inflight = Some((slot, Arc::clone(&batch)));
+            self.opened = true;
+            // `None`: the round is in flight, and its decision arrives via
+            // handle(). Otherwise it decided synchronously (single-replica
+            // quorum, or the slot was already taken): absorb and pump on.
+            if let Some(value) =
+                regs.write(ctx, RegId::slot(slot), RegValue::Batch(batch), suspects)
+            {
+                self.record_decided(slot, &value);
+                out.extend(self.drain_applied());
+                self.pull_gaps(ctx, regs);
             }
-        }
-        let open = self.inflight.len();
-        if open >= 2 && open > self.window_peak {
-            self.window_peak = open;
-            ctx.trace(TraceKind::PipelineWindow { open: open as u32 });
         }
         out
     }
@@ -525,17 +511,14 @@ impl DecisionLog {
         SlotBatch { outcomes, claims }
     }
 
-    /// The lowest slot index with no decision known locally and no
-    /// proposal of ours in flight: gaps are filled before new tail slots
-    /// are opened, which is what keeps a crashed proposer's abandoned slot
-    /// from stalling the log (the next proposal lands there and consensus
-    /// arbitrates).
+    /// The lowest slot index with no decision known locally (the pump
+    /// calls this only with nothing of ours in flight): gaps are filled
+    /// before new tail slots are opened, which is what keeps a crashed
+    /// proposer's abandoned slot from stalling the log (the next proposal
+    /// lands there and consensus arbitrates).
     fn lowest_open_slot(&self, regs: &WoRegisters) -> u64 {
         let mut k = self.next_apply;
-        while self.decided_ahead.contains_key(&k)
-            || self.inflight.contains_key(&k)
-            || regs.read(RegId::slot(k)).is_some()
-        {
+        while self.decided_ahead.contains_key(&k) || regs.read(RegId::slot(k)).is_some() {
             k += 1;
         }
         k
@@ -548,9 +531,8 @@ impl DecisionLog {
         }
         // Our proposal for this slot is settled: if another batch won, the
         // entries we carried go back to their queues for the next slot
-        // (claims keep their urgency). Other in-flight slots are untouched
-        // — their rounds are still running.
-        let Some(ours) = self.inflight.remove(&slot) else { return };
+        // (claims keep their urgency).
+        let Some((_, ours)) = self.inflight.take_if(|(s, _)| *s == slot) else { return };
         for (rid, decision) in &ours.outcomes {
             if !batch.outcomes.iter().any(|(r, _)| r == rid) && self.undecided(*rid) {
                 self.pending.push((*rid, decision.clone()));
@@ -777,13 +759,13 @@ mod tests {
     #[test]
     fn losing_a_slot_requeues_unserved_outcomes() {
         let mut log = DecisionLog {
-            inflight: BTreeMap::from([(0, outcomes_only(batch(&[7, 8])))]),
+            inflight: Some((0, outcomes_only(batch(&[7, 8])))),
             ..DecisionLog::default()
         };
         // Slot 0 decides with someone else's batch that covers 7 but not 8.
         log.record_decided(0, &slot_value(&[7]));
         log.drain_applied();
-        assert!(log.inflight.is_empty());
+        assert!(log.inflight.is_none());
         assert_eq!(log.pending, batch(&[8]), "only the unserved outcome is re-proposed");
         assert_eq!(log.decision_of(rid(7)).unwrap().outcome, Outcome::Commit);
     }
@@ -794,10 +776,7 @@ mod tests {
             outcomes: Vec::new(),
             claims: vec![claim(7, A, 0), claim(8, A, 0), claim(9, A, 0)],
         };
-        let mut log = DecisionLog {
-            inflight: BTreeMap::from([(0, Arc::new(ours))]),
-            ..DecisionLog::default()
-        };
+        let mut log = DecisionLog { inflight: Some((0, Arc::new(ours))), ..DecisionLog::default() };
         log.attempts.get_or_default(rid(8)).urgent = true;
         // Slot 0 goes to B's batch, which claims 7 — decided, if not for us.
         log.record_decided(0, &value(Vec::new(), vec![claim(7, B, 0)]));
@@ -809,45 +788,22 @@ mod tests {
 
     #[test]
     fn out_of_order_decides_apply_in_slot_order_across_the_window() {
-        // A pipelined window has slots 0 and 1 in flight; slot 1's round
-        // finishes first. Nothing may apply until slot 0 decides, and the
-        // apply order must be slot order, not decide order.
+        // Our proposal holds slot 0; a peer's slot 1 decides first. Nothing
+        // may apply until slot 0 decides, our proposal stays in flight, and
+        // the apply order must be slot order, not decide order.
         let mut log = DecisionLog {
-            window: 2,
-            inflight: BTreeMap::from([
-                (0, outcomes_only(batch(&[1, 2]))),
-                (1, outcomes_only(batch(&[3]))),
-            ]),
+            inflight: Some((0, outcomes_only(batch(&[1, 2])))),
             ..DecisionLog::default()
         };
         log.record_decided(1, &slot_value(&[3]));
         assert!(log.drain_applied().is_empty(), "slot 1 buffers behind the gap at 0");
-        assert_eq!(log.inflight.len(), 1, "slot 0's round is still running");
+        assert!(log.inflight.is_some(), "slot 0's round is still running");
         assert_eq!(log.applied_up_to(), 0);
         log.record_decided(0, &slot_value(&[1, 2]));
         let applied = log.drain_applied();
         assert_eq!(applied.iter().map(|a| a.slot).collect::<Vec<_>>(), [0, 1]);
-        assert!(log.inflight.is_empty() && log.pending.is_empty());
+        assert!(log.inflight.is_none() && log.pending.is_empty());
         assert_eq!(log.decision_of(rid(3)).unwrap().outcome, Outcome::Commit);
-    }
-
-    #[test]
-    fn losing_a_mid_window_slot_requeues_only_that_slots_outcomes() {
-        // Slot 0 is lost to another proposer's batch; slot 1's round (our
-        // proposal) must stay in flight untouched, and only slot 0's
-        // unserved outcomes go back to pending.
-        let mut log = DecisionLog {
-            window: 2,
-            inflight: BTreeMap::from([
-                (0, outcomes_only(batch(&[7, 8]))),
-                (1, outcomes_only(batch(&[9]))),
-            ]),
-            ..DecisionLog::default()
-        };
-        log.record_decided(0, &slot_value(&[7]));
-        log.drain_applied();
-        assert_eq!(log.pending, batch(&[8]), "slot 0's unserved outcome is re-proposed");
-        assert_eq!(log.inflight.keys().collect::<Vec<_>>(), [&1], "slot 1's proposal is untouched");
     }
 
     /// A one-replica register bank: every write decides synchronously, so
@@ -903,64 +859,59 @@ mod tests {
     #[test]
     fn an_urgent_claim_flushes_with_the_window_open_and_waits_with_it_full() {
         let (mut ctx, mut regs) = trio();
-        let mut log = DecisionLog::new(8, 2);
+        let mut log = DecisionLog::new(8, 1);
         log.claim(rid(1), true);
         log.propose(&mut ctx, &mut regs, Vec::new(), TRUSTING);
-        assert_eq!(log.inflight.len(), 1, "window open: the claim opens a slot at once");
+        assert!(log.inflight.is_some(), "nothing in flight: the claim opens a slot at once");
+        // Slot 0 in flight. An outcome waits, and so does a pre-claim that
+        // becomes urgent when its request arrives.
         log.propose(&mut ctx, &mut regs, batch(&[9]), TRUSTING);
-        assert_eq!(log.inflight.len(), 2);
-        // Window full. A pre-claim becomes urgent when its request arrives.
         log.claim(rid(2), false);
         log.claim(rid(2), true);
         log.propose(&mut ctx, &mut regs, Vec::new(), TRUSTING);
-        assert_eq!((log.inflight.len(), log.claims.as_slice()), (2, &[rid(2)][..]), "it waits");
+        assert_eq!((log.pending_len(), log.claims.as_slice()), (1, &[rid(2)][..]), "they wait");
+        assert_eq!(log.opened_proposal(), None);
         // Claiming what is already in flight queues nothing new.
         log.claim(rid(1), true);
         assert_eq!(log.claims, [rid(2)]);
-        // Slot 0 decides as proposed: the window has room, the claim leaves.
-        let ours = RegValue::Batch(Arc::clone(&log.inflight[&0]));
+        // Slot 0 decides as proposed: both leave in slot 1.
+        let ours = RegValue::Batch(log.inflight.clone().expect("slot 0 in flight").1);
         let applied = log.on_slot_decided(&mut ctx, &mut regs, 0, &ours, TRUSTING);
         assert_eq!(applied[0].claims, [claim(1, A, 0)]);
-        assert!(log.claims.is_empty());
-        let opened = log.opened_proposals();
+        assert!(log.claims.is_empty() && log.pending.is_empty());
+        let (slot, opened) = log.opened_proposal().expect("slot 1 opens");
         assert_eq!(
-            opened.iter().map(|(s, b)| (*s, &b.claims[..])).collect::<Vec<_>>(),
-            [(2, &[claim(2, A, 0)][..])]
+            (slot, &opened.outcomes[..], &opened.claims[..]),
+            (1, &batch(&[9])[..], &[claim(2, A, 0)][..])
         );
     }
 
-    /// The slots each call's pump reported as opened, and the window peaks
-    /// it traced.
-    fn opened(log: &DecisionLog, ctx: &mut Outbox) -> (Vec<u64>, Vec<u32>) {
-        let peaks = ctx.traced.drain(..).filter_map(|k| match k {
-            TraceKind::PipelineWindow { open } => Some(open),
-            _ => None,
-        });
-        let peaks = peaks.collect();
-        (log.opened_proposals().into_iter().map(|(slot, _)| slot).collect(), peaks)
+    /// The slot each call's pump reported as opened.
+    fn opened(log: &DecisionLog) -> Option<u64> {
+        log.opened_proposal().map(|(slot, _)| slot)
     }
 
     #[test]
     fn each_pump_reports_the_proposals_it_opened_once_in_slot_order() {
         let (mut ctx, mut regs) = trio();
-        let mut log = DecisionLog::new(1, 3);
+        let mut log = DecisionLog::new(1, 1);
         log.propose(&mut ctx, &mut regs, batch(&[1, 2]), TRUSTING);
-        assert_eq!(opened(&log, &mut ctx), (vec![0, 1], vec![2]), "two slots, a peak of two");
-        log.propose(&mut ctx, &mut regs, batch(&[3, 4]), TRUSTING);
-        assert_eq!(opened(&log, &mut ctx), (vec![2], vec![3]), "one more fills the window");
+        assert_eq!(opened(&log), Some(0), "one slot, for the first outcome");
+        log.propose(&mut ctx, &mut regs, batch(&[3]), TRUSTING);
+        assert_eq!(opened(&log), None, "a proposal in flight: nothing opens");
+        // Slot 0 decides: its pump opens slot 1 for the queued 2, and the
+        // proposal it replaces is not reported again.
+        let ours = RegValue::Batch(log.inflight.clone().expect("slot 0 in flight").1);
+        log.on_slot_decided(&mut ctx, &mut regs, 0, &ours, TRUSTING);
+        assert_eq!(opened(&log), Some(1));
         log.propose(&mut ctx, &mut regs, Vec::new(), TRUSTING);
-        assert_eq!(opened(&log, &mut ctx), (vec![], vec![]), "a full window opens nothing");
-        // Slot 1 decides: its pump opens slot 3 for the queued 4, and the
-        // earlier proposals still in flight are not reported again.
-        let ours = RegValue::Batch(Arc::clone(&log.inflight[&1]));
-        log.on_slot_decided(&mut ctx, &mut regs, 1, &ours, TRUSTING);
-        assert_eq!(opened(&log, &mut ctx), (vec![3], vec![]), "three again: no new peak");
+        assert_eq!(opened(&log), None, "slot 1 is reported once");
         // A proposal decided in the event that proposed it is not reported.
         let (mut ctx, mut regs) = solo();
-        let mut log = DecisionLog::new(1, 3);
+        let mut log = DecisionLog::new(1, 1);
         let applied = log.propose(&mut ctx, &mut regs, batch(&[1, 2]), TRUSTING);
         assert_eq!(applied.len(), 2);
-        assert_eq!(opened(&log, &mut ctx), (vec![], vec![]));
+        assert_eq!(opened(&log), None);
     }
 
     /// The slot pulls sent since the last call, as `(slot, peer)` — the
@@ -1179,11 +1130,11 @@ mod tests {
     impl Cluster {
         const PEERS: [NodeId; 3] = [NodeId(0), NodeId(1), NodeId(2)];
 
-        fn new(max_batch: usize, window: usize) -> Self {
+        fn new(max_batch: usize) -> Self {
             let bank = |&p| WoRegisters::new(p, &Self::PEERS, EngineConfig::default());
             Cluster {
                 regs: Self::PEERS.iter().map(bank).collect(),
-                logs: Self::PEERS.iter().map(|_| DecisionLog::new(max_batch, window)).collect(),
+                logs: Self::PEERS.iter().map(|_| DecisionLog::new(max_batch, 1)).collect(),
                 net: VecDeque::new(),
             }
         }
@@ -1260,13 +1211,13 @@ mod tests {
         /// settled; and at quiescence all three have applied the same log.
         #[test]
         fn replicas_agree_with_the_retained_log_at_every_prefix(
-            shape in (1usize..4, 1usize..4),
+            max_batch in 1usize..4,
             steps in proptest::collection::vec(
                 (0u8..12, 0usize..3, 0u32..2, 0u64..6, 1u32..3, 0usize..16),
                 1..120,
             ),
         ) {
-            let mut c = Cluster::new(shape.0, shape.1);
+            let mut c = Cluster::new(max_batch);
             for (op, n, client, seq, attempt, pick) in steps {
                 let request = RequestId { client: NodeId(100 + client), seq };
                 let rid = ResultId { request, attempt };
@@ -1298,7 +1249,7 @@ mod tests {
             proptest::prop_assert!(c.net.is_empty(), "the network drains");
             for n in 0..3 {
                 c.check(n)?;
-                proptest::prop_assert_eq!(c.logs[n].inflight.len(), 0);
+                proptest::prop_assert!(c.logs[n].inflight.is_none());
                 proptest::prop_assert!(c.logs[n].pending.is_empty() && urgent(&c.logs[n]).is_empty());
             }
             let frontier = c.logs.iter().map(|l| l.applied_up_to()).max().expect("three logs");
@@ -1360,8 +1311,7 @@ mod tests {
         assert_eq!(log.applied_up_to(), 0);
         assert_eq!(log.pending_len(), 0);
         log.pending = batch(&[1]);
-        log.inflight.insert(0, outcomes_only(batch(&[2, 3])));
-        log.inflight.insert(1, outcomes_only(batch(&[4])));
-        assert_eq!(log.pending_len(), 4);
+        log.inflight = Some((0, outcomes_only(batch(&[2, 3]))));
+        assert_eq!(log.pending_len(), 3);
     }
 }

@@ -42,16 +42,15 @@ pub(crate) mod testutil {
     use etx_base::wal::StableRecord;
     use std::sync::Arc;
 
-    /// Records what its owner sends and traces; everything else is inert.
+    /// Records what its owner sends; everything else is inert.
     pub struct Outbox {
         pub me: NodeId,
         pub sent: Vec<(NodeId, Payload)>,
-        pub traced: Vec<TraceKind>,
     }
 
     impl Outbox {
         pub fn new(me: NodeId) -> Self {
-            Outbox { me, sent: Vec::new(), traced: Vec::new() }
+            Outbox { me, sent: Vec::new() }
         }
     }
 
@@ -75,9 +74,7 @@ pub(crate) mod testutil {
         fn log_read(&self, _log: &'static str) -> Vec<StableRecord> {
             Vec::new()
         }
-        fn trace(&mut self, kind: TraceKind) {
-            self.traced.push(kind);
-        }
+        fn trace(&mut self, _kind: TraceKind) {}
         fn depth(&self) -> u32 {
             0
         }

@@ -49,10 +49,10 @@
 //! slot's outcomes to the databases as one `Decide` message per database,
 //! which the back end applies behind a single group WAL append.
 //!
-//! The log pumps — opens slots — when a flush proposes and when a slot
-//! decides, and after either the server does one thing (`after_pump`): it
-//! ships the proposals the log reports that pump opened as `SpecExec`
-//! frames, then applies the slots it decided. Every database's share of a
+//! The log pumps — opens a slot, one of ours at a time — when a flush
+//! proposes and when a slot decides, and after either the server does one
+//! thing (`after_pump`): it ships the proposal the log reports that pump
+//! opened as `SpecExec` frames, then applies the slots it decided. Every database's share of a
 //! proposal is pre-paid: a `SpecExec` and the `Decide` that later resolves
 //! it come from one per-database split (`split`), and every decided
 //! outcome this server initiated reaches the databases through one entry,
@@ -223,7 +223,7 @@ impl AppServer {
         let engine_cfg =
             EngineConfig { patience: cfg.consensus_round_patience, resync: cfg.consensus_resync };
         let regs = WoRegisters::new(me, &topo.app_servers, engine_cfg);
-        let log = DecisionLog::new(cfg.features.batching.max_batch, cfg.features.pipeline.window());
+        let log = DecisionLog::new(cfg.features.batching.max_batch, 1);
         AppServer {
             lane: ReadLane::new(me, &cfg, shards.clone()),
             me,
@@ -680,23 +680,23 @@ impl AppServer {
     }
 
     /// What follows every pump of the log — a flush's proposal or a
-    /// decided slot's. First the speculation stage: each proposal the pump
-    /// opened ships to the shard primaries as `SpecExec` frames, in the
-    /// event that started its consensus round, split as termination will
-    /// split it if the slot decides as proposed. A primary stashes its
+    /// decided slot's. First the speculation stage: the proposal the pump
+    /// opened, if any, ships to the shard primaries as `SpecExec` frames,
+    /// in the event that started its consensus round, split as termination
+    /// will split it if the slot decides as proposed. A primary stashes its
     /// share, pre-pays the commit processing while the round runs, and
     /// resolves the stash when the slot's `Decide` names it. Then the
     /// slots the pump decided apply.
     fn after_pump(&mut self, ctx: &mut dyn Context, applied: Vec<AppliedSlot>) {
-        if self.cfg.features.speculation.enabled {
-            for (slot, batch) in self.log.opened_proposals() {
-                let outcome = |rid| self.attempts.get(rid).and_then(|a| a.outcome.as_ref());
-                let targets = |rid| outcome(rid).map_or(&self.topo.db_servers, |(t, _)| t);
-                let outcomes =
-                    batch.outcomes.iter().map(|(rid, d)| (*rid, d.outcome, &targets(*rid)[..]));
-                for (db, entries) in split(outcomes) {
-                    ctx.send(db, Payload::Db(DbMsg::SpecExec { slot, entries }));
-                }
+        if let Some((slot, batch)) =
+            self.log.opened_proposal().filter(|_| self.cfg.features.speculation.enabled)
+        {
+            let outcome = |rid| self.attempts.get(rid).and_then(|a| a.outcome.as_ref());
+            let targets = |rid| outcome(rid).map_or(&self.topo.db_servers, |(t, _)| t);
+            let outcomes =
+                batch.outcomes.iter().map(|(rid, d)| (*rid, d.outcome, &targets(*rid)[..]));
+            for (db, entries) in split(outcomes) {
+                ctx.send(db, Payload::Db(DbMsg::SpecExec { slot, entries }));
             }
         }
         self.apply_slots(ctx, applied);

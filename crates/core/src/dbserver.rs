@@ -75,10 +75,9 @@ pub struct DbServer {
     /// is what follower reads multiply — every replica serving reads adds
     /// one more lane.
     read_busy_until: Time,
-    /// The deployment's feature set; this tier reads three of its parts.
+    /// The deployment's feature set; this tier reads two of its parts.
     /// With `speculation` off (the default) `SpecExec` frames are ignored
-    /// (they are purely advisory); `pipeline` sizes the stash to the
-    /// application tier's window; with `read_leases` off there are no
+    /// (they are purely advisory); with `read_leases` off there are no
     /// grants, no renewal timer, no lease advertised on any outgoing
     /// message, and reads are gated by position stamps alone.
     features: FeatureSet,
@@ -140,12 +139,12 @@ pub struct DbServer {
     lease_floor: u64,
 }
 
-/// The fewest stashes a speculating primary makes room for, whatever the
-/// window: the window bounds one application server's undecided slots, and
-/// a stash can outlive its slot (the slot decided without this database's
-/// share, or its decide is still on the wire) until a later slot's decide
-/// collects it.
-const SPEC_STASH_FLOOR: usize = 4;
+/// How many proposed slots a speculating primary holds a stash for at
+/// once. Each application server has one slot in flight, and a stash can
+/// outlive its slot (the slot decided without this database's share, or
+/// its decide is still on the wire) until a later slot's decide collects
+/// it.
+const SPEC_STASH_CAP: usize = 4;
 
 /// A yes vote a lease-granting primary is withholding on a cross-shard
 /// branch until its followers acknowledge the branch's in-doubt intent.
@@ -209,13 +208,6 @@ impl DbServer {
     pub fn with_features(mut self, features: FeatureSet) -> Self {
         self.features = features;
         self
-    }
-
-    /// How many proposed slots may hold a stash at once: the application
-    /// tier's window, so every slot it can have in flight fits, and never
-    /// fewer than [`SPEC_STASH_FLOOR`].
-    fn spec_cap(&self) -> usize {
-        SPEC_STASH_FLOOR.max(self.features.pipeline.window())
     }
 
     /// Drops the pre-paid instant of every slot the engine no longer holds
@@ -602,7 +594,7 @@ impl DbServer {
                     }
                 }
                 let service = self.service_time(ctx, fresh_commits, fresh_aborts);
-                self.engine.speculate(slot, &entries, service, self.spec_cap());
+                self.engine.speculate(slot, &entries, service, SPEC_STASH_CAP);
                 // Pre-pay the commit processing on the serial log device
                 // *now* — this is the overlap with the consensus round. If
                 // the slot decides as proposed, the work is already done
@@ -1049,7 +1041,7 @@ mod tests {
     /// acks and WAL of a server that was never sent a `SpecExec`.
     #[test]
     fn a_full_stash_drops_its_oldest_slot_and_spec_ready_follows_the_engine() {
-        let cap = SPEC_STASH_FLOOR as u64;
+        let cap = SPEC_STASH_CAP as u64;
         let n = cap + 2;
         let batch = |slot: u64| vec![(rid(slot), Outcome::Commit)];
         let run = |speculate: bool| {

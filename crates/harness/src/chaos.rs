@@ -16,7 +16,7 @@ use crate::properties::{check, LivenessChecks, PropertyReport};
 use crate::scenario::{MiddleTier, Scenario, ScenarioBuilder};
 use crate::workloads::Workload;
 use etx_base::config::{
-    BatchingConfig, FeatureSet, PipelineConfig, ReadLeaseConfig, ReadPathConfig, SpeculationConfig,
+    BatchingConfig, FeatureSet, ReadLeaseConfig, ReadPathConfig, SpeculationConfig,
 };
 use etx_base::fault::{FaultOp, NemesisWhen};
 use etx_base::runtime::RuntimeKind;
@@ -94,15 +94,13 @@ impl Default for ChaosOptions {
 
 /// The three feature sets the benchmark of record (`examples/etx_bench`)
 /// runs, by name: the paper's shape; the saturated commit pipeline (batch
-/// 64 / 1 ms, speculation, a 4-slot window); and that plus follower reads
-/// under fast-test leases. The chaos suites sweep their schedules over
-/// every row, so each configuration that is measured is also §3-checked
-/// under faults.
+/// 64 / 1 ms, speculation); and that plus follower reads under fast-test
+/// leases. The chaos suites sweep their schedules over every row, so each
+/// configuration that is measured is also §3-checked under faults.
 pub fn feature_corners() -> [(&'static str, FeatureSet); 3] {
     let pipelined = FeatureSet {
         batching: BatchingConfig::new(64, Dur::from_millis(1)),
         speculation: SpeculationConfig::on(),
-        pipeline: PipelineConfig::new(4),
         ..FeatureSet::default()
     };
     let reads = FeatureSet {

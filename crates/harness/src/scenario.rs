@@ -4,8 +4,8 @@
 
 use crate::workloads::Workload;
 use etx_base::config::{
-    BatchingConfig, CostModel, FdConfig, FeatureSet, PipelineConfig, ProtocolConfig,
-    ReadLeaseConfig, ReadPathConfig, SpeculationConfig,
+    BatchingConfig, CostModel, FdConfig, FeatureSet, ProtocolConfig, ReadLeaseConfig,
+    ReadPathConfig, SpeculationConfig,
 };
 use etx_base::fault::{CapabilityError, FaultOp, NemesisSchedule, NemesisWhen};
 use etx_base::ids::{NodeId, ResultId, Topology};
@@ -202,19 +202,6 @@ impl ScenarioBuilder {
     /// `max_batch = 1` is the degenerate per-request configuration.
     pub fn batching(mut self, cfg: BatchingConfig) -> Self {
         self.pcfg.features.batching = cfg;
-        self
-    }
-
-    /// Configures decision-log pipelining: with a depth above one, the
-    /// proposing application server keeps up to `cfg.depth` undecided
-    /// decision-log slots in flight at once, each running its own
-    /// write-once consensus round concurrently; decides may land out of
-    /// order but apply stays strictly in slot order. Depth 1 (the
-    /// default) runs one round at a time. Combines with
-    /// [`ScenarioBuilder::speculation`]: every proposed slot ships as a
-    /// `SpecExec`, and the shard primaries hold one stash per slot.
-    pub fn pipeline(mut self, cfg: PipelineConfig) -> Self {
-        self.pcfg.features.pipeline = cfg;
         self
     }
 
@@ -855,20 +842,11 @@ impl Scenario {
         self.count(|k| matches!(k, TraceKind::SpecAbort { .. }))
     }
 
-    /// Deepest decision-log window any application server reached: the
-    /// maximum number of concurrently undecided slots observed. Returns 0
-    /// or 1 for runs that never overlapped rounds (depth-1 pipelines trace
-    /// no [`TraceKind::PipelineWindow`] events at all).
+    /// Always 0: an application server keeps one decision-log slot in
+    /// flight, so no window deepens. Kept only because `examples/etx_bench`
+    /// names it.
     pub fn pipeline_window_peak(&self) -> u32 {
-        self.trace()
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                TraceKind::PipelineWindow { open } => Some(open),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
+        0
     }
 
     /// Distinct attempts that took the read fast lane (classified

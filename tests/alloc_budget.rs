@@ -124,7 +124,7 @@ const RETAINED_PARENT: f64 = 2_489.0;
 const RETAINED_CEILING: f64 = 2_140.0;
 
 /// Builds the scenario — 16 shards × rf 2, 3 application servers, batch
-/// 64 / 1 ms, speculation, window depth 4, closed-loop clients, write-only
+/// 64 / 1 ms, speculation, closed-loop clients, write-only
 /// sharded bank — runs it to the last delivery, and returns the
 /// allocations the run made, the heap bytes it left live and the events
 /// the simulator processed.

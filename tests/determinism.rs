@@ -4,7 +4,7 @@
 //! demands byte-identical traces — and demands that different seeds
 //! actually explore different interleavings.
 
-use etx::base::config::{BatchingConfig, FeatureSet, PipelineConfig, SpeculationConfig};
+use etx::base::config::{BatchingConfig, FeatureSet, SpeculationConfig};
 use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::{Dur, Time};
@@ -57,7 +57,7 @@ fn run_traced_sharded(seed: u64) -> Vec<u8> {
 }
 
 /// The fail-over shape that used to diverge: a shard primary crashes and
-/// recovers while 8 closed-loop clients keep a batched, pipelined server
+/// recovers while 8 closed-loop clients keep a batched, speculating server
 /// busy, so its `Ready` notice finds many attempts mid-protocol at once.
 /// The order in which the application server walks them decides which
 /// `Decide`s and refused votes go out first; that walk once followed a
@@ -68,7 +68,6 @@ fn run_traced_busy_failover(seed: u64) -> Vec<u8> {
     let features = FeatureSet {
         batching: BatchingConfig::new(64, Dur::from_millis(1)),
         speculation: SpeculationConfig::on(),
-        pipeline: PipelineConfig::new(4),
         ..FeatureSet::default()
     };
     let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed)

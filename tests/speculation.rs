@@ -16,6 +16,10 @@
 //!   nothing to followers, and vanishes in a crash, leaving exactly the
 //!   recovery obligations of the non-speculative pipeline.
 //!
+//! And one pinned trace, the only golden with speculation on: a burst
+//! whose primary crashes on its first multi-outcome slot replays a golden
+//! hash byte for byte.
+//!
 //! What a full stash drops and keeps is a `DbServer` unit test
 //! (`crates/core/src/dbserver.rs`): no scenario knob sizes the stash.
 
@@ -34,8 +38,8 @@ use etx::sim::RunOutcome;
 use etx::store::Engine;
 use proptest::prelude::*;
 
-/// The canonical speculation workload: an open-loop burst through a deep
-/// pipeline over a sharded, replicated back end.
+/// The canonical speculation workload: an open-loop burst through batches
+/// of eight over a sharded, replicated back end.
 fn burst(seed: u64, spec: SpeculationConfig) -> Scenario {
     ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed)
         .shards(2)
@@ -74,6 +78,13 @@ fn speculation_overlaps_consensus_and_commits_what_the_strict_pipeline_commits()
     assert_eq!(off.delivered_commits(), expected);
     assert!(on.spec_execs() >= 1, "a deep open-loop burst must ship speculative batches");
     assert!(on.spec_hits() >= 1, "fault-free speculation must promote at least one batch");
+    // Each proposal ships once: a frame shipped twice would find its stash
+    // already there and be refused untraced.
+    assert_eq!(
+        on.stats().sent("SpecExec"),
+        on.spec_execs() as u64,
+        "every frame shipped is stashed once"
+    );
     assert_eq!(off.spec_execs(), 0, "speculation off must not ship SpecExec frames");
     assert_eq!(off.spec_hits() + off.spec_aborts(), 0);
     // What the overlap buys, on the simulated clock: execution no longer
@@ -172,10 +183,12 @@ fn speculation_chaos_crash_between_spec_and_decide_holds_the_spec() {
 #[test]
 fn crashed_speculation_buffer_leaves_no_durable_trace() {
     // Cycle shard 0's primary on its first SpecExec, before the slot
-    // decides: the stash dies with the process. Afterwards every replica
-    // of every shard must rebuild to the same committed state from its
-    // WAL — a speculative write that had reached the log or the shipping
-    // stream would break convergence.
+    // decides: the stash dies with the process, and the recovered primary
+    // decides the slot decide-then-execute. Afterwards every replica of
+    // every shard must rebuild from its WAL to the strict run's committed
+    // state — a speculative write that had reached the log or the
+    // shipping stream would break convergence.
+    let mut off = settle(burst(4400, SpeculationConfig::disabled()));
     let mut s = burst(4400, SpeculationConfig::on());
     let victim = s.shard_primary(0);
     s.schedule_fault(
@@ -188,9 +201,9 @@ fn crashed_speculation_buffer_leaves_no_durable_trace() {
     let mut s = settle(s);
     assert_eq!(s.delivered_commits(), s.requests as usize);
     for shard in 0..2 {
-        let reference = s.rebuilt_committed(s.shard_primary(shard));
-        let followers: Vec<_> = s.shard_replicas(shard).iter().skip(1).copied().collect();
-        for replica in followers {
+        let reference = off.rebuilt_committed(off.shard_primary(shard));
+        let replicas: Vec<_> = s.shard_replicas(shard).to_vec();
+        for replica in replicas {
             assert_eq!(
                 s.rebuilt_committed(replica),
                 reference,
@@ -198,6 +211,52 @@ fn crashed_speculation_buffer_leaves_no_durable_trace() {
             );
         }
     }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// The FNV-1a hash of the full debug trace of a speculating burst — 8
+/// clients × 32 requests through batches of two — whose default primary
+/// crashes the moment it applies its first slot of two or more outcomes.
+/// The read-path goldens cover runs without speculation; this one pins
+/// what they cannot: where `SpecExec` frames ship, where the crash lands,
+/// and how the survivors finish the orphaned slots. A change that means
+/// to leave the protocol alone leaves it alone.
+const GOLDEN_PIPELINED: u64 = 0x161A_AE2A_FB40_9E18;
+
+#[test]
+fn the_speculating_burst_replays_its_golden_trace() {
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 5300)
+        .shards(2)
+        .replication(2)
+        .clients(8)
+        .requests(32)
+        .batching(BatchingConfig::new(2, Dur::from_millis(1)))
+        .speculation(SpeculationConfig::on())
+        .workload(Workload::OpenLoopBurst { accounts: 32, amount: 1 })
+        .build();
+    let a1 = s.topo.primary();
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == a1 && matches!(ev.kind, TraceKind::BatchDecided { len, .. } if len >= 2)
+        }),
+        FaultOp::Crash(a1),
+    )
+    .unwrap();
+    let n = s.requests as usize;
+    assert_eq!(s.run_until_settled(n), RunOutcome::Predicate);
+    s.quiesce(Dur::from_millis(50));
+    let events = s.trace().events();
+    assert!(events.iter().any(|e| e.node == a1 && matches!(e.kind, TraceKind::Crash)));
+    let hash = fnv1a(format!("{events:#?}").as_bytes());
+    assert_eq!(hash, GOLDEN_PIPELINED, "the speculating trace changed");
 }
 
 // ---- engine-level property: speculation is invisible until promotion -------

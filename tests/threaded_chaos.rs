@@ -12,8 +12,8 @@
 //! history to the same §3 checker the simulator answers to.
 
 use etx::base::config::{
-    BatchingConfig, CostModel, FdConfig, FeatureSet, PipelineConfig, ProtocolConfig,
-    ReadLeaseConfig, ReadPathConfig,
+    BatchingConfig, CostModel, FdConfig, FeatureSet, ProtocolConfig, ReadLeaseConfig,
+    ReadPathConfig,
 };
 use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::runtime::RuntimeKind;
@@ -137,23 +137,22 @@ fn paused_lease_holder_expires_while_parked_and_stays_safe() {
     check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
 }
 
-// ---- partition: during an open pipeline window, with a backoff ceiling ------
+// ---- partition: the proposer mid-burst, with a backoff ceiling --------------
 
 /// Partition the proposing application server away from its two peers the
-/// moment the decision log has ≥ 2 undecided slots in flight. Its open
-/// rounds stall until the partition heals; the majority side keeps
-/// serving; clients that went wide retransmit under the bounded back-off
-/// ceiling (base 20 ms doubling to 160 ms) instead of flooding the
-/// partition at full cadence. Everything must settle once healed, and §3
-/// must hold across the stalled window.
+/// moment it decides its first slot of two or more outcomes — mid-burst,
+/// with the next batch queued behind it. Its next round stalls until the
+/// partition heals; the majority side keeps serving; clients that went
+/// wide retransmit under the bounded back-off ceiling (base 20 ms doubling
+/// to 160 ms) instead of flooding the partition at full cadence.
+/// Everything must settle once healed, and §3 must hold across the stall.
 ///
-/// Whether the window actually opens ≥ 2 slots before the burst settles
-/// depends on real thread scheduling, so the scenario retries across
-/// seeds: every attempt must settle with §3 green (partitioned or not),
-/// and at least one attempt must genuinely catch an open window and
-/// interrupt traffic at the partitioned links.
+/// Whether traffic is still crossing the cut when it lands depends on real
+/// thread scheduling, so the scenario retries across seeds: every attempt
+/// must settle with §3 green (partitioned or not), and at least one
+/// attempt must genuinely interrupt traffic at the partitioned links.
 #[test]
-fn partition_during_open_pipeline_window_heals_and_settles() {
+fn partition_on_the_primarys_first_batched_slot_heals_and_settles() {
     // The fast-test protocol profile, plus a real back-off ceiling (the
     // stock profiles keep base == max, i.e. the paper's flat cadence).
     let pcfg = ProtocolConfig {
@@ -177,7 +176,6 @@ fn partition_during_open_pipeline_window_heals_and_settles() {
             .clients(8)
             .requests(4)
             .batching(BatchingConfig::new(2, Dur::from_millis(1)))
-            .pipeline(PipelineConfig::new(4))
             .workload(Workload::OpenLoopBurst { accounts: 16, amount: 1 })
             .build();
 
@@ -185,7 +183,7 @@ fn partition_during_open_pipeline_window_heals_and_settles() {
         let peers: Vec<_> = s.topo.app_servers.iter().copied().filter(|&a| a != a1).collect();
         s.schedule_fault(
             NemesisWhen::on_trace(move |ev| {
-                ev.node == a1 && matches!(ev.kind, TraceKind::PipelineWindow { open } if open >= 2)
+                ev.node == a1 && matches!(ev.kind, TraceKind::BatchDecided { len, .. } if len >= 2)
             }),
             FaultOp::Partition { a: vec![a1], b: peers, heal_after: Dur::from_millis(60) },
         )
@@ -202,15 +200,12 @@ fn partition_during_open_pipeline_window_heals_and_settles() {
         check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true })
             .assert_ok();
 
-        if s.pipeline_window_peak() >= 2 && s.stats().dropped_on_link() > 0 {
+        if s.stats().dropped_on_link() > 0 {
             exercised = true;
             break;
         }
     }
-    assert!(
-        exercised,
-        "no attempt partitioned an actually-open pipeline window with real dropped traffic"
-    );
+    assert!(exercised, "no attempt partitioned the proposer with real dropped traffic");
 }
 
 // ---- recovery: a restarted application server rejoins failure detection -----
