@@ -26,6 +26,28 @@ fn figure8_shape_holds_with_small_trials() {
     }
 }
 
+/// Figure 8 is a pure function of its seeds: five trials from seed 42
+/// render this text, byte for byte. Where the component sums come from may
+/// change; the table may not.
+#[test]
+fn figure8_renders_the_pinned_table() {
+    const PINNED: &str = "\
+protocol          baseline          AR         2PC
+start                  3.3         3.5         3.3
+end                    3.4         3.4         3.3
+commit                18.1        18.1        18.1
+prepare                0.0        19.3        19.0
+SQL                  187.1       194.8       191.0
+log-start              0.0         3.7        12.6
+log-outcome            0.0         3.5        12.6
+other                 12.0        15.3        15.9
+total                224.0       261.6       275.8
+90% CI ±               4.3         3.3         4.4
+reliability            +0%        +17%        +23%
+";
+    assert_eq!(figure8(5, 42).render(), PINNED);
+}
+
 #[test]
 fn figure7_orderings_hold() {
     let rows = figure7(7);
