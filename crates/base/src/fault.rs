@@ -23,8 +23,9 @@
 //!   would wedge an instance forever. Crashes are the genuinely lossy
 //!   fault on either backend.
 //! * [`Triggers`] is what a trace-triggered fault is: one-shot, fired by
-//!   the first matching event traced after it was armed, every event
-//!   scanned once, several firing in the order they were armed.
+//!   the first matching event traced (or, for a span the trace does not
+//!   keep, offered) after it was armed, every event scanned once, several
+//!   firing in the order they were armed.
 //!
 //! What is left to a host is its own: the simulator makes every operation
 //! an entry of its virtual-time event queue, so a schedule replays with
@@ -291,11 +292,13 @@ impl Links {
 }
 
 /// The armed trace triggers of a run. Each is one-shot and fires on the
-/// first matching event traced after it was armed; no event is shown to a
-/// trigger twice; triggers hit by one scan fire in arming order.
+/// first matching event after it was armed — traced, or only
+/// [offered](Triggers::offer); no event is shown to a trigger twice;
+/// triggers hit by one scan fire in arming order.
 #[derive(Default)]
 pub struct Triggers {
-    armed: Vec<(TracePred, FaultOp)>,
+    /// Each trigger, and whether an offered event has already matched it.
+    armed: Vec<(TracePred, FaultOp, bool)>,
     /// Events of the trace before this index have been scanned.
     scanned: usize,
 }
@@ -314,16 +317,27 @@ impl Triggers {
         if self.armed.is_empty() {
             self.scanned = seen;
         }
-        self.armed.push((pred, op));
+        self.armed.push((pred, op, false));
+    }
+
+    /// Shows every armed trigger an event the trace does not keep (a
+    /// span). One that matches fires at the next [`Triggers::scan`], as
+    /// if the event had been traced just before that scan's fresh tail.
+    pub fn offer(&mut self, ev: &TraceEvent) {
+        for (pred, _, hit) in self.armed.iter_mut().filter(|(_, _, hit)| !*hit) {
+            *hit = pred(ev);
+        }
     }
 
     /// Shows the not-yet-scanned tail of `trace` (the whole trace so far)
-    /// to every armed trigger; disarms and returns the ones that matched.
+    /// to every armed trigger an offered event has not already matched;
+    /// disarms and returns the ones that matched either.
     pub fn scan(&mut self, trace: &[TraceEvent]) -> Vec<FaultOp> {
         let fresh = &trace[self.scanned.min(trace.len())..];
         self.scanned = trace.len();
-        let hit = self.armed.extract_if(.., |(pred, _)| fresh.iter().any(|ev| pred(ev)));
-        hit.map(|(_, op)| op).collect()
+        let hit =
+            self.armed.extract_if(.., |(pred, _, hit)| *hit || fresh.iter().any(|ev| pred(ev)));
+        hit.map(|(_, op, _)| op).collect()
     }
 }
 
@@ -561,6 +575,20 @@ mod tests {
         assert!(!t.is_empty(), "the third is still armed");
         trace.push(note("c"));
         assert_eq!(t.scan(&trace), [FaultOp::Crash(N[3])]);
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn an_offered_event_fires_at_the_next_scan_in_arming_order() {
+        let mut t = Triggers::default();
+        t.offer(&note("b"));
+        t.arm(0, on("a"), FaultOp::Crash(N[1]));
+        t.arm(0, on("b"), FaultOp::Crash(N[2]));
+        assert!(t.scan(&[]).is_empty(), "offered before arming: nothing fires");
+        t.offer(&note("b"));
+        t.offer(&note("b"));
+        // The trace itself holds `a`; both fire, as armed.
+        assert_eq!(t.scan(&[note("a")]), [FaultOp::Crash(N[1]), FaultOp::Crash(N[2])]);
         assert!(t.is_empty());
     }
 

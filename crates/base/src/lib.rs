@@ -3,7 +3,7 @@
 //! This crate holds everything that every tier of the three-tier system must
 //! agree on: process identities, time, request/result/decision values, the
 //! wire-message vocabulary, write-ahead-log record formats, configuration
-//! knobs, trace events, and the runtime abstraction ([`Context`] /
+//! knobs, trace events, node-owned metrics, and the runtime abstraction ([`Context`] /
 //! [`Process`]) that protocol state machines are written against.
 //!
 //! The paper this workspace reproduces is Frølund & Guerraoui,
@@ -35,6 +35,7 @@ pub mod config;
 pub mod error;
 pub mod fault;
 pub mod ids;
+pub mod metrics;
 pub mod msg;
 pub mod retry;
 pub mod rng;

@@ -20,7 +20,7 @@ use crate::fault::{CapabilityError, FaultOp, NemesisSchedule, NemesisWhen};
 use crate::ids::{NodeId, RegId, ResultId, TimerId};
 use crate::msg::Payload;
 use crate::time::{Dur, Time};
-use crate::trace::{MsgStats, Trace, TraceKind};
+use crate::trace::{Component, MsgStats, Trace, TraceKind};
 use crate::wal::StableRecord;
 
 /// What a timer means when it fires. Like [`Payload`], timer vocabulary is
@@ -182,6 +182,15 @@ pub trait Context {
     /// Emits a trace event (observability + the experiment harness's raw
     /// data).
     fn trace(&mut self, kind: TraceKind);
+
+    /// Charges `dur` of modelled service time to the Figure 8 component
+    /// `comp`, on behalf of attempt `rid`. A host adds it to its
+    /// [`SpanTotals`](crate::metrics::SpanTotals) and shows it to the armed trace triggers as a
+    /// [`TraceKind::Span`], without storing it in the trace. The default,
+    /// for a context that keeps no totals, traces it.
+    fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
+        self.trace(TraceKind::Span { rid, comp, dur });
+    }
 
     /// Causal depth of the event currently being handled (number of
     /// sequential communication steps since the client issued; Figure 7's

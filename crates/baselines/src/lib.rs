@@ -142,6 +142,12 @@ mod tests {
             .count_kind(|k| matches!(k, TraceKind::DbDecide { outcome: Outcome::Commit, .. }))
     }
 
+    /// Spans charged to the two Figure 8 log rows.
+    fn log_spans(sim: &Sim) -> u64 {
+        use etx_base::trace::Component;
+        sim.spans().count(Component::LogStart) + sim.spans().count(Component::LogOutcome)
+    }
+
     #[test]
     fn baseline_happy_path_commits() {
         let topo = Topology::new(1, 1, 1);
@@ -180,17 +186,7 @@ mod tests {
         use etx_base::wal::LOG_COORD;
         assert_eq!(sim.storage(topo.app_servers[0]).len(LOG_COORD), 2);
         // Span evidence for the Figure 8 log rows.
-        let log_spans = sim.trace().count_kind(|k| {
-            matches!(
-                k,
-                TraceKind::Span {
-                    comp: etx_base::trace::Component::LogStart
-                        | etx_base::trace::Component::LogOutcome,
-                    ..
-                }
-            )
-        });
-        assert_eq!(log_spans, 2);
+        assert_eq!(log_spans(&sim), 2);
     }
 
     #[test]
@@ -265,18 +261,8 @@ mod tests {
         let out = sim.run_until(|s| delivered(s) == 1);
         assert_eq!(out, etx_sim::RunOutcome::Predicate);
         assert_eq!(db_commits(&sim), 1);
-        // The two replication round trips are traced like log writes.
-        let log_spans = sim.trace().count_kind(|k| {
-            matches!(
-                k,
-                TraceKind::Span {
-                    comp: etx_base::trace::Component::LogStart
-                        | etx_base::trace::Component::LogOutcome,
-                    ..
-                }
-            )
-        });
-        assert_eq!(log_spans, 2);
+        // The two replication round trips are charged like log writes.
+        assert_eq!(log_spans(&sim), 2);
     }
 
     #[test]

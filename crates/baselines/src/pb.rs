@@ -24,7 +24,7 @@ use etx_base::ids::{NodeId, RequestId, ResultId};
 use etx_base::msg::{AppMsg, ClientMsg, DbReplyMsg, Payload, PbMsg};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::time::{Dur, Time};
-use etx_base::trace::{Component, TraceKind};
+use etx_base::trace::Component;
 use etx_base::value::{Decision, Outcome, Request};
 use etx_core::xa::{Entered, Step, Xa};
 use std::collections::BTreeMap;
@@ -113,7 +113,7 @@ impl PbServer {
             return;
         }
         let dur = jittered(ctx, self.cost.start, self.cost.jitter);
-        ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
+        ctx.span(rid, Component::Start, dur);
         self.attempts.insert(rid, Phase::AwaitingStartAck { request, t0: ctx.now() });
         ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
     }
@@ -177,7 +177,7 @@ impl PbServer {
                 }
                 self.attempts.insert(rid, Phase::Done { decision: decision.clone() });
                 let dur = jittered(ctx, self.cost.end, self.cost.jitter);
-                ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
+                ctx.span(rid, Component::End, dur);
                 let result = AppMsg::Result { rid, decision, stamps: Vec::new() };
                 ctx.send_after(dur, rid.request.client, Payload::App(result));
             }
@@ -209,14 +209,14 @@ impl PbServer {
             PbMsg::AckStart { rid } => {
                 if let Some(Phase::AwaitingStartAck { t0, .. }) = self.attempts.get(&rid) {
                     let dur = ctx.now().since(*t0);
-                    ctx.trace(TraceKind::Span { rid, comp: Component::LogStart, dur });
+                    ctx.span(rid, Component::LogStart, dur);
                     self.begin_exec(ctx, rid);
                 }
             }
             PbMsg::AckOutcome { rid } => {
                 if let Some(Phase::AwaitingOutcomeAck { t0, .. }) = self.attempts.get(&rid) {
                     let dur = ctx.now().since(*t0);
-                    ctx.trace(TraceKind::Span { rid, comp: Component::LogOutcome, dur });
+                    ctx.span(rid, Component::LogOutcome, dur);
                     self.begin_decide(ctx, rid);
                 }
             }

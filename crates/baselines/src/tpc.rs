@@ -21,7 +21,7 @@ use etx_base::ids::{NodeId, ResultId};
 use etx_base::msg::{AppMsg, ClientMsg, DbReplyMsg, Payload};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::time::Dur;
-use etx_base::trace::{Component, TraceKind};
+use etx_base::trace::Component;
 use etx_base::value::{Decision, Outcome, Request};
 use etx_base::wal::{StableRecord, LOG_COORD};
 use etx_core::xa::{Entered, Step, Xa};
@@ -75,7 +75,7 @@ impl TpcServer {
         }
         self.attempts.insert(rid, Phase::LoggingStart { request });
         let dur = jittered(ctx, self.cost.start, self.cost.jitter);
-        ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
+        ctx.span(rid, Component::Start, dur);
         ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
     }
 
@@ -84,7 +84,7 @@ impl TpcServer {
     fn log_start(&mut self, ctx: &mut dyn Context, rid: ResultId) {
         let Some(Phase::LoggingStart { .. }) = self.attempts.get(&rid) else { return };
         let dur = ctx.log_append(LOG_COORD, StableRecord::CoordStart { rid }, true);
-        ctx.trace(TraceKind::Span { rid, comp: Component::LogStart, dur });
+        ctx.span(rid, Component::LogStart, dur);
         ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 1 });
     }
 
@@ -123,7 +123,7 @@ impl TpcServer {
                 let (outcome, result) = (decision.outcome, decision.result.as_deref().cloned());
                 let record = StableRecord::CoordOutcome { rid, outcome, result };
                 let dur = ctx.log_append(LOG_COORD, record, true);
-                ctx.trace(TraceKind::Span { rid, comp: Component::LogOutcome, dur });
+                ctx.span(rid, Component::LogOutcome, dur);
                 self.attempts.insert(rid, Phase::LoggingOutcome { decision, involved });
                 ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 2 });
             }
@@ -134,7 +134,7 @@ impl TpcServer {
                 // nothing.
                 if !self.no_reply.contains(&rid) {
                     let dur = jittered(ctx, self.cost.end, self.cost.jitter);
-                    ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
+                    ctx.span(rid, Component::End, dur);
                     let result = AppMsg::Result { rid, decision, stamps: Vec::new() };
                     ctx.send_after(dur, rid.request.client, Payload::App(result));
                 }

@@ -10,7 +10,7 @@ use etx_base::config::CostModel;
 use etx_base::ids::{NodeId, ResultId};
 use etx_base::msg::{AppMsg, ClientMsg, DbMsg, DbReplyMsg, Payload};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
-use etx_base::trace::{Component, TraceKind};
+use etx_base::trace::Component;
 use etx_base::value::{Decision, Request, ResultValue};
 use etx_core::xa::{Step, Xa};
 use std::collections::{BTreeMap, HashSet};
@@ -51,7 +51,7 @@ impl BaselineServer {
         }
         self.attempts.insert(rid, Phase::Dispatching { request });
         let dur = jittered(ctx, self.cost.start, self.cost.jitter);
-        ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
+        ctx.span(rid, Component::Start, dur);
         ctx.set_timer(dur, TimerTag::Dispatch { rid, stage: 0 });
     }
 
@@ -106,7 +106,7 @@ impl BaselineServer {
     fn finish(&mut self, ctx: &mut dyn Context, rid: ResultId, result: ResultValue, failed: bool) {
         self.attempts.insert(rid, Phase::Done);
         let dur = jittered(ctx, self.cost.end, self.cost.jitter);
-        ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
+        ctx.span(rid, Component::End, dur);
         let payload = if failed {
             Payload::App(AppMsg::Exception { request: rid.request, reason: "commit failed".into() })
         } else {

@@ -453,7 +453,7 @@ impl AppServer {
                     0
                 };
                 let dur = jittered(ctx, self.cost.start, self.cost.jitter);
-                ctx.trace(TraceKind::Span { rid, comp: Component::Start, dur });
+                ctx.span(rid, Component::Start, dur);
                 ctx.set_timer(dur, TimerTag::Dispatch { rid, stage });
             }
         }
@@ -490,7 +490,7 @@ impl AppServer {
     ) {
         self.set_phase(rid, Phase::Done { decision: decision.clone() });
         let dur = jittered(ctx, self.cost.end, self.cost.jitter);
-        ctx.trace(TraceKind::Span { rid, comp: Component::End, dur });
+        ctx.span(rid, Component::End, dur);
         let result = AppMsg::Result { rid, decision, stamps };
         ctx.send_after(dur, rid.request.client, Payload::App(result));
     }
@@ -524,7 +524,7 @@ impl AppServer {
             return;
         }
         if let Some(t0) = *since {
-            ctx.trace(TraceKind::Span { rid, comp: Component::LogStart, dur: ctx.now().since(t0) });
+            ctx.span(rid, Component::LogStart, ctx.now().since(t0));
         }
         let next = Xa::compute(ctx, rid, request.clone(), true);
         self.enter(ctx, rid, next);
@@ -750,7 +750,7 @@ impl AppServer {
                 continue; // another server's (or an earlier slot's) to terminate
             };
             let dur = ctx.now().since(t0);
-            ctx.trace(TraceKind::Span { rid, comp: Component::LogOutcome, dur });
+            ctx.span(rid, Component::LogOutcome, dur);
             if !matches!(
                 self.phase(rid),
                 Some(Phase::Done { .. } | Phase::Xa(Xa::Terminating { .. }))

@@ -512,7 +512,7 @@ impl DbServer {
                 if xa {
                     dur += jittered(ctx, self.cost.sql_xa_overhead, self.cost.jitter);
                 }
-                ctx.trace(TraceKind::Span { rid, comp: Component::Sql, dur });
+                ctx.span(rid, Component::Sql, dur);
                 ctx.send_after(dur, from, Payload::DbReply(DbReplyMsg::ExecReply { rid, status }));
             }
             DbMsg::Prepare { rid, cross } => {
@@ -533,7 +533,7 @@ impl DbServer {
                 let service = jittered(ctx, self.cost.db_prepare, self.cost.jitter);
                 let dur = self.charge_serial(ctx, service);
                 ctx.trace(TraceKind::DbVote { rid, vote });
-                ctx.trace(TraceKind::Span { rid, comp: Component::Prepare, dur: service });
+                ctx.span(rid, Component::Prepare, service);
                 if self.held_votes.contains_key(&rid) {
                     // Duplicate Prepare while the vote is held: the pending
                     // release will answer it.
@@ -687,7 +687,7 @@ impl DbServer {
                     for (rid, outcome) in acks.iter().filter(fresh) {
                         if *outcome == Outcome::Commit {
                             let rid = *rid;
-                            ctx.trace(TraceKind::Span { rid, comp: Component::Commit, dur: share });
+                            ctx.span(rid, Component::Commit, share);
                         }
                     }
                 }
@@ -771,7 +771,7 @@ impl DbServer {
                 let indoubt = self.engine.indoubt_read_conflict(&ops);
                 let service = jittered(ctx, self.cost.sql_read, self.cost.jitter);
                 let dur = self.charge_read(ctx, service);
-                ctx.trace(TraceKind::Span { rid, comp: Component::Sql, dur: service });
+                ctx.span(rid, Component::Sql, service);
                 // Only primaries advertise grants onward.
                 let lease = if is_follower { None } else { self.advertised_lease(ctx.now()) };
                 ctx.send_after(
@@ -796,7 +796,7 @@ impl DbServer {
                 let dur = if ok && !already {
                     ctx.trace(TraceKind::DbDecide { rid, outcome: Outcome::Commit });
                     let d = jittered(ctx, self.cost.db_commit, self.cost.jitter);
-                    ctx.trace(TraceKind::Span { rid, comp: Component::Commit, dur: d });
+                    ctx.span(rid, Component::Commit, d);
                     self.charge_serial(ctx, d)
                 } else {
                     Dur::ZERO

@@ -2,13 +2,12 @@
 //! table), Figure 7 (communication steps / message counts) and Figure 1
 //! (the four canonical executions).
 
-use crate::latency::breakdown_for;
+use crate::latency::Breakdown;
 use crate::scenario::{MiddleTier, ScenarioBuilder};
 use crate::stats::Summary;
 use crate::workloads::Workload;
 use etx_base::config::CostModel;
 use etx_base::fault::{FaultOp, NemesisWhen};
-use etx_base::ids::RequestId;
 use etx_base::runtime::RuntimeKind;
 use etx_base::trace::{Component, TraceKind};
 use etx_base::value::Outcome;
@@ -39,16 +38,16 @@ pub struct Fig8Table {
     pub trials: usize,
 }
 
-/// Runs one failure-free trial of `tier` and returns the latency breakdown.
-fn one_trial(tier: MiddleTier, seed: u64, cost: CostModel) -> Option<crate::latency::Breakdown> {
+/// Runs one failure-free trial of `tier` — one request — and returns its
+/// latency breakdown.
+fn one_trial(tier: MiddleTier, seed: u64, cost: CostModel) -> Option<Breakdown> {
     let mut scenario =
         ScenarioBuilder::new(tier, seed).runtime(RuntimeKind::Sim).cost(cost).requests(1).build();
     let out = scenario.run_until_settled(1);
     if out != RunOutcome::Predicate {
         return None;
     }
-    let client = scenario.topo.clients[0];
-    breakdown_for(scenario.trace().events(), RequestId { client, seq: 1 })
+    Breakdown::of_run(scenario.trace().events(), scenario.spans())
 }
 
 /// Regenerates Figure 8: `trials` failure-free bank-update runs per

@@ -1,12 +1,14 @@
-//! Extracting the Figure 8 latency breakdown from a run's trace.
+//! The Figure 8 latency breakdown of a run.
 //!
 //! The paper measures end-to-end client latency and "allocates portions of
 //! this time to specific software components". We do the same: the modelled
-//! service-time spans recorded during the run are summed per component for
-//! the delivered request; everything unaccounted for is "other" — which, as
-//! in the paper, is dominated by client-server communication.
+//! service time the nodes charged to each component ([`SpanTotals`]) is that
+//! component's portion; everything unaccounted for is "other" — which, as
+//! in the paper, is dominated by client-server communication. The totals
+//! cover the whole run, so they are one request's in a run of one
+//! failure-free request: the paper's Figure 8 configuration.
 
-use etx_base::ids::RequestId;
+use etx_base::metrics::SpanTotals;
 use etx_base::trace::{Component, TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 
@@ -22,112 +24,63 @@ pub struct Breakdown {
 }
 
 impl Breakdown {
+    /// The breakdown of a run of one request, if it was delivered: its
+    /// latency runs from the first `Issue` in `events` to the first
+    /// `Deliver`, and `spans` are the run's per-component totals.
+    pub fn of_run(events: &[TraceEvent], spans: &SpanTotals) -> Option<Breakdown> {
+        let first = |is: fn(&TraceKind) -> bool| events.iter().find(|e| is(&e.kind)).map(|e| e.at);
+        let issue = first(|k| matches!(k, TraceKind::Issue { .. }))?;
+        let deliver = first(|k| matches!(k, TraceKind::Deliver { .. }))?;
+        let per: BTreeMap<Component, f64> = Component::ALL
+            .into_iter()
+            .filter(|&c| spans.count(c) > 0)
+            .map(|c| (c, spans.total(c).as_millis_f64()))
+            .collect();
+        let total = deliver.since(issue).as_millis_f64();
+        let accounted: f64 = per.values().sum();
+        Some(Breakdown { per, total, other: total - accounted })
+    }
+
     /// Value for one component (0 if absent).
     pub fn component(&self, c: Component) -> f64 {
         self.per.get(&c).copied().unwrap_or(0.0)
     }
 }
 
-/// Computes the breakdown for `request`, if it was issued and delivered.
-///
-/// All spans attributed to any attempt of the request between issue and
-/// delivery are summed. In failure-free single-database runs (the paper's
-/// Figure 8 configuration) this equals the critical path exactly.
-pub fn breakdown_for(events: &[TraceEvent], request: RequestId) -> Option<Breakdown> {
-    let issue = events.iter().find_map(|e| match e.kind {
-        TraceKind::Issue { request: r } if r == request => Some(e.at),
-        _ => None,
-    })?;
-    let deliver = events.iter().find_map(|e| match e.kind {
-        TraceKind::Deliver { rid, .. } if rid.request == request => Some(e.at),
-        _ => None,
-    })?;
-    let mut per: BTreeMap<Component, f64> = BTreeMap::new();
-    for e in events {
-        if e.at < issue || e.at > deliver {
-            continue;
-        }
-        if let TraceKind::Span { rid, comp, dur } = &e.kind {
-            if rid.request == request {
-                *per.entry(*comp).or_insert(0.0) += dur.as_millis_f64();
-            }
-        }
-    }
-    let total = deliver.since(issue).as_millis_f64();
-    let accounted: f64 = per.values().sum();
-    Some(Breakdown { per, total, other: total - accounted })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etx_base::ids::{NodeId, ResultId};
+    use etx_base::ids::{NodeId, RequestId, ResultId};
     use etx_base::time::{Dur, Time};
     use etx_base::value::Outcome;
 
+    fn issue() -> TraceEvent {
+        let request = RequestId { client: NodeId(0), seq: 1 };
+        TraceEvent::new(Time(0), NodeId(0), TraceKind::Issue { request })
+    }
+
     #[test]
     fn breakdown_sums_spans_and_computes_other() {
-        let req = RequestId { client: NodeId(0), seq: 1 };
-        let rid = ResultId::first(req);
-        let events = vec![
-            TraceEvent::new(Time(0), NodeId(0), TraceKind::Issue { request: req }),
-            TraceEvent::new(
-                Time(1_000),
-                NodeId(1),
-                TraceKind::Span { rid, comp: Component::Start, dur: Dur::from_millis(3) },
-            ),
-            TraceEvent::new(
-                Time(5_000),
-                NodeId(4),
-                TraceKind::Span { rid, comp: Component::Sql, dur: Dur::from_millis(180) },
-            ),
-            TraceEvent::new(
-                Time(200_000),
-                NodeId(0),
-                TraceKind::Deliver { rid, outcome: Outcome::Commit, steps: 6 },
-            ),
-        ];
-        let b = breakdown_for(&events, req).unwrap();
+        let rid = ResultId::first(RequestId { client: NodeId(0), seq: 1 });
+        let deliver = TraceKind::Deliver { rid, outcome: Outcome::Commit, steps: 6 };
+        let events = vec![issue(), TraceEvent::new(Time(200_000), NodeId(0), deliver)];
+        let mut spans = SpanTotals::default();
+        spans.record(Component::Start, Dur::from_millis(3));
+        spans.record(Component::Sql, Dur::from_millis(100));
+        spans.record(Component::Sql, Dur::from_millis(80));
+        let b = Breakdown::of_run(&events, &spans).unwrap();
         assert_eq!(b.total, 200.0);
         assert_eq!(b.component(Component::Start), 3.0);
         assert_eq!(b.component(Component::Sql), 180.0);
         assert_eq!(b.component(Component::Commit), 0.0);
+        assert!(!b.per.contains_key(&Component::Commit), "no span, no row entry");
         assert!((b.other - 17.0).abs() < 1e-9);
     }
 
     #[test]
     fn missing_delivery_yields_none() {
-        let req = RequestId { client: NodeId(0), seq: 1 };
-        let events = vec![TraceEvent::new(Time(0), NodeId(0), TraceKind::Issue { request: req })];
-        assert!(breakdown_for(&events, req).is_none());
-    }
-
-    #[test]
-    fn spans_of_other_requests_are_excluded() {
-        let req1 = RequestId { client: NodeId(0), seq: 1 };
-        let req2 = RequestId { client: NodeId(0), seq: 2 };
-        let events = vec![
-            TraceEvent::new(Time(0), NodeId(0), TraceKind::Issue { request: req1 }),
-            TraceEvent::new(
-                Time(10),
-                NodeId(1),
-                TraceKind::Span {
-                    rid: ResultId::first(req2),
-                    comp: Component::Sql,
-                    dur: Dur::from_millis(99),
-                },
-            ),
-            TraceEvent::new(
-                Time(1_000),
-                NodeId(0),
-                TraceKind::Deliver {
-                    rid: ResultId::first(req1),
-                    outcome: Outcome::Commit,
-                    steps: 6,
-                },
-            ),
-        ];
-        let b = breakdown_for(&events, req1).unwrap();
-        assert_eq!(b.component(Component::Sql), 0.0);
+        let mut spans = SpanTotals::default();
+        spans.record(Component::Start, Dur::from_millis(3));
+        assert!(Breakdown::of_run(&[issue()], &spans).is_none());
     }
 }

@@ -16,7 +16,7 @@
 //!   specification checking;
 //! * [`stats`] — means and 90% confidence intervals (the paper's
 //!   methodology);
-//! * [`latency`] — per-component breakdowns from trace spans.
+//! * [`latency`] — per-component breakdowns from the nodes' span totals.
 
 pub mod chaos;
 pub mod figures;
@@ -32,7 +32,7 @@ pub use chaos::{
     run_read_path_chaos, run_speculation_chaos, ChaosOptions, ChaosOutcome,
 };
 pub use figures::{figure1, figure1_all, figure7, figure8, Fig1Scenario, Fig8Table};
-pub use latency::{breakdown_for, Breakdown};
+pub use latency::Breakdown;
 pub use properties::{check, LivenessChecks, PropertyReport};
 pub use scenario::{MiddleTier, Scenario, ScenarioBuilder};
 pub use stats::Summary;

@@ -9,6 +9,7 @@ use etx_base::config::{
 };
 use etx_base::fault::{CapabilityError, FaultOp, NemesisSchedule, NemesisWhen};
 use etx_base::ids::{NodeId, ResultId, Topology};
+use etx_base::metrics::SpanTotals;
 use etx_base::runtime::{Host, RuntimeKind};
 use etx_base::shard::{ShardId, ShardMap, ShardSpec};
 use etx_base::time::{Dur, Time};
@@ -344,6 +345,7 @@ impl ScenarioBuilder {
                     host: ThreadedHost::new(tcfg),
                     trace: Trace::default(),
                     stats: MsgStats::default(),
+                    spans: SpanTotals::default(),
                 }
             }
         };
@@ -512,16 +514,16 @@ impl ScenarioBuilder {
     }
 }
 
-/// The runtime backend a built scenario runs on. Sim keeps its trace and
-/// stats inline (borrowable for free); the threaded host keeps them behind
-/// a lock, so the scenario caches snapshots refreshed at every run /
-/// quiesce / stop boundary.
+/// The runtime backend a built scenario runs on. Sim keeps its trace,
+/// stats and spans inline (borrowable for free); the threaded host keeps
+/// them behind locks, so the scenario caches snapshots refreshed at every
+/// run / quiesce / stop boundary.
 #[derive(Debug)]
 pub enum Backend {
     /// The deterministic discrete-event simulator.
     Sim(Sim),
     /// The multi-threaded host plus the scenario's snapshot cache of its
-    /// locked trace/stats sinks.
+    /// locked trace/stats/span sinks.
     Threaded {
         /// The host.
         host: ThreadedHost,
@@ -529,6 +531,8 @@ pub enum Backend {
         trace: Trace,
         /// Stats snapshot as of the last run/quiesce/stop boundary.
         stats: MsgStats,
+        /// Span totals as of the last run/quiesce/stop boundary.
+        spans: SpanTotals,
     },
 }
 
@@ -653,15 +657,16 @@ impl Scenario {
         }
     }
 
-    /// Refreshes the threaded backend's trace/stats snapshot cache. No-op
+    /// Refreshes the threaded backend's trace/stats/span snapshot cache. No-op
     /// on the simulator, whose sinks are read in place. The host's trace
     /// only grows, so the cached copy is always a prefix of it: appending
     /// the events past that prefix brings it up to date without a second
     /// full copy of the trace.
     fn sync(&mut self) {
-        if let Backend::Threaded { host, trace, stats } = &mut self.backend {
+        if let Backend::Threaded { host, trace, stats, spans } = &mut self.backend {
             host.with_trace(&mut |live| trace.extend_from_slice(&live.events()[trace.len()..]));
             *stats = host.stats_snapshot();
+            *spans = host.spans_snapshot();
         }
     }
 
@@ -681,6 +686,16 @@ impl Scenario {
         match &self.backend {
             Backend::Sim(sim) => sim.stats(),
             Backend::Threaded { stats, .. } => stats,
+        }
+    }
+
+    /// Figure 8 spans, summed per component over every node, backend-neutral
+    /// (same snapshot discipline as [`Scenario::trace`]). No span is in
+    /// the trace: this is where the modelled service time of a run is.
+    pub fn spans(&self) -> &SpanTotals {
+        match &self.backend {
+            Backend::Sim(sim) => sim.spans(),
+            Backend::Threaded { spans, .. } => spans,
         }
     }
 

@@ -62,12 +62,13 @@
 
 use etx_base::config::CostModel;
 use etx_base::fault::{CapabilityError, FaultOp, Links, NemesisWhen, Prim, Triggers};
-use etx_base::ids::{NodeId, TimerId};
+use etx_base::ids::{NodeId, ResultId, TimerId};
+use etx_base::metrics::SpanTotals;
 use etx_base::msg::Payload;
 use etx_base::rng::Rng;
 use etx_base::runtime::{Context, Event, Host, NodeFactory, Process, RunOutcome, TimerTag};
 use etx_base::time::{Dur, Time};
-use etx_base::trace::{MsgStats, Trace, TraceEvent, TraceKind};
+use etx_base::trace::{Component, MsgStats, Trace, TraceEvent, TraceKind};
 use etx_base::wal::StableRecord;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
@@ -150,12 +151,30 @@ impl FaultState {
 /// are taken *inside* the trace lock from the shared monotonic epoch, so
 /// trace order and timestamp order agree — the property checker's
 /// happened-before comparisons hold exactly as on the simulator.
+///
+/// Spans are not traced: each node sums its own. While a trace trigger is
+/// armed (`offering`), a node also leaves its spans in `offered` for the
+/// driver to show the triggers; otherwise a span takes no shared lock.
+/// The flag publishes nothing but itself (the buffer has its own lock): a
+/// span that misses a trigger armed a moment ago is one that came before
+/// the arming, as a traced event just before it would be.
 struct Sink {
     epoch: Instant,
     trace: Mutex<Trace>,
+    offering: AtomicBool,
+    offered: Mutex<Vec<TraceEvent>>,
 }
 
 impl Sink {
+    fn new() -> Self {
+        Sink {
+            epoch: Instant::now(),
+            trace: Mutex::new(Trace::default()),
+            offering: AtomicBool::new(false),
+            offered: Mutex::new(Vec::new()),
+        }
+    }
+
     fn now(&self) -> Time {
         Time(self.epoch.elapsed().as_micros() as u64)
     }
@@ -164,6 +183,18 @@ impl Sink {
         let mut trace = self.trace.lock().expect("trace lock");
         let at = self.now();
         trace.push(TraceEvent::new(at, node, kind));
+    }
+
+    fn offered(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
+        self.offered.lock().expect("offered-spans lock")
+    }
+
+    /// Leaves a span for the armed triggers, if any is armed.
+    fn offer(&self, node: NodeId, kind: TraceKind) {
+        if self.offering.load(Ordering::Acquire) {
+            let mut offered = self.offered();
+            offered.push(TraceEvent::new(self.now(), node, kind));
+        }
     }
 }
 
@@ -324,7 +355,7 @@ impl Pool {
                 stopping: false,
             }),
             idle: Condvar::new(),
-            sink: Sink { epoch: Instant::now(), trace: Mutex::new(Trace::default()) },
+            sink: Sink::new(),
             faults: FaultState::default(),
         }
     }
@@ -473,6 +504,8 @@ struct NodeRt {
     /// This node's sends and drops; folded with every other node's on
     /// demand, so no send takes a shared lock for accounting.
     stats: MsgStats,
+    /// This node's Figure 8 spans, kept and folded the same way.
+    spans: SpanTotals,
     deferred: BinaryHeap<Reverse<Deferred>>,
     cancelled: HashSet<u64>,
     timer_seq: u64,
@@ -602,6 +635,11 @@ impl Context for ThreadCtx<'_> {
         self.rt.pool.sink.push(self.rt.me, kind);
     }
 
+    fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
+        self.rt.spans.record(comp, dur);
+        self.rt.pool.sink.offer(self.rt.me, TraceKind::Span { rid, comp, dur });
+    }
+
     fn depth(&self) -> u32 {
         self.depth
     }
@@ -672,6 +710,9 @@ pub struct ThreadedHost {
     /// Counts that no live node holds: those of crashed and stopped
     /// incarnations, and the driver's own (re-injection at a link heal).
     stats: MsgStats,
+    /// Spans that no live node holds: those of crashed and stopped
+    /// incarnations.
+    spans: SpanTotals,
     incarnations: Vec<u32>,
     panicked: Vec<&'static str>,
     /// Timed faults not yet due, in scheduling order; an entry leaves
@@ -709,6 +750,7 @@ impl ThreadedHost {
             workers: Vec::new(),
             shells: Vec::new(),
             stats: MsgStats::default(),
+            spans: SpanTotals::default(),
             incarnations: Vec::new(),
             panicked: Vec::new(),
             nemesis: Vec::new(),
@@ -727,6 +769,7 @@ impl ThreadedHost {
         // A fresh pool also resets the epoch, so Time(0) is the moment
         // processing begins, not host construction.
         self.pool = Arc::new(Pool::new(n));
+        self.pool.sink.offering.store(!self.triggers.is_empty(), Ordering::Release);
         self.incarnations = vec![0; n];
         self.shells = (0..n).map(|_| None).collect();
         // Faults scheduled before the run (`NemesisWhen::Now` on a
@@ -781,6 +824,7 @@ impl ThreadedHost {
             rng,
             storage,
             stats: MsgStats::default(),
+            spans: SpanTotals::default(),
             deferred: BinaryHeap::new(),
             cancelled: HashSet::new(),
             timer_seq: 0,
@@ -798,10 +842,11 @@ impl ThreadedHost {
     }
 
     /// Keeps what survives of a node whose state left its slot: its counts
-    /// always, its logs and (unless `crashed`) its process if it did not
-    /// panic. Dropping the rest drops the node's handle on the pool.
+    /// and spans always, its logs and (unless `crashed`) its process if it
+    /// did not panic. Dropping the rest drops the node's handle on the pool.
     fn retire(&mut self, idx: usize, state: NodeState, crashed: bool) {
         self.stats.merge(&state.rt.stats);
+        self.spans.merge(&state.rt.spans);
         if state.panicked {
             self.panicked.push(self.names[idx]);
             return;
@@ -1027,14 +1072,21 @@ impl ThreadedHost {
 
     /// Fires every due/triggered nemesis entry. Called from the driver's
     /// polling loops ([`Host::run_trace_until`], [`Host::quiesce_for`]).
-    /// The trace lock is taken only while a trigger is armed, and what
-    /// fired is applied *after* releasing it (a crash waits for the
-    /// victim's handler, which may itself be waiting on the trace lock).
+    /// The trace lock (and the offered spans' lock) is taken only while a
+    /// trigger is armed, and what fired is applied *after* releasing it (a
+    /// crash waits for the victim's handler, which may itself be waiting
+    /// on either lock).
     fn pump_nemesis(&mut self) {
         let mut fired: Vec<Due> = Vec::new();
         if !self.triggers.is_empty() {
+            for span in self.pool.sink.offered().drain(..) {
+                self.triggers.offer(&span);
+            }
             let trace = self.pool.sink.trace.lock().expect("trace lock");
             fired.extend(self.triggers.scan(trace.events()).into_iter().map(Due::Op));
+            if self.triggers.is_empty() {
+                self.pool.sink.offering.store(false, Ordering::Release);
+            }
         }
         let now = self.pool.sink.now();
         fired.extend(self.nemesis.extract_if(.., |(at, _)| *at <= now).map(|(_, due)| due));
@@ -1056,6 +1108,18 @@ impl ThreadedHost {
         for slot in &self.pool.slots {
             if let Some(node) = slot.state().as_ref() {
                 total.merge(&node.rt.stats);
+            }
+        }
+        total
+    }
+
+    /// A snapshot of the Figure 8 spans recorded so far, gathered like
+    /// [`ThreadedHost::stats_snapshot`].
+    pub fn spans_snapshot(&self) -> SpanTotals {
+        let mut total = self.spans;
+        for slot in &self.pool.slots {
+            if let Some(node) = slot.state().as_ref() {
+                total.merge(&node.rt.spans);
             }
         }
         total
@@ -1145,6 +1209,12 @@ impl Host for ThreadedHost {
             NemesisWhen::After(d) => self.nemesis.push((now + d, Due::Op(op))),
             NemesisWhen::OnTrace(pred) => {
                 let seen = self.pool.sink.trace.lock().expect("trace lock").len();
+                if self.triggers.is_empty() {
+                    // Spans left over from an earlier set came before this
+                    // trigger was armed.
+                    self.pool.sink.offered().clear();
+                    self.pool.sink.offering.store(true, Ordering::Release);
+                }
                 self.triggers.arm(seen, pred, op);
             }
         }
@@ -1265,6 +1335,55 @@ mod tests {
         }
         assert_eq!(host.run_trace_until(Box::new(noted("tick"))), RunOutcome::Predicate);
         host.stop();
+    }
+
+    /// Charges a 5 µs `Sql` span per message, then notes it.
+    struct Charger;
+    impl Process for Charger {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            if let Event::Message { .. } = event {
+                let rid = ResultId::first(etx_base::ids::RequestId { client: NodeId(0), seq: 1 });
+                ctx.span(rid, Component::Sql, Dur(5));
+                ctx.trace(TraceKind::Note("charged"));
+            }
+        }
+    }
+
+    fn charged(t: &Trace) -> usize {
+        t.count_kind(|k| matches!(k, TraceKind::Note("charged")))
+    }
+
+    #[test]
+    fn spans_are_summed_per_node_and_left_for_no_one_while_no_trigger_is_armed() {
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(16));
+        host.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 3 })));
+        host.add_node("b", Box::new(|_| Box::new(Charger)));
+        assert_eq!(host.run_trace_until(Box::new(|t| charged(t) == 3)), RunOutcome::Predicate);
+        let spans = host.spans_snapshot();
+        assert_eq!((spans.count(Component::Sql), spans.total(Component::Sql)), (3, Dur(15)));
+        assert!(!host.pool.sink.offering.load(Ordering::Acquire));
+        assert!(host.pool.sink.offered().is_empty(), "a span took the shared lock for nobody");
+        host.stop();
+        assert_eq!(host.spans_snapshot(), spans, "stop() folds every node's spans into the host");
+        let trace = host.trace_snapshot();
+        assert_eq!(trace.count_kind(|k| matches!(k, TraceKind::Span { .. })), 0);
+    }
+
+    #[test]
+    fn a_span_fires_a_trigger_armed_before_start_and_survives_the_crash() {
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(17));
+        host.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 3 })));
+        let b = host.add_node("b", Box::new(|_| Box::new(Charger)));
+        let on_sql =
+            |ev: &TraceEvent| matches!(ev.kind, TraceKind::Span { comp: Component::Sql, .. });
+        host.schedule_fault(NemesisWhen::on_trace(on_sql), FaultOp::Crash(b)).unwrap();
+        let crashed = |t: &Trace| t.count_kind(|k| matches!(k, TraceKind::Crash)) == 1;
+        assert_eq!(host.run_trace_until(Box::new(crashed)), RunOutcome::Predicate);
+        assert!(!host.pool.sink.offering.load(Ordering::Acquire), "fired: nothing left armed");
+        let sql = host.spans_snapshot().count(Component::Sql);
+        assert!(sql >= 1, "the crashed incarnation's spans are the host's now");
+        host.stop();
+        assert_eq!(host.spans_snapshot().count(Component::Sql), sql);
     }
 
     struct Durable;

@@ -23,13 +23,14 @@ use crate::rng::Rng;
 use crate::storage::StableStorage;
 use etx_base::config::CostModel;
 use etx_base::fault::{CapabilityError, FaultOp, Links, NemesisWhen, Prim, Triggers};
-use etx_base::ids::{NodeId, TimerId};
+use etx_base::ids::{NodeId, ResultId, TimerId};
+use etx_base::metrics::SpanTotals;
 use etx_base::msg::Payload;
 use etx_base::runtime::{Context, Event, Host, NodeFactory, Process, TimerTag};
 
 pub use etx_base::runtime::RunOutcome;
 use etx_base::time::{Dur, Time};
-use etx_base::trace::{TraceEvent, TraceKind};
+use etx_base::trace::{Component, TraceEvent, TraceKind};
 use etx_base::wal::StableRecord;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -142,6 +143,9 @@ pub struct Sim {
     links: Links,
     trace: Trace,
     stats: MsgStats,
+    /// The Figure 8 spans of every node, summed: the simulator runs one
+    /// node at a time, so one accumulator is each node's own.
+    spans: SpanTotals,
     timer_seq: u64,
     /// Cancelled timers not yet popped or compacted away. Ordered, not
     /// hashed: a hash set that grows and shrinks reallocates or not by
@@ -182,6 +186,7 @@ impl Sim {
             links: Links::default(),
             trace: Trace::default(),
             stats: MsgStats::default(),
+            spans: SpanTotals::default(),
             timer_seq: 0,
             cancelled: BTreeSet::new(),
             fd_subscribers: Vec::new(),
@@ -228,6 +233,11 @@ impl Sim {
     /// Message statistics so far.
     pub fn stats(&self) -> &MsgStats {
         &self.stats
+    }
+
+    /// Figure 8 spans so far, per component. No span is in the trace.
+    pub fn spans(&self) -> &SpanTotals {
+        &self.spans
     }
 
     /// The cost model in effect.
@@ -475,6 +485,8 @@ impl Sim {
                 storage: &mut slot.storage,
                 trace: &mut self.trace,
                 stats: &mut self.stats,
+                spans: &mut self.spans,
+                triggers: &mut self.triggers,
                 queue: &mut self.queue,
                 seq: &mut self.seq,
                 timer_seq: &mut self.timer_seq,
@@ -569,6 +581,8 @@ struct SimCtx<'a> {
     storage: &'a mut StableStorage,
     trace: &'a mut Trace,
     stats: &'a mut MsgStats,
+    spans: &'a mut SpanTotals,
+    triggers: &'a mut Triggers,
     queue: &'a mut BinaryHeap<Reverse<Entry>>,
     seq: &'a mut u64,
     timer_seq: &'a mut u64,
@@ -649,6 +663,16 @@ impl Context for SimCtx<'_> {
 
     fn trace(&mut self, kind: TraceKind) {
         self.trace.push(TraceEvent::new(self.now, self.me, kind));
+    }
+
+    /// Summed, and shown to the armed triggers, which fire on it after this
+    /// step exactly as they did when spans were traced.
+    fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
+        self.spans.record(comp, dur);
+        if !self.triggers.is_empty() {
+            let kind = TraceKind::Span { rid, comp, dur };
+            self.triggers.offer(&TraceEvent::new(self.now, self.me, kind));
+        }
     }
 
     fn depth(&self) -> u32 {

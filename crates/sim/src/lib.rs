@@ -65,7 +65,7 @@ mod tests {
     use etx_base::msg::{FdMsg, Payload};
     use etx_base::runtime::{Context, Event, Host, Process, TimerTag};
     use etx_base::time::{Dur, Time};
-    use etx_base::trace::TraceKind;
+    use etx_base::trace::{Component, TraceEvent, TraceKind};
     use etx_base::wal::{StableRecord, LOG_WAL};
 
     /// Sends `n` pings to a peer on Init; counts pongs via trace notes.
@@ -330,6 +330,33 @@ mod tests {
         sim.run_until_time(Time(100_000));
         assert!(!sim.is_up(b));
         assert!(sim.is_up(a));
+    }
+
+    /// Charges a 5 µs `Sql` span per message.
+    struct Charger;
+    impl Process for Charger {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            if let Event::Message { .. } = event {
+                let rid = ResultId::first(RequestId { client: NodeId(0), seq: 1 });
+                ctx.span(rid, Component::Sql, Dur(5));
+            }
+        }
+    }
+
+    #[test]
+    fn spans_are_summed_and_shown_to_triggers_but_never_traced() {
+        let mut sim = Sim::new(SimConfig::with_seed(10));
+        sim.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 3 })));
+        let b = sim.add_node("b", Box::new(|_| Box::new(Charger)));
+        let on_sql =
+            |ev: &TraceEvent| matches!(ev.kind, TraceKind::Span { comp: Component::Sql, .. });
+        sim.schedule_fault(NemesisWhen::on_trace(on_sql), FaultOp::Crash(b)).unwrap();
+        sim.run_until_time(Time(100_000));
+        assert!(!sim.is_up(b), "the first span crashed its node");
+        let sql = sim.spans().count(Component::Sql);
+        assert!((1..3).contains(&sql), "{sql} spans: the crash came after the first");
+        assert_eq!(sim.spans().total(Component::Sql), Dur(5 * sql));
+        assert_eq!(sim.trace().count_kind(|k| matches!(k, TraceKind::Span { .. })), 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ const CONSENSUS_LABELS: [&str; 6] =
     ["CEstimate", "CPropose", "CAck", "CNack", "CDecide", "CDecideReq"];
 
 fn log_starts(s: &Scenario) -> usize {
-    s.trace().count_kind(|k| matches!(k, TraceKind::Span { comp: Component::LogStart, .. }))
+    s.spans().count(Component::LogStart) as usize
 }
 
 fn settle(mut s: Scenario) -> Scenario {

@@ -43,12 +43,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// sharded crash-recovery, a batched burst). They guard against an *unintended*
 /// trace change: a PR that means to leave messages, timers and trace
 /// events alone must leave these alone, and one that changes the protocol
-/// on purpose re-pins them once and says so. (Last re-pinned when `RegId`
-/// lost its register kind: the `Debug` text of every `RegDecided` event
-/// changed, and nothing else.)
-const GOLDEN_FAILOVER: u64 = 0x7EF6_DD45_BE60_0B91;
-const GOLDEN_SHARDED: u64 = 0x9746_8A11_B957_97E2;
-const GOLDEN_BATCHED: u64 = 0xC90D_7404_25FB_0684;
+/// on purpose re-pins them once and says so. (Last re-pinned when spans
+/// left the trace for the nodes' span totals: each hash is that of the
+/// earlier trace with its `Span` events removed.)
+const GOLDEN_FAILOVER: u64 = 0x9DA1_330F_B074_D74B;
+const GOLDEN_SHARDED: u64 = 0x5531_7924_5DD1_C74B;
+const GOLDEN_BATCHED: u64 = 0x74B9_4E2E_0792_618D;
 
 fn trace_bytes(mut s: Scenario, settle: usize) -> Vec<u8> {
     s.run_until_settled(settle);

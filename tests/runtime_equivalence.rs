@@ -9,9 +9,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use etx::base::config::{FdConfig, ProtocolConfig};
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::ids::ResultId;
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
+use etx::base::trace::{Component, TraceKind};
 use etx::base::value::{Decision, Outcome};
 use etx::harness::{check, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder, Workload};
 
@@ -143,7 +146,7 @@ fn concurrent_conserved_pairs_commit_the_same_set_on_both_backends() {
 /// liveness checks, and every follower rebuilds to its primary's state.
 #[test]
 fn a_bounded_cut_means_the_same_on_both_backends() {
-    use etx::base::fault::{FaultOp, NemesisSchedule};
+    use etx::base::fault::NemesisSchedule;
     for kind in [RuntimeKind::Sim, RuntimeKind::Threaded] {
         let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 33)
             .runtime(kind)
@@ -248,7 +251,6 @@ fn threaded_read_path_preserves_snapshot_invariants() {
 /// event for event: nothing lost at a boundary, nothing appended twice.
 #[test]
 fn the_threaded_trace_cache_appends_each_event_once() {
-    use etx::base::trace::TraceKind;
     let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 5)
         .runtime(RuntimeKind::Threaded)
         .shards(2)
@@ -275,6 +277,86 @@ fn the_threaded_trace_cache_appends_each_event_once() {
     assert!(issued.values().all(|&k| k == 1), "an Issue was cached twice: {issued:?}");
 }
 
+// ---- Figure 8 spans: summed per node, never stored ----------------------------
+
+/// One fault-free request at the paper's timer scale (the client's 800 ms
+/// back-off keeps a slow thread from sending it to a second server) with a
+/// deployment-scale failure detector, settled and stopped.
+fn one_request(kind: RuntimeKind) -> Scenario {
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 0xF18)
+        .runtime(kind)
+        .protocol(ProtocolConfig::default())
+        .fd(deployment_fd())
+        .requests(1)
+        .build();
+    assert_eq!(s.run_until_settled(1), etx::sim::RunOutcome::Predicate, "{}", kind.label());
+    s.quiesce(Dur::from_millis(50));
+    s.stop();
+    s
+}
+
+fn deployment_fd() -> FdConfig {
+    FdConfig {
+        heartbeat_every: Dur::from_millis(20),
+        initial_timeout: Dur::from_millis(200),
+        timeout_increment: Dur::from_millis(50),
+        max_timeout: Dur::from_millis(2_000),
+    }
+}
+
+fn is_span(kind: &TraceKind) -> bool {
+    matches!(kind, TraceKind::Span { .. })
+}
+
+/// Every component of one request's path is charged once on either host,
+/// and neither host stores a span in its trace.
+#[test]
+fn one_request_charges_the_same_spans_on_both_backends_and_traces_none() {
+    let (on_sim, on_rt) = (one_request(RuntimeKind::Sim), one_request(RuntimeKind::Threaded));
+    for comp in Component::ALL {
+        assert_eq!(on_sim.spans().count(comp), 1, "{comp}: one request, one span");
+        assert_eq!(on_rt.spans().count(comp), 1, "{comp}: the threaded host disagrees");
+    }
+    let host = on_rt.threaded().expect("threaded backend").trace_snapshot();
+    for (name, trace) in [("sim", on_sim.trace()), ("threaded", on_rt.trace()), ("host", &host)] {
+        assert!(!trace.is_empty(), "{name}: nothing traced");
+        assert_eq!(trace.count_kind(is_span), 0, "{name}: a span was stored in the trace");
+    }
+}
+
+/// A span is still trigger evidence: crashing the primary the moment it
+/// charges `LogOutcome` (Figure 1(c)) fires on both hosts, and the cleaner
+/// finishes the request, delivered exactly once.
+#[test]
+fn a_crash_on_the_primarys_log_outcome_span_fires_on_both_backends() {
+    for kind in [RuntimeKind::Sim, RuntimeKind::Threaded] {
+        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 0x1C)
+            .runtime(kind)
+            .fd(deployment_fd())
+            .requests(1)
+            .build();
+        let a1 = s.topo.primary();
+        s.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                ev.node == a1
+                    && matches!(ev.kind, TraceKind::Span { comp: Component::LogOutcome, .. })
+            }),
+            FaultOp::Crash(a1),
+        )
+        .unwrap();
+        assert_eq!(s.run_until_settled(1), etx::sim::RunOutcome::Predicate, "{}", kind.label());
+        s.quiesce(Dur::from_millis(50));
+        s.stop();
+        let crashed = s.trace().find(|e| e.node == a1 && e.kind == TraceKind::Crash);
+        assert!(crashed.is_some(), "{}: the span trigger never fired", kind.label());
+        assert_eq!(s.deliveries().len(), 1, "{}: delivered more than once", kind.label());
+        assert_eq!(s.delivered_commits(), 1, "{}", kind.label());
+        assert_eq!(s.trace().count_kind(is_span), 0, "{}", kind.label());
+        check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true })
+            .assert_ok();
+    }
+}
+
 // ---- the capability fence ---------------------------------------------------
 
 /// Virtual time, mid-run storage reads, and deterministic replay are
@@ -296,7 +378,7 @@ fn threaded_scenarios_reject_simulator_internals() {
 /// [`CapabilityError`] instead of a panic.
 #[test]
 fn threaded_scenarios_accept_fault_schedules() {
-    use etx::base::fault::{FaultOp, NemesisSchedule};
+    use etx::base::fault::NemesisSchedule;
     let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 3)
         .runtime(RuntimeKind::Threaded)
         .requests(1)
