@@ -3,8 +3,9 @@
 //! This crate holds everything that every tier of the three-tier system must
 //! agree on: process identities, time, request/result/decision values, the
 //! wire-message vocabulary, write-ahead-log record formats, configuration
-//! knobs, trace events, node-owned metrics, and the runtime abstraction ([`Context`] /
-//! [`Process`]) that protocol state machines are written against.
+//! knobs, trace events, node-owned metrics, and the runtime abstraction
+//! ([`Context`] / [`Process`]) that protocol state machines are written
+//! against.
 //!
 //! The paper this workspace reproduces is Frølund & Guerraoui,
 //! *"Implementing e-Transactions with Asynchronous Replication"* (DSN 2000).

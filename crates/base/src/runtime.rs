@@ -185,9 +185,9 @@ pub trait Context {
 
     /// Charges `dur` of modelled service time to the Figure 8 component
     /// `comp`, on behalf of attempt `rid`. A host adds it to its
-    /// [`SpanTotals`](crate::metrics::SpanTotals) and shows it to the armed trace triggers as a
-    /// [`TraceKind::Span`], without storing it in the trace. The default,
-    /// for a context that keeps no totals, traces it.
+    /// [`SpanTotals`](crate::metrics::SpanTotals) and shows it to the armed
+    /// trace triggers as a [`TraceKind::Span`], without storing it in the
+    /// trace. The default, for a context that keeps no totals, traces it.
     fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
         self.trace(TraceKind::Span { rid, comp, dur });
     }

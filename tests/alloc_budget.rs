@@ -119,13 +119,12 @@ const EVENTS_CEILING: f64 = 15.9;
 /// trace events.
 const RETAINED_PARENT: f64 = 2_489.0;
 
-/// The retained-heap budget: the figure of the change that introduced it
-/// (2 035 — 16-byte attempt ids, 48-byte trace events), plus 5 %; since
-/// spans left the trace, the figure at that change (2 028) plus 5 %. Most
-/// of it is the trace and the WAL; a change that regrows an id or a record
-/// pays here first. The trace is counted by capacity, which grows by
-/// doubling: this run's 14 117 events with spans and 9 056 without both
-/// sit in a buffer of 16 384, so dropping spans did not move the figure.
+/// The retained-heap budget: the figure of the change that last set it
+/// (2 028, when spans left the trace), plus 5 %. Most of it is the trace
+/// and the WAL; a change that regrows an id or a record pays here first.
+/// The trace counts by capacity, which doubles: this run's 14 117 events
+/// with spans and 9 056 without fill one buffer of 16 384, so dropping
+/// spans left the figure where it was.
 const RETAINED_CEILING: f64 = 2_130.0;
 
 /// Trace events stored per delivered commit at the parent of the change
