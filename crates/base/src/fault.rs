@@ -304,8 +304,8 @@ pub struct Triggers {
 }
 
 impl Triggers {
-    /// Whether no trigger is armed (a host need not scan, nor take the
-    /// lock its trace is behind, while this holds).
+    /// Whether no trigger is armed (a host need not scan, nor collect
+    /// spans to offer, while this holds).
     pub fn is_empty(&self) -> bool {
         self.armed.is_empty()
     }

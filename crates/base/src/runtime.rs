@@ -343,9 +343,9 @@ pub trait Host {
     /// `extra` on this host's clock.
     fn quiesce_for(&mut self, extra: Dur);
 
-    /// Read access to the trace sink. Callback-shaped because the threaded
-    /// backend keeps the sink behind a lock.
-    fn with_trace(&self, f: &mut dyn FnMut(&Trace));
+    /// The trace collected so far, read in place (on the threaded backend,
+    /// as of its driver's last drain).
+    fn trace(&self) -> &Trace;
 
     /// Read access to the message statistics sink.
     fn with_stats(&self, f: &mut dyn FnMut(&MsgStats));

@@ -1,10 +1,12 @@
 //! Trace events: the raw observable record of a run.
 //!
 //! Every run produces a totally ordered trace (simulated time, then a
-//! deterministic tie-break). The experiment harness derives everything from
-//! it: the Figure 8 latency breakdown, the Figure 7 step counts, and —
-//! crucially — the *history* against which the e-Transaction properties
-//! (T.1, T.2, A.1–A.3, V.1, V.2 of §3) are checked after the fact.
+//! deterministic tie-break). The experiment harness derives from it the
+//! Figure 7 step counts and — crucially — the *history* against which the
+//! e-Transaction properties (T.1, T.2, A.1–A.3, V.1, V.2 of §3) are
+//! checked after the fact. The Figure 8 latency breakdown is not in it:
+//! it comes from the per-component totals each host sums beside the
+//! trace ([`crate::metrics::SpanTotals`]).
 
 use crate::ids::{NodeId, RegId, RequestId, ResultId};
 use crate::time::{Dur, Time};
@@ -12,7 +14,8 @@ use crate::value::{Outcome, Vote};
 use core::fmt;
 
 /// Latency components of the Figure 8 table. The paper attributes measured
-/// client latency to these buckets; we do the same from trace spans.
+/// client latency to these buckets; we do the same from the span totals
+/// each host sums per component ([`crate::metrics::SpanTotals`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Component {
     /// Request dispatch at the application server ("start" row).
@@ -366,19 +369,10 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Appends an event. Host-internal: only runtime backends push; the
-    /// harness keeps its copy of a host's trace current with
-    /// [`Trace::extend_from_slice`]; tests read.
+    /// Appends an event. Host-internal: only runtime backends push; tests
+    /// read.
     pub fn push(&mut self, ev: TraceEvent) {
         self.events.push(ev);
-    }
-
-    /// Appends copies of `events`, in order. Harness-internal: a host's
-    /// trace only ever grows, so a copy of it is brought up to date by
-    /// appending what lies past the copy's length, not by copying the
-    /// whole trace again.
-    pub fn extend_from_slice(&mut self, events: &[TraceEvent]) {
-        self.events.extend_from_slice(events);
     }
 
     /// All events, in order.

@@ -343,7 +343,6 @@ impl ScenarioBuilder {
                 }
                 Backend::Threaded {
                     host: ThreadedHost::new(tcfg),
-                    trace: Trace::default(),
                     stats: MsgStats::default(),
                     spans: SpanTotals::default(),
                 }
@@ -514,21 +513,20 @@ impl ScenarioBuilder {
     }
 }
 
-/// The runtime backend a built scenario runs on. Sim keeps its trace,
-/// stats and spans inline (borrowable for free); the threaded host keeps
-/// them behind locks, so the scenario caches snapshots refreshed at every
-/// run / quiesce / stop boundary.
+/// The runtime backend a built scenario runs on. Either host owns the
+/// run's one trace and lends it out in place. The simulator keeps its
+/// stats and spans inline too; the threaded host's live with its nodes,
+/// so the scenario keeps snapshots of them, refreshed at every run /
+/// quiesce / stop boundary.
 #[derive(Debug)]
 pub enum Backend {
     /// The deterministic discrete-event simulator.
     Sim(Sim),
-    /// The multi-threaded host plus the scenario's snapshot cache of its
-    /// locked trace/stats/span sinks.
+    /// The multi-threaded host plus the scenario's snapshots of its
+    /// node-owned stats and span totals.
     Threaded {
         /// The host.
         host: ThreadedHost,
-        /// Trace snapshot as of the last run/quiesce/stop boundary.
-        trace: Trace,
         /// Stats snapshot as of the last run/quiesce/stop boundary.
         stats: MsgStats,
         /// Span totals as of the last run/quiesce/stop boundary.
@@ -556,7 +554,7 @@ impl Backend {
 #[derive(Debug)]
 pub struct Scenario {
     /// Which backend hosts the run (the simulator, or the threaded host
-    /// with its snapshot cache). Prefer the backend-neutral accessors
+    /// with its stats and span snapshots). Prefer the backend-neutral accessors
     /// ([`Scenario::trace`], [`Scenario::stats`], [`Scenario::now`]) and
     /// the capability gates ([`Scenario::sim`], [`Scenario::sim_mut`]).
     backend: Backend,
@@ -657,31 +655,30 @@ impl Scenario {
         }
     }
 
-    /// Refreshes the threaded backend's trace/stats/span snapshot cache. No-op
-    /// on the simulator, whose sinks are read in place. The host's trace
-    /// only grows, so the cached copy is always a prefix of it: appending
-    /// the events past that prefix brings it up to date without a second
-    /// full copy of the trace.
+    /// Refreshes the threaded backend's stats and span snapshots, folded
+    /// from what each node holds. No-op on the simulator, whose sinks are
+    /// read in place. The trace needs no refresh: the host drained it at
+    /// the boundary that calls this.
     fn sync(&mut self) {
-        if let Backend::Threaded { host, trace, stats, spans } = &mut self.backend {
-            host.with_trace(&mut |live| trace.extend_from_slice(&live.events()[trace.len()..]));
+        if let Backend::Threaded { host, stats, spans } = &mut self.backend {
             *stats = host.stats_snapshot();
             *spans = host.spans_snapshot();
         }
     }
 
-    /// The collected trace, backend-neutral. On the threaded backend this
-    /// is the snapshot taken at the last run/quiesce/stop boundary —
+    /// The collected trace, backend-neutral and read in place. On the
+    /// threaded backend it is the host's trace as of its driver's last
+    /// drain: every run / quiesce / stop boundary drains, and those are
     /// exactly the points after which tests read it.
     pub fn trace(&self) -> &Trace {
         match &self.backend {
             Backend::Sim(sim) => sim.trace(),
-            Backend::Threaded { trace, .. } => trace,
+            Backend::Threaded { host, .. } => host.trace(),
         }
     }
 
-    /// Message statistics, backend-neutral (same snapshot discipline as
-    /// [`Scenario::trace`]).
+    /// Message statistics, backend-neutral (on the threaded backend, a
+    /// snapshot taken at the last run / quiesce / stop boundary).
     pub fn stats(&self) -> &MsgStats {
         match &self.backend {
             Backend::Sim(sim) => sim.stats(),
@@ -690,8 +687,8 @@ impl Scenario {
     }
 
     /// Figure 8 spans, summed per component over every node, backend-neutral
-    /// (same snapshot discipline as [`Scenario::trace`]). No span is in
-    /// the trace: this is where the modelled service time of a run is.
+    /// (snapshotted like [`Scenario::stats`]). No span is in the trace:
+    /// this is where the modelled service time of a run is.
     pub fn spans(&self) -> &SpanTotals {
         match &self.backend {
             Backend::Sim(sim) => sim.spans(),
@@ -755,9 +752,9 @@ impl Scenario {
     }
 
     /// Shuts the run down: on the threaded backend, joins every node
-    /// thread (unlocking post-run process/log introspection) and takes a
-    /// final trace/stats snapshot. No-op on the simulator, which has no
-    /// threads to join.
+    /// thread (unlocking post-run process/log introspection), which drains
+    /// the rest of the trace, and takes final stats/span snapshots. No-op
+    /// on the simulator, which has no threads to join.
     ///
     /// # Panics
     ///

@@ -147,10 +147,15 @@ impl FaultState {
     }
 }
 
-/// The shared observability sink every node writes into. Trace timestamps
-/// are taken *inside* the trace lock from the shared monotonic epoch, so
-/// trace order and timestamp order agree — the property checker's
-/// happened-before comparisons hold exactly as on the simulator.
+/// The shared observability sink every node writes into. A traced event
+/// goes into `pending`, what was traced since the driver last drained it
+/// into the run's trace ([`ThreadedHost`] owns that one). Timestamps are
+/// taken *inside* the `pending` lock from the shared monotonic epoch, and
+/// a drain appends what it takes in order, so trace order and timestamp
+/// order agree across the whole trace and each node's events keep its own
+/// order — the property checker's happened-before comparisons hold
+/// exactly as on the simulator. The buffer holds about one polling
+/// interval's events, so no worker grows the run's trace under the lock.
 ///
 /// Spans are not traced: each node sums its own. While a trace trigger is
 /// armed (`offering`), a node also leaves its spans in `offered` for the
@@ -160,7 +165,7 @@ impl FaultState {
 /// the arming, as a traced event just before it would be.
 struct Sink {
     epoch: Instant,
-    trace: Mutex<Trace>,
+    pending: Mutex<Vec<TraceEvent>>,
     offering: AtomicBool,
     offered: Mutex<Vec<TraceEvent>>,
 }
@@ -169,7 +174,7 @@ impl Sink {
     fn new() -> Self {
         Sink {
             epoch: Instant::now(),
-            trace: Mutex::new(Trace::default()),
+            pending: Mutex::new(Vec::new()),
             offering: AtomicBool::new(false),
             offered: Mutex::new(Vec::new()),
         }
@@ -179,10 +184,14 @@ impl Sink {
         Time(self.epoch.elapsed().as_micros() as u64)
     }
 
+    fn pending(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
+        self.pending.lock().expect("trace lock")
+    }
+
     fn push(&self, node: NodeId, kind: TraceKind) {
-        let mut trace = self.trace.lock().expect("trace lock");
+        let mut pending = self.pending();
         let at = self.now();
-        trace.push(TraceEvent::new(at, node, kind));
+        pending.push(TraceEvent::new(at, node, kind));
     }
 
     fn offered(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
@@ -689,11 +698,16 @@ enum Due {
 /// join the workers and unlock post-run introspection
 /// ([`ThreadedHost::process_ref`], [`ThreadedHost::log_read`]).
 ///
-/// Faults scheduled through [`Host::schedule_fault`] are applied by the
-/// driver thread inside [`Host::run_trace_until`] / [`Host::quiesce_for`]
-/// polling loops: a crash takes the victim's state out of its slot
-/// (keeping its stable logs for restart), a pause gates the slot with the
-/// inbox accumulating, a cut enters the link in the shared table.
+/// The driver — the thread calling these methods — owns the run's one
+/// [`Trace`]. Each pass of its polling loops ([`Host::run_trace_until`],
+/// [`Host::quiesce_for`]) first drains what the workers traced since the
+/// last pass into it, then applies the faults scheduled through
+/// [`Host::schedule_fault`] that are due or triggered: a crash takes the
+/// victim's state out of its slot (keeping its stable logs for restart),
+/// a pause gates the slot with the inbox accumulating, a cut enters the
+/// link in the shared table. Arming a trace trigger and
+/// [`ThreadedHost::stop`] drain too, so a trigger never sees an event
+/// traced before it was armed and a stopped host's trace is complete.
 pub struct ThreadedHost {
     cfg: ThreadedConfig,
     phase: Phase,
@@ -719,6 +733,12 @@ pub struct ThreadedHost {
     /// when it fires.
     nemesis: Vec<(Time, Due)>,
     triggers: Triggers,
+    /// The run's trace up to the last drain. Only the driver grows it, so
+    /// reading it takes no lock.
+    trace: Trace,
+    /// The empty buffer a drain swaps in for the sink's pending one, so
+    /// the two buffers' capacity is reused.
+    spare: Vec<TraceEvent>,
 }
 
 impl std::fmt::Debug for ThreadedHost {
@@ -755,6 +775,8 @@ impl ThreadedHost {
             panicked: Vec::new(),
             nemesis: Vec::new(),
             triggers: Triggers::default(),
+            trace: Trace::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -890,6 +912,7 @@ impl ThreadedHost {
                 self.retire(idx, state, false);
             }
         }
+        self.drain_trace();
         self.phase = Phase::Stopped;
     }
 
@@ -1070,20 +1093,29 @@ impl ThreadedHost {
         }
     }
 
-    /// Fires every due/triggered nemesis entry. Called from the driver's
-    /// polling loops ([`Host::run_trace_until`], [`Host::quiesce_for`]).
-    /// The trace lock (and the offered spans' lock) is taken only while a
-    /// trigger is armed, and what fired is applied *after* releasing it (a
-    /// crash waits for the victim's handler, which may itself be waiting
-    /// on either lock).
+    /// Appends what the workers traced since the last drain to the run's
+    /// trace. The sink's lock is held for one buffer swap.
+    fn drain_trace(&mut self) {
+        std::mem::swap(&mut self.spare, &mut *self.pool.sink.pending());
+        for ev in self.spare.drain(..) {
+            self.trace.push(ev);
+        }
+    }
+
+    /// Drains the trace, then fires every due/triggered nemesis entry.
+    /// Called from the driver's polling loops ([`Host::run_trace_until`],
+    /// [`Host::quiesce_for`]). The offered spans' lock is taken only while
+    /// a trigger is armed, and what fired is applied *after* releasing it
+    /// (a crash waits for the victim's handler, which may itself be
+    /// waiting on a sink lock).
     fn pump_nemesis(&mut self) {
+        self.drain_trace();
         let mut fired: Vec<Due> = Vec::new();
         if !self.triggers.is_empty() {
             for span in self.pool.sink.offered().drain(..) {
                 self.triggers.offer(&span);
             }
-            let trace = self.pool.sink.trace.lock().expect("trace lock");
-            fired.extend(self.triggers.scan(trace.events()).into_iter().map(Due::Op));
+            fired.extend(self.triggers.scan(self.trace.events()).into_iter().map(Due::Op));
             if self.triggers.is_empty() {
                 self.pool.sink.offering.store(false, Ordering::Release);
             }
@@ -1095,9 +1127,14 @@ impl ThreadedHost {
         }
     }
 
-    /// A snapshot of the trace collected so far.
+    /// A copy of the trace collected so far: the drained trace
+    /// ([`Host::trace`]) plus what the workers traced since the last drain.
     pub fn trace_snapshot(&self) -> Trace {
-        self.pool.sink.trace.lock().expect("trace lock").clone()
+        let mut trace = self.trace.clone();
+        for ev in self.pool.sink.pending().iter() {
+            trace.push(ev.clone());
+        }
+        trace
     }
 
     /// A snapshot of the message statistics collected so far: the host's
@@ -1154,13 +1191,11 @@ impl Host for ThreadedHost {
         loop {
             // The nemesis is pumped here, on the driver thread — a crash
             // takes the victim's slot lock, which a worker in the middle
-            // of that node's handler could never do.
+            // of that node's handler could never do. The pump drains the
+            // trace first, so the predicate reads it without a lock.
             self.pump_nemesis();
-            {
-                let trace = self.pool.sink.trace.lock().expect("trace lock");
-                if pred(&trace) {
-                    return RunOutcome::Predicate;
-                }
+            if pred(&self.trace) {
+                return RunOutcome::Predicate;
             }
             // The wall-clock watchdog: a paused or wedged node must turn
             // into a diagnosable timeout, never a hung test run.
@@ -1186,9 +1221,10 @@ impl Host for ThreadedHost {
         }
     }
 
-    fn with_trace(&self, f: &mut dyn FnMut(&Trace)) {
-        let trace = self.pool.sink.trace.lock().expect("trace lock");
-        f(&trace)
+    /// The run's trace as of the driver's last drain;
+    /// [`ThreadedHost::trace_snapshot`] adds what is still pending.
+    fn trace(&self) -> &Trace {
+        &self.trace
     }
 
     fn with_stats(&self, f: &mut dyn FnMut(&MsgStats)) {
@@ -1208,7 +1244,10 @@ impl Host for ThreadedHost {
             NemesisWhen::Now => self.nemesis.push((now, Due::Op(op))),
             NemesisWhen::After(d) => self.nemesis.push((now + d, Due::Op(op))),
             NemesisWhen::OnTrace(pred) => {
-                let seen = self.pool.sink.trace.lock().expect("trace lock").len();
+                // Drained first, so `seen` counts every event traced before
+                // the trigger existed: none of them can fire it.
+                self.drain_trace();
+                let seen = self.trace.len();
                 if self.triggers.is_empty() {
                     // Spans left over from an earlier set came before this
                     // trigger was armed.
@@ -1832,5 +1871,100 @@ mod tests {
             survived >= 2 && survived.is_multiple_of(2),
             "a pair was torn: {survived} records survive"
         );
+    }
+
+    // ---- the one trace ---------------------------------------------------
+
+    /// Traces `SlotGc { slot }` for slot 0, 1, 2, … up to `total`, 100 a
+    /// turn, each turn ending in a message to itself that queues the next;
+    /// notes "done" after the last.
+    struct Numbered {
+        next: u64,
+        total: u64,
+    }
+    impl Process for Numbered {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            if !matches!(event, Event::Init | Event::Message { .. }) {
+                return;
+            }
+            let end = (self.next + 100).min(self.total);
+            for slot in self.next..end {
+                ctx.trace(TraceKind::SlotGc { slot });
+            }
+            self.next = end;
+            if end < self.total {
+                let me = ctx.me();
+                ctx.send(me, Payload::Fd(FdMsg::Heartbeat { seq: end }));
+            } else {
+                ctx.trace(TraceKind::Note("done"));
+            }
+        }
+    }
+
+    #[test]
+    fn nodes_tracing_at_once_leave_one_trace_in_time_order_and_each_in_its_own() {
+        const NODES: usize = 4;
+        const EACH: u64 = 5_000;
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(18));
+        for _ in 0..NODES {
+            host.add_node("numbered", Box::new(|_| Box::new(Numbered { next: 0, total: EACH })));
+        }
+        host.start();
+        // Two workers at least, whatever the affinity mask allows, so the
+        // nodes really do trace at the same time.
+        while host.workers.len() < 2 {
+            let pool = Arc::clone(&host.pool);
+            host.workers.push(std::thread::spawn(move || pool.work()));
+        }
+        let done = |t: &Trace| t.count_kind(|k| *k == TraceKind::Note("done")) == NODES;
+        assert_eq!(host.run_trace_until(Box::new(done)), RunOutcome::Predicate);
+        host.stop();
+        let events = host.trace().events();
+        assert!(events.windows(2).all(|w| w[0].at <= w[1].at), "the trace went back in time");
+        let mut next = [0; NODES];
+        for e in events {
+            if let TraceKind::SlotGc { slot } = e.kind {
+                let expected = &mut next[e.node.0 as usize];
+                assert_eq!(slot, *expected, "{:?} traced out of its own order", e.node);
+                *expected += 1;
+            }
+        }
+        assert_eq!(next, [EACH; NODES], "an event was lost");
+        assert_eq!(host.trace_snapshot().events(), events, "stop() left events pending");
+    }
+
+    /// Notes "x" at Init and once more 1 ms later.
+    struct NotesTwice;
+    impl Process for NotesTwice {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            match event {
+                Event::Init => {
+                    ctx.trace(TraceKind::Note("x"));
+                    ctx.set_timer(Dur::from_millis(1), TimerTag::CleanerTick);
+                }
+                Event::Timer { .. } => ctx.trace(TraceKind::Note("x")),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_trigger_never_fires_on_an_event_traced_before_it_was_armed() {
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(19));
+        let n = host.add_node("x", Box::new(|_| Box::new(NotesTwice)));
+        let xs = |t: &Trace| t.count_kind(|k| *k == TraceKind::Note("x"));
+        assert_eq!(host.run_trace_until(Box::new(move |t| xs(t) >= 1)), RunOutcome::Predicate);
+        // The second "x" is traced meanwhile, and with no pump it is still
+        // pending when the trigger is armed.
+        while xs(&host.trace_snapshot()) < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let is_x = |ev: &TraceEvent| ev.kind == TraceKind::Note("x");
+        host.schedule_fault(NemesisWhen::on_trace(is_x), FaultOp::Crash(n)).unwrap();
+        host.quiesce_for(Dur::from_millis(20));
+        host.stop();
+        assert_eq!(xs(host.trace()), 2);
+        let crashes = host.trace().count_kind(|k| *k == TraceKind::Crash);
+        assert_eq!(crashes, 0, "a trigger fired on an event traced before it was armed");
     }
 }

@@ -551,8 +551,8 @@ impl Host for Sim {
         let _ = self.run_until_time(deadline);
     }
 
-    fn with_trace(&self, f: &mut dyn FnMut(&etx_base::trace::Trace)) {
-        f(self.trace())
+    fn trace(&self) -> &etx_base::trace::Trace {
+        Sim::trace(self)
     }
 
     fn with_stats(&self, f: &mut dyn FnMut(&etx_base::trace::MsgStats)) {

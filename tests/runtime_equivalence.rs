@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use etx::base::config::{FdConfig, ProtocolConfig};
 use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::ids::ResultId;
-use etx::base::runtime::RuntimeKind;
+use etx::base::runtime::{Host, RuntimeKind};
 use etx::base::time::Dur;
 use etx::base::trace::{Component, TraceKind};
 use etx::base::value::{Decision, Outcome};
@@ -243,14 +243,14 @@ fn threaded_read_path_preserves_snapshot_invariants() {
     check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
 }
 
-// ---- the threaded trace cache -----------------------------------------------
+// ---- one trace on the threaded host -----------------------------------------
 
-/// The threaded scenario caches the host's trace and brings the cache up to
-/// date at every run, quiesce and stop boundary by appending only what is
-/// new. Across several boundaries the cache must still be the host's trace
-/// event for event: nothing lost at a boundary, nothing appended twice.
+/// The threaded host's driver owns the run's one trace, and the scenario
+/// reads it in place. Every run, quiesce and stop boundary drains what the
+/// workers traced since the last one into it: across several boundaries
+/// nothing is lost and nothing is appended twice.
 #[test]
-fn the_threaded_trace_cache_appends_each_event_once() {
+fn the_threaded_scenario_reads_the_hosts_one_trace_in_place() {
     let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 5)
         .runtime(RuntimeKind::Threaded)
         .shards(2)
@@ -265,8 +265,9 @@ fn the_threaded_trace_cache_appends_each_event_once() {
     s.quiesce(Dur::from_millis(20));
     s.stop();
 
-    let host = s.threaded().expect("threaded backend").trace_snapshot();
-    assert_eq!(s.trace().events(), host.events(), "the cache diverged from the host's trace");
+    let host = s.threaded().expect("threaded backend");
+    assert!(std::ptr::eq(s.trace(), host.trace()), "the scenario holds a copy of the trace");
+    assert_eq!(host.trace_snapshot().events(), s.trace().events(), "stop() left events pending");
     let mut issued = BTreeMap::new();
     for e in s.trace().events() {
         if let TraceKind::Issue { request } = e.kind {
@@ -274,7 +275,7 @@ fn the_threaded_trace_cache_appends_each_event_once() {
         }
     }
     assert_eq!(issued.len(), n, "every request is issued");
-    assert!(issued.values().all(|&k| k == 1), "an Issue was cached twice: {issued:?}");
+    assert!(issued.values().all(|&k| k == 1), "an Issue was appended twice: {issued:?}");
 }
 
 // ---- Figure 8 spans: summed per node, never stored ----------------------------
