@@ -23,9 +23,9 @@
 //!   would wedge an instance forever. Crashes are the genuinely lossy
 //!   fault on either backend.
 //! * [`Triggers`] is what a trace-triggered fault is: one-shot, fired by
-//!   the first matching event traced (or, for a span the trace does not
-//!   keep, offered) after it was armed, every event scanned once, several
-//!   firing in the order they were armed.
+//!   the first matching event a host records after it was armed — traced,
+//!   or a span the trace does not keep — several firing in the order they
+//!   were armed. A host offers each event as it records it.
 //!
 //! What is left to a host is its own: the simulator makes every operation
 //! an entry of its virtual-time event queue, so a schedule replays with
@@ -291,59 +291,47 @@ impl Links {
     }
 }
 
-/// The armed trace triggers of a run. Each is one-shot and fires on the
-/// first matching event after it was armed — traced, or only
-/// [offered](Triggers::offer); no event is shown to a trigger twice;
-/// triggers hit by one scan fire in arming order.
+/// The armed trace triggers of a run. Each is one-shot. A host
+/// [offers](Triggers::offer) every event to them as it records it, traced
+/// or a span the trace does not keep, and takes what that hit from
+/// [`Triggers::fired`]. A trigger sees only what is offered after it was
+/// armed, each event once.
 #[derive(Default)]
 pub struct Triggers {
-    /// Each trigger, and whether an offered event has already matched it.
+    /// Each trigger, and whether an offered event has matched it.
     armed: Vec<(TracePred, FaultOp, bool)>,
-    /// Events of the trace before this index have been scanned.
-    scanned: usize,
 }
 
 impl Triggers {
-    /// Whether no trigger is armed (a host need not scan, nor collect
+    /// Whether no trigger is armed (a host need not offer, nor collect
     /// spans to offer, while this holds).
     pub fn is_empty(&self) -> bool {
         self.armed.is_empty()
     }
 
-    /// Arms a trigger; `seen` is the length of the trace now. The first
-    /// of a set starts the scan there; a later one joins the scan where
-    /// it stands.
-    pub fn arm(&mut self, seen: usize, pred: TracePred, op: FaultOp) {
-        if self.armed.is_empty() {
-            self.scanned = seen;
-        }
+    /// Arms a trigger. Events offered from now on can fire it.
+    pub fn arm(&mut self, pred: TracePred, op: FaultOp) {
         self.armed.push((pred, op, false));
     }
 
-    /// Shows every armed trigger an event the trace does not keep (a
-    /// span). One that matches fires at the next [`Triggers::scan`], as
-    /// if the event had been traced just before that scan's fresh tail.
+    /// Shows one just-recorded event to every armed trigger it has not
+    /// already hit.
     pub fn offer(&mut self, ev: &TraceEvent) {
         for (pred, _, hit) in self.armed.iter_mut().filter(|(_, _, hit)| !*hit) {
             *hit = pred(ev);
         }
     }
 
-    /// Shows the not-yet-scanned tail of `trace` (the whole trace so far)
-    /// to every armed trigger an offered event has not already matched;
-    /// disarms and returns the ones that matched either.
-    pub fn scan(&mut self, trace: &[TraceEvent]) -> Vec<FaultOp> {
-        let fresh = &trace[self.scanned.min(trace.len())..];
-        self.scanned = trace.len();
-        let hit =
-            self.armed.extract_if(.., |(pred, _, hit)| *hit || fresh.iter().any(|ev| pred(ev)));
-        hit.map(|(_, op, _)| op).collect()
+    /// Disarms and returns the triggers an offered event hit, in the
+    /// order they were armed.
+    pub fn fired(&mut self) -> Vec<FaultOp> {
+        self.armed.extract_if(.., |(_, _, hit)| *hit).map(|(_, op, _)| op).collect()
     }
 }
 
 /// A trace predicate deciding when a trace-triggered fault fires.
-/// `Send + Sync` because the threaded backend's driver scans traces
-/// produced by other threads.
+/// `Send + Sync` because the threaded backend's driver offers it events
+/// that other threads recorded.
 pub type TracePred = Arc<dyn Fn(&TraceEvent) -> bool + Send + Sync>;
 
 /// When a scheduled fault applies.
@@ -559,41 +547,10 @@ mod tests {
         Arc::new(move |ev| matches!(ev.kind, TraceKind::Note(w) if w == what))
     }
 
+    /// One-shot, fired in arming order whatever order the events came
+    /// in, and blind to what was offered before it was armed.
     #[test]
-    fn triggers_are_one_shot_and_fire_in_arming_order() {
-        let mut t = Triggers::default();
-        assert!(t.is_empty());
-        t.arm(0, on("b"), FaultOp::Crash(N[1]));
-        t.arm(0, on("a"), FaultOp::Crash(N[2]));
-        t.arm(0, on("c"), FaultOp::Crash(N[3]));
-        // `a` is traced before `b`; the triggers still fire as armed.
-        let mut trace = vec![note("a"), note("b"), note("a")];
-        assert_eq!(t.scan(&trace), [FaultOp::Crash(N[1]), FaultOp::Crash(N[2])]);
-        // One-shot: more matching events fire nothing more.
-        trace.extend([note("a"), note("b")]);
-        assert!(t.scan(&trace).is_empty());
-        assert!(!t.is_empty(), "the third is still armed");
-        trace.push(note("c"));
-        assert_eq!(t.scan(&trace), [FaultOp::Crash(N[3])]);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn an_offered_event_fires_at_the_next_scan_in_arming_order() {
-        let mut t = Triggers::default();
-        t.offer(&note("b"));
-        t.arm(0, on("a"), FaultOp::Crash(N[1]));
-        t.arm(0, on("b"), FaultOp::Crash(N[2]));
-        assert!(t.scan(&[]).is_empty(), "offered before arming: nothing fires");
-        t.offer(&note("b"));
-        t.offer(&note("b"));
-        // The trace itself holds `a`; both fire, as armed.
-        assert_eq!(t.scan(&[note("a")]), [FaultOp::Crash(N[1]), FaultOp::Crash(N[2])]);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn no_event_is_scanned_twice_and_none_from_before_arming() {
+    fn triggers_fire_once_in_arming_order_on_events_offered_after_arming() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let shown = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&shown);
@@ -602,17 +559,28 @@ mod tests {
             false
         });
         let mut t = Triggers::default();
-        let mut trace = vec![note("old"), note("old")];
-        assert!(t.scan(&trace).is_empty(), "nothing armed, nothing scanned");
-        t.arm(trace.len(), never, FaultOp::Crash(N[0]));
-        // What was traced before arming never fires a trigger.
-        t.arm(trace.len(), on("old"), FaultOp::Crash(N[1]));
-        trace.extend([note("x"), note("y")]);
-        assert!(t.scan(&trace).is_empty());
-        assert!(t.scan(&trace).is_empty());
-        trace.push(note("z"));
-        assert!(t.scan(&trace).is_empty());
-        assert_eq!(shown.load(Ordering::Relaxed), 3, "x, y and z, once each");
+        assert!(t.is_empty());
+        t.offer(&note("b"));
+        t.arm(never, FaultOp::Crash(N[0]));
+        t.offer(&note("a"));
+        // Offered before these two were armed: it fires neither.
+        t.arm(on("b"), FaultOp::Crash(N[1]));
+        t.arm(on("a"), FaultOp::Crash(N[2]));
+        t.arm(on("c"), FaultOp::Crash(N[3]));
+        assert!(t.fired().is_empty(), "nothing offered since arming");
+        // `a` is offered before `b`; the triggers still fire as armed.
+        for what in ["a", "b", "a"] {
+            t.offer(&note(what));
+        }
+        assert_eq!(t.fired(), [FaultOp::Crash(N[1]), FaultOp::Crash(N[2])]);
+        // One-shot: more matching events fire nothing more.
+        t.offer(&note("a"));
+        t.offer(&note("b"));
+        assert!(t.fired().is_empty());
+        t.offer(&note("c"));
+        assert_eq!(t.fired(), [FaultOp::Crash(N[3])]);
+        assert!(!t.is_empty(), "the never-matching one is still armed");
+        assert_eq!(shown.load(Ordering::Relaxed), 7, "every event since arming, once each");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Node-owned metrics: what a host adds up per node and folds on demand,
-//! instead of recording one trace event per occurrence for the whole run.
+//! Node-owned metrics: what a host adds up per node and folds into its
+//! own totals, instead of recording one trace event per occurrence for the
+//! whole run.
 //!
 //! The trace stays the evidence — what the §3 checker, the tests and the
 //! fault plane's triggers read. A figure that is only ever *summed* does not
@@ -7,7 +8,10 @@
 //! cost a shared lock either. [`SpanTotals`] is the first such figure: the
 //! paper's Figure 8 allocates client latency to software components, which
 //! is a sum per component. Like [`crate::trace::MsgStats`], every node keeps
-//! its own and a host merges them on demand.
+//! its own, and a host lends the run's totals in place
+//! (`Host::spans`): the simulator runs one node at a time and keeps one
+//! accumulator, the threaded host takes each node's into its own whenever
+//! its driver returns to the caller.
 
 use crate::time::Dur;
 use crate::trace::Component;

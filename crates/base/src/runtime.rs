@@ -18,6 +18,7 @@
 
 use crate::fault::{CapabilityError, FaultOp, NemesisSchedule, NemesisWhen};
 use crate::ids::{NodeId, RegId, ResultId, TimerId};
+use crate::metrics::SpanTotals;
 use crate::msg::Payload;
 use crate::time::{Dur, Time};
 use crate::trace::{Component, MsgStats, Trace, TraceKind};
@@ -185,9 +186,9 @@ pub trait Context {
 
     /// Charges `dur` of modelled service time to the Figure 8 component
     /// `comp`, on behalf of attempt `rid`. A host adds it to its
-    /// [`SpanTotals`](crate::metrics::SpanTotals) and shows it to the armed
-    /// trace triggers as a [`TraceKind::Span`], without storing it in the
-    /// trace. The default, for a context that keeps no totals, traces it.
+    /// [`SpanTotals`] and records it as a [`TraceKind::Span`] that the armed
+    /// trace triggers are offered and the trace does not keep. The default,
+    /// for a context that keeps no totals, traces it.
     fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
         self.trace(TraceKind::Span { rid, comp, dur });
     }
@@ -320,11 +321,14 @@ impl RuntimeKind {
 /// A host owns the four things the harness seam needs and nothing more:
 /// **node registration** (ids contiguous in registration order, so
 /// `Topology::new` layouts hold on every backend), the **run loop**, the
-/// **trace/stats sink** the experiment accessors read, and the **fault
-/// plane** ([`Host::schedule_fault`]) through which one nemesis-schedule
-/// representation drives simulated *and* real faults. Everything beyond
-/// this — virtual-time stepping, storage inspection mid-run — is a
-/// backend capability exposed on the concrete type.
+/// run's **trace and totals** ([`Host::trace`], [`Host::stats`],
+/// [`Host::spans`], each lent in place), and the **fault plane**
+/// ([`Host::schedule_fault`]) through which one nemesis-schedule
+/// representation drives simulated *and* real faults. A host offers every
+/// event it records, traced or a span, to the armed trace triggers as it
+/// records it. Everything beyond this — virtual-time stepping, storage
+/// inspection mid-run — is a backend capability exposed on the concrete
+/// type.
 pub trait Host {
     /// Registers a node. Ids are assigned contiguously in registration
     /// order. The factory builds the process at startup (and again at every
@@ -347,8 +351,17 @@ pub trait Host {
     /// as of its driver's last drain).
     fn trace(&self) -> &Trace;
 
-    /// Read access to the message statistics sink.
-    fn with_stats(&self, f: &mut dyn FnMut(&MsgStats));
+    /// Message statistics so far, read in place (on the threaded backend,
+    /// as of its driver's last return to its caller).
+    fn stats(&self) -> &MsgStats;
+
+    /// Figure 8 spans so far, per component, read like [`Host::stats`].
+    fn spans(&self) -> &SpanTotals;
+
+    /// [`Host::stats`] through a callback.
+    fn with_stats(&self, f: &mut dyn FnMut(&MsgStats)) {
+        f(self.stats())
+    }
 
     /// Schedules one fault-plane operation. `when` decides the trigger
     /// (immediately, after a host-clock delay, or on the first matching

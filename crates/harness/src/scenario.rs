@@ -341,11 +341,7 @@ impl ScenarioBuilder {
                 if let Some(limit) = self.wall_limit {
                     tcfg.wall_limit = std::time::Duration::from_micros(limit.0);
                 }
-                Backend::Threaded {
-                    host: ThreadedHost::new(tcfg),
-                    stats: MsgStats::default(),
-                    spans: SpanTotals::default(),
-                }
+                Backend::Threaded(ThreadedHost::new(tcfg))
             }
         };
         let sim = backend.host_mut();
@@ -514,38 +510,36 @@ impl ScenarioBuilder {
 }
 
 /// The runtime backend a built scenario runs on. Either host owns the
-/// run's one trace and lends it out in place. The simulator keeps its
-/// stats and spans inline too; the threaded host's live with its nodes,
-/// so the scenario keeps snapshots of them, refreshed at every run /
-/// quiesce / stop boundary.
+/// run's one trace and its totals and lends them out in place
+/// ([`Host::trace`], [`Host::stats`], [`Host::spans`]); the scenario keeps
+/// no copy.
 #[derive(Debug)]
 pub enum Backend {
     /// The deterministic discrete-event simulator.
     Sim(Sim),
-    /// The multi-threaded host plus the scenario's snapshots of its
-    /// node-owned stats and span totals.
-    Threaded {
-        /// The host.
-        host: ThreadedHost,
-        /// Stats snapshot as of the last run/quiesce/stop boundary.
-        stats: MsgStats,
-        /// Span totals as of the last run/quiesce/stop boundary.
-        spans: SpanTotals,
-    },
+    /// The multi-threaded host.
+    Threaded(ThreadedHost),
 }
 
 impl Backend {
+    fn host(&self) -> &dyn Host {
+        match self {
+            Backend::Sim(sim) => sim,
+            Backend::Threaded(host) => host,
+        }
+    }
+
     fn host_mut(&mut self) -> &mut dyn Host {
         match self {
             Backend::Sim(sim) => sim,
-            Backend::Threaded { host, .. } => host,
+            Backend::Threaded(host) => host,
         }
     }
 
     fn kind(&self) -> RuntimeKind {
         match self {
             Backend::Sim(_) => RuntimeKind::Sim,
-            Backend::Threaded { .. } => RuntimeKind::Threaded,
+            Backend::Threaded(_) => RuntimeKind::Threaded,
         }
     }
 }
@@ -553,8 +547,7 @@ impl Backend {
 /// A built system plus convenience queries over its trace.
 #[derive(Debug)]
 pub struct Scenario {
-    /// Which backend hosts the run (the simulator, or the threaded host
-    /// with its stats and span snapshots). Prefer the backend-neutral accessors
+    /// Which backend hosts the run. Prefer the backend-neutral accessors
     /// ([`Scenario::trace`], [`Scenario::stats`], [`Scenario::now`]) and
     /// the capability gates ([`Scenario::sim`], [`Scenario::sim_mut`]).
     backend: Backend,
@@ -616,7 +609,7 @@ impl Scenario {
     pub fn sim(&self) -> &Sim {
         match &self.backend {
             Backend::Sim(sim) => sim,
-            Backend::Threaded { .. } => panic!(
+            Backend::Threaded(_) => panic!(
                 "this scenario runs on the threaded backend: virtual time, mid-run \
                  storage reads, and deterministic replay are simulator internals — \
                  build with RuntimeKind::Sim for those, and use \
@@ -636,7 +629,7 @@ impl Scenario {
     pub fn sim_mut(&mut self) -> &mut Sim {
         match &mut self.backend {
             Backend::Sim(sim) => sim,
-            Backend::Threaded { .. } => panic!(
+            Backend::Threaded(_) => panic!(
                 "this scenario runs on the threaded backend: virtual time, mid-run \
                  storage reads, and deterministic replay are simulator internals — \
                  build with RuntimeKind::Sim for those, and use \
@@ -650,19 +643,8 @@ impl Scenario {
     /// runtime-equivalence tests; `None` on the simulator).
     pub fn threaded(&self) -> Option<&ThreadedHost> {
         match &self.backend {
-            Backend::Threaded { host, .. } => Some(host),
+            Backend::Threaded(host) => Some(host),
             Backend::Sim(_) => None,
-        }
-    }
-
-    /// Refreshes the threaded backend's stats and span snapshots, folded
-    /// from what each node holds. No-op on the simulator, whose sinks are
-    /// read in place. The trace needs no refresh: the host drained it at
-    /// the boundary that calls this.
-    fn sync(&mut self) {
-        if let Backend::Threaded { host, stats, spans } = &mut self.backend {
-            *stats = host.stats_snapshot();
-            *spans = host.spans_snapshot();
         }
     }
 
@@ -671,38 +653,27 @@ impl Scenario {
     /// drain: every run / quiesce / stop boundary drains, and those are
     /// exactly the points after which tests read it.
     pub fn trace(&self) -> &Trace {
-        match &self.backend {
-            Backend::Sim(sim) => sim.trace(),
-            Backend::Threaded { host, .. } => host.trace(),
-        }
+        self.backend.host().trace()
     }
 
-    /// Message statistics, backend-neutral (on the threaded backend, a
-    /// snapshot taken at the last run / quiesce / stop boundary).
+    /// Message statistics, backend-neutral and read in place (on the
+    /// threaded backend, as of the last run / quiesce / stop boundary,
+    /// where the host takes its nodes' counts into its own).
     pub fn stats(&self) -> &MsgStats {
-        match &self.backend {
-            Backend::Sim(sim) => sim.stats(),
-            Backend::Threaded { stats, .. } => stats,
-        }
+        self.backend.host().stats()
     }
 
-    /// Figure 8 spans, summed per component over every node, backend-neutral
-    /// (snapshotted like [`Scenario::stats`]). No span is in the trace:
-    /// this is where the modelled service time of a run is.
+    /// Figure 8 spans, summed per component over every node, read like
+    /// [`Scenario::stats`]. No span is in the trace: this is where the
+    /// modelled service time of a run is.
     pub fn spans(&self) -> &SpanTotals {
-        match &self.backend {
-            Backend::Sim(sim) => sim.spans(),
-            Backend::Threaded { spans, .. } => spans,
-        }
+        self.backend.host().spans()
     }
 
     /// Current time on the hosting backend's clock (virtual for the
     /// simulator, monotonic-since-start for the threaded host).
     pub fn now(&self) -> Time {
-        match &self.backend {
-            Backend::Sim(sim) => sim.now(),
-            Backend::Threaded { host, .. } => host.host_now(),
-        }
+        self.backend.host().host_now()
     }
 
     /// Counts trace events whose kind matches `pred` — the one filtered
@@ -731,7 +702,7 @@ impl Scenario {
     pub fn run_until_settled(&mut self, n: usize) -> RunOutcome {
         let mut scanned = 0usize;
         let mut done = 0usize;
-        let outcome = self.backend.host_mut().run_trace_until(Box::new(move |trace| {
+        self.backend.host_mut().run_trace_until(Box::new(move |trace| {
             let events = trace.events();
             for e in &events[scanned..] {
                 if matches!(e.kind, TraceKind::Deliver { .. } | TraceKind::Exception { .. }) {
@@ -740,21 +711,19 @@ impl Scenario {
             }
             scanned = events.len();
             done >= n
-        }));
-        self.sync();
-        outcome
+        }))
     }
 
     /// Lets in-flight background work (decide pushes, acks) finish.
     pub fn quiesce(&mut self, extra: Dur) {
         self.backend.host_mut().quiesce_for(extra);
-        self.sync();
     }
 
-    /// Shuts the run down: on the threaded backend, joins every node
-    /// thread (unlocking post-run process/log introspection), which drains
-    /// the rest of the trace, and takes final stats/span snapshots. No-op
-    /// on the simulator, which has no threads to join.
+    /// Shuts the run down: on the threaded backend, joins the workers
+    /// (unlocking post-run process/log introspection), which drains the
+    /// rest of the trace and takes every node's remaining counts and spans
+    /// into the host's totals. No-op on the simulator, which has no
+    /// threads to join.
     ///
     /// # Panics
     ///
@@ -763,7 +732,7 @@ impl Scenario {
     /// failure, not something to swallow in a join. Suppressed while
     /// already unwinding so a failing assertion stays the primary error.
     pub fn stop(&mut self) {
-        if let Backend::Threaded { host, .. } = &mut self.backend {
+        if let Backend::Threaded(host) = &mut self.backend {
             host.stop();
             let panicked = host.panicked_nodes();
             if !panicked.is_empty() && !std::thread::panicking() {
@@ -774,7 +743,6 @@ impl Scenario {
                 );
             }
         }
-        self.sync();
     }
 
     /// All deliveries so far: (attempt, outcome, steps, at).
@@ -805,14 +773,14 @@ impl Scenario {
     /// stopped (threads joined) first. The simulator reads live processes
     /// and keeps running.
     pub fn delivered_results(&mut self) -> Vec<(ResultId, etx_base::value::Decision)> {
-        if matches!(self.backend, Backend::Threaded { .. }) {
+        if matches!(self.backend, Backend::Threaded(_)) {
             self.stop();
         }
         let mut out = Vec::new();
         for &client in &self.topo.clients {
             let proc_ref = match &self.backend {
                 Backend::Sim(sim) => sim.process_ref(client),
-                Backend::Threaded { host, .. } => host.process_ref(client),
+                Backend::Threaded(host) => host.process_ref(client),
             };
             let Some(proc_ref) = proc_ref else { continue };
             let Some(any) = proc_ref.as_any() else { continue };
@@ -974,13 +942,13 @@ impl Scenario {
     /// (threads joined) first. The simulator reads storage mid-run and
     /// keeps running.
     pub fn rebuilt_committed(&mut self, db: NodeId) -> std::collections::BTreeMap<String, i64> {
-        if matches!(self.backend, Backend::Threaded { .. }) {
+        if matches!(self.backend, Backend::Threaded(_)) {
             self.stop();
         }
         let seed = self.db_seeds.get(&db).cloned().unwrap_or_default();
         let log: Vec<etx_base::wal::StableRecord> = match &self.backend {
             Backend::Sim(sim) => sim.storage(db).read(etx_base::wal::LOG_WAL).to_vec(),
-            Backend::Threaded { host, .. } => host.log_read(db, etx_base::wal::LOG_WAL),
+            Backend::Threaded(host) => host.log_read(db, etx_base::wal::LOG_WAL),
         };
         etx_store::Engine::recover_with_seed(seed, &log).snapshot().clone()
     }

@@ -87,8 +87,10 @@ pub struct ThreadedConfig {
     /// Environment cost constants. Modelled service times are honored with
     /// real waits; use [`CostModel::zeroed`] for pure-hardware numbers.
     pub cost: CostModel,
-    /// Hard stop for [`Host::run_trace_until`]: longest wall-clock wait for
-    /// the predicate before giving up with [`RunOutcome::TimeLimit`].
+    /// Hard stop for [`Host::run_trace_until`]: once this much wall-clock
+    /// time has passed since the run started (not since the call), it
+    /// gives up with [`RunOutcome::TimeLimit`] — the simulator's
+    /// `max_time`, on the real clock.
     pub wall_limit: Duration,
 }
 
@@ -147,27 +149,27 @@ impl FaultState {
     }
 }
 
-/// The shared observability sink every node writes into. A traced event
-/// goes into `pending`, what was traced since the driver last drained it
-/// into the run's trace ([`ThreadedHost`] owns that one). Timestamps are
-/// taken *inside* the `pending` lock from the shared monotonic epoch, and
-/// a drain appends what it takes in order, so trace order and timestamp
-/// order agree across the whole trace and each node's events keep its own
-/// order — the property checker's happened-before comparisons hold
-/// exactly as on the simulator. The buffer holds about one polling
-/// interval's events, so no worker grows the run's trace under the lock.
+/// The shared observability sink every node writes into. A recorded event
+/// goes into `pending`, what was recorded since the driver last drained
+/// it ([`ThreadedHost`] owns the run's trace, and offers each drained
+/// event to the armed triggers). Timestamps are taken *inside* the
+/// `pending` lock from the shared monotonic epoch, and a drain appends
+/// what it takes in order, so trace order and timestamp order agree
+/// across the whole trace and each node's events keep its own order — the
+/// property checker's happened-before comparisons hold exactly as on the
+/// simulator. The buffer holds about one polling interval's events, so no
+/// worker grows the run's trace under the lock.
 ///
 /// Spans are not traced: each node sums its own. While a trace trigger is
-/// armed (`offering`), a node also leaves its spans in `offered` for the
-/// driver to show the triggers; otherwise a span takes no shared lock.
-/// The flag publishes nothing but itself (the buffer has its own lock): a
-/// span that misses a trigger armed a moment ago is one that came before
-/// the arming, as a traced event just before it would be.
+/// armed (`offering`), a node also records each span in `pending`, for
+/// the drain to offer and drop; otherwise a span takes no shared lock.
+/// The flag publishes nothing but itself: a span that misses a trigger
+/// armed a moment ago is one that came before the arming, as a traced
+/// event just before it would be.
 struct Sink {
     epoch: Instant,
     pending: Mutex<Vec<TraceEvent>>,
     offering: AtomicBool,
-    offered: Mutex<Vec<TraceEvent>>,
 }
 
 impl Sink {
@@ -176,7 +178,6 @@ impl Sink {
             epoch: Instant::now(),
             pending: Mutex::new(Vec::new()),
             offering: AtomicBool::new(false),
-            offered: Mutex::new(Vec::new()),
         }
     }
 
@@ -192,18 +193,6 @@ impl Sink {
         let mut pending = self.pending();
         let at = self.now();
         pending.push(TraceEvent::new(at, node, kind));
-    }
-
-    fn offered(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
-        self.offered.lock().expect("offered-spans lock")
-    }
-
-    /// Leaves a span for the armed triggers, if any is armed.
-    fn offer(&self, node: NodeId, kind: TraceKind) {
-        if self.offering.load(Ordering::Acquire) {
-            let mut offered = self.offered();
-            offered.push(TraceEvent::new(self.now(), node, kind));
-        }
     }
 }
 
@@ -510,10 +499,10 @@ struct NodeRt {
     cost: CostModel,
     rng: Rng,
     storage: LogStore,
-    /// This node's sends and drops; folded with every other node's on
-    /// demand, so no send takes a shared lock for accounting.
+    /// This node's sends and drops since the driver last took them into
+    /// the host's totals, so no send takes a shared lock for accounting.
     stats: MsgStats,
-    /// This node's Figure 8 spans, kept and folded the same way.
+    /// This node's Figure 8 spans, kept and taken the same way.
     spans: SpanTotals,
     deferred: BinaryHeap<Reverse<Deferred>>,
     cancelled: HashSet<u64>,
@@ -646,7 +635,10 @@ impl Context for ThreadCtx<'_> {
 
     fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
         self.rt.spans.record(comp, dur);
-        self.rt.pool.sink.offer(self.rt.me, TraceKind::Span { rid, comp, dur });
+        let sink = &self.rt.pool.sink;
+        if sink.offering.load(Ordering::Acquire) {
+            sink.push(self.rt.me, TraceKind::Span { rid, comp, dur });
+        }
     }
 
     fn depth(&self) -> u32 {
@@ -699,15 +691,19 @@ enum Due {
 /// ([`ThreadedHost::process_ref`], [`ThreadedHost::log_read`]).
 ///
 /// The driver — the thread calling these methods — owns the run's one
-/// [`Trace`]. Each pass of its polling loops ([`Host::run_trace_until`],
-/// [`Host::quiesce_for`]) first drains what the workers traced since the
-/// last pass into it, then applies the faults scheduled through
-/// [`Host::schedule_fault`] that are due or triggered: a crash takes the
-/// victim's state out of its slot (keeping its stable logs for restart),
-/// a pause gates the slot with the inbox accumulating, a cut enters the
-/// link in the shared table. Arming a trace trigger and
+/// [`Trace`] and its totals. Each pass of its polling loops
+/// ([`Host::run_trace_until`], [`Host::quiesce_for`]) first drains what
+/// the workers recorded since the last pass, offering each event to the
+/// armed triggers and keeping all but spans, then applies the faults
+/// scheduled through [`Host::schedule_fault`] that are due or triggered:
+/// a crash takes the victim's state out of its slot (keeping its stable
+/// logs for restart), a pause gates the slot with the inbox accumulating,
+/// a cut enters the link in the shared table. Arming a trace trigger and
 /// [`ThreadedHost::stop`] drain too, so a trigger never sees an event
-/// traced before it was armed and a stopped host's trace is complete.
+/// recorded before it was armed and a stopped host's trace is complete.
+/// Whenever the driver returns to its caller it takes every live node's
+/// counts and spans into its own, so [`Host::stats`] and [`Host::spans`]
+/// read as of that return.
 pub struct ThreadedHost {
     cfg: ThreadedConfig,
     phase: Phase,
@@ -721,11 +717,12 @@ pub struct ThreadedHost {
     /// every OS thread this host owns.
     workers: Vec<JoinHandle<()>>,
     shells: Vec<Option<NodeShell>>,
-    /// Counts that no live node holds: those of crashed and stopped
-    /// incarnations, and the driver's own (re-injection at a link heal).
+    /// The run's message counts as of the driver's last return: taken
+    /// from the live nodes then, from a crashed or stopped incarnation as
+    /// it leaves its slot, plus the driver's own (re-injection at a link
+    /// heal).
     stats: MsgStats,
-    /// Spans that no live node holds: those of crashed and stopped
-    /// incarnations.
+    /// The run's Figure 8 spans, gathered the same way.
     spans: SpanTotals,
     incarnations: Vec<u32>,
     panicked: Vec<&'static str>,
@@ -863,9 +860,10 @@ impl ThreadedHost {
         self.pool.enqueue(idx);
     }
 
-    /// Keeps what survives of a node whose state left its slot: its counts
-    /// and spans always, its logs and (unless `crashed`) its process if it
-    /// did not panic. Dropping the rest drops the node's handle on the pool.
+    /// Keeps what survives of a node whose state left its slot: the counts
+    /// and spans not yet taken always, its logs and (unless `crashed`) its
+    /// process if it did not panic. Dropping the rest drops the node's
+    /// handle on the pool.
     fn retire(&mut self, idx: usize, state: NodeState, crashed: bool) {
         self.stats.merge(&state.rt.stats);
         self.spans.merge(&state.rt.spans);
@@ -1093,32 +1091,29 @@ impl ThreadedHost {
         }
     }
 
-    /// Appends what the workers traced since the last drain to the run's
-    /// trace. The sink's lock is held for one buffer swap.
+    /// Offers what the workers recorded since the last drain to the armed
+    /// triggers, in order, and appends all of it but the spans to the
+    /// run's trace. The sink's lock is held for one buffer swap.
     fn drain_trace(&mut self) {
         std::mem::swap(&mut self.spare, &mut *self.pool.sink.pending());
         for ev in self.spare.drain(..) {
-            self.trace.push(ev);
+            self.triggers.offer(&ev);
+            if !matches!(ev.kind, TraceKind::Span { .. }) {
+                self.trace.push(ev);
+            }
         }
     }
 
-    /// Drains the trace, then fires every due/triggered nemesis entry.
-    /// Called from the driver's polling loops ([`Host::run_trace_until`],
-    /// [`Host::quiesce_for`]). The offered spans' lock is taken only while
-    /// a trigger is armed, and what fired is applied *after* releasing it
-    /// (a crash waits for the victim's handler, which may itself be
-    /// waiting on a sink lock).
+    /// Drains the trace, then fires every triggered and every due nemesis
+    /// entry. Called from the driver's polling loops
+    /// ([`Host::run_trace_until`], [`Host::quiesce_for`]). What fired is
+    /// applied with no sink lock held (a crash waits for the victim's
+    /// handler, which may itself be waiting on that lock).
     fn pump_nemesis(&mut self) {
         self.drain_trace();
-        let mut fired: Vec<Due> = Vec::new();
-        if !self.triggers.is_empty() {
-            for span in self.pool.sink.offered().drain(..) {
-                self.triggers.offer(&span);
-            }
-            fired.extend(self.triggers.scan(self.trace.events()).into_iter().map(Due::Op));
-            if self.triggers.is_empty() {
-                self.pool.sink.offering.store(false, Ordering::Release);
-            }
+        let mut fired: Vec<Due> = self.triggers.fired().into_iter().map(Due::Op).collect();
+        if !fired.is_empty() && self.triggers.is_empty() {
+            self.pool.sink.offering.store(false, Ordering::Release);
         }
         let now = self.pool.sink.now();
         fired.extend(self.nemesis.extract_if(.., |(at, _)| *at <= now).map(|(_, due)| due));
@@ -1137,29 +1132,16 @@ impl ThreadedHost {
         trace
     }
 
-    /// A snapshot of the message statistics collected so far: the host's
-    /// own accumulator plus every live node's counts, each read under its
-    /// slot lock.
-    pub fn stats_snapshot(&self) -> MsgStats {
-        let mut total = self.stats.clone();
+    /// Takes every live node's counts and spans into the host's totals,
+    /// each under its slot lock, leaving the node's empty: what a node
+    /// counted is in the totals once, whenever it is taken.
+    fn fold_totals(&mut self) {
         for slot in &self.pool.slots {
-            if let Some(node) = slot.state().as_ref() {
-                total.merge(&node.rt.stats);
+            if let Some(node) = slot.state().as_mut() {
+                self.stats.merge(&std::mem::take(&mut node.rt.stats));
+                self.spans.merge(&std::mem::take(&mut node.rt.spans));
             }
         }
-        total
-    }
-
-    /// A snapshot of the Figure 8 spans recorded so far, gathered like
-    /// [`ThreadedHost::stats_snapshot`].
-    pub fn spans_snapshot(&self) -> SpanTotals {
-        let mut total = self.spans;
-        for slot in &self.pool.slots {
-            if let Some(node) = slot.state().as_ref() {
-                total.merge(&node.rt.spans);
-            }
-        }
-        total
     }
 }
 
@@ -1188,22 +1170,24 @@ impl Host for ThreadedHost {
     fn run_trace_until(&mut self, mut pred: Box<dyn FnMut(&Trace) -> bool + '_>) -> RunOutcome {
         self.start();
         let poll = Duration::from_micros(200);
-        loop {
+        let outcome = loop {
             // The nemesis is pumped here, on the driver thread — a crash
             // takes the victim's slot lock, which a worker in the middle
             // of that node's handler could never do. The pump drains the
             // trace first, so the predicate reads it without a lock.
             self.pump_nemesis();
             if pred(&self.trace) {
-                return RunOutcome::Predicate;
+                break RunOutcome::Predicate;
             }
             // The wall-clock watchdog: a paused or wedged node must turn
             // into a diagnosable timeout, never a hung test run.
             if self.pool.sink.epoch.elapsed() > self.cfg.wall_limit {
-                return RunOutcome::TimeLimit;
+                break RunOutcome::TimeLimit;
             }
             std::thread::sleep(poll);
-        }
+        };
+        self.fold_totals();
+        outcome
     }
 
     fn quiesce_for(&mut self, extra: Dur) {
@@ -1215,10 +1199,11 @@ impl Host for ThreadedHost {
             self.pump_nemesis();
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                return;
+                break;
             }
             std::thread::sleep(remaining.min(Duration::from_millis(1)));
         }
+        self.fold_totals();
     }
 
     /// The run's trace as of the driver's last drain;
@@ -1227,8 +1212,12 @@ impl Host for ThreadedHost {
         &self.trace
     }
 
-    fn with_stats(&self, f: &mut dyn FnMut(&MsgStats)) {
-        f(&self.stats_snapshot())
+    fn stats(&self) -> &MsgStats {
+        &self.stats
+    }
+
+    fn spans(&self) -> &SpanTotals {
+        &self.spans
     }
 
     fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError> {
@@ -1244,17 +1233,11 @@ impl Host for ThreadedHost {
             NemesisWhen::Now => self.nemesis.push((now, Due::Op(op))),
             NemesisWhen::After(d) => self.nemesis.push((now + d, Due::Op(op))),
             NemesisWhen::OnTrace(pred) => {
-                // Drained first, so `seen` counts every event traced before
-                // the trigger existed: none of them can fire it.
+                // Drained first: what was recorded before the trigger
+                // existed is offered only to the triggers armed before it.
                 self.drain_trace();
-                let seen = self.trace.len();
-                if self.triggers.is_empty() {
-                    // Spans left over from an earlier set came before this
-                    // trigger was armed.
-                    self.pool.sink.offered().clear();
-                    self.pool.sink.offering.store(true, Ordering::Release);
-                }
-                self.triggers.arm(seen, pred, op);
+                self.pool.sink.offering.store(true, Ordering::Release);
+                self.triggers.arm(pred, op);
             }
         }
         Ok(())
@@ -1302,7 +1285,7 @@ mod tests {
         let out = host.run_trace_until(Box::new(|t| pongs(t) == 5));
         assert_eq!(out, RunOutcome::Predicate);
         host.stop();
-        assert_eq!(host.stats_snapshot().sent("Heartbeat"), 5);
+        assert_eq!(host.stats().sent("Heartbeat"), 5);
     }
 
     struct TimerBox;
@@ -1398,14 +1381,14 @@ mod tests {
         host.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 3 })));
         host.add_node("b", Box::new(|_| Box::new(Charger)));
         assert_eq!(host.run_trace_until(Box::new(|t| charged(t) == 3)), RunOutcome::Predicate);
-        let spans = host.spans_snapshot();
+        let spans = *host.spans();
         assert_eq!((spans.count(Component::Sql), spans.total(Component::Sql)), (3, Dur(15)));
         assert!(!host.pool.sink.offering.load(Ordering::Acquire));
-        assert!(host.pool.sink.offered().is_empty(), "a span took the shared lock for nobody");
+        let recorded = host.trace_snapshot();
+        let spanned = recorded.count_kind(|k| matches!(k, TraceKind::Span { .. }));
+        assert_eq!(spanned, 0, "a span took the shared lock for nobody");
         host.stop();
-        assert_eq!(host.spans_snapshot(), spans, "stop() folds every node's spans into the host");
-        let trace = host.trace_snapshot();
-        assert_eq!(trace.count_kind(|k| matches!(k, TraceKind::Span { .. })), 0);
+        assert_eq!(*host.spans(), spans);
     }
 
     #[test]
@@ -1419,10 +1402,40 @@ mod tests {
         let crashed = |t: &Trace| t.count_kind(|k| matches!(k, TraceKind::Crash)) == 1;
         assert_eq!(host.run_trace_until(Box::new(crashed)), RunOutcome::Predicate);
         assert!(!host.pool.sink.offering.load(Ordering::Acquire), "fired: nothing left armed");
-        let sql = host.spans_snapshot().count(Component::Sql);
+        let sql = host.spans().count(Component::Sql);
         assert!(sql >= 1, "the crashed incarnation's spans are the host's now");
         host.stop();
-        assert_eq!(host.spans_snapshot().count(Component::Sql), sql);
+        assert_eq!(host.spans().count(Component::Sql), sql);
+        assert_eq!(host.trace().count_kind(|k| matches!(k, TraceKind::Span { .. })), 0);
+    }
+
+    /// Each boundary takes the live nodes' counts into the host's totals,
+    /// and a crash the victim's: whatever comes next — another boundary,
+    /// `stop()` — nothing is counted twice or lost.
+    #[test]
+    fn totals_count_each_message_and_span_once_across_boundaries_and_a_crash() {
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(20));
+        host.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 5 })));
+        let b = host.add_node("b", Box::new(|_| Box::new(Charger)));
+        // `b` crashes after its fifth span, before any boundary took them.
+        let seen = AtomicUsize::new(0);
+        let fifth = move |ev: &TraceEvent| {
+            ev.kind == TraceKind::Note("charged") && seen.fetch_add(1, Ordering::Relaxed) == 4
+        };
+        host.schedule_fault(NemesisWhen::on_trace(fifth), FaultOp::Crash(b)).unwrap();
+        let once = |host: &ThreadedHost, when: &str| {
+            let (sent, sql) = (host.stats().sent("Heartbeat"), host.spans().count(Component::Sql));
+            assert_eq!((sent, sql), (5, 5), "{when}: sent, spans");
+        };
+        let crashed = |t: &Trace| t.count_kind(|k| *k == TraceKind::Crash) == 1;
+        assert_eq!(host.run_trace_until(Box::new(crashed)), RunOutcome::Predicate);
+        once(&host, "run");
+        host.quiesce_for(Dur::from_millis(2));
+        once(&host, "first quiesce");
+        host.quiesce_for(Dur::from_millis(2));
+        once(&host, "second quiesce");
+        host.stop();
+        once(&host, "stop");
     }
 
     struct Durable;
@@ -1549,7 +1562,7 @@ mod tests {
             let trace = host.trace_snapshot();
             assert_eq!(pongs(&trace), 0, "nothing crosses a dropping link");
         }
-        assert_eq!(host.stats_snapshot().dropped_on_link(), 4);
+        assert_eq!(host.stats().dropped_on_link(), 4);
         // Heal: the held pings arrive late, in order — loss was delay.
         host.schedule_fault(NemesisWhen::Now, FaultOp::HealLink { from: a, to: b }).unwrap();
         let out = host.run_trace_until(Box::new(|t| pongs(t) == 4));
@@ -1948,12 +1961,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_trigger_never_fires_on_an_event_traced_before_it_was_armed() {
-        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(19));
+    /// Runs [`NotesTwice`] to its first "x", then arms `OnTrace("x") →
+    /// Crash` while the second is still pending — after arming a trigger
+    /// that never matches, if `beside_another` — and returns the crashes.
+    fn crashes_after_arming_on_a_pending_x(seed: u64, beside_another: bool) -> usize {
+        let mut host = ThreadedHost::new(ThreadedConfig::with_seed(seed));
         let n = host.add_node("x", Box::new(|_| Box::new(NotesTwice)));
         let xs = |t: &Trace| t.count_kind(|k| *k == TraceKind::Note("x"));
         assert_eq!(host.run_trace_until(Box::new(move |t| xs(t) >= 1)), RunOutcome::Predicate);
+        if beside_another {
+            host.schedule_fault(NemesisWhen::on_trace(|_| false), FaultOp::Crash(n)).unwrap();
+        }
         // The second "x" is traced meanwhile, and with no pump it is still
         // pending when the trigger is armed.
         while xs(&host.trace_snapshot()) < 2 {
@@ -1964,7 +1982,19 @@ mod tests {
         host.quiesce_for(Dur::from_millis(20));
         host.stop();
         assert_eq!(xs(host.trace()), 2);
-        let crashes = host.trace().count_kind(|k| *k == TraceKind::Crash);
+        host.trace().count_kind(|k| *k == TraceKind::Crash)
+    }
+
+    #[test]
+    fn a_trigger_never_fires_on_an_event_traced_before_it_was_armed() {
+        let crashes = crashes_after_arming_on_a_pending_x(19, false);
         assert_eq!(crashes, 0, "a trigger fired on an event traced before it was armed");
+    }
+
+    /// The pending event is offered to the trigger armed before it only.
+    #[test]
+    fn a_trigger_armed_beside_another_never_fires_on_an_event_pending_at_its_arming() {
+        let crashes = crashes_after_arming_on_a_pending_x(21, true);
+        assert_eq!(crashes, 0, "a trigger fired on an event pending when it was armed");
     }
 }

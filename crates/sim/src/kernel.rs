@@ -18,7 +18,6 @@
 //! the queue entries that carry them.
 
 use crate::net::{sample_delivery_delay, NetConfig};
-use crate::observe::{MsgStats, Trace};
 use crate::rng::Rng;
 use crate::storage::StableStorage;
 use etx_base::config::CostModel;
@@ -30,7 +29,7 @@ use etx_base::runtime::{Context, Event, Host, NodeFactory, Process, TimerTag};
 
 pub use etx_base::runtime::RunOutcome;
 use etx_base::time::{Dur, Time};
-use etx_base::trace::{Component, TraceEvent, TraceKind};
+use etx_base::trace::{Component, MsgStats, Trace, TraceEvent, TraceKind};
 use etx_base::wal::StableRecord;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -153,6 +152,8 @@ pub struct Sim {
     /// allocation count is gated to repeat exactly (`tests/alloc_budget.rs`).
     cancelled: BTreeSet<u64>,
     fd_subscribers: Vec<NodeId>,
+    /// Offered every event as it is recorded; what it hit fires at the
+    /// end of the step.
     triggers: Triggers,
     /// Events popped while their target node was paused, in pop order;
     /// replayed (with fresh sequence numbers, at resume time) when the
@@ -307,7 +308,7 @@ impl Sim {
         // A cancelled timer goes nowhere — not to its node, not to a paused
         // node's stash, not to a stale incarnation — and frees its id.
         if matches!(&entry.action, Action::Timer { id, .. } if self.cancelled.remove(&id.0)) {
-            self.scan_triggers();
+            self.fire_triggers();
             return true;
         }
         // A paused node's inputs are stashed, not dispatched — its inbox
@@ -316,7 +317,7 @@ impl Sim {
         if let Some(target) = action_target(&entry.action) {
             if self.nodes[target.0 as usize].paused {
                 self.stash.push((target, entry.action));
-                self.scan_triggers();
+                self.fire_triggers();
                 return true;
             }
         }
@@ -344,7 +345,7 @@ impl Sim {
             Action::Fault { op } => self.fire(op),
             Action::Undo { prims } => self.apply(prims),
         }
-        self.scan_triggers();
+        self.fire_triggers();
         true
     }
 
@@ -400,7 +401,7 @@ impl Sim {
         // A paused node can crash; its undelivered inbox dies with it.
         self.nodes[idx].paused = false;
         self.stash.retain(|(n, _)| *n != node);
-        self.trace.push(TraceEvent::new(self.now, node, TraceKind::Crash));
+        record(&mut self.trace, &mut self.triggers, self.now, node, TraceKind::Crash);
         let detect = self.cfg.net.min_delay;
         for &s in self.fd_subscribers.clone().iter() {
             if s != node {
@@ -421,7 +422,7 @@ impl Sim {
         self.nodes[idx].incarnation += 1;
         let process = (self.nodes[idx].factory)(node);
         self.nodes[idx].process = Some(process);
-        self.trace.push(TraceEvent::new(self.now, node, TraceKind::Recover));
+        record(&mut self.trace, &mut self.triggers, self.now, node, TraceKind::Recover);
         self.dispatch(node, Event::Recovered, 0);
         let detect = self.cfg.net.min_delay;
         for &s in self.fd_subscribers.clone().iter() {
@@ -437,7 +438,7 @@ impl Sim {
             return;
         }
         self.nodes[idx].paused = true;
-        self.trace.push(TraceEvent::new(self.now, node, TraceKind::Pause));
+        record(&mut self.trace, &mut self.triggers, self.now, node, TraceKind::Pause);
     }
 
     fn do_resume(&mut self, node: NodeId) {
@@ -446,7 +447,7 @@ impl Sim {
             return;
         }
         self.nodes[idx].paused = false;
-        self.trace.push(TraceEvent::new(self.now, node, TraceKind::Resume));
+        record(&mut self.trace, &mut self.triggers, self.now, node, TraceKind::Resume);
         // Replay everything that arrived during the pause, in arrival
         // order, at the current instant — late, like after a real SIGCONT.
         let mut replay = Vec::new();
@@ -505,8 +506,10 @@ impl Sim {
         }
     }
 
-    fn scan_triggers(&mut self) {
-        for op in self.triggers.scan(self.trace.events()) {
+    /// Queues the faults of the triggers hit since the last call (in this
+    /// step, or between steps by a `Now` fault), in arming order.
+    fn fire_triggers(&mut self) {
+        for op in self.triggers.fired() {
             self.push(self.now, Action::Fault { op });
         }
     }
@@ -539,10 +542,7 @@ impl Host for Sim {
         self.now()
     }
 
-    fn run_trace_until(
-        &mut self,
-        mut pred: Box<dyn FnMut(&etx_base::trace::Trace) -> bool + '_>,
-    ) -> RunOutcome {
+    fn run_trace_until(&mut self, mut pred: Box<dyn FnMut(&Trace) -> bool + '_>) -> RunOutcome {
         self.run_until(move |s| pred(s.trace()))
     }
 
@@ -551,22 +551,34 @@ impl Host for Sim {
         let _ = self.run_until_time(deadline);
     }
 
-    fn trace(&self) -> &etx_base::trace::Trace {
+    fn trace(&self) -> &Trace {
         Sim::trace(self)
     }
 
-    fn with_stats(&self, f: &mut dyn FnMut(&etx_base::trace::MsgStats)) {
-        f(self.stats())
+    fn stats(&self) -> &MsgStats {
+        Sim::stats(self)
+    }
+
+    fn spans(&self) -> &SpanTotals {
+        Sim::spans(self)
     }
 
     fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError> {
         match when {
             NemesisWhen::Now => self.fire(op),
             NemesisWhen::After(d) => self.push(self.now + d, Action::Fault { op }),
-            NemesisWhen::OnTrace(pred) => self.triggers.arm(self.trace.len(), pred, op),
+            NemesisWhen::OnTrace(pred) => self.triggers.arm(pred, op),
         }
         Ok(())
     }
+}
+
+/// The one way an event enters a simulated run's trace, a process's or
+/// the kernel's own: offered to the armed triggers, then stored.
+fn record(trace: &mut Trace, triggers: &mut Triggers, at: Time, node: NodeId, kind: TraceKind) {
+    let ev = TraceEvent::new(at, node, kind);
+    triggers.offer(&ev);
+    trace.push(ev);
 }
 
 struct SimCtx<'a> {
@@ -662,11 +674,11 @@ impl Context for SimCtx<'_> {
     }
 
     fn trace(&mut self, kind: TraceKind) {
-        self.trace.push(TraceEvent::new(self.now, self.me, kind));
+        record(self.trace, self.triggers, self.now, self.me, kind);
     }
 
-    /// Summed, and shown to the armed triggers, which fire on it after this
-    /// step exactly as they did when spans were traced.
+    /// Summed, and offered to the armed triggers like a traced event, but
+    /// not kept in the trace.
     fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
         self.spans.record(comp, dur);
         if !self.triggers.is_empty() {

@@ -44,7 +44,6 @@
 
 pub mod kernel;
 pub mod net;
-pub mod observe;
 pub mod storage;
 
 /// Deterministic SplitMix64 stream (shared with the threaded backend; the
@@ -53,7 +52,6 @@ pub use etx_base::rng;
 
 pub use kernel::{RunOutcome, Sim, SimConfig};
 pub use net::NetConfig;
-pub use observe::{MsgStats, Trace};
 pub use rng::Rng;
 pub use storage::StableStorage;
 
@@ -330,6 +328,25 @@ mod tests {
         sim.run_until_time(Time(100_000));
         assert!(!sim.is_up(b));
         assert!(sim.is_up(a));
+    }
+
+    /// A crash traced between steps, by a `Now` fault, came before the
+    /// trigger armed after it, even with another trigger armed already.
+    #[test]
+    fn a_trigger_never_fires_on_an_event_recorded_before_it_was_armed() {
+        let mut sim = Sim::new(SimConfig::with_seed(11));
+        let a = sim.add_node("a", Box::new(|_| Box::new(Pinger { peer: None, n: 0 })));
+        let b = sim.add_node("b", Box::new(|_| Box::new(Pinger { peer: None, n: 0 })));
+        sim.run_until_time(Time(1_000));
+        sim.schedule_fault(NemesisWhen::on_trace(|_| false), FaultOp::Crash(b)).unwrap();
+        sim.schedule_fault(NemesisWhen::Now, FaultOp::Crash(b)).unwrap();
+        let on_crash = |ev: &TraceEvent| ev.kind == TraceKind::Crash;
+        sim.schedule_fault(NemesisWhen::on_trace(on_crash), FaultOp::Crash(a)).unwrap();
+        // A step, so a trigger hit by the crash would fire.
+        sim.schedule_fault(NemesisWhen::After(Dur::from_millis(5)), FaultOp::Recover(b)).unwrap();
+        sim.run_until_time(Time(10_000));
+        assert!(sim.is_up(b), "the recovery ran");
+        assert!(sim.is_up(a), "a trigger fired on a crash traced before it was armed");
     }
 
     /// Charges a 5 µs `Sql` span per message.
