@@ -547,27 +547,13 @@ mod tests {
         Arc::new(move |ev| matches!(ev.kind, TraceKind::Note(w) if w == what))
     }
 
-    /// One-shot, fired in arming order whatever order the events came
-    /// in, and blind to what was offered before it was armed.
     #[test]
-    fn triggers_fire_once_in_arming_order_on_events_offered_after_arming() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let shown = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&shown);
-        let never: TracePred = Arc::new(move |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            false
-        });
+    fn triggers_are_one_shot_and_fire_in_arming_order() {
         let mut t = Triggers::default();
         assert!(t.is_empty());
-        t.offer(&note("b"));
-        t.arm(never, FaultOp::Crash(N[0]));
-        t.offer(&note("a"));
-        // Offered before these two were armed: it fires neither.
         t.arm(on("b"), FaultOp::Crash(N[1]));
         t.arm(on("a"), FaultOp::Crash(N[2]));
         t.arm(on("c"), FaultOp::Crash(N[3]));
-        assert!(t.fired().is_empty(), "nothing offered since arming");
         // `a` is offered before `b`; the triggers still fire as armed.
         for what in ["a", "b", "a"] {
             t.offer(&note(what));
@@ -577,10 +563,50 @@ mod tests {
         t.offer(&note("a"));
         t.offer(&note("b"));
         assert!(t.fired().is_empty());
+        assert!(!t.is_empty(), "the third is still armed");
         t.offer(&note("c"));
         assert_eq!(t.fired(), [FaultOp::Crash(N[3])]);
-        assert!(!t.is_empty(), "the never-matching one is still armed");
-        assert_eq!(shown.load(Ordering::Relaxed), 7, "every event since arming, once each");
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn an_offered_event_fires_at_the_next_scan_in_arming_order() {
+        let mut t = Triggers::default();
+        t.offer(&note("b"));
+        t.arm(on("a"), FaultOp::Crash(N[1]));
+        t.arm(on("b"), FaultOp::Crash(N[2]));
+        assert!(t.fired().is_empty(), "offered before arming: nothing fires");
+        t.offer(&note("b"));
+        t.offer(&note("b"));
+        // `b` was offered first; both fire at the next collection, as armed.
+        t.offer(&note("a"));
+        assert_eq!(t.fired(), [FaultOp::Crash(N[1]), FaultOp::Crash(N[2])]);
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn no_event_is_scanned_twice_and_none_from_before_arming() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let shown = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&shown);
+        let never: TracePred = Arc::new(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            false
+        });
+        let mut t = Triggers::default();
+        t.offer(&note("old"));
+        t.offer(&note("old"));
+        assert!(t.fired().is_empty(), "nothing armed, nothing fires");
+        t.arm(never, FaultOp::Crash(N[0]));
+        // What was offered before arming never fires a trigger.
+        t.arm(on("old"), FaultOp::Crash(N[1]));
+        t.offer(&note("x"));
+        t.offer(&note("y"));
+        assert!(t.fired().is_empty());
+        assert!(t.fired().is_empty());
+        t.offer(&note("z"));
+        assert!(t.fired().is_empty());
+        assert_eq!(shown.load(Ordering::Relaxed), 3, "x, y and z, once each");
     }
 
     #[test]
