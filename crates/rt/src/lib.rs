@@ -1124,10 +1124,13 @@ impl ThreadedHost {
 
     /// A copy of the trace collected so far: the drained trace
     /// ([`Host::trace`]) plus what the workers traced since the last drain.
+    /// Like the drained trace, it holds no span.
     pub fn trace_snapshot(&self) -> Trace {
         let mut trace = self.trace.clone();
         for ev in self.pool.sink.pending().iter() {
-            trace.push(ev.clone());
+            if !matches!(ev.kind, TraceKind::Span { .. }) {
+                trace.push(ev.clone());
+            }
         }
         trace
     }
@@ -1380,13 +1383,19 @@ mod tests {
         let mut host = ThreadedHost::new(ThreadedConfig::with_seed(16));
         host.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 3 })));
         host.add_node("b", Box::new(|_| Box::new(Charger)));
+        host.start();
+        assert!(!host.pool.sink.offering.load(Ordering::Acquire));
+        // No pump runs while waiting, so nothing drains the sink: a span
+        // pushed for nobody would still be pending behind its note.
+        while charged(&host.trace_snapshot()) < 3 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let is_span = |ev: &&TraceEvent| matches!(ev.kind, TraceKind::Span { .. });
+        let spanned = host.pool.sink.pending().iter().filter(is_span).count();
+        assert_eq!(spanned, 0, "a span took the shared lock for nobody");
         assert_eq!(host.run_trace_until(Box::new(|t| charged(t) == 3)), RunOutcome::Predicate);
         let spans = *host.spans();
         assert_eq!((spans.count(Component::Sql), spans.total(Component::Sql)), (3, Dur(15)));
-        assert!(!host.pool.sink.offering.load(Ordering::Acquire));
-        let recorded = host.trace_snapshot();
-        let spanned = recorded.count_kind(|k| matches!(k, TraceKind::Span { .. }));
-        assert_eq!(spanned, 0, "a span took the shared lock for nobody");
         host.stop();
         assert_eq!(*host.spans(), spans);
     }
