@@ -5,10 +5,9 @@
 //! validity V.1/V.2) are *fault-tolerance* claims — they mean nothing
 //! until crashes, pauses and link failures are actually injected. This
 //! module is the backend-neutral half of that story: fault operations
-//! ([`FaultOp`]), trigger conditions ([`NemesisWhen`]) and schedules
-//! ([`NemesisSchedule`]) that both hosts take through
-//! [`crate::runtime::Host::schedule_fault`] — and the interpreter both
-//! hosts run them with:
+//! ([`FaultOp`]) and trigger conditions ([`NemesisWhen`]) that both hosts
+//! take through [`crate::runtime::Host::schedule_fault`] — and the
+//! interpreter both hosts run them with:
 //!
 //! * [`FaultOp::lower`] turns any operation into the six [`Prim`]itives a
 //!   host can do — crash, recover, pause, resume, cut a link, heal a link
@@ -27,13 +26,14 @@
 //!   or a span the trace does not keep — several firing in the order they
 //!   were armed. A host offers each event as it records it.
 //!
-//! What is left to a host is its own: the simulator makes every operation
-//! an entry of its virtual-time event queue, so a schedule replays with
-//! the run, per seed; the multi-threaded backend applies the same
-//! primitives for real — a crash takes the node's state out from under
-//! its workers (stable logs survive for restart, volatile state does
-//! not), a pause gates the node with its inbox accumulating (the SIGSTOP
-//! story), a cut stops real sends.
+//! Which lifecycle primitive applies to a node, and what it records, is
+//! [`crate::host::Life`]'s to say. What is left to a host is its own: the
+//! simulator makes every operation an entry of its virtual-time event
+//! queue, so a schedule replays with the run, per seed; the multi-threaded
+//! backend applies the same primitives for real — a crash takes the node's
+//! state out from under its workers (stable logs survive for restart,
+//! volatile state does not), a pause gates the node with its inbox
+//! accumulating (the SIGSTOP story), a cut stops real sends.
 
 use crate::ids::NodeId;
 use crate::msg::Payload;
@@ -80,8 +80,9 @@ pub enum FaultOp {
     /// Crash a node: volatile state is lost, stable storage survives (§2:
     /// "the crash of a process has no impact on its stable storage"). On
     /// the threaded backend this waits out the handler in flight, then
-    /// drops the process and its inbox, preserving its `LogStore` for
-    /// restart.
+    /// drops the process and its inbox, keeping its
+    /// [`crate::wal::StableStorage`] for restart. Crashing a paused node
+    /// ends the pause.
     Crash(NodeId),
     /// Recover a previously crashed node: the factory rebuilds the
     /// process, which receives [`crate::runtime::Event::Recovered`] over
@@ -367,55 +368,6 @@ impl fmt::Debug for NemesisWhen {
     }
 }
 
-/// An ordered list of `(when, op)` pairs — the nemesis schedule one run
-/// injects. The representation is deliberately host-agnostic: the same
-/// value drives the simulator and the threaded backend, which is what
-/// makes a chaos scenario portable across runtimes.
-#[derive(Debug, Clone, Default)]
-pub struct NemesisSchedule {
-    /// The schedule, applied in order.
-    pub events: Vec<(NemesisWhen, FaultOp)>,
-}
-
-impl NemesisSchedule {
-    /// An empty schedule.
-    pub fn new() -> Self {
-        NemesisSchedule::default()
-    }
-
-    /// Appends an immediate fault.
-    pub fn now(mut self, op: FaultOp) -> Self {
-        self.events.push((NemesisWhen::Now, op));
-        self
-    }
-
-    /// Appends a time-triggered fault.
-    pub fn at(mut self, after: Dur, op: FaultOp) -> Self {
-        self.events.push((NemesisWhen::After(after), op));
-        self
-    }
-
-    /// Appends a trace-triggered fault.
-    pub fn on_trace(
-        mut self,
-        pred: impl Fn(&TraceEvent) -> bool + Send + Sync + 'static,
-        op: FaultOp,
-    ) -> Self {
-        self.events.push((NemesisWhen::on_trace(pred), op));
-        self
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,23 +573,6 @@ mod tests {
     fn capability_error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CapabilityError>();
-        assert_send_sync::<NemesisSchedule>();
-    }
-
-    #[test]
-    fn schedule_builder_keeps_order() {
-        let s = NemesisSchedule::new()
-            .at(Dur(10), FaultOp::Crash(NodeId(1)))
-            .on_trace(|ev| matches!(ev.kind, TraceKind::Crash), FaultOp::Recover(NodeId(1)))
-            .now(FaultOp::Pause(NodeId(2)));
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
-        assert!(matches!(s.events[0], (NemesisWhen::After(Dur(10)), FaultOp::Crash(NodeId(1)))));
-        assert!(matches!(s.events[2], (NemesisWhen::Now, FaultOp::Pause(NodeId(2)))));
-        // The trace predicate survives the round trip.
-        let (NemesisWhen::OnTrace(p), _) = &s.events[1] else { panic!("trace trigger") };
-        assert!(p(&TraceEvent::new(Time(0), NodeId(0), TraceKind::Crash)));
-        assert!(!p(&TraceEvent::new(Time(0), NodeId(0), TraceKind::Recover)));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! This crate holds everything that every tier of the three-tier system must
 //! agree on: process identities, time, request/result/decision values, the
-//! wire-message vocabulary, write-ahead-log record formats, configuration
-//! knobs, trace events, node-owned metrics, and the runtime abstraction
-//! ([`Context`] / [`Process`]) that protocol state machines are written
-//! against.
+//! wire-message vocabulary, stable storage and its record formats,
+//! configuration knobs, trace events, node-owned metrics, the runtime
+//! abstraction ([`Context`] / [`Process`]) that protocol state machines are
+//! written against, and the rules both runtimes host them by ([`host`]).
 //!
 //! The paper this workspace reproduces is Frølund & Guerraoui,
 //! *"Implementing e-Transactions with Asynchronous Replication"* (DSN 2000).
@@ -35,6 +35,7 @@ pub mod attempts;
 pub mod config;
 pub mod error;
 pub mod fault;
+pub mod host;
 pub mod ids;
 pub mod metrics;
 pub mod msg;
@@ -50,7 +51,7 @@ pub mod wal;
 pub use attempts::AttemptWindows;
 pub use config::{BatchingConfig, CostModel, FdConfig, ProtocolConfig};
 pub use error::IssueError;
-pub use fault::{CapabilityError, FaultOp, NemesisSchedule, NemesisWhen, TracePred};
+pub use fault::{CapabilityError, FaultOp, NemesisWhen, TracePred};
 pub use ids::{NodeId, RegId, RequestId, ResultId, Role};
 pub use msg::Payload;
 pub use retry::{AttemptDriver, IssuePlan, RetryTimer};

@@ -8,7 +8,8 @@
 //!
 //! Writing protocols against `dyn Context` keeps them runtime-agnostic, and
 //! the [`Host`] trait is the other half of that seam: a host owns node
-//! registration, the run loop, and the trace sink. Two hosts exist — the
+//! registration, the run loop, and the trace sink, and keeps its nodes by
+//! the rules of [`crate::host`]. Two hosts exist — the
 //! deterministic discrete-event simulator in `etx-sim` (virtual clock,
 //! byte-identical replay) and the multi-threaded backend in `etx-rt` (one
 //! inbox per node, a core-sized pool of worker threads, real monotonic
@@ -16,7 +17,7 @@
 //! [`Host::schedule_fault`] is the one way a fault enters either — the
 //! sim's simulated ones and the threaded backend's real ones alike.
 
-use crate::fault::{CapabilityError, FaultOp, NemesisSchedule, NemesisWhen};
+use crate::fault::{CapabilityError, FaultOp, NemesisWhen};
 use crate::ids::{NodeId, RegId, ResultId, TimerId};
 use crate::metrics::SpanTotals;
 use crate::msg::Payload;
@@ -170,11 +171,12 @@ pub trait Context {
     /// Deterministic pseudo-randomness (seeded per run by the simulator).
     fn random_u64(&mut self) -> u64;
 
-    /// Appends a record to one of this node's stable logs and returns the
-    /// modelled duration of the write. If `forced` is true the duration is
-    /// the synchronous-I/O cost from the cost model (the caller must delay
-    /// its next protocol action by that much — see [`Context::send_after`]);
-    /// otherwise the write is buffered and free.
+    /// Appends a record to one of this node's stable logs (its
+    /// [`crate::wal::StableStorage`], which the host keeps across crashes)
+    /// and returns the modelled duration of the write. If `forced` is true
+    /// the duration is the synchronous-I/O cost from the cost model (the
+    /// caller must delay its next protocol action by that much — see
+    /// [`Context::send_after`]); otherwise the write is buffered and free.
     fn log_append(&mut self, log: &'static str, rec: StableRecord, forced: bool) -> Dur;
 
     /// Reads back a stable log (survives crashes).
@@ -186,9 +188,10 @@ pub trait Context {
 
     /// Charges `dur` of modelled service time to the Figure 8 component
     /// `comp`, on behalf of attempt `rid`. A host adds it to its
-    /// [`SpanTotals`] and records it as a [`TraceKind::Span`] that the armed
-    /// trace triggers are offered and the trace does not keep. The default,
-    /// for a context that keeps no totals, traces it.
+    /// [`SpanTotals`] and, while a trace trigger is armed,
+    /// [records](crate::host::record) it as a [`TraceKind::Span`]: offered
+    /// to the triggers, not kept in the trace. The default, for a context
+    /// that keeps no totals, traces it.
     fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
         self.trace(TraceKind::Span { rid, comp, dur });
     }
@@ -323,12 +326,13 @@ impl RuntimeKind {
 /// `Topology::new` layouts hold on every backend), the **run loop**, the
 /// run's **trace and totals** ([`Host::trace`], [`Host::stats`],
 /// [`Host::spans`], each lent in place), and the **fault plane**
-/// ([`Host::schedule_fault`]) through which one nemesis-schedule
-/// representation drives simulated *and* real faults. A host offers every
-/// event it records, traced or a span, to the armed trace triggers as it
-/// records it. Everything beyond this — virtual-time stepping, storage
-/// inspection mid-run — is a backend capability exposed on the concrete
-/// type.
+/// ([`Host::schedule_fault`]) through which one fault vocabulary drives
+/// simulated *and* real faults. What a node is — which lifecycle
+/// transitions apply, its stable storage, its timer queue, how each event
+/// it records reaches the triggers and the trace — is [`crate::host`]'s,
+/// the same for every host. Everything beyond this — virtual-time
+/// stepping, storage inspection mid-run — is a backend capability exposed
+/// on the concrete type.
 pub trait Host {
     /// Registers a node. Ids are assigned contiguously in registration
     /// order. The factory builds the process at startup (and again at every
@@ -370,16 +374,6 @@ pub trait Host {
     /// fault; the only refusal is a threaded host that was already
     /// stopped.
     fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError>;
-
-    /// Applies a whole [`NemesisSchedule`] in order. Stops at the first
-    /// refused operation (all-or-nothing per prefix — a partially applied
-    /// schedule is reported, never silently truncated).
-    fn apply_schedule(&mut self, schedule: &NemesisSchedule) -> Result<(), CapabilityError> {
-        for (when, op) in &schedule.events {
-            self.schedule_fault(when.clone(), op.clone())?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

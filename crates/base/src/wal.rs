@@ -1,4 +1,4 @@
-//! Stable-storage record formats.
+//! Stable storage and its record formats.
 //!
 //! Two kinds of durable logs exist in the system:
 //!
@@ -13,17 +13,21 @@
 //!   prepares and an `Outcome` record once the outcome is known
 //!   (Appendix 3). The e-Transaction protocol never writes this log — that
 //!   is precisely the forced I/O it replaces with wo-register round trips.
+//!
+//! Both live in a node's [`StableStorage`], which each host keeps outside
+//! the node's process so that a crash cannot touch it.
 
 use crate::ids::ResultId;
 use crate::value::{Outcome, ResultValue};
+use std::collections::BTreeMap;
 
 /// Name of the database write-ahead log within a node's stable storage.
 pub const LOG_WAL: &str = "wal";
 /// Name of the 2PC coordinator log within a node's stable storage.
 pub const LOG_COORD: &str = "coord";
 
-/// One durable record. A single enum covers both logs so the simulator's
-/// stable storage stays untyped-but-safe.
+/// One durable record. A single enum covers both logs so
+/// [`StableStorage`] stays untyped-but-safe.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StableRecord {
     /// Database: branch `rid` is prepared; `writes` is its redo set
@@ -112,10 +116,73 @@ impl StableRecord {
     }
 }
 
+/// One node's stable storage: named append-only logs that survive its
+/// crashes (§2: "the crash of a process has no impact on its stable
+/// storage"). Both hosts keep one per node, beside the process rather
+/// than in it, and hand it to the recovered incarnation. What a *forced*
+/// write costs is the host's cost model's to say, not this type's.
+#[derive(Debug, Default)]
+pub struct StableStorage {
+    logs: BTreeMap<&'static str, Vec<StableRecord>>,
+}
+
+impl StableStorage {
+    /// Empty storage.
+    pub const fn new() -> Self {
+        StableStorage { logs: BTreeMap::new() }
+    }
+
+    /// Appends a record to `log`, creating the log on first use.
+    pub fn append(&mut self, log: &'static str, rec: StableRecord) {
+        self.logs.entry(log).or_default().push(rec);
+    }
+
+    /// Reads a log back (empty if never written).
+    pub fn read(&self, log: &'static str) -> &[StableRecord] {
+        self.logs.get(log).map_or(&[], Vec::as_slice)
+    }
+
+    /// Number of records in a log.
+    pub fn len(&self, log: &'static str) -> usize {
+        self.read(log).len()
+    }
+
+    /// Whether the named log has no records.
+    pub fn is_empty(&self, log: &'static str) -> bool {
+        self.len(log) == 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::{NodeId, RequestId};
+
+    fn rid(seq: u64) -> ResultId {
+        ResultId::first(RequestId { client: NodeId(0), seq })
+    }
+
+    #[test]
+    fn append_read_roundtrip() {
+        let mut s = StableStorage::new();
+        assert!(s.is_empty(LOG_WAL));
+        s.append(LOG_WAL, StableRecord::CoordStart { rid: rid(1) });
+        s.append(LOG_WAL, StableRecord::DbOutcome { rid: rid(1), outcome: Outcome::Commit });
+        assert_eq!(s.len(LOG_WAL), 2);
+        assert_eq!(s.read(LOG_WAL)[0].rid(), rid(1));
+        assert_eq!(s.read("other"), &[]);
+    }
+
+    #[test]
+    fn logs_are_independent() {
+        let mut s = StableStorage::new();
+        s.append("a", StableRecord::CoordStart { rid: rid(1) });
+        s.append("b", StableRecord::CoordStart { rid: rid(2) });
+        assert_eq!(s.len("a"), 1);
+        assert_eq!(s.len("b"), 1);
+        assert_eq!(s.read("a")[0].rid(), rid(1));
+        assert_eq!(s.read("b")[0].rid(), rid(2));
+    }
 
     #[test]
     fn record_rid_projection() {

@@ -7,7 +7,7 @@ use etx_base::config::{
     BatchingConfig, CostModel, FdConfig, FeatureSet, ProtocolConfig, ReadLeaseConfig,
     ReadPathConfig, SpeculationConfig,
 };
-use etx_base::fault::{CapabilityError, FaultOp, NemesisSchedule, NemesisWhen};
+use etx_base::fault::{CapabilityError, FaultOp, NemesisWhen};
 use etx_base::ids::{NodeId, ResultId, Topology};
 use etx_base::metrics::SpanTotals;
 use etx_base::runtime::{Host, RuntimeKind};
@@ -589,17 +589,11 @@ impl Scenario {
         self.backend.host_mut().schedule_fault(when, op)
     }
 
-    /// Schedules a whole nemesis schedule, in order. One schedule drives
-    /// either backend — this is the chaos runners' entry point.
-    pub fn apply_schedule(&mut self, schedule: &NemesisSchedule) -> Result<(), CapabilityError> {
-        self.backend.host_mut().apply_schedule(schedule)
-    }
-
     /// The simulator, for internals only it has (virtual-time stepping,
     /// mid-run storage reads, deterministic replay). Fault injection is
     /// **not** such a capability — use
-    /// [`Scenario::schedule_fault`] / [`Scenario::apply_schedule`], which
-    /// work on both backends.
+    /// [`Scenario::fault`] / [`Scenario::schedule_fault`], which work on
+    /// both backends.
     ///
     /// # Panics
     ///
@@ -932,13 +926,15 @@ impl Scenario {
     }
 
     /// Reconstructs a database server's committed state from its durable
-    /// log: both hosts expose stable storage (not process memory), and
-    /// recovery is deterministic, so replaying the WAL over the server's
-    /// seed slice yields exactly what the server holds committed. This is
-    /// how tests assert replica-group convergence.
+    /// log: both hosts keep each node's
+    /// [`StableStorage`](etx_base::wal::StableStorage) (not its process
+    /// memory), and recovery is deterministic, so replaying the WAL, read
+    /// in place, over the server's seed slice yields exactly what the
+    /// server holds committed. This is how tests assert replica-group
+    /// convergence.
     ///
     /// Takes `&mut self` because on the threaded backend the logs belong
-    /// to their node threads while running: the scenario is stopped
+    /// to their nodes while the workers run: the scenario is stopped
     /// (threads joined) first. The simulator reads storage mid-run and
     /// keeps running.
     pub fn rebuilt_committed(&mut self, db: NodeId) -> std::collections::BTreeMap<String, i64> {
@@ -946,10 +942,11 @@ impl Scenario {
             self.stop();
         }
         let seed = self.db_seeds.get(&db).cloned().unwrap_or_default();
-        let log: Vec<etx_base::wal::StableRecord> = match &self.backend {
-            Backend::Sim(sim) => sim.storage(db).read(etx_base::wal::LOG_WAL).to_vec(),
-            Backend::Threaded(host) => host.log_read(db, etx_base::wal::LOG_WAL),
+        let storage = match &self.backend {
+            Backend::Sim(sim) => sim.storage(db),
+            Backend::Threaded(host) => host.storage(db),
         };
-        etx_store::Engine::recover_with_seed(seed, &log).snapshot().clone()
+        let log = storage.read(etx_base::wal::LOG_WAL);
+        etx_store::Engine::recover_with_seed(seed, log).snapshot().clone()
     }
 }

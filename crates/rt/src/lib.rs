@@ -3,10 +3,10 @@
 //! Runs the *identical* protocol state machines the deterministic simulator
 //! hosts, but on real hardware: a core-sized pool of worker threads
 //! draining per-node inboxes, real monotonic clocks behind timers, and
-//! in-memory stable logs mutated behind the same `log_append`/`log_read`
-//! contract. This is the backend that turns every simulated bench figure
-//! into an honest wall-clock number — commits per second on the host, not
-//! per simulated second.
+//! each node's in-memory [`StableStorage`] — the simulator's type — behind
+//! the same `log_append`/`log_read` contract. This is the backend that
+//! turns every simulated bench figure into an honest wall-clock number —
+//! commits per second on the host, not per simulated second.
 //!
 //! **Workers, not a thread per node.** Every node owns a *slot*: its inbox,
 //! a `queued` flag and its private state behind the slot lock. A send
@@ -24,15 +24,19 @@
 //! ([`Host::schedule_fault`]) crashes a node by marking it down and taking
 //! its state out of the slot under the slot lock — which waits out the
 //! handler in flight; volatile state is dropped, the inbox cleared, the
-//! `LogStore` survives for restart. It pauses a node by setting a flag
+//! stable storage survives for restart. It pauses a node by setting a flag
 //! workers honour before running it (the SIGSTOP story — messages pile up,
 //! timers go overdue, nothing is lost; the slot lock taken once is the
 //! barrier after which no handler runs), and cuts links through a table
 //! consulted on every send while any link is cut. What a fault *means* —
 //! how a bounded or compound operation lowers to those primitives, what a
-//! cut link holds, when a trace trigger fires — is `etx_base::fault`'s, the
-//! same code the simulator runs. The §3 checker then judges the resulting
-//! trace exactly as it judges a simulated one.
+//! cut link holds, when a trace trigger fires — is `etx_base::fault`'s, and
+//! what a node is — which crashes, recoveries, pauses and resumes apply
+//! and what each records, the `(at, seq)` order of its deferred actions
+//! and how they are cancelled, how an event is recorded — is
+//! `etx_base::host`'s: the simulator runs the same code for all of it. The
+//! §3 checker then judges the resulting trace exactly as it judges a
+//! simulated one.
 //!
 //! What deliberately does **not** exist here:
 //!
@@ -62,6 +66,7 @@
 
 use etx_base::config::CostModel;
 use etx_base::fault::{CapabilityError, FaultOp, Links, NemesisWhen, Prim, Triggers};
+use etx_base::host::{record, Life, TimeQueue, Timed};
 use etx_base::ids::{NodeId, ResultId, TimerId};
 use etx_base::metrics::SpanTotals;
 use etx_base::msg::Payload;
@@ -69,9 +74,9 @@ use etx_base::rng::Rng;
 use etx_base::runtime::{Context, Event, Host, NodeFactory, Process, RunOutcome, TimerTag};
 use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, MsgStats, Trace, TraceEvent, TraceKind};
-use etx_base::wal::StableRecord;
+use etx_base::wal::{StableRecord, StableStorage};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -104,25 +109,6 @@ impl ThreadedConfig {
     /// Config with a given seed and defaults elsewhere.
     pub fn with_seed(seed: u64) -> Self {
         ThreadedConfig { seed, ..ThreadedConfig::default() }
-    }
-}
-
-/// One node's in-memory stable logs (same named-append-only-log contract as
-/// the simulator's `StableStorage`). This is the "stable storage" of §2: a
-/// fault-plane crash drops the node's process, but the `LogStore` is
-/// carried through the crash and handed to the restarted incarnation.
-#[derive(Debug, Default)]
-struct LogStore {
-    logs: BTreeMap<&'static str, Vec<StableRecord>>,
-}
-
-impl LogStore {
-    fn append(&mut self, log: &'static str, rec: StableRecord) {
-        self.logs.entry(log).or_default().push(rec);
-    }
-
-    fn read(&self, log: &'static str) -> Vec<StableRecord> {
-        self.logs.get(log).cloned().unwrap_or_default()
     }
 }
 
@@ -198,31 +184,17 @@ impl Sink {
 
 /// A deferred local action: a timer armed through `set_timer`, or the tail
 /// of a `send_after` whose modelled service time has not elapsed yet.
-struct Deferred {
-    due: Time,
-    seq: u64,
-    kind: DeferredKind,
-}
-
-enum DeferredKind {
+enum Deferred {
     Timer { id: TimerId, tag: TimerTag, depth: u32 },
     Send { to: NodeId, payload: Payload, depth: u32 },
 }
 
-impl PartialEq for Deferred {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl Eq for Deferred {}
-impl PartialOrd for Deferred {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Deferred {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
+impl Timed for Deferred {
+    fn timer(&self) -> Option<TimerId> {
+        match self {
+            Deferred::Timer { id, .. } => Some(*id),
+            Deferred::Send { .. } => None,
+        }
     }
 }
 
@@ -476,7 +448,7 @@ impl Pool {
                 // A panicking handler is the node's bug, not the pool's:
                 // it must neither kill this worker nor poison the slot.
                 match catch_unwind(AssertUnwindSafe(|| node.turn(slot, now))) {
-                    Ok(()) => next_due = node.rt.deferred.peek().map(|Reverse(d)| d.due),
+                    Ok(()) => next_due = node.rt.deferred.next_at(),
                     Err(_) => node.panicked = true,
                 }
             }
@@ -498,16 +470,14 @@ struct NodeRt {
     pool: Arc<Pool>,
     cost: CostModel,
     rng: Rng,
-    storage: LogStore,
+    storage: StableStorage,
     /// This node's sends and drops since the driver last took them into
     /// the host's totals, so no send takes a shared lock for accounting.
     stats: MsgStats,
     /// This node's Figure 8 spans, kept and taken the same way.
     spans: SpanTotals,
-    deferred: BinaryHeap<Reverse<Deferred>>,
-    cancelled: HashSet<u64>,
+    deferred: TimeQueue<Deferred>,
     timer_seq: u64,
-    defer_seq: u64,
 }
 
 impl NodeRt {
@@ -519,15 +489,15 @@ impl NodeRt {
 
     /// Fires every deferred action due at `now`, in (due, seq) order.
     fn fire_due(&mut self, process: &mut Box<dyn Process>, now: Time) {
-        while self.deferred.peek().is_some_and(|Reverse(d)| d.due <= now) {
-            let Reverse(d) = self.deferred.pop().expect("peeked");
-            match d.kind {
-                DeferredKind::Timer { id, tag, depth } => {
-                    if !self.cancelled.remove(&id.0) {
-                        self.dispatch(process, Event::Timer { id, tag }, depth);
-                    }
+        while self.deferred.next_at().is_some_and(|due| due <= now) {
+            match self.deferred.pop().expect("peeked") {
+                (_, _, true) => {} // a cancelled timer
+                (_, Deferred::Timer { id, tag, depth }, false) => {
+                    self.dispatch(process, Event::Timer { id, tag }, depth);
                 }
-                DeferredKind::Send { to, payload, depth } => self.transmit(to, payload, depth),
+                (_, Deferred::Send { to, payload, depth }, false) => {
+                    self.transmit(to, payload, depth)
+                }
             }
         }
     }
@@ -551,11 +521,6 @@ impl NodeRt {
             self.stats.record_dropped_to_down();
         }
     }
-
-    fn defer(&mut self, due: Time, kind: DeferredKind) {
-        self.defer_seq += 1;
-        self.deferred.push(Reverse(Deferred { due, seq: self.defer_seq, kind }));
-    }
 }
 
 /// The `Context` capability surface, threaded-backend flavour. `now` is
@@ -574,8 +539,7 @@ impl ThreadCtx<'_> {
         if extra == Dur::ZERO {
             self.rt.transmit(to, payload, depth);
         } else {
-            let due = self.now + extra;
-            self.rt.defer(due, DeferredKind::Send { to, payload, depth });
+            self.rt.deferred.push(self.now + extra, Deferred::Send { to, payload, depth });
         }
     }
 }
@@ -592,24 +556,12 @@ impl Context for ThreadCtx<'_> {
     fn set_timer(&mut self, delay: Dur, tag: TimerTag) -> TimerId {
         self.rt.timer_seq += 1;
         let id = TimerId(self.rt.timer_seq);
-        let due = self.now + delay;
-        self.rt.defer(due, DeferredKind::Timer { id, tag, depth: self.depth });
+        self.rt.deferred.push(self.now + delay, Deferred::Timer { id, tag, depth: self.depth });
         id
     }
 
-    /// Compacts like the simulator's: once cancelled ids are more than
-    /// half the deferred queue, one pass drops every cancelled timer and
-    /// forgets the ids; `(due, seq)` keeps what stays in its order.
     fn cancel_timer(&mut self, id: TimerId) {
-        let rt = &mut *self.rt;
-        rt.cancelled.insert(id.0);
-        if rt.cancelled.len() * 2 > rt.deferred.len() {
-            let cancelled = &rt.cancelled;
-            rt.deferred.retain(|Reverse(d)| {
-                !matches!(d.kind, DeferredKind::Timer { id, .. } if cancelled.contains(&id.0))
-            });
-            rt.cancelled.clear();
-        }
+        self.rt.deferred.cancel(id);
     }
 
     fn random_u64(&mut self) -> u64 {
@@ -626,7 +578,7 @@ impl Context for ThreadCtx<'_> {
     }
 
     fn log_read(&self, log: &'static str) -> Vec<StableRecord> {
-        self.rt.storage.read(log)
+        self.rt.storage.read(log).to_vec()
     }
 
     fn trace(&mut self, kind: TraceKind) {
@@ -663,7 +615,7 @@ impl Context for ThreadCtx<'_> {
 /// volatile state) and its stable logs (which survive crashes, per §2).
 struct NodeShell {
     process: Option<Box<dyn Process>>,
-    storage: LogStore,
+    storage: StableStorage,
 }
 
 enum Phase {
@@ -688,7 +640,7 @@ enum Due {
 /// The multi-threaded host. Register nodes, then [`ThreadedHost::start`]
 /// (or let the first run call do it), run, and [`ThreadedHost::stop`] to
 /// join the workers and unlock post-run introspection
-/// ([`ThreadedHost::process_ref`], [`ThreadedHost::log_read`]).
+/// ([`ThreadedHost::process_ref`], [`ThreadedHost::storage`]).
 ///
 /// The driver — the thread calling these methods — owns the run's one
 /// [`Trace`] and its totals. Each pass of its polling loops
@@ -725,6 +677,10 @@ pub struct ThreadedHost {
     /// The run's Figure 8 spans, gathered the same way.
     spans: SpanTotals,
     incarnations: Vec<u32>,
+    /// Each node's lifecycle state. Only the driver changes it, so it is
+    /// what decides whether a fault applies; the slots' `down` / `paused`
+    /// flags are what the workers read of it.
+    lives: Vec<Life>,
     panicked: Vec<&'static str>,
     /// Timed faults not yet due, in scheduling order; an entry leaves
     /// when it fires.
@@ -769,6 +725,7 @@ impl ThreadedHost {
             stats: MsgStats::default(),
             spans: SpanTotals::default(),
             incarnations: Vec::new(),
+            lives: Vec::new(),
             panicked: Vec::new(),
             nemesis: Vec::new(),
             triggers: Triggers::default(),
@@ -790,6 +747,7 @@ impl ThreadedHost {
         self.pool = Arc::new(Pool::new(n));
         self.pool.sink.offering.store(!self.triggers.is_empty(), Ordering::Release);
         self.incarnations = vec![0; n];
+        self.lives = vec![Life::Up; n];
         self.shells = (0..n).map(|_| None).collect();
         // Faults scheduled before the run (`NemesisWhen::Now` on a
         // building host) that need no live node — cuts and pauses — are
@@ -809,7 +767,7 @@ impl ThreadedHost {
             let rng = master.fork();
             let process = factory(me);
             self.factories.push(factory);
-            self.install(me, process, LogStore::default(), rng, Event::Init);
+            self.install(me, process, StableStorage::new(), rng, Event::Init);
         }
         let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
         self.workers = (0..workers)
@@ -832,7 +790,7 @@ impl ThreadedHost {
         &self,
         me: NodeId,
         process: Box<dyn Process>,
-        storage: LogStore,
+        storage: StableStorage,
         rng: Rng,
         first: Event,
     ) {
@@ -844,10 +802,8 @@ impl ThreadedHost {
             storage,
             stats: MsgStats::default(),
             spans: SpanTotals::default(),
-            deferred: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            deferred: TimeQueue::default(),
             timer_seq: 0,
-            defer_seq: 0,
         };
         let idx = me.0 as usize;
         *self.pool.slots[idx].state() = Some(NodeState {
@@ -948,102 +904,95 @@ impl ThreadedHost {
         self.shells.get(node.0 as usize).and_then(|s| s.as_ref()).and_then(|s| s.process.as_deref())
     }
 
-    /// Reads back a node's stable log. Only available after
-    /// [`ThreadedHost::stop`], for the same ownership reason as
-    /// [`ThreadedHost::process_ref`].
+    /// A node's stable storage (empty for a node that panicked). Only
+    /// available after [`ThreadedHost::stop`], for the same ownership
+    /// reason as [`ThreadedHost::process_ref`].
     ///
     /// # Panics
     ///
     /// Panics if the host has not been stopped.
-    pub fn log_read(&self, node: NodeId, log: &'static str) -> Vec<StableRecord> {
+    pub fn storage(&self, node: NodeId) -> &StableStorage {
         assert!(
             self.is_stopped(),
             "threaded-host log introspection requires stop() — the workers own the logs \
              while running"
         );
-        self.shells
-            .get(node.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map(|s| s.storage.read(log))
-            .unwrap_or_default()
+        static NONE: StableStorage = StableStorage::new();
+        self.shells.get(node.0 as usize).and_then(|s| s.as_ref()).map_or(&NONE, |s| &s.storage)
     }
 
     // ---- fault plane (driver-thread only) --------------------------------
 
-    /// Crashes a node for real: marks it down (senders' messages drop from
-    /// here, no turn starts) and takes its state **under the slot lock**,
-    /// which waits out the handler in flight — a real crash also finishes
-    /// the instruction it is on. The stable logs are parked for recovery;
-    /// the process is dropped and the inbox cleared, wiping all volatile
-    /// state, exactly the §2 crash model.
-    fn crash_node(&mut self, node: NodeId) {
+    /// A lifecycle primitive, where [`Life::next`] says it applies, done
+    /// for real. A crash or a pause is recorded after its barrier (the
+    /// slot lock, which waits out the handler in flight), so it follows
+    /// every event of that handler; a recovery or a resume is recorded
+    /// before the node can run again, so it precedes all the node does
+    /// next.
+    fn transition(&mut self, node: NodeId, prim: Prim) {
         let idx = node.0 as usize;
-        let Some(slot) = self.pool.slots.get(idx) else { return };
-        if slot.down.swap(true, Ordering::AcqRel) {
+        let Some((life, kind)) = self.lives.get(idx).and_then(|l| l.next(prim)) else {
             return;
-        }
-        let state = slot.state().take();
-        slot.inbox().clear();
-        if let Some(state) = state {
-            self.retire(idx, state, true);
-        }
-        self.pool.sink.push(node, TraceKind::Crash);
-    }
-
-    /// Restarts a crashed node: rebuilds the process from its retained
-    /// factory and installs a fresh incarnation over the crashed one's
-    /// stable logs with `Event::Recovered` first. (Nothing sent while it
-    /// was down reaches it: those sends were dropped at the inbox.)
-    fn recover_node(&mut self, node: NodeId) {
-        let idx = node.0 as usize;
-        let Some(slot) = self.pool.slots.get(idx) else { return };
-        if !slot.down.load(Ordering::Acquire) {
-            return;
-        }
-        let Some(shell) = self.shells.get_mut(idx).and_then(|s| s.take()) else {
-            return; // crashed *and* panicked: nothing coherent to restart
         };
-        self.incarnations[idx] += 1;
-        let process = (self.factories[idx])(node);
-        // Fresh deterministic stream per incarnation: same master seed +
-        // node + incarnation → same stream, never a replay of the
-        // pre-crash one.
-        let rng =
-            Rng::new(self.cfg.seed ^ ((idx as u64) << 32) ^ u64::from(self.incarnations[idx]));
-        // Traced first, so everything the new incarnation does follows it.
-        self.pool.sink.push(node, TraceKind::Recover);
-        slot.paused.store(false, Ordering::Release);
-        slot.down.store(false, Ordering::Release);
-        self.install(node, process, shell.storage, rng, Event::Recovered);
-    }
-
-    /// Pauses a node: no turn of it starts from here, inbox accumulating,
-    /// timers going overdue — SIGSTOP semantics without the signal. Taking
-    /// the slot lock once is the barrier: when this returns, the handler
-    /// that was in flight is done and none runs until `Resume`.
-    fn pause_node(&mut self, node: NodeId) {
-        let Some(slot) = self.pool.slots.get(node.0 as usize) else { return };
-        if slot.down.load(Ordering::Acquire) || slot.paused.swap(true, Ordering::AcqRel) {
-            return;
+        let slot = &self.pool.slots[idx];
+        match prim {
+            // Marked down first: senders' messages drop from here and no
+            // turn starts. Then the state is taken under the slot lock — a
+            // real crash also finishes the instruction it is on. The stable
+            // logs are parked for recovery; the process is dropped and the
+            // inbox cleared, wiping all volatile state, exactly the §2
+            // crash model.
+            Prim::Crash(_) => {
+                slot.down.store(true, Ordering::Release);
+                let state = slot.state().take();
+                slot.inbox().clear();
+                if let Some(state) = state {
+                    self.retire(idx, state, true);
+                }
+                self.pool.sink.push(node, kind);
+            }
+            // A fresh process from the retained factory over the crashed
+            // incarnation's stable logs, `Event::Recovered` first. (Nothing
+            // sent while it was down reaches it: those sends were dropped at
+            // the inbox.) A node that panicked left no shell: nothing
+            // coherent to restart, so it stays down.
+            Prim::Recover(_) => {
+                let Some(shell) = self.shells[idx].take() else { return };
+                self.incarnations[idx] += 1;
+                let process = (self.factories[idx])(node);
+                // Fresh deterministic stream per incarnation: same master
+                // seed + node + incarnation → same stream, never a replay of
+                // the pre-crash one.
+                let rng = Rng::new(
+                    self.cfg.seed ^ ((idx as u64) << 32) ^ u64::from(self.incarnations[idx]),
+                );
+                self.pool.sink.push(node, kind);
+                slot.paused.store(false, Ordering::Release);
+                slot.down.store(false, Ordering::Release);
+                self.install(node, process, shell.storage, rng, Event::Recovered);
+            }
+            // No turn of it starts from here, inbox accumulating, timers
+            // going overdue — SIGSTOP semantics without the signal. Past
+            // the barrier, the handler that was in flight is done and none
+            // runs until `Resume`.
+            Prim::Pause(_) => {
+                slot.paused.store(true, Ordering::Release);
+                drop(slot.state());
+                self.pool.sink.push(node, kind);
+            }
+            // Queued again, it fires every overdue timer and drains the
+            // accumulated inbox — late, as after a real SIGCONT. A worker
+            // that found the node paused clears `queued` under the slot
+            // lock; past this barrier the enqueue cannot be lost.
+            Prim::Resume(_) => {
+                self.pool.sink.push(node, kind);
+                slot.paused.store(false, Ordering::Release);
+                drop(slot.state());
+                self.pool.enqueue(idx);
+            }
+            Prim::CutLink { .. } | Prim::HealLink { .. } => return,
         }
-        drop(slot.state());
-        self.pool.sink.push(node, TraceKind::Pause);
-    }
-
-    /// Resumes a paused node: queued again, it fires every overdue timer
-    /// and drains the accumulated inbox — late, as after a real SIGCONT.
-    fn resume_node(&mut self, node: NodeId) {
-        let idx = node.0 as usize;
-        let Some(slot) = self.pool.slots.get(idx) else { return };
-        if !slot.paused.load(Ordering::Acquire) {
-            return;
-        }
-        self.pool.sink.push(node, TraceKind::Resume);
-        slot.paused.store(false, Ordering::Release);
-        // A worker that found the node paused clears `queued` under the
-        // slot lock; past this barrier the enqueue below cannot be lost.
-        drop(slot.state());
-        self.pool.enqueue(idx);
+        self.lives[idx] = life;
     }
 
     /// A scheduled entry fires: an operation is lowered, its primitives
@@ -1064,10 +1013,9 @@ impl ThreadedHost {
         };
         for prim in prims {
             match prim {
-                Prim::Crash(n) => self.crash_node(n),
-                Prim::Recover(n) => self.recover_node(n),
-                Prim::Pause(n) => self.pause_node(n),
-                Prim::Resume(n) => self.resume_node(n),
+                Prim::Crash(n) | Prim::Recover(n) | Prim::Pause(n) | Prim::Resume(n) => {
+                    self.transition(n, prim)
+                }
                 Prim::CutLink { from, to } => {
                     let mut links = self.pool.faults.links();
                     links.cut(from, to);
@@ -1091,16 +1039,12 @@ impl ThreadedHost {
         }
     }
 
-    /// Offers what the workers recorded since the last drain to the armed
-    /// triggers, in order, and appends all of it but the spans to the
-    /// run's trace. The sink's lock is held for one buffer swap.
+    /// Records what the workers pushed since the last drain, in order
+    /// (see [`record`]). The sink's lock is held for one buffer swap.
     fn drain_trace(&mut self) {
         std::mem::swap(&mut self.spare, &mut *self.pool.sink.pending());
         for ev in self.spare.drain(..) {
-            self.triggers.offer(&ev);
-            if !matches!(ev.kind, TraceKind::Span { .. }) {
-                self.trace.push(ev);
-            }
+            record(&mut self.trace, &mut self.triggers, ev);
         }
     }
 
@@ -1126,11 +1070,9 @@ impl ThreadedHost {
     /// ([`Host::trace`]) plus what the workers traced since the last drain.
     /// Like the drained trace, it holds no span.
     pub fn trace_snapshot(&self) -> Trace {
-        let mut trace = self.trace.clone();
+        let (mut trace, mut unarmed) = (self.trace.clone(), Triggers::default());
         for ev in self.pool.sink.pending().iter() {
-            if !matches!(ev.kind, TraceKind::Span { .. }) {
-                trace.push(ev.clone());
-            }
+            record(&mut trace, &mut unarmed, ev.clone());
         }
         trace
     }
@@ -1252,7 +1194,7 @@ mod tests {
     use super::*;
     use etx_base::msg::FdMsg;
     use etx_base::wal::LOG_WAL;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     /// Sends `n` pings to a peer on Init; notes pongs.
@@ -1356,7 +1298,7 @@ mod tests {
             let state = host.pool.slots[0].state();
             let rt = &state.as_ref().expect("the node is up").rt;
             assert_eq!(rt.deferred.len(), 1, "the cancels compacted the queue to the live timer");
-            assert!(rt.cancelled.is_empty(), "and forgot their ids");
+            assert_eq!(rt.deferred.pending_cancels(), 0, "and forgot their ids");
         }
         assert_eq!(host.run_trace_until(Box::new(noted("tick"))), RunOutcome::Predicate);
         host.stop();
@@ -1471,7 +1413,7 @@ mod tests {
             t.count_kind(|k| matches!(k, TraceKind::Note("logged"))) == 1
         }));
         host.stop();
-        assert_eq!(host.log_read(n, LOG_WAL).len(), 1);
+        assert_eq!(host.storage(n).len(LOG_WAL), 1);
         assert!(host.process_ref(n).is_some());
     }
 
@@ -1537,7 +1479,7 @@ mod tests {
         let trace = host.trace_snapshot();
         assert_eq!(trace.count_kind(|k| matches!(k, TraceKind::Crash)), 1);
         assert_eq!(trace.count_kind(|k| matches!(k, TraceKind::Recover)), 1);
-        assert_eq!(host.log_read(n, LOG_WAL).len(), 1, "log written before the crash survives");
+        assert_eq!(host.storage(n).len(LOG_WAL), 1, "log written before the crash survives");
     }
 
     #[test]
@@ -1664,7 +1606,7 @@ mod tests {
     /// running and that each sender's sequence numbers only go up.
     struct Exclusive {
         busy: Arc<AtomicBool>,
-        last: HashMap<NodeId, u64>,
+        last: BTreeMap<NodeId, u64>,
         violations: Arc<AtomicUsize>,
         handled: Arc<AtomicUsize>,
     }
@@ -1695,7 +1637,7 @@ mod tests {
             Box::new(move |_| {
                 Box::new(Exclusive {
                     busy: Arc::clone(&b),
-                    last: HashMap::new(),
+                    last: BTreeMap::new(),
                     violations: Arc::clone(&v),
                     handled: Arc::clone(&h),
                 })
@@ -1888,7 +1830,7 @@ mod tests {
         let crashed = |t: &Trace| t.count_kind(|k| matches!(k, TraceKind::Crash)) == 1;
         assert_eq!(host.run_trace_until(Box::new(crashed)), RunOutcome::Predicate);
         host.stop();
-        let survived = host.log_read(victim, LOG_WAL).len();
+        let survived = host.storage(victim).len(LOG_WAL);
         assert!(
             survived >= 2 && survived.is_multiple_of(2),
             "a pair was torn: {survived} records survive"

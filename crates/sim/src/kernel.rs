@@ -1,12 +1,10 @@
 //! The discrete-event simulation kernel.
 //!
 //! One [`Sim`] hosts all processes of a run. Time is virtual; the kernel
-//! pops the next scheduled action off a priority queue (ordered by time,
+//! pops the next scheduled action off one [`TimeQueue`] (ordered by time,
 //! tie-broken by insertion sequence, so runs are bit-deterministic per
-//! seed), dispatches it, and collects whatever the handler emits.
-//! Cancelled timers leave the queue: a popped one is dropped unseen, and
-//! once they are more than half of it one pass removes them all, so a
-//! protocol that cancels what it no longer needs does not pay to pop it.
+//! seed; cancelled timers leave it unseen), dispatches it, and collects
+//! whatever the handler emits.
 //!
 //! Fault injection is first-class and has one entry,
 //! [`Host::schedule_fault`]: crashes, pauses, cut links and partitions
@@ -14,14 +12,16 @@
 //! right after its first vote"), which is how the integration tests
 //! enumerate the adversarial schedules of the paper's Figure 1(c)/(d) and
 //! beyond. What a fault *means* is `etx_base::fault`'s to say (lowering,
-//! held links, triggers); the kernel's own part is the six primitives and
-//! the queue entries that carry them.
+//! held links, triggers), and what a node is — its lifecycle, its stable
+//! storage, its timers, how its events are recorded — is
+//! `etx_base::host`'s; the kernel's own part is the queue entries that
+//! carry all of it, the paused nodes' stash and the network model.
 
 use crate::net::{sample_delivery_delay, NetConfig};
 use crate::rng::Rng;
-use crate::storage::StableStorage;
 use etx_base::config::CostModel;
 use etx_base::fault::{CapabilityError, FaultOp, Links, NemesisWhen, Prim, Triggers};
+use etx_base::host::{record, Life, TimeQueue, Timed};
 use etx_base::ids::{NodeId, ResultId, TimerId};
 use etx_base::metrics::SpanTotals;
 use etx_base::msg::Payload;
@@ -30,9 +30,7 @@ use etx_base::runtime::{Context, Event, Host, NodeFactory, Process, TimerTag};
 pub use etx_base::runtime::RunOutcome;
 use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, MsgStats, Trace, TraceEvent, TraceKind};
-use etx_base::wal::StableRecord;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use etx_base::wal::{StableRecord, StableStorage};
 
 /// Kernel parameters.
 #[derive(Debug, Clone)]
@@ -96,33 +94,18 @@ fn action_target(a: &Action) -> Option<NodeId> {
     }
 }
 
-struct Entry {
-    at: Time,
-    seq: u64,
-    action: Action,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+impl Timed for Action {
+    fn timer(&self) -> Option<TimerId> {
+        match self {
+            Action::Timer { id, .. } => Some(*id),
+            _ => None,
+        }
     }
 }
 
 struct Slot {
     name: &'static str,
-    up: bool,
-    paused: bool,
+    life: Life,
     incarnation: u32,
     process: Option<Box<dyn Process>>,
     factory: Factory,
@@ -134,8 +117,7 @@ pub struct Sim {
     cfg: SimConfig,
     now: Time,
     processed: u64,
-    seq: u64,
-    queue: BinaryHeap<Reverse<Entry>>,
+    queue: TimeQueue<Action>,
     nodes: Vec<Slot>,
     rng: Rng,
     /// Cut links and what each holds until it heals.
@@ -146,11 +128,6 @@ pub struct Sim {
     /// node at a time, so one accumulator is each node's own.
     spans: SpanTotals,
     timer_seq: u64,
-    /// Cancelled timers not yet popped or compacted away. Ordered, not
-    /// hashed: a hash set that grows and shrinks reallocates or not by
-    /// where its per-process random keys put the tombstones, and a run's
-    /// allocation count is gated to repeat exactly (`tests/alloc_budget.rs`).
-    cancelled: BTreeSet<u64>,
     fd_subscribers: Vec<NodeId>,
     /// Offered every event as it is recorded; what it hit fires at the
     /// end of the step.
@@ -180,8 +157,7 @@ impl Sim {
             cfg,
             now: Time::ZERO,
             processed: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: TimeQueue::default(),
             nodes: Vec::new(),
             rng,
             links: Links::default(),
@@ -189,7 +165,6 @@ impl Sim {
             stats: MsgStats::default(),
             spans: SpanTotals::default(),
             timer_seq: 0,
-            cancelled: BTreeSet::new(),
             fd_subscribers: Vec::new(),
             triggers: Triggers::default(),
             stash: Vec::new(),
@@ -205,20 +180,14 @@ impl Sim {
         let process = factory(id);
         self.nodes.push(Slot {
             name,
-            up: true,
-            paused: false,
+            life: Life::Up,
             incarnation: 0,
             process: Some(process),
             factory,
             storage: StableStorage::new(),
         });
-        self.push(Time::ZERO, Action::Init { node: id });
+        self.queue.push(Time::ZERO, Action::Init { node: id });
         id
-    }
-
-    fn push(&mut self, at: Time, action: Action) {
-        self.seq += 1;
-        self.queue.push(Reverse(Entry { at, seq: self.seq, action }));
     }
 
     /// Current simulated time.
@@ -246,9 +215,9 @@ impl Sim {
         &self.cfg.cost
     }
 
-    /// Whether a node is currently up.
+    /// Whether a node is currently up (running or paused).
     pub fn is_up(&self, node: NodeId) -> bool {
-        self.nodes[node.0 as usize].up
+        self.nodes[node.0 as usize].life != Life::Down
     }
 
     /// Read access to a node's stable storage (test assertions).
@@ -270,17 +239,16 @@ impl Sim {
         let lowered = op.lower();
         self.apply(lowered.now);
         if let Some((after, prims)) = lowered.undo {
-            self.push(self.now + after, Action::Undo { prims });
+            self.queue.push(self.now + after, Action::Undo { prims });
         }
     }
 
     fn apply(&mut self, prims: Vec<Prim>) {
         for prim in prims {
             match prim {
-                Prim::Crash(n) => self.do_crash(n),
-                Prim::Recover(n) => self.do_recover(n),
-                Prim::Pause(n) => self.do_pause(n),
-                Prim::Resume(n) => self.do_resume(n),
+                Prim::Crash(n) | Prim::Recover(n) | Prim::Pause(n) | Prim::Resume(n) => {
+                    self.transition(n, prim)
+                }
                 Prim::CutLink { from, to } => self.links.cut(from, to),
                 // What the link held goes out in send order, each with a
                 // freshly sampled delay from the current instant (the
@@ -288,7 +256,7 @@ impl Sim {
                 Prim::HealLink { from, to } => {
                     for (payload, depth) in self.links.heal(from, to) {
                         let at = self.now + sample_delivery_delay(&self.cfg.net, &mut self.rng);
-                        self.push(at, Action::Deliver { from, to, payload, depth });
+                        self.queue.push(at, Action::Deliver { from, to, payload, depth });
                     }
                 }
             }
@@ -299,45 +267,44 @@ impl Sim {
 
     /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(entry)) = self.queue.pop() else {
+        let Some((at, action, cancelled)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(entry.at >= self.now, "time went backwards");
-        self.now = entry.at;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         self.processed += 1;
         // A cancelled timer goes nowhere — not to its node, not to a paused
-        // node's stash, not to a stale incarnation — and frees its id.
-        if matches!(&entry.action, Action::Timer { id, .. } if self.cancelled.remove(&id.0)) {
+        // node's stash, not to a stale incarnation.
+        if cancelled {
             self.fire_triggers();
             return true;
         }
         // A paused node's inputs are stashed, not dispatched — its inbox
         // keeps filling while it makes no progress (the SIGSTOP story).
         // Fault-plane actions have no target and always execute.
-        if let Some(target) = action_target(&entry.action) {
-            if self.nodes[target.0 as usize].paused {
-                self.stash.push((target, entry.action));
+        if let Some(target) = action_target(&action) {
+            if self.nodes[target.0 as usize].life == Life::Paused {
+                self.stash.push((target, action));
                 self.fire_triggers();
                 return true;
             }
         }
-        match entry.action {
+        match action {
             Action::Init { node } => self.dispatch(node, Event::Init, 0),
             Action::Deliver { from, to, payload, depth } => {
-                if self.nodes[to.0 as usize].up {
+                if self.is_up(to) {
                     self.dispatch(to, Event::Message { from, payload }, depth);
                 } else {
                     self.stats.record_dropped_to_down();
                 }
             }
             Action::Timer { node, incarnation, id, tag, depth } => {
-                let slot = &self.nodes[node.0 as usize];
-                if slot.up && slot.incarnation == incarnation {
+                if self.is_up(node) && self.nodes[node.0 as usize].incarnation == incarnation {
                     self.dispatch(node, Event::Timer { id, tag }, depth);
                 }
             }
             Action::NotifyPeer { node, about, up } => {
-                if self.nodes[node.0 as usize].up {
+                if self.is_up(node) {
                     let ev = if up { Event::NodeUp(about) } else { Event::NodeDown(about) };
                     self.dispatch(node, ev, 0);
                 }
@@ -371,9 +338,9 @@ impl Sim {
     /// Runs until simulated time reaches `deadline` (or the queue drains).
     pub fn run_until_time(&mut self, deadline: Time) -> RunOutcome {
         loop {
-            match self.queue.peek() {
+            match self.queue.next_at() {
                 None => return RunOutcome::Exhausted,
-                Some(Reverse(e)) if e.at > deadline => {
+                Some(at) if at > deadline => {
                     self.now = deadline;
                     return RunOutcome::Predicate;
                 }
@@ -391,77 +358,51 @@ impl Sim {
 
     // ---- internals -------------------------------------------------------
 
-    fn do_crash(&mut self, node: NodeId) {
+    /// A lifecycle primitive, where [`Life::next`] says it applies: the
+    /// node's new state, its record, then what the simulator makes of it.
+    fn transition(&mut self, node: NodeId, prim: Prim) {
         let idx = node.0 as usize;
-        if !self.nodes[idx].up {
+        let Some((life, kind)) = self.nodes[idx].life.next(prim) else {
             return;
+        };
+        self.nodes[idx].life = life;
+        record(&mut self.trace, &mut self.triggers, TraceEvent::new(self.now, node, kind));
+        match prim {
+            // A paused node's undelivered inbox dies with it.
+            Prim::Crash(_) => {
+                self.nodes[idx].process = None;
+                self.stash.retain(|(n, _)| *n != node);
+                self.notify_subscribers(node, false);
+            }
+            Prim::Recover(_) => {
+                let slot = &mut self.nodes[idx];
+                slot.incarnation += 1;
+                slot.process = Some((slot.factory)(node));
+                self.dispatch(node, Event::Recovered, 0);
+                self.notify_subscribers(node, true);
+            }
+            // Replay everything that arrived during the pause, in arrival
+            // order, at the current instant — late, like after a real SIGCONT.
+            Prim::Resume(_) => {
+                let (replay, kept): (Vec<_>, Vec<_>) =
+                    std::mem::take(&mut self.stash).into_iter().partition(|(n, _)| *n == node);
+                self.stash = kept;
+                for (_, action) in replay {
+                    self.queue.push(self.now, action);
+                }
+            }
+            _ => {}
         }
-        self.nodes[idx].up = false;
-        self.nodes[idx].process = None;
-        // A paused node can crash; its undelivered inbox dies with it.
-        self.nodes[idx].paused = false;
-        self.stash.retain(|(n, _)| *n != node);
-        record(&mut self.trace, &mut self.triggers, self.now, node, TraceKind::Crash);
-        let detect = self.cfg.net.min_delay;
+    }
+
+    /// Tells every subscriber but `about` itself that it went down or up,
+    /// one minimum network delay from now (the perfect-FD oracle).
+    fn notify_subscribers(&mut self, about: NodeId, up: bool) {
+        let at = self.now + self.cfg.net.min_delay;
         for &s in self.fd_subscribers.clone().iter() {
-            if s != node {
-                self.push(
-                    self.now + detect,
-                    Action::NotifyPeer { node: s, about: node, up: false },
-                );
+            if s != about {
+                self.queue.push(at, Action::NotifyPeer { node: s, about, up });
             }
-        }
-    }
-
-    fn do_recover(&mut self, node: NodeId) {
-        let idx = node.0 as usize;
-        if self.nodes[idx].up {
-            return;
-        }
-        self.nodes[idx].up = true;
-        self.nodes[idx].incarnation += 1;
-        let process = (self.nodes[idx].factory)(node);
-        self.nodes[idx].process = Some(process);
-        record(&mut self.trace, &mut self.triggers, self.now, node, TraceKind::Recover);
-        self.dispatch(node, Event::Recovered, 0);
-        let detect = self.cfg.net.min_delay;
-        for &s in self.fd_subscribers.clone().iter() {
-            if s != node {
-                self.push(self.now + detect, Action::NotifyPeer { node: s, about: node, up: true });
-            }
-        }
-    }
-
-    fn do_pause(&mut self, node: NodeId) {
-        let idx = node.0 as usize;
-        if !self.nodes[idx].up || self.nodes[idx].paused {
-            return;
-        }
-        self.nodes[idx].paused = true;
-        record(&mut self.trace, &mut self.triggers, self.now, node, TraceKind::Pause);
-    }
-
-    fn do_resume(&mut self, node: NodeId) {
-        let idx = node.0 as usize;
-        if !self.nodes[idx].paused {
-            return;
-        }
-        self.nodes[idx].paused = false;
-        record(&mut self.trace, &mut self.triggers, self.now, node, TraceKind::Resume);
-        // Replay everything that arrived during the pause, in arrival
-        // order, at the current instant — late, like after a real SIGCONT.
-        let mut replay = Vec::new();
-        let mut kept = Vec::new();
-        for entry in self.stash.drain(..) {
-            if entry.0 == node {
-                replay.push(entry.1);
-            } else {
-                kept.push(entry);
-            }
-        }
-        self.stash = kept;
-        for action in replay {
-            self.push(self.now, action);
         }
     }
 
@@ -489,9 +430,7 @@ impl Sim {
                 spans: &mut self.spans,
                 triggers: &mut self.triggers,
                 queue: &mut self.queue,
-                seq: &mut self.seq,
                 timer_seq: &mut self.timer_seq,
-                cancelled: &mut self.cancelled,
                 subscribe: &mut subscribe,
             };
             process.on_event(&mut ctx, event);
@@ -501,7 +440,7 @@ impl Sim {
         }
         // The node may have crashed *during* its own handler only via
         // external scheduling, which is processed later; put it back.
-        if self.nodes[idx].up {
+        if self.is_up(node) {
             self.nodes[idx].process = Some(process);
         }
     }
@@ -510,7 +449,7 @@ impl Sim {
     /// step, or between steps by a `Now` fault), in arming order.
     fn fire_triggers(&mut self) {
         for op in self.triggers.fired() {
-            self.push(self.now, Action::Fault { op });
+            self.queue.push(self.now, Action::Fault { op });
         }
     }
 
@@ -566,19 +505,11 @@ impl Host for Sim {
     fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError> {
         match when {
             NemesisWhen::Now => self.fire(op),
-            NemesisWhen::After(d) => self.push(self.now + d, Action::Fault { op }),
+            NemesisWhen::After(d) => self.queue.push(self.now + d, Action::Fault { op }),
             NemesisWhen::OnTrace(pred) => self.triggers.arm(pred, op),
         }
         Ok(())
     }
-}
-
-/// The one way an event enters a simulated run's trace, a process's or
-/// the kernel's own: offered to the armed triggers, then stored.
-fn record(trace: &mut Trace, triggers: &mut Triggers, at: Time, node: NodeId, kind: TraceKind) {
-    let ev = TraceEvent::new(at, node, kind);
-    triggers.offer(&ev);
-    trace.push(ev);
 }
 
 struct SimCtx<'a> {
@@ -595,19 +526,12 @@ struct SimCtx<'a> {
     stats: &'a mut MsgStats,
     spans: &'a mut SpanTotals,
     triggers: &'a mut Triggers,
-    queue: &'a mut BinaryHeap<Reverse<Entry>>,
-    seq: &'a mut u64,
+    queue: &'a mut TimeQueue<Action>,
     timer_seq: &'a mut u64,
-    cancelled: &'a mut BTreeSet<u64>,
     subscribe: &'a mut bool,
 }
 
 impl SimCtx<'_> {
-    fn push(&mut self, at: Time, action: Action) {
-        *self.seq += 1;
-        self.queue.push(Reverse(Entry { at, seq: *self.seq, action }));
-    }
-
     fn send_impl(&mut self, depth_base: u32, extra: Dur, to: NodeId, payload: Payload) {
         let background = payload.is_background();
         let depth = if background { 0 } else { depth_base + 1 };
@@ -621,7 +545,7 @@ impl SimCtx<'_> {
             return;
         };
         let delay = sample_delivery_delay(self.net, self.rng);
-        self.push(depart + delay, Action::Deliver { from: self.me, to, payload, depth });
+        self.queue.push(depart + delay, Action::Deliver { from: self.me, to, payload, depth });
     }
 }
 
@@ -638,22 +562,12 @@ impl Context for SimCtx<'_> {
         *self.timer_seq += 1;
         let id = TimerId(*self.timer_seq);
         let (node, incarnation, depth) = (self.me, self.incarnation, self.depth);
-        self.push(self.now + delay, Action::Timer { node, incarnation, id, tag, depth });
+        self.queue.push(self.now + delay, Action::Timer { node, incarnation, id, tag, depth });
         id
     }
 
-    /// Once cancelled ids are more than half the queue, one pass drops every
-    /// cancelled timer from it and forgets the ids. The queue is totally
-    /// ordered by `(at, seq)`, so what stays pops exactly as it would have.
     fn cancel_timer(&mut self, id: TimerId) {
-        self.cancelled.insert(id.0);
-        if self.cancelled.len() * 2 > self.queue.len() {
-            let cancelled = &*self.cancelled;
-            self.queue.retain(|Reverse(e)| {
-                !matches!(e.action, Action::Timer { id, .. } if cancelled.contains(&id.0))
-            });
-            self.cancelled.clear();
-        }
+        self.queue.cancel(id);
     }
 
     fn random_u64(&mut self) -> u64 {
@@ -674,16 +588,16 @@ impl Context for SimCtx<'_> {
     }
 
     fn trace(&mut self, kind: TraceKind) {
-        record(self.trace, self.triggers, self.now, self.me, kind);
+        record(self.trace, self.triggers, TraceEvent::new(self.now, self.me, kind));
     }
 
-    /// Summed, and offered to the armed triggers like a traced event, but
-    /// not kept in the trace.
+    /// Summed, and recorded (so offered to the armed triggers, and not
+    /// kept) only while a trigger is armed.
     fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
         self.spans.record(comp, dur);
         if !self.triggers.is_empty() {
             let kind = TraceKind::Span { rid, comp, dur };
-            self.triggers.offer(&TraceEvent::new(self.now, self.me, kind));
+            record(self.trace, self.triggers, TraceEvent::new(self.now, self.me, kind));
         }
     }
 

@@ -9,9 +9,13 @@
 //!   retransmission, a cut link holds its traffic until it heals,
 //!   duplicates never surface);
 //! * **crash failures**: crashing a process drops its volatile state; its
-//!   [`storage::StableStorage`] survives, and recovery rebuilds the process
-//!   from its factory (crash-recovery for database servers, crash-stop for
-//!   application servers — the protocol never recovers those);
+//!   [`StableStorage`] survives, and recovery rebuilds the process from its
+//!   factory (crash-recovery for database servers, crash-stop for
+//!   application servers — the protocol never recovers those). Which
+//!   crashes, recoveries, pauses and resumes apply, the storage type, the
+//!   timer queue's order and how an event is recorded are
+//!   `etx_base::host`'s and `etx_base::wal`'s, shared with the threaded
+//!   backend;
 //! * **determinism**: every run is a pure function of its seed. Event
 //!   ordering ties are broken by insertion sequence; randomness comes from a
 //!   self-contained SplitMix64 stream ([`rng`]).
@@ -44,16 +48,17 @@
 
 pub mod kernel;
 pub mod net;
-pub mod storage;
 
 /// Deterministic SplitMix64 stream (shared with the threaded backend; the
 /// module moved to `etx-base` with the runtime seam).
 pub use etx_base::rng;
 
+/// One node's stable storage (the type both hosts keep; re-exported so
+/// `etx_sim::StableStorage` names it).
+pub use etx_base::wal::StableStorage;
 pub use kernel::{RunOutcome, Sim, SimConfig};
 pub use net::NetConfig;
 pub use rng::Rng;
-pub use storage::StableStorage;
 
 #[cfg(test)]
 mod tests {

@@ -5,10 +5,10 @@
 //! and that is what is checked here; that a schedule *replays* per seed is
 //! `tests/determinism.rs`'s job.
 
-use etx::base::fault::{FaultOp, NemesisSchedule, NemesisWhen};
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
-use etx::base::trace::TraceKind;
+use etx::base::trace::{TraceEvent, TraceKind};
 use etx::harness::{check, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder, Workload};
 use etx::sim::RunOutcome;
 
@@ -49,19 +49,14 @@ fn faulted_run_rebuilds_to_the_fault_free_state() {
     let victim = s.shard_primary(0);
     let lag_primary = s.shard_replicas(1)[0];
     let follower = s.shard_replicas(1)[1];
-    let schedule = NemesisSchedule::new()
-        .on_trace(
-            move |ev| ev.node == victim && matches!(ev.kind, TraceKind::DbVote { .. }),
-            FaultOp::CrashFor { node: victim, down_for: Dur::from_millis(15) },
-        )
-        .at(Dur::from_millis(30), FaultOp::Crash(follower))
-        .at(Dur::from_millis(50), FaultOp::Recover(follower))
-        .now(FaultOp::BlockLink {
-            from: lag_primary,
-            to: follower,
-            heal_after: Dur::from_millis(40),
-        });
-    s.apply_schedule(&schedule).unwrap();
+    let first_vote =
+        move |ev: &TraceEvent| ev.node == victim && matches!(ev.kind, TraceKind::DbVote { .. });
+    let crash_for = FaultOp::CrashFor { node: victim, down_for: Dur::from_millis(15) };
+    s.schedule_fault(NemesisWhen::on_trace(first_vote), crash_for).unwrap();
+    s.schedule_fault(NemesisWhen::After(Dur::from_millis(30)), FaultOp::Crash(follower)).unwrap();
+    s.schedule_fault(NemesisWhen::After(Dur::from_millis(50)), FaultOp::Recover(follower)).unwrap();
+    let heal_after = Dur::from_millis(40);
+    s.fault(FaultOp::BlockLink { from: lag_primary, to: follower, heal_after }).unwrap();
     settle(&mut s);
 
     // Both crash/recovery cycles genuinely happened...

@@ -11,12 +11,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use etx::base::config::{FdConfig, ProtocolConfig};
 use etx::base::fault::{FaultOp, NemesisWhen};
-use etx::base::ids::ResultId;
-use etx::base::runtime::{Host, RuntimeKind};
+use etx::base::ids::{NodeId, ResultId};
+use etx::base::runtime::{Context, Event, Host, Process, RuntimeKind};
 use etx::base::time::Dur;
-use etx::base::trace::{Component, TraceKind};
+use etx::base::trace::{Component, Trace, TraceKind};
 use etx::base::value::{Decision, Outcome};
 use etx::harness::{check, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder, Workload};
+use etx::rt::{ThreadedConfig, ThreadedHost};
+use etx::sim::{Sim, SimConfig};
 
 /// Runs `workload` to completion on the given backend and returns the
 /// settled scenario (threads joined, final trace snapshot taken).
@@ -146,7 +148,6 @@ fn concurrent_conserved_pairs_commit_the_same_set_on_both_backends() {
 /// liveness checks, and every follower rebuilds to its primary's state.
 #[test]
 fn a_bounded_cut_means_the_same_on_both_backends() {
-    use etx::base::fault::NemesisSchedule;
     for kind in [RuntimeKind::Sim, RuntimeKind::Threaded] {
         let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 33)
             .runtime(kind)
@@ -159,13 +160,9 @@ fn a_bounded_cut_means_the_same_on_both_backends() {
         let (primary, follower) = (s.shard_replicas(0)[0], s.shard_replicas(0)[1]);
         let apps = s.topo.app_servers.clone();
         let heal_after = Dur::from_millis(40);
-        let schedule = NemesisSchedule::new()
-            .now(FaultOp::BlockLink { from: primary, to: follower, heal_after })
-            .at(
-                Dur::from_millis(1),
-                FaultOp::Partition { a: vec![apps[2]], b: apps[..2].to_vec(), heal_after },
-            );
-        s.apply_schedule(&schedule).unwrap();
+        s.fault(FaultOp::BlockLink { from: primary, to: follower, heal_after }).unwrap();
+        let partition = FaultOp::Partition { a: vec![apps[2]], b: apps[..2].to_vec(), heal_after };
+        s.schedule_fault(NemesisWhen::After(Dur::from_millis(1)), partition).unwrap();
 
         let n = s.requests as usize;
         let out = s.run_until_settled(n);
@@ -192,6 +189,50 @@ fn a_bounded_cut_means_the_same_on_both_backends() {
             }
         }
     }
+}
+
+/// Does nothing: a node whose only events are its lifecycle's.
+struct Idle;
+impl Process for Idle {
+    fn on_event(&mut self, _ctx: &mut dyn Context, _event: Event) {}
+}
+
+/// Pauses an idle node for 20 ms, crashes it at 5 ms and lets 60 ms pass;
+/// returns the node.
+fn pause_then_crash(host: &mut dyn Host) -> NodeId {
+    let n = host.add_node("idle", Box::new(|_| Box::new(Idle)));
+    let pause = FaultOp::PauseFor { node: n, down_for: Dur::from_millis(20) };
+    host.schedule_fault(NemesisWhen::Now, pause).unwrap();
+    host.schedule_fault(NemesisWhen::After(Dur::from_millis(5)), FaultOp::Crash(n)).unwrap();
+    host.quiesce_for(Dur::from_millis(60));
+    n
+}
+
+/// A crash ends a pause, on both backends: the pause's own undo, due
+/// 15 ms after the crash, finds a node that is down and records nothing.
+#[test]
+fn a_crash_ends_a_pause_the_same_way_on_both_backends() {
+    let lifecycle = |trace: &Trace, n: NodeId| -> Vec<TraceKind> {
+        let of_life = |k: &TraceKind| {
+            matches!(
+                k,
+                TraceKind::Pause | TraceKind::Resume | TraceKind::Crash | TraceKind::Recover
+            )
+        };
+        trace
+            .events()
+            .iter()
+            .filter(|ev| ev.node == n && of_life(&ev.kind))
+            .map(|ev| ev.kind.clone())
+            .collect()
+    };
+    let mut sim = Sim::new(SimConfig::with_seed(36));
+    let n = pause_then_crash(&mut sim);
+    assert_eq!(lifecycle(sim.trace(), n), [TraceKind::Pause, TraceKind::Crash], "sim");
+    let mut threads = ThreadedHost::new(ThreadedConfig::with_seed(36));
+    let n = pause_then_crash(&mut threads);
+    threads.stop();
+    assert_eq!(lifecycle(threads.trace(), n), [TraceKind::Pause, TraceKind::Crash], "threaded");
 }
 
 // ---- threaded smoke of the read fast lane -----------------------------------
@@ -375,19 +416,18 @@ fn threaded_scenarios_reject_simulator_internals() {
 }
 
 /// The fault plane is backend-neutral: a threaded scenario accepts a
-/// nemesis schedule, and a stopped host refuses with a typed
+/// scheduled fault, and a stopped host refuses with a typed
 /// [`CapabilityError`] instead of a panic.
 #[test]
 fn threaded_scenarios_accept_fault_schedules() {
-    use etx::base::fault::NemesisSchedule;
     let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 3)
         .runtime(RuntimeKind::Threaded)
         .requests(1)
         .build();
     let app = s.topo.app_servers[2];
-    let schedule = NemesisSchedule::new()
-        .at(Dur::from_millis(1), FaultOp::PauseFor { node: app, down_for: Dur::from_millis(2) });
-    s.apply_schedule(&schedule).expect("threaded backend accepts nemesis schedules");
+    let pause = FaultOp::PauseFor { node: app, down_for: Dur::from_millis(2) };
+    s.schedule_fault(NemesisWhen::After(Dur::from_millis(1)), pause)
+        .expect("threaded backend accepts scheduled faults");
     assert_eq!(s.run_until_settled(1), etx::sim::RunOutcome::Predicate);
     s.stop();
     let err =

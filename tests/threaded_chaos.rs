@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 /// Kill shard 0's primary database — a real OS thread — the moment it
 /// frames a multi-record group WAL append, and bring it back 20 ms later.
-/// The crash must lose the thread's volatile state but not its `LogStore`;
+/// The crash must lose the thread's volatile state but not its `StableStorage`;
 /// recovery replays the half-termination group frame; and the final state
 /// of every replica equals the fault-free reference run's. (The burst
 /// workload commits every request exactly once, so its final state is
