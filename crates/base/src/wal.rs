@@ -158,32 +158,6 @@ mod tests {
     use super::*;
     use crate::ids::{NodeId, RequestId};
 
-    fn rid(seq: u64) -> ResultId {
-        ResultId::first(RequestId { client: NodeId(0), seq })
-    }
-
-    #[test]
-    fn append_read_roundtrip() {
-        let mut s = StableStorage::new();
-        assert!(s.is_empty(LOG_WAL));
-        s.append(LOG_WAL, StableRecord::CoordStart { rid: rid(1) });
-        s.append(LOG_WAL, StableRecord::DbOutcome { rid: rid(1), outcome: Outcome::Commit });
-        assert_eq!(s.len(LOG_WAL), 2);
-        assert_eq!(s.read(LOG_WAL)[0].rid(), rid(1));
-        assert_eq!(s.read("other"), &[]);
-    }
-
-    #[test]
-    fn logs_are_independent() {
-        let mut s = StableStorage::new();
-        s.append("a", StableRecord::CoordStart { rid: rid(1) });
-        s.append("b", StableRecord::CoordStart { rid: rid(2) });
-        assert_eq!(s.len("a"), 1);
-        assert_eq!(s.len("b"), 1);
-        assert_eq!(s.read("a")[0].rid(), rid(1));
-        assert_eq!(s.read("b")[0].rid(), rid(2));
-    }
-
     #[test]
     fn record_rid_projection() {
         let rid = ResultId::first(RequestId { client: NodeId(9), seq: 3 });
