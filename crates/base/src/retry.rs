@@ -22,6 +22,7 @@ use crate::runtime::{Context, TimerTag};
 use crate::time::Dur;
 use crate::trace::TraceKind;
 use crate::value::Request;
+use std::sync::Arc;
 
 /// Which of an attempt's (up to two) timers a call concerns. The
 /// e-Transaction client arms `Primary` for the back-off period and
@@ -35,24 +36,43 @@ pub enum RetryTimer {
     Secondary,
 }
 
-/// Plan iteration shared by every client: hands out the next request and
-/// emits its `Issue` trace exactly once.
-#[derive(Debug, Clone)]
+/// Plan iteration shared by every client: makes the next request at issue
+/// and emits its `Issue` trace exactly once.
+///
+/// A plan is a length and a generator, not a list: request `seq` (1-based)
+/// is made by calling the generator when it is issued, so a client holds
+/// only the requests it has in flight, whatever the length of its plan.
+/// The generator is shared — cloning a plan (a node factory does, at every
+/// start and recovery) bumps a reference count. It must be a pure function
+/// of `seq` whose request carries `id.seq == seq`: a recovered client
+/// re-issues from the start and must make the same requests.
+#[derive(Clone)]
 pub struct IssuePlan {
-    plan: Vec<Request>,
-    next: usize,
+    make: Arc<dyn Fn(u64) -> Request + Send + Sync>,
+    len: u64,
+    next: u64,
+}
+
+impl std::fmt::Debug for IssuePlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IssuePlan").field("len", &self.len).field("next", &self.next).finish()
+    }
 }
 
 impl IssuePlan {
-    /// A plan over the given requests, issued in order.
-    pub fn new(plan: Vec<Request>) -> Self {
-        IssuePlan { plan, next: 0 }
+    /// A plan of `len` requests, request `seq` made by `make(seq)` when it
+    /// is issued, in order from 1.
+    pub fn new(len: u64, make: impl Fn(u64) -> Request + Send + Sync + 'static) -> Self {
+        IssuePlan { make: Arc::new(make), len, next: 1 }
     }
 
     /// Issues the next request (tracing `Issue`), or `None` when the plan
     /// is exhausted.
     pub fn issue_next(&mut self, ctx: &mut dyn Context) -> Option<Request> {
-        let request = self.plan.get(self.next)?.clone();
+        if self.exhausted() {
+            return None;
+        }
+        let request = (self.make)(self.next);
         self.next += 1;
         ctx.trace(TraceKind::Issue { request: request.id });
         Some(request)
@@ -61,22 +81,35 @@ impl IssuePlan {
     /// Sequence number the next issued request will carry (1-based); one
     /// past the last plan entry once exhausted.
     pub fn next_seq(&self) -> u64 {
-        self.plan.get(self.next).map_or(self.plan.len() as u64 + 1, |r| r.id.seq)
+        self.next
     }
 
     /// Whether every request has been issued.
     pub fn exhausted(&self) -> bool {
-        self.next >= self.plan.len()
+        self.next > self.len
     }
 
     /// Total number of requests in the plan.
     pub fn len(&self) -> usize {
-        self.plan.len()
+        self.len as usize
     }
 
     /// Whether the plan is empty.
     pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
+        self.len == 0
+    }
+}
+
+/// A plan over requests already made: request `seq` is the vector's entry
+/// `seq - 1`, which must carry that sequence number.
+impl From<Vec<Request>> for IssuePlan {
+    fn from(requests: Vec<Request>) -> Self {
+        debug_assert!(
+            requests.iter().zip(1..).all(|(r, seq)| { r.id.seq } == seq),
+            "a plan's requests are numbered 1, 2, …"
+        );
+        let len = requests.len() as u64;
+        IssuePlan::new(len, move |seq| requests[seq as usize - 1].clone())
     }
 }
 
@@ -227,8 +260,46 @@ impl AttemptDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::RequestId;
+    use crate::ids::{RequestId, TimerId};
+    use crate::msg::Payload;
+    use crate::time::Time;
     use crate::value::RequestScript;
+    use crate::wal::StableRecord;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A context that keeps the trace and nothing else.
+    #[derive(Default)]
+    struct Traced(Vec<TraceKind>);
+
+    impl Context for Traced {
+        fn now(&self) -> Time {
+            Time::ZERO
+        }
+        fn me(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn set_timer(&mut self, _: Dur, _: TimerTag) -> TimerId {
+            TimerId(0)
+        }
+        fn cancel_timer(&mut self, _: TimerId) {}
+        fn random_u64(&mut self) -> u64 {
+            0
+        }
+        fn log_append(&mut self, _: &'static str, _: StableRecord, _: bool) -> Dur {
+            Dur::ZERO
+        }
+        fn log_read(&self, _: &'static str) -> Vec<StableRecord> {
+            Vec::new()
+        }
+        fn trace(&mut self, kind: TraceKind) {
+            self.0.push(kind);
+        }
+        fn depth(&self) -> u32 {
+            0
+        }
+        fn send_after_at_depth(&mut self, _: u32, _: Dur, _: NodeId, _: Payload) {}
+        fn subscribe_node_events(&mut self) {}
+    }
 
     fn req(seq: u64) -> Request {
         Request { id: RequestId { client: NodeId(0), seq }, script: RequestScript::default() }
@@ -237,11 +308,34 @@ mod tests {
     #[test]
     fn issue_plan_walks_in_order_and_reports_next_seq() {
         // No Context needed for the pure parts.
-        let p = IssuePlan::new(vec![req(1), req(2)]);
+        let p = IssuePlan::from(vec![req(1), req(2)]);
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
         assert_eq!(p.next_seq(), 1);
         assert!(!p.exhausted());
+        assert!(IssuePlan::new(0, req).exhausted());
+    }
+
+    #[test]
+    fn issue_plan_makes_each_request_at_issue_and_shares_its_generator() {
+        let mut ctx = Traced::default();
+        let made = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&made);
+        let mut p = IssuePlan::new(3, move |seq| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            req(seq)
+        });
+        let copy = p.clone();
+        assert_eq!(made.load(Ordering::Relaxed), 0, "nothing is made up front");
+        let seqs: Vec<u64> =
+            std::iter::from_fn(|| p.issue_next(&mut ctx)).map(|r| r.id.seq).collect();
+        assert_eq!(seqs, [1, 2, 3]);
+        assert_eq!(made.load(Ordering::Relaxed), 3, "one request made per issue");
+        assert_eq!(ctx.0.len(), 3, "one Issue traced per request");
+        assert!(p.exhausted());
+        assert_eq!(p.next_seq(), 4);
+        assert_eq!(copy.next_seq(), 1, "a clone walks on its own");
+        assert!(Arc::ptr_eq(&p.make, &copy.make), "a clone shares the generator");
     }
 
     #[test]

@@ -97,7 +97,13 @@ pub enum TraceKind {
         /// Outcome carried by the delivered decision (must be commit —
         /// property A.1 is checked from this).
         outcome: Outcome,
-        /// Client-visible causal depth (communication steps, Figure 7).
+        /// Causal depth of the delivering event (communication steps,
+        /// Figure 7). Only a client's *first* delivery is a per-request
+        /// step count — the one Figure 7 reads. A sequential client issues
+        /// request k + 1 inside request k's delivery, so later deliveries
+        /// carry the depth accumulated over every request before them
+        /// (about 12 per request in the paper's shape: the 4 000th delivery
+        /// reads some 48 000).
         steps: u32,
     },
     /// A baseline client gave up with an exception (never emitted by the

@@ -149,9 +149,10 @@ pub struct DbCall {
 }
 
 impl DbCall {
-    /// A call from an owned op vector (the vector becomes the shared
-    /// allocation every subsequent clone reuses).
-    pub fn new(db: NodeId, ops: Vec<DbOp>) -> Self {
+    /// A call from its operations (an array or a vector; the shared
+    /// allocation every subsequent clone reuses — one allocation from an
+    /// array, a vector's is copied into it).
+    pub fn new(db: NodeId, ops: impl Into<Arc<[DbOp]>>) -> Self {
         DbCall { db, ops: ops.into() }
     }
 }
@@ -181,7 +182,7 @@ pub struct RequestScript {
 
 impl RequestScript {
     /// A script with a single call to one database.
-    pub fn single(db: NodeId, ops: Vec<DbOp>) -> Self {
+    pub fn single(db: NodeId, ops: impl Into<Arc<[DbOp]>>) -> Self {
         RequestScript { calls: vec![DbCall::new(db, ops)], keyed_ops: Arc::from([]) }
     }
 
@@ -191,8 +192,9 @@ impl RequestScript {
     }
 
     /// A key-addressed script: the application server's shard router
-    /// decides which database servers run which operations.
-    pub fn keyed(ops: Vec<DbOp>) -> Self {
+    /// decides which database servers run which operations. From an array
+    /// the op slice is one allocation.
+    pub fn keyed(ops: impl Into<Arc<[DbOp]>>) -> Self {
         RequestScript { calls: Vec::new(), keyed_ops: ops.into() }
     }
 

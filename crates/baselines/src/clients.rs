@@ -59,14 +59,14 @@ impl std::fmt::Debug for SimpleClient {
 
 impl SimpleClient {
     /// Creates a client talking to `server` with the given patience and
-    /// retry policy.
+    /// retry policy, issuing `plan` (a `Vec<Request>` is a plan too).
     pub fn new(
         server: NodeId,
         timeout: Dur,
         policy: RetryPolicy,
-        plan: Vec<etx_base::value::Request>,
+        plan: impl Into<IssuePlan>,
     ) -> Self {
-        SimpleClient { server, timeout, policy, plan: IssuePlan::new(plan), flight: None }
+        SimpleClient { server, timeout, policy, plan: plan.into(), flight: None }
     }
 
     fn issue_next(&mut self, ctx: &mut dyn Context) {

@@ -36,6 +36,7 @@ mod tests {
     use etx_base::config::CostModel;
     use etx_base::fault::{FaultOp, NemesisWhen};
     use etx_base::ids::{NodeId, RequestId, Topology};
+    use etx_base::retry::IssuePlan;
     use etx_base::runtime::Host;
     use etx_base::time::{Dur, Time};
     use etx_base::trace::TraceKind;
@@ -78,7 +79,7 @@ mod tests {
         let mut sim = Sim::new(cfg);
         let server = topo.app_servers[0];
         {
-            let plan = plan.clone();
+            let plan = IssuePlan::from(plan);
             sim.add_node(
                 "client",
                 Box::new(move |_| {

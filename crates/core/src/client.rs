@@ -23,6 +23,11 @@
 //!   runs its own attempt chain concurrently — the high-concurrency load
 //!   shape that feeds the application server's commit pipeline.
 //!
+//! A client holds its window, not its plan: the plan is an
+//! [`IssuePlan`] — a length and a generator — and each request is made
+//! when it is issued, so what the client holds is the requests it has in
+//! flight (one, in the paper's discipline), however long its plan.
+//!
 //! The client is diskless and stateless across requests, as the three-tier
 //! model demands — no stable storage is ever touched here.
 
@@ -33,7 +38,7 @@ use etx_base::retry::{AttemptDriver, IssuePlan, RetryTimer};
 use etx_base::runtime::{Context, Event, Process, TimerTag};
 use etx_base::time::Dur;
 use etx_base::trace::TraceKind;
-use etx_base::value::{Decision, Outcome, Request};
+use etx_base::value::{Decision, Outcome};
 use std::collections::BTreeMap;
 
 /// How the client walks its plan.
@@ -78,8 +83,9 @@ impl std::fmt::Debug for EtxClient {
 
 impl EtxClient {
     /// A sequential client issuing `plan` one request at a time against the
-    /// application servers in `alist` (index 0 = default primary).
-    pub fn new(alist: Vec<NodeId>, cfg: ProtocolConfig, plan: Vec<Request>) -> Self {
+    /// application servers in `alist` (index 0 = default primary). A
+    /// `Vec<Request>` is a plan too.
+    pub fn new(alist: Vec<NodeId>, cfg: ProtocolConfig, plan: impl Into<IssuePlan>) -> Self {
         Self::with_mode(alist, cfg, plan, IssueMode::Sequential)
     }
 
@@ -87,14 +93,14 @@ impl EtxClient {
     pub fn with_mode(
         alist: Vec<NodeId>,
         cfg: ProtocolConfig,
-        plan: Vec<Request>,
+        plan: impl Into<IssuePlan>,
         mode: IssueMode,
     ) -> Self {
         EtxClient {
             alist,
             cfg,
             mode,
-            plan: IssuePlan::new(plan),
+            plan: plan.into(),
             inflight: BTreeMap::new(),
             delivered: Vec::new(),
             last_responder: None,

@@ -494,12 +494,8 @@ impl DbServer {
             1 => self.apply_log_writes(ctx, writes),
             n => {
                 ctx.trace(TraceKind::GroupAppend { len: n as u32 });
-                // The frame is forced iff any member would have been — same
-                // rule as Engine::decide_batch, so framing never weakens a
-                // record's durability.
-                let force = writes.iter().any(|w| w.force);
-                let records = writes.into_iter().map(|w| w.rec).collect();
-                ctx.log_append(LOG_WAL, StableRecord::Group { records }, force);
+                let frame = etx_store::LogWrite::frame(writes);
+                ctx.log_append(LOG_WAL, frame.rec, frame.force);
             }
         }
     }

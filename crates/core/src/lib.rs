@@ -127,6 +127,7 @@ mod tests {
     use etx_base::fault::{FaultOp, NemesisWhen};
     use etx_base::ids::{NodeId, RequestId, ResultId, Topology};
     use etx_base::msg::{ClientMsg, Payload};
+    use etx_base::retry::IssuePlan;
     use etx_base::runtime::{Context, Event, Host, Process};
     use etx_base::time::{Dur, Time};
     use etx_base::trace::TraceKind;
@@ -217,6 +218,7 @@ mod tests {
     ) -> (Sim, Topology) {
         let topo = Topology::new(1, apps, dbs);
         let alist = topo.app_servers.clone();
+        let plan = IssuePlan::from(plan);
         let client = Box::new(move |_| {
             Box::new(EtxClient::new(alist.clone(), protocol(), plan.clone())) as _
         });

@@ -11,6 +11,13 @@
 
 use etx_base::value::{DbCall, OpOutput, ResultValue};
 
+/// An empty accumulator for a result over `calls`, sized once for an entry
+/// per operation and the attempt's: a result is kept as long as its
+/// decision, so it keeps no room to grow.
+pub fn accumulator(calls: &[DbCall]) -> Vec<(String, i64)> {
+    Vec::with_capacity(calls.iter().map(|c| c.ops.len()).sum::<usize>() + 1)
+}
+
 /// Folds one call's outputs into the accumulating result entries.
 pub fn accumulate(call: &DbCall, outputs: &[OpOutput], acc: &mut Vec<(String, i64)>) {
     for (op, out) in call.ops.iter().zip(outputs.iter()) {
@@ -44,7 +51,7 @@ pub fn finish(mut acc: Vec<(String, i64)>, attempt: u32) -> ResultValue {
 /// fractured cross-shard state into a result.
 pub fn merge_read(calls: &[DbCall], outputs: &[Vec<OpOutput>], attempt: u32) -> ResultValue {
     debug_assert_eq!(calls.len(), outputs.len(), "one output batch per routed call");
-    let mut acc = Vec::new();
+    let mut acc = accumulator(calls);
     for (call, outs) in calls.iter().zip(outputs) {
         accumulate(call, outs, &mut acc);
     }

@@ -58,9 +58,11 @@ pub enum Step {
 }
 
 impl Xa {
-    /// Figure 5 `compute()`: starts running `request`'s script.
+    /// Figure 5 `compute()`: starts running `request`'s script, its result
+    /// sized once ([`resultbuild::accumulator`]).
     pub fn compute(ctx: &mut dyn Context, rid: ResultId, request: Request, xa: bool) -> Entered {
-        let mut stage = Xa::Computing { request, xa, call_idx: 0, acc: Vec::new() };
+        let acc = resultbuild::accumulator(&request.script.calls);
+        let mut stage = Xa::Computing { request, xa, call_idx: 0, acc };
         let step = stage.run(ctx, rid, None);
         (stage, step)
     }
@@ -307,6 +309,18 @@ mod tests {
             panic!("a conflict returns from compute()");
         };
         assert_eq!((involved, result.field("conflict")), (vec![A, B], Some(1)));
+    }
+
+    #[test]
+    fn a_finished_result_is_kept_at_its_length() {
+        for dbs in [&[A][..], &[A, B]] {
+            let mut ctx = Recorder::default();
+            let (mut xa, _) = Xa::compute(&mut ctx, rid(1), request(1, dbs), true);
+            let step = dbs.iter().find_map(|_| xa.exec_reply(&mut ctx, rid(1), done()));
+            let Some(Step::Computed { result, .. }) = step else { panic!("compute() returns") };
+            assert_eq!(result.entries.len(), dbs.len() + 1, "one entry per key, and the attempt");
+            assert_eq!(result.entries.capacity(), result.entries.len(), "{} key(s)", dbs.len());
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ use etx_base::config::{
 use etx_base::fault::{CapabilityError, FaultOp, NemesisWhen};
 use etx_base::ids::{NodeId, ResultId, Topology};
 use etx_base::metrics::SpanTotals;
+use etx_base::retry::IssuePlan;
 use etx_base::runtime::{Host, RuntimeKind};
 use etx_base::shard::{ShardId, ShardMap, ShardSpec};
 use etx_base::time::{Dur, Time};
@@ -20,6 +21,7 @@ use etx_core::{AppServer, DbServer, EtxClient, IssueMode, ReplRole};
 use etx_fd::{ForcedSuspicion, HeartbeatFd, ScriptedFd};
 use etx_rt::{ThreadedConfig, ThreadedHost};
 use etx_sim::{NetConfig, RunOutcome, Sim, SimConfig};
+use std::sync::Arc;
 
 /// Which protocol runs the middle tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,9 +349,16 @@ impl ScenarioBuilder {
         let sim = backend.host_mut();
         let seed_data = self.workload.seed_data();
 
-        // Clients first (ids must match Topology::new order).
+        // Clients first (ids must match Topology::new order). A client's
+        // plan is a generator over one shared copy of the workload and the
+        // topology: each request is made when the client issues it.
+        let shared = Arc::new((self.workload.clone(), topo.clone()));
         for &client in &topo.clients {
-            let plan = self.workload.plan(&topo, client, self.requests);
+            let made = Arc::clone(&shared);
+            let plan = IssuePlan::new(self.requests, move |seq| {
+                let (workload, topo) = &*made;
+                workload.request(topo, client, seq)
+            });
             match self.tier {
                 MiddleTier::Etx { .. } | MiddleTier::Pb => {
                     let alist = topo.app_servers.clone();

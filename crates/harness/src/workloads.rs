@@ -150,62 +150,63 @@ impl Workload {
         }
     }
 
-    /// Builds request `seq` for `client` against the given topology.
+    /// Builds request `seq` for `client` against the given topology — a
+    /// pure function of the two, which is what lets a client make each
+    /// request when it issues it instead of holding its plan.
     pub fn request(&self, topo: &Topology, client: NodeId, seq: u64) -> Request {
         let id = RequestId { client, seq };
         let db = |i: usize| topo.db_servers[i % topo.db_servers.len()];
         let script = match self {
             Workload::BankUpdate { amount } => RequestScript::single(
                 db(0),
-                vec![
+                [
                     DbOp::Get { key: "acct".into() },
                     DbOp::Add { key: "acct".into(), delta: *amount },
                 ],
             ),
             Workload::BankTransfer { amount } => RequestScript::from_calls(vec![
-                DbCall::new(db(0), vec![DbOp::Add { key: "checking".into(), delta: -amount }]),
-                DbCall::new(db(1), vec![DbOp::Add { key: "savings".into(), delta: *amount }]),
+                DbCall::new(db(0), [DbOp::Add { key: "checking".into(), delta: -amount }]),
+                DbCall::new(db(1), [DbOp::Add { key: "savings".into(), delta: *amount }]),
             ]),
             Workload::Travel => RequestScript::from_calls(vec![
-                DbCall::new(db(0), vec![DbOp::Reserve { key: "flight:LX1612".into(), qty: 1 }]),
-                DbCall::new(db(1), vec![DbOp::Reserve { key: "hotel:Beau-Rivage".into(), qty: 1 }]),
+                DbCall::new(db(0), [DbOp::Reserve { key: "flight:LX1612".into(), qty: 1 }]),
+                DbCall::new(db(1), [DbOp::Reserve { key: "hotel:Beau-Rivage".into(), qty: 1 }]),
                 DbCall::new(
                     db(2 % topo.db_servers.len().max(1)),
-                    vec![DbOp::Reserve { key: "car:compact".into(), qty: 1 }],
+                    [DbOp::Reserve { key: "car:compact".into(), qty: 1 }],
                 ),
             ]),
             Workload::HotSpot => {
-                RequestScript::single(db(0), vec![DbOp::Add { key: "hot".into(), delta: 1 }])
+                RequestScript::single(db(0), [DbOp::Add { key: "hot".into(), delta: 1 }])
             }
-            Workload::AlwaysDoomed => RequestScript::single(db(0), vec![DbOp::Doom]),
+            Workload::AlwaysDoomed => RequestScript::single(db(0), [DbOp::Doom]),
             Workload::ShardedBank { accounts, cross_pct, amount } => {
                 let n = (*accounts).max(1) as u64;
                 let h = mix(u64::from(client.0) << 32 | seq);
                 let a = h % n;
                 let cross = (h >> 16) % 100 < u64::from(*cross_pct) && n > 1;
-                let ops = if cross {
+                if cross {
                     // Transfer a → b (b distinct from a).
                     let b = (a + 1 + (h >> 32) % (n - 1)) % n;
-                    vec![
+                    RequestScript::keyed([
                         DbOp::Add { key: format!("acct{a}"), delta: -amount },
                         DbOp::Add { key: format!("acct{b}"), delta: *amount },
-                    ]
+                    ])
                 } else {
-                    vec![DbOp::Add { key: format!("acct{a}"), delta: *amount }]
-                };
-                RequestScript::keyed(ops)
+                    RequestScript::keyed([DbOp::Add { key: format!("acct{a}"), delta: *amount }])
+                }
             }
             Workload::HotShard { accounts, hot_pct, amount } => {
                 let n = (*accounts).max(1) as u64;
                 let h = mix(u64::from(client.0) << 32 | seq);
                 let a = if (h >> 8) % 100 < u64::from(*hot_pct) { 0 } else { h % n };
-                RequestScript::keyed(vec![DbOp::Add { key: format!("acct{a}"), delta: *amount }])
+                RequestScript::keyed([DbOp::Add { key: format!("acct{a}"), delta: *amount }])
             }
             Workload::OpenLoopBurst { accounts, amount } => {
                 let n = (*accounts).max(1) as u64;
                 let h = mix(u64::from(client.0) << 32 | seq);
                 let a = h % n;
-                RequestScript::keyed(vec![DbOp::Add { key: format!("acct{a}"), delta: *amount }])
+                RequestScript::keyed([DbOp::Add { key: format!("acct{a}"), delta: *amount }])
             }
             Workload::ReadMostly { accounts, read_pct, amount } => {
                 let n = (*accounts).max(1) as u64;
@@ -216,18 +217,15 @@ impl Workload {
                     // accounts so cross-shard read fan-out gets exercised.
                     if (h >> 40).is_multiple_of(4) && n > 1 {
                         let b = (a + 1 + (h >> 32) % (n - 1)) % n;
-                        RequestScript::keyed(vec![
+                        RequestScript::keyed([
                             DbOp::Get { key: format!("acct{a}") },
                             DbOp::Get { key: format!("acct{b}") },
                         ])
                     } else {
-                        RequestScript::keyed(vec![DbOp::Get { key: format!("acct{a}") }])
+                        RequestScript::keyed([DbOp::Get { key: format!("acct{a}") }])
                     }
                 } else {
-                    RequestScript::keyed(vec![DbOp::Add {
-                        key: format!("acct{a}"),
-                        delta: *amount,
-                    }])
+                    RequestScript::keyed([DbOp::Add { key: format!("acct{a}"), delta: *amount }])
                 }
             }
             Workload::ConservedPairs { pairs, read_pct, amount } => {
@@ -238,7 +236,7 @@ impl Workload {
                 if h % 100 < u64::from(*read_pct) {
                     // Read both accounts of the pair in one script: the
                     // merged result's sum is the invariant under test.
-                    RequestScript::keyed(vec![
+                    RequestScript::keyed([
                         DbOp::Get { key: format!("acct{a}") },
                         DbOp::Get { key: format!("acct{b}") },
                     ])
@@ -252,7 +250,7 @@ impl Workload {
                     // locks in opposite orders and can livelock under
                     // no-wait locking with immediate client retries.
                     let d = if (h >> 20) & 1 == 0 { *amount } else { -amount };
-                    RequestScript::keyed(vec![
+                    RequestScript::keyed([
                         DbOp::Add { key: format!("acct{a}"), delta: -d },
                         DbOp::Add { key: format!("acct{b}"), delta: d },
                     ])
@@ -268,12 +266,9 @@ impl Workload {
                 let pair = seq.div_ceil(2);
                 let a = (mix(u64::from(client.0)) + pair) % n;
                 if seq % 2 == 1 {
-                    RequestScript::keyed(vec![DbOp::Add {
-                        key: format!("acct{a}"),
-                        delta: *amount,
-                    }])
+                    RequestScript::keyed([DbOp::Add { key: format!("acct{a}"), delta: *amount }])
                 } else {
-                    RequestScript::keyed(vec![DbOp::Get { key: format!("acct{a}") }])
+                    RequestScript::keyed([DbOp::Get { key: format!("acct{a}") }])
                 }
             }
         };
@@ -289,11 +284,6 @@ impl Workload {
                 | Workload::ReadMostly { .. }
                 | Workload::ConservedPairs { .. }
         )
-    }
-
-    /// Builds the first `n` requests of a client's plan.
-    pub fn plan(&self, topo: &Topology, client: NodeId, n: u64) -> Vec<Request> {
-        (1..=n).map(|seq| self.request(topo, client, seq)).collect()
     }
 }
 
@@ -464,10 +454,15 @@ mod tests {
 
     #[test]
     fn plan_is_sequential() {
+        // The scenario's plans are made request by request: request `seq`
+        // carries `seq`, and making it twice makes the same request.
         let topo = Topology::new(1, 3, 1);
-        let plan = Workload::HotSpot.plan(&topo, topo.clients[0], 4);
+        let client = topo.clients[0];
+        let plan: Vec<Request> =
+            (1..=4).map(|seq| Workload::HotSpot.request(&topo, client, seq)).collect();
         assert_eq!(plan.len(), 4);
         assert_eq!({ plan[0].id.seq }, 1);
         assert_eq!({ plan[3].id.seq }, 4);
+        assert_eq!(plan[3], Workload::HotSpot.request(&topo, client, 4));
     }
 }

@@ -35,6 +35,19 @@ pub struct LogWrite {
     pub force: bool,
 }
 
+impl LogWrite {
+    /// Frames `writes` into one [`StableRecord::Group`] append, in order.
+    /// The frame is forced iff any member would have been, so framing never
+    /// weakens a record's durability; its record vector is allocated at its
+    /// length, as it stays in the log.
+    pub fn frame(writes: Vec<LogWrite>) -> LogWrite {
+        let force = writes.iter().any(|w| w.force);
+        let mut records = Vec::with_capacity(writes.len());
+        records.extend(writes.into_iter().map(|w| w.rec));
+        LogWrite { rec: StableRecord::Group { records }, force }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BranchState {
     Active,
@@ -434,16 +447,14 @@ impl Engine {
         entries: &[(ResultId, Outcome)],
     ) -> (Vec<(ResultId, Outcome)>, Vec<LogWrite>) {
         let mut acks = Vec::with_capacity(entries.len());
-        let mut writes = Vec::new();
+        let mut writes = Vec::with_capacity(entries.len());
         for &(rid, outcome) in entries {
             let (applied, write) = self.decide_one(rid, outcome);
             acks.push((rid, applied));
             writes.extend(write);
         }
         if writes.len() > 1 {
-            let force = writes.iter().any(|w| w.force);
-            let records = writes.into_iter().map(|w| w.rec).collect();
-            writes = vec![LogWrite { rec: StableRecord::Group { records }, force }];
+            writes = vec![LogWrite::frame(writes)];
         }
         (acks, writes)
     }
@@ -1102,6 +1113,26 @@ mod tests {
         let (_, w) = e2.decide_batch(&[(rid(9), Outcome::Commit)]);
         assert_eq!(w.len(), 1);
         assert!(matches!(w[0].rec, StableRecord::DbOutcome { .. }), "no frame around one record");
+    }
+
+    #[test]
+    fn a_decided_batch_leaves_a_frame_at_its_length() {
+        let mut e = Engine::new();
+        let entries: Vec<_> = (1..=11u64)
+            .map(|i| {
+                e.execute(rid(i), &[put(&format!("f{i}"), 1)]);
+                e.vote(rid(i));
+                (rid(i), Outcome::Commit)
+            })
+            .collect();
+        let (_, writes) = e.decide_batch(&entries);
+        let [LogWrite { rec: StableRecord::Group { records }, force: true }] = writes.as_slice()
+        else {
+            panic!("one forced frame: {writes:?}");
+        };
+        assert_eq!((records.len(), records.capacity()), (11, 11), "no growth slack in the log");
+        let unforced = |i| LogWrite { rec: StableRecord::CoordStart { rid: rid(i) }, force: false };
+        assert!(!LogWrite::frame(vec![unforced(1), unforced(2)]).force, "forced iff a member is");
     }
 
     #[test]

@@ -9,10 +9,14 @@
 //! the number of events the simulator pops to deliver it, which is what a
 //! timer that fires for nothing, or a cancelled one still in the queue,
 //! costs — and the number of trace events it stores, which is what a
-//! figure recorded as an event instead of summed by its node costs. This
-//! binary owns its process (one `#[test]`, a counting
-//! `#[global_allocator]`) and runs a small `commit_sim16`-shaped scenario —
-//! the saturated sharded write pipeline `etx_bench` measures — twice.
+//! figure recorded as an event instead of summed by its node costs. Before
+//! any of that, the heap the scenario's `build()` leaves live must not
+//! depend on how many requests each client will issue: a client makes each
+//! request at issue and holds its window, not its plan. This binary owns
+//! its process (one `#[test]`, a counting `#[global_allocator]`), builds
+//! the scenario at two plan lengths, and runs a small
+//! `commit_sim16`-shaped scenario — the saturated sharded write pipeline
+//! `etx_bench` measures — twice.
 //!
 //! That the count repeats **exactly** is an observation, not a guarantee:
 //! 200 of 200 executions of this binary read the same figure in both runs.
@@ -119,13 +123,15 @@ const EVENTS_CEILING: f64 = 15.9;
 /// trace events.
 const RETAINED_PARENT: f64 = 2_489.0;
 
-/// The retained-heap budget: the figure of the change that last set it
-/// (2 028, when spans left the trace), plus 5 %. Most of it is the trace
-/// and the WAL; a change that regrows an id or a record pays here first.
-/// The trace counts by capacity, which doubles: this run's 14 117 events
-/// with spans and 9 056 without fill one buffer of 16 384, so dropping
-/// spans left the figure where it was.
-const RETAINED_CEILING: f64 = 2_130.0;
+/// The retained-heap budget: the figure of the change that last set it,
+/// plus 5 %. Most of it is the trace and the WAL; a change that regrows an
+/// id or a record pays here first. The trace counts by capacity, which
+/// doubles: this run's 14 117 events with spans and 9 056 without fill one
+/// buffer of 16 384, so dropping spans left the figure where it was
+/// (2 028, ceiling 2 130). Keeping results and WAL group frames at their
+/// length — no growth slack in an entry vector or a frame's record vector —
+/// took it to 1 944, ceiling 2 041.
+const RETAINED_CEILING: f64 = 2_041.0;
 
 /// Trace events stored per delivered commit at the parent of the change
 /// that introduced the trace budget: every modelled service time a
@@ -136,24 +142,49 @@ const TRACE_PARENT: f64 = 17.65;
 /// spans summed per node, not traced), plus 5 %.
 const TRACE_CEILING: f64 = 11.9;
 
-/// Builds the scenario — 16 shards × rf 2, 3 application servers, batch
-/// 64 / 1 ms, speculation, closed-loop clients, write-only
-/// sharded bank — runs it to the last delivery, and returns the
-/// allocations the run made, the heap bytes it left live, the events the
-/// simulator processed and the trace events it stored.
-fn one_run() -> (u64, i64, u64, usize) {
+/// Requests per client of the long plan the build gate compares with
+/// [`REQUESTS`].
+const LONG_PLAN: u64 = 5_000;
+
+/// How far the heap `ScenarioBuilder::build` leaves live may differ between
+/// a plan of [`REQUESTS`] and one of [`LONG_PLAN`] per client. Clients make
+/// each request when they issue it, so a plan's length is one number; at
+/// the parent of the gate every client held its whole plan, built up
+/// front, and the long plan kept megabytes more.
+const BUILD_SLACK: i64 = 64;
+
+/// The scenario — 16 shards × rf 2, 3 application servers, batch 64 /
+/// 1 ms, speculation, closed-loop clients, write-only sharded bank — with
+/// `requests` per client.
+fn scenario(requests: u64) -> ScenarioBuilder {
     let (_, features) = feature_corners()
         .into_iter()
         .find(|(name, _)| *name == "pipelined")
         .expect("the feature set etx_bench runs commit_sim16 under");
-    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 7_018)
+    ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 7_018)
         .features(features)
         .shards(16)
         .replication(2)
         .clients(CLIENTS)
-        .requests(REQUESTS)
+        .requests(requests)
         .workload(Workload::ShardedBank { accounts: 1_024, cross_pct: 10, amount: 7 })
-        .build();
+}
+
+/// The heap bytes `build()` leaves live for a plan of `requests` per client.
+fn built(requests: u64) -> i64 {
+    let builder = scenario(requests);
+    let live = LIVE.get();
+    let s = builder.build();
+    let kept = LIVE.get() - live;
+    drop(s);
+    kept
+}
+
+/// Builds the scenario, runs it to the last delivery, and returns the
+/// allocations the run made, the heap bytes it left live, the events the
+/// simulator processed and the trace events it stored.
+fn one_run() -> (u64, i64, u64, usize) {
+    let mut s = scenario(REQUESTS).build();
     let (before, live) = (ALLOCATIONS.get(), LIVE.get());
     let outcome = s.run_until_settled(CLIENTS * REQUESTS as usize);
     let (allocations, retained) = (ALLOCATIONS.get() - before, LIVE.get() - live);
@@ -164,6 +195,15 @@ fn one_run() -> (u64, i64, u64, usize) {
 
 #[test]
 fn the_commit_path_stays_within_its_allocation_budget() {
+    let (short, long) = (built(REQUESTS), built(LONG_PLAN));
+    println!(
+        "build() keeps {short} bytes at {REQUESTS} requests per client, {long} at {LONG_PLAN}"
+    );
+    assert!(
+        (long - short).abs() <= BUILD_SLACK,
+        "build() keeps {short} bytes for {REQUESTS} requests per client and {long} for \
+         {LONG_PLAN}: a client holds its window, not its plan"
+    );
     let ((first, retained, events, traced), (second, _, again, retraced)) = (one_run(), one_run());
     assert_eq!(first, second, "one seed, two allocation counts: see the module doc for suspects");
     assert_eq!(events, again, "one seed, two event counts");
