@@ -34,7 +34,7 @@ use etx_base::trace::{Component, TraceKind};
 use etx_base::value::{Outcome, Vote};
 use etx_base::wal::{StableRecord, LOG_WAL};
 use etx_store::Engine;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A database server's place in its shard replica group.
 ///
@@ -110,7 +110,7 @@ pub struct DbServer {
     /// clears intents older than its mint) leans on every mint postdating
     /// the settlement of everything prepared before it. Only populated
     /// when leases are enabled.
-    unsettled_xa: HashSet<ResultId>,
+    unsettled_xa: BTreeSet<ResultId>,
     /// Primary role: yes votes on cross-shard branches being withheld
     /// until every follower acknowledges the branch's [`ReplMsg::Intent`]
     /// — or until the escape horizon at which every lease outstanding
@@ -122,7 +122,7 @@ pub struct DbServer {
     /// in-doubt veto) or holds no valid lease at all. Volatile: a crash
     /// drops held votes with the rest of the in-flight work, and the
     /// cleaner aborts the orphaned branches.
-    held_votes: HashMap<ResultId, HeldVote>,
+    held_votes: BTreeMap<ResultId, HeldVote>,
     /// Follower role: cross-shard branches announced as in doubt by this
     /// shard's primary ([`ReplMsg::Intent`]) and not yet resolved. While
     /// any intent is live the follower forwards fast-path reads to the
@@ -131,7 +131,7 @@ pub struct DbServer {
     /// commit applies here, or when a lease renewal minted after the
     /// branch settled arrives (which is how aborts — whose outcome never
     /// ships — get cleared). Volatile, like the lease it guards.
-    live_intents: HashMap<ResultId, Time>,
+    live_intents: BTreeMap<ResultId, Time>,
     /// Follower role: the grant floor of the lease held ([`ReplMsg::
     /// LeaseRenew::floor`]): serving under the lease additionally requires
     /// the applied position to have reached it, so a bare renewal can
@@ -158,7 +158,7 @@ struct HeldVote {
     /// than this.
     send_at: Time,
     /// Followers that have acknowledged the intent so far.
-    acks: HashSet<NodeId>,
+    acks: BTreeSet<NodeId>,
 }
 
 impl std::fmt::Debug for DbServer {
@@ -197,9 +197,9 @@ impl DbServer {
             lease_granted: Time::ZERO,
             lease_through: Time::ZERO,
             lease_fence: Time::ZERO,
-            unsettled_xa: HashSet::new(),
-            held_votes: HashMap::new(),
-            live_intents: HashMap::new(),
+            unsettled_xa: BTreeSet::new(),
+            held_votes: BTreeMap::new(),
+            live_intents: BTreeMap::new(),
             lease_floor: 0,
         }
     }
@@ -554,7 +554,12 @@ impl DbServer {
                     let at = ctx.now();
                     self.held_votes.insert(
                         rid,
-                        HeldVote { to: from, vote, send_at: ctx.now() + dur, acks: HashSet::new() },
+                        HeldVote {
+                            to: from,
+                            vote,
+                            send_at: ctx.now() + dur,
+                            acks: BTreeSet::new(),
+                        },
                     );
                     for f in self.repl.followers.clone() {
                         ctx.send(f, Payload::Repl(ReplMsg::Intent { rid, at }));
@@ -616,7 +621,7 @@ impl DbServer {
                 // re-delivery, presumed abort, the §2 decide contract).
                 // Entries already in the memo are re-deliveries: answered,
                 // never re-processed, traced or charged.
-                let already: HashSet<ResultId> = entries
+                let already: BTreeSet<ResultId> = entries
                     .iter()
                     .filter(|(rid, _)| self.engine.decision(*rid).is_some())
                     .map(|&(rid, _)| rid)

@@ -24,13 +24,13 @@
 //! both grows and shrinks on the path — where its tombstones fall decides
 //! whether a full table rehashes in place or reallocates. The simulator's
 //! cancelled-timer set was one (off by one allocation in a fifth of all
-//! executions) and is an ordered set for that reason. The hashed tables
-//! still on the path are `Engine::{branches, decided}` and
-//! `LockTable::entries` (etx-store), `DbServer::{unsettled_xa, held_votes,
-//! live_intents}` (etx-core) and the vote/ack sets of a consensus round;
-//! none of them has shown it in this scenario. If the two runs ever differ
-//! by an allocation or two, suspect those (a fixed hasher or an ordered
-//! type settles it) before the protocol.
+//! executions) and is an ordered set for that reason; etx-core has used
+//! none since (its `clippy.toml` refuses them). The hashed tables still on
+//! the path are `Engine::{branches, decided}` and `LockTable::{entries,
+//! shared}` (etx-store) and the estimate/ack tables of a consensus round
+//! (etx-consensus); none of them has shown it in this scenario. If the two
+//! runs ever differ by an allocation or two, suspect those (a fixed hasher
+//! or an ordered type settles it) before the protocol.
 
 use etx::harness::{feature_corners, MiddleTier, ScenarioBuilder, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
