@@ -353,8 +353,7 @@ pub struct ProtocolConfig {
     /// always starting at `a1`.
     pub route_to_last_responder: bool,
     /// The optional protocol features (batching, read fast lane, read
-    /// leases, speculation, pipelining), defaulting to all-off — the
-    /// paper's shape.
+    /// leases, speculation), defaulting to all-off — the paper's shape.
     pub features: FeatureSet,
 }
 
@@ -370,6 +369,25 @@ impl Default for ProtocolConfig {
             consensus_round_patience: Dur::from_millis(40),
             route_to_last_responder: false,
             features: FeatureSet::default(),
+        }
+    }
+}
+
+impl ProtocolConfig {
+    /// The protocol timers at [`CostModel::fast_for_tests`] scale: every
+    /// period shrunk to milliseconds, with the default's orderings (the
+    /// back-off above the re-broadcast, both above the terminate retry) and
+    /// its flat re-broadcast cadence, paper routing and features off.
+    pub fn fast_for_tests() -> Self {
+        ProtocolConfig {
+            client_backoff: Dur::from_millis(30),
+            client_rebroadcast: Dur::from_millis(20),
+            client_rebroadcast_max: Dur::from_millis(20),
+            terminate_retry: Dur::from_millis(10),
+            cleaner_interval: Dur::from_millis(5),
+            consensus_resync: Dur::from_millis(8),
+            consensus_round_patience: Dur::from_millis(4),
+            ..ProtocolConfig::default()
         }
     }
 }
@@ -629,6 +647,21 @@ mod tests {
         assert!(!p.features.read_path.enabled, "paper-faithful default read route");
         assert!(!p.features.read_leases.enabled, "paper-faithful default follower gate");
         assert!(!p.features.speculation.enabled, "paper-faithful default execute order");
+        // The fast preset only shrinks timers: the same orderings, the same
+        // flat cadence, routing and features as the default.
+        let fast = ProtocolConfig::fast_for_tests();
+        for q in [&p, &fast] {
+            assert!(q.client_backoff > q.client_rebroadcast);
+            assert!(q.client_rebroadcast > q.terminate_retry);
+            assert_eq!(q.client_rebroadcast_max, q.client_rebroadcast, "flat cadence");
+            assert!(q.cleaner_interval < q.terminate_retry);
+            assert!(q.consensus_round_patience < q.consensus_resync);
+        }
+        assert!(
+            fast.client_backoff < p.client_backoff && fast.consensus_resync < p.consensus_resync
+        );
+        assert!(!fast.route_to_last_responder);
+        assert_eq!(fast.features, FeatureSet::default());
         let fd = FdConfig::default();
         assert!(fd.initial_timeout > fd.heartbeat_every);
         assert!(fd.max_timeout > fd.initial_timeout);

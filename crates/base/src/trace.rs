@@ -7,8 +7,15 @@
 //! checked after the fact. The Figure 8 latency breakdown is not in it:
 //! it comes from the per-component totals each host sums beside the
 //! trace ([`crate::metrics::SpanTotals`]).
+//!
+//! A kind is stored because someone reads it: the §3 checker
+//! (`etx_harness::properties::check`), the benchmark (`etx_bench`), or a
+//! test accessor on the scenario (fault triggers match on kinds so read).
+//! A fact that only a test checks is read from the process's own state
+//! through an observability accessor instead, not recorded once per
+//! occurrence in every run.
 
-use crate::ids::{NodeId, RegId, RequestId, ResultId};
+use crate::ids::{NodeId, RequestId, ResultId};
 use crate::time::{Dur, Time};
 use crate::value::{Outcome, Vote};
 use core::fmt;
@@ -139,14 +146,6 @@ pub enum TraceKind {
         /// Applied outcome.
         outcome: Outcome,
     },
-    /// An application server routed a key-addressed script into per-shard
-    /// XA branches (evidence for fast-path and fan-out assertions).
-    ShardRoute {
-        /// The attempt routed.
-        rid: ResultId,
-        /// How many distinct shards its branches span.
-        shards: u32,
-    },
     /// A follower database applied replicated committed state from its
     /// shard primary (asynchronous intra-shard replication).
     DbReplicated {
@@ -168,17 +167,6 @@ pub enum TraceKind {
     FollowerRead {
         /// The read-only attempt served.
         rid: ResultId,
-    },
-    /// A multi-shard fast-path read's collect disagreed with its
-    /// predecessor (a shard's commit position moved, or a read key had an
-    /// in-doubt write) and the issuer started another collect — the
-    /// snapshot-validation loop that keeps cross-shard fan-out reads
-    /// transactionally atomic.
-    ReadSnapshotRound {
-        /// The read-only attempt being re-collected.
-        rid: ResultId,
-        /// The collect round just issued (1 = first validation re-collect).
-        round: u32,
     },
     /// A multi-shard fast-path read exhausted its snapshot-validation
     /// budget and its attempt ended: the server answers abort, and the
@@ -231,15 +219,6 @@ pub enum TraceKind {
         /// The read-only attempt refused.
         rid: ResultId,
     },
-    /// A lease-granting shard primary held its yes vote on a cross-shard
-    /// branch until its followers acknowledged the branch's in-doubt
-    /// intent (or every outstanding lease lapsed) — the handshake that
-    /// keeps an in-lease follower from serving the stale half of a
-    /// half-applied cross-shard transaction.
-    VoteHeld {
-        /// The branch whose vote was held.
-        rid: ResultId,
-    },
     /// A recovering shard primary installed its write-ack fence: commit
     /// acknowledgements are withheld until `until`, by which point every
     /// read lease the deposed incarnation could have granted has expired —
@@ -248,11 +227,6 @@ pub enum TraceKind {
     LeaseFence {
         /// When the fence lifts.
         until: Time,
-    },
-    /// A wo-register reached a decision at this node (first local knowledge).
-    RegDecided {
-        /// Which register.
-        reg: RegId,
     },
     /// An application server applied a decided decision-log slot: `len`
     /// request outcomes became final in one consensus round. Emitted by the
@@ -294,21 +268,6 @@ pub enum TraceKind {
     /// decide-then-execute path.
     SpecAbort {
         /// The decided slot whose speculation was thrown away.
-        slot: u64,
-    },
-    /// A client's watermark entered the middle tier at this server and
-    /// settled decision-log slot `slot` for good (register-array GC, §5):
-    /// every request the slot carried is below its client's watermark, so
-    /// the server compacted the slot's consensus instance to a tombstone —
-    /// the result payloads can never be needed again, but the slot stays
-    /// decided, so a lagging replica can never re-open the position. The
-    /// event marks the watermark's *ingress*: one per settled slot, at the
-    /// server the client's request reached. The other replicas learn the
-    /// same watermark from a claim in the log and compact their copy of
-    /// the slot when they apply it, which is a consequence of this event,
-    /// not a second one.
-    SlotGc {
-        /// Log position of the compacted slot.
         slot: u64,
     },
     /// A latency span attributed to a Figure 8 component. `dur` is modelled

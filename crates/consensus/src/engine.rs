@@ -32,7 +32,6 @@ use etx_base::ids::{NodeId, RegId};
 use etx_base::msg::{ConsensusMsg, Payload};
 use etx_base::runtime::{Context, Event, TimerTag};
 use etx_base::time::Dur;
-use etx_base::trace::TraceKind;
 use etx_base::value::RegValue;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -382,7 +381,7 @@ impl ConsensusEngine {
             return;
         }
         let value = i.proposal.clone().expect("acks imply a proposal");
-        self.record_decision(ctx, inst, value.clone());
+        self.record_decision(inst, value.clone());
         for p in self.peers.clone() {
             if p != me {
                 ctx.send(
@@ -393,18 +392,17 @@ impl ConsensusEngine {
         }
     }
 
-    fn learn(&mut self, ctx: &mut dyn Context, inst: RegId, value: RegValue) {
+    fn learn(&mut self, inst: RegId, value: RegValue) {
         if !self.decided.contains_key(&inst) {
-            self.record_decision(ctx, inst, value);
+            self.record_decision(inst, value);
         }
     }
 
     /// Closes an undecided instance with its final value: the round state
     /// goes, the value stays.
-    fn record_decision(&mut self, ctx: &mut dyn Context, inst: RegId, value: RegValue) {
+    fn record_decision(&mut self, inst: RegId, value: RegValue) {
         self.instances.remove(&inst);
         self.decided.insert(inst, value.clone());
-        ctx.trace(TraceKind::RegDecided { reg: inst });
         self.fresh.push((inst, value));
     }
 
@@ -475,7 +473,7 @@ impl ConsensusEngine {
                 }
             }
             ConsensusMsg::Decide { inst, value } => {
-                self.learn(ctx, inst, value);
+                self.learn(inst, value);
             }
             ConsensusMsg::DecideReq { inst } => {
                 if let Some(v) = self.decided(inst).cloned() {

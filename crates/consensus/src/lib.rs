@@ -107,6 +107,7 @@ mod tests {
     use etx_base::ids::{NodeId, RegId};
     use etx_base::runtime::{Context, Event, Host, Process};
     use etx_base::time::{Dur, Time};
+    use etx_base::trace::TraceKind;
     use etx_base::value::RegValue;
     use etx_fd::{FailureDetector, HeartbeatFd};
     use etx_sim::{Sim, SimConfig};
@@ -116,7 +117,8 @@ mod tests {
     /// Shared observation board the test hosts report decisions to.
     type Board = Arc<Mutex<HashMap<(NodeId, RegId), RegValue>>>;
 
-    /// A host that proposes planned values and records every decision.
+    /// A host that proposes planned values and records every decision: on
+    /// the board, and as a "decided" note in the trace.
     struct RegHost {
         me: NodeId,
         fd: HeartbeatFd,
@@ -155,6 +157,7 @@ mod tests {
             }
             for ev in self.regs.handle(ctx, &event, &sus) {
                 let WoEvent::Decided { reg, value } = ev;
+                ctx.trace(TraceKind::Note("decided"));
                 self.board.lock().unwrap().insert((self.me, reg), value);
             }
             self.fire_due(ctx);
@@ -259,9 +262,7 @@ mod tests {
         let r = reg(4);
         let (mut sim, ids, board) = build(11, 3, vec![vec![(Time::ZERO, r, claim_by(NodeId(0)))]]);
         sim.schedule_fault(
-            NemesisWhen::on_trace(move |ev| {
-                matches!(ev.kind, etx_base::trace::TraceKind::RegDecided { reg } if reg == r)
-            }),
+            NemesisWhen::on_trace(|ev| ev.kind == TraceKind::Note("decided")),
             FaultOp::Crash(ids[0]),
         )
         .unwrap();

@@ -274,8 +274,7 @@ impl AppServer {
     /// carried a newer watermark (how the servers a client never talks to
     /// hear it), so it is one prefix drain of the client's window in each
     /// table: the cost is what it removes (plus any stale attempt still
-    /// mid-protocol), independent of requests served. Returns the
-    /// outcome-carrying decision-log slots this pass compacted.
+    /// mid-protocol), independent of requests served.
     ///
     /// A stale attempt whose outcome this server initiated and the log has
     /// not decided — queued here, queued in the log or in a slot still in
@@ -294,7 +293,7 @@ impl AppServer {
     /// request settles only after its result reached the client, which is
     /// after every database decided, and a decided database answers a late
     /// `Decide` from its memo.
-    fn gc_below(&mut self, ctx: &mut dyn Context, client: NodeId, ack_below: u64) -> Vec<u64> {
+    fn gc_below(&mut self, ctx: &mut dyn Context, client: NodeId, ack_below: u64) {
         // At rest: terminated, watched — or still waiting for an owner,
         // which the log will never name for a settled request. What stays
         // is mid-protocol, or owes the log an outcome (aborted below). The
@@ -320,11 +319,8 @@ impl AppServer {
         // cleaner may not have heard this client's watermark and re-propose a
         // member attempt as `(nil, abort)`, which must lose to the original
         // outcome everywhere. Only the result payloads are shed.
-        let mut shed = Vec::new();
         for (slot, tombstone) in self.log.gc_client(client, ack_below) {
-            if self.regs.compact(RegId::slot(slot), RegValue::Batch(tombstone)) {
-                shed.push(slot);
-            }
+            self.regs.compact(RegId::slot(slot), RegValue::Batch(tombstone));
         }
         self.lane.gc_below(client, ack_below);
         // Outcomes this server still owed a decision never reach
@@ -335,7 +331,6 @@ impl AppServer {
         let stale = ResultId::below(client, ack_below);
         self.batch_queue.retain(|(rid, _)| !stale.contains(rid));
         self.committed_cache.below(client, ack_below, |_, _| false);
-        shed
     }
 
     /// Number of per-attempt state machines currently held (observability /
@@ -353,6 +348,23 @@ impl AppServer {
     /// resync timer walks (observability / GC tests).
     pub fn open_registers(&self) -> usize {
         self.regs.open_registers()
+    }
+
+    /// The next decision-log slot this server will apply: every slot below
+    /// it is decided and applied here (observability / catch-up tests).
+    pub fn log_applied_up_to(&self) -> u64 {
+        self.log.applied_up_to()
+    }
+
+    /// Applied decision-log slots whose register still holds result
+    /// payloads: not yet compacted to an outcomes-only tombstone, because
+    /// some member is not below its client's watermark (observability / GC
+    /// tests).
+    pub fn payload_slots(&self) -> usize {
+        (0..self.log.applied_up_to())
+            .filter_map(|slot| self.regs.read(RegId::slot(slot)))
+            .filter(|RegValue::Batch(b)| b.outcomes.iter().any(|(_, d)| d.result.is_some()))
+            .count()
     }
 
     /// Per-attempt records the decision log holds — decisions, owners (what
@@ -384,12 +396,9 @@ impl AppServer {
         // Garbage collection (§5 leaves it open; this is the natural hook):
         // the client's watermark tells us which of its requests are settled
         // forever — their attempts can never be retransmitted again and
-        // their register/log state can go. The trace records the slots
-        // shed here, where the watermark enters the middle tier; the
-        // replicas that follow it through the log shed theirs silently.
-        for slot in self.gc_below(ctx, request.id.client, ack_below) {
-            ctx.trace(TraceKind::SlotGc { slot });
-        }
+        // their register/log state can go. The replicas that do not hear
+        // from the client follow the watermark through the log.
+        self.gc_below(ctx, request.id.client, ack_below);
         // Figure 5 line 3: if this request already committed, answer from
         // the cached decision.
         if let Some((crid, decision)) = self.committed_cache.get(cached(request.id)).cloned() {
@@ -419,10 +428,7 @@ impl AppServer {
                 // XA branches (deterministic — every replica derives the
                 // same plan), charge the dispatch cost ("start" row), then
                 // find out who owns it.
-                let (request, routed) = crate::router::materialize(request, &self.shards);
-                if let Some(span) = routed {
-                    ctx.trace(TraceKind::ShardRoute { rid, shards: span });
-                }
+                let request = crate::router::materialize(request, &self.shards);
                 // Already decided — a cleaner aborted it before the request
                 // got here (a crashed server's pre-claim, typically): there
                 // is nothing to compute. Terminate with the log's decision,

@@ -550,7 +550,6 @@ impl DbServer {
                     // retransmitted: a lost one just rides out the escape
                     // horizon (minting is withheld while the branch is
                     // unsettled, so the horizon cannot grow meanwhile).
-                    ctx.trace(TraceKind::VoteHeld { rid });
                     let at = ctx.now();
                     self.held_votes.insert(
                         rid,

@@ -135,21 +135,6 @@ mod tests {
     use etx_fd::HeartbeatFd;
     use etx_sim::{NetConfig, Sim, SimConfig};
 
-    /// The protocol timers every test here runs under.
-    fn protocol() -> ProtocolConfig {
-        ProtocolConfig {
-            client_backoff: Dur::from_millis(30),
-            client_rebroadcast: Dur::from_millis(20),
-            client_rebroadcast_max: Dur::from_millis(20),
-            terminate_retry: Dur::from_millis(10),
-            cleaner_interval: Dur::from_millis(5),
-            consensus_resync: Dur::from_millis(8),
-            consensus_round_patience: Dur::from_millis(4),
-            route_to_last_responder: false,
-            features: etx_base::config::FeatureSet::default(),
-        }
-    }
-
     /// Builds a full three-tier system: one client process made by
     /// `client`, the application servers and databases of `topo` under
     /// `pcfg`. Node ids follow `Topology::new` order: client first.
@@ -220,9 +205,10 @@ mod tests {
         let alist = topo.app_servers.clone();
         let plan = IssuePlan::from(plan);
         let client = Box::new(move |_| {
-            Box::new(EtxClient::new(alist.clone(), protocol(), plan.clone())) as _
+            Box::new(EtxClient::new(alist.clone(), ProtocolConfig::fast_for_tests(), plan.clone()))
+                as _
         });
-        (build_with(seed, &topo, protocol(), client, seed_data), topo)
+        (build_with(seed, &topo, ProtocolConfig::fast_for_tests(), client, seed_data), topo)
     }
 
     fn bank_request(client: NodeId, seq: u64, db: NodeId) -> Request {
@@ -496,7 +482,7 @@ mod tests {
             (Dur::ZERO, b, frame(1, db1, 1)),
             (Dur::from_millis(10), a, frame(2, db3, 2)),
         ];
-        let mut pcfg = protocol();
+        let mut pcfg = ProtocolConfig::fast_for_tests();
         pcfg.features.batching = BatchingConfig::new(64, Dur::from_millis(50));
         let puppet = Box::new(move |_| Box::new(Puppet(plan.clone())) as _);
         let mut sim = build_with(23, &topo, pcfg, puppet, vec![("acct".into(), 0)]);

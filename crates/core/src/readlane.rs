@@ -434,7 +434,6 @@ impl ReadLane {
         }
         state.round = rounds;
         state.indoubt = false;
-        ctx.trace(TraceKind::ReadSnapshotRound { rid, round: rounds });
         // Re-collects follow first-dispatch routing: primaries by
         // default (authoritative positions make `stable` attainable),
         // in-lease followers when a lease is in force — a follower

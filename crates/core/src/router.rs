@@ -67,17 +67,14 @@ pub fn route(ops: &[DbOp], map: &ShardMap) -> RoutedPlan {
 }
 
 /// Materializes a request for execution: key-addressed scripts are routed
-/// into explicit per-shard calls (returning how many shards the
-/// transaction spans); explicitly-addressed scripts pass through untouched
-/// (`None` — no routing happened).
-pub fn materialize(request: Request, map: &ShardMap) -> (Request, Option<u32>) {
+/// into explicit per-shard calls, one per shard the transaction spans;
+/// explicitly-addressed scripts pass through untouched.
+pub fn materialize(request: Request, map: &ShardMap) -> Request {
     if !request.script.is_keyed() {
-        return (request, None);
+        return request;
     }
     let plan = route(&request.script.keyed_ops, map);
-    let span = plan.shards.len() as u32;
-    let routed = Request { id: request.id, script: RequestScript::from_calls(plan.calls) };
-    (routed, Some(span))
+    Request { id: request.id, script: RequestScript::from_calls(plan.calls) }
 }
 
 #[cfg(test)]
@@ -143,15 +140,13 @@ mod tests {
         let m = map(2);
         let id = RequestId { client: NodeId(0), seq: 1 };
         let keyed = Request { id, script: RequestScript::keyed(vec![add("k")]) };
-        let (routed, span) = materialize(keyed, &m);
+        let routed = materialize(keyed, &m);
         assert!(!routed.script.is_keyed());
-        assert_eq!(span, Some(1));
-        assert_eq!(routed.script.calls.len(), 1);
+        assert_eq!(routed.script.calls.len(), 1, "one key, one shard, one call");
 
         let explicit = Request { id, script: RequestScript::single(NodeId(11), vec![add("k")]) };
-        let (same, span) = materialize(explicit.clone(), &m);
+        let same = materialize(explicit.clone(), &m);
         assert_eq!(same, explicit, "explicit scripts bypass routing");
-        assert_eq!(span, None);
     }
 
     #[test]

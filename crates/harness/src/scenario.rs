@@ -122,17 +122,7 @@ impl ScenarioBuilder {
             max_delay: Dur::from_micros(300),
             ..NetConfig::default()
         };
-        b.pcfg = ProtocolConfig {
-            client_backoff: Dur::from_millis(30),
-            client_rebroadcast: Dur::from_millis(20),
-            client_rebroadcast_max: Dur::from_millis(20),
-            terminate_retry: Dur::from_millis(10),
-            cleaner_interval: Dur::from_millis(5),
-            consensus_resync: Dur::from_millis(8),
-            consensus_round_patience: Dur::from_millis(4),
-            route_to_last_responder: false,
-            features: FeatureSet::default(),
-        };
+        b.pcfg = ProtocolConfig::fast_for_tests();
         b.fd = FdConfig {
             heartbeat_every: Dur::from_millis(2),
             initial_timeout: Dur::from_millis(8),
@@ -903,15 +893,25 @@ impl Scenario {
         self.shard_map.replicas(ShardId(shard))
     }
 
-    /// Count of distinct attempts routed across more than one shard.
-    /// (Deduplicated by attempt id: every application-server replica that
-    /// materializes an attempt traces its own `ShardRoute`, and client
-    /// rebroadcasts under faults add more — raw event counts overstate.)
+    /// Count of distinct attempts voted on (`DbVote`) at more than one
+    /// shard of [`Scenario::shard_map`]: transactions whose branches really
+    /// spanned shards. An attempt counts once however many replicas,
+    /// re-sent prepares or crashes it met, and not at all if it ended
+    /// before a second shard voted. (Flat scenarios map one shard to each
+    /// database.)
     pub fn cross_shard_routes(&self) -> usize {
-        self.distinct_rids(|k| match k {
-            TraceKind::ShardRoute { rid, shards } if *shards > 1 => Some(*rid),
-            _ => None,
-        })
+        let mut voted: std::collections::BTreeMap<ResultId, ShardId> =
+            std::collections::BTreeMap::new();
+        let mut spanning = std::collections::BTreeSet::new();
+        for e in self.trace().events() {
+            if let TraceKind::DbVote { rid, .. } = e.kind {
+                let Some(shard) = self.shard_map.shard_of_node(e.node) else { continue };
+                if *voted.entry(rid).or_insert(shard) != shard {
+                    spanning.insert(rid);
+                }
+            }
+        }
+        spanning.len()
     }
 
     /// Per-request client-perceived latency in milliseconds: delivery time

@@ -1839,7 +1839,7 @@ mod tests {
 
     // ---- the one trace ---------------------------------------------------
 
-    /// Traces `SlotGc { slot }` for slot 0, 1, 2, … up to `total`, 100 a
+    /// Traces `SpecAbort { slot }` for slot 0, 1, 2, … up to `total`, 100 a
     /// turn, each turn ending in a message to itself that queues the next;
     /// notes "done" after the last.
     struct Numbered {
@@ -1853,7 +1853,7 @@ mod tests {
             }
             let end = (self.next + 100).min(self.total);
             for slot in self.next..end {
-                ctx.trace(TraceKind::SlotGc { slot });
+                ctx.trace(TraceKind::SpecAbort { slot });
             }
             self.next = end;
             if end < self.total {
@@ -1887,7 +1887,7 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].at <= w[1].at), "the trace went back in time");
         let mut next = [0; NODES];
         for e in events {
-            if let TraceKind::SlotGc { slot } = e.kind {
+            if let TraceKind::SpecAbort { slot } = e.kind {
                 let expected = &mut next[e.node.0 as usize];
                 assert_eq!(slot, *expected, "{:?} traced out of its own order", e.node);
                 *expected += 1;

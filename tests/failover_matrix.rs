@@ -7,6 +7,7 @@ use etx::base::fault::{FaultOp, NemesisWhen, TracePred};
 use etx::base::time::Dur;
 use etx::base::trace::{Component, TraceKind};
 use etx::harness::{check, feature_corners, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
+use etx::protocol::AppServer;
 use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy)]
@@ -194,16 +195,20 @@ fn a_recovered_app_server_catches_up_in_linear_messages() {
             .assert_ok();
 
         let slots = s
-            .trace()
-            .events()
+            .topo
+            .app_servers
             .iter()
-            .filter_map(|e| match e.kind {
-                TraceKind::RegDecided { reg } => reg.slot_index(),
-                _ => None,
+            .map(|&node| {
+                let process = s.sim().process_ref(node).expect("every server recovered");
+                let app: &AppServer = process
+                    .as_any()
+                    .and_then(|any| any.downcast_ref())
+                    .expect("application servers expose themselves for introspection");
+                app.log_applied_up_to()
             })
             .max()
-            .expect("the log decided slots")
-            + 1;
+            .expect("three servers");
+        assert!(slots > 0, "seed {seed}: the log decided slots");
         let pulls = s.stats().sent("CDecideReq");
         assert!(pulls <= 2 * slots, "seed {seed}: {pulls} pulls over a log of {slots} slots");
     }

@@ -3,11 +3,22 @@
 
 use etx::base::config::ProtocolConfig;
 use etx::base::fault::{FaultOp, NemesisWhen};
+use etx::base::ids::NodeId;
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
-use etx::harness::{check, LivenessChecks, MiddleTier, ScenarioBuilder, Workload};
+use etx::harness::{check, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder, Workload};
 use etx::protocol::AppServer;
+
+/// The application server at `node`, which must be up.
+fn app_server(s: &Scenario, node: NodeId) -> &AppServer {
+    s.sim()
+        .process_ref(node)
+        .expect("no application server crashed")
+        .as_any()
+        .and_then(|any| any.downcast_ref())
+        .expect("application servers expose themselves for introspection")
+}
 
 #[test]
 fn long_request_stream_stays_correct_with_gc() {
@@ -24,13 +35,16 @@ fn long_request_stream_stays_correct_with_gc() {
     s.quiesce(Dur::from_millis(300));
     assert_eq!(s.delivered_commits(), 30);
     assert_eq!(s.db_commits(), 30);
-    // The register bank must shed decision-log slots as the client's
-    // watermark advances — a long stream may not accumulate one consensus
-    // instance per slot forever.
-    assert!(
-        s.trace().count_kind(|k| matches!(k, TraceKind::SlotGc { .. })) > 0,
-        "settled decision-log slots must be garbage-collected"
-    );
+    // Every replica's register bank must shed decision-log slots as the
+    // client's watermark advances — a long stream may not accumulate one
+    // result payload per slot forever. The sequential client's window is
+    // its one open request: only that request's slot may still carry its
+    // result, at the ingress server and at the two that follow the
+    // watermark through the log alike.
+    for &node in &s.topo.app_servers {
+        let payloads = app_server(&s, node).payload_slots();
+        assert!(payloads <= 1, "{node}: {payloads} decided slots still carry results");
+    }
     check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
 }
 
@@ -56,11 +70,7 @@ fn two_thousand_requests_leave_only_open_work_behind() {
     s.quiesce(Dur::from_millis(300));
     assert_eq!(s.delivered_commits(), REQUESTS as usize);
     for &node in &s.topo.app_servers {
-        let process = s.sim().process_ref(node).expect("no application server crashed");
-        let app: &AppServer = process
-            .as_any()
-            .and_then(|any| any.downcast_ref())
-            .expect("application servers expose themselves for introspection");
+        let app = app_server(&s, node);
         assert!(app.open_registers() <= 4, "{node}: {} open registers", app.open_registers());
         assert!(app.in_flight_attempts() <= 4, "{node}: {} attempts", app.in_flight_attempts());
         assert!(app.cleaned_attempts() <= 4, "{node}: {} in clist", app.cleaned_attempts());
@@ -96,18 +106,10 @@ fn adaptive_routing_recovers_faster_after_primary_death() {
     // the primary's crash must strictly beat the paper-faithful policy
     // (which pays one back-off per request).
     let run = |adaptive: bool| {
-        let mut pcfg = ProtocolConfig {
-            client_backoff: Dur::from_millis(30),
-            client_rebroadcast: Dur::from_millis(20),
-            client_rebroadcast_max: Dur::from_millis(20),
-            terminate_retry: Dur::from_millis(10),
-            cleaner_interval: Dur::from_millis(5),
-            consensus_resync: Dur::from_millis(8),
-            consensus_round_patience: Dur::from_millis(4),
+        let pcfg = ProtocolConfig {
             route_to_last_responder: adaptive,
-            features: etx_base::config::FeatureSet::default(),
+            ..ProtocolConfig::fast_for_tests()
         };
-        pcfg.route_to_last_responder = adaptive;
         let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 887)
             .protocol(pcfg)
             .workload(Workload::BankUpdate { amount: 1 })

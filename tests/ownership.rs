@@ -268,15 +268,9 @@ fn only_the_server_a_client_tries_first_pre_claims() {
     let run = |adaptive: bool| {
         // `ScenarioBuilder::fast`'s protocol timers, with the routing flag.
         let protocol = ProtocolConfig {
-            client_backoff: Dur::from_millis(30),
-            client_rebroadcast: Dur::from_millis(20),
-            client_rebroadcast_max: Dur::from_millis(20),
-            terminate_retry: Dur::from_millis(10),
-            cleaner_interval: Dur::from_millis(5),
-            consensus_resync: Dur::from_millis(8),
-            consensus_round_patience: Dur::from_millis(4),
             route_to_last_responder: adaptive,
             features: pipelined(),
+            ..ProtocolConfig::fast_for_tests()
         };
         let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 1740)
             .protocol(protocol)

@@ -43,12 +43,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// sharded crash-recovery, a batched burst). They guard against an *unintended*
 /// trace change: a PR that means to leave messages, timers and trace
 /// events alone must leave these alone, and one that changes the protocol
-/// on purpose re-pins them once and says so. (Last re-pinned when spans
-/// left the trace for the nodes' span totals: each hash is that of the
-/// earlier trace with its `Span` events removed.)
-const GOLDEN_FAILOVER: u64 = 0x9DA1_330F_B074_D74B;
-const GOLDEN_SHARDED: u64 = 0x5531_7924_5DD1_C74B;
-const GOLDEN_BATCHED: u64 = 0x74B9_4E2E_0792_618D;
+/// on purpose re-pins them once and says so. (Last re-pinned when the
+/// trace stopped storing the kinds nobody read — register decisions, slot
+/// GC, shard routes, held votes and snapshot re-collects: each hash is
+/// that of the earlier trace with those events removed. The time before,
+/// spans left the trace for the nodes' span totals the same way.)
+const GOLDEN_FAILOVER: u64 = 0x5FB4_BCC7_6508_1EC4;
+const GOLDEN_SHARDED: u64 = 0x054D_B9C8_EFE7_BB6C;
+const GOLDEN_BATCHED: u64 = 0x9C08_E903_1643_97D8;
 
 fn trace_bytes(mut s: Scenario, settle: usize) -> Vec<u8> {
     s.run_until_settled(settle);

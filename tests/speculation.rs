@@ -229,7 +229,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// what they cannot: where `SpecExec` frames ship, where the crash lands,
 /// and how the survivors finish the orphaned slots. A change that means
 /// to leave the protocol alone leaves it alone.
-const GOLDEN_PIPELINED: u64 = 0xAA52_E345_9C0A_C6A0;
+const GOLDEN_PIPELINED: u64 = 0xC684_A150_57E0_D61E;
 
 #[test]
 fn the_speculating_burst_replays_its_golden_trace() {

@@ -156,15 +156,8 @@ fn partition_on_the_primarys_first_batched_slot_heals_and_settles() {
     // The fast-test protocol profile, plus a real back-off ceiling (the
     // stock profiles keep base == max, i.e. the paper's flat cadence).
     let pcfg = ProtocolConfig {
-        client_backoff: Dur::from_millis(30),
-        client_rebroadcast: Dur::from_millis(20),
         client_rebroadcast_max: Dur::from_millis(160),
-        terminate_retry: Dur::from_millis(10),
-        cleaner_interval: Dur::from_millis(5),
-        consensus_resync: Dur::from_millis(8),
-        consensus_round_patience: Dur::from_millis(4),
-        route_to_last_responder: false,
-        features: FeatureSet::default(),
+        ..ProtocolConfig::fast_for_tests()
     };
     let mut exercised = false;
     for attempt in 0u64..6 {
