@@ -33,7 +33,7 @@ use etx_base::msg::{ConsensusMsg, Payload};
 use etx_base::runtime::{Context, Event, TimerTag};
 use etx_base::time::Dur;
 use etx_base::value::RegValue;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Predicate type used to query the owner's failure detector.
 pub type Suspects<'a> = &'a dyn Fn(NodeId) -> bool;
@@ -61,11 +61,11 @@ struct Instance {
     /// Round in which `est` was adopted from a coordinator (0 = own/initial).
     ts: u32,
     /// Coordinator-side: estimates collected for the current round.
-    estimates: HashMap<NodeId, (Option<RegValue>, u32)>,
+    estimates: BTreeMap<NodeId, (Option<RegValue>, u32)>,
     /// Coordinator-side: the value proposed in the current round.
     proposal: Option<RegValue>,
     /// Coordinator-side: acks collected for the current round.
-    acks: HashSet<NodeId>,
+    acks: BTreeSet<NodeId>,
     /// Participant-side: whether we already acked this round.
     acked: bool,
 }

@@ -111,11 +111,11 @@ mod tests {
     use etx_base::value::RegValue;
     use etx_fd::{FailureDetector, HeartbeatFd};
     use etx_sim::{Sim, SimConfig};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
 
     /// Shared observation board the test hosts report decisions to.
-    type Board = Arc<Mutex<HashMap<(NodeId, RegId), RegValue>>>;
+    type Board = Arc<Mutex<BTreeMap<(NodeId, RegId), RegValue>>>;
 
     /// A host that proposes planned values and records every decision: on
     /// the board, and as a "decided" note in the trace.
@@ -173,7 +173,7 @@ mod tests {
         n: usize,
         plans: Vec<Vec<(Time, RegId, RegValue)>>,
     ) -> (Sim, Vec<NodeId>, Board) {
-        let board: Board = Arc::new(Mutex::new(HashMap::new()));
+        let board: Board = Arc::new(Mutex::new(BTreeMap::new()));
         let mut sim = Sim::new(SimConfig::with_seed(seed));
         let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         for i in 0..n {

@@ -23,7 +23,7 @@ use etx_base::ids::ResultId;
 use etx_base::time::Dur;
 use etx_base::value::{DbOp, ExecStatus, OpOutput, Outcome, Vote};
 use etx_base::wal::StableRecord;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A log record the host must append, and whether it must be forced
 /// (synchronous) before the operation's reply may leave the server.
@@ -113,9 +113,9 @@ pub struct ReplApply {
 #[derive(Debug, Default)]
 pub struct Engine {
     data: BTreeMap<String, i64>,
-    branches: HashMap<ResultId, Branch>,
+    branches: BTreeMap<ResultId, Branch>,
     locks: LockTable,
-    decided: HashMap<ResultId, Outcome>,
+    decided: BTreeMap<ResultId, Outcome>,
     /// Primary role: dense counter of locally decided commits (ship order).
     ship_seq: u64,
     /// Primary role: committed write sets awaiting broadcast by the host.
@@ -674,7 +674,7 @@ impl Engine {
         log: &[StableRecord],
     ) -> Engine {
         let mut e = Engine::with_data(seed);
-        let mut prepared: HashMap<ResultId, Vec<(String, i64)>> = HashMap::new();
+        let mut prepared: BTreeMap<ResultId, Vec<(String, i64)>> = BTreeMap::new();
         // Group frames (batched commit / batched replication appends)
         // unfold to their members in order: framing is a durability
         // optimisation, invisible to replay semantics.

@@ -9,7 +9,7 @@
 //! (§4, footnote 4) without introducing deadlocks into the simulation.
 
 use etx_base::ids::ResultId;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Lock strength.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +22,7 @@ pub enum LockMode {
 
 #[derive(Debug, Default)]
 struct LockEntry {
-    shared: HashSet<ResultId>,
+    shared: BTreeSet<ResultId>,
     exclusive: Option<ResultId>,
 }
 
@@ -38,7 +38,7 @@ pub enum LockGrant {
 /// A per-database lock table keyed by record key.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    entries: HashMap<String, LockEntry>,
+    entries: BTreeMap<String, LockEntry>,
 }
 
 impl LockTable {
