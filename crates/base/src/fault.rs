@@ -31,7 +31,7 @@
 //! simulator makes every operation an entry of its virtual-time event
 //! queue, so a schedule replays with the run, per seed; the multi-threaded
 //! backend applies the same primitives for real — a crash takes the node's
-//! state out from under its workers (stable logs survive for restart,
+//! state out from under its worker (stable logs survive for restart,
 //! volatile state does not), a pause gates the node with its inbox
 //! accumulating (the SIGSTOP story), a cut stops real sends.
 

@@ -14,7 +14,7 @@
 //!
 //! What is left to a host is its own. The simulator has its virtual-time
 //! queue of every action of the run, its paused-node stash and its
-//! network sampling. The threaded backend has its worker pool, its slot
+//! network sampling. The threaded backend has its one worker, its slot
 //! locks, the worker-visible `down` / `paused` flags and a deferred queue
 //! per node.
 

@@ -12,10 +12,11 @@
 //! the rules of [`crate::host`]. Two hosts exist — the
 //! deterministic discrete-event simulator in `etx-sim` (virtual clock,
 //! byte-identical replay) and the multi-threaded backend in `etx-rt` (one
-//! inbox per node, a core-sized pool of worker threads, real monotonic
-//! clocks, wall-clock numbers). The *identical* protocol state machines run on both, and
-//! [`Host::schedule_fault`] is the one way a fault enters either — the
-//! sim's simulated ones and the threaded backend's real ones alike.
+//! inbox per node, one worker thread for every node beside the driver's,
+//! real monotonic clocks, wall-clock numbers). The *identical* protocol
+//! state machines run on both, and [`Host::schedule_fault`] is the one way
+//! a fault enters either — the sim's simulated ones and the threaded
+//! backend's real ones alike.
 
 use crate::fault::{CapabilityError, FaultOp, NemesisWhen};
 use crate::ids::{NodeId, RegId, ResultId, TimerId};
@@ -249,10 +250,10 @@ pub fn jittered(ctx: &mut dyn Context, d: Dur, frac: f64) -> Dur {
 
 /// A protocol participant: one state machine per hosted process.
 ///
-/// `Send` is a supertrait because the threaded runtime backend runs each
-/// process on whichever worker thread picks its node up (and hands it back
-/// at shutdown for post-run introspection). Processes are plain owned data, so this costs
-/// implementors nothing.
+/// `Send` is a supertrait because the threaded runtime backend runs every
+/// process on its worker thread, not the thread that built it (and hands
+/// it back at shutdown for post-run introspection). Processes are plain
+/// owned data, so this costs implementors nothing.
 pub trait Process: Send {
     /// Handles one event. All sends/timers go through `ctx`. The handler
     /// runs to completion instantaneously in simulated time; real elapsed
@@ -301,9 +302,9 @@ pub enum RuntimeKind {
     /// The default — every deterministic test and golden trace lives here.
     #[default]
     Sim,
-    /// The multi-threaded backend (`etx-rt`): one inbox per node, a
-    /// core-sized pool of worker threads, real monotonic clocks, wall-clock
-    /// throughput, and *real* fault injection — a crash waits out the
+    /// The multi-threaded backend (`etx-rt`): one inbox per node, one
+    /// worker thread for every node beside the driver's, real monotonic
+    /// clocks, wall-clock throughput, and *real* fault injection — a crash waits out the
     /// victim's handler and drops its state, a pause gates it.
     /// Not deterministic — by design; golden traces stay on the simulator.
     Threaded,

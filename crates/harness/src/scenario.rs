@@ -712,7 +712,7 @@ impl Scenario {
         self.backend.host_mut().quiesce_for(extra);
     }
 
-    /// Shuts the run down: on the threaded backend, joins the workers
+    /// Shuts the run down: on the threaded backend, joins the worker
     /// (unlocking post-run process/log introspection), which drains the
     /// rest of the trace and takes every node's remaining counts and spans
     /// into the host's totals. No-op on the simulator, which has no
@@ -943,7 +943,7 @@ impl Scenario {
     /// convergence.
     ///
     /// Takes `&mut self` because on the threaded backend the logs belong
-    /// to their nodes while the workers run: the scenario is stopped
+    /// to their nodes while the worker runs: the scenario is stopped
     /// (threads joined) first. The simulator reads storage mid-run and
     /// keeps running.
     pub fn rebuilt_committed(&mut self, db: NodeId) -> std::collections::BTreeMap<String, i64> {

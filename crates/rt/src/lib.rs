@@ -1,32 +1,37 @@
 //! # etx-rt — the multi-threaded runtime backend
 //!
 //! Runs the *identical* protocol state machines the deterministic simulator
-//! hosts, but on real hardware: a core-sized pool of worker threads
-//! draining per-node inboxes, real monotonic clocks behind timers, and
-//! each node's in-memory [`StableStorage`] — the simulator's type — behind
-//! the same `log_append`/`log_read` contract. This is the backend that
+//! hosts, but on real hardware: one worker thread draining per-node
+//! inboxes, real monotonic clocks behind timers, and each node's in-memory
+//! [`StableStorage`] — the simulator's type — behind the same
+//! `log_append`/`log_read` contract. This is the backend that
 //! turns every simulated bench figure into an honest wall-clock number —
 //! commits per second on the host, not per simulated second.
 //!
-//! **Workers, not a thread per node.** Every node owns a *slot*: its inbox,
-//! a `queued` flag and its private state behind the slot lock. A send
-//! appends to the destination's inbox and, if that flips `queued`, puts the
-//! node on one shared FIFO run queue; a worker pops a node, takes its slot
-//! lock, fires its due timers and handles a bounded batch of its inbox. The
-//! slot lock is what makes a node single-threaded — one handler per node at
-//! a time, inbox order per node and therefore FIFO per link — whichever
-//! worker runs it. Under load no worker parks, so a message hop is a queue
-//! push, not a thread wake-up. The number of OS threads is
-//! `available_parallelism()` (capped at the node count), whatever the
-//! topology.
+//! **One worker, not a thread per node.** Every node owns a *slot*: its
+//! inbox, a `queued` flag and its private state behind the slot lock. A
+//! send appends to the destination's inbox and, if that flips `queued`,
+//! puts the node on the FIFO run queue; the worker pops a node, takes its
+//! slot lock, fires its due timers and handles a bounded batch of its
+//! inbox. The paper's nodes are sequential processes that exchange small
+//! messages, and a handler takes about a microsecond: a hop to another core
+//! costs more than that (the message and the node's state change caches, a
+//! parked peer needs a wake-up), so one worker runs every node, whatever
+//! the topology or the core count, and a message hop is a queue push. The
+//! driver — the thread calling the run methods — is the host's second
+//! thread: it drains the trace, offers events to the triggers, checks the
+//! run's predicate and applies the fault plane. What a fault needs stays
+//! shared with it: the slot lock is what makes a node single-threaded (one
+//! handler per node at a time, inbox order per node and therefore FIFO per
+//! link) and what a crash takes to wait out the handler in flight.
 //!
 //! Faults here are **real**, not simulated: the fault plane
 //! ([`Host::schedule_fault`]) crashes a node by marking it down and taking
 //! its state out of the slot under the slot lock — which waits out the
 //! handler in flight; volatile state is dropped, the inbox cleared, the
 //! stable storage survives for restart. It pauses a node by setting a flag
-//! workers honour before running it (the SIGSTOP story — messages pile up,
-//! timers go overdue, nothing is lost; the slot lock taken once is the
+//! the worker honours before running it (the SIGSTOP story — messages pile
+//! up, timers go overdue, nothing is lost; the slot lock taken once is the
 //! barrier after which no handler runs), and cuts links through a table
 //! consulted on every send while any link is cut. What a fault *means* —
 //! how a bounded or compound operation lowers to those primitives, what a
@@ -53,9 +58,8 @@
 //!   the e-Transaction protocol pointedly does not need one. (The
 //!   primary-backup baseline that does is a simulator-only experiment.)
 //! * **Determinism.** Per-node randomness is still seeded (same master
-//!   seed → same per-node streams, per node and never per worker), but
-//!   interleaving is the OS scheduler's. Byte-identical replay remains the
-//!   simulator's job.
+//!   seed → same per-node streams), but interleaving is the OS scheduler's.
+//!   Byte-identical replay remains the simulator's job.
 //!
 //! Cost-model service times are honored exactly as in the simulator — a
 //! forced `log_append` returns the modelled duration and `send_after`
@@ -143,8 +147,8 @@ impl FaultState {
 /// what it takes in order, so trace order and timestamp order agree
 /// across the whole trace and each node's events keep its own order — the
 /// property checker's happened-before comparisons hold exactly as on the
-/// simulator. The buffer holds about one polling interval's events, so no
-/// worker grows the run's trace under the lock.
+/// simulator. The buffer holds about one polling interval's events, so the
+/// worker never grows the run's trace under the lock.
 ///
 /// Spans are not traced: each node sums its own. While a trace trigger is
 /// armed (`offering`), a node also records each span in `pending`, for
@@ -199,8 +203,8 @@ impl Timed for Deferred {
 }
 
 /// One node's place in the pool. Senders touch `inbox` and `queued`; the
-/// node's private state sits behind `state`, a lock only the worker
-/// currently running the node and the driver's fault plane ever take.
+/// node's private state sits behind `state`, a lock only the worker and
+/// the driver's fault plane ever take.
 #[derive(Default)]
 struct Slot {
     inbox: Mutex<VecDeque<Wire>>,
@@ -284,8 +288,8 @@ impl NodeState {
     }
 }
 
-/// What the workers share about *which* node runs next and *when* an idle
-/// one must be looked at again.
+/// What the worker and the driver's enqueues share about *which* node runs
+/// next and *when* an idle one must be looked at again.
 struct Sched {
     /// Nodes with work, FIFO.
     run: VecDeque<usize>,
@@ -297,17 +301,18 @@ struct Sched {
     /// has been served. A node re-registers only when its earliest
     /// deferred action moved before this.
     registered: Vec<Option<Time>>,
-    /// Workers waiting on [`Pool::idle`].
-    parked: usize,
+    /// The worker waits on [`Pool::idle`]. Only the driver's enqueues
+    /// (install, resume, a heal's re-injection) can find it so.
+    parked: bool,
     stopping: bool,
 }
 
-/// Everything the workers, the nodes and the driver share.
+/// Everything the worker, the nodes and the driver share.
 struct Pool {
     slots: Vec<Slot>,
     sched: Mutex<Sched>,
-    /// Where a worker with nothing to run waits, until a node is queued or
-    /// the earliest wake-up comes due.
+    /// Where the worker with nothing to run waits, until a node is queued
+    /// or the earliest wake-up comes due.
     idle: Condvar,
     sink: Sink,
     faults: FaultState,
@@ -321,7 +326,7 @@ impl Pool {
                 run: VecDeque::new(),
                 wakeups: BinaryHeap::new(),
                 registered: vec![None; nodes],
-                parked: 0,
+                parked: false,
                 stopping: false,
             }),
             idle: Condvar::new(),
@@ -354,9 +359,9 @@ impl Pool {
     }
 
     /// Puts a node on the run queue unless it is there (or being run)
-    /// already, waking a worker only if one is parked. The swap pairs with
+    /// already, waking the worker only if it is parked. The swap pairs with
     /// the worker's Release store at the end of a turn: whoever appended to
-    /// the inbox before a swap that read `true` is seen by that worker's
+    /// the inbox before a swap that read `true` is seen by the worker's
     /// refill check, which follows its store.
     fn enqueue(&self, idx: usize) {
         if self.slots[idx].queued.swap(true, Ordering::AcqRel) {
@@ -365,14 +370,14 @@ impl Pool {
         let wake = {
             let mut sched = self.sched();
             sched.run.push_back(idx);
-            sched.parked > 0
+            sched.parked
         };
         if wake {
             self.idle.notify_one();
         }
     }
 
-    /// A worker's main loop.
+    /// The worker's main loop.
     fn work(&self) {
         let mut done = None;
         while let Some((idx, now)) = self.next_node(done) {
@@ -382,8 +387,8 @@ impl Pool {
 
     /// Registers the wake-up the turn just finished asked for, moves every
     /// due wake-up onto the run queue (on every call — so timers are served
-    /// under saturation, not only when a worker runs dry) and pops the next
-    /// node, parking until there is one. Returns the node and the clock
+    /// under saturation, not only when the worker runs dry) and pops the
+    /// next node, parking until there is one. Returns the node and the clock
     /// reading it was picked at — the one read a turn decides by; `None`
     /// means the host is stopping.
     fn next_node(&self, done: Option<(usize, Time)>) -> Option<(usize, Time)> {
@@ -412,16 +417,9 @@ impl Pool {
                 }
             }
             if let Some(idx) = sched.run.pop_front() {
-                // More than this worker can take (wake-ups come due in
-                // bunches): hand the rest to a parked one.
-                let wake = !sched.run.is_empty() && sched.parked > 0;
-                drop(sched);
-                if wake {
-                    self.idle.notify_one();
-                }
                 return Some((idx, now));
             }
-            sched.parked += 1;
+            sched.parked = true;
             sched = match sched.wakeups.peek() {
                 Some(&Reverse((due, _))) => {
                     let wait = Duration::from_micros(due.0 - now.0);
@@ -429,7 +427,7 @@ impl Pool {
                 }
                 None => self.idle.wait(sched).expect("scheduler lock"),
             };
-            sched.parked -= 1;
+            sched.parked = false;
             now = self.sink.now();
         }
     }
@@ -619,17 +617,17 @@ struct NodeShell {
 }
 
 enum Phase {
-    /// Nodes may still be registered; no worker exists yet.
+    /// Nodes may still be registered; the worker does not exist yet.
     Building,
-    /// Workers are live and processing.
+    /// The worker is live and processing.
     Running,
-    /// Workers joined; shells available for introspection.
+    /// The worker joined; shells available for introspection.
     Stopped,
 }
 
 /// What the driver owes at a host-clock instant. Pumped from the driver
-/// thread, never from a worker — applying a crash means taking the
-/// victim's slot lock, which the worker running the victim holds.
+/// thread, never from the worker — applying a crash means taking the
+/// victim's slot lock, which the worker holds while it runs the victim.
 enum Due {
     /// A scheduled operation, lowered when it fires.
     Op(FaultOp),
@@ -639,13 +637,13 @@ enum Due {
 
 /// The multi-threaded host. Register nodes, then [`ThreadedHost::start`]
 /// (or let the first run call do it), run, and [`ThreadedHost::stop`] to
-/// join the workers and unlock post-run introspection
+/// join the worker and unlock post-run introspection
 /// ([`ThreadedHost::process_ref`], [`ThreadedHost::storage`]).
 ///
 /// The driver — the thread calling these methods — owns the run's one
 /// [`Trace`] and its totals. Each pass of its polling loops
 /// ([`Host::run_trace_until`], [`Host::quiesce_for`]) first drains what
-/// the workers recorded since the last pass, offering each event to the
+/// the worker recorded since the last pass, offering each event to the
 /// armed triggers and keeping all but spans, then applies the faults
 /// scheduled through [`Host::schedule_fault`] that are due or triggered:
 /// a crash takes the victim's state out of its slot (keeping its stable
@@ -665,9 +663,9 @@ pub struct ThreadedHost {
     /// node can be rebuilt at recovery (volatile state from scratch).
     factories: Vec<NodeFactory>,
     pool: Arc<Pool>,
-    /// `available_parallelism()` threads, capped at the node count —
-    /// every OS thread this host owns.
-    workers: Vec<JoinHandle<()>>,
+    /// The one thread that runs every node, from [`ThreadedHost::start`]
+    /// to [`ThreadedHost::stop`]; the driver is the only other.
+    worker: Option<JoinHandle<()>>,
     shells: Vec<Option<NodeShell>>,
     /// The run's message counts as of the driver's last return: taken
     /// from the live nodes then, from a crashed or stopped incarnation as
@@ -679,7 +677,7 @@ pub struct ThreadedHost {
     incarnations: Vec<u32>,
     /// Each node's lifecycle state. Only the driver changes it, so it is
     /// what decides whether a fault applies; the slots' `down` / `paused`
-    /// flags are what the workers read of it.
+    /// flags are what the worker reads of it.
     lives: Vec<Life>,
     panicked: Vec<&'static str>,
     /// Timed faults not yet due, in scheduling order; an entry leaves
@@ -720,7 +718,7 @@ impl ThreadedHost {
             names: Vec::new(),
             factories: Vec::new(),
             pool: Arc::new(Pool::new(0)),
-            workers: Vec::new(),
+            worker: None,
             shells: Vec::new(),
             stats: MsgStats::default(),
             spans: SpanTotals::default(),
@@ -736,7 +734,7 @@ impl ThreadedHost {
 
     /// Installs every registered node in its slot with `Event::Init` owed
     /// (cross-node Init interleaving is unordered, exactly like any real
-    /// deployment's staggered start) and spawns the workers.
+    /// deployment's staggered start) and spawns the worker.
     pub fn start(&mut self) {
         if !matches!(self.phase, Phase::Building) {
             return;
@@ -769,16 +767,9 @@ impl ThreadedHost {
             self.factories.push(factory);
             self.install(me, process, StableStorage::new(), rng, Event::Init);
         }
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
-        self.workers = (0..workers)
-            .map(|i| {
-                let pool = Arc::clone(&self.pool);
-                std::thread::Builder::new()
-                    .name(format!("etx-worker-{i}"))
-                    .spawn(move || pool.work())
-                    .expect("spawn worker thread")
-            })
-            .collect();
+        let pool = Arc::clone(&self.pool);
+        let worker = std::thread::Builder::new().name("etx-worker".into());
+        self.worker = Some(worker.spawn(move || pool.work()).expect("spawn worker thread"));
         self.phase = Phase::Running;
     }
 
@@ -831,7 +822,7 @@ impl ThreadedHost {
         self.shells[idx] = Some(NodeShell { process, storage: state.rt.storage });
     }
 
-    /// Stops and joins the workers (what is still queued is left
+    /// Stops and joins the worker (what is still queued is left
     /// unhandled) and keeps each node's final process + stable logs for
     /// introspection. Idempotent.
     ///
@@ -851,11 +842,9 @@ impl ThreadedHost {
             Phase::Running => {}
         }
         self.pool.sched.lock().unwrap_or_else(PoisonError::into_inner).stopping = true;
-        self.pool.idle.notify_all();
-        for worker in std::mem::take(&mut self.workers) {
-            if worker.join().is_err() {
-                self.panicked.push("etx-worker");
-            }
+        self.pool.idle.notify_one();
+        if self.worker.take().is_some_and(|worker| worker.join().is_err()) {
+            self.panicked.push("etx-worker");
         }
         // Taking every state out also breaks the pool → state → `NodeRt` →
         // pool reference cycle. Nodes crashed by the fault plane already
@@ -889,8 +878,8 @@ impl ThreadedHost {
     }
 
     /// Read access to a node's final process state. Only available after
-    /// [`ThreadedHost::stop`] — while workers run, each process belongs to
-    /// its slot.
+    /// [`ThreadedHost::stop`] — while the worker runs, each process belongs
+    /// to its slot.
     ///
     /// # Panics
     ///
@@ -898,7 +887,7 @@ impl ThreadedHost {
     pub fn process_ref(&self, node: NodeId) -> Option<&dyn Process> {
         assert!(
             self.is_stopped(),
-            "threaded-host process introspection requires stop() — the workers own the \
+            "threaded-host process introspection requires stop() — the worker owns the \
              processes while running"
         );
         self.shells.get(node.0 as usize).and_then(|s| s.as_ref()).and_then(|s| s.process.as_deref())
@@ -914,7 +903,7 @@ impl ThreadedHost {
     pub fn storage(&self, node: NodeId) -> &StableStorage {
         assert!(
             self.is_stopped(),
-            "threaded-host log introspection requires stop() — the workers own the logs \
+            "threaded-host log introspection requires stop() — the worker owns the logs \
              while running"
         );
         static NONE: StableStorage = StableStorage::new();
@@ -981,7 +970,7 @@ impl ThreadedHost {
                 self.pool.sink.push(node, kind);
             }
             // Queued again, it fires every overdue timer and drains the
-            // accumulated inbox — late, as after a real SIGCONT. A worker
+            // accumulated inbox — late, as after a real SIGCONT. A turn
             // that found the node paused clears `queued` under the slot
             // lock; past this barrier the enqueue cannot be lost.
             Prim::Resume(_) => {
@@ -1039,7 +1028,7 @@ impl ThreadedHost {
         }
     }
 
-    /// Records what the workers pushed since the last drain, in order
+    /// Records what the worker pushed since the last drain, in order
     /// (see [`record`]). The sink's lock is held for one buffer swap.
     fn drain_trace(&mut self) {
         std::mem::swap(&mut self.spare, &mut *self.pool.sink.pending());
@@ -1067,7 +1056,7 @@ impl ThreadedHost {
     }
 
     /// A copy of the trace collected so far: the drained trace
-    /// ([`Host::trace`]) plus what the workers traced since the last drain.
+    /// ([`Host::trace`]) plus what the worker traced since the last drain.
     /// Like the drained trace, it holds no span.
     pub fn trace_snapshot(&self) -> Trace {
         let (mut trace, mut unarmed) = (self.trace.clone(), Triggers::default());
@@ -1117,7 +1106,7 @@ impl Host for ThreadedHost {
         let poll = Duration::from_micros(200);
         let outcome = loop {
             // The nemesis is pumped here, on the driver thread — a crash
-            // takes the victim's slot lock, which a worker in the middle
+            // takes the victim's slot lock, which the worker in the middle
             // of that node's handler could never do. The pump drains the
             // trace first, so the predicate reads it without a lock.
             self.pump_nemesis();
@@ -1552,21 +1541,40 @@ mod tests {
     // ---- what the pool must never break ----------------------------------
     //
     // The thread-per-node loop satisfied these by owning one thread per
-    // node; a pool has to earn them.
+    // node; one worker shared by every node has to earn them.
 
     fn idle() -> Box<dyn Process> {
         Box::new(Pinger { peer: None, n: 0 })
     }
 
+    /// Notes the thread that runs its `Init`.
+    struct WhoRuns {
+        threads: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    }
+    impl Process for WhoRuns {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            if let Event::Init = event {
+                self.threads.lock().unwrap().push(std::thread::current().id());
+                ctx.trace(TraceKind::Note("init"));
+            }
+        }
+    }
+
     #[test]
-    fn the_host_owns_one_thread_per_core_not_per_node() {
+    fn the_host_runs_every_node_on_one_worker_thread() {
+        let threads = Arc::new(Mutex::new(Vec::new()));
         let mut host = ThreadedHost::new(ThreadedConfig::default());
         for _ in 0..16 {
-            host.add_node("idle", Box::new(|_| idle()));
+            let t = Arc::clone(&threads);
+            host.add_node("who", Box::new(move |_| Box::new(WhoRuns { threads: Arc::clone(&t) })));
         }
-        host.start();
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        assert_eq!(host.workers.len(), cores.min(16));
+        let inits = |t: &Trace| t.count_kind(|k| *k == TraceKind::Note("init")) == 16;
+        assert_eq!(host.run_trace_until(Box::new(inits)), RunOutcome::Predicate);
+        host.stop();
+        let threads = threads.lock().unwrap();
+        assert_eq!(threads.len(), 16);
+        assert!(threads.iter().all(|&t| t == threads[0]), "nodes ran on more than one thread");
+        assert_ne!(threads[0], std::thread::current().id(), "a node ran on the driver");
     }
 
     /// Sends one ping to `to`, 3 ms after Init.
@@ -1873,13 +1881,8 @@ mod tests {
         for _ in 0..NODES {
             host.add_node("numbered", Box::new(|_| Box::new(Numbered { next: 0, total: EACH })));
         }
-        host.start();
-        // Two workers at least, whatever the affinity mask allows, so the
-        // nodes really do trace at the same time.
-        while host.workers.len() < 2 {
-            let pool = Arc::clone(&host.pool);
-            host.workers.push(std::thread::spawn(move || pool.work()));
-        }
+        // The worker traces while the driver drains the sink at every poll
+        // of the run, so pushes and drains really do meet mid-run.
         let done = |t: &Trace| t.count_kind(|k| *k == TraceKind::Note("done")) == NODES;
         assert_eq!(host.run_trace_until(Box::new(done)), RunOutcome::Predicate);
         host.stop();

@@ -288,7 +288,7 @@ fn threaded_read_path_preserves_snapshot_invariants() {
 
 /// The threaded host's driver owns the run's one trace, and the scenario
 /// reads it in place. Every run, quiesce and stop boundary drains what the
-/// workers traced since the last one into it: across several boundaries
+/// worker traced since the last one into it: across several boundaries
 /// nothing is lost and nothing is appended twice.
 #[test]
 fn the_threaded_scenario_reads_the_hosts_one_trace_in_place() {
