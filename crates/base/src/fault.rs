@@ -29,11 +29,12 @@
 //! Which lifecycle primitive applies to a node, and what it records, is
 //! [`crate::host::Life`]'s to say. What is left to a host is its own: the
 //! simulator makes every operation an entry of its virtual-time event
-//! queue, so a schedule replays with the run, per seed; the multi-threaded
-//! backend applies the same primitives for real — a crash takes the node's
-//! state out from under its worker (stable logs survive for restart,
-//! volatile state does not), a pause gates the node with its inbox
-//! accumulating (the SIGSTOP story), a cut stops real sends.
+//! queue, so a schedule replays with the run, per seed; the threaded
+//! backend applies the same primitives on the wall clock, between two
+//! handlers — a crash drops the node's process and inbox (stable logs
+//! survive for restart, volatile state does not), a pause leaves the node
+//! unrun with its inbox accumulating (the SIGSTOP story), a cut holds real
+//! sends.
 
 use crate::ids::NodeId;
 use crate::msg::Payload;
@@ -79,10 +80,9 @@ impl Error for CapabilityError {}
 pub enum FaultOp {
     /// Crash a node: volatile state is lost, stable storage survives (§2:
     /// "the crash of a process has no impact on its stable storage"). On
-    /// the threaded backend this waits out the handler in flight, then
-    /// drops the process and its inbox, keeping its
-    /// [`crate::wal::StableStorage`] for restart. Crashing a paused node
-    /// ends the pause.
+    /// the threaded backend it lands between two handlers and drops the
+    /// process and its inbox, keeping its [`crate::wal::StableStorage`]
+    /// for restart. Crashing a paused node ends the pause.
     Crash(NodeId),
     /// Recover a previously crashed node: the factory rebuilds the
     /// process, which receives [`crate::runtime::Event::Recovered`] over
@@ -98,7 +98,7 @@ pub enum FaultOp {
     },
     /// Pause a node: it stops processing messages and timers but loses
     /// nothing — the SIGSTOP story. Its inbox keeps accumulating; on the
-    /// threaded backend no worker runs the node from then on. A paused
+    /// threaded backend no handler of it runs from then on. A paused
     /// node is exactly the "slow process" asynchrony §4 allows, which is
     /// why it must *not* violate safety.
     Pause(NodeId),
@@ -323,6 +323,12 @@ impl Triggers {
         }
     }
 
+    /// Whether an offered event has hit an armed trigger that
+    /// [`Triggers::fired`] has not returned yet.
+    pub fn hit(&self) -> bool {
+        self.armed.iter().any(|(_, _, hit)| *hit)
+    }
+
     /// Disarms and returns the triggers an offered event hit, in the
     /// order they were armed.
     pub fn fired(&mut self) -> Vec<FaultOp> {
@@ -330,10 +336,9 @@ impl Triggers {
     }
 }
 
-/// A trace predicate deciding when a trace-triggered fault fires.
-/// `Send + Sync` because the threaded backend's driver offers it events
-/// that other threads recorded.
-pub type TracePred = Arc<dyn Fn(&TraceEvent) -> bool + Send + Sync>;
+/// A trace predicate deciding when a trace-triggered fault fires. Both
+/// hosts offer it events on the thread that runs their nodes.
+pub type TracePred = Arc<dyn Fn(&TraceEvent) -> bool>;
 
 /// When a scheduled fault applies.
 #[derive(Clone)]
@@ -353,7 +358,7 @@ pub enum NemesisWhen {
 
 impl NemesisWhen {
     /// Trace-trigger constructor that wraps the closure for you.
-    pub fn on_trace(pred: impl Fn(&TraceEvent) -> bool + Send + Sync + 'static) -> Self {
+    pub fn on_trace(pred: impl Fn(&TraceEvent) -> bool + 'static) -> Self {
         NemesisWhen::OnTrace(Arc::new(pred))
     }
 }
@@ -507,10 +512,13 @@ mod tests {
         t.arm(on("a"), FaultOp::Crash(N[2]));
         t.arm(on("c"), FaultOp::Crash(N[3]));
         // `a` is offered before `b`; the triggers still fire as armed.
+        assert!(!t.hit());
         for what in ["a", "b", "a"] {
             t.offer(&note(what));
         }
+        assert!(t.hit(), "an offered event hit a trigger");
         assert_eq!(t.fired(), [FaultOp::Crash(N[1]), FaultOp::Crash(N[2])]);
+        assert!(!t.hit(), "and collecting it clears the hit");
         // One-shot: more matching events fire nothing more.
         t.offer(&note("a"));
         t.offer(&note("b"));

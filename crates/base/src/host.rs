@@ -14,9 +14,9 @@
 //!
 //! What is left to a host is its own. The simulator has its virtual-time
 //! queue of every action of the run, its paused-node stash and its
-//! network sampling. The threaded backend has its one worker, its slot
-//! locks, the worker-visible `down` / `paused` flags and a deferred queue
-//! per node.
+//! network sampling. The threaded backend has its per-node inboxes, its
+//! run queue, a deferred queue per node and the wall clock; like the
+//! simulator, it runs every node on the thread that calls its run loop.
 
 use crate::fault::{Prim, Triggers};
 use crate::ids::TimerId;

@@ -48,7 +48,7 @@ pub enum RetryTimer {
 /// re-issues from the start and must make the same requests.
 #[derive(Clone)]
 pub struct IssuePlan {
-    make: Arc<dyn Fn(u64) -> Request + Send + Sync>,
+    make: Arc<dyn Fn(u64) -> Request>,
     len: u64,
     next: u64,
 }
@@ -62,7 +62,7 @@ impl std::fmt::Debug for IssuePlan {
 impl IssuePlan {
     /// A plan of `len` requests, request `seq` made by `make(seq)` when it
     /// is issued, in order from 1.
-    pub fn new(len: u64, make: impl Fn(u64) -> Request + Send + Sync + 'static) -> Self {
+    pub fn new(len: u64, make: impl Fn(u64) -> Request + 'static) -> Self {
         IssuePlan { make: Arc::new(make), len, next: 1 }
     }
 

@@ -11,9 +11,9 @@
 //! registration, the run loop, and the trace sink, and keeps its nodes by
 //! the rules of [`crate::host`]. Two hosts exist — the
 //! deterministic discrete-event simulator in `etx-sim` (virtual clock,
-//! byte-identical replay) and the multi-threaded backend in `etx-rt` (one
-//! inbox per node, one worker thread for every node beside the driver's,
-//! real monotonic clocks, wall-clock numbers). The *identical* protocol
+//! byte-identical replay) and the wall-clock backend in `etx-rt` (one
+//! inbox per node, every node run on the thread that calls the run, real
+//! monotonic clocks, wall-clock numbers). The *identical* protocol
 //! state machines run on both, and [`Host::schedule_fault`] is the one way
 //! a fault enters either — the sim's simulated ones and the threaded
 //! backend's real ones alike.
@@ -248,13 +248,9 @@ pub fn jittered(ctx: &mut dyn Context, d: Dur, frac: f64) -> Dur {
     d.scaled(factor)
 }
 
-/// A protocol participant: one state machine per hosted process.
-///
-/// `Send` is a supertrait because the threaded runtime backend runs every
-/// process on its worker thread, not the thread that built it (and hands
-/// it back at shutdown for post-run introspection). Processes are plain
-/// owned data, so this costs implementors nothing.
-pub trait Process: Send {
+/// A protocol participant: one state machine per hosted process. Both
+/// hosts run every process on the thread that calls their run loop.
+pub trait Process {
     /// Handles one event. All sends/timers go through `ctx`. The handler
     /// runs to completion instantaneously in simulated time; real elapsed
     /// work is modelled with [`Context::send_after`] / dispatch timers.
@@ -275,9 +271,8 @@ pub trait Process: Send {
 
 /// A process factory: invoked at node creation and — on hosts that support
 /// crash/recovery — again at every recovery (volatile state is rebuilt from
-/// scratch; stable storage persists). `Send` because the threaded backend's
-/// nodes outlive the thread that registered them.
-pub type NodeFactory = Box<dyn FnMut(NodeId) -> Box<dyn Process> + Send>;
+/// scratch; stable storage persists).
+pub type NodeFactory = Box<dyn FnMut(NodeId) -> Box<dyn Process>>;
 
 /// Why a host run loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,11 +297,13 @@ pub enum RuntimeKind {
     /// The default — every deterministic test and golden trace lives here.
     #[default]
     Sim,
-    /// The multi-threaded backend (`etx-rt`): one inbox per node, one
-    /// worker thread for every node beside the driver's, real monotonic
-    /// clocks, wall-clock throughput, and *real* fault injection — a crash waits out the
-    /// victim's handler and drops its state, a pause gates it.
-    /// Not deterministic — by design; golden traces stay on the simulator.
+    /// The wall-clock backend (`etx-rt`): one inbox per node, every node
+    /// run on the thread that calls the run, real monotonic clocks,
+    /// wall-clock throughput, and *real* fault injection between two
+    /// handlers — a crash drops the victim's volatile state, a pause
+    /// leaves it unrun. "Threaded" names the real thread the nodes run on,
+    /// as against the simulator's virtual time. Not deterministic — by
+    /// design; golden traces stay on the simulator.
     Threaded,
 }
 
@@ -352,12 +349,10 @@ pub trait Host {
     /// `extra` on this host's clock.
     fn quiesce_for(&mut self, extra: Dur);
 
-    /// The trace collected so far, read in place (on the threaded backend,
-    /// as of its driver's last drain).
+    /// The trace collected so far, read in place.
     fn trace(&self) -> &Trace;
 
-    /// Message statistics so far, read in place (on the threaded backend,
-    /// as of its driver's last return to its caller).
+    /// Message statistics so far, read in place.
     fn stats(&self) -> &MsgStats;
 
     /// Figure 8 spans so far, per component, read like [`Host::stats`].

@@ -400,19 +400,6 @@ impl MsgStats {
         self.dropped_on_link += 1;
     }
 
-    /// Adds `other`'s counts to this instance's — the result is what one
-    /// instance would hold had it recorded both histories. Host-internal:
-    /// a backend that counts per node folds the nodes into one view.
-    pub fn merge(&mut self, other: &MsgStats) {
-        for (&label, &count) in &other.per_label {
-            *self.per_label.entry(label).or_insert(0) += count;
-        }
-        self.total += other.total;
-        self.background += other.background;
-        self.dropped_to_down += other.dropped_to_down;
-        self.dropped_on_link += other.dropped_on_link;
-    }
-
     /// Messages sent with the given label.
     pub fn sent(&self, label: &str) -> u64 {
         self.per_label.get(label).copied().unwrap_or(0)
@@ -489,30 +476,5 @@ mod tests {
         assert_eq!(s.sent("nope"), 0);
         assert_eq!(s.dropped_to_down(), 1);
         assert_eq!(s.by_label().count(), 2);
-    }
-
-    #[test]
-    fn merged_stats_equal_one_instance_recording_every_send() {
-        let sends =
-            [("Request", false), ("Heartbeat", true), ("Decide", false), ("Heartbeat", true)];
-        let (mut one, mut a, mut b) =
-            (MsgStats::default(), MsgStats::default(), MsgStats::default());
-        for (i, &(label, background)) in sends.iter().enumerate() {
-            one.record_sent(label, background);
-            if i % 2 == 0 { &mut a } else { &mut b }.record_sent(label, background);
-        }
-        one.record_dropped_to_down();
-        a.record_dropped_to_down();
-        for _ in 0..2 {
-            one.record_dropped_on_link();
-            b.record_dropped_on_link();
-        }
-        a.merge(&b);
-        assert_eq!(a.by_label().collect::<Vec<_>>(), one.by_label().collect::<Vec<_>>());
-        assert_eq!(
-            (a.total(), a.protocol_total(), a.dropped_to_down(), a.dropped_on_link()),
-            (one.total(), one.protocol_total(), one.dropped_to_down(), one.dropped_on_link())
-        );
-        assert_eq!((a.total(), a.dropped_on_link()), (4, 2));
     }
 }

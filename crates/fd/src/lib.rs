@@ -40,10 +40,7 @@ pub enum FdTransition {
 
 /// Interface the application server programs against (the paper's
 /// `suspect()` predicate, Appendix 1).
-///
-/// `Send` because the owning process may be hosted on the threaded runtime
-/// backend, which runs each process on its own OS thread.
-pub trait FailureDetector: Send {
+pub trait FailureDetector {
     /// Called once from the owning process's `Init`.
     fn on_init(&mut self, ctx: &mut dyn Context);
 

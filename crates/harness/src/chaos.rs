@@ -10,7 +10,7 @@
 //! ([`Scenario::schedule_fault`] / [`etx_base::fault::FaultOp`]), so one
 //! nemesis schedule drives either runtime: the runners that take a
 //! [`RuntimeKind`] run the same schedule on the simulator or against the
-//! multi-threaded host — real threads, real crashes, the same §3 judge.
+//! wall-clock host — real clocks, real crashes, the same §3 judge.
 
 use crate::properties::{check, LivenessChecks, PropertyReport};
 use crate::scenario::{MiddleTier, Scenario, ScenarioBuilder};
@@ -170,9 +170,9 @@ impl ChaosOutcome {
 }
 
 /// Shared tail of every chaos runner: run to settlement, drain background
-/// work, stop the backend (joining node threads and surfacing node-thread
-/// panics on the threaded host; a no-op on the simulator), check the full
-/// §3 specification, and assemble the outcome.
+/// work, stop the backend (surfacing node panics on the threaded host; a
+/// no-op on the simulator), check the full §3 specification, and assemble
+/// the outcome.
 fn settle_and_check(mut scenario: Scenario, seed: u64, faults: Vec<String>) -> ChaosOutcome {
     let expected = scenario.requests as usize;
     let run = scenario.run_until_settled(expected);
@@ -342,8 +342,8 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
 /// delivered exactly once.
 ///
 /// `runtime` picks the backend: the threaded host runs the same nemesis
-/// schedule against real threads (timed faults land on the wall clock,
-/// trace-triggered ones fire off the same events).
+/// schedule on the wall clock (trace-triggered faults fire off the same
+/// events).
 pub fn run_hot_shard_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
     // Fault timing comes from the chaos stream only — the scenario (and
     // its workload RNG, seeded by `seed`) is identical with chaos on or

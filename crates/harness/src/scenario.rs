@@ -160,13 +160,13 @@ impl ScenarioBuilder {
     }
 
     /// Selects the runtime backend: the deterministic simulator (default)
-    /// or the multi-threaded host. On [`RuntimeKind::Threaded`] the
+    /// or the wall-clock host. On [`RuntimeKind::Threaded`] the
     /// scenario's network model is ignored (channels are genuinely
     /// reliable and undelayed unless a link fault says otherwise). Fault
     /// injection works on both backends through the shared
     /// [`Scenario::schedule_fault`] plane; only simulator *internals*
-    /// (virtual-time stepping, mid-run storage reads, deterministic
-    /// replay) stay behind [`Scenario::sim_mut`].
+    /// (virtual-time stepping, deterministic replay) stay behind
+    /// [`Scenario::sim_mut`].
     pub fn runtime(mut self, kind: RuntimeKind) -> Self {
         self.runtime = kind;
         self
@@ -516,7 +516,8 @@ impl ScenarioBuilder {
 pub enum Backend {
     /// The deterministic discrete-event simulator.
     Sim(Sim),
-    /// The multi-threaded host.
+    /// The wall-clock host, which runs every node on the thread that
+    /// calls the run.
     Threaded(ThreadedHost),
 }
 
@@ -569,8 +570,8 @@ impl Scenario {
     }
 
     /// Injects one fault right now, backend-neutral: the simulator applies
-    /// it at the current virtual instant, the threaded host applies it to
-    /// the live threads (or at startup when scheduled before the first
+    /// it at the current virtual instant, the threaded host at the current
+    /// wall-clock one (or at startup when scheduled before the first
     /// run). Every backend injects every fault; the one
     /// [`CapabilityError`] left is a threaded host that was already stopped.
     pub fn fault(&mut self, op: FaultOp) -> Result<(), CapabilityError> {
@@ -589,7 +590,7 @@ impl Scenario {
     }
 
     /// The simulator, for internals only it has (virtual-time stepping,
-    /// mid-run storage reads, deterministic replay). Fault injection is
+    /// deterministic replay). Fault injection is
     /// **not** such a capability — use
     /// [`Scenario::fault`] / [`Scenario::schedule_fault`], which work on
     /// both backends.
@@ -603,8 +604,8 @@ impl Scenario {
         match &self.backend {
             Backend::Sim(sim) => sim,
             Backend::Threaded(_) => panic!(
-                "this scenario runs on the threaded backend: virtual time, mid-run \
-                 storage reads, and deterministic replay are simulator internals — \
+                "this scenario runs on the threaded backend: virtual time and \
+                 deterministic replay are simulator internals — \
                  build with RuntimeKind::Sim for those, and use \
                  Scenario::schedule_fault for fault injection, which works on both \
                  backends"
@@ -623,8 +624,8 @@ impl Scenario {
         match &mut self.backend {
             Backend::Sim(sim) => sim,
             Backend::Threaded(_) => panic!(
-                "this scenario runs on the threaded backend: virtual time, mid-run \
-                 storage reads, and deterministic replay are simulator internals — \
+                "this scenario runs on the threaded backend: virtual time and \
+                 deterministic replay are simulator internals — \
                  build with RuntimeKind::Sim for those, and use \
                  Scenario::schedule_fault for fault injection, which works on both \
                  backends"
@@ -641,17 +642,12 @@ impl Scenario {
         }
     }
 
-    /// The collected trace, backend-neutral and read in place. On the
-    /// threaded backend it is the host's trace as of its driver's last
-    /// drain: every run / quiesce / stop boundary drains, and those are
-    /// exactly the points after which tests read it.
+    /// The collected trace, backend-neutral and read in place.
     pub fn trace(&self) -> &Trace {
         self.backend.host().trace()
     }
 
-    /// Message statistics, backend-neutral and read in place (on the
-    /// threaded backend, as of the last run / quiesce / stop boundary,
-    /// where the host takes its nodes' counts into its own).
+    /// Message statistics, backend-neutral and read in place.
     pub fn stats(&self) -> &MsgStats {
         self.backend.host().stats()
     }
@@ -712,17 +708,15 @@ impl Scenario {
         self.backend.host_mut().quiesce_for(extra);
     }
 
-    /// Shuts the run down: on the threaded backend, joins the worker
-    /// (unlocking post-run process/log introspection), which drains the
-    /// rest of the trace and takes every node's remaining counts and spans
-    /// into the host's totals. No-op on the simulator, which has no
-    /// threads to join.
+    /// Shuts the run down: on the threaded backend, nothing runs from here
+    /// and no fault is accepted; every process and log stays readable.
+    /// No-op on the simulator.
     ///
     /// # Panics
     ///
-    /// Panics if any node thread itself panicked during the run — a node
+    /// Panics if any node's handler panicked during the run — a node
     /// that died of a bug (rather than an injected crash) is a scenario
-    /// failure, not something to swallow in a join. Suppressed while
+    /// failure, not something to swallow. Suppressed while
     /// already unwinding so a failing assertion stays the primary error.
     pub fn stop(&mut self) {
         if let Backend::Threaded(host) = &mut self.backend {
@@ -730,7 +724,7 @@ impl Scenario {
             let panicked = host.panicked_nodes();
             if !panicked.is_empty() && !std::thread::panicking() {
                 panic!(
-                    "scenario failure: node thread(s) panicked during the run: {panicked:?} \
+                    "scenario failure: node(s) panicked during the run: {panicked:?} \
                      (an injected FaultOp::Crash traces TraceKind::Crash instead — a \
                      panicking node is a bug in the node, not a fault)"
                 );
@@ -761,14 +755,8 @@ impl Scenario {
     /// the trace deliberately does not carry; value-level assertions (the
     /// read-equivalence property among them) live here.
     ///
-    /// Takes `&mut self` because on the threaded backend the client
-    /// processes belong to their threads while running: the scenario is
-    /// stopped (threads joined) first. The simulator reads live processes
-    /// and keeps running.
-    pub fn delivered_results(&mut self) -> Vec<(ResultId, etx_base::value::Decision)> {
-        if matches!(self.backend, Backend::Threaded(_)) {
-            self.stop();
-        }
+    /// Either host reads its live processes, and the run can go on.
+    pub fn delivered_results(&self) -> Vec<(ResultId, etx_base::value::Decision)> {
         let mut out = Vec::new();
         for &client in &self.topo.clients {
             let proc_ref = match &self.backend {
@@ -940,16 +928,8 @@ impl Scenario {
     /// memory), and recovery is deterministic, so replaying the WAL, read
     /// in place, over the server's seed slice yields exactly what the
     /// server holds committed. This is how tests assert replica-group
-    /// convergence.
-    ///
-    /// Takes `&mut self` because on the threaded backend the logs belong
-    /// to their nodes while the worker runs: the scenario is stopped
-    /// (threads joined) first. The simulator reads storage mid-run and
-    /// keeps running.
-    pub fn rebuilt_committed(&mut self, db: NodeId) -> std::collections::BTreeMap<String, i64> {
-        if matches!(self.backend, Backend::Threaded(_)) {
-            self.stop();
-        }
+    /// convergence; it reads storage mid-run as well, on either host.
+    pub fn rebuilt_committed(&self, db: NodeId) -> std::collections::BTreeMap<String, i64> {
         let seed = self.db_seeds.get(&db).cloned().unwrap_or_default();
         let storage = match &self.backend {
             Backend::Sim(sim) => sim.storage(db),

@@ -1,47 +1,46 @@
-//! # etx-rt — the multi-threaded runtime backend
+//! # etx-rt — the wall-clock runtime backend
 //!
 //! Runs the *identical* protocol state machines the deterministic simulator
-//! hosts, but on real hardware: one worker thread draining per-node
-//! inboxes, real monotonic clocks behind timers, and each node's in-memory
-//! [`StableStorage`] — the simulator's type — behind the same
-//! `log_append`/`log_read` contract. This is the backend that
-//! turns every simulated bench figure into an honest wall-clock number —
-//! commits per second on the host, not per simulated second.
+//! hosts, but on the wall clock: per-node inboxes, real monotonic clocks
+//! behind timers, and each node's in-memory [`StableStorage`] — the
+//! simulator's type — behind the same `log_append`/`log_read` contract.
+//! This is the backend that turns every simulated bench figure into an
+//! honest wall-clock number — commits per second on the host, not per
+//! simulated second.
 //!
-//! **One worker, not a thread per node.** Every node owns a *slot*: its
-//! inbox, a `queued` flag and its private state behind the slot lock. A
-//! send appends to the destination's inbox and, if that flips `queued`,
-//! puts the node on the FIFO run queue; the worker pops a node, takes its
-//! slot lock, fires its due timers and handles a bounded batch of its
-//! inbox. The paper's nodes are sequential processes that exchange small
-//! messages, and a handler takes about a microsecond: a hop to another core
-//! costs more than that (the message and the node's state change caches, a
-//! parked peer needs a wake-up), so one worker runs every node, whatever
-//! the topology or the core count, and a message hop is a queue push. The
-//! driver — the thread calling the run methods — is the host's second
-//! thread: it drains the trace, offers events to the triggers, checks the
-//! run's predicate and applies the fault plane. What a fault needs stays
-//! shared with it: the slot lock is what makes a node single-threaded (one
-//! handler per node at a time, inbox order per node and therefore FIFO per
-//! link) and what a crash takes to wait out the handler in flight.
+//! **The caller's thread runs every node.** Nodes run only inside
+//! [`Host::run_trace_until`] and [`Host::quiesce_for`], on the thread that
+//! calls them, as the simulator's do. A send appends to the destination's
+//! inbox and, unless the node is queued already, puts it on the FIFO run
+//! queue; a turn pops a node, fires its due timers and handles a bounded
+//! batch of its inbox. The paper's nodes are sequential processes that
+//! exchange small messages, and a handler takes about a microsecond: a hop
+//! to another core costs more than that (the message and the node's state
+//! change caches, a parked peer needs a wake-up), so one thread runs every
+//! node, whatever the topology or the core count, and a message hop is a
+//! queue push. Every handler's context borrows one host-owned struct — the
+//! inboxes, the run queue, the wake-up heap, the link table, the trace and
+//! its triggers, the message and span totals — so the host needs no lock.
+//! Between slices of at most 200 µs of handlers a run applies its due
+//! faults and checks its predicate; with no node to run it sleeps until
+//! the next timer, the next timed fault or its deadline.
 //!
 //! Faults here are **real**, not simulated: the fault plane
-//! ([`Host::schedule_fault`]) crashes a node by marking it down and taking
-//! its state out of the slot under the slot lock — which waits out the
-//! handler in flight; volatile state is dropped, the inbox cleared, the
-//! stable storage survives for restart. It pauses a node by setting a flag
-//! the worker honours before running it (the SIGSTOP story — messages pile
-//! up, timers go overdue, nothing is lost; the slot lock taken once is the
-//! barrier after which no handler runs), and cuts links through a table
-//! consulted on every send while any link is cut. What a fault *means* —
-//! how a bounded or compound operation lowers to those primitives, what a
-//! cut link holds, when a trace trigger fires — is `etx_base::fault`'s, and
-//! what a node is — which crashes, recoveries, pauses and resumes apply
-//! and what each records, the `(at, seq)` order of its deferred actions
-//! and how they are cancelled, how an event is recorded — is
-//! `etx_base::host`'s: the simulator runs the same code for all of it. The
-//! §3 checker then judges the resulting trace exactly as it judges a
-//! simulated one.
+//! ([`Host::schedule_fault`]) applies them on the wall clock, between two
+//! handlers. A crash drops the node's process, timers and inbox (volatile
+//! state); its stable storage survives for restart. A pause leaves the
+//! node unrun (the SIGSTOP story — messages pile up, timers go overdue,
+//! nothing is lost), and a cut link holds what is sent on it. A
+//! trace-triggered fault lands right after the handler that recorded the
+//! matching event, as on the simulator; a timed one at the next slice
+//! boundary, at most 200 µs late. What a fault *means* — how a bounded or
+//! compound operation lowers to primitives, what a cut link holds, when a
+//! trace trigger fires — is `etx_base::fault`'s, and what a node is —
+//! which crashes, recoveries, pauses and resumes apply and what each
+//! records, the `(at, seq)` order of its deferred actions and how they are
+//! cancelled, how an event is recorded — is `etx_base::host`'s: the
+//! simulator runs the same code for all of it. The §3 checker then judges
+//! the resulting trace exactly as it judges a simulated one.
 //!
 //! What deliberately does **not** exist here:
 //!
@@ -58,7 +57,8 @@
 //!   the e-Transaction protocol pointedly does not need one. (The
 //!   primary-backup baseline that does is a simulator-only experiment.)
 //! * **Determinism.** Per-node randomness is still seeded (same master
-//!   seed → same per-node streams), but interleaving is the OS scheduler's.
+//!   seed → same per-node streams), but which timers are due and which
+//!   messages wait at a turn depends on how long handlers really took.
 //!   Byte-identical replay remains the simulator's job.
 //!
 //! Cost-model service times are honored exactly as in the simulator — a
@@ -82,16 +82,13 @@ use etx_base::wal::{StableRecord, StableStorage};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Threaded-host parameters.
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
     /// Master seed: each node derives an independent randomness stream from
-    /// it (deterministic per node; interleaving is not).
+    /// it (deterministic per node; the schedule is not).
     pub seed: u64,
     /// Environment cost constants. Modelled service times are honored with
     /// real waits; use [`CostModel::zeroed`] for pure-hardware numbers.
@@ -123,69 +120,6 @@ struct Wire {
     depth: u32,
 }
 
-/// Link state shared by the driver and every node. `links_active` (true
-/// exactly while a link is cut) keeps the fault-free send to one relaxed
-/// atomic load; past it, one mutex covers "is this link cut" and "hold
-/// it", so a send cannot slip between a heal's drain and its re-injection.
-#[derive(Default)]
-struct FaultState {
-    links_active: AtomicBool,
-    links: Mutex<Links>,
-}
-
-impl FaultState {
-    fn links(&self) -> MutexGuard<'_, Links> {
-        self.links.lock().expect("link table lock")
-    }
-}
-
-/// The shared observability sink every node writes into. A recorded event
-/// goes into `pending`, what was recorded since the driver last drained
-/// it ([`ThreadedHost`] owns the run's trace, and offers each drained
-/// event to the armed triggers). Timestamps are taken *inside* the
-/// `pending` lock from the shared monotonic epoch, and a drain appends
-/// what it takes in order, so trace order and timestamp order agree
-/// across the whole trace and each node's events keep its own order — the
-/// property checker's happened-before comparisons hold exactly as on the
-/// simulator. The buffer holds about one polling interval's events, so the
-/// worker never grows the run's trace under the lock.
-///
-/// Spans are not traced: each node sums its own. While a trace trigger is
-/// armed (`offering`), a node also records each span in `pending`, for
-/// the drain to offer and drop; otherwise a span takes no shared lock.
-/// The flag publishes nothing but itself: a span that misses a trigger
-/// armed a moment ago is one that came before the arming, as a traced
-/// event just before it would be.
-struct Sink {
-    epoch: Instant,
-    pending: Mutex<Vec<TraceEvent>>,
-    offering: AtomicBool,
-}
-
-impl Sink {
-    fn new() -> Self {
-        Sink {
-            epoch: Instant::now(),
-            pending: Mutex::new(Vec::new()),
-            offering: AtomicBool::new(false),
-        }
-    }
-
-    fn now(&self) -> Time {
-        Time(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn pending(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
-        self.pending.lock().expect("trace lock")
-    }
-
-    fn push(&self, node: NodeId, kind: TraceKind) {
-        let mut pending = self.pending();
-        let at = self.now();
-        pending.push(TraceEvent::new(at, node, kind));
-    }
-}
-
 /// A deferred local action: a timer armed through `set_timer`, or the tail
 /// of a `send_after` whose modelled service time has not elapsed yet.
 enum Deferred {
@@ -202,330 +136,208 @@ impl Timed for Deferred {
     }
 }
 
-/// One node's place in the pool. Senders touch `inbox` and `queued`; the
-/// node's private state sits behind `state`, a lock only the worker and
-/// the driver's fault plane ever take.
-#[derive(Default)]
-struct Slot {
-    inbox: Mutex<VecDeque<Wire>>,
-    /// The node is in the run queue or being run. Set by whoever flips it
-    /// false→true (and therefore queues the node), cleared by the worker
-    /// at the end of a turn, *under the slot lock* — so the fault plane,
-    /// having taken that lock once, knows an earlier skipped turn cannot
-    /// swallow the `enqueue` it makes next.
-    queued: AtomicBool,
-    /// Crashed: sends to it are dropped and counted, like the simulator's
-    /// drop-to-down accounting, and no turn starts.
-    down: AtomicBool,
-    /// Paused by the fault plane: no turn starts, the inbox accumulates.
-    paused: AtomicBool,
-    /// `None` while crashed (and before `start`, and after `stop`).
-    state: Mutex<Option<NodeState>>,
-}
-
-impl Slot {
-    fn inbox(&self) -> MutexGuard<'_, VecDeque<Wire>> {
-        self.inbox.lock().expect("inbox lock")
-    }
-
-    /// The slot lock. Handlers run inside `catch_unwind` under it, so it is
-    /// not poisoned by a panicking node; it is tolerated anyway because
-    /// `stop()` takes it from `Drop`, where a second panic aborts.
-    fn state(&self) -> MutexGuard<'_, Option<NodeState>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The fault plane wants this node to stand still. Both flags are set
-    /// by the driver *before* it takes the slot lock, so a turn that reads
-    /// them under that lock (Acquire, pairing with the driver's Release
-    /// stores) never starts after `Crash`/`Pause` returned.
-    fn halted(&self) -> bool {
-        self.down.load(Ordering::Acquire) || self.paused.load(Ordering::Acquire)
-    }
-}
-
-/// What a slot holds while its node is up.
-struct NodeState {
-    rt: NodeRt,
-    process: Box<dyn Process>,
-    /// `Init` or `Recovered`, delivered before anything else.
-    first: Option<Event>,
-    /// The part of the inbox this turn took out; empty between turns. Kept
-    /// so the two buffers swap instead of reallocating.
-    batch: VecDeque<Wire>,
-    /// A handler panicked: recorded for `panicked_nodes()`, never run again.
-    panicked: bool,
-}
-
 /// Handlers one node may run before it goes to the back of the run queue.
 const TURN_BATCH: usize = 64;
 
-impl NodeState {
-    /// One scheduling turn: the first event if still owed, every deferred
-    /// action due at `now`, then at most [`TURN_BATCH`] messages in inbox
-    /// order. What is left of the inbox goes back in front of whatever
-    /// arrived meanwhile.
-    fn turn(&mut self, slot: &Slot, now: Time) {
-        if let Some(first) = self.first.take() {
-            self.rt.dispatch(&mut self.process, first, 0);
-        }
-        self.rt.fire_due(&mut self.process, now);
-        std::mem::swap(&mut self.batch, &mut *slot.inbox());
-        for _ in 0..TURN_BATCH {
-            // At most the handler in flight completes after a crash or a
-            // pause was asked for, not the rest of the batch.
-            if slot.halted() {
-                break;
-            }
-            let Some(Wire { from, payload, depth }) = self.batch.pop_front() else { break };
-            self.rt.dispatch(&mut self.process, Event::Message { from, payload }, depth);
-        }
-        if !self.batch.is_empty() {
-            let mut inbox = slot.inbox();
-            self.batch.append(&mut inbox);
-            std::mem::swap(&mut self.batch, &mut *inbox);
-        }
-    }
-}
+/// How long a run handles nodes before it applies its due timed faults
+/// and checks its predicate again.
+const SLICE: Duration = Duration::from_micros(200);
 
-/// What the worker and the driver's enqueues share about *which* node runs
-/// next and *when* an idle one must be looked at again.
-struct Sched {
-    /// Nodes with work, FIFO.
+/// What a node's handlers and the fault plane share: everything a send, a
+/// trace event or a span touches beyond the node itself.
+struct Net {
+    /// `Time(0)`: the moment [`ThreadedHost::start`] ran.
+    epoch: Instant,
+    /// Per node, indexed by id.
+    mail: Vec<Mailbox>,
+    /// Nodes with work, FIFO; a node is in it at most once.
     run: VecDeque<usize>,
     /// `(due, node)`: look at `node` at `due` because it has a deferred
     /// action then. May hold stale entries — a wake-up that finds nothing
     /// due costs one empty turn.
     wakeups: BinaryHeap<Reverse<(Time, usize)>>,
-    /// Per node, the earliest wake-up still in `wakeups`; `None` once it
-    /// has been served. A node re-registers only when its earliest
+    links: Links,
+    trace: Trace,
+    triggers: Triggers,
+    stats: MsgStats,
+    spans: SpanTotals,
+}
+
+/// What others see of one node.
+struct Mailbox {
+    inbox: VecDeque<Wire>,
+    /// The node is in the run queue.
+    queued: bool,
+    /// Decides whether the node runs (`Up`) and whether a message to it
+    /// is dropped (`Down`).
+    life: Life,
+    /// The earliest wake-up of this node still in `wakeups`; `None` once
+    /// it has been served. A node re-registers only when its earliest
     /// deferred action moved before this.
-    registered: Vec<Option<Time>>,
-    /// The worker waits on [`Pool::idle`]. Only the driver's enqueues
-    /// (install, resume, a heal's re-injection) can find it so.
-    parked: bool,
-    stopping: bool,
+    registered: Option<Time>,
 }
 
-/// Everything the worker, the nodes and the driver share.
-struct Pool {
-    slots: Vec<Slot>,
-    sched: Mutex<Sched>,
-    /// Where the worker with nothing to run waits, until a node is queued
-    /// or the earliest wake-up comes due.
-    idle: Condvar,
-    sink: Sink,
-    faults: FaultState,
-}
+impl Net {
+    fn time(&self, at: Instant) -> Time {
+        Time(at.saturating_duration_since(self.epoch).as_micros() as u64)
+    }
 
-impl Pool {
-    fn new(nodes: usize) -> Self {
-        Pool {
-            slots: (0..nodes).map(|_| Slot::default()).collect(),
-            sched: Mutex::new(Sched {
-                run: VecDeque::new(),
-                wakeups: BinaryHeap::new(),
-                registered: vec![None; nodes],
-                parked: false,
-                stopping: false,
-            }),
-            idle: Condvar::new(),
-            sink: Sink::new(),
-            faults: FaultState::default(),
+    fn now(&self) -> Time {
+        self.time(Instant::now())
+    }
+
+    fn instant(&self, at: Time) -> Instant {
+        self.epoch + Duration::from_micros(at.0)
+    }
+
+    fn record(&mut self, at: Time, node: NodeId, kind: TraceKind) {
+        record(&mut self.trace, &mut self.triggers, TraceEvent::new(at, node, kind));
+    }
+
+    /// Puts a node on the run queue unless it is there already.
+    fn enqueue(&mut self, idx: usize) {
+        let mail = &mut self.mail[idx];
+        if !mail.queued {
+            mail.queued = true;
+            self.run.push_back(idx);
         }
     }
 
-    fn sched(&self) -> MutexGuard<'_, Sched> {
-        self.sched.lock().expect("scheduler lock")
+    /// A send leaving `from`: counted, then held if the link is cut (see
+    /// [`Links`]) or delivered.
+    fn transmit(&mut self, from: NodeId, to: NodeId, payload: Payload, depth: u32) {
+        self.stats.record_sent(payload.label(), payload.is_background());
+        match self.links.send(from, to, payload, depth) {
+            Some(payload) => self.deliver(to, Wire { from, payload, depth }),
+            None => self.stats.record_dropped_on_link(),
+        }
     }
 
-    /// The raw inbox append, past the link filter. Returns `false` when the
-    /// destination is down: the message is dropped and the caller counts
-    /// it, matching the simulator's drop-to-down accounting. `down` is read
-    /// under the inbox lock, and a crash clears the inbox after setting it,
-    /// so nothing sent to a crashed incarnation reaches the next one.
-    fn push_wire(&self, to: NodeId, wire: Wire) -> bool {
+    /// The inbox append, past the link filter. A message to a down node
+    /// is dropped and counted, matching the simulator's drop-to-down
+    /// accounting, so nothing sent to a crashed incarnation reaches the
+    /// next one.
+    fn deliver(&mut self, to: NodeId, wire: Wire) {
         let idx = to.0 as usize;
-        let Some(slot) = self.slots.get(idx) else { return true };
-        {
-            let mut inbox = slot.inbox();
-            if slot.down.load(Ordering::Acquire) {
-                return false;
-            }
-            inbox.push_back(wire);
+        let Some(mail) = self.mail.get_mut(idx) else { return };
+        if mail.life == Life::Down {
+            return self.stats.record_dropped_to_down();
         }
+        mail.inbox.push_back(wire);
         self.enqueue(idx);
-        true
     }
 
-    /// Puts a node on the run queue unless it is there (or being run)
-    /// already, waking the worker only if it is parked. The swap pairs with
-    /// the worker's Release store at the end of a turn: whoever appended to
-    /// the inbox before a swap that read `true` is seen by the worker's
-    /// refill check, which follows its store.
-    fn enqueue(&self, idx: usize) {
-        if self.slots[idx].queued.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let wake = {
-            let mut sched = self.sched();
-            sched.run.push_back(idx);
-            sched.parked
-        };
-        if wake {
-            self.idle.notify_one();
-        }
-    }
-
-    /// The worker's main loop.
-    fn work(&self) {
-        let mut done = None;
-        while let Some((idx, now)) = self.next_node(done) {
-            done = self.run_node(idx, now).map(|due| (idx, due));
-        }
-    }
-
-    /// Registers the wake-up the turn just finished asked for, moves every
-    /// due wake-up onto the run queue (on every call — so timers are served
-    /// under saturation, not only when the worker runs dry) and pops the
-    /// next node, parking until there is one. Returns the node and the clock
-    /// reading it was picked at — the one read a turn decides by; `None`
-    /// means the host is stopping.
-    fn next_node(&self, done: Option<(usize, Time)>) -> Option<(usize, Time)> {
-        let mut now = self.sink.now();
-        let mut sched = self.sched();
-        if let Some((idx, due)) = done {
-            if sched.registered[idx].is_none_or(|at| due < at) {
-                sched.registered[idx] = Some(due);
-                sched.wakeups.push(Reverse((due, idx)));
+    /// Moves every wake-up due at `now` onto the run queue (on every call,
+    /// so timers are served under saturation, not only when the queue runs
+    /// dry) and pops the next node.
+    fn next(&mut self, now: Time) -> Option<usize> {
+        while let Some(&Reverse((due, idx))) = self.wakeups.peek() {
+            if due > now {
+                break;
             }
-        }
-        loop {
-            if sched.stopping {
-                return None;
-            }
-            while let Some(&Reverse((due, idx))) = sched.wakeups.peek() {
-                if due > now {
-                    break;
-                }
-                sched.wakeups.pop();
-                // Served: a node that is mid-turn right now re-registers
-                // at the end of that turn, whatever it saw of this due.
-                sched.registered[idx] = None;
-                if !self.slots[idx].queued.swap(true, Ordering::AcqRel) {
-                    sched.run.push_back(idx);
-                }
-            }
-            if let Some(idx) = sched.run.pop_front() {
-                return Some((idx, now));
-            }
-            sched.parked = true;
-            sched = match sched.wakeups.peek() {
-                Some(&Reverse((due, _))) => {
-                    let wait = Duration::from_micros(due.0 - now.0);
-                    self.idle.wait_timeout(sched, wait).expect("scheduler lock").0
-                }
-                None => self.idle.wait(sched).expect("scheduler lock"),
-            };
-            sched.parked = false;
-            now = self.sink.now();
-        }
-    }
-
-    /// Runs one turn of a node under its slot lock, unless the fault plane
-    /// halted it, it is crashed or it has panicked. Returns the node's
-    /// earliest deferred `due`, for the wake-up heap.
-    fn run_node(&self, idx: usize, now: Time) -> Option<Time> {
-        let slot = &self.slots[idx];
-        let mut next_due = None;
-        let mut ran = false;
-        {
-            let mut state = slot.state();
-            if let Some(node) = state.as_mut().filter(|n| !n.panicked && !slot.halted()) {
-                ran = true;
-                // A panicking handler is the node's bug, not the pool's:
-                // it must neither kill this worker nor poison the slot.
-                match catch_unwind(AssertUnwindSafe(|| node.turn(slot, now))) {
-                    Ok(()) => next_due = node.rt.deferred.next_at(),
-                    Err(_) => node.panicked = true,
-                }
-            }
-            slot.queued.store(false, Ordering::Release);
-        }
-        // Refilled while it ran (or more than a batch was waiting): back of
-        // the queue. A turn that did not run re-queues nothing — `Resume`
-        // and `Recover` queue the node themselves.
-        if ran && !slot.inbox().is_empty() {
+            self.wakeups.pop();
+            self.mail[idx].registered = None;
             self.enqueue(idx);
         }
-        next_due
+        let idx = self.run.pop_front()?;
+        self.mail[idx].queued = false;
+        Some(idx)
+    }
+
+    /// Asks for a look at `idx` at `due`, its earliest deferred action.
+    fn register(&mut self, idx: usize, due: Time) {
+        let registered = &mut self.mail[idx].registered;
+        if registered.is_none_or(|at| due < at) {
+            *registered = Some(due);
+            self.wakeups.push(Reverse((due, idx)));
+        }
     }
 }
 
-/// Per-node runtime state, touched only under the node's slot lock.
+/// A node's volatile runtime state, lent to its handlers' contexts.
 struct NodeRt {
     me: NodeId,
-    pool: Arc<Pool>,
-    cost: CostModel,
     rng: Rng,
-    storage: StableStorage,
-    /// This node's sends and drops since the driver last took them into
-    /// the host's totals, so no send takes a shared lock for accounting.
-    stats: MsgStats,
-    /// This node's Figure 8 spans, kept and taken the same way.
-    spans: SpanTotals,
     deferred: TimeQueue<Deferred>,
     timer_seq: u64,
 }
 
-impl NodeRt {
-    fn dispatch(&mut self, process: &mut Box<dyn Process>, event: Event, depth: u32) {
-        let now = self.pool.sink.now();
-        let mut ctx = ThreadCtx { rt: self, now, depth };
-        process.on_event(&mut ctx, event);
+/// One incarnation of a node, from its start or recovery to its crash.
+struct Node {
+    process: Box<dyn Process>,
+    /// `Init` or `Recovered`, delivered before anything else.
+    first: Option<Event>,
+    rt: NodeRt,
+}
+
+impl Node {
+    fn new(me: NodeId, process: Box<dyn Process>, rng: Rng, first: Event) -> Self {
+        let rt = NodeRt { me, rng, deferred: TimeQueue::default(), timer_seq: 0 };
+        Node { process, first: Some(first), rt }
     }
 
-    /// Fires every deferred action due at `now`, in (due, seq) order.
-    fn fire_due(&mut self, process: &mut Box<dyn Process>, now: Time) {
-        while self.deferred.next_at().is_some_and(|due| due <= now) {
-            match self.deferred.pop().expect("peeked") {
+    /// One scheduling turn: the first event if still owed, every deferred
+    /// action due at `now`, then at most [`TURN_BATCH`] of the messages
+    /// waiting when the turn began, in inbox order. It ends early after a
+    /// handler whose events hit an armed trigger, so the fault lands
+    /// before the node's next handler.
+    fn turn(&mut self, net: &mut Net, storage: &mut StableStorage, cost: &CostModel, now: Time) {
+        if let Some(first) = self.first.take() {
+            if self.handle(net, storage, cost, first, 0) {
+                return;
+            }
+        }
+        while self.rt.deferred.next_at().is_some_and(|due| due <= now) {
+            match self.rt.deferred.pop().expect("peeked") {
                 (_, _, true) => {} // a cancelled timer
                 (_, Deferred::Timer { id, tag, depth }, false) => {
-                    self.dispatch(process, Event::Timer { id, tag }, depth);
+                    if self.handle(net, storage, cost, Event::Timer { id, tag }, depth) {
+                        return;
+                    }
                 }
                 (_, Deferred::Send { to, payload, depth }, false) => {
-                    self.transmit(to, payload, depth)
+                    net.transmit(self.rt.me, to, payload, depth)
                 }
             }
         }
-    }
-
-    /// Puts a message on the destination's inbox — unless the link is cut,
-    /// which holds it until the heal (see [`Links`]).
-    fn transmit(&mut self, to: NodeId, mut payload: Payload, depth: u32) {
-        self.stats.record_sent(payload.label(), payload.is_background());
-        let faults = &self.pool.faults;
-        if faults.links_active.load(Ordering::Relaxed) {
-            match faults.links().send(self.me, to, payload, depth) {
-                Some(whole) => payload = whole,
-                None => return self.stats.record_dropped_on_link(),
+        let idx = self.rt.me.0 as usize;
+        for _ in 0..net.mail[idx].inbox.len().min(TURN_BATCH) {
+            let Some(Wire { from, payload, depth }) = net.mail[idx].inbox.pop_front() else {
+                break;
+            };
+            if self.handle(net, storage, cost, Event::Message { from, payload }, depth) {
+                return;
             }
         }
-        self.push_wire(to, payload, depth);
     }
 
-    fn push_wire(&mut self, to: NodeId, payload: Payload, depth: u32) {
-        if !self.pool.push_wire(to, Wire { from: self.me, payload, depth }) {
-            self.stats.record_dropped_to_down();
-        }
+    /// Runs one handler at the clock's current reading; says whether an
+    /// event it recorded hit an armed trigger.
+    fn handle(
+        &mut self,
+        net: &mut Net,
+        storage: &mut StableStorage,
+        cost: &CostModel,
+        event: Event,
+        depth: u32,
+    ) -> bool {
+        let now = net.now();
+        let mut ctx = ThreadCtx { net, rt: &mut self.rt, storage, cost, now, depth };
+        self.process.on_event(&mut ctx, event);
+        ctx.net.triggers.hit()
     }
 }
 
 /// The `Context` capability surface, threaded-backend flavour. `now` is
-/// pinned at handler entry — same convention as the simulator, where a
-/// handler runs instantaneously at one instant.
+/// pinned at handler entry and stamps every event the handler records —
+/// same convention as the simulator, where a handler runs instantaneously
+/// at one instant. One thread records the trace, so it stays in time
+/// order.
 struct ThreadCtx<'a> {
+    net: &'a mut Net,
     rt: &'a mut NodeRt,
+    storage: &'a mut StableStorage,
+    cost: &'a CostModel,
     now: Time,
     depth: u32,
 }
@@ -535,7 +347,7 @@ impl ThreadCtx<'_> {
         let background = payload.is_background();
         let depth = if background { 0 } else { depth_base + 1 };
         if extra == Dur::ZERO {
-            self.rt.transmit(to, payload, depth);
+            self.net.transmit(self.rt.me, to, payload, depth);
         } else {
             self.rt.deferred.push(self.now + extra, Deferred::Send { to, payload, depth });
         }
@@ -567,27 +379,28 @@ impl Context for ThreadCtx<'_> {
     }
 
     fn log_append(&mut self, log: &'static str, rec: StableRecord, forced: bool) -> Dur {
-        self.rt.storage.append(log, rec);
+        self.storage.append(log, rec);
         if forced {
-            self.rt.rng.jitter(self.rt.cost.log_force, self.rt.cost.jitter)
+            self.rt.rng.jitter(self.cost.log_force, self.cost.jitter)
         } else {
             Dur::ZERO
         }
     }
 
     fn log_read(&self, log: &'static str) -> Vec<StableRecord> {
-        self.rt.storage.read(log).to_vec()
+        self.storage.read(log).to_vec()
     }
 
     fn trace(&mut self, kind: TraceKind) {
-        self.rt.pool.sink.push(self.rt.me, kind);
+        self.net.record(self.now, self.rt.me, kind);
     }
 
+    /// Summed, and recorded (so offered to the armed triggers, and not
+    /// kept) only while a trigger is armed.
     fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
-        self.rt.spans.record(comp, dur);
-        let sink = &self.rt.pool.sink;
-        if sink.offering.load(Ordering::Acquire) {
-            sink.push(self.rt.me, TraceKind::Span { rid, comp, dur });
+        self.net.spans.record(comp, dur);
+        if !self.net.triggers.is_empty() {
+            self.net.record(self.now, self.rt.me, TraceKind::Span { rid, comp, dur });
         }
     }
 
@@ -607,27 +420,32 @@ impl Context for ThreadCtx<'_> {
     }
 }
 
-/// What is left of a node once its state has been taken out of its slot,
-/// at a crash or at `stop()`: the process (for post-run introspection
-/// through `Process::as_any`; `None` after a fault-plane crash wiped the
-/// volatile state) and its stable logs (which survive crashes, per §2).
-struct NodeShell {
-    process: Option<Box<dyn Process>>,
+/// One node's place in the host, kept from registration to the end.
+struct Slot {
+    name: &'static str,
+    /// Builds the process at start and again at every recovery (volatile
+    /// state from scratch).
+    factory: NodeFactory,
+    incarnation: u32,
+    /// `None` before start, while crashed, and after a handler panicked.
+    node: Option<Node>,
+    /// Survives crashes (§2), for the recovered incarnation and for
+    /// introspection.
     storage: StableStorage,
+    /// A handler panicked: the node never runs again, nor recovers.
+    panicked: bool,
 }
 
 enum Phase {
-    /// Nodes may still be registered; the worker does not exist yet.
+    /// Nodes may still be registered; none has run.
     Building,
-    /// The worker is live and processing.
+    /// Nodes run inside the run calls.
     Running,
-    /// The worker joined; shells available for introspection.
+    /// Nothing runs any more.
     Stopped,
 }
 
-/// What the driver owes at a host-clock instant. Pumped from the driver
-/// thread, never from the worker — applying a crash means taking the
-/// victim's slot lock, which the worker holds while it runs the victim.
+/// What the fault plane owes at a host-clock instant.
 enum Due {
     /// A scheduled operation, lowered when it fires.
     Op(FaultOp),
@@ -635,67 +453,35 @@ enum Due {
     Undo(Vec<Prim>),
 }
 
-/// The multi-threaded host. Register nodes, then [`ThreadedHost::start`]
-/// (or let the first run call do it), run, and [`ThreadedHost::stop`] to
-/// join the worker and unlock post-run introspection
-/// ([`ThreadedHost::process_ref`], [`ThreadedHost::storage`]).
+/// The wall-clock host. Register nodes, then [`ThreadedHost::start`] (or
+/// let the first run call do it), run, and [`ThreadedHost::stop`].
 ///
-/// The driver — the thread calling these methods — owns the run's one
-/// [`Trace`] and its totals. Each pass of its polling loops
-/// ([`Host::run_trace_until`], [`Host::quiesce_for`]) first drains what
-/// the worker recorded since the last pass, offering each event to the
-/// armed triggers and keeping all but spans, then applies the faults
-/// scheduled through [`Host::schedule_fault`] that are due or triggered:
-/// a crash takes the victim's state out of its slot (keeping its stable
-/// logs for restart), a pause gates the slot with the inbox accumulating,
-/// a cut enters the link in the shared table. Arming a trace trigger and
-/// [`ThreadedHost::stop`] drain too, so a trigger never sees an event
-/// recorded before it was armed and a stopped host's trace is complete.
-/// Whenever the driver returns to its caller it takes every live node's
-/// counts and spans into its own, so [`Host::stats`] and [`Host::spans`]
-/// read as of that return.
+/// Nodes run only inside [`Host::run_trace_until`] and
+/// [`Host::quiesce_for`], on the thread that calls them. Between two
+/// handlers nothing runs, so everything the host holds reads live at any
+/// time: the trace ([`Host::trace`]), the totals ([`Host::stats`],
+/// [`Host::spans`]), each node's process ([`ThreadedHost::process_ref`])
+/// and stable storage ([`ThreadedHost::storage`]). A fault scheduled
+/// through [`Host::schedule_fault`] applies between two handlers: a
+/// crash drops the victim's process, deferred actions and inbox (keeping
+/// its stable logs for restart), a pause leaves it unrun with its inbox
+/// accumulating, a cut enters the link in the table every send consults.
+/// "Threaded" names the real thread the nodes run on — the caller's — as
+/// against the simulator's virtual time.
 pub struct ThreadedHost {
     cfg: ThreadedConfig,
     phase: Phase,
-    pending: Vec<(&'static str, NodeFactory)>,
-    names: Vec<&'static str>,
-    /// Factories retained across [`ThreadedHost::start`] so a crashed
-    /// node can be rebuilt at recovery (volatile state from scratch).
-    factories: Vec<NodeFactory>,
-    pool: Arc<Pool>,
-    /// The one thread that runs every node, from [`ThreadedHost::start`]
-    /// to [`ThreadedHost::stop`]; the driver is the only other.
-    worker: Option<JoinHandle<()>>,
-    shells: Vec<Option<NodeShell>>,
-    /// The run's message counts as of the driver's last return: taken
-    /// from the live nodes then, from a crashed or stopped incarnation as
-    /// it leaves its slot, plus the driver's own (re-injection at a link
-    /// heal).
-    stats: MsgStats,
-    /// The run's Figure 8 spans, gathered the same way.
-    spans: SpanTotals,
-    incarnations: Vec<u32>,
-    /// Each node's lifecycle state. Only the driver changes it, so it is
-    /// what decides whether a fault applies; the slots' `down` / `paused`
-    /// flags are what the worker reads of it.
-    lives: Vec<Life>,
-    panicked: Vec<&'static str>,
+    slots: Vec<Slot>,
+    net: Net,
     /// Timed faults not yet due, in scheduling order; an entry leaves
     /// when it fires.
     nemesis: Vec<(Time, Due)>,
-    triggers: Triggers,
-    /// The run's trace up to the last drain. Only the driver grows it, so
-    /// reading it takes no lock.
-    trace: Trace,
-    /// The empty buffer a drain swaps in for the sink's pending one, so
-    /// the two buffers' capacity is reused.
-    spare: Vec<TraceEvent>,
 }
 
 impl std::fmt::Debug for ThreadedHost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadedHost")
-            .field("nodes", &self.names.len())
+            .field("nodes", &self.slots.len())
             .field(
                 "phase",
                 &match self.phase {
@@ -711,42 +497,28 @@ impl std::fmt::Debug for ThreadedHost {
 impl ThreadedHost {
     /// Creates an empty host. The wall clock starts at [`ThreadedHost::start`].
     pub fn new(cfg: ThreadedConfig) -> Self {
-        ThreadedHost {
-            cfg,
-            phase: Phase::Building,
-            pending: Vec::new(),
-            names: Vec::new(),
-            factories: Vec::new(),
-            pool: Arc::new(Pool::new(0)),
-            worker: None,
-            shells: Vec::new(),
+        let net = Net {
+            epoch: Instant::now(),
+            mail: Vec::new(),
+            run: VecDeque::new(),
+            wakeups: BinaryHeap::new(),
+            links: Links::default(),
+            trace: Trace::default(),
+            triggers: Triggers::default(),
             stats: MsgStats::default(),
             spans: SpanTotals::default(),
-            incarnations: Vec::new(),
-            lives: Vec::new(),
-            panicked: Vec::new(),
-            nemesis: Vec::new(),
-            triggers: Triggers::default(),
-            trace: Trace::default(),
-            spare: Vec::new(),
-        }
+        };
+        ThreadedHost { cfg, phase: Phase::Building, slots: Vec::new(), net, nemesis: Vec::new() }
     }
 
-    /// Installs every registered node in its slot with `Event::Init` owed
-    /// (cross-node Init interleaving is unordered, exactly like any real
-    /// deployment's staggered start) and spawns the worker.
+    /// Builds every registered node with `Event::Init` owed and queues it,
+    /// in id order; the first run call handles them. Idempotent.
     pub fn start(&mut self) {
         if !matches!(self.phase, Phase::Building) {
             return;
         }
-        let n = self.pending.len();
-        // A fresh pool also resets the epoch, so Time(0) is the moment
-        // processing begins, not host construction.
-        self.pool = Arc::new(Pool::new(n));
-        self.pool.sink.offering.store(!self.triggers.is_empty(), Ordering::Release);
-        self.incarnations = vec![0; n];
-        self.lives = vec![Life::Up; n];
-        self.shells = (0..n).map(|_| None).collect();
+        // Time(0) is the moment processing begins, not host construction.
+        self.net.epoch = Instant::now();
         // Faults scheduled before the run (`NemesisWhen::Now` on a
         // building host) that need no live node — cuts and pauses — are
         // put in force *before* any node's Init runs, so a pre-partitioned
@@ -760,111 +532,32 @@ impl ThreadedHost {
             self.fire(due);
         }
         let mut master = Rng::new(self.cfg.seed);
-        for (idx, (_, mut factory)) in std::mem::take(&mut self.pending).into_iter().enumerate() {
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
             let me = NodeId(idx as u32);
             let rng = master.fork();
-            let process = factory(me);
-            self.factories.push(factory);
-            self.install(me, process, StableStorage::new(), rng, Event::Init);
+            let process = (slot.factory)(me);
+            slot.node = Some(Node::new(me, process, rng, Event::Init));
+            self.net.enqueue(idx);
         }
-        let pool = Arc::clone(&self.pool);
-        let worker = std::thread::Builder::new().name("etx-worker".into());
-        self.worker = Some(worker.spawn(move || pool.work()).expect("spawn worker thread"));
         self.phase = Phase::Running;
     }
 
-    /// Puts one node incarnation into its slot and queues it. Used at
-    /// startup (with `Event::Init` and empty logs) and at fault-plane
-    /// recovery (with `Event::Recovered` and the crashed incarnation's
-    /// logs).
-    fn install(
-        &self,
-        me: NodeId,
-        process: Box<dyn Process>,
-        storage: StableStorage,
-        rng: Rng,
-        first: Event,
-    ) {
-        let rt = NodeRt {
-            me,
-            pool: Arc::clone(&self.pool),
-            cost: self.cfg.cost.clone(),
-            rng,
-            storage,
-            stats: MsgStats::default(),
-            spans: SpanTotals::default(),
-            deferred: TimeQueue::default(),
-            timer_seq: 0,
-        };
-        let idx = me.0 as usize;
-        *self.pool.slots[idx].state() = Some(NodeState {
-            rt,
-            process,
-            first: Some(first),
-            batch: VecDeque::new(),
-            panicked: false,
-        });
-        self.pool.enqueue(idx);
-    }
-
-    /// Keeps what survives of a node whose state left its slot: the counts
-    /// and spans not yet taken always, its logs and (unless `crashed`) its
-    /// process if it did not panic. Dropping the rest drops the node's
-    /// handle on the pool.
-    fn retire(&mut self, idx: usize, state: NodeState, crashed: bool) {
-        self.stats.merge(&state.rt.stats);
-        self.spans.merge(&state.rt.spans);
-        if state.panicked {
-            self.panicked.push(self.names[idx]);
-            return;
-        }
-        let process = (!crashed).then_some(state.process);
-        self.shells[idx] = Some(NodeShell { process, storage: state.rt.storage });
-    }
-
-    /// Stops and joins the worker (what is still queued is left
-    /// unhandled) and keeps each node's final process + stable logs for
-    /// introspection. Idempotent.
+    /// Stops the host: from here nothing runs (what is still queued is
+    /// left unhandled) and no fault is accepted. Every node's process and
+    /// stable logs stay readable. Idempotent.
     ///
-    /// A node that *panicked* is recorded rather than propagated —
-    /// `stop()` runs from `Drop`, where a panic would abort the process.
-    /// Callers that must fail the scenario on a dead node (the harness
-    /// does) check [`ThreadedHost::panicked_nodes`] after stopping.
+    /// A node that *panicked* is recorded rather than propagated. Callers
+    /// that must fail the scenario on a dead node (the harness does) check
+    /// [`ThreadedHost::panicked_nodes`].
     pub fn stop(&mut self) {
-        match self.phase {
-            Phase::Building => {
-                // Nothing ever ran; still transition so introspection of an
-                // empty run does not hang.
-                self.phase = Phase::Stopped;
-                return;
-            }
-            Phase::Stopped => return,
-            Phase::Running => {}
-        }
-        self.pool.sched.lock().unwrap_or_else(PoisonError::into_inner).stopping = true;
-        self.pool.idle.notify_one();
-        if self.worker.take().is_some_and(|worker| worker.join().is_err()) {
-            self.panicked.push("etx-worker");
-        }
-        // Taking every state out also breaks the pool → state → `NodeRt` →
-        // pool reference cycle. Nodes crashed by the fault plane already
-        // parked their shell (stable logs intact) at crash time.
-        for idx in 0..self.pool.slots.len() {
-            let state = self.pool.slots[idx].state().take();
-            if let Some(state) = state {
-                self.retire(idx, state, false);
-            }
-        }
-        self.drain_trace();
         self.phase = Phase::Stopped;
     }
 
-    /// Names of nodes whose handler panicked (observed when the fault
-    /// plane crashed them, or at [`ThreadedHost::stop`]). A non-empty list
-    /// means the run's results are untrustworthy; the harness turns it
-    /// into a scenario failure.
-    pub fn panicked_nodes(&self) -> &[&'static str] {
-        &self.panicked
+    /// Names of nodes whose handler panicked, in id order. A non-empty
+    /// list means the run's results are untrustworthy; the harness turns
+    /// it into a scenario failure.
+    pub fn panicked_nodes(&self) -> Vec<&'static str> {
+        self.slots.iter().filter(|s| s.panicked).map(|s| s.name).collect()
     }
 
     /// Whether [`ThreadedHost::stop`] has run.
@@ -874,128 +567,165 @@ impl ThreadedHost {
 
     /// Node name (diagnostics).
     pub fn node_name(&self, node: NodeId) -> &'static str {
-        self.names[node.0 as usize]
+        self.slots[node.0 as usize].name
     }
 
-    /// Read access to a node's final process state. Only available after
-    /// [`ThreadedHost::stop`] — while the worker runs, each process belongs
-    /// to its slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host has not been stopped.
+    /// Read access to a node's process: `None` before start, while the
+    /// node is crashed and after a handler of it panicked. Pair with
+    /// [`Process::as_any`] to downcast — test and harness introspection
+    /// only, never a protocol channel.
     pub fn process_ref(&self, node: NodeId) -> Option<&dyn Process> {
-        assert!(
-            self.is_stopped(),
-            "threaded-host process introspection requires stop() — the worker owns the \
-             processes while running"
-        );
-        self.shells.get(node.0 as usize).and_then(|s| s.as_ref()).and_then(|s| s.process.as_deref())
+        self.slots[node.0 as usize].node.as_ref().map(|n| &*n.process)
     }
 
-    /// A node's stable storage (empty for a node that panicked). Only
-    /// available after [`ThreadedHost::stop`], for the same ownership
-    /// reason as [`ThreadedHost::process_ref`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host has not been stopped.
+    /// A node's stable storage, which survives its crashes.
     pub fn storage(&self, node: NodeId) -> &StableStorage {
-        assert!(
-            self.is_stopped(),
-            "threaded-host log introspection requires stop() — the worker owns the logs \
-             while running"
-        );
-        static NONE: StableStorage = StableStorage::new();
-        self.shells.get(node.0 as usize).and_then(|s| s.as_ref()).map_or(&NONE, |s| &s.storage)
+        &self.slots[node.0 as usize].storage
     }
 
-    // ---- fault plane (driver-thread only) --------------------------------
+    /// A copy of the run's trace. [`Host::trace`] lends the same trace in
+    /// place; this remains for callers that want it owned.
+    pub fn trace_snapshot(&self) -> Trace {
+        self.net.trace.clone()
+    }
 
-    /// A lifecycle primitive, where [`Life::next`] says it applies, done
-    /// for real. A crash or a pause is recorded after its barrier (the
-    /// slot lock, which waits out the handler in flight), so it follows
-    /// every event of that handler; a recovery or a resume is recorded
-    /// before the node can run again, so it precedes all the node does
-    /// next.
+    // ---- the run loop ------------------------------------------------------
+
+    /// Runs nodes on the calling thread until `pred` holds or `deadline`
+    /// passes. Each pass applies the timed faults that are due, checks
+    /// `pred` and runs one slice; only after a slice found no node to run
+    /// does it sleep, until the earliest of the next wake-up, the next
+    /// timed fault and `deadline`. A stopped host runs nothing and waits
+    /// for nothing.
+    fn drive(&mut self, deadline: Instant, pred: &mut dyn FnMut(&Trace) -> bool) -> RunOutcome {
+        loop {
+            if !self.is_stopped() {
+                self.pump_nemesis();
+            }
+            if pred(&self.net.trace) {
+                return RunOutcome::Predicate;
+            }
+            let now = Instant::now();
+            if now >= deadline || self.is_stopped() {
+                return RunOutcome::TimeLimit;
+            }
+            if !self.slice(now + SLICE) {
+                let next_wakeup = self.net.wakeups.peek().map(|&Reverse((due, _))| due);
+                let next_fault = self.nemesis.iter().map(|&(at, _)| at).min();
+                let wake = next_wakeup.into_iter().chain(next_fault).min();
+                let until = wake.map_or(deadline, |at| self.net.instant(at).min(deadline));
+                std::thread::sleep(until.saturating_duration_since(Instant::now()));
+            }
+        }
+    }
+
+    /// Runs turns until no node has work or `until` passes, firing what
+    /// each turn's events triggered before the next turn starts. Returns
+    /// whether any node was run.
+    fn slice(&mut self, until: Instant) -> bool {
+        let mut ran = false;
+        loop {
+            let at = Instant::now();
+            if at >= until {
+                return ran;
+            }
+            let now = self.net.time(at);
+            let Some(idx) = self.net.next(now) else { return ran };
+            ran = true;
+            self.turn(idx, now);
+            self.fire_triggered();
+        }
+    }
+
+    /// One turn of a node, unless it is paused, down or has panicked (a
+    /// `Resume` or `Recover` queues it again). Then the node's earliest
+    /// deferred action is registered as a wake-up, and a node with
+    /// messages left goes to the back of the run queue.
+    fn turn(&mut self, idx: usize, now: Time) {
+        let net = &mut self.net;
+        let slot = &mut self.slots[idx];
+        if net.mail[idx].life != Life::Up {
+            return;
+        }
+        let Some(node) = slot.node.as_mut() else { return };
+        let (storage, cost) = (&mut slot.storage, &self.cfg.cost);
+        // A panicking handler is the node's bug, not the host's: it must
+        // not unwind through the caller's run.
+        match catch_unwind(AssertUnwindSafe(|| node.turn(net, storage, cost, now))) {
+            Ok(()) => {
+                if let Some(due) = node.rt.deferred.next_at() {
+                    net.register(idx, due);
+                }
+                if !net.mail[idx].inbox.is_empty() {
+                    net.enqueue(idx);
+                }
+            }
+            Err(_) => {
+                slot.node = None;
+                slot.panicked = true;
+            }
+        }
+    }
+
+    // ---- fault plane -------------------------------------------------------
+
+    /// A lifecycle primitive, where [`Life::next`] says it applies: the
+    /// node's new state and its record, then what the host makes of it.
     fn transition(&mut self, node: NodeId, prim: Prim) {
         let idx = node.0 as usize;
-        let Some((life, kind)) = self.lives.get(idx).and_then(|l| l.next(prim)) else {
+        let Some(mail) = self.net.mail.get_mut(idx) else { return };
+        let Some((life, kind)) = mail.life.next(prim) else { return };
+        let slot = &mut self.slots[idx];
+        // A node that panicked left nothing coherent to restart: it stays
+        // down.
+        if matches!(prim, Prim::Recover(_)) && slot.panicked {
             return;
-        };
-        let slot = &self.pool.slots[idx];
+        }
+        mail.life = life;
         match prim {
-            // Marked down first: senders' messages drop from here and no
-            // turn starts. Then the state is taken under the slot lock — a
-            // real crash also finishes the instruction it is on. The stable
-            // logs are parked for recovery; the process is dropped and the
-            // inbox cleared, wiping all volatile state, exactly the §2
-            // crash model.
+            // The process, its deferred actions and its inbox go: all
+            // volatile state, exactly the §2 crash model. The stable
+            // storage stays in the slot.
             Prim::Crash(_) => {
-                slot.down.store(true, Ordering::Release);
-                let state = slot.state().take();
-                slot.inbox().clear();
-                if let Some(state) = state {
-                    self.retire(idx, state, true);
-                }
-                self.pool.sink.push(node, kind);
+                slot.node = None;
+                mail.inbox.clear();
             }
-            // A fresh process from the retained factory over the crashed
-            // incarnation's stable logs, `Event::Recovered` first. (Nothing
-            // sent while it was down reaches it: those sends were dropped at
-            // the inbox.) A node that panicked left no shell: nothing
-            // coherent to restart, so it stays down.
+            // A fresh process from the factory over the crashed
+            // incarnation's stable logs, `Event::Recovered` first. Nothing
+            // sent while it was down reaches it: those sends were dropped.
             Prim::Recover(_) => {
-                let Some(shell) = self.shells[idx].take() else { return };
-                self.incarnations[idx] += 1;
-                let process = (self.factories[idx])(node);
+                slot.incarnation += 1;
                 // Fresh deterministic stream per incarnation: same master
                 // seed + node + incarnation → same stream, never a replay of
                 // the pre-crash one.
-                let rng = Rng::new(
-                    self.cfg.seed ^ ((idx as u64) << 32) ^ u64::from(self.incarnations[idx]),
-                );
-                self.pool.sink.push(node, kind);
-                slot.paused.store(false, Ordering::Release);
-                slot.down.store(false, Ordering::Release);
-                self.install(node, process, shell.storage, rng, Event::Recovered);
+                let rng =
+                    Rng::new(self.cfg.seed ^ ((idx as u64) << 32) ^ u64::from(slot.incarnation));
+                let process = (slot.factory)(node);
+                slot.node = Some(Node::new(node, process, rng, Event::Recovered));
+                self.net.enqueue(idx);
             }
-            // No turn of it starts from here, inbox accumulating, timers
-            // going overdue — SIGSTOP semantics without the signal. Past
-            // the barrier, the handler that was in flight is done and none
-            // runs until `Resume`.
-            Prim::Pause(_) => {
-                slot.paused.store(true, Ordering::Release);
-                drop(slot.state());
-                self.pool.sink.push(node, kind);
-            }
+            // No turn of it runs from here, inbox accumulating, timers
+            // going overdue — SIGSTOP semantics without the signal.
+            Prim::Pause(_) => {}
             // Queued again, it fires every overdue timer and drains the
-            // accumulated inbox — late, as after a real SIGCONT. A turn
-            // that found the node paused clears `queued` under the slot
-            // lock; past this barrier the enqueue cannot be lost.
-            Prim::Resume(_) => {
-                self.pool.sink.push(node, kind);
-                slot.paused.store(false, Ordering::Release);
-                drop(slot.state());
-                self.pool.enqueue(idx);
-            }
-            Prim::CutLink { .. } | Prim::HealLink { .. } => return,
+            // accumulated inbox — late, as after a real SIGCONT.
+            Prim::Resume(_) => self.net.enqueue(idx),
+            Prim::CutLink { .. } | Prim::HealLink { .. } => {}
         }
-        self.lives[idx] = life;
+        let now = self.net.now();
+        self.net.record(now, node, kind);
     }
 
     /// A scheduled entry fires: an operation is lowered, its primitives
-    /// apply now and its undo is owed `after` from now. Driver-thread
-    /// only: a crash takes the victim's slot lock, and must never run
-    /// while holding the trace lock (the victim may be blocked on it
-    /// mid-handler).
+    /// apply now and its undo is owed `after` from now. Then whatever the
+    /// events they recorded triggered fires too.
     fn fire(&mut self, due: Due) {
         let prims = match due {
             Due::Undo(prims) => prims,
             Due::Op(op) => {
                 let lowered = op.lower();
                 if let Some((after, undo)) = lowered.undo {
-                    self.nemesis.push((self.pool.sink.now() + after, Due::Undo(undo)));
+                    self.nemesis.push((self.net.now() + after, Due::Undo(undo)));
                 }
                 lowered.now
             }
@@ -1005,83 +735,37 @@ impl ThreadedHost {
                 Prim::Crash(n) | Prim::Recover(n) | Prim::Pause(n) | Prim::Resume(n) => {
                     self.transition(n, prim)
                 }
-                Prim::CutLink { from, to } => {
-                    let mut links = self.pool.faults.links();
-                    links.cut(from, to);
-                    self.pool.faults.links_active.store(true, Ordering::Relaxed);
-                }
-                // Re-injected under the table lock and before the flag
-                // clears, so a later send on the link queues behind what
-                // the link held (FIFO per link survives the cut). A
-                // destination that crashed meanwhile still loses them,
-                // with the usual drop-to-down accounting.
+                Prim::CutLink { from, to } => self.net.links.cut(from, to),
+                // What the link held goes out in send order, behind nothing
+                // (a later send on the link queues behind it: FIFO per link
+                // survives the cut). A destination that crashed meanwhile
+                // still loses it, with the usual drop-to-down accounting.
                 Prim::HealLink { from, to } => {
-                    let mut links = self.pool.faults.links();
-                    for (payload, depth) in links.heal(from, to) {
-                        if !self.pool.push_wire(to, Wire { from, payload, depth }) {
-                            self.stats.record_dropped_to_down();
-                        }
+                    for (payload, depth) in self.net.links.heal(from, to) {
+                        self.net.deliver(to, Wire { from, payload, depth });
                     }
-                    self.pool.faults.links_active.store(!links.is_empty(), Ordering::Relaxed);
                 }
             }
         }
+        self.fire_triggered();
     }
 
-    /// Records what the worker pushed since the last drain, in order
-    /// (see [`record`]). The sink's lock is held for one buffer swap.
-    fn drain_trace(&mut self) {
-        std::mem::swap(&mut self.spare, &mut *self.pool.sink.pending());
-        for ev in self.spare.drain(..) {
-            record(&mut self.trace, &mut self.triggers, ev);
+    /// Fires the faults of the triggers hit since the last call, in
+    /// arming order.
+    fn fire_triggered(&mut self) {
+        for op in self.net.triggers.fired() {
+            self.fire(Due::Op(op));
         }
     }
 
-    /// Drains the trace, then fires every triggered and every due nemesis
-    /// entry. Called from the driver's polling loops
-    /// ([`Host::run_trace_until`], [`Host::quiesce_for`]). What fired is
-    /// applied with no sink lock held (a crash waits for the victim's
-    /// handler, which may itself be waiting on that lock).
+    /// Fires every timed entry that is due.
     fn pump_nemesis(&mut self) {
-        self.drain_trace();
-        let mut fired: Vec<Due> = self.triggers.fired().into_iter().map(Due::Op).collect();
-        if !fired.is_empty() && self.triggers.is_empty() {
-            self.pool.sink.offering.store(false, Ordering::Release);
-        }
-        let now = self.pool.sink.now();
-        fired.extend(self.nemesis.extract_if(.., |(at, _)| *at <= now).map(|(_, due)| due));
-        for due in fired {
+        let now = self.net.now();
+        let due: Vec<Due> =
+            self.nemesis.extract_if(.., |(at, _)| *at <= now).map(|(_, due)| due).collect();
+        for due in due {
             self.fire(due);
         }
-    }
-
-    /// A copy of the trace collected so far: the drained trace
-    /// ([`Host::trace`]) plus what the worker traced since the last drain.
-    /// Like the drained trace, it holds no span.
-    pub fn trace_snapshot(&self) -> Trace {
-        let (mut trace, mut unarmed) = (self.trace.clone(), Triggers::default());
-        for ev in self.pool.sink.pending().iter() {
-            record(&mut trace, &mut unarmed, ev.clone());
-        }
-        trace
-    }
-
-    /// Takes every live node's counts and spans into the host's totals,
-    /// each under its slot lock, leaving the node's empty: what a node
-    /// counted is in the totals once, whenever it is taken.
-    fn fold_totals(&mut self) {
-        for slot in &self.pool.slots {
-            if let Some(node) = slot.state().as_mut() {
-                self.stats.merge(&std::mem::take(&mut node.rt.stats));
-                self.spans.merge(&std::mem::take(&mut node.rt.spans));
-            }
-        }
-    }
-}
-
-impl Drop for ThreadedHost {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -1091,88 +775,67 @@ impl Host for ThreadedHost {
             matches!(self.phase, Phase::Building),
             "threaded host: all nodes must be registered before the run starts"
         );
-        let id = NodeId(self.pending.len() as u32);
-        self.pending.push((name, factory));
-        self.names.push(name);
+        let id = NodeId(self.slots.len() as u32);
+        self.slots.push(Slot {
+            name,
+            factory,
+            incarnation: 0,
+            node: None,
+            storage: StableStorage::new(),
+            panicked: false,
+        });
+        self.net.mail.push(Mailbox {
+            inbox: VecDeque::new(),
+            queued: false,
+            life: Life::Up,
+            registered: None,
+        });
         id
     }
 
     fn host_now(&self) -> Time {
-        self.pool.sink.now()
+        self.net.now()
     }
 
     fn run_trace_until(&mut self, mut pred: Box<dyn FnMut(&Trace) -> bool + '_>) -> RunOutcome {
         self.start();
-        let poll = Duration::from_micros(200);
-        let outcome = loop {
-            // The nemesis is pumped here, on the driver thread — a crash
-            // takes the victim's slot lock, which the worker in the middle
-            // of that node's handler could never do. The pump drains the
-            // trace first, so the predicate reads it without a lock.
-            self.pump_nemesis();
-            if pred(&self.trace) {
-                break RunOutcome::Predicate;
-            }
-            // The wall-clock watchdog: a paused or wedged node must turn
-            // into a diagnosable timeout, never a hung test run.
-            if self.pool.sink.epoch.elapsed() > self.cfg.wall_limit {
-                break RunOutcome::TimeLimit;
-            }
-            std::thread::sleep(poll);
-        };
-        self.fold_totals();
-        outcome
+        // The wall-clock watchdog: a paused or wedged node must turn into
+        // a diagnosable timeout, never a hung test run.
+        let deadline = self.net.epoch + self.cfg.wall_limit;
+        self.drive(deadline, &mut pred)
     }
 
     fn quiesce_for(&mut self, extra: Dur) {
         self.start();
-        // Sliced sleep so timed nemesis entries (recoveries, link heals)
-        // still fire while the driver is "just waiting".
         let deadline = Instant::now() + Duration::from_micros(extra.0);
-        loop {
-            self.pump_nemesis();
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            std::thread::sleep(remaining.min(Duration::from_millis(1)));
-        }
-        self.fold_totals();
+        self.drive(deadline, &mut |_| false);
     }
 
-    /// The run's trace as of the driver's last drain;
-    /// [`ThreadedHost::trace_snapshot`] adds what is still pending.
     fn trace(&self) -> &Trace {
-        &self.trace
+        &self.net.trace
     }
 
     fn stats(&self) -> &MsgStats {
-        &self.stats
+        &self.net.stats
     }
 
     fn spans(&self) -> &SpanTotals {
-        &self.spans
+        &self.net.spans
     }
 
     fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError> {
-        if matches!(self.phase, Phase::Stopped) {
+        if self.is_stopped() {
             return Err(CapabilityError::new("threaded (stopped)", op.label()));
         }
         // Before start() there is no node to fault and the clock reads
         // from the run's epoch: `Now` waits for `start()` or the first pump.
         let running = matches!(self.phase, Phase::Running);
-        let now = if running { self.pool.sink.now() } else { Time::ZERO };
+        let now = if running { self.net.now() } else { Time::ZERO };
         match when {
             NemesisWhen::Now if running => self.fire(Due::Op(op)),
             NemesisWhen::Now => self.nemesis.push((now, Due::Op(op))),
             NemesisWhen::After(d) => self.nemesis.push((now + d, Due::Op(op))),
-            NemesisWhen::OnTrace(pred) => {
-                // Drained first: what was recorded before the trigger
-                // existed is offered only to the triggers armed before it.
-                self.drain_trace();
-                self.pool.sink.offering.store(true, Ordering::Release);
-                self.triggers.arm(pred, op);
-            }
+            NemesisWhen::OnTrace(pred) => self.net.triggers.arm(pred, op),
         }
         Ok(())
     }
@@ -1184,7 +847,8 @@ mod tests {
     use etx_base::msg::FdMsg;
     use etx_base::wal::LOG_WAL;
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, AtomicUsize};
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
 
     /// Sends `n` pings to a peer on Init; notes pongs.
     struct Pinger {
@@ -1283,12 +947,9 @@ mod tests {
         host.add_node("t", Box::new(|_| Box::new(CancelBurst)));
         let noted = |what| move |t: &Trace| t.count_kind(|k| *k == TraceKind::Note(what)) == 1;
         assert_eq!(host.run_trace_until(Box::new(noted("armed"))), RunOutcome::Predicate);
-        {
-            let state = host.pool.slots[0].state();
-            let rt = &state.as_ref().expect("the node is up").rt;
-            assert_eq!(rt.deferred.len(), 1, "the cancels compacted the queue to the live timer");
-            assert_eq!(rt.deferred.pending_cancels(), 0, "and forgot their ids");
-        }
+        let deferred = &host.slots[0].node.as_ref().expect("the node is up").rt.deferred;
+        assert_eq!(deferred.len(), 1, "the cancels compacted the queue to the live timer");
+        assert_eq!(deferred.pending_cancels(), 0, "and forgot their ids");
         assert_eq!(host.run_trace_until(Box::new(noted("tick"))), RunOutcome::Predicate);
         host.stop();
     }
@@ -1314,17 +975,9 @@ mod tests {
         let mut host = ThreadedHost::new(ThreadedConfig::with_seed(16));
         host.add_node("a", Box::new(|_| Box::new(Pinger { peer: Some(NodeId(1)), n: 3 })));
         host.add_node("b", Box::new(|_| Box::new(Charger)));
-        host.start();
-        assert!(!host.pool.sink.offering.load(Ordering::Acquire));
-        // No pump runs while waiting, so nothing drains the sink: a span
-        // pushed for nobody would still be pending behind its note.
-        while charged(&host.trace_snapshot()) < 3 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let is_span = |ev: &&TraceEvent| matches!(ev.kind, TraceKind::Span { .. });
-        let spanned = host.pool.sink.pending().iter().filter(is_span).count();
-        assert_eq!(spanned, 0, "a span took the shared lock for nobody");
         assert_eq!(host.run_trace_until(Box::new(|t| charged(t) == 3)), RunOutcome::Predicate);
+        let spanned = host.trace().count_kind(|k| matches!(k, TraceKind::Span { .. }));
+        assert_eq!(spanned, 0, "a span was recorded for nobody");
         let spans = *host.spans();
         assert_eq!((spans.count(Component::Sql), spans.total(Component::Sql)), (3, Dur(15)));
         host.stop();
@@ -1341,7 +994,7 @@ mod tests {
         host.schedule_fault(NemesisWhen::on_trace(on_sql), FaultOp::Crash(b)).unwrap();
         let crashed = |t: &Trace| t.count_kind(|k| matches!(k, TraceKind::Crash)) == 1;
         assert_eq!(host.run_trace_until(Box::new(crashed)), RunOutcome::Predicate);
-        assert!(!host.pool.sink.offering.load(Ordering::Acquire), "fired: nothing left armed");
+        assert!(host.net.triggers.is_empty(), "fired: nothing left armed");
         let sql = host.spans().count(Component::Sql);
         assert!(sql >= 1, "the crashed incarnation's spans are the host's now");
         host.stop();
@@ -1526,7 +1179,34 @@ mod tests {
         let _p = host.add_node("victim", Box::new(|_| Box::new(Panicker)));
         host.quiesce_for(Dur::from_millis(20));
         host.stop();
-        assert_eq!(host.panicked_nodes(), &["victim"]);
+        assert_eq!(host.panicked_nodes(), ["victim"]);
+    }
+
+    /// Notes "done" at Init and arms one timer, far away.
+    struct DoneThenIdle;
+    impl Process for DoneThenIdle {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            if let Event::Init = event {
+                ctx.trace(TraceKind::Note("done"));
+                ctx.set_timer(Dur::from_secs(30), TimerTag::CleanerTick);
+            }
+        }
+    }
+
+    /// The predicate is checked before the run sleeps: a host that made it
+    /// hold and then went idle returns at once, not at the next wake-up or
+    /// the watchdog.
+    #[test]
+    fn a_run_returns_promptly_when_its_predicate_holds_and_the_host_goes_idle() {
+        let mut cfg = ThreadedConfig::with_seed(22);
+        cfg.wall_limit = Duration::from_secs(5);
+        let mut host = ThreadedHost::new(cfg);
+        host.add_node("d", Box::new(|_| Box::new(DoneThenIdle)));
+        let started = Instant::now();
+        let done = |t: &Trace| t.count_kind(|k| *k == TraceKind::Note("done")) == 1;
+        assert_eq!(host.run_trace_until(Box::new(done)), RunOutcome::Predicate);
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "the run returned after {took:?}");
     }
 
     #[test]
@@ -1538,10 +1218,7 @@ mod tests {
         assert_eq!(host.run_trace_until(Box::new(|_| false)), RunOutcome::TimeLimit);
     }
 
-    // ---- what the pool must never break ----------------------------------
-    //
-    // The thread-per-node loop satisfied these by owning one thread per
-    // node; one worker shared by every node has to earn them.
+    // ---- what one thread running every node must never break -------------
 
     fn idle() -> Box<dyn Process> {
         Box::new(Pinger { peer: None, n: 0 })
@@ -1561,7 +1238,7 @@ mod tests {
     }
 
     #[test]
-    fn the_host_runs_every_node_on_one_worker_thread() {
+    fn the_host_runs_every_node_on_the_callers_thread() {
         let threads = Arc::new(Mutex::new(Vec::new()));
         let mut host = ThreadedHost::new(ThreadedConfig::default());
         for _ in 0..16 {
@@ -1573,8 +1250,8 @@ mod tests {
         host.stop();
         let threads = threads.lock().unwrap();
         assert_eq!(threads.len(), 16);
-        assert!(threads.iter().all(|&t| t == threads[0]), "nodes ran on more than one thread");
-        assert_ne!(threads[0], std::thread::current().id(), "a node ran on the driver");
+        let caller = std::thread::current().id();
+        assert!(threads.iter().all(|&t| t == caller), "a node ran off the caller's thread");
     }
 
     /// Sends one ping to `to`, 3 ms after Init.
@@ -1600,12 +1277,9 @@ mod tests {
         let b = host.add_node("b", Box::new(|_| idle()));
         host.schedule_fault(NemesisWhen::Now, FaultOp::CutLink { from: a, to: b }).unwrap();
         host.start();
-        assert!(host.pool.faults.links_active.load(Ordering::Relaxed));
+        assert!(!host.net.links.is_empty());
         host.schedule_fault(NemesisWhen::Now, FaultOp::HealLink { from: a, to: b }).unwrap();
-        assert!(
-            !host.pool.faults.links_active.load(Ordering::Relaxed),
-            "an empty link table must not cost every send a mutex"
-        );
+        assert!(host.net.links.is_empty(), "the heal left the link in the table");
         let out = host.run_trace_until(Box::new(|t| pongs(t) == 1));
         assert_eq!(out, RunOutcome::Predicate, "a send after the heal still crosses");
     }
@@ -1881,8 +1555,8 @@ mod tests {
         for _ in 0..NODES {
             host.add_node("numbered", Box::new(|_| Box::new(Numbered { next: 0, total: EACH })));
         }
-        // The worker traces while the driver drains the sink at every poll
-        // of the run, so pushes and drains really do meet mid-run.
+        // The four nodes' turns interleave on the one thread, each turn
+        // tracing a hundred events.
         let done = |t: &Trace| t.count_kind(|k| *k == TraceKind::Note("done")) == NODES;
         assert_eq!(host.run_trace_until(Box::new(done)), RunOutcome::Predicate);
         host.stop();
@@ -1897,7 +1571,6 @@ mod tests {
             }
         }
         assert_eq!(next, [EACH; NODES], "an event was lost");
-        assert_eq!(host.trace_snapshot().events(), events, "stop() left events pending");
     }
 
     /// Notes "x" at Init and once more 1 ms later.
@@ -1915,9 +1588,9 @@ mod tests {
         }
     }
 
-    /// Runs [`NotesTwice`] to its first "x", then arms `OnTrace("x") →
-    /// Crash` while the second is still pending — after arming a trigger
-    /// that never matches, if `beside_another` — and returns the crashes.
+    /// Runs [`NotesTwice`] to its first "x" — then arms a trigger that
+    /// never matches, if `beside_another` — and on to its second, then
+    /// arms `OnTrace("x") → Crash` and returns the crashes.
     fn crashes_after_arming_on_a_pending_x(seed: u64, beside_another: bool) -> usize {
         let mut host = ThreadedHost::new(ThreadedConfig::with_seed(seed));
         let n = host.add_node("x", Box::new(|_| Box::new(NotesTwice)));
@@ -1926,11 +1599,7 @@ mod tests {
         if beside_another {
             host.schedule_fault(NemesisWhen::on_trace(|_| false), FaultOp::Crash(n)).unwrap();
         }
-        // The second "x" is traced meanwhile, and with no pump it is still
-        // pending when the trigger is armed.
-        while xs(&host.trace_snapshot()) < 2 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        assert_eq!(host.run_trace_until(Box::new(move |t| xs(t) >= 2)), RunOutcome::Predicate);
         let is_x = |ev: &TraceEvent| ev.kind == TraceKind::Note("x");
         host.schedule_fault(NemesisWhen::on_trace(is_x), FaultOp::Crash(n)).unwrap();
         host.quiesce_for(Dur::from_millis(20));

@@ -76,8 +76,8 @@ fn batch_of_one_reproduces_the_unbatched_protocol_exactly() {
         path
     };
     let log_starts = |s: &Scenario| s.spans().count(Component::LogStart);
-    let mut deep = run(64, 2);
-    let mut degenerate = run(1, 0);
+    let deep = run(64, 2);
+    let degenerate = run(1, 0);
     assert_eq!(deep.delivered_commits(), 6);
     assert_eq!(
         outcome_path(&deep),

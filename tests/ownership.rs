@@ -105,11 +105,11 @@ fn pre_claims_leave_one_log_start_round_per_client_and_the_paper_shapes_state() 
         consensus <= 2 * commits,
         "{consensus} consensus messages for {commits} commits: claims must ride outcome slots"
     );
-    let mut fast = first.expect("ten seeds ran");
+    let fast = first.expect("ten seeds ran");
     // Same requests under the paper's feature set: every request commits
     // exactly once either way and the bank's operations commute, so both
     // runs must leave every replica of every shard in the same state.
-    let mut paper = settle(sharded_bank(1702, Default::default()).build());
+    let paper = settle(sharded_bank(1702, Default::default()).build());
     assert!(log_starts(&paper) >= paper.requests as usize);
     for shard in 0..4 {
         let expect = paper.rebuilt_committed(paper.shard_primary(shard));

@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use etx::base::config::{FdConfig, ProtocolConfig};
 use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::ids::{NodeId, ResultId};
+use etx::base::msg::{FdMsg, Payload};
 use etx::base::runtime::{Context, Event, Host, Process, RuntimeKind};
 use etx::base::time::Dur;
 use etx::base::trace::{Component, Trace, TraceKind};
@@ -21,7 +22,8 @@ use etx::rt::{ThreadedConfig, ThreadedHost};
 use etx::sim::{Sim, SimConfig};
 
 /// Runs `workload` to completion on the given backend and returns the
-/// settled scenario (threads joined, final trace snapshot taken).
+/// settled, stopped scenario. `fd` replaces `ScenarioBuilder::fast`'s
+/// failure detector when given.
 fn settle(
     kind: RuntimeKind,
     seed: u64,
@@ -29,8 +31,13 @@ fn settle(
     clients: usize,
     requests: u64,
     shards: u32,
+    fd: Option<FdConfig>,
 ) -> Scenario {
-    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed)
+    let mut b = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, seed);
+    if let Some(fd) = fd {
+        b = b.fd(fd);
+    }
+    let mut s = b
         .runtime(kind)
         .shards(shards)
         .replication(2)
@@ -71,11 +78,24 @@ fn committed_requests(results: &[(ResultId, Decision)]) -> BTreeSet<etx::base::i
 /// outcomes but the full delivered decisions (result values included) are
 /// backend-independent: the threaded runtime must reproduce the
 /// simulator's answers bit for bit.
+///
+/// Serial holds only while no server is falsely suspected: a suspicion
+/// hands a request to the cleaner, and it may then commit as a later
+/// attempt — legal, but not bit-equal. `ScenarioBuilder::fast`'s 8 ms detector
+/// does suspect on the wall clock now and then, so both legs run the
+/// default 80 ms one, and the threaded leg proves its premise.
 #[test]
 fn serial_sharded_bank_delivers_identical_decisions_on_both_backends() {
     let workload = Workload::ShardedBank { accounts: 32, cross_pct: 100, amount: 10 };
-    let mut on_sim = settle(RuntimeKind::Sim, 0x5EA7, workload.clone(), 1, 8, 4);
-    let mut on_rt = settle(RuntimeKind::Threaded, 0x5EA7, workload, 1, 8, 4);
+    let fd = Some(FdConfig::default());
+    let mut on_sim = settle(RuntimeKind::Sim, 0x5EA7, workload.clone(), 1, 8, 4, fd);
+    let mut on_rt = settle(RuntimeKind::Threaded, 0x5EA7, workload, 1, 8, 4, fd);
+    let suspects = on_rt.trace().count_kind(|k| matches!(k, TraceKind::Suspect { .. }));
+    assert_eq!(
+        suspects, 0,
+        "the threaded leg falsely suspected a server {suspects} times: the serial premise \
+         is broken (a loaded machine starves the 80 ms failure detector)"
+    );
 
     let mut sim_results = on_sim.delivered_results();
     let mut rt_results = on_rt.delivered_results();
@@ -114,8 +134,8 @@ fn serial_sharded_bank_delivers_identical_decisions_on_both_backends() {
 #[test]
 fn concurrent_conserved_pairs_commit_the_same_set_on_both_backends() {
     let workload = Workload::ConservedPairs { pairs: 8, read_pct: 0, amount: 7 };
-    let mut on_sim = settle(RuntimeKind::Sim, 41, workload.clone(), 4, 12, 4);
-    let mut on_rt = settle(RuntimeKind::Threaded, 41, workload, 4, 12, 4);
+    let mut on_sim = settle(RuntimeKind::Sim, 41, workload.clone(), 4, 12, 4, None);
+    let mut on_rt = settle(RuntimeKind::Threaded, 41, workload, 4, 12, 4, None);
     let total = on_sim.requests as usize; // 4 clients × 12 requests each
 
     let sim_results = on_sim.delivered_results();
@@ -235,6 +255,45 @@ fn a_crash_ends_a_pause_the_same_way_on_both_backends() {
     assert_eq!(lifecycle(threads.trace(), n), [TraceKind::Pause, TraceKind::Crash], "threaded");
 }
 
+/// Notes "x" at Init and sends itself a message; notes "y" when it
+/// arrives.
+struct NotesThenSelfSends;
+impl Process for NotesThenSelfSends {
+    fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+        match event {
+            Event::Init => {
+                ctx.trace(TraceKind::Note("x"));
+                let me = ctx.me();
+                ctx.send(me, Payload::Fd(FdMsg::Heartbeat { seq: 0 }));
+            }
+            Event::Message { .. } => ctx.trace(TraceKind::Note("y")),
+            _ => {}
+        }
+    }
+}
+
+/// Arms `OnTrace("x") → Crash` on a [`NotesThenSelfSends`] node, lets
+/// 20 ms pass and returns the node's notes and crashes, in trace order.
+fn crash_on_x(host: &mut dyn Host) -> Vec<TraceKind> {
+    let n = host.add_node("x", Box::new(|_| Box::new(NotesThenSelfSends)));
+    let on_x = NemesisWhen::on_trace(|ev| ev.kind == TraceKind::Note("x"));
+    host.schedule_fault(on_x, FaultOp::Crash(n)).unwrap();
+    host.quiesce_for(Dur::from_millis(20));
+    let noted = |k: &TraceKind| matches!(k, TraceKind::Note(_) | TraceKind::Crash);
+    host.trace().events().iter().filter(|ev| noted(&ev.kind)).map(|ev| ev.kind.clone()).collect()
+}
+
+/// A trace-triggered fault lands right after the handler that recorded
+/// the matching event, on both backends: the crash armed on "x" comes
+/// before the node handles the message its `Init` sent itself.
+#[test]
+fn a_trace_triggered_crash_lands_before_the_nodes_next_handler_on_both_backends() {
+    let want = [TraceKind::Note("x"), TraceKind::Crash];
+    assert_eq!(crash_on_x(&mut Sim::new(SimConfig::with_seed(40))), want, "sim");
+    let mut threads = ThreadedHost::new(ThreadedConfig::with_seed(40));
+    assert_eq!(crash_on_x(&mut threads), want, "threaded");
+}
+
 // ---- threaded smoke of the read fast lane -----------------------------------
 
 /// The consensus-free read lane on real threads: a read-heavy conserved-
@@ -286,10 +345,9 @@ fn threaded_read_path_preserves_snapshot_invariants() {
 
 // ---- one trace on the threaded host -----------------------------------------
 
-/// The threaded host's driver owns the run's one trace, and the scenario
-/// reads it in place. Every run, quiesce and stop boundary drains what the
-/// worker traced since the last one into it: across several boundaries
-/// nothing is lost and nothing is appended twice.
+/// The threaded host owns the run's one trace, and the scenario reads it
+/// in place: across several run, quiesce and stop boundaries nothing is
+/// lost and nothing is appended twice.
 #[test]
 fn the_threaded_scenario_reads_the_hosts_one_trace_in_place() {
     let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 5)
@@ -308,7 +366,6 @@ fn the_threaded_scenario_reads_the_hosts_one_trace_in_place() {
 
     let host = s.threaded().expect("threaded backend");
     assert!(std::ptr::eq(s.trace(), host.trace()), "the scenario holds a copy of the trace");
-    assert_eq!(host.trace_snapshot().events(), s.trace().events(), "stop() left events pending");
     let mut issued = BTreeMap::new();
     for e in s.trace().events() {
         if let TraceKind::Issue { request } = e.kind {

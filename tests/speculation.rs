@@ -71,8 +71,8 @@ fn speculation_overlaps_consensus_and_commits_what_the_strict_pipeline_commits()
     // commits every request exactly once, so the final state is
     // schedule-independent — the strongest equivalence a reordering
     // optimisation can be held to.
-    let mut on = settle(burst(4201, SpeculationConfig::on()));
-    let mut off = settle(burst(4201, SpeculationConfig::disabled()));
+    let on = settle(burst(4201, SpeculationConfig::on()));
+    let off = settle(burst(4201, SpeculationConfig::disabled()));
     let expected = on.requests as usize;
     assert_eq!(on.delivered_commits(), expected);
     assert_eq!(off.delivered_commits(), expected);
@@ -127,9 +127,9 @@ fn mis_speculation_aborts_and_replays_to_the_nonspeculative_values() {
             FaultOp::Crash(a1),
         )
         .unwrap();
-        let mut s = settle(s);
+        let s = settle(s);
         aborts += s.spec_aborts();
-        let mut off = settle(burst(4300 + seed, SpeculationConfig::disabled()));
+        let off = settle(burst(4300 + seed, SpeculationConfig::disabled()));
         let expected = s.requests as usize;
         assert_eq!(s.delivered_commits(), expected, "seed {seed}: every request commits");
         assert_eq!(off.delivered_commits(), expected);
@@ -188,7 +188,7 @@ fn crashed_speculation_buffer_leaves_no_durable_trace() {
     // every shard must rebuild from its WAL to the strict run's committed
     // state — a speculative write that had reached the log or the
     // shipping stream would break convergence.
-    let mut off = settle(burst(4400, SpeculationConfig::disabled()));
+    let off = settle(burst(4400, SpeculationConfig::disabled()));
     let mut s = burst(4400, SpeculationConfig::on());
     let victim = s.shard_primary(0);
     s.schedule_fault(
@@ -198,7 +198,7 @@ fn crashed_speculation_buffer_leaves_no_durable_trace() {
         FaultOp::CrashFor { node: victim, down_for: Dur::from_millis(10) },
     )
     .unwrap();
-    let mut s = settle(s);
+    let s = settle(s);
     assert_eq!(s.delivered_commits(), s.requests as usize);
     for shard in 0..2 {
         let reference = off.rebuilt_committed(off.shard_primary(shard));

@@ -3,9 +3,9 @@
 //!
 //! The simulator's chaos suite proves the *protocol* tolerates faults
 //! under a deterministic schedule; this suite proves the *implementation*
-//! tolerates them on real OS threads: killed threads whose stable logs
-//! survive into recovery, parked threads whose leases lapse while they
-//! sleep, links that stop carrying traffic, partitions that heal. Every scenario
+//! tolerates them on the wall clock: killed nodes whose stable logs
+//! survive into recovery, parked nodes whose leases lapse while they
+//! wait, links that stop carrying traffic, partitions that heal. Every scenario
 //! here pins `RuntimeKind::Threaded` explicitly (except the two-backend
 //! watchdog test), injects through the backend-neutral fault plane
 //! (`Scenario::schedule_fault` / `FaultOp`), and hands the resulting
@@ -28,9 +28,9 @@ use std::time::{Duration, Instant};
 
 // ---- the acceptance scenario: crash a shard primary mid-group-append --------
 
-/// Kill shard 0's primary database — a real OS thread — the moment it
-/// frames a multi-record group WAL append, and bring it back 20 ms later.
-/// The crash must lose the thread's volatile state but not its `StableStorage`;
+/// Kill shard 0's primary database the moment it frames a multi-record
+/// group WAL append, and bring it back 20 ms later.
+/// The crash must lose the node's volatile state but not its `StableStorage`;
 /// recovery replays the half-termination group frame; and the final state
 /// of every replica equals the fault-free reference run's. (The burst
 /// workload commits every request exactly once, so its final state is
@@ -97,7 +97,7 @@ fn group_append_crash_on_threads_recovers_to_the_fault_free_state() {
 
 // ---- pause: a parked lease holder must fall out of lease --------------------
 
-/// Park a lease-holding follower's OS thread (the SIGSTOP story) for many
+/// Park a lease-holding follower (the SIGSTOP story) for many
 /// lease terms, triggered by the first lease grant. While parked it
 /// cannot serve, and by the time it resumes its lease has long lapsed —
 /// the backlog it drains must not include in-lease serves from the stale
@@ -315,7 +315,7 @@ fn chaos_runners_pass_the_spec_on_real_threads() {
 
 // ---- stop() and convergence at the size the bench cannot check --------------
 
-/// `etx_bench` has to `mem::forget` its threaded scenarios, so on threads it
+/// `etx_bench` does `mem::forget` its threaded scenarios, so on threads it
 /// never stops a host and never compares replicas. This does both, at four
 /// times `commit_thr4`'s shard count: the bench's pipelined feature set and
 /// failure-detector timeouts, zero modelled cost, 16 shards × rf 2 under a
