@@ -7,9 +7,11 @@
 //!
 //! * [`Life`] says which lifecycle transitions apply and what each
 //!   records;
-//! * [`TimeQueue`] orders timed actions by `(at, seq)` and drops
-//!   cancelled timers — one at a time as they come due, and all at once
-//!   when they are more than half the queue;
+//! * [`TimeQueue`] orders timed actions by instant, ties in push order,
+//!   in a radix heap that pops without comparing entries — nothing may be
+//!   pushed before the last pop's instant — and drops cancelled timers,
+//!   one at a time as they come due, and all at once when they are more
+//!   than half the queue;
 //! * [`record`] is how an event enters a run.
 //!
 //! What is left to a host is its own. The simulator has its virtual-time
@@ -22,8 +24,8 @@ use crate::fault::{Prim, Triggers};
 use crate::ids::TimerId;
 use crate::time::Time;
 use crate::trace::{Trace, TraceEvent, TraceKind};
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeSet, BinaryHeap};
+use std::cell::Cell;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Where a node stands in the §2 lifecycle. Each host keeps one per node
 /// and changes it only through [`Life::next`].
@@ -72,33 +74,38 @@ pub trait Timed {
     fn timer(&self) -> Option<TimerId>;
 }
 
-/// A [`TimeQueue`] entry, due `at`; `seq` breaks ties in push order.
-struct Queued<T> {
+/// A [`TimeQueue`] key: when an item is due and the slot it waits in.
+#[derive(Clone, Copy)]
+struct Key {
     at: Time,
-    seq: u64,
-    item: T,
+    slot: u32,
 }
 
-impl<T> PartialEq for Queued<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl<T> Eq for Queued<T> {}
-impl<T> PartialOrd for Queued<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Queued<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Timed actions, popped in `(at, seq)` order: by instant, ties in push
-/// order. The order is total, so a run that pushes the same entries pops
-/// them the same way.
+/// Timed actions, popped in `(at, push order)` order: by instant, ties in
+/// push order. The order is total, so a run that pushes the same entries
+/// pops them the same way.
+///
+/// It is a radix heap: popping compares no two entries. Each item is
+/// written once into a slot and read once from it; what moves is a
+/// 16-byte key. A key due after the last pop's instant `last` waits in
+/// bucket `b`, where bit `b` is the highest bit in which its instant
+/// differs from `last`. A pop takes the lowest non-empty bucket: its only
+/// key, or, when it holds several, moves `last` to their earliest instant
+/// and spreads them, in their order, over the buckets below and the queue
+/// of keys due at `last`.
+///
+/// **The push contract:** nothing is pushed before the last pop's instant
+/// (a peek with [`TimeQueue::next_at`] does not count). The simulator
+/// pushes at its clock plus a delay, and its clock is never behind the
+/// last pop; a threaded node pushes at a handler's wall-clock reading,
+/// taken after the pops of its turn. A debug build asserts it.
+///
+/// **Why ties keep push order:** a key's bucket depends only on the bits
+/// of its instant above the highest one that differs from `last`, and a
+/// spread leaves those bits of `last` as they were; so keys of one
+/// instant always share a bucket. Buckets are appended to in push order,
+/// and a spread moves keys, in order, into buckets that are empty when it
+/// starts.
 ///
 /// A cancelled timer leaves the queue: popped, it comes back marked
 /// cancelled and its id is forgotten; and once cancelled ids are *more than*
@@ -106,8 +113,24 @@ impl<T> Ord for Queued<T> {
 /// ids, so a protocol that cancels what it no longer needs does not pay
 /// to pop it. What stays pops exactly as it would have.
 pub struct TimeQueue<T> {
-    heap: BinaryHeap<Reverse<Queued<T>>>,
-    seq: u64,
+    /// The items, each in the slot its key names; `None` in a free slot.
+    slots: Vec<Option<T>>,
+    /// Free slots, the last freed reused first.
+    free: Vec<u32>,
+    /// The instant of the last pop.
+    last: Time,
+    /// Keys due at `last`, in push order.
+    due: VecDeque<Key>,
+    /// Keys due after `last`, by the highest bit in which their instant
+    /// differs from it; each bucket in push order. Inline: a new queue
+    /// allocates nothing.
+    buckets: [Vec<Key>; 64],
+    /// Bit `b` is set when bucket `b` holds a key.
+    occupied: u64,
+    /// The earliest instant in the buckets, once a peek has found it: a
+    /// push lowers it, a pop from the buckets or a compaction forgets it.
+    /// A threaded node peeks twice a turn, and a scan per peek showed.
+    min: Cell<Option<Time>>,
     /// Cancelled timers not yet popped or compacted away. Ordered, not
     /// hashed: a hash set that grows and shrinks reallocates or not by
     /// where its per-process random keys put the tombstones, and a run's
@@ -117,30 +140,74 @@ pub struct TimeQueue<T> {
 
 impl<T> Default for TimeQueue<T> {
     fn default() -> Self {
-        TimeQueue { heap: BinaryHeap::new(), seq: 0, cancelled: BTreeSet::new() }
+        TimeQueue {
+            slots: Vec::new(),
+            free: Vec::new(),
+            last: Time::ZERO,
+            due: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            min: Cell::new(None),
+            cancelled: BTreeSet::new(),
+        }
     }
 }
 
 impl<T: Timed> TimeQueue<T> {
     /// Queues `item` at `at`, after everything already queued for `at`.
+    /// `at` must not be before the last pop's instant.
     pub fn push(&mut self, at: Time, item: T) {
-        self.seq += 1;
-        self.heap.push(Reverse(Queued { at, seq: self.seq, item }));
+        debug_assert!(at >= self.last, "pushed at {at:?}, before the last pop at {:?}", self.last);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(item);
+                slot
+            }
+            None => {
+                self.slots.push(Some(item));
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 entries queued")
+            }
+        };
+        let key = Key { at, slot };
+        if at == self.last {
+            self.due.push_back(key);
+        } else {
+            let min = if self.occupied == 0 { Some(at) } else { self.min.get().map(|m| m.min(at)) };
+            self.min.set(min);
+            self.file(key);
+        }
+    }
+
+    /// Puts a key due after `last` into its bucket.
+    fn file(&mut self, key: Key) {
+        let b = 63 - (key.at.0 ^ self.last.0).leading_zeros() as usize;
+        self.buckets[b].push(key);
+        self.occupied |= 1 << b;
     }
 
     /// When the earliest entry is due (it may be a cancelled timer).
     pub fn next_at(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(q)| q.at)
+        if !self.due.is_empty() {
+            return Some(self.last);
+        }
+        if self.occupied == 0 {
+            return None;
+        }
+        if self.min.get().is_none() {
+            let lowest = &self.buckets[self.occupied.trailing_zeros() as usize];
+            self.min.set(lowest.iter().map(|k| k.at).min());
+        }
+        self.min.get()
     }
 
     /// Entries queued, cancelled timers not yet dropped included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Cancelled ids not yet popped or compacted away.
@@ -154,20 +221,77 @@ impl<T: Timed> TimeQueue<T> {
     /// it: moving the item through an `Option` made the simulator's
     /// paper-shape run about 10 % slower.
     pub fn pop(&mut self) -> Option<(Time, T, bool)> {
-        let Reverse(Queued { at, item, .. }) = self.heap.pop()?;
+        let key = match self.due.pop_front() {
+            Some(key) => key,
+            None => self.advance()?,
+        };
+        let item =
+            self.slots[key.slot as usize].take().expect("a queued key's slot holds its item");
+        self.free.push(key.slot);
         let cancelled = item.timer().is_some_and(|id| self.cancelled.remove(&id.0));
-        Some((at, item, cancelled))
+        Some((key.at, item, cancelled))
+    }
+
+    /// Moves `last` to the earliest instant in the buckets and takes the
+    /// first key due then; `None` if the buckets are empty.
+    fn advance(&mut self) -> Option<Key> {
+        if self.occupied == 0 {
+            return None;
+        }
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << b);
+        let min = self.min.take();
+        if self.buckets[b].len() == 1 {
+            let key = self.buckets[b].pop().expect("one key");
+            self.last = key.at;
+            return Some(key);
+        }
+        let mut keys = std::mem::take(&mut self.buckets[b]);
+        self.last = min.unwrap_or_else(|| keys.iter().map(|k| k.at).min().expect("occupied"));
+        for &key in &keys {
+            if key.at == self.last {
+                self.due.push_back(key);
+            } else {
+                self.file(key);
+            }
+        }
+        keys.clear();
+        self.buckets[b] = keys;
+        self.due.pop_front()
     }
 
     /// Cancels timer `id`; a no-op if it already fired or was cancelled.
     pub fn cancel(&mut self, id: TimerId) {
         self.cancelled.insert(id.0);
-        if self.cancelled.len() * 2 > self.heap.len() {
-            let cancelled = &self.cancelled;
-            self.heap
-                .retain(|Reverse(q)| !q.item.timer().is_some_and(|id| cancelled.contains(&id.0)));
-            self.cancelled.clear();
+        if self.cancelled.len() * 2 > self.len() {
+            self.compact();
         }
+    }
+
+    /// Drops every cancelled timer, in place, and forgets the ids.
+    fn compact(&mut self) {
+        let mut keep = |key: &Key| {
+            let slot = key.slot as usize;
+            let timer = self.slots[slot].as_ref().and_then(Timed::timer);
+            let dead = timer.is_some_and(|id| self.cancelled.contains(&id.0));
+            if dead {
+                self.slots[slot] = None;
+                self.free.push(key.slot);
+            }
+            !dead
+        };
+        self.due.retain(&mut keep);
+        let mut occupied = self.occupied;
+        while occupied != 0 {
+            let b = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            self.buckets[b].retain(&mut keep);
+            if self.buckets[b].is_empty() {
+                self.occupied &= !(1 << b);
+            }
+        }
+        self.min.set(None);
+        self.cancelled.clear();
     }
 }
 
@@ -176,6 +300,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultOp, TracePred};
     use crate::ids::NodeId;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     #[test]
@@ -261,5 +386,105 @@ mod tests {
         q.cancel(TimerId(4));
         assert_eq!((q.len(), q.pending_cancels()), (2, 0), "compacted and forgotten");
         assert_eq!(drain(&mut q), [(1, Some(3), false), (1, Some(5), false)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before the last pop")]
+    fn a_push_before_the_last_pop_is_refused_in_a_debug_build() {
+        let mut q = TimeQueue::default();
+        q.push(Time(5), Item(None));
+        q.pop();
+        q.push(Time(4), Item(None));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Push at the last pop's instant plus the delay; a timer or not.
+        Push(u64, bool),
+        Pop,
+        /// Cancel the `n`th (wrapping) live timer, popped timer, or an id
+        /// never pushed.
+        CancelLive(usize),
+        CancelPopped(usize),
+        CancelUnknown(u64),
+        /// Peek. Only this op peeks, so a pop may or may not follow one.
+        NextAt,
+    }
+
+    fn ops() -> impl proptest::strategy::Strategy<Value = Vec<Op>> {
+        use proptest::strategy::Strategy;
+        let op = (0u8..16, 0u64..8, 0u64..1 << 40, 0usize..64).prop_map(|(op, small, big, n)| {
+            match op {
+                // Ties at `last`, near instants that collide, far ones.
+                0 | 1 => Op::Push(0, n % 3 != 0),
+                2..=4 => Op::Push(small, n % 3 != 0),
+                5 => Op::Push(big, n % 3 != 0),
+                6..=9 => Op::Pop,
+                10 | 11 => Op::CancelLive(n),
+                12 => Op::CancelPopped(n),
+                13 => Op::CancelUnknown(big | 1 << 50),
+                _ => Op::NextAt,
+            }
+        });
+        proptest::collection::vec(op, 1..200)
+    }
+
+    proptest::proptest! {
+        /// The queue is a `BTreeMap<(at, push number), item>` with the
+        /// same cancel rule: under random interleavings of pushes (ties at
+        /// the last pop, near and far instants), pops, cancels of live,
+        /// popped and unknown timers, and peeks, every pop, `len`,
+        /// `pending_cancels` and `next_at` are the model's after every
+        /// step (`next_at` at every peek), compactions at the
+        /// more-than-half threshold included.
+        #[test]
+        fn the_queue_matches_an_ordered_map(ops in ops()) {
+            let mut q = TimeQueue::default();
+            let mut model: BTreeMap<(u64, u64), Option<u64>> = BTreeMap::new();
+            let mut cancelled: BTreeSet<u64> = BTreeSet::new();
+            let (mut pushes, mut last, mut popped) = (0u64, 0u64, Vec::new());
+            for op in ops {
+                match op {
+                    Op::Push(delay, timer) => {
+                        pushes += 1;
+                        let id = timer.then_some(pushes);
+                        q.push(Time(last + delay), Item(id));
+                        model.insert((last + delay, pushes), id);
+                    }
+                    Op::Pop => {
+                        let want = model.pop_first().map(|((at, _), id)| {
+                            last = at;
+                            (at, id, id.is_some_and(|id| cancelled.remove(&id)))
+                        });
+                        let got = q.pop().map(|(at, item, c)| (at.0, item.0, c));
+                        proptest::prop_assert_eq!(got, want);
+                        popped.extend(want.and_then(|(_, id, _)| id));
+                    }
+                    Op::CancelLive(_) | Op::CancelPopped(_) | Op::CancelUnknown(_) => {
+                        let live: Vec<u64> = model.values().flatten().copied().collect();
+                        let id = match op {
+                            Op::CancelLive(n) if !live.is_empty() => live[n % live.len()],
+                            Op::CancelPopped(n) if !popped.is_empty() => popped[n % popped.len()],
+                            Op::CancelUnknown(id) => id,
+                            _ => continue,
+                        };
+                        q.cancel(TimerId(id));
+                        cancelled.insert(id);
+                        if cancelled.len() * 2 > model.len() {
+                            model.retain(|_, id| !id.is_some_and(|id| cancelled.contains(&id)));
+                            cancelled.clear();
+                        }
+                    }
+                    Op::NextAt => {
+                        let want = model.keys().next().map(|&(at, _)| Time(at));
+                        proptest::prop_assert_eq!(q.next_at(), want);
+                    }
+                }
+                proptest::prop_assert_eq!(q.len(), model.len());
+                proptest::prop_assert_eq!(q.is_empty(), model.is_empty());
+                proptest::prop_assert_eq!(q.pending_cancels(), cancelled.len());
+            }
+        }
     }
 }

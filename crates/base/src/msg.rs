@@ -44,41 +44,84 @@ impl Payload {
         matches!(self, Payload::Fd(_))
     }
 
+    /// Every label [`Payload::label`] returns, at its
+    /// [`Payload::label_index`].
+    pub const LABELS: [&'static str; 32] = [
+        "Request",
+        "Result",
+        "Exception",
+        "Exec",
+        "Prepare",
+        "Decide",
+        "Commit1P",
+        "SpecExec",
+        "ReadRequest",
+        "ReadReply",
+        "ExecReply",
+        "Vote",
+        "AckDecide",
+        "AckCommit1P",
+        "Ready",
+        "ReplApply",
+        "LeaseRenew",
+        "Intent",
+        "IntentAck",
+        "ReplSyncReq",
+        "ReplSyncState",
+        "CEstimate",
+        "CPropose",
+        "CAck",
+        "CNack",
+        "CDecide",
+        "CDecideReq",
+        "Heartbeat",
+        "PbStart",
+        "PbAckStart",
+        "PbOutcome",
+        "PbAckOutcome",
+    ];
+
     /// Short label for traces and message-count tables.
     pub fn label(&self) -> &'static str {
+        Self::LABELS[self.label_index()]
+    }
+
+    /// Where this message's label sits in [`Payload::LABELS`]: one index
+    /// per message kind, so a count per label is an array.
+    pub fn label_index(&self) -> usize {
         match self {
-            Payload::Client(ClientMsg::Request { .. }) => "Request",
-            Payload::App(AppMsg::Result { .. }) => "Result",
-            Payload::App(AppMsg::Exception { .. }) => "Exception",
-            Payload::Db(DbMsg::Exec { .. }) => "Exec",
-            Payload::Db(DbMsg::Prepare { .. }) => "Prepare",
-            Payload::Db(DbMsg::Decide { .. }) => "Decide",
-            Payload::Db(DbMsg::CommitOnePhase { .. }) => "Commit1P",
-            Payload::Db(DbMsg::SpecExec { .. }) => "SpecExec",
-            Payload::Db(DbMsg::Read { .. }) => "ReadRequest",
-            Payload::DbReply(DbReplyMsg::ReadReply { .. }) => "ReadReply",
-            Payload::DbReply(DbReplyMsg::ExecReply { .. }) => "ExecReply",
-            Payload::DbReply(DbReplyMsg::Vote { .. }) => "Vote",
-            Payload::DbReply(DbReplyMsg::AckDecide { .. }) => "AckDecide",
-            Payload::DbReply(DbReplyMsg::AckCommitOnePhase { .. }) => "AckCommit1P",
-            Payload::DbReply(DbReplyMsg::Ready) => "Ready",
-            Payload::Repl(ReplMsg::Apply { .. }) => "ReplApply",
-            Payload::Repl(ReplMsg::LeaseRenew { .. }) => "LeaseRenew",
-            Payload::Repl(ReplMsg::Intent { .. }) => "Intent",
-            Payload::Repl(ReplMsg::IntentAck { .. }) => "IntentAck",
-            Payload::Repl(ReplMsg::SyncReq) => "ReplSyncReq",
-            Payload::Repl(ReplMsg::SyncState { .. }) => "ReplSyncState",
-            Payload::Consensus(ConsensusMsg::Estimate { .. }) => "CEstimate",
-            Payload::Consensus(ConsensusMsg::Propose { .. }) => "CPropose",
-            Payload::Consensus(ConsensusMsg::Ack { .. }) => "CAck",
-            Payload::Consensus(ConsensusMsg::Nack { .. }) => "CNack",
-            Payload::Consensus(ConsensusMsg::Decide { .. }) => "CDecide",
-            Payload::Consensus(ConsensusMsg::DecideReq { .. }) => "CDecideReq",
-            Payload::Fd(FdMsg::Heartbeat { .. }) => "Heartbeat",
-            Payload::Pb(PbMsg::Start { .. }) => "PbStart",
-            Payload::Pb(PbMsg::AckStart { .. }) => "PbAckStart",
-            Payload::Pb(PbMsg::Outcome { .. }) => "PbOutcome",
-            Payload::Pb(PbMsg::AckOutcome { .. }) => "PbAckOutcome",
+            Payload::Client(ClientMsg::Request { .. }) => 0,
+            Payload::App(AppMsg::Result { .. }) => 1,
+            Payload::App(AppMsg::Exception { .. }) => 2,
+            Payload::Db(DbMsg::Exec { .. }) => 3,
+            Payload::Db(DbMsg::Prepare { .. }) => 4,
+            Payload::Db(DbMsg::Decide { .. }) => 5,
+            Payload::Db(DbMsg::CommitOnePhase { .. }) => 6,
+            Payload::Db(DbMsg::SpecExec { .. }) => 7,
+            Payload::Db(DbMsg::Read { .. }) => 8,
+            Payload::DbReply(DbReplyMsg::ReadReply { .. }) => 9,
+            Payload::DbReply(DbReplyMsg::ExecReply { .. }) => 10,
+            Payload::DbReply(DbReplyMsg::Vote { .. }) => 11,
+            Payload::DbReply(DbReplyMsg::AckDecide { .. }) => 12,
+            Payload::DbReply(DbReplyMsg::AckCommitOnePhase { .. }) => 13,
+            Payload::DbReply(DbReplyMsg::Ready) => 14,
+            Payload::Repl(ReplMsg::Apply { .. }) => 15,
+            Payload::Repl(ReplMsg::LeaseRenew { .. }) => 16,
+            Payload::Repl(ReplMsg::Intent { .. }) => 17,
+            Payload::Repl(ReplMsg::IntentAck { .. }) => 18,
+            Payload::Repl(ReplMsg::SyncReq) => 19,
+            Payload::Repl(ReplMsg::SyncState { .. }) => 20,
+            Payload::Consensus(ConsensusMsg::Estimate { .. }) => 21,
+            Payload::Consensus(ConsensusMsg::Propose { .. }) => 22,
+            Payload::Consensus(ConsensusMsg::Ack { .. }) => 23,
+            Payload::Consensus(ConsensusMsg::Nack { .. }) => 24,
+            Payload::Consensus(ConsensusMsg::Decide { .. }) => 25,
+            Payload::Consensus(ConsensusMsg::DecideReq { .. }) => 26,
+            Payload::Fd(FdMsg::Heartbeat { .. }) => 27,
+            Payload::Pb(PbMsg::Start { .. }) => 28,
+            Payload::Pb(PbMsg::AckStart { .. }) => 29,
+            Payload::Pb(PbMsg::Outcome { .. }) => 30,
+            Payload::Pb(PbMsg::AckOutcome { .. }) => 31,
         }
     }
 }

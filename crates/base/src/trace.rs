@@ -16,6 +16,7 @@
 //! occurrence in every run.
 
 use crate::ids::{NodeId, RequestId, ResultId};
+use crate::msg::Payload;
 use crate::time::{Dur, Time};
 use crate::value::{Outcome, Vote};
 use core::fmt;
@@ -369,21 +370,35 @@ impl Trace {
 /// Message-volume accounting, used by the Figure 7 experiment ("total
 /// messages exchanged") and by tests asserting protocol overheads. Like
 /// [`Trace`], one per run, filled by whichever runtime backend hosts it.
-#[derive(Debug, Default, Clone)]
+/// Sends are counted per label in an array indexed by
+/// [`Payload::label_index`].
+#[derive(Debug, Clone)]
 pub struct MsgStats {
-    per_label: std::collections::BTreeMap<&'static str, u64>,
+    sent: [u64; Payload::LABELS.len()],
     total: u64,
     background: u64,
     dropped_to_down: u64,
     dropped_on_link: u64,
 }
 
+impl Default for MsgStats {
+    fn default() -> Self {
+        MsgStats {
+            sent: [0; Payload::LABELS.len()],
+            total: 0,
+            background: 0,
+            dropped_to_down: 0,
+            dropped_on_link: 0,
+        }
+    }
+}
+
 impl MsgStats {
     /// Records one sent message. Host-internal.
-    pub fn record_sent(&mut self, label: &'static str, background: bool) {
-        *self.per_label.entry(label).or_insert(0) += 1;
+    pub fn record_sent(&mut self, payload: &Payload) {
+        self.sent[payload.label_index()] += 1;
         self.total += 1;
-        if background {
+        if payload.is_background() {
             self.background += 1;
         }
     }
@@ -400,14 +415,9 @@ impl MsgStats {
         self.dropped_on_link += 1;
     }
 
-    /// Messages sent with the given label.
+    /// Messages sent with the given label (0 for a label no message has).
     pub fn sent(&self, label: &str) -> u64 {
-        self.per_label.get(label).copied().unwrap_or(0)
-    }
-
-    /// All (label, count) pairs, alphabetically.
-    pub fn by_label(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.per_label.iter().map(|(&l, &c)| (l, c))
+        Payload::LABELS.iter().position(|&l| l == label).map_or(0, |i| self.sent[i])
     }
 
     /// Total messages sent (including background heartbeats).
@@ -463,18 +473,133 @@ mod tests {
         assert_eq!(t.find(|e| e.node == NodeId(1)).unwrap().at, Time(2));
     }
 
+    /// One message of every kind, with the label each must count under.
+    fn one_of_each() -> Vec<(Payload, &'static str)> {
+        use crate::ids::RegId;
+        use crate::msg::*;
+        use crate::value::{Decision, ExecStatus, RegValue, Request, RequestScript, SlotBatch};
+        use std::sync::Arc;
+        let rid = ResultId::first(RequestId { client: NodeId(0), seq: 1 });
+        let request = Request { id: rid.request, script: RequestScript::default() };
+        let inst = RegId::slot(0);
+        let value = RegValue::Batch(Arc::new(SlotBatch::default()));
+        let entries = vec![(rid, Outcome::Commit)];
+        vec![
+            (
+                Payload::Client(ClientMsg::Request {
+                    request: request.clone(),
+                    attempt: 1,
+                    ack_below: 1,
+                    stamps: vec![],
+                }),
+                "Request",
+            ),
+            (
+                Payload::App(AppMsg::Result {
+                    rid,
+                    decision: Decision::nil_abort(),
+                    stamps: vec![],
+                }),
+                "Result",
+            ),
+            (
+                Payload::App(AppMsg::Exception { request: rid.request, reason: String::new() }),
+                "Exception",
+            ),
+            (Payload::Db(DbMsg::Exec { rid, ops: Arc::from([]), xa: true }), "Exec"),
+            (Payload::Db(DbMsg::Prepare { rid, cross: false }), "Prepare"),
+            (Payload::Db(DbMsg::decide_one(rid, Outcome::Commit)), "Decide"),
+            (Payload::Db(DbMsg::CommitOnePhase { rid }), "Commit1P"),
+            (Payload::Db(DbMsg::SpecExec { slot: 0, entries: entries.clone() }), "SpecExec"),
+            (
+                Payload::Db(DbMsg::Read {
+                    rid,
+                    call: 0,
+                    round: 0,
+                    ops: Arc::from([]),
+                    min_seq: 0,
+                    reply_to: NodeId(1),
+                }),
+                "ReadRequest",
+            ),
+            (
+                Payload::DbReply(DbReplyMsg::ReadReply {
+                    rid,
+                    call: 0,
+                    round: 0,
+                    outputs: vec![],
+                    pos: 0,
+                    indoubt: false,
+                    lease: None,
+                }),
+                "ReadReply",
+            ),
+            (
+                Payload::DbReply(DbReplyMsg::ExecReply { rid, status: ExecStatus::Conflict }),
+                "ExecReply",
+            ),
+            (Payload::DbReply(DbReplyMsg::Vote { rid, vote: Vote::Yes }), "Vote"),
+            (
+                Payload::DbReply(DbReplyMsg::AckDecide {
+                    entries: entries.clone(),
+                    seq: 1,
+                    lease: None,
+                }),
+                "AckDecide",
+            ),
+            (Payload::DbReply(DbReplyMsg::AckCommitOnePhase { rid, ok: true }), "AckCommit1P"),
+            (Payload::DbReply(DbReplyMsg::Ready), "Ready"),
+            (Payload::Repl(ReplMsg::Apply { items: vec![], lease: None }), "ReplApply"),
+            (Payload::Repl(ReplMsg::LeaseRenew { through: Time(1), floor: 0 }), "LeaseRenew"),
+            (Payload::Repl(ReplMsg::Intent { rid, at: Time(1) }), "Intent"),
+            (Payload::Repl(ReplMsg::IntentAck { rid }), "IntentAck"),
+            (Payload::Repl(ReplMsg::SyncReq), "ReplSyncReq"),
+            (Payload::Repl(ReplMsg::SyncState { seq: 0, entries: vec![] }), "ReplSyncState"),
+            (
+                Payload::Consensus(ConsensusMsg::Estimate { inst, round: 0, est: None, ts: 0 }),
+                "CEstimate",
+            ),
+            (
+                Payload::Consensus(ConsensusMsg::Propose { inst, round: 0, value: value.clone() }),
+                "CPropose",
+            ),
+            (Payload::Consensus(ConsensusMsg::Ack { inst, round: 0 }), "CAck"),
+            (Payload::Consensus(ConsensusMsg::Nack { inst, round: 0 }), "CNack"),
+            (Payload::Consensus(ConsensusMsg::Decide { inst, value }), "CDecide"),
+            (Payload::Consensus(ConsensusMsg::DecideReq { inst }), "CDecideReq"),
+            (Payload::Fd(FdMsg::Heartbeat { seq: 1 }), "Heartbeat"),
+            (Payload::Pb(PbMsg::Start { rid, request }), "PbStart"),
+            (Payload::Pb(PbMsg::AckStart { rid }), "PbAckStart"),
+            (Payload::Pb(PbMsg::Outcome { rid, decision: Decision::nil_abort() }), "PbOutcome"),
+            (Payload::Pb(PbMsg::AckOutcome { rid }), "PbAckOutcome"),
+        ]
+    }
+
     #[test]
-    fn stats_classify_background() {
+    fn every_message_kind_counts_under_its_own_label() {
+        let kinds = one_of_each();
+        assert_eq!(kinds.len(), Payload::LABELS.len(), "one message of every kind");
         let mut s = MsgStats::default();
-        s.record_sent("Request", false);
-        s.record_sent("Heartbeat", true);
-        s.record_sent("Heartbeat", true);
+        // Kind `i` is sent `i + 1` times, so a count landing under a
+        // neighbour's label shows.
+        for (i, (payload, _)) in kinds.iter().enumerate() {
+            for _ in 0..=i {
+                s.record_sent(payload);
+            }
+        }
+        for (i, (payload, label)) in kinds.iter().enumerate() {
+            assert_eq!(payload.label(), *label);
+            assert_eq!(s.sent(label), i as u64 + 1, "{label}");
+        }
+        assert_eq!(s.sent("nope"), 0, "an unknown label reads 0");
+        let n = kinds.len() as u64;
+        assert_eq!(s.total(), n * (n + 1) / 2);
+        let heartbeats = s.sent("Heartbeat");
+        assert!(heartbeats > 0);
+        assert_eq!(s.protocol_total(), s.total() - heartbeats, "heartbeats are background");
         s.record_dropped_to_down();
-        assert_eq!(s.total(), 3);
-        assert_eq!(s.protocol_total(), 1);
-        assert_eq!(s.sent("Heartbeat"), 2);
-        assert_eq!(s.sent("nope"), 0);
-        assert_eq!(s.dropped_to_down(), 1);
-        assert_eq!(s.by_label().count(), 2);
+        s.record_dropped_on_link();
+        s.record_dropped_on_link();
+        assert_eq!((s.dropped_to_down(), s.dropped_on_link()), (1, 2));
     }
 }

@@ -13,7 +13,7 @@ use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::trace::Component;
 use etx_base::value::{Decision, Request, ResultValue};
 use etx_core::xa::{Step, Xa};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// `Xa` is `compute()`, the one stage this server shares with the others.
 #[derive(Debug)]
@@ -25,7 +25,7 @@ enum Phase {
     Committing {
         result: ResultValue,
         targets: Vec<NodeId>,
-        acked: HashSet<NodeId>,
+        acked: BTreeSet<NodeId>,
         any_failed: bool,
     },
     Done,
@@ -79,7 +79,7 @@ impl BaselineServer {
                 for db in &targets {
                     ctx.send(*db, Payload::Db(DbMsg::CommitOnePhase { rid }));
                 }
-                let (acked, any_failed) = (HashSet::new(), false);
+                let (acked, any_failed) = (BTreeSet::new(), false);
                 self.attempts.insert(rid, Phase::Committing { result, targets, acked, any_failed });
             }
             _ => {}

@@ -322,7 +322,7 @@ impl ScenarioBuilder {
                 if let Some(limit) = self.wall_limit {
                     sim_cfg.max_time = Time(limit.0);
                 }
-                Backend::Sim(Sim::new(sim_cfg))
+                Backend::Sim(Box::new(Sim::new(sim_cfg)))
             }
             RuntimeKind::Threaded => {
                 // The network model is a simulator capability: threaded
@@ -333,7 +333,7 @@ impl ScenarioBuilder {
                 if let Some(limit) = self.wall_limit {
                     tcfg.wall_limit = std::time::Duration::from_micros(limit.0);
                 }
-                Backend::Threaded(ThreadedHost::new(tcfg))
+                Backend::Threaded(Box::new(ThreadedHost::new(tcfg)))
             }
         };
         let sim = backend.host_mut();
@@ -511,28 +511,29 @@ impl ScenarioBuilder {
 /// The runtime backend a built scenario runs on. Either host owns the
 /// run's one trace and its totals and lends them out in place
 /// ([`Host::trace`], [`Host::stats`], [`Host::spans`]); the scenario keeps
-/// no copy.
+/// no copy. Both are boxed: the simulator's event queue keeps its 64
+/// buckets inline, and the enum stays one pointer wide either way.
 #[derive(Debug)]
 pub enum Backend {
     /// The deterministic discrete-event simulator.
-    Sim(Sim),
+    Sim(Box<Sim>),
     /// The wall-clock host, which runs every node on the thread that
     /// calls the run.
-    Threaded(ThreadedHost),
+    Threaded(Box<ThreadedHost>),
 }
 
 impl Backend {
     fn host(&self) -> &dyn Host {
         match self {
-            Backend::Sim(sim) => sim,
-            Backend::Threaded(host) => host,
+            Backend::Sim(sim) => &**sim,
+            Backend::Threaded(host) => &**host,
         }
     }
 
     fn host_mut(&mut self) -> &mut dyn Host {
         match self {
-            Backend::Sim(sim) => sim,
-            Backend::Threaded(host) => host,
+            Backend::Sim(sim) => &mut **sim,
+            Backend::Threaded(host) => &mut **host,
         }
     }
 

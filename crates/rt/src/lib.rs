@@ -37,10 +37,11 @@
 //! compound operation lowers to primitives, what a cut link holds, when a
 //! trace trigger fires — is `etx_base::fault`'s, and what a node is —
 //! which crashes, recoveries, pauses and resumes apply and what each
-//! records, the `(at, seq)` order of its deferred actions and how they are
-//! cancelled, how an event is recorded — is `etx_base::host`'s: the
-//! simulator runs the same code for all of it. The §3 checker then judges
-//! the resulting trace exactly as it judges a simulated one.
+//! records, the order of its deferred actions (by instant, ties in push
+//! order) and how they are cancelled, how an event is recorded — is
+//! `etx_base::host`'s: the simulator runs the same code for all of it.
+//! The §3 checker then judges the resulting trace exactly as it judges a
+//! simulated one.
 //!
 //! What deliberately does **not** exist here:
 //!
@@ -206,7 +207,7 @@ impl Net {
     /// A send leaving `from`: counted, then held if the link is cut (see
     /// [`Links`]) or delivered.
     fn transmit(&mut self, from: NodeId, to: NodeId, payload: Payload, depth: u32) {
-        self.stats.record_sent(payload.label(), payload.is_background());
+        self.stats.record_sent(&payload);
         match self.links.send(from, to, payload, depth) {
             Some(payload) => self.deliver(to, Wire { from, payload, depth }),
             None => self.stats.record_dropped_on_link(),

@@ -2,9 +2,11 @@
 //!
 //! One [`Sim`] hosts all processes of a run. Time is virtual; the kernel
 //! pops the next scheduled action off one [`TimeQueue`] (ordered by time,
-//! tie-broken by insertion sequence, so runs are bit-deterministic per
-//! seed; cancelled timers leave it unseen), dispatches it, and collects
-//! whatever the handler emits.
+//! ties in push order, so runs are bit-deterministic per seed; cancelled
+//! timers leave it unseen), dispatches it, and collects whatever the
+//! handler emits. Every action is queued at the clock plus a delay, and
+//! the clock never runs behind the last pop, which is the queue's push
+//! contract.
 //!
 //! Fault injection is first-class and has one entry,
 //! [`Host::schedule_fault`]: crashes, pauses, cut links and partitions
@@ -536,7 +538,7 @@ impl SimCtx<'_> {
         let background = payload.is_background();
         let depth = if background { 0 } else { depth_base + 1 };
         let depart = self.now + extra;
-        self.stats.record_sent(payload.label(), background);
+        self.stats.record_sent(&payload);
         // With no link cut this lookup is the fault plane's only cost: a
         // run that cuts none draws no randomness and consumes no sequence
         // number here.
