@@ -2,21 +2,36 @@
 //!
 //! Everything the application servers remember per attempt — protocol
 //! state machines, the decision log's arbitration memory, in-flight reads,
-//! cached results — is keyed by [`ResultId`] and forgotten by client
-//! watermark: "every attempt of client `c` below request `seq`". A client's
-//! open attempts are therefore not points of one global ordered index but a
-//! short FIFO **window** of (nearly) consecutive sequence numbers (Figure 2:
-//! a client has a bounded number of requests in flight and settles them
-//! oldest first). [`AttemptWindows`] stores exactly that shape: the clients
-//! in a vector sorted by [`NodeId`], and under each client its attempts as
-//! a run sorted by `(seq, attempt)` together with the client's *floor* — the
+//! cached results — and each database's decide memo is keyed by
+//! [`ResultId`]. The middle tier forgets by client watermark: "every
+//! attempt of client `c` below request `seq`". A client's open attempts are
+//! therefore not points of one global ordered index but a short FIFO
+//! **window** of (nearly) consecutive sequence numbers (Figure 2: a client
+//! has a bounded number of requests in flight and settles them oldest
+//! first). [`AttemptWindows`] stores exactly that shape: the clients in a
+//! vector sorted by [`NodeId`], and under each client its attempts as a run
+//! sorted by `(seq, attempt)` together with the client's *floor* — the
 //! highest watermark a drain has been given.
 //!
-//! What this buys over a `BTreeMap<ResultId, V>`:
+//! What a lookup costs, in the common case one probe per level:
 //!
-//! * a lookup is a binary search over the clients (4-byte keys) and then
-//!   over a run that is one to a handful of entries long, instead of a tree
-//!   descent comparing whole 16-byte [`ResultId`] keys;
+//! * **the client**: the window at index `client` is looked at first, and
+//!   taken if it is that client's. Clients are numbered densely from 0
+//!   (`Topology::new`), so once every client has a window each sits at its
+//!   own id. The probe is verified, not trusted: while some client has no
+//!   window yet the slot holds another client's, and an id past the end has
+//!   none. Either way the lookup falls back to a binary search of the one
+//!   sorted vector, so sparse ids — the reserved `NodeId(u32::MAX)` of
+//!   [`ResultId::repl_snapshot`] included — stay correct, at the old cost;
+//! * **the attempt**: the run's newest slot is compared first. Attempts
+//!   arrive in order, so a new one goes after it and most lookups name it;
+//!   only an older attempt costs a binary search of the run. A run that
+//!   only grows (the decide memo) stays one comparison per insert;
+//! * a question about the floor and the record together is one lookup
+//!   ([`AttemptWindows::get_with_floor`], [`AttemptWindows::open`]).
+//!
+//! And over a `BTreeMap<ResultId, V>` besides:
+//!
 //! * the watermark GC is **one prefix drain** ([`AttemptWindows::below`]):
 //!   the stale attempts are the front of one client's run;
 //! * tables that are always written together can share one record per
@@ -27,11 +42,11 @@
 //! them in the same order on every run and on every replica. (A `HashMap`
 //! would not: its iteration order differs from process to process, and a
 //! walk that sends messages or traces then makes a seed stop replaying.)
-//! Both levels are sparse-safe — any `NodeId`, the reserved
-//! `NodeId(u32::MAX)` of [`ResultId::repl_snapshot`] included, and any
-//! sequence numbers, in any insertion order.
+//! Both levels are sparse-safe — any `NodeId` and any sequence numbers, in
+//! any insertion order.
 
 use crate::ids::{NodeId, RequestId, ResultId};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// One attempt of a client's run.
@@ -58,9 +73,32 @@ impl<V> Window<V> {
         }
     }
 
-    /// Position of `(seq, attempt)` in the run, or where it would go.
+    /// Position of `(seq, attempt)` in the run, or where it would go. The
+    /// newest slot is compared first: attempts arrive in order, so a new
+    /// one goes after it and a lookup usually names it. Only a key below it
+    /// costs a binary search.
     fn find(&self, seq: u64, attempt: u32) -> Result<usize, usize> {
-        self.run.binary_search_by(|s| (s.seq, s.attempt).cmp(&(seq, attempt)))
+        let key = (seq, attempt);
+        let len = self.run.len();
+        match self.run.back().map(|s| (s.seq, s.attempt).cmp(&key)) {
+            None | Some(Ordering::Less) => Err(len),
+            Some(Ordering::Equal) => Ok(len - 1),
+            Some(Ordering::Greater) => self.run.binary_search_by(|s| (s.seq, s.attempt).cmp(&key)),
+        }
+    }
+
+    /// The value at `(seq, attempt)`, inserted as `V::default()` if absent;
+    /// `len` counts the insertion.
+    fn get_or_default(&mut self, seq: u64, attempt: u32, len: &mut usize) -> &mut V
+    where
+        V: Default,
+    {
+        let at = self.find(seq, attempt).unwrap_or_else(|at| {
+            self.run.insert(at, Slot { seq, attempt, value: V::default() });
+            *len += 1;
+            at
+        });
+        &mut self.run[at].value
     }
 }
 
@@ -96,20 +134,29 @@ impl<V> AttemptWindows<V> {
         self.len == 0
     }
 
+    /// Position of `client`'s window, or where it would go. The probe at
+    /// index `client` is taken only if that window is `client`'s own.
+    fn position(clients: &[Window<V>], client: NodeId) -> Result<usize, usize> {
+        match clients.get(client.0 as usize) {
+            Some(w) if w.client == client => Ok(client.0 as usize),
+            _ => clients.binary_search_by_key(&client, |w| w.client),
+        }
+    }
+
     fn window(&self, client: NodeId) -> Option<&Window<V>> {
-        let at = self.clients.binary_search_by_key(&client, |w| w.client).ok()?;
+        let at = Self::position(&self.clients, client).ok()?;
         Some(&self.clients[at])
     }
 
     fn window_mut(&mut self, client: NodeId) -> Option<&mut Window<V>> {
-        let at = self.clients.binary_search_by_key(&client, |w| w.client).ok()?;
+        let at = Self::position(&self.clients, client).ok()?;
         Some(&mut self.clients[at])
     }
 
     /// `client`'s window, created empty (floor 0) if this is the first the
     /// table hears of the client.
     fn window_or_new(clients: &mut Vec<Window<V>>, client: NodeId) -> &mut Window<V> {
-        let at = clients.binary_search_by_key(&client, |w| w.client).unwrap_or_else(|at| {
+        let at = Self::position(clients, client).unwrap_or_else(|at| {
             clients.insert(at, Window { client, floor: 0, run: VecDeque::new() });
             at
         });
@@ -118,9 +165,15 @@ impl<V> AttemptWindows<V> {
 
     /// The value stored for `rid`.
     pub fn get(&self, rid: ResultId) -> Option<&V> {
-        let w = self.window(rid.request.client)?;
-        let at = w.find(rid.request.seq, rid.attempt).ok()?;
-        Some(&w.run[at].value)
+        self.get_with_floor(rid).1
+    }
+
+    /// `rid`'s client's [floor](AttemptWindows::floor) and the value stored
+    /// for `rid`, in one lookup.
+    pub fn get_with_floor(&self, rid: ResultId) -> (u64, Option<&V>) {
+        let Some(w) = self.window(rid.request.client) else { return (0, None) };
+        let value = w.find(rid.request.seq, rid.attempt).ok().map(|at| &w.run[at].value);
+        (w.floor, value)
     }
 
     /// The value stored for `rid`, mutably.
@@ -135,14 +188,21 @@ impl<V> AttemptWindows<V> {
     where
         V: Default,
     {
-        let (seq, attempt) = (rid.request.seq, rid.attempt);
         let w = Self::window_or_new(&mut self.clients, rid.request.client);
-        let at = w.find(seq, attempt).unwrap_or_else(|at| {
-            w.run.insert(at, Slot { seq, attempt, value: V::default() });
-            self.len += 1;
-            at
-        });
-        &mut w.run[at].value
+        w.get_or_default(rid.request.seq, rid.attempt, &mut self.len)
+    }
+
+    /// [`AttemptWindows::get_or_default`] for an attempt at or above its
+    /// client's floor; `None`, and nothing inserted, below it.
+    pub fn open(&mut self, rid: ResultId) -> Option<&mut V>
+    where
+        V: Default,
+    {
+        let w = Self::window_or_new(&mut self.clients, rid.request.client);
+        if rid.request.seq < w.floor {
+            return None;
+        }
+        Some(w.get_or_default(rid.request.seq, rid.attempt, &mut self.len))
     }
 
     /// Stores `value` for `rid`; returns the value it replaces, if any.
@@ -187,16 +247,23 @@ impl<V> AttemptWindows<V> {
     /// attempt of the prefix exactly once, oldest first, and may edit the
     /// ones it keeps or take what it needs from the ones it lets go — there
     /// is no way to drain an attempt unseen. Nothing outside the prefix is
-    /// visited.
+    /// visited. Returns whether the floor rose.
     pub fn below(
         &mut self,
         client: NodeId,
         seq: u64,
         mut keep: impl FnMut(ResultId, &mut V) -> bool,
-    ) {
+    ) -> bool {
+        if seq == 0 {
+            return false; // nothing is below 0, and no floor is below it
+        }
         let w = Self::window_or_new(&mut self.clients, client);
+        let raised = seq > w.floor;
         w.floor = w.floor.max(seq);
-        let prefix = w.run.partition_point(|s| s.seq < seq);
+        let prefix = match w.run.front() {
+            Some(s) if s.seq < seq => w.run.partition_point(|s| s.seq < seq),
+            _ => 0,
+        };
         // Kept attempts move to the front in order; the rest are dropped.
         let mut kept = 0;
         for at in 0..prefix {
@@ -206,8 +273,11 @@ impl<V> AttemptWindows<V> {
                 kept += 1;
             }
         }
-        w.run.drain(kept..prefix);
-        self.len -= prefix - kept;
+        if kept < prefix {
+            w.run.drain(kept..prefix);
+            self.len -= prefix - kept;
+        }
+        raised
     }
 }
 
@@ -268,29 +338,36 @@ mod tests {
         Default(ResultId),
         Bump(ResultId),
         Remove(ResultId),
+        Open(ResultId),
+        /// `get_with_floor`, of a key that may be absent.
+        Peek(ResultId),
         /// Drain `client` below `seq`, keeping values divisible by `keep`.
         Below(NodeId, u64, u16),
     }
 
     fn ops() -> impl proptest::strategy::Strategy<Value = Vec<Op>> {
         use proptest::strategy::Strategy;
-        // Three ordinary clients, a far-out one and the reserved marker id;
-        // sequence numbers dense near zero (repeats, attempts > 1) and two
-        // far out.
-        let key = (0usize..5, 0u64..8, 1u32..4).prop_map(|(c, s, a)| {
-            let client = [0, 5, 10, 1 << 20, u32::MAX][c];
+        // Dense clients 0–3 (first seen in any order, so the probe at a
+        // client's id hits its own window, lands on another client's or runs
+        // past the end), a sparse one, a far-out one and the reserved marker
+        // id; sequence numbers dense near zero (repeats, attempts > 1) and
+        // two far out.
+        let key = (0usize..7, 0u64..8, 1u32..4).prop_map(|(c, s, a)| {
+            let client = [0, 1, 2, 3, 10, 1 << 20, u32::MAX][c];
             rid(client, if s >= 6 { s << 40 } else { s }, a)
         });
         let op =
-            (0u8..8, key, 0u16..1000, 0u64..9, 1u16..4).prop_map(|(op, rid, v, below, keep)| {
+            (0u8..11, key, 0u16..1000, 0u64..9, 1u16..4).prop_map(|(op, rid, v, below, keep)| {
                 match op {
                     0 | 1 => Op::Insert(rid, v),
                     2 => Op::Default(rid),
                     3 => Op::Bump(rid),
                     4 => Op::Remove(rid),
+                    5 => Op::Open(rid),
+                    6 => Op::Peek(rid),
                     // `below` 8 means "everything"; clients 20 and up are absent.
                     _ => Op::Below(
-                        if op == 7 { NodeId(20 + rid.attempt) } else { rid.request.client },
+                        if op == 10 { NodeId(20 + rid.attempt) } else { rid.request.client },
                         if below == 8 { u64::MAX } else { below },
                         keep,
                     ),
@@ -305,9 +382,9 @@ mod tests {
         /// reserved `NodeId(u32::MAX)` among them, first seen in any
         /// order), sparse and repeated
         /// sequence numbers, several attempts per request, drains of
-        /// absent clients and drains below 0, every return value, the
-        /// contents, the floors and the iteration order are the model's
-        /// after every step.
+        /// absent clients and drains below 0, every return value (the
+        /// fused `open` and `get_with_floor` included), the contents, the
+        /// floors and the iteration order are the model's after every step.
         #[test]
         fn windows_match_an_ordered_map(ops in ops()) {
             let mut t: AttemptWindows<u16> = AttemptWindows::new();
@@ -337,11 +414,22 @@ mod tests {
                     Op::Remove(rid) => {
                         proptest::prop_assert_eq!(t.remove(rid), model.remove(&rid));
                     }
+                    Op::Open(rid) => {
+                        let floor = floors.get(&rid.request.client).copied().unwrap_or(0);
+                        let expect =
+                            (rid.request.seq >= floor).then(|| *model.entry(rid).or_default());
+                        proptest::prop_assert_eq!(t.open(rid).map(|v| *v), expect);
+                    }
+                    Op::Peek(rid) => {
+                        let floor = floors.get(&rid.request.client).copied().unwrap_or(0);
+                        proptest::prop_assert_eq!(t.get_with_floor(rid), (floor, model.get(&rid)));
+                    }
                     Op::Below(client, seq, keep) => {
                         let floor = floors.entry(client).or_insert(0);
+                        let raised = seq > *floor;
                         *floor = (*floor).max(seq);
                         let (mut seen, mut gone) = (Vec::new(), Vec::new());
-                        t.below(client, seq, |rid, v| {
+                        let rose = t.below(client, seq, |rid, v| {
                             seen.push(rid);
                             if *v % keep != 0 {
                                 gone.push((rid, *v));
@@ -353,6 +441,7 @@ mod tests {
                         proptest::prop_assert_eq!(seen, prefix, "keep sees the prefix, in order");
                         let expect: Vec<_> = model.extract_if(stale, |_, v| *v % keep != 0).collect();
                         proptest::prop_assert_eq!(gone, expect);
+                        proptest::prop_assert_eq!(rose, raised, "below says whether the floor rose");
                     }
                 }
                 proptest::prop_assert_eq!(t.len(), model.len());
@@ -360,6 +449,8 @@ mod tests {
                 proptest::prop_assert!(t.iter().eq(model.iter().map(|(r, v)| (*r, v))));
                 for rid in model.keys() {
                     proptest::prop_assert_eq!(t.get(*rid), model.get(rid));
+                    let floor = floors.get(&rid.request.client).copied().unwrap_or(0);
+                    proptest::prop_assert_eq!(t.get_with_floor(*rid), (floor, model.get(rid)));
                 }
                 for (&client, &floor) in &floors {
                     proptest::prop_assert_eq!(t.floor(client), floor);

@@ -273,11 +273,13 @@ impl DecisionLog {
     /// changes nothing but its urgency; claiming one whose owner is known
     /// or whose request is settled does nothing.
     pub fn claim(&mut self, rid: ResultId, urgent: bool) {
-        if !self.unowned(rid) {
-            return;
-        }
         if urgent {
-            self.attempts.get_or_default(rid).urgent = true;
+            match self.attempts.open(rid) {
+                Some(attempt) if attempt.owner.is_none() => attempt.urgent = true,
+                _ => return,
+            }
+        } else if !self.unowned(rid) {
+            return;
         }
         let queued = self.claims.contains(&rid)
             || self.inflight.as_ref().is_some_and(|(_, b)| b.claims.iter().any(|c| c.rid == rid));
@@ -396,10 +398,7 @@ impl DecisionLog {
     /// removes. Nothing is ever recorded below a watermark, so a call that
     /// does not raise it has nothing to remove.
     fn advance_watermark(&mut self, client: NodeId, ack_below: u64) -> bool {
-        if ack_below <= self.attempts.floor(client) {
-            return false;
-        }
-        self.attempts.below(client, ack_below, |_, attempt| {
+        let raised = self.attempts.below(client, ack_below, |_, attempt| {
             for slot in &attempt.slots {
                 let applied = self.applied_members.get_mut(slot).expect("member slot is applied");
                 applied.unsettled -= 1;
@@ -409,6 +408,9 @@ impl DecisionLog {
             }
             false
         });
+        if !raised {
+            return false;
+        }
         let stale = ResultId::below(client, ack_below);
         self.pending.retain(|(rid, _)| !stale.contains(rid));
         self.claims.retain(|rid| !stale.contains(rid));
@@ -479,12 +481,14 @@ impl DecisionLog {
 
     /// Whether an outcome for `rid` could still become its decision.
     fn undecided(&self, rid: ResultId) -> bool {
-        !self.settled(&rid) && self.decision_of(rid).is_none()
+        let (floor, attempt) = self.attempts.get_with_floor(rid);
+        rid.request.seq >= floor && attempt.is_none_or(|a| a.decision.is_none())
     }
 
     /// Whether a claim of `rid` could still name its owner.
     fn unowned(&self, rid: ResultId) -> bool {
-        !self.settled(&rid) && self.owner_of(rid).is_none()
+        let (floor, attempt) = self.attempts.get_with_floor(rid);
+        rid.request.seq >= floor && attempt.is_none_or(|a| a.owner.is_none())
     }
 
     /// Takes the next slot's worth off the queues: outcomes first, then
@@ -498,13 +502,13 @@ impl DecisionLog {
         let mut claims = Vec::new();
         let attempts = &self.attempts;
         self.claims.retain(|&rid| {
-            if attempts.get(rid).is_some_and(|a| a.urgent) {
+            let (ack_below, attempt) = attempts.get_with_floor(rid);
+            if attempt.is_some_and(|a| a.urgent) {
                 if room == 0 {
                     return true;
                 }
                 room -= 1;
             }
-            let ack_below = attempts.floor(rid.request.client);
             claims.push(OwnerClaim { rid, server: me, ack_below });
             false
         });
@@ -577,10 +581,7 @@ impl DecisionLog {
                 }
             };
             for claim in &batch.claims {
-                if self.settled(&claim.rid) {
-                    continue;
-                }
-                let attempt = self.attempts.get_or_default(claim.rid);
+                let Some(attempt) = self.attempts.open(claim.rid) else { continue };
                 join(attempt);
                 if attempt.owner.is_none() {
                     attempt.owner = Some(claim.server);
@@ -589,10 +590,7 @@ impl DecisionLog {
                 }
             }
             for (at, (rid, decision)) in batch.outcomes.iter().enumerate() {
-                if self.settled(rid) {
-                    continue;
-                }
-                let attempt = self.attempts.get_or_default(*rid);
+                let Some(attempt) = self.attempts.open(*rid) else { continue };
                 join(attempt);
                 if attempt.decision.is_none() {
                     attempt.decision = Some((Arc::clone(&batch), at));

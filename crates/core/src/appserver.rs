@@ -261,6 +261,27 @@ impl AppServer {
         }
     }
 
+    /// Feeds the attempt's database-facing stage, if it is in one, through
+    /// `f`, and follows where the stage's end leads. A computation that
+    /// ends enters the voting phase in place, without looking the attempt
+    /// up again.
+    fn on_xa(
+        &mut self,
+        ctx: &mut dyn Context,
+        rid: ResultId,
+        f: impl FnOnce(&mut Xa, &mut dyn Context) -> Option<Step>,
+    ) {
+        let Some(Phase::Xa(xa)) = self.attempts.get_mut(rid).and_then(|a| a.phase.as_mut()) else {
+            return;
+        };
+        let mut step = f(xa, ctx);
+        // Figure 5 line 8: `compute()` returned, on to the voting phase.
+        while let Some(Step::Computed { result, involved, .. }) = step {
+            (*xa, step) = Xa::prepare(ctx, rid, result, involved);
+        }
+        self.on_step(ctx, rid, step);
+    }
+
     /// Drops protocol state for every *terminated* attempt of `client` with
     /// a sequence number below the client's `ack_below` watermark:
     /// per-attempt FSMs, cached decisions, the wo-registers' replication
@@ -524,16 +545,20 @@ impl AppServer {
     /// the owner computes, everyone else watches. A claim that had to wait
     /// for its slot closes the Figure 8 log-start span.
     fn on_owner(&mut self, ctx: &mut dyn Context, rid: ResultId, owner: NodeId) {
-        let Some(Phase::Claiming { request, since }) = self.phase(rid) else { return };
+        let Some(phase) = self.attempts.get_mut(rid).and_then(|a| a.phase.as_mut()) else {
+            return;
+        };
+        let Phase::Claiming { request, since } = phase else { return };
         if owner != self.me {
-            self.set_phase(rid, Phase::Watching);
+            *phase = Phase::Watching;
             return;
         }
         if let Some(t0) = *since {
             ctx.span(rid, Component::LogStart, ctx.now().since(t0));
         }
-        let next = Xa::compute(ctx, rid, request.clone(), true);
-        self.enter(ctx, rid, next);
+        let (xa, step) = Xa::compute(ctx, rid, request.clone(), true);
+        *phase = Phase::Xa(xa);
+        self.on_step(ctx, rid, step);
     }
 
     /// Queues this server's claim of the attempt `rid`'s client will send
@@ -751,16 +776,17 @@ impl AppServer {
     ) {
         let mut items = Vec::new();
         for (rid, decision) in decided {
-            let Some((targets, t0)) = self.attempts.get_mut(rid).and_then(|a| a.outcome.take())
-            else {
+            let Some(attempt) = self.attempts.get_mut(rid) else { continue };
+            let Some((targets, t0)) = attempt.outcome.take() else {
                 continue; // another server's (or an earlier slot's) to terminate
             };
+            let terminating = matches!(
+                attempt.phase,
+                Some(Phase::Done { .. } | Phase::Xa(Xa::Terminating { .. }))
+            );
             let dur = ctx.now().since(t0);
             ctx.span(rid, Component::LogOutcome, dur);
-            if !matches!(
-                self.phase(rid),
-                Some(Phase::Done { .. } | Phase::Xa(Xa::Terminating { .. }))
-            ) {
+            if !terminating {
                 items.push((rid, decision, targets));
             }
         }
@@ -851,19 +877,16 @@ impl Process for AppServer {
             }
             Event::Message { from, payload: Payload::DbReply(reply) } => match reply {
                 DbReplyMsg::ExecReply { rid, status } => {
-                    let step = self.xa_mut(rid).and_then(|xa| xa.exec_reply(ctx, rid, status));
-                    self.on_step(ctx, rid, step);
+                    self.on_xa(ctx, rid, |xa, ctx| xa.exec_reply(ctx, rid, status));
                 }
                 DbReplyMsg::Vote { rid, vote } => {
-                    let step = self.xa_mut(rid).and_then(|xa| xa.vote(from, vote));
-                    self.on_step(ctx, rid, step);
+                    self.on_xa(ctx, rid, |xa, _| xa.vote(from, vote));
                 }
                 DbReplyMsg::AckDecide { entries, seq, lease } => {
                     self.lane.observe(from, seq);
                     self.lane.observe_lease(from, lease);
                     for (rid, _) in entries {
-                        let step = self.xa_mut(rid).and_then(|xa| xa.ack(ctx, from));
-                        self.on_step(ctx, rid, step);
+                        self.on_xa(ctx, rid, |xa, ctx| xa.ack(ctx, from));
                     }
                 }
                 DbReplyMsg::ReadReply { rid, call, round, outputs, pos, indoubt, lease } => {
@@ -878,8 +901,7 @@ impl Process for AppServer {
                 DbReplyMsg::Ready => {
                     let rids: Vec<ResultId> = self.attempts.iter().map(|(rid, _)| rid).collect();
                     for rid in rids {
-                        let step = self.xa_mut(rid).and_then(|xa| xa.ready(ctx, rid, from));
-                        self.on_step(ctx, rid, step);
+                        self.on_xa(ctx, rid, |xa, ctx| xa.ready(ctx, rid, from));
                     }
                 }
                 DbReplyMsg::AckCommitOnePhase { .. } => { /* baseline-only message */ }

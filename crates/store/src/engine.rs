@@ -19,6 +19,7 @@
 //! the simulator.
 
 use crate::locks::{LockGrant, LockMode, LockTable};
+use etx_base::attempts::AttemptWindows;
 use etx_base::ids::ResultId;
 use etx_base::time::Dur;
 use etx_base::value::{DbOp, ExecStatus, OpOutput, Outcome, Vote};
@@ -110,12 +111,22 @@ pub struct ReplApply {
 /// the host to broadcast; as a **follower** it applies shipped commits
 /// strictly in sequence order (buffering out-of-order arrivals) so its
 /// state is always a prefix of the primary's committed history.
+///
+/// The decide memo, which every `execute`, `vote` and `decide` consults
+/// first, is kept per client ([`AttemptWindows`]): a client's branches
+/// reach a database in `seq` order, so the lookup of a new branch and its
+/// insertion compare one key however long the history. The live branches
+/// stay in a `BTreeMap`: it holds only them and stays small, while a
+/// window per client seen (and its run's capacity) would outlive them.
 #[derive(Debug, Default)]
 pub struct Engine {
     data: BTreeMap<String, i64>,
     branches: BTreeMap<ResultId, Branch>,
     locks: LockTable,
-    decided: BTreeMap<ResultId, Outcome>,
+    /// The decide memo: every branch's applied outcome, so a late or
+    /// duplicated `Decide` (or a `Prepare` or `Exec` after one) is answered
+    /// as the first was. Never trimmed.
+    decided: AttemptWindows<Outcome>,
     /// Primary role: dense counter of locally decided commits (ship order).
     ship_seq: u64,
     /// Primary role: committed write sets awaiting broadcast by the host.
@@ -153,7 +164,7 @@ impl Engine {
     /// Memoized decision for a branch, if any (idempotence across
     /// retransmitted `Decide` messages).
     pub fn decision(&self, rid: ResultId) -> Option<Outcome> {
-        self.decided.get(&rid).copied()
+        self.decided.get(rid).copied()
     }
 
     /// Whether `rid` is an in-doubt (prepared, undecided) branch.
@@ -227,15 +238,6 @@ impl Engine {
             .any(|b| ops.iter().filter_map(DbOp::key).any(|k| b.writes.contains_key(k)))
     }
 
-    fn effective(&self, rid: ResultId, key: &str) -> Option<i64> {
-        if let Some(b) = self.branches.get(&rid) {
-            if let Some(&v) = b.writes.get(key) {
-                return Some(v);
-            }
-        }
-        self.committed(key)
-    }
-
     fn doom(&mut self, rid: ResultId) {
         self.locks.release_all(rid);
         if let Some(b) = self.branches.get_mut(&rid) {
@@ -254,72 +256,66 @@ impl Engine {
     /// A lock conflict dooms the branch (no-wait policy), releases its locks
     /// and returns [`ExecStatus::Conflict`]; the branch will vote no.
     pub fn execute(&mut self, rid: ResultId, ops: &[DbOp]) -> ExecStatus {
-        if let Some(outcome) = self.decided.get(&rid) {
+        if self.decided.get(rid).is_some() {
             // A decided branch cannot execute further work; treat as
             // conflict so the caller aborts this attempt. (Can occur only
             // with duplicated/very late Exec messages.)
-            let _ = outcome;
             return ExecStatus::Conflict;
         }
-        match self.branches.get(&rid).map(|b| b.state) {
-            Some(BranchState::Doomed) => return ExecStatus::Conflict,
-            Some(BranchState::Prepared) => return ExecStatus::Conflict,
-            _ => {}
-        }
-        self.branches
+        let Engine { branches, locks, data, .. } = self;
+        let branch = branches
             .entry(rid)
             .or_insert(Branch { state: BranchState::Active, writes: BTreeMap::new() });
+        if branch.state != BranchState::Active {
+            return ExecStatus::Conflict; // doomed, or prepared
+        }
         let mut outputs = Vec::with_capacity(ops.len());
+        // What ends the batch early, once the branch is no longer borrowed:
+        // a lock conflict or a `Doom` dooms the branch and returns this.
+        let mut doomed = None;
         for op in ops {
             // Locking.
             if let Some(key) = op.key() {
                 let mode = if op.is_write() { LockMode::Exclusive } else { LockMode::Shared };
-                if self.locks.acquire(key, rid, mode) == LockGrant::Conflict {
-                    self.doom(rid);
-                    return ExecStatus::Conflict;
+                if locks.acquire(key, rid, mode) == LockGrant::Conflict {
+                    doomed = Some(ExecStatus::Conflict);
+                    break;
                 }
             }
-            // Semantics.
+            // Semantics: the branch reads its own writes, then committed data.
+            let effective = |key: &str| branch.writes.get(key).or_else(|| data.get(key)).copied();
             let out = match op {
-                DbOp::Get { key } => OpOutput::Value(self.effective(rid, key)),
+                DbOp::Get { key } => OpOutput::Value(effective(key)),
                 DbOp::Put { key, value } => {
-                    self.branches
-                        .get_mut(&rid)
-                        .expect("branch exists")
-                        .writes
-                        .insert(key.clone(), *value);
+                    branch.writes.insert(key.clone(), *value);
                     OpOutput::Updated(*value)
                 }
                 DbOp::Add { key, delta } => {
-                    let new = self.effective(rid, key).unwrap_or(0) + delta;
-                    self.branches
-                        .get_mut(&rid)
-                        .expect("branch exists")
-                        .writes
-                        .insert(key.clone(), new);
+                    let new = effective(key).unwrap_or(0) + delta;
+                    branch.writes.insert(key.clone(), new);
                     OpOutput::Updated(new)
                 }
                 DbOp::Reserve { key, qty } => {
-                    let have = self.effective(rid, key).unwrap_or(0);
+                    let have = effective(key).unwrap_or(0);
                     if have >= *qty {
                         let remaining = have - qty;
-                        self.branches
-                            .get_mut(&rid)
-                            .expect("branch exists")
-                            .writes
-                            .insert(key.clone(), remaining);
+                        branch.writes.insert(key.clone(), remaining);
                         OpOutput::Reserved { remaining }
                     } else {
                         OpOutput::SoldOut
                     }
                 }
                 DbOp::Doom => {
-                    self.doom(rid);
                     outputs.push(OpOutput::Doomed);
-                    return ExecStatus::Done(outputs);
+                    doomed = Some(ExecStatus::Done(std::mem::take(&mut outputs)));
+                    break;
                 }
             };
             outputs.push(out);
+        }
+        if let Some(status) = doomed {
+            self.doom(rid);
+            return status;
         }
         ExecStatus::Done(outputs)
     }
@@ -328,7 +324,7 @@ impl Engine {
     /// A yes vote is accompanied by a **forced** `Prepared` record carrying
     /// the branch's redo set.
     pub fn vote(&mut self, rid: ResultId) -> (Vote, Vec<LogWrite>) {
-        if let Some(outcome) = self.decided.get(&rid) {
+        if let Some(outcome) = self.decided.get(rid) {
             // Already decided (e.g. duplicated Prepare after a Decide): the
             // vote follows the decision.
             return match outcome {
@@ -368,7 +364,7 @@ impl Engine {
 
     /// [`Engine::decide`] proper: a branch yields at most one log record.
     fn decide_one(&mut self, rid: ResultId, outcome: Outcome) -> (Outcome, Option<LogWrite>) {
-        if let Some(&prev) = self.decided.get(&rid) {
+        if let Some(&prev) = self.decided.get(rid) {
             return (prev, None); // idempotent re-delivery
         }
         let applied = match outcome {
@@ -378,9 +374,8 @@ impl Engine {
                 Outcome::Abort
             }
             Outcome::Commit => {
-                match self.branches.get(&rid).map(|b| b.state) {
-                    Some(BranchState::Prepared) => {
-                        let b = self.branches.remove(&rid).expect("prepared branch");
+                match self.branches.remove(&rid) {
+                    Some(b) if b.state == BranchState::Prepared => {
                         let shipped: ShippedEntries =
                             b.writes.iter().map(|(k, &v)| (k.clone(), v)).collect();
                         for (k, v) in b.writes {
@@ -404,18 +399,18 @@ impl Engine {
                         self.outbox.push((self.ship_seq, rid, ShippedEntries::from([])));
                         Outcome::Commit
                     }
-                    Some(state) => {
+                    Some(b) => {
                         // A branch this server executed (or doomed) but
                         // never successfully prepared can only be committed
                         // by a caller violating V.2 — unreachable under the
                         // protocol.
                         debug_assert!(
                             false,
-                            "decide(commit) for unprepared branch {rid} ({state:?}) — \
-                             V.2 violated by caller"
+                            "decide(commit) for unprepared branch {rid} ({:?}) — \
+                             V.2 violated by caller",
+                            b.state
                         );
                         self.locks.release_all(rid);
-                        self.branches.remove(&rid);
                         self.decided.insert(rid, Outcome::Abort);
                         return (
                             Outcome::Abort,
@@ -526,7 +521,7 @@ impl Engine {
     /// *active* branch directly, no vote, no forced protocol log (the
     /// database's own commit cost is modelled by the host).
     pub fn commit_one_phase(&mut self, rid: ResultId) -> (bool, Vec<LogWrite>) {
-        if self.decided.get(&rid) == Some(&Outcome::Commit) {
+        if self.decided.get(rid) == Some(&Outcome::Commit) {
             return (true, Vec::new());
         }
         match self.branches.get(&rid).map(|b| b.state) {
@@ -735,6 +730,7 @@ impl Engine {
 mod tests {
     use super::*;
     use etx_base::ids::{NodeId, RequestId};
+    use std::collections::BTreeSet;
 
     fn rid(n: u64) -> ResultId {
         ResultId::first(RequestId { client: NodeId(0), seq: n })
@@ -1388,5 +1384,118 @@ mod tests {
         let (o, _) = e.decide(r, Outcome::Commit);
         // Release builds: conservative abort.
         assert_eq!(o, Outcome::Abort);
+    }
+
+    /// One step of [`the_decide_memo_answers_like_an_ordered_map`].
+    #[derive(Debug, Clone)]
+    enum MemoOp {
+        /// `execute` a `Get` (`true`) or an `Add` on one of three keys.
+        Execute(ResultId, usize, bool),
+        Vote(ResultId),
+        Decide(ResultId, Outcome),
+    }
+
+    fn memo_ops() -> impl proptest::strategy::Strategy<Value = Vec<MemoOp>> {
+        use proptest::strategy::Strategy;
+        // Dense and sparse clients, the reserved marker id among them;
+        // sequence numbers drawn in any order, repeated, two attempts each.
+        let branch = (0usize..4, 0u64..6, 1u32..3).prop_map(|(c, seq, attempt)| ResultId {
+            request: RequestId { client: NodeId([0, 1, 7, u32::MAX][c]), seq },
+            attempt,
+        });
+        let op = (0u8..8, branch, 0usize..3).prop_map(|(op, rid, key)| match op {
+            0 | 1 => MemoOp::Execute(rid, key, false),
+            2 => MemoOp::Execute(rid, key, true),
+            3 | 4 => MemoOp::Vote(rid),
+            5 | 6 => MemoOp::Decide(rid, Outcome::Commit),
+            _ => MemoOp::Decide(rid, Outcome::Abort),
+        });
+        proptest::collection::vec(op, 1..100)
+    }
+
+    proptest::proptest! {
+        /// The decide memo is a `BTreeMap<ResultId, Outcome>`: under random
+        /// executes, votes and decides (commit and abort, first and
+        /// duplicate) over several clients, `decision()` answers as the
+        /// model after every step, a vote or an execute on a decided branch
+        /// follows the memo, and the engine recovered from the written WAL
+        /// answers the same. The locked keys are, after every step, those
+        /// of the live branches' granted operations: a release finds every
+        /// lock its branch took, reads included.
+        #[test]
+        fn the_decide_memo_answers_like_an_ordered_map(ops in memo_ops()) {
+            let mut e = Engine::new();
+            let mut wal: Vec<StableRecord> = Vec::new();
+            let mut memo: BTreeMap<ResultId, Outcome> = BTreeMap::new();
+            // Branches that executed and are neither prepared nor decided:
+            // committing one would violate V.2, so the test aborts them.
+            let mut unprepared: BTreeSet<ResultId> = BTreeSet::new();
+            let mut seen: BTreeSet<ResultId> = BTreeSet::new();
+            // The keys each active or prepared branch was granted.
+            let mut held: BTreeMap<ResultId, BTreeSet<String>> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    MemoOp::Execute(rid, key, read) => {
+                        seen.insert(rid);
+                        let prepared = e.is_prepared(rid);
+                        let key = format!("k{key}");
+                        let op = if read {
+                            DbOp::Get { key: key.clone() }
+                        } else {
+                            DbOp::Add { key: key.clone(), delta: 1 }
+                        };
+                        let status = e.execute(rid, &[op]);
+                        if memo.contains_key(&rid) {
+                            proptest::prop_assert_eq!(status, ExecStatus::Conflict);
+                        } else if !prepared {
+                            unprepared.insert(rid);
+                            match status {
+                                ExecStatus::Done(_) => {
+                                    held.entry(rid).or_default().insert(key);
+                                }
+                                ExecStatus::Conflict => {
+                                    held.remove(&rid); // doomed
+                                }
+                            }
+                        }
+                    }
+                    MemoOp::Vote(rid) => {
+                        seen.insert(rid);
+                        let (vote, writes) = e.vote(rid);
+                        wal.extend(writes.into_iter().map(|w| w.rec));
+                        match memo.get(&rid) {
+                            Some(&o) => proptest::prop_assert_eq!(vote, if o == Outcome::Commit { Vote::Yes } else { Vote::No }),
+                            None if vote == Vote::Yes => {
+                                unprepared.remove(&rid);
+                            }
+                            None => {}
+                        }
+                    }
+                    MemoOp::Decide(rid, outcome) => {
+                        seen.insert(rid);
+                        let outcome = if unprepared.contains(&rid) { Outcome::Abort } else { outcome };
+                        let (applied, writes) = e.decide(rid, outcome);
+                        wal.extend(writes.into_iter().map(|w| w.rec));
+                        let first = *memo.entry(rid).or_insert(outcome);
+                        proptest::prop_assert_eq!(applied, first, "a duplicate answers as the first");
+                        unprepared.remove(&rid);
+                        held.remove(&rid);
+                    }
+                }
+                let locked: BTreeSet<&String> = held.values().flatten().collect();
+                proptest::prop_assert_eq!(e.locked_keys(), locked.len());
+                for &rid in &seen {
+                    proptest::prop_assert_eq!(e.decision(rid), memo.get(&rid).copied());
+                }
+            }
+            let mut recovered = Engine::recover(&wal);
+            for &rid in &seen {
+                proptest::prop_assert_eq!(recovered.decision(rid), memo.get(&rid).copied());
+                if let Some(&o) = memo.get(&rid) {
+                    let vote = if o == Outcome::Commit { Vote::Yes } else { Vote::No };
+                    proptest::prop_assert_eq!(recovered.vote(rid), (vote, Vec::new()));
+                }
+            }
+        }
     }
 }

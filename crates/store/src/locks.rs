@@ -169,6 +169,103 @@ mod tests {
     }
 
     #[test]
+    fn a_release_takes_only_the_branch_own_locks() {
+        let mut t = LockTable::new();
+        let (a, b) = (rid(1), rid(2));
+        assert_eq!(t.acquire("shared", a, LockMode::Shared), LockGrant::Granted);
+        assert_eq!(t.acquire("shared", b, LockMode::Shared), LockGrant::Granted);
+        assert_eq!(t.acquire("mine", a, LockMode::Exclusive), LockGrant::Granted);
+        assert_eq!(t.acquire("theirs", b, LockMode::Exclusive), LockGrant::Granted);
+        assert_eq!(t.locked_keys(), 3);
+        t.release_all(a);
+        assert_eq!(t.locked_keys(), 2, "the key only `a` held goes");
+        assert!(t.holds("shared", b, LockMode::Shared) && !t.holds("shared", a, LockMode::Shared));
+        assert!(t.holds("theirs", b, LockMode::Exclusive) && !t.holds("mine", a, LockMode::Shared));
+        t.release_all(a);
+        assert_eq!(t.locked_keys(), 2, "a second release changes nothing");
+        t.release_all(b);
+        assert_eq!(t.locked_keys(), 0);
+    }
+
+    /// A second statement of the table's rules, over plain tuples: the
+    /// model the proptest holds the table to.
+    #[derive(Default)]
+    struct Model(BTreeMap<String, (BTreeSet<ResultId>, Option<ResultId>)>);
+
+    impl Model {
+        fn acquire(&mut self, key: &str, rid: ResultId, mode: LockMode) -> LockGrant {
+            let (shared, exclusive) = self.0.entry(key.to_string()).or_default();
+            match (mode, *exclusive) {
+                (_, Some(holder)) if holder != rid => LockGrant::Conflict,
+                (_, Some(_)) => LockGrant::Granted,
+                (LockMode::Shared, None) => {
+                    shared.insert(rid);
+                    LockGrant::Granted
+                }
+                (LockMode::Exclusive, None) if shared.iter().any(|&h| h != rid) => {
+                    LockGrant::Conflict
+                }
+                (LockMode::Exclusive, None) => {
+                    shared.remove(&rid);
+                    *exclusive = Some(rid);
+                    LockGrant::Granted
+                }
+            }
+        }
+
+        fn release_all(&mut self, rid: ResultId) {
+            self.0.retain(|_, (shared, exclusive)| {
+                shared.remove(&rid);
+                if *exclusive == Some(rid) {
+                    *exclusive = None;
+                }
+                exclusive.is_some() || !shared.is_empty()
+            });
+        }
+    }
+
+    proptest::proptest! {
+        /// Under random acquires (both modes, upgrades, re-acquires,
+        /// conflicts) and releases of four branches over four keys, every
+        /// grant, every `holds` answer and `locked_keys()` are the model's
+        /// after every step: a release takes exactly its branch's locks and
+        /// drops the entries it empties.
+        #[test]
+        fn the_table_matches_a_model_of_its_rules(
+            ops in proptest::collection::vec((0u64..4, 0usize..4, 0u8..5), 1..80)
+        ) {
+            let keys = ["a", "b", "c", "d"];
+            let mut t = LockTable::new();
+            let mut model = Model::default();
+            for (branch, key, op) in ops {
+                let (branch, key) = (rid(branch), keys[key]);
+                let mode = if op < 2 { LockMode::Shared } else { LockMode::Exclusive };
+                if op < 4 {
+                    proptest::prop_assert_eq!(
+                        t.acquire(key, branch, mode),
+                        model.acquire(key, branch, mode)
+                    );
+                } else {
+                    t.release_all(branch);
+                    model.release_all(branch);
+                }
+                proptest::prop_assert_eq!(t.locked_keys(), model.0.len());
+                for key in keys {
+                    for branch in 0..4 {
+                        for mode in [LockMode::Shared, LockMode::Exclusive] {
+                            let expect = model.0.get(key).is_some_and(|(s, x)| match mode {
+                                LockMode::Shared => s.contains(&rid(branch)) || *x == Some(rid(branch)),
+                                LockMode::Exclusive => *x == Some(rid(branch)),
+                            });
+                            proptest::prop_assert_eq!(t.holds(key, rid(branch), mode), expect);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn exclusive_implies_shared_without_double_entry() {
         let mut t = LockTable::new();
         t.acquire("k", rid(1), LockMode::Exclusive);
