@@ -180,6 +180,16 @@ pub trait Context {
     /// [`Context::send_after`]); otherwise the write is buffered and free.
     fn log_append(&mut self, log: &'static str, rec: StableRecord, forced: bool) -> Dur;
 
+    /// Replaces a stable log with the single record `rec`, a checkpoint of
+    /// everything the log held ([`crate::wal::StableStorage::checkpoint`]).
+    /// The write is unforced and draws no randomness. Both hosts override
+    /// this; the default, for a context that keeps no storage of its own,
+    /// is a plain unforced append, which recovery reads the same way (it
+    /// starts from the last checkpoint record).
+    fn log_checkpoint(&mut self, log: &'static str, rec: StableRecord) {
+        self.log_append(log, rec, false);
+    }
+
     /// Reads back a stable log (survives crashes).
     fn log_read(&self, log: &'static str) -> Vec<StableRecord>;
 

@@ -16,9 +16,25 @@
 //!
 //! Both live in a node's [`StableStorage`], which each host keeps outside
 //! the node's process so that a crash cannot touch it.
+//!
+//! A database's WAL is **one checkpoint plus a tail**. A
+//! [`StableRecord::Checkpoint`] holds an [`Image`] of everything recovery
+//! would rebuild from the records before it, and
+//! [`StableStorage::checkpoint`] replaces the whole log with that one
+//! record; recovery starts from the last checkpoint and replays the tail
+//! after it. A database takes one once the records appended since the last
+//! reach the size of its last image (and at least a fixed minimum), so the
+//! log it keeps is bounded by its state rather than by its history, and
+//! copying the image costs O(1) per appended record.
+//!
+//! *The durability boundary.* Both hosts keep storage in memory and treat
+//! an append as durable once it returns, so dropping the prefix at once is
+//! safe. A file-backed log must make the checkpoint record durable (force
+//! it) **before** it truncates the prefix: a crash between the two must
+//! find either the old log or the checkpoint, never neither.
 
 use crate::ids::ResultId;
-use crate::value::{Outcome, ResultValue};
+use crate::value::{Outcome, ResultValue, ShippedEntries};
 use std::collections::BTreeMap;
 
 /// Name of the database write-ahead log within a node's stable storage.
@@ -28,15 +44,21 @@ pub const LOG_COORD: &str = "coord";
 
 /// One durable record. A single enum covers both logs so
 /// [`StableStorage`] stays untyped-but-safe.
+///
+/// A record is immutable once written, so the write sets it carries are
+/// [`ShippedEntries`]: sealed once when the branch votes, then shared by
+/// the `Prepared` record, the commit's shipment and the follower's
+/// `Replicated` record. Sharing an immutable value is equivalent to owning
+/// it, and a file-backed log would serialize the bytes at append anyway.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StableRecord {
     /// Database: branch `rid` is prepared; `writes` is its redo set
-    /// (key, new value). Forced before voting yes.
+    /// (key, new value), in key order. Forced before voting yes.
     Prepared {
         /// Transaction branch.
         rid: ResultId,
         /// Redo information: key → new value.
-        writes: Vec<(String, i64)>,
+        writes: ShippedEntries,
     },
     /// Database: branch `rid` was decided. Forced on commit; lazy on abort
     /// (presumed abort).
@@ -59,7 +81,7 @@ pub enum StableRecord {
         /// [`ResultId::repl_snapshot`] as a marker.
         rid: ResultId,
         /// Post-commit key values.
-        writes: Vec<(String, i64)>,
+        writes: ShippedEntries,
     },
     /// Group append: one durable record framing the records of a whole
     /// decided batch (commit/abort outcomes of one `Decide`, or the
@@ -72,6 +94,11 @@ pub enum StableRecord {
         /// The framed records, in batch order.
         records: Vec<StableRecord>,
     },
+    /// Database: the state every record before it rebuilds, which
+    /// [`StableStorage::checkpoint`] wrote in place of those records.
+    /// Recovery starts from the last one. Boxed: every record is as large
+    /// as the largest variant.
+    Checkpoint(Box<Image>),
     /// 2PC coordinator: processing of `rid` started (presumed-nothing start
     /// record, forced).
     CoordStart {
@@ -91,8 +118,9 @@ pub enum StableRecord {
 }
 
 impl StableRecord {
-    /// The transaction branch this record concerns. Group frames span many
-    /// branches and answer with the reserved [`ResultId::group_marker`].
+    /// The transaction branch this record concerns. Group frames and
+    /// checkpoints span many branches and answer with the reserved
+    /// [`ResultId::group_marker`].
     pub fn rid(&self) -> ResultId {
         match self {
             StableRecord::Prepared { rid, .. }
@@ -100,7 +128,7 @@ impl StableRecord {
             | StableRecord::Replicated { rid, .. }
             | StableRecord::CoordStart { rid }
             | StableRecord::CoordOutcome { rid, .. } => *rid,
-            StableRecord::Group { .. } => ResultId::group_marker(),
+            StableRecord::Group { .. } | StableRecord::Checkpoint(_) => ResultId::group_marker(),
         }
     }
 
@@ -116,14 +144,60 @@ impl StableRecord {
     }
 }
 
-/// One node's stable storage: named append-only logs that survive its
-/// crashes (§2: "the crash of a process has no impact on its stable
-/// storage"). Both hosts keep one per node, beside the process rather
-/// than in it, and hand it to the recovered incarnation. What a *forced*
-/// write costs is the host's cost model's to say, not this type's.
+// A log holds a record per prepare and per decide: a new variant that
+// outgrows the others regrows every one of them (the checkpoint is boxed
+// for that reason).
+const _: () = assert!(size_of::<StableRecord>() == 48);
+
+/// What a database's recovery rebuilds from a log prefix, as one
+/// [`StableRecord::Checkpoint`] holds it. Every list is in key order, so
+/// two images of the same state are equal.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Image {
+    /// Committed data: key → value.
+    pub data: Vec<(String, i64)>,
+    /// Prepared, undecided (in-doubt) branches and their redo sets.
+    pub prepared: Vec<(ResultId, ShippedEntries)>,
+    /// The decide memo: every decided branch's applied outcome.
+    pub decided: Vec<(ResultId, Outcome)>,
+    /// Primary role: the count of logged commit outcomes (ship position).
+    pub ship_seq: u64,
+    /// Follower role: the highest contiguously applied ship position.
+    pub repl_last_seq: u64,
+}
+
+impl Image {
+    /// Entries the image holds: keys, in-doubt branches and memo entries.
+    pub fn len(&self) -> usize {
+        self.data.len() + self.prepared.len() + self.decided.len()
+    }
+
+    /// Whether the image holds no entry at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// One named log: its records, how many were ever appended to it, and how
+/// many checkpoints replaced them.
+#[derive(Debug, Default)]
+struct Log {
+    records: Vec<StableRecord>,
+    appended: u64,
+    checkpoints: u64,
+}
+
+/// One node's stable storage: named logs that survive its crashes (§2:
+/// "the crash of a process has no impact on its stable storage"). Both
+/// hosts keep one per node, beside the process rather than in it, and hand
+/// it to the recovered incarnation. What a *forced* write costs is the
+/// host's cost model's to say, not this type's.
+///
+/// A log only grows by [`StableStorage::append`] and only shrinks by
+/// [`StableStorage::checkpoint`], which replaces all of it with one record.
 #[derive(Debug, Default)]
 pub struct StableStorage {
-    logs: BTreeMap<&'static str, Vec<StableRecord>>,
+    logs: BTreeMap<&'static str, Log>,
 }
 
 impl StableStorage {
@@ -134,12 +208,36 @@ impl StableStorage {
 
     /// Appends a record to `log`, creating the log on first use.
     pub fn append(&mut self, log: &'static str, rec: StableRecord) {
-        self.logs.entry(log).or_default().push(rec);
+        let log = self.logs.entry(log).or_default();
+        log.records.push(rec);
+        log.appended += 1;
+    }
+
+    /// Replaces every record of `log` with `rec`, a checkpoint of the state
+    /// they rebuild. The log keeps its capacity, as it refills to about
+    /// the same length. See the [module documentation](self) for the
+    /// durability boundary a file-backed log must respect here.
+    pub fn checkpoint(&mut self, log: &'static str, rec: StableRecord) {
+        let log = self.logs.entry(log).or_default();
+        log.records.clear();
+        log.records.push(rec);
+        log.checkpoints += 1;
     }
 
     /// Reads a log back (empty if never written).
     pub fn read(&self, log: &'static str) -> &[StableRecord] {
-        self.logs.get(log).map_or(&[], Vec::as_slice)
+        self.logs.get(log).map_or(&[], |l| l.records.as_slice())
+    }
+
+    /// Records ever appended to `log`, those a checkpoint dropped included
+    /// (a checkpoint itself is not counted: it replaces, not appends).
+    pub fn appended(&self, log: &'static str) -> u64 {
+        self.logs.get(log).map_or(0, |l| l.appended)
+    }
+
+    /// Checkpoints ever taken of `log`.
+    pub fn checkpoints(&self, log: &'static str) -> u64 {
+        self.logs.get(log).map_or(0, |l| l.checkpoints)
     }
 
     /// Number of records in a log.
@@ -162,7 +260,7 @@ mod tests {
     fn record_rid_projection() {
         let rid = ResultId::first(RequestId { client: NodeId(9), seq: 3 });
         let records = [
-            StableRecord::Prepared { rid, writes: vec![("acct".into(), 10)] },
+            StableRecord::Prepared { rid, writes: [("acct".to_string(), 10)].into() },
             StableRecord::DbOutcome { rid, outcome: Outcome::Commit },
             StableRecord::CoordStart { rid },
             StableRecord::CoordOutcome { rid, outcome: Outcome::Abort, result: None },
@@ -189,5 +287,23 @@ mod tests {
         assert_eq!(leaves[1].rid(), rid2);
         // A plain record is its own single leaf.
         assert_eq!(leaves[0].leaves().len(), 1);
+    }
+
+    #[test]
+    fn a_checkpoint_replaces_the_log_and_appends_keep_counting() {
+        let rid = |seq| ResultId::first(RequestId { client: NodeId(1), seq });
+        let outcome = |seq| StableRecord::DbOutcome { rid: rid(seq), outcome: Outcome::Commit };
+        let mut s = StableStorage::new();
+        assert_eq!((s.appended(LOG_WAL), s.checkpoints(LOG_WAL)), (0, 0));
+        for seq in 1..=3 {
+            s.append(LOG_WAL, outcome(seq));
+        }
+        s.append(LOG_COORD, StableRecord::CoordStart { rid: rid(9) });
+        let image = Image { ship_seq: 3, ..Image::default() };
+        s.checkpoint(LOG_WAL, StableRecord::Checkpoint(Box::new(image.clone())));
+        s.append(LOG_WAL, outcome(4));
+        assert_eq!(s.read(LOG_WAL), [StableRecord::Checkpoint(Box::new(image)), outcome(4)]);
+        assert_eq!((s.appended(LOG_WAL), s.checkpoints(LOG_WAL)), (4, 1));
+        assert_eq!(s.len(LOG_COORD), 1, "other logs are untouched");
     }
 }

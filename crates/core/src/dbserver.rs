@@ -137,7 +137,17 @@ pub struct DbServer {
     /// the applied position to have reached it, so a bare renewal can
     /// never re-authorize a prefix that lost a commit shipment.
     lease_floor: u64,
+    /// Records still to append before the next WAL checkpoint (see
+    /// [`DbServer::checkpoint_if_due`]). Volatile: a recovered incarnation
+    /// counts the records it read back against its first one.
+    wal_due: usize,
 }
+
+/// The fewest records a database appends to its WAL between two
+/// checkpoints. Past it the gap is the size of the last image, so copying
+/// images costs O(1) per appended record and the log holds O(image)
+/// records however long the history.
+const CHECKPOINT_MIN: usize = 256;
 
 /// How many proposed slots a speculating primary holds a stash for at
 /// once. Each application server has one slot in flight, and a stash can
@@ -201,6 +211,7 @@ impl DbServer {
             held_votes: BTreeMap::new(),
             live_intents: BTreeMap::new(),
             lease_floor: 0,
+            wal_due: CHECKPOINT_MIN,
         }
     }
 
@@ -472,6 +483,10 @@ impl DbServer {
     }
 
     fn apply_log_writes(&mut self, ctx: &mut dyn Context, writes: Vec<etx_store::LogWrite>) {
+        if writes.is_empty() {
+            return;
+        }
+        self.wal_due = self.wal_due.saturating_sub(writes.len());
         for w in writes {
             // Forced-ness is folded into the prepare/commit service costs
             // (as in Oracle, where the paper's 19 ms prepare and 18 ms
@@ -479,6 +494,27 @@ impl DbServer {
             // append itself is charged as unforced here.
             ctx.log_append(LOG_WAL, w.rec, false);
         }
+        self.checkpoint_if_due(ctx);
+    }
+
+    /// Replaces the WAL with one checkpoint of the engine's live state once
+    /// enough records have been appended since the last
+    /// ([`CHECKPOINT_MIN`], or the size of the last image if larger). Runs
+    /// right after an append, when the live state is exactly what the log
+    /// rebuilds; debug builds check that against a replay of the log the
+    /// checkpoint replaces.
+    fn checkpoint_if_due(&mut self, ctx: &mut dyn Context) {
+        if self.wal_due > 0 {
+            return;
+        }
+        let image = self.engine.image();
+        debug_assert_eq!(
+            image,
+            Engine::recover_with_seed(self.seed_data.clone(), &ctx.log_read(LOG_WAL)).image(),
+            "a checkpoint must hold what its log rebuilds"
+        );
+        self.wal_due = image.len().max(CHECKPOINT_MIN);
+        ctx.log_checkpoint(LOG_WAL, StableRecord::Checkpoint(Box::new(image)));
     }
 
     /// Like [`Self::apply_log_writes`], but several records are framed into
@@ -496,6 +532,8 @@ impl DbServer {
                 ctx.trace(TraceKind::GroupAppend { len: n as u32 });
                 let frame = etx_store::LogWrite::frame(writes);
                 ctx.log_append(LOG_WAL, frame.rec, frame.force);
+                self.wal_due = self.wal_due.saturating_sub(1);
+                self.checkpoint_if_due(ctx);
             }
         }
     }
@@ -848,6 +886,7 @@ impl Process for DbServer {
                 // (Figure 3 lines 1–2).
                 let log = ctx.log_read(LOG_WAL);
                 self.engine = Engine::recover_with_seed(self.seed_data.clone(), &log);
+                self.wal_due = CHECKPOINT_MIN.saturating_sub(log.len());
                 // Prepared branches recovered from the WAL are live
                 // cross-shard work: lease renewal stays withheld until
                 // their decides arrive.

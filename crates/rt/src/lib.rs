@@ -388,6 +388,10 @@ impl Context for ThreadCtx<'_> {
         }
     }
 
+    fn log_checkpoint(&mut self, log: &'static str, rec: StableRecord) {
+        self.storage.checkpoint(log, rec);
+    }
+
     fn log_read(&self, log: &'static str) -> Vec<StableRecord> {
         self.storage.read(log).to_vec()
     }

@@ -23,7 +23,7 @@ use etx_base::attempts::AttemptWindows;
 use etx_base::ids::ResultId;
 use etx_base::time::Dur;
 use etx_base::value::{DbOp, ExecStatus, OpOutput, Outcome, Vote};
-use etx_base::wal::StableRecord;
+use etx_base::wal::{Image, StableRecord};
 use std::collections::BTreeMap;
 
 /// A log record the host must append, and whether it must be forced
@@ -49,18 +49,16 @@ impl LogWrite {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BranchState {
-    Active,
-    Doomed,
-    Prepared,
-}
-
+/// A live (undecided) branch.
 #[derive(Debug)]
-struct Branch {
-    state: BranchState,
-    /// Write set: key → new value (redo information).
-    writes: BTreeMap<String, i64>,
+enum Branch {
+    /// Executing: its write set so far, key → new value (redo information).
+    Active(BTreeMap<String, i64>),
+    /// A lock conflict or a `Doom` ended it: it votes no.
+    Doomed,
+    /// Voted yes: the write set, sealed once, in key order. The `Prepared`
+    /// record shares it, and so does the commit's shipment.
+    Prepared(ShippedEntries),
 }
 
 pub use etx_base::value::{ShippedCommit, ShippedEntries};
@@ -118,6 +116,13 @@ pub struct ReplApply {
 /// insertion compare one key however long the history. The live branches
 /// stay in a `BTreeMap`: it holds only them and stays small, while a
 /// window per client seen (and its run's capacity) would outlive them.
+///
+/// [`Engine::image`] is what recovery would rebuild from the log written so
+/// far — committed data, in-doubt branches, the memo and both replication
+/// positions — taken from live state, so that a host can replace the log
+/// with one [`StableRecord::Checkpoint`]. Everything else here is volatile.
+/// The memo rides inside every image at about 20 bytes per decided branch;
+/// bounding it by the clients' watermarks is still to do.
 #[derive(Debug, Default)]
 pub struct Engine {
     data: BTreeMap<String, i64>,
@@ -169,7 +174,15 @@ impl Engine {
 
     /// Whether `rid` is an in-doubt (prepared, undecided) branch.
     pub fn is_prepared(&self, rid: ResultId) -> bool {
-        matches!(self.branches.get(&rid).map(|b| b.state), Some(BranchState::Prepared))
+        matches!(self.branches.get(&rid), Some(Branch::Prepared(_)))
+    }
+
+    /// The in-doubt branches and their sealed write sets, in branch order.
+    fn prepared(&self) -> impl Iterator<Item = (ResultId, &ShippedEntries)> + '_ {
+        self.branches.iter().filter_map(|(&rid, b)| match b {
+            Branch::Prepared(writes) => Some((rid, writes)),
+            _ => None,
+        })
     }
 
     /// Every in-doubt (prepared, undecided) branch. Used by a recovering
@@ -177,14 +190,7 @@ impl Engine {
     /// WAL-recovered prepared branch is a live cross-shard transaction,
     /// and leases must not be renewed while one exists.
     pub fn prepared_rids(&self) -> Vec<ResultId> {
-        let mut rids: Vec<ResultId> = self
-            .branches
-            .iter()
-            .filter(|(_, b)| b.state == BranchState::Prepared)
-            .map(|(&rid, _)| rid)
-            .collect();
-        rids.sort_unstable();
-        rids
+        self.prepared().map(|(rid, _)| rid).collect()
     }
 
     /// Number of keys currently locked (diagnostics).
@@ -232,20 +238,27 @@ impl Engine {
     /// Active and doomed branches are ignored — their writes cannot have
     /// committed anywhere yet.
     pub fn indoubt_read_conflict(&self, ops: &[DbOp]) -> bool {
-        self.branches
-            .values()
-            .filter(|b| b.state == BranchState::Prepared)
-            .any(|b| ops.iter().filter_map(DbOp::key).any(|k| b.writes.contains_key(k)))
+        let writes = |w: &ShippedEntries, key: &str| {
+            w.binary_search_by(|(k, _)| k.as_str().cmp(key)).is_ok()
+        };
+        self.prepared().any(|(_, w)| ops.iter().filter_map(DbOp::key).any(|k| writes(w, k)))
     }
 
     fn doom(&mut self, rid: ResultId) {
         self.locks.release_all(rid);
-        if let Some(b) = self.branches.get_mut(&rid) {
-            b.state = BranchState::Doomed;
-            b.writes.clear();
-        } else {
-            self.branches
-                .insert(rid, Branch { state: BranchState::Doomed, writes: BTreeMap::new() });
+        self.branches.insert(rid, Branch::Doomed);
+    }
+
+    /// Applies committed values to the data, updating a present key in
+    /// place: a key is cloned only the first time it is written.
+    fn apply_committed(&mut self, writes: &[(String, i64)]) {
+        for (k, v) in writes {
+            match self.data.get_mut(k) {
+                Some(slot) => *slot = *v,
+                None => {
+                    self.data.insert(k.clone(), *v);
+                }
+            }
         }
     }
 
@@ -263,12 +276,10 @@ impl Engine {
             return ExecStatus::Conflict;
         }
         let Engine { branches, locks, data, .. } = self;
-        let branch = branches
-            .entry(rid)
-            .or_insert(Branch { state: BranchState::Active, writes: BTreeMap::new() });
-        if branch.state != BranchState::Active {
+        let Branch::Active(writes) = branches.entry(rid).or_insert(Branch::Active(BTreeMap::new()))
+        else {
             return ExecStatus::Conflict; // doomed, or prepared
-        }
+        };
         let mut outputs = Vec::with_capacity(ops.len());
         // What ends the batch early, once the branch is no longer borrowed:
         // a lock conflict or a `Doom` dooms the branch and returns this.
@@ -283,23 +294,23 @@ impl Engine {
                 }
             }
             // Semantics: the branch reads its own writes, then committed data.
-            let effective = |key: &str| branch.writes.get(key).or_else(|| data.get(key)).copied();
+            let effective = |key: &str| writes.get(key).or_else(|| data.get(key)).copied();
             let out = match op {
                 DbOp::Get { key } => OpOutput::Value(effective(key)),
                 DbOp::Put { key, value } => {
-                    branch.writes.insert(key.clone(), *value);
+                    writes.insert(key.clone(), *value);
                     OpOutput::Updated(*value)
                 }
                 DbOp::Add { key, delta } => {
                     let new = effective(key).unwrap_or(0) + delta;
-                    branch.writes.insert(key.clone(), new);
+                    writes.insert(key.clone(), new);
                     OpOutput::Updated(new)
                 }
                 DbOp::Reserve { key, qty } => {
                     let have = effective(key).unwrap_or(0);
                     if have >= *qty {
                         let remaining = have - qty;
-                        branch.writes.insert(key.clone(), remaining);
+                        writes.insert(key.clone(), remaining);
                         OpOutput::Reserved { remaining }
                     } else {
                         OpOutput::SoldOut
@@ -322,7 +333,8 @@ impl Engine {
 
     /// XA prepare: returns the vote and any log writes the host must apply.
     /// A yes vote is accompanied by a **forced** `Prepared` record carrying
-    /// the branch's redo set.
+    /// the branch's redo set, sealed here once: the record, the branch and
+    /// (on commit) the shipment share it.
     pub fn vote(&mut self, rid: ResultId) -> (Vote, Vec<LogWrite>) {
         if let Some(outcome) = self.decided.get(rid) {
             // Already decided (e.g. duplicated Prepare after a Decide): the
@@ -332,20 +344,22 @@ impl Engine {
                 Outcome::Abort => (Vote::No, Vec::new()),
             };
         }
-        match self.branches.get_mut(&rid) {
-            Some(b) if b.state == BranchState::Active => {
-                b.state = BranchState::Prepared;
-                let writes: Vec<(String, i64)> =
-                    b.writes.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        let Some(branch) = self.branches.get_mut(&rid) else {
+            // Unknown: e.g. the server crashed and lost the unprepared
+            // branch — the `Ready` path.
+            return (Vote::No, Vec::new());
+        };
+        match &mut *branch {
+            Branch::Active(writes) => {
+                let writes: ShippedEntries = std::mem::take(writes).into_iter().collect();
+                *branch = Branch::Prepared(writes.clone());
                 (
                     Vote::Yes,
                     vec![LogWrite { rec: StableRecord::Prepared { rid, writes }, force: true }],
                 )
             }
-            Some(b) if b.state == BranchState::Prepared => (Vote::Yes, Vec::new()),
-            // Doomed, or unknown (e.g. the server crashed and lost the
-            // unprepared branch — the `Ready` path).
-            _ => (Vote::No, Vec::new()),
+            Branch::Prepared(_) => (Vote::Yes, Vec::new()),
+            Branch::Doomed => (Vote::No, Vec::new()),
         }
     }
 
@@ -375,15 +389,11 @@ impl Engine {
             }
             Outcome::Commit => {
                 match self.branches.remove(&rid) {
-                    Some(b) if b.state == BranchState::Prepared => {
-                        let shipped: ShippedEntries =
-                            b.writes.iter().map(|(k, &v)| (k.clone(), v)).collect();
-                        for (k, v) in b.writes {
-                            self.data.insert(k, v);
-                        }
+                    Some(Branch::Prepared(writes)) => {
+                        self.apply_committed(&writes);
                         self.locks.release_all(rid);
                         self.ship_seq += 1;
-                        self.outbox.push((self.ship_seq, rid, shipped));
+                        self.outbox.push((self.ship_seq, rid, writes));
                         Outcome::Commit
                     }
                     None => {
@@ -406,9 +416,8 @@ impl Engine {
                         // protocol.
                         debug_assert!(
                             false,
-                            "decide(commit) for unprepared branch {rid} ({:?}) — \
-                             V.2 violated by caller",
-                            b.state
+                            "decide(commit) for unprepared branch {rid} ({b:?}) — \
+                             V.2 violated by caller"
                         );
                         self.locks.release_all(rid);
                         self.decided.insert(rid, Outcome::Abort);
@@ -519,33 +528,31 @@ impl Engine {
 
     /// One-phase commit for the unreliable baseline (Figure 7a): commit an
     /// *active* branch directly, no vote, no forced protocol log (the
-    /// database's own commit cost is modelled by the host).
+    /// database's own commit cost is modelled by the host). The redo set is
+    /// logged, unforced, ahead of the commit record, so that recovery
+    /// restores the commit like any other.
     pub fn commit_one_phase(&mut self, rid: ResultId) -> (bool, Vec<LogWrite>) {
         if self.decided.get(rid) == Some(&Outcome::Commit) {
             return (true, Vec::new());
         }
-        match self.branches.get(&rid).map(|b| b.state) {
-            Some(BranchState::Active) => {
-                let b = self.branches.remove(&rid).expect("active branch");
-                let shipped: ShippedEntries =
-                    b.writes.iter().map(|(k, &v)| (k.clone(), v)).collect();
-                for (k, v) in b.writes {
-                    self.data.insert(k, v);
-                }
-                self.locks.release_all(rid);
-                self.ship_seq += 1;
-                self.outbox.push((self.ship_seq, rid, shipped));
-                self.decided.insert(rid, Outcome::Commit);
-                (
-                    true,
-                    vec![LogWrite {
-                        rec: StableRecord::DbOutcome { rid, outcome: Outcome::Commit },
-                        force: true,
-                    }],
-                )
-            }
-            _ => (false, Vec::new()),
-        }
+        let Some(Branch::Active(writes)) = self.branches.get_mut(&rid) else {
+            return (false, Vec::new());
+        };
+        let writes: ShippedEntries = std::mem::take(writes).into_iter().collect();
+        self.branches.remove(&rid);
+        self.apply_committed(&writes);
+        self.locks.release_all(rid);
+        self.ship_seq += 1;
+        self.outbox.push((self.ship_seq, rid, writes.clone()));
+        self.decided.insert(rid, Outcome::Commit);
+        let commit = StableRecord::DbOutcome { rid, outcome: Outcome::Commit };
+        (
+            true,
+            vec![
+                LogWrite { rec: StableRecord::Prepared { rid, writes }, force: false },
+                LogWrite { rec: commit, force: true },
+            ],
+        )
     }
 
     // ---- intra-shard asynchronous replication -------------------------------
@@ -624,8 +631,9 @@ impl Engine {
         self.data = entries.iter().cloned().collect();
         self.repl_last_seq = seq;
         self.repl_pending.retain(|&s, _| s > seq);
+        let rid = ResultId::repl_snapshot();
         let mut writes = vec![LogWrite {
-            rec: StableRecord::Replicated { seq, rid: ResultId::repl_snapshot(), writes: entries },
+            rec: StableRecord::Replicated { seq, rid, writes: entries.into() },
             force: false,
         }];
         self.drain_repl_pending(&mut writes);
@@ -633,23 +641,31 @@ impl Engine {
     }
 
     fn drain_repl_pending(&mut self, out: &mut Vec<LogWrite>) {
-        while let Some(entry) = self.repl_pending.remove(&(self.repl_last_seq + 1)) {
-            let (rid, entries) = entry;
-            for (k, &v) in entries.iter().map(|(k, v)| (k, v)) {
-                self.data.insert(k.clone(), v);
-            }
+        while let Some((rid, writes)) = self.repl_pending.remove(&(self.repl_last_seq + 1)) {
+            self.apply_committed(&writes);
             self.repl_last_seq += 1;
-            // The log record owns its bytes (stable storage, not the wire),
-            // so the shared entries are materialized here — the one copy
-            // the durable append genuinely needs.
+            // A record is immutable, so sharing the shipment's entries is
+            // as good as owning a copy (a file-backed log serializes them
+            // at append anyway): the write set the primary sealed at its
+            // vote is the one this record holds.
             out.push(LogWrite {
-                rec: StableRecord::Replicated {
-                    seq: self.repl_last_seq,
-                    rid,
-                    writes: entries.to_vec(),
-                },
+                rec: StableRecord::Replicated { seq: self.repl_last_seq, rid, writes },
                 force: false,
             });
+        }
+    }
+
+    /// What recovery would rebuild from the log written so far, from live
+    /// state: committed data, the in-doubt branches with their write sets,
+    /// the decide memo and both replication positions. A host may replace
+    /// its log with this image as one [`StableRecord::Checkpoint`].
+    pub fn image(&self) -> Image {
+        Image {
+            data: self.data.iter().map(|(k, &v)| (k.clone(), v)).collect(),
+            prepared: self.prepared().map(|(rid, w)| (rid, w.clone())).collect(),
+            decided: self.decided.iter().map(|(rid, &o)| (rid, o)).collect(),
+            ship_seq: self.ship_seq,
+            repl_last_seq: self.repl_last_seq,
         }
     }
 
@@ -663,17 +679,33 @@ impl Engine {
 
     /// [`Engine::recover`] starting from pre-crash seed data (the workload's
     /// initial table contents, which a real database would have on disk
-    /// already); replayed log values overwrite seeds.
+    /// already); replayed log values overwrite seeds. A log holding a
+    /// [`StableRecord::Checkpoint`] restarts from the last one, whose image
+    /// replaces the seed, and replays only the tail after it.
     pub fn recover_with_seed(
         seed: impl IntoIterator<Item = (String, i64)>,
         log: &[StableRecord],
     ) -> Engine {
-        let mut e = Engine::with_data(seed);
-        let mut prepared: BTreeMap<ResultId, Vec<(String, i64)>> = BTreeMap::new();
+        let last = log.iter().rposition(|r| matches!(r, StableRecord::Checkpoint(_)));
+        let (mut e, mut prepared, tail) = match last.map(|at| (&log[at], &log[at + 1..])) {
+            Some((StableRecord::Checkpoint(image), tail)) => {
+                let mut e = Engine {
+                    data: image.data.iter().cloned().collect(),
+                    ship_seq: image.ship_seq,
+                    repl_last_seq: image.repl_last_seq,
+                    ..Engine::default()
+                };
+                for &(rid, outcome) in &image.decided {
+                    e.decided.insert(rid, outcome);
+                }
+                (e, image.prepared.iter().cloned().collect(), tail)
+            }
+            _ => (Engine::with_data(seed), BTreeMap::new(), log),
+        };
         // Group frames (batched commit / batched replication appends)
         // unfold to their members in order: framing is a durability
         // optimisation, invisible to replay semantics.
-        for rec in log.iter().flat_map(|r| r.leaves()) {
+        for rec in tail.iter().flat_map(|r| r.leaves()) {
             match rec {
                 StableRecord::Prepared { rid, writes } => {
                     prepared.insert(*rid, writes.clone());
@@ -681,9 +713,7 @@ impl Engine {
                 StableRecord::DbOutcome { rid, outcome } => {
                     if let Some(writes) = prepared.remove(rid) {
                         if *outcome == Outcome::Commit {
-                            for (k, v) in writes {
-                                e.data.insert(k, v);
-                            }
+                            e.apply_committed(&writes);
                         }
                     }
                     if *outcome == Outcome::Commit {
@@ -698,29 +728,26 @@ impl Engine {
                 StableRecord::Replicated { seq, rid: _, writes } => {
                     // Follower-role replay: records were appended in apply
                     // order, so the last one fixes the replication cursor.
-                    for (k, v) in writes {
-                        e.data.insert(k.clone(), *v);
-                    }
+                    e.apply_committed(writes);
                     e.repl_last_seq = *seq;
                 }
                 // Coordinator records belong to the 2PC baseline's log and
                 // are ignored by database recovery. Groups never appear as
-                // leaves (flattened above).
+                // leaves (flattened above), and the tail holds no
+                // checkpoint (it starts after the last one).
                 StableRecord::CoordStart { .. }
                 | StableRecord::CoordOutcome { .. }
-                | StableRecord::Group { .. } => {}
+                | StableRecord::Group { .. }
+                | StableRecord::Checkpoint(_) => {}
             }
         }
         // Whatever is still prepared is in-doubt: restore branch + locks.
         for (rid, writes) in prepared {
-            for (k, _) in &writes {
+            for (k, _) in writes.iter() {
                 let g = e.locks.acquire(k, rid, LockMode::Exclusive);
                 debug_assert_eq!(g, LockGrant::Granted, "in-doubt locks cannot conflict");
             }
-            e.branches.insert(
-                rid,
-                Branch { state: BranchState::Prepared, writes: writes.into_iter().collect() },
-            );
+            e.branches.insert(rid, Branch::Prepared(writes));
         }
         e
     }
@@ -970,8 +997,10 @@ mod tests {
         e.execute(r, &[put("k", 3)]);
         let (ok, logs) = e.commit_one_phase(r);
         assert!(ok);
-        assert_eq!(logs.len(), 1);
+        assert_eq!(logs.len(), 2, "the redo set, then the commit");
         assert_eq!(e.committed("k"), Some(3));
+        let wal: Vec<StableRecord> = logs.into_iter().map(|w| w.rec).collect();
+        assert_eq!(Engine::recover(&wal).image(), e.image(), "recovery restores the commit");
         // Idempotent.
         let (ok2, logs2) = e.commit_one_phase(r);
         assert!(ok2);

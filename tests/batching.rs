@@ -261,7 +261,16 @@ fn catch_up_snapshot_straddling_a_partially_shipped_batch_applies_exactly_once()
     // skipped item would still break convergence above), and the recovery
     // must actually have adopted a fresh snapshot to jump the gap the
     // crash tore into the apply stream.
-    let log = s.sim().storage(follower).read(LOG_WAL);
+    // The checks read the raw log, so it must still hold every record the
+    // follower appended: a checkpoint would leave only a tail, on which
+    // both checks could pass without looking at the catch-up.
+    let storage = s.sim().storage(follower);
+    assert_eq!(
+        (storage.checkpoints(LOG_WAL), storage.len(LOG_WAL) as u64),
+        (0, storage.appended(LOG_WAL)),
+        "the follower's WAL was checkpointed: these checks would read only its tail"
+    );
+    let log = storage.read(LOG_WAL);
     let repl: Vec<(u64, ResultId)> = log
         .iter()
         .flat_map(|r| r.leaves())

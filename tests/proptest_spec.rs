@@ -5,9 +5,11 @@
 use etx::base::ids::{NodeId, RequestId, ResultId};
 use etx::base::time::Dur;
 use etx::base::value::{DbOp, Outcome, Vote};
+use etx::base::wal::StableRecord;
 use etx::harness::{feature_corners, run_chaos, ChaosOptions};
-use etx::store::Engine;
+use etx::store::{Engine, LogWrite};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn rid(n: u64) -> ResultId {
     ResultId::first(RequestId { client: NodeId(0), seq: n })
@@ -20,6 +22,129 @@ fn arb_op() -> impl Strategy<Value = DbOp> {
         (0..4u8, -10..10i64).prop_map(|(k, d)| DbOp::Add { key: format!("k{k}"), delta: d }),
         (0..4u8, 1..3i64).prop_map(|(k, q)| DbOp::Reserve { key: format!("k{k}"), qty: q }),
     ]
+}
+
+/// Branch `n` of the checkpoint test: two clients, so the decide memo holds
+/// more than one window.
+fn branch(n: u64) -> ResultId {
+    ResultId::first(RequestId { client: NodeId((n % 2) as u32), seq: n })
+}
+
+/// The branch numbers the checkpoint test draws from.
+const BRANCHES: std::ops::Range<u64> = 1..12;
+
+/// One step of `a_checkpointed_log_recovers_like_the_full_log`: work at a
+/// shard primary, shipments to its follower, and checkpoints of either log.
+#[derive(Debug, Clone)]
+enum LogStep {
+    /// Branch `n` executes a batch at the primary.
+    Execute(u64, Vec<DbOp>),
+    /// Branch `n` votes.
+    Vote(u64),
+    /// Branch `n` is decided, commit when `true`. A number drawn again is a
+    /// duplicate decide; one never executed is a vacuous commit.
+    Decide(u64, bool),
+    /// What the primary committed since the last shipment reaches the
+    /// follower in one batch: in order (0), without its first item (1, a
+    /// lost apply: the rest waits beyond a gap) or reversed (2).
+    Ship(u8),
+    /// The follower adopts the primary's snapshot.
+    Sync,
+    /// The primary's (`false`) or the follower's (`true`) log is replaced
+    /// by one checkpoint of its engine's live state.
+    Checkpoint(bool),
+}
+
+fn arb_log_step() -> impl Strategy<Value = LogStep> {
+    let execute = || {
+        (BRANCHES, proptest::collection::vec(arb_op(), 1..3))
+            .prop_map(|(n, ops)| LogStep::Execute(n, ops))
+    };
+    let vote = || BRANCHES.prop_map(LogStep::Vote);
+    let decide = || (BRANCHES, any::<bool>()).prop_map(|(n, commit)| LogStep::Decide(n, commit));
+    // Work at the primary twice as often as each of the other steps.
+    prop_oneof![
+        execute(),
+        execute(),
+        vote(),
+        vote(),
+        decide(),
+        decide(),
+        (0..3u8).prop_map(LogStep::Ship),
+        Just(LogStep::Sync),
+        any::<bool>().prop_map(LogStep::Checkpoint),
+    ]
+}
+
+/// Two recovered engines answer alike: data, in-doubt branches, locks, the
+/// memo for every branch, and both replication positions.
+fn same_recovery(got: &Engine, want: &Engine, at: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.snapshot(), want.snapshot(), "data, {}", at);
+    prop_assert_eq!(got.prepared_rids(), want.prepared_rids(), "in-doubt branches, {}", at);
+    prop_assert_eq!(got.locked_keys(), want.locked_keys(), "locked keys, {}", at);
+    for n in BRANCHES {
+        prop_assert_eq!(got.decision(branch(n)), want.decision(branch(n)), "memo of {}, {}", n, at);
+    }
+    prop_assert_eq!(got.repl_position(), want.repl_position(), "follower position, {}", at);
+    prop_assert_eq!(got.ship_position(), want.ship_position(), "ship position, {}", at);
+    Ok(())
+}
+
+/// One database of the checkpoint test: its engine, the log it would keep
+/// without checkpoints, and the log it keeps with them.
+#[derive(Default)]
+struct Logged {
+    engine: Engine,
+    full: Vec<StableRecord>,
+    checkpointed: Vec<StableRecord>,
+    /// Length of `full` when `checkpointed` was last replaced, if it was:
+    /// record `1 + i` of `checkpointed` is then record `cut + i` of `full`.
+    cut: Option<usize>,
+}
+
+impl Logged {
+    fn append(&mut self, writes: Vec<LogWrite>) {
+        for w in writes {
+            self.full.push(w.rec.clone());
+            self.checkpointed.push(w.rec);
+        }
+    }
+
+    /// Checkpoints the log as a database does: its live image, which must
+    /// be what the replaced log rebuilds.
+    fn checkpoint(&mut self) -> Result<(), TestCaseError> {
+        self.prefixes_recover()?;
+        let image = self.engine.image();
+        prop_assert_eq!(&image, &Engine::recover(&self.full).image(), "live image against replay");
+        self.checkpointed = vec![StableRecord::Checkpoint(Box::new(image))];
+        self.cut = Some(self.full.len());
+        Ok(())
+    }
+
+    /// The checkpointed log recovers as the full log does.
+    fn recovers(&self) -> Result<(), TestCaseError> {
+        same_recovery(
+            &Engine::recover(&self.checkpointed),
+            &Engine::recover(&self.full),
+            "whole log",
+        )
+    }
+
+    /// A crash after any record of the checkpointed log recovers what a
+    /// crash after the same record of the full log does.
+    fn prefixes_recover(&self) -> Result<(), TestCaseError> {
+        let (cut, skip) = self.cut.map_or((0, 0), |cut| (cut, 1));
+        for len in skip..=self.checkpointed.len() {
+            let full = &self.full[..cut + len - skip];
+            let at = format!("prefix of {len} records");
+            same_recovery(
+                &Engine::recover(&self.checkpointed[..len]),
+                &Engine::recover(full),
+                &at,
+            )?;
+        }
+        Ok(())
+    }
 }
 
 proptest! {
@@ -91,6 +216,74 @@ proptest! {
             prop_assert_eq!(recovered.snapshot(), engine.snapshot(),
                 "recovered state diverged at batch {}", i);
         }
+    }
+
+    /// A checkpointed log recovers like the full log. Random executes,
+    /// votes, commit and abort decides (duplicates and vacuous commits
+    /// among them) at a primary; shipments to its follower that arrive in
+    /// order, past a gap or reversed; snapshot adoptions; and checkpoints
+    /// of either log at random points. After every step, recovering each
+    /// checkpointed log answers as recovering its full log; each checkpoint
+    /// holds what its replaced log rebuilds; and a crash after any record
+    /// of a checkpointed log recovers as one after the same record of the
+    /// full log does, so checkpointing keeps the log prefix-safe.
+    #[test]
+    fn a_checkpointed_log_recovers_like_the_full_log(
+        steps in proptest::collection::vec(arb_log_step(), 1..60),
+    ) {
+        let (mut primary, mut follower) = (Logged::default(), Logged::default());
+        let mut shipped = Vec::new();
+        let mut executed = std::collections::BTreeSet::new();
+        for step in steps {
+            match step {
+                LogStep::Execute(n, ops) => {
+                    executed.insert(n);
+                    primary.engine.execute(branch(n), &ops);
+                }
+                LogStep::Vote(n) => {
+                    let (_, writes) = primary.engine.vote(branch(n));
+                    primary.append(writes);
+                }
+                LogStep::Decide(n, commit) => {
+                    let r = branch(n);
+                    let e = &primary.engine;
+                    // Committing a branch that executed but never voted yes
+                    // would break V.2: such a branch only aborts.
+                    let unprepared =
+                        executed.contains(&n) && e.decision(r).is_none() && !e.is_prepared(r);
+                    let outcome = if commit && !unprepared { Outcome::Commit } else { Outcome::Abort };
+                    let (_, writes) = primary.engine.decide(r, outcome);
+                    primary.append(writes);
+                }
+                LogStep::Ship(mode) => {
+                    let mut items = std::mem::take(&mut shipped);
+                    match mode {
+                        0 => {}
+                        1 if !items.is_empty() => {
+                            items.remove(0);
+                        }
+                        _ => items.reverse(),
+                    }
+                    let mut writes = follower.engine.apply_replicated_batch(items).writes;
+                    if writes.len() > 1 {
+                        writes = vec![LogWrite::frame(writes)];
+                    }
+                    follower.append(writes);
+                }
+                LogStep::Sync => {
+                    let (seq, entries) = primary.engine.repl_snapshot();
+                    let writes = follower.engine.adopt_repl_snapshot(seq, entries);
+                    follower.append(writes);
+                }
+                LogStep::Checkpoint(false) => primary.checkpoint()?,
+                LogStep::Checkpoint(true) => follower.checkpoint()?,
+            }
+            shipped.extend(primary.engine.take_repl_outbox());
+            primary.recovers()?;
+            follower.recovers()?;
+        }
+        primary.prefixes_recover()?;
+        follower.prefixes_recover()?;
     }
 
     /// Recovery is idempotent and insensitive to being re-run.
