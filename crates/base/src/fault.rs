@@ -27,14 +27,14 @@
 //!   were armed. A host offers each event as it records it.
 //!
 //! Which lifecycle primitive applies to a node, and what it records, is
-//! [`crate::host::Life`]'s to say. What is left to a host is its own: the
-//! simulator makes every operation an entry of its virtual-time event
-//! queue, so a schedule replays with the run, per seed; the threaded
-//! backend applies the same primitives on the wall clock, between two
-//! handlers — a crash drops the node's process and inbox (stable logs
-//! survive for restart, volatile state does not), a pause leaves the node
-//! unrun with its inbox accumulating (the SIGSTOP story), a cut holds real
-//! sends.
+//! [`crate::host::Life`]'s to say. What is left to a host is its own: both
+//! hosts are one event kernel (`etx_sim::Kernel`), which makes every timed
+//! operation an entry of its event queue and fires a triggered one at the
+//! end of the step that hit it — on the virtual clock, so a schedule
+//! replays with the run, per seed, and on the wall clock, where a crash
+//! really drops the node's process and timers (stable logs survive for
+//! restart, volatile state does not), a pause really stashes what comes
+//! due for the node (the SIGSTOP story) and a cut holds real sends.
 
 use crate::ids::NodeId;
 use crate::msg::Payload;
@@ -79,10 +79,11 @@ impl Error for CapabilityError {}
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultOp {
     /// Crash a node: volatile state is lost, stable storage survives (§2:
-    /// "the crash of a process has no impact on its stable storage"). On
-    /// the threaded backend it lands between two handlers and drops the
-    /// process and its inbox, keeping its [`crate::wal::StableStorage`]
-    /// for restart. Crashing a paused node ends the pause.
+    /// "the crash of a process has no impact on its stable storage"). It
+    /// lands between two handlers and drops the process and its timers,
+    /// keeping its [`crate::wal::StableStorage`] for restart; what was
+    /// already sent, even with a service time still to run, is delivered.
+    /// Crashing a paused node ends the pause.
     Crash(NodeId),
     /// Recover a previously crashed node: the factory rebuilds the
     /// process, which receives [`crate::runtime::Event::Recovered`] over
@@ -97,8 +98,8 @@ pub enum FaultOp {
         down_for: Dur,
     },
     /// Pause a node: it stops processing messages and timers but loses
-    /// nothing — the SIGSTOP story. Its inbox keeps accumulating; on the
-    /// threaded backend no handler of it runs from then on. A paused
+    /// nothing — the SIGSTOP story. What comes due for it is stashed, and
+    /// no handler of it runs until it resumes. A paused
     /// node is exactly the "slow process" asynchrony §4 allows, which is
     /// why it must *not* violate safety.
     Pause(NodeId),
@@ -345,10 +346,9 @@ pub type TracePred = Arc<dyn Fn(&TraceEvent) -> bool>;
 pub enum NemesisWhen {
     /// Immediately (or, scheduled before the run starts, at startup).
     Now,
-    /// After `Dur` on the host's clock — virtual time offset from the
-    /// current instant on the simulator (which is the run start when
-    /// scheduled before running), wall-clock offset from run start on the
-    /// threaded backend.
+    /// After `Dur` on the host's clock, from its current instant (the run
+    /// start when scheduled before running): virtual time on the
+    /// simulator, wall-clock time on the threaded backend.
     After(Dur),
     /// The first time the predicate matches a trace event (one-shot).
     /// This is how a schedule lands a fault *mid-protocol* — "crash the

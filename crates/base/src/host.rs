@@ -2,8 +2,9 @@
 //!
 //! The paper's §2 model is one model — a crash loses volatile state and
 //! keeps stable storage ([`crate::wal::StableStorage`]), a paused process
-//! is merely slow — so both hosts (the simulator in `etx-sim`, the
-//! threaded backend in `etx-rt`) implement it with the same rules:
+//! is merely slow — so both hosts (the event kernel in `etx-sim`, on its
+//! virtual clock as the simulator and on the wall clock as `etx-rt`'s
+//! threaded host) implement it with these rules:
 //!
 //! * [`Life`] says which lifecycle transitions apply and what each
 //!   records;
@@ -14,11 +15,10 @@
 //!   than half the queue;
 //! * [`record`] is how an event enters a run.
 //!
-//! What is left to a host is its own. The simulator has its virtual-time
-//! queue of every action of the run, its paused-node stash and its
-//! network sampling. The threaded backend has its per-node inboxes, its
-//! run queue, a deferred queue per node and the wall clock; like the
-//! simulator, it runs every node on the thread that calls its run loop.
+//! What is left to the kernel is its own: one queue of every action of the
+//! run, the paused nodes' stash and the clock, which decides when a step
+//! runs and how long a link takes. Either way every node runs on the
+//! thread that calls the run loop.
 
 use crate::fault::{Prim, Triggers};
 use crate::ids::TimerId;
@@ -95,10 +95,10 @@ struct Key {
 /// of keys due at `last`.
 ///
 /// **The push contract:** nothing is pushed before the last pop's instant
-/// (a peek with [`TimeQueue::next_at`] does not count). The simulator
+/// (a peek with [`TimeQueue::next_at`] does not count). The kernel
 /// pushes at its clock plus a delay, and its clock is never behind the
-/// last pop; a threaded node pushes at a handler's wall-clock reading,
-/// taken after the pops of its turn. A debug build asserts it.
+/// last pop: on the wall clock a step runs at a reading taken after its
+/// entry came due. A debug build asserts it.
 ///
 /// **Why ties keep push order:** a key's bucket depends only on the bits
 /// of its instant above the highest one that differs from `last`, and a
@@ -129,7 +129,8 @@ pub struct TimeQueue<T> {
     occupied: u64,
     /// The earliest instant in the buckets, once a peek has found it: a
     /// push lowers it, a pop from the buckets or a compaction forgets it.
-    /// A threaded node peeks twice a turn, and a scan per peek showed.
+    /// The wall-clock run loop peeks before every step, and a scan per
+    /// peek showed.
     min: Cell<Option<Time>>,
     /// Cancelled timers not yet popped or compacted away. Ordered, not
     /// hashed: a hash set that grows and shrinks reallocates or not by

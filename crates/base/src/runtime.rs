@@ -9,14 +9,14 @@
 //! Writing protocols against `dyn Context` keeps them runtime-agnostic, and
 //! the [`Host`] trait is the other half of that seam: a host owns node
 //! registration, the run loop, and the trace sink, and keeps its nodes by
-//! the rules of [`crate::host`]. Two hosts exist — the
-//! deterministic discrete-event simulator in `etx-sim` (virtual clock,
-//! byte-identical replay) and the wall-clock backend in `etx-rt` (one
-//! inbox per node, every node run on the thread that calls the run, real
-//! monotonic clocks, wall-clock numbers). The *identical* protocol
-//! state machines run on both, and [`Host::schedule_fault`] is the one way
-//! a fault enters either — the sim's simulated ones and the threaded
-//! backend's real ones alike.
+//! the rules of [`crate::host`]. Two hosts exist, one event kernel
+//! (`etx_sim::Kernel`) on two clocks — the deterministic simulator in
+//! `etx-sim` (virtual clock, byte-identical replay) and the wall-clock
+//! backend in `etx-rt` (real monotonic clock, wall-clock numbers); both
+//! run every node on the thread that calls the run. The *identical*
+//! protocol state machines run on both, and [`Host::schedule_fault`] is
+//! the one way a fault enters either — the sim's simulated ones and the
+//! threaded backend's real ones alike.
 
 use crate::fault::{CapabilityError, FaultOp, NemesisWhen};
 use crate::ids::{NodeId, RegId, ResultId, TimerId};
@@ -137,9 +137,9 @@ pub enum Event {
     NodeUp(NodeId),
 }
 
-/// Capabilities a running process can use. Implemented by each host's
-/// per-event context (the simulator's and the threaded backend's);
-/// protocols hold it only for the duration of one event handler.
+/// Capabilities a running process can use. Implemented by the event
+/// kernel's per-step context, on either clock; protocols hold it only for
+/// the duration of one event handler.
 ///
 /// A host implements one send, [`Context::send_after_at_depth`]; the three
 /// other sends are that one with the current depth, no extra delay, or
@@ -290,7 +290,7 @@ pub enum RunOutcome {
     /// The caller's predicate became true.
     Predicate,
     /// The event queue drained completely (simulator only; a threaded run
-    /// always has live timers).
+    /// with nothing queued waits for its deadline).
     Exhausted,
     /// The host's clock exceeded its configured limit.
     TimeLimit,
@@ -307,13 +307,14 @@ pub enum RuntimeKind {
     /// The default — every deterministic test and golden trace lives here.
     #[default]
     Sim,
-    /// The wall-clock backend (`etx-rt`): one inbox per node, every node
-    /// run on the thread that calls the run, real monotonic clocks,
+    /// The wall-clock backend (`etx-rt`): the simulator's kernel on a real
+    /// monotonic clock, every node run on the thread that calls the run,
     /// wall-clock throughput, and *real* fault injection between two
     /// handlers — a crash drops the victim's volatile state, a pause
-    /// leaves it unrun. "Threaded" names the real thread the nodes run on,
-    /// as against the simulator's virtual time. Not deterministic — by
-    /// design; golden traces stay on the simulator.
+    /// stashes what comes due for it. "Threaded" names the real thread
+    /// the nodes run on, as against the simulator's virtual time. Not
+    /// deterministic — which entries are due at a step follows how long
+    /// the steps before it took; golden traces stay on the simulator.
     Threaded,
 }
 

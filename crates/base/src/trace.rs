@@ -327,7 +327,7 @@ impl TraceEvent {
 
 /// The totally ordered record of everything observable that happened in a
 /// run. Both runtime backends — the deterministic simulator and the
-/// multi-threaded host — collect into this same type, which is what keeps
+/// wall-clock host — collect into this same type, which is what keeps
 /// the experiment harness and the §3 property checker backend-neutral.
 #[derive(Debug, Default, Clone)]
 pub struct Trace {

@@ -456,6 +456,12 @@ impl ConsensusEngine {
                     i.ts = round;
                     i.acked = true;
                     ctx.send(from, Payload::Consensus(ConsensusMsg::Ack { inst, round }));
+                } else if i.round == round {
+                    // A second proposal in one round: its coordinator
+                    // crashed and recovered without its round state, and
+                    // waits for acks this round already gave. Nobody
+                    // suspects it, so only a nack moves the round on.
+                    ctx.send(from, Payload::Consensus(ConsensusMsg::Nack { inst, round }));
                 }
             }
             ConsensusMsg::Ack { inst, round } => {
@@ -544,6 +550,28 @@ mod tests {
             }
         }
         out
+    }
+
+    /// A participant acks one proposal per round. A second one for the
+    /// same round comes from a coordinator that recovered without its
+    /// round state; the nack moves that coordinator to the next round.
+    #[test]
+    fn a_second_proposal_in_an_acked_round_is_nacked() {
+        let mut engine = ConsensusEngine::new(ME, &PEERS, EngineConfig::default());
+        let inst = reg(0);
+        let coord = PEERS[1];
+        let no_one = |_: NodeId| false;
+        let mut propose = |value| {
+            let mut ctx = Outbox::new(ME);
+            let m = ConsensusMsg::Propose { inst, round: 0, value };
+            let event = Event::Message { from: coord, payload: Payload::Consensus(m) };
+            engine.handle(&mut ctx, &event, &no_one);
+            ctx.sent
+        };
+        let ack = Payload::Consensus(ConsensusMsg::Ack { inst, round: 0 });
+        let nack = Payload::Consensus(ConsensusMsg::Nack { inst, round: 0 });
+        assert_eq!(propose(claim_by(NodeId(1))), [(coord, ack)]);
+        assert_eq!(propose(claim_by(NodeId(2))), [(coord, nack)]);
     }
 
     proptest! {

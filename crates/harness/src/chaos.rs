@@ -170,9 +170,8 @@ impl ChaosOutcome {
 }
 
 /// Shared tail of every chaos runner: run to settlement, drain background
-/// work, stop the backend (surfacing node panics on the threaded host; a
-/// no-op on the simulator), check the full §3 specification, and assemble
-/// the outcome.
+/// work, stop the backend (a no-op on the simulator), check the full §3
+/// specification, and assemble the outcome.
 fn settle_and_check(mut scenario: Scenario, seed: u64, faults: Vec<String>) -> ChaosOutcome {
     let expected = scenario.requests as usize;
     let run = scenario.run_until_settled(expected);

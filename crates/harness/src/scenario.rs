@@ -325,9 +325,9 @@ impl ScenarioBuilder {
                 Backend::Sim(Box::new(Sim::new(sim_cfg)))
             }
             RuntimeKind::Threaded => {
-                // The network model is a simulator capability: threaded
-                // channels are genuinely reliable and undelayed. Modelled
-                // *service* times (the cost model) are honored on both.
+                // The network model is the virtual clock's: on the wall
+                // clock a link adds no delay. Modelled *service* times
+                // (the cost model) are honored on both.
                 let mut tcfg = ThreadedConfig::with_seed(self.seed);
                 tcfg.cost = self.cost.clone();
                 if let Some(limit) = self.wall_limit {
@@ -711,25 +711,12 @@ impl Scenario {
 
     /// Shuts the run down: on the threaded backend, nothing runs from here
     /// and no fault is accepted; every process and log stays readable.
-    /// No-op on the simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any node's handler panicked during the run — a node
-    /// that died of a bug (rather than an injected crash) is a scenario
-    /// failure, not something to swallow. Suppressed while
-    /// already unwinding so a failing assertion stays the primary error.
+    /// No-op on the simulator. (A node whose handler panicked has already
+    /// failed the scenario: the panic unwinds out of the run call, on
+    /// either backend.)
     pub fn stop(&mut self) {
         if let Backend::Threaded(host) = &mut self.backend {
             host.stop();
-            let panicked = host.panicked_nodes();
-            if !panicked.is_empty() && !std::thread::panicking() {
-                panic!(
-                    "scenario failure: node(s) panicked during the run: {panicked:?} \
-                     (an injected FaultOp::Crash traces TraceKind::Crash instead — a \
-                     panicking node is a bug in the node, not a fault)"
-                );
-            }
         }
     }
 

@@ -1,23 +1,49 @@
-//! The discrete-event simulation kernel.
+//! The event kernel: one host for every process of a run, on either of two
+//! clocks.
 //!
-//! One [`Sim`] hosts all processes of a run. Time is virtual; the kernel
-//! pops the next scheduled action off one [`TimeQueue`] (ordered by time,
-//! ties in push order, so runs are bit-deterministic per seed; cancelled
-//! timers leave it unseen), dispatches it, and collects whatever the
-//! handler emits. Every action is queued at the clock plus a delay, and
-//! the clock never runs behind the last pop, which is the queue's push
-//! contract.
+//! A [`Kernel`] keeps one [`TimeQueue`] of every action of the run —
+//! deliveries, timers, crash-oracle notices, timed faults and their undos
+//! — and pops it in `(at, push order)` order: by instant, ties in push
+//! order, cancelled timers unseen. Each pop is one *step*: the action is
+//! dispatched to its node (or stashed, if the node is paused, until it
+//! resumes), whatever the handler emits is queued at once — a send when
+//! it is made, so a message in service outlives a sender that crashes
+//! before it leaves — and the faults of the trace triggers the step hit
+//! apply at the step's end, before anything else runs. One seeded RNG
+//! serves every node, and every process is built when its node is added.
 //!
-//! Fault injection is first-class and has one entry,
-//! [`Host::schedule_fault`]: crashes, pauses, cut links and partitions
+//! The [`Clock`] decides the rest:
+//!
+//! * **`now`.** On the [`Virtual`] clock a step runs at the popped
+//!   entry's instant, so a run is a pure function of its seed. On the
+//!   wall clock (`etx-rt`'s `ThreadedHost`) it runs at the time since
+//!   the run's epoch, read before the pop.
+//! * **Link delay.** The virtual clock samples each transmission's delay
+//!   from [`NetConfig`] (latency plus a retransmission gap per lost
+//!   attempt); the wall clock adds none, so a message is due when it is
+//!   sent.
+//! * **Waiting.** The virtual clock jumps to the next entry. The wall
+//!   clock pops what is due and otherwise sleeps until the next entry or
+//!   the run's deadline; a timed fault is a queue entry on both.
+//! * **Limits.** The virtual run loops stop at [`SimConfig::max_time`]
+//!   and [`SimConfig::max_events`], or when the queue drains. A wall-clock
+//!   run stops at its wall-clock watchdog.
+//!
+//! So the wall clock runs no per-node turns (a node's messages are not
+//! batched; entries pop in the same global order as on the simulator),
+//! draws from no per-node RNG streams (the one stream is drawn in step
+//! order, which the wall clock's readings decide), and its crash oracle
+//! ([`Context::subscribe_node_events`]) fires as the simulator's does.
+//!
+//! Fault injection has one entry, [`Kernel::schedule`] (the hosts'
+//! [`Host::schedule_fault`]): crashes, pauses, cut links and partitions
 //! fire immediately, after a delay, or on a trace event ("crash the owner
 //! right after its first vote"), which is how the integration tests
 //! enumerate the adversarial schedules of the paper's Figure 1(c)/(d) and
 //! beyond. What a fault *means* is `etx_base::fault`'s to say (lowering,
 //! held links, triggers), and what a node is — its lifecycle, its stable
 //! storage, its timers, how its events are recorded — is
-//! `etx_base::host`'s; the kernel's own part is the queue entries that
-//! carry all of it, the paused nodes' stash and the network model.
+//! `etx_base::host`'s.
 
 use crate::net::{sample_delivery_delay, NetConfig};
 use crate::rng::Rng;
@@ -33,6 +59,31 @@ pub use etx_base::runtime::RunOutcome;
 use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, MsgStats, Trace, TraceEvent, TraceKind};
 use etx_base::wal::{StableRecord, StableStorage};
+
+/// What a kernel's clock decides: when a step runs and how long a
+/// transmission takes.
+pub trait Clock {
+    /// The instant a step that popped an entry due at `at` runs at.
+    fn now(&self, at: Time) -> Time;
+
+    /// The delay of one transmission over a link.
+    fn link_delay(&self, net: &NetConfig, rng: &mut Rng) -> Dur;
+}
+
+/// The simulator's clock: a step runs at its entry's instant, and every
+/// transmission draws its delay from the network model.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Virtual;
+
+impl Clock for Virtual {
+    fn now(&self, at: Time) -> Time {
+        at
+    }
+
+    fn link_delay(&self, net: &NetConfig, rng: &mut Rng) -> Dur {
+        sample_delivery_delay(net, rng)
+    }
+}
 
 /// Kernel parameters.
 #[derive(Debug, Clone)]
@@ -114,8 +165,9 @@ struct Slot {
     storage: StableStorage,
 }
 
-/// The simulator. See the crate docs for a usage walkthrough.
-pub struct Sim {
+/// The event kernel over clock `C`. See the module docs.
+pub struct Kernel<C> {
+    clock: C,
     cfg: SimConfig,
     now: Time,
     processed: u64,
@@ -126,7 +178,7 @@ pub struct Sim {
     links: Links,
     trace: Trace,
     stats: MsgStats,
-    /// The Figure 8 spans of every node, summed: the simulator runs one
+    /// The Figure 8 spans of every node, summed: the kernel runs one
     /// node at a time, so one accumulator is each node's own.
     spans: SpanTotals,
     timer_seq: u64,
@@ -140,9 +192,13 @@ pub struct Sim {
     stash: Vec<(NodeId, Action)>,
 }
 
-impl std::fmt::Debug for Sim {
+/// The deterministic simulator: the kernel on the virtual clock. See the
+/// crate docs for a usage walkthrough.
+pub type Sim = Kernel<Virtual>;
+
+impl<C> std::fmt::Debug for Kernel<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sim")
+        f.debug_struct("Kernel")
             .field("now", &self.now)
             .field("nodes", &self.nodes.len())
             .field("queued", &self.queue.len())
@@ -154,168 +210,7 @@ impl std::fmt::Debug for Sim {
 impl Sim {
     /// Creates an empty simulation.
     pub fn new(cfg: SimConfig) -> Self {
-        let rng = Rng::new(cfg.seed);
-        Sim {
-            cfg,
-            now: Time::ZERO,
-            processed: 0,
-            queue: TimeQueue::default(),
-            nodes: Vec::new(),
-            rng,
-            links: Links::default(),
-            trace: Trace::default(),
-            stats: MsgStats::default(),
-            spans: SpanTotals::default(),
-            timer_seq: 0,
-            fd_subscribers: Vec::new(),
-            triggers: Triggers::default(),
-            stash: Vec::new(),
-        }
-    }
-
-    /// Registers a node. Ids are assigned contiguously in registration
-    /// order, matching `Topology::new` (clients, then app servers, then
-    /// databases). The factory builds the process now and again at every
-    /// recovery.
-    pub fn add_node(&mut self, name: &'static str, mut factory: Factory) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        let process = factory(id);
-        self.nodes.push(Slot {
-            name,
-            life: Life::Up,
-            incarnation: 0,
-            process: Some(process),
-            factory,
-            storage: StableStorage::new(),
-        });
-        self.queue.push(Time::ZERO, Action::Init { node: id });
-        id
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// The run's trace so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Message statistics so far.
-    pub fn stats(&self) -> &MsgStats {
-        &self.stats
-    }
-
-    /// Figure 8 spans so far, per component. No span is in the trace.
-    pub fn spans(&self) -> &SpanTotals {
-        &self.spans
-    }
-
-    /// The cost model in effect.
-    pub fn cost(&self) -> &CostModel {
-        &self.cfg.cost
-    }
-
-    /// Whether a node is currently up (running or paused).
-    pub fn is_up(&self, node: NodeId) -> bool {
-        self.nodes[node.0 as usize].life != Life::Down
-    }
-
-    /// Read access to a node's stable storage (test assertions).
-    pub fn storage(&self, node: NodeId) -> &StableStorage {
-        &self.nodes[node.0 as usize].storage
-    }
-
-    /// Number of events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    // ---- fault injection -------------------------------------------------
-
-    /// A fault-plane operation fires: its primitives apply at the current
-    /// instant, its undo (the recovery of a bounded crash, the heals of a
-    /// partition) becomes one queue entry.
-    fn fire(&mut self, op: FaultOp) {
-        let lowered = op.lower();
-        self.apply(lowered.now);
-        if let Some((after, prims)) = lowered.undo {
-            self.queue.push(self.now + after, Action::Undo { prims });
-        }
-    }
-
-    fn apply(&mut self, prims: Vec<Prim>) {
-        for prim in prims {
-            match prim {
-                Prim::Crash(n) | Prim::Recover(n) | Prim::Pause(n) | Prim::Resume(n) => {
-                    self.transition(n, prim)
-                }
-                Prim::CutLink { from, to } => self.links.cut(from, to),
-                // What the link held goes out in send order, each with a
-                // freshly sampled delay from the current instant (the
-                // reliable channel's retransmission finally getting through).
-                Prim::HealLink { from, to } => {
-                    for (payload, depth) in self.links.heal(from, to) {
-                        let at = self.now + sample_delivery_delay(&self.cfg.net, &mut self.rng);
-                        self.queue.push(at, Action::Deliver { from, to, payload, depth });
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- run loop --------------------------------------------------------
-
-    /// Processes a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((at, action, cancelled)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
-        self.processed += 1;
-        // A cancelled timer goes nowhere — not to its node, not to a paused
-        // node's stash, not to a stale incarnation.
-        if cancelled {
-            self.fire_triggers();
-            return true;
-        }
-        // A paused node's inputs are stashed, not dispatched — its inbox
-        // keeps filling while it makes no progress (the SIGSTOP story).
-        // Fault-plane actions have no target and always execute.
-        if let Some(target) = action_target(&action) {
-            if self.nodes[target.0 as usize].life == Life::Paused {
-                self.stash.push((target, action));
-                self.fire_triggers();
-                return true;
-            }
-        }
-        match action {
-            Action::Init { node } => self.dispatch(node, Event::Init, 0),
-            Action::Deliver { from, to, payload, depth } => {
-                if self.is_up(to) {
-                    self.dispatch(to, Event::Message { from, payload }, depth);
-                } else {
-                    self.stats.record_dropped_to_down();
-                }
-            }
-            Action::Timer { node, incarnation, id, tag, depth } => {
-                if self.is_up(node) && self.nodes[node.0 as usize].incarnation == incarnation {
-                    self.dispatch(node, Event::Timer { id, tag }, depth);
-                }
-            }
-            Action::NotifyPeer { node, about, up } => {
-                if self.is_up(node) {
-                    let ev = if up { Event::NodeUp(about) } else { Event::NodeDown(about) };
-                    self.dispatch(node, ev, 0);
-                }
-            }
-            Action::Fault { op } => self.fire(op),
-            Action::Undo { prims } => self.apply(prims),
-        }
-        self.fire_triggers();
-        true
+        Kernel::with_clock(cfg, Virtual)
     }
 
     /// Runs until the predicate holds (checked between events), the queue
@@ -357,11 +252,238 @@ impl Sim {
             }
         }
     }
+}
 
-    // ---- internals -------------------------------------------------------
+impl<C: Clock> Kernel<C> {
+    /// Creates an empty kernel on `clock`.
+    pub fn with_clock(cfg: SimConfig, clock: C) -> Self {
+        let rng = Rng::new(cfg.seed);
+        Kernel {
+            clock,
+            cfg,
+            now: Time::ZERO,
+            processed: 0,
+            queue: TimeQueue::default(),
+            nodes: Vec::new(),
+            rng,
+            links: Links::default(),
+            trace: Trace::default(),
+            stats: MsgStats::default(),
+            spans: SpanTotals::default(),
+            timer_seq: 0,
+            fd_subscribers: Vec::new(),
+            triggers: Triggers::default(),
+            stash: Vec::new(),
+        }
+    }
+
+    /// The clock.
+    pub fn clock(&self) -> &C {
+        &self.clock
+    }
+
+    /// The clock, to move it (the wall clock's reading).
+    pub fn clock_mut(&mut self) -> &mut C {
+        &mut self.clock
+    }
+
+    /// Registers a node. Ids are assigned contiguously in registration
+    /// order, matching `Topology::new` (clients, then app servers, then
+    /// databases). The factory builds the process now and again at every
+    /// recovery; its `Init` is queued at the current instant.
+    pub fn add_node(&mut self, name: &'static str, mut factory: Factory) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        let process = factory(id);
+        self.nodes.push(Slot {
+            name,
+            life: Life::Up,
+            incarnation: 0,
+            process: Some(process),
+            factory,
+            storage: StableStorage::new(),
+        });
+        self.queue.push(self.now, Action::Init { node: id });
+        id
+    }
+
+    /// The instant of the last step (or of the last [`Kernel::advance`]).
+    pub fn now(&self) -> Time {
+        self.now
+    }
+
+    /// Moves the kernel's instant forward to `to` (never back), so that
+    /// what is scheduled from outside a step counts from there: the wall
+    /// clock's reading between two steps.
+    pub fn advance(&mut self, to: Time) {
+        self.now = self.now.max(to);
+    }
+
+    /// When the earliest queued entry is due.
+    pub fn next_at(&self) -> Option<Time> {
+        self.queue.next_at()
+    }
+
+    /// The run's trace so far.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
+    }
+
+    /// Message statistics so far.
+    pub fn stats(&self) -> &MsgStats {
+        &self.stats
+    }
+
+    /// Figure 8 spans so far, per component. No span is in the trace.
+    pub fn spans(&self) -> &SpanTotals {
+        &self.spans
+    }
+
+    /// The cost model in effect.
+    pub fn cost(&self) -> &CostModel {
+        &self.cfg.cost
+    }
+
+    /// Whether a node is currently up (running or paused).
+    pub fn is_up(&self, node: NodeId) -> bool {
+        self.nodes[node.0 as usize].life != Life::Down
+    }
+
+    /// Read access to a node's stable storage (test assertions).
+    pub fn storage(&self, node: NodeId) -> &StableStorage {
+        &self.nodes[node.0 as usize].storage
+    }
+
+    /// Number of events processed so far.
+    pub fn processed(&self) -> u64 {
+        self.processed
+    }
+
+    /// Node name (diagnostics).
+    pub fn node_name(&self, node: NodeId) -> &'static str {
+        self.nodes[node.0 as usize].name
+    }
+
+    /// Read access to a live process (None while the node is crashed).
+    /// Pair with [`Process::as_any`] to downcast — test/harness
+    /// introspection only, never a protocol channel.
+    pub fn process_ref(&self, node: NodeId) -> Option<&dyn Process> {
+        self.nodes[node.0 as usize].process.as_deref()
+    }
+
+    // ---- fault injection -------------------------------------------------
+
+    /// Schedules one fault-plane operation: `Now` fires it at the current
+    /// instant (with whatever triggers its events hit), `After` queues it,
+    /// `OnTrace` arms a trigger that fires it at the end of the step that
+    /// records the first matching event.
+    pub fn schedule(&mut self, when: NemesisWhen, op: FaultOp) {
+        match when {
+            NemesisWhen::Now => {
+                self.fire(op);
+                self.fire_triggers();
+            }
+            NemesisWhen::After(d) => self.queue.push(self.now + d, Action::Fault { op }),
+            NemesisWhen::OnTrace(pred) => self.triggers.arm(pred, op),
+        }
+    }
+
+    /// A fault-plane operation fires: its primitives apply at the current
+    /// instant, its undo (the recovery of a bounded crash, the heals of a
+    /// partition) becomes one queue entry.
+    fn fire(&mut self, op: FaultOp) {
+        let lowered = op.lower();
+        self.apply(lowered.now);
+        if let Some((after, prims)) = lowered.undo {
+            self.queue.push(self.now + after, Action::Undo { prims });
+        }
+    }
+
+    fn apply(&mut self, prims: Vec<Prim>) {
+        for prim in prims {
+            match prim {
+                Prim::Crash(n) | Prim::Recover(n) | Prim::Pause(n) | Prim::Resume(n) => {
+                    self.transition(n, prim)
+                }
+                Prim::CutLink { from, to } => self.links.cut(from, to),
+                // What the link held goes out in send order, each with a
+                // fresh link delay from the current instant (the reliable
+                // channel's retransmission finally getting through).
+                Prim::HealLink { from, to } => {
+                    for (payload, depth) in self.links.heal(from, to) {
+                        let at = self.now + self.clock.link_delay(&self.cfg.net, &mut self.rng);
+                        self.queue.push(at, Action::Deliver { from, to, payload, depth });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fires the faults of the triggers hit since the last call, in
+    /// arming order, then those that their own events hit, until none is
+    /// left.
+    fn fire_triggers(&mut self) {
+        while self.triggers.hit() {
+            for op in self.triggers.fired() {
+                self.fire(op);
+            }
+        }
+    }
+
+    // ---- the step --------------------------------------------------------
+
+    /// Pops the earliest entry and handles it at the instant the clock
+    /// gives it. Returns `false` when the queue is empty.
+    pub fn step(&mut self) -> bool {
+        let Some((at, action, cancelled)) = self.queue.pop() else {
+            return false;
+        };
+        let now = self.clock.now(at);
+        debug_assert!(now >= self.now, "time went backwards");
+        self.now = now;
+        self.processed += 1;
+        // A cancelled timer goes nowhere — not to its node, not to a paused
+        // node's stash, not to a stale incarnation.
+        if cancelled {
+            return true;
+        }
+        // A paused node's inputs are stashed, not dispatched — its inbox
+        // keeps filling while it makes no progress (the SIGSTOP story).
+        // Fault-plane actions have no target and always execute.
+        if let Some(target) = action_target(&action) {
+            if self.nodes[target.0 as usize].life == Life::Paused {
+                self.stash.push((target, action));
+                return true;
+            }
+        }
+        match action {
+            Action::Init { node } => self.dispatch(node, Event::Init, 0),
+            Action::Deliver { from, to, payload, depth } => {
+                if self.is_up(to) {
+                    self.dispatch(to, Event::Message { from, payload }, depth);
+                } else {
+                    self.stats.record_dropped_to_down();
+                }
+            }
+            Action::Timer { node, incarnation, id, tag, depth } => {
+                if self.is_up(node) && self.nodes[node.0 as usize].incarnation == incarnation {
+                    self.dispatch(node, Event::Timer { id, tag }, depth);
+                }
+            }
+            Action::NotifyPeer { node, about, up } => {
+                if self.is_up(node) {
+                    let ev = if up { Event::NodeUp(about) } else { Event::NodeDown(about) };
+                    self.dispatch(node, ev, 0);
+                }
+            }
+            Action::Fault { op } => self.fire(op),
+            Action::Undo { prims } => self.apply(prims),
+        }
+        self.fire_triggers();
+        true
+    }
 
     /// A lifecycle primitive, where [`Life::next`] says it applies: the
-    /// node's new state, its record, then what the simulator makes of it.
+    /// node's new state, its record, then what the kernel makes of it.
     fn transition(&mut self, node: NodeId, prim: Prim) {
         let idx = node.0 as usize;
         let Some((life, kind)) = self.nodes[idx].life.next(prim) else {
@@ -417,11 +539,12 @@ impl Sim {
         let mut subscribe = false;
         {
             let slot = &mut self.nodes[idx];
-            let mut ctx = SimCtx {
+            let mut ctx = Ctx {
                 now: self.now,
                 me: node,
                 depth,
                 incarnation: slot.incarnation,
+                clock: &self.clock,
                 net: &self.cfg.net,
                 cost: &self.cfg.cost,
                 links: &mut self.links,
@@ -446,37 +569,17 @@ impl Sim {
             self.nodes[idx].process = Some(process);
         }
     }
-
-    /// Queues the faults of the triggers hit since the last call (in this
-    /// step, or between steps by a `Now` fault), in arming order.
-    fn fire_triggers(&mut self) {
-        for op in self.triggers.fired() {
-            self.queue.push(self.now, Action::Fault { op });
-        }
-    }
-
-    /// Node name (diagnostics).
-    pub fn node_name(&self, node: NodeId) -> &'static str {
-        self.nodes[node.0 as usize].name
-    }
-
-    /// Read access to a live process (None while the node is crashed).
-    /// Pair with [`Process::as_any`] to downcast — test/harness
-    /// introspection only, never a protocol channel.
-    pub fn process_ref(&self, node: NodeId) -> Option<&dyn Process> {
-        self.nodes[node.0 as usize].process.as_deref()
-    }
 }
 
 /// The simulator is the deterministic implementation of the runtime seam:
 /// virtual clock, byte-identical replay per seed, and simulated fault
 /// injection — every fault-plane operation is one queue entry
-/// (`Action::Fault`) or one trace trigger that pushes one, and the undo of
-/// a bounded one is one more (`Action::Undo`), so a nemesis schedule
-/// replays with the run.
+/// (`Action::Fault`) or one trace trigger that fires at the end of the
+/// step that hit it, and the undo of a bounded one is one more queue
+/// entry (`Action::Undo`), so a nemesis schedule replays with the run.
 impl Host for Sim {
     fn add_node(&mut self, name: &'static str, factory: NodeFactory) -> NodeId {
-        Sim::add_node(self, name, factory)
+        Kernel::add_node(self, name, factory)
     }
 
     fn host_now(&self) -> Time {
@@ -493,32 +596,31 @@ impl Host for Sim {
     }
 
     fn trace(&self) -> &Trace {
-        Sim::trace(self)
+        Kernel::trace(self)
     }
 
     fn stats(&self) -> &MsgStats {
-        Sim::stats(self)
+        Kernel::stats(self)
     }
 
     fn spans(&self) -> &SpanTotals {
-        Sim::spans(self)
+        Kernel::spans(self)
     }
 
     fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError> {
-        match when {
-            NemesisWhen::Now => self.fire(op),
-            NemesisWhen::After(d) => self.queue.push(self.now + d, Action::Fault { op }),
-            NemesisWhen::OnTrace(pred) => self.triggers.arm(pred, op),
-        }
+        self.schedule(when, op);
         Ok(())
     }
 }
 
-struct SimCtx<'a> {
+/// The `Context` a handler gets: everything it may touch, borrowed from
+/// the kernel for the one step.
+struct Ctx<'a, C> {
     now: Time,
     me: NodeId,
     depth: u32,
     incarnation: u32,
+    clock: &'a C,
     net: &'a NetConfig,
     cost: &'a CostModel,
     links: &'a mut Links,
@@ -533,25 +635,7 @@ struct SimCtx<'a> {
     subscribe: &'a mut bool,
 }
 
-impl SimCtx<'_> {
-    fn send_impl(&mut self, depth_base: u32, extra: Dur, to: NodeId, payload: Payload) {
-        let background = payload.is_background();
-        let depth = if background { 0 } else { depth_base + 1 };
-        let depart = self.now + extra;
-        self.stats.record_sent(&payload);
-        // With no link cut this lookup is the fault plane's only cost: a
-        // run that cuts none draws no randomness and consumes no sequence
-        // number here.
-        let Some(payload) = self.links.send(self.me, to, payload, depth) else {
-            self.stats.record_dropped_on_link();
-            return;
-        };
-        let delay = sample_delivery_delay(self.net, self.rng);
-        self.queue.push(depart + delay, Action::Deliver { from: self.me, to, payload, depth });
-    }
-}
-
-impl Context for SimCtx<'_> {
+impl<C: Clock> Context for Ctx<'_, C> {
     fn now(&self) -> Time {
         self.now
     }
@@ -611,8 +695,22 @@ impl Context for SimCtx<'_> {
         self.depth
     }
 
+    /// Counted, then held if the link is cut (see [`Links`]) or queued
+    /// at once, `delay` plus a link delay from now: a send in service
+    /// outlives a sender that crashes before it leaves.
     fn send_after_at_depth(&mut self, depth: u32, delay: Dur, to: NodeId, payload: Payload) {
-        self.send_impl(depth, delay, to, payload);
+        let depth = if payload.is_background() { 0 } else { depth + 1 };
+        let depart = self.now + delay;
+        self.stats.record_sent(&payload);
+        // With no link cut this lookup is the fault plane's only cost: a
+        // run that cuts none draws no randomness and consumes no sequence
+        // number here.
+        let Some(payload) = self.links.send(self.me, to, payload, depth) else {
+            self.stats.record_dropped_on_link();
+            return;
+        };
+        let at = depart + self.clock.link_delay(self.net, self.rng);
+        self.queue.push(at, Action::Deliver { from: self.me, to, payload, depth });
     }
 
     fn subscribe_node_events(&mut self) {

@@ -1,7 +1,10 @@
-//! # etx-sim — deterministic discrete-event simulation kernel
+//! # etx-sim — the event kernel and the deterministic simulator
 //!
-//! Hosts every process of a three-tier run on a virtual clock. The kernel
-//! implements the system model of the paper's §2 exactly:
+//! Hosts every process of a three-tier run. The [`Kernel`] is generic over
+//! a [`Clock`] ([`kernel`] says what a clock decides); on the [`Virtual`]
+//! clock it is the simulator, [`Sim`], and `etx-rt` runs the same kernel
+//! on the wall clock. The kernel implements the system model of the
+//! paper's §2 exactly:
 //!
 //! * **asynchronous message passing** with configurable latency and loss
 //!   ([`net`]), exposed to protocols as the *reliable channel* abstraction
@@ -14,11 +17,10 @@
 //!   application servers — the protocol never recovers those). Which
 //!   crashes, recoveries, pauses and resumes apply, the storage type, the
 //!   timer queue's order and how an event is recorded are
-//!   `etx_base::host`'s and `etx_base::wal`'s, shared with the threaded
-//!   backend;
-//! * **determinism**: every run is a pure function of its seed. Event
-//!   ordering ties are broken by insertion sequence; randomness comes from a
-//!   self-contained SplitMix64 stream ([`rng`]).
+//!   `etx_base::host`'s and `etx_base::wal`'s;
+//! * **determinism** (on the virtual clock): every run is a pure function
+//!   of its seed. Event ordering ties are broken by insertion sequence;
+//!   randomness comes from a self-contained SplitMix64 stream ([`rng`]).
 //!
 //! The kernel additionally tracks **causal depth** per message (the number
 //! of sequential communication steps since the client issued its request),
@@ -49,14 +51,14 @@
 pub mod kernel;
 pub mod net;
 
-/// Deterministic SplitMix64 stream (shared with the threaded backend; the
-/// module moved to `etx-base` with the runtime seam).
+/// Deterministic SplitMix64 stream (the module moved to `etx-base` with
+/// the runtime seam).
 pub use etx_base::rng;
 
 /// One node's stable storage (the type both hosts keep; re-exported so
 /// `etx_sim::StableStorage` names it).
 pub use etx_base::wal::StableStorage;
-pub use kernel::{RunOutcome, Sim, SimConfig};
+pub use kernel::{Clock, Kernel, RunOutcome, Sim, SimConfig, Virtual};
 pub use net::NetConfig;
 pub use rng::Rng;
 

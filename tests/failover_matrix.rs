@@ -168,6 +168,36 @@ fn a_recovered_app_server_rejoins_failure_detection() {
     }
 }
 
+/// A coordinator that crashes between proposing a decision-log slot and
+/// deciding it comes back without that round's state. Its peers acked the
+/// proposal and, trusting the recovered server (down 30 ms against a
+/// 200 ms detector), wait on it; its fresh proposal for the same slot is
+/// nacked into the next round, which decides. On this seed the crash lands
+/// in that window; the run wedged at its watchdog before the nack.
+#[test]
+fn a_coordinator_that_forgot_its_proposal_is_nacked_into_the_next_round() {
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 0x2ECA)
+        .fd(FdConfig {
+            heartbeat_every: Dur::from_millis(20),
+            initial_timeout: Dur::from_millis(200),
+            timeout_increment: Dur::from_millis(50),
+            max_timeout: Dur::from_millis(2_000),
+        })
+        .clients(2)
+        .requests(40)
+        .wall_limit(Dur::from_millis(3_000))
+        .build();
+    let (a, b) = (s.topo.app_servers[0], s.topo.app_servers[1]);
+    let down = FaultOp::CrashFor { node: a, down_for: Dur::from_millis(30) };
+    s.schedule_fault(NemesisWhen::After(Dur::from_millis(20)), down).unwrap();
+    s.schedule_fault(NemesisWhen::After(Dur::from_millis(200)), FaultOp::Crash(b)).unwrap();
+    let n = s.requests as usize;
+    assert_eq!(s.run_until_settled(n), etx::sim::RunOutcome::Predicate);
+    assert!(s.stats().sent("CNack") > 0, "no proposal was nacked: the crash missed the window");
+    s.quiesce(Dur::from_millis(400));
+    check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
+}
+
 /// A recovered application server relearns the decision log by pulling
 /// every slot it missed. Each gap is pulled once when a decided slot above
 /// it uncovers it and again only on a resync tick — so the whole catch-up

@@ -294,6 +294,49 @@ fn a_trace_triggered_crash_lands_before_the_nodes_next_handler_on_both_backends(
     assert_eq!(crash_on_x(&mut threads), want, "threaded");
 }
 
+/// Sends `b` one message 10 ms after `Init`, as a service time
+/// (`send_after`); notes "got" when one arrives.
+struct SendsLate;
+impl Process for SendsLate {
+    fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+        match event {
+            Event::Init if ctx.me() == NodeId(0) => {
+                let payload = Payload::Fd(FdMsg::Heartbeat { seq: 0 });
+                ctx.send_after(Dur::from_millis(10), NodeId(1), payload);
+            }
+            Event::Message { .. } => ctx.trace(TraceKind::Note("got")),
+            _ => {}
+        }
+    }
+}
+
+/// Crashes node 0 of two [`SendsLate`] nodes at 3 ms, lets 40 ms pass and
+/// returns each node's crashes and notes, in trace order.
+fn crash_the_late_sender(host: &mut dyn Host) -> Vec<(NodeId, TraceKind)> {
+    let a = host.add_node("a", Box::new(|_| Box::new(SendsLate)));
+    host.add_node("b", Box::new(|_| Box::new(SendsLate)));
+    host.schedule_fault(NemesisWhen::After(Dur::from_millis(3)), FaultOp::Crash(a)).unwrap();
+    host.quiesce_for(Dur::from_millis(40));
+    let kept = |k: &TraceKind| matches!(k, TraceKind::Note(_) | TraceKind::Crash);
+    host.trace()
+        .events()
+        .iter()
+        .filter(|ev| kept(&ev.kind))
+        .map(|ev| (ev.node, ev.kind.clone()))
+        .collect()
+}
+
+/// A send in service is queued when it is made, on both backends: the
+/// message a node sends with a 10 ms service time arrives although the
+/// node crashes 3 ms in.
+#[test]
+fn an_in_service_send_outlives_its_sender_on_both_backends() {
+    let want = [(NodeId(0), TraceKind::Crash), (NodeId(1), TraceKind::Note("got"))];
+    assert_eq!(crash_the_late_sender(&mut Sim::new(SimConfig::with_seed(44))), want, "sim");
+    let mut threads = ThreadedHost::new(ThreadedConfig::with_seed(44));
+    assert_eq!(crash_the_late_sender(&mut threads), want, "threaded");
+}
+
 // ---- threaded smoke of the read fast lane -----------------------------------
 
 /// The consensus-free read lane on real threads: a read-heavy conserved-
