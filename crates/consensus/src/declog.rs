@@ -74,14 +74,27 @@
 //! second undecided slot would add. Slots still decide out of order — a
 //! peer's slot, a cleaner's, a crashed proposer's slot filled late — and
 //! apply buffers them behind the gap.
+//!
+//! Slots are dense, so the log's per-slot state is kept in windows over
+//! consecutive slots rather than in ordered maps: the slots decided ahead
+//! of the apply cursor span from the lowest of them to the decided
+//! frontier (the gap the pulls fill, a slot or two in steady state), and
+//! the applied slots awaiting compaction span from the oldest one some
+//! unsettled request still belongs to up to the apply cursor. An
+//! attempt's membership in the latter keeps its usual one or two slots in
+//! place, and what a call applies comes back in [`Few`]s, so the common
+//! event — one slot decided, one request in it — allocates nothing for
+//! the log's own bookkeeping. The windows answer exactly what the maps
+//! answered, in the same order, so no apply, pull or proposal moves.
 
+use crate::few::Few;
 use crate::woreg::WoRegisters;
 use crate::Suspects;
 use etx_base::attempts::AttemptWindows;
 use etx_base::ids::{NodeId, RegId, ResultId};
 use etx_base::runtime::Context;
 use etx_base::value::{Decision, OutcomeBatch, OwnerClaim, RegValue, SlotBatch};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One decided slot's worth of *newly final* entries, in slot order.
@@ -94,14 +107,102 @@ pub struct AppliedSlot {
     /// Log position.
     pub slot: u64,
     /// First-occurrence `(attempt, decision)` pairs this slot made final.
-    pub entries: OutcomeBatch,
+    pub entries: Few<(ResultId, Decision)>,
     /// The claims of this slot that decided their attempt's owner.
-    pub claims: Vec<OwnerClaim>,
+    pub claims: Few<OwnerClaim>,
     /// Every advance of a client's GC watermark this slot's claims caused
     /// here, with the new watermark, in apply order — what the host's own
     /// per-attempt state may now forget (the log has already forgotten its
     /// share).
-    pub watermarks: Vec<(NodeId, u64)>,
+    pub watermarks: Few<(NodeId, u64)>,
+}
+
+/// Per-slot entries over a run of consecutive slots: `items[k]` belongs to
+/// slot `start + k`. Removing an end entry trims the run to the next held
+/// slot, so the run always starts and ends at a held one, and its length
+/// is the span between the lowest and the highest slot held. The deque
+/// keeps its capacity, so a steady state of a slot or two in the run
+/// allocates nothing.
+#[derive(Debug)]
+struct SlotWindow<T> {
+    start: u64,
+    items: VecDeque<Option<T>>,
+}
+
+impl<T> Default for SlotWindow<T> {
+    fn default() -> Self {
+        SlotWindow { start: 0, items: VecDeque::new() }
+    }
+}
+
+impl<T> SlotWindow<T> {
+    /// Where `slot` sits in the run, if it is inside it.
+    fn at(&self, slot: u64) -> Option<usize> {
+        let k = usize::try_from(slot.checked_sub(self.start)?).ok()?;
+        (k < self.items.len()).then_some(k)
+    }
+
+    fn get(&self, slot: u64) -> Option<&T> {
+        self.items[self.at(slot)?].as_ref()
+    }
+
+    fn get_mut(&mut self, slot: u64) -> Option<&mut T> {
+        let k = self.at(slot)?;
+        self.items[k].as_mut()
+    }
+
+    /// `slot`'s entry, the run grown to reach it.
+    fn entry(&mut self, slot: u64) -> &mut Option<T> {
+        if self.items.is_empty() {
+            self.start = slot;
+        }
+        while slot < self.start {
+            self.items.push_front(None);
+            self.start -= 1;
+        }
+        let k = usize::try_from(slot - self.start).expect("a slot run fits the address space");
+        if k >= self.items.len() {
+            self.items.resize_with(k + 1, || None);
+        }
+        &mut self.items[k]
+    }
+
+    /// Takes `slot`'s entry out, trimming the run's empty ends.
+    fn remove(&mut self, slot: u64) -> Option<T> {
+        let k = self.at(slot)?;
+        let item = self.items[k].take();
+        while self.items.front().is_some_and(Option::is_none) {
+            self.items.pop_front();
+            self.start += 1;
+        }
+        while self.items.back().is_some_and(Option::is_none) {
+            self.items.pop_back();
+        }
+        item
+    }
+
+    /// The highest slot held.
+    fn last(&self) -> Option<u64> {
+        (!self.items.is_empty()).then(|| self.start + self.items.len() as u64 - 1)
+    }
+
+    /// Whether the run starts and ends at a held slot (or is empty).
+    #[cfg(test)]
+    fn is_tight(&self) -> bool {
+        self.items.front().is_none_or(Option::is_some)
+            && self.items.back().is_none_or(Option::is_some)
+    }
+
+    /// The slots held, in order.
+    #[cfg(test)]
+    fn slots(&self) -> impl Iterator<Item = u64> + '_ {
+        let start = self.start;
+        self.items
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.is_some())
+            .map(move |(k, _)| start + k as u64)
+    }
 }
 
 /// One application server's view of the sequenced decision log.
@@ -131,8 +232,10 @@ pub struct DecisionLog {
     /// Slots decided ahead of a gap, waiting for in-order apply. Another
     /// server's slot can decide before a lower one is known here; this
     /// buffer (plus the `next_apply` low-water mark) is what keeps
-    /// promotion and apply strictly in slot order regardless.
-    decided_ahead: BTreeMap<u64, Arc<SlotBatch>>,
+    /// promotion and apply strictly in slot order regardless. A window
+    /// from the lowest slot decided at or above the apply cursor to the
+    /// decided frontier: the gap it spans is what the pulls fill.
+    decided_ahead: SlotWindow<Arc<SlotBatch>>,
     /// One record per attempt, under its client's window — whose floor is
     /// the client's **GC watermark**: every request below it is settled
     /// forever. Entries for settled requests are dropped at apply time even
@@ -147,12 +250,17 @@ pub struct DecisionLog {
     /// decided batch itself is kept (a shared handle: the register bank
     /// holds the same allocation until that very compaction), so the
     /// compacted placeholder can keep the slot's arbitration content
-    /// (results dropped). Bounded by the clients' unsettled windows, like
-    /// everything else here.
-    applied_members: BTreeMap<u64, AppliedMembers>,
+    /// (results dropped). A window from the lowest such slot to the
+    /// newest: it spans the slots applied since the oldest request some
+    /// client has not settled (a client that stops pins it, at sixteen
+    /// bytes a slot, as the register bank's decided table grows at eight).
+    applied_members: SlotWindow<AppliedMembers>,
     /// Applied slots with no unsettled member left, not yet handed to the
-    /// host — [`DecisionLog::gc_client`] drains it.
-    settled_slots: BTreeSet<u64>,
+    /// host, in the order they settled — [`DecisionLog::gc_client`] sorts
+    /// and drains it, keeping the buffer. A flag in `applied_members`
+    /// would do as well, but finding the flags would scan that window on
+    /// every call.
+    settled_slots: Vec<u64>,
     /// Every gap slot below this has been pulled since the last resync
     /// tick: a decided slot pulls only the gaps it uncovers above it, and
     /// [`DecisionLog::request_gaps`] lowers it to re-pull them all.
@@ -173,7 +281,36 @@ struct Attempt {
     urgent: bool,
     /// The slots of `applied_members` this attempt is a member of (as an
     /// outcome, a claim or both), in apply order.
-    slots: Vec<u64>,
+    slots: Memberships,
+}
+
+/// An attempt's member slots, in apply order: the usual one or two in
+/// place (a claim's slot and an outcome's), any further ones after them.
+#[derive(Debug, Default)]
+struct Memberships {
+    first: Option<u64>,
+    rest: Few<u64>,
+}
+
+impl Memberships {
+    fn push(&mut self, slot: u64) {
+        match self.first {
+            None => self.first = Some(slot),
+            Some(_) => self.rest.push(slot),
+        }
+    }
+
+    fn last(&self) -> Option<u64> {
+        self.rest.last().copied().or(self.first)
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.first.into_iter().chain(self.rest.iter().copied())
+    }
 }
 
 /// One applied slot's membership and how much of it is still unsettled.
@@ -204,10 +341,10 @@ impl DecisionLog {
             inflight: None,
             opened: false,
             next_apply: 0,
-            decided_ahead: BTreeMap::new(),
+            decided_ahead: SlotWindow::default(),
             attempts: AttemptWindows::new(),
-            applied_members: BTreeMap::new(),
-            settled_slots: BTreeSet::new(),
+            applied_members: SlotWindow::default(),
+            settled_slots: Vec::new(),
             pulled_to: 0,
         }
     }
@@ -299,7 +436,7 @@ impl DecisionLog {
         regs: &mut WoRegisters,
         entries: OutcomeBatch,
         suspects: Suspects<'_>,
-    ) -> Vec<AppliedSlot> {
+    ) -> Few<AppliedSlot> {
         for (rid, decision) in entries {
             let queued = self.pending.iter().any(|(r, _)| *r == rid)
                 || self
@@ -323,7 +460,7 @@ impl DecisionLog {
         slot: u64,
         value: &RegValue,
         suspects: Suspects<'_>,
-    ) -> Vec<AppliedSlot> {
+    ) -> Few<AppliedSlot> {
         self.record_decided(slot, value);
         let mut out = self.drain_applied();
         self.pull_gaps(ctx, regs);
@@ -363,24 +500,27 @@ impl DecisionLog {
     /// original commit). Only the results — the unbounded payload — are
     /// shed; the claims stay because they are what carries the watermarks
     /// to a server replaying the log.
-    pub fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Vec<(u64, Arc<SlotBatch>)> {
+    pub fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Few<(u64, Arc<SlotBatch>)> {
         self.advance_watermark(client, ack_below);
-        std::mem::take(&mut self.settled_slots)
-            .into_iter()
-            .map(|slot| {
-                let batch =
-                    self.applied_members.remove(&slot).expect("settled slot is applied").batch;
-                if batch.outcomes.iter().all(|(_, d)| d.result.is_none()) {
-                    return (slot, batch); // cleaner aborts only, or a tombstone already
-                }
-                let outcomes = batch
-                    .outcomes
-                    .iter()
-                    .map(|(rid, d)| (*rid, Decision { result: None, outcome: d.outcome }))
-                    .collect();
-                (slot, Arc::new(SlotBatch { outcomes, claims: batch.claims.clone() }))
-            })
-            .collect()
+        let mut settled = std::mem::take(&mut self.settled_slots);
+        settled.sort_unstable();
+        let mut out = Few::new();
+        for &slot in &settled {
+            let batch = self.applied_members.remove(slot).expect("settled slot is applied").batch;
+            if batch.outcomes.iter().all(|(_, d)| d.result.is_none()) {
+                out.push((slot, batch)); // cleaner aborts only, or a tombstone already
+                continue;
+            }
+            let outcomes = batch
+                .outcomes
+                .iter()
+                .map(|(rid, d)| (*rid, Decision { result: None, outcome: d.outcome }))
+                .collect();
+            out.push((slot, Arc::new(SlotBatch { outcomes, claims: batch.claims.clone() })));
+        }
+        settled.clear();
+        self.settled_slots = settled;
+        out
     }
 
     /// Whether `rid`'s request is below its client's GC watermark (settled
@@ -399,11 +539,11 @@ impl DecisionLog {
     /// does not raise it has nothing to remove.
     fn advance_watermark(&mut self, client: NodeId, ack_below: u64) -> bool {
         let raised = self.attempts.below(client, ack_below, |_, attempt| {
-            for slot in &attempt.slots {
+            for slot in attempt.slots.iter() {
                 let applied = self.applied_members.get_mut(slot).expect("member slot is applied");
                 applied.unsettled -= 1;
                 if applied.unsettled == 0 {
-                    self.settled_slots.insert(*slot);
+                    self.settled_slots.push(slot);
                 }
             }
             false
@@ -427,8 +567,8 @@ impl DecisionLog {
         ctx: &mut dyn Context,
         regs: &mut WoRegisters,
         suspects: Suspects<'_>,
-    ) -> Vec<AppliedSlot> {
-        let mut out = Vec::new();
+    ) -> Few<AppliedSlot> {
+        let mut out = Few::new();
         self.opened = false;
         while self.inflight.is_none() {
             self.drop_served();
@@ -459,9 +599,9 @@ impl DecisionLog {
     /// frontier: between resync ticks, each gap is pulled once, when it
     /// appears.
     fn pull_gaps(&mut self, ctx: &mut dyn Context, regs: &mut WoRegisters) {
-        let Some((&frontier, _)) = self.decided_ahead.iter().next_back() else { return };
+        let Some(frontier) = self.decided_ahead.last() else { return };
         for k in self.next_apply.max(self.pulled_to)..frontier {
-            if !self.decided_ahead.contains_key(&k) {
+            if self.decided_ahead.get(k).is_none() {
                 regs.pull(ctx, RegId::slot(k));
             }
         }
@@ -522,7 +662,7 @@ impl DecisionLog {
     /// lands there and consensus arbitrates).
     fn lowest_open_slot(&self, regs: &WoRegisters) -> u64 {
         let mut k = self.next_apply;
-        while self.decided_ahead.contains_key(&k) || regs.read(RegId::slot(k)).is_some() {
+        while self.decided_ahead.get(k).is_some() || regs.read(RegId::slot(k)).is_some() {
             k += 1;
         }
         k
@@ -531,7 +671,7 @@ impl DecisionLog {
     fn record_decided(&mut self, slot: u64, value: &RegValue) {
         let batch = value.as_batch_shared();
         if slot >= self.next_apply {
-            self.decided_ahead.entry(slot).or_insert_with(|| Arc::clone(&batch));
+            self.decided_ahead.entry(slot).get_or_insert_with(|| Arc::clone(&batch));
         }
         // Our proposal for this slot is settled: if another batch won, the
         // entries we carried go back to their queues for the next slot
@@ -549,15 +689,15 @@ impl DecisionLog {
         }
     }
 
-    fn drain_applied(&mut self) -> Vec<AppliedSlot> {
-        let mut out = Vec::new();
-        while let Some(batch) = self.decided_ahead.remove(&self.next_apply) {
+    fn drain_applied(&mut self) -> Few<AppliedSlot> {
+        let mut out = Few::new();
+        while let Some(batch) = self.decided_ahead.remove(self.next_apply) {
             let slot = self.next_apply;
             let mut applied = AppliedSlot {
                 slot,
-                entries: Vec::with_capacity(batch.outcomes.len()),
-                claims: Vec::with_capacity(batch.claims.len()),
-                watermarks: Vec::new(),
+                entries: Few::new(),
+                claims: Few::new(),
+                watermarks: Few::new(),
             };
             // Watermarks first: what they settle — members of this very
             // slot included — is ignored below, identically on every
@@ -575,7 +715,7 @@ impl DecisionLog {
             // Slots apply in order, so an attempt already a member of this
             // one (claimed and decided here, or listed twice) has it last.
             let mut join = |attempt: &mut Attempt| {
-                if !claims_only && attempt.slots.last() != Some(&slot) {
+                if !claims_only && attempt.slots.last() != Some(slot) {
                     attempt.slots.push(slot);
                     unsettled += 1;
                 }
@@ -599,9 +739,9 @@ impl DecisionLog {
             }
             if !claims_only {
                 if unsettled == 0 {
-                    self.settled_slots.insert(slot);
+                    self.settled_slots.push(slot);
                 }
-                self.applied_members.insert(slot, AppliedMembers { batch, unsettled });
+                *self.applied_members.entry(slot) = Some(AppliedMembers { batch, unsettled });
             }
             out.push(applied);
             self.next_apply += 1;
@@ -619,7 +759,7 @@ mod tests {
     use etx_base::msg::{ConsensusMsg, Payload};
     use etx_base::runtime::Event;
     use etx_base::value::Outcome;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
     const A: NodeId = NodeId(10);
     const B: NodeId = NodeId(11);
@@ -656,7 +796,7 @@ mod tests {
     /// Every slot membership awaiting compaction, as `(attempt, slot)` in
     /// order.
     fn unsettled(log: &DecisionLog) -> Vec<(ResultId, u64)> {
-        log.attempts.iter().flat_map(|(rid, a)| a.slots.iter().map(move |&s| (rid, s))).collect()
+        log.attempts.iter().flat_map(|(rid, a)| a.slots.iter().map(move |s| (rid, s))).collect()
     }
 
     /// The attempts whose claim a request waits on, in order.
@@ -1015,106 +1155,170 @@ mod tests {
         assert!(log.decision_of(rid(1)).is_none());
     }
 
-    /// The GC this module ran before the per-client ranges — `retain` over
-    /// every map on every call — kept as the reference the indexed version
-    /// must match call for call.
+    /// The log as this module kept it before its slot windows and
+    /// per-client ranges: ordered maps, in-order apply from a map of
+    /// decided slots, and GC by `retain` over every map on every call —
+    /// the reference the windows must match call for call.
     #[derive(Default)]
-    struct ScanGc {
-        seen: BTreeSet<ResultId>,
+    struct ScanLog {
+        next_apply: u64,
+        decided: BTreeMap<u64, Arc<SlotBatch>>,
         watermarks: BTreeMap<NodeId, u64>,
-        members: BTreeMap<u64, Vec<(ResultId, Outcome)>>,
+        seen: BTreeSet<ResultId>,
+        owners: BTreeMap<ResultId, NodeId>,
+        members: BTreeMap<u64, (BTreeSet<ResultId>, Arc<SlotBatch>)>,
     }
 
-    impl ScanGc {
+    impl ScanLog {
         fn settled(&self, rid: &ResultId) -> bool {
             self.watermarks.get(&rid.request.client).is_some_and(|&w| rid.request.seq < w)
         }
 
-        fn apply(&mut self, slot: u64, batch: &OutcomeBatch) {
-            self.members.insert(slot, batch.iter().map(|(rid, d)| (*rid, d.outcome)).collect());
-            for (rid, _) in batch {
+        fn raise(&mut self, client: NodeId, ack_below: u64) {
+            let w = self.watermarks.entry(client).or_insert(0);
+            *w = (*w).max(ack_below);
+            let w = *w;
+            let live = |rid: &ResultId| rid.request.client != client || rid.request.seq >= w;
+            self.seen.retain(live);
+            self.owners.retain(|rid, _| live(rid));
+        }
+
+        fn decide(&mut self, slot: u64, batch: Arc<SlotBatch>) {
+            if slot >= self.next_apply {
+                self.decided.entry(slot).or_insert(batch);
+            }
+            while let Some(batch) = self.decided.remove(&self.next_apply) {
+                self.apply(self.next_apply, batch);
+                self.next_apply += 1;
+            }
+        }
+
+        fn apply(&mut self, slot: u64, batch: Arc<SlotBatch>) {
+            for c in &batch.claims {
+                self.raise(c.rid.request.client, c.ack_below);
+            }
+            for c in &batch.claims {
+                if !self.settled(&c.rid) {
+                    self.owners.entry(c.rid).or_insert(c.server);
+                }
+            }
+            for (rid, _) in &batch.outcomes {
                 if !self.settled(rid) {
                     self.seen.insert(*rid);
                 }
             }
+            if batch.outcomes.is_empty() && !batch.claims.is_empty() {
+                return; // claims only: never compacted, so never tracked
+            }
+            let rids = batch.claims.iter().map(|c| c.rid).chain(batch.outcomes.iter().map(|o| o.0));
+            let members = rids.filter(|rid| !self.settled(rid)).collect();
+            self.members.insert(slot, (members, batch));
         }
 
-        fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Vec<(u64, Arc<SlotBatch>)> {
-            let w = self.watermarks.entry(client).or_insert(0);
-            *w = (*w).max(ack_below);
-            self.seen.retain(|rid| rid.request.client != client || rid.request.seq >= ack_below);
+        fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Vec<(u64, SlotBatch)> {
+            self.raise(client, ack_below);
             let mut forgettable = Vec::new();
-            let members = std::mem::take(&mut self.members);
-            for (slot, m) in members {
-                if m.iter().all(|(rid, _)| self.settled(rid)) {
-                    let outcomes = m
-                        .iter()
-                        .map(|&(rid, outcome)| (rid, Decision { result: None, outcome }))
-                        .collect();
-                    forgettable.push((slot, Arc::new(SlotBatch { outcomes, claims: Vec::new() })));
-                } else {
-                    self.members.insert(slot, m);
+            for (slot, (m, batch)) in std::mem::take(&mut self.members) {
+                if !m.iter().all(|rid| self.settled(rid)) {
+                    self.members.insert(slot, (m, batch));
+                    continue;
                 }
+                let outcomes = batch
+                    .outcomes
+                    .iter()
+                    .map(|(rid, d)| (*rid, Decision { result: None, outcome: d.outcome }))
+                    .collect();
+                forgettable.push((slot, SlotBatch { outcomes, claims: batch.claims.clone() }));
             }
             forgettable
         }
     }
 
     proptest::proptest! {
-        /// Range GC is `retain` GC: over random slot contents (shared and
-        /// repeated attempts, several clients, slots settled before they
-        /// apply) and random watermarks (regressing ones included), every
-        /// call reports the same fully-settled slots with the same
-        /// tombstones in the same order, and leaves the same memory.
+        /// The windows are the maps: over random slot contents (outcomes
+        /// with and without results, claims that raise watermarks, slots
+        /// of claims alone, attempts repeated across three or more slots,
+        /// several clients) decided in random order — gaps, slots decided
+        /// far ahead of the apply cursor — and random watermarks
+        /// (regressing ones included), every GC call reports the same
+        /// fully settled slots with the same tombstones in the same order,
+        /// and after every step the log applies, remembers, tracks and
+        /// buffers exactly what the retain-everything reference does.
         #[test]
         fn range_gc_matches_the_full_scan(
             steps in proptest::collection::vec(
                 (
                     0u8..3,
                     0u32..3,
-                    0u64..10,
-                    proptest::collection::vec((0u32..3, 0u64..10, 1u32..3), 0..5),
+                    0u64..8,
+                    proptest::collection::vec((0u32..3, 0u64..6, 1u32..3, 0u8..4), 0..5),
                 ),
                 1..80,
             ),
         ) {
             let mut log = DecisionLog::default();
-            let mut scan = ScanGc::default();
-            let mut next_slot = 0;
+            let mut scan = ScanLog::default();
             for (op, client, seq, entries) in steps {
                 if op == 0 {
-                    let batch: OutcomeBatch = entries
-                        .into_iter()
-                        .map(|(client, seq, attempt)| {
-                            let request = RequestId { client: NodeId(client), seq };
-                            (ResultId { request, attempt }, commit())
-                        })
-                        .collect();
-                    scan.apply(next_slot, &batch);
-                    log.record_decided(next_slot, &value(batch, Vec::new()));
+                    let mut batch = SlotBatch { outcomes: Vec::new(), claims: Vec::new() };
+                    for (client, seq, attempt, kind) in entries {
+                        let request = RequestId { client: NodeId(client), seq };
+                        let rid = ResultId { request, attempt };
+                        match kind {
+                            0 => batch.outcomes.push((rid, commit())),
+                            1 => batch.outcomes.push((rid, Decision::nil_abort())),
+                            _ => batch.claims.push(OwnerClaim { rid, server: A, ack_below: seq / 2 }),
+                        }
+                    }
+                    // `seq²` slots past the apply cursor: 0 fills the
+                    // lowest gap, the rest decide ahead of it — or land on
+                    // a slot decided already, whose first value stays.
+                    let slot = scan.next_apply + seq * seq;
+                    let batch = Arc::new(batch);
+                    scan.decide(slot, Arc::clone(&batch));
+                    log.record_decided(slot, &RegValue::Batch(batch));
                     log.drain_applied();
-                    next_slot += 1;
                 } else {
-                    proptest::prop_assert_eq!(
-                        log.gc_client(NodeId(client), seq),
-                        scan.gc_client(NodeId(client), seq)
-                    );
+                    let reported = log.gc_client(NodeId(client), seq);
+                    let reported: Vec<_> = reported.iter().map(|(s, b)| (*s, (**b).clone())).collect();
+                    proptest::prop_assert_eq!(reported, scan.gc_client(NodeId(client), seq));
                 }
+                proptest::prop_assert_eq!(log.applied_up_to(), scan.next_apply);
+                proptest::prop_assert!(log.decided_ahead.slots().eq(scan.decided.keys().copied()));
+                for (slot, batch) in &scan.decided {
+                    proptest::prop_assert!(Arc::ptr_eq(log.decided_ahead.get(*slot).expect("held"), batch));
+                }
+                proptest::prop_assert!(log.decided_ahead.is_tight() && log.applied_members.is_tight());
                 proptest::prop_assert!(decided(&log).iter().eq(scan.seen.iter()));
-                proptest::prop_assert!(log.applied_members.keys().eq(scan.members.keys()));
+                proptest::prop_assert!(log.owners().eq(scan.owners.iter().map(|(&r, &o)| (r, o))));
+                proptest::prop_assert!(log.applied_members.slots().eq(scan.members.keys().copied()));
                 let members: BTreeSet<(ResultId, u64)> = scan
                     .members
                     .iter()
-                    .flat_map(|(&slot, m)| m.iter().map(move |&(rid, _)| (rid, slot)))
+                    .flat_map(|(&slot, (m, _))| m.iter().map(move |&rid| (rid, slot)))
                     .filter(|(rid, _)| !scan.settled(rid))
                     .collect();
                 proptest::prop_assert_eq!(unsettled(&log), Vec::from_iter(members));
-                for (slot, applied) in &log.applied_members {
-                    let named = unsettled(&log).iter().filter(|(_, s)| s == slot).count();
+                for slot in log.applied_members.slots() {
+                    let named = unsettled(&log).iter().filter(|(_, s)| *s == slot).count();
+                    let applied = log.applied_members.get(slot).expect("held");
                     proptest::prop_assert_eq!(applied.unsettled, named, "slot {}", slot);
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_attempt_in_three_slots_settles_all_three() {
+        let mut log = DecisionLog::default();
+        for slot in 0..3 {
+            log.record_decided(slot, &slot_value(&[1]));
+        }
+        log.drain_applied();
+        assert_eq!(unsettled(&log), [(rid(1), 0), (rid(1), 1), (rid(1), 2)]);
+        let settled = log.gc_client(NodeId(0), 2);
+        assert_eq!(settled.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(log.applied_members.slots().count(), 0, "the window is empty again");
     }
 
     /// Three replicas — register bank and log view each — on a loopback

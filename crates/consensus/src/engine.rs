@@ -7,15 +7,17 @@
 //! register". This module implements that family:
 //!
 //! * rounds `r = 0, 1, 2, …` with coordinator `alist[r mod n]`;
-//! * **round 0 fast path**: every participant's adoption timestamp is still
-//!   0, so the coordinator may propose the first estimate it knows (its own,
-//!   if it is the writer) without collecting a majority — one round trip to
-//!   decide;
+//! * **round 0 fast path**: nothing can have been decided before the first
+//!   round, so its coordinator may propose the first estimate it knows (its
+//!   own, if it is the writer) without collecting a majority — one round
+//!   trip to decide;
 //! * **rounds > 0**: the classic three phases — participants send their
 //!   `(estimate, ts)` to the round's coordinator; the coordinator waits for
 //!   a majority, picks the estimate with the highest `ts` (this is what
 //!   preserves agreement across rounds), proposes it; participants adopt and
-//!   ack, or nack if they have moved on;
+//!   ack, or nack if they have moved on. An estimate adopted from round
+//!   `r`'s proposal carries `ts = r + 1`, an initial one `ts = 0`: a value
+//!   round 0 may have decided outranks every value nobody adopted;
 //! * a coordinator with a majority of acks **decides** and broadcasts the
 //!   decision; undecided replicas also **pull** decisions periodically
 //!   (`DecideReq`), which implements the liveness half of the wo-register
@@ -27,13 +29,29 @@
 //! Safety (agreement, validity, integrity) holds under any failure-detector
 //! behaviour; only termination needs ◇P accuracy and a correct majority,
 //! mirroring the paper's §4/§5 discussion.
+//!
+//! **Storage by slot.** Every instance is a decision-log slot, and slots
+//! are dense: each server proposes into the lowest slot it has not seen
+//! decided, so the slots in use are `0..frontier` with at most a handful
+//! undecided. The decided values therefore sit in a vector indexed by
+//! slot (eight bytes a slot, the log's one growing table), not in a map.
+//! An undecided instance keeps its round's estimates and acks by the
+//! sender's position in the peer list, in place for groups of up to five
+//! and in one heap block per instance beyond. What a call decides comes
+//! back in a [`Few`], which holds the usual one decision without
+//! allocating. This layout changes no decision, message or message order:
+//! lookups answer what the ordered maps it replaced answered, the
+//! estimate choice still compares `(ts, sender id)`, and broadcasts walk
+//! the same peer list in the same order — so the simulator's traces are
+//! what they were under the maps.
 
+use crate::few::Few;
 use etx_base::ids::{NodeId, RegId};
 use etx_base::msg::{ConsensusMsg, Payload};
 use etx_base::runtime::{Context, Event, TimerTag};
 use etx_base::time::Dur;
 use etx_base::value::RegValue;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Predicate type used to query the owner's failure detector.
 pub type Suspects<'a> = &'a dyn Fn(NodeId) -> bool;
@@ -53,21 +71,96 @@ impl Default for EngineConfig {
     }
 }
 
+/// Peers whose round state an instance holds in place; a larger group
+/// keeps it in one heap block per instance.
+const INLINE_PEERS: usize = 5;
+
+/// One entry per peer, at the peer's position in the engine's `peers`: a
+/// round's estimates or acks. No map, no per-round allocation for groups
+/// of up to [`INLINE_PEERS`].
+#[derive(Debug)]
+enum ByPeer<T> {
+    Inline([Option<T>; INLINE_PEERS]),
+    Heap(Box<[Option<T>]>),
+}
+
+impl<T> ByPeer<T> {
+    fn new(peers: usize) -> Self {
+        if peers <= INLINE_PEERS {
+            ByPeer::Inline(std::array::from_fn(|_| None))
+        } else {
+            ByPeer::Heap((0..peers).map(|_| None).collect())
+        }
+    }
+
+    /// The entries, by peer position (an inline array may be longer than
+    /// the group; its tail stays empty).
+    fn entries(&self) -> &[Option<T>] {
+        match self {
+            ByPeer::Inline(entries) => entries,
+            ByPeer::Heap(entries) => entries,
+        }
+    }
+
+    fn entries_mut(&mut self) -> &mut [Option<T>] {
+        match self {
+            ByPeer::Inline(entries) => entries,
+            ByPeer::Heap(entries) => entries,
+        }
+    }
+
+    fn set(&mut self, at: usize, value: T) {
+        self.entries_mut()[at] = Some(value);
+    }
+
+    fn clear(&mut self) {
+        self.entries_mut().iter_mut().for_each(|e| *e = None);
+    }
+
+    fn count(&self) -> usize {
+        self.entries().iter().filter(|e| e.is_some()).count()
+    }
+}
+
 /// The round state of one undecided instance.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Instance {
     round: u32,
     est: Option<RegValue>,
-    /// Round in which `est` was adopted from a coordinator (0 = own/initial).
+    /// One more than the round in which `est` was adopted from a
+    /// coordinator's proposal; 0 while `est` is this server's own initial
+    /// value (or none). A value adopted in round 0 thus outranks every
+    /// initial value, which is what lets a later round's coordinator find
+    /// the value round 0 may have decided.
     ts: u32,
     /// Coordinator-side: estimates collected for the current round.
-    estimates: BTreeMap<NodeId, (Option<RegValue>, u32)>,
+    estimates: ByPeer<(Option<RegValue>, u32)>,
     /// Coordinator-side: the value proposed in the current round.
     proposal: Option<RegValue>,
     /// Coordinator-side: acks collected for the current round.
-    acks: BTreeSet<NodeId>,
+    acks: ByPeer<()>,
     /// Participant-side: whether we already acked this round.
     acked: bool,
+}
+
+impl Instance {
+    fn new(peers: usize) -> Self {
+        Instance {
+            round: 0,
+            est: None,
+            ts: 0,
+            estimates: ByPeer::new(peers),
+            proposal: None,
+            acks: ByPeer::new(peers),
+            acked: false,
+        }
+    }
+}
+
+/// The dense index of an instance: its decision-log slot.
+fn index(inst: RegId) -> usize {
+    let slot = inst.slot_index().expect("every register is a slot");
+    usize::try_from(slot).expect("a slot index fits the address space")
 }
 
 /// Multi-instance consensus engine. One per application server, embedded in
@@ -75,6 +168,8 @@ struct Instance {
 #[derive(Debug)]
 pub struct ConsensusEngine {
     me: NodeId,
+    /// `me`'s position in `peers`: where its own estimate and ack go.
+    me_at: usize,
     peers: Vec<NodeId>,
     majority: usize,
     cfg: EngineConfig,
@@ -85,12 +180,13 @@ pub struct ConsensusEngine {
     /// ([`Self::instance_mut`]) and leaves when it decides
     /// ([`Self::record_decision`]).
     instances: BTreeMap<RegId, Instance>,
-    /// Every decision this server knows — the one map that grows with the
-    /// log, so it holds the value and nothing else. Every message and
+    /// Every decision this server knows, at its slot's index (`None`: not
+    /// decided here) — the one table that grows with the log, so it holds
+    /// the value and nothing else, eight bytes a slot. Every message and
     /// timer for a decided instance is answered from here.
-    decided: BTreeMap<RegId, RegValue>,
+    decided: Vec<Option<RegValue>>,
     /// Decisions reached since the last `handle`/`propose` drain.
-    fresh: Vec<(RegId, RegValue)>,
+    fresh: Few<(RegId, RegValue)>,
     started: bool,
 }
 
@@ -101,15 +197,16 @@ impl ConsensusEngine {
     ///
     /// Panics if `peers` does not contain `me`.
     pub fn new(me: NodeId, peers: &[NodeId], cfg: EngineConfig) -> Self {
-        assert!(peers.contains(&me), "engine peers must include the owner");
+        let me_at = peers.iter().position(|&p| p == me);
         ConsensusEngine {
             me,
+            me_at: me_at.expect("engine peers must include the owner"),
             peers: peers.to_vec(),
             majority: peers.len() / 2 + 1,
             cfg,
             instances: BTreeMap::new(),
-            decided: BTreeMap::new(),
-            fresh: Vec::new(),
+            decided: Vec::new(),
+            fresh: Few::new(),
             started: false,
         }
     }
@@ -126,9 +223,14 @@ impl ConsensusEngine {
         self.peers[(round as usize) % self.peers.len()]
     }
 
+    /// `node`'s position in `peers`: where its estimate and ack are kept.
+    fn position(&self, node: NodeId) -> Option<usize> {
+        self.peers.iter().position(|&p| p == node)
+    }
+
     /// Locally known decision, if any (the wo-register `read()` fast path).
     pub fn decided(&self, inst: RegId) -> Option<&RegValue> {
-        self.decided.get(&inst)
+        self.decided.get(index(inst))?.as_ref()
     }
 
     /// Number of undecided instances — the open work the periodic timers
@@ -140,8 +242,19 @@ impl ConsensusEngine {
     /// The round state of an instance the caller knows to be undecided,
     /// created on first contact.
     fn instance_mut(&mut self, inst: RegId) -> &mut Instance {
-        debug_assert!(!self.decided.contains_key(&inst), "{inst} is decided");
-        self.instances.entry(inst).or_default()
+        debug_assert!(self.decided(inst).is_none(), "{inst} is decided");
+        let peers = self.peers.len();
+        self.instances.entry(inst).or_insert_with(|| Instance::new(peers))
+    }
+
+    /// Sends `msg()` to every peer but this server, walking `peers` in
+    /// order.
+    fn broadcast(&self, ctx: &mut dyn Context, msg: impl Fn() -> ConsensusMsg) {
+        for &p in &self.peers {
+            if p != self.me {
+                ctx.send(p, Payload::Consensus(msg()));
+            }
+        }
     }
 
     /// Proposes `value` for `inst`. If the instance is already decided
@@ -169,11 +282,8 @@ impl ConsensusEngine {
         };
         let coord = self.coord(round);
         if coord == me {
-            self.instances
-                .get_mut(&inst)
-                .expect("just created")
-                .estimates
-                .insert(me, (est.clone(), ts));
+            let i = self.instances.get_mut(&inst).expect("just created");
+            i.estimates.set(self.me_at, (est.clone(), ts));
             if round > 0 {
                 // Announce the round so peers join and contribute the
                 // majority of estimates this round needs.
@@ -198,24 +308,21 @@ impl ConsensusEngine {
     /// value): one message per peer, none if already decided. Callers pull
     /// a slot once per resync period.
     pub fn pull(&mut self, ctx: &mut dyn Context, inst: RegId) {
-        if self.decided.contains_key(&inst) {
+        if self.decided(inst).is_some() {
             return;
         }
         self.instance_mut(inst);
-        for p in self.peers.clone() {
-            if p != self.me {
-                ctx.send(p, Payload::Consensus(ConsensusMsg::DecideReq { inst }));
-            }
-        }
+        self.broadcast(ctx, || ConsensusMsg::DecideReq { inst });
     }
 
-    /// Feeds one runtime event. Returns instances decided *by this call*.
+    /// Feeds one runtime event. Returns instances decided *by this call*
+    /// (usually none or one, which a [`Few`] holds without allocating).
     pub fn handle(
         &mut self,
         ctx: &mut dyn Context,
         event: &Event,
         suspects: Suspects<'_>,
-    ) -> Vec<(RegId, RegValue)> {
+    ) -> Few<(RegId, RegValue)> {
         match event {
             Event::Message { from, payload: Payload::Consensus(m) } => {
                 self.on_msg(ctx, *from, m.clone(), suspects);
@@ -284,7 +391,7 @@ impl ConsensusEngine {
         let est = i.est.clone();
         let ts = i.ts;
         if coord == me {
-            i.estimates.insert(me, (est.clone(), ts));
+            i.estimates.set(self.me_at, (est.clone(), ts));
             // enter_round is only called with round ≥ 1: announce so peers
             // join (they may never have heard of this instance).
             self.send_estimates(ctx, inst, round, est, ts);
@@ -314,24 +421,11 @@ impl ConsensusEngine {
             ctx.send(coord, Payload::Consensus(ConsensusMsg::Estimate { inst, round, est, ts }));
             return;
         }
-        for p in self.peers.clone() {
-            if p != self.me {
-                ctx.send(
-                    p,
-                    Payload::Consensus(ConsensusMsg::Estimate {
-                        inst,
-                        round,
-                        est: est.clone(),
-                        ts,
-                    }),
-                );
-            }
-        }
+        self.broadcast(ctx, || ConsensusMsg::Estimate { inst, round, est: est.clone(), ts });
     }
 
     /// Coordinator-side: propose if this round's preconditions are met.
     fn try_propose(&mut self, ctx: &mut dyn Context, inst: RegId) {
-        let me = self.me;
         let majority = self.majority;
         let Some(i) = self.instances.get_mut(&inst) else { return };
         if i.proposal.is_some() {
@@ -342,15 +436,20 @@ impl ConsensusEngine {
         // by sender id for determinism.
         let best = i
             .estimates
+            .entries()
             .iter()
-            .filter_map(|(&n, (e, ts))| e.clone().map(|v| (*ts, n, v)))
-            .max_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)))
-            .map(|(_, _, v)| v);
+            .zip(&self.peers)
+            .filter_map(|(e, &n)| {
+                let (est, ts) = e.as_ref()?;
+                Some((*ts, n, est.as_ref()?))
+            })
+            .max_by_key(|&(ts, n, _)| (ts, n))
+            .map(|(_, _, v)| v.clone());
         let ready = if round == 0 {
             // Fast path: all timestamps are 0, any known estimate is safe.
             best.is_some()
         } else {
-            i.estimates.len() >= majority && best.is_some()
+            i.estimates.count() >= majority && best.is_some()
         };
         if !ready {
             return;
@@ -359,41 +458,26 @@ impl ConsensusEngine {
         i.proposal = Some(value.clone());
         // The coordinator adopts its own proposal and acks itself.
         i.est = Some(value.clone());
-        i.ts = round;
-        i.acks.insert(me);
-        for p in self.peers.clone() {
-            if p != me {
-                ctx.send(
-                    p,
-                    Payload::Consensus(ConsensusMsg::Propose { inst, round, value: value.clone() }),
-                );
-            }
-        }
+        i.ts = round + 1;
+        i.acks.set(self.me_at, ());
+        self.broadcast(ctx, || ConsensusMsg::Propose { inst, round, value: value.clone() });
         // Single-replica degenerate case decides instantly.
         self.try_decide(ctx, inst);
     }
 
     fn try_decide(&mut self, ctx: &mut dyn Context, inst: RegId) {
-        let me = self.me;
         let majority = self.majority;
         let Some(i) = self.instances.get_mut(&inst) else { return };
-        if i.acks.len() < majority {
+        if i.acks.count() < majority {
             return;
         }
         let value = i.proposal.clone().expect("acks imply a proposal");
         self.record_decision(inst, value.clone());
-        for p in self.peers.clone() {
-            if p != me {
-                ctx.send(
-                    p,
-                    Payload::Consensus(ConsensusMsg::Decide { inst, value: value.clone() }),
-                );
-            }
-        }
+        self.broadcast(ctx, || ConsensusMsg::Decide { inst, value: value.clone() });
     }
 
     fn learn(&mut self, inst: RegId, value: RegValue) {
-        if !self.decided.contains_key(&inst) {
+        if self.decided(inst).is_none() {
             self.record_decision(inst, value);
         }
     }
@@ -402,7 +486,11 @@ impl ConsensusEngine {
     /// goes, the value stays.
     fn record_decision(&mut self, inst: RegId, value: RegValue) {
         self.instances.remove(&inst);
-        self.decided.insert(inst, value.clone());
+        let at = index(inst);
+        if at >= self.decided.len() {
+            self.decided.resize(at + 1, None);
+        }
+        self.decided[at] = Some(value.clone());
         self.fresh.push((inst, value));
     }
 
@@ -429,9 +517,10 @@ impl ConsensusEngine {
                     // our own estimate out).
                     self.enter_round(ctx, inst, round);
                 }
+                let from_at = self.position(from);
                 let Some(i) = self.instances.get_mut(&inst) else { return };
-                if i.round == round {
-                    i.estimates.insert(from, (est, ts));
+                if let Some(at) = from_at.filter(|_| i.round == round) {
+                    i.estimates.set(at, (est, ts));
                 }
                 if self.coord(round) == self.me {
                     self.try_propose(ctx, inst);
@@ -453,7 +542,7 @@ impl ConsensusEngine {
                 let Some(i) = self.instances.get_mut(&inst) else { return };
                 if i.round == round && !i.acked {
                     i.est = Some(value);
-                    i.ts = round;
+                    i.ts = round + 1;
                     i.acked = true;
                     ctx.send(from, Payload::Consensus(ConsensusMsg::Ack { inst, round }));
                 } else if i.round == round {
@@ -465,9 +554,12 @@ impl ConsensusEngine {
                 }
             }
             ConsensusMsg::Ack { inst, round } => {
+                let from_at = self.position(from);
                 let Some(i) = self.instances.get_mut(&inst) else { return };
                 if i.round == round && i.proposal.is_some() {
-                    i.acks.insert(from);
+                    if let Some(at) = from_at {
+                        i.acks.set(at, ());
+                    }
                     self.try_decide(ctx, inst);
                 }
             }
@@ -496,9 +588,7 @@ impl ConsensusEngine {
             if i.est.is_none() {
                 continue; // heard of, never proposed here: no value of ours to chase
             }
-            for &p in self.peers.iter().filter(|&&p| p != self.me) {
-                ctx.send(p, Payload::Consensus(ConsensusMsg::DecideReq { inst }));
-            }
+            self.broadcast(ctx, || ConsensusMsg::DecideReq { inst });
         }
     }
 
@@ -512,7 +602,7 @@ impl ConsensusEngine {
     /// the original value can no longer matter to anyone (e.g. a
     /// decision-log slot whose every request is settled).
     pub fn compact(&mut self, inst: RegId, placeholder: RegValue) -> bool {
-        match self.decided.get_mut(&inst) {
+        match self.decided.get_mut(index(inst)).and_then(Option::as_mut) {
             Some(value) => {
                 *value = placeholder;
                 true
@@ -525,17 +615,16 @@ impl ConsensusEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{claim_by, Outbox};
+    use crate::testutil::{claim_by, claimant, Outbox};
     use etx_base::ids::TimerId;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, VecDeque};
 
     const ME: NodeId = NodeId(0);
     const PEERS: [NodeId; 3] = [NodeId(0), NodeId(1), NodeId(2)];
 
-    /// A small register universe, so steps collide on instances.
-    fn reg(pick: u8) -> RegId {
-        RegId::slot(u64::from(pick % 4))
+    fn reg(slot: u64) -> RegId {
+        RegId::slot(slot)
     }
 
     /// What a resync tick must pull, in the order it must send it: every
@@ -574,27 +663,80 @@ mod tests {
         assert_eq!(propose(claim_by(NodeId(2))), [(coord, nack)]);
     }
 
+    /// Seven engines, more than [`INLINE_PEERS`]: their round state lives
+    /// on the heap. Round 0 decides one register; for a second, every
+    /// server but n0 suspects n0, so round 1's coordinator gathers a
+    /// majority of four estimates and acks by position. All agree.
+    #[test]
+    fn a_group_larger_than_the_inline_round_state_decides() {
+        let peers: Vec<NodeId> = (0..7).map(NodeId).collect();
+        assert!(peers.len() > INLINE_PEERS);
+        let mut engines: Vec<_> = peers
+            .iter()
+            .map(|&p| ConsensusEngine::new(p, &peers, EngineConfig::default()))
+            .collect();
+        let mut decided: BTreeMap<(NodeId, RegId), RegValue> = BTreeMap::new();
+        for (inst, writers) in [(reg(0), 0..1), (reg(1), 1..7)] {
+            let n0_down = inst == reg(1);
+            let sus = move |n: NodeId| n0_down && n == NodeId(0);
+            let mut net = VecDeque::new();
+            for w in writers {
+                let mut ctx = Outbox::new(peers[w]);
+                if let Some(v) = engines[w].propose(&mut ctx, inst, claim_by(peers[w]), &sus) {
+                    decided.insert((peers[w], inst), v);
+                }
+                net.extend(ctx.sent.into_iter().map(|(to, m)| (peers[w], to, m)));
+            }
+            while let Some((from, to, payload)) = net.pop_front() {
+                if n0_down && (from == NodeId(0) || to == NodeId(0)) {
+                    continue;
+                }
+                let mut ctx = Outbox::new(to);
+                let event = Event::Message { from, payload };
+                for (r, v) in engines[to.0 as usize].handle(&mut ctx, &event, &sus) {
+                    decided.insert((to, r), v);
+                }
+                net.extend(ctx.sent.into_iter().map(|(t, m)| (to, t, m)));
+            }
+            let live = if n0_down { 1..7 } else { 0..7 };
+            let values: Vec<_> = live.map(|n| decided.get(&(peers[n], inst))).collect();
+            assert!(values.iter().all(|v| v.is_some() && *v == values[0]), "{inst}: {values:?}");
+        }
+        assert_eq!(claimant(&decided[&(NodeId(0), reg(0))]), NodeId(0), "round 0's writer");
+    }
+
+    /// A register universe with two slots far ahead of the first four.
+    const UNIVERSE: [u64; 6] = [0, 1, 2, 3, 40, 64];
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
 
         /// Whatever interleaving of writes, peer messages, pulls, timers,
-        /// suspicion flips and GC calls an engine sees, the instances it
-        /// keeps round state for are exactly its undecided ones — deciding
-        /// moves an instance out, nothing moves it back — and a resync
-        /// tick pulls exactly those it holds an estimate for.
+        /// suspicion flips, GC calls and recoveries an engine sees —
+        /// decisions out of slot order and far ahead of the lowest open
+        /// slot, a recovered (empty) engine pulling from slot 0 — its
+        /// slot-indexed state matches an ordered-map model: `decided()`
+        /// answers what the engine reported deciding (or the placeholder
+        /// compacted over it) and nothing else, `compact` succeeds exactly
+        /// on decided slots, the instances it keeps round state for are
+        /// exactly its undecided ones — deciding moves an instance out,
+        /// nothing moves it back — and a resync tick pulls exactly those
+        /// it holds an estimate for.
         #[test]
         fn open_set_is_the_undecided_instances(
             steps in proptest::collection::vec(
-                (0u8..11, 0u8..4, 0u32..3, 1u32..3, 0u32..3, 0u8..8),
+                (0u8..13, 0usize..6, 0u32..3, 1u32..3, 0u32..3, 0u8..8),
                 1..120,
             ),
         ) {
             let mut engine = ConsensusEngine::new(ME, &PEERS, EngineConfig::default());
+            let mut model: BTreeMap<RegId, RegValue> = BTreeMap::new();
             for (op, pick, round, from, v, suspected) in steps {
-                let inst = reg(pick);
+                let inst = RegId::slot(UNIVERSE[pick]);
                 let value = claim_by(NodeId(v));
                 let sus = move |n: NodeId| suspected & (1 << n.0) != 0;
                 let mut ctx = Outbox::new(ME);
+                let mut reported = Vec::new();
                 let msg = match op {
                     0 => Some(ConsensusMsg::Estimate { inst, round, est: Some(value), ts: round }),
                     1 => Some(ConsensusMsg::Estimate { inst, round, est: None, ts: 0 }),
@@ -604,7 +746,12 @@ mod tests {
                     5 => Some(ConsensusMsg::Decide { inst, value }),
                     6 => Some(ConsensusMsg::DecideReq { inst }),
                     7 => {
-                        engine.propose(&mut ctx, inst, value, &sus);
+                        let known = model.get(&inst).cloned();
+                        let answer = engine.propose(&mut ctx, inst, value, &sus);
+                        match known {
+                            Some(d) => prop_assert_eq!(answer, Some(d), "a decided write answers"),
+                            None => reported.extend(answer.map(|d| (inst, d))),
+                        }
                         None
                     }
                     8 => {
@@ -614,21 +761,49 @@ mod tests {
                     }
                     9 => {
                         let tag = TimerTag::ConsensusRound { inst, round };
-                        engine.handle(&mut ctx, &Event::Timer { id: TimerId(0), tag }, &sus);
+                        reported.extend(engine.handle(&mut ctx, &Event::Timer { id: TimerId(0), tag }, &sus));
+                        None
+                    }
+                    10 => {
+                        let placeholder = claim_by(NodeId(7));
+                        let compacted = engine.compact(inst, placeholder.clone());
+                        prop_assert_eq!(compacted, model.contains_key(&inst));
+                        if let Some(d) = model.get_mut(&inst) {
+                            *d = placeholder;
+                        }
+                        None
+                    }
+                    11 => {
+                        // A recovered server: no decision, no round state.
+                        engine = ConsensusEngine::new(ME, &PEERS, EngineConfig::default());
+                        model.clear();
                         None
                     }
                     _ => {
-                        engine.compact(inst, claim_by(NodeId(7)));
+                        // Its resync from slot 0, up to the slot picked.
+                        for k in UNIVERSE.iter().filter(|&&k| k <= UNIVERSE[pick]) {
+                            engine.pull(&mut ctx, RegId::slot(*k));
+                        }
                         None
                     }
                 };
                 if let Some(m) = msg {
                     let event = Event::Message { from: NodeId(from), payload: Payload::Consensus(m) };
-                    engine.handle(&mut ctx, &event, &sus);
+                    reported.extend(engine.handle(&mut ctx, &event, &sus));
+                }
+                // Decisions a call left in the buffer surface at the next
+                // event, whatever it is.
+                reported.extend(engine.handle(&mut ctx, &Event::Init, &sus));
+                for (r, d) in reported {
+                    prop_assert!(model.insert(r, d).is_none(), "{} decided twice", r);
+                }
+                for k in UNIVERSE.into_iter().chain([5, 63, 65, 1_000]) {
+                    let r = RegId::slot(k);
+                    prop_assert_eq!(engine.decided(r), model.get(&r), "decided({})", r);
                 }
                 let open: BTreeSet<RegId> = engine.instances.keys().copied().collect();
                 let undecided: BTreeSet<RegId> =
-                    open.iter().copied().filter(|&k| engine.decided(k).is_none()).collect();
+                    open.iter().copied().filter(|k| !model.contains_key(k)).collect();
                 prop_assert_eq!(&open, &undecided, "after op {} on {}", op, inst);
                 let mut pulled = Outbox::new(ME);
                 engine.resync(&mut pulled);

@@ -21,10 +21,12 @@
 
 pub mod declog;
 pub mod engine;
+pub mod few;
 pub mod woreg;
 
 pub use declog::{AppliedSlot, DecisionLog};
 pub use engine::{ConsensusEngine, EngineConfig, Suspects};
+pub use few::Few;
 pub use woreg::{WoEvent, WoRegisters};
 
 /// What the unit tests of this crate share: an inert [`Context`] that

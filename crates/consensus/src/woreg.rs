@@ -10,6 +10,7 @@
 //! the "keep reading and you will eventually see the value" liveness.
 
 use crate::engine::{ConsensusEngine, EngineConfig, Suspects};
+use crate::few::Few;
 use etx_base::ids::{NodeId, RegId};
 use etx_base::runtime::{Context, Event};
 use etx_base::value::RegValue;
@@ -78,18 +79,15 @@ impl WoRegisters {
         self.engine.open_instances()
     }
 
-    /// Feeds a runtime event; returns registers decided by this call.
+    /// Feeds a runtime event; returns registers decided by this call
+    /// (owned: the caller may go on using the bank while it reads them).
     pub fn handle(
         &mut self,
         ctx: &mut dyn Context,
         event: &Event,
         suspects: Suspects<'_>,
-    ) -> Vec<WoEvent> {
-        self.engine
-            .handle(ctx, event, suspects)
-            .into_iter()
-            .map(|(reg, value)| WoEvent::Decided { reg, value })
-            .collect()
+    ) -> Few<WoEvent> {
+        self.engine.handle(ctx, event, suspects).map(|(reg, value)| WoEvent::Decided { reg, value })
     }
 
     /// Re-evaluates stalled writes after a suspicion change.

@@ -5,7 +5,7 @@
 //! alive and the oracle eventually tells the truth.
 
 use etx_base::ids::{NodeId, RegId, RequestId, ResultId, TimerId};
-use etx_base::msg::Payload;
+use etx_base::msg::{ConsensusMsg, Payload};
 use etx_base::runtime::{Context, Event, TimerTag};
 use etx_base::time::{Dur, Time};
 use etx_base::trace::TraceKind;
@@ -155,6 +155,28 @@ impl World {
             self.decided[idx] = Some(value);
         }
         self.drain(to, ctx);
+    }
+
+    /// Delivers the oldest in-flight message `pick` accepts, as
+    /// `(from, to, message)`; `false` if there is none.
+    fn deliver_first(&mut self, pick: impl Fn(NodeId, NodeId, &ConsensusMsg) -> bool) -> bool {
+        let matches = |(from, to, payload): &(NodeId, NodeId, Payload)| matches!(payload, Payload::Consensus(m) if pick(*from, *to, m));
+        let Some(k) = self.bag.iter().position(matches) else { return false };
+        let picked = self.bag.remove(k).expect("index in range");
+        self.bag.push_front(picked);
+        self.deliver_nth(0);
+        true
+    }
+
+    /// Node `idx` starts suspecting `suspect` (and nobody else).
+    fn suspect_at(&mut self, idx: usize, suspect: NodeId) {
+        let me = NodeId(idx as u32);
+        let mut ctx = MockCtx::new(me);
+        let sus = move |n: NodeId| n == suspect;
+        if let Some(engine) = self.engines[idx].as_mut() {
+            engine.on_suspicion_change(&mut ctx, &sus);
+        }
+        self.drain(me, ctx);
     }
 
     /// Fires the patience re-check at every live engine (models timers).
@@ -324,4 +346,33 @@ fn compacted_instance_answers_late_writers_instead_of_reopening() {
         Some(&placeholder),
         "the late writer must adopt the compacted decision, not re-decide the position"
     );
+}
+
+/// One decision per register when a round-0 decision meets a false
+/// suspicion — a schedule the paper allows (an unreliable detector, a
+/// `Decide` slower than it). n0 coordinates round 0, proposes X, and
+/// decides it with n1's ack; then every link to and from n0 goes slow.
+/// n2, which proposed Y and never saw n0's proposal, suspects n0 and
+/// starts round 1, whose coordinator is n1. n1 holds X, adopted from
+/// round 0's proposal, and n2 holds its own initial Y. The coordinator
+/// must propose X: it may already be decided. An adoption stamped with
+/// its round number (0 in round 0) tied with an initial value, the tie
+/// went to the higher sender id, and n1 and n2 decided Y while n0 had
+/// decided X.
+#[test]
+fn a_round_zero_adoption_outranks_an_initial_estimate() {
+    let (x, y) = (claim_by(NodeId(0)), claim_by(NodeId(2)));
+    let mut w = World::new(3, vec![]);
+    let (n0, n1) = (NodeId(0), NodeId(1));
+    w.propose(0, x.clone());
+    w.propose(2, y);
+    assert!(
+        w.deliver_first(|f, t, m| (f, t) == (n0, n1) && matches!(m, ConsensusMsg::Propose { .. }))
+    );
+    assert!(w.deliver_first(|f, t, m| (f, t) == (n1, n0) && matches!(m, ConsensusMsg::Ack { .. })));
+    assert_eq!(w.decided[0].as_ref(), Some(&x), "round 0 decides X at n0");
+    w.suspect_at(2, n0);
+    while w.deliver_first(|f, t, _| f != n0 && t != n0) {}
+    assert_eq!(w.decided[1].as_ref(), Some(&x), "n1 decides what n0 decided");
+    assert_eq!(w.decided[2].as_ref(), Some(&x), "n2 decides what n0 decided");
 }

@@ -80,7 +80,7 @@ use etx_base::shard::ShardMap;
 use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, TraceKind};
 use etx_base::value::{Decision, Outcome, RegValue, Request};
-use etx_consensus::{AppliedSlot, DecisionLog, EngineConfig, WoEvent, WoRegisters};
+use etx_consensus::{AppliedSlot, DecisionLog, EngineConfig, Few, WoEvent, WoRegisters};
 use etx_fd::FailureDetector;
 use std::collections::BTreeMap;
 
@@ -718,7 +718,7 @@ impl AppServer {
     /// share, pre-pays the commit processing while the round runs, and
     /// resolves the stash when the slot's `Decide` names it. Then the
     /// slots the pump decided apply.
-    fn after_pump(&mut self, ctx: &mut dyn Context, applied: Vec<AppliedSlot>) {
+    fn after_pump(&mut self, ctx: &mut dyn Context, applied: Few<AppliedSlot>) {
         if let Some((slot, batch)) =
             self.log.opened_proposal().filter(|_| self.cfg.features.speculation.enabled)
         {
@@ -739,7 +739,7 @@ impl AppServer {
     /// waiting on it computes or watches. Every first-occurrence outcome is
     /// final, and the ones this server initiated terminate now — grouped,
     /// so one slot becomes one `Decide` per involved database.
-    fn apply_slots(&mut self, ctx: &mut dyn Context, applied: Vec<AppliedSlot>) {
+    fn apply_slots(&mut self, ctx: &mut dyn Context, applied: Few<AppliedSlot>) {
         for slot in applied {
             for (client, ack_below) in slot.watermarks {
                 self.gc_below(ctx, client, ack_below);

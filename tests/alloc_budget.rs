@@ -16,7 +16,11 @@
 //! its process (one `#[test]`, a counting `#[global_allocator]`), builds
 //! the scenario at two plan lengths, and runs a small
 //! `commit_sim16`-shaped scenario — the saturated sharded write pipeline
-//! `etx_bench` measures — twice.
+//! `etx_bench` measures — twice. Then it runs a small scenario of the
+//! paper's shape (`paper_seq1`: one sequential client, no batching, two
+//! decision-log slots per request on three application servers) twice
+//! and gates its allocations per commit too: there the consensus rounds
+//! themselves, not the batches they carry, are the heap traffic.
 //!
 //! That the count repeats **exactly** is an observation, not a guarantee:
 //! 200 of 200 executions of this binary read the same figure in both runs.
@@ -30,6 +34,7 @@
 //! differ by an allocation or two, look for a table whose layout follows
 //! something other than the seed before suspecting the protocol.
 
+use etx::base::config::FeatureSet;
 use etx::harness::{feature_corners, MiddleTier, ScenarioBuilder, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -104,9 +109,10 @@ const PARENT: f64 = 82.18;
 /// in at 55.74 (per-client attempt windows, shared result payloads; ceiling
 /// 58.5). Write sets sealed once at the vote and shared by the `Prepared`
 /// record, the shipment and the follower's record took it from 56.60 to
-/// 50.10. A change that needs more heap traffic per commit than this should
-/// say why, and raise the ceiling on purpose.
-const CEILING: f64 = 52.6;
+/// 50.10 (ceiling 52.6). Slot-indexed consensus state and one-item results
+/// held in place took it to 44.91. A change that needs more heap traffic
+/// per commit than this should say why, and raise the ceiling on purpose.
+const CEILING: f64 = 47.2;
 
 /// Simulator events per delivered commit at the parent of the change that
 /// introduced the event budget: per-attempt retry timers that fire as
@@ -150,6 +156,21 @@ const TRACE_PARENT: f64 = 17.65;
 /// metric or trigger read — then left the trace: 9.25, ceiling 9.7.
 const TRACE_CEILING: f64 = 9.7;
 
+/// Allocations per delivered commit of the paper-shaped scenario at the
+/// parent of the change that introduced its budget: per-slot state in
+/// ordered maps, a fresh vector for every decided register, applied slot
+/// and entry list.
+const PAPER_PARENT: f64 = 83.04;
+
+/// The paper-shaped budget: the figure of the change that introduced it
+/// (45.22 — slot-indexed consensus state, one-item results held in
+/// place), plus 5 %.
+const PAPER_CEILING: f64 = 47.5;
+
+/// Requests of the paper-shaped scenario: its one client issues them one
+/// after another.
+const PAPER_REQUESTS: u64 = 200;
+
 /// Requests per client of the long plan the build gate compares with
 /// [`REQUESTS`].
 const LONG_PLAN: u64 = 5_000;
@@ -188,16 +209,26 @@ fn built(requests: u64) -> i64 {
     kept
 }
 
-/// Builds the scenario, runs it to the last delivery, and returns the
-/// allocations the run made, the heap bytes it left live, the events the
-/// simulator processed and the trace events it stored.
-fn one_run() -> (u64, i64, u64, usize) {
-    let mut s = scenario(REQUESTS).build();
+/// The paper's shape: `etx_bench`'s `paper_seq1` (the paper's cost
+/// model, one client, default features) at [`PAPER_REQUESTS`] requests.
+fn paper_scenario() -> ScenarioBuilder {
+    ScenarioBuilder::new(MiddleTier::Etx { apps: 3 }, 7_018)
+        .features(FeatureSet::default())
+        .clients(1)
+        .requests(PAPER_REQUESTS)
+        .workload(Workload::BankUpdate { amount: 7 })
+}
+
+/// Builds `builder`'s scenario, runs it until `commits` are delivered, and
+/// returns the allocations the run made, the heap bytes it left live, the
+/// events the simulator processed and the trace events it stored.
+fn one_run(builder: ScenarioBuilder, commits: usize) -> (u64, i64, u64, usize) {
+    let mut s = builder.build();
     let (before, live) = (ALLOCATIONS.get(), LIVE.get());
-    let outcome = s.run_until_settled(CLIENTS * REQUESTS as usize);
+    let outcome = s.run_until_settled(commits);
     let (allocations, retained) = (ALLOCATIONS.get() - before, LIVE.get() - live);
     assert_eq!(outcome, etx::sim::RunOutcome::Predicate, "the run must settle");
-    assert_eq!(s.delivered_commits(), CLIENTS * REQUESTS as usize);
+    assert_eq!(s.delivered_commits(), commits);
     (allocations, retained, s.sim().processed(), s.trace().len())
 }
 
@@ -212,7 +243,8 @@ fn the_commit_path_stays_within_its_allocation_budget() {
         "build() keeps {short} bytes for {REQUESTS} requests per client and {long} for \
          {LONG_PLAN}: a client holds its window, not its plan"
     );
-    let ((first, retained, events, traced), (second, _, again, retraced)) = (one_run(), one_run());
+    let run = || one_run(scenario(REQUESTS), CLIENTS * REQUESTS as usize);
+    let ((first, retained, events, traced), (second, _, again, retraced)) = (run(), run());
     assert_eq!(first, second, "one seed, two allocation counts: see the module doc for suspects");
     assert_eq!(events, again, "one seed, two event counts");
     assert_eq!(traced, retraced, "one seed, two trace lengths");
@@ -254,5 +286,18 @@ fn the_commit_path_stays_within_its_allocation_budget() {
         traced_per_commit <= TRACE_CEILING,
         "{traced_per_commit:.2} trace events per commit, budget {TRACE_CEILING} \
          (parent of the budget: {TRACE_PARENT})"
+    );
+    let paper = || one_run(paper_scenario(), PAPER_REQUESTS as usize).0;
+    let (first, second) = (paper(), paper());
+    assert_eq!(first, second, "one seed, two paper-shape allocation counts");
+    let per_commit = first as f64 / PAPER_REQUESTS as f64;
+    println!(
+        "paper shape: {first} allocations, {per_commit:.2} per commit \
+         (parent {PAPER_PARENT}, ceiling {PAPER_CEILING})"
+    );
+    assert!(
+        per_commit <= PAPER_CEILING,
+        "paper shape: {per_commit:.2} allocations per commit, budget {PAPER_CEILING} \
+         (parent of the budget: {PAPER_PARENT})"
     );
 }
