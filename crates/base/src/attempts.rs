@@ -241,6 +241,12 @@ impl<V> AttemptWindows<V> {
         self.window(client).map_or(0, |w| w.floor)
     }
 
+    /// Every client's floor that a drain has raised above 0, in client
+    /// order.
+    pub fn floors(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        self.clients.iter().filter(|w| w.floor > 0).map(|w| (w.client, w.floor))
+    }
+
     /// The prefix drain: raises `client`'s floor to `seq` (floors never
     /// fall) and removes the client's attempts with a sequence number below
     /// `seq` **except** those `keep` returns `true` for. `keep` sees every
@@ -455,6 +461,9 @@ mod tests {
                 for (&client, &floor) in &floors {
                     proptest::prop_assert_eq!(t.floor(client), floor);
                 }
+                let raised: Vec<(NodeId, u64)> =
+                    floors.iter().filter(|f| *f.1 > 0).map(|(&c, &f)| (c, f)).collect();
+                proptest::prop_assert_eq!(t.floors().collect::<Vec<_>>(), raised);
             }
         }
     }

@@ -335,8 +335,7 @@ mod tests {
         let on_span: TracePred = Arc::new(|ev| matches!(ev.kind, TraceKind::Span { .. }));
         triggers.arm(on_span, FaultOp::Crash(NodeId(1)));
         let rid = crate::ids::ResultId::first(crate::ids::RequestId { client: NodeId(0), seq: 1 });
-        let span =
-            TraceKind::Span { rid, comp: crate::trace::Component::Sql, dur: crate::time::Dur(5) };
+        let span = TraceKind::Span { rid, comp: crate::trace::Component::Sql };
         record(&mut trace, &mut triggers, TraceEvent::new(Time(1), NodeId(0), TraceKind::Crash));
         record(&mut trace, &mut triggers, TraceEvent::new(Time(2), NodeId(0), span));
         assert_eq!(triggers.fired(), [FaultOp::Crash(NodeId(1))], "the span was offered");

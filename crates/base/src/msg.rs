@@ -199,6 +199,11 @@ pub enum DbMsg {
         /// unreliable baseline does not). Figure 8 shows the XA path costs a
         /// few extra milliseconds of SQL time.
         xa: bool,
+        /// The sender's watermark for `rid`'s client: every request of the
+        /// client below it is settled. The database drains its decide memo
+        /// below it and refuses branches below it (`etx_store::Engine::
+        /// settle_below`). 0 from a sender that keeps no watermark.
+        floor: u64,
     },
     /// `[Prepare, j]` — request a vote.
     Prepare {

@@ -202,9 +202,10 @@ pub trait Context {
     /// [`SpanTotals`] and, while a trace trigger is armed,
     /// [records](crate::host::record) it as a [`TraceKind::Span`]: offered
     /// to the triggers, not kept in the trace. The default, for a context
-    /// that keeps no totals, traces it.
-    fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
-        self.trace(TraceKind::Span { rid, comp, dur });
+    /// that keeps no totals, traces it (without `dur`, which only totals
+    /// keep).
+    fn span(&mut self, rid: ResultId, comp: Component, _dur: Dur) {
+        self.trace(TraceKind::Span { rid, comp });
     }
 
     /// Causal depth of the event currently being handled (number of

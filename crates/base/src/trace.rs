@@ -17,7 +17,7 @@
 
 use crate::ids::{NodeId, RequestId, ResultId};
 use crate::msg::Payload;
-use crate::time::{Dur, Time};
+use crate::time::Time;
 use crate::value::{Outcome, Vote};
 use core::fmt;
 
@@ -182,17 +182,11 @@ pub enum TraceKind {
     /// A lagging shard follower refused to serve a fast-path read and
     /// forwarded it to its primary: its applied replication position was
     /// behind the read's freshness stamp (the read-your-writes gate).
-    ReadForwarded {
-        /// The read-only attempt forwarded. Boxed because inline it made
-        /// this the one variant over 32 bytes, and every event is as large
-        /// as the largest variant; this one is rare. A `Box` renders as
-        /// what it holds, so the trace's text is that of an inline id.
-        rid: Box<ResultId>,
-        /// The follower's applied replication position.
-        have: u64,
-        /// The read's freshness stamp it fell short of.
-        need: u64,
-    },
+    ///
+    /// The payload is boxed whole: inline, its id and two positions made
+    /// this the one variant over 24 bytes, and every event is as large as
+    /// the largest variant. Forwards are rare; events are not.
+    ReadForwarded(Box<Forwarded>),
     /// The issuer's retry backstop re-sent a fast-path read's unanswered
     /// calls (a crashed replica or a lost message must not stall an
     /// idempotent read). Only emitted by the read fast lane.
@@ -271,15 +265,15 @@ pub enum TraceKind {
         /// The decided slot whose speculation was thrown away.
         slot: u64,
     },
-    /// A latency span attributed to a Figure 8 component. `dur` is modelled
-    /// service time, recorded when incurred.
+    /// A latency span attributed to a Figure 8 component, offered to the
+    /// armed fault triggers and never kept. Its modelled duration is not
+    /// in the event: each host sums it per component in
+    /// [`crate::metrics::SpanTotals`], which is where Figure 8 reads it.
     Span {
         /// The attempt the work belongs to.
         rid: ResultId,
         /// Bucket.
         comp: Component,
-        /// Modelled duration.
-        dur: Dur,
     },
     /// Process crashed (kernel-emitted).
     Crash,
@@ -316,7 +310,19 @@ pub enum TraceKind {
 
 // A trace holds millions of events: a new variant that outgrows the others
 // regrows every one of them.
-const _: () = assert!(size_of::<TraceEvent>() == 48);
+const _: () = assert!(size_of::<TraceKind>() == 24);
+const _: () = assert!(size_of::<TraceEvent>() == 40);
+
+/// What a [`TraceKind::ReadForwarded`] event records.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Forwarded {
+    /// The read-only attempt forwarded.
+    pub rid: ResultId,
+    /// The follower's applied replication position.
+    pub have: u64,
+    /// The read's freshness stamp it fell short of.
+    pub need: u64,
+}
 
 impl TraceEvent {
     /// Convenience constructor.
@@ -506,7 +512,7 @@ mod tests {
                 Payload::App(AppMsg::Exception { request: rid.request, reason: String::new() }),
                 "Exception",
             ),
-            (Payload::Db(DbMsg::Exec { rid, ops: Arc::from([]), xa: true }), "Exec"),
+            (Payload::Db(DbMsg::Exec { rid, ops: Arc::from([]), xa: true, floor: 0 }), "Exec"),
             (Payload::Db(DbMsg::Prepare { rid, cross: false }), "Prepare"),
             (Payload::Db(DbMsg::decide_one(rid, Outcome::Commit)), "Decide"),
             (Payload::Db(DbMsg::CommitOnePhase { rid }), "Commit1P"),

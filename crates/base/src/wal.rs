@@ -25,7 +25,10 @@
 //! after it. A database takes one once the records appended since the last
 //! reach the size of its last image (and at least a fixed minimum), so the
 //! log it keeps is bounded by its state rather than by its history, and
-//! copying the image costs O(1) per appended record.
+//! copying the image costs O(1) per appended record. That state is bounded
+//! too: the decide memo an image carries holds only what its clients'
+//! watermarks have not settled, and the image keeps those watermarks
+//! ([`Image::floors`]).
 //!
 //! *The durability boundary.* Both hosts keep storage in memory and treat
 //! an append as durable once it returns, so dropping the prefix at once is
@@ -33,7 +36,7 @@
 //! it) **before** it truncates the prefix: a crash between the two must
 //! find either the old log or the checkpoint, never neither.
 
-use crate::ids::ResultId;
+use crate::ids::{NodeId, ResultId};
 use crate::value::{Outcome, ResultValue, ShippedEntries};
 use std::collections::BTreeMap;
 
@@ -158,8 +161,13 @@ pub struct Image {
     pub data: Vec<(String, i64)>,
     /// Prepared, undecided (in-doubt) branches and their redo sets.
     pub prepared: Vec<(ResultId, ShippedEntries)>,
-    /// The decide memo: every decided branch's applied outcome.
+    /// The decide memo: the applied outcome of every decided branch at or
+    /// above its client's floor.
     pub decided: Vec<(ResultId, Outcome)>,
+    /// Per client, in client order, the floor below which every request is
+    /// settled: the memo holds nothing below it, and a recovered database
+    /// keeps refusing what it drained. Clients at floor 0 are left out.
+    pub floors: Vec<(NodeId, u64)>,
     /// Primary role: the count of logged commit outcomes (ship position).
     pub ship_seq: u64,
     /// Follower role: the highest contiguously applied ship position.

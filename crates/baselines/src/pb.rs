@@ -134,7 +134,7 @@ impl PbServer {
 
     fn begin_exec(&mut self, ctx: &mut dyn Context, rid: ResultId) {
         let Some(Phase::AwaitingStartAck { request, .. }) = self.attempts.get(&rid) else { return };
-        let next = Xa::compute(ctx, rid, request.clone(), true);
+        let next = Xa::compute(ctx, rid, request.clone(), true, 0);
         self.enter(ctx, rid, next);
     }
 

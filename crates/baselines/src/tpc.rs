@@ -91,7 +91,7 @@ impl TpcServer {
     /// Stage 1: begin the business logic.
     fn begin_exec(&mut self, ctx: &mut dyn Context, rid: ResultId) {
         let Some(Phase::LoggingStart { request }) = self.attempts.get(&rid) else { return };
-        let next = Xa::compute(ctx, rid, request.clone(), true);
+        let next = Xa::compute(ctx, rid, request.clone(), true, 0);
         self.enter(ctx, rid, next);
     }
 

@@ -58,7 +58,7 @@ impl BaselineServer {
     fn begin_exec(&mut self, ctx: &mut dyn Context, rid: ResultId) {
         let Some(Phase::Dispatching { request }) = self.attempts.get(&rid) else { return };
         // xa = false: the baseline's SQL path has no XA bracketing overhead.
-        let (xa, step) = Xa::compute(ctx, rid, request.clone(), false);
+        let (xa, step) = Xa::compute(ctx, rid, request.clone(), false, 0);
         self.attempts.insert(rid, Phase::Xa(xa));
         self.on_step(ctx, rid, step);
     }

@@ -526,7 +526,13 @@ impl DecisionLog {
     /// Whether `rid`'s request is below its client's GC watermark (settled
     /// forever; any late entry for it must be ignored).
     pub fn settled(&self, rid: &ResultId) -> bool {
-        rid.request.seq < self.attempts.floor(rid.request.client)
+        rid.request.seq < self.watermark(rid.request.client)
+    }
+
+    /// `client`'s GC watermark as this replica has heard it: every request
+    /// of the client below it is settled.
+    pub fn watermark(&self, client: NodeId) -> u64 {
+        self.attempts.floor(client)
     }
 
     // ---- internals -------------------------------------------------------

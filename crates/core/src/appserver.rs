@@ -556,7 +556,9 @@ impl AppServer {
         if let Some(t0) = *since {
             ctx.span(rid, Component::LogStart, ctx.now().since(t0));
         }
-        let (xa, step) = Xa::compute(ctx, rid, request.clone(), true);
+        // The databases forget what the client's watermark settles.
+        let floor = self.log.watermark(rid.request.client);
+        let (xa, step) = Xa::compute(ctx, rid, request.clone(), true, floor);
         *phase = Phase::Xa(xa);
         self.on_step(ctx, rid, step);
     }

@@ -30,7 +30,7 @@ use etx_base::ids::{NodeId, ResultId};
 use etx_base::msg::{DbMsg, DbReplyMsg, Payload, ReplMsg};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::time::{Dur, Time};
-use etx_base::trace::{Component, TraceKind};
+use etx_base::trace::{Component, Forwarded, TraceKind};
 use etx_base::value::{Outcome, Vote};
 use etx_base::wal::{StableRecord, LOG_WAL};
 use etx_store::Engine;
@@ -482,19 +482,24 @@ impl DbServer {
         }
     }
 
-    fn apply_log_writes(&mut self, ctx: &mut dyn Context, writes: Vec<etx_store::LogWrite>) {
-        if writes.is_empty() {
-            return;
-        }
-        self.wal_due = self.wal_due.saturating_sub(writes.len());
+    fn apply_log_writes(
+        &mut self,
+        ctx: &mut dyn Context,
+        writes: impl IntoIterator<Item = etx_store::LogWrite>,
+    ) {
+        let mut appended = 0;
         for w in writes {
             // Forced-ness is folded into the prepare/commit service costs
             // (as in Oracle, where the paper's 19 ms prepare and 18 ms
             // commit rows *include* the database's own log forces), so the
             // append itself is charged as unforced here.
             ctx.log_append(LOG_WAL, w.rec, false);
+            appended += 1;
         }
-        self.checkpoint_if_due(ctx);
+        if appended > 0 {
+            self.wal_due = self.wal_due.saturating_sub(appended);
+            self.checkpoint_if_due(ctx);
+        }
     }
 
     /// Replaces the WAL with one checkpoint of the engine's live state once
@@ -508,9 +513,18 @@ impl DbServer {
             return;
         }
         let image = self.engine.image();
+        // The log rebuilds the outcomes the floors raised since the last
+        // checkpoint drained; the image holds those floors and none of them.
         debug_assert_eq!(
             image,
-            Engine::recover_with_seed(self.seed_data.clone(), &ctx.log_read(LOG_WAL)).image(),
+            {
+                let mut rebuilt =
+                    Engine::recover_with_seed(self.seed_data.clone(), &ctx.log_read(LOG_WAL));
+                for &(client, floor) in &image.floors {
+                    rebuilt.settle_below(client, floor);
+                }
+                rebuilt.image()
+            },
             "a checkpoint must hold what its log rebuilds"
         );
         self.wal_due = image.len().max(CHECKPOINT_MIN);
@@ -540,7 +554,8 @@ impl DbServer {
 
     fn on_db_msg(&mut self, ctx: &mut dyn Context, from: NodeId, msg: DbMsg) {
         match msg {
-            DbMsg::Exec { rid, ops, xa } => {
+            DbMsg::Exec { rid, ops, xa, floor } => {
+                self.engine.settle_below(rid.request.client, floor);
                 let status = self.engine.execute(rid, &ops);
                 let mut dur = jittered(ctx, self.cost.sql, self.cost.jitter);
                 if xa {
@@ -558,12 +573,12 @@ impl DbServer {
                 if self.features.read_leases.enabled
                     && cross
                     && self.repl.sync_from.is_none()
-                    && self.engine.decision(rid).is_none()
+                    && !self.engine.answered(rid)
                 {
                     self.unsettled_xa.insert(rid);
                 }
-                let (vote, writes) = self.engine.vote(rid);
-                self.apply_log_writes(ctx, writes);
+                let (vote, write) = self.engine.vote(rid);
+                self.apply_log_writes(ctx, write);
                 let service = jittered(ctx, self.cost.db_prepare, self.cost.jitter);
                 let dur = self.charge_serial(ctx, service);
                 ctx.trace(TraceKind::DbVote { rid, vote });
@@ -624,7 +639,7 @@ impl DbServer {
                 }
                 let (mut fresh_commits, mut fresh_aborts) = (0u32, 0u32);
                 for &(rid, outcome) in &entries {
-                    if self.engine.decision(rid).is_none() {
+                    if !self.engine.answered(rid) {
                         match outcome {
                             Outcome::Commit => fresh_commits += 1,
                             Outcome::Abort => fresh_aborts += 1,
@@ -656,11 +671,12 @@ impl DbServer {
                 // durable append and one commit-processing charge, with the
                 // per-branch semantics of `Engine::decide` (idempotent
                 // re-delivery, presumed abort, the §2 decide contract).
-                // Entries already in the memo are re-deliveries: answered,
+                // Entries already answered — in the memo, or settled below
+                // their client's floor — are re-deliveries: acknowledged,
                 // never re-processed, traced or charged.
                 let already: BTreeSet<ResultId> = entries
                     .iter()
-                    .filter(|(rid, _)| self.engine.decision(*rid).is_some())
+                    .filter(|(rid, _)| self.engine.answered(*rid))
                     .map(|&(rid, _)| rid)
                     .collect();
                 // Speculation resolution, for a push that names its slot: a
@@ -782,11 +798,11 @@ impl DbServer {
                     if lease_expired {
                         ctx.trace(TraceKind::LeaseExpired { rid });
                     }
-                    ctx.trace(TraceKind::ReadForwarded {
-                        rid: Box::new(rid),
+                    ctx.trace(TraceKind::ReadForwarded(Box::new(Forwarded {
+                        rid,
                         have: self.engine.repl_position(),
                         need: min_seq,
-                    });
+                    })));
                     ctx.send(
                         primary,
                         Payload::Db(DbMsg::Read { rid, call, round, ops, min_seq, reply_to }),
@@ -861,6 +877,16 @@ impl DbServer {
     /// Whether a branch is in-doubt right now.
     pub fn is_prepared(&self, rid: ResultId) -> bool {
         self.engine.is_prepared(rid)
+    }
+
+    /// Decided outcomes the engine's memo holds (bounded-state tests).
+    pub fn memo_len(&self) -> usize {
+        self.engine.memo_len()
+    }
+
+    /// Keys locked right now (a quiesced run holds none).
+    pub fn locked_keys(&self) -> usize {
+        self.engine.locked_keys()
     }
 }
 
@@ -947,6 +973,10 @@ impl Process for DbServer {
     fn name(&self) -> &'static str {
         "dbserver"
     }
+
+    fn as_any(&self) -> Option<&dyn core::any::Any> {
+        Some(self)
+    }
 }
 
 #[cfg(test)]
@@ -976,7 +1006,7 @@ mod tests {
         let mut ctx = Recorder::default();
         for i in 1..=n {
             let ops: Arc<[DbOp]> = Arc::from([DbOp::Put { key: format!("k{i}"), value: i as i64 }]);
-            db.on_db_msg(&mut ctx, APP, DbMsg::Exec { rid: rid(i), ops, xa: true });
+            db.on_db_msg(&mut ctx, APP, DbMsg::Exec { rid: rid(i), ops, xa: true, floor: 0 });
             db.on_db_msg(&mut ctx, APP, DbMsg::Prepare { rid: rid(i), cross: false });
         }
         (db, ctx)

@@ -26,8 +26,9 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub enum Xa {
     /// `compute()`: the script runs one database call at a time, each an
-    /// `Exec` that opens an XA branch iff `xa`.
-    Computing { request: Request, xa: bool, call_idx: usize, acc: Vec<(String, i64)> },
+    /// `Exec` that opens an XA branch iff `xa` and carries the client's
+    /// watermark `floor`.
+    Computing { request: Request, xa: bool, floor: u64, call_idx: usize, acc: Vec<(String, i64)> },
     /// `prepare()`: `votes[i]` is what `involved[i]` answered.
     Preparing { result: Arc<ResultValue>, involved: Vec<NodeId>, votes: Vec<Option<Vote>> },
     /// `terminate()`: `acked[i]` once `targets[i]` acknowledged the decision;
@@ -59,10 +60,18 @@ pub enum Step {
 
 impl Xa {
     /// Figure 5 `compute()`: starts running `request`'s script, its result
-    /// sized once ([`resultbuild::accumulator`]).
-    pub fn compute(ctx: &mut dyn Context, rid: ResultId, request: Request, xa: bool) -> Entered {
+    /// sized once ([`resultbuild::accumulator`]). Every `Exec` carries
+    /// `floor`, the caller's watermark for the client (0 for none): the
+    /// databases forget what is settled below it.
+    pub fn compute(
+        ctx: &mut dyn Context,
+        rid: ResultId,
+        request: Request,
+        xa: bool,
+        floor: u64,
+    ) -> Entered {
         let acc = resultbuild::accumulator(&request.script.calls);
-        let mut stage = Xa::Computing { request, xa, call_idx: 0, acc };
+        let mut stage = Xa::Computing { request, xa, floor, call_idx: 0, acc };
         let step = stage.run(ctx, rid, None);
         (stage, step)
     }
@@ -91,9 +100,10 @@ impl Xa {
     /// short, and a `note` of why left in the result — `compute()` returns
     /// (Figure 5 line 8): the one place a computed result is built.
     fn run(&mut self, ctx: &mut dyn Context, rid: ResultId, note: Option<&str>) -> Option<Step> {
-        let Xa::Computing { request, xa, call_idx, acc } = self else { return None };
+        let Xa::Computing { request, xa, floor, call_idx, acc } = self else { return None };
         if let (None, Some(call)) = (note, request.script.calls.get(*call_idx)) {
-            ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops: call.ops.clone(), xa: *xa }));
+            let (ops, xa, floor) = (call.ops.clone(), *xa, *floor);
+            ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops, xa, floor }));
             return None;
         }
         acc.extend(note.map(|why| (why.to_string(), 1)));
@@ -285,7 +295,7 @@ mod tests {
     #[test]
     fn compute_walks_the_script_and_traces_computed_once() {
         let mut ctx = Recorder::default();
-        let (mut xa, step) = Xa::compute(&mut ctx, rid(1), request(1, &[A, B]), true);
+        let (mut xa, step) = Xa::compute(&mut ctx, rid(1), request(1, &[A, B]), true, 0);
         assert!(step.is_none());
         assert!(xa.exec_reply(&mut ctx, rid(1), done()).is_none(), "one call left");
         let execs: Vec<NodeId> = ctx.sent.iter().map(|(to, _)| *to).collect();
@@ -302,7 +312,7 @@ mod tests {
         assert!(xa.exec_reply(&mut ctx, rid(1), done()).is_none(), "a late reply folds nothing");
 
         // A conflict ends the script where it stands, and says so.
-        let (mut xa, _) = Xa::compute(&mut ctx, rid(2), request(2, &[A, B]), true);
+        let (mut xa, _) = Xa::compute(&mut ctx, rid(2), request(2, &[A, B]), true, 0);
         let Some(Step::Computed { result, involved, conflict: true }) =
             xa.exec_reply(&mut ctx, rid(2), ExecStatus::Conflict)
         else {
@@ -315,7 +325,7 @@ mod tests {
     fn a_finished_result_is_kept_at_its_length() {
         for dbs in [&[A][..], &[A, B]] {
             let mut ctx = Recorder::default();
-            let (mut xa, _) = Xa::compute(&mut ctx, rid(1), request(1, dbs), true);
+            let (mut xa, _) = Xa::compute(&mut ctx, rid(1), request(1, dbs), true, 0);
             let step = dbs.iter().find_map(|_| xa.exec_reply(&mut ctx, rid(1), done()));
             let Some(Step::Computed { result, .. }) = step else { panic!("compute() returns") };
             assert_eq!(result.entries.len(), dbs.len() + 1, "one entry per key, and the attempt");
@@ -326,7 +336,7 @@ mod tests {
     #[test]
     fn a_stage_with_nobody_to_wait_for_ends_as_it_is_entered() {
         let mut ctx = Recorder::default();
-        let (_, step) = Xa::compute(&mut ctx, rid(1), request(1, &[]), true);
+        let (_, step) = Xa::compute(&mut ctx, rid(1), request(1, &[]), true, 0);
         let Some(Step::Computed { result, involved, .. }) = step else { panic!("empty script") };
         let (_, step) = Xa::prepare(&mut ctx, rid(1), result, involved);
         let Some(Step::Voted { decision, targets }) = step else { panic!("nobody votes") };
@@ -421,7 +431,7 @@ mod tests {
     fn ready_applies_figure_4_to_whichever_stage_the_attempt_is_in() {
         let mut ctx = Recorder::default();
         // compute(): only the database whose reply is awaited matters.
-        let (mut xa, _) = Xa::compute(&mut ctx, rid(1), request(1, &[A, B]), true);
+        let (mut xa, _) = Xa::compute(&mut ctx, rid(1), request(1, &[A, B]), true, 0);
         assert!(xa.ready(&mut ctx, rid(1), B).is_none(), "B's call was not sent yet");
         let Some(Step::Computed { result, involved, .. }) = xa.ready(&mut ctx, rid(1), A) else {
             panic!("the awaited Exec died with A");

@@ -686,7 +686,7 @@ impl<C: Clock> Context for Ctx<'_, C> {
     fn span(&mut self, rid: ResultId, comp: Component, dur: Dur) {
         self.spans.record(comp, dur);
         if !self.triggers.is_empty() {
-            let kind = TraceKind::Span { rid, comp, dur };
+            let kind = TraceKind::Span { rid, comp };
             record(self.trace, self.triggers, TraceEvent::new(self.now, self.me, kind));
         }
     }

@@ -20,7 +20,7 @@
 
 use crate::locks::{LockGrant, LockMode, LockTable};
 use etx_base::attempts::AttemptWindows;
-use etx_base::ids::ResultId;
+use etx_base::ids::{NodeId, ResultId};
 use etx_base::time::Dur;
 use etx_base::value::{DbOp, ExecStatus, OpOutput, Outcome, Vote};
 use etx_base::wal::{Image, StableRecord};
@@ -117,20 +117,39 @@ pub struct ReplApply {
 /// stay in a `BTreeMap`: it holds only them and stays small, while a
 /// window per client seen (and its run's capacity) would outlive them.
 ///
+/// The memo is bounded by the clients' watermarks. Each `Exec` carries
+/// its sender's watermark for the client, and [`Engine::settle_below`]
+/// raises the client's *floor* to it and drains the memo's prefix below.
+/// A request below the floor is settled: its client has its result, so
+/// every database involved has decided it already. The memo therefore
+/// never holds an outcome below its client's floor, and a message below
+/// it follows four rules:
+///
+/// * a late `Exec` is refused like a lock conflict, opening no branch and
+///   taking no lock;
+/// * a late `Prepare` for an attempt with no live branch votes no, as for
+///   any unknown branch;
+/// * a late `Decide` for an attempt with no live branch changes nothing:
+///   no memo entry, no log record, no ship position, no shipment;
+/// * an attempt with a live branch is decided as any other (its outcome
+///   is logged, not memoised).
+///
 /// [`Engine::image`] is what recovery would rebuild from the log written so
-/// far — committed data, in-doubt branches, the memo and both replication
-/// positions — taken from live state, so that a host can replace the log
-/// with one [`StableRecord::Checkpoint`]. Everything else here is volatile.
-/// The memo rides inside every image at about 20 bytes per decided branch;
-/// bounding it by the clients' watermarks is still to do.
+/// far — committed data, in-doubt branches, the memo, the floors and both
+/// replication positions — taken from live state, so that a host can
+/// replace the log with one [`StableRecord::Checkpoint`]. Everything else
+/// here is volatile. A floor raised since the last checkpoint is volatile
+/// too: a recovered engine keeps the outcomes it drained, which only makes
+/// it answer more from its memo.
 #[derive(Debug, Default)]
 pub struct Engine {
     data: BTreeMap<String, i64>,
     branches: BTreeMap<ResultId, Branch>,
     locks: LockTable,
-    /// The decide memo: every branch's applied outcome, so a late or
+    /// The decide memo: each branch's applied outcome, so a late or
     /// duplicated `Decide` (or a `Prepare` or `Exec` after one) is answered
-    /// as the first was. Never trimmed.
+    /// as the first was; and per client the floor below which every
+    /// request is settled and nothing is kept.
     decided: AttemptWindows<Outcome>,
     /// Primary role: dense counter of locally decided commits (ship order).
     ship_seq: u64,
@@ -170,6 +189,33 @@ impl Engine {
     /// retransmitted `Decide` messages).
     pub fn decision(&self, rid: ResultId) -> Option<Outcome> {
         self.decided.get(rid).copied()
+    }
+
+    /// Whether a `Decide` for `rid` would change nothing: its outcome is in
+    /// the memo, or it is below its client's floor with no live branch.
+    pub fn answered(&self, rid: ResultId) -> bool {
+        let (floor, decided) = self.decided.get_with_floor(rid);
+        decided.is_some() || (rid.request.seq < floor && !self.branches.contains_key(&rid))
+    }
+
+    /// Decided outcomes the memo holds (observability / bounded-state
+    /// tests).
+    pub fn memo_len(&self) -> usize {
+        self.decided.len()
+    }
+
+    /// `client`'s floor: every request of it below this is settled.
+    pub fn floor(&self, client: NodeId) -> u64 {
+        self.decided.floor(client)
+    }
+
+    /// Raises `client`'s floor to `floor` (floors never fall) and drains
+    /// the memo's outcomes below it: one prefix drain, visiting only what
+    /// it removes. `floor` must be a watermark the client has sent: every
+    /// request of the client below it has its result, so no database
+    /// involved in one still waits for its decision.
+    pub fn settle_below(&mut self, client: NodeId, floor: u64) {
+        self.decided.below(client, floor, |_, _| false);
     }
 
     /// Whether `rid` is an in-doubt (prepared, undecided) branch.
@@ -268,11 +314,13 @@ impl Engine {
     ///
     /// A lock conflict dooms the branch (no-wait policy), releases its locks
     /// and returns [`ExecStatus::Conflict`]; the branch will vote no.
+    ///
+    /// A decided branch, or one below its client's floor, is refused the
+    /// same way before anything is opened or locked: such an `Exec` is a
+    /// duplicate or a very late message.
     pub fn execute(&mut self, rid: ResultId, ops: &[DbOp]) -> ExecStatus {
-        if self.decided.get(rid).is_some() {
-            // A decided branch cannot execute further work; treat as
-            // conflict so the caller aborts this attempt. (Can occur only
-            // with duplicated/very late Exec messages.)
+        let (floor, decided) = self.decided.get_with_floor(rid);
+        if decided.is_some() || rid.request.seq < floor {
             return ExecStatus::Conflict;
         }
         let Engine { branches, locks, data, .. } = self;
@@ -331,23 +379,26 @@ impl Engine {
         ExecStatus::Done(outputs)
     }
 
-    /// XA prepare: returns the vote and any log writes the host must apply.
-    /// A yes vote is accompanied by a **forced** `Prepared` record carrying
-    /// the branch's redo set, sealed here once: the record, the branch and
-    /// (on commit) the shipment share it.
-    pub fn vote(&mut self, rid: ResultId) -> (Vote, Vec<LogWrite>) {
+    /// XA prepare: returns the vote and the log write the host must apply,
+    /// if any. A yes vote is accompanied by a **forced** `Prepared` record
+    /// carrying the branch's redo set, sealed here once: the record, the
+    /// branch and (on commit) the shipment share it.
+    ///
+    /// A branch this database does not hold votes no — the server crashed
+    /// and lost it unprepared (the `Ready` path), or a late `Prepare` names
+    /// an attempt below its client's floor whose outcome the memo has
+    /// drained.
+    pub fn vote(&mut self, rid: ResultId) -> (Vote, Option<LogWrite>) {
         if let Some(outcome) = self.decided.get(rid) {
             // Already decided (e.g. duplicated Prepare after a Decide): the
             // vote follows the decision.
             return match outcome {
-                Outcome::Commit => (Vote::Yes, Vec::new()),
-                Outcome::Abort => (Vote::No, Vec::new()),
+                Outcome::Commit => (Vote::Yes, None),
+                Outcome::Abort => (Vote::No, None),
             };
         }
         let Some(branch) = self.branches.get_mut(&rid) else {
-            // Unknown: e.g. the server crashed and lost the unprepared
-            // branch — the `Ready` path.
-            return (Vote::No, Vec::new());
+            return (Vote::No, None);
         };
         match &mut *branch {
             Branch::Active(writes) => {
@@ -355,11 +406,11 @@ impl Engine {
                 *branch = Branch::Prepared(writes.clone());
                 (
                     Vote::Yes,
-                    vec![LogWrite { rec: StableRecord::Prepared { rid, writes }, force: true }],
+                    Some(LogWrite { rec: StableRecord::Prepared { rid, writes }, force: true }),
                 )
             }
-            Branch::Prepared(_) => (Vote::Yes, Vec::new()),
-            Branch::Doomed => (Vote::No, Vec::new()),
+            Branch::Prepared(_) => (Vote::Yes, None),
+            Branch::Doomed => (Vote::No, None),
         }
     }
 
@@ -377,9 +428,18 @@ impl Engine {
     }
 
     /// [`Engine::decide`] proper: a branch yields at most one log record.
+    ///
+    /// Below its client's floor, a branch this database does not hold is
+    /// settled and changes nothing (it is answered with `outcome`), and
+    /// the outcome of one it does hold is logged but not memoised.
     fn decide_one(&mut self, rid: ResultId, outcome: Outcome) -> (Outcome, Option<LogWrite>) {
-        if let Some(&prev) = self.decided.get(rid) {
+        let (floor, prev) = self.decided.get_with_floor(rid);
+        if let Some(&prev) = prev {
             return (prev, None); // idempotent re-delivery
+        }
+        let settled = rid.request.seq < floor;
+        if settled && !self.branches.contains_key(&rid) {
+            return (outcome, None);
         }
         let applied = match outcome {
             Outcome::Abort => {
@@ -420,7 +480,9 @@ impl Engine {
                              V.2 violated by caller"
                         );
                         self.locks.release_all(rid);
-                        self.decided.insert(rid, Outcome::Abort);
+                        if !settled {
+                            self.decided.insert(rid, Outcome::Abort);
+                        }
                         return (
                             Outcome::Abort,
                             Some(LogWrite {
@@ -432,7 +494,9 @@ impl Engine {
                 }
             }
         };
-        self.decided.insert(rid, applied);
+        if !settled {
+            self.decided.insert(rid, applied);
+        }
         let force = applied == Outcome::Commit;
         (applied, Some(LogWrite { rec: StableRecord::DbOutcome { rid, outcome: applied }, force }))
     }
@@ -657,13 +721,15 @@ impl Engine {
 
     /// What recovery would rebuild from the log written so far, from live
     /// state: committed data, the in-doubt branches with their write sets,
-    /// the decide memo and both replication positions. A host may replace
-    /// its log with this image as one [`StableRecord::Checkpoint`].
+    /// the decide memo, the clients' floors and both replication
+    /// positions. A host may replace its log with this image as one
+    /// [`StableRecord::Checkpoint`].
     pub fn image(&self) -> Image {
         Image {
             data: self.data.iter().map(|(k, &v)| (k.clone(), v)).collect(),
             prepared: self.prepared().map(|(rid, w)| (rid, w.clone())).collect(),
             decided: self.decided.iter().map(|(rid, &o)| (rid, o)).collect(),
+            floors: self.decided.floors().collect(),
             ship_seq: self.ship_seq,
             repl_last_seq: self.repl_last_seq,
         }
@@ -681,12 +747,17 @@ impl Engine {
     /// initial table contents, which a real database would have on disk
     /// already); replayed log values overwrite seeds. A log holding a
     /// [`StableRecord::Checkpoint`] restarts from the last one, whose image
-    /// replaces the seed, and replays only the tail after it.
+    /// replaces the seed, and replays only the tail after it; the image's
+    /// floors hold again once the tail is in.
     pub fn recover_with_seed(
         seed: impl IntoIterator<Item = (String, i64)>,
         log: &[StableRecord],
     ) -> Engine {
         let last = log.iter().rposition(|r| matches!(r, StableRecord::Checkpoint(_)));
+        let floors = match last.map(|at| &log[at]) {
+            Some(StableRecord::Checkpoint(image)) => &image.floors[..],
+            _ => &[],
+        };
         let (mut e, mut prepared, tail) = match last.map(|at| (&log[at], &log[at + 1..])) {
             Some((StableRecord::Checkpoint(image), tail)) => {
                 let mut e = Engine {
@@ -741,6 +812,11 @@ impl Engine {
                 | StableRecord::Checkpoint(_) => {}
             }
         }
+        // The tail's outcomes below a floor are settled: the live engine
+        // kept none of them.
+        for &(client, floor) in floors {
+            e.settle_below(client, floor);
+        }
         // Whatever is still prepared is in-doubt: restore branch + locks.
         for (rid, writes) in prepared {
             for (k, _) in writes.iter() {
@@ -775,10 +851,9 @@ mod tests {
         assert_eq!(st, ExecStatus::Done(vec![OpOutput::Updated(100), OpOutput::Updated(70)]));
         // Nothing committed yet.
         assert_eq!(e.committed("acct"), None);
-        let (v, logs) = e.vote(r);
+        let (v, log) = e.vote(r);
         assert_eq!(v, Vote::Yes);
-        assert_eq!(logs.len(), 1);
-        assert!(logs[0].force, "prepare record must be forced");
+        assert!(log.expect("a prepare record").force, "prepare record must be forced");
         let (o, logs2) = e.decide(r, Outcome::Commit);
         assert_eq!(o, Outcome::Commit);
         assert!(logs2[0].force, "commit record must be forced");
@@ -822,9 +897,9 @@ mod tests {
     #[test]
     fn vote_unknown_branch_is_no() {
         let mut e = Engine::new();
-        let (v, logs) = e.vote(rid(9));
+        let (v, log) = e.vote(rid(9));
         assert_eq!(v, Vote::No);
-        assert!(logs.is_empty());
+        assert!(log.is_none());
     }
 
     #[test]
@@ -835,8 +910,8 @@ mod tests {
         let (v1, l1) = e.vote(r);
         let (v2, l2) = e.vote(r);
         assert_eq!((v1, v2), (Vote::Yes, Vote::Yes));
-        assert_eq!(l1.len(), 1);
-        assert!(l2.is_empty(), "second prepare forces nothing new");
+        assert!(l1.is_some());
+        assert!(l2.is_none(), "second prepare forces nothing new");
     }
 
     #[test]
@@ -958,9 +1033,7 @@ mod tests {
         let mut wal: Vec<StableRecord> = Vec::new();
         let r = rid(1);
         e.execute(r, &[put("x", 5)]);
-        for w in e.vote(r).1 {
-            wal.push(w.rec);
-        }
+        wal.extend(e.vote(r).1.map(|w| w.rec));
         for w in e.decide(r, Outcome::Commit).1 {
             wal.push(w.rec);
         }
@@ -1082,9 +1155,7 @@ mod tests {
         for i in 1..=2u64 {
             let r = rid(i);
             p.execute(r, &[put("k", i as i64)]);
-            for w in p.vote(r).1 {
-                wal.push(w.rec);
-            }
+            wal.extend(p.vote(r).1.map(|w| w.rec));
             for w in p.decide(r, Outcome::Commit).1 {
                 wal.push(w.rec);
             }
@@ -1166,9 +1237,7 @@ mod tests {
         let mut wal: Vec<StableRecord> = Vec::new();
         for i in 1..=2u64 {
             e.execute(rid(i), &[put(&format!("g{i}"), 10 + i as i64)]);
-            for w in e.vote(rid(i)).1 {
-                wal.push(w.rec);
-            }
+            wal.extend(e.vote(rid(i)).1.map(|w| w.rec));
         }
         let (_, writes) = e.decide_batch(&[(rid(1), Outcome::Commit), (rid(2), Outcome::Commit)]);
         for w in writes {
@@ -1392,9 +1461,7 @@ mod tests {
         let mut e = Engine::new();
         let mut wal: Vec<StableRecord> = Vec::new();
         e.execute(rid(1), &[put("s", 9)]);
-        for w in e.vote(rid(1)).1 {
-            wal.push(w.rec);
-        }
+        wal.extend(e.vote(rid(1)).1.map(|w| w.rec));
         assert!(e.speculate(3, &[(rid(1), Outcome::Commit)], Dur::ZERO, 4));
         // Crash now: only the WAL survives.
         let r = Engine::recover(&wal);
@@ -1415,6 +1482,92 @@ mod tests {
         assert_eq!(o, Outcome::Abort);
     }
 
+    // ---- the memo's floor ---------------------------------------------------
+
+    /// An engine whose client 0 is floored at 5, beside the engine
+    /// recovered from its checkpointed log: `rid(2)` committed and drained,
+    /// `rid(3)` prepared on key `k3` (a live branch below the floor),
+    /// `rid(6)` committed above the floor. The rules below the floor must
+    /// hold on both.
+    fn floored() -> [(Engine, Vec<StableRecord>); 2] {
+        let mut e = Engine::new();
+        for (n, commit) in [(2, true), (3, false), (6, true)] {
+            e.execute(rid(n), &[put(&format!("k{n}"), n as i64)]);
+            e.vote(rid(n));
+            if commit {
+                e.decide(rid(n), Outcome::Commit);
+            }
+        }
+        e.take_repl_outbox();
+        e.settle_below(NodeId(0), 5);
+        assert_eq!((e.memo_len(), e.decision(rid(6))), (1, Some(Outcome::Commit)));
+        let wal = vec![StableRecord::Checkpoint(Box::new(e.image()))];
+        let recovered = Engine::recover(&wal);
+        assert_eq!(recovered.image(), e.image(), "the floors survive the checkpoint");
+        assert_eq!(recovered.floor(NodeId(0)), 5);
+        [(e, wal.clone()), (recovered, wal)]
+    }
+
+    #[test]
+    fn a_late_exec_below_the_floor_is_refused_opening_no_branch_and_taking_no_lock() {
+        for (mut e, _) in floored() {
+            for n in [1, 2] {
+                assert_eq!(e.execute(rid(n), &[put("fresh", 1)]), ExecStatus::Conflict);
+                assert_eq!(e.vote(rid(n)), (Vote::No, None), "no branch was opened");
+            }
+            assert_eq!(e.locked_keys(), 1, "only the in-doubt branch holds a lock");
+            assert!(matches!(e.execute(rid(5), &[put("fresh", 1)]), ExecStatus::Done(_)));
+        }
+    }
+
+    #[test]
+    fn a_late_prepare_below_the_floor_with_no_live_branch_votes_no() {
+        for (mut e, _) in floored() {
+            // Committed and drained, and never seen here.
+            assert_eq!(e.vote(rid(2)), (Vote::No, None));
+            assert_eq!(e.vote(rid(1)), (Vote::No, None));
+            // The live branch below the floor still votes as prepared.
+            assert_eq!(e.vote(rid(3)), (Vote::Yes, None));
+        }
+    }
+
+    #[test]
+    fn a_late_decide_below_the_floor_with_no_live_branch_changes_nothing() {
+        for (mut e, _) in floored() {
+            let before = e.image();
+            for n in [1, 2] {
+                assert!(e.answered(rid(n)));
+                for outcome in [Outcome::Commit, Outcome::Abort] {
+                    assert_eq!(e.decide(rid(n), outcome), (outcome, Vec::new()));
+                }
+            }
+            let (acks, writes) = e.decide_batch(&[(rid(1), Outcome::Commit)]);
+            assert_eq!((acks, writes), (vec![(rid(1), Outcome::Commit)], Vec::new()));
+            assert_eq!(e.image(), before, "no memo entry, no data, no ship position");
+            assert!(e.take_repl_outbox().is_empty(), "no vacuous-commit shipment");
+        }
+    }
+
+    #[test]
+    fn a_live_branch_below_the_floor_is_decided_like_any_other() {
+        for (mut e, mut wal) in floored() {
+            assert!(!e.answered(rid(3)));
+            let (applied, writes) = e.decide(rid(3), Outcome::Commit);
+            assert_eq!(applied, Outcome::Commit);
+            assert!(matches!(writes[..], [LogWrite { force: true, .. }]), "{writes:?}");
+            assert_eq!((e.committed("k3"), e.locked_keys(), e.ship_position()), (Some(3), 0, 3));
+            assert_eq!(e.take_repl_outbox().len(), 1, "shipped");
+            // Logged, not memoised: the floor settles it from here on.
+            assert_eq!(e.decision(rid(3)), None);
+            assert!(e.answered(rid(3)));
+            assert_eq!(e.decide(rid(3), Outcome::Commit), (Outcome::Commit, Vec::new()));
+            // The log rebuilds the same, and its tail's outcome stays out of
+            // the recovered memo too.
+            wal.extend(writes.into_iter().map(|w| w.rec));
+            assert_eq!(Engine::recover(&wal).image(), e.image());
+        }
+    }
+
     /// One step of [`the_decide_memo_answers_like_an_ordered_map`].
     #[derive(Debug, Clone)]
     enum MemoOp {
@@ -1422,42 +1575,67 @@ mod tests {
         Execute(ResultId, usize, bool),
         Vote(ResultId),
         Decide(ResultId, Outcome),
+        /// `settle_below` a client's floor (an `Exec`'s watermark).
+        Settle(NodeId, u64),
+        /// Replace the log with one checkpoint of the live image.
+        Checkpoint,
     }
+
+    const CLIENTS: [u32; 4] = [0, 1, 7, u32::MAX];
 
     fn memo_ops() -> impl proptest::strategy::Strategy<Value = Vec<MemoOp>> {
         use proptest::strategy::Strategy;
         // Dense and sparse clients, the reserved marker id among them;
-        // sequence numbers drawn in any order, repeated, two attempts each.
+        // sequence numbers drawn in any order, repeated, two attempts each;
+        // floors raised anywhere in the same range, so late messages land
+        // below them.
         let branch = (0usize..4, 0u64..6, 1u32..3).prop_map(|(c, seq, attempt)| ResultId {
-            request: RequestId { client: NodeId([0, 1, 7, u32::MAX][c]), seq },
+            request: RequestId { client: NodeId(CLIENTS[c]), seq },
             attempt,
         });
-        let op = (0u8..8, branch, 0usize..3).prop_map(|(op, rid, key)| match op {
+        let op = (0u8..11, branch, 0usize..3).prop_map(|(op, rid, key)| match op {
             0 | 1 => MemoOp::Execute(rid, key, false),
             2 => MemoOp::Execute(rid, key, true),
             3 | 4 => MemoOp::Vote(rid),
             5 | 6 => MemoOp::Decide(rid, Outcome::Commit),
-            _ => MemoOp::Decide(rid, Outcome::Abort),
+            7 => MemoOp::Decide(rid, Outcome::Abort),
+            8 | 9 => MemoOp::Settle(rid.request.client, rid.request.seq + key as u64),
+            _ => MemoOp::Checkpoint,
         });
         proptest::collection::vec(op, 1..100)
     }
 
     proptest::proptest! {
-        /// The decide memo is a `BTreeMap<ResultId, Outcome>`: under random
-        /// executes, votes and decides (commit and abort, first and
-        /// duplicate) over several clients, `decision()` answers as the
-        /// model after every step, a vote or an execute on a decided branch
-        /// follows the memo, and the engine recovered from the written WAL
-        /// answers the same. The locked keys are, after every step, those
-        /// of the live branches' granted operations: a release finds every
-        /// lock its branch took, reads included.
+        /// The decide memo is a `BTreeMap<ResultId, Outcome>` drained below
+        /// per-client floors: under random executes, votes, decides (commit
+        /// and abort, first and duplicate), floor raises and checkpoints
+        /// over several clients, `decision()` answers as the model after
+        /// every step; an execute on a decided branch or below its floor is
+        /// refused; a vote follows the memo, and below the floor with no
+        /// live branch is no; a decide below the floor with no live branch
+        /// writes and remembers nothing, and one with a live branch is
+        /// logged and not remembered. The locked keys are, after every
+        /// step, those of the live branches' granted operations: a release
+        /// finds every lock its branch took, reads included. The engine
+        /// recovered from the written log (checkpoints included) holds the
+        /// last checkpoint's floors and, with the model's floors applied,
+        /// answers as the model.
         #[test]
         fn the_decide_memo_answers_like_an_ordered_map(ops in memo_ops()) {
             let mut e = Engine::new();
             let mut wal: Vec<StableRecord> = Vec::new();
             let mut memo: BTreeMap<ResultId, Outcome> = BTreeMap::new();
-            // Branches that executed and are neither prepared nor decided:
-            // committing one would violate V.2, so the test aborts them.
+            let mut floors: BTreeMap<NodeId, u64> = BTreeMap::new();
+            // The floors the log's checkpoint holds.
+            let mut logged: BTreeMap<NodeId, u64> = BTreeMap::new();
+            let below = |floors: &BTreeMap<NodeId, u64>, rid: ResultId| {
+                floors.get(&rid.request.client).is_some_and(|&f| rid.request.seq < f)
+            };
+            // Branches the engine holds: executed (doomed ones included),
+            // not yet decided.
+            let mut live: BTreeSet<ResultId> = BTreeSet::new();
+            // Live branches that are not prepared: committing one would
+            // violate V.2, so the test aborts them.
             let mut unprepared: BTreeSet<ResultId> = BTreeSet::new();
             let mut seen: BTreeSet<ResultId> = BTreeSet::new();
             // The keys each active or prepared branch was granted.
@@ -1474,9 +1652,10 @@ mod tests {
                             DbOp::Add { key: key.clone(), delta: 1 }
                         };
                         let status = e.execute(rid, &[op]);
-                        if memo.contains_key(&rid) {
+                        if memo.contains_key(&rid) || below(&floors, rid) {
                             proptest::prop_assert_eq!(status, ExecStatus::Conflict);
                         } else if !prepared {
+                            live.insert(rid);
                             unprepared.insert(rid);
                             match status {
                                 ExecStatus::Done(_) => {
@@ -1490,10 +1669,11 @@ mod tests {
                     }
                     MemoOp::Vote(rid) => {
                         seen.insert(rid);
-                        let (vote, writes) = e.vote(rid);
-                        wal.extend(writes.into_iter().map(|w| w.rec));
+                        let (vote, write) = e.vote(rid);
+                        wal.extend(write.map(|w| w.rec));
                         match memo.get(&rid) {
                             Some(&o) => proptest::prop_assert_eq!(vote, if o == Outcome::Commit { Vote::Yes } else { Vote::No }),
+                            None if !live.contains(&rid) => proptest::prop_assert_eq!(vote, Vote::No),
                             None if vote == Vote::Yes => {
                                 unprepared.remove(&rid);
                             }
@@ -1504,25 +1684,57 @@ mod tests {
                         seen.insert(rid);
                         let outcome = if unprepared.contains(&rid) { Outcome::Abort } else { outcome };
                         let (applied, writes) = e.decide(rid, outcome);
+                        let settled = below(&floors, rid);
+                        if let Some(&first) = memo.get(&rid) {
+                            proptest::prop_assert_eq!(applied, first, "a duplicate answers as the first");
+                            proptest::prop_assert!(writes.is_empty());
+                        } else if settled && !live.contains(&rid) {
+                            proptest::prop_assert_eq!((applied, writes.is_empty()), (outcome, true), "settled: nothing changes");
+                        } else {
+                            proptest::prop_assert_eq!((applied, writes.len()), (outcome, 1));
+                            if !settled {
+                                memo.insert(rid, outcome);
+                            }
+                        }
                         wal.extend(writes.into_iter().map(|w| w.rec));
-                        let first = *memo.entry(rid).or_insert(outcome);
-                        proptest::prop_assert_eq!(applied, first, "a duplicate answers as the first");
+                        live.remove(&rid);
                         unprepared.remove(&rid);
                         held.remove(&rid);
+                    }
+                    MemoOp::Settle(client, floor) => {
+                        e.settle_below(client, floor);
+                        let f = floors.entry(client).or_insert(0);
+                        *f = (*f).max(floor);
+                        memo.retain(|rid, _| !below(&floors, *rid));
+                    }
+                    MemoOp::Checkpoint => {
+                        wal = vec![StableRecord::Checkpoint(Box::new(e.image()))];
+                        logged = floors.clone();
                     }
                 }
                 let locked: BTreeSet<&String> = held.values().flatten().collect();
                 proptest::prop_assert_eq!(e.locked_keys(), locked.len());
+                proptest::prop_assert_eq!(e.memo_len(), memo.len());
                 for &rid in &seen {
                     proptest::prop_assert_eq!(e.decision(rid), memo.get(&rid).copied());
                 }
+                for &client in &CLIENTS {
+                    let client = NodeId(client);
+                    proptest::prop_assert_eq!(e.floor(client), floors.get(&client).copied().unwrap_or(0));
+                }
             }
             let mut recovered = Engine::recover(&wal);
+            for (&client, &floor) in &floors {
+                let checkpointed = logged.get(&client).copied().unwrap_or(0);
+                proptest::prop_assert_eq!(recovered.floor(client), checkpointed, "the checkpoint's floor");
+                recovered.settle_below(client, floor);
+            }
+            proptest::prop_assert_eq!(recovered.image(), e.image());
             for &rid in &seen {
                 proptest::prop_assert_eq!(recovered.decision(rid), memo.get(&rid).copied());
                 if let Some(&o) = memo.get(&rid) {
                     let vote = if o == Outcome::Commit { Vote::Yes } else { Vote::No };
-                    proptest::prop_assert_eq!(recovered.vote(rid), (vote, Vec::new()));
+                    proptest::prop_assert_eq!(recovered.vote(rid), (vote, None));
                 }
             }
         }

@@ -48,8 +48,21 @@ impl LockTable {
     }
 
     /// Requests `mode` on `key` for branch `rid` (no-wait).
+    /// A key is cloned into the table only when it enters it: a request on
+    /// a key that already has an entry allocates nothing.
     pub fn acquire(&mut self, key: &str, rid: ResultId, mode: LockMode) -> LockGrant {
-        let e = self.entries.entry(key.to_string()).or_default();
+        let Some(e) = self.entries.get_mut(key) else {
+            // A key nobody holds: granted at once.
+            let mut e = LockEntry::default();
+            match mode {
+                LockMode::Shared => {
+                    e.shared.insert(rid);
+                }
+                LockMode::Exclusive => e.exclusive = Some(rid),
+            }
+            self.entries.insert(key.to_string(), e);
+            return LockGrant::Granted;
+        };
         match mode {
             LockMode::Shared => {
                 match e.exclusive {

@@ -197,8 +197,8 @@ proptest! {
         for (i, ops) in batches.iter().enumerate() {
             let r = rid(i as u64 + 1);
             let st = engine.execute(r, ops);
-            let (vote, writes) = engine.vote(r);
-            for w in writes { wal.push(w.rec); }
+            let (vote, write) = engine.vote(r);
+            wal.extend(write.map(|w| w.rec));
             if vote == Vote::Yes {
                 let (o, writes) = engine.decide(r, Outcome::Commit);
                 for w in writes { wal.push(w.rec); }
@@ -241,8 +241,8 @@ proptest! {
                     primary.engine.execute(branch(n), &ops);
                 }
                 LogStep::Vote(n) => {
-                    let (_, writes) = primary.engine.vote(branch(n));
-                    primary.append(writes);
+                    let (_, write) = primary.engine.vote(branch(n));
+                    primary.append(write.into_iter().collect());
                 }
                 LogStep::Decide(n, commit) => {
                     let r = branch(n);
@@ -296,7 +296,7 @@ proptest! {
         for i in 0..n {
             let r = rid(i as u64 + 1);
             engine.execute(r, &[DbOp::Add { key: "x".into(), delta: 1 }]);
-            for w in engine.vote(r).1 { wal.push(w.rec); }
+            wal.extend(engine.vote(r).1.map(|w| w.rec));
             for w in engine.decide(r, Outcome::Commit).1 { wal.push(w.rec); }
         }
         let once = Engine::recover(&wal);
@@ -316,7 +316,7 @@ proptest! {
         let r1 = rid(1);
         engine.execute(r1, &[DbOp::Put { key: "a".into(), value: 1 }]);
         if prepare_first {
-            for w in engine.vote(r1).1 { wal.push(w.rec); }
+            wal.extend(engine.vote(r1).1.map(|w| w.rec));
         }
         let recovered = Engine::recover(&wal);
         if prepare_first {
