@@ -369,7 +369,8 @@ pub struct SlotBatch {
 }
 
 /// The value of a write-once register: a decision-log slot holds an ordered
-/// batch of decisions and owner claims. The batch is [`Arc`]-shared so the
+/// batch of decisions and owner claims, or — once the slot is compacted —
+/// the answering server's client watermarks. Both are [`Arc`]-shared so the
 /// decision log, the in-flight proposal window, and every consensus
 /// broadcast that carries the slot value clone a reference count, not the
 /// entries.
@@ -377,14 +378,22 @@ pub struct SlotBatch {
 pub enum RegValue {
     /// The outcomes and owner claims of one log position (for `slot[k]`).
     Batch(Arc<SlotBatch>),
+    /// What a compacted log position answers with: the answering server's
+    /// `(client, watermark)` table, in client order. Every request the
+    /// position carried was below its client's watermark there when it
+    /// was compacted, and watermarks only rise, so one table stands for
+    /// every compacted position: a replica that applies it settles all
+    /// their requests and needs none of their entries.
+    Watermarks(Arc<Vec<(NodeId, u64)>>),
 }
 
 impl RegValue {
-    /// The slot batch as a shared handle (a reference-count clone, never an
-    /// entry copy).
-    pub fn as_batch_shared(&self) -> Arc<SlotBatch> {
-        let RegValue::Batch(b) = self;
-        Arc::clone(b)
+    /// The slot batch, unless this is a compacted position's watermarks.
+    pub fn batch(&self) -> Option<&Arc<SlotBatch>> {
+        match self {
+            RegValue::Batch(b) => Some(b),
+            RegValue::Watermarks(_) => None,
+        }
     }
 }
 
@@ -482,7 +491,8 @@ mod tests {
             outcomes: vec![(rid, Decision::nil_abort())],
             claims: vec![OwnerClaim { rid, server: NodeId(4), ack_below: 1 }],
         }));
-        let batch = b.as_batch_shared();
+        let batch = b.batch().expect("a batch");
         assert_eq!((batch.outcomes.len(), batch.claims[0].server), (1, NodeId(4)));
+        assert_eq!(RegValue::Watermarks(Arc::new(vec![(NodeId(0), 2)])).batch(), None);
     }
 }

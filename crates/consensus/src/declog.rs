@@ -42,10 +42,10 @@
 //!   incarnation's claim is the owner, as a recovered `regA` winner was.
 //! * **Claims obey the watermark like outcomes do.** A claim for a request
 //!   below its client's watermark is ignored at apply time; re-queueing on
-//!   a lost slot, tombstone compaction and [`DecisionLog::gc_client`] treat
-//!   claim members like outcome members (a slot is fully settled only when
-//!   its claimed attempts are too; a slot of claims alone holds no result
-//!   to shed and is never compacted). Every claim also *carries* its
+//!   a lost slot and the settled prefix ([`DecisionLog::gc_client`]) treat
+//!   claim members like outcome members (a slot is settled only when its
+//!   claimed attempts are too, and a slot of claims alone settles like any
+//!   other). Every claim also *carries* its
 //!   client's watermark as the proposer knew it, and every replica
 //!   advances to it on apply — which is how the servers a client never
 //!   talks to learn what they may forget.
@@ -75,26 +75,44 @@
 //! peer's slot, a cleaner's, a crashed proposer's slot filled late — and
 //! apply buffers them behind the gap.
 //!
+//! **The compacted prefix.** An applied slot is *settled* once every
+//! request it carries — outcomes and claims, applied or ignored — is below
+//! its client's watermark. Below the lowest applied slot some unsettled
+//! request still belongs to ([`DecisionLog::settled_below`]) every slot is
+//! settled, and that prefix is what the host compacts its register bank
+//! over (§5's register-array cleanup): a compacted slot answers every late
+//! pull, estimate and proposal with one shared placeholder, this server's
+//! watermark table ([`DecisionLog::placeholder`]). One table stands for
+//! every compacted slot, because each member was below its client's
+//! watermark when its slot settled and watermarks only rise. A replica
+//! that applies the placeholder advances to those watermarks and nothing
+//! else: it settles every request the slot carried, so the
+//! first-occurrence memory it never learns is memory of settled requests,
+//! and every later entry for them — a slow cleaner's `(nil, abort)` for a
+//! member attempt, say — is ignored there as it is everywhere. What the
+//! log and the bank keep therefore follows the unsettled requests, not
+//! the log's history.
+//!
 //! Slots are dense, so the log's per-slot state is kept in windows over
 //! consecutive slots rather than in ordered maps: the slots decided ahead
 //! of the apply cursor span from the lowest of them to the decided
 //! frontier (the gap the pulls fill, a slot or two in steady state), and
-//! the applied slots awaiting compaction span from the oldest one some
-//! unsettled request still belongs to up to the apply cursor. An
-//! attempt's membership in the latter keeps its usual one or two slots in
-//! place, and what a call applies comes back in [`Few`]s, so the common
-//! event — one slot decided, one request in it — allocates nothing for
-//! the log's own bookkeeping. The windows answer exactly what the maps
-//! answered, in the same order, so no apply, pull or proposal moves.
+//! the applied slots not yet settled span from the prefix up to the apply
+//! cursor. An attempt's membership in the latter keeps its usual one or
+//! two slots in place, and what a call applies comes back in [`Few`]s, so
+//! the common event — one slot decided, one request in it — allocates
+//! nothing for the log's own bookkeeping. The windows answer exactly what
+//! the maps answered, in the same order, so no apply, pull or proposal
+//! moves.
 
 use crate::few::Few;
+use crate::window::SlotWindow;
 use crate::woreg::WoRegisters;
 use crate::Suspects;
 use etx_base::attempts::AttemptWindows;
 use etx_base::ids::{NodeId, RegId, ResultId};
 use etx_base::runtime::Context;
 use etx_base::value::{Decision, OutcomeBatch, OwnerClaim, RegValue, SlotBatch};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One decided slot's worth of *newly final* entries, in slot order.
@@ -110,99 +128,11 @@ pub struct AppliedSlot {
     pub entries: Few<(ResultId, Decision)>,
     /// The claims of this slot that decided their attempt's owner.
     pub claims: Few<OwnerClaim>,
-    /// Every advance of a client's GC watermark this slot's claims caused
-    /// here, with the new watermark, in apply order — what the host's own
-    /// per-attempt state may now forget (the log has already forgotten its
-    /// share).
+    /// Every advance of a client's GC watermark this slot's claims — or,
+    /// for a compacted slot, its placeholder's table — caused here, with
+    /// the new watermark, in apply order: what the host's own per-attempt
+    /// state may now forget (the log has already forgotten its share).
     pub watermarks: Few<(NodeId, u64)>,
-}
-
-/// Per-slot entries over a run of consecutive slots: `items[k]` belongs to
-/// slot `start + k`. Removing an end entry trims the run to the next held
-/// slot, so the run always starts and ends at a held one, and its length
-/// is the span between the lowest and the highest slot held. The deque
-/// keeps its capacity, so a steady state of a slot or two in the run
-/// allocates nothing.
-#[derive(Debug)]
-struct SlotWindow<T> {
-    start: u64,
-    items: VecDeque<Option<T>>,
-}
-
-impl<T> Default for SlotWindow<T> {
-    fn default() -> Self {
-        SlotWindow { start: 0, items: VecDeque::new() }
-    }
-}
-
-impl<T> SlotWindow<T> {
-    /// Where `slot` sits in the run, if it is inside it.
-    fn at(&self, slot: u64) -> Option<usize> {
-        let k = usize::try_from(slot.checked_sub(self.start)?).ok()?;
-        (k < self.items.len()).then_some(k)
-    }
-
-    fn get(&self, slot: u64) -> Option<&T> {
-        self.items[self.at(slot)?].as_ref()
-    }
-
-    fn get_mut(&mut self, slot: u64) -> Option<&mut T> {
-        let k = self.at(slot)?;
-        self.items[k].as_mut()
-    }
-
-    /// `slot`'s entry, the run grown to reach it.
-    fn entry(&mut self, slot: u64) -> &mut Option<T> {
-        if self.items.is_empty() {
-            self.start = slot;
-        }
-        while slot < self.start {
-            self.items.push_front(None);
-            self.start -= 1;
-        }
-        let k = usize::try_from(slot - self.start).expect("a slot run fits the address space");
-        if k >= self.items.len() {
-            self.items.resize_with(k + 1, || None);
-        }
-        &mut self.items[k]
-    }
-
-    /// Takes `slot`'s entry out, trimming the run's empty ends.
-    fn remove(&mut self, slot: u64) -> Option<T> {
-        let k = self.at(slot)?;
-        let item = self.items[k].take();
-        while self.items.front().is_some_and(Option::is_none) {
-            self.items.pop_front();
-            self.start += 1;
-        }
-        while self.items.back().is_some_and(Option::is_none) {
-            self.items.pop_back();
-        }
-        item
-    }
-
-    /// The highest slot held.
-    fn last(&self) -> Option<u64> {
-        (!self.items.is_empty()).then(|| self.start + self.items.len() as u64 - 1)
-    }
-
-    /// Whether the run starts and ends at a held slot (or is empty).
-    #[cfg(test)]
-    fn is_tight(&self) -> bool {
-        self.items.front().is_none_or(Option::is_some)
-            && self.items.back().is_none_or(Option::is_some)
-    }
-
-    /// The slots held, in order.
-    #[cfg(test)]
-    fn slots(&self) -> impl Iterator<Item = u64> + '_ {
-        let start = self.start;
-        self.items
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_some())
-            .map(move |(k, _)| start + k as u64)
-    }
 }
 
 /// One application server's view of the sequenced decision log.
@@ -235,7 +165,7 @@ pub struct DecisionLog {
     /// promotion and apply strictly in slot order regardless. A window
     /// from the lowest slot decided at or above the apply cursor to the
     /// decided frontier: the gap it spans is what the pulls fill.
-    decided_ahead: SlotWindow<Arc<SlotBatch>>,
+    decided_ahead: SlotWindow<RegValue>,
     /// One record per attempt, under its client's window — whose floor is
     /// the client's **GC watermark**: every request below it is settled
     /// forever. Entries for settled requests are dropped at apply time even
@@ -243,24 +173,17 @@ pub struct DecisionLog {
     /// (say, a slow cleaner's `(nil, abort)`) could re-surface a settled
     /// attempt as a fresh "first occurrence" with a conflicting outcome.
     attempts: AttemptWindows<Attempt>,
-    /// Each applied slot that carried outcomes and is not yet fully
-    /// settled — the bookkeeping behind [`DecisionLog::gc_client`]'s return
-    /// value, which is what lets the host compact a slot's consensus
-    /// instance once no request in it can ever be asked about again. The
-    /// decided batch itself is kept (a shared handle: the register bank
-    /// holds the same allocation until that very compaction), so the
-    /// compacted placeholder can keep the slot's arbitration content
-    /// (results dropped). A window from the lowest such slot to the
-    /// newest: it spans the slots applied since the oldest request some
-    /// client has not settled (a client that stops pins it, at sixteen
-    /// bytes a slot, as the register bank's decided table grows at eight).
-    applied_members: SlotWindow<AppliedMembers>,
-    /// Applied slots with no unsettled member left, not yet handed to the
-    /// host, in the order they settled — [`DecisionLog::gc_client`] sorts
-    /// and drains it, keeping the buffer. A flag in `applied_members`
-    /// would do as well, but finding the flags would scan that window on
-    /// every call.
-    settled_slots: Vec<u64>,
+    /// Each applied slot not yet settled, with how many
+    /// [`Attempt::slots`] still name it — the bookkeeping behind the
+    /// settled prefix, which is what lets the host compact its register
+    /// bank below it. A slot leaves when its last member settles, so the
+    /// window starts at the prefix: it spans the slots applied since the
+    /// oldest request some client has not settled (a client that stops
+    /// pins it, as it pins the decided values the bank keeps).
+    applied_members: SlotWindow<usize>,
+    /// Compacted slots this view applied as their placeholder's
+    /// watermarks (observability / catch-up tests).
+    placeholders_applied: u64,
     /// Every gap slot below this has been pulled since the last resync
     /// tick: a decided slot pulls only the gaps it uncovers above it, and
     /// [`DecisionLog::request_gaps`] lowers it to re-pull them all.
@@ -279,8 +202,8 @@ struct Attempt {
     owner: Option<NodeId>,
     /// A request is waiting on this attempt's queued or in-flight claim.
     urgent: bool,
-    /// The slots of `applied_members` this attempt is a member of (as an
-    /// outcome, a claim or both), in apply order.
+    /// The applied slots this attempt is a member of (as an outcome, a
+    /// claim or both) and has not settled, in apply order.
     slots: Memberships,
 }
 
@@ -313,14 +236,6 @@ impl Memberships {
     }
 }
 
-/// One applied slot's membership and how much of it is still unsettled.
-#[derive(Debug)]
-struct AppliedMembers {
-    batch: Arc<SlotBatch>,
-    /// How many [`Attempt::slots`] name this slot.
-    unsettled: usize,
-}
-
 impl Default for DecisionLog {
     /// An unbounded log view (no batch cap).
     fn default() -> Self {
@@ -344,7 +259,7 @@ impl DecisionLog {
             decided_ahead: SlotWindow::default(),
             attempts: AttemptWindows::new(),
             applied_members: SlotWindow::default(),
-            settled_slots: Vec::new(),
+            placeholders_applied: 0,
             pulled_to: 0,
         }
     }
@@ -371,6 +286,34 @@ impl DecisionLog {
     /// Next slot index this server will apply (diagnostics and tests).
     pub fn applied_up_to(&self) -> u64 {
         self.next_apply
+    }
+
+    /// Every applied slot below this is settled: the prefix the host may
+    /// compact its register bank below. It is the lowest applied slot some
+    /// unsettled request still belongs to, or the apply cursor.
+    pub fn settled_below(&self) -> u64 {
+        self.applied_members.first().unwrap_or(self.next_apply)
+    }
+
+    /// The value every compacted slot answers with: this server's client
+    /// watermark table. `reuse`, the placeholder it replaces, is refilled in
+    /// place while no message still holds it, so compaction allocates
+    /// nothing per slot and, in the steady state, nothing at all.
+    pub fn placeholder(&self, reuse: Option<RegValue>) -> RegValue {
+        let mut table = match reuse {
+            Some(RegValue::Watermarks(table)) => table,
+            _ => Arc::default(),
+        };
+        let floors = Arc::make_mut(&mut table);
+        floors.clear();
+        floors.extend(self.attempts.floors());
+        RegValue::Watermarks(table)
+    }
+
+    /// Compacted slots this view applied as watermarks only (diagnostics
+    /// and catch-up tests).
+    pub fn placeholders_applied(&self) -> u64 {
+        self.placeholders_applied
     }
 
     /// Outcomes queued but not yet decided (diagnostics and tests).
@@ -482,45 +425,16 @@ impl DecisionLog {
     /// Drops the arbitration memory of every settled attempt of `client`
     /// below the `ack_below` watermark (server-side GC; safe because a
     /// settled request is never retransmitted, so its attempts can never be
-    /// proposed again). Returns the outcome-carrying applied slots that
-    /// became **fully settled** — every member request, claimed ones
-    /// included, below its client's watermark, in slot order — paired with
-    /// a **tombstone batch** (the slot's entries with their result payloads
-    /// dropped) for the host to compact each slot's consensus instance
-    /// down to (§5's register-array cleanup). A slot of claims alone has
-    /// no payload to shed and is never returned.
-    /// The tombstone must keep the `(attempt, outcome)` pairs and the
-    /// claims: a server that resyncs the slot *after* compaction still
-    /// needs the first-occurrence arbitration memory, because its cleaner —
-    /// which may not have heard this client's watermark yet — may later
-    /// re-propose a member attempt as `(nil, abort)`. Compacting to an
-    /// empty batch erased that memory and let the conflicting abort
-    /// surface as a fresh first occurrence (a real divergence: some
-    /// databases applied the cleaner's abort after others applied the
-    /// original commit). Only the results — the unbounded payload — are
-    /// shed; the claims stay because they are what carries the watermarks
-    /// to a server replaying the log.
-    pub fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Few<(u64, Arc<SlotBatch>)> {
+    /// proposed again), and returns the settled prefix
+    /// ([`DecisionLog::settled_below`]) it leaves: the prefix advances over
+    /// every consecutive applied slot whose members — outcomes and claims
+    /// alike — are now all below their clients' watermarks. The host
+    /// compacts its register bank below it, to [`DecisionLog::placeholder`]
+    /// (§5's register-array cleanup). A settled slot above an unsettled one
+    /// waits for it: the prefix is what one watermark table can stand for.
+    pub fn gc_client(&mut self, client: NodeId, ack_below: u64) -> u64 {
         self.advance_watermark(client, ack_below);
-        let mut settled = std::mem::take(&mut self.settled_slots);
-        settled.sort_unstable();
-        let mut out = Few::new();
-        for &slot in &settled {
-            let batch = self.applied_members.remove(slot).expect("settled slot is applied").batch;
-            if batch.outcomes.iter().all(|(_, d)| d.result.is_none()) {
-                out.push((slot, batch)); // cleaner aborts only, or a tombstone already
-                continue;
-            }
-            let outcomes = batch
-                .outcomes
-                .iter()
-                .map(|(rid, d)| (*rid, Decision { result: None, outcome: d.outcome }))
-                .collect();
-            out.push((slot, Arc::new(SlotBatch { outcomes, claims: batch.claims.clone() })));
-        }
-        settled.clear();
-        self.settled_slots = settled;
-        out
+        self.settled_below()
     }
 
     /// Whether `rid`'s request is below its client's GC watermark (settled
@@ -546,10 +460,10 @@ impl DecisionLog {
     fn advance_watermark(&mut self, client: NodeId, ack_below: u64) -> bool {
         let raised = self.attempts.below(client, ack_below, |_, attempt| {
             for slot in attempt.slots.iter() {
-                let applied = self.applied_members.get_mut(slot).expect("member slot is applied");
-                applied.unsettled -= 1;
-                if applied.unsettled == 0 {
-                    self.settled_slots.push(slot);
+                let unsettled = self.applied_members.get_mut(slot).expect("member slot is applied");
+                *unsettled -= 1;
+                if *unsettled == 0 {
+                    self.applied_members.remove(slot);
                 }
             }
             false
@@ -675,21 +589,24 @@ impl DecisionLog {
     }
 
     fn record_decided(&mut self, slot: u64, value: &RegValue) {
-        let batch = value.as_batch_shared();
         if slot >= self.next_apply {
-            self.decided_ahead.entry(slot).get_or_insert_with(|| Arc::clone(&batch));
+            self.decided_ahead.entry(slot).get_or_insert_with(|| value.clone());
         }
         // Our proposal for this slot is settled: if another batch won, the
         // entries we carried go back to their queues for the next slot
-        // (claims keep their urgency).
+        // (claims keep their urgency). A compacted slot's placeholder
+        // carries none of them; what its watermarks settle leaves the
+        // queues when it applies.
         let Some((_, ours)) = self.inflight.take_if(|(s, _)| *s == slot) else { return };
+        let (outcomes, claims) =
+            value.batch().map_or((&[][..], &[][..]), |b| (&b.outcomes, &b.claims));
         for (rid, decision) in &ours.outcomes {
-            if !batch.outcomes.iter().any(|(r, _)| r == rid) && self.undecided(*rid) {
+            if !outcomes.iter().any(|(r, _)| r == rid) && self.undecided(*rid) {
                 self.pending.push((*rid, decision.clone()));
             }
         }
         for claim in &ours.claims {
-            if !batch.claims.iter().any(|c| c.rid == claim.rid) && self.unowned(claim.rid) {
+            if !claims.iter().any(|c| c.rid == claim.rid) && self.unowned(claim.rid) {
                 self.claims.push(claim.rid);
             }
         }
@@ -697,13 +614,30 @@ impl DecisionLog {
 
     fn drain_applied(&mut self) -> Few<AppliedSlot> {
         let mut out = Few::new();
-        while let Some(batch) = self.decided_ahead.remove(self.next_apply) {
+        while let Some(value) = self.decided_ahead.remove(self.next_apply) {
             let slot = self.next_apply;
+            self.next_apply += 1;
             let mut applied = AppliedSlot {
                 slot,
                 entries: Few::new(),
                 claims: Few::new(),
                 watermarks: Few::new(),
+            };
+            let batch = match value {
+                RegValue::Batch(batch) => batch,
+                // A slot compacted where it was answered from: its
+                // placeholder settles every request it carried, and it has
+                // no member left to track.
+                RegValue::Watermarks(table) => {
+                    for &(client, floor) in table.iter() {
+                        if self.advance_watermark(client, floor) {
+                            applied.watermarks.push((client, floor));
+                        }
+                    }
+                    self.placeholders_applied += 1;
+                    out.push(applied);
+                    continue;
+                }
             };
             // Watermarks first: what they settle — members of this very
             // slot included — is ignored below, identically on every
@@ -714,14 +648,11 @@ impl DecisionLog {
                     applied.watermarks.push((client, claim.ack_below));
                 }
             }
-            // A slot of claims alone holds no result to shed later: it is
-            // never compacted, so its members need no settlement tracking.
-            let claims_only = batch.outcomes.is_empty() && !batch.claims.is_empty();
             let mut unsettled = 0;
             // Slots apply in order, so an attempt already a member of this
             // one (claimed and decided here, or listed twice) has it last.
             let mut join = |attempt: &mut Attempt| {
-                if !claims_only && attempt.slots.last() != Some(slot) {
+                if attempt.slots.last() != Some(slot) {
                     attempt.slots.push(slot);
                     unsettled += 1;
                 }
@@ -743,14 +674,10 @@ impl DecisionLog {
                     applied.entries.push((*rid, decision.clone()));
                 }
             }
-            if !claims_only {
-                if unsettled == 0 {
-                    self.settled_slots.push(slot);
-                }
-                *self.applied_members.entry(slot) = Some(AppliedMembers { batch, unsettled });
+            if unsettled > 0 {
+                *self.applied_members.entry(slot) = Some(unsettled);
             }
             out.push(applied);
-            self.next_apply += 1;
         }
         out
     }
@@ -861,8 +788,8 @@ mod tests {
         assert!(log.drain_applied()[0].entries.is_empty());
         assert_eq!(
             unsettled(&log),
-            [(rid(1), 1), (rid(1), 2)],
-            "one member per attempt and outcome-carrying slot"
+            [(rid(1), 0), (rid(1), 1), (rid(1), 2)],
+            "one member per attempt and slot, claims-only slots included"
         );
     }
 
@@ -1108,40 +1035,84 @@ mod tests {
         let mut log = DecisionLog::default();
         log.record_decided(0, &value(batch(&[1]), vec![claim(2, A, 0)]));
         log.record_decided(1, &slot_value(&[3]));
+        log.record_decided(2, &value(Vec::new(), vec![claim(4, A, 0)]));
         log.drain_applied();
-        assert!(log.gc_client(NodeId(0), 2).is_empty(), "slot 0 still carries the claim for 2");
-        let settled = log.gc_client(NodeId(0), 3);
-        assert_eq!(settled.len(), 1, "slot 0 now fully settled");
-        assert_eq!(settled[0].0, 0);
-        assert_eq!(
-            *settled[0].1,
-            SlotBatch {
-                outcomes: vec![(rid(1), Decision { result: None, outcome: Outcome::Commit })],
-                claims: vec![claim(2, A, 0)],
-            },
-            "tombstone keeps the outcomes and the claims, drops the results"
-        );
-        assert_eq!(log.gc_client(NodeId(0), 4).iter().map(|(s, _)| *s).collect::<Vec<_>>(), [1]);
-        assert!(log.gc_client(NodeId(0), 10).is_empty(), "forgotten slots are not re-reported");
+        assert_eq!(log.gc_client(NodeId(0), 2), 0, "slot 0 still carries the claim for 2");
+        assert_eq!(log.gc_client(NodeId(0), 3), 1, "slot 0 settled, slot 1 carries 3");
+        assert_eq!(log.gc_client(NodeId(0), 5), 3, "slot 1 and the claims-only slot 2 settle");
+        assert_eq!(log.gc_client(NodeId(0), 10), 3, "the prefix ends at the apply cursor");
+        assert_eq!(log.applied_members.slots().count(), 0);
+        log.record_decided(3, &slot_value(&[11]));
+        log.drain_applied();
+        assert_eq!(log.settled_below(), 3, "an applied slot with an unsettled member");
     }
 
     #[test]
-    fn resynced_tombstone_slot_still_arbitrates_against_a_late_cleaner_abort() {
-        // A server that resyncs a slot *after* its consensus instance was
-        // compacted receives the outcomes-only tombstone. Its cleaner (which
-        // never heard the client's watermark) may then propose `(nil, abort)`
-        // for a member attempt — the tombstone's arbitration memory must
-        // swallow it, or this server terminates the settled attempt with a
-        // conflicting abort (an A.3 divergence across databases).
+    fn a_client_that_stops_pins_the_prefix() {
+        let other = |seq| ResultId::first(RequestId { client: NodeId(1), seq });
         let mut log = DecisionLog::default();
-        let tombstone = vec![(rid(1), Decision { result: None, outcome: Outcome::Commit })];
-        log.record_decided(0, &value(tombstone, Vec::new()));
+        // Client 1's last request sits in slot 1; client 0 goes on.
+        log.record_decided(0, &slot_value(&[1]));
+        log.record_decided(1, &value(vec![(other(7), commit())], Vec::new()));
+        for slot in 2..6 {
+            log.record_decided(slot, &slot_value(&[slot]));
+        }
+        log.drain_applied();
+        assert_eq!(log.gc_client(NodeId(0), 100), 1, "settled slots above 1 wait behind it");
+        assert_eq!(log.applied_members.slots().collect::<Vec<_>>(), [1]);
+        assert_eq!(log.gc_client(NodeId(1), 8), 6, "the stopped client moves on");
+    }
+
+    #[test]
+    fn a_slot_of_ignored_entries_settles_as_it_applies() {
+        let mut log = DecisionLog::default();
+        log.gc_client(NodeId(0), 5);
+        // A slow cleaner's abort and a stale claim, both below the
+        // watermark: nothing applies and nothing is left to settle.
+        log.record_decided(0, &value(vec![(rid(2), Decision::nil_abort())], vec![claim(3, B, 0)]));
         let applied = log.drain_applied();
-        assert_eq!(applied[0].entries.len(), 1, "tombstone entries apply as first occurrences");
-        log.record_decided(1, &value(vec![(rid(1), Decision::nil_abort())], Vec::new()));
-        let applied = log.drain_applied();
-        assert!(applied[0].entries.is_empty(), "late abort is a filtered duplicate");
-        assert_eq!(log.decision_of(rid(1)).unwrap().outcome, Outcome::Commit);
+        assert!(applied[0].entries.is_empty() && applied[0].claims.is_empty());
+        assert_eq!(log.settled_below(), 1);
+        assert_eq!(log.tracked_attempts(), 0);
+    }
+
+    /// Replica A applied slot 0 and its client moved on, so A compacted
+    /// the slot; replica B missed it. B pulls the slot and receives A's
+    /// watermark table, not the slot's entries. B's cleaner, which never
+    /// heard the client's watermark from the client, then proposes
+    /// `(nil, abort)` for the member attempt: it must lose on both
+    /// replicas — ignored as settled, never a first occurrence.
+    #[test]
+    fn a_pulled_placeholder_settles_its_slot_so_a_late_cleaner_abort_loses() {
+        let (mut ctx, mut regs) = solo();
+        let mut a = DecisionLog::new(1, 1);
+        let applied = a.propose(&mut ctx, &mut regs, batch(&[1]), TRUSTING);
+        assert_eq!(applied[0].entries.len(), 1);
+        assert_eq!(a.gc_client(NodeId(0), 2), 1, "request 1 settled: slot 0 is the prefix");
+        assert!(regs.compact_below(1, |reuse| a.placeholder(reuse)));
+        // B's pull of slot 0 is answered with the table.
+        let pull = ConsensusMsg::DecideReq { inst: RegId::slot(0) };
+        regs.handle(
+            &mut ctx,
+            &Event::Message { from: B, payload: Payload::Consensus(pull) },
+            TRUSTING,
+        );
+        let table = RegValue::Watermarks(Arc::new(vec![(NodeId(0), 2)]));
+        let decide = ConsensusMsg::Decide { inst: RegId::slot(0), value: table.clone() };
+        assert_eq!(ctx.sent.pop(), Some((B, Payload::Consensus(decide))));
+        let mut b = DecisionLog::default();
+        b.record_decided(0, &table);
+        let applied = b.drain_applied();
+        assert!(applied[0].entries.is_empty() && applied[0].claims.is_empty());
+        assert_eq!(applied[0].watermarks, [(NodeId(0), 2)], "the table applies as watermarks");
+        assert_eq!((b.placeholders_applied(), b.settled_below()), (1, 1));
+        // The late abort, in slot 1 on both replicas.
+        let abort = value(vec![(rid(1), Decision::nil_abort())], Vec::new());
+        for log in [&mut a, &mut b] {
+            log.record_decided(1, &abort);
+            assert!(log.drain_applied()[0].entries.is_empty(), "the late abort is ignored");
+            assert!(log.settled(&rid(1)) && log.decision_of(rid(1)).is_none());
+        }
     }
 
     #[test]
@@ -1164,15 +1135,18 @@ mod tests {
     /// The log as this module kept it before its slot windows and
     /// per-client ranges: ordered maps, in-order apply from a map of
     /// decided slots, and GC by `retain` over every map on every call —
-    /// the reference the windows must match call for call.
+    /// the reference the windows must match call for call. Its settled
+    /// prefix is a scan from slot 0 for the first applied slot with an
+    /// unsettled member.
     #[derive(Default)]
     struct ScanLog {
         next_apply: u64,
-        decided: BTreeMap<u64, Arc<SlotBatch>>,
+        decided: BTreeMap<u64, RegValue>,
         watermarks: BTreeMap<NodeId, u64>,
         seen: BTreeSet<ResultId>,
         owners: BTreeMap<ResultId, NodeId>,
-        members: BTreeMap<u64, (BTreeSet<ResultId>, Arc<SlotBatch>)>,
+        /// Every applied slot's members, settled or not.
+        members: BTreeMap<u64, BTreeSet<ResultId>>,
     }
 
     impl ScanLog {
@@ -1189,17 +1163,27 @@ mod tests {
             self.owners.retain(|rid, _| live(rid));
         }
 
-        fn decide(&mut self, slot: u64, batch: Arc<SlotBatch>) {
+        fn decide(&mut self, slot: u64, value: RegValue) {
             if slot >= self.next_apply {
-                self.decided.entry(slot).or_insert(batch);
+                self.decided.entry(slot).or_insert(value);
             }
-            while let Some(batch) = self.decided.remove(&self.next_apply) {
-                self.apply(self.next_apply, batch);
+            while let Some(value) = self.decided.remove(&self.next_apply) {
+                self.apply(self.next_apply, value);
                 self.next_apply += 1;
             }
         }
 
-        fn apply(&mut self, slot: u64, batch: Arc<SlotBatch>) {
+        fn apply(&mut self, slot: u64, value: RegValue) {
+            let batch = match value {
+                RegValue::Batch(batch) => batch,
+                RegValue::Watermarks(table) => {
+                    for &(client, floor) in table.iter() {
+                        self.raise(client, floor);
+                    }
+                    self.members.insert(slot, BTreeSet::new());
+                    return;
+                }
+            };
             for c in &batch.claims {
                 self.raise(c.rid.request.client, c.ack_below);
             }
@@ -1213,48 +1197,48 @@ mod tests {
                     self.seen.insert(*rid);
                 }
             }
-            if batch.outcomes.is_empty() && !batch.claims.is_empty() {
-                return; // claims only: never compacted, so never tracked
-            }
             let rids = batch.claims.iter().map(|c| c.rid).chain(batch.outcomes.iter().map(|o| o.0));
-            let members = rids.filter(|rid| !self.settled(rid)).collect();
-            self.members.insert(slot, (members, batch));
+            self.members.insert(slot, rids.collect());
         }
 
-        fn gc_client(&mut self, client: NodeId, ack_below: u64) -> Vec<(u64, SlotBatch)> {
+        /// The applied slots with an unsettled member, each with those
+        /// members.
+        fn unsettled(&self) -> BTreeMap<u64, BTreeSet<ResultId>> {
+            let open = |(&slot, m): (&u64, &BTreeSet<ResultId>)| {
+                let m: BTreeSet<ResultId> =
+                    m.iter().copied().filter(|r| !self.settled(r)).collect();
+                (!m.is_empty()).then_some((slot, m))
+            };
+            self.members.iter().filter_map(open).collect()
+        }
+
+        fn settled_below(&self) -> u64 {
+            self.unsettled().keys().next().copied().unwrap_or(self.next_apply)
+        }
+
+        fn gc_client(&mut self, client: NodeId, ack_below: u64) -> u64 {
             self.raise(client, ack_below);
-            let mut forgettable = Vec::new();
-            for (slot, (m, batch)) in std::mem::take(&mut self.members) {
-                if !m.iter().all(|rid| self.settled(rid)) {
-                    self.members.insert(slot, (m, batch));
-                    continue;
-                }
-                let outcomes = batch
-                    .outcomes
-                    .iter()
-                    .map(|(rid, d)| (*rid, Decision { result: None, outcome: d.outcome }))
-                    .collect();
-                forgettable.push((slot, SlotBatch { outcomes, claims: batch.claims.clone() }));
-            }
-            forgettable
+            self.settled_below()
         }
     }
 
     proptest::proptest! {
         /// The windows are the maps: over random slot contents (outcomes
         /// with and without results, claims that raise watermarks, slots
-        /// of claims alone, attempts repeated across three or more slots,
-        /// several clients) decided in random order — gaps, slots decided
-        /// far ahead of the apply cursor — and random watermarks
-        /// (regressing ones included), every GC call reports the same
-        /// fully settled slots with the same tombstones in the same order,
-        /// and after every step the log applies, remembers, tracks and
-        /// buffers exactly what the retain-everything reference does.
+        /// of claims alone, slots whose entries are all below their
+        /// watermarks, attempts repeated across three or more slots,
+        /// several clients, compacted slots' watermark tables) decided in
+        /// random order — gaps, slots decided far ahead of the apply
+        /// cursor — and random watermarks (regressing ones included, and
+        /// clients that stop and pin the prefix), every GC call reports
+        /// the same settled prefix, and after every step the log applies,
+        /// remembers, tracks and buffers exactly what the retain-everything
+        /// reference does.
         #[test]
         fn range_gc_matches_the_full_scan(
             steps in proptest::collection::vec(
                 (
-                    0u8..3,
+                    0u8..4,
                     0u32..3,
                     0u64..8,
                     proptest::collection::vec((0u32..3, 0u64..6, 1u32..3, 0u8..4), 0..5),
@@ -1265,50 +1249,57 @@ mod tests {
             let mut log = DecisionLog::default();
             let mut scan = ScanLog::default();
             for (op, client, seq, entries) in steps {
-                if op == 0 {
-                    let mut batch = SlotBatch { outcomes: Vec::new(), claims: Vec::new() };
-                    for (client, seq, attempt, kind) in entries {
-                        let request = RequestId { client: NodeId(client), seq };
-                        let rid = ResultId { request, attempt };
-                        match kind {
-                            0 => batch.outcomes.push((rid, commit())),
-                            1 => batch.outcomes.push((rid, Decision::nil_abort())),
-                            _ => batch.claims.push(OwnerClaim { rid, server: A, ack_below: seq / 2 }),
+                if op <= 1 {
+                    let value = if op == 0 {
+                        let mut batch = SlotBatch { outcomes: Vec::new(), claims: Vec::new() };
+                        for (client, seq, attempt, kind) in entries {
+                            let request = RequestId { client: NodeId(client), seq };
+                            let rid = ResultId { request, attempt };
+                            match kind {
+                                0 => batch.outcomes.push((rid, commit())),
+                                1 => batch.outcomes.push((rid, Decision::nil_abort())),
+                                _ => batch.claims.push(OwnerClaim { rid, server: A, ack_below: seq / 2 }),
+                            }
                         }
-                    }
+                        RegValue::Batch(Arc::new(batch))
+                    } else {
+                        // A compacted slot's placeholder: one watermark
+                        // per client, in client order.
+                        let table: BTreeMap<NodeId, u64> =
+                            entries.iter().map(|&(client, seq, ..)| (NodeId(client), seq)).collect();
+                        RegValue::Watermarks(Arc::new(table.into_iter().collect()))
+                    };
                     // `seq²` slots past the apply cursor: 0 fills the
                     // lowest gap, the rest decide ahead of it — or land on
                     // a slot decided already, whose first value stays.
                     let slot = scan.next_apply + seq * seq;
-                    let batch = Arc::new(batch);
-                    scan.decide(slot, Arc::clone(&batch));
-                    log.record_decided(slot, &RegValue::Batch(batch));
+                    scan.decide(slot, value.clone());
+                    log.record_decided(slot, &value);
                     log.drain_applied();
                 } else {
-                    let reported = log.gc_client(NodeId(client), seq);
-                    let reported: Vec<_> = reported.iter().map(|(s, b)| (*s, (**b).clone())).collect();
-                    proptest::prop_assert_eq!(reported, scan.gc_client(NodeId(client), seq));
+                    let prefix = log.gc_client(NodeId(client), seq);
+                    proptest::prop_assert_eq!(prefix, scan.gc_client(NodeId(client), seq));
                 }
                 proptest::prop_assert_eq!(log.applied_up_to(), scan.next_apply);
+                proptest::prop_assert_eq!(log.settled_below(), scan.settled_below());
                 proptest::prop_assert!(log.decided_ahead.slots().eq(scan.decided.keys().copied()));
-                for (slot, batch) in &scan.decided {
-                    proptest::prop_assert!(Arc::ptr_eq(log.decided_ahead.get(*slot).expect("held"), batch));
+                for (slot, value) in &scan.decided {
+                    proptest::prop_assert_eq!(log.decided_ahead.get(*slot), Some(value));
                 }
                 proptest::prop_assert!(log.decided_ahead.is_tight() && log.applied_members.is_tight());
                 proptest::prop_assert!(decided(&log).iter().eq(scan.seen.iter()));
                 proptest::prop_assert!(log.owners().eq(scan.owners.iter().map(|(&r, &o)| (r, o))));
-                proptest::prop_assert!(log.applied_members.slots().eq(scan.members.keys().copied()));
-                let members: BTreeSet<(ResultId, u64)> = scan
-                    .members
+                let open = scan.unsettled();
+                proptest::prop_assert!(log.applied_members.slots().eq(open.keys().copied()));
+                let members: BTreeSet<(ResultId, u64)> = open
                     .iter()
-                    .flat_map(|(&slot, (m, _))| m.iter().map(move |&rid| (rid, slot)))
-                    .filter(|(rid, _)| !scan.settled(rid))
+                    .flat_map(|(&slot, m)| m.iter().map(move |&rid| (rid, slot)))
                     .collect();
                 proptest::prop_assert_eq!(unsettled(&log), Vec::from_iter(members));
                 for slot in log.applied_members.slots() {
                     let named = unsettled(&log).iter().filter(|(_, s)| *s == slot).count();
-                    let applied = log.applied_members.get(slot).expect("held");
-                    proptest::prop_assert_eq!(applied.unsettled, named, "slot {}", slot);
+                    let applied = *log.applied_members.get(slot).expect("held");
+                    proptest::prop_assert_eq!(applied, named, "slot {}", slot);
                 }
             }
         }
@@ -1322,17 +1313,19 @@ mod tests {
         }
         log.drain_applied();
         assert_eq!(unsettled(&log), [(rid(1), 0), (rid(1), 1), (rid(1), 2)]);
-        let settled = log.gc_client(NodeId(0), 2);
-        assert_eq!(settled.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(log.gc_client(NodeId(0), 2), 3, "all three settle at once");
         assert_eq!(log.applied_members.slots().count(), 0, "the window is empty again");
     }
 
     /// Three replicas — register bank and log view each — on a loopback
-    /// network the test delivers by hand.
+    /// network the test delivers by hand. Each compacts its bank below its
+    /// log's settled prefix as a host does, so the batch a slot decided
+    /// is kept here, as the retained log.
     struct Cluster {
         regs: Vec<WoRegisters>,
         logs: Vec<DecisionLog>,
         net: VecDeque<(NodeId, NodeId, Payload)>,
+        truth: BTreeMap<u64, Arc<SlotBatch>>,
     }
 
     impl Cluster {
@@ -1344,7 +1337,19 @@ mod tests {
                 regs: Self::PEERS.iter().map(bank).collect(),
                 logs: Self::PEERS.iter().map(|_| DecisionLog::new(max_batch, 1)).collect(),
                 net: VecDeque::new(),
+                truth: BTreeMap::new(),
             }
+        }
+
+        /// Replica `n` compacts its bank below its log's settled prefix.
+        fn compact(&mut self, n: usize) {
+            let log = &self.logs[n];
+            self.regs[n].compact_below(log.settled_below(), |reuse| log.placeholder(reuse));
+        }
+
+        fn gc_client(&mut self, n: usize, client: NodeId, ack_below: u64) {
+            self.logs[n].gc_client(client, ack_below);
+            self.compact(n);
         }
 
         fn propose(&mut self, n: usize, entries: OutcomeBatch) {
@@ -1364,26 +1369,32 @@ mod tests {
             for ev in self.regs[n].handle(&mut ctx, &event, TRUSTING) {
                 let WoEvent::Decided { reg, value } = ev;
                 let slot = reg.slot_index().expect("only slots are written");
+                if let Some(batch) = value.batch() {
+                    let first = self.truth.entry(slot).or_insert_with(|| Arc::clone(batch));
+                    assert_eq!(first, batch, "slot {slot} decided two batches");
+                }
                 self.logs[n].on_slot_decided(&mut ctx, &mut self.regs[n], slot, &value, TRUSTING);
             }
+            self.compact(n);
             self.net.extend(ctx.sent.into_iter().map(|(to, m)| (Self::PEERS[n], to, m)));
         }
 
         /// Checks replica `n` against the retain-everything reference: the
-        /// decided slot values below its apply cursor, scanned from slot 0
-        /// with no memory ever dropped. Wherever the replica still tracks
-        /// an attempt, owner and decision must be the reference's; and
-        /// everything the reference knows, the replica knows or has
-        /// settled.
+        /// batches decided below its apply cursor, scanned from slot 0 with
+        /// no memory ever dropped — whether the replica applied a slot's
+        /// batch or a compacted slot's placeholder. Wherever the replica
+        /// still tracks an attempt, owner and decision must be the
+        /// reference's; and everything the reference knows, the replica
+        /// knows or has settled.
         fn check(&self, n: usize) -> Result<(), proptest::test_runner::TestCaseError> {
             let log = &self.logs[n];
             let mut owners = BTreeMap::new();
             let mut decisions = BTreeMap::new();
             for slot in 0..log.applied_up_to() {
                 // Whichever replica decided the slot, consensus made the
-                // value the same; this one has it, or could not have applied.
-                let value = self.regs[n].read(RegId::slot(slot)).expect("applied slot is decided");
-                let batch = value.as_batch_shared();
+                // batch the same, and a placeholder stands only for a slot
+                // some replica applied a batch for.
+                let batch = self.truth.get(&slot).expect("an applied slot decided a batch");
                 for c in &batch.claims {
                     owners.entry(c.rid).or_insert(c.server);
                 }
@@ -1412,11 +1423,13 @@ mod tests {
         /// One arbiter, three views: under random interleavings of outcome
         /// proposals, urgent claims and pre-claims from every replica,
         /// message deliveries in any order, and watermarks heard by one
-        /// replica only (and then carried to the others by its claims),
-        /// every replica's `owner_of` and `decision_of` are the first
-        /// occurrences in its applied prefix — so any two replicas agree
-        /// at equal prefixes — for every attempt the replica has not
-        /// settled; and at quiescence all three have applied the same log.
+        /// replica only (and then carried to the others by its claims, or
+        /// by the placeholder of a slot it compacted), every replica's
+        /// `owner_of` and `decision_of` are the first occurrences in its
+        /// applied prefix — so any two replicas agree at equal prefixes —
+        /// for every attempt the replica has not settled; and at
+        /// quiescence all three hold the same log, each slot as its batch
+        /// or compacted.
         #[test]
         fn replicas_agree_with_the_retained_log_at_every_prefix(
             max_batch in 1usize..4,
@@ -1437,9 +1450,7 @@ mod tests {
                         c.propose(n, Vec::new());
                     }
                     3 => c.logs[n].claim(rid, false),
-                    4 => {
-                        c.logs[n].gc_client(request.client, seq);
-                    }
+                    4 => c.gc_client(n, request.client, seq),
                     _ => c.deliver(pick),
                 }
                 for n in 0..3 {
@@ -1460,13 +1471,15 @@ mod tests {
                 proptest::prop_assert!(c.logs[n].inflight.is_none());
                 proptest::prop_assert!(c.logs[n].pending.is_empty() && urgent(&c.logs[n]).is_empty());
             }
+            // Each replica holds every slot's batch or a placeholder for it.
             let frontier = c.logs.iter().map(|l| l.applied_up_to()).max().expect("three logs");
             for n in 0..3 {
                 for slot in 0..frontier {
-                    proptest::prop_assert_eq!(
-                        c.regs[n].read(RegId::slot(slot)),
-                        c.regs[0].read(RegId::slot(slot)),
-                        "slot {} at replica {}", slot, n
+                    let value = c.regs[n].read(RegId::slot(slot));
+                    proptest::prop_assert!(
+                        matches!(value, Some(RegValue::Watermarks(_)))
+                            || value.and_then(RegValue::batch) == c.truth.get(&slot),
+                        "slot {} at replica {}: {:?}", slot, n, value
                     );
                 }
             }

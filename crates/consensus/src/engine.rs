@@ -33,8 +33,11 @@
 //! **Storage by slot.** Every instance is a decision-log slot, and slots
 //! are dense: each server proposes into the lowest slot it has not seen
 //! decided, so the slots in use are `0..frontier` with at most a handful
-//! undecided. The decided values therefore sit in a vector indexed by
-//! slot (eight bytes a slot, the log's one growing table), not in a map.
+//! undecided. The decided values therefore sit in a window over
+//! consecutive slots, not in a map, and the window starts at the
+//! **compacted prefix** ([`ConsensusEngine::compact_below`]): every slot
+//! below it answers with one shared placeholder, so what the engine keeps
+//! follows the slots still in use, not the log's history.
 //! An undecided instance keeps its round's estimates and acks by the
 //! sender's position in the peer list, in place for groups of up to five
 //! and in one heap block per instance beyond. What a call decides comes
@@ -46,6 +49,7 @@
 //! what they were under the maps.
 
 use crate::few::Few;
+use crate::window::SlotWindow;
 use etx_base::ids::{NodeId, RegId};
 use etx_base::msg::{ConsensusMsg, Payload};
 use etx_base::runtime::{Context, Event, TimerTag};
@@ -158,9 +162,8 @@ impl Instance {
 }
 
 /// The dense index of an instance: its decision-log slot.
-fn index(inst: RegId) -> usize {
-    let slot = inst.slot_index().expect("every register is a slot");
-    usize::try_from(slot).expect("a slot index fits the address space")
+fn index(inst: RegId) -> u64 {
+    inst.slot_index().expect("every register is a slot")
 }
 
 /// Multi-instance consensus engine. One per application server, embedded in
@@ -180,11 +183,17 @@ pub struct ConsensusEngine {
     /// ([`Self::instance_mut`]) and leaves when it decides
     /// ([`Self::record_decision`]).
     instances: BTreeMap<RegId, Instance>,
-    /// Every decision this server knows, at its slot's index (`None`: not
-    /// decided here) — the one table that grows with the log, so it holds
-    /// the value and nothing else, eight bytes a slot. Every message and
-    /// timer for a decided instance is answered from here.
-    decided: Vec<Option<RegValue>>,
+    /// Every decision this server knows at or above `compacted_below`, by
+    /// slot — a window from the lowest such slot to the decided frontier.
+    /// Every message and timer for a decided instance is answered from
+    /// here or, below the prefix, with `placeholder`.
+    decided: SlotWindow<RegValue>,
+    /// Every slot below this is decided here and compacted: its value is
+    /// gone and `placeholder` answers for it.
+    compacted_below: u64,
+    /// The one value every compacted slot answers with (`None` until the
+    /// first compaction).
+    placeholder: Option<RegValue>,
     /// Decisions reached since the last `handle`/`propose` drain.
     fresh: Few<(RegId, RegValue)>,
     started: bool,
@@ -205,7 +214,9 @@ impl ConsensusEngine {
             majority: peers.len() / 2 + 1,
             cfg,
             instances: BTreeMap::new(),
-            decided: Vec::new(),
+            decided: SlotWindow::default(),
+            compacted_below: 0,
+            placeholder: None,
             fresh: Few::new(),
             started: false,
         }
@@ -228,9 +239,20 @@ impl ConsensusEngine {
         self.peers.iter().position(|&p| p == node)
     }
 
-    /// Locally known decision, if any (the wo-register `read()` fast path).
+    /// Locally known decision, if any (the wo-register `read()` fast path):
+    /// the placeholder for a compacted slot.
     pub fn decided(&self, inst: RegId) -> Option<&RegValue> {
-        self.decided.get(index(inst))?.as_ref()
+        let slot = index(inst);
+        if slot < self.compacted_below {
+            return self.placeholder.as_ref();
+        }
+        self.decided.get(slot)
+    }
+
+    /// Decided values the engine still stores: those at or above the
+    /// compacted prefix (observability / bounded-state tests).
+    pub fn held_slots(&self) -> usize {
+        self.decided.held()
     }
 
     /// Number of undecided instances — the open work the periodic timers
@@ -486,11 +508,8 @@ impl ConsensusEngine {
     /// goes, the value stays.
     fn record_decision(&mut self, inst: RegId, value: RegValue) {
         self.instances.remove(&inst);
-        let at = index(inst);
-        if at >= self.decided.len() {
-            self.decided.resize(at + 1, None);
-        }
-        self.decided[at] = Some(value.clone());
+        debug_assert!(index(inst) >= self.compacted_below, "{inst} is compacted");
+        *self.decided.entry(index(inst)) = Some(value.clone());
         self.fresh.push((inst, value));
     }
 
@@ -592,23 +611,33 @@ impl ConsensusEngine {
         }
     }
 
-    /// Compacts a *decided* instance to `placeholder`, dropping the
-    /// original payload but keeping the instance
-    /// answerable (garbage-collection hook; see the paper's §5 remark on
-    /// cleaning the register arrays). A compacted instance still answers
-    /// reads and pulls (with the placeholder) and still short-circuits
-    /// proposals — the position can never be re-opened and re-decided by
-    /// a replica that missed the original decision. The caller asserts
-    /// the original value can no longer matter to anyone (e.g. a
-    /// decision-log slot whose every request is settled).
-    pub fn compact(&mut self, inst: RegId, placeholder: RegValue) -> bool {
-        match self.decided.get_mut(index(inst)).and_then(Option::as_mut) {
-            Some(value) => {
-                *value = placeholder;
-                true
-            }
-            None => false,
+    /// Compacts the decided slots below `slot` (garbage collection; see
+    /// the paper's §5 remark on cleaning the register arrays): their values
+    /// go, and every one of them answers reads, pulls and proposals with
+    /// one placeholder from then on — so a replica that missed a decision
+    /// can never re-open the position and re-decide it. The prefix
+    /// advances over consecutive decided slots only, and stops at the
+    /// first one undecided here. When it advances, `placeholder` is given
+    /// the current placeholder (`None` before the first compaction) and
+    /// returns the one that now answers for the whole prefix, so a caller
+    /// can refill it in place. The caller asserts the placeholder stands
+    /// for every value compacted (for a decision-log slot: every request
+    /// in it is settled, and the placeholder says so). Returns whether the
+    /// prefix advanced.
+    pub fn compact_below(
+        &mut self,
+        slot: u64,
+        placeholder: impl FnOnce(Option<RegValue>) -> RegValue,
+    ) -> bool {
+        let from = self.compacted_below;
+        while self.compacted_below < slot && self.decided.remove(self.compacted_below).is_some() {
+            self.compacted_below += 1;
         }
+        if self.compacted_below == from {
+            return false;
+        }
+        self.placeholder = Some(placeholder(self.placeholder.take()));
+        true
     }
 }
 
@@ -619,6 +648,7 @@ mod tests {
     use etx_base::ids::TimerId;
     use proptest::prelude::*;
     use std::collections::{BTreeSet, VecDeque};
+    use std::sync::Arc;
 
     const ME: NodeId = NodeId(0);
     const PEERS: [NodeId; 3] = [NodeId(0), NodeId(1), NodeId(2)];
@@ -716,9 +746,11 @@ mod tests {
         /// decisions out of slot order and far ahead of the lowest open
         /// slot, a recovered (empty) engine pulling from slot 0 — its
         /// slot-indexed state matches an ordered-map model: `decided()`
-        /// answers what the engine reported deciding (or the placeholder
-        /// compacted over it) and nothing else, `compact` succeeds exactly
-        /// on decided slots, the instances it keeps round state for are
+        /// answers what the engine reported deciding, or the latest
+        /// placeholder below the compacted prefix, and nothing else;
+        /// `compact_below` advances the prefix over consecutive decided
+        /// slots, stops at the first undecided one and hands back the
+        /// placeholder it replaces; the instances it keeps round state for are
         /// exactly its undecided ones — deciding moves an instance out,
         /// nothing moves it back — and a resync tick pulls exactly those
         /// it holds an estimate for.
@@ -731,6 +763,15 @@ mod tests {
         ) {
             let mut engine = ConsensusEngine::new(ME, &PEERS, EngineConfig::default());
             let mut model: BTreeMap<RegId, RegValue> = BTreeMap::new();
+            // The model's prefix and the placeholder answering below it.
+            let (mut compacted, mut placeholder): (u64, Option<RegValue>) = (0, None);
+            let known = |model: &BTreeMap<RegId, RegValue>, compacted, placeholder: &Option<RegValue>, r: RegId| {
+                if r.slot_index().expect("a slot") < compacted {
+                    placeholder.clone()
+                } else {
+                    model.get(&r).cloned()
+                }
+            };
             for (op, pick, round, from, v, suspected) in steps {
                 let inst = RegId::slot(UNIVERSE[pick]);
                 let value = claim_by(NodeId(v));
@@ -746,7 +787,7 @@ mod tests {
                     5 => Some(ConsensusMsg::Decide { inst, value }),
                     6 => Some(ConsensusMsg::DecideReq { inst }),
                     7 => {
-                        let known = model.get(&inst).cloned();
+                        let known = known(&model, compacted, &placeholder, inst);
                         let answer = engine.propose(&mut ctx, inst, value, &sus);
                         match known {
                             Some(d) => prop_assert_eq!(answer, Some(d), "a decided write answers"),
@@ -765,11 +806,22 @@ mod tests {
                         None
                     }
                     10 => {
-                        let placeholder = claim_by(NodeId(7));
-                        let compacted = engine.compact(inst, placeholder.clone());
-                        prop_assert_eq!(compacted, model.contains_key(&inst));
-                        if let Some(d) = model.get_mut(&inst) {
-                            *d = placeholder;
+                        // Compact below the slot picked, or one past it.
+                        let below = UNIVERSE[pick] + u64::from(round % 2);
+                        let mut to = compacted;
+                        while to < below && model.contains_key(&RegId::slot(to)) {
+                            to += 1;
+                        }
+                        let fresh = RegValue::Watermarks(Arc::new(vec![(NodeId(7), to)]));
+                        let mut handed = None;
+                        let advanced = engine.compact_below(below, |old| {
+                            handed = Some(old);
+                            fresh.clone()
+                        });
+                        prop_assert_eq!(advanced, to > compacted, "compact_below({})", below);
+                        prop_assert_eq!(handed, advanced.then(|| placeholder.clone()));
+                        if advanced {
+                            (compacted, placeholder) = (to, Some(fresh));
                         }
                         None
                     }
@@ -777,6 +829,7 @@ mod tests {
                         // A recovered server: no decision, no round state.
                         engine = ConsensusEngine::new(ME, &PEERS, EngineConfig::default());
                         model.clear();
+                        (compacted, placeholder) = (0, None);
                         None
                     }
                     _ => {
@@ -797,10 +850,13 @@ mod tests {
                 for (r, d) in reported {
                     prop_assert!(model.insert(r, d).is_none(), "{} decided twice", r);
                 }
-                for k in UNIVERSE.into_iter().chain([5, 63, 65, 1_000]) {
+                for k in UNIVERSE.into_iter().chain([4, 5, 63, 65, 1_000]) {
                     let r = RegId::slot(k);
-                    prop_assert_eq!(engine.decided(r), model.get(&r), "decided({})", r);
+                    let expect = known(&model, compacted, &placeholder, r);
+                    prop_assert_eq!(engine.decided(r), expect.as_ref(), "decided({})", r);
                 }
+                let held = model.keys().filter(|r| r.slot_index().expect("a slot") >= compacted);
+                prop_assert_eq!(engine.held_slots(), held.count());
                 let open: BTreeSet<RegId> = engine.instances.keys().copied().collect();
                 let undecided: BTreeSet<RegId> =
                     open.iter().copied().filter(|k| !model.contains_key(k)).collect();

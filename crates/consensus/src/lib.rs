@@ -22,6 +22,7 @@
 pub mod declog;
 pub mod engine;
 pub mod few;
+mod window;
 pub mod woreg;
 
 pub use declog::{AppliedSlot, DecisionLog};
@@ -96,7 +97,7 @@ pub(crate) mod testutil {
 
     /// The server a [`claim_by`] value names.
     pub fn claimant(value: &RegValue) -> NodeId {
-        value.as_batch_shared().claims[0].server
+        value.batch().expect("a claim_by value").claims[0].server
     }
 }
 
@@ -348,9 +349,9 @@ mod tests {
 
     #[test]
     fn single_replica_quorum_decides_synchronously() {
-        // peers = {me}: propose must decide immediately and compact() must
-        // work right after.
-        let r = reg(6);
+        // peers = {me}: propose must decide immediately and compact_below()
+        // must work right after.
+        let r = reg(0);
         let out = Arc::new(Mutex::new(None));
         struct Once {
             r: RegId,
@@ -364,8 +365,13 @@ mod tests {
                     let sus = |_: NodeId| false;
                     let v = e.propose(ctx, self.r, claim_by(me), &sus);
                     assert_eq!(v, Some(claim_by(me)));
-                    assert!(!e.compact(reg(999), claim_by(me)), "cannot compact unknown instance");
-                    *self.out.lock().unwrap() = Some(e.compact(self.r, claim_by(me)));
+                    let placeholder = RegValue::Watermarks(Arc::new(vec![(me, 1)]));
+                    // Slot 1 is undecided: the prefix stops below it.
+                    let compacted = e.compact_below(2, |_| placeholder.clone());
+                    assert!(!e.compact_below(2, |_| unreachable!("nothing more to compact")));
+                    assert_eq!(e.decided(self.r), Some(&placeholder));
+                    assert_eq!(e.decided(reg(1)), None);
+                    *self.out.lock().unwrap() = Some(compacted);
                 }
             }
         }

@@ -95,12 +95,23 @@ impl WoRegisters {
         self.engine.on_suspicion_change(ctx, suspects);
     }
 
-    /// Compacts a decided register to `placeholder`: its payload is
-    /// dropped, but the register stays decided — reads, pulls and
-    /// late writes are still answered, so a replica that missed the
-    /// original decision can never re-open the position (§5 notes GC is
+    /// Decided values the bank still stores: the slots at or above its
+    /// compacted prefix (observability / bounded-state tests).
+    pub fn held_slots(&self) -> usize {
+        self.engine.held_slots()
+    }
+
+    /// Compacts the decided slots below `slot` to one shared placeholder:
+    /// their payloads are dropped, but the registers stay decided — reads,
+    /// pulls and late writes are still answered, so a replica that missed
+    /// an original decision can never re-open the position (§5 notes GC is
     /// out of the paper's scope; this hook is the natural place for it).
-    pub fn compact(&mut self, reg: RegId, placeholder: RegValue) -> bool {
-        self.engine.compact(reg, placeholder)
+    /// See [`ConsensusEngine::compact_below`].
+    pub fn compact_below(
+        &mut self,
+        slot: u64,
+        placeholder: impl FnOnce(Option<RegValue>) -> RegValue,
+    ) -> bool {
+        self.engine.compact_below(slot, placeholder)
     }
 }

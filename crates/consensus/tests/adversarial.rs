@@ -76,7 +76,7 @@ fn claim_by(server: NodeId) -> RegValue {
 
 /// The server a [`claim_by`] value names.
 fn claimant(value: &RegValue) -> NodeId {
-    value.as_batch_shared().claims[0].server
+    value.batch().expect("a claim_by value").claims[0].server
 }
 
 /// A little world of `n` engines plus an in-flight message bag the
@@ -299,8 +299,10 @@ proptest! {
 }
 
 /// Compaction safety: a replica that missed a slot's decision and finds its
-/// peers already compacted cannot re-open the position — its late proposal
-/// resolves to the compacted placeholder, never to its own value.
+/// peers already compacted cannot re-open the position. Its pull of the
+/// slot is answered with the compacted prefix's placeholder — the peers'
+/// watermark table — and so is a late proposal of its own: it resolves to
+/// the placeholder, never to its own value.
 #[test]
 fn compacted_instance_answers_late_writers_instead_of_reopening() {
     let mut w = World::new(3, vec![]);
@@ -321,16 +323,31 @@ fn compacted_instance_answers_late_writers_instead_of_reopening() {
     let original = w.decided[0].clone().expect("majority decided");
     assert_eq!(w.decided[1].as_ref(), Some(&original));
     assert_eq!(w.decided[2], None, "node 2 must have missed the decision");
-    // Both deciders compact the instance (all its requests settled).
-    let placeholder = RegValue::Batch(Arc::new(SlotBatch::default()));
+    // Both deciders compact the prefix below slot 1 (all its requests
+    // settled) to their watermark table.
+    let table = RegValue::Watermarks(Arc::new(vec![(NodeId(100), 2)]));
     for idx in [0usize, 1] {
-        assert!(
-            w.engines[idx].as_mut().expect("live").compact(inst(), placeholder.clone()),
-            "decided instances compact"
-        );
+        let engine = w.engines[idx].as_mut().expect("live");
+        assert!(engine.compact_below(1, |_| table.clone()), "a decided prefix compacts");
+        assert_eq!(engine.decided(inst()), Some(&table));
     }
-    // Node 2 now proposes its own value into the position it thinks is
-    // open. Full connectivity again: it must learn the placeholder.
+    // Node 2 pulls the slot, full connectivity again: it must learn the
+    // table.
+    let mut ctx = MockCtx::new(NodeId(2));
+    w.engines[2].as_mut().expect("live").pull(&mut ctx, inst());
+    w.drain(NodeId(2), ctx);
+    while !w.bag.is_empty() {
+        w.deliver_nth(0);
+    }
+    assert_eq!(w.decided[2].as_ref(), Some(&table), "a pull of a compacted slot gets the table");
+    // A fresh replica in node 2's place proposes its own value into the
+    // position it thinks is open: it must adopt the table too.
+    w.engines[2] = Some(ConsensusEngine::new(
+        NodeId(2),
+        &[NodeId(0), NodeId(1), NodeId(2)],
+        EngineConfig::default(),
+    ));
+    w.decided[2] = None;
     w.propose(2, claim_by(NodeId(2)));
     for _ in 0..20 {
         w.tick_all();
@@ -343,7 +360,7 @@ fn compacted_instance_answers_late_writers_instead_of_reopening() {
     }
     assert_eq!(
         w.decided[2].as_ref(),
-        Some(&placeholder),
+        Some(&table),
         "the late writer must adopt the compacted decision, not re-decide the position"
     );
 }

@@ -73,13 +73,13 @@ use crate::readlane::{ReadEnd, ReadLane};
 use crate::xa::{Entered, Step, Xa};
 use etx_base::attempts::AttemptWindows;
 use etx_base::config::{CostModel, ProtocolConfig};
-use etx_base::ids::{NodeId, RegId, RequestId, ResultId, TimerId, Topology};
+use etx_base::ids::{NodeId, RequestId, ResultId, TimerId, Topology};
 use etx_base::msg::{AppMsg, ClientMsg, DbMsg, DbReplyMsg, Payload, ReplMsg};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::shard::ShardMap;
 use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, TraceKind};
-use etx_base::value::{Decision, Outcome, RegValue, Request};
+use etx_base::value::{Decision, Outcome, Request};
 use etx_consensus::{AppliedSlot, DecisionLog, EngineConfig, Few, WoEvent, WoRegisters};
 use etx_fd::FailureDetector;
 use std::collections::BTreeMap;
@@ -330,19 +330,15 @@ impl AppServer {
             }
             attempt.phase.is_some() || attempt.outcome.is_some()
         });
-        // Slots whose every member is settled shed their consensus payload
-        // too — without this the register bank retains one decided batch
-        // (results included) per slot forever, unbounding memory with total
-        // throughput. Compacted (not forgotten), and down to an
-        // outcomes-only tombstone rather than an empty batch: a replica
-        // that resyncs the slot after compaction still needs the
-        // `(attempt, outcome)` pairs for first-occurrence arbitration — its
-        // cleaner may not have heard this client's watermark and re-propose a
-        // member attempt as `(nil, abort)`, which must lose to the original
-        // outcome everywhere. Only the result payloads are shed.
-        for (slot, tombstone) in self.log.gc_client(client, ack_below) {
-            self.regs.compact(RegId::slot(slot), RegValue::Batch(tombstone));
-        }
+        // The settled prefix of the log sheds its consensus values too —
+        // without this the register bank keeps one decided value per slot
+        // forever, unbounding memory with total throughput. Compacted, not
+        // forgotten: a replica that pulls a compacted slot gets this
+        // server's watermark table, which settles every request the slot
+        // carried there — a late `(nil, abort)` its cleaner re-proposes for
+        // a member attempt is then ignored there as everywhere.
+        let settled = self.log.gc_client(client, ack_below);
+        self.compact_below(settled);
         self.lane.gc_below(client, ack_below);
         // Outcomes this server still owed a decision never reach
         // apply_slots now: terminate them here.
@@ -352,6 +348,13 @@ impl AppServer {
         let stale = ResultId::below(client, ack_below);
         self.batch_queue.retain(|(rid, _)| !stale.contains(rid));
         self.committed_cache.below(client, ack_below, |_, _| false);
+    }
+
+    /// Compacts the register bank below `slot`, the log's settled prefix,
+    /// to the log's watermark table, refilled in place.
+    fn compact_below(&mut self, slot: u64) {
+        let log = &self.log;
+        self.regs.compact_below(slot, |reuse| log.placeholder(reuse));
     }
 
     /// Number of per-attempt state machines currently held (observability /
@@ -377,15 +380,18 @@ impl AppServer {
         self.log.applied_up_to()
     }
 
-    /// Applied decision-log slots whose register still holds result
-    /// payloads: not yet compacted to an outcomes-only tombstone, because
-    /// some member is not below its client's watermark (observability / GC
-    /// tests).
-    pub fn payload_slots(&self) -> usize {
-        (0..self.log.applied_up_to())
-            .filter_map(|slot| self.regs.read(RegId::slot(slot)))
-            .filter(|RegValue::Batch(b)| b.outcomes.iter().any(|(_, d)| d.result.is_some()))
-            .count()
+    /// Decided values the register bank still stores: the slots at or
+    /// above the compacted prefix, which starts at the oldest slot some
+    /// unsettled request belongs to (observability / GC tests).
+    pub fn held_slots(&self) -> usize {
+        self.regs.held_slots()
+    }
+
+    /// Compacted decision-log slots this server applied as watermarks only
+    /// — what it pulled from a peer that had compacted them (observability
+    /// / catch-up tests).
+    pub fn placeholders_applied(&self) -> u64 {
+        self.log.placeholders_applied()
     }
 
     /// Per-attempt records the decision log holds — decisions, owners (what
@@ -757,6 +763,10 @@ impl AppServer {
             ctx.trace(TraceKind::BatchDecided { slot: slot.slot, len: slot.entries.len() as u32 });
             self.terminate(ctx, Some(slot.slot), slot.entries);
         }
+        // A slot whose members were all settled when it applied (a
+        // placeholder's after the first, or one of late entries alone)
+        // raises no watermark, so no GC pass would compact it.
+        self.compact_below(self.log.settled_below());
     }
 
     // ---- terminate() (Figure 4) --------------------------------------------

@@ -879,7 +879,12 @@ mod tests {
             host.run_trace_until(Box::new(move |_| first.get() > 0));
             host.schedule_fault(NemesisWhen::Now, FaultOp::Pause(n)).unwrap();
             let (handled_at_pause, sent_at_pause) = (handled.get(), sent.get());
-            host.quiesce_for(Dur::from_millis(10));
+            // Quiesce in steps until the drip has sent again: on a loaded
+            // machine one wall-clock step may run no handler at all.
+            let started = Instant::now();
+            while sent.get() == sent_at_pause && started.elapsed() < WATCHDOG {
+                host.quiesce_for(Dur::from_millis(10));
+            }
             assert!(sent.get() > sent_at_pause, "{clock}: the flood must go on");
             assert_eq!(handled.get(), handled_at_pause, "{clock}: a paused node ran");
             host.schedule_fault(NemesisWhen::Now, FaultOp::Resume(n)).unwrap();

@@ -204,7 +204,10 @@ fn a_coordinator_that_forgot_its_proposal_is_nacked_into_the_next_round() {
 /// costs pulls linear in the log, not one pull per gap per later decided
 /// slot. On these seeds the log reaches 521–551 slots; re-pulling every
 /// gap on every decided slot cost 11 306–14 398 `DecideReq`s, pulling each
-/// once per resync period costs 370–540.
+/// once per resync period costs 370–540. The slots its peers compacted
+/// while it was down come back as their watermark table, which the
+/// recovered server applies as watermarks only; it then holds no more
+/// decided values than its peers do.
 #[test]
 fn a_recovered_app_server_catches_up_in_linear_messages() {
     for seed in 1..=5u64 {
@@ -216,7 +219,8 @@ fn a_recovered_app_server_catches_up_in_linear_messages() {
             .features(feature_corners()[1].1)
             .workload(Workload::ShardedBank { accounts: 256, cross_pct: 10, amount: 7 })
             .build();
-        let down = FaultOp::CrashFor { node: s.primary(), down_for: Dur::from_millis(100) };
+        let recovered = s.primary();
+        let down = FaultOp::CrashFor { node: recovered, down_for: Dur::from_millis(100) };
         s.schedule_fault(NemesisWhen::After(Dur::from_millis(100)), down).unwrap();
         let n = s.requests as usize;
         assert_eq!(s.run_until_settled(n), etx::sim::RunOutcome::Predicate, "seed {seed}");
@@ -224,23 +228,27 @@ fn a_recovered_app_server_catches_up_in_linear_messages() {
         check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true })
             .assert_ok();
 
-        let slots = s
-            .topo
-            .app_servers
-            .iter()
-            .map(|&node| {
-                let process = s.sim().process_ref(node).expect("every server recovered");
-                let app: &AppServer = process
-                    .as_any()
-                    .and_then(|any| any.downcast_ref())
-                    .expect("application servers expose themselves for introspection");
-                app.log_applied_up_to()
-            })
-            .max()
-            .expect("three servers");
+        let app = |node| -> &AppServer {
+            let process = s.sim().process_ref(node).expect("every server recovered");
+            process
+                .as_any()
+                .and_then(|any| any.downcast_ref())
+                .expect("application servers expose themselves for introspection")
+        };
+        let servers = &s.topo.app_servers;
+        let slots = servers.iter().map(|&n| app(n).log_applied_up_to()).max().expect("three");
         assert!(slots > 0, "seed {seed}: the log decided slots");
         let pulls = s.stats().sent("CDecideReq");
         assert!(pulls <= 2 * slots, "seed {seed}: {pulls} pulls over a log of {slots} slots");
+        let placeholders = app(recovered).placeholders_applied();
+        assert!(placeholders > 0, "seed {seed}: the recovered server applied no placeholder");
+        let peers = servers.iter().filter(|&&n| n != recovered);
+        let held = peers.map(|&n| app(n).held_slots()).max().expect("two peers");
+        assert!(
+            app(recovered).held_slots() <= held,
+            "seed {seed}: the recovered server holds {} decided slots, its peers at most {held}",
+            app(recovered).held_slots()
+        );
     }
 }
 

@@ -10,6 +10,11 @@ use etx::base::trace::TraceKind;
 use etx::harness::{check, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder, Workload};
 use etx::protocol::AppServer;
 
+/// Decision-log slots a sequential client's open request pins in every
+/// register bank: its claim's slot and its outcome's. Every slot below
+/// them is settled and compacted.
+const HELD_PER_OPEN_REQUEST: usize = 2;
+
 /// The application server at `node`, which must be up.
 fn app_server(s: &Scenario, node: NodeId) -> &AppServer {
     s.sim()
@@ -37,13 +42,13 @@ fn long_request_stream_stays_correct_with_gc() {
     assert_eq!(s.db_commits(), 30);
     // Every replica's register bank must shed decision-log slots as the
     // client's watermark advances — a long stream may not accumulate one
-    // result payload per slot forever. The sequential client's window is
-    // its one open request: only that request's slot may still carry its
-    // result, at the ingress server and at the two that follow the
-    // watermark through the log alike.
+    // decided value per slot forever. The sequential client's window is
+    // its one open request: only that request's slots may still be held,
+    // at the ingress server and at the two that follow the watermark
+    // through the log alike.
     for &node in &s.topo.app_servers {
-        let payloads = app_server(&s, node).payload_slots();
-        assert!(payloads <= 1, "{node}: {payloads} decided slots still carry results");
+        let held = app_server(&s, node).held_slots();
+        assert!(held <= HELD_PER_OPEN_REQUEST, "{node}: {held} decided slots held");
     }
     check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
 }
@@ -57,29 +62,42 @@ fn two_thousand_requests_leave_only_open_work_behind() {
     // from the owner claims the log carries. So on all three servers the
     // per-attempt maps, the cleaner's `clist` and what the decision log
     // tracks per attempt (decisions, owners, unsettled slot members — what
-    // a cleaning pass walks) stay at a handful of entries, and the
-    // consensus engine's open set — what the resync timer walks — holds
-    // only undecided registers.
-    const REQUESTS: u64 = 2_000;
-    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 885)
-        .runtime(RuntimeKind::Sim)
-        .workload(Workload::BankUpdate { amount: 1 })
-        .requests(REQUESTS)
-        .build();
-    assert_eq!(s.run_until_settled(REQUESTS as usize), etx::sim::RunOutcome::Predicate);
-    s.quiesce(Dur::from_millis(300));
-    assert_eq!(s.delivered_commits(), REQUESTS as usize);
-    for &node in &s.topo.app_servers {
-        let app = app_server(&s, node);
-        assert!(app.open_registers() <= 4, "{node}: {} open registers", app.open_registers());
-        assert!(app.in_flight_attempts() <= 4, "{node}: {} attempts", app.in_flight_attempts());
-        assert!(app.cleaned_attempts() <= 4, "{node}: {} in clist", app.cleaned_attempts());
-        assert!(
-            app.log_tracked_attempts() <= 4,
-            "{node}: the log tracks {} attempts",
-            app.log_tracked_attempts()
-        );
-    }
+    // a cleaning pass walks) stay at a handful of entries, the consensus
+    // engine's open set — what the resync timer walks — holds only
+    // undecided registers, and the register bank holds the decided values
+    // of the open request's slots alone: as many after 200 requests as
+    // after 2 000.
+    let held = |requests: u64| {
+        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 885)
+            .runtime(RuntimeKind::Sim)
+            .workload(Workload::BankUpdate { amount: 1 })
+            .requests(requests)
+            .build();
+        assert_eq!(s.run_until_settled(requests as usize), etx::sim::RunOutcome::Predicate);
+        s.quiesce(Dur::from_millis(300));
+        assert_eq!(s.delivered_commits(), requests as usize);
+        let mut held = Vec::new();
+        for &node in &s.topo.app_servers {
+            let app = app_server(&s, node);
+            assert!(app.open_registers() <= 4, "{node}: {} open registers", app.open_registers());
+            assert!(app.in_flight_attempts() <= 4, "{node}: {} attempts", app.in_flight_attempts());
+            assert!(app.cleaned_attempts() <= 4, "{node}: {} in clist", app.cleaned_attempts());
+            assert!(
+                app.log_tracked_attempts() <= 4,
+                "{node}: the log tracks {} attempts",
+                app.log_tracked_attempts()
+            );
+            assert!(
+                app.held_slots() <= HELD_PER_OPEN_REQUEST,
+                "{node}: {} of {} decided slots held",
+                app.held_slots(),
+                app.log_applied_up_to()
+            );
+            held.push(app.held_slots());
+        }
+        held
+    };
+    assert_eq!(held(2_000), held(200), "held slots do not grow with the request count");
 }
 
 #[test]
