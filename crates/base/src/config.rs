@@ -188,10 +188,6 @@ pub struct ReadLeaseConfig {
     /// that); raising it trades a longer forward-free window for a longer
     /// partition staleness bound, recovery fence, and vote-escape horizon.
     pub duration: Dur,
-    /// How long before expiry the renewal timer fires (the timer period is
-    /// `duration - renew_margin`), so an idle follower's lease is renewed
-    /// while still comfortably valid.
-    pub renew_margin: Dur,
 }
 
 impl Default for ReadLeaseConfig {
@@ -203,11 +199,7 @@ impl Default for ReadLeaseConfig {
 impl ReadLeaseConfig {
     /// Leases off: the stamp-gated read path.
     pub fn disabled() -> Self {
-        ReadLeaseConfig {
-            enabled: false,
-            duration: Dur::from_millis(40),
-            renew_margin: Dur::from_millis(10),
-        }
+        ReadLeaseConfig { enabled: false, duration: Dur::from_millis(40) }
     }
 
     /// Leases on at paper-environment scale (Appendix 3 cost model): a
@@ -220,22 +212,14 @@ impl ReadLeaseConfig {
     /// Leases on at [`CostModel::fast_for_tests`] scale: a 2 ms grant,
     /// proportionally shrunk with that model's costs.
     pub fn fast_for_tests() -> Self {
-        ReadLeaseConfig {
-            enabled: true,
-            duration: Dur::from_micros(2_000),
-            renew_margin: Dur::from_micros(500),
-        }
+        ReadLeaseConfig { enabled: true, duration: Dur::from_micros(2_000) }
     }
 
-    /// The renewal-timer period: `duration - renew_margin`, floored at
-    /// half the duration so a degenerate margin cannot stall renewal.
+    /// The renewal-timer period: three quarters of `duration` (never zero),
+    /// so an idle follower's lease is renewed while a quarter of its term
+    /// is still to run.
     pub fn renew_period(&self) -> Dur {
-        let floor = Dur((self.duration.0 / 2).max(1));
-        if self.renew_margin < self.duration {
-            Dur((self.duration.0 - self.renew_margin.0).max(floor.0))
-        } else {
-            floor
-        }
+        Dur((self.duration.0 - self.duration.0 / 4).max(1))
     }
 }
 
@@ -601,18 +585,16 @@ mod tests {
         assert_eq!(ReadLeaseConfig::disabled(), ReadLeaseConfig::default());
         assert!(ReadLeaseConfig::on().enabled);
         assert!(ReadLeaseConfig::fast_for_tests().enabled);
-        // The renewal timer must fire while the previous grant is still
-        // comfortably valid, whatever the margin.
+        // The renewal timer fires while the previous grant still has a
+        // quarter of its term to run: 30 ms and 1.5 ms for the presets.
+        assert_eq!(ReadLeaseConfig::on().renew_period(), Dur::from_millis(30));
+        assert_eq!(ReadLeaseConfig::fast_for_tests().renew_period(), Dur::from_micros(1_500));
         for cfg in [ReadLeaseConfig::on(), ReadLeaseConfig::fast_for_tests()] {
             assert!(cfg.renew_period() < cfg.duration);
             assert!(cfg.renew_period().0 > 0);
         }
-        let degenerate = ReadLeaseConfig {
-            enabled: true,
-            duration: Dur::from_millis(2),
-            renew_margin: Dur::from_millis(5),
-        };
-        assert_eq!(degenerate.renew_period(), Dur::from_millis(1), "floors at duration/2");
+        let degenerate = ReadLeaseConfig { enabled: true, duration: Dur(1) };
+        assert_eq!(degenerate.renew_period(), Dur(1), "never a zero period");
         // Soundness of in-lease collects leans on the grant expiring below
         // the exec→commit-visible protocol floor of the matching cost model
         // (SQL execution + prepare + commit is a conservative under-count

@@ -135,14 +135,13 @@ impl StableRecord {
         }
     }
 
-    /// Flattens this record to its leaf records (a group frame yields its
-    /// members in order; every other record yields itself). Recovery and
-    /// log-inspection code iterate leaves so framing stays invisible to
-    /// replay semantics.
-    pub fn leaves(&self) -> Vec<&StableRecord> {
+    /// This record's leaf records: a group frame's members in order (frames
+    /// never nest), every other record itself. Recovery and log-inspection
+    /// code iterate leaves so framing stays invisible to replay semantics.
+    pub fn leaves(&self) -> &[StableRecord] {
         match self {
-            StableRecord::Group { records } => records.iter().flat_map(|r| r.leaves()).collect(),
-            other => vec![other],
+            StableRecord::Group { records } => records,
+            other => std::slice::from_ref(other),
         }
     }
 }

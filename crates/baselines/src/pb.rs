@@ -235,7 +235,7 @@ impl PbServer {
             let decision =
                 self.mirror_outcome.get(&rid).cloned().unwrap_or_else(Decision::nil_abort);
             // Push the decision to every database (abort is presumed at
-            // uninvolved servers; commit is vacuous there).
+            // uninvolved servers, which keep nothing of a commit).
             let targets = self.dlist.clone();
             let next = Xa::terminate(ctx, rid, decision, targets, self.terminate_retry, true);
             self.enter(ctx, rid, next);

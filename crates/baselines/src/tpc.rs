@@ -172,8 +172,8 @@ impl TpcServer {
             let decision =
                 outcomes.remove(&rid).unwrap_or(Decision { result: None, outcome: Outcome::Abort });
             // Re-drive the decision; the involved set is unknown after the
-            // crash, so push to every database (aborts are presumed and
-            // commits are vacuous at uninvolved servers).
+            // crash, so push to every database (aborts are presumed, and a
+            // server that never held the branch keeps nothing of a commit).
             self.no_reply.insert(rid);
             let targets = self.dlist.clone();
             let next = Xa::terminate(ctx, rid, decision, targets, self.terminate_retry, true);

@@ -15,6 +15,14 @@
 //! charged by delaying the reply; each charge is recorded as a latency
 //! [`Component`] span so the harness can rebuild Figure 8's rows.
 //!
+//! The log records the engine returns are the one statement of what a
+//! decide did: an entry the engine changed yields exactly one `DbOutcome`
+//! record, and an entry it only answered (a re-delivery, a settled
+//! attempt, a commit for a branch this database never held) yields none.
+//! The `DbDecide` traces, the commit-processing charge and the `Commit`
+//! spans are read off those records, whatever path — ordinary, promoted
+//! speculation, one-phase commit — produced them.
+//!
 //! Two kinds of work are charged differently. SQL execution runs on the
 //! database's many connections, so concurrent `Exec`s overlap freely.
 //! Prepare and commit/abort processing *include the database's own log
@@ -33,7 +41,7 @@ use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, Forwarded, TraceKind};
 use etx_base::value::{Outcome, Vote};
 use etx_base::wal::{StableRecord, LOG_WAL};
-use etx_store::Engine;
+use etx_store::{Engine, LogWrite, Promotion};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A database server's place in its shard replica group.
@@ -81,12 +89,6 @@ pub struct DbServer {
     /// grants, no renewal timer, no lease advertised on any outgoing
     /// message, and reads are gated by position stamps alone.
     features: FeatureSet,
-    /// For exactly the slots the engine holds a stash for
-    /// ([`etx_store::Engine::speculation`]): when the device work pre-paid
-    /// at `SpecExec` completes — the instant a matching decision can be
-    /// acknowledged, whatever else has been charged on the device since.
-    /// Volatile, like the device horizon itself.
-    spec_ready: BTreeMap<u64, Time>,
     /// Primary role: the latest lease expiry offered to this shard's
     /// followers (what decide acknowledgements and primary-served read
     /// replies advertise to application servers). Volatile — which is why
@@ -156,6 +158,17 @@ const CHECKPOINT_MIN: usize = 256;
 /// it.
 const SPEC_STASH_CAP: usize = 4;
 
+/// Claims a serial resource whose queue ends at `busy_until` for `service`
+/// time: the work starts when the resource frees up and the reply leaves
+/// when it finishes. Returns the reply delay relative to `now` (queueing
+/// wait + service time). A server has two such resources — its log device
+/// and its snapshot-read lane — each with its own horizon.
+fn queue(busy_until: &mut Time, now: Time, service: Dur) -> Dur {
+    let done = (*busy_until).max(now) + service;
+    *busy_until = done;
+    done.since(now)
+}
+
 /// A yes vote a lease-granting primary is withholding on a cross-shard
 /// branch until its followers acknowledge the branch's in-doubt intent.
 struct HeldVote {
@@ -203,7 +216,6 @@ impl DbServer {
             log_busy_until: Time::ZERO,
             read_busy_until: Time::ZERO,
             features: FeatureSet::default(),
-            spec_ready: BTreeMap::new(),
             lease_granted: Time::ZERO,
             lease_through: Time::ZERO,
             lease_fence: Time::ZERO,
@@ -219,16 +231,6 @@ impl DbServer {
     pub fn with_features(mut self, features: FeatureSet) -> Self {
         self.features = features;
         self
-    }
-
-    /// Drops the pre-paid instant of every slot the engine no longer holds
-    /// a stash for. Run after anything that can drop stashes — `speculate`
-    /// making room, `promote_speculation` resolving a slot and collecting
-    /// the ones below it — so a dropped stash's slot is never acknowledged
-    /// at an instant pre-paid for a batch that did not decide.
-    fn forget_unstashed(&mut self) {
-        let engine = &self.engine;
-        self.spec_ready.retain(|&slot, _| engine.speculation(slot).is_some());
     }
 
     /// Whether this server grants leases at all: a lease-enabled shard
@@ -353,18 +355,6 @@ impl DbServer {
         ctx.send(last, Payload::Repl(ReplMsg::Apply { items, lease }));
     }
 
-    /// Claims the serial commitment path (the log device) for `service`
-    /// time: the work starts when the device frees up and the reply leaves
-    /// when it finishes. Returns the reply delay relative to now (queueing
-    /// wait + service time).
-    fn charge_serial(&mut self, ctx: &dyn Context, service: Dur) -> Dur {
-        let now = ctx.now();
-        let start = if self.log_busy_until > now { self.log_busy_until } else { now };
-        let done = start + service;
-        self.log_busy_until = done;
-        done.since(now)
-    }
-
     /// The commit-processing time one message's fresh entries cost: a
     /// jittered `db_commit` if any of them commits, else a jittered
     /// `db_abort` if any aborts, else nothing (a pure re-delivery draws no
@@ -377,17 +367,6 @@ impl DbServer {
         } else {
             Dur::ZERO
         }
-    }
-
-    /// Claims the serial snapshot-read lane for `service` time (same
-    /// queueing discipline as [`DbServer::charge_serial`], independent
-    /// horizon). Volatile, like everything else in-flight across a crash.
-    fn charge_read(&mut self, ctx: &dyn Context, service: Dur) -> Dur {
-        let now = ctx.now();
-        let start = if self.read_busy_until > now { self.read_busy_until } else { now };
-        let done = start + service;
-        self.read_busy_until = done;
-        done.since(now)
     }
 
     fn request_sync(&mut self, ctx: &mut dyn Context) {
@@ -424,13 +403,13 @@ impl DbServer {
             ReplMsg::Apply { items, lease } => {
                 let floor = items.iter().map(|(seq, _, _)| *seq).max().unwrap_or(0);
                 let res = self.engine.apply_replicated_batch(items);
-                for w in &res.writes {
-                    ctx.trace(TraceKind::DbReplicated { rid: w.rec.rid() });
+                for rec in res.writes.iter().flat_map(|w| w.rec.leaves()) {
+                    ctx.trace(TraceKind::DbReplicated { rid: rec.rid() });
                     // An applied commit resolves its in-doubt intent: the
                     // transaction is now in this replica's served prefix.
-                    self.live_intents.remove(&w.rec.rid());
+                    self.live_intents.remove(&rec.rid());
                 }
-                self.apply_log_writes_grouped(ctx, res.writes);
+                self.append(ctx, res.writes, |_, _| {});
                 if res.need_sync {
                     // The apply stream has a gap (commits shipped while we
                     // were down): pull a snapshot to jump over it.
@@ -474,21 +453,31 @@ impl DbServer {
             ReplMsg::SyncState { seq, entries } => {
                 self.awaiting_sync = false;
                 let writes = self.engine.adopt_repl_snapshot(seq, entries);
-                for w in &writes {
-                    ctx.trace(TraceKind::DbReplicated { rid: w.rec.rid() });
-                }
-                self.apply_log_writes(ctx, writes);
+                self.append(ctx, writes, |ctx, rec| {
+                    ctx.trace(TraceKind::DbReplicated { rid: rec.rid() });
+                });
             }
         }
     }
 
-    fn apply_log_writes(
+    /// Appends the engine's `writes` to the WAL, one record each, and
+    /// checkpoints when one is due. A group frame (the engine frames
+    /// whatever one decide or one shipment logged) is traced with its
+    /// length; `logged` then sees each of the record's leaves, in order.
+    fn append(
         &mut self,
         ctx: &mut dyn Context,
-        writes: impl IntoIterator<Item = etx_store::LogWrite>,
+        writes: impl IntoIterator<Item = LogWrite>,
+        mut logged: impl FnMut(&mut dyn Context, &StableRecord),
     ) {
         let mut appended = 0;
         for w in writes {
+            if let StableRecord::Group { records } = &w.rec {
+                ctx.trace(TraceKind::GroupAppend { len: records.len() as u32 });
+            }
+            for leaf in w.rec.leaves() {
+                logged(ctx, leaf);
+            }
             // Forced-ness is folded into the prepare/commit service costs
             // (as in Oracle, where the paper's 19 ms prepare and 18 ms
             // commit rows *include* the database's own log forces), so the
@@ -531,24 +520,48 @@ impl DbServer {
         ctx.log_checkpoint(LOG_WAL, StableRecord::Checkpoint(Box::new(image)));
     }
 
-    /// Like [`Self::apply_log_writes`], but several records are framed into
-    /// one [`StableRecord::Group`] append — the durable unit of whatever one
-    /// shipment landed, buffered successors it unblocked included.
-    fn apply_log_writes_grouped(
+    /// Appends the records a decide logged and charges for them. Each
+    /// `DbOutcome` among them is an entry the decide changed, traced as a
+    /// `DbDecide`. One commit-processing cost covers them all — `prepaid`
+    /// at `SpecExec` (that cost, and the instant the device completes it),
+    /// drawn now otherwise ([`Self::service_time`]) — and is shared across
+    /// the commits' latency spans, so per-request breakdowns stay
+    /// additive. Returns the reply delay.
+    fn log_decided(
         &mut self,
         ctx: &mut dyn Context,
-        writes: Vec<etx_store::LogWrite>,
-    ) {
-        match writes.len() {
-            0 => {}
-            1 => self.apply_log_writes(ctx, writes),
-            n => {
-                ctx.trace(TraceKind::GroupAppend { len: n as u32 });
-                let frame = etx_store::LogWrite::frame(writes);
-                ctx.log_append(LOG_WAL, frame.rec, frame.force);
-                self.wal_due = self.wal_due.saturating_sub(1);
-                self.checkpoint_if_due(ctx);
+        writes: Vec<LogWrite>,
+        prepaid: Option<(Dur, Time)>,
+    ) -> Dur {
+        let (mut commits, mut aborts) = (0u32, 0u32);
+        for rec in writes.iter().flat_map(|w| w.rec.leaves()) {
+            match rec {
+                StableRecord::DbOutcome { outcome: Outcome::Commit, .. } => commits += 1,
+                StableRecord::DbOutcome { outcome: Outcome::Abort, .. } => aborts += 1,
+                _ => {}
             }
+        }
+        let cost = match prepaid {
+            Some((cost, _)) => cost,
+            None => self.service_time(ctx, commits, aborts),
+        };
+        let share = cost.scaled(1.0 / f64::from(commits.max(1)));
+        self.append(ctx, writes, |ctx, rec| {
+            if let StableRecord::DbOutcome { rid, outcome } = *rec {
+                ctx.trace(TraceKind::DbDecide { rid, outcome });
+                if outcome == Outcome::Commit {
+                    ctx.span(rid, Component::Commit, share);
+                }
+            }
+        });
+        let now = ctx.now();
+        match prepaid {
+            // The device was claimed at SpecExec time; the reply waits only
+            // until *that* pre-paid work completes — later arrivals queued
+            // behind it are not its problem.
+            Some((_, ready)) => ready.max(now).since(now),
+            None if commits + aborts > 0 => queue(&mut self.log_busy_until, now, cost),
+            None => Dur::ZERO,
         }
     }
 
@@ -578,9 +591,9 @@ impl DbServer {
                     self.unsettled_xa.insert(rid);
                 }
                 let (vote, write) = self.engine.vote(rid);
-                self.apply_log_writes(ctx, write);
+                self.append(ctx, write, |_, _| {});
                 let service = jittered(ctx, self.cost.db_prepare, self.cost.jitter);
-                let dur = self.charge_serial(ctx, service);
+                let dur = queue(&mut self.log_busy_until, ctx.now(), service);
                 ctx.trace(TraceKind::DbVote { rid, vote });
                 ctx.span(rid, Component::Prepare, service);
                 if self.held_votes.contains_key(&rid) {
@@ -647,16 +660,17 @@ impl DbServer {
                     }
                 }
                 let service = self.service_time(ctx, fresh_commits, fresh_aborts);
-                self.engine.speculate(slot, &entries, service, SPEC_STASH_CAP);
                 // Pre-pay the commit processing on the serial log device
                 // *now* — this is the overlap with the consensus round. If
                 // the slot decides as proposed, the work is already done
                 // (or at least already queued ahead of newer arrivals), and
-                // the recorded completion instant — not the then-current
+                // the stash's completion instant — not the then-current
                 // device horizon — is all the acknowledgement waits for.
-                let queued = self.charge_serial(ctx, service);
-                self.spec_ready.insert(slot, ctx.now() + queued);
-                self.forget_unstashed();
+                let now = ctx.now();
+                if let Some(stash) = self.engine.speculate(slot, &entries, service, SPEC_STASH_CAP)
+                {
+                    stash.ready = now + queue(&mut self.log_busy_until, now, service);
+                }
                 ctx.trace(TraceKind::SpecExec { slot, len: entries.len() as u32 });
             }
             DbMsg::Decide { entries, slot } => {
@@ -670,15 +684,10 @@ impl DbServer {
                 // Group commit: the whole message applies behind ONE
                 // durable append and one commit-processing charge, with the
                 // per-branch semantics of `Engine::decide` (idempotent
-                // re-delivery, presumed abort, the §2 decide contract).
-                // Entries already answered — in the memo, or settled below
-                // their client's floor — are re-deliveries: acknowledged,
-                // never re-processed, traced or charged.
-                let already: BTreeSet<ResultId> = entries
-                    .iter()
-                    .filter(|(rid, _)| self.engine.answered(*rid))
-                    .map(|&(rid, _)| rid)
-                    .collect();
+                // re-delivery, presumed abort, the §2 decide contract). What
+                // the engine logged is what it changed: entries it only
+                // answered are acknowledged, never traced or charged.
+                //
                 // Speculation resolution, for a push that names its slot: a
                 // stash whose proposal matches the decided entries exactly
                 // is promoted (its device time was pre-paid at SpecExec); a
@@ -688,71 +697,21 @@ impl DbServer {
                 // still to come.
                 let mut promoted = None;
                 if let Some(slot) = slot {
-                    let ready_at = self.spec_ready.remove(&slot);
-                    let promotion = self.engine.promote_speculation(slot, &entries);
-                    self.forget_unstashed();
-                    match promotion {
-                        Some(p) => {
+                    match self.engine.promote_speculation(slot, &entries) {
+                        Promotion::Hit(p) => {
                             ctx.trace(TraceKind::SpecHit { slot, len: p.acks.len() as u32 });
-                            promoted = Some((p, ready_at));
+                            promoted = Some(p);
                         }
-                        // There was a stash (an instant is held for
-                        // exactly those) and the decided entries diverged
-                        // from it: it is gone, and the DbDecide traces
-                        // below are the ordinary path.
-                        None if ready_at.is_some() => ctx.trace(TraceKind::SpecAbort { slot }),
-                        None => {}
+                        Promotion::Miss => ctx.trace(TraceKind::SpecAbort { slot }),
+                        Promotion::Absent => {}
                     }
                 }
-                let (acks, writes, prepaid) = match promoted {
-                    Some((p, ready_at)) => (p.acks, p.writes, Some((p.cost, ready_at))),
+                let (acks, dur) = match promoted {
+                    Some(p) => (p.acks, self.log_decided(ctx, p.writes, Some((p.cost, p.ready)))),
                     None => {
                         let (acks, writes) = self.engine.decide_batch(&entries);
-                        (acks, writes, None)
+                        (acks, self.log_decided(ctx, writes, None))
                     }
-                };
-                // Trace only real group frames: entries that yield a single
-                // record append it bare.
-                if let Some(w) = writes.first() {
-                    if matches!(w.rec, StableRecord::Group { .. }) {
-                        ctx.trace(TraceKind::GroupAppend { len: w.rec.leaves().len() as u32 });
-                    }
-                }
-                self.apply_log_writes(ctx, writes);
-                let fresh = |&&(rid, _): &&(ResultId, Outcome)| !already.contains(&rid);
-                let (mut fresh_commits, mut fresh_aborts) = (0u32, 0u32);
-                for (rid, outcome) in acks.iter().filter(fresh) {
-                    ctx.trace(TraceKind::DbDecide { rid: *rid, outcome: *outcome });
-                    match outcome {
-                        Outcome::Commit => fresh_commits += 1,
-                        Outcome::Abort => fresh_aborts += 1,
-                    }
-                }
-                // One commit-processing cost covers the message — pre-paid
-                // at SpecExec for a promoted stash, drawn now otherwise —
-                // and is attributed across its fresh commits so per-request
-                // latency breakdowns stay additive.
-                let cost = match prepaid {
-                    Some((cost, _)) => cost,
-                    None => self.service_time(ctx, fresh_commits, fresh_aborts),
-                };
-                if fresh_commits > 0 {
-                    let share = cost.scaled(1.0 / f64::from(fresh_commits));
-                    for (rid, outcome) in acks.iter().filter(fresh) {
-                        if *outcome == Outcome::Commit {
-                            let rid = *rid;
-                            ctx.span(rid, Component::Commit, share);
-                        }
-                    }
-                }
-                let dur = match prepaid {
-                    // The device was claimed at SpecExec time; the reply
-                    // waits only until *that* pre-paid work completes —
-                    // later arrivals queued behind it are not its problem.
-                    Some((_, Some(t))) if t > ctx.now() => t.since(ctx.now()),
-                    Some(_) => Dur::ZERO,
-                    None if fresh_commits + fresh_aborts > 0 => self.charge_serial(ctx, cost),
-                    None => Dur::ZERO,
                 };
                 let seq = self.engine.ship_position();
                 let dur = self.fence_ack(ctx, dur);
@@ -824,7 +783,7 @@ impl DbServer {
                 };
                 let indoubt = self.engine.indoubt_read_conflict(&ops);
                 let service = jittered(ctx, self.cost.sql_read, self.cost.jitter);
-                let dur = self.charge_read(ctx, service);
+                let dur = queue(&mut self.read_busy_until, ctx.now(), service);
                 ctx.span(rid, Component::Sql, service);
                 // Only primaries advertise grants onward.
                 let lease = if is_follower { None } else { self.advertised_lease(ctx.now()) };
@@ -844,17 +803,8 @@ impl DbServer {
             }
             DbMsg::CommitOnePhase { rid } => {
                 self.unsettled_xa.remove(&rid);
-                let already = self.engine.decision(rid) == Some(Outcome::Commit);
                 let (ok, writes) = self.engine.commit_one_phase(rid);
-                self.apply_log_writes(ctx, writes);
-                let dur = if ok && !already {
-                    ctx.trace(TraceKind::DbDecide { rid, outcome: Outcome::Commit });
-                    let d = jittered(ctx, self.cost.db_commit, self.cost.jitter);
-                    ctx.span(rid, Component::Commit, d);
-                    self.charge_serial(ctx, d)
-                } else {
-                    Dur::ZERO
-                };
+                let dur = self.log_decided(ctx, writes, None);
                 let dur = self.fence_ack(ctx, dur);
                 ctx.send_after(
                     dur,
@@ -1057,13 +1007,14 @@ mod tests {
             assert_eq!(db.engine.spec_slots(), 1);
             if interloper {
                 db.on_db_msg(&mut ctx, APP, DbMsg::decide_one(rid(1), Outcome::Commit));
-                assert_eq!(db.engine.spec_slots(), 1, "a slot-less decide never touches the stash");
-                assert!(db.spec_ready.contains_key(&7), "nor its pre-paid instant");
+                assert!(
+                    db.engine.speculation(7).is_some(),
+                    "a slot-less decide never touches the stash"
+                );
             }
             ctx.sent.clear();
             db.on_db_msg(&mut ctx, APP, DbMsg::Decide { entries: entries.clone(), slot: Some(7) });
             assert_eq!(db.engine.spec_slots(), 0);
-            assert!(db.spec_ready.is_empty());
             assert!(ctx.traced.contains(&TraceKind::SpecHit { slot: 7, len: 2 }));
             (db.engine.snapshot().clone(), ctx.acks(), ctx.leaves())
         };
@@ -1084,7 +1035,8 @@ mod tests {
         let slot2 = vec![(rid(3), Outcome::Commit), (rid(4), Outcome::Commit)];
         db.on_db_msg(&mut ctx, APP, DbMsg::SpecExec { slot: 1, entries: slot1.clone() });
         db.on_db_msg(&mut ctx, APP, DbMsg::SpecExec { slot: 2, entries: slot2.clone() });
-        assert_eq!(db.spec_ready[&2], Time::ZERO + ms(20));
+        let ready = |db: &DbServer, slot| db.engine.speculation(slot).map(|s| s.ready);
+        assert_eq!(ready(&db, 2), Some(Time::ZERO + ms(20)));
 
         // Slot 1 decides in the other order (another proposer won it).
         let decided1: Vec<_> = slot1.iter().rev().copied().collect();
@@ -1092,24 +1044,23 @@ mod tests {
         assert!(ctx.traced.contains(&TraceKind::SpecAbort { slot: 1 }));
         assert_eq!(ctx.acks(), decided1, "decided the ordinary way");
         assert_eq!(ctx.delays.last(), Some(&ms(30)), "behind both pre-paid batches");
-        assert_eq!(db.spec_ready.keys().copied().collect::<Vec<_>>(), [2]);
+        assert_eq!((ready(&db, 1), ready(&db, 2)), (None, Some(Time::ZERO + ms(20))));
 
         db.on_db_msg(&mut ctx, APP, DbMsg::Decide { entries: slot2, slot: Some(2) });
         assert!(ctx.traced.contains(&TraceKind::SpecHit { slot: 2, len: 2 }));
         assert_eq!(ctx.delays.last(), Some(&ms(20)), "the instant pre-paid at SpecExec");
-        assert!(db.spec_ready.is_empty() && db.engine.spec_slots() == 0);
+        assert_eq!(db.engine.spec_slots(), 0);
         for i in 1..=4 {
             assert_eq!(db.committed(&format!("k{i}")), Some(i));
         }
     }
 
     /// More un-decided `SpecExec` frames than the stash holds: the oldest
-    /// slot makes room each time, `spec_ready` holds an instant for exactly
-    /// the slots the engine has stashed, a slot that lost its stash decides
-    /// the ordinary way and a survivor still promotes — all to the state,
-    /// acks and WAL of a server that was never sent a `SpecExec`.
+    /// slot makes room each time, a slot that lost its stash decides the
+    /// ordinary way and a survivor still promotes — all to the state, acks
+    /// and WAL of a server that was never sent a `SpecExec`.
     #[test]
-    fn a_full_stash_drops_its_oldest_slot_and_spec_ready_follows_the_engine() {
+    fn a_full_stash_drops_its_oldest_slot_and_a_survivor_still_promotes() {
         let cap = SPEC_STASH_CAP as u64;
         let n = cap + 2;
         let batch = |slot: u64| vec![(rid(slot), Outcome::Commit)];
@@ -1121,7 +1072,6 @@ mod tests {
                     (1..=n).filter(|&s| db.engine.speculation(s).is_some()).collect();
                 let oldest = (slot + 1).saturating_sub(cap).max(1);
                 assert_eq!(stashed, (oldest..=slot).collect::<Vec<_>>(), "oldest makes room");
-                assert_eq!(db.spec_ready.keys().copied().collect::<Vec<_>>(), stashed);
             }
             ctx.traced.clear();
             for slot in 1..=n {
@@ -1134,10 +1084,47 @@ mod tests {
                 assert_eq!(hit, speculate && slot > n - cap, "slot {slot}");
             }
             assert!(!ctx.traced.iter().any(|t| matches!(t, TraceKind::SpecAbort { .. })));
-            assert!(db.spec_ready.is_empty() && db.engine.spec_slots() == 0);
+            assert_eq!(db.engine.spec_slots(), 0);
             (db.engine.snapshot().clone(), ctx.acks(), ctx.leaves())
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// A decide's effects are read off the records the engine logged. A
+    /// commit pushed at a branch this server never held (a cleaner's push
+    /// to every database) is acknowledged and nothing else: no record,
+    /// trace, charge, memo entry or ship position. An abort for one is
+    /// logged, traced and charged; and a commit of a held branch beside an
+    /// unheld one takes the whole commit charge and span.
+    #[test]
+    fn a_commit_for_a_branch_never_held_is_acknowledged_and_nothing_else() {
+        let ms = Dur::from_millis;
+        let cost = CostModel { db_commit: ms(10), db_abort: ms(3), ..CostModel::zeroed() };
+        let (mut db, mut ctx) = prepared_at(1, cost);
+        let wal = ctx.wal.len();
+        ctx.traced.clear();
+        db.on_db_msg(&mut ctx, APP, DbMsg::decide_one(rid(9), Outcome::Commit));
+        assert_eq!(ctx.acks(), [(rid(9), Outcome::Commit)]);
+        assert_eq!(ctx.delays.last(), Some(&Dur::ZERO), "no charge");
+        assert_eq!((ctx.wal.len(), &ctx.traced[..]), (wal, &[][..]), "no record, no trace");
+        assert_eq!((db.memo_len(), db.engine.ship_position()), (0, 0));
+
+        db.on_db_msg(&mut ctx, APP, DbMsg::decide_one(rid(8), Outcome::Abort));
+        assert_eq!(ctx.traced, [TraceKind::DbDecide { rid: rid(8), outcome: Outcome::Abort }]);
+        assert_eq!(ctx.delays.last(), Some(&ms(3)), "charged as an abort");
+        assert_eq!((ctx.wal.len(), db.memo_len()), (wal + 1, 1));
+
+        ctx.traced.clear();
+        let entries = vec![(rid(1), Outcome::Commit), (rid(7), Outcome::Commit)];
+        db.on_db_msg(&mut ctx, APP, DbMsg::Decide { entries: entries.clone(), slot: None });
+        assert_eq!(ctx.acks()[2..], entries);
+        let commit = [
+            TraceKind::DbDecide { rid: rid(1), outcome: Outcome::Commit },
+            TraceKind::Span { rid: rid(1), comp: Component::Commit },
+        ];
+        assert_eq!(ctx.traced, commit, "the held branch alone, one bare record");
+        assert_eq!(ctx.delays.last(), Some(&ms(13)), "one commit charge, behind the abort");
+        assert_eq!((ctx.wal.len(), db.engine.ship_position()), (wal + 2, 1));
     }
 
     /// A follower applies whatever one shipment lands behind one append: a

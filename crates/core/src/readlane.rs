@@ -208,7 +208,8 @@ pub(crate) struct ReadLane {
     /// Latest read-lease expiry advertised per shard primary (ridden on
     /// decide acknowledgements and primary-served read replies). While the
     /// advertisement is in force, the shard's followers hold a grant at
-    /// most `renew_margin` older — so the read lane may route any call at
+    /// most a quarter of its term older (the renewal period is three
+    /// quarters of it) — so the read lane may route any call at
     /// them, including multi-shard snapshot-validation collects, without
     /// the forward hop. Only populated when leases are enabled.
     lease: BTreeMap<NodeId, Time>,

@@ -21,7 +21,7 @@
 use crate::locks::{LockGrant, LockMode, LockTable};
 use etx_base::attempts::AttemptWindows;
 use etx_base::ids::{NodeId, ResultId};
-use etx_base::time::Dur;
+use etx_base::time::{Dur, Time};
 use etx_base::value::{DbOp, ExecStatus, OpOutput, Outcome, Vote};
 use etx_base::wal::{Image, StableRecord};
 use std::collections::BTreeMap;
@@ -37,15 +37,19 @@ pub struct LogWrite {
 }
 
 impl LogWrite {
-    /// Frames `writes` into one [`StableRecord::Group`] append, in order.
-    /// The frame is forced iff any member would have been, so framing never
-    /// weakens a record's durability; its record vector is allocated at its
-    /// length, as it stays in the log.
-    pub fn frame(writes: Vec<LogWrite>) -> LogWrite {
-        let force = writes.iter().any(|w| w.force);
-        let mut records = Vec::with_capacity(writes.len());
-        records.extend(writes.into_iter().map(|w| w.rec));
-        LogWrite { rec: StableRecord::Group { records }, force }
+    /// Frames several `writes` in place into one [`StableRecord::Group`]
+    /// append, in order; one record stays bare (a frame around it would buy
+    /// nothing). The frame is forced iff any member would have been, so
+    /// framing never weakens a record's durability; its record vector is
+    /// allocated at its length, as it stays in the log. Frames never nest:
+    /// the engine frames only the records of one call.
+    pub fn frame(writes: &mut Vec<LogWrite>) {
+        if writes.len() > 1 {
+            let force = writes.iter().any(|w| w.force);
+            let mut records = Vec::with_capacity(writes.len());
+            records.extend(writes.drain(..).map(|w| w.rec));
+            writes.push(LogWrite { rec: StableRecord::Group { records }, force });
+        }
     }
 }
 
@@ -64,10 +68,11 @@ enum Branch {
 pub use etx_base::value::{ShippedCommit, ShippedEntries};
 
 /// A reservation for one *proposed* decision-log slot: the batch a server
-/// proposed into it and the log-device time the host pre-paid for it while
-/// consensus ran. Nothing is executed ahead of the decision — a stash
-/// changes no data, lock, memo, WAL record or shipment — and the stash is
-/// volatile: a crash discards it and recovery replays only decided state.
+/// proposed into it, the log-device time the host pre-paid for it while
+/// consensus ran, and the instant that device work completes. Nothing is
+/// executed ahead of the decision — a stash changes no data, lock, memo,
+/// WAL record or shipment — and the stash is volatile: a crash discards it
+/// and recovery replays only decided state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecSlot {
     /// The proposed `(branch, outcome)` pairs, in proposal order. The
@@ -76,25 +81,45 @@ pub struct SpecSlot {
     /// Device time the host pre-paid for the batch at `SpecExec` (so
     /// promotion can attribute latency spans to it).
     pub cost: Dur,
+    /// When the pre-paid device work completes: the instant a matching
+    /// decision can be acknowledged, whatever the device was charged
+    /// since. The host sets it on the stash [`Engine::speculate`] returns;
+    /// a fresh stash is ready at once.
+    pub ready: Time,
 }
 
 /// What promoting a matched speculation yields: exactly what
-/// [`Engine::decide_batch`] would have returned, plus the pre-paid cost.
+/// [`Engine::decide_batch`] would have returned, plus what was pre-paid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecPromotion {
     /// Per-branch applied outcomes, for the batched acknowledgement.
     pub acks: Vec<(ResultId, Outcome)>,
-    /// The (group) WAL append the promotion must make durable.
+    /// The WAL append the promotion must make durable.
     pub writes: Vec<LogWrite>,
     /// Device time already charged at speculation time.
     pub cost: Dur,
+    /// When that device work completes ([`SpecSlot::ready`]).
+    pub ready: Time,
 }
 
-/// What [`Engine::apply_replicated`] did with an incoming apply.
+/// What [`Engine::promote_speculation`] found for a decided slot.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Promotion {
+    /// The slot decided as stashed, and its batch applied.
+    Hit(SpecPromotion),
+    /// The slot's stash diverged from the decided batch: it is dropped and
+    /// nothing applied.
+    Miss,
+    /// Nothing was stashed for the slot.
+    Absent,
+}
+
+/// What [`Engine::apply_replicated_batch`] did with an incoming shipment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplApply {
-    /// Log records for every apply that landed (the in-order one plus any
-    /// buffered successors it unblocked), in apply order.
+    /// The log append for every apply that landed (the shipment's in-order
+    /// items plus any buffered successors they unblocked): at most one
+    /// record, a group frame when more than one landed.
     pub writes: Vec<LogWrite>,
     /// The apply arrived beyond a gap — the caller should request a
     /// snapshot from the primary.
@@ -133,6 +158,15 @@ pub struct ReplApply {
 ///   no memo entry, no log record, no ship position, no shipment;
 /// * an attempt with a live branch is decided as any other (its outcome
 ///   is logged, not memoised).
+///
+/// A *commit* for a branch this database does not hold changes nothing
+/// either, above the floor too. Every database involved in an attempt
+/// voted yes on a branch it holds until the decision (V.2), so such a
+/// commit reaches only a database that was never involved — a cleaner's
+/// or a recovering coordinator's push to every database — and no later
+/// `Exec` or `Prepare` can name the attempt here. An *abort* for a branch
+/// not held is memoised and logged above the floor: it can overtake this
+/// database's own `Exec`, which must then be refused.
 ///
 /// [`Engine::image`] is what recovery would rebuild from the log written so
 /// far — committed data, in-doubt branches, the memo, the floors and both
@@ -427,73 +461,43 @@ impl Engine {
         (applied, write.into_iter().collect())
     }
 
-    /// [`Engine::decide`] proper: a branch yields at most one log record.
+    /// [`Engine::decide`] proper: a branch yields at most one log record,
+    /// and the record is what the decide did — none when it changed nothing.
     ///
-    /// Below its client's floor, a branch this database does not hold is
-    /// settled and changes nothing (it is answered with `outcome`), and
-    /// the outcome of one it does hold is logged but not memoised.
+    /// A branch this database does not hold is answered with `outcome` and
+    /// changes nothing when it is settled (below its client's floor) or the
+    /// outcome is a commit (see [`Engine`]); an abort for one above the
+    /// floor is memoised and logged. The outcome of a branch it does hold
+    /// is logged, and memoised above the floor.
     fn decide_one(&mut self, rid: ResultId, outcome: Outcome) -> (Outcome, Option<LogWrite>) {
         let (floor, prev) = self.decided.get_with_floor(rid);
         if let Some(&prev) = prev {
             return (prev, None); // idempotent re-delivery
         }
         let settled = rid.request.seq < floor;
-        if settled && !self.branches.contains_key(&rid) {
+        if !self.branches.contains_key(&rid) && (settled || outcome == Outcome::Commit) {
             return (outcome, None);
         }
-        let applied = match outcome {
-            Outcome::Abort => {
-                self.locks.release_all(rid);
-                self.branches.remove(&rid);
+        let applied = match (outcome, self.branches.remove(&rid)) {
+            (Outcome::Commit, Some(Branch::Prepared(writes))) => {
+                self.apply_committed(&writes);
+                self.ship_seq += 1;
+                self.outbox.push((self.ship_seq, rid, writes));
+                Outcome::Commit
+            }
+            (Outcome::Commit, b) => {
+                // A branch this server executed (or doomed) but never
+                // successfully prepared can only be committed by a caller
+                // violating V.2 — unreachable under the protocol.
+                debug_assert!(
+                    false,
+                    "decide(commit) for unprepared branch {rid} ({b:?}) — V.2 violated by caller"
+                );
                 Outcome::Abort
             }
-            Outcome::Commit => {
-                match self.branches.remove(&rid) {
-                    Some(Branch::Prepared(writes)) => {
-                        self.apply_committed(&writes);
-                        self.locks.release_all(rid);
-                        self.ship_seq += 1;
-                        self.outbox.push((self.ship_seq, rid, writes));
-                        Outcome::Commit
-                    }
-                    None => {
-                        // Vacuous commit: this server was not involved in
-                        // the transaction (the cleaner and crash-recovery
-                        // paths push decisions to *every* database, §4).
-                        // Nothing to apply; record the outcome for
-                        // idempotence and consistency (A.3). Shipped empty
-                        // so the replication sequence stays dense (it must
-                        // mirror the count of logged commit outcomes, which
-                        // is how recovery restores the counter).
-                        self.ship_seq += 1;
-                        self.outbox.push((self.ship_seq, rid, ShippedEntries::from([])));
-                        Outcome::Commit
-                    }
-                    Some(b) => {
-                        // A branch this server executed (or doomed) but
-                        // never successfully prepared can only be committed
-                        // by a caller violating V.2 — unreachable under the
-                        // protocol.
-                        debug_assert!(
-                            false,
-                            "decide(commit) for unprepared branch {rid} ({b:?}) — \
-                             V.2 violated by caller"
-                        );
-                        self.locks.release_all(rid);
-                        if !settled {
-                            self.decided.insert(rid, Outcome::Abort);
-                        }
-                        return (
-                            Outcome::Abort,
-                            Some(LogWrite {
-                                rec: StableRecord::DbOutcome { rid, outcome: Outcome::Abort },
-                                force: false,
-                            }),
-                        );
-                    }
-                }
-            }
+            (Outcome::Abort, _) => Outcome::Abort,
         };
+        self.locks.release_all(rid);
         if !settled {
             self.decided.insert(rid, applied);
         }
@@ -507,9 +511,9 @@ impl Engine {
     /// into **one** group WAL append — the group-commit move that pays a
     /// single log force for N outcomes. Returns the per-branch applied
     /// outcomes (for the batched acknowledgement) and at most one
-    /// [`LogWrite`]: a bare record when only one branch produced log
-    /// output (a frame around one record would buy nothing), a
-    /// [`StableRecord::Group`] frame otherwise.
+    /// [`LogWrite`] ([`LogWrite::frame`]). Its `DbOutcome` records name
+    /// exactly the entries the batch changed, each with its applied
+    /// outcome: a host reads what to trace and charge off them.
     pub fn decide_batch(
         &mut self,
         entries: &[(ResultId, Outcome)],
@@ -521,9 +525,7 @@ impl Engine {
             acks.push((rid, applied));
             writes.extend(write);
         }
-        if writes.len() > 1 {
-            writes = vec![LogWrite::frame(writes)];
-        }
+        LogWrite::frame(&mut writes);
         (acks, writes)
     }
 
@@ -537,47 +539,50 @@ impl Engine {
     /// at `cap` stashes the oldest slot makes room — it is the next to
     /// decide, and will decide the ordinary way.
     ///
-    /// Returns whether the batch was stashed. Refusals are harmless: the
-    /// slot simply decides the ordinary decide-then-execute way.
+    /// Returns the new stash, for the host to set when its pre-paid work
+    /// completes ([`SpecSlot::ready`]), or `None` if it was refused.
+    /// Refusals are harmless: the slot simply decides the ordinary
+    /// decide-then-execute way.
     pub fn speculate(
         &mut self,
         slot: u64,
         entries: &[(ResultId, Outcome)],
         cost: Dur,
         cap: usize,
-    ) -> bool {
+    ) -> Option<&mut SpecSlot> {
         if self.spec.contains_key(&slot) {
-            return false;
+            return None;
         }
         while self.spec.len() >= cap.max(1) {
             self.spec.pop_first();
         }
-        self.spec.insert(slot, SpecSlot { entries: entries.to_vec(), cost });
-        true
+        let stash = SpecSlot { entries: entries.to_vec(), cost, ready: Time::ZERO };
+        Some(self.spec.entry(slot).or_insert(stash))
     }
 
     /// Resolves the stash for slot `slot` against its **decided** batch.
     /// On an exact match (same branches, same outcomes, same order) this
     /// runs [`Engine::decide_batch`] — the applied state, WAL framing, ship
     /// sequence and acknowledgements *are* those of the non-speculative
-    /// path — and returns them with the pre-paid cost. On a mismatch
-    /// (another proposer won the slot, or first-occurrence filtering
-    /// changed the batch) or with nothing stashed, `None` says "decide on
-    /// the ordinary path".
+    /// path — and returns them with what was pre-paid. A mismatch (another
+    /// proposer won the slot, or first-occurrence filtering changed the
+    /// batch) is a [`Promotion::Miss`], no stash a [`Promotion::Absent`]:
+    /// either way the batch decides on the ordinary path.
     ///
     /// The stash for `slot` and every one below it is dropped either way:
     /// slots apply in order, so those proposals can never decide again.
     /// Stashes above `slot` are untouched.
-    pub fn promote_speculation(
-        &mut self,
-        slot: u64,
-        decided: &[(ResultId, Outcome)],
-    ) -> Option<SpecPromotion> {
+    pub fn promote_speculation(&mut self, slot: u64, decided: &[(ResultId, Outcome)]) -> Promotion {
         let stash = self.spec.remove(&slot);
         self.spec.retain(|&s, _| s > slot);
-        let stash = stash.filter(|s| s.entries == decided)?;
-        let (acks, writes) = self.decide_batch(decided);
-        Some(SpecPromotion { acks, writes, cost: stash.cost })
+        match stash {
+            Some(SpecSlot { entries, cost, ready }) if entries == decided => {
+                let (acks, writes) = self.decide_batch(decided);
+                Promotion::Hit(SpecPromotion { acks, writes, cost, ready })
+            }
+            Some(_) => Promotion::Miss,
+            None => Promotion::Absent,
+        }
     }
 
     /// The stash for a proposed slot, if any.
@@ -641,37 +646,26 @@ impl Engine {
         self.repl_last_seq
     }
 
-    /// Follower role: processes a whole shipped batch (the primary's
-    /// batched form of commit shipping). Exactly equivalent to applying
-    /// each item through [`Engine::apply_replicated`] in order; the
-    /// aggregate `need_sync` reports whether a gap remained after the last
-    /// item.
+    /// Follower role: processes a shipment (the primary's commits of one
+    /// engine interaction, in ship order). Each item is applied (with any
+    /// buffered successors it unblocks) if it is next in sequence, buffered
+    /// if it is ahead of a gap, and dropped if it duplicates something
+    /// already applied. The records of whatever landed are framed into one
+    /// append, as [`Engine::decide_batch`] frames a decided batch's;
+    /// `need_sync` reports whether a gap remained after the last item, for
+    /// the host to request a snapshot.
     pub fn apply_replicated_batch(&mut self, items: Vec<ShippedCommit>) -> ReplApply {
         let mut writes = Vec::new();
         let mut need_sync = false;
         for item in items {
             need_sync = self.apply_one(item, &mut writes);
         }
+        LogWrite::frame(&mut writes);
         ReplApply { writes, need_sync }
     }
 
-    /// Follower role: processes one shipped commit. Applies it (and any
-    /// buffered successors it unblocks) if it is next in sequence; buffers
-    /// it if it is ahead of a gap and asks the host to sync; drops it if it
-    /// is a duplicate of something already applied.
-    pub fn apply_replicated(
-        &mut self,
-        seq: u64,
-        rid: ResultId,
-        entries: ShippedEntries,
-    ) -> ReplApply {
-        let mut writes = Vec::new();
-        let need_sync = self.apply_one((seq, rid, entries), &mut writes);
-        ReplApply { writes, need_sync }
-    }
-
-    /// [`Engine::apply_replicated`] proper: appends the records of whatever
-    /// landed to `out` and returns whether a gap remains.
+    /// One item of [`Engine::apply_replicated_batch`]: appends the records
+    /// of whatever landed to `out` and returns whether a gap remains.
     fn apply_one(&mut self, (seq, rid, entries): ShippedCommit, out: &mut Vec<LogWrite>) -> bool {
         if seq <= self.repl_last_seq {
             return false;
@@ -841,6 +835,18 @@ mod tests {
 
     fn put(key: &str, value: i64) -> DbOp {
         DbOp::Put { key: key.into(), value }
+    }
+
+    /// Ships commit `seq` (of branch `rid(seq)`) to follower `f` alone: a
+    /// shipment of one item.
+    fn ship(f: &mut Engine, seq: u64, entries: &[(&str, i64)]) -> ReplApply {
+        let entries = entries.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        f.apply_replicated_batch(vec![(seq, rid(seq), entries)])
+    }
+
+    /// The leaf records `writes` append.
+    fn leaves(writes: &[LogWrite]) -> usize {
+        writes.iter().map(|w| w.rec.leaves().len()).sum()
     }
 
     #[test]
@@ -1112,19 +1118,24 @@ mod tests {
     fn follower_applies_in_sequence_and_buffers_gaps() {
         let mut f = Engine::new();
         // seq 2 arrives first: buffered, gap detected.
-        let r2 = f.apply_replicated(2, rid(2), vec![("b".into(), 2)].into());
+        let r2 = ship(&mut f, 2, &[("b", 2)]);
         assert!(r2.writes.is_empty());
         assert!(r2.need_sync);
         assert_eq!(f.committed("b"), None);
-        // seq 1 arrives: both drain, in order.
-        let r1 = f.apply_replicated(1, rid(1), vec![("a".into(), 1)].into());
-        assert_eq!(r1.writes.len(), 2);
+        // seq 1 arrives: both drain, in order, behind one framed append.
+        let r1 = ship(&mut f, 1, &[("a", 1)]);
+        assert!(
+            matches!(r1.writes[..], [LogWrite { rec: StableRecord::Group { .. }, force: false }]),
+            "{:?}",
+            r1.writes
+        );
+        assert_eq!(leaves(&r1.writes), 2);
         assert!(!r1.need_sync);
         assert_eq!(f.committed("a"), Some(1));
         assert_eq!(f.committed("b"), Some(2));
         assert_eq!(f.repl_position(), 2);
         // Duplicates are dropped.
-        let dup = f.apply_replicated(1, rid(1), vec![("a".into(), 99)].into());
+        let dup = ship(&mut f, 1, &[("a", 99)]);
         assert!(dup.writes.is_empty() && !dup.need_sync);
         assert_eq!(f.committed("a"), Some(1));
     }
@@ -1132,9 +1143,9 @@ mod tests {
     #[test]
     fn snapshot_adoption_fast_forwards_and_ignores_stale() {
         let mut f = Engine::with_data([("seed".to_string(), 7)]);
-        f.apply_replicated(1, rid(1), vec![("a".into(), 1)].into());
+        ship(&mut f, 1, &[("a", 1)]);
         // Buffered apply beyond the snapshot drains after adoption.
-        let pending = f.apply_replicated(5, rid(5), vec![("e".into(), 5)].into());
+        let pending = ship(&mut f, 5, &[("e", 5)]);
         assert!(pending.need_sync);
         let writes =
             f.adopt_repl_snapshot(4, vec![("seed".into(), 7), ("a".into(), 1), ("d".into(), 4)]);
@@ -1168,10 +1179,10 @@ mod tests {
         // Follower side: replicated records restore data and the cursor.
         let mut f = Engine::new();
         let mut fwal = Vec::new();
-        for w in f.apply_replicated(1, rid(1), vec![("a".into(), 1)].into()).writes {
+        for w in ship(&mut f, 1, &[("a", 1)]).writes {
             fwal.push(w.rec);
         }
-        for w in f.apply_replicated(2, rid(2), vec![("a".into(), 3)].into()).writes {
+        for w in ship(&mut f, 2, &[("a", 3)]).writes {
             fwal.push(w.rec);
         }
         let f2 = Engine::recover(&fwal);
@@ -1228,7 +1239,9 @@ mod tests {
         };
         assert_eq!((records.len(), records.capacity()), (11, 11), "no growth slack in the log");
         let unforced = |i| LogWrite { rec: StableRecord::CoordStart { rid: rid(i) }, force: false };
-        assert!(!LogWrite::frame(vec![unforced(1), unforced(2)]).force, "forced iff a member is");
+        let mut writes = vec![unforced(1), unforced(2)];
+        LogWrite::frame(&mut writes);
+        assert!(matches!(writes[..], [LogWrite { force: false, .. }]), "forced iff a member is");
     }
 
     #[test]
@@ -1261,13 +1274,14 @@ mod tests {
             (2u64, rid(2), vec![("y".to_string(), 2)].into()),
             (4u64, rid(4), vec![("z".to_string(), 4)].into()),
         ];
-        for (seq, r, entries) in items.clone() {
-            a.apply_replicated(seq, r, entries);
+        for item in items.clone() {
+            a.apply_replicated_batch(vec![item]);
         }
         let res = b.apply_replicated_batch(items);
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.repl_position(), b.repl_position());
         assert!(res.need_sync, "the 3→4 gap surfaces from the batched path too");
+        assert_eq!((res.writes.len(), leaves(&res.writes)), (1, 2), "what landed, in one frame");
     }
 
     #[test]
@@ -1278,15 +1292,15 @@ mod tests {
         // no-op that loses nothing and leaves the follower ready for the
         // next shipped batch.
         let mut f = Engine::new();
-        f.apply_replicated(1, rid(1), vec![("a".into(), 1)].into());
-        f.apply_replicated(2, rid(2), vec![("b".into(), 2)].into());
+        ship(&mut f, 1, &[("a", 1)]);
+        ship(&mut f, 2, &[("b", 2)]);
         let before = f.snapshot().clone();
         let writes = f.adopt_repl_snapshot(2, vec![("a".into(), 1), ("b".into(), 2)]);
         assert!(writes.is_empty(), "empty window: nothing to adopt, nothing to log");
         assert_eq!(f.snapshot(), &before);
         assert_eq!(f.repl_position(), 2);
         // The stream continues seamlessly after the no-op catch-up.
-        let next = f.apply_replicated(3, rid(3), vec![("c".into(), 3)].into());
+        let next = ship(&mut f, 3, &[("c", 3)]);
         assert_eq!(next.writes.len(), 1);
         assert!(!next.need_sync);
         assert_eq!(f.committed("c"), Some(3));
@@ -1301,12 +1315,12 @@ mod tests {
         // must converge on exactly the primary's state: no lost entry from
         // the straddled batch, no double-apply.
         let mut f = Engine::new();
-        f.apply_replicated(1, rid(1), vec![("k1".into(), 1)].into());
-        f.apply_replicated(2, rid(2), vec![("k2".into(), 2)].into());
-        f.apply_replicated(3, rid(3), vec![("k3".into(), 3)].into());
+        ship(&mut f, 1, &[("k1", 1)]);
+        ship(&mut f, 2, &[("k2", 2)]);
+        ship(&mut f, 3, &[("k3", 3)]);
         // Tail of the batch arrives first (4 was lost while the follower
         // was down): buffered beyond the gap, sync requested.
-        let tail = f.apply_replicated(5, rid(5), vec![("k5".into(), 5)].into());
+        let tail = ship(&mut f, 5, &[("k5", 5)]);
         assert!(tail.writes.is_empty() && tail.need_sync);
         // Snapshot taken mid-batch, at position 4.
         let snap: Vec<(String, i64)> =
@@ -1318,7 +1332,7 @@ mod tests {
             assert_eq!(f.committed(k), Some(v), "{k} must hold the primary's value");
         }
         // A late duplicate of the straddled batch's head is dropped.
-        let dup = f.apply_replicated(4, rid(4), vec![("k4".into(), 99)].into());
+        let dup = ship(&mut f, 4, &[("k4", 99)]);
         assert!(dup.writes.is_empty() && !dup.need_sync);
         assert_eq!(f.committed("k4"), Some(4), "no double-apply of the straddled entry");
     }
@@ -1329,7 +1343,7 @@ mod tests {
         e.execute(rid(1), &[put("k", 5)]);
         e.vote(rid(1));
         let entries = vec![(rid(1), Outcome::Commit)];
-        assert!(e.speculate(7, &entries, Dur::from_millis(1), 4));
+        assert!(e.speculate(7, &entries, Dur::from_millis(1), 4).is_some());
         // Nothing a client, follower or the WAL could see has changed.
         assert_eq!(e.committed("k"), Some(1), "a stash must not write through");
         assert!(e.take_repl_outbox().is_empty(), "nothing ships speculatively");
@@ -1339,8 +1353,9 @@ mod tests {
         let s = e.speculation(7).expect("stashed");
         assert_eq!(s.entries, entries);
         assert_eq!(s.cost, Dur::from_millis(1));
+        assert_eq!(s.ready, Time::ZERO, "ready at once until the host says otherwise");
         // First proposal stashed for a slot wins; a second is refused.
-        assert!(!e.speculate(7, &entries, Dur::ZERO, 4));
+        assert!(e.speculate(7, &entries, Dur::ZERO, 4).is_none());
     }
 
     #[test]
@@ -1356,9 +1371,12 @@ mod tests {
         let entries = vec![(rid(1), Outcome::Commit), (rid(2), Outcome::Abort)];
         // Speculating twin.
         let mut spec = build();
-        assert!(spec.speculate(0, &entries, Dur::from_millis(3), 4));
-        let p = spec.promote_speculation(0, &entries).expect("exact match promotes");
-        assert_eq!(p.cost, Dur::from_millis(3));
+        let ready = Time::ZERO + Dur::from_millis(5);
+        spec.speculate(0, &entries, Dur::from_millis(3), 4).expect("stashed").ready = ready;
+        let Promotion::Hit(p) = spec.promote_speculation(0, &entries) else {
+            panic!("an exact match promotes");
+        };
+        assert_eq!((p.cost, p.ready), (Dur::from_millis(3), ready), "what was pre-paid");
         // Plain twin.
         let mut plain = build();
         let (acks, writes) = plain.decide_batch(&entries);
@@ -1384,8 +1402,8 @@ mod tests {
         // The slot decides in the *other* order (another proposer won).
         let decided = vec![(rid(2), Outcome::Commit), (rid(1), Outcome::Commit)];
         let mut spec = build();
-        assert!(spec.speculate(0, &speculated, Dur::from_millis(2), 4));
-        assert!(spec.promote_speculation(0, &decided).is_none(), "order mismatch aborts");
+        assert!(spec.speculate(0, &speculated, Dur::from_millis(2), 4).is_some());
+        assert_eq!(spec.promote_speculation(0, &decided), Promotion::Miss, "order mismatch");
         assert_eq!(spec.spec_slots(), 0, "mismatch still consumes the stash");
         // Replay on the ordinary path lands exactly the plain run's state.
         let (acks, writes) = spec.decide_batch(&decided);
@@ -1407,18 +1425,18 @@ mod tests {
         let mut e = Engine::new();
         let entries = |i: u64| vec![(rid(i), Outcome::Abort)];
         // Cap 2: stashing a third slot drops the oldest and nothing else.
-        assert!(e.speculate(0, &entries(1), Dur::ZERO, 2));
-        assert!(e.speculate(1, &entries(2), Dur::ZERO, 2));
-        assert!(e.speculate(2, &entries(3), Dur::ZERO, 2));
+        for slot in 0..3 {
+            assert!(e.speculate(slot, &entries(slot + 1), Dur::ZERO, 2).is_some());
+        }
         assert_eq!(stashed(&e), [1, 2], "oldest makes room");
         // Resolving slot 2 promotes it and drops slot 1 below it (slots
         // apply in order: slot 1 can never decide again); a stash above
         // is untouched.
-        assert!(e.speculate(3, &entries(4), Dur::ZERO, 3));
-        assert!(e.promote_speculation(2, &entries(3)).is_some());
+        assert!(e.speculate(3, &entries(4), Dur::ZERO, 3).is_some());
+        assert!(matches!(e.promote_speculation(2, &entries(3)), Promotion::Hit(_)));
         assert_eq!(stashed(&e), [3], "slot 3's stash survives a match below");
         // Resolving a later slot with no stash still GCs stale ones.
-        assert!(e.promote_speculation(5, &entries(9)).is_none());
+        assert_eq!(e.promote_speculation(5, &entries(9)), Promotion::Absent);
         assert_eq!(e.spec_slots(), 0);
     }
 
@@ -1437,12 +1455,14 @@ mod tests {
         // Slot 1 decides without its second member (another proposer won).
         let decided1 = vec![(rid(1), Outcome::Commit)];
         let mut spec = build();
-        assert!(spec.speculate(1, &slot1, Dur::from_millis(1), 4));
-        assert!(spec.speculate(2, &slot2, Dur::from_millis(2), 4));
-        assert!(spec.promote_speculation(1, &decided1).is_none(), "mismatch");
+        assert!(spec.speculate(1, &slot1, Dur::from_millis(1), 4).is_some());
+        assert!(spec.speculate(2, &slot2, Dur::from_millis(2), 4).is_some());
+        assert_eq!(spec.promote_speculation(1, &decided1), Promotion::Miss);
         assert_eq!(stashed(&spec), [2], "each stash stands alone");
         spec.decide_batch(&decided1);
-        let p = spec.promote_speculation(2, &slot2).expect("slot 2 decided as proposed");
+        let Promotion::Hit(p) = spec.promote_speculation(2, &slot2) else {
+            panic!("slot 2 decided as proposed");
+        };
         assert_eq!(p.cost, Dur::from_millis(2));
         // Same acks, WAL and state as the twin that never speculated.
         let mut plain = build();
@@ -1462,7 +1482,7 @@ mod tests {
         let mut wal: Vec<StableRecord> = Vec::new();
         e.execute(rid(1), &[put("s", 9)]);
         wal.extend(e.vote(rid(1)).1.map(|w| w.rec));
-        assert!(e.speculate(3, &[(rid(1), Outcome::Commit)], Dur::ZERO, 4));
+        assert!(e.speculate(3, &[(rid(1), Outcome::Commit)], Dur::ZERO, 4).is_some());
         // Crash now: only the WAL survives.
         let r = Engine::recover(&wal);
         assert_eq!(r.committed("s"), None, "speculative write never became durable");
@@ -1544,7 +1564,7 @@ mod tests {
             let (acks, writes) = e.decide_batch(&[(rid(1), Outcome::Commit)]);
             assert_eq!((acks, writes), (vec![(rid(1), Outcome::Commit)], Vec::new()));
             assert_eq!(e.image(), before, "no memo entry, no data, no ship position");
-            assert!(e.take_repl_outbox().is_empty(), "no vacuous-commit shipment");
+            assert!(e.take_repl_outbox().is_empty(), "no shipment");
         }
     }
 
@@ -1565,6 +1585,56 @@ mod tests {
             // the recovered memo too.
             wal.extend(writes.into_iter().map(|w| w.rec));
             assert_eq!(Engine::recover(&wal).image(), e.image());
+        }
+    }
+
+    /// Attempts above every floor that the engines of [`floored`] never
+    /// held: `rid(7)` of the floored client, and one of a client never seen.
+    fn never_held() -> [ResultId; 2] {
+        [rid(7), ResultId::first(RequestId { client: NodeId(3), seq: 1 })]
+    }
+
+    #[test]
+    fn a_commit_for_a_branch_never_held_changes_nothing() {
+        for (mut e, _) in floored() {
+            let before = e.image();
+            for r in never_held() {
+                assert!(!e.answered(r), "above the floor, and not in the memo");
+                assert_eq!(e.decide(r, Outcome::Commit), (Outcome::Commit, Vec::new()));
+                assert_eq!(e.decision(r), None, "no memo entry");
+            }
+            let (acks, writes) = e.decide_batch(&never_held().map(|r| (r, Outcome::Commit)));
+            assert_eq!(acks, never_held().map(|r| (r, Outcome::Commit)));
+            assert!(writes.is_empty(), "no record");
+            assert_eq!(e.image(), before, "no memo entry, no data, no ship position");
+            assert!(e.take_repl_outbox().is_empty(), "no shipment");
+        }
+    }
+
+    #[test]
+    fn an_abort_for_a_branch_never_held_is_memoised_logged_and_refuses_a_late_exec() {
+        for (mut e, mut wal) in floored() {
+            let (ship, memo) = (e.ship_position(), e.memo_len());
+            for r in never_held() {
+                let (applied, writes) = e.decide(r, Outcome::Abort);
+                assert_eq!(applied, Outcome::Abort);
+                let abort = StableRecord::DbOutcome { rid: r, outcome: Outcome::Abort };
+                assert_eq!(writes, [LogWrite { rec: abort, force: false }], "logged, presumed");
+                wal.extend(writes.into_iter().map(|w| w.rec));
+            }
+            assert_eq!((e.ship_position(), e.memo_len()), (ship, memo + 2));
+            assert!(e.take_repl_outbox().is_empty(), "an abort ships nothing");
+            // The abort overtook this database's own `Exec` and `Prepare`:
+            // both are refused, here and after a recovery from the log.
+            let mut recovered = Engine::recover(&wal);
+            for e in [&mut e, &mut recovered] {
+                for r in never_held() {
+                    assert_eq!(e.decision(r), Some(Outcome::Abort), "memoised");
+                    assert_eq!(e.execute(r, &[put("fresh", 1)]), ExecStatus::Conflict);
+                    assert_eq!(e.vote(r), (Vote::No, None));
+                }
+                assert_eq!(e.locked_keys(), 1, "only the in-doubt branch holds a lock");
+            }
         }
     }
 
@@ -1612,9 +1682,10 @@ mod tests {
         /// over several clients, `decision()` answers as the model after
         /// every step; an execute on a decided branch or below its floor is
         /// refused; a vote follows the memo, and below the floor with no
-        /// live branch is no; a decide below the floor with no live branch
-        /// writes and remembers nothing, and one with a live branch is
-        /// logged and not remembered. The locked keys are, after every
+        /// live branch is no; a decide below the floor with no live branch,
+        /// and a commit for a branch never held, writes and remembers
+        /// nothing, and one with a live branch below the floor is logged
+        /// and not remembered. The locked keys are, after every
         /// step, those of the live branches' granted operations: a release
         /// finds every lock its branch took, reads included. The engine
         /// recovered from the written log (checkpoints included) holds the
@@ -1688,8 +1759,8 @@ mod tests {
                         if let Some(&first) = memo.get(&rid) {
                             proptest::prop_assert_eq!(applied, first, "a duplicate answers as the first");
                             proptest::prop_assert!(writes.is_empty());
-                        } else if settled && !live.contains(&rid) {
-                            proptest::prop_assert_eq!((applied, writes.is_empty()), (outcome, true), "settled: nothing changes");
+                        } else if (settled || outcome == Outcome::Commit) && !live.contains(&rid) {
+                            proptest::prop_assert_eq!((applied, writes.is_empty()), (outcome, true), "settled, or never held: nothing changes");
                         } else {
                             proptest::prop_assert_eq!((applied, writes.len()), (outcome, 1));
                             if !settled {

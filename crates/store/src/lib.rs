@@ -28,5 +28,5 @@
 pub mod engine;
 pub mod locks;
 
-pub use engine::{Engine, LogWrite, ReplApply, ShippedCommit};
+pub use engine::{Engine, LogWrite, Promotion, ReplApply, ShippedCommit};
 pub use locks::{LockGrant, LockMode, LockTable};

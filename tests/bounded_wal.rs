@@ -16,6 +16,7 @@
 //! carried, so its image stays under 256 entries too: every replica's log
 //! holds at most a fixed 256 records plus one append.
 
+use etx::base::config::FdConfig;
 use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::ids::{NodeId, ResultId};
 use etx::base::runtime::RuntimeKind;
@@ -378,4 +379,61 @@ fn late_messages_below_the_floor_change_nothing_after_a_recovery() {
         assert!(!db_server(&s, d).is_prepared(rid));
     }
     assert_converged_and_correct(&s, 1);
+}
+
+/// A false suspicion of the primary application server once every request
+/// has settled: the backups' cleaners take over the attempts it owns that
+/// no watermark has settled yet — the client's last request, decided
+/// commit — and, losing to that decision, push the commit to every
+/// database. Only the involved shard primary held the branch; every other
+/// database, each follower among them, must keep nothing of it: a
+/// follower receives no `Exec` that would ever drain a memo entry. One
+/// sequential client keeps the pushes to decided commits (no lock
+/// conflict aborts an attempt of its last request), and detector timeouts
+/// of tens of milliseconds keep the forced suspicion the only one: a
+/// late timer on threads would otherwise suspect `a1` mid-run, and a
+/// cleaner's abort of an attempt in flight reaches every database too.
+fn a_cleaners_commit_push_leaves_nothing_at_a_database_never_involved(runtime: RuntimeKind) {
+    let fd = FdConfig {
+        heartbeat_every: Dur::from_millis(5),
+        initial_timeout: Dur::from_millis(50),
+        timeout_increment: Dur::from_millis(10),
+        max_timeout: Dur::from_millis(100),
+    };
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 48)
+        .runtime(runtime)
+        .fd(fd)
+        .shards(2)
+        .replication(2)
+        .clients(1)
+        .requests(20)
+        .workload(Workload::ShardedBank { accounts: ACCOUNTS, cross_pct: 10, amount: 3 })
+        .build();
+    let a1 = s.primary();
+    assert_eq!(s.run_until_settled(s.requests as usize), RunOutcome::Predicate);
+    // Longer than the detector's largest timeout, so both backups suspect
+    // `a1` however its timeouts have grown.
+    s.fault(FaultOp::PauseFor { node: a1, down_for: Dur::from_millis(250) }).unwrap();
+    s.quiesce(Dur::from_millis(350));
+    s.stop();
+    let takeovers = s
+        .trace()
+        .count_kind(|k| matches!(k, TraceKind::CleanerTakeover { owner, .. } if *owner == a1));
+    assert!(takeovers > 0, "no cleaner took over an attempt of {a1}");
+    for g in 0..2 {
+        for &f in &s.shard_replicas(g)[1..] {
+            assert_eq!(db_server(&s, f).memo_len(), 0, "follower {f} remembers a pushed decide");
+        }
+    }
+    assert_converged_and_correct(&s, 2);
+}
+
+#[test]
+fn a_cleaners_commit_push_leaves_nothing_at_a_database_never_involved_on_the_simulator() {
+    a_cleaners_commit_push_leaves_nothing_at_a_database_never_involved(RuntimeKind::Sim);
+}
+
+#[test]
+fn a_cleaners_commit_push_leaves_nothing_at_a_database_never_involved_on_threads() {
+    a_cleaners_commit_push_leaves_nothing_at_a_database_never_involved(RuntimeKind::Threaded);
 }

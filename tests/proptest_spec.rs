@@ -42,7 +42,7 @@ enum LogStep {
     /// Branch `n` votes.
     Vote(u64),
     /// Branch `n` is decided, commit when `true`. A number drawn again is a
-    /// duplicate decide; one never executed is a vacuous commit.
+    /// duplicate decide; a commit of one never executed changes nothing.
     Decide(u64, bool),
     /// What the primary committed since the last shipment reaches the
     /// follower in one batch: in order (0), without its first item (1, a
@@ -219,8 +219,8 @@ proptest! {
     }
 
     /// A checkpointed log recovers like the full log. Random executes,
-    /// votes, commit and abort decides (duplicates and vacuous commits
-    /// among them) at a primary; shipments to its follower that arrive in
+    /// votes, commit and abort decides (duplicates and commits of branches
+    /// never held among them) at a primary; shipments to its follower that arrive in
     /// order, past a gap or reversed; snapshot adoptions; and checkpoints
     /// of either log at random points. After every step, recovering each
     /// checkpointed log answers as recovering its full log; each checkpoint
@@ -264,10 +264,7 @@ proptest! {
                         }
                         _ => items.reverse(),
                     }
-                    let mut writes = follower.engine.apply_replicated_batch(items).writes;
-                    if writes.len() > 1 {
-                        writes = vec![LogWrite::frame(writes)];
-                    }
+                    let writes = follower.engine.apply_replicated_batch(items).writes;
                     follower.append(writes);
                 }
                 LogStep::Sync => {
