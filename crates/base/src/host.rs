@@ -10,7 +10,8 @@
 //!   records;
 //! * [`TimeQueue`] orders timed actions by instant, ties in push order,
 //!   in a radix heap that pops without comparing entries — nothing may be
-//!   pushed before the last pop's instant — and drops cancelled timers,
+//!   pushed before the last pop's instant — numbers the timers it queues
+//!   so that an id names its timer's slot, and drops cancelled timers,
 //!   one at a time as they come due, and all at once when they are more
 //!   than half the queue;
 //! * [`record`] is how an event enters a run.
@@ -25,7 +26,7 @@ use crate::ids::TimerId;
 use crate::time::Time;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use std::cell::Cell;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Where a node stands in the §2 lifecycle. Each host keeps one per node
 /// and changes it only through [`Life::next`].
@@ -107,14 +108,26 @@ struct Key {
 /// and a spread moves keys, in order, into buckets that are empty when it
 /// starts.
 ///
+/// **Cancelling in the timer's own slot:** [`TimeQueue::push_timer`]
+/// numbers each timer it queues and hands out an id that carries the slot
+/// the timer waits in (its low 32 bits) beside that number (its high 32
+/// bits), so ids are unique and order as the timers were armed. A cancel
+/// reads the slot off the id, checks that the slot still holds that timer
+/// — not one that has fired, nor a later entry that reused the slot — and
+/// marks it, in O(1). A timer pushed again after a pop (a paused node's
+/// stash, replayed) waits in another slot; the queue keeps the few such
+/// timers in a short list beside the slots, and a cancel that misses the
+/// home slot looks there.
+///
 /// A cancelled timer leaves the queue: popped, it comes back marked
-/// cancelled and its id is forgotten; and once cancelled ids are *more than*
-/// half the queue, one pass drops every cancelled timer and forgets the
-/// ids, so a protocol that cancels what it no longer needs does not pay
-/// to pop it. What stays pops exactly as it would have.
+/// cancelled; and once marked timers are *more than* half the queue, one
+/// pass drops every one of them, so a protocol that cancels what it no
+/// longer needs does not pay to pop it. Cancelling a timer that already
+/// fired, or one already cancelled, changes nothing and counts nothing.
+/// What stays pops exactly as it would have.
 pub struct TimeQueue<T> {
-    /// The items, each in the slot its key names; `None` in a free slot.
-    slots: Vec<Option<T>>,
+    /// The entries, each in the slot its key names; no item in a free slot.
+    slots: Vec<Entry<T>>,
     /// Free slots, the last freed reused first.
     free: Vec<u32>,
     /// The instant of the last pop.
@@ -132,11 +145,21 @@ pub struct TimeQueue<T> {
     /// The wall-clock run loop peeks before every step, and a scan per
     /// peek showed.
     min: Cell<Option<Time>>,
-    /// Cancelled timers not yet popped or compacted away. Ordered, not
-    /// hashed: a hash set that grows and shrinks reallocates or not by
-    /// where its per-process random keys put the tombstones, and a run's
-    /// allocation count is gated to repeat exactly (`tests/alloc_budget.rs`).
-    cancelled: BTreeSet<u64>,
+    /// Timers numbered so far: the high half of the last id issued.
+    timers: u64,
+    /// Queued timers marked cancelled.
+    cancelled: usize,
+    /// Timers queued in a slot other than the one their id names — pushed
+    /// again after a pop — with the slot each waits in. Empty unless a
+    /// paused node's stash was replayed, and short then.
+    moved: Vec<(TimerId, u32)>,
+}
+
+/// One slot of a [`TimeQueue`].
+struct Entry<T> {
+    item: Option<T>,
+    /// The item is a timer someone cancelled.
+    cancelled: bool,
 }
 
 impl<T> Default for TimeQueue<T> {
@@ -149,26 +172,53 @@ impl<T> Default for TimeQueue<T> {
             buckets: std::array::from_fn(|_| Vec::new()),
             occupied: 0,
             min: Cell::new(None),
-            cancelled: BTreeSet::new(),
+            timers: 0,
+            cancelled: 0,
+            moved: Vec::new(),
         }
     }
 }
 
+/// The slot a [`TimeQueue`] timer id names.
+fn home(id: TimerId) -> u32 {
+    id.0 as u32
+}
+
 impl<T: Timed> TimeQueue<T> {
+    /// Queues the timer `make` builds around the id this returns, at `at`
+    /// (see [`TimeQueue::push`]). The id is the timer's number in this
+    /// queue, from 1, above the slot it waits in; a queue numbers fewer
+    /// than 2^32 timers.
+    pub fn push_timer(&mut self, at: Time, make: impl FnOnce(TimerId) -> T) -> TimerId {
+        self.timers += 1;
+        assert!(self.timers >> 32 == 0, "fewer than 2^32 timers armed");
+        let slot = self.free.last().map_or(self.slots.len() as u64, |&slot| u64::from(slot));
+        let id = TimerId(self.timers << 32 | slot);
+        self.push(at, make(id));
+        id
+    }
+
     /// Queues `item` at `at`, after everything already queued for `at`.
-    /// `at` must not be before the last pop's instant.
+    /// `at` must not be before the last pop's instant. A timer that lands
+    /// in a slot other than the one its id names — one pushed again after
+    /// its pop — is noted where a cancel will look for it.
     pub fn push(&mut self, at: Time, item: T) {
         debug_assert!(at >= self.last, "pushed at {at:?}, before the last pop at {:?}", self.last);
+        let timer = item.timer();
+        let entry = Entry { item: Some(item), cancelled: false };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = Some(item);
+                self.slots[slot as usize] = entry;
                 slot
             }
             None => {
-                self.slots.push(Some(item));
+                self.slots.push(entry);
                 u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 entries queued")
             }
         };
+        if let Some(id) = timer.filter(|&id| home(id) != slot) {
+            self.moved.push((id, slot));
+        }
         let key = Key { at, slot };
         if at == self.last {
             self.due.push_back(key);
@@ -211,25 +261,28 @@ impl<T: Timed> TimeQueue<T> {
         self.len() == 0
     }
 
-    /// Cancelled ids not yet popped or compacted away.
+    /// Cancelled timers not yet popped or compacted away.
     pub fn pending_cancels(&self) -> usize {
-        self.cancelled.len()
+        self.cancelled
     }
 
     /// Pops the earliest entry: its instant, its item, and whether the
-    /// item is a cancelled timer — which a host drops unseen, and whose id
-    /// is forgotten now. A flag beside the item, not an `Option` around
-    /// it: moving the item through an `Option` made the simulator's
-    /// paper-shape run about 10 % slower.
+    /// item is a cancelled timer — which a host drops unseen. A flag
+    /// beside the item, not an `Option` around it: moving the item through
+    /// an `Option` made the simulator's paper-shape run about 10 % slower.
     pub fn pop(&mut self) -> Option<(Time, T, bool)> {
         let key = match self.due.pop_front() {
             Some(key) => key,
             None => self.advance()?,
         };
-        let item =
-            self.slots[key.slot as usize].take().expect("a queued key's slot holds its item");
+        let entry = &mut self.slots[key.slot as usize];
+        let item = entry.item.take().expect("a queued key's slot holds its item");
+        let cancelled = std::mem::take(&mut entry.cancelled);
+        self.cancelled -= usize::from(cancelled);
         self.free.push(key.slot);
-        let cancelled = item.timer().is_some_and(|id| self.cancelled.remove(&id.0));
+        if !self.moved.is_empty() {
+            self.moved.retain(|&(_, slot)| slot != key.slot);
+        }
         Some((key.at, item, cancelled))
     }
 
@@ -261,25 +314,40 @@ impl<T: Timed> TimeQueue<T> {
         self.due.pop_front()
     }
 
-    /// Cancels timer `id`; a no-op if it already fired or was cancelled.
+    /// Cancels timer `id`, if it is queued. Either way, a queue whose
+    /// cancelled timers are more than half of it compacts.
     pub fn cancel(&mut self, id: TimerId) {
-        self.cancelled.insert(id.0);
-        if self.cancelled.len() * 2 > self.len() {
+        if let Some(slot) = self.slot_of(id) {
+            let entry = &mut self.slots[slot as usize];
+            self.cancelled += usize::from(!entry.cancelled);
+            entry.cancelled = true;
+        }
+        if self.cancelled * 2 > self.len() {
             self.compact();
         }
     }
 
-    /// Drops every cancelled timer, in place, and forgets the ids.
+    /// The slot timer `id` waits in, if it is queued: the one its id
+    /// names, unless that slot holds something else by now, or else the
+    /// one it was pushed again into.
+    fn slot_of(&self, id: TimerId) -> Option<u32> {
+        let slot = home(id);
+        let there = self.slots.get(slot as usize).and_then(|entry| entry.item.as_ref());
+        if there.and_then(Timed::timer) == Some(id) {
+            return Some(slot);
+        }
+        self.moved.iter().find(|&&(moved, _)| moved == id).map(|&(_, slot)| slot)
+    }
+
+    /// Drops every cancelled timer, in place.
     fn compact(&mut self) {
         let mut keep = |key: &Key| {
-            let slot = key.slot as usize;
-            let timer = self.slots[slot].as_ref().and_then(Timed::timer);
-            let dead = timer.is_some_and(|id| self.cancelled.contains(&id.0));
-            if dead {
-                self.slots[slot] = None;
+            let entry = &mut self.slots[key.slot as usize];
+            if entry.cancelled {
+                *entry = Entry { item: None, cancelled: false };
                 self.free.push(key.slot);
             }
-            !dead
+            entry.item.is_some()
         };
         self.due.retain(&mut keep);
         let mut occupied = self.occupied;
@@ -292,7 +360,11 @@ impl<T: Timed> TimeQueue<T> {
             }
         }
         self.min.set(None);
-        self.cancelled.clear();
+        self.cancelled = 0;
+        if !self.moved.is_empty() {
+            let slots = &self.slots;
+            self.moved.retain(|&(_, slot)| slots[slot as usize].item.is_some());
+        }
     }
 }
 
@@ -301,7 +373,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultOp, TracePred};
     use crate::ids::NodeId;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
     #[test]
@@ -342,17 +414,22 @@ mod tests {
         assert_eq!(trace.len(), 1, "and not kept");
     }
 
-    /// A timer numbered `id`, or (`None`) some other action.
-    struct Item(Option<u64>);
+    /// A timer, by the id its queue gave it, or (`None`) some other action.
+    struct Item(Option<TimerId>);
     impl Timed for Item {
         fn timer(&self) -> Option<TimerId> {
-            self.0.map(TimerId)
+            self.0
         }
     }
 
-    /// Pops everything: each entry's instant, its item's number (`None`
-    /// for an action that is not a timer), and whether it was cancelled.
-    fn drain(q: &mut TimeQueue<Item>) -> Vec<(u64, Option<u64>, bool)> {
+    /// Queues a timer at `at` and returns its id.
+    fn timer(q: &mut TimeQueue<Item>, at: u64) -> TimerId {
+        q.push_timer(Time(at), |id| Item(Some(id)))
+    }
+
+    /// Pops everything: each entry's instant, its timer's id (`None` for
+    /// an action that is not a timer), and whether it was cancelled.
+    fn drain(q: &mut TimeQueue<Item>) -> Vec<(u64, Option<TimerId>, bool)> {
         std::iter::from_fn(|| q.pop())
             .map(|(at, item, cancelled)| (at.0, item.0, cancelled))
             .collect()
@@ -361,31 +438,70 @@ mod tests {
     #[test]
     fn entries_pop_by_instant_then_push_order_and_a_cancelled_timer_pops_marked() {
         let mut q = TimeQueue::default();
-        for (at, id) in [(2, 1), (1, 2), (2, 3), (1, 4)] {
-            q.push(Time(at), Item(Some(id)));
-        }
+        let ids: Vec<TimerId> = [2, 1, 2, 1].into_iter().map(|at| timer(&mut q, at)).collect();
         q.push(Time(1), Item(None));
-        q.cancel(TimerId(3));
+        q.cancel(ids[2]);
         assert_eq!((q.len(), q.pending_cancels()), (5, 1), "one of five: no compaction");
-        let live = |at, id| (at, Some(id), false);
-        let popped = [live(1, 2), live(1, 4), (1, None, false), live(2, 1), (2, Some(3), true)];
+        let live = |at, i: usize| (at, Some(ids[i]), false);
+        let popped =
+            [live(1, 1), live(1, 3), (1, None, false), live(2, 0), (2, Some(ids[2]), true)];
         assert_eq!(drain(&mut q), popped);
-        assert_eq!(q.pending_cancels(), 0, "popped, the cancelled id is forgotten");
+        assert_eq!(q.pending_cancels(), 0, "popped, the mark goes with it");
+    }
+
+    #[test]
+    fn a_timer_id_names_its_slot_beside_its_number() {
+        let mut q = TimeQueue::default();
+        let (a, b) = (timer(&mut q, 1), timer(&mut q, 1));
+        assert_eq!(
+            (a, b),
+            (TimerId(1 << 32), TimerId(2 << 32 | 1)),
+            "numbers from 1, slots from 0"
+        );
+        q.pop();
+        let c = timer(&mut q, 2);
+        assert_eq!(c, TimerId(3 << 32), "the slot `a` left, the next number");
+        assert!(a < b && b < c, "ids order as the timers were armed");
+    }
+
+    #[test]
+    fn a_cancel_of_a_fired_timer_leaves_the_entry_in_its_slot_live() {
+        let mut q = TimeQueue::default();
+        let fired = timer(&mut q, 1);
+        q.pop();
+        let later = timer(&mut q, 2);
+        assert_eq!(home(later), home(fired), "the later timer took the fired one's slot");
+        q.cancel(fired);
+        q.cancel(fired);
+        assert_eq!(q.pending_cancels(), 0, "nothing queued was cancelled");
+        assert_eq!(drain(&mut q), [(2, Some(later), false)]);
+    }
+
+    #[test]
+    fn a_timer_pushed_again_after_its_pop_is_cancelled_where_it_waits() {
+        // A paused node's stash: the kernel pops a timer, holds it, and
+        // pushes it again at the resume — into whatever slot is free then.
+        let mut q = TimeQueue::default();
+        let stashed = timer(&mut q, 1);
+        let (_, item, _) = q.pop().expect("the timer");
+        let squatter = timer(&mut q, 5);
+        q.push(Time(2), item);
+        q.cancel(stashed);
+        assert_eq!(q.pending_cancels(), 1);
+        assert_eq!(drain(&mut q), [(2, Some(stashed), true), (5, Some(squatter), false)]);
     }
 
     #[test]
     fn more_cancelled_than_half_the_queue_compacts_it_in_order() {
         let mut q = TimeQueue::default();
-        for id in 0..6 {
-            q.push(Time(id % 2), Item(Some(id)));
-        }
-        for id in [0, 1, 2] {
-            q.cancel(TimerId(id));
+        let ids: Vec<TimerId> = (0..6).map(|i| timer(&mut q, i % 2)).collect();
+        for &id in &ids[..3] {
+            q.cancel(id);
         }
         assert_eq!((q.len(), q.pending_cancels()), (6, 3), "half is not more than half");
-        q.cancel(TimerId(4));
-        assert_eq!((q.len(), q.pending_cancels()), (2, 0), "compacted and forgotten");
-        assert_eq!(drain(&mut q), [(1, Some(3), false), (1, Some(5), false)]);
+        q.cancel(ids[4]);
+        assert_eq!((q.len(), q.pending_cancels()), (2, 0), "compacted");
+        assert_eq!(drain(&mut q), [(1, Some(ids[3]), false), (1, Some(ids[5]), false)]);
     }
 
     #[test]
@@ -403,18 +519,25 @@ mod tests {
         /// Push at the last pop's instant plus the delay; a timer or not.
         Push(u64, bool),
         Pop,
-        /// Cancel the `n`th (wrapping) live timer, popped timer, or an id
-        /// never pushed.
+        /// Cancel the `n`th (wrapping) live timer; a popped one; a popped
+        /// one whose slot a live timer holds now; a cancelled one still
+        /// queued; or an id never issued.
         CancelLive(usize),
         CancelPopped(usize),
+        CancelReused(usize),
+        CancelAgain(usize),
         CancelUnknown(u64),
+        /// Push the `n`th timer that popped live again, at the last pop's
+        /// instant plus the delay, as the kernel replays a paused node's
+        /// stash.
+        Repush(usize, u64),
         /// Peek. Only this op peeks, so a pop may or may not follow one.
         NextAt,
     }
 
     fn ops() -> impl proptest::strategy::Strategy<Value = Vec<Op>> {
         use proptest::strategy::Strategy;
-        let op = (0u8..16, 0u64..8, 0u64..1 << 40, 0usize..64).prop_map(|(op, small, big, n)| {
+        let op = (0u8..20, 0u64..8, 0u64..1 << 40, 0usize..64).prop_map(|(op, small, big, n)| {
             match op {
                 // Ties at `last`, near instants that collide, far ones.
                 0 | 1 => Op::Push(0, n % 3 != 0),
@@ -423,7 +546,10 @@ mod tests {
                 6..=9 => Op::Pop,
                 10 | 11 => Op::CancelLive(n),
                 12 => Op::CancelPopped(n),
-                13 => Op::CancelUnknown(big | 1 << 50),
+                13 => Op::CancelReused(n),
+                14 => Op::CancelAgain(n),
+                15 => Op::CancelUnknown(big | 1 << 50),
+                16 => Op::Repush(n, small),
                 _ => Op::NextAt,
             }
         });
@@ -431,26 +557,41 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The queue is a `BTreeMap<(at, push number), item>` with the
-        /// same cancel rule: under random interleavings of pushes (ties at
-        /// the last pop, near and far instants), pops, cancels of live,
-        /// popped and unknown timers, and peeks, every pop, `len`,
-        /// `pending_cancels` and `next_at` are the model's after every
-        /// step (`next_at` at every peek), compactions at the
-        /// more-than-half threshold included.
+        /// The queue is a `BTreeMap<(at, push number), item>` whose cancel
+        /// marks a queued timer (and nothing else), under the same
+        /// more-than-half compaction rule: under random interleavings of
+        /// pushes (ties at the last pop, near and far instants), pops,
+        /// re-pushes of popped timers, cancels — of live timers, of fired
+        /// ones, of fired ones whose slot a live timer reuses (which must
+        /// stay live), of cancelled ones again, of ids never issued — and
+        /// peeks, every pop, `len`, `pending_cancels` and `next_at` are the
+        /// model's after every step (`next_at` at every peek).
         #[test]
         fn the_queue_matches_an_ordered_map(ops in ops()) {
             let mut q = TimeQueue::default();
-            let mut model: BTreeMap<(u64, u64), Option<u64>> = BTreeMap::new();
-            let mut cancelled: BTreeSet<u64> = BTreeSet::new();
-            let (mut pushes, mut last, mut popped) = (0u64, 0u64, Vec::new());
+            let mut model: BTreeMap<(u64, u64), Option<TimerId>> = BTreeMap::new();
+            let mut cancelled: BTreeSet<TimerId> = BTreeSet::new();
+            let (mut pushes, mut last) = (0u64, 0u64);
+            // Timers popped: live ones (which a re-push may take back), all.
+            let (mut fired, mut popped) = (Vec::new(), Vec::new());
             for op in ops {
+                let live: Vec<TimerId> = model.values().flatten().copied().collect();
                 match op {
                     Op::Push(delay, timer) => {
                         pushes += 1;
-                        let id = timer.then_some(pushes);
-                        q.push(Time(last + delay), Item(id));
+                        let id = if timer {
+                            Some(q.push_timer(Time(last + delay), |id| Item(Some(id))))
+                        } else {
+                            q.push(Time(last + delay), Item(None));
+                            None
+                        };
                         model.insert((last + delay, pushes), id);
+                    }
+                    Op::Repush(n, delay) if !fired.is_empty() => {
+                        pushes += 1;
+                        let id: TimerId = fired.swap_remove(n % fired.len());
+                        q.push(Time(last + delay), Item(Some(id)));
+                        model.insert((last + delay, pushes), Some(id));
                     }
                     Op::Pop => {
                         let want = model.pop_first().map(|((at, _), id)| {
@@ -459,18 +600,38 @@ mod tests {
                         });
                         let got = q.pop().map(|(at, item, c)| (at.0, item.0, c));
                         proptest::prop_assert_eq!(got, want);
-                        popped.extend(want.and_then(|(_, id, _)| id));
+                        if let Some((_, Some(id), c)) = want {
+                            popped.push(id);
+                            if !c {
+                                fired.push(id);
+                            }
+                        }
                     }
-                    Op::CancelLive(_) | Op::CancelPopped(_) | Op::CancelUnknown(_) => {
-                        let live: Vec<u64> = model.values().flatten().copied().collect();
-                        let id = match op {
-                            Op::CancelLive(n) if !live.is_empty() => live[n % live.len()],
-                            Op::CancelPopped(n) if !popped.is_empty() => popped[n % popped.len()],
-                            Op::CancelUnknown(id) => id,
-                            _ => continue,
+                    Op::CancelLive(_) | Op::CancelPopped(_) | Op::CancelReused(_)
+                    | Op::CancelAgain(_) | Op::CancelUnknown(_) => {
+                        let reused: Vec<TimerId> = popped
+                            .iter()
+                            .filter(|&&id| !live.contains(&id))
+                            .filter(|&&id| live.iter().any(|&l| home(l) == home(id)))
+                            .copied()
+                            .collect();
+                        let again: Vec<TimerId> = cancelled.iter().copied().collect();
+                        let pick = |from: &[TimerId], n: usize| {
+                            (!from.is_empty()).then(|| from[n % from.len()])
                         };
-                        q.cancel(TimerId(id));
-                        cancelled.insert(id);
+                        let id = match op {
+                            Op::CancelLive(n) => pick(&live, n),
+                            Op::CancelPopped(n) => pick(&popped, n),
+                            Op::CancelReused(n) => pick(&reused, n),
+                            Op::CancelAgain(n) => pick(&again, n),
+                            Op::CancelUnknown(id) => Some(TimerId(id)),
+                            _ => unreachable!(),
+                        };
+                        let Some(id) = id else { continue };
+                        q.cancel(id);
+                        if live.contains(&id) {
+                            cancelled.insert(id);
+                        }
                         if cancelled.len() * 2 > model.len() {
                             model.retain(|_, id| !id.is_some_and(|id| cancelled.contains(&id)));
                             cancelled.clear();
@@ -480,6 +641,7 @@ mod tests {
                         let want = model.keys().next().map(|&(at, _)| Time(at));
                         proptest::prop_assert_eq!(q.next_at(), want);
                     }
+                    Op::Repush(..) => continue,
                 }
                 proptest::prop_assert_eq!(q.len(), model.len());
                 proptest::prop_assert_eq!(q.is_empty(), model.is_empty());

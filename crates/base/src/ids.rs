@@ -166,6 +166,10 @@ impl fmt::Display for RegId {
 }
 
 /// Handle for a pending timer, returned by [`crate::Context::set_timer`].
+/// A host's ids are unique and order as the timers were armed; the
+/// kernel's also name the queue slot the timer waits in
+/// ([`crate::host::TimeQueue::push_timer`]), which is how a cancel finds
+/// it. A process compares them and hands them back, nothing more.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub u64);
 

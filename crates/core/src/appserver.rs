@@ -712,9 +712,7 @@ impl AppServer {
             ctx.cancel_timer(t);
         }
         let entries = std::mem::take(&mut self.batch_queue);
-        let sus_vec = self.fd.suspected();
-        let sus = move |n: NodeId| sus_vec.contains(&n);
-        let applied = self.log.propose(ctx, &mut self.regs, entries, &sus);
+        let applied = self.log.propose(ctx, &mut self.regs, entries, &|n| self.fd.suspects(n));
         self.after_pump(ctx, applied);
     }
 
@@ -819,15 +817,14 @@ impl AppServer {
     /// terminated. The log's owner map holds open work only (attempts at
     /// or above their client's watermark), so that is all a pass walks.
     fn run_cleaner(&mut self, ctx: &mut dyn Context) {
-        let suspected = self.fd.suspected();
-        if suspected.is_empty() {
+        if !self.topo.app_servers.iter().any(|&n| self.fd.suspects(n)) {
             return;
         }
         let cleaned = |rid| self.attempts.get(rid).is_some_and(|a| a.cleaned);
         let orphans: Vec<(ResultId, NodeId)> = self
             .log
             .owners()
-            .filter(|(rid, owner)| suspected.contains(owner) && !cleaned(*rid))
+            .filter(|&(rid, owner)| self.fd.suspects(owner) && !cleaned(rid))
             .collect();
         for (rid, owner) in orphans {
             let attempt = self.attempts.get_or_default(rid);
@@ -855,23 +852,42 @@ impl Process for AppServer {
             self.regs.on_init(ctx);
             ctx.set_timer(self.cfg.cleaner_interval, TimerTag::CleanerTick);
         }
-        // 1. Failure detection first: everything downstream may consult it.
+        // 1. Failure detection first: every event reaches the detector (a
+        //    proof of life, and a scripted detector's clock), and
+        //    everything downstream asks it `suspects` in place. An event
+        //    only the detector reads — a peer's heartbeat, its own tick —
+        //    ends here unless it moved a suspicion: stages 2–4 do nothing
+        //    with one, and the flush policy (5) ran at the end of the last
+        //    event over the same state. Unless that policy's own flush
+        //    applied a slot that queued an outcome again: then no window
+        //    timer is armed, and the policy looks once more.
         let transitions = self.fd.handle(ctx, &event);
-        let sus_vec = self.fd.suspected();
-        let sus = |n: NodeId| sus_vec.contains(&n);
+        let detector_only = matches!(
+            event,
+            Event::Message { payload: Payload::Fd(_), .. }
+                | Event::Timer { tag: TimerTag::FdHeartbeat, .. }
+        );
+        if detector_only && transitions.is_empty() {
+            if self.batch_timer.is_none() {
+                self.maybe_flush(ctx);
+            }
+            return;
+        }
         let newly_suspected =
             transitions.iter().any(|t| matches!(t, etx_fd::FdTransition::Suspect(_)));
         // 2. Registers: consensus traffic, round patience, resync. Slot
         //    decisions feed the decision log, which applies them in order.
+        //    A suspicion transition re-evaluates every undecided instance.
         if !transitions.is_empty() {
-            self.regs.on_suspicion_change(ctx, &sus);
+            self.regs.on_suspicion_change(ctx, &|n| self.fd.suspects(n));
         }
-        for ev in self.regs.handle(ctx, &event, &sus) {
+        for ev in self.regs.handle(ctx, &event, &|n| self.fd.suspects(n)) {
             let WoEvent::Decided { reg, value } = ev;
             let Some(slot) = reg.slot_index() else { continue };
             // A decided slot lets the log pump the next pending batch into
             // a fresh proposal — overlap that one too.
-            let applied = self.log.on_slot_decided(ctx, &mut self.regs, slot, &value, &sus);
+            let sus = &|n| self.fd.suspects(n);
+            let applied = self.log.on_slot_decided(ctx, &mut self.regs, slot, &value, sus);
             self.after_pump(ctx, applied);
         }
         // 3. A fresh suspicion triggers an immediate cleaning pass
@@ -956,8 +972,9 @@ impl Process for AppServer {
             },
             _ => {}
         }
-        // 5. Pipeline flush policy — once per event, after everything that
-        //    could have queued an outcome or changed in-flight state.
+        // 5. Pipeline flush policy — once per event that got past stage 1,
+        //    after everything that could have queued an outcome or changed
+        //    in-flight state.
         self.maybe_flush(ctx);
     }
 
@@ -967,5 +984,63 @@ impl Process for AppServer {
 
     fn as_any(&self) -> Option<&dyn core::any::Any> {
         Some(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::recorder::Recorder;
+    use etx_base::config::FdConfig;
+    use etx_base::msg::FdMsg;
+    use etx_base::value::{DbOp, RequestScript};
+    use etx_fd::HeartbeatFd;
+
+    /// The recorder's own node (`NodeId(2)`), the second of three
+    /// application servers, after its `Init`, with a request from the
+    /// client at the dispatch stage; and the detector's period.
+    fn started() -> (AppServer, Dur) {
+        let topo = Topology::new(1, 3, 1);
+        let fd = FdConfig::default();
+        let me = Recorder::default().me();
+        let detector = Box::new(HeartbeatFd::new(me, &topo.app_servers, fd));
+        let cfg = ProtocolConfig::fast_for_tests();
+        let mut app = AppServer::new(me, topo.clone(), cfg, CostModel::fast_for_tests(), detector);
+        let mut ctx = Recorder::default();
+        app.on_event(&mut ctx, Event::Init);
+        let request = Request {
+            id: RequestId { client: topo.clients[0], seq: 1 },
+            script: RequestScript::single(topo.db_servers[0], vec![DbOp::Get { key: "k".into() }]),
+        };
+        let msg = ClientMsg::Request { request, attempt: 1, ack_below: 1, stamps: Vec::new() };
+        let from = topo.clients[0];
+        app.on_event(&mut ctx, Event::Message { from, payload: Payload::Client(msg) });
+        assert!(
+            ctx.timers.iter().any(|(_, tag)| matches!(tag, TimerTag::Dispatch { .. })),
+            "the request is in flight here"
+        );
+        (app, fd.heartbeat_every)
+    }
+
+    #[test]
+    fn a_tick_that_moves_no_suspicion_sends_its_round_and_arms_the_next_tick_only() {
+        let (mut app, period) = started();
+        let mut ctx = Recorder::default();
+        app.on_event(&mut ctx, Event::Timer { id: TimerId(1), tag: TimerTag::FdHeartbeat });
+        let round: Vec<NodeId> = ctx.sent.iter().map(|(to, _)| *to).collect();
+        assert_eq!(round, [NodeId(1), NodeId(3)], "a heartbeat to each peer");
+        assert!(ctx.sent.iter().all(|(_, p)| matches!(p, Payload::Fd(FdMsg::Heartbeat { .. }))));
+        assert_eq!(ctx.timers, [(period, TimerTag::FdHeartbeat)]);
+        assert!(ctx.cancelled.is_empty() && ctx.traced.is_empty() && ctx.wal.is_empty());
+    }
+
+    #[test]
+    fn a_heartbeat_delivery_that_moves_no_suspicion_sends_and_arms_nothing() {
+        let (mut app, _) = started();
+        let mut ctx = Recorder::default();
+        let beat = Payload::Fd(FdMsg::Heartbeat { seq: 1 });
+        app.on_event(&mut ctx, Event::Message { from: NodeId(1), payload: beat });
+        assert!(ctx.sent.is_empty() && ctx.timers.is_empty() && ctx.cancelled.is_empty());
+        assert!(ctx.traced.is_empty() && ctx.wal.is_empty());
     }
 }

@@ -349,6 +349,42 @@ mod tests {
     }
 
     #[test]
+    fn the_tick_that_first_suspects_a_crashed_owner_runs_the_cleaner_at_that_step() {
+        // As above, the owner crashes right after winning regA. A detector
+        // tick that turns a suspicion on goes on past the detector: every
+        // survivor takes the orphan over in the step whose check first
+        // suspected its owner, not at a later cleaner tick.
+        let topo = Topology::new(1, 3, 1);
+        let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
+        let (mut sim, topo) = build_system(11, 3, 1, vec![req], vec![("acct".into(), 0)]);
+        let a1 = topo.app_servers[0];
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                ev.node == a1
+                    && matches!(
+                        ev.kind,
+                        TraceKind::Span { comp: etx_base::trace::Component::LogStart, .. }
+                    )
+            }),
+            FaultOp::Crash(a1),
+        )
+        .unwrap();
+        let out = sim.run_until(|s| delivered_commits(s) == 1);
+        assert_eq!(out, etx_sim::RunOutcome::Predicate);
+        let events = sim.trace().events();
+        for &survivor in &topo.app_servers[1..] {
+            let first = |what: &dyn Fn(&TraceKind) -> bool| {
+                events.iter().find(|e| e.node == survivor && what(&e.kind)).map(|e| e.at)
+            };
+            let suspected = first(&|k| matches!(k, TraceKind::Suspect { peer } if *peer == a1));
+            let took_over =
+                first(&|k| matches!(k, TraceKind::CleanerTakeover { owner, .. } if *owner == a1));
+            assert!(suspected.is_some(), "{survivor} suspects the crashed owner");
+            assert_eq!(took_over, suspected, "{survivor} cleans at the suspecting tick");
+        }
+    }
+
+    #[test]
     fn owner_crash_after_regd_commit_is_finished_by_cleaner_fig1c() {
         // Figure 1(c): the owner crashes after regD decides commit but
         // before terminating. The cleaner's write returns (result, commit)

@@ -17,10 +17,16 @@
 //! multiple-concurrent-primaries regime ("active replication mode", §5).
 //!
 //! The detector is a *component*, not a process: the application server owns
-//! one and forwards runtime events to it. The primary-backup baseline does
-//! **not** use this crate — it needs a *perfect* detector, which only the
-//! simulator's crash oracle can provide (that fragility is the paper's
-//! point).
+//! one and feeds it every runtime event first — its own ticks and the
+//! peers' heartbeats, and every protocol message, each a proof of life
+//! from its sender (a [`ScriptedFd`] also reads its clock off them). An
+//! event only the detector reads — a heartbeat delivery or a tick — ends
+//! there unless it moved a suspicion; a transition goes on to wake the
+//! consensus engine and, for a fresh suspicion, the cleaner, at the same
+//! step. Everything downstream asks [`FailureDetector::suspects`] in place.
+//! The primary-backup baseline does **not** use this crate — it needs a
+//! *perfect* detector, which only the simulator's crash oracle can provide
+//! (that fragility is the paper's point).
 
 use etx_base::config::FdConfig;
 use etx_base::ids::NodeId;
@@ -44,15 +50,14 @@ pub trait FailureDetector {
     /// Called once from the owning process's `Init`.
     fn on_init(&mut self, ctx: &mut dyn Context);
 
-    /// Feeds a runtime event to the detector. Returns any suspicion
-    /// transitions it caused. Non-FD events are ignored.
+    /// Feeds a runtime event to the detector: its tick, a heartbeat, or a
+    /// protocol message (a proof of life from its sender); anything else
+    /// is ignored. Returns the suspicion transitions it caused — usually
+    /// none, which allocates nothing.
     fn handle(&mut self, ctx: &mut dyn Context, event: &Event) -> Vec<FdTransition>;
 
     /// The paper's `suspect(a_i)` predicate.
     fn suspects(&self, peer: NodeId) -> bool;
-
-    /// Current suspicion set (for the cleaner's scan).
-    fn suspected(&self) -> Vec<NodeId>;
 }
 
 /// Heartbeat-based ◇P detector with adaptive per-peer timeouts.
@@ -164,12 +169,6 @@ impl FailureDetector for HeartbeatFd {
     fn suspects(&self, peer: NodeId) -> bool {
         self.peers.iter().any(|p| p.id == peer && p.suspected)
     }
-
-    fn suspected(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.peers.iter().filter(|p| p.suspected).map(|p| p.id).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// A forced-suspicion window for fault-injection tests.
@@ -226,17 +225,6 @@ impl<I: FailureDetector> FailureDetector for ScriptedFd<I> {
     fn suspects(&self, peer: NodeId) -> bool {
         self.forced_now(peer) || self.inner.suspects(peer)
     }
-
-    fn suspected(&self) -> Vec<NodeId> {
-        let mut v = self.inner.suspected();
-        for w in &self.forced {
-            if w.from <= self.now && self.now < w.until && !v.contains(&w.peer) {
-                v.push(w.peer);
-            }
-        }
-        v.sort_unstable();
-        v
-    }
 }
 
 /// A detector that never suspects anyone. Useful for failure-free
@@ -251,9 +239,6 @@ impl FailureDetector for NullFd {
     }
     fn suspects(&self, _: NodeId) -> bool {
         false
-    }
-    fn suspected(&self) -> Vec<NodeId> {
-        Vec::new()
     }
 }
 
@@ -451,7 +436,7 @@ mod tests {
         assert!(!fd.suspects(NodeId(7)));
         fd.now = Time(150);
         assert!(fd.suspects(NodeId(7)));
-        assert_eq!(fd.suspected(), vec![NodeId(7)]);
+        assert!(!fd.suspects(NodeId(6)), "only the window's peer");
         fd.now = Time(250);
         assert!(!fd.suspects(NodeId(7)));
     }
@@ -460,7 +445,6 @@ mod tests {
     fn null_fd_is_silent() {
         let fd = NullFd;
         assert!(!fd.suspects(NodeId(0)));
-        assert!(fd.suspected().is_empty());
     }
 
     #[test]

@@ -181,7 +181,6 @@ pub struct Kernel<C> {
     /// The Figure 8 spans of every node, summed: the kernel runs one
     /// node at a time, so one accumulator is each node's own.
     spans: SpanTotals,
-    timer_seq: u64,
     fd_subscribers: Vec<NodeId>,
     /// Offered every event as it is recorded; what it hit fires at the
     /// end of the step.
@@ -270,7 +269,6 @@ impl<C: Clock> Kernel<C> {
             trace: Trace::default(),
             stats: MsgStats::default(),
             spans: SpanTotals::default(),
-            timer_seq: 0,
             fd_subscribers: Vec::new(),
             triggers: Triggers::default(),
             stash: Vec::new(),
@@ -555,7 +553,6 @@ impl<C: Clock> Kernel<C> {
                 spans: &mut self.spans,
                 triggers: &mut self.triggers,
                 queue: &mut self.queue,
-                timer_seq: &mut self.timer_seq,
                 subscribe: &mut subscribe,
             };
             process.on_event(&mut ctx, event);
@@ -631,7 +628,6 @@ struct Ctx<'a, C> {
     spans: &'a mut SpanTotals,
     triggers: &'a mut Triggers,
     queue: &'a mut TimeQueue<Action>,
-    timer_seq: &'a mut u64,
     subscribe: &'a mut bool,
 }
 
@@ -644,12 +640,12 @@ impl<C: Clock> Context for Ctx<'_, C> {
         self.me
     }
 
+    /// The queue numbers the timer: its id names the slot it waits in,
+    /// which is how a cancel finds it.
     fn set_timer(&mut self, delay: Dur, tag: TimerTag) -> TimerId {
-        *self.timer_seq += 1;
-        let id = TimerId(*self.timer_seq);
         let (node, incarnation, depth) = (self.me, self.incarnation, self.depth);
-        self.queue.push(self.now + delay, Action::Timer { node, incarnation, id, tag, depth });
-        id
+        let timer = |id| Action::Timer { node, incarnation, id, tag, depth };
+        self.queue.push_timer(self.now + delay, timer)
     }
 
     fn cancel_timer(&mut self, id: TimerId) {

@@ -255,6 +255,58 @@ mod tests {
         assert_eq!(fired(&sim, p), [1], "only the live timer, after the resume");
     }
 
+    /// Arms three timers for 5 ms on Init; the first to fire cancels the
+    /// last. `fired` is the `seq` of every timer that fired.
+    struct FirstCancelsLast {
+        last: Option<etx_base::ids::TimerId>,
+        fired: Vec<u64>,
+    }
+    impl Process for FirstCancelsLast {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            match event {
+                Event::Init => {
+                    for seq in 0..3 {
+                        self.last = Some(ctx.set_timer(Dur::from_millis(5), numbered(seq)));
+                    }
+                }
+                Event::Timer { tag: TimerTag::Dispatch { rid, .. }, .. } => {
+                    self.fired.push(rid.request.seq);
+                    if let Some(id) = self.last.take() {
+                        ctx.cancel_timer(id);
+                    }
+                }
+                _ => {}
+            }
+        }
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    #[test]
+    fn a_timer_replayed_from_a_pause_is_cancelled_in_the_slot_it_waits_in() {
+        // The timers come due while `p` sleeps and are stashed; the resume
+        // pushes them again, each into a slot its id does not name (the
+        // slots freed by their pops and by the resume's own, taken last
+        // freed first). The first to fire must still find and cancel the
+        // last.
+        for paused in [false, true] {
+            let mut sim = Sim::new(SimConfig::with_seed(4));
+            let p = sim.add_node(
+                "p",
+                Box::new(|_| Box::new(FirstCancelsLast { last: None, fired: Vec::new() })),
+            );
+            if paused {
+                let pause = FaultOp::PauseFor { node: p, down_for: Dur::from_millis(19) };
+                sim.schedule_fault(NemesisWhen::After(Dur::from_millis(1)), pause).unwrap();
+            }
+            sim.run_until_time(Time(100_000));
+            let any = sim.process_ref(p).and_then(|p| p.as_any()).expect("a live process");
+            let fired = &any.downcast_ref::<FirstCancelsLast>().expect("the process").fired;
+            assert_eq!(fired, &[0, 1], "paused: {paused}");
+        }
+    }
+
     /// At 10 ms, arms eight timers and cancels every one.
     struct Burst;
     impl Process for Burst {

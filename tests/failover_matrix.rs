@@ -274,7 +274,17 @@ fn false_suspicion_storm_costs_only_aborts_never_safety() {
     s.quiesce(Dur::from_millis(400));
     assert_eq!(s.delivered_commits(), 2);
     check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
+    let hash = format!("{:#?}", s.trace().events())
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    assert_eq!(hash, GOLDEN_STORM, "the forced windows acted at other events");
 }
+
+/// The FNV-1a hash of the storm's debug trace. The forced window acts
+/// wherever the servers ask `suspects`, which a heartbeat or a detector
+/// tick that moves no suspicion never reaches; a change that means to
+/// leave the protocol alone leaves this alone.
+const GOLDEN_STORM: u64 = 0x9BC5_35BE_8278_86F7;
 
 #[test]
 fn failure_free_latency_does_not_depend_on_the_fd_timeout() {
