@@ -1,16 +1,21 @@
-//! Randomized fault-schedule exploration ("chaos testing").
+//! Fault-schedule exploration ("chaos testing").
 //!
-//! A seed deterministically generates a fault schedule — application-server
-//! crashes (bounded by the minority assumption), database crash/recovery
-//! cycles, false-suspicion windows, message loss — and the runner checks
-//! the full e-Transaction specification on the resulting history. Every
+//! One runner, [`run_chaos`], follows the plan that
+//! [`ChaosOptions::schedule`] names: the seed-drawn [`Schedule::Random`]
+//! mix — application-server crashes (bounded by the minority assumption),
+//! database crash/recovery cycles, false-suspicion windows, message loss —
+//! or one of the event-placed plans, each a crash or two landed on the
+//! first trace event of a kind (a vote, a batch, a speculative stash, a
+//! fast-path read, a delivery), the way the paper's Figure 1(c)/(d) place
+//! theirs. The runner builds the scenario, arms the plan, settles the run
+//! and checks the full e-Transaction specification on the history. Every
 //! failure is reproducible from its seed.
 //!
 //! Faults are expressed through the backend-neutral fault plane
-//! ([`Scenario::schedule_fault`] / [`etx_base::fault::FaultOp`]), so one
-//! nemesis schedule drives either runtime: the runners that take a
-//! [`RuntimeKind`] run the same schedule on the simulator or against the
-//! wall-clock host — real clocks, real crashes, the same §3 judge.
+//! ([`Scenario::schedule_fault`] / [`etx_base::fault::FaultOp`]), so the
+//! event-placed plans drive either runtime: the same schedule on the
+//! simulator or against the wall-clock host — real clocks, real crashes,
+//! the same §3 judge.
 
 use crate::properties::{check, LivenessChecks, PropertyReport};
 use crate::scenario::{MiddleTier, Scenario, ScenarioBuilder};
@@ -19,15 +24,157 @@ use etx_base::config::{
     BatchingConfig, FeatureSet, ReadLeaseConfig, ReadPathConfig, SpeculationConfig,
 };
 use etx_base::fault::{FaultOp, NemesisWhen};
+use etx_base::ids::{NodeId, Topology};
 use etx_base::runtime::RuntimeKind;
 use etx_base::time::{Dur, Time};
 use etx_base::trace::TraceKind;
 use etx_fd::ForcedSuspicion;
 use etx_sim::{NetConfig, Rng, RunOutcome};
 
+/// The fault plan a chaos run follows.
+///
+/// [`Schedule::Random`] honours every field of [`ChaosOptions`]. The
+/// event-placed plans take the shape (`apps`, `clients`, `requests`,
+/// `shards`, `replication`, `features`, `chaos_seed`) and place their own
+/// faults: the fault budgets, `loss_rate` and `primary_outage_on_batch`
+/// are the random mix's. Each plan that needs a sharded back end floors
+/// the shape it is given (4 shards when `shards` is `None`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Schedule {
+    /// Seed-drawn faults over a seed-drawn workload family: app-server
+    /// crashes, database cycles and false-suspicion windows within the
+    /// budgets, message loss, and the optional primary outage.
+    #[default]
+    Random,
+    /// A skewed workload hammers one shard (≥ 2 shards) whose primary
+    /// crashes on its first vote — between prepare and decide — and comes
+    /// back; its followers are cycled while the other shards proceed.
+    HotShard,
+    /// An open-loop burst through ≥ 8-outcome batches: the default primary
+    /// crashes for good on applying its first multi-request batch, so the
+    /// survivors' cleaners finish the batch with its decided outcomes, and
+    /// a shard primary is cycled on its first multi-record group append.
+    /// Certifies that a decided batch is all-or-nothing per request.
+    MidBatch,
+    /// The same burst, speculating: a shard primary is cycled the moment
+    /// it stashes its first speculative batch, strictly between `SpecExec`
+    /// and the slot's decision, so the decided slot replays on the
+    /// ordinary path. Certifies that a stashed batch is not yet state.
+    Speculation,
+    /// Write→read pairs over follower reads (≥ 2 shards × rf 2): shard 0's
+    /// follower is cycled on the first fast-path read, and shard 1's
+    /// replication stream is blocked for a window, so stamped reads aimed
+    /// at its lagging follower must forward rather than serve stale state.
+    ReadPath,
+    /// [`Schedule::ReadPath`] under read leases: the grantor — shard 0's
+    /// primary — is cycled on the first fast-path read with leases
+    /// outstanding, and the blocked stream starves shard 1's follower of
+    /// renewals, so it must fall out of lease and forward.
+    ReadLease,
+    /// The whole middle tier down at once: every application server
+    /// crashes for 50 ms on the run's first event of the given kind, so
+    /// every round state is lost together. Transfers over the shape's
+    /// bank (flat, or 30 % cross-shard).
+    WholeTier(TierCrashOn),
+}
+
+/// The event whose first occurrence, at any node, takes the whole middle
+/// tier down in [`Schedule::WholeTier`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TierCrashOn {
+    /// A client's first delivery.
+    Deliver,
+    /// A database's first vote.
+    DbVote,
+    /// A database's first decide.
+    DbDecide,
+}
+
+impl Schedule {
+    /// The salt of the plan's chaos stream.
+    fn salt(self) -> u64 {
+        match self {
+            Self::Random => 0xC0FFEE,
+            Self::HotShard => 0x5AD_C0DE,
+            Self::MidBatch => 0x0BA7_C4A0,
+            Self::Speculation => 0x5BEC_0DE5,
+            Self::ReadPath => 0xFA57_1A4E,
+            Self::ReadLease => 0x1EA5_EFA1,
+            Self::WholeTier(_) => 0x7_1E4D, // draws nothing
+        }
+    }
+
+    /// The sharded shape the plan runs on (`None`: the options' flat tier).
+    fn shape(self, opts: &ChaosOptions) -> Option<(u32, usize)> {
+        let floor = |s, r| Some((opts.shards.unwrap_or(4).max(s), opts.replication.max(r)));
+        match self {
+            Self::Random | Self::WholeTier(_) => opts.shards.map(|n| (n, opts.replication)),
+            Self::HotShard => floor(2, 1),
+            Self::MidBatch | Self::Speculation => floor(1, 1),
+            Self::ReadPath | Self::ReadLease => floor(2, 2),
+        }
+    }
+
+    /// `features` with whatever the plan exists to exercise switched on:
+    /// the batch plans floor the pipeline at 8 outcomes per slot (1 ms
+    /// window), which their fault triggers need to ever fire.
+    fn features(self, mut features: FeatureSet) -> FeatureSet {
+        if matches!(self, Self::MidBatch | Self::Speculation) && features.batching.max_batch < 8 {
+            features.batching = BatchingConfig::new(8, Dur::from_millis(1));
+        }
+        match self {
+            Self::Speculation => features.speculation = SpeculationConfig::on(),
+            Self::ReadPath => features.read_path = ReadPathConfig::follower_reads(),
+            Self::ReadLease => {
+                features.read_path = ReadPathConfig::follower_reads();
+                features.read_leases = ReadLeaseConfig::fast_for_tests();
+            }
+            _ => {}
+        }
+        features
+    }
+
+    /// The plan's workload over `shards` (`None`: flat). Only the random
+    /// mix draws it, from the workload stream `wl_rng`.
+    fn workload(self, shards: Option<u32>, wl_rng: &mut Rng) -> Workload {
+        let (n, accounts) = (shards.unwrap_or(0), shards.unwrap_or(0) * 8);
+        match (self, shards) {
+            // Sharded runs draw from the key-addressed families so routing,
+            // the multi-branch decide path and replication all get exercised.
+            (Self::Random, Some(_)) => match wl_rng.range_u64(0, 2) {
+                0 => Workload::ShardedBank { accounts: n * 4, cross_pct: 40, amount: 10 },
+                1 => Workload::ShardedBank { accounts: n * 4, cross_pct: 100, amount: 10 },
+                _ => Workload::HotShard { accounts: n * 4, hot_pct: 80, amount: 10 },
+            },
+            (Self::Random, None) => match wl_rng.range_u64(0, 2) {
+                0 => Workload::BankUpdate { amount: 10 },
+                1 => Workload::Travel,
+                _ => Workload::HotSpot,
+            },
+            (Self::HotShard, _) => Workload::HotShard { accounts: n * 4, hot_pct: 70, amount: 10 },
+            (Self::MidBatch | Self::Speculation, _) => {
+                Workload::OpenLoopBurst { accounts, amount: 1 }
+            }
+            // Sequential write→read pairs: each read is issued only after
+            // its write delivered, so the issuing server holds a fresh
+            // stamp for the write's shard — what makes a starved follower
+            // actually lag (and forward) rather than trivially serve.
+            (Self::ReadPath | Self::ReadLease, _) => {
+                Workload::ReadAfterWrite { accounts, amount: 10 }
+            }
+            (Self::WholeTier(_), Some(_)) => {
+                Workload::ShardedBank { accounts, cross_pct: 30, amount: 10 }
+            }
+            (Self::WholeTier(_), None) => Workload::BankUpdate { amount: 10 },
+        }
+    }
+}
+
 /// Knobs of the chaos generator.
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
+    /// The fault plan (default: the random mix).
+    pub schedule: Schedule,
     /// Application-server replicas (3 or 5 keep a crashable minority).
     pub apps: usize,
     /// Databases.
@@ -67,7 +214,7 @@ pub struct ChaosOptions {
     /// on/off: the same run seed drives the same workload either way.
     pub chaos_seed: Option<u64>,
     /// The protocol features the scenario runs with (default: the paper's
-    /// shape). Runners that exist to exercise one feature switch it on
+    /// shape). Schedules that exist to exercise one feature switch it on
     /// over whatever is set here.
     pub features: FeatureSet,
 }
@@ -75,6 +222,7 @@ pub struct ChaosOptions {
 impl Default for ChaosOptions {
     fn default() -> Self {
         ChaosOptions {
+            schedule: Schedule::Random,
             apps: 3,
             dbs: 1,
             clients: 1,
@@ -111,16 +259,6 @@ pub fn feature_corners() -> [(&'static str, FeatureSet); 3] {
     [("paper", FeatureSet::default()), ("pipelined", pipelined), ("pipelined+reads", reads)]
 }
 
-/// `features` with the pipeline floored at 8 outcomes per slot (1 ms
-/// window) — for the runners whose fault triggers are multi-request
-/// batches, which a shallower pipeline would never form.
-fn batching_at_least_8(mut features: FeatureSet) -> FeatureSet {
-    if features.batching.max_batch < 8 {
-        features.batching = BatchingConfig::new(8, Dur::from_millis(1));
-    }
-    features
-}
-
 /// Result of a chaos run.
 #[derive(Debug)]
 pub struct ChaosOutcome {
@@ -134,24 +272,9 @@ pub struct ChaosOutcome {
     pub report: PropertyReport,
     /// Faults injected, human-readable (diagnostics on failure).
     pub faults: Vec<String>,
-    /// Decision-log slots that carried more than one request (evidence
-    /// that a run genuinely exercised the batched commit path).
-    pub batched_slots: usize,
-    /// Fast-path reads a lagging follower forwarded to its primary
-    /// (evidence that a run genuinely exercised the freshness gate).
-    pub forwarded_reads: usize,
-    /// Decided slots whose speculatively executed batch was promoted
-    /// (evidence that a run genuinely overlapped execution with consensus).
-    pub spec_hits: usize,
-    /// Decided slots whose speculation buffer was discarded and replayed
-    /// (evidence that a run genuinely exercised mis-speculation recovery).
-    pub spec_aborts: usize,
-    /// Read leases minted by shard primaries (evidence that a run
-    /// genuinely had leases outstanding when its faults landed).
-    pub lease_grants: usize,
-    /// Follower reads refused because the replica's lease had lapsed
-    /// (evidence that the staleness bound, not luck, kept reads fresh).
-    pub lease_expired_reads: usize,
+    /// The settled, stopped run: its accessors say what it exercised
+    /// (multi-request slots, speculation, leases, forwarded reads).
+    pub scenario: Scenario,
 }
 
 impl ChaosOutcome {
@@ -169,100 +292,81 @@ impl ChaosOutcome {
     }
 }
 
-/// Shared tail of every chaos runner: run to settlement, drain background
-/// work, stop the backend (a no-op on the simulator), check the full §3
-/// specification, and assemble the outcome.
-fn settle_and_check(mut scenario: Scenario, seed: u64, faults: Vec<String>) -> ChaosOutcome {
-    let expected = scenario.requests as usize;
-    let run = scenario.run_until_settled(expected);
-    let settled = run == RunOutcome::Predicate;
-    // Give retransmissions / terminate loops time to finish (T.2 needs it).
-    scenario.quiesce(Dur::from_millis(400));
-    scenario.stop();
+/// The faults a plan places, in arming order, and their descriptions.
+#[derive(Default)]
+struct Plan {
+    armed: Vec<(NemesisWhen, FaultOp)>,
+    faults: Vec<String>,
+}
 
-    let report = check(
-        scenario.trace().events(),
-        &scenario.topo.clients,
-        LivenessChecks { t1: settled, t2: settled },
-    );
-    ChaosOutcome {
-        seed,
-        run,
-        settled,
-        report,
-        faults,
-        batched_slots: scenario.batched_slots(),
-        forwarded_reads: scenario.reads_forwarded(),
-        spec_hits: scenario.spec_hits(),
-        spec_aborts: scenario.spec_aborts(),
-        lease_grants: scenario.lease_grants(),
-        lease_expired_reads: scenario.lease_expired_reads(),
+impl Plan {
+    fn add(&mut self, when: NemesisWhen, op: FaultOp, what: String) {
+        self.armed.push((when, op));
+        self.faults.push(what);
+    }
+
+    /// Crashes `node` at `at` and recovers it at `back` (run offsets).
+    fn cycle(&mut self, node: NodeId, at: Time, back: Time, what: String) {
+        self.armed.push((after(at), FaultOp::Crash(node)));
+        self.add(after(back), FaultOp::Recover(node), what);
     }
 }
 
-/// Every built-in backend implements the fault plane, so a refusal here is
-/// a wiring bug, not a runtime condition.
-const FAULT_PLANE: &str = "both built-in backends implement the fault plane";
-
-/// The moment `server` first applies a decision-log slot that made two or
-/// more outcomes final: the slot is decided, termination has barely
-/// started, and (where the server pre-claims) it carries the claim of
-/// every member's next attempt.
-fn on_first_batch_at(server: etx_base::ids::NodeId) -> NemesisWhen {
-    NemesisWhen::on_trace(move |ev| {
-        ev.node == server && matches!(ev.kind, TraceKind::BatchDecided { len, .. } if len >= 2)
-    })
+/// `at` as an offset from the run start.
+fn after(at: Time) -> NemesisWhen {
+    NemesisWhen::After(Dur(at.0))
 }
 
-/// Runs one chaos schedule derived from `seed`.
+/// The first trace event whose kind `kind` matches, at `node` (at any node
+/// when `None`).
+fn first(node: Option<NodeId>, kind: fn(&TraceKind) -> bool) -> NemesisWhen {
+    NemesisWhen::on_trace(move |ev| node.is_none_or(|n| ev.node == n) && kind(&ev.kind))
+}
+
+/// Runs the chaos schedule `opts.schedule` derived from `seed`.
 ///
 /// Two independent RNG streams are in play: the **workload stream**
 /// (derived from `seed` alone) picks what the clients run, and the **chaos
 /// stream** (derived from [`ChaosOptions::chaos_seed`], defaulting to
-/// `seed`) times the faults. The split means chaos on/off — or a different
-/// fault budget — never changes which workload a given seed exercises, so
-/// sweeps stay comparable.
+/// `seed`, salted per schedule) times the faults. The split means chaos
+/// on/off — or a different fault budget — never changes which workload a
+/// given seed exercises, so sweeps stay comparable.
 ///
-/// Pinned to the simulator: the schedule leans on the simulated network
-/// (message loss as delay) that the threaded host does not model.
-pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
+/// `runtime` picks the backend the event-placed plans run on; their
+/// trace-triggered faults fire off the same events on either clock.
+/// [`Schedule::Random`] stays on the simulator: its message loss is the
+/// virtual clock's network model, which the threaded host does not have.
+///
+/// # Panics
+///
+/// Panics if `opts.schedule` is [`Schedule::Random`] and `runtime` is
+/// not [`RuntimeKind::Sim`].
+pub fn run_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
+    let schedule = opts.schedule;
+    let random = schedule == Schedule::Random;
+    assert!(!random || runtime == RuntimeKind::Sim, "the random mix runs on the simulator");
+    let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ schedule.salt()); // chaos stream
     let mut wl_rng = Rng::new(seed ^ 0x3B0B_10AD); // workload stream
-    let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0xC0FFEE); // chaos stream
-    let horizon_ms = 200u64; // fault window (fast cost model timescale)
-    let mut faults = Vec::new();
+    let horizon_ms = 200u64; // the random mix's fault window (fast cost model timescale)
+    let mut plan = Plan::default();
 
-    // Fault plan -----------------------------------------------------------
-    let minority = (opts.apps - 1) / 2;
-    let app_crashes = (rng.range_u64(0, opts.max_app_crashes as u64) as usize).min(minority);
-    let db_cycles = rng.range_u64(0, opts.max_db_cycles as u64) as usize;
-    let suspicions = rng.range_u64(0, opts.max_false_suspicions as u64) as usize;
+    // The random mix's budget, drawn first (app crashes stay a minority).
+    let mut budget = |max: usize| if random { rng.range_u64(0, max as u64) as usize } else { 0 };
+    let app_crashes = budget(opts.max_app_crashes).min((opts.apps - 1) / 2);
+    let (db_cycles, suspicions) = (budget(opts.max_db_cycles), budget(opts.max_false_suspicions));
 
-    let workload = match opts.shards {
-        // Sharded runs draw from the key-addressed families so routing,
-        // the multi-branch decide path and replication all get exercised.
-        Some(shards) => match wl_rng.range_u64(0, 2) {
-            0 => Workload::ShardedBank { accounts: shards * 4, cross_pct: 40, amount: 10 },
-            1 => Workload::ShardedBank { accounts: shards * 4, cross_pct: 100, amount: 10 },
-            _ => Workload::HotShard { accounts: shards * 4, hot_pct: 80, amount: 10 },
-        },
-        None => match wl_rng.range_u64(0, 2) {
-            0 => Workload::BankUpdate { amount: 10 },
-            1 => Workload::Travel,
-            _ => Workload::HotSpot,
-        },
-    };
-
-    let mut forced = Vec::new();
+    let shape = schedule.shape(opts);
     let mut builder = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
+        .runtime(runtime)
         .dbs(opts.dbs)
         .clients(opts.clients)
         .requests(opts.requests)
-        .features(opts.features)
-        .workload(workload.clone());
-    if let Some(shards) = opts.shards {
-        builder = builder.shards(shards).replication(opts.replication);
+        .features(schedule.features(opts.features))
+        .workload(schedule.workload(shape.map(|(shards, _)| shards), &mut wl_rng));
+    if let Some((shards, replication)) = shape {
+        builder = builder.shards(shards).replication(replication);
     }
-    if opts.loss_rate > 0.0 {
+    if random && opts.loss_rate > 0.0 {
         builder = builder.net(NetConfig {
             min_delay: Dur::from_micros(100),
             max_delay: Dur::from_micros(300),
@@ -273,363 +377,119 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
 
     // Forced suspicion windows must be known before building (they live
     // inside each server's ScriptedFd).
-    let topo_preview = etx_base::ids::Topology::new(opts.clients, opts.apps, opts.dbs);
+    let app_servers = Topology::new(opts.clients, opts.apps, opts.dbs).app_servers;
+    let mut forced = Vec::new();
     for _ in 0..suspicions {
-        let peer_idx = rng.range_u64(0, opts.apps as u64 - 1) as usize;
+        let peer = app_servers[rng.range_u64(0, opts.apps as u64 - 1) as usize];
         let from = Time(rng.range_u64(0, horizon_ms) * 1_000);
         let until = from + Dur::from_millis(rng.range_u64(5, 40));
-        let peer = topo_preview.app_servers[peer_idx];
         forced.push(ForcedSuspicion { peer, from, until });
-        faults.push(format!("false-suspect {peer} in [{from}, {until})"));
+        plan.faults.push(format!("false-suspect {peer} in [{from}, {until})"));
     }
-    if !forced.is_empty() {
-        builder = builder.force_suspicions(forced);
-    }
+    let mut scenario = builder.force_suspicions(forced).build();
+    let s = &scenario;
+    let batch = |k: &TraceKind| matches!(k, TraceKind::BatchDecided { len, .. } if *len >= 2);
 
-    let mut scenario = builder.build();
-
-    // App-server crashes (crash-stop; bounded by the minority assumption,
-    // and never the consensus-critical majority).
-    let mut crashed = Vec::new();
-    for _ in 0..app_crashes {
-        let idx = rng.range_u64(0, opts.apps as u64 - 1) as usize;
-        let node = scenario.topo.app_servers[idx];
-        if crashed.contains(&node) {
-            continue;
+    match schedule {
+        Schedule::Random => {
+            // App-server crashes (crash-stop; bounded by the minority
+            // assumption, and never the consensus-critical majority).
+            let mut crashed = Vec::new();
+            for _ in 0..app_crashes {
+                let node = s.topo.app_servers[rng.range_u64(0, opts.apps as u64 - 1) as usize];
+                if !crashed.contains(&node) {
+                    crashed.push(node);
+                    let at = Time(rng.range_u64(0, horizon_ms) * 1_000);
+                    plan.add(after(at), FaultOp::Crash(node), format!("crash app {node} at {at}"));
+                }
+            }
+            if let Some(down_for) = opts.primary_outage_on_batch {
+                let a1 = s.topo.primary();
+                let what =
+                    format!("crash primary {a1} on its first multi-outcome slot, back {down_for}");
+                plan.add(first(Some(a1), batch), FaultOp::CrashFor { node: a1, down_for }, what);
+            }
+            // Database crash/recovery cycles (good databases: always recover).
+            for _ in 0..db_cycles {
+                let node = s.topo.db_servers
+                    [rng.range_u64(0, s.topo.db_servers.len() as u64 - 1) as usize];
+                let at = Time(rng.range_u64(0, horizon_ms) * 1_000);
+                let back = at + Dur::from_millis(rng.range_u64(5, 60));
+                plan.cycle(node, at, back, format!("cycle db {node} at {at} → {back}"));
+            }
         }
-        crashed.push(node);
-        let at = Time(rng.range_u64(0, horizon_ms) * 1_000);
-        scenario
-            .schedule_fault(NemesisWhen::After(Dur(at.0)), FaultOp::Crash(node))
-            .expect(FAULT_PLANE);
-        faults.push(format!("crash app {node} at {at}"));
+        Schedule::HotShard => {
+            // The hot key is acct0; its shard is where the skew lands.
+            let hot = s.shard_map.replicas(s.shard_map.shard_of("acct0"));
+            let (node, down_for) = (hot[0], Dur::from_millis(rng.range_u64(10, 40)));
+            let what = format!("crash hot-shard primary {node} on first vote, back {down_for}");
+            let vote = |k: &TraceKind| matches!(k, TraceKind::DbVote { .. });
+            plan.add(first(Some(node), vote), FaultOp::CrashFor { node, down_for }, what);
+            for &f in &hot[1..] {
+                let at = Time(rng.range_u64(0, 100) * 1_000);
+                let back = at + Dur::from_millis(rng.range_u64(5, 50));
+                plan.cycle(f, at, back, format!("cycle hot-shard follower {f} at {at} → {back}"));
+            }
+        }
+        Schedule::MidBatch | Schedule::Speculation => {
+            let mid_batch = schedule == Schedule::MidBatch;
+            if mid_batch {
+                let a1 = s.topo.primary();
+                let what = format!("crash primary {a1} on its first applied multi-request batch");
+                plan.add(first(Some(a1), batch), FaultOp::Crash(a1), what);
+            }
+            let shard = rng.range_u64(0, u64::from(shape.map_or(1, |(n, _)| n)) - 1) as u32;
+            let (node, down_for) = (s.shard_primary(shard), Dur::from_millis(rng.range_u64(5, 30)));
+            let (on, kind): (_, fn(&TraceKind) -> bool) = if mid_batch {
+                ("group append", |k| matches!(k, TraceKind::GroupAppend { len } if *len >= 2))
+            } else {
+                ("speculative batch", |k| matches!(k, TraceKind::SpecExec { .. }))
+            };
+            let what =
+                format!("cycle shard-{shard} primary {node} on its first {on}, back {down_for}");
+            plan.add(first(Some(node), kind), FaultOp::CrashFor { node, down_for }, what);
+        }
+        Schedule::ReadPath | Schedule::ReadLease => {
+            let lease = schedule == Schedule::ReadLease;
+            let (role, node) = if lease { ("primary", 0) } else { ("follower", 1) };
+            let (node, down_for) =
+                (s.shard_replicas(0)[node], Dur::from_millis(rng.range_u64(5, 30)));
+            let what =
+                format!("cycle shard-0 {role} {node} on the first fast-path read, back {down_for}");
+            let read = |k: &TraceKind| matches!(k, TraceKind::ReadFastPath { .. });
+            plan.add(first(None, read), FaultOp::CrashFor { node, down_for }, what);
+            let (from, to) = (s.shard_replicas(1)[0], s.shard_replicas(1)[1]);
+            let heal = Time(rng.range_u64(60, 150) * 1_000);
+            let why = if lease { "lease starvation" } else { "lagging follower" };
+            let what = format!("block replication {from} → {to} until {heal} ({why})");
+            let block = FaultOp::BlockLink { from, to, heal_after: Dur(heal.0) };
+            plan.add(NemesisWhen::Now, block, what);
+        }
+        Schedule::WholeTier(on) => {
+            let kind: fn(&TraceKind) -> bool = match on {
+                TierCrashOn::Deliver => |k| matches!(k, TraceKind::Deliver { .. }),
+                TierCrashOn::DbVote => |k| matches!(k, TraceKind::DbVote { .. }),
+                TierCrashOn::DbDecide => |k| matches!(k, TraceKind::DbDecide { .. }),
+            };
+            let down_for = Dur::from_millis(50);
+            for &node in &s.topo.app_servers {
+                let what = format!("crash app {node} on the first {on:?}, back {down_for}");
+                plan.add(first(None, kind), FaultOp::CrashFor { node, down_for }, what);
+            }
+        }
     }
 
-    if let Some(down_for) = opts.primary_outage_on_batch {
-        let a1 = scenario.topo.primary();
-        scenario
-            .schedule_fault(on_first_batch_at(a1), FaultOp::CrashFor { node: a1, down_for })
-            .expect(FAULT_PLANE);
-        faults.push(format!("crash primary {a1} on its first multi-outcome slot, back {down_for}"));
+    // Every built-in backend implements the fault plane, so a refusal here
+    // is a wiring bug, not a runtime condition.
+    for (when, op) in plan.armed {
+        scenario.schedule_fault(when, op).expect("both backends implement the fault plane");
     }
-
-    // Database crash/recovery cycles (good databases: always recover).
-    let db_count = scenario.topo.db_servers.len() as u64;
-    for _ in 0..db_cycles {
-        let idx = rng.range_u64(0, db_count - 1) as usize;
-        let node = scenario.topo.db_servers[idx];
-        let at = Time(rng.range_u64(0, horizon_ms) * 1_000);
-        let back = at + Dur::from_millis(rng.range_u64(5, 60));
-        scenario
-            .schedule_fault(NemesisWhen::After(Dur(at.0)), FaultOp::Crash(node))
-            .expect(FAULT_PLANE);
-        scenario
-            .schedule_fault(NemesisWhen::After(Dur(back.0)), FaultOp::Recover(node))
-            .expect(FAULT_PLANE);
-        faults.push(format!("cycle db {node} at {at} → {back}"));
-    }
-
-    settle_and_check(scenario, seed, faults)
-}
-
-/// The hot-shard chaos scenario: a skewed key-addressed workload hammers
-/// one shard while that shard's replicas are crash/recovery-cycled
-/// **mid-commit** (the first crash triggers off the hot primary's first
-/// vote, i.e. between prepare and decide); the other shards' traffic
-/// proceeds throughout. Checks the full §3 specification afterwards — in
-/// particular that every request still terminates with a single outcome
-/// delivered exactly once.
-///
-/// `runtime` picks the backend: the threaded host runs the same nemesis
-/// schedule on the wall clock (trace-triggered faults fire off the same
-/// events).
-pub fn run_hot_shard_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
-    // Fault timing comes from the chaos stream only — the scenario (and
-    // its workload RNG, seeded by `seed`) is identical with chaos on or
-    // off, so `.shards()` sweeps compare like for like.
-    let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0x5AD_C0DE);
-    let shards = opts.shards.unwrap_or(4).max(2);
-    let replication = opts.replication.max(1);
-    let workload = Workload::HotShard { accounts: shards * 4, hot_pct: 70, amount: 10 };
-    let mut scenario = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
-        .runtime(runtime)
-        .shards(shards)
-        .replication(replication)
-        .clients(opts.clients)
-        .requests(opts.requests)
-        .features(opts.features)
-        .workload(workload)
-        .build();
-
-    let mut faults = Vec::new();
-    // The hot key is acct0; its shard is where the skew lands.
-    let hot_shard = scenario.shard_map.shard_of("acct0");
-    let hot_replicas: Vec<_> = scenario.shard_map.replicas(hot_shard).to_vec();
-    let hot_primary = hot_replicas[0];
-
-    // Crash the hot primary right after it votes (mid-commit: the branch
-    // is prepared/in-doubt, the decision push is about to land) and bring
-    // it back shortly after — the paper's good-database model.
-    let down_for = Dur::from_millis(rng.range_u64(10, 40));
-    scenario
-        .schedule_fault(
-            NemesisWhen::on_trace(move |ev| {
-                ev.node == hot_primary && matches!(ev.kind, TraceKind::DbVote { .. })
-            }),
-            FaultOp::CrashFor { node: hot_primary, down_for },
-        )
-        .expect(FAULT_PLANE);
-    faults.push(format!("crash hot-shard primary {hot_primary} on first vote, back {down_for}"));
-
-    // Cycle the hot shard's followers too, while the other shards proceed.
-    for &f in hot_replicas.iter().skip(1) {
-        let at = Time(rng.range_u64(0, 100) * 1_000);
-        let back = at + Dur::from_millis(rng.range_u64(5, 50));
-        scenario
-            .schedule_fault(NemesisWhen::After(Dur(at.0)), FaultOp::Crash(f))
-            .expect(FAULT_PLANE);
-        scenario
-            .schedule_fault(NemesisWhen::After(Dur(back.0)), FaultOp::Recover(f))
-            .expect(FAULT_PLANE);
-        faults.push(format!("cycle hot-shard follower {f} at {at} → {back}"));
-    }
-
-    settle_and_check(scenario, seed, faults)
-}
-
-/// The mid-batch chaos scenario for the commit pipeline: an open-loop
-/// burst fills the application server's pipeline queue so decision-log
-/// slots carry real batches, then
-///
-/// * the default primary `a1` is **crashed the moment it applies its first
-///   multi-request batch** — the decided slot is final but termination has
-///   barely started, so the surviving replicas' cleaners must finish every
-///   request in the batch with the *decided* outcomes;
-/// * a shard primary is crash/recovery-cycled on its first multi-record
-///   **group WAL append**, so recovery replays a group frame written
-///   mid-stream.
-///
-/// The full §3 specification is checked afterwards. What this certifies is
-/// the batch atomicity claim: a decided batch is all-or-nothing per
-/// request — every request in it terminates with its slot outcome exactly
-/// once, and none is duplicated or split by the crashes.
-pub fn run_mid_batch_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
-    let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0x0BA7_C4A0);
-    let shards = opts.shards.unwrap_or(4).max(1);
-    let workload = Workload::OpenLoopBurst { accounts: shards * 8, amount: 1 };
-    let mut scenario = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
-        .runtime(runtime)
-        .shards(shards)
-        .replication(opts.replication.max(1))
-        .clients(opts.clients)
-        .requests(opts.requests)
-        .features(batching_at_least_8(opts.features))
-        .workload(workload)
-        .build();
-
-    let mut faults = Vec::new();
-    let a1 = scenario.topo.primary();
-    scenario.schedule_fault(on_first_batch_at(a1), FaultOp::Crash(a1)).expect(FAULT_PLANE);
-    faults.push(format!("crash primary {a1} on its first applied multi-request batch"));
-
-    let victim_shard = rng.range_u64(0, u64::from(shards) - 1) as u32;
-    let victim = scenario.shard_primary(victim_shard);
-    let down_for = Dur::from_millis(rng.range_u64(5, 30));
-    scenario
-        .schedule_fault(
-            NemesisWhen::on_trace(move |ev| {
-                ev.node == victim && matches!(ev.kind, TraceKind::GroupAppend { len } if len >= 2)
-            }),
-            FaultOp::CrashFor { node: victim, down_for },
-        )
-        .expect(FAULT_PLANE);
-    faults.push(format!(
-        "cycle shard-{victim_shard} primary {victim} on its first group append, back {down_for}"
-    ));
-
-    settle_and_check(scenario, seed, faults)
-}
-
-/// The speculation chaos scenario: an open-loop burst fills the pipeline
-/// with real batches under speculative execution, and a shard primary is
-/// **crash/recovery-cycled the moment it stashes its first speculative
-/// batch** — strictly between `SpecExec` and the slot's decision. The
-/// crash wipes the (volatile) speculation buffer, so the decided slot
-/// arrives at a recovered primary with nothing stashed and must replay on
-/// the ordinary decide-then-execute path.
-///
-/// The full §3 specification is checked afterwards. What this certifies
-/// is the speculation stage's durability claim: a speculatively buffered
-/// batch is *not yet state* — it writes no WAL frame, ships nothing to
-/// followers, and a crash at the worst moment leaves exactly the
-/// recovery obligations of the non-speculative pipeline.
-pub fn run_speculation_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
-    let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0x5BEC_0DE5);
-    let shards = opts.shards.unwrap_or(4).max(1);
-    let workload = Workload::OpenLoopBurst { accounts: shards * 8, amount: 1 };
-    let mut scenario = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
-        .runtime(runtime)
-        .shards(shards)
-        .replication(opts.replication.max(1))
-        .clients(opts.clients)
-        .requests(opts.requests)
-        .features(batching_at_least_8(opts.features))
-        .speculation(SpeculationConfig::on())
-        .workload(workload)
-        .build();
-
-    let mut faults = Vec::new();
-    let victim_shard = rng.range_u64(0, u64::from(shards) - 1) as u32;
-    let victim = scenario.shard_primary(victim_shard);
-    let down_for = Dur::from_millis(rng.range_u64(5, 30));
-    scenario
-        .schedule_fault(
-            NemesisWhen::on_trace(move |ev| {
-                ev.node == victim && matches!(ev.kind, TraceKind::SpecExec { .. })
-            }),
-            FaultOp::CrashFor { node: victim, down_for },
-        )
-        .expect(FAULT_PLANE);
-    faults.push(format!(
-        "cycle shard-{victim_shard} primary {victim} on its first speculative batch, \
-         back {down_for}"
-    ));
-
-    settle_and_check(scenario, seed, faults)
-}
-
-/// The read-path chaos scenario: a read-dominated open-loop workload runs
-/// with the fast lane and follower reads enabled while
-///
-/// * one shard's follower is **crash/recovery-cycled the moment the first
-///   fast-path read is classified** — reads in flight to it vanish and the
-///   application server's retry backstop must finish them against the
-///   shard primary;
-/// * another shard's follower is **starved of its primary's replication
-///   stream** (the primary→follower link is blocked for a window) while
-///   writes keep committing — every stamped read aimed at it during the
-///   window must take the forward path rather than serve stale state.
-///
-/// The full §3 specification is checked afterwards. What this certifies is
-/// the fast lane's safety claim: consensus-free reads stay exactly-once
-/// *observable* (one delivery per request, committed results only) and
-/// never surface state older than the issuing server has observed.
-pub fn run_read_path_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
-    let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0xFA57_1A4E);
-    let shards = opts.shards.unwrap_or(4).max(2);
-    let replication = opts.replication.max(2);
-    // Sequential write→read pairs: each read is issued only after its
-    // write delivered, so the issuing server holds a fresh stamp for the
-    // write's shard — the precondition that makes a starved follower
-    // actually *lag* (and therefore forward) rather than trivially serve.
-    let workload = Workload::ReadAfterWrite { accounts: shards * 8, amount: 10 };
-    let mut scenario = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
-        .shards(shards)
-        .replication(replication)
-        .clients(opts.clients)
-        .requests(opts.requests)
-        .features(opts.features)
-        .read_path(ReadPathConfig::follower_reads())
-        .workload(workload)
-        .build();
-
-    let mut faults = Vec::new();
-
-    // Fault 1: cycle shard 0's follower on the first classified fast-path
-    // read — a read racing a crashing replica.
-    let crash_victim = scenario.shard_replicas(0)[1];
-    let down_for = Dur::from_millis(rng.range_u64(5, 30));
-    scenario
-        .schedule_fault(
-            NemesisWhen::on_trace(move |ev| matches!(ev.kind, TraceKind::ReadFastPath { .. })),
-            FaultOp::CrashFor { node: crash_victim, down_for },
-        )
-        .expect(FAULT_PLANE);
-    faults.push(format!(
-        "cycle shard-0 follower {crash_victim} on the first fast-path read, back {down_for}"
-    ));
-
-    // Fault 2: starve shard 1's follower of replication for a window —
-    // commits during the window make it lag, so stamped reads aimed at it
-    // must forward to the primary instead of serving stale state.
-    let lag_primary = scenario.shard_replicas(1)[0];
-    let lag_follower = scenario.shard_replicas(1)[1];
-    let heal = Time(rng.range_u64(60, 150) * 1_000);
-    scenario
-        .fault(FaultOp::BlockLink { from: lag_primary, to: lag_follower, heal_after: Dur(heal.0) })
-        .expect(FAULT_PLANE);
-    faults.push(format!(
-        "block replication {lag_primary} → {lag_follower} until {heal} (lagging follower)"
-    ));
-
-    settle_and_check(scenario, seed, faults)
-}
-
-/// The read-lease chaos scenario: the lease fast path (follower reads
-/// served with **no stamp check and no forward hop** while the replica's
-/// lease is live) runs under the two faults that attack its soundness
-/// argument directly:
-///
-/// * shard 0's **primary** — the lease grantor — is crash/recovery-cycled
-///   the moment the first fast-path read is classified, with leases
-///   outstanding at every replica and appserver. Recovery must fence its
-///   write acknowledgements until every lease its previous incarnation
-///   could have granted has lapsed (the failover drain), or a pre-crash
-///   in-lease read could contradict a post-crash acknowledged write;
-/// * shard 1's **replication stream** (primary → follower) is blocked for
-///   a window. Lease renewals ride that stream, so the follower must fall
-///   out of lease and start forwarding (`LeaseExpired`) no later than one
-///   lease duration after the partition — the staleness bound.
-///
-/// The full §3 specification is checked afterwards: exactly-once delivery,
-/// committed results only, and read-your-writes all have to survive the
-/// lease machinery's consensus-free serving.
-pub fn run_read_lease_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
-    let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0x1EA5_EFA1);
-    let shards = opts.shards.unwrap_or(4).max(2);
-    let replication = opts.replication.max(2);
-    let workload = Workload::ReadAfterWrite { accounts: shards * 8, amount: 10 };
-    let mut scenario = ScenarioBuilder::fast(MiddleTier::Etx { apps: opts.apps }, seed)
-        .shards(shards)
-        .replication(replication)
-        .clients(opts.clients)
-        .requests(opts.requests)
-        .features(opts.features)
-        .read_path(ReadPathConfig::follower_reads())
-        .read_leases(ReadLeaseConfig::fast_for_tests())
-        .workload(workload)
-        .build();
-
-    let mut faults = Vec::new();
-
-    // Fault 1: cycle shard 0's PRIMARY on the first classified fast-path
-    // read — the grantor dies with its leases still outstanding, so the
-    // post-recovery fence is what stands between in-lease follower serves
-    // and the recovered primary's fresh acknowledgements.
-    let grantor = scenario.shard_replicas(0)[0];
-    let down_for = Dur::from_millis(rng.range_u64(5, 30));
-    scenario
-        .schedule_fault(
-            NemesisWhen::on_trace(move |ev| matches!(ev.kind, TraceKind::ReadFastPath { .. })),
-            FaultOp::CrashFor { node: grantor, down_for },
-        )
-        .expect(FAULT_PLANE);
-    faults.push(format!(
-        "cycle shard-0 primary {grantor} on the first fast-path read, back {down_for}"
-    ));
-
-    // Fault 2: block shard 1's replication stream — renewals stop with it,
-    // so the follower's lease lapses and its reads must forward instead of
-    // serving what is now unboundedly stale state.
-    let lag_primary = scenario.shard_replicas(1)[0];
-    let lag_follower = scenario.shard_replicas(1)[1];
-    let heal = Time(rng.range_u64(60, 150) * 1_000);
-    scenario
-        .fault(FaultOp::BlockLink { from: lag_primary, to: lag_follower, heal_after: Dur(heal.0) })
-        .expect(FAULT_PLANE);
-    faults.push(format!(
-        "block replication {lag_primary} → {lag_follower} until {heal} (lease starvation)"
-    ));
-
-    settle_and_check(scenario, seed, faults)
+    let run = scenario.run_until_settled(scenario.requests as usize);
+    let settled = run == RunOutcome::Predicate;
+    // Give retransmissions / terminate loops time to finish (T.2 needs it).
+    scenario.quiesce(Dur::from_millis(400));
+    scenario.stop();
+    let live = LivenessChecks { t1: settled, t2: settled };
+    let report = check(scenario.trace().events(), &scenario.topo.clients, live);
+    ChaosOutcome { seed, run, settled, report, faults: plan.faults, scenario }
 }

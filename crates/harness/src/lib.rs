@@ -27,10 +27,7 @@ pub mod stats;
 pub mod sweeps;
 pub mod workloads;
 
-pub use chaos::{
-    feature_corners, run_chaos, run_hot_shard_chaos, run_mid_batch_chaos, run_read_lease_chaos,
-    run_read_path_chaos, run_speculation_chaos, ChaosOptions, ChaosOutcome,
-};
+pub use chaos::{feature_corners, run_chaos, ChaosOptions, ChaosOutcome, Schedule, TierCrashOn};
 pub use figures::{figure1, figure1_all, figure7, figure8, Fig1Scenario, Fig8Table};
 pub use latency::Breakdown;
 pub use properties::{check, LivenessChecks, PropertyReport};

@@ -10,8 +10,8 @@ use etx::base::time::Dur;
 use etx::base::trace::{Component, TraceKind};
 use etx::base::wal::{StableRecord, LOG_WAL};
 use etx::harness::{
-    check, run_chaos, run_mid_batch_chaos, ChaosOptions, LivenessChecks, MiddleTier, Scenario,
-    ScenarioBuilder, Workload,
+    check, run_chaos, ChaosOptions, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder,
+    Schedule, Workload,
 };
 use etx::sim::RunOutcome;
 use std::collections::BTreeMap;
@@ -126,6 +126,7 @@ fn mid_batch_primary_crash_chaos_holds_the_spec() {
     // append. A decided batch must stay all-or-nothing per request: every
     // request terminates exactly once with its slot outcome.
     let opts = ChaosOptions {
+        schedule: Schedule::MidBatch,
         apps: 3,
         clients: 2,
         requests: 8,
@@ -135,9 +136,9 @@ fn mid_batch_primary_crash_chaos_holds_the_spec() {
     };
     let mut batched_runs = 0;
     for seed in 0..12 {
-        let out = run_mid_batch_chaos(seed, &opts, RuntimeKind::Sim);
+        let out = run_chaos(seed, &opts, RuntimeKind::Sim);
         out.assert_ok();
-        if out.batched_slots > 0 {
+        if out.scenario.batched_slots() > 0 {
             batched_runs += 1;
         }
     }
@@ -162,7 +163,7 @@ fn generic_chaos_stays_green_with_batching_enabled() {
         ..ChaosOptions::default()
     };
     for seed in 0..10 {
-        run_chaos(seed, &opts).assert_ok();
+        run_chaos(seed, &opts, RuntimeKind::Sim).assert_ok();
     }
 }
 
@@ -297,10 +298,12 @@ fn chaos_seed_varies_faults_independently_of_the_run_seed() {
     // the spec). Before the split, fault draws and workload choice shared
     // one stream, so fault-budget changes silently changed the workload.
     let base = ChaosOptions { requests: 3, ..ChaosOptions::default() };
-    let a =
-        run_chaos(77, &ChaosOptions { chaos_seed: Some(1), max_app_crashes: 1, ..base.clone() });
-    let b =
-        run_chaos(77, &ChaosOptions { chaos_seed: Some(2), max_app_crashes: 1, ..base.clone() });
+    let run = |chaos_seed| {
+        let opts =
+            ChaosOptions { chaos_seed: Some(chaos_seed), max_app_crashes: 1, ..base.clone() };
+        run_chaos(77, &opts, RuntimeKind::Sim)
+    };
+    let (a, b) = (run(1), run(2));
     a.assert_ok();
     b.assert_ok();
     assert_ne!(a.faults, b.faults, "distinct chaos seeds must produce distinct schedules");

@@ -5,7 +5,7 @@
 use etx::base::config::FeatureSet;
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
-use etx::harness::{feature_corners, run_chaos, run_hot_shard_chaos, ChaosOptions};
+use etx::harness::{feature_corners, run_chaos, ChaosOptions, Schedule};
 
 /// The five option sets this file sweeps, over a given feature set:
 /// defaults; five replicas with a crashable pair; contending clients under
@@ -33,7 +33,7 @@ fn schedules(features: FeatureSet) -> [ChaosOptions; 5] {
 
 fn sweep(opts: &ChaosOptions, seeds: u64) {
     for seed in 0..seeds {
-        run_chaos(seed, opts).assert_ok();
+        run_chaos(seed, opts, RuntimeKind::Sim).assert_ok();
     }
 }
 
@@ -64,9 +64,9 @@ fn chaos_with_a_primary_outage_on_its_first_batch() {
     let opts = &schedules(feature_corners()[1].1)[4];
     let mut fired = 0;
     for seed in 0..40 {
-        let out = run_chaos(seed, opts);
+        let out = run_chaos(seed, opts, RuntimeKind::Sim);
         out.assert_ok();
-        fired += usize::from(out.batched_slots >= 1);
+        fired += usize::from(out.scenario.batched_slots() >= 1);
     }
     assert!(fired >= 30, "only {fired} of 40 seeds formed the batch that triggers the outage");
 }
@@ -84,6 +84,7 @@ fn every_feature_corner_holds_the_spec_under_chaos() {
         }
 
         let hot = ChaosOptions {
+            schedule: Schedule::HotShard,
             clients: 4,
             requests: 4,
             shards: Some(4),
@@ -93,11 +94,12 @@ fn every_feature_corner_holds_the_spec_under_chaos() {
         };
         let (mut batched, mut speculated, mut leased) = (0, 0, 0);
         for seed in 0..8u64 {
-            let out = run_hot_shard_chaos(seed, &hot, RuntimeKind::Sim);
+            let out = run_chaos(seed, &hot, RuntimeKind::Sim);
             out.assert_ok();
-            batched += out.batched_slots;
-            speculated += out.spec_hits + out.spec_aborts;
-            leased += out.lease_grants;
+            let s = &out.scenario;
+            batched += s.batched_slots();
+            speculated += s.spec_hits() + s.spec_aborts();
+            leased += s.lease_grants();
         }
         let pipelined = features.batching.is_batching();
         assert_eq!(batched >= 1, pipelined, "{corner}: {batched} multi-request slots");

@@ -3,6 +3,7 @@
 //! and crash points.
 
 use etx::base::ids::{NodeId, RequestId, ResultId};
+use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
 use etx::base::value::{DbOp, Outcome, Vote};
 use etx::base::wal::StableRecord;
@@ -181,7 +182,7 @@ proptest! {
                 ..opts
             };
         }
-        run_chaos(seed, &opts).assert_ok();
+        run_chaos(seed, &opts, RuntimeKind::Sim).assert_ok();
     }
 
     /// Committed effects survive any crash point: for every prefix of the

@@ -20,11 +20,12 @@
 
 use etx::base::config::{ReadLeaseConfig, ReadPathConfig};
 use etx::base::fault::{FaultOp, NemesisWhen};
+use etx::base::runtime::RuntimeKind;
 use etx::base::time::{Dur, Time};
 use etx::base::trace::TraceKind;
 use etx::base::value::Outcome;
 use etx::harness::{
-    run_read_lease_chaos, ChaosOptions, MiddleTier, Scenario, ScenarioBuilder, Workload,
+    run_chaos, ChaosOptions, MiddleTier, Scenario, ScenarioBuilder, Schedule, Workload,
 };
 use etx::sim::RunOutcome;
 
@@ -347,6 +348,7 @@ fn leases_without_the_read_lane_are_disabled() {
 #[test]
 fn read_lease_chaos_holds_the_spec_across_seeds() {
     let opts = ChaosOptions {
+        schedule: Schedule::ReadLease,
         apps: 3,
         clients: 2,
         requests: 8,
@@ -357,10 +359,11 @@ fn read_lease_chaos_holds_the_spec_across_seeds() {
     let mut any_granted = false;
     let mut any_lapsed = false;
     for seed in [5u64, 77, 303, 9001] {
-        let outcome = run_read_lease_chaos(seed, &opts);
+        let outcome = run_chaos(seed, &opts, RuntimeKind::Sim);
         outcome.assert_ok();
-        any_granted |= outcome.lease_grants > 0;
-        any_lapsed |= outcome.lease_expired_reads > 0 || outcome.forwarded_reads > 0;
+        let s = &outcome.scenario;
+        any_granted |= s.lease_grants() > 0;
+        any_lapsed |= s.lease_expired_reads() > 0 || s.reads_forwarded() > 0;
     }
     assert!(any_granted, "the chaos sweep never had leases outstanding");
     assert!(any_lapsed, "the starved shard must force lapsed or forwarded reads somewhere");

@@ -373,6 +373,7 @@ fn chaotic_pure_read_run(
 #[test]
 fn read_path_chaos_holds_the_spec_across_seeds() {
     let opts = etx::harness::ChaosOptions {
+        schedule: etx::harness::Schedule::ReadPath,
         apps: 3,
         clients: 2,
         requests: 8,
@@ -382,9 +383,9 @@ fn read_path_chaos_holds_the_spec_across_seeds() {
     };
     let mut any_forwarded = false;
     for seed in [5u64, 77, 303, 9001] {
-        let outcome = etx::harness::run_read_path_chaos(seed, &opts);
+        let outcome = etx::harness::run_chaos(seed, &opts, etx::base::runtime::RuntimeKind::Sim);
         outcome.assert_ok();
-        any_forwarded |= outcome.forwarded_reads > 0;
+        any_forwarded |= outcome.scenario.reads_forwarded() > 0;
     }
     // The blocked replication link plus the read mix must force the
     // forward path somewhere in the sweep.

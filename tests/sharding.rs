@@ -9,8 +9,7 @@ use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::base::value::Outcome;
 use etx::harness::{
-    check, run_chaos, run_hot_shard_chaos, ChaosOptions, LivenessChecks, MiddleTier,
-    ScenarioBuilder, Workload,
+    check, run_chaos, ChaosOptions, LivenessChecks, MiddleTier, ScenarioBuilder, Schedule, Workload,
 };
 
 fn sharded(
@@ -175,16 +174,21 @@ fn sharded_chaos_schedules_hold_the_spec() {
         ..ChaosOptions::default()
     };
     for seed in 0..25u64 {
-        run_chaos(seed, &opts).assert_ok();
+        run_chaos(seed, &opts, RuntimeKind::Sim).assert_ok();
     }
 }
 
 #[test]
 fn hot_shard_chaos_is_green() {
-    let opts =
-        ChaosOptions { shards: Some(4), replication: 2, requests: 3, ..ChaosOptions::default() };
+    let opts = ChaosOptions {
+        schedule: Schedule::HotShard,
+        shards: Some(4),
+        replication: 2,
+        requests: 3,
+        ..ChaosOptions::default()
+    };
     for seed in 0..15u64 {
-        run_hot_shard_chaos(seed, &opts, RuntimeKind::Sim).assert_ok();
+        run_chaos(seed, &opts, RuntimeKind::Sim).assert_ok();
     }
 }
 

@@ -31,8 +31,8 @@ use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::base::value::{DbOp, Outcome, Vote};
 use etx::harness::{
-    check, run_speculation_chaos, ChaosOptions, LivenessChecks, MiddleTier, Scenario,
-    ScenarioBuilder, Summary, Workload,
+    check, run_chaos, ChaosOptions, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder,
+    Schedule, Summary, Workload,
 };
 use etx::sim::RunOutcome;
 use etx::store::{Engine, Promotion};
@@ -158,6 +158,7 @@ fn speculation_chaos_crash_between_spec_and_decide_holds_the_spec() {
     // decision. The buffer is volatile, so the recovered primary replays
     // on the strict path; the full §3 specification must hold throughout.
     let opts = ChaosOptions {
+        schedule: Schedule::Speculation,
         apps: 3,
         clients: 2,
         requests: 8,
@@ -167,9 +168,9 @@ fn speculation_chaos_crash_between_spec_and_decide_holds_the_spec() {
     };
     let mut speculated_runs = 0;
     for seed in 0..12 {
-        let out = run_speculation_chaos(seed, &opts, RuntimeKind::Sim);
+        let out = run_chaos(seed, &opts, RuntimeKind::Sim);
         out.assert_ok();
-        if out.spec_hits + out.spec_aborts > 0 {
+        if out.scenario.spec_hits() + out.scenario.spec_aborts() > 0 {
             speculated_runs += 1;
         }
     }

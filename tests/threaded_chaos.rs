@@ -20,8 +20,8 @@ use etx::base::runtime::RuntimeKind;
 use etx::base::time::{Dur, Time};
 use etx::base::trace::{TraceEvent, TraceKind};
 use etx::harness::{
-    check, feature_corners, run_hot_shard_chaos, run_mid_batch_chaos, run_speculation_chaos,
-    ChaosOptions, LivenessChecks, MiddleTier, ScenarioBuilder, Workload,
+    check, feature_corners, run_chaos, ChaosOptions, LivenessChecks, MiddleTier, ScenarioBuilder,
+    Schedule, Workload,
 };
 use etx::sim::RunOutcome;
 use std::time::{Duration, Instant};
@@ -308,9 +308,12 @@ fn chaos_runners_pass_the_spec_on_real_threads() {
         },
         ..ChaosOptions::default()
     };
-    run_mid_batch_chaos(11, &opts, RuntimeKind::Threaded).assert_ok();
-    run_hot_shard_chaos(12, &opts, RuntimeKind::Threaded).assert_ok();
-    run_speculation_chaos(13, &opts, RuntimeKind::Threaded).assert_ok();
+    for (seed, schedule) in
+        [(11, Schedule::MidBatch), (12, Schedule::HotShard), (13, Schedule::Speculation)]
+    {
+        run_chaos(seed, &ChaosOptions { schedule, ..opts.clone() }, RuntimeKind::Threaded)
+            .assert_ok();
+    }
 }
 
 // ---- stop() and convergence at the size the bench cannot check --------------
