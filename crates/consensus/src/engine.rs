@@ -27,8 +27,15 @@
 //!   timeouts — keeping the protocol asynchronous in the paper's sense.
 //!
 //! Safety (agreement, validity, integrity) holds under any failure-detector
-//! behaviour; only termination needs ◇P accuracy and a correct majority,
-//! mirroring the paper's §4/§5 discussion.
+//! behaviour **while no server recovers after losing its round state**;
+//! only termination needs ◇P accuracy and a correct majority, mirroring
+//! the paper's §4/§5 discussion. Nothing here is stable: a recovered
+//! server is a fresh engine that acks and coordinates as if it had never
+//! voted, so an acceptor that forgets its round-0 ack, or a coordinator
+//! that forgets its own decision, lets a later round decide a second
+//! value for the same slot. A whole tier that loses everything at once
+//! forgets every vote together and starts over; the loss of some round
+//! state beside survivors that kept theirs is the unsafe case.
 //!
 //! **Storage by slot.** Every instance is a decision-log slot, and slots
 //! are dense: each server proposes into the lowest slot it has not seen

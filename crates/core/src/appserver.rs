@@ -68,6 +68,22 @@
 //! validate a snapshot answers abort like any other failed attempt, so the
 //! client's next attempt claims, computes, votes and decides here. What
 //! this file keeps of a lane read is its end (`on_read_end`).
+//!
+//! ## When the whole tier restarts
+//!
+//! Nothing here is stable: a recovered server is a fresh incarnation with
+//! an empty register bank and decision log. When every server loses its
+//! state at once, the client's retransmission of its attempt in flight
+//! reaches a server whose log restarts at slot 1 and knows no owner, so
+//! the attempt is claimed and computed again under the same attempt id.
+//! What answers it is the databases' state for that id, not the tier's:
+//! a branch still prepared (the tier went down after the vote) or a
+//! commit in the decide memo (after the decide) refuses the new `Exec` as
+//! a conflict and votes yes — from the prepared branch or the memo — so
+//! the attempt commits the first execution's effects, once, and the
+//! client is delivered the re-execution's result, cut short by its
+//! `conflict` note. A tier that goes down between requests runs the next
+//! one afresh. Traced on the harness's whole-tier chaos schedule.
 
 use crate::readlane::{ReadEnd, ReadLane};
 use crate::xa::{Entered, Step, Xa};
@@ -728,10 +744,15 @@ impl AppServer {
         if let Some((slot, batch)) =
             self.log.opened_proposal().filter(|_| self.cfg.features.speculation.enabled)
         {
-            let outcome = |rid| self.attempts.get(rid).and_then(|a| a.outcome.as_ref());
-            let targets = |rid| outcome(rid).map_or(&self.topo.db_servers, |(t, _)| t);
-            let outcomes =
-                batch.outcomes.iter().map(|(rid, d)| (*rid, d.outcome, &targets(*rid)[..]));
+            // An entry whose attempt this server no longer holds (a
+            // watermark took it while the entry was queued) ships to every
+            // shard primary: a follower never holds a branch.
+            let primaries = std::cell::OnceCell::new();
+            let targets = |rid| match self.attempts.get(rid).and_then(|a| a.outcome.as_ref()) {
+                Some((targets, _)) => &targets[..],
+                None => &primaries.get_or_init(|| self.shards.primaries())[..],
+            };
+            let outcomes = batch.outcomes.iter().map(|(rid, d)| (*rid, d.outcome, targets(*rid)));
             for (db, entries) in split(outcomes) {
                 ctx.send(db, Payload::Db(DbMsg::SpecExec { slot, entries }));
             }
@@ -836,8 +857,9 @@ impl AppServer {
             // Figure 6 line 7: regD[j].write(nil, abort), now an entry
             // proposed into the decision log; first occurrence in slot
             // order arbitrates, so if the owner's decision got there first
-            // the cleaner terminates with it.
-            let targets = self.topo.db_servers.clone();
+            // the cleaner terminates with it. Only shard primaries hold
+            // branches (the router addresses them), so only they hear it.
+            let targets = self.shards.primaries();
             self.submit_outcome(ctx, rid, Decision::nil_abort(), targets);
         }
     }

@@ -12,8 +12,10 @@
 //! * [`figures`] — regenerates Figure 8 (latency table), Figure 7
 //!   (communication steps) and Figure 1 (canonical executions);
 //! * [`sweeps`] — the forced-I/O crossover (where 2PC would beat AR);
-//! * [`chaos`] — seed-derived randomized fault schedules with full
-//!   specification checking;
+//! * [`chaos`] — one runner over named fault schedules (the seed-drawn
+//!   random mix, and crashes placed on the first event of a kind, the
+//!   whole middle tier's included), each checked against the full
+//!   specification;
 //! * [`stats`] — means and 90% confidence intervals (the paper's
 //!   methodology);
 //! * [`latency`] — per-component breakdowns from the nodes' span totals.

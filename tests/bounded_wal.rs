@@ -22,7 +22,7 @@ use etx::base::ids::{NodeId, ResultId};
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
 use etx::base::trace::{Component, TraceKind};
-use etx::base::value::Vote;
+use etx::base::value::{Outcome, Vote};
 use etx::base::wal::{StableRecord, StableStorage, LOG_WAL};
 use etx::harness::{check, LivenessChecks, MiddleTier, Scenario, ScenarioBuilder, Workload};
 use etx::protocol::{AppServer, DbServer};
@@ -152,8 +152,8 @@ fn kept(clients: usize, requests: u64, runtime: RuntimeKind) -> (Vec<Kept>, Vec<
 }
 
 /// Every primary's memo and image, and every database's log, stay under
-/// the fixed bounds. (A follower decides only what a cleaner pushes to every
-/// replica, and receives no `Exec` to drain it by.)
+/// the fixed bounds. (A follower receives no `Exec` to drain a memo by;
+/// that nothing pushed at it is memoised is the cleaner tests' business.)
 fn assert_bounded(kept: &[Kept], clients: usize) {
     for k in kept {
         assert!(
@@ -384,15 +384,15 @@ fn late_messages_below_the_floor_change_nothing_after_a_recovery() {
 /// A false suspicion of the primary application server once every request
 /// has settled: the backups' cleaners take over the attempts it owns that
 /// no watermark has settled yet — the client's last request, decided
-/// commit — and, losing to that decision, push the commit to every
-/// database. Only the involved shard primary held the branch; every other
-/// database, each follower among them, must keep nothing of it: a
-/// follower receives no `Exec` that would ever drain a memo entry. One
-/// sequential client keeps the pushes to decided commits (no lock
-/// conflict aborts an attempt of its last request), and detector timeouts
-/// of tens of milliseconds keep the forced suspicion the only one: a
-/// late timer on threads would otherwise suspect `a1` mid-run, and a
-/// cleaner's abort of an attempt in flight reaches every database too.
+/// commit — and, losing to that decision, push the commit to every shard
+/// primary. Only the involved one held the branch; every other database,
+/// each follower among them, must keep nothing of it: a follower receives
+/// no `Exec` that would ever drain a memo entry. One sequential client
+/// keeps the pushes to decided commits (no lock conflict aborts an
+/// attempt of its last request), and detector timeouts of tens of
+/// milliseconds keep the forced suspicion the only one: a late timer on
+/// threads would otherwise suspect `a1` mid-run, and the abort test below
+/// is the one about a cleaner's abort of an attempt in flight.
 fn a_cleaners_commit_push_leaves_nothing_at_a_database_never_involved(runtime: RuntimeKind) {
     let fd = FdConfig {
         heartbeat_every: Dur::from_millis(5),
@@ -436,4 +436,67 @@ fn a_cleaners_commit_push_leaves_nothing_at_a_database_never_involved_on_the_sim
 #[test]
 fn a_cleaners_commit_push_leaves_nothing_at_a_database_never_involved_on_threads() {
     a_cleaners_commit_push_leaves_nothing_at_a_database_never_involved(RuntimeKind::Threaded);
+}
+
+/// The primary application server stalls the moment the first vote is
+/// cast, with that attempt prepared at its shard primary and no outcome
+/// proposed: the backups suspect it, their cleaners take the attempt over
+/// and sequence its abort. The abort reaches the shard primaries only —
+/// they alone hold branches — so no follower memoises an abort it can
+/// never drain (it receives no `Exec` to carry a watermark). Detector
+/// timeouts as in the commit-push test above.
+fn a_cleaners_abort_takeover_leaves_every_follower_nothing(runtime: RuntimeKind) {
+    let fd = FdConfig {
+        heartbeat_every: Dur::from_millis(5),
+        initial_timeout: Dur::from_millis(50),
+        timeout_increment: Dur::from_millis(10),
+        max_timeout: Dur::from_millis(100),
+    };
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 48)
+        .runtime(runtime)
+        .fd(fd)
+        .shards(2)
+        .replication(2)
+        .clients(1)
+        .requests(20)
+        .workload(Workload::ShardedBank { accounts: ACCOUNTS, cross_pct: 10, amount: 3 })
+        .build();
+    let a1 = s.primary();
+    s.schedule_fault(
+        NemesisWhen::on_trace(|ev| matches!(ev.kind, TraceKind::DbVote { .. })),
+        FaultOp::PauseFor { node: a1, down_for: Dur::from_millis(250) },
+    )
+    .unwrap();
+    assert_eq!(s.run_until_settled(s.requests as usize), RunOutcome::Predicate);
+    s.quiesce(Dur::from_millis(350));
+    s.stop();
+    let taken: BTreeSet<ResultId> = s
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::CleanerTakeover { rid, owner } if owner == a1 => Some(rid),
+            _ => None,
+        })
+        .collect();
+    let aborted = s.trace().count_kind(|k| {
+        matches!(k, TraceKind::DbDecide { rid, outcome: Outcome::Abort } if taken.contains(rid))
+    });
+    assert!(aborted > 0, "no cleaner aborted an attempt of {a1} (took over {taken:?})");
+    for g in 0..2 {
+        for &f in &s.shard_replicas(g)[1..] {
+            assert_eq!(db_server(&s, f).memo_len(), 0, "follower {f} remembers a cleaner's abort");
+        }
+    }
+    assert_converged_and_correct(&s, 2);
+}
+
+#[test]
+fn a_cleaners_abort_takeover_leaves_every_follower_nothing_on_the_simulator() {
+    a_cleaners_abort_takeover_leaves_every_follower_nothing(RuntimeKind::Sim);
+}
+
+#[test]
+fn a_cleaners_abort_takeover_leaves_every_follower_nothing_on_threads() {
+    a_cleaners_abort_takeover_leaves_every_follower_nothing(RuntimeKind::Threaded);
 }

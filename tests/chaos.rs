@@ -5,7 +5,8 @@
 use etx::base::config::FeatureSet;
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
-use etx::harness::{feature_corners, run_chaos, ChaosOptions, Schedule};
+use etx::base::trace::TraceKind;
+use etx::harness::{feature_corners, run_chaos, ChaosOptions, Schedule, TierCrashOn};
 
 /// The five option sets this file sweeps, over a given feature set:
 /// defaults; five replicas with a crashable pair; contending clients under
@@ -109,5 +110,45 @@ fn every_feature_corner_holds_the_spec_under_chaos() {
             features.read_leases.enabled,
             "{corner}: {leased} timer-driven lease grants"
         );
+    }
+}
+
+/// The whole middle tier down at once: every application server crashes
+/// for 50 ms on the run's first delivery, first vote or first decide, so
+/// no round state survives anywhere in the tier — in every feature
+/// corner, with one client and with four. The paper's shape runs the flat
+/// bank; the pipelined corners a 2-shard × rf 2 bank with cross-shard
+/// transfers. §3 must hold with both liveness properties, and every run
+/// must have taken all three servers down.
+#[test]
+fn the_whole_middle_tier_down_at_once_holds_the_spec() {
+    for (corner, features) in feature_corners() {
+        let shards = (corner != "paper").then_some(2);
+        for on in [TierCrashOn::Deliver, TierCrashOn::DbVote, TierCrashOn::DbDecide] {
+            for clients in [1, 4] {
+                let opts = ChaosOptions {
+                    schedule: Schedule::WholeTier(on),
+                    clients,
+                    requests: 30,
+                    shards,
+                    replication: 2,
+                    features,
+                    ..ChaosOptions::default()
+                };
+                for seed in 1..=6 {
+                    let out = run_chaos(seed, &opts, RuntimeKind::Sim);
+                    out.assert_ok();
+                    let s = &out.scenario;
+                    let crashed = s.trace().events().iter().filter(|e| {
+                        matches!(e.kind, TraceKind::Crash) && s.topo.app_servers.contains(&e.node)
+                    });
+                    assert_eq!(
+                        crashed.count(),
+                        3,
+                        "{corner}, {on:?}, {clients} clients, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 }

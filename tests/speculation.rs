@@ -229,11 +229,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The read-path goldens cover runs without speculation; this one pins
 /// what they cannot: where `SpecExec` frames ship, where the crash lands,
 /// and how the survivors finish the orphaned slots. A change that means
-/// to leave the protocol alone leaves it alone. Re-pinned once from
+/// to leave the protocol alone leaves it alone. Re-pinned from
 /// `0xC684_A150_57E0_D61E` when a commit pushed at a database that never
 /// held the branch stopped making a record, a memo entry, a shipment and
-/// a service-time draw: the survivors' pushes reach every database.
-const GOLDEN_PIPELINED: u64 = 0xC50A_1821_5042_DD3D;
+/// a service-time draw, and from `0xC50A_1821_5042_DD3D` when a cleaner's
+/// abort stopped reaching the shard followers, which hold no branch: the
+/// survivors' cleaner aborts now reach the shard primaries only.
+const GOLDEN_PIPELINED: u64 = 0x5938_435D_6115_ED7B;
 
 #[test]
 fn the_speculating_burst_replays_its_golden_trace() {
