@@ -34,7 +34,7 @@ use etx_sim::{NetConfig, Rng, RunOutcome};
 /// The fault plan a chaos run follows.
 ///
 /// [`Schedule::Random`] honours every field of [`ChaosOptions`]. The
-/// event-placed plans take the shape (`apps`, `clients`, `requests`,
+/// event-placed plans take the shape (`apps`, `dbs`, `clients`, `requests`,
 /// `shards`, `replication`, `features`, `chaos_seed`) and place their own
 /// faults: the fault budgets, `loss_rate` and `primary_outage_on_batch`
 /// are the random mix's. Each plan that needs a sharded back end floors
