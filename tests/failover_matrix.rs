@@ -286,6 +286,47 @@ fn false_suspicion_storm_costs_only_aborts_never_safety() {
 /// leave the protocol alone leaves this alone.
 const GOLDEN_STORM: u64 = 0x9BC5_35BE_8278_86F7;
 
+/// The primary application server is down 30 ms, against an 8 ms detector
+/// timeout, while four clients keep requests in flight: both survivors
+/// suspect it, and once it is back its heartbeats withdraw the suspicion.
+/// Heartbeats are in flight to every server throughout, so the run
+/// crosses each server's detector from trusting to suspecting and back
+/// while deliveries to it wait.
+#[test]
+fn a_suspected_primary_that_comes_back_is_unsuspected() {
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 0x5B5E)
+        .workload(Workload::BankUpdate { amount: 6 })
+        .clients(4)
+        .requests(40)
+        .build();
+    let a = s.primary();
+    let down = FaultOp::CrashFor { node: a, down_for: Dur::from_millis(30) };
+    s.schedule_fault(NemesisWhen::After(Dur::from_millis(15)), down).unwrap();
+    let n = s.requests as usize;
+    assert_eq!(s.run_until_settled(n), etx::sim::RunOutcome::Predicate);
+    s.quiesce(Dur::from_millis(100));
+    check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
+    let about_a = |ev: &etx::base::trace::TraceEvent| match ev.kind {
+        TraceKind::Suspect { peer } if peer == a => Some((ev.node, true)),
+        TraceKind::Unsuspect { peer } if peer == a => Some((ev.node, false)),
+        _ => None,
+    };
+    let moves: Vec<_> = s.trace().events().iter().filter_map(about_a).collect();
+    for &survivor in s.topo.app_servers.iter().filter(|&&n| n != a) {
+        let seen: Vec<bool> =
+            moves.iter().filter(|(n, _)| *n == survivor).map(|&(_, up)| up).collect();
+        assert_eq!(seen, [true, false], "{survivor} suspects the primary once, then trusts it");
+    }
+    let hash = format!("{:#?}", s.trace().events())
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    assert_eq!(hash, GOLDEN_COMEBACK, "the suspicion or its withdrawal moved");
+}
+
+/// The FNV-1a hash of the comeback run's debug trace: every suspicion, its
+/// withdrawal, and what the servers did in between.
+const GOLDEN_COMEBACK: u64 = 0x3244_69BF_619F_DCBE;
+
 #[test]
 fn failure_free_latency_does_not_depend_on_the_fd_timeout() {
     // The control row of the fail-over evaluation §5 calls for: the
