@@ -8,8 +8,10 @@
 //!
 //! * [`Life`] says which lifecycle transitions apply and what each
 //!   records;
-//! * [`TimeQueue`] orders timed actions by instant, ties in push order,
-//!   in a radix heap that pops without comparing entries — nothing may be
+//! * [`TimeQueue`] orders timed actions by the key `(at, seq)`: by
+//!   instant, then by a sequence number it issues at each push — or
+//!   earlier, to a caller that reserves one and pushes under it later. It
+//!   is a radix heap that pops without comparing instants — nothing may be
 //!   pushed before the last pop's instant — numbers the timers it queues
 //!   so that an id names its timer's slot, and drops cancelled timers,
 //!   one at a time as they come due, and all at once when they are more
@@ -75,20 +77,26 @@ pub trait Timed {
     fn timer(&self) -> Option<TimerId>;
 }
 
-/// A [`TimeQueue`] key: when an item is due and the slot it waits in.
+/// A [`TimeQueue`] key: when an item is due, its sequence number, and the
+/// slot it waits in.
 #[derive(Clone, Copy)]
 struct Key {
     at: Time,
+    seq: u64,
     slot: u32,
 }
 
-/// Timed actions, popped in `(at, push order)` order: by instant, ties in
-/// push order. The order is total, so a run that pushes the same entries
-/// pops them the same way.
+/// Timed actions, popped in the order of the key `(at, seq)`: by instant,
+/// ties by sequence number. The queue issues the numbers, from 1, one per
+/// [`TimeQueue::push`] — so ties pop in push order — or one per
+/// [`TimeQueue::reserve`], for an item the caller pushes later with
+/// [`TimeQueue::push_at`]: that item pops where it would have had it been
+/// pushed at its reservation. The key is unique, so the order is total,
+/// and a run that pushes the same entries pops them the same way.
 ///
-/// It is a radix heap: popping compares no two entries. Each item is
+/// It is a radix heap: popping compares no two instants. Each item is
 /// written once into a slot and read once from it; what moves is a
-/// 16-byte key. A key due after the last pop's instant `last` waits in
+/// 24-byte key. A key due after the last pop's instant `last` waits in
 /// bucket `b`, where bit `b` is the highest bit in which its instant
 /// differs from `last`. A pop takes the lowest non-empty bucket: its only
 /// key, or, when it holds several, moves `last` to their earliest instant
@@ -101,10 +109,13 @@ struct Key {
 /// last pop: on the wall clock a step runs at a reading taken after its
 /// entry came due. A debug build asserts it.
 ///
-/// **Why ties keep push order:** a key's bucket depends only on the bits
-/// of its instant above the highest one that differs from `last`, and a
-/// spread leaves those bits of `last` as they were; so keys of one
-/// instant always share a bucket. Buckets are appended to in push order,
+/// **Why ties pop by sequence number:** a key's bucket depends only on the
+/// bits of its instant above the highest one that differs from `last`,
+/// and a spread leaves those bits of `last` as they were; so keys of one
+/// instant always share a bucket, and they all reach the queue of keys due
+/// at `last` before any of them pops. That queue inserts by sequence
+/// number. A fresh number is the highest issued, so without reservations
+/// every insert is at the back: buckets are appended to in push order,
 /// and a spread moves keys, in order, into buckets that are empty when it
 /// starts.
 ///
@@ -132,7 +143,7 @@ pub struct TimeQueue<T> {
     free: Vec<u32>,
     /// The instant of the last pop.
     last: Time,
-    /// Keys due at `last`, in push order.
+    /// Keys due at `last`, by sequence number.
     due: VecDeque<Key>,
     /// Keys due after `last`, by the highest bit in which their instant
     /// differs from it; each bucket in push order. Inline: a new queue
@@ -145,6 +156,8 @@ pub struct TimeQueue<T> {
     /// The wall-clock run loop peeks before every step, and a scan per
     /// peek showed.
     min: Cell<Option<Time>>,
+    /// Sequence numbers issued so far: the last one issued.
+    seqs: u64,
     /// Timers numbered so far: the high half of the last id issued.
     timers: u64,
     /// Queued timers marked cancelled.
@@ -172,6 +185,7 @@ impl<T> Default for TimeQueue<T> {
             buckets: std::array::from_fn(|_| Vec::new()),
             occupied: 0,
             min: Cell::new(None),
+            seqs: 0,
             timers: 0,
             cancelled: 0,
             moved: Vec::new(),
@@ -198,12 +212,29 @@ impl<T: Timed> TimeQueue<T> {
         id
     }
 
-    /// Queues `item` at `at`, after everything already queued for `at`.
-    /// `at` must not be before the last pop's instant. A timer that lands
-    /// in a slot other than the one its id names — one pushed again after
-    /// its pop — is noted where a cancel will look for it.
+    /// Queues `item` at `at` under a fresh sequence number: after
+    /// everything already queued for `at`. `at` must not be before the last
+    /// pop's instant.
     pub fn push(&mut self, at: Time, item: T) {
+        let seq = self.reserve();
+        self.push_at(at, seq, item);
+    }
+
+    /// Issues the next sequence number without queueing anything, for an
+    /// item that [`TimeQueue::push_at`] queues later.
+    pub fn reserve(&mut self) -> u64 {
+        self.seqs += 1;
+        self.seqs
+    }
+
+    /// Queues `item` at `at` under `seq`, a number [`TimeQueue::reserve`]
+    /// issued and no other item holds. `at` must not be before the last
+    /// pop's instant. A timer that lands in a slot other than the one its
+    /// id names — one pushed again after its pop — is noted where a cancel
+    /// will look for it.
+    pub fn push_at(&mut self, at: Time, seq: u64, item: T) {
         debug_assert!(at >= self.last, "pushed at {at:?}, before the last pop at {:?}", self.last);
+        debug_assert!(seq <= self.seqs, "seq {seq} was never issued");
         let timer = item.timer();
         let entry = Entry { item: Some(item), cancelled: false };
         let slot = match self.free.pop() {
@@ -219,14 +250,24 @@ impl<T: Timed> TimeQueue<T> {
         if let Some(id) = timer.filter(|&id| home(id) != slot) {
             self.moved.push((id, slot));
         }
-        let key = Key { at, slot };
+        let key = Key { at, seq, slot };
         if at == self.last {
-            self.due.push_back(key);
+            self.queue_due(key);
         } else {
             let min = if self.occupied == 0 { Some(at) } else { self.min.get().map(|m| m.min(at)) };
             self.min.set(min);
             self.file(key);
         }
+    }
+
+    /// Puts a key due at `last` behind every due key with a lower sequence
+    /// number: at the back, unless it was pushed under a reservation.
+    fn queue_due(&mut self, key: Key) {
+        if self.due.back().is_none_or(|back| back.seq < key.seq) {
+            return self.due.push_back(key);
+        }
+        let at = self.due.iter().rposition(|k| k.seq < key.seq).map_or(0, |i| i + 1);
+        self.due.insert(at, key);
     }
 
     /// Puts a key due after `last` into its bucket.
@@ -266,11 +307,12 @@ impl<T: Timed> TimeQueue<T> {
         self.cancelled
     }
 
-    /// Pops the earliest entry: its instant, its item, and whether the
-    /// item is a cancelled timer — which a host drops unseen. A flag
-    /// beside the item, not an `Option` around it: moving the item through
-    /// an `Option` made the simulator's paper-shape run about 10 % slower.
-    pub fn pop(&mut self) -> Option<(Time, T, bool)> {
+    /// Pops the entry with the lowest key: its instant, its sequence
+    /// number, its item, and whether the item is a cancelled timer — which
+    /// a host drops unseen. A flag beside the item, not an `Option` around
+    /// it: moving the item through an `Option` made the simulator's
+    /// paper-shape run about 10 % slower.
+    pub fn pop(&mut self) -> Option<(Time, u64, T, bool)> {
         let key = match self.due.pop_front() {
             Some(key) => key,
             None => self.advance()?,
@@ -283,7 +325,7 @@ impl<T: Timed> TimeQueue<T> {
         if !self.moved.is_empty() {
             self.moved.retain(|&(_, slot)| slot != key.slot);
         }
-        Some((key.at, item, cancelled))
+        Some((key.at, key.seq, item, cancelled))
     }
 
     /// Moves `last` to the earliest instant in the buckets and takes the
@@ -304,7 +346,7 @@ impl<T: Timed> TimeQueue<T> {
         self.last = min.unwrap_or_else(|| keys.iter().map(|k| k.at).min().expect("occupied"));
         for &key in &keys {
             if key.at == self.last {
-                self.due.push_back(key);
+                self.queue_due(key);
             } else {
                 self.file(key);
             }
@@ -431,7 +473,7 @@ mod tests {
     /// an action that is not a timer), and whether it was cancelled.
     fn drain(q: &mut TimeQueue<Item>) -> Vec<(u64, Option<TimerId>, bool)> {
         std::iter::from_fn(|| q.pop())
-            .map(|(at, item, cancelled)| (at.0, item.0, cancelled))
+            .map(|(at, _, item, cancelled)| (at.0, item.0, cancelled))
             .collect()
     }
 
@@ -483,7 +525,7 @@ mod tests {
         // pushes it again at the resume — into whatever slot is free then.
         let mut q = TimeQueue::default();
         let stashed = timer(&mut q, 1);
-        let (_, item, _) = q.pop().expect("the timer");
+        let (_, _, item, _) = q.pop().expect("the timer");
         let squatter = timer(&mut q, 5);
         q.push(Time(2), item);
         q.cancel(stashed);
@@ -502,6 +544,27 @@ mod tests {
         q.cancel(ids[4]);
         assert_eq!((q.len(), q.pending_cancels()), (2, 0), "compacted");
         assert_eq!(drain(&mut q), [(1, Some(ids[3]), false), (1, Some(ids[5]), false)]);
+    }
+
+    #[test]
+    fn an_item_pushed_under_a_reserved_seq_pops_where_its_reservation_stands() {
+        let mut q = TimeQueue::default();
+        let early = q.reserve();
+        q.push(Time(1), Item(None));
+        let at_the_tie = q.reserve();
+        q.push(Time(1), Item(None));
+        q.push(Time(2), Item(None));
+        q.push_at(Time(1), at_the_tie, Item(None));
+        q.push_at(Time(1), early, Item(None));
+        let seqs: Vec<(u64, u64)> =
+            std::iter::from_fn(|| q.pop()).map(|(at, seq, ..)| (at.0, seq)).collect();
+        assert_eq!(seqs, [(1, early), (1, 2), (1, at_the_tie), (1, 4), (2, 5)]);
+        q.push(Time(2), Item(None));
+        let late = q.reserve();
+        q.push(Time(2), Item(None));
+        q.push_at(Time(2), late, Item(None));
+        let due: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, seq, ..)| seq).collect();
+        assert_eq!(due, [6, late, 8], "a reserved seq among keys due at the last pop");
     }
 
     #[test]
@@ -531,13 +594,18 @@ mod tests {
         /// instant plus the delay, as the kernel replays a paused node's
         /// stash.
         Repush(usize, u64),
+        /// Reserve a sequence number; push something under the `n`th
+        /// reserved one not yet used, at the last pop's instant plus the
+        /// delay, as the kernel moves a mailbox back into the queue.
+        Reserve,
+        PushReserved(usize, u64),
         /// Peek. Only this op peeks, so a pop may or may not follow one.
         NextAt,
     }
 
     fn ops() -> impl proptest::strategy::Strategy<Value = Vec<Op>> {
         use proptest::strategy::Strategy;
-        let op = (0u8..20, 0u64..8, 0u64..1 << 40, 0usize..64).prop_map(|(op, small, big, n)| {
+        let op = (0u8..22, 0u64..8, 0u64..1 << 40, 0usize..64).prop_map(|(op, small, big, n)| {
             match op {
                 // Ties at `last`, near instants that collide, far ones.
                 0 | 1 => Op::Push(0, n % 3 != 0),
@@ -550,6 +618,8 @@ mod tests {
                 14 => Op::CancelAgain(n),
                 15 => Op::CancelUnknown(big | 1 << 50),
                 16 => Op::Repush(n, small),
+                17 => Op::Reserve,
+                18 => Op::PushReserved(n, small),
                 _ => Op::NextAt,
             }
         });
@@ -557,50 +627,63 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The queue is a `BTreeMap<(at, push number), item>` whose cancel
-        /// marks a queued timer (and nothing else), under the same
-        /// more-than-half compaction rule: under random interleavings of
-        /// pushes (ties at the last pop, near and far instants), pops,
-        /// re-pushes of popped timers, cancels — of live timers, of fired
-        /// ones, of fired ones whose slot a live timer reuses (which must
-        /// stay live), of cancelled ones again, of ids never issued — and
-        /// peeks, every pop, `len`, `pending_cancels` and `next_at` are the
+        /// The queue is a `BTreeMap<(at, seq), item>` whose cancel marks a
+        /// queued timer (and nothing else), under the same more-than-half
+        /// compaction rule: under random interleavings of pushes (ties at
+        /// the last pop, near and far instants), pops, re-pushes of popped
+        /// timers, reservations and pushes under reserved numbers, cancels
+        /// — of live timers, of fired ones, of fired ones whose slot a live
+        /// timer reuses (which must stay live), of cancelled ones again, of
+        /// ids never issued — and peeks, every pop (its sequence number
+        /// included), `len`, `pending_cancels` and `next_at` are the
         /// model's after every step (`next_at` at every peek).
         #[test]
         fn the_queue_matches_an_ordered_map(ops in ops()) {
             let mut q = TimeQueue::default();
             let mut model: BTreeMap<(u64, u64), Option<TimerId>> = BTreeMap::new();
             let mut cancelled: BTreeSet<TimerId> = BTreeSet::new();
-            let (mut pushes, mut last) = (0u64, 0u64);
+            let (mut seqs, mut last) = (0u64, 0u64);
+            // Sequence numbers reserved and not yet pushed under.
+            let mut reserved: Vec<u64> = Vec::new();
             // Timers popped: live ones (which a re-push may take back), all.
             let (mut fired, mut popped) = (Vec::new(), Vec::new());
             for op in ops {
                 let live: Vec<TimerId> = model.values().flatten().copied().collect();
                 match op {
                     Op::Push(delay, timer) => {
-                        pushes += 1;
+                        seqs += 1;
                         let id = if timer {
                             Some(q.push_timer(Time(last + delay), |id| Item(Some(id))))
                         } else {
                             q.push(Time(last + delay), Item(None));
                             None
                         };
-                        model.insert((last + delay, pushes), id);
+                        model.insert((last + delay, seqs), id);
                     }
                     Op::Repush(n, delay) if !fired.is_empty() => {
-                        pushes += 1;
+                        seqs += 1;
                         let id: TimerId = fired.swap_remove(n % fired.len());
                         q.push(Time(last + delay), Item(Some(id)));
-                        model.insert((last + delay, pushes), Some(id));
+                        model.insert((last + delay, seqs), Some(id));
+                    }
+                    Op::Reserve => {
+                        seqs += 1;
+                        proptest::prop_assert_eq!(q.reserve(), seqs);
+                        reserved.push(seqs);
+                    }
+                    Op::PushReserved(n, delay) if !reserved.is_empty() => {
+                        let seq = reserved.swap_remove(n % reserved.len());
+                        q.push_at(Time(last + delay), seq, Item(None));
+                        model.insert((last + delay, seq), None);
                     }
                     Op::Pop => {
-                        let want = model.pop_first().map(|((at, _), id)| {
+                        let want = model.pop_first().map(|((at, seq), id)| {
                             last = at;
-                            (at, id, id.is_some_and(|id| cancelled.remove(&id)))
+                            (at, seq, id, id.is_some_and(|id| cancelled.remove(&id)))
                         });
-                        let got = q.pop().map(|(at, item, c)| (at.0, item.0, c));
+                        let got = q.pop().map(|(at, seq, item, c)| (at.0, seq, item.0, c));
                         proptest::prop_assert_eq!(got, want);
-                        if let Some((_, Some(id), c)) = want {
+                        if let Some((_, _, Some(id), c)) = want {
                             popped.push(id);
                             if !c {
                                 fired.push(id);
@@ -641,7 +724,7 @@ mod tests {
                         let want = model.keys().next().map(|&(at, _)| Time(at));
                         proptest::prop_assert_eq!(q.next_at(), want);
                     }
-                    Op::Repush(..) => continue,
+                    Op::Repush(..) | Op::PushReserved(..) => continue,
                 }
                 proptest::prop_assert_eq!(q.len(), model.len());
                 proptest::prop_assert_eq!(q.is_empty(), model.is_empty());

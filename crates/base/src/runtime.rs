@@ -272,6 +272,19 @@ pub trait Process {
         "process"
     }
 
+    /// Whether a background delivery ([`Payload::is_background`], a
+    /// heartbeat) would pass through this process unseen from outside.
+    /// `true` promises that such a delivery, handled in the current state
+    /// at any instant before the process's next event, emits nothing
+    /// through its [`Context`] — no send, timer, cancel, trace, span, log
+    /// write or random draw — and that the promise still holds after it.
+    /// The host may then hold the delivery back until the process's next
+    /// event and hand it over just before, at its own instant. `false`
+    /// (the default) is always safe.
+    fn background_inert(&self) -> bool {
+        false
+    }
+
     /// Optional introspection hook: processes that want hosts (tests, the
     /// harness) to read their concrete state return `Some(self)`. The
     /// default opts out — protocol correctness must never depend on it.

@@ -882,7 +882,9 @@ impl Process for AppServer {
         //    with one, and the flush policy (5) ran at the end of the last
         //    event over the same state. Unless that policy's own flush
         //    applied a slot that queued an outcome again: then no window
-        //    timer is armed, and the policy looks once more.
+        //    timer is armed, and the policy looks once more. So with no
+        //    peer suspected and the policy idle, a heartbeat emits nothing
+        //    (`background_inert`).
         let transitions = self.fd.handle(ctx, &event);
         let detector_only = matches!(
             event,
@@ -1002,6 +1004,13 @@ impl Process for AppServer {
 
     fn name(&self) -> &'static str {
         "appserver"
+    }
+
+    /// Stage 1 of `on_event` ends a heartbeat that moves no suspicion; it
+    /// emits nothing when the detector is quiet and the flush policy has
+    /// nothing to do: no queued outcome, or its window timer armed.
+    fn background_inert(&self) -> bool {
+        self.fd.quiet() && (self.batch_queue.is_empty() || self.batch_timer.is_some())
     }
 
     fn as_any(&self) -> Option<&dyn core::any::Any> {

@@ -24,6 +24,14 @@
 //! there unless it moved a suspicion; a transition goes on to wake the
 //! consensus engine and, for a fresh suspicion, the cleaner, at the same
 //! step. Everything downstream asks [`FailureDetector::suspects`] in place.
+//!
+//! So while its detector is [`FailureDetector::quiet`] — it suspects no
+//! peer, so no heartbeat can withdraw a suspicion — and its pipeline queue
+//! is empty or has its window timer armed, an application server handles
+//! a heartbeat without a trace: it notes when it heard from the sender and
+//! emits nothing. That is its `Process::background_inert` promise, and the
+//! kernel then lets heartbeats to it wait in its mailbox until its next
+//! event instead of queueing each one as a step of its own.
 //! The primary-backup baseline does **not** use this crate — it needs a
 //! *perfect* detector, which only the simulator's crash oracle can provide
 //! (that fragility is the paper's point).
@@ -58,6 +66,13 @@ pub trait FailureDetector {
 
     /// The paper's `suspect(a_i)` predicate.
     fn suspects(&self, peer: NodeId) -> bool;
+
+    /// Whether [`FailureDetector::handle`] of a heartbeat, or of any other
+    /// proof of life, would now emit nothing: no peer is suspected, so
+    /// none can be unsuspected. The default, `false`, is always safe.
+    fn quiet(&self) -> bool {
+        false
+    }
 }
 
 /// Heartbeat-based ◇P detector with adaptive per-peer timeouts.
@@ -168,6 +183,10 @@ impl FailureDetector for HeartbeatFd {
 
     fn suspects(&self, peer: NodeId) -> bool {
         self.peers.iter().any(|p| p.id == peer && p.suspected)
+    }
+
+    fn quiet(&self) -> bool {
+        !self.peers.iter().any(|p| p.suspected)
     }
 }
 

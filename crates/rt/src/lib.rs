@@ -1,8 +1,8 @@
 //! # etx-rt — the event kernel on the wall clock
 //!
 //! [`ThreadedHost`] is `etx-sim`'s [`Kernel`] on the wall clock: the
-//! same queue of every action of the run, popped in the same
-//! `(at, push order)` order, the same steps, paused-node stash, fault
+//! same queue of every action of the run, popped by the same `(at, seq)`
+//! key, the same steps, mailboxes, paused-node stash, fault
 //! plane and crash oracle as on the simulator (the kernel's module doc
 //! says what the clock decides and what it leaves alone). Only the clock
 //! differs: a step runs at the time since the run started, a message is

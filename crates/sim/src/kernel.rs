@@ -3,14 +3,48 @@
 //!
 //! A [`Kernel`] keeps one [`TimeQueue`] of every action of the run —
 //! deliveries, timers, crash-oracle notices, timed faults and their undos
-//! — and pops it in `(at, push order)` order: by instant, ties in push
-//! order, cancelled timers unseen. Each pop is one *step*: the action is
-//! dispatched to its node (or stashed, if the node is paused, until it
-//! resumes), whatever the handler emits is queued at once — a send when
-//! it is made, so a message in service outlives a sender that crashes
-//! before it leaves — and the faults of the trace triggers the step hit
-//! apply at the step's end, before anything else runs. One seeded RNG
-//! serves every node, and every process is built when its node is added.
+//! — and pops it by the key `(at, seq)`: by instant, ties by the sequence
+//! number the queue issued at the push, cancelled timers unseen. Each pop
+//! is one *step*: the action is dispatched to its node (or stashed, if the
+//! node is paused, until it resumes), whatever the handler emits is queued
+//! at once — a send when it is made, so a message in service outlives a
+//! sender that crashes before it leaves — and the faults of the trace
+//! triggers the step hit apply at the step's end, before anything else
+//! runs. One seeded RNG serves every node, and every process is built
+//! when its node is added.
+//!
+//! **Mailboxes.** A background send (a heartbeat) to a node whose last
+//! event left it inert ([`Process::background_inert`]) skips the queue:
+//! it draws its link delay as any send does, reserves its sequence number
+//! from the queue, and waits in the node's mailbox under that key. Three
+//! rules keep the run what it would have been with every heartbeat
+//! queued:
+//!
+//! * **Draining.** Before anything pops for a node, and before a
+//!   lifecycle transition applies to it, every held delivery whose key is
+//!   below the key of the current step (the last pop) is handled, in key
+//!   order, as a step would have: dispatched at the clock's reading for
+//!   its instant if the node is up, stashed if it is paused. Each counts
+//!   as a processed event. Being inert, the node emits nothing then, so
+//!   nothing else in the run can tell that it came late (a debug build
+//!   asserts it).
+//! * **Moving back.** A dispatch that leaves the node no longer inert, or
+//!   a crash, puts what its mailbox still holds into the queue under the
+//!   held keys.
+//! * **Queue order.** Those keys are the queue's own, so a delivery moved
+//!   back pops exactly where it would have.
+//!
+//! A run that stops (at a deadline, a predicate or a limit) leaves what
+//! its mailboxes hold unhandled, and [`Kernel::processed`] lower by that
+//! much; what was due by a deadline is handed over before anything that
+//! is scheduled from there. The queue being shorter, its more-than-half
+//! rule may drop cancelled timers at other cancels, which moves that
+//! count too, and nothing a process sees. A run whose queue runs dry stops without
+//! handing over what is held, at the last pop's instant rather than the
+//! last held one; an application server, the one process that promises
+//! to be inert, keeps its detector tick queued while it is up, so its
+//! runs do not end that way unless every server is paused and nothing
+//! else is queued.
 //!
 //! The [`Clock`] decides the rest:
 //!
@@ -52,13 +86,14 @@ use etx_base::fault::{CapabilityError, FaultOp, Links, NemesisWhen, Prim, Trigge
 use etx_base::host::{record, Life, TimeQueue, Timed};
 use etx_base::ids::{NodeId, ResultId, TimerId};
 use etx_base::metrics::SpanTotals;
-use etx_base::msg::Payload;
+use etx_base::msg::{FdMsg, Payload};
 use etx_base::runtime::{Context, Event, Host, NodeFactory, Process, TimerTag};
 
 pub use etx_base::runtime::RunOutcome;
 use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, MsgStats, Trace, TraceEvent, TraceKind};
 use etx_base::wal::{StableRecord, StableStorage};
+use std::collections::VecDeque;
 
 /// What a kernel's clock decides: when a step runs and how long a
 /// transmission takes.
@@ -156,6 +191,31 @@ impl Timed for Action {
     }
 }
 
+/// A background delivery held in its receiver's mailbox, under the key
+/// the queue would have popped it by. Background traffic is the failure
+/// detector's ([`Payload::is_background`]), so it keeps just the message.
+struct Mail {
+    at: Time,
+    seq: u64,
+    from: NodeId,
+    msg: FdMsg,
+}
+
+impl Mail {
+    /// The queue entry it would have been, a delivery to `to`.
+    fn action(self, to: NodeId) -> Action {
+        Action::Deliver { from: self.from, to, payload: Payload::Fd(self.msg), depth: 0 }
+    }
+}
+
+/// One node's mailbox: whether its last event left it inert, and what it
+/// holds, by key.
+#[derive(Default)]
+struct Mailbox {
+    inert: bool,
+    held: VecDeque<Mail>,
+}
+
 struct Slot {
     name: &'static str,
     life: Life,
@@ -171,8 +231,15 @@ pub struct Kernel<C> {
     cfg: SimConfig,
     now: Time,
     processed: u64,
+    /// Steps: entries popped from the queue.
+    pops: u64,
     queue: TimeQueue<Action>,
+    /// The key of the last pop (or past a quiesce's deadline): a held
+    /// delivery below it is one the queue would have handed over already.
+    cursor: (Time, u64),
     nodes: Vec<Slot>,
+    /// Each node's mailbox, by node id.
+    mail: Vec<Mailbox>,
     rng: Rng,
     /// Cut links and what each holds until it heals.
     links: Links,
@@ -232,23 +299,17 @@ impl Sim {
     }
 
     /// Runs until simulated time reaches `deadline` (or the queue drains).
+    /// Reaching it, it stands there: held deliveries due by then count as
+    /// handed over.
     pub fn run_until_time(&mut self, deadline: Time) -> RunOutcome {
-        loop {
-            match self.queue.next_at() {
-                None => return RunOutcome::Exhausted,
-                Some(at) if at > deadline => {
-                    self.now = deadline;
-                    return RunOutcome::Predicate;
-                }
-                Some(_) => {}
+        match self.run_until(|s| s.queue.next_at().is_none_or(|at| at > deadline)) {
+            RunOutcome::Predicate if self.queue.is_empty() => RunOutcome::Exhausted,
+            RunOutcome::Predicate => {
+                self.now = deadline;
+                self.cursor = self.cursor.max((deadline, u64::MAX));
+                RunOutcome::Predicate
             }
-            if self.processed >= self.cfg.max_events {
-                return RunOutcome::EventLimit;
-            }
-            self.step();
-            if self.now > self.cfg.max_time {
-                return RunOutcome::TimeLimit;
-            }
+            out => out,
         }
     }
 }
@@ -262,8 +323,11 @@ impl<C: Clock> Kernel<C> {
             cfg,
             now: Time::ZERO,
             processed: 0,
+            pops: 0,
             queue: TimeQueue::default(),
+            cursor: (Time::ZERO, 0),
             nodes: Vec::new(),
+            mail: Vec::new(),
             rng,
             links: Links::default(),
             trace: Trace::default(),
@@ -292,6 +356,7 @@ impl<C: Clock> Kernel<C> {
     pub fn add_node(&mut self, name: &'static str, mut factory: Factory) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         let process = factory(id);
+        self.mail.push(Mailbox { inert: process.background_inert(), ..Mailbox::default() });
         self.nodes.push(Slot {
             name,
             life: Life::Up,
@@ -351,9 +416,15 @@ impl<C: Clock> Kernel<C> {
         &self.nodes[node.0 as usize].storage
     }
 
-    /// Number of events processed so far.
+    /// Number of events processed so far: every step, and every held
+    /// delivery handed over.
     pub fn processed(&self) -> u64 {
         self.processed
+    }
+
+    /// Number of steps so far: entries popped from the queue.
+    pub fn pops(&self) -> u64 {
+        self.pops
     }
 
     /// Node name (diagnostics).
@@ -432,13 +503,15 @@ impl<C: Clock> Kernel<C> {
     /// Pops the earliest entry and handles it at the instant the clock
     /// gives it. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((at, action, cancelled)) = self.queue.pop() else {
+        let Some((at, seq, action, cancelled)) = self.queue.pop() else {
             return false;
         };
         let now = self.clock.now(at);
         debug_assert!(now >= self.now, "time went backwards");
         self.now = now;
+        self.cursor = (at, seq);
         self.processed += 1;
+        self.pops += 1;
         // A cancelled timer goes nowhere — not to its node, not to a paused
         // node's stash, not to a stale incarnation.
         if cancelled {
@@ -448,6 +521,7 @@ impl<C: Clock> Kernel<C> {
         // keeps filling while it makes no progress (the SIGSTOP story).
         // Fault-plane actions have no target and always execute.
         if let Some(target) = action_target(&action) {
+            self.drain(target);
             if self.nodes[target.0 as usize].life == Life::Paused {
                 self.stash.push((target, action));
                 return true;
@@ -480,6 +554,49 @@ impl<C: Clock> Kernel<C> {
         true
     }
 
+    /// Hands `node`, in key order, every delivery its mailbox holds below
+    /// the current step's key, each as [`Kernel::step`] would have at its
+    /// own instant.
+    fn drain(&mut self, node: NodeId) {
+        let idx = node.0 as usize;
+        while self.mail[idx].held.front().is_some_and(|m| (m.at, m.seq) < self.cursor) {
+            let mail = self.mail[idx].held.pop_front().expect("the front");
+            self.processed += 1;
+            match self.nodes[idx].life {
+                Life::Paused => self.stash.push((node, mail.action(node))),
+                Life::Down => self.stats.record_dropped_to_down(),
+                Life::Up => {
+                    // What an inert handler leaves as it was: the queue, the
+                    // trace, the totals and the random stream.
+                    let footprint = |k: &Self| {
+                        let queue = (k.queue.len(), k.queue.pending_cancels(), k.rng.clone());
+                        (queue, k.trace.len(), k.stats.total(), k.spans)
+                    };
+                    let before = cfg!(debug_assertions).then(|| footprint(self));
+                    let event = Event::Message { from: mail.from, payload: Payload::Fd(mail.msg) };
+                    self.run(node, self.clock.now(mail.at), event, 0);
+                    let after = before.as_ref().map(|_| footprint(self));
+                    debug_assert_eq!(before, after, "{node} emitted on a held delivery");
+                }
+            }
+        }
+    }
+
+    /// Notes whether `node`'s last event left it inert (a down node is
+    /// not); if not, what its mailbox holds goes into the queue under the
+    /// held keys.
+    fn settle(&mut self, node: NodeId) {
+        let idx = node.0 as usize;
+        let inert = self.nodes[idx].process.as_ref().is_some_and(|p| p.background_inert());
+        let mailbox = &mut self.mail[idx];
+        mailbox.inert = inert;
+        if !inert && !mailbox.held.is_empty() {
+            for mail in mailbox.held.drain(..) {
+                self.queue.push_at(mail.at, mail.seq, mail.action(node));
+            }
+        }
+    }
+
     /// A lifecycle primitive, where [`Life::next`] says it applies: the
     /// node's new state, its record, then what the kernel makes of it.
     fn transition(&mut self, node: NodeId, prim: Prim) {
@@ -487,6 +604,7 @@ impl<C: Clock> Kernel<C> {
         let Some((life, kind)) = self.nodes[idx].life.next(prim) else {
             return;
         };
+        self.drain(node);
         self.nodes[idx].life = life;
         record(&mut self.trace, &mut self.triggers, TraceEvent::new(self.now, node, kind));
         match prim {
@@ -494,6 +612,7 @@ impl<C: Clock> Kernel<C> {
             Prim::Crash(_) => {
                 self.nodes[idx].process = None;
                 self.stash.retain(|(n, _)| *n != node);
+                self.settle(node);
                 self.notify_subscribers(node, false);
             }
             Prim::Recover(_) => {
@@ -506,10 +625,7 @@ impl<C: Clock> Kernel<C> {
             // Replay everything that arrived during the pause, in arrival
             // order, at the current instant — late, like after a real SIGCONT.
             Prim::Resume(_) => {
-                let (replay, kept): (Vec<_>, Vec<_>) =
-                    std::mem::take(&mut self.stash).into_iter().partition(|(n, _)| *n == node);
-                self.stash = kept;
-                for (_, action) in replay {
+                for (_, action) in self.stash.extract_if(.., |(n, _)| *n == node) {
                     self.queue.push(self.now, action);
                 }
             }
@@ -521,14 +637,22 @@ impl<C: Clock> Kernel<C> {
     /// one minimum network delay from now (the perfect-FD oracle).
     fn notify_subscribers(&mut self, about: NodeId, up: bool) {
         let at = self.now + self.cfg.net.min_delay;
-        for &s in self.fd_subscribers.clone().iter() {
+        for &s in &self.fd_subscribers {
             if s != about {
                 self.queue.push(at, Action::NotifyPeer { node: s, about, up });
             }
         }
     }
 
+    /// Runs `node`'s handler for `event` now, then notes whether that left
+    /// it inert.
     fn dispatch(&mut self, node: NodeId, event: Event, depth: u32) {
+        self.run(node, self.now, event, depth);
+        self.settle(node);
+    }
+
+    /// Runs `node`'s handler for `event` at `now`.
+    fn run(&mut self, node: NodeId, now: Time, event: Event, depth: u32) {
         let idx = node.0 as usize;
         let mut process = match self.nodes[idx].process.take() {
             Some(p) => p,
@@ -538,7 +662,7 @@ impl<C: Clock> Kernel<C> {
         {
             let slot = &mut self.nodes[idx];
             let mut ctx = Ctx {
-                now: self.now,
+                now,
                 me: node,
                 depth,
                 incarnation: slot.incarnation,
@@ -553,6 +677,7 @@ impl<C: Clock> Kernel<C> {
                 spans: &mut self.spans,
                 triggers: &mut self.triggers,
                 queue: &mut self.queue,
+                mail: &mut self.mail,
                 subscribe: &mut subscribe,
             };
             process.on_event(&mut ctx, event);
@@ -628,6 +753,7 @@ struct Ctx<'a, C> {
     spans: &'a mut SpanTotals,
     triggers: &'a mut Triggers,
     queue: &'a mut TimeQueue<Action>,
+    mail: &'a mut [Mailbox],
     subscribe: &'a mut bool,
 }
 
@@ -693,7 +819,9 @@ impl<C: Clock> Context for Ctx<'_, C> {
 
     /// Counted, then held if the link is cut (see [`Links`]) or queued
     /// at once, `delay` plus a link delay from now: a send in service
-    /// outlives a sender that crashes before it leaves.
+    /// outlives a sender that crashes before it leaves. A background send
+    /// to an inert node waits in its mailbox instead, under a key the
+    /// queue reserves for it.
     fn send_after_at_depth(&mut self, depth: u32, delay: Dur, to: NodeId, payload: Payload) {
         let depth = if payload.is_background() { 0 } else { depth + 1 };
         let depart = self.now + delay;
@@ -706,7 +834,14 @@ impl<C: Clock> Context for Ctx<'_, C> {
             return;
         };
         let at = depart + self.clock.link_delay(self.net, self.rng);
-        self.queue.push(at, Action::Deliver { from: self.me, to, payload, depth });
+        let mailbox = &mut self.mail[to.0 as usize];
+        match payload {
+            Payload::Fd(msg) if mailbox.inert => {
+                let i = mailbox.held.iter().rposition(|m| m.at <= at).map_or(0, |i| i + 1);
+                mailbox.held.insert(i, Mail { at, seq: self.queue.reserve(), from: self.me, msg });
+            }
+            payload => self.queue.push(at, Action::Deliver { from: self.me, to, payload, depth }),
+        }
     }
 
     fn subscribe_node_events(&mut self) {

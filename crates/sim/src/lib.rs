@@ -105,7 +105,7 @@ mod tests {
     use super::*;
     use etx_base::fault::{FaultOp, NemesisWhen};
     use etx_base::ids::{NodeId, RequestId, ResultId};
-    use etx_base::msg::{FdMsg, Payload};
+    use etx_base::msg::{DbMsg, FdMsg, Payload};
     use etx_base::runtime::{Context, Event, Host, Process, TimerTag};
     use etx_base::time::{Dur, Time};
     use etx_base::trace::{Component, TraceEvent, TraceKind};
@@ -496,6 +496,180 @@ mod tests {
         let mut sim2 = Sim::new(SimConfig::with_seed(8));
         sim2.add_node("a", Box::new(|_| Box::new(Pinger { peer: None, n: 0 })));
         assert_eq!(sim2.run_until(|_| true), RunOutcome::Predicate);
+    }
+
+    /// What every node handled, in order: the node, when, and what (a
+    /// timer by its tag: ids name queue slots, which differ between the
+    /// two routes).
+    type Handled = std::rc::Rc<std::cell::RefCell<Vec<(NodeId, Time, String)>>>;
+
+    /// Ticks every 500 µs until 40 ms and beats to its peers on each tick
+    /// until 30 ms. Every fourth tick it also sends its next peer a
+    /// protocol message, which leaves the receiver busy for its next two
+    /// heartbeats: it traces each and draws from the random stream. With
+    /// `lazy` it answers `background_inert` from that state, so heartbeats
+    /// to it wait in its mailbox while it is idle; without, it is never
+    /// inert and the kernel queues every heartbeat.
+    struct Beater {
+        me: NodeId,
+        peers: Vec<NodeId>,
+        lazy: bool,
+        busy: u32,
+        ticks: u64,
+        handled: Handled,
+    }
+    impl Process for Beater {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            let what = match &event {
+                Event::Timer { tag, .. } => format!("{tag:?}"),
+                event => format!("{event:?}"),
+            };
+            self.handled.borrow_mut().push((self.me, ctx.now(), what));
+            let tick = Dur::from_micros(500);
+            match event {
+                Event::Init | Event::Recovered => {
+                    ctx.set_timer(tick, TimerTag::CleanerTick);
+                }
+                Event::Timer { .. } => {
+                    self.ticks += 1;
+                    if ctx.now() < Time(30_000) {
+                        for &p in &self.peers {
+                            ctx.send(p, Payload::Fd(FdMsg::Heartbeat { seq: self.ticks }));
+                        }
+                    }
+                    if self.ticks.is_multiple_of(4) {
+                        let to = self.peers[(self.ticks / 4) as usize % self.peers.len()];
+                        let rid = ResultId::first(RequestId { client: self.me, seq: self.ticks });
+                        ctx.send(to, Payload::Db(DbMsg::Prepare { rid, cross: false }));
+                    }
+                    if ctx.now() < Time(40_000) {
+                        ctx.set_timer(tick, TimerTag::CleanerTick);
+                    }
+                }
+                Event::Message { payload: Payload::Fd(_), .. } if self.busy > 0 => {
+                    self.busy -= 1;
+                    ctx.trace(TraceKind::Note("busy"));
+                    ctx.random_u64();
+                }
+                Event::Message { payload: Payload::Db(_), .. } => self.busy = 2,
+                _ => {}
+            }
+        }
+        fn background_inert(&self) -> bool {
+            self.lazy && self.busy == 0
+        }
+    }
+
+    /// What a run of beaters shows: its trace, its message counts, what
+    /// each node handled and when, the events processed and the queue pops.
+    type Beaten = (String, String, Vec<Vec<(Time, String)>>, u64, u64);
+
+    /// Three beaters through a pause, a crash, a cut and, between two run
+    /// calls, a crash fired `Now`.
+    fn beaters(net: NetConfig, lazy: bool) -> Beaten {
+        let handled = Handled::default();
+        let mut sim = Sim::new(SimConfig { net, ..SimConfig::with_seed(12) });
+        let ids: Vec<NodeId> = (0..3).map(NodeId).collect();
+        for _ in &ids {
+            let (ids, handled) = (ids.clone(), handled.clone());
+            sim.add_node(
+                "beater",
+                Box::new(move |me| {
+                    let peers = ids.iter().copied().filter(|&p| p != me).collect();
+                    let handled = handled.clone();
+                    Box::new(Beater { me, peers, lazy, busy: 0, ticks: 0, handled })
+                }),
+            );
+        }
+        let ms = Dur::from_millis;
+        let cut = FaultOp::Partition { a: vec![ids[0]], b: ids[1..].to_vec(), heal_after: ms(2) };
+        let faults = [
+            (ms(3), FaultOp::PauseFor { node: ids[1], down_for: ms(2) }),
+            (ms(6), FaultOp::CrashFor { node: ids[2], down_for: Dur::from_micros(2_500) }),
+            (ms(10), cut),
+        ];
+        for (at, op) in faults {
+            sim.schedule_fault(NemesisWhen::After(at), op).unwrap();
+        }
+        sim.run_until_time(Time(20_000));
+        let crash = FaultOp::CrashFor { node: ids[0], down_for: ms(1) };
+        sim.schedule_fault(NemesisWhen::Now, crash).unwrap();
+        sim.run_until_time(Time(60_000));
+        let handled = handled.borrow();
+        let of = |n: NodeId| {
+            handled.iter().filter(move |(by, ..)| *by == n).map(|(_, t, w)| (*t, w.clone()))
+        };
+        let per_node = ids.iter().map(|&n| of(n).collect()).collect();
+        let trace = format!("{:?}", sim.trace().events());
+        (trace, format!("{:?}", sim.stats()), per_node, sim.processed(), sim.pops())
+    }
+
+    #[test]
+    fn heartbeats_held_in_a_mailbox_are_handled_as_the_queue_would_have() {
+        for net in [NetConfig::deterministic(), NetConfig::default()] {
+            let (trace, stats, handled, processed, pops) = beaters(net.clone(), false);
+            let held = beaters(net.clone(), true);
+            assert_eq!(held.0, trace, "{net:?}: the trace");
+            assert_eq!(held.1, stats, "{net:?}: the message counts");
+            assert_eq!(held.2, handled, "{net:?}: what each node handled, and when");
+            assert_eq!((held.3, pops), (processed, processed), "{net:?}: events, every one popped");
+            assert!(held.4 < pops, "{net:?}: no heartbeat waited in a mailbox");
+            let busy = trace.matches("Note(\"busy\")").count();
+            assert!(busy > 0, "{net:?}: no receiver stopped being inert");
+        }
+    }
+
+    /// Sends node 1 one heartbeat on `Init`.
+    struct Once;
+    impl Process for Once {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            if event == Event::Init {
+                ctx.send(NodeId(1), Payload::Fd(FdMsg::Heartbeat { seq: 1 }));
+            }
+        }
+    }
+
+    /// Notes what it handled, and when; inert throughout if `lazy`.
+    struct Sink {
+        lazy: bool,
+        handled: Handled,
+    }
+    impl Process for Sink {
+        fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
+            self.handled.borrow_mut().push((ctx.me(), ctx.now(), format!("{event:?}")));
+        }
+        fn background_inert(&self) -> bool {
+            self.lazy
+        }
+    }
+
+    #[test]
+    fn a_held_delivery_due_by_a_run_s_deadline_is_handled_before_a_fault_fired_after_it() {
+        // The heartbeat arrives at 2 ms and nothing else pops for the sink
+        // before the run stops at 5 ms. A crash fired `Now` from there must
+        // find it handled, as the queue would have, not drop it.
+        let run = |lazy| {
+            let handled = Handled::default();
+            let net = NetConfig::deterministic();
+            let mut sim = Sim::new(SimConfig { net, ..SimConfig::with_seed(13) });
+            sim.add_node("once", Box::new(|_| Box::new(Once)));
+            let sink = {
+                let handled = handled.clone();
+                let sink = move |_| Box::new(Sink { lazy, handled: handled.clone() }) as _;
+                sim.add_node("sink", Box::new(sink))
+            };
+            let back = FaultOp::Recover(sink);
+            sim.schedule_fault(NemesisWhen::After(Dur::from_millis(10)), back).unwrap();
+            sim.run_until_time(Time(5_000));
+            sim.schedule_fault(NemesisWhen::Now, FaultOp::Crash(sink)).unwrap();
+            sim.run_until_time(Time(20_000));
+            let handled = handled.borrow().clone();
+            (handled, sim.stats().dropped_to_down(), sim.processed() - sim.pops())
+        };
+        let (eager, lazy) = (run(false), run(true));
+        assert_eq!(lazy.0, eager.0, "what the sink handled, and when");
+        assert_eq!((lazy.1, eager.1), (0, 0), "nothing reached it down");
+        assert_eq!((lazy.2, eager.2), (1, 0), "the heartbeat waited in the lazy sink's mailbox");
     }
 
     #[test]
