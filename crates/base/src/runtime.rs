@@ -21,7 +21,7 @@
 use crate::fault::{CapabilityError, FaultOp, NemesisWhen};
 use crate::ids::{NodeId, RegId, ResultId, TimerId};
 use crate::metrics::SpanTotals;
-use crate::msg::Payload;
+use crate::msg::{FdMsg, Payload};
 use crate::time::{Dur, Time};
 use crate::trace::{Component, MsgStats, Trace, TraceKind};
 use crate::wal::StableRecord;
@@ -279,10 +279,21 @@ pub trait Process {
     /// through its [`Context`] — no send, timer, cancel, trace, span, log
     /// write or random draw — and that the promise still holds after it.
     /// The host may then hold the delivery back until the process's next
-    /// event and hand it over just before, at its own instant. `false`
-    /// (the default) is always safe.
+    /// event and hand it over just before, at its own instant, through
+    /// [`Process::absorb`]. `false` (the default) is always safe.
     fn background_inert(&self) -> bool {
         false
+    }
+
+    /// Takes a held heartbeat `msg` from `from`, due at `now`: the host
+    /// calls it in place of [`Process::on_event`], and only while
+    /// [`Process::background_inert`] answers `true`. It must leave the
+    /// process as `on_event` of that delivery at `now` would have; having
+    /// no [`Context`], it cannot emit. A process that never promises is
+    /// never called, so the default panics.
+    fn absorb(&mut self, now: Time, from: NodeId, msg: &FdMsg) {
+        let _ = (now, msg);
+        panic!("a heartbeat from {from} absorbed by a process that never promised to be inert")
     }
 
     /// Optional introspection hook: processes that want hosts (tests, the

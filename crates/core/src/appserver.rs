@@ -90,7 +90,7 @@ use crate::xa::{Entered, Step, Xa};
 use etx_base::attempts::AttemptWindows;
 use etx_base::config::{CostModel, ProtocolConfig};
 use etx_base::ids::{NodeId, RequestId, ResultId, TimerId, Topology};
-use etx_base::msg::{AppMsg, ClientMsg, DbMsg, DbReplyMsg, Payload, ReplMsg};
+use etx_base::msg::{AppMsg, ClientMsg, DbMsg, DbReplyMsg, FdMsg, Payload, ReplMsg};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::shard::ShardMap;
 use etx_base::time::{Dur, Time};
@@ -882,9 +882,11 @@ impl Process for AppServer {
         //    with one, and the flush policy (5) ran at the end of the last
         //    event over the same state. Unless that policy's own flush
         //    applied a slot that queued an outcome again: then no window
-        //    timer is armed, and the policy looks once more. So with no
-        //    peer suspected and the policy idle, a heartbeat emits nothing
-        //    (`background_inert`).
+        //    timer is armed, and the policy looks once more. So with the
+        //    detector quiet and the policy idle, a heartbeat emits nothing
+        //    (`background_inert`), and the detector's note of it is all it
+        //    does: a heartbeat the host held comes through `absorb`
+        //    instead, and only the heartbeats it queued arrive here.
         let transitions = self.fd.handle(ctx, &event);
         let detector_only = matches!(
             event,
@@ -1013,6 +1015,11 @@ impl Process for AppServer {
         self.fd.quiet() && (self.batch_queue.is_empty() || self.batch_timer.is_some())
     }
 
+    /// Stage 1 of an inert server's heartbeat: the detector notes it.
+    fn absorb(&mut self, now: Time, from: NodeId, _: &FdMsg) {
+        self.fd.absorb(now, from);
+    }
+
     fn as_any(&self) -> Option<&dyn core::any::Any> {
         Some(self)
     }
@@ -1023,7 +1030,6 @@ mod tests {
     use super::*;
     use crate::recorder::Recorder;
     use etx_base::config::FdConfig;
-    use etx_base::msg::FdMsg;
     use etx_base::value::{DbOp, RequestScript};
     use etx_fd::HeartbeatFd;
 
@@ -1073,5 +1079,39 @@ mod tests {
         app.on_event(&mut ctx, Event::Message { from: NodeId(1), payload: beat });
         assert!(ctx.sent.is_empty() && ctx.timers.is_empty() && ctx.cancelled.is_empty());
         assert!(ctx.traced.is_empty() && ctx.wal.is_empty());
+    }
+
+    #[test]
+    fn an_inert_server_absorbs_a_heartbeat_as_its_handler_would_take_it() {
+        let (mut handled, _) = started();
+        let (mut absorbed, _) = started();
+        let (mut unheard, _) = started();
+        assert!(handled.background_inert(), "started: quiet, nothing queued");
+        let (at, beat) = (Time(70_000), FdMsg::Heartbeat { seq: 1 });
+        let mut ctx = Recorder { now: at, ..Recorder::default() };
+        handled.on_event(&mut ctx, Event::Message { from: NodeId(1), payload: Payload::Fd(beat) });
+        assert!(ctx.sent.is_empty() && ctx.timers.is_empty() && ctx.cancelled.is_empty());
+        assert!(ctx.traced.is_empty() && ctx.wal.is_empty(), "the handler emits nothing");
+        absorbed.absorb(at, NodeId(1), &beat);
+        assert!(absorbed.background_inert() && handled.background_inert(), "still inert");
+        // The next tick is past node 3's 80 ms timeout, not past node 1's
+        // heartbeat at 70 ms: what it emits shows what each detector heard.
+        let tick = |app: &mut AppServer| {
+            let mut ctx = Recorder { now: Time(100_000), ..Recorder::default() };
+            app.on_event(&mut ctx, Event::Timer { id: TimerId(1), tag: TimerTag::FdHeartbeat });
+            let suspected: Vec<_> = ctx
+                .traced
+                .iter()
+                .filter_map(|k| match k {
+                    TraceKind::Suspect { peer } => Some(*peer),
+                    _ => None,
+                })
+                .collect();
+            (suspected, format!("{:?} {:?} {:?}", ctx.sent, ctx.timers, ctx.traced))
+        };
+        let (verdict, emitted) = tick(&mut absorbed);
+        assert_eq!(verdict, [NodeId(3)]);
+        assert_eq!(tick(&mut handled), (verdict, emitted), "an equal detector");
+        assert_eq!(tick(&mut unheard).0, [NodeId(1), NodeId(3)], "the heartbeat counted");
     }
 }

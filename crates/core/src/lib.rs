@@ -50,6 +50,8 @@ pub(crate) mod recorder {
 
     #[derive(Default)]
     pub(crate) struct Recorder {
+        /// What `now` reads: zero unless a test sets it.
+        pub now: Time,
         pub sent: Vec<(NodeId, Payload)>,
         /// The delay each send asked for (zero for a plain one), in call
         /// order.
@@ -63,7 +65,7 @@ pub(crate) mod recorder {
 
     impl Context for Recorder {
         fn now(&self) -> Time {
-            Time::ZERO
+            self.now
         }
         fn me(&self) -> NodeId {
             NodeId(2)

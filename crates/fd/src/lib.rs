@@ -31,7 +31,12 @@
 //! a heartbeat without a trace: it notes when it heard from the sender and
 //! emits nothing. That is its `Process::background_inert` promise, and the
 //! kernel then lets heartbeats to it wait in its mailbox until its next
-//! event instead of queueing each one as a step of its own.
+//! event instead of queueing each one as a step of its own. It hands each
+//! over through `Process::absorb`, which reaches the detector as
+//! [`FailureDetector::absorb`]: with no [`Context`], so no handler call,
+//! just the note of when the sender was heard. A [`ScriptedFd`] is as
+//! quiet as its inner detector (a forced window traces no transition, so
+//! no heartbeat moves one), and [`NullFd`] always is.
 //! The primary-backup baseline does **not** use this crate — it needs a
 //! *perfect* detector, which only the simulator's crash oracle can provide
 //! (that fragility is the paper's point).
@@ -68,11 +73,18 @@ pub trait FailureDetector {
     fn suspects(&self, peer: NodeId) -> bool;
 
     /// Whether [`FailureDetector::handle`] of a heartbeat, or of any other
-    /// proof of life, would now emit nothing: no peer is suspected, so
-    /// none can be unsuspected. The default, `false`, is always safe.
+    /// proof of life, would now emit nothing: no suspicion it traced
+    /// stands, so none can be withdrawn. The default, `false`, is always
+    /// safe.
     fn quiet(&self) -> bool {
         false
     }
+
+    /// Takes a heartbeat from `from`, due at `now`, while the detector is
+    /// [`FailureDetector::quiet`]: it leaves the detector as
+    /// [`FailureDetector::handle`] of that delivery at `now` would have,
+    /// which, quiet, emits nothing and so needs no [`Context`].
+    fn absorb(&mut self, now: Time, from: NodeId);
 }
 
 /// Heartbeat-based ◇P detector with adaptive per-peer timeouts.
@@ -134,10 +146,9 @@ impl HeartbeatFd {
     }
 
     fn heard_from(&mut self, ctx: &mut dyn Context, from: NodeId) -> Vec<FdTransition> {
-        let Some(p) = self.peers.iter_mut().find(|p| p.id == from) else {
+        let Some(p) = hear(&mut self.peers, ctx.now(), from) else {
             return Vec::new();
         };
-        p.last_heard = ctx.now();
         if !p.suspected {
             return Vec::new();
         }
@@ -148,6 +159,14 @@ impl HeartbeatFd {
         ctx.trace(TraceKind::Unsuspect { peer: from });
         vec![FdTransition::Unsuspect(from)]
     }
+}
+
+/// Notes that `from` was heard at `now`, and returns its record, if it is
+/// one of `peers`.
+fn hear(peers: &mut [Peer], now: Time, from: NodeId) -> Option<&mut Peer> {
+    let p = peers.iter_mut().find(|p| p.id == from)?;
+    p.last_heard = now;
+    Some(p)
 }
 
 impl FailureDetector for HeartbeatFd {
@@ -187,6 +206,11 @@ impl FailureDetector for HeartbeatFd {
 
     fn quiet(&self) -> bool {
         !self.peers.iter().any(|p| p.suspected)
+    }
+
+    fn absorb(&mut self, now: Time, from: NodeId) {
+        let p = hear(&mut self.peers, now, from);
+        debug_assert!(p.is_none_or(|p| !p.suspected), "absorbed a heartbeat from suspected {from}");
     }
 }
 
@@ -244,6 +268,17 @@ impl<I: FailureDetector> FailureDetector for ScriptedFd<I> {
     fn suspects(&self, peer: NodeId) -> bool {
         self.forced_now(peer) || self.inner.suspects(peer)
     }
+
+    /// A forced window traces no transition, so a heartbeat moves a
+    /// suspicion only if the inner detector's does.
+    fn quiet(&self) -> bool {
+        self.inner.quiet()
+    }
+
+    fn absorb(&mut self, now: Time, from: NodeId) {
+        self.now = now;
+        self.inner.absorb(now, from);
+    }
 }
 
 /// A detector that never suspects anyone. Useful for failure-free
@@ -259,13 +294,19 @@ impl FailureDetector for NullFd {
     fn suspects(&self, _: NodeId) -> bool {
         false
     }
+    fn quiet(&self) -> bool {
+        true
+    }
+    fn absorb(&mut self, _: Time, _: NodeId) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use etx_base::fault::{FaultOp, NemesisWhen};
+    use etx_base::ids::TimerId;
     use etx_base::runtime::{Host, Process};
+    use etx_base::wal::StableRecord;
     use etx_sim::{Sim, SimConfig};
 
     /// Host process that just runs a detector and nothing else.
@@ -443,6 +484,98 @@ mod tests {
             suspicions < 6,
             "adaptation should eliminate later false suspicions (got {suspicions})"
         );
+    }
+
+    /// A context at one instant that counts what a handler emits.
+    #[derive(Default)]
+    struct At {
+        now: Time,
+        emitted: u64,
+    }
+    impl Context for At {
+        fn now(&self) -> Time {
+            self.now
+        }
+        fn me(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn set_timer(&mut self, _: Dur, _: TimerTag) -> TimerId {
+            self.emitted += 1;
+            TimerId(self.emitted)
+        }
+        fn cancel_timer(&mut self, _: TimerId) {
+            self.emitted += 1;
+        }
+        fn random_u64(&mut self) -> u64 {
+            self.emitted += 1;
+            0
+        }
+        fn log_append(&mut self, _: &'static str, _: StableRecord, _: bool) -> Dur {
+            self.emitted += 1;
+            Dur::ZERO
+        }
+        fn log_read(&self, _: &'static str) -> Vec<StableRecord> {
+            Vec::new()
+        }
+        fn trace(&mut self, _: TraceKind) {
+            self.emitted += 1;
+        }
+        fn depth(&self) -> u32 {
+            0
+        }
+        fn send_after_at_depth(&mut self, _: u32, _: Dur, _: NodeId, _: Payload) {
+            self.emitted += 1;
+        }
+        fn subscribe_node_events(&mut self) {
+            self.emitted += 1;
+        }
+    }
+
+    #[test]
+    fn absorbing_a_heartbeat_leaves_a_quiet_detector_as_handling_it_would() {
+        let ids = [NodeId(0), NodeId(1), NodeId(2)];
+        let started = || {
+            let mut fd = HeartbeatFd::new(ids[0], &ids, FdConfig::default());
+            fd.on_init(&mut At::default());
+            fd
+        };
+        let (mut handled, mut absorbed) = (started(), started());
+        assert!(handled.quiet());
+        let at = Time(70_000);
+        let beat =
+            Event::Message { from: ids[1], payload: Payload::Fd(FdMsg::Heartbeat { seq: 3 }) };
+        let mut ctx = At { now: at, ..At::default() };
+        assert_eq!(handled.handle(&mut ctx, &beat), [], "no transition");
+        assert_eq!(ctx.emitted, 0, "a quiet detector's heartbeat emits nothing");
+        absorbed.absorb(at, ids[1]);
+        assert_eq!(format!("{absorbed:?}"), format!("{handled:?}"), "the same last_heard");
+        // The next tick is past node 2's 80 ms timeout, not past node 1's
+        // heartbeat at 70 ms.
+        let tick = Event::Timer { id: TimerId(9), tag: TimerTag::FdHeartbeat };
+        let next =
+            |fd: &mut HeartbeatFd| fd.handle(&mut At { now: Time(100_000), emitted: 0 }, &tick);
+        assert_eq!(next(&mut absorbed), [FdTransition::Suspect(ids[2])]);
+        assert_eq!(next(&mut handled), [FdTransition::Suspect(ids[2])]);
+    }
+
+    #[test]
+    fn a_scripted_detector_absorbs_as_it_handles() {
+        let window = ForcedSuspicion { peer: NodeId(1), from: Time(100), until: Time(200) };
+        let (mut handled, mut absorbed) =
+            (ScriptedFd::new(NullFd, vec![window]), ScriptedFd::new(NullFd, vec![window]));
+        assert!(absorbed.quiet(), "a forced window moves no suspicion on a heartbeat");
+        let beat =
+            Event::Message { from: NodeId(1), payload: Payload::Fd(FdMsg::Heartbeat { seq: 1 }) };
+        for at in [Time(150), Time(200)] {
+            let mut ctx = At { now: at, ..At::default() };
+            assert_eq!(handled.handle(&mut ctx, &beat), []);
+            absorbed.absorb(at, NodeId(1));
+            assert_eq!(ctx.emitted, 0);
+            let forced = at < window.until;
+            assert_eq!(absorbed.suspects(NodeId(1)), forced, "{at}: the clock moved to it");
+            assert_eq!(handled.suspects(NodeId(1)), forced);
+            assert!(absorbed.quiet());
+        }
     }
 
     #[test]

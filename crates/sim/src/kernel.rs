@@ -23,11 +23,13 @@
 //! * **Draining.** Before anything pops for a node, and before a
 //!   lifecycle transition applies to it, every held delivery whose key is
 //!   below the key of the current step (the last pop) is handled, in key
-//!   order, as a step would have: dispatched at the clock's reading for
-//!   its instant if the node is up, stashed if it is paused. Each counts
-//!   as a processed event. Being inert, the node emits nothing then, so
-//!   nothing else in the run can tell that it came late (a debug build
-//!   asserts it).
+//!   order, as a step would have: absorbed at the clock's reading for its
+//!   instant if the node is up ([`Process::absorb`], which gets no
+//!   [`Context`] and so cannot emit), stashed if it is paused. Each counts
+//!   as a processed event, not as a handler run ([`Kernel::runs`]). Being
+//!   inert, the node would have emitted nothing then either, so nothing
+//!   else in the run can tell that it came late; a debug build asserts
+//!   that the node is still inert after each one.
 //! * **Moving back.** A dispatch that leaves the node no longer inert, or
 //!   a crash, puts what its mailbox still holds into the queue under the
 //!   held keys.
@@ -93,7 +95,6 @@ pub use etx_base::runtime::RunOutcome;
 use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, MsgStats, Trace, TraceEvent, TraceKind};
 use etx_base::wal::{StableRecord, StableStorage};
-use std::collections::VecDeque;
 
 /// What a kernel's clock decides: when a step runs and how long a
 /// transmission takes.
@@ -213,7 +214,7 @@ impl Mail {
 #[derive(Default)]
 struct Mailbox {
     inert: bool,
-    held: VecDeque<Mail>,
+    held: Vec<Mail>,
 }
 
 struct Slot {
@@ -233,6 +234,8 @@ pub struct Kernel<C> {
     processed: u64,
     /// Steps: entries popped from the queue.
     pops: u64,
+    /// Handler runs: [`Process::on_event`] calls.
+    runs: u64,
     queue: TimeQueue<Action>,
     /// The key of the last pop (or past a quiesce's deadline): a held
     /// delivery below it is one the queue would have handed over already.
@@ -324,6 +327,7 @@ impl<C: Clock> Kernel<C> {
             now: Time::ZERO,
             processed: 0,
             pops: 0,
+            runs: 0,
             queue: TimeQueue::default(),
             cursor: (Time::ZERO, 0),
             nodes: Vec::new(),
@@ -425,6 +429,12 @@ impl<C: Clock> Kernel<C> {
     /// Number of steps so far: entries popped from the queue.
     pub fn pops(&self) -> u64 {
         self.pops
+    }
+
+    /// Number of handler runs so far: [`Process::on_event`] calls. A held
+    /// delivery absorbed is not one.
+    pub fn runs(&self) -> u64 {
+        self.runs
     }
 
     /// Node name (diagnostics).
@@ -559,24 +569,24 @@ impl<C: Clock> Kernel<C> {
     /// own instant.
     fn drain(&mut self, node: NodeId) {
         let idx = node.0 as usize;
-        while self.mail[idx].held.front().is_some_and(|m| (m.at, m.seq) < self.cursor) {
-            let mail = self.mail[idx].held.pop_front().expect("the front");
-            self.processed += 1;
-            match self.nodes[idx].life {
-                Life::Paused => self.stash.push((node, mail.action(node))),
-                Life::Down => self.stats.record_dropped_to_down(),
-                Life::Up => {
-                    // What an inert handler leaves as it was: the queue, the
-                    // trace, the totals and the random stream.
-                    let footprint = |k: &Self| {
-                        let queue = (k.queue.len(), k.queue.pending_cancels(), k.rng.clone());
-                        (queue, k.trace.len(), k.stats.total(), k.spans)
-                    };
-                    let before = cfg!(debug_assertions).then(|| footprint(self));
-                    let event = Event::Message { from: mail.from, payload: Payload::Fd(mail.msg) };
-                    self.run(node, self.clock.now(mail.at), event, 0);
-                    let after = before.as_ref().map(|_| footprint(self));
-                    debug_assert_eq!(before, after, "{node} emitted on a held delivery");
+        let cursor = self.cursor;
+        let held = &mut self.mail[idx].held;
+        let due = held.iter().take_while(|m| (m.at, m.seq) < cursor).count();
+        if due == 0 {
+            return;
+        }
+        self.processed += due as u64;
+        let slot = &mut self.nodes[idx];
+        match slot.life {
+            Life::Paused => self.stash.extend(held.drain(..due).map(|m| (node, m.action(node)))),
+            Life::Down => {
+                held.drain(..due).for_each(|_| self.stats.record_dropped_to_down());
+            }
+            Life::Up => {
+                let process = slot.process.as_mut().expect("an up node has its process");
+                for mail in held.drain(..due) {
+                    process.absorb(self.clock.now(mail.at), mail.from, &mail.msg);
+                    debug_assert!(process.background_inert(), "{node} stopped being inert");
                 }
             }
         }
@@ -658,6 +668,7 @@ impl<C: Clock> Kernel<C> {
             Some(p) => p,
             None => return, // crashed between scheduling and dispatch
         };
+        self.runs += 1;
         let mut subscribe = false;
         {
             let slot = &mut self.nodes[idx];
@@ -837,8 +848,16 @@ impl<C: Clock> Context for Ctx<'_, C> {
         let mailbox = &mut self.mail[to.0 as usize];
         match payload {
             Payload::Fd(msg) if mailbox.inert => {
-                let i = mailbox.held.iter().rposition(|m| m.at <= at).map_or(0, |i| i + 1);
-                mailbox.held.insert(i, Mail { at, seq: self.queue.reserve(), from: self.me, msg });
+                let mail = Mail { at, seq: self.queue.reserve(), from: self.me, msg };
+                // Its seq is the largest yet, so it goes after every held
+                // arrival not later than its own: mostly, at the back.
+                let held = &mut mailbox.held;
+                if held.last().is_none_or(|m| m.at <= at) {
+                    held.push(mail);
+                } else {
+                    let i = held.iter().rposition(|m| m.at <= at).map_or(0, |i| i + 1);
+                    held.insert(i, mail);
+                }
             }
             payload => self.queue.push(at, Action::Deliver { from: self.me, to, payload, depth }),
         }

@@ -508,8 +508,9 @@ mod tests {
     /// protocol message, which leaves the receiver busy for its next two
     /// heartbeats: it traces each and draws from the random stream. With
     /// `lazy` it answers `background_inert` from that state, so heartbeats
-    /// to it wait in its mailbox while it is idle; without, it is never
-    /// inert and the kernel queues every heartbeat.
+    /// to it wait in its mailbox while it is idle, and takes each one
+    /// through `absorb`, noting it as `on_event` would have; without, it is
+    /// never inert and the kernel queues every heartbeat.
     struct Beater {
         me: NodeId,
         peers: Vec<NodeId>,
@@ -558,11 +559,16 @@ mod tests {
         fn background_inert(&self) -> bool {
             self.lazy && self.busy == 0
         }
+        fn absorb(&mut self, now: Time, from: NodeId, msg: &FdMsg) {
+            let event = Event::Message { from, payload: Payload::Fd(*msg) };
+            self.handled.borrow_mut().push((self.me, now, format!("{event:?}")));
+        }
     }
 
     /// What a run of beaters shows: its trace, its message counts, what
-    /// each node handled and when, the events processed and the queue pops.
-    type Beaten = (String, String, Vec<Vec<(Time, String)>>, u64, u64);
+    /// each node handled and when, the events processed, the queue pops and
+    /// the handler runs.
+    type Beaten = (String, String, Vec<Vec<(Time, String)>>, u64, u64, u64);
 
     /// Three beaters through a pause, a crash, a cut and, between two run
     /// calls, a crash fired `Now`.
@@ -601,19 +607,23 @@ mod tests {
         };
         let per_node = ids.iter().map(|&n| of(n).collect()).collect();
         let trace = format!("{:?}", sim.trace().events());
-        (trace, format!("{:?}", sim.stats()), per_node, sim.processed(), sim.pops())
+        let stats = format!("{:?}", sim.stats());
+        (trace, stats, per_node, sim.processed(), sim.pops(), sim.runs())
     }
 
     #[test]
     fn heartbeats_held_in_a_mailbox_are_handled_as_the_queue_would_have() {
         for net in [NetConfig::deterministic(), NetConfig::default()] {
-            let (trace, stats, handled, processed, pops) = beaters(net.clone(), false);
+            let (trace, stats, handled, processed, pops, runs) = beaters(net.clone(), false);
             let held = beaters(net.clone(), true);
             assert_eq!(held.0, trace, "{net:?}: the trace");
             assert_eq!(held.1, stats, "{net:?}: the message counts");
             assert_eq!(held.2, handled, "{net:?}: what each node handled, and when");
             assert_eq!((held.3, pops), (processed, processed), "{net:?}: events, every one popped");
             assert!(held.4 < pops, "{net:?}: no heartbeat waited in a mailbox");
+            let calls = handled.iter().map(Vec::len).sum::<usize>() as u64;
+            assert_eq!(runs, calls, "{net:?}: queued, every handling is a handler run");
+            assert!(held.5 < runs, "{net:?}: no held heartbeat was absorbed");
             let busy = trace.matches("Note(\"busy\")").count();
             assert!(busy > 0, "{net:?}: no receiver stopped being inert");
         }
@@ -629,17 +639,23 @@ mod tests {
         }
     }
 
-    /// Notes what it handled, and when; inert throughout if `lazy`.
+    /// Notes what it handled, and when, absorbed or not; inert throughout
+    /// if `lazy`.
     struct Sink {
+        me: NodeId,
         lazy: bool,
         handled: Handled,
     }
     impl Process for Sink {
         fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
-            self.handled.borrow_mut().push((ctx.me(), ctx.now(), format!("{event:?}")));
+            self.handled.borrow_mut().push((self.me, ctx.now(), format!("{event:?}")));
         }
         fn background_inert(&self) -> bool {
             self.lazy
+        }
+        fn absorb(&mut self, now: Time, from: NodeId, msg: &FdMsg) {
+            let event = Event::Message { from, payload: Payload::Fd(*msg) };
+            self.handled.borrow_mut().push((self.me, now, format!("{event:?}")));
         }
     }
 
@@ -655,7 +671,7 @@ mod tests {
             sim.add_node("once", Box::new(|_| Box::new(Once)));
             let sink = {
                 let handled = handled.clone();
-                let sink = move |_| Box::new(Sink { lazy, handled: handled.clone() }) as _;
+                let sink = move |me| Box::new(Sink { me, lazy, handled: handled.clone() }) as _;
                 sim.add_node("sink", Box::new(sink))
             };
             let back = FaultOp::Recover(sink);

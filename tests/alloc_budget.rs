@@ -206,6 +206,14 @@ const PAPER_EVENTS: f64 = 154.23;
 /// read 154.20 since: the run stops with the last few heartbeats held.
 const PAPER_POPS: f64 = 76.5;
 
+/// Handler runs (`on_event` calls) per delivered commit of the
+/// paper-shaped scenario, gated at the figure itself: runs repeat exactly
+/// too. A heartbeat held in an idle server's mailbox was one while the
+/// kernel handed it over as a delivery: 152.22 per commit then (these runs
+/// plus the 77.70 held ones; a cancelled timer's pop runs nothing). Taken
+/// by the detector alone (`Process::absorb`), it is none: 74.52.
+const PAPER_RUNS: f64 = 74.52;
+
 /// Requests of the paper-shaped scenario: its one client issues them one
 /// after another.
 const PAPER_REQUESTS: u64 = 200;
@@ -258,18 +266,23 @@ fn paper_scenario() -> ScenarioBuilder {
         .workload(Workload::BankUpdate { amount: 7 })
 }
 
+/// What one run made: allocations, heap bytes left live, simulator events,
+/// trace events stored, queue pops and handler runs.
+type Run = (u64, i64, u64, usize, u64, u64);
+
 /// Builds `builder`'s scenario, runs it until `commits` are delivered, and
 /// returns the allocations the run made, the heap bytes it left live, the
-/// events the simulator processed, the trace events it stored and the
-/// entries its queue popped.
-fn one_run(builder: ScenarioBuilder, commits: usize) -> (u64, i64, u64, usize, u64) {
+/// events the simulator processed, the trace events it stored, the
+/// entries its queue popped and the handlers it ran.
+fn one_run(builder: ScenarioBuilder, commits: usize) -> Run {
     let mut s = builder.build();
     let (before, live) = (ALLOCATIONS.get(), LIVE.get());
     let outcome = s.run_until_settled(commits);
     let (allocations, retained) = (ALLOCATIONS.get() - before, LIVE.get() - live);
     assert_eq!(outcome, etx::sim::RunOutcome::Predicate, "the run must settle");
     assert_eq!(s.delivered_commits(), commits);
-    (allocations, retained, s.sim().processed(), s.trace().len(), s.sim().pops())
+    let sim = s.sim();
+    (allocations, retained, sim.processed(), s.trace().len(), sim.pops(), sim.runs())
 }
 
 #[test]
@@ -284,7 +297,7 @@ fn the_commit_path_stays_within_its_allocation_budget() {
          {LONG_PLAN}: a client holds its window, not its plan"
     );
     let run = || one_run(scenario(REQUESTS), CLIENTS * REQUESTS as usize);
-    let ((first, retained, events, traced, _), (second, _, again, retraced, _)) = (run(), run());
+    let ((first, retained, events, traced, ..), (second, _, again, retraced, ..)) = (run(), run());
     assert_eq!(first, second, "one seed, two allocation counts: see the module doc for suspects");
     assert_eq!(events, again, "one seed, two event counts");
     assert_eq!(traced, retraced, "one seed, two trace lengths");
@@ -328,10 +341,12 @@ fn the_commit_path_stays_within_its_allocation_budget() {
          (parent of the budget: {TRACE_PARENT})"
     );
     let paper = || one_run(paper_scenario(), PAPER_REQUESTS as usize);
-    let ((first, _, events, _, pops), (second, _, again, _, repops)) = (paper(), paper());
+    let ((first, _, events, _, pops, runs), (second, _, again, _, repops, reruns)) =
+        (paper(), paper());
     assert_eq!(first, second, "one seed, two paper-shape allocation counts");
     assert_eq!(events, again, "one seed, two paper-shape event counts");
     assert_eq!(pops, repops, "one seed, two paper-shape pop counts");
+    assert_eq!(runs, reruns, "one seed, two paper-shape handler-run counts");
     let per_commit = first as f64 / PAPER_REQUESTS as f64;
     println!(
         "paper shape: {first} allocations, {per_commit:.2} per commit \
@@ -355,5 +370,13 @@ fn the_commit_path_stays_within_its_allocation_budget() {
     assert!(
         pops_per_commit <= PAPER_POPS,
         "paper shape: {pops_per_commit:.2} queue pops per commit, gate {PAPER_POPS}"
+    );
+    let runs_per_commit = runs as f64 / PAPER_REQUESTS as f64;
+    println!(
+        "paper shape: {runs} handler runs, {runs_per_commit:.2} per commit (gate {PAPER_RUNS})"
+    );
+    assert!(
+        runs_per_commit <= PAPER_RUNS,
+        "paper shape: {runs_per_commit:.2} handler runs per commit, gate {PAPER_RUNS}"
     );
 }
