@@ -411,11 +411,6 @@ impl Default for FdConfig {
 /// themselves as they execute in the simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
-    /// One-way network latency, low bound (half of the paper's 3–5 ms RPC
-    /// round trip).
-    pub net_min: Dur,
-    /// One-way network latency, high bound.
-    pub net_max: Dur,
     /// Request dispatch cost at the application server (Figure 8 "start").
     pub start: Dur,
     /// Reply marshalling cost at the application server (Figure 8 "end").
@@ -451,8 +446,6 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            net_min: Dur::from_micros(1_500),
-            net_max: Dur::from_micros(2_500),
             start: Dur::from_millis_f64(3.4),
             end: Dur::from_millis_f64(3.4),
             sql: Dur::from_millis_f64(187.0),
@@ -480,8 +473,6 @@ impl CostModel {
     /// components are preserved (so shape assertions still hold).
     pub fn fast_for_tests() -> Self {
         CostModel {
-            net_min: Dur::from_micros(100),
-            net_max: Dur::from_micros(300),
             start: Dur::from_micros(150),
             end: Dur::from_micros(150),
             sql: Dur::from_micros(2_000),
@@ -495,11 +486,6 @@ impl CostModel {
         }
     }
 
-    /// Mid-point one-way network latency (used by analytic step costing).
-    pub fn net_mean(&self) -> Dur {
-        Dur((self.net_min.0 + self.net_max.0) / 2)
-    }
-
     /// Every service time zero and no jitter: nothing stalls on a modelled
     /// cost. On the simulator this collapses latency to pure message
     /// ordering; on the threaded backend it is the honest wall-clock
@@ -507,8 +493,6 @@ impl CostModel {
     /// channels), not by sleeps replaying the paper's 1999 testbed.
     pub fn zeroed() -> Self {
         CostModel {
-            net_min: Dur::ZERO,
-            net_max: Dur::ZERO,
             start: Dur::ZERO,
             end: Dur::ZERO,
             sql: Dur::ZERO,
@@ -532,19 +516,12 @@ mod tests {
         let c = CostModel::default();
         assert_eq!(c.sql, Dur::from_micros(187_000));
         assert_eq!(c.log_force, Dur::from_micros(12_500));
-        // RPC round trip in the paper's environment: 3–5 ms.
-        let rtt_min = Dur(c.net_min.0 * 2);
-        let rtt_max = Dur(c.net_max.0 * 2);
-        assert!(rtt_min >= Dur::from_millis(3));
-        assert!(rtt_max <= Dur::from_millis(5));
     }
 
     #[test]
     fn fast_model_preserves_component_ordering() {
         let f = CostModel::fast_for_tests();
         assert!(f.sql > f.db_prepare);
-        assert!(f.db_prepare > f.net_max);
-        assert!(f.log_force > f.net_max, "forced IO must dominate a one-way hop");
     }
 
     #[test]
@@ -652,7 +629,6 @@ mod tests {
     #[test]
     fn zeroed_cost_model_never_stalls() {
         let z = CostModel::zeroed();
-        assert_eq!(z.net_mean(), Dur::ZERO);
         assert_eq!(z.log_force + z.sql + z.start + z.end, Dur::ZERO);
         assert_eq!(z.jitter, 0.0);
     }

@@ -20,28 +20,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// The tier a process belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Role {
-    /// Front-end client (browser-like; diskless).
-    Client,
-    /// Stateless middle-tier application server.
-    AppServer,
-    /// Back-end database server (stateful, XA-style).
-    DbServer,
-}
-
-impl fmt::Display for Role {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Role::Client => "client",
-            Role::AppServer => "appserver",
-            Role::DbServer => "dbserver",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Unique identity of a client request (§2 "each request is uniquely
 /// identified"). A client issues requests one at a time, so `seq` increases
 /// monotonically per client.
@@ -222,19 +200,6 @@ impl Topology {
         self.app_servers[0]
     }
 
-    /// Role of a node in this topology, if it belongs to it.
-    pub fn role(&self, node: NodeId) -> Option<Role> {
-        if self.clients.contains(&node) {
-            Some(Role::Client)
-        } else if self.app_servers.contains(&node) {
-            Some(Role::AppServer)
-        } else if self.db_servers.contains(&node) {
-            Some(Role::DbServer)
-        } else {
-            None
-        }
-    }
-
     /// Size of a majority quorum among application servers (§4 assumes a
     /// majority of app servers are correct).
     pub fn app_majority(&self) -> usize {
@@ -255,15 +220,6 @@ mod tests {
         assert_eq!(t.len(), 6);
         assert!(!t.is_empty());
         assert_eq!(t.primary(), NodeId(1));
-    }
-
-    #[test]
-    fn topology_roles() {
-        let t = Topology::new(1, 3, 2);
-        assert_eq!(t.role(NodeId(0)), Some(Role::Client));
-        assert_eq!(t.role(NodeId(2)), Some(Role::AppServer));
-        assert_eq!(t.role(NodeId(5)), Some(Role::DbServer));
-        assert_eq!(t.role(NodeId(9)), None);
     }
 
     #[test]
@@ -313,7 +269,6 @@ mod tests {
     fn display_formats_are_nonempty_and_stable() {
         let rid = ResultId::first(RequestId { client: NodeId(3), seq: 2 });
         assert_eq!(format!("{rid}"), "n3#r2/j1");
-        assert_eq!(format!("{}", Role::AppServer), "appserver");
     }
 
     /// The golden trace hashes are FNV-1a of `Debug` text, so packing must

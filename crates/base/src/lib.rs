@@ -33,7 +33,6 @@
 
 pub mod attempts;
 pub mod config;
-pub mod error;
 pub mod fault;
 pub mod host;
 pub mod ids;
@@ -50,9 +49,8 @@ pub mod wal;
 
 pub use attempts::AttemptWindows;
 pub use config::{BatchingConfig, CostModel, FdConfig, ProtocolConfig};
-pub use error::IssueError;
 pub use fault::{CapabilityError, FaultOp, NemesisWhen, TracePred};
-pub use ids::{NodeId, RegId, RequestId, ResultId, Role};
+pub use ids::{NodeId, RegId, RequestId, ResultId};
 pub use msg::Payload;
 pub use retry::{AttemptDriver, IssuePlan, RetryTimer};
 pub use runtime::{Context, Event, Process};

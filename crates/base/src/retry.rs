@@ -246,15 +246,6 @@ impl AttemptDriver {
         self.rebroadcasts = self.rebroadcasts.saturating_add(1);
         n
     }
-
-    /// Counts a policy-level resend that did *not* advance the attempt
-    /// (the baseline's naive resend under at-most-once semantics advances
-    /// attempts; the e-Transaction re-broadcast does not — both want a
-    /// budget).
-    pub fn count_retry(&mut self) -> u32 {
-        self.retries += 1;
-        self.retries
-    }
 }
 
 #[cfg(test)]
@@ -356,13 +347,5 @@ mod tests {
         assert_eq!(d.note_rebroadcast(), 0, "first broadcast gets the base gap");
         assert_eq!(d.note_rebroadcast(), 1);
         assert_eq!(d.note_rebroadcast(), 2);
-    }
-
-    #[test]
-    fn count_retry_tracks_budget_without_attempt_advance() {
-        let mut d = AttemptDriver::new(req(1));
-        assert_eq!(d.count_retry(), 1);
-        assert_eq!(d.count_retry(), 2);
-        assert_eq!(d.rid().attempt, 1, "resend budget is independent of the attempt counter");
     }
 }

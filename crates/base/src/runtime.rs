@@ -230,17 +230,6 @@ pub trait Context {
     fn subscribe_node_events(&mut self);
 }
 
-/// Convenience helpers layered over the object-safe core.
-impl dyn Context + '_ {
-    /// Sends the same payload to every node in `dest` (the pseudo-code's
-    /// multicast `send ... to alist`; no atomicity assumed, per Appendix 1).
-    pub fn multicast(&mut self, dest: &[NodeId], payload: Payload) {
-        for &d in dest {
-            self.send(d, payload.clone());
-        }
-    }
-}
-
 /// Draws a uniform `f64` in `[0, 1)` from the context's deterministic
 /// randomness.
 pub fn uniform_f64(ctx: &mut dyn Context) -> f64 {

@@ -47,14 +47,6 @@ mod tests {
     /// The decide re-push period of the servers under test.
     const RETRY: Dur = Dur::from_millis(150);
 
-    fn fast_net() -> NetConfig {
-        NetConfig {
-            min_delay: Dur::from_micros(100),
-            max_delay: Dur::from_micros(300),
-            ..NetConfig::default()
-        }
-    }
-
     fn bank_request(client: NodeId, seq: u64, db: NodeId) -> Request {
         Request {
             id: RequestId { client, seq },
@@ -75,7 +67,7 @@ mod tests {
         let topo = Topology::new(1, apps, 1);
         let mut cfg = SimConfig::with_seed(seed);
         cfg.cost = CostModel::fast_for_tests();
-        cfg.net = fast_net();
+        cfg.net = NetConfig::fast_for_tests();
         let mut sim = Sim::new(cfg);
         let server = topo.app_servers[0];
         {

@@ -62,9 +62,9 @@
 //!   executed ahead of a decision; claims change what a slot carries, not
 //!   what the databases see.
 //!
-//! The log owns no consensus machinery: it sequences batches through a
-//! [`WoRegisters`] bank, so one engine per application server keeps
-//! speaking for that server. What it does own is its **pump** — the one
+//! The log owns no consensus machinery: it sequences batches through the
+//! server's [`WoRegisters`] bank, one consensus instance per slot, so one
+//! bank per application server keeps speaking for that server. What it does own is its **pump** — the one
 //! place a slot is opened — and so it is the one that says what each pump
 //! opened ([`DecisionLog::opened_proposal`]: the host ships exactly that
 //! for speculation, once, in the event that proposed it).
@@ -105,9 +105,9 @@
 //! the maps answered, in the same order, so no apply, pull or proposal
 //! moves.
 
+use crate::engine::WoRegisters;
 use crate::few::Few;
 use crate::window::SlotWindow;
-use crate::woreg::WoRegisters;
 use crate::Suspects;
 use etx_base::attempts::AttemptWindows;
 use etx_base::ids::{NodeId, RegId, ResultId};

@@ -1,10 +1,19 @@
-//! Rotating-coordinator consensus, one instance per write-once register.
+//! Write-once registers, one consensus instance per register.
 //!
-//! The paper builds wo-registers from "a consensus protocol executed among
-//! the application servers (e.g. \[4\])" — Chandra & Toueg's ◇S algorithm —
-//! and Appendix 3 assumes the optimised variant where, in nice runs, "it
-//! takes only a round trip message for the first primary to write into the
-//! register". This module implements that family:
+//! §4 of the paper: *"A wo-register has two operations: read() and write().
+//! If several processes try to write a value in the register, only one value
+//! is written, and once it is written, no other value can be written."* The
+//! paper sketches the construction this module implements verbatim: every
+//! application server holds a copy; `write(v)` proposes `v` to a consensus
+//! instance dedicated to the register; `read()` returns the consensus
+//! decision or `⊥` if none was reached yet, with a pull mechanism providing
+//! the "keep reading and you will eventually see the value" liveness.
+//!
+//! The consensus is "a consensus protocol executed among the application
+//! servers (e.g. \[4\])" — Chandra & Toueg's ◇S algorithm — and Appendix 3
+//! assumes the optimised variant where, in nice runs, "it takes only a
+//! round trip message for the first primary to write into the register".
+//! This module implements that family:
 //!
 //! * rounds `r = 0, 1, 2, …` with coordinator `alist[r mod n]`;
 //! * **round 0 fast path**: nothing can have been decided before the first
@@ -30,7 +39,7 @@
 //! behaviour **while no server recovers after losing its round state**;
 //! only termination needs ◇P accuracy and a correct majority, mirroring
 //! the paper's §4/§5 discussion. Nothing here is stable: a recovered
-//! server is a fresh engine that acks and coordinates as if it had never
+//! server is a fresh bank that acks and coordinates as if it had never
 //! voted, so an acceptor that forgets its round-0 ack, or a coordinator
 //! that forgets its own decision, lets a later round decide a second
 //! value for the same slot. A whole tier that loses everything at once
@@ -42,8 +51,8 @@
 //! decided, so the slots in use are `0..frontier` with at most a handful
 //! undecided. The decided values therefore sit in a window over
 //! consecutive slots, not in a map, and the window starts at the
-//! **compacted prefix** ([`ConsensusEngine::compact_below`]): every slot
-//! below it answers with one shared placeholder, so what the engine keeps
+//! **compacted prefix** ([`WoRegisters::compact_below`]): every slot
+//! below it answers with one shared placeholder, so what the bank keeps
 //! follows the slots still in use, not the log's history.
 //! An undecided instance keeps its round's estimates and acks by the
 //! sender's position in the peer list, in place for groups of up to five
@@ -82,11 +91,24 @@ impl Default for EngineConfig {
     }
 }
 
+/// Completion notices produced by [`WoRegisters::handle`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum WoEvent {
+    /// A register now has its (unique, final) value at this replica. Fires
+    /// at most once per register per replica.
+    Decided {
+        /// Which register.
+        reg: RegId,
+        /// Its value, forever.
+        value: RegValue,
+    },
+}
+
 /// Peers whose round state an instance holds in place; a larger group
 /// keeps it in one heap block per instance.
 const INLINE_PEERS: usize = 5;
 
-/// One entry per peer, at the peer's position in the engine's `peers`: a
+/// One entry per peer, at the peer's position in the bank's `peers`: a
 /// round's estimates or acks. No map, no per-round allocation for groups
 /// of up to [`INLINE_PEERS`].
 #[derive(Debug)]
@@ -173,10 +195,12 @@ fn index(inst: RegId) -> u64 {
     inst.slot_index().expect("every register is a slot")
 }
 
-/// Multi-instance consensus engine. One per application server, embedded in
-/// its process (it is a component, not a node).
+/// One application server's view of all write-once registers (Figure 4's
+/// `regA[..]` and `regD[..]`, here the slots of the decision log): a
+/// multi-instance consensus engine embedded in its process (it is a
+/// component, not a node).
 #[derive(Debug)]
-pub struct ConsensusEngine {
+pub struct WoRegisters {
     me: NodeId,
     /// `me`'s position in `peers`: where its own estimate and ack go.
     me_at: usize,
@@ -201,20 +225,21 @@ pub struct ConsensusEngine {
     /// The one value every compacted slot answers with (`None` until the
     /// first compaction).
     placeholder: Option<RegValue>,
-    /// Decisions reached since the last `handle`/`propose` drain.
-    fresh: Few<(RegId, RegValue)>,
+    /// Decisions reached since the last `handle`/`write` drain.
+    fresh: Few<WoEvent>,
     started: bool,
 }
 
-impl ConsensusEngine {
-    /// Creates an engine for `me` among `peers` (which must include `me`).
+impl WoRegisters {
+    /// Creates the register bank for `me` replicated across `peers` (which
+    /// must include `me`).
     ///
     /// # Panics
     ///
     /// Panics if `peers` does not contain `me`.
     pub fn new(me: NodeId, peers: &[NodeId], cfg: EngineConfig) -> Self {
         let me_at = peers.iter().position(|&p| p == me);
-        ConsensusEngine {
+        WoRegisters {
             me,
             me_at: me_at.expect("engine peers must include the owner"),
             peers: peers.to_vec(),
@@ -246,9 +271,9 @@ impl ConsensusEngine {
         self.peers.iter().position(|&p| p == node)
     }
 
-    /// Locally known decision, if any (the wo-register `read()` fast path):
-    /// the placeholder for a compacted slot.
-    pub fn decided(&self, inst: RegId) -> Option<&RegValue> {
+    /// `read()`: the register's value, or `None` (the paper's `⊥`); the
+    /// placeholder for a compacted slot.
+    pub fn read(&self, inst: RegId) -> Option<&RegValue> {
         let slot = index(inst);
         if slot < self.compacted_below {
             return self.placeholder.as_ref();
@@ -256,22 +281,23 @@ impl ConsensusEngine {
         self.decided.get(slot)
     }
 
-    /// Decided values the engine still stores: those at or above the
+    /// Decided values the bank still stores: those at or above the
     /// compacted prefix (observability / bounded-state tests).
     pub fn held_slots(&self) -> usize {
         self.decided.held()
     }
 
-    /// Number of undecided instances — the open work the periodic timers
-    /// pay for (observability / bounded-state tests).
-    pub fn open_instances(&self) -> usize {
+    /// Number of registers with a write in flight or a pull outstanding —
+    /// undecided at this replica, the open work the periodic timers pay for
+    /// (observability / bounded-state tests).
+    pub fn open_registers(&self) -> usize {
         self.instances.len()
     }
 
     /// The round state of an instance the caller knows to be undecided,
     /// created on first contact.
     fn instance_mut(&mut self, inst: RegId) -> &mut Instance {
-        debug_assert!(self.decided(inst).is_none(), "{inst} is decided");
+        debug_assert!(self.read(inst).is_none(), "{inst} is decided");
         let peers = self.peers.len();
         self.instances.entry(inst).or_insert_with(|| Instance::new(peers))
     }
@@ -286,18 +312,19 @@ impl ConsensusEngine {
         }
     }
 
-    /// Proposes `value` for `inst`. If the instance is already decided
-    /// locally, returns the decision immediately (the wo-register `write()`
-    /// returning "some other value already written"); otherwise the outcome
-    /// arrives later from [`Self::handle`].
-    pub fn propose(
+    /// `write(input)`: attempts to write `value` into `inst`. Returns the
+    /// register's value immediately if it is already known at this replica
+    /// (which may be `value` or an earlier writer's value — the wo-register
+    /// contract); otherwise returns `None` and a [`WoEvent::Decided`]
+    /// arrives later via [`Self::handle`].
+    pub fn write(
         &mut self,
         ctx: &mut dyn Context,
         inst: RegId,
         value: RegValue,
         suspects: Suspects<'_>,
     ) -> Option<RegValue> {
-        if let Some(d) = self.decided(inst) {
+        if let Some(d) = self.read(inst) {
             return Some(d.clone());
         }
         let me = self.me;
@@ -327,8 +354,8 @@ impl ConsensusEngine {
         // patience timer in that case.
         self.reevaluate_instance(ctx, inst, suspects);
         // A degenerate quorum (single replica) can decide synchronously.
-        let d = self.decided(inst)?.clone();
-        self.fresh.retain(|(r, _)| *r != inst);
+        let d = self.read(inst)?.clone();
+        self.fresh.retain(|WoEvent::Decided { reg, .. }| *reg != inst);
         Some(d)
     }
 
@@ -337,21 +364,22 @@ impl ConsensusEngine {
     /// value): one message per peer, none if already decided. Callers pull
     /// a slot once per resync period.
     pub fn pull(&mut self, ctx: &mut dyn Context, inst: RegId) {
-        if self.decided(inst).is_some() {
+        if self.read(inst).is_some() {
             return;
         }
         self.instance_mut(inst);
         self.broadcast(ctx, || ConsensusMsg::DecideReq { inst });
     }
 
-    /// Feeds one runtime event. Returns instances decided *by this call*
-    /// (usually none or one, which a [`Few`] holds without allocating).
+    /// Feeds one runtime event. Returns registers decided *by this call*
+    /// (usually none or one, which a [`Few`] holds without allocating;
+    /// owned, so the caller may go on using the bank while it reads them).
     pub fn handle(
         &mut self,
         ctx: &mut dyn Context,
         event: &Event,
         suspects: Suspects<'_>,
-    ) -> Few<(RegId, RegValue)> {
+    ) -> Few<WoEvent> {
         match event {
             Event::Message { from, payload: Payload::Consensus(m) } => {
                 self.on_msg(ctx, *from, m.clone(), suspects);
@@ -506,7 +534,7 @@ impl ConsensusEngine {
     }
 
     fn learn(&mut self, inst: RegId, value: RegValue) {
-        if self.decided(inst).is_none() {
+        if self.read(inst).is_none() {
             self.record_decision(inst, value);
         }
     }
@@ -517,7 +545,7 @@ impl ConsensusEngine {
         self.instances.remove(&inst);
         debug_assert!(index(inst) >= self.compacted_below, "{inst} is compacted");
         *self.decided.entry(index(inst)) = Some(value.clone());
-        self.fresh.push((inst, value));
+        self.fresh.push(WoEvent::Decided { reg: inst, value });
     }
 
     fn on_msg(
@@ -529,7 +557,7 @@ impl ConsensusEngine {
     ) {
         match msg {
             ConsensusMsg::Estimate { inst, round, est, ts } => {
-                if let Some(v) = self.decided(inst).cloned() {
+                if let Some(v) = self.read(inst).cloned() {
                     ctx.send(from, Payload::Consensus(ConsensusMsg::Decide { inst, value: v }));
                     return;
                 }
@@ -553,7 +581,7 @@ impl ConsensusEngine {
                 }
             }
             ConsensusMsg::Propose { inst, round, value } => {
-                if let Some(v) = self.decided(inst).cloned() {
+                if let Some(v) = self.read(inst).cloned() {
                     ctx.send(from, Payload::Consensus(ConsensusMsg::Decide { inst, value: v }));
                     return;
                 }
@@ -600,7 +628,7 @@ impl ConsensusEngine {
                 self.learn(inst, value);
             }
             ConsensusMsg::DecideReq { inst } => {
-                if let Some(v) = self.decided(inst).cloned() {
+                if let Some(v) = self.read(inst).cloned() {
                     ctx.send(from, Payload::Consensus(ConsensusMsg::Decide { inst, value: v }));
                 }
             }
@@ -666,10 +694,10 @@ mod tests {
 
     /// What a resync tick must pull, in the order it must send it: every
     /// undecided instance this server holds an estimate for.
-    fn resync_by_full_scan(engine: &ConsensusEngine) -> Vec<(NodeId, Payload)> {
+    fn resync_by_full_scan(engine: &WoRegisters) -> Vec<(NodeId, Payload)> {
         let mut out = Vec::new();
         for (&inst, i) in &engine.instances {
-            if engine.decided(inst).is_none() && i.est.is_some() {
+            if engine.read(inst).is_none() && i.est.is_some() {
                 for p in PEERS.into_iter().filter(|&p| p != ME) {
                     out.push((p, Payload::Consensus(ConsensusMsg::DecideReq { inst })));
                 }
@@ -683,7 +711,7 @@ mod tests {
     /// round state; the nack moves that coordinator to the next round.
     #[test]
     fn a_second_proposal_in_an_acked_round_is_nacked() {
-        let mut engine = ConsensusEngine::new(ME, &PEERS, EngineConfig::default());
+        let mut engine = WoRegisters::new(ME, &PEERS, EngineConfig::default());
         let inst = reg(0);
         let coord = PEERS[1];
         let no_one = |_: NodeId| false;
@@ -708,10 +736,8 @@ mod tests {
     fn a_group_larger_than_the_inline_round_state_decides() {
         let peers: Vec<NodeId> = (0..7).map(NodeId).collect();
         assert!(peers.len() > INLINE_PEERS);
-        let mut engines: Vec<_> = peers
-            .iter()
-            .map(|&p| ConsensusEngine::new(p, &peers, EngineConfig::default()))
-            .collect();
+        let mut engines: Vec<_> =
+            peers.iter().map(|&p| WoRegisters::new(p, &peers, EngineConfig::default())).collect();
         let mut decided: BTreeMap<(NodeId, RegId), RegValue> = BTreeMap::new();
         for (inst, writers) in [(reg(0), 0..1), (reg(1), 1..7)] {
             let n0_down = inst == reg(1);
@@ -719,7 +745,7 @@ mod tests {
             let mut net = VecDeque::new();
             for w in writers {
                 let mut ctx = Outbox::new(peers[w]);
-                if let Some(v) = engines[w].propose(&mut ctx, inst, claim_by(peers[w]), &sus) {
+                if let Some(v) = engines[w].write(&mut ctx, inst, claim_by(peers[w]), &sus) {
                     decided.insert((peers[w], inst), v);
                 }
                 net.extend(ctx.sent.into_iter().map(|(to, m)| (peers[w], to, m)));
@@ -730,7 +756,9 @@ mod tests {
                 }
                 let mut ctx = Outbox::new(to);
                 let event = Event::Message { from, payload };
-                for (r, v) in engines[to.0 as usize].handle(&mut ctx, &event, &sus) {
+                for WoEvent::Decided { reg: r, value: v } in
+                    engines[to.0 as usize].handle(&mut ctx, &event, &sus)
+                {
                     decided.insert((to, r), v);
                 }
                 net.extend(ctx.sent.into_iter().map(|(t, m)| (to, t, m)));
@@ -752,7 +780,7 @@ mod tests {
         /// suspicion flips, GC calls and recoveries an engine sees —
         /// decisions out of slot order and far ahead of the lowest open
         /// slot, a recovered (empty) engine pulling from slot 0 — its
-        /// slot-indexed state matches an ordered-map model: `decided()`
+        /// slot-indexed state matches an ordered-map model: `read()`
         /// answers what the engine reported deciding, or the latest
         /// placeholder below the compacted prefix, and nothing else;
         /// `compact_below` advances the prefix over consecutive decided
@@ -768,7 +796,7 @@ mod tests {
                 1..120,
             ),
         ) {
-            let mut engine = ConsensusEngine::new(ME, &PEERS, EngineConfig::default());
+            let mut engine = WoRegisters::new(ME, &PEERS, EngineConfig::default());
             let mut model: BTreeMap<RegId, RegValue> = BTreeMap::new();
             // The model's prefix and the placeholder answering below it.
             let (mut compacted, mut placeholder): (u64, Option<RegValue>) = (0, None);
@@ -795,10 +823,10 @@ mod tests {
                     6 => Some(ConsensusMsg::DecideReq { inst }),
                     7 => {
                         let known = known(&model, compacted, &placeholder, inst);
-                        let answer = engine.propose(&mut ctx, inst, value, &sus);
+                        let answer = engine.write(&mut ctx, inst, value, &sus);
                         match known {
                             Some(d) => prop_assert_eq!(answer, Some(d), "a decided write answers"),
-                            None => reported.extend(answer.map(|d| (inst, d))),
+                            None => reported.extend(answer.map(|value| WoEvent::Decided { reg: inst, value })),
                         }
                         None
                     }
@@ -834,7 +862,7 @@ mod tests {
                     }
                     11 => {
                         // A recovered server: no decision, no round state.
-                        engine = ConsensusEngine::new(ME, &PEERS, EngineConfig::default());
+                        engine = WoRegisters::new(ME, &PEERS, EngineConfig::default());
                         model.clear();
                         (compacted, placeholder) = (0, None);
                         None
@@ -854,13 +882,13 @@ mod tests {
                 // Decisions a call left in the buffer surface at the next
                 // event, whatever it is.
                 reported.extend(engine.handle(&mut ctx, &Event::Init, &sus));
-                for (r, d) in reported {
+                for WoEvent::Decided { reg: r, value: d } in reported {
                     prop_assert!(model.insert(r, d).is_none(), "{} decided twice", r);
                 }
                 for k in UNIVERSE.into_iter().chain([4, 5, 63, 65, 1_000]) {
                     let r = RegId::slot(k);
                     let expect = known(&model, compacted, &placeholder, r);
-                    prop_assert_eq!(engine.decided(r), expect.as_ref(), "decided({})", r);
+                    prop_assert_eq!(engine.read(r), expect.as_ref(), "read({})", r);
                 }
                 let held = model.keys().filter(|r| r.slot_index().expect("a slot") >= compacted);
                 prop_assert_eq!(engine.held_slots(), held.count());

@@ -6,11 +6,10 @@
 //! per-attempt register arrays (`regA[j]`, `regD[j]`) into one sequence of
 //! them.
 //!
-//! * [`engine::ConsensusEngine`] — multi-instance Chandra–Toueg-style
-//!   consensus with the round-0 fast path ("one round trip for the first
+//! * [`engine::WoRegisters`] — the CD-ROM abstraction, `write()` once and
+//!   `read()` many, as one Chandra–Toueg-style consensus instance per
+//!   register, with the round-0 fast path ("one round trip for the first
 //!   primary") and FD-driven round changes;
-//! * [`woreg::WoRegisters`] — the CD-ROM abstraction on top: `write()` once,
-//!   `read()` many;
 //! * [`declog::DecisionLog`] — the sequenced decision log over wo-register
 //!   slots: ordered batches of request outcomes and owner claims, one
 //!   consensus round per batch, with first-occurrence arbitration
@@ -23,12 +22,10 @@ pub mod declog;
 pub mod engine;
 pub mod few;
 mod window;
-pub mod woreg;
 
 pub use declog::{AppliedSlot, DecisionLog};
-pub use engine::{ConsensusEngine, EngineConfig, Suspects};
+pub use engine::{EngineConfig, Suspects, WoEvent, WoRegisters};
 pub use few::Few;
-pub use woreg::{WoEvent, WoRegisters};
 
 /// What the unit tests of this crate share: an inert [`Context`] that
 /// records sends, and a register value that names a server.
@@ -361,16 +358,16 @@ mod tests {
             fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
                 if matches!(event, Event::Init) {
                     let me = ctx.me();
-                    let mut e = ConsensusEngine::new(me, &[me], EngineConfig::default());
+                    let mut e = WoRegisters::new(me, &[me], EngineConfig::default());
                     let sus = |_: NodeId| false;
-                    let v = e.propose(ctx, self.r, claim_by(me), &sus);
+                    let v = e.write(ctx, self.r, claim_by(me), &sus);
                     assert_eq!(v, Some(claim_by(me)));
                     let placeholder = RegValue::Watermarks(Arc::new(vec![(me, 1)]));
                     // Slot 1 is undecided: the prefix stops below it.
                     let compacted = e.compact_below(2, |_| placeholder.clone());
                     assert!(!e.compact_below(2, |_| unreachable!("nothing more to compact")));
-                    assert_eq!(e.decided(self.r), Some(&placeholder));
-                    assert_eq!(e.decided(reg(1)), None);
+                    assert_eq!(e.read(self.r), Some(&placeholder));
+                    assert_eq!(e.read(reg(1)), None);
                     *self.out.lock().unwrap() = Some(compacted);
                 }
             }

@@ -11,7 +11,7 @@ use etx_base::time::{Dur, Time};
 use etx_base::trace::TraceKind;
 use etx_base::value::{OwnerClaim, RegValue, SlotBatch};
 use etx_base::wal::StableRecord;
-use etx_consensus::{ConsensusEngine, EngineConfig};
+use etx_consensus::{EngineConfig, WoEvent, WoRegisters};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -82,7 +82,7 @@ fn claimant(value: &RegValue) -> NodeId {
 /// A little world of `n` engines plus an in-flight message bag the
 /// adversary controls.
 struct World {
-    engines: Vec<Option<ConsensusEngine>>,    // None = crashed
+    engines: Vec<Option<WoRegisters>>,        // None = crashed
     bag: VecDeque<(NodeId, NodeId, Payload)>, // (from, to, payload)
     decided: Vec<Option<RegValue>>,
     crashed: Vec<NodeId>,
@@ -97,7 +97,7 @@ impl World {
                 if crashed.contains(&(p.0 as usize)) {
                     None
                 } else {
-                    Some(ConsensusEngine::new(p, &peers, EngineConfig::default()))
+                    Some(WoRegisters::new(p, &peers, EngineConfig::default()))
                 }
             })
             .collect();
@@ -127,7 +127,7 @@ impl World {
         let crashed = self.crashed.clone();
         let sus = move |n: NodeId| crashed.contains(&n);
         if let Some(engine) = self.engines[idx].as_mut() {
-            if let Some(v) = engine.propose(&mut ctx, inst(), value, &sus) {
+            if let Some(v) = engine.write(&mut ctx, inst(), value, &sus) {
                 self.decided[idx] = Some(v);
             }
         }
@@ -150,7 +150,7 @@ impl World {
         let crashed = self.crashed.clone();
         let sus = move |n: NodeId| crashed.contains(&n);
         let event = Event::Message { from, payload };
-        for (reg, value) in engine.handle(&mut ctx, &event, &sus) {
+        for WoEvent::Decided { reg, value } in engine.handle(&mut ctx, &event, &sus) {
             assert_eq!(reg, inst());
             self.decided[idx] = Some(value);
         }
@@ -190,7 +190,7 @@ impl World {
                 engine.on_suspicion_change(&mut ctx, &sus);
                 // Resync pull as well (read liveness).
                 let ev = Event::Timer { id: TimerId(0), tag: TimerTag::ConsensusResync };
-                for (_, value) in engine.handle(&mut ctx, &ev, &sus) {
+                for WoEvent::Decided { value, .. } in engine.handle(&mut ctx, &ev, &sus) {
                     self.decided[idx] = Some(value);
                 }
             }
@@ -329,7 +329,7 @@ fn compacted_instance_answers_late_writers_instead_of_reopening() {
     for idx in [0usize, 1] {
         let engine = w.engines[idx].as_mut().expect("live");
         assert!(engine.compact_below(1, |_| table.clone()), "a decided prefix compacts");
-        assert_eq!(engine.decided(inst()), Some(&table));
+        assert_eq!(engine.read(inst()), Some(&table));
     }
     // Node 2 pulls the slot, full connectivity again: it must learn the
     // table.
@@ -342,7 +342,7 @@ fn compacted_instance_answers_late_writers_instead_of_reopening() {
     assert_eq!(w.decided[2].as_ref(), Some(&table), "a pull of a compacted slot gets the table");
     // A fresh replica in node 2's place proposes its own value into the
     // position it thinks is open: it must adopt the table too.
-    w.engines[2] = Some(ConsensusEngine::new(
+    w.engines[2] = Some(WoRegisters::new(
         NodeId(2),
         &[NodeId(0), NodeId(1), NodeId(2)],
         EngineConfig::default(),

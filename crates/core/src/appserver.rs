@@ -384,7 +384,7 @@ impl AppServer {
         self.attempts.iter().filter(|(_, a)| a.cleaned).count()
     }
 
-    /// Undecided registers in this server's consensus engine — what its
+    /// Undecided registers in this server's register bank — what its
     /// resync timer walks (observability / GC tests).
     pub fn open_registers(&self) -> usize {
         self.regs.open_registers()
@@ -695,7 +695,10 @@ impl AppServer {
     /// Flush policy, evaluated once per handled event: flush when the queue
     /// hit the size threshold, when batching is off, or when no other
     /// attempt is mid-flight (nothing further could join the batch soon);
-    /// otherwise arm the window timer as the latency backstop.
+    /// otherwise arm the window timer as the latency backstop. A flush may
+    /// queue an outcome again — its slot can hand this server an attempt
+    /// that computes and votes at once — so the policy runs until nothing
+    /// is queued or the window timer is armed.
     fn maybe_flush(&mut self, ctx: &mut dyn Context) {
         if self.batch_queue.is_empty() {
             return;
@@ -716,6 +719,7 @@ impl AppServer {
             || idle()
         {
             self.flush_batch(ctx);
+            self.maybe_flush(ctx);
         } else if self.batch_timer.is_none() {
             self.batch_timer = Some(ctx.set_timer(batching.window, TimerTag::BatchFlush));
         }
@@ -879,14 +883,12 @@ impl Process for AppServer {
         //    everything downstream asks it `suspects` in place. An event
         //    only the detector reads — a peer's heartbeat, its own tick —
         //    ends here unless it moved a suspicion: stages 2–4 do nothing
-        //    with one, and the flush policy (5) ran at the end of the last
-        //    event over the same state. Unless that policy's own flush
-        //    applied a slot that queued an outcome again: then no window
-        //    timer is armed, and the policy looks once more. So with the
-        //    detector quiet and the policy idle, a heartbeat emits nothing
-        //    (`background_inert`), and the detector's note of it is all it
-        //    does: a heartbeat the host held comes through `absorb`
-        //    instead, and only the heartbeats it queued arrive here.
+        //    with one, and the flush policy (5) left nothing queued or its
+        //    window timer armed at the end of the last event. So with the
+        //    detector quiet, a heartbeat emits nothing (`background_inert`),
+        //    and the detector's note of it is all it does: a heartbeat the
+        //    host held comes through `absorb` instead, and only the
+        //    heartbeats it queued arrive here.
         let transitions = self.fd.handle(ctx, &event);
         let detector_only = matches!(
             event,
@@ -894,9 +896,6 @@ impl Process for AppServer {
                 | Event::Timer { tag: TimerTag::FdHeartbeat, .. }
         );
         if detector_only && transitions.is_empty() {
-            if self.batch_timer.is_none() {
-                self.maybe_flush(ctx);
-            }
             return;
         }
         let newly_suspected =
@@ -1002,6 +1001,7 @@ impl Process for AppServer {
         //    after everything that could have queued an outcome or changed
         //    in-flight state.
         self.maybe_flush(ctx);
+        debug_assert!(self.batch_queue.is_empty() || self.batch_timer.is_some());
     }
 
     fn name(&self) -> &'static str {
@@ -1009,10 +1009,9 @@ impl Process for AppServer {
     }
 
     /// Stage 1 of `on_event` ends a heartbeat that moves no suspicion; it
-    /// emits nothing when the detector is quiet and the flush policy has
-    /// nothing to do: no queued outcome, or its window timer armed.
+    /// emits nothing when the detector is quiet.
     fn background_inert(&self) -> bool {
-        self.fd.quiet() && (self.batch_queue.is_empty() || self.batch_timer.is_some())
+        self.fd.quiet()
     }
 
     /// Stage 1 of an inert server's heartbeat: the detector notes it.
@@ -1113,5 +1112,48 @@ mod tests {
         assert_eq!(verdict, [NodeId(3)]);
         assert_eq!(tick(&mut handled), (verdict, emitted), "an equal detector");
         assert_eq!(tick(&mut unheard).0, [NodeId(1), NodeId(3)], "the heartbeat counted");
+    }
+
+    /// On a one-server bank every slot decides inside the flush that
+    /// proposes it, and an attempt whose script touches no database
+    /// computes and votes at once. So a flush whose slot carries such an
+    /// attempt's claim queues that attempt's outcome again: the flush
+    /// policy flushes it too, and leaves nothing queued without a window
+    /// timer for the next event.
+    #[test]
+    fn a_flush_that_queues_an_outcome_again_flushes_it_too() {
+        let topo = Topology::new(2, 1, 1);
+        let me = Recorder::default().me();
+        assert_eq!(topo.app_servers, [me]);
+        let detector = Box::new(HeartbeatFd::new(me, &topo.app_servers, FdConfig::default()));
+        let cfg = ProtocolConfig::fast_for_tests();
+        let mut app = AppServer::new(me, topo.clone(), cfg, CostModel::fast_for_tests(), detector);
+        let mut ctx = Recorder::default();
+        app.on_event(&mut ctx, Event::Init);
+        let [a, b] = [0, 1].map(|c| {
+            let id = RequestId { client: topo.clients[c], seq: 1 };
+            let request = Request { id, script: RequestScript::from_calls(Vec::new()) };
+            let msg = ClientMsg::Request { request, attempt: 1, ack_below: 1, stamps: Vec::new() };
+            app.on_event(
+                &mut ctx,
+                Event::Message { from: id.client, payload: Payload::Client(msg) },
+            );
+            ResultId::first(id)
+        });
+        // `b` is claimed, computes and votes: its outcome is queued.
+        app.dispatch_claim(&mut ctx, b);
+        assert_eq!(app.batch_queue.iter().map(|(rid, _)| *rid).collect::<Vec<_>>(), [b]);
+        // `a`'s claim waits in the log, as a dispatch queues it.
+        if let Some(Phase::Claiming { since, .. }) = app.phase_mut(a) {
+            *since = Some(Time::ZERO);
+        }
+        app.log.claim(a, true);
+        // One flush carries `b`'s outcome and `a`'s claim; `a` computes
+        // and votes in it, and its outcome is flushed as well.
+        app.maybe_flush(&mut ctx);
+        assert!(app.batch_queue.is_empty(), "{:?}", app.batch_queue);
+        assert!(app.batch_timer.is_none());
+        assert!(matches!(app.phase(a), Some(Phase::Done { .. })), "{:?}", app.phase(a));
+        assert!(matches!(app.phase(b), Some(Phase::Done { .. })), "{:?}", app.phase(b));
     }
 }

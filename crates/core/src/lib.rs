@@ -149,11 +149,7 @@ mod tests {
     ) -> Sim {
         let mut cfg = SimConfig::with_seed(seed);
         cfg.cost = CostModel::fast_for_tests();
-        cfg.net = NetConfig {
-            min_delay: Dur::from_micros(100),
-            max_delay: Dur::from_micros(300),
-            ..NetConfig::default()
-        };
+        cfg.net = NetConfig::fast_for_tests();
         let mut sim = Sim::new(cfg);
         let fd_cfg = FdConfig {
             heartbeat_every: Dur::from_millis(2),

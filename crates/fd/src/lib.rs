@@ -26,10 +26,10 @@
 //! step. Everything downstream asks [`FailureDetector::suspects`] in place.
 //!
 //! So while its detector is [`FailureDetector::quiet`] — it suspects no
-//! peer, so no heartbeat can withdraw a suspicion — and its pipeline queue
-//! is empty or has its window timer armed, an application server handles
-//! a heartbeat without a trace: it notes when it heard from the sender and
-//! emits nothing. That is its `Process::background_inert` promise, and the
+//! peer, so no heartbeat can withdraw a suspicion — an application server
+//! handles a heartbeat without a trace (its flush policy leaves nothing
+//! queued without a window timer at the end of every event): it notes
+//! when it heard from the sender and emits nothing. That is its `Process::background_inert` promise, and the
 //! kernel then lets heartbeats to it wait in its mailbox until its next
 //! event instead of queueing each one as a step of its own. It hands each
 //! over through `Process::absorb`, which reaches the detector as

@@ -368,10 +368,9 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosO
     }
     if random && opts.loss_rate > 0.0 {
         builder = builder.net(NetConfig {
-            min_delay: Dur::from_micros(100),
-            max_delay: Dur::from_micros(300),
             loss_rate: opts.loss_rate,
             retransmit_gap: Dur::from_millis(2),
+            ..NetConfig::fast_for_tests()
         });
     }
 

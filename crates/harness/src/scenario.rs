@@ -117,11 +117,7 @@ impl ScenarioBuilder {
     pub fn fast(tier: MiddleTier, seed: u64) -> Self {
         let mut b = Self::new(tier, seed);
         b.cost = CostModel::fast_for_tests();
-        b.net = NetConfig {
-            min_delay: Dur::from_micros(100),
-            max_delay: Dur::from_micros(300),
-            ..NetConfig::default()
-        };
+        b.net = NetConfig::fast_for_tests();
         b.pcfg = ProtocolConfig::fast_for_tests();
         b.fd = FdConfig {
             heartbeat_every: Dur::from_millis(2),

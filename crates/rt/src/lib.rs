@@ -140,11 +140,6 @@ impl ThreadedHost {
         self.stopped = true;
     }
 
-    /// Whether [`ThreadedHost::stop`] has run.
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
     /// Node name (diagnostics).
     pub fn node_name(&self, node: NodeId) -> &'static str {
         self.kernel.node_name(node)

@@ -155,10 +155,6 @@ impl SimConfig {
     }
 }
 
-/// A process factory: invoked at node creation and again at every recovery
-/// (volatile state is rebuilt from scratch; stable storage persists).
-pub type Factory = NodeFactory;
-
 /// A queue entry. `Fault` is a scheduled fault-plane operation, lowered
 /// when it fires; `Undo` is what a bounded one left behind when it did.
 enum Action {
@@ -222,7 +218,7 @@ struct Slot {
     life: Life,
     incarnation: u32,
     process: Option<Box<dyn Process>>,
-    factory: Factory,
+    factory: NodeFactory,
     storage: StableStorage,
 }
 
@@ -357,7 +353,7 @@ impl<C: Clock> Kernel<C> {
     /// order, matching `Topology::new` (clients, then app servers, then
     /// databases). The factory builds the process now and again at every
     /// recovery; its `Init` is queued at the current instant.
-    pub fn add_node(&mut self, name: &'static str, mut factory: Factory) -> NodeId {
+    pub fn add_node(&mut self, name: &'static str, mut factory: NodeFactory) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         let process = factory(id);
         self.mail.push(Mailbox { inert: process.background_inert(), ..Mailbox::default() });

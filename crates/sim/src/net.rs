@@ -52,6 +52,18 @@ impl NetConfig {
         NetConfig::default()
     }
 
+    /// The one-way latencies at [`CostModel::fast_for_tests`] scale,
+    /// 100–300 µs.
+    ///
+    /// [`CostModel::fast_for_tests`]: etx_base::config::CostModel::fast_for_tests
+    pub fn fast_for_tests() -> Self {
+        NetConfig {
+            min_delay: Dur::from_micros(100),
+            max_delay: Dur::from_micros(300),
+            ..NetConfig::default()
+        }
+    }
+
     /// A lossy profile for chaos tests.
     pub fn lossy(loss_rate: f64) -> Self {
         NetConfig { loss_rate, ..NetConfig::default() }
@@ -87,6 +99,22 @@ pub fn sample_delivery_delay(cfg: &NetConfig, rng: &mut Rng) -> Dur {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etx_base::config::CostModel;
+
+    #[test]
+    fn paper_lan_matches_the_papers_round_trip() {
+        // RPC round trip in the paper's environment: 3–5 ms.
+        let n = NetConfig::paper_lan();
+        assert!(n.min_delay + n.min_delay >= Dur::from_millis(3));
+        assert!(n.max_delay + n.max_delay <= Dur::from_millis(5));
+    }
+
+    #[test]
+    fn fast_hops_are_outweighed_by_a_prepare_and_a_forced_write() {
+        let (f, n) = (CostModel::fast_for_tests(), NetConfig::fast_for_tests());
+        assert!(f.db_prepare > n.max_delay);
+        assert!(f.log_force > n.max_delay, "forced IO must dominate a one-way hop");
+    }
 
     #[test]
     fn lossless_delay_within_bounds() {
