@@ -324,14 +324,10 @@ pub struct ProtocolConfig {
     /// Retransmission period of the terminate() repeat-loop (Figure 4
     /// lines 2–6) while waiting for every database's `AckDecide`.
     pub terminate_retry: Dur,
-    /// Period of the cleaning thread's scan (Figure 6).
-    pub cleaner_interval: Dur,
-    /// Period of consensus decision resync (decision re-broadcast /
-    /// `DecideReq` pull) — the wo-register `read()` liveness mechanism.
+    /// Period of the consensus resync: a `DecideReq` pull for every slot
+    /// this server has not seen decided (it re-broadcasts no decision) —
+    /// the wo-register `read()` liveness mechanism.
     pub consensus_resync: Dur,
-    /// Extra patience given to a round's coordinator before nacking, on top
-    /// of failure-detector suspicion. Zero means "FD-driven only".
-    pub consensus_round_patience: Dur,
     /// Adaptive routing extension (off = paper-faithful): when on, the
     /// client sends retries to the server that answered it last instead of
     /// always starting at `a1`.
@@ -348,9 +344,7 @@ impl Default for ProtocolConfig {
             client_rebroadcast: Dur::from_millis(400),
             client_rebroadcast_max: Dur::from_millis(400),
             terminate_retry: Dur::from_millis(150),
-            cleaner_interval: Dur::from_millis(100),
             consensus_resync: Dur::from_millis(120),
-            consensus_round_patience: Dur::from_millis(40),
             route_to_last_responder: false,
             features: FeatureSet::default(),
         }
@@ -368,9 +362,7 @@ impl ProtocolConfig {
             client_rebroadcast: Dur::from_millis(20),
             client_rebroadcast_max: Dur::from_millis(20),
             terminate_retry: Dur::from_millis(10),
-            cleaner_interval: Dur::from_millis(5),
             consensus_resync: Dur::from_millis(8),
-            consensus_round_patience: Dur::from_millis(4),
             ..ProtocolConfig::default()
         }
     }
@@ -398,6 +390,20 @@ impl Default for FdConfig {
             initial_timeout: Dur::from_millis(80),
             timeout_increment: Dur::from_millis(40),
             max_timeout: Dur::from_millis(2_000),
+        }
+    }
+}
+
+impl FdConfig {
+    /// The detector at [`CostModel::fast_for_tests`] scale: a 2 ms tick,
+    /// suspicion after 8 ms of silence, 4 ms more per false suspicion, up
+    /// to 200 ms.
+    pub fn fast_for_tests() -> Self {
+        FdConfig {
+            heartbeat_every: Dur::from_millis(2),
+            initial_timeout: Dur::from_millis(8),
+            timeout_increment: Dur::from_millis(4),
+            max_timeout: Dur::from_millis(200),
         }
     }
 }
@@ -609,21 +615,23 @@ mod tests {
         // The fast preset only shrinks timers: the same orderings, the same
         // flat cadence, routing and features as the default.
         let fast = ProtocolConfig::fast_for_tests();
-        for q in [&p, &fast] {
+        // The detector's tick is the cleaner's and the consensus rounds'
+        // suspicion poll: it comes round before a terminate retry or a
+        // resync would.
+        for (q, fd) in [(&p, FdConfig::default()), (&fast, FdConfig::fast_for_tests())] {
             assert!(q.client_backoff > q.client_rebroadcast);
             assert!(q.client_rebroadcast > q.terminate_retry);
             assert_eq!(q.client_rebroadcast_max, q.client_rebroadcast, "flat cadence");
-            assert!(q.cleaner_interval < q.terminate_retry);
-            assert!(q.consensus_round_patience < q.consensus_resync);
+            assert!(fd.heartbeat_every < q.terminate_retry);
+            assert!(fd.heartbeat_every < q.consensus_resync);
+            assert!(fd.initial_timeout > fd.heartbeat_every);
+            assert!(fd.max_timeout > fd.initial_timeout);
         }
         assert!(
             fast.client_backoff < p.client_backoff && fast.consensus_resync < p.consensus_resync
         );
         assert!(!fast.route_to_last_responder);
         assert_eq!(fast.features, FeatureSet::default());
-        let fd = FdConfig::default();
-        assert!(fd.initial_timeout > fd.heartbeat_every);
-        assert!(fd.max_timeout > fd.initial_timeout);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! threaded backend's real ones alike.
 
 use crate::fault::{CapabilityError, FaultOp, NemesisWhen};
-use crate::ids::{NodeId, RegId, ResultId, TimerId};
+use crate::ids::{NodeId, ResultId, TimerId};
 use crate::metrics::SpanTotals;
 use crate::msg::{FdMsg, Payload};
 use crate::time::{Dur, Time};
@@ -48,8 +48,9 @@ pub enum TimerTag {
         /// Attempt being terminated.
         rid: ResultId,
     },
-    /// Cleaner thread wake-up (Figure 6 is an infinite loop; here it is a
-    /// periodic scan).
+    /// A plain timer with no protocol meaning: no production code arms it
+    /// (the cleaner runs on the failure detector's tick). The kernel tests
+    /// and `examples/etx_bench` arm it.
     CleanerTick,
     /// The application server's pipeline queue hit its time window: flush
     /// the accumulated outcomes into a decision-log slot even though the
@@ -85,15 +86,8 @@ pub enum TimerTag {
     /// Armed and handled by nothing: the heartbeat tick does the check.
     /// Kept only because `examples/etx_bench` names it.
     FdCheck,
-    /// Consensus: coordinator of `round` made no progress; move on.
-    ConsensusRound {
-        /// Instance concerned.
-        inst: RegId,
-        /// Round whose coordinator timed out.
-        round: u32,
-    },
-    /// Consensus: periodic re-broadcast of a decision or pull of a missing
-    /// one (wo-register `read()` liveness).
+    /// Consensus: periodic pull of every decision this server is missing
+    /// (wo-register `read()` liveness); no decision is re-broadcast.
     ConsensusResync,
     /// Deferred local work, used to model service-time costs (e.g. the ORB
     /// dispatch cost before the protocol acts on a request).

@@ -32,8 +32,12 @@
 //!   (`DecideReq`), which implements the liveness half of the wo-register
 //!   `read()` spec;
 //! * round changes are driven *only* by failure-detector suspicion of the
-//!   current coordinator (plus a patience re-check timer) — never by fixed
-//!   timeouts — keeping the protocol asynchronous in the paper's sense.
+//!   current coordinator — never by fixed timeouts — keeping the protocol
+//!   asynchronous in the paper's sense. `write` checks its coordinator at
+//!   once; after that the owner re-checks every waiting round through
+//!   [`WoRegisters::on_suspicion_change`], on each suspicion change and on
+//!   each of its detector's ticks while it suspects a peer. The bank arms
+//!   no round timer: its one timer is the resync.
 //!
 //! Safety (agreement, validity, integrity) holds under any failure-detector
 //! behaviour **while no server recovers after losing its round state**;
@@ -79,15 +83,14 @@ pub type Suspects<'a> = &'a dyn Fn(NodeId) -> bool;
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Re-check interval for coordinator suspicion while waiting in a round.
-    pub patience: Dur,
-    /// Period of the decision push/pull resync.
+    /// Period of the resync: a pull for every undecided instance this
+    /// server holds an estimate for (no decision is re-broadcast).
     pub resync: Dur,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig { patience: Dur::from_millis(40), resync: Dur::from_millis(120) }
+        EngineConfig { resync: Dur::from_millis(120) }
     }
 }
 
@@ -288,7 +291,7 @@ impl WoRegisters {
     }
 
     /// Number of registers with a write in flight or a pull outstanding —
-    /// undecided at this replica, the open work the periodic timers pay for
+    /// undecided at this replica, the open work the resync timer pays for
     /// (observability / bounded-state tests).
     pub fn open_registers(&self) -> usize {
         self.instances.len()
@@ -348,10 +351,9 @@ impl WoRegisters {
             self.try_propose(ctx, inst);
         } else {
             self.send_estimates(ctx, inst, round, est, ts);
-            ctx.set_timer(self.cfg.patience, TimerTag::ConsensusRound { inst, round });
         }
         // The coordinator might already be suspected; don't wait for the
-        // patience timer in that case.
+        // owner's next suspicion poll in that case.
         self.reevaluate_instance(ctx, inst, suspects);
         // A degenerate quorum (single replica) can decide synchronously.
         let d = self.read(inst)?.clone();
@@ -384,17 +386,6 @@ impl WoRegisters {
             Event::Message { from, payload: Payload::Consensus(m) } => {
                 self.on_msg(ctx, *from, m.clone(), suspects);
             }
-            Event::Timer { tag: TimerTag::ConsensusRound { inst, round }, .. } => {
-                let (inst, round) = (*inst, *round);
-                let waiting = |e: &Self| e.instances.get(&inst).is_some_and(|i| i.round == round);
-                if waiting(self) {
-                    self.reevaluate_instance(ctx, inst, suspects);
-                    // Still undecided in the same round: keep watching.
-                    if waiting(self) {
-                        ctx.set_timer(self.cfg.patience, TimerTag::ConsensusRound { inst, round });
-                    }
-                }
-            }
             Event::Timer { tag: TimerTag::ConsensusResync, .. } => {
                 self.resync(ctx);
                 ctx.set_timer(self.cfg.resync, TimerTag::ConsensusResync);
@@ -404,8 +395,10 @@ impl WoRegisters {
         std::mem::take(&mut self.fresh)
     }
 
-    /// Re-evaluates every undecided instance after a suspicion change (the
-    /// owning server calls this on failure-detector transitions).
+    /// Re-evaluates every undecided instance against the failure detector:
+    /// the owning server calls this on every suspicion transition and on
+    /// each detector tick while it suspects a peer, the only re-check a
+    /// waiting round gets.
     pub fn on_suspicion_change(&mut self, ctx: &mut dyn Context, suspects: Suspects<'_>) {
         for inst in Vec::from_iter(self.instances.keys().copied()) {
             self.reevaluate_instance(ctx, inst, suspects);
@@ -455,7 +448,6 @@ impl WoRegisters {
             self.try_propose(ctx, inst);
         } else {
             self.send_estimates(ctx, inst, round, est, ts);
-            ctx.set_timer(self.cfg.patience, TimerTag::ConsensusRound { inst, round });
         }
     }
 
@@ -776,8 +768,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
 
-        /// Whatever interleaving of writes, peer messages, pulls, timers,
-        /// suspicion flips, GC calls and recoveries an engine sees —
+        /// Whatever interleaving of writes, peer messages, pulls, suspicion
+        /// re-checks and flips, GC calls and recoveries an engine sees —
         /// decisions out of slot order and far ahead of the lowest open
         /// slot, a recovered (empty) engine pulling from slot 0 — its
         /// slot-indexed state matches an ordered-map model: `read()`
@@ -836,8 +828,8 @@ mod tests {
                         None
                     }
                     9 => {
-                        let tag = TimerTag::ConsensusRound { inst, round };
-                        reported.extend(engine.handle(&mut ctx, &Event::Timer { id: TimerId(0), tag }, &sus));
+                        // The owner's detector tick while it suspects a peer.
+                        engine.on_suspicion_change(&mut ctx, &sus);
                         None
                     }
                     10 => {
@@ -900,6 +892,58 @@ mod tests {
                 engine.resync(&mut pulled);
                 prop_assert_eq!(pulled.sent, resync_by_full_scan(&engine));
             }
+        }
+
+        /// The bank's one timer is its resync. Whatever writes, peer
+        /// messages, suspicion changes and resync ticks it sees, at any
+        /// position in its group, it arms nothing else: a waiting round is
+        /// re-checked by its owner's suspicion poll, not by a timer.
+        #[test]
+        fn the_resync_is_the_only_timer_the_bank_arms(
+            owner in 0usize..3,
+            steps in proptest::collection::vec(
+                (0u8..9, 0u64..4, 0u32..3, 0usize..3, 0u8..8),
+                1..60,
+            ),
+        ) {
+            let me = PEERS[owner];
+            let mut engine = WoRegisters::new(me, &PEERS, EngineConfig::default());
+            let mut ctx = Outbox::new(me);
+            engine.on_init(&mut ctx);
+            for (op, slot, round, peer, suspected) in steps {
+                let inst = reg(slot);
+                let value = claim_by(PEERS[peer]);
+                let sus = move |n: NodeId| suspected & (1 << n.0) != 0;
+                let msg = match op {
+                    0 => {
+                        engine.write(&mut ctx, inst, value, &sus);
+                        None
+                    }
+                    1 => {
+                        engine.on_suspicion_change(&mut ctx, &sus);
+                        None
+                    }
+                    2 => Some(ConsensusMsg::Estimate { inst, round, est: Some(value), ts: round }),
+                    3 => Some(ConsensusMsg::Propose { inst, round, value }),
+                    4 => Some(ConsensusMsg::Ack { inst, round }),
+                    5 => Some(ConsensusMsg::Nack { inst, round }),
+                    6 => Some(ConsensusMsg::Decide { inst, value }),
+                    7 => Some(ConsensusMsg::DecideReq { inst }),
+                    _ => {
+                        let tick = Event::Timer { id: TimerId(0), tag: TimerTag::ConsensusResync };
+                        engine.handle(&mut ctx, &tick, &sus);
+                        None
+                    }
+                };
+                if let Some(m) = msg {
+                    let from = PEERS[(owner + 1 + peer % 2) % PEERS.len()];
+                    let event = Event::Message { from, payload: Payload::Consensus(m) };
+                    engine.handle(&mut ctx, &event, &sus);
+                }
+            }
+            let others: Vec<_> =
+                ctx.timers.iter().filter(|&&t| t != TimerTag::ConsensusResync).collect();
+            prop_assert!(others.is_empty(), "armed {:?}", others);
         }
     }
 }

@@ -54,15 +54,6 @@ impl<T> Few<T> {
             Repr::Many(items) => items.retain(keep),
         }
     }
-
-    /// Each item passed through `f`, in order; one item stays in place.
-    pub fn map<U>(self, mut f: impl FnMut(T) -> U) -> Few<U> {
-        Few(match self.0 {
-            Repr::Zero => Repr::Zero,
-            Repr::One(item) => Repr::One(f(item)),
-            Repr::Many(items) => Repr::Many(items.into_iter().map(f).collect()),
-        })
-    }
 }
 
 impl<T> Default for Few<T> {
@@ -129,11 +120,11 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// A `Few` is a `Vec`: under any sequence of pushes, retains and
-        /// maps it holds the items a `Vec` holds, in the same order, and
-        /// iterates them by value in that order.
+        /// A `Few` is a `Vec`: under any sequence of pushes and retains it
+        /// holds the items a `Vec` holds, in the same order, and iterates
+        /// them by value in that order.
         #[test]
-        fn a_few_is_a_vec(ops in proptest::collection::vec((0u8..4, 0u32..8), 0..24)) {
+        fn a_few_is_a_vec(ops in proptest::collection::vec((0u8..3, 0u32..8), 0..24)) {
             let (mut few, mut model) = (Few::new(), Vec::new());
             for (op, x) in ops {
                 match op {
@@ -141,13 +132,9 @@ mod tests {
                         few.push(x);
                         model.push(x);
                     }
-                    2 => {
+                    _ => {
                         few.retain(|&y| y != x);
                         model.retain(|&y| y != x);
-                    }
-                    _ => {
-                        few = few.map(|y| y ^ x);
-                        model = model.into_iter().map(|y| y ^ x).collect();
                     }
                 }
                 prop_assert_eq!(&few[..], &model[..]);

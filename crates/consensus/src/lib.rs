@@ -42,15 +42,17 @@ pub(crate) mod testutil {
     use etx_base::wal::StableRecord;
     use std::sync::Arc;
 
-    /// Records what its owner sends; everything else is inert.
+    /// Records what its owner sends and which timers it arms; everything
+    /// else is inert.
     pub struct Outbox {
         pub me: NodeId,
         pub sent: Vec<(NodeId, Payload)>,
+        pub timers: Vec<TimerTag>,
     }
 
     impl Outbox {
         pub fn new(me: NodeId) -> Self {
-            Outbox { me, sent: Vec::new() }
+            Outbox { me, sent: Vec::new(), timers: Vec::new() }
         }
     }
 
@@ -61,7 +63,8 @@ pub(crate) mod testutil {
         fn me(&self) -> NodeId {
             self.me
         }
-        fn set_timer(&mut self, _d: Dur, _tag: TimerTag) -> TimerId {
+        fn set_timer(&mut self, _d: Dur, tag: TimerTag) -> TimerId {
+            self.timers.push(tag);
             TimerId(0)
         }
         fn cancel_timer(&mut self, _id: TimerId) {}

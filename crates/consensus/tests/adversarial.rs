@@ -179,7 +179,9 @@ impl World {
         self.drain(me, ctx);
     }
 
-    /// Fires the patience re-check at every live engine (models timers).
+    /// At every live engine, its owner's detector tick — the one re-check
+    /// a waiting round gets, which does nothing while no one is suspected
+    /// — and its resync pull.
     fn tick_all(&mut self) {
         for idx in 0..self.engines.len() {
             let me = NodeId(idx as u32);

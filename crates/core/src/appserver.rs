@@ -7,10 +7,11 @@
 //!   ownership of the attempt through `regA[j].write(self)`; the winner
 //!   computes the result against the databases, runs the voting phase, and
 //!   writes the decision into `regD[j]`;
-//! * the **cleaning thread** (Figure 6) — when a peer is suspected, walk
-//!   every open attempt it owns and force each to a decision (writing
-//!   `(nil, abort)` into `regD[j]`, which returns the owner's decision if
-//!   one was already written) and terminate it;
+//! * the **cleaning thread** (Figure 6) — on each failure-detector tick
+//!   while a peer is suspected, walk every open attempt it owns and force
+//!   each to a decision (writing `(nil, abort)` into `regD[j]`, which
+//!   returns the owner's decision if one was already written) and
+//!   terminate it;
 //! * **compute()**, **prepare()** and **terminate()** (Figures 4–5) — the
 //!   database-facing stages of an attempt are [`crate::xa::Xa`], the state
 //!   this server shares with the Figure 7 baselines; what is here is when
@@ -236,9 +237,8 @@ impl AppServer {
         shards: ShardMap,
         fd: Box<dyn FailureDetector>,
     ) -> Self {
-        let engine_cfg =
-            EngineConfig { patience: cfg.consensus_round_patience, resync: cfg.consensus_resync };
-        let regs = WoRegisters::new(me, &topo.app_servers, engine_cfg);
+        let regs =
+            WoRegisters::new(me, &topo.app_servers, EngineConfig { resync: cfg.consensus_resync });
         let log = DecisionLog::new(cfg.features.batching.max_batch, 1);
         AppServer {
             lane: ReadLane::new(me, &cfg, shards.clone()),
@@ -842,9 +842,6 @@ impl AppServer {
     /// terminated. The log's owner map holds open work only (attempts at
     /// or above their client's watermark), so that is all a pass walks.
     fn run_cleaner(&mut self, ctx: &mut dyn Context) {
-        if !self.topo.app_servers.iter().any(|&n| self.fd.suspects(n)) {
-            return;
-        }
         let cleaned = |rid| self.attempts.get(rid).is_some_and(|a| a.cleaned);
         let orphans: Vec<(ResultId, NodeId)> = self
             .log
@@ -872,38 +869,39 @@ impl AppServer {
 impl Process for AppServer {
     fn on_event(&mut self, ctx: &mut dyn Context, event: Event) {
         // A recovered server is a fresh incarnation from the factory: it
-        // restarts detection, resync and cleaning like a new one.
+        // restarts detection and resync like a new one.
         if matches!(event, Event::Init | Event::Recovered) {
             self.fd.on_init(ctx);
             self.regs.on_init(ctx);
-            ctx.set_timer(self.cfg.cleaner_interval, TimerTag::CleanerTick);
         }
         // 1. Failure detection first: every event reaches the detector (a
         //    proof of life, and a scripted detector's clock), and
-        //    everything downstream asks it `suspects` in place. An event
-        //    only the detector reads — a peer's heartbeat, its own tick —
-        //    ends here unless it moved a suspicion: stages 2–4 do nothing
-        //    with one, and the flush policy (5) left nothing queued or its
-        //    window timer armed at the end of the last event. So with the
-        //    detector quiet, a heartbeat emits nothing (`background_inert`),
-        //    and the detector's note of it is all it does: a heartbeat the
-        //    host held comes through `absorb` instead, and only the
-        //    heartbeats it queued arrive here.
+        //    everything downstream asks it `suspects` in place. The
+        //    detector's tick is the one suspicion poll: while it suspects
+        //    any application server (a forced window included, which
+        //    raises no transition), the tick re-checks every waiting
+        //    consensus round (2) and cleans (3). Only a tick raises a
+        //    suspicion, so the tick that first suspects a peer cleans at
+        //    that step. Any other event only the detector reads — a peer's
+        //    heartbeat, a tick with no one suspected — ends here unless it
+        //    moved a suspicion: stages 2–4 do nothing with one, and the
+        //    flush policy (5) left nothing queued or its window timer armed
+        //    at the end of the last event. So with the detector quiet, a
+        //    heartbeat emits nothing (`background_inert`), and the
+        //    detector's note of it is all it does: a heartbeat the host
+        //    held comes through `absorb` instead, and only the heartbeats
+        //    it queued arrive here.
         let transitions = self.fd.handle(ctx, &event);
-        let detector_only = matches!(
-            event,
-            Event::Message { payload: Payload::Fd(_), .. }
-                | Event::Timer { tag: TimerTag::FdHeartbeat, .. }
-        );
-        if detector_only && transitions.is_empty() {
+        let tick = matches!(event, Event::Timer { tag: TimerTag::FdHeartbeat, .. });
+        let poll = tick && self.topo.app_servers.iter().any(|&n| self.fd.suspects(n));
+        let detector_only = tick || matches!(event, Event::Message { payload: Payload::Fd(_), .. });
+        if detector_only && transitions.is_empty() && !poll {
             return;
         }
-        let newly_suspected =
-            transitions.iter().any(|t| matches!(t, etx_fd::FdTransition::Suspect(_)));
-        // 2. Registers: consensus traffic, round patience, resync. Slot
-        //    decisions feed the decision log, which applies them in order.
-        //    A suspicion transition re-evaluates every undecided instance.
-        if !transitions.is_empty() {
+        // 2. Registers: consensus traffic and resync. Slot decisions feed
+        //    the decision log, which applies them in order. A suspicion
+        //    transition or poll re-evaluates every undecided instance.
+        if poll || !transitions.is_empty() {
             self.regs.on_suspicion_change(ctx, &|n| self.fd.suspects(n));
         }
         for ev in self.regs.handle(ctx, &event, &|n| self.fd.suspects(n)) {
@@ -915,9 +913,9 @@ impl Process for AppServer {
             let applied = self.log.on_slot_decided(ctx, &mut self.regs, slot, &value, sus);
             self.after_pump(ctx, applied);
         }
-        // 3. A fresh suspicion triggers an immediate cleaning pass
-        //    (Figure 6's loop reacts to suspect() turning true).
-        if newly_suspected {
+        // 3. A suspicion poll runs a cleaning pass (Figure 6's loop acts
+        //    while suspect() holds).
+        if poll {
             self.run_cleaner(ctx);
         }
         // 4. Protocol messages and timers.
@@ -982,10 +980,6 @@ impl Process for AppServer {
                 TimerTag::BatchFlush => {
                     self.batch_timer = None;
                     self.flush_batch(ctx);
-                }
-                TimerTag::CleanerTick => {
-                    self.run_cleaner(ctx);
-                    ctx.set_timer(self.cfg.cleaner_interval, TimerTag::CleanerTick);
                 }
                 TimerTag::ConsensusResync => {
                     // The engine already re-armed itself; piggyback the

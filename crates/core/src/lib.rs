@@ -151,12 +151,7 @@ mod tests {
         cfg.cost = CostModel::fast_for_tests();
         cfg.net = NetConfig::fast_for_tests();
         let mut sim = Sim::new(cfg);
-        let fd_cfg = FdConfig {
-            heartbeat_every: Dur::from_millis(2),
-            initial_timeout: Dur::from_millis(8),
-            timeout_increment: Dur::from_millis(4),
-            max_timeout: Dur::from_millis(200),
-        };
+        let fd_cfg = FdConfig::fast_for_tests();
         sim.add_node("client", client);
         for _ in &topo.app_servers {
             let topo_c = topo.clone();
@@ -351,7 +346,7 @@ mod tests {
         // As above, the owner crashes right after winning regA. A detector
         // tick that turns a suspicion on goes on past the detector: every
         // survivor takes the orphan over in the step whose check first
-        // suspected its owner, not at a later cleaner tick.
+        // suspected its owner, not at a later tick.
         let topo = Topology::new(1, 3, 1);
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build_system(11, 3, 1, vec![req], vec![("acct".into(), 0)]);

@@ -19,11 +19,16 @@
 //! The detector is a *component*, not a process: the application server owns
 //! one and feeds it every runtime event first — its own ticks and the
 //! peers' heartbeats, and every protocol message, each a proof of life
-//! from its sender (a [`ScriptedFd`] also reads its clock off them). An
-//! event only the detector reads — a heartbeat delivery or a tick — ends
-//! there unless it moved a suspicion; a transition goes on to wake the
-//! consensus engine and, for a fresh suspicion, the cleaner, at the same
-//! step. Everything downstream asks [`FailureDetector::suspects`] in place.
+//! from its sender (a [`ScriptedFd`] also reads its clock off them). The
+//! detector's tick is the server's one suspicion poll: while it suspects
+//! any application server (a forced window included), each tick goes on
+//! to re-check the consensus rounds and to run the cleaner, at the same
+//! step — the tick that first suspects a peer among them, since only a
+//! tick raises a suspicion. Any other event only the detector reads — a
+//! heartbeat delivery, a tick with no one suspected — ends there unless
+//! it moved a suspicion, and a transition goes on to wake the consensus
+//! engine. Everything downstream asks [`FailureDetector::suspects`] in
+//! place.
 //!
 //! So while its detector is [`FailureDetector::quiet`] — it suspects no
 //! peer, so no heartbeat can withdraw a suspicion — an application server
@@ -66,7 +71,8 @@ pub trait FailureDetector {
     /// Feeds a runtime event to the detector: its tick, a heartbeat, or a
     /// protocol message (a proof of life from its sender); anything else
     /// is ignored. Returns the suspicion transitions it caused — usually
-    /// none, which allocates nothing.
+    /// none, which allocates nothing. Only the tick raises a suspicion; a
+    /// proof of life can only withdraw one.
     fn handle(&mut self, ctx: &mut dyn Context, event: &Event) -> Vec<FdTransition>;
 
     /// The paper's `suspect(a_i)` predicate.

@@ -119,12 +119,7 @@ impl ScenarioBuilder {
         b.cost = CostModel::fast_for_tests();
         b.net = NetConfig::fast_for_tests();
         b.pcfg = ProtocolConfig::fast_for_tests();
-        b.fd = FdConfig {
-            heartbeat_every: Dur::from_millis(2),
-            initial_timeout: Dur::from_millis(8),
-            timeout_increment: Dur::from_millis(4),
-            max_timeout: Dur::from_millis(200),
-        };
+        b.fd = FdConfig::fast_for_tests();
         b.client_timeout = Dur::from_millis(80);
         b
     }

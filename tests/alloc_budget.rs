@@ -193,8 +193,9 @@ const PAPER_CEILING: f64 = 37.6;
 /// shape should add one. Heartbeat deliveries and ticks are most of them.
 /// The figure did not move when detector-only events stopped at the
 /// detector and cancels came to mark the timer in its slot: neither
-/// changes what the simulator pops.
-const PAPER_EVENTS: f64 = 154.23;
+/// changes what the simulator pops. It fell from 154.23 when the detector's
+/// tick became the cleaner's clock: no cleaner timer fires every 100 ms.
+const PAPER_EVENTS: f64 = 146.43;
 
 /// Kernel queue pops per delivered commit of the paper-shaped scenario,
 /// gated at the figure itself: pops repeat exactly too. The aim set for
@@ -204,15 +205,17 @@ const PAPER_EVENTS: f64 = 154.23;
 /// is on pops: 76.50 per commit, where they equalled the events (154.23)
 /// before heartbeats to an idle server waited in its mailbox. The events
 /// read 154.20 since: the run stops with the last few heartbeats held.
-const PAPER_POPS: f64 = 76.5;
+/// Without the cleaner's own timer: 76.50 → 68.73.
+const PAPER_POPS: f64 = 68.73;
 
 /// Handler runs (`on_event` calls) per delivered commit of the
 /// paper-shaped scenario, gated at the figure itself: runs repeat exactly
 /// too. A heartbeat held in an idle server's mailbox was one while the
 /// kernel handed it over as a delivery: 152.22 per commit then (these runs
 /// plus the 77.70 held ones; a cancelled timer's pop runs nothing). Taken
-/// by the detector alone (`Process::absorb`), it is none: 74.52.
-const PAPER_RUNS: f64 = 74.52;
+/// by the detector alone (`Process::absorb`), it is none: 74.52. Without
+/// the cleaner's own timer: 66.75.
+const PAPER_RUNS: f64 = 66.75;
 
 /// Requests of the paper-shaped scenario: its one client issues them one
 /// after another.

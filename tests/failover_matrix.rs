@@ -281,10 +281,67 @@ fn false_suspicion_storm_costs_only_aborts_never_safety() {
 }
 
 /// The FNV-1a hash of the storm's debug trace. The forced window acts
-/// wherever the servers ask `suspects`, which a heartbeat or a detector
-/// tick that moves no suspicion never reaches; a change that means to
-/// leave the protocol alone leaves this alone.
-const GOLDEN_STORM: u64 = 0x9BC5_35BE_8278_86F7;
+/// wherever the servers ask `suspects`: at each detector tick while it is
+/// open (the one suspicion poll, which re-checks the waiting consensus
+/// rounds and runs the cleaner) and at every protocol event, never at a
+/// heartbeat; a change that means to leave the protocol alone leaves
+/// this alone. Re-pinned from `0x9BC5_35BE_8278_86F7` when the detector's
+/// tick replaced the cleaner's 5 ms timer and the rounds' 4 ms patience
+/// timers as that poll.
+const GOLDEN_STORM: u64 = 0x08EE_0718_9AA5_9F5E;
+
+/// The detector's tick is the cleaner's clock: a suspicion that opens
+/// while the primary owns an open attempt is acted on at the survivors'
+/// next 2 ms tick. The window opens just after a 5 ms mark, so a cleaner
+/// woken by a 5 ms timer of its own would take the attempt over up to
+/// 5 ms later.
+#[test]
+fn a_suspicion_is_cleaned_at_the_next_detector_tick() {
+    use etx::base::ids::NodeId;
+    use etx::base::time::Time;
+    use etx::fd::ForcedSuspicion;
+    let primary = NodeId(1);
+    let from = Time(15_100);
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 4002)
+        .workload(Workload::BankUpdate { amount: 3 })
+        .requests(20)
+        .force_suspicions(vec![ForcedSuspicion { peer: primary, from, until: Time(30_000) }])
+        .build();
+    assert_eq!(s.primary(), primary);
+    assert_eq!(s.run_until_settled(20), etx::sim::RunOutcome::Predicate);
+    s.quiesce(Dur::from_millis(50));
+    check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
+    let events = s.trace().events();
+    // The request in flight when the window opens: issued before it and
+    // delivered after it.
+    let open = events
+        .iter()
+        .rev()
+        .filter(|e| e.at < from)
+        .find_map(|e| match e.kind {
+            TraceKind::Issue { request } => Some(request),
+            _ => None,
+        })
+        .expect("a request was issued before the window");
+    let delivered = events
+        .iter()
+        .find(|e| matches!(e.kind, TraceKind::Deliver { rid, .. } if rid.request == open));
+    assert!(delivered.is_some_and(|e| e.at > from), "{open:?} is open");
+    let takeover = events
+        .iter()
+        .find(|e| {
+            matches!(e.kind, TraceKind::CleanerTakeover { rid, owner }
+                if rid.request == open && owner == primary)
+        })
+        .expect("the survivors take the open attempt over");
+    let heartbeat = FdConfig::fast_for_tests().heartbeat_every;
+    assert!(
+        takeover.at >= from && takeover.at.since(from) <= heartbeat,
+        "taken over at {:?}, {:?} after the window opened at {from:?}",
+        takeover.at,
+        takeover.at.since(from)
+    );
+}
 
 /// The primary application server is down 30 ms, against an 8 ms detector
 /// timeout, while four clients keep requests in flight: both survivors

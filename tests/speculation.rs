@@ -234,8 +234,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// held the branch stopped making a record, a memo entry, a shipment and
 /// a service-time draw, and from `0xC50A_1821_5042_DD3D` when a cleaner's
 /// abort stopped reaching the shard followers, which hold no branch: the
-/// survivors' cleaner aborts now reach the shard primaries only.
-const GOLDEN_PIPELINED: u64 = 0x5938_435D_6115_ED7B;
+/// survivors' cleaner aborts now reach the shard primaries only; and from
+/// `0x5938_435D_6115_ED7B` when the survivors' cleaners began to run at
+/// each detector tick while they suspect the crashed primary, not at a
+/// 5 ms timer of their own.
+const GOLDEN_PIPELINED: u64 = 0x40C6_A81C_2722_C525;
 
 #[test]
 fn the_speculating_burst_replays_its_golden_trace() {
