@@ -305,7 +305,10 @@ pub struct FeatureSet {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
     /// The client's back-off period (Figure 2 line 3): how long it waits on
-    /// the default primary before broadcasting to all application servers.
+    /// the server it sent an attempt to before broadcasting to all
+    /// application servers. A request's first attempt goes to the default
+    /// primary; the attempt after an abort goes to the server that answered
+    /// that abort.
     pub client_backoff: Dur,
     /// After broadcasting, the client re-broadcasts at this period while
     /// still waiting (implements "keeps retransmitting the request", §4,
@@ -328,10 +331,6 @@ pub struct ProtocolConfig {
     /// this server has not seen decided (it re-broadcasts no decision) —
     /// the wo-register `read()` liveness mechanism.
     pub consensus_resync: Dur,
-    /// Adaptive routing extension (off = paper-faithful): when on, the
-    /// client sends retries to the server that answered it last instead of
-    /// always starting at `a1`.
-    pub route_to_last_responder: bool,
     /// The optional protocol features (batching, read fast lane, read
     /// leases, speculation), defaulting to all-off — the paper's shape.
     pub features: FeatureSet,
@@ -345,7 +344,6 @@ impl Default for ProtocolConfig {
             client_rebroadcast_max: Dur::from_millis(400),
             terminate_retry: Dur::from_millis(150),
             consensus_resync: Dur::from_millis(120),
-            route_to_last_responder: false,
             features: FeatureSet::default(),
         }
     }
@@ -355,7 +353,7 @@ impl ProtocolConfig {
     /// The protocol timers at [`CostModel::fast_for_tests`] scale: every
     /// period shrunk to milliseconds, with the default's orderings (the
     /// back-off above the re-broadcast, both above the terminate retry) and
-    /// its flat re-broadcast cadence, paper routing and features off.
+    /// its flat re-broadcast cadence, and features off.
     pub fn fast_for_tests() -> Self {
         ProtocolConfig {
             client_backoff: Dur::from_millis(30),
@@ -607,13 +605,12 @@ mod tests {
     fn protocol_defaults_are_sane() {
         let p = ProtocolConfig::default();
         assert!(p.client_backoff > p.terminate_retry);
-        assert!(!p.route_to_last_responder, "paper-faithful default");
         assert!(!p.features.batching.is_batching(), "paper-faithful default pipeline");
         assert!(!p.features.read_path.enabled, "paper-faithful default read route");
         assert!(!p.features.read_leases.enabled, "paper-faithful default follower gate");
         assert!(!p.features.speculation.enabled, "paper-faithful default execute order");
         // The fast preset only shrinks timers: the same orderings, the same
-        // flat cadence, routing and features as the default.
+        // flat cadence and features as the default.
         let fast = ProtocolConfig::fast_for_tests();
         // The detector's tick is the cleaner's and the consensus rounds'
         // suspicion poll: it comes round before a terminate retry or a
@@ -630,7 +627,6 @@ mod tests {
         assert!(
             fast.client_backoff < p.client_backoff && fast.consensus_resync < p.consensus_resync
         );
-        assert!(!fast.route_to_last_responder);
         assert_eq!(fast.features, FeatureSet::default());
     }
 

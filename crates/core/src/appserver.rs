@@ -31,11 +31,13 @@
 //! claim for an attempt in slot order is its owner — `regA[j].read()` is
 //! [`DecisionLog::owner_of`] — and nothing else ever starts a computation.
 //! A request that finds no owner claims explicitly and waits for that slot
-//! (the Figure 8 "log-start" round). When slots carry batches, the server a
-//! client tries first also **pre-claims** the attempt the client will send
-//! next, in the slot that carries the current attempt's outcome anyway
-//! (`preclaim_successor`): the next request then finds its owner decided
-//! and computes at once. A pre-claim whose owner crashes before the request
+//! (the Figure 8 "log-start" round). When slots carry batches, the server
+//! the client will send its next attempt to also **pre-claims** that
+//! attempt, in the slot that carries the current attempt's outcome anyway
+//! (`preclaim_successor`): the default primary after a commit, whichever
+//! server answers after an abort, since a client retries where its abort
+//! came from. The next attempt then finds its owner decided and computes
+//! at once. A pre-claim whose owner crashes before the request
 //! arrives is an orphan like any other owned attempt — the cleaner aborts
 //! it, and the request is answered from that decision and retried.
 //!
@@ -595,9 +597,11 @@ impl AppServer {
     /// claim is a consensus round whichever attempt pays for it. And this
     /// must be the server the client will try first, or the attempt would
     /// sit here, owned and unrequested, until the client's back-off
-    /// broadcast reached it.
+    /// broadcast reached it: after an abort that is this server, which
+    /// answers it; after a commit, the next request goes to the default
+    /// primary.
     fn preclaim_successor(&mut self, rid: ResultId, outcome: Outcome) {
-        let tried_first = self.cfg.route_to_last_responder || self.me == self.topo.app_servers[0];
+        let tried_first = outcome == Outcome::Abort || self.me == self.topo.app_servers[0];
         if !self.cfg.features.batching.is_batching() || !tried_first {
             return;
         }

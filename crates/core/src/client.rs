@@ -1,13 +1,20 @@
 //! The client protocol (Figure 2): `issue()` as a state machine.
 //!
-//! The client submits attempt `j` of its request to the default primary
-//! `a1`, arms the back-off period, and — if no result arrives in time —
+//! The client submits attempt `j` of its request to one application
+//! server, arms the back-off period, and — if no result arrives in time —
 //! broadcasts the request to *all* application servers (Figure 2 lines 5–6),
 //! then keeps re-broadcasting until it receives the attempt's result
 //! (§4: "the client keeps retransmitting the request ... until it receives
 //! back a committed result"; duplicates are absorbed by the servers'
 //! idempotence). A commit result is **delivered** (`issue()` returns); an
 //! abort result moves the client to attempt `j + 1`.
+//!
+//! A request's first attempt goes to the default primary `a1` (Figure 2
+//! line 2). The attempt after an abort goes to the server whose result
+//! carried that abort: that server is up, and it is where the attempt was
+//! owned or cleaned. So when `a1` is falsely suspected and a backup's
+//! cleaner aborts its attempt, the retry lands on that backup instead of
+//! going back to be cleaned again.
 //!
 //! Attempt bookkeeping (current attempt id, timer validity, stale-result
 //! filtering, the `Issue` trace) lives in the shared
@@ -60,9 +67,6 @@ pub struct EtxClient {
     plan: IssuePlan,
     inflight: BTreeMap<RequestId, AttemptDriver>,
     delivered: Vec<(ResultId, Decision)>,
-    /// Adaptive-routing extension: last server that answered us (kept
-    /// across requests; only consulted when the config flag is on).
-    last_responder: Option<NodeId>,
     /// Causality token: per shard primary, the highest commit-ship
     /// position any delivered result has carried. Sent with every request
     /// so whichever server handles it stamps this client's reads at least
@@ -103,7 +107,6 @@ impl EtxClient {
             plan: plan.into(),
             inflight: BTreeMap::new(),
             delivered: Vec::new(),
-            last_responder: None,
             stamps: BTreeMap::new(),
         }
     }
@@ -124,7 +127,7 @@ impl EtxClient {
         if let Some(request) = self.plan.issue_next(ctx) {
             let id = request.id;
             self.inflight.insert(id, AttemptDriver::new(request));
-            self.start_attempt(ctx, id);
+            self.start_attempt(ctx, id, self.alist[0]);
         }
     }
 
@@ -143,18 +146,15 @@ impl EtxClient {
         }
     }
 
-    fn start_attempt(&mut self, ctx: &mut dyn Context, id: RequestId) {
+    /// Sends the attempt in flight for `id` to `to` and arms the back-off
+    /// (Figure 2 lines 2–3): `to` is the default primary for a request's
+    /// first attempt, the server that answered the abort for a retry.
+    fn start_attempt(&mut self, ctx: &mut dyn Context, id: RequestId, to: NodeId) {
         let ack_below = self.ack_below();
-        // Figure 2 line 2: send to the default primary first (or, with the
-        // adaptive-routing extension enabled, to whoever answered us last).
-        let first = match (self.cfg.route_to_last_responder, self.last_responder) {
-            (true, Some(p)) => p,
-            _ => self.alist[0],
-        };
         let backoff = self.cfg.client_backoff;
         let stamps = self.stamp_vec();
         let Some(flight) = self.inflight.get_mut(&id) else { return };
-        flight.send_to(ctx, first, ack_below, &stamps);
+        flight.send_to(ctx, to, ack_below, &stamps);
         let rid = flight.rid();
         flight.arm(ctx, RetryTimer::Primary, backoff, TimerTag::ClientBackoff { rid });
     }
@@ -178,7 +178,13 @@ impl EtxClient {
         flight.arm(ctx, RetryTimer::Secondary, gap, TimerTag::ClientRebroadcast { rid });
     }
 
-    fn on_result(&mut self, ctx: &mut dyn Context, rid: ResultId, decision: Decision) {
+    fn on_result(
+        &mut self,
+        ctx: &mut dyn Context,
+        from: NodeId,
+        rid: ResultId,
+        decision: Decision,
+    ) {
         let id = rid.request;
         let Some(flight) = self.inflight.get_mut(&id) else {
             return; // late duplicate of a settled request
@@ -198,10 +204,11 @@ impl EtxClient {
                 }
             }
             Outcome::Abort => {
-                // Figure 2 line 10: j := j + 1 and retry the same request.
+                // Figure 2 line 10: j := j + 1 and retry the same request,
+                // at the server that answered the abort.
                 ctx.trace(TraceKind::ClientRetry { rid });
                 flight.next_attempt(ctx);
-                self.start_attempt(ctx, id);
+                self.start_attempt(ctx, id, from);
             }
         }
     }
@@ -246,9 +253,8 @@ impl Process for EtxClient {
                 from,
                 payload: Payload::App(AppMsg::Result { rid, decision, stamps }),
             } => {
-                self.last_responder = Some(from);
                 self.fold_stamps(stamps);
-                self.on_result(ctx, rid, decision);
+                self.on_result(ctx, from, rid, decision);
             }
             _ => {}
         }

@@ -233,7 +233,9 @@ pub struct ForcedSuspicion {
 
 /// Wraps an inner detector and adds scripted false-suspicion windows. Used
 /// by tests to exercise the protocol's tolerance of unreliable failure
-/// detection (multiple concurrent primaries, cleaner-vs-owner races).
+/// detection (multiple concurrent primaries, cleaner-vs-owner races). A
+/// node never suspects itself: `on_init` drops the windows on its own id,
+/// as [`HeartbeatFd::new`] leaves it out of its peers.
 pub struct ScriptedFd<I> {
     inner: I,
     forced: Vec<ForcedSuspicion>,
@@ -262,6 +264,8 @@ impl<I: FailureDetector> ScriptedFd<I> {
 
 impl<I: FailureDetector> FailureDetector for ScriptedFd<I> {
     fn on_init(&mut self, ctx: &mut dyn Context) {
+        let me = ctx.me();
+        self.forced.retain(|w| w.peer != me);
         self.now = ctx.now();
         self.inner.on_init(ctx);
     }
@@ -597,6 +601,16 @@ mod tests {
         assert!(!fd.suspects(NodeId(6)), "only the window's peer");
         fd.now = Time(250);
         assert!(!fd.suspects(NodeId(7)));
+    }
+
+    #[test]
+    fn a_scripted_detector_never_suspects_its_own_node() {
+        let window = |peer| ForcedSuspicion { peer, from: Time(100), until: Time(200) };
+        let mut fd = ScriptedFd::new(NullFd, vec![window(NodeId(0)), window(NodeId(1))]);
+        // The recording context is node 0.
+        fd.on_init(&mut At { now: Time(150), ..At::default() });
+        assert!(!fd.suspects(NodeId(0)), "its own window is dropped");
+        assert!(fd.suspects(NodeId(1)), "a peer's window still holds");
     }
 
     #[test]

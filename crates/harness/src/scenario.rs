@@ -269,12 +269,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Baseline-client patience.
-    pub fn client_timeout(mut self, t: Dur) -> Self {
-        self.client_timeout = t;
-        self
-    }
-
     /// Injects false-suspicion windows into every e-Transaction server's
     /// failure detector (chaos testing).
     pub fn force_suspicions(mut self, windows: Vec<ForcedSuspicion>) -> Self {

@@ -287,8 +287,11 @@ fn false_suspicion_storm_costs_only_aborts_never_safety() {
 /// heartbeat; a change that means to leave the protocol alone leaves
 /// this alone. Re-pinned from `0x9BC5_35BE_8278_86F7` when the detector's
 /// tick replaced the cleaner's 5 ms timer and the rounds' 4 ms patience
-/// timers as that poll.
-const GOLDEN_STORM: u64 = 0x08EE_0718_9AA5_9F5E;
+/// timers as that poll, and from `0x08EE_0718_9AA5_9F5E` when a client
+/// began to retry at the server whose result carried its abort and the
+/// suspected primary stopped suspecting itself (each change alone moves
+/// this hash, to a value of its own).
+const GOLDEN_STORM: u64 = 0x3B24_3E02_1269_2DEA;
 
 /// The detector's tick is the cleaner's clock: a suspicion that opens
 /// while the primary owns an open attempt is acted on at the survivors'
@@ -343,6 +346,88 @@ fn a_suspicion_is_cleaned_at_the_next_detector_tick() {
     );
 }
 
+/// Twenty sequential requests while every server but the alive primary
+/// suspects it from 2 ms until `until`, run to settlement within 1 s of
+/// simulated time: every request delivered, §3 with T.1 and T.2.
+fn primary_suspected_until(until: etx::base::time::Time) -> etx::harness::Scenario {
+    use etx::base::ids::NodeId;
+    use etx::base::time::Time;
+    use etx::fd::ForcedSuspicion;
+    let primary = NodeId(1);
+    let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 4003)
+        .workload(Workload::BankUpdate { amount: 2 })
+        .requests(20)
+        .force_suspicions(vec![ForcedSuspicion { peer: primary, from: Time(2_000), until }])
+        .wall_limit(Dur::from_secs(1))
+        .build();
+    assert_eq!(s.primary(), primary);
+    assert_eq!(
+        s.run_until_settled(20),
+        etx::sim::RunOutcome::Predicate,
+        "window until {until:?}: {} of 20 delivered within 1 s",
+        s.delivered_commits()
+    );
+    s.quiesce(Dur::from_millis(50));
+    assert_eq!(s.delivered_commits(), 20);
+    check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
+    s
+}
+
+/// A false suspicion of the primary costs a few aborts, however long it
+/// lasts. The survivors clean the primary's attempt, and the client
+/// retries at the server whose result carried the abort, a survivor, so
+/// each request commits at its second attempt. Windows of 1 s, 3 s and
+/// one that never closes all end after the last delivery, and they cost
+/// the same takeovers: at most one per survivor per request.
+#[test]
+fn a_false_suspicion_of_the_primary_costs_the_same_however_long_it_lasts() {
+    use etx::base::time::Time;
+    let from = Time(2_000);
+    let takeovers = |until: Time| {
+        let s = primary_suspected_until(until);
+        s.trace().count_kind(|k| matches!(k, TraceKind::CleanerTakeover { .. }))
+    };
+    let counts =
+        [from + Dur::from_secs(1), from + Dur::from_secs(3), Time(u64::MAX)].map(takeovers);
+    assert!(counts.iter().all(|&n| n == counts[0]), "takeovers per window: {counts:?}");
+    assert!(counts[0] <= 2 * 20, "{} takeovers for 20 requests", counts[0]);
+}
+
+/// Under a window on the primary that never closes, each retry is
+/// computed by a server that cleaned the attempt before it: the client
+/// sends it where the abort came from, and that is never the suspected
+/// primary.
+#[test]
+fn a_retry_is_computed_by_a_server_that_cleaned_its_attempt() {
+    use etx::base::time::Time;
+    let s = primary_suspected_until(Time(u64::MAX));
+    let events = s.trace().events();
+    let cleaners = |rid| -> Vec<_> {
+        events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::CleanerTakeover { rid: r, .. } if r == rid))
+            .map(|e| e.node)
+            .collect()
+    };
+    let mut retries = 0;
+    for e in events {
+        let TraceKind::Computed { rid } = e.kind else { continue };
+        if rid.attempt == 1 {
+            continue;
+        }
+        retries += 1;
+        let previous = etx::base::ids::ResultId { attempt: rid.attempt - 1, ..rid };
+        assert_ne!(e.node, s.primary(), "{rid:?} computed by the suspected primary");
+        assert!(
+            cleaners(previous).contains(&e.node),
+            "{rid:?} computed by {}, but {previous:?} was cleaned by {:?}",
+            e.node,
+            cleaners(previous)
+        );
+    }
+    assert!(retries > 0, "no request was retried");
+}
+
 /// The primary application server is down 30 ms, against an 8 ms detector
 /// timeout, while four clients keep requests in flight: both survivors
 /// suspect it, and once it is back its heartbeats withdraw the suspicion.
@@ -381,8 +466,11 @@ fn a_suspected_primary_that_comes_back_is_unsuspected() {
 }
 
 /// The FNV-1a hash of the comeback run's debug trace: every suspicion, its
-/// withdrawal, and what the servers did in between.
-const GOLDEN_COMEBACK: u64 = 0x3244_69BF_619F_DCBE;
+/// withdrawal, and what the servers did in between. Re-pinned from
+/// `0x3244_69BF_619F_DCBE` when a client began to retry at the server
+/// whose result carried its abort: a retry goes to the survivor that
+/// answered the abort, not back to the crashed primary.
+const GOLDEN_COMEBACK: u64 = 0xEFE7_68E2_0D20_D5C4;
 
 #[test]
 fn failure_free_latency_does_not_depend_on_the_fd_timeout() {

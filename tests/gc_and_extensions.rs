@@ -1,7 +1,6 @@
 //! Extensions beyond the paper's core: garbage collection of register
-//! arrays (§5 names it as open) and the adaptive client-routing flag.
+//! arrays (§5 names it as open) and the client's retry trace.
 
-use etx::base::config::ProtocolConfig;
 use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::ids::NodeId;
 use etx::base::runtime::RuntimeKind;
@@ -115,36 +114,6 @@ fn gc_with_failover_in_the_middle_of_the_stream() {
     s.quiesce(Dur::from_millis(300));
     assert_eq!(s.delivered_commits(), 10);
     check(s.trace().events(), &s.topo.clients, LivenessChecks { t1: true, t2: true }).assert_ok();
-}
-
-#[test]
-fn adaptive_routing_recovers_faster_after_primary_death() {
-    // With route_to_last_responder the client skips the dead default
-    // primary on retries; the total time for a stream of requests after
-    // the primary's crash must strictly beat the paper-faithful policy
-    // (which pays one back-off per request).
-    let run = |adaptive: bool| {
-        let pcfg = ProtocolConfig {
-            route_to_last_responder: adaptive,
-            ..ProtocolConfig::fast_for_tests()
-        };
-        let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 887)
-            .protocol(pcfg)
-            .workload(Workload::BankUpdate { amount: 1 })
-            .requests(6)
-            .build();
-        let a1 = s.topo.primary();
-        s.schedule_fault(NemesisWhen::After(Dur::ZERO), FaultOp::Crash(a1)).unwrap();
-        let out = s.run_until_settled(6);
-        assert_eq!(out, etx::sim::RunOutcome::Predicate);
-        s.now()
-    };
-    let faithful = run(false);
-    let adaptive = run(true);
-    assert!(
-        adaptive < faithful,
-        "adaptive routing ({adaptive}) must beat per-request back-off ({faithful})"
-    );
 }
 
 #[test]

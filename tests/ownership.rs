@@ -16,11 +16,12 @@
 //!   cleaner already aborted is answered from the log;
 //! * **ownership returns to the primary** — once it is back, requests are
 //!   as fast as if it had never left;
-//! * **only the server a client tries first pre-claims** — a backup never
-//!   does under the paper's routing, the last responder does under
-//!   `route_to_last_responder`.
+//! * **only the server a client tries first pre-claims** — after a commit
+//!   that is the default primary, never a backup; after an abort it is
+//!   whichever server answered, backups included, since the client
+//!   retries there.
 
-use etx::base::config::{FeatureSet, ProtocolConfig};
+use etx::base::config::FeatureSet;
 use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::ids::{RequestId, ResultId};
 use etx::base::time::Dur;
@@ -261,30 +262,29 @@ fn ownership_returns_to_the_recovered_primary() {
 #[test]
 fn only_the_server_a_client_tries_first_pre_claims() {
     // The default primary dead from the start: every request is claimed
-    // by a backup after the client's back-off broadcast. A backup that
-    // pre-claimed would own each next attempt while the client still sent
-    // it to the dead primary first — nothing gained — so under the paper's
-    // routing it must not, and every attempt pays its own log-start round.
-    let run = |adaptive: bool| {
-        // `ScenarioBuilder::fast`'s protocol timers, with the routing flag.
-        let protocol = ProtocolConfig {
-            route_to_last_responder: adaptive,
-            features: pipelined(),
-            ..ProtocolConfig::fast_for_tests()
-        };
+    // by a backup after the client's back-off broadcast.
+    let run = |workload: Workload, clients: usize| {
         let mut s = ScenarioBuilder::fast(MiddleTier::Etx { apps: 3 }, 1740)
-            .protocol(protocol)
-            .workload(Workload::BankUpdate { amount: 5 })
+            .features(pipelined())
+            .workload(workload)
+            .clients(clients)
             .requests(8)
             .build();
         let a1 = s.primary();
         s.fault(FaultOp::Crash(a1)).expect("the simulator injects faults");
         settle(s)
     };
-    let faithful = run(false);
-    assert_eq!(log_starts(&faithful), 8, "no backup pre-claims under default-primary routing");
-    // With `route_to_last_responder` the client goes back to whoever
-    // answered, so that server is the one tried first and does pre-claim.
-    let adaptive = run(true);
-    assert_eq!(log_starts(&adaptive), 1, "the responder pre-claims what the client sends it next");
+    // After a commit the client sends its next request to the dead
+    // primary first, so a backup that pre-claimed it would own an attempt
+    // nobody sends it before the back-off broadcast — nothing gained. It
+    // must not, and every attempt pays its own log-start round.
+    let faithful = run(Workload::BankUpdate { amount: 5 }, 1);
+    assert_eq!(log_starts(&faithful), 8, "no backup pre-claims the request after a commit");
+    // After an abort the client retries at the server that answered it,
+    // the backup that owned the attempt. That backup pre-claims the retry,
+    // so only first attempts pay a log-start round.
+    let contended = run(Workload::HotSpot, 3);
+    let retries = contended.trace().count_kind(|k| matches!(k, TraceKind::ClientRetry { .. }));
+    assert!(retries > 0, "the hot key makes owners vote abort");
+    assert_eq!(log_starts(&contended), 3 * 8, "{retries} retries, each pre-claimed by its owner");
 }

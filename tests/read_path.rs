@@ -48,7 +48,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// GC, shard routes, held votes and snapshot re-collects: each hash is
 /// that of the earlier trace with those events removed. The time before,
 /// spans left the trace for the nodes' span totals the same way.)
-const GOLDEN_FAILOVER: u64 = 0x5FB4_BCC7_6508_1EC4;
+/// `GOLDEN_FAILOVER` alone was re-pinned since, from
+/// `0x5FB4_BCC7_6508_1EC4`, when a client began to retry at the server
+/// whose result carried its abort: its retry goes to the survivor that
+/// answered the abort, not back to the crashed primary.
+const GOLDEN_FAILOVER: u64 = 0x9CBC_4AE0_2E8F_65E0;
 const GOLDEN_SHARDED: u64 = 0x054D_B9C8_EFE7_BB6C;
 const GOLDEN_BATCHED: u64 = 0x9C08_E903_1643_97D8;
 

@@ -237,8 +237,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// survivors' cleaner aborts now reach the shard primaries only; and from
 /// `0x5938_435D_6115_ED7B` when the survivors' cleaners began to run at
 /// each detector tick while they suspect the crashed primary, not at a
-/// 5 ms timer of their own.
-const GOLDEN_PIPELINED: u64 = 0x40C6_A81C_2722_C525;
+/// 5 ms timer of their own; and from `0x40C6_A81C_2722_C525` when a
+/// client began to retry at the server whose result carried its abort,
+/// and that server to pre-claim the retry.
+const GOLDEN_PIPELINED: u64 = 0x7A73_5212_87BE_CD35;
 
 #[test]
 fn the_speculating_burst_replays_its_golden_trace() {
